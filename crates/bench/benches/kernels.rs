@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the Table 4 kernel comparison:
 //! PDX auto-vectorized vs N-ary explicit-SIMD vs N-ary scalar, for
-//! L2 / IP / L1 at representative dimensionalities.
+//! L2 / IP / L1 at representative dimensionalities — and, in the
+//! `rotation` groups, the query/collection rotation kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pdx::prelude::*;
@@ -50,12 +51,56 @@ fn bench_kernels(c: &mut Criterion) {
     }
 }
 
+/// The ADSampling/BSA rotation kernel (`pdx-linalg`'s `dot_rows`): a
+/// `d × d` matrix against `B` packed queries, scalar oracle vs the ISA
+/// the `Auto` policy resolves on this machine. `B = 1` is the per-query
+/// `matvec`; larger `B` is the batched rotation of `search_batch` and
+/// the collection rotation. Throughput counts the matrix bytes the
+/// arithmetic consumes (`B` passes over `d × d` `f32`), so the rate is
+/// comparable with a memory-bandwidth figure
+/// (`harness.calib_stream_gbps` in `perfbench`): at `B = 1` it is the
+/// bandwidth of the cache level the matrix lives in, and what it gains
+/// with `B` is the tile reusing each matrix strip across queries.
+fn bench_rotation(c: &mut Criterion) {
+    use pdx::linalg::{kernel::dot_rows, MatrixView};
+    let isa = KernelPolicy::Auto.resolve().name();
+    for d in [128usize, 960] {
+        let mut group = c.benchmark_group(format!("rotation/d{d}"));
+        let spec = DatasetSpec {
+            name: "bench",
+            dims: d,
+            distribution: Distribution::Normal,
+            paper_size: 0,
+        };
+        let ds = generate(&spec, d, 16, d as u64);
+        let matrix = MatrixView::new(d, d, &ds.data);
+        for batch in [1usize, 4, 16] {
+            group.throughput(Throughput::Bytes((batch * d * d * 4) as u64));
+            let queries = MatrixView::new(batch, d, &ds.queries[..batch * d]);
+            let mut out = vec![0.0f32; batch * d];
+            let auto = format!("auto-{isa}");
+            for (name, policy) in [
+                ("scalar", KernelPolicy::Scalar),
+                (auto.as_str(), KernelPolicy::Auto),
+            ] {
+                group.bench_with_input(BenchmarkId::new(name, batch), &batch, |b, _| {
+                    b.iter(|| {
+                        dot_rows(matrix, black_box(queries), &mut out, policy);
+                        black_box(&out);
+                    })
+                });
+            }
+        }
+        group.finish();
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kernels
+    targets = bench_kernels, bench_rotation
 }
 criterion_main!(benches);

@@ -4,6 +4,12 @@ use crate::exec::ThreadPool;
 use crate::heap::{KnnHeap, Neighbor};
 use std::ops::Range;
 
+/// Queries a worker prepares together in
+/// [`BatchSearcher::run_prepared`]: enough for a batched query
+/// transformation to amortize its pass over the transform matrix, few
+/// enough that a 100-query batch still spreads over many workers.
+pub const SUB_BATCH: usize = 8;
+
 /// Shards a query batch across a worker pool.
 ///
 /// Queries are distributed one at a time from a shared cursor (dynamic
@@ -75,6 +81,48 @@ impl BatchSearcher {
         let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
         self.pool.for_each_chunk_mut(&mut out, 1, |qi, slot| {
             slot[0] = search(&queries[qi * dims..(qi + 1) * dims]);
+        });
+        out
+    }
+
+    /// [`BatchSearcher::run`] with query preparation split out: each
+    /// work item is a sub-batch of up to [`SUB_BATCH`] consecutive
+    /// queries that one worker hands to `prepare` as a packed buffer
+    /// and then searches one by one. `prepare` must return one prepared
+    /// query per input query, in order; as long as it prepares each
+    /// query to the same value whatever it is batched with, results
+    /// equal a sequential loop at any thread count. Batches too small
+    /// to give every worker a full sub-batch are cut finer instead.
+    ///
+    /// # Panics
+    /// Panics if `dims == 0`, `queries.len()` is not a multiple of
+    /// `dims`, or `prepare` returns the wrong number of queries.
+    pub fn run_prepared<Q, P, S>(
+        &self,
+        queries: &[f32],
+        dims: usize,
+        prepare: P,
+        search: S,
+    ) -> Vec<Vec<Neighbor>>
+    where
+        P: Fn(&[f32]) -> Vec<Q> + Sync,
+        S: Fn(&Q) -> Vec<Neighbor> + Sync,
+    {
+        assert!(dims > 0, "dims must be positive");
+        assert_eq!(
+            queries.len() % dims,
+            0,
+            "queries buffer must hold whole vectors"
+        );
+        let nq = queries.len() / dims;
+        let sub = SUB_BATCH.min(nq.div_ceil(self.threads())).max(1);
+        let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
+        self.pool.for_each_chunk_mut(&mut out, sub, |q0, slots| {
+            let prepared = prepare(&queries[q0 * dims..(q0 + slots.len()) * dims]);
+            assert_eq!(prepared.len(), slots.len(), "one prepared query per query");
+            for (slot, q) in slots.iter_mut().zip(&prepared) {
+                *slot = search(q);
+            }
         });
         out
     }
@@ -168,6 +216,27 @@ mod tests {
             for (qi, res) in got.iter().enumerate() {
                 let want = brute_1nn(&[0.0, 0.0], &queries[qi * dims..(qi + 1) * dims]);
                 assert_eq!(res, &want, "query {qi} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_batches_match_the_per_query_run() {
+        let dims = 3;
+        for nq in [0usize, 1, 3, SUB_BATCH, SUB_BATCH + 1, 100] {
+            let queries: Vec<f32> = (0..nq * dims).map(|i| (i % 17) as f32).collect();
+            let want = BatchSearcher::new(1).run(&queries, dims, |q| brute_1nn(&[1.0; 3], q));
+            for threads in [1usize, 2, 8] {
+                let got = BatchSearcher::new(threads).run_prepared(
+                    &queries,
+                    dims,
+                    |packed| {
+                        assert!(packed.len() <= SUB_BATCH * dims);
+                        packed.chunks_exact(dims).map(<[f32]>::to_vec).collect()
+                    },
+                    |q| brute_1nn(&[1.0; 3], q),
+                );
+                assert_eq!(got, want, "{nq} queries at {threads} threads");
             }
         }
     }

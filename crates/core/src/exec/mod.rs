@@ -15,7 +15,10 @@
 //!   query at a time (queries are the natural unit of load balance for
 //!   serving workloads). Each query runs the unmodified sequential
 //!   search path, so batch results are trivially identical to a
-//!   sequential loop at any thread count.
+//!   sequential loop at any thread count. For pruners whose query
+//!   preparation is worth batching (a rotation),
+//!   [`BatchSearcher::run_prepared`] hands each worker a sub-batch of
+//!   [`SUB_BATCH`] queries to prepare together and search one by one.
 //! * [`parallel_block_search`] + [`merge_neighbors`] — intra-query
 //!   parallelism for large single queries: the block list is split into
 //!   one contiguous range per worker, each worker fills a private
@@ -43,6 +46,8 @@ mod batch;
 mod job;
 mod pool;
 
-pub use batch::{merge_neighbors, merge_neighbors_filtered, parallel_block_search, BatchSearcher};
+pub use batch::{
+    merge_neighbors, merge_neighbors_filtered, parallel_block_search, BatchSearcher, SUB_BATCH,
+};
 pub use job::{spawn_job, JobHandle};
 pub use pool::{hardware_threads, resolve_threads, ThreadPool, THREADS_ENV};

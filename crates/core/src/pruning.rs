@@ -135,6 +135,17 @@ pub trait Pruner {
     /// Transforms a raw query into collection space.
     fn prepare_query(&self, query: &[f32]) -> Self::Query;
 
+    /// Transforms a packed row-major batch of raw `dims`-sized queries,
+    /// in order. Element `i` must equal `prepare_query` of query `i` bit
+    /// for bit; pruners whose transformation is a matrix product
+    /// override this to rotate the whole batch in one tiled call.
+    fn prepare_queries(&self, packed: &[f32], dims: usize) -> Vec<Self::Query> {
+        packed
+            .chunks_exact(dims)
+            .map(|q| self.prepare_query(q))
+            .collect()
+    }
+
     /// The query vector to feed the distance kernels.
     fn query_vector<'q>(&self, q: &'q Self::Query) -> &'q [f32];
 

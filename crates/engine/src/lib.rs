@@ -33,13 +33,16 @@
 
 use pdx_core::collection::SearchBlock;
 use pdx_core::engine::{SearchOptions, VectorIndex};
+use pdx_core::exec::BatchSearcher;
 use pdx_core::heap::Neighbor;
 use pdx_core::pruning::Pruner;
+use pdx_core::SearchProfile;
 use pdx_datasets::persist::{read_container, read_container_path, Container};
 use pdx_index::{FlatPdx, FlatSq8, IvfPdx, IvfSq8, LazyIvf};
 use pdx_store::{Collection, ShardedCollection, MANIFEST_FILE, MANIFEST_MAGIC};
 use std::io;
 use std::path::Path;
+use std::time::Instant;
 
 /// Deployment-independent open knobs for [`AnyIndex::open_with`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -233,6 +236,36 @@ fn pruned_kind(flat: bool, pruner: &str) -> &'static str {
     }
 }
 
+/// Runs a profiled search and publishes its phase breakdown as one
+/// [`QueryTrace`](pdx_core::QueryTrace) of deployment `kind`.
+fn publish_profiled(
+    kind: &'static str,
+    search: impl FnOnce(&mut SearchProfile) -> Vec<Neighbor>,
+) -> Vec<Neighbor> {
+    let t0 = Instant::now();
+    let mut profile = SearchProfile::default();
+    let out = search(&mut profile);
+    let total_ns = t0.elapsed().as_nanos() as u64;
+    pdx_core::publish_trace(&pdx_core::trace_from_profile(kind, &profile, total_ns));
+    out
+}
+
+/// Runs a search that has no profiled variant and, when `trace` is set,
+/// publishes its wall time alone.
+fn publish_wall_time(
+    kind: &'static str,
+    trace: bool,
+    search: impl FnOnce() -> Vec<Neighbor>,
+) -> Vec<Neighbor> {
+    let t0 = trace.then(Instant::now);
+    let out = search();
+    if let Some(t0) = t0 {
+        let total_ns = t0.elapsed().as_nanos() as u64;
+        pdx_core::publish_trace(&pdx_core::total_only_trace(kind, total_ns));
+    }
+    out
+}
+
 /// A flat deployment paired with a fitted pruner, served through
 /// [`VectorIndex`].
 ///
@@ -248,7 +281,16 @@ fn pruned_kind(flat: bool, pruner: &str) -> &'static str {
 ///
 /// For approximate pruners `search_parallel` may legitimately differ
 /// from the sequential search (their bound depends on the threshold's
-/// history); `search_batch` stays bit-identical at any width.
+/// history); `search_batch` stays bit-identical at any width — it
+/// prepares queries in sub-batches
+/// ([`Pruner::prepare_queries`]: one tiled rotation instead of one
+/// matrix pass per query), which changes no query's prepared bits.
+///
+/// With [`SearchOptions::trace`] set, `search` runs the profiled scan
+/// and publishes a [`QueryTrace`](pdx_core::QueryTrace) under the
+/// adapter's `kind()` (the rotation is its `preprocess` phase),
+/// `search_batch` takes that path per query, and `search_parallel`
+/// publishes wall time only — like the plain deployments.
 #[derive(Debug, Clone)]
 pub struct PrunedFlat<P> {
     /// The deployment, stored in the pruner's space.
@@ -282,12 +324,29 @@ where
     }
 
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.flat.search(&self.pruner, query, &opts.params())
+        if !opts.trace {
+            return self.flat.search(&self.pruner, query, &opts.params());
+        }
+        publish_profiled(self.kind(), |profile| {
+            self.flat
+                .search_profiled(&self.pruner, query, &opts.params(), profile)
+        })
+    }
+
+    fn search_batch(&self, queries: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
+        if opts.trace {
+            return BatchSearcher::new(opts.threads)
+                .run(queries, self.dims(), |q| self.search(q, opts));
+        }
+        self.flat
+            .search_batch(&self.pruner, queries, &opts.params(), opts.threads)
     }
 
     fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.flat
-            .search_parallel(&self.pruner, query, &opts.params(), opts.threads)
+        publish_wall_time(self.kind(), opts.trace, || {
+            self.flat
+                .search_parallel(&self.pruner, query, &opts.params(), opts.threads)
+        })
     }
 }
 
@@ -328,13 +387,31 @@ where
 
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
         let nprobe = opts.resolve_nprobe(self.ivf.blocks.len());
-        self.ivf.search(&self.pruner, query, nprobe, &opts.params())
+        if !opts.trace {
+            return self.ivf.search(&self.pruner, query, nprobe, &opts.params());
+        }
+        publish_profiled(self.kind(), |profile| {
+            self.ivf
+                .search_profiled(&self.pruner, query, nprobe, &opts.params(), profile)
+        })
+    }
+
+    fn search_batch(&self, queries: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
+        if opts.trace {
+            return BatchSearcher::new(opts.threads)
+                .run(queries, self.dims(), |q| self.search(q, opts));
+        }
+        let nprobe = opts.resolve_nprobe(self.ivf.blocks.len());
+        self.ivf
+            .search_batch(&self.pruner, queries, nprobe, &opts.params(), opts.threads)
     }
 
     fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
         let nprobe = opts.resolve_nprobe(self.ivf.blocks.len());
-        self.ivf
-            .search_parallel(&self.pruner, query, nprobe, &opts.params(), opts.threads)
+        publish_wall_time(self.kind(), opts.trace, || {
+            self.ivf
+                .search_parallel(&self.pruner, query, nprobe, &opts.params(), opts.threads)
+        })
     }
 }
 

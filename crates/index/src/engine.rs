@@ -55,7 +55,7 @@ use pdx_core::pruning::Pruner;
 use pdx_core::search::quantized::{sq8_rerank, sq8_search_policy, sq8_two_phase_policy, Sq8Block};
 use pdx_core::search::{
     horizontal_linear_scan, horizontal_pruned_search_prepared, linear_scan_blocks,
-    pdxearch_prepared, pdxearch_profiled, HorizontalBucket,
+    pdxearch_prepared, HorizontalBucket,
 };
 use pdx_core::SearchProfile;
 use std::time::Instant;
@@ -100,8 +100,7 @@ impl VectorIndex for FlatPdx {
             let out = match opts.pruner {
                 PrunerKind::Bond(order) => {
                     let bond = PdxBond::new(opts.metric, order);
-                    let blocks: Vec<&SearchBlock> = self.collection.blocks.iter().collect();
-                    pdxearch_profiled(&bond, &blocks, query, &opts.params(), &mut profile)
+                    FlatPdx::search_profiled(self, &bond, query, &opts.params(), &mut profile)
                 }
                 PrunerKind::Linear => self.linear_search(query, opts.k, opts.metric),
             };

@@ -11,8 +11,9 @@ use pdx_core::collection::{PdxCollection, SearchBlock};
 use pdx_core::distance::Metric;
 use pdx_core::exec::{parallel_block_search, BatchSearcher};
 use pdx_core::heap::Neighbor;
+use pdx_core::profile::SearchProfile;
 use pdx_core::pruning::Pruner;
-use pdx_core::search::{linear_scan_pdx, pdxearch_prepared, SearchParams};
+use pdx_core::search::{linear_scan_pdx, pdxearch_prepared, pdxearch_profiled, SearchParams};
 use pdx_core::DEFAULT_EXACT_BLOCK;
 
 /// Flat PDX deployment of a collection for exact search.
@@ -79,13 +80,27 @@ impl FlatPdx {
         pdxearch_prepared(pruner, &q, &blocks, params)
     }
 
+    /// [`FlatPdx::search`] with the Table 7 phase breakdown.
+    pub fn search_profiled<P: Pruner>(
+        &self,
+        pruner: &P,
+        query: &[f32],
+        params: &SearchParams,
+        profile: &mut SearchProfile,
+    ) -> Vec<Neighbor> {
+        let blocks: Vec<&SearchBlock> = self.collection.blocks.iter().collect();
+        pdxearch_profiled(pruner, &blocks, query, params, profile)
+    }
+
     /// Searches a batch of packed queries on the execution engine's
     /// worker pool (`threads = 0` resolves the default width — the
     /// `PDX_THREADS` env override, then hardware parallelism). Each
     /// individual query still runs the single-threaded PDXearch — this
     /// parallelizes *across* queries, the way vector databases serve
-    /// concurrent load — so results are identical to a sequential loop
-    /// of [`FlatPdx::search`] at any thread count.
+    /// concurrent load — after its worker has prepared a small
+    /// sub-batch of queries together ([`Pruner::prepare_queries`] — one
+    /// tiled rotation for ADSampling/BSA), so results are identical to
+    /// a sequential loop of [`FlatPdx::search`] at any thread count.
     ///
     /// # Panics
     /// Panics if `queries.len()` is not a multiple of the
@@ -97,9 +112,14 @@ impl FlatPdx {
         params: &SearchParams,
         threads: usize,
     ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::new(threads).run(queries, self.collection.dims, |q| {
-            self.search(pruner, q, params)
-        })
+        let dims = self.collection.dims;
+        let blocks: Vec<&SearchBlock> = self.collection.blocks.iter().collect();
+        BatchSearcher::new(threads).run_prepared(
+            queries,
+            dims,
+            |packed| pruner.prepare_queries(packed, dims),
+            |q| pdxearch_prepared(pruner, q, &blocks, params),
+        )
     }
 
     /// One large query with the partitions split into per-worker block

@@ -214,15 +214,29 @@ impl IvfPdx {
         nprobe: usize,
         params: &SearchParams,
     ) -> Vec<Neighbor> {
-        let q = pruner.prepare_query(query);
-        let order = self.probe_order(pruner.query_vector(&q), nprobe, pruner.metric());
+        self.search_prepared(pruner, &pruner.prepare_query(query), nprobe, params)
+    }
+
+    /// [`IvfPdx::search`] from an already-prepared query: probe →
+    /// pruned scan.
+    pub fn search_prepared<P: Pruner>(
+        &self,
+        pruner: &P,
+        q: &P::Query,
+        nprobe: usize,
+        params: &SearchParams,
+    ) -> Vec<Neighbor> {
+        let order = self.probe_order(pruner.query_vector(q), nprobe, pruner.metric());
         let blocks: Vec<&SearchBlock> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        pdxearch_prepared(pruner, &q, &blocks, params)
+        pdxearch_prepared(pruner, q, &blocks, params)
     }
 
     /// Searches a batch of packed queries on `threads` workers (`0` =
-    /// default width), one query per work item. Results are identical
-    /// to calling [`IvfPdx::search`] per query, at any thread count.
+    /// default width). Each work item is a small sub-batch that one
+    /// worker prepares together ([`Pruner::prepare_queries`] — one
+    /// tiled rotation for ADSampling/BSA) and then searches query by
+    /// query. Results are identical to calling [`IvfPdx::search`] per
+    /// query, at any thread count.
     ///
     /// # Panics
     /// Panics if `queries.len()` is not a multiple of the
@@ -235,9 +249,12 @@ impl IvfPdx {
         params: &SearchParams,
         threads: usize,
     ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::new(threads).run(queries, self.dims, |q| {
-            self.search(pruner, q, nprobe, params)
-        })
+        BatchSearcher::new(threads).run_prepared(
+            queries,
+            self.dims,
+            |packed| pruner.prepare_queries(packed, self.dims),
+            |q| self.search_prepared(pruner, q, nprobe, params),
+        )
     }
 
     /// One large query with the probed buckets split into per-worker

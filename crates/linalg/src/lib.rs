@@ -13,19 +13,21 @@
 //!   backed by the symmetric eigensolver in [`eigen`]).
 //!
 //! Neither transformation needs external BLAS/LAPACK: this crate provides
-//! a cache-blocked, multi-threaded matrix product, Householder QR, a
+//! a register- and cache-tiled, multi-threaded matrix product on one
+//! explicit-SIMD dot-product kernel ([`kernel`]), Householder QR, a
 //! Householder-tridiagonalisation + implicit-QL symmetric eigensolver, and
 //! ordinary least squares (used by the learned BSA ablation). Decomposition
 //! internals run in `f64` for stability; vector data stays `f32`.
 
 pub mod eigen;
+pub mod kernel;
 pub mod matrix;
 pub mod ols;
 pub mod orthogonal;
 pub mod pca;
 
 pub use eigen::SymmetricEigen;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, MatrixView};
 pub use ols::LinearRegression;
 pub use orthogonal::random_orthogonal;
 pub use pca::Pca;

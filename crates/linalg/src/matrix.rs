@@ -1,7 +1,13 @@
 //! A minimal dense row-major `f32` matrix with the handful of operations
-//! the PDX pipeline needs: transposed products for covariance, and a
-//! cache-blocked multi-threaded `A · Bᵀ` used to rotate whole vector
-//! collections (ADSampling / BSA preprocessing).
+//! the PDX pipeline needs, and a borrowed [`MatrixView`] of the same
+//! shape so a caller's row buffer (a whole collection, a packed query
+//! batch) can be an operand without being copied. The two products —
+//! `A · x` and the multi-threaded `A · Bᵀ` that rotates whole vector
+//! collections (ADSampling / BSA preprocessing) — both run on the one
+//! dot-product kernel of [`crate::kernel`].
+
+use crate::kernel::{dot_rows, X_BLOCK};
+use pdx_core::kernels::KernelPolicy;
 
 /// Dense row-major matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,53 +101,118 @@ impl Matrix {
         out
     }
 
+    /// This matrix as a borrowed [`MatrixView`].
+    pub fn view(&self) -> MatrixView<'_> {
+        MatrixView {
+            rows: self.rows,
+            cols: self.cols,
+            data: &self.data,
+        }
+    }
+
+    /// `y = self · x` for a column vector `x`; see [`MatrixView::matvec`].
+    ///
+    /// # Panics
+    /// Panics if `x.len() != cols`.
+    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
+        self.view().matvec(x)
+    }
+
+    /// `C = self · otherᵀ`; see [`MatrixView::mul_transposed`].
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions disagree.
+    pub fn mul_transposed(&self, other: &Matrix, threads: usize) -> Matrix {
+        self.view().mul_transposed(other.view(), threads)
+    }
+}
+
+/// A borrowed dense row-major `rows × cols` matrix of `f32`.
+#[derive(Debug, Clone, Copy)]
+pub struct MatrixView<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f32],
+}
+
+impl<'a> MatrixView<'a> {
+    /// Views an existing row-major buffer as `rows × cols`.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    pub fn new(rows: usize, cols: usize, data: &'a [f32]) -> Self {
+        assert_eq!(data.len(), rows * cols, "buffer does not match dimensions");
+        Self { rows, cols, data }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The underlying row-major buffer.
+    pub fn as_slice(&self) -> &'a [f32] {
+        self.data
+    }
+
+    /// Row `r` as a slice.
+    pub fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Rows `start..start + n` as a view of their own.
+    fn row_range(&self, start: usize, n: usize) -> MatrixView<'a> {
+        MatrixView {
+            rows: n,
+            cols: self.cols,
+            data: &self.data[start * self.cols..(start + n) * self.cols],
+        }
+    }
+
     /// `y = self · x` for a column vector `x`.
     ///
     /// This is the per-query rotation of ADSampling/BSA (`D × D` matrix,
-    /// every query), so the dot product uses eight independent
-    /// accumulators to auto-vectorize.
+    /// every query): one [`dot_rows`] call with a single `x` row, on the
+    /// kernel the `Auto` policy resolves to. `y[r]` has the same bits
+    /// as element `r` of this vector's row in
+    /// [`MatrixView::mul_transposed`].
     ///
     /// # Panics
     /// Panics if `x.len() != cols`.
     pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.cols, "vector length must equal cols");
         let mut y = vec![0.0f32; self.rows];
-        for (r, out) in y.iter_mut().enumerate() {
-            let row = self.row(r);
-            const U: usize = 8;
-            let mut acc = [0.0f32; U];
-            let main = row.len() / U * U;
-            for (rc, xc) in row[..main].chunks_exact(U).zip(x[..main].chunks_exact(U)) {
-                for i in 0..U {
-                    acc[i] += rc[i] * xc[i];
-                }
-            }
-            let mut tail = 0.0f32;
-            for (a, b) in row[main..].iter().zip(&x[main..]) {
-                tail += a * b;
-            }
-            *out = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-                + tail;
-        }
+        dot_rows(
+            *self,
+            MatrixView::new(1, self.cols, x),
+            &mut y,
+            KernelPolicy::Auto,
+        );
         y
     }
 
     /// `C = self · otherᵀ`, i.e. `C[i][j] = dot(self.row(i), other.row(j))`.
     ///
-    /// Both operands are row-major, so the inner kernel streams two rows —
-    /// the layout used when rotating a collection (`rows` = vectors) by a
-    /// transform matrix stored row-per-output-dimension. Work runs on the
-    /// shared execution pool ([`pdx_core::exec::ThreadPool`]) in
-    /// dynamically scheduled row bands; `threads = 0` resolves the
-    /// default width (`PDX_THREADS` env override, then hardware
-    /// parallelism). An empty result (`self.rows() == 0` or
-    /// `other.rows() == 0`) returns immediately without touching the
-    /// pool.
+    /// Both operands are row-major — the layout used when rotating a
+    /// collection (`rows` = vectors) by a transform matrix stored
+    /// row-per-output-dimension. Work runs on the shared execution pool
+    /// ([`pdx_core::exec::ThreadPool`]) in dynamically scheduled bands
+    /// of `self`'s rows, each band one [`dot_rows`] call (which tiles it
+    /// for registers and cache); `threads = 0` resolves the default
+    /// width (`PDX_THREADS` env override, then hardware parallelism).
+    /// Every element is accumulated in the kernel's canonical order, so
+    /// the result does not depend on the banding or the thread count.
+    /// An empty result (`self.rows() == 0` or `other.rows() == 0`)
+    /// returns immediately without touching the pool.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
-    pub fn mul_transposed(&self, other: &Matrix, threads: usize) -> Matrix {
+    pub fn mul_transposed(&self, other: MatrixView<'_>, threads: usize) -> Matrix {
         assert_eq!(self.cols, other.cols, "inner dimensions must agree");
         let m = self.rows;
         let n = other.rows;
@@ -150,50 +221,15 @@ impl Matrix {
             return out; // degenerate: nothing to compute, no threads spawned
         }
         let pool = pdx_core::exec::ThreadPool::new(threads);
-        // Row-band chunks sized so each worker gets ~4 bands to steal
-        // from, bounded below so tiny products stay single-chunk.
-        let band_rows = m.div_ceil(pool.threads() * 4).max(1);
-        let a = self;
-        let b = other;
+        // ~4 bands per worker to steal from, each a whole number of the
+        // kernel's cache blocks so no block is cut short at a band edge
+        // (and a product of a few rows stays one chunk).
+        let band_rows = m.div_ceil(pool.threads() * 4).next_multiple_of(X_BLOCK);
         pool.for_each_chunk_mut(&mut out.data, band_rows * n, |start, chunk| {
-            mul_transposed_band(a, b, start / n, chunk.len() / n, chunk);
+            let band = self.row_range(start / n, chunk.len() / n);
+            dot_rows(other, band, chunk, KernelPolicy::Auto);
         });
         out
-    }
-}
-
-/// Computes rows `[start, start + rows_here)` of `A · Bᵀ` into `chunk`.
-fn mul_transposed_band(a: &Matrix, b: &Matrix, start: usize, rows_here: usize, chunk: &mut [f32]) {
-    let n = b.rows();
-    debug_assert_eq!(chunk.len(), rows_here * n);
-    // Tile over output columns so the B rows in a tile stay cache-resident
-    // while we sweep the band of A rows.
-    const COL_TILE: usize = 64;
-    for (ri, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-        let arow = a.row(start + ri);
-        let mut c0 = 0;
-        while c0 < n {
-            let c1 = (c0 + COL_TILE).min(n);
-            for (c, out) in out_row[c0..c1].iter_mut().enumerate() {
-                let brow = b.row(c0 + c);
-                let mut acc = 0.0f32;
-                // Four independent accumulators break the FP dependency
-                // chain; LLVM vectorizes this cleanly.
-                let mut s = [0.0f32; 4];
-                let quads = arow.len() / 4 * 4;
-                for i in (0..quads).step_by(4) {
-                    s[0] += arow[i] * brow[i];
-                    s[1] += arow[i + 1] * brow[i + 1];
-                    s[2] += arow[i + 2] * brow[i + 2];
-                    s[3] += arow[i + 3] * brow[i + 3];
-                }
-                for i in quads..arow.len() {
-                    acc += arow[i] * brow[i];
-                }
-                *out = acc + (s[0] + s[1]) + (s[2] + s[3]);
-            }
-            c0 = c1;
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! construction is the Q factor of a QR decomposition of an i.i.d.
 //! Gaussian matrix, with the sign convention fixed so Q is Haar-distributed.
 
-use crate::{Gaussian, Matrix};
+use crate::{Gaussian, Matrix, MatrixView};
 use rand::Rng;
 
 /// Draws a Haar-distributed random `n × n` orthogonal matrix.
@@ -64,16 +64,7 @@ fn householder_q(mut a: Vec<f64>, n: usize) -> (Vec<f64>, Vec<f64>) {
             continue;
         }
         // Apply H = I - 2 v vᵀ / (vᵀv) to the trailing submatrix of A.
-        for j in k..n {
-            let mut dot = 0.0;
-            for i in k..n {
-                dot += v[i - k] * a[i * n + j];
-            }
-            let scale = 2.0 * dot / vnorm2;
-            for i in k..n {
-                a[i * n + j] -= scale * v[i - k];
-            }
-        }
+        reflect(&mut a, n, k, k, &v, vnorm2);
         diag_signs[k] = if a[k * n + k] >= 0.0 { 1.0 } else { -1.0 };
         vs.push(v);
     }
@@ -88,18 +79,36 @@ fn householder_q(mut a: Vec<f64>, n: usize) -> (Vec<f64>, Vec<f64>) {
             continue;
         }
         let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        for j in 0..n {
-            let mut dot = 0.0;
-            for i in k..n {
-                dot += v[i - k] * q[i * n + j];
-            }
-            let scale = 2.0 * dot / vnorm2;
-            for i in k..n {
-                q[i * n + j] -= scale * v[i - k];
-            }
-        }
+        reflect(&mut q, n, k, 0, v, vnorm2);
     }
     (q, diag_signs)
+}
+
+/// Applies the reflector `H = I − 2 v vᵀ / (vᵀv)` (`v` spanning rows
+/// `k..n`) to columns `j0..n` of the row-major `n × n` matrix `m`.
+///
+/// Both passes sweep rows: the first accumulates every column's
+/// `dot[j] = Σ_i v[i] · m[i][j]` at once, the second subtracts
+/// `scale[j] · v[i]`. Each `dot[j]` still sums over `i` in ascending
+/// order, so the result has the bits of the column-at-a-time
+/// formulation, without its `n`-element stride through `m`.
+fn reflect(m: &mut [f64], n: usize, k: usize, j0: usize, v: &[f64], vnorm2: f64) {
+    let mut scale = vec![0.0f64; n - j0];
+    for i in k..n {
+        let vi = v[i - k];
+        for (dot, x) in scale.iter_mut().zip(&m[i * n + j0..(i + 1) * n]) {
+            *dot += vi * x;
+        }
+    }
+    for dot in &mut scale {
+        *dot = 2.0 * *dot / vnorm2;
+    }
+    for i in k..n {
+        let vi = v[i - k];
+        for (x, s) in m[i * n + j0..(i + 1) * n].iter_mut().zip(&scale) {
+            *x -= s * vi;
+        }
+    }
 }
 
 /// Applies the transform `out_row = m · in_row` to every row of a
@@ -107,10 +116,11 @@ fn householder_q(mut a: Vec<f64>, n: usize) -> (Vec<f64>, Vec<f64>) {
 ///
 /// This is the collection-rotation entry point used by ADSampling/BSA
 /// preprocessing: `m` holds one output dimension per **row**, so the
-/// product is exactly [`Matrix::mul_transposed`] with `m` as the
-/// right-hand side.
-pub fn transform_rows(rows: &Matrix, m: &Matrix, threads: usize) -> Matrix {
-    rows.mul_transposed(m, threads)
+/// product is exactly [`MatrixView::mul_transposed`] with `m` as the
+/// right-hand side. `rows` borrows the caller's buffer, and row `r` of
+/// the result has the bits of `m.matvec(rows.row(r))`.
+pub fn transform_rows(rows: MatrixView<'_>, m: &Matrix, threads: usize) -> Matrix {
+    rows.mul_transposed(m.view(), threads)
 }
 
 #[cfg(test)]
@@ -177,12 +187,92 @@ mod tests {
         let d = 16;
         let q = random_orthogonal(d, &mut rng);
         let rows = Matrix::from_vec(3, d, (0..3 * d).map(|i| (i as f32 * 0.1).sin()).collect());
-        let out = transform_rows(&rows, &q, 2);
+        let out = transform_rows(rows.view(), &q, 2);
         for r in 0..3 {
             let want = q.matvec(rows.row(r));
             for (g, w) in out.row(r).iter().zip(&want) {
-                assert!((g - w).abs() < 1e-4);
+                assert_eq!(g.to_bits(), w.to_bits());
             }
+        }
+    }
+
+    /// The column-at-a-time reflector application `reflect` replaced,
+    /// kept as its oracle.
+    fn householder_q_by_columns(mut a: Vec<f64>, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let mut vs: Vec<Vec<f64>> = Vec::with_capacity(n);
+        let mut diag_signs = vec![1.0f64; n];
+        for k in 0..n {
+            let mut norm2 = 0.0;
+            for i in k..n {
+                let x = a[i * n + k];
+                norm2 += x * x;
+            }
+            let norm = norm2.sqrt();
+            let x0 = a[k * n + k];
+            if norm == 0.0 {
+                vs.push(Vec::new());
+                continue;
+            }
+            let alpha = if x0 >= 0.0 { -norm } else { norm };
+            let mut v = vec![0.0f64; n - k];
+            v[0] = x0 - alpha;
+            for i in k + 1..n {
+                v[i - k] = a[i * n + k];
+            }
+            let vnorm2: f64 = v.iter().map(|x| x * x).sum();
+            if vnorm2 == 0.0 {
+                vs.push(Vec::new());
+                diag_signs[k] = if alpha >= 0.0 { 1.0 } else { -1.0 };
+                continue;
+            }
+            for j in k..n {
+                let mut dot = 0.0;
+                for i in k..n {
+                    dot += v[i - k] * a[i * n + j];
+                }
+                let scale = 2.0 * dot / vnorm2;
+                for i in k..n {
+                    a[i * n + j] -= scale * v[i - k];
+                }
+            }
+            diag_signs[k] = if a[k * n + k] >= 0.0 { 1.0 } else { -1.0 };
+            vs.push(v);
+        }
+        let mut q = vec![0.0f64; n * n];
+        for i in 0..n {
+            q[i * n + i] = 1.0;
+        }
+        for k in (0..n).rev() {
+            let v = &vs[k];
+            if v.is_empty() {
+                continue;
+            }
+            let vnorm2: f64 = v.iter().map(|x| x * x).sum();
+            for j in 0..n {
+                let mut dot = 0.0;
+                for i in k..n {
+                    dot += v[i - k] * q[i * n + j];
+                }
+                let scale = 2.0 * dot / vnorm2;
+                for i in k..n {
+                    q[i * n + j] -= scale * v[i - k];
+                }
+            }
+        }
+        (q, diag_signs)
+    }
+
+    #[test]
+    fn row_sweep_qr_is_bit_identical_to_column_sweep() {
+        for n in [1usize, 2, 17, 96] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let mut g = Gaussian::new();
+            let a: Vec<f64> = (0..n * n).map(|_| g.sample(&mut rng)).collect();
+            let (q, signs) = householder_q(a.clone(), n);
+            let (want_q, want_signs) = householder_q_by_columns(a, n);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&q), bits(&want_q), "Q at n = {n}");
+            assert_eq!(bits(&signs), bits(&want_signs), "diag(R) signs at n = {n}");
         }
     }
 }

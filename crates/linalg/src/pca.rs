@@ -7,7 +7,7 @@
 //! full distance after scanning only a few dimensions. Because the
 //! projection is orthonormal, L2 distances are preserved exactly.
 
-use crate::{Matrix, SymmetricEigen};
+use crate::{Matrix, MatrixView, SymmetricEigen};
 
 /// A fitted PCA rotation: an orthonormal basis of principal axes plus the
 /// per-axis variances (eigenvalues) and the training mean.
@@ -29,7 +29,7 @@ impl Pca {
     ///
     /// # Panics
     /// Panics if the sample is empty.
-    pub fn fit(sample: &Matrix, max_sample_rows: usize) -> Self {
+    pub fn fit(sample: MatrixView<'_>, max_sample_rows: usize) -> Self {
         let n = sample.rows().min(max_sample_rows);
         assert!(n > 0, "cannot fit PCA on an empty sample");
         let d = sample.cols();
@@ -102,9 +102,10 @@ impl Pca {
         self.components.matvec(v)
     }
 
-    /// Rotates a whole collection (rows = vectors), multi-threaded.
-    pub fn rotate_rows(&self, rows: &Matrix, threads: usize) -> Matrix {
-        rows.mul_transposed(&self.components, threads)
+    /// Rotates a whole collection (rows = vectors), multi-threaded; row
+    /// `r` of the result has the bits of `self.rotate(rows.row(r))`.
+    pub fn rotate_rows(&self, rows: MatrixView<'_>, threads: usize) -> Matrix {
+        rows.mul_transposed(self.components.view(), threads)
     }
 
     /// Sum of trailing eigenvalues `Σ_{k ≥ from_axis} λ_k`: the expected
@@ -141,7 +142,7 @@ mod tests {
     #[test]
     fn first_component_finds_high_variance_axis() {
         let sample = anisotropic_sample(4000, 6, 3);
-        let pca = Pca::fit(&sample, usize::MAX);
+        let pca = Pca::fit(sample.view(), usize::MAX);
         // Leading eigenvalue ≈ 9, others ≈ 1.
         assert!(
             (pca.explained_variance[0] - 9.0).abs() < 1.0,
@@ -156,7 +157,7 @@ mod tests {
     #[test]
     fn explained_variance_is_descending_and_nonnegative() {
         let sample = anisotropic_sample(1000, 8, 4);
-        let pca = Pca::fit(&sample, usize::MAX);
+        let pca = Pca::fit(sample.view(), usize::MAX);
         for w in pca.explained_variance.windows(2) {
             assert!(w[0] >= w[1] - 1e-9);
         }
@@ -166,7 +167,7 @@ mod tests {
     #[test]
     fn rotation_preserves_pairwise_l2() {
         let sample = anisotropic_sample(500, 12, 5);
-        let pca = Pca::fit(&sample, usize::MAX);
+        let pca = Pca::fit(sample.view(), usize::MAX);
         let a = sample.row(0);
         let b = sample.row(1);
         let (ra, rb) = (pca.rotate(a), pca.rotate(b));
@@ -178,7 +179,7 @@ mod tests {
     #[test]
     fn residual_variance_decreases() {
         let sample = anisotropic_sample(800, 10, 6);
-        let pca = Pca::fit(&sample, usize::MAX);
+        let pca = Pca::fit(sample.view(), usize::MAX);
         let total = pca.residual_variance(0);
         assert!(total > 0.0);
         let mut prev = total;
@@ -193,12 +194,12 @@ mod tests {
     #[test]
     fn rotate_rows_matches_rotate() {
         let sample = anisotropic_sample(64, 7, 8);
-        let pca = Pca::fit(&sample, usize::MAX);
-        let rotated = pca.rotate_rows(&sample, 4);
+        let pca = Pca::fit(sample.view(), usize::MAX);
+        let rotated = pca.rotate_rows(sample.view(), 4);
         for r in [0usize, 13, 63] {
             let want = pca.rotate(sample.row(r));
             for (g, w) in rotated.row(r).iter().zip(&want) {
-                assert!((g - w).abs() < 1e-4);
+                assert_eq!(g.to_bits(), w.to_bits());
             }
         }
     }
@@ -206,8 +207,8 @@ mod tests {
     #[test]
     fn subsampled_fit_uses_requested_rows() {
         let sample = anisotropic_sample(1000, 4, 9);
-        let full = Pca::fit(&sample, usize::MAX);
-        let sub = Pca::fit(&sample, 250);
+        let full = Pca::fit(sample.view(), usize::MAX);
+        let sub = Pca::fit(sample.view(), 250);
         // Same dominant axis up to sign, looser tolerance for the subsample.
         let dot: f32 = full
             .components

@@ -17,7 +17,7 @@
 
 use pdx_core::distance::Metric;
 use pdx_core::pruning::Pruner;
-use pdx_linalg::{orthogonal::transform_rows, random_orthogonal, Matrix};
+use pdx_linalg::{orthogonal::transform_rows, random_orthogonal, Matrix, MatrixView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -73,15 +73,16 @@ impl AdSampling {
     }
 
     /// Rotates a whole collection (row-major) into search space,
-    /// multi-threaded. One-time preprocessing.
+    /// multi-threaded. One-time preprocessing; each row comes out with
+    /// the bits [`AdSampling::transform_vector`] gives it.
     pub fn transform_collection(&self, rows: &[f32], n_vectors: usize, threads: usize) -> Vec<f32> {
         assert_eq!(
             rows.len(),
             n_vectors * self.dims,
             "row buffer does not match dims"
         );
-        let m = Matrix::from_vec(n_vectors, self.dims, rows.to_vec());
-        transform_rows(&m, &self.rotation, threads).into_vec()
+        let rows = MatrixView::new(n_vectors, self.dims, rows);
+        transform_rows(rows, &self.rotation, threads).into_vec()
     }
 
     /// Rotates one vector (query-time path).
@@ -108,6 +109,18 @@ impl Pruner for AdSampling {
         AdsQuery {
             rotated: self.transform_vector(query),
         }
+    }
+
+    /// Rotates the whole batch in one tiled product, so the rotation
+    /// matrix streams from memory once for the batch, not once per query.
+    fn prepare_queries(&self, packed: &[f32], dims: usize) -> Vec<AdsQuery> {
+        assert_eq!(dims, self.dims, "query dimensionality mismatch");
+        self.transform_collection(packed, packed.len() / dims, 1)
+            .chunks_exact(dims)
+            .map(|rotated| AdsQuery {
+                rotated: rotated.to_vec(),
+            })
+            .collect()
     }
 
     fn query_vector<'q>(&self, q: &'q AdsQuery) -> &'q [f32] {
@@ -180,6 +193,22 @@ mod tests {
         let d0 = distance_scalar(Metric::L2, &q, &rows);
         let d1 = distance_scalar(Metric::L2, &rq.rotated, &rv);
         assert!((d0 - d1).abs() < d0.max(1.0) * 1e-3);
+    }
+
+    #[test]
+    fn batched_preparation_matches_per_query_bits() {
+        let d = 40;
+        let ads = AdSampling::fit(d, 6);
+        for nq in [1usize, 2, 5, 19] {
+            let packed = random_rows(nq, d, nq as u64);
+            let batch = ads.prepare_queries(&packed, d);
+            assert_eq!(batch.len(), nq);
+            for (q, raw) in batch.iter().zip(packed.chunks_exact(d)) {
+                let want = ads.prepare_query(raw);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&q.rotated), bits(&want.rotated));
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use pdx_core::collection::SearchBlock;
 use pdx_core::distance::Metric;
 use pdx_core::pruning::{BlockAux, Pruner};
 use pdx_core::search::HorizontalBucket;
-use pdx_linalg::{LinearRegression, Matrix, Pca};
+use pdx_linalg::{LinearRegression, MatrixView, Pca};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,6 +52,13 @@ pub struct BsaQuery {
     rotated: Vec<f32>,
     /// `sqrt_res[d] = ‖rotated[d..]‖`; length `dims + 1` (last entry 0).
     sqrt_res: Vec<f32>,
+}
+
+impl BsaQuery {
+    fn new(rotated: Vec<f32>) -> Self {
+        let sqrt_res = suffix_norms(&rotated);
+        Self { rotated, sqrt_res }
+    }
 }
 
 /// Per-checkpoint state: `survives ⇔ partial + a·(a − c) ≤ thr_adj`.
@@ -86,8 +93,7 @@ impl Bsa {
             n_vectors * dims,
             "row buffer does not match dims"
         );
-        let m = Matrix::from_vec(n_vectors, dims, rows.to_vec());
-        let pca = Pca::fit(&m, max_sample_rows);
+        let pca = Pca::fit(MatrixView::new(n_vectors, dims, rows), max_sample_rows);
         Self {
             pca,
             rho: Self::DEFAULT_RHO,
@@ -117,15 +123,16 @@ impl Bsa {
         &self.pca.explained_variance
     }
 
-    /// Rotates a whole collection into PCA space, multi-threaded.
+    /// Rotates a whole collection into PCA space, multi-threaded; each
+    /// row comes out with the bits [`Bsa::transform_vector`] gives it.
     pub fn transform_collection(&self, rows: &[f32], n_vectors: usize, threads: usize) -> Vec<f32> {
         assert_eq!(
             rows.len(),
             n_vectors * self.dims,
             "row buffer does not match dims"
         );
-        let m = Matrix::from_vec(n_vectors, self.dims, rows.to_vec());
-        self.pca.rotate_rows(&m, threads).into_vec()
+        let rows = MatrixView::new(n_vectors, self.dims, rows);
+        self.pca.rotate_rows(rows, threads).into_vec()
     }
 
     /// Rotates one vector (query-time path).
@@ -180,9 +187,17 @@ impl Pruner for Bsa {
 
     fn prepare_query(&self, query: &[f32]) -> BsaQuery {
         assert_eq!(query.len(), self.dims, "query dimensionality mismatch");
-        let rotated = self.transform_vector(query);
-        let sqrt_res = suffix_norms(&rotated);
-        BsaQuery { rotated, sqrt_res }
+        BsaQuery::new(self.transform_vector(query))
+    }
+
+    /// Rotates the whole batch in one tiled product, so the PCA matrix
+    /// streams from memory once for the batch, not once per query.
+    fn prepare_queries(&self, packed: &[f32], dims: usize) -> Vec<BsaQuery> {
+        assert_eq!(dims, self.dims, "query dimensionality mismatch");
+        self.transform_collection(packed, packed.len() / dims, 1)
+            .chunks_exact(dims)
+            .map(|rotated| BsaQuery::new(rotated.to_vec()))
+            .collect()
     }
 
     fn query_vector<'q>(&self, q: &'q BsaQuery) -> &'q [f32] {
@@ -347,6 +362,10 @@ impl Pruner for BsaLearned {
         self.bsa.prepare_query(query)
     }
 
+    fn prepare_queries(&self, packed: &[f32], dims: usize) -> Vec<BsaQuery> {
+        self.bsa.prepare_queries(packed, dims)
+    }
+
     fn query_vector<'q>(&self, q: &'q BsaQuery) -> &'q [f32] {
         &q.rotated
     }
@@ -431,6 +450,29 @@ mod tests {
                 &rot[j * d..(j + 1) * d],
             );
             assert!((d0 - d1).abs() < d0.max(1.0) * 1e-3, "{d0} vs {d1}");
+        }
+    }
+
+    #[test]
+    fn batched_preparation_matches_per_query_bits() {
+        let (n, d) = (200, 20);
+        let rows = random_rows(n, d, 2);
+        let bsa = Bsa::fit(&rows, n, d, usize::MAX);
+        let sched = checkpoints(StepPolicy::Adaptive { start: 2 }, d);
+        let rot = bsa.transform_collection(&rows, n, 1);
+        let learned = BsaLearned::fit(bsa.clone(), &rot, n, &sched, 100, 3);
+        let packed = random_rows(11, d, 4);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for batch in [
+            bsa.prepare_queries(&packed, d),
+            learned.prepare_queries(&packed, d),
+        ] {
+            assert_eq!(batch.len(), 11);
+            for (q, raw) in batch.iter().zip(packed.chunks_exact(d)) {
+                let want = bsa.prepare_query(raw);
+                assert_eq!(bits(&q.rotated), bits(&want.rotated));
+                assert_eq!(bits(&q.sqrt_res), bits(&want.sqrt_res));
+            }
         }
     }
 

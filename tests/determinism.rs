@@ -2,7 +2,8 @@
 //! `search_batch` / `search_parallel` entry point must return neighbor
 //! ids AND distances bit-identical to the sequential path at 1, 2 and 8
 //! threads — on all six deployments (flat, IVF, SQ8, horizontal, HNSW;
-//! the latter two through the `VectorIndex` trait), including
+//! the latter two through the `VectorIndex` trait) and, for
+//! `search_batch`, the two fitted-pruner adapters — including
 //! duplicate-distance ties.
 //!
 //! The data is built to tie aggressively: a small base set of vectors is
@@ -240,6 +241,58 @@ fn hnsw_trait_batch_and_parallel_match_sequential() {
             let got =
                 dep.search_parallel(&queries[qi * d..(qi + 1) * d], &opts.with_threads(threads));
             assert_eq!(&got, want, "search_parallel q{qi} at {threads} threads");
+        }
+    }
+}
+
+/// The fitted-pruner adapters rotate a batch's queries in tiled
+/// sub-batches; every query must still come out with the bits its own
+/// `search` gives it — at batch sizes below, at and across the sub-batch
+/// boundary, at every thread count.
+#[test]
+fn pruned_adapters_batch_matches_sequential_loop() {
+    use pdx::core::exec::SUB_BATCH;
+    let (base_n, copies, d, k) = (60, 5, 24, 7);
+    let rows = tied_rows(base_n, copies, d, 21);
+    let n = base_n * copies;
+    let queries = tied_queries(&rows, d, 100, 22);
+
+    let index = IvfIndex::build(&rows, n, d, 10, 8, 7);
+    let ads = AdSampling::fit(d, 23);
+    let by_ads = ads.transform_collection(&rows, n, 2);
+    let pruned_ivf = PrunedIvf::new(IvfPdx::new(&by_ads, d, &index.assignments, 16), ads);
+
+    let bsa = Bsa::fit(&rows, n, d, usize::MAX);
+    let mut by_bsa = FlatPdx::new(&bsa.transform_collection(&rows, n, 2), n, d, 64, 16);
+    let sched = checkpoints(StepPolicy::default(), d);
+    for block in &mut by_bsa.collection.blocks {
+        bsa.attach_aux(block, &sched);
+    }
+    let pruned_flat = PrunedFlat::new(by_bsa, bsa);
+
+    let deployments: [&dyn VectorIndex; 2] = [&pruned_ivf, &pruned_flat];
+    for dep in deployments {
+        let opts = SearchOptions::new(k).with_nprobe(3).with_trace(false);
+        let sequential: Vec<Vec<Neighbor>> = queries
+            .chunks_exact(d)
+            .map(|q| dep.search(q, &opts))
+            .collect();
+        for nq in [1usize, 3, SUB_BATCH, SUB_BATCH + 1, 100] {
+            for threads in THREAD_COUNTS {
+                let batch = dep.search_batch(&queries[..nq * d], &opts.with_threads(threads));
+                assert_eq!(batch.len(), nq);
+                for (qi, (got, want)) in batch.iter().zip(&sequential).enumerate() {
+                    assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(want) {
+                        assert_eq!(
+                            (g.id, g.distance.to_bits()),
+                            (w.id, w.distance.to_bits()),
+                            "{} q{qi} of {nq} at {threads} threads",
+                            dep.kind()
+                        );
+                    }
+                }
+            }
         }
     }
 }

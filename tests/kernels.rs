@@ -274,12 +274,47 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The rotation kernel (`pdx-linalg`'s `dot_rows`, behind every
+    /// ADSampling/BSA query and collection rotation) under the same
+    /// contract: explicit policies `Scalar` and `Simd` produce the same
+    /// bits, whatever `PDX_KERNEL` says, and so does the `Auto` policy
+    /// the rotations actually run on.
+    #[test]
+    fn rotation_kernel_is_policy_independent(
+        (n, d, data) in finite_collection_strategy(),
+        xr in 1usize..6,
+    ) {
+        use pdx::linalg::{kernel::dot_rows, MatrixView};
+        let a = MatrixView::new(n, d, &data);
+        let xr = xr.min(n);
+        let x = MatrixView::new(xr, d, &data[..xr * d]);
+        let mut want = vec![0.0f32; xr * n];
+        dot_rows(a, x, &mut want, KernelPolicy::Scalar);
+        for policy in [KernelPolicy::Simd, KernelPolicy::Auto] {
+            let mut got = vec![f32::NAN; xr * n];
+            dot_rows(a, x, &mut got, policy);
+            prop_assert!(
+                got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()),
+                "rotation diverged under {policy:?}"
+            );
+        }
+    }
+}
+
 /// Dispatch sanity: detection is stable, the policies resolve the way
 /// the docs promise, and the wire codes round-trip.
 #[test]
 fn dispatch_is_stable_and_consistent() {
     let isa = detected_isa();
     assert_eq!(isa, detected_isa(), "detection must be cached and stable");
+    // The query/collection rotation takes the `Auto` policy, so this is
+    // the kernel `Matrix::matvec` / `mul_transposed` run on here.
+    println!(
+        "kernel dispatch: detected {}, rotation (Auto policy) resolved {}",
+        isa.name(),
+        KernelPolicy::Auto.resolve().name()
+    );
     assert_eq!(KernelPolicy::Scalar.resolve(), KernelIsa::Scalar);
     assert_eq!(KernelPolicy::Simd.resolve(), isa);
     // `Auto` honors the PDX_KERNEL env; with `scalar` it must land on

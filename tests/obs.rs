@@ -33,9 +33,18 @@ fn random_rows(n: usize, d: usize, seed: u64) -> Vec<f32> {
 }
 
 /// The six deployments over one collection, as trait objects (the
-/// same set the engine conformance suite exercises).
+/// same set the engine conformance suite exercises), plus the two
+/// fitted-pruner adapters over the rotated collection.
 fn deployments(rows: &[f32], n: usize, d: usize) -> Vec<Box<dyn VectorIndex>> {
     let index = IvfIndex::build(rows, n, d, 12, 8, 7);
+    let ads = AdSampling::fit(d, 5);
+    let by_ads = ads.transform_collection(rows, n, 2);
+    let bsa = Bsa::fit(rows, n, d, usize::MAX);
+    let mut by_bsa = FlatPdx::new(&bsa.transform_collection(rows, n, 2), n, d, 150, 16);
+    let sched = checkpoints(StepPolicy::default(), d);
+    for block in &mut by_bsa.collection.blocks {
+        bsa.attach_aux(block, &sched);
+    }
     vec![
         Box::new(FlatPdx::new(rows, n, d, 150, 16)),
         Box::new(IvfPdx::new(rows, d, &index.assignments, 16)),
@@ -43,6 +52,11 @@ fn deployments(rows: &[f32], n: usize, d: usize) -> Vec<Box<dyn VectorIndex>> {
         Box::new(FlatSq8::build(rows, n, d, 150, 16)),
         Box::new(IvfSq8::new(rows, d, &index.assignments, 16)),
         Box::new(Hnsw::build(rows, n, d, HnswParams::default(), 3)),
+        Box::new(PrunedIvf::new(
+            IvfPdx::new(&by_ads, d, &index.assignments, 16),
+            ads,
+        )),
+        Box::new(PrunedFlat::new(by_bsa, bsa)),
     ]
 }
 
@@ -118,6 +132,35 @@ fn traced_searches_reach_the_registry() {
         out.contains("deployment=\"flat-pdx\""),
         "per-deployment label missing:\n{out}"
     );
+}
+
+/// The fitted-pruner adapters publish the profiled phase breakdown
+/// under their own kind: the query rotation is the `preprocess` phase,
+/// the centroid ranking `find_buckets`.
+#[test]
+fn pruned_adapters_publish_attributed_traces() {
+    let (n, d, k) = (600, 16, 5);
+    let rows = random_rows(n, d, 11);
+    let deps = deployments(&rows, n, d);
+    let opts = SearchOptions::new(k).with_trace(true);
+    let q = random_rows(1, d, 12);
+    for (kind, routed) in [("pruned-ivf-adsampling", true), ("pruned-flat-bsa", false)] {
+        let dep = deps.iter().find(|dep| dep.kind() == kind).unwrap();
+        let (hits, trace) = pdx::obs::trace::capture(|| dep.search(&q, &opts));
+        assert_eq!(hits.len(), k);
+        assert_eq!(trace.deployment, kind);
+        assert!(trace.preprocess_ns > 0, "{kind}: rotation unattributed");
+        assert!(trace.distance_ns > 0, "{kind}: scan unattributed");
+        assert_eq!(trace.find_buckets_ns > 0, routed, "{kind}: routing");
+        assert!(trace.blocks_visited > 0 && trace.vectors_visited > 0);
+        assert!(
+            trace.preprocess_ns + trace.find_buckets_ns + trace.bounds_ns + trace.distance_ns
+                <= trace.total_ns,
+            "{kind}: phases exceed the total"
+        );
+        let (_, untraced) = pdx::obs::trace::capture(|| dep.search(&q, &opts.with_trace(false)));
+        assert_eq!(untraced.total_ns, 0, "{kind}: untraced search published");
+    }
 }
 
 // ---------------------------------------------------------------- HTTP
