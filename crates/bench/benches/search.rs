@@ -1,22 +1,26 @@
-//! Criterion end-to-end search benchmarks: PDX-BOND and the PDX linear
-//! scan on exact search, PDX-ADS on an IVF index (the Figures 6/9
-//! operating points at microbenchmark scale).
+//! Criterion end-to-end search benchmarks: PDX-BOND, the PDX linear
+//! scan and the SQ8 two-phase search on exact search, PDX-ADS on an IVF
+//! index (the Figures 6/9 operating points at microbenchmark scale).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pdx::prelude::*;
 use std::hint::black_box;
 
+/// The repo benchmark's `flat_exact` shape (sift-like, n = 50 000,
+/// d = 128, five blocks of 10 240): what a change to the PDXearch tile
+/// loop or the survivor kernels moves, visible without the harness.
 fn bench_exact(c: &mut Criterion) {
     let spec = *spec_by_name("sift").unwrap();
-    let n = 20_000;
+    let n = 50_000;
     let ds = generate(&spec, n, 16, 3);
     let d = ds.dims();
     let flat = FlatPdx::with_defaults(&ds.data, n, d);
+    let sq8 = FlatSq8::with_defaults(&ds.data, n, d);
     let nary = NaryMatrix::from_rows(&ds.data, n, d);
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
     let params = SearchParams::new(10);
 
-    let mut group = c.benchmark_group("exact_search/sift20k");
+    let mut group = c.benchmark_group("exact_search/sift50k");
     let mut qi = 0usize;
     group.bench_function("pdx_bond", |b| {
         b.iter(|| {
@@ -28,6 +32,12 @@ fn bench_exact(c: &mut Criterion) {
         b.iter(|| {
             qi = (qi + 1) % ds.n_queries;
             black_box(flat.linear_search(ds.query(qi), 10, Metric::L2));
+        })
+    });
+    group.bench_function("sq8_two_phase", |b| {
+        b.iter(|| {
+            qi = (qi + 1) % ds.n_queries;
+            black_box(sq8.search(ds.query(qi), 10, DEFAULT_REFINE, Metric::L2));
         })
     });
     group.bench_function("nary_simd", |b| {

@@ -7,7 +7,7 @@
 //! never trades recall: a pruned vector provably cannot enter the k-NN.
 //!
 //! What makes it fast despite the weak bound is the PDXearch START phase
-//! (a tight threshold from the first block) plus a query-aware dimension
+//! (a tight threshold from the first tile) plus a query-aware dimension
 //! visit order ([`VisitOrder`]) that grows the partial distance as fast
 //! as possible.
 

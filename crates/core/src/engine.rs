@@ -27,7 +27,7 @@ use crate::distance::Metric;
 use crate::exec::{merge_neighbors_filtered, BatchSearcher};
 use crate::heap::Neighbor;
 use crate::kernels::{KernelPolicy, KernelVariant};
-use crate::pruning::StepPolicy;
+use crate::pruning::{StepPolicy, DEFAULT_SELECTION_FRACTION};
 use crate::search::{SearchParams, DEFAULT_REFINE};
 use crate::visit_order::VisitOrder;
 
@@ -130,7 +130,7 @@ impl Default for SearchOptions {
             k: 10,
             metric: Metric::L2,
             pruner: PrunerKind::default(),
-            selection_fraction: 0.20,
+            selection_fraction: DEFAULT_SELECTION_FRACTION,
             step: StepPolicy::default(),
             nprobe: 0,
             refine: DEFAULT_REFINE,

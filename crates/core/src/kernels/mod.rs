@@ -38,11 +38,82 @@ pub use nary::{nary_distance, simd_available, KernelVariant};
 pub use pdx::{
     pdx_accumulate, pdx_accumulate_permuted, pdx_accumulate_permuted_policy, pdx_accumulate_policy,
     pdx_accumulate_positions, pdx_accumulate_positions_permuted,
-    pdx_accumulate_positions_permuted_policy, pdx_accumulate_positions_policy, pdx_scan,
-    pdx_scan_policy,
+    pdx_accumulate_positions_permuted_policy, pdx_accumulate_positions_policy,
+    pdx_accumulate_survivors, pdx_scan, pdx_scan_policy, DimSel,
 };
 pub use sq8::{
     sq8_accumulate, sq8_accumulate_policy, sq8_accumulate_positions,
-    sq8_accumulate_positions_policy, sq8_code_ip, sq8_code_ip_policy, sq8_code_l2,
-    sq8_code_l2_policy, sq8_distance_scalar, sq8_scan, sq8_scan_policy,
+    sq8_accumulate_positions_policy, sq8_accumulate_survivors, sq8_code_ip, sq8_code_ip_policy,
+    sq8_code_l2, sq8_code_l2_policy, sq8_distance_scalar, sq8_scan, sq8_scan_policy,
 };
+
+/// A group-tiled buffer as the survivor (PRUNE-phase) kernels see it: a
+/// whole block, or one group viewed as a single-group block. Survivor
+/// positions index its vectors; [`Tiled::locate`] turns one into the
+/// offset of its first value and the stride between its dimensions, so
+/// one kernel call serves survivors in any number of groups.
+#[derive(Clone, Copy)]
+struct Tiled<'a, T> {
+    data: &'a [T],
+    n_vectors: usize,
+    group_size: usize,
+    n_dims: usize,
+}
+
+impl<'a, T> Tiled<'a, T> {
+    /// The view of a block's buffer.
+    ///
+    /// # Panics
+    /// Panics if the buffer does not hold `n_vectors × n_dims` values.
+    fn new(data: &'a [T], n_vectors: usize, group_size: usize, n_dims: usize) -> Self {
+        assert_eq!(data.len(), n_vectors * n_dims, "tiled buffer size mismatch");
+        Self {
+            data,
+            n_vectors,
+            group_size: group_size.max(1),
+            n_dims,
+        }
+    }
+
+    /// One group (`data[dim * lanes + lane]`) as a single-group block.
+    fn of_group(data: &'a [T], lanes: usize) -> Self {
+        Self::new(data, lanes, lanes, data.len() / lanes.max(1))
+    }
+
+    /// Validates once what every load of a kernel call relies on:
+    /// `positions` index stored vectors and `acc` pairs with them.
+    fn check_positions(&self, positions: &[u32], acc_len: usize) {
+        assert_eq!(
+            acc_len,
+            positions.len(),
+            "one accumulator per survivor required"
+        );
+        assert!(
+            positions.iter().all(|&p| (p as usize) < self.n_vectors),
+            "survivor position exceeds the stored vectors"
+        );
+    }
+
+    /// `(offset of dimension 0, stride between dimensions)` of vector
+    /// `pos`; dimension `d` of it lives at `offset + d * stride`, inside
+    /// `data` for every `pos < n_vectors` and `d < n_dims`.
+    #[inline(always)]
+    fn locate(&self, pos: usize) -> (usize, usize) {
+        let (base, lanes, lane) =
+            crate::layout::locate(self.n_vectors, self.group_size, self.n_dims, pos);
+        (base + lane, lanes)
+    }
+
+    /// [`Tiled::locate`] of one pass of up to `N` survivors (`pos` is
+    /// non-empty). A short pass is padded with copies of its first
+    /// survivor, so a SIMD kernel can run all `N` lanes on valid loads
+    /// and simply not store the padding.
+    #[inline(always)]
+    fn locate_pass<const N: usize>(&self, pos: &[u32]) -> [(usize, usize); N] {
+        std::array::from_fn(|k| self.locate(pos[if k < pos.len() { k } else { 0 }] as usize))
+    }
+}
+
+/// Survivors folded per pass of the scalar survivor kernels: that many
+/// independent add chains are in flight per dimension.
+const SURVIVOR_PASS: usize = 8;

@@ -31,6 +31,7 @@
 
 use crate::distance::Metric;
 use crate::kernels::dispatch::KernelPolicy;
+use crate::kernels::{Tiled, SURVIVOR_PASS};
 use crate::layout::{PdxBlock, PdxGroup};
 use std::ops::Range;
 
@@ -85,10 +86,13 @@ impl Accum for IpAccum {
     }
 }
 
-/// Which dimensions a kernel visits: a contiguous range (sequential
-/// scan) or an explicit permutation slice (PDX-BOND orders).
-enum DimSel<'a> {
+/// Which dimensions a kernel visits, in visit order.
+#[derive(Debug, Clone)]
+pub enum DimSel<'a> {
+    /// A contiguous range of storage dimensions (sequential scan).
     Range(Range<usize>),
+    /// Explicit storage dimensions: a slice of a query-aware permutation
+    /// (PDX-BOND's orders, §5).
     Ids(&'a [u32]),
 }
 
@@ -171,41 +175,30 @@ fn accum_perm<A: Accum>(
     }
 }
 
-/// Scalar positions (software-gather) kernel over a dimension range.
+/// Scalar survivor (software-gather) kernel: `acc[j] += term(query[d],
+/// value of survivor j at d)` for every `d` of `dims`, in order.
+/// Survivors may sit in any group of `t`; each keeps the dimension
+/// order, so its bits do not depend on how survivors are batched.
 #[inline]
-fn accum_positions<A: Accum>(
-    data: &[f32],
-    lanes: usize,
+fn survivors_scalar<A: Accum, D>(
+    t: Tiled<'_, f32>,
     query: &[f32],
-    dims: Range<usize>,
+    dims: D,
     positions: &[u32],
     acc: &mut [f32],
-) {
-    for d in dims {
-        let q = query[d];
-        let row = &data[d * lanes..(d + 1) * lanes];
-        for (a, &p) in acc.iter_mut().zip(positions) {
-            *a = A::accum(*a, q, row[p as usize]);
-        }
-    }
-}
-
-/// Scalar positions kernel with a dimension permutation.
-#[inline]
-fn accum_positions_perm<A: Accum>(
-    data: &[f32],
-    lanes: usize,
-    query: &[f32],
-    dim_ids: &[u32],
-    positions: &[u32],
-    acc: &mut [f32],
-) {
-    for &d in dim_ids {
-        let d = d as usize;
-        let q = query[d];
-        let row = &data[d * lanes..(d + 1) * lanes];
-        for (a, &p) in acc.iter_mut().zip(positions) {
-            *a = A::accum(*a, q, row[p as usize]);
+) where
+    D: Iterator<Item = usize> + Clone,
+{
+    for (pos, acc) in positions
+        .chunks(SURVIVOR_PASS)
+        .zip(acc.chunks_mut(SURVIVOR_PASS))
+    {
+        let at = t.locate_pass::<SURVIVOR_PASS>(pos);
+        for d in dims.clone() {
+            let q = query[d];
+            for (a, &(off, stride)) in acc.iter_mut().zip(&at) {
+                *a = A::accum(*a, q, t.data[off + d * stride]);
+            }
         }
     }
 }
@@ -281,67 +274,64 @@ fn scalar_sel<A: Accum>(
     }
 }
 
-/// Positions (gather) accumulate over a dimension selection.
-#[allow(clippy::too_many_arguments)]
-fn positions_impl(
+/// Survivor (gather) accumulate over a dimension selection — the one
+/// PRUNE-phase implementation behind [`pdx_accumulate_survivors`] and
+/// the per-group `pdx_accumulate_positions*` adapters. Positions,
+/// dimensions and the ISA are checked once here, not per group.
+fn survivors_impl(
     metric: Metric,
-    data: &[f32],
-    lanes: usize,
+    t: Tiled<'_, f32>,
     query: &[f32],
     dims: DimSel<'_>,
     positions: &[u32],
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
+    t.check_positions(positions, acc.len());
+    // The hardware gather addresses survivors with 32-bit element
+    // offsets; a buffer beyond that range takes the (bit-identical)
+    // scalar loop.
     #[cfg(target_arch = "x86_64")]
-    if kernel.resolve() == KernelIsa::Avx2 {
-        check_dim_bounds(data.len(), lanes, query.len(), &dims);
-        assert!(
-            positions.iter().all(|&p| (p as usize) < lanes),
-            "survivor position exceeds group lanes"
-        );
-        // SAFETY: AVX2+FMA presence established by `resolve`; dims and
-        // positions bounded above (the hardware gather does not bound-check).
-        return unsafe {
-            avx2::accumulate_positions(metric, data, lanes, query, dims, positions, acc)
-        };
+    if kernel.resolve() == KernelIsa::Avx2 && t.data.len() <= i32::MAX as usize {
+        // With one lane `check_dim_bounds` bounds every selected
+        // dimension by `n_dims` (and by the query).
+        check_dim_bounds(t.n_dims, 1, query.len(), &dims);
+        // SAFETY: AVX2+FMA presence established by `resolve`; positions
+        // and dims bounded above, so every offset `locate` yields stays
+        // inside `t.data` (the gather does not bound-check) and fits an
+        // `i32`.
+        return unsafe { avx2::accumulate_survivors(metric, t, query, dims, positions, acc) };
     }
     #[cfg(target_arch = "aarch64")]
     if kernel.resolve() == KernelIsa::Neon {
-        check_dim_bounds(data.len(), lanes, query.len(), &dims);
-        assert!(
-            positions.iter().all(|&p| (p as usize) < lanes),
-            "survivor position exceeds group lanes"
-        );
-        // SAFETY: NEON presence established by `resolve`; dims and
-        // positions bounded above.
-        return unsafe {
-            neon::accumulate_positions(metric, data, lanes, query, dims, positions, acc)
-        };
+        check_dim_bounds(t.n_dims, 1, query.len(), &dims);
+        // SAFETY: NEON presence established by `resolve`; positions and
+        // dims bounded above, so every offset `locate` yields stays
+        // inside `t.data`.
+        return unsafe { neon::accumulate_survivors(metric, t, query, dims, positions, acc) };
     }
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     let _ = &kernel;
     match metric {
-        Metric::L2 => scalar_positions_sel::<L2Accum>(data, lanes, query, dims, positions, acc),
-        Metric::L1 => scalar_positions_sel::<L1Accum>(data, lanes, query, dims, positions, acc),
-        Metric::NegativeIp => {
-            scalar_positions_sel::<IpAccum>(data, lanes, query, dims, positions, acc)
-        }
+        Metric::L2 => survivors_scalar_sel::<L2Accum>(t, query, dims, positions, acc),
+        Metric::L1 => survivors_scalar_sel::<L1Accum>(t, query, dims, positions, acc),
+        Metric::NegativeIp => survivors_scalar_sel::<IpAccum>(t, query, dims, positions, acc),
     }
 }
 
 #[inline]
-fn scalar_positions_sel<A: Accum>(
-    data: &[f32],
-    lanes: usize,
+fn survivors_scalar_sel<A: Accum>(
+    t: Tiled<'_, f32>,
     query: &[f32],
     dims: DimSel<'_>,
     positions: &[u32],
     acc: &mut [f32],
 ) {
     match dims {
-        DimSel::Range(r) => accum_positions::<A>(data, lanes, query, r, positions, acc),
-        DimSel::Ids(ids) => accum_positions_perm::<A>(data, lanes, query, ids, positions, acc),
+        DimSel::Range(r) => survivors_scalar::<A, _>(t, query, r, positions, acc),
+        DimSel::Ids(ids) => {
+            survivors_scalar::<A, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
+        }
     }
 }
 
@@ -421,12 +411,43 @@ pub fn pdx_accumulate_permuted_policy(
     )
 }
 
-/// PRUNE-phase kernel: accumulates only at the surviving lanes.
+/// PRUNE-phase kernel: accumulates only at the surviving vectors of a
+/// block, wherever in the block they sit.
 ///
-/// `positions[j]` is a lane index inside this group; `acc[j]` is the
-/// compacted accumulator of that survivor. The loop is a software gather
-/// (a hardware gather on AVX2): random lane reads within a cached group
-/// (§4 PHASE 2).
+/// `positions[j]` is a block-relative vector index (any order, any
+/// group, the partial tail group included); `acc[j]` is the compacted
+/// accumulator of that survivor. Eight survivors share one pass over
+/// the dimensions (a hardware gather on AVX2), so a handful of survivors
+/// scattered over many groups still run as independent accumulators
+/// instead of one serial add chain per group (§4 PHASE 2). Every
+/// survivor sees `dims` in order, so all policies — and the per-group
+/// [`pdx_accumulate_positions`] family, which adapts onto this — produce
+/// identical bits.
+///
+/// # Panics
+/// Panics if `acc.len() != positions.len()`, a position is not a vector
+/// of `block`, or a selected dimension exceeds the block's or the
+/// query's dimensionality.
+pub fn pdx_accumulate_survivors(
+    metric: Metric,
+    block: &PdxBlock,
+    query: &[f32],
+    dims: DimSel<'_>,
+    positions: &[u32],
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    let t = Tiled::new(
+        block.as_slice(),
+        block.len(),
+        block.group_size(),
+        block.dims(),
+    );
+    survivors_impl(metric, t, query, dims, positions, acc, kernel)
+}
+
+/// Per-group form of [`pdx_accumulate_survivors`]: `positions[j]` is a
+/// lane index inside this group.
 pub fn pdx_accumulate_positions(
     metric: Metric,
     group: &PdxGroup<'_>,
@@ -456,15 +477,9 @@ pub fn pdx_accumulate_positions_policy(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    assert_eq!(
-        acc.len(),
-        positions.len(),
-        "one accumulator per survivor required"
-    );
-    positions_impl(
+    survivors_impl(
         metric,
-        group.data,
-        group.lanes,
+        Tiled::of_group(group.data, group.lanes),
         query,
         DimSel::Range(dims),
         positions,
@@ -473,7 +488,7 @@ pub fn pdx_accumulate_positions_policy(
     )
 }
 
-/// PRUNE-phase kernel with a dimension permutation (PDX-BOND).
+/// [`pdx_accumulate_positions`] with a dimension permutation (PDX-BOND).
 pub fn pdx_accumulate_positions_permuted(
     metric: Metric,
     group: &PdxGroup<'_>,
@@ -503,15 +518,9 @@ pub fn pdx_accumulate_positions_permuted_policy(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    assert_eq!(
-        acc.len(),
-        positions.len(),
-        "one accumulator per survivor required"
-    );
-    positions_impl(
+    survivors_impl(
         metric,
-        group.data,
-        group.lanes,
+        Tiled::of_group(group.data, group.lanes),
         query,
         DimSel::Ids(dim_ids),
         positions,
@@ -557,6 +566,7 @@ mod avx2 {
     use super::{Accum, DimSel, IpAccum, L1Accum, L2Accum};
     use crate::distance::Metric;
     use crate::kernels::dispatch::SCALAR_FMA;
+    use crate::kernels::Tiled;
     use std::arch::x86_64::*;
 
     /// One metric's 8-wide step — the scalar `Accum` step, widened.
@@ -659,16 +669,19 @@ mod avx2 {
         }
     }
 
-    /// Positions kernel body: 8 survivors per iteration via a hardware
-    /// gather, scalar tail for the rest.
+    /// Survivor kernel body: 8 survivors per pass over the dimensions
+    /// via a hardware gather, each with its own offset and stride so a
+    /// pass may span groups. A short last pass is padded
+    /// ([`Tiled::locate_pass`]) — a padded lane repeats a valid load and
+    /// is never stored — so there is no serial scalar tail.
     ///
     /// # Safety
-    /// Caller guarantees AVX2+FMA, the dimension bounds of [`dense`],
-    /// and `p < lanes` for every position.
+    /// Caller guarantees AVX2+FMA, `p < t.n_vectors` for every position,
+    /// `d < query.len().min(t.n_dims)` for every `d` in `dims`, and
+    /// `t.data.len() <= i32::MAX`.
     #[inline(always)]
-    unsafe fn gather<S: Step, A: Accum, D>(
-        data: &[f32],
-        lanes: usize,
+    unsafe fn gather<S: Step, D>(
+        t: Tiled<'_, f32>,
         query: &[f32],
         dims: D,
         positions: &[u32],
@@ -676,26 +689,24 @@ mod avx2 {
     ) where
         D: Iterator<Item = usize> + Clone,
     {
-        let dp = data.as_ptr();
-        let mut j = 0usize;
-        while j + 8 <= positions.len() {
-            let idx = _mm256_loadu_si256(positions.as_ptr().add(j) as *const __m256i);
-            let ap = acc.as_mut_ptr().add(j);
-            let mut a = _mm256_loadu_ps(ap);
+        let dp = t.data.as_ptr();
+        for (pos, acc) in positions.chunks(8).zip(acc.chunks_mut(8)) {
+            let at = t.locate_pass::<8>(pos);
+            let off = at.map(|(off, _)| off as i32);
+            let stride = at.map(|(_, stride)| stride as i32);
+            let mut buf = [0.0f32; 8];
+            buf[..acc.len()].copy_from_slice(acc);
+            let off = _mm256_loadu_si256(off.as_ptr() as *const __m256i);
+            let stride = _mm256_loadu_si256(stride.as_ptr() as *const __m256i);
+            let mut a = _mm256_loadu_ps(buf.as_ptr());
             for d in dims.clone() {
-                let v = _mm256_i32gather_ps::<4>(dp.add(d * lanes), idx);
+                let idx =
+                    _mm256_add_epi32(off, _mm256_mullo_epi32(stride, _mm256_set1_epi32(d as i32)));
+                let v = _mm256_i32gather_ps::<4>(dp, idx);
                 a = S::step(a, _mm256_set1_ps(query[d]), v);
             }
-            _mm256_storeu_ps(ap, a);
-            j += 8;
-        }
-        for k in j..positions.len() {
-            let p = positions[k] as usize;
-            let mut a = acc[k];
-            for d in dims.clone() {
-                a = A::accum(a, query[d], *dp.add(d * lanes + p));
-            }
-            acc[k] = a;
+            _mm256_storeu_ps(buf.as_mut_ptr(), a);
+            acc.copy_from_slice(&buf[..acc.len()]);
         }
     }
 
@@ -747,49 +758,29 @@ mod avx2 {
     /// # Safety
     /// Requires AVX2+FMA and the bounds of [`gather`].
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn accumulate_positions(
+    pub(super) unsafe fn accumulate_survivors(
         metric: Metric,
-        data: &[f32],
-        lanes: usize,
+        t: Tiled<'_, f32>,
         query: &[f32],
         dims: DimSel<'_>,
         positions: &[u32],
         acc: &mut [f32],
     ) {
         match (metric, dims) {
-            (Metric::L2, DimSel::Range(r)) => {
-                gather::<L2Step, L2Accum, _>(data, lanes, query, r, positions, acc)
-            }
-            (Metric::L1, DimSel::Range(r)) => {
-                gather::<L1Step, L1Accum, _>(data, lanes, query, r, positions, acc)
-            }
+            (Metric::L2, DimSel::Range(r)) => gather::<L2Step, _>(t, query, r, positions, acc),
+            (Metric::L1, DimSel::Range(r)) => gather::<L1Step, _>(t, query, r, positions, acc),
             (Metric::NegativeIp, DimSel::Range(r)) => {
-                gather::<IpStep, IpAccum, _>(data, lanes, query, r, positions, acc)
+                gather::<IpStep, _>(t, query, r, positions, acc)
             }
-            (Metric::L2, DimSel::Ids(ids)) => gather::<L2Step, L2Accum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                positions,
-                acc,
-            ),
-            (Metric::L1, DimSel::Ids(ids)) => gather::<L1Step, L1Accum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                positions,
-                acc,
-            ),
-            (Metric::NegativeIp, DimSel::Ids(ids)) => gather::<IpStep, IpAccum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                positions,
-                acc,
-            ),
+            (Metric::L2, DimSel::Ids(ids)) => {
+                gather::<L2Step, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
+            }
+            (Metric::L1, DimSel::Ids(ids)) => {
+                gather::<L1Step, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
+            }
+            (Metric::NegativeIp, DimSel::Ids(ids)) => {
+                gather::<IpStep, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
+            }
         }
     }
 }
@@ -807,6 +798,7 @@ mod neon {
     use super::{Accum, DimSel, IpAccum, L1Accum, L2Accum};
     use crate::distance::Metric;
     use crate::kernels::dispatch::SCALAR_FMA;
+    use crate::kernels::Tiled;
     use std::arch::aarch64::*;
 
     /// One metric's 4-wide step — the scalar `Accum` step, widened.
@@ -902,13 +894,18 @@ mod neon {
         }
     }
 
+    /// Survivor kernel body: 4 survivors per pass over the dimensions,
+    /// loaded through a small stack buffer (no hardware gather), each
+    /// with its own offset and stride so a pass may span groups. A short
+    /// last pass is padded ([`Tiled::locate_pass`]: a valid load, never
+    /// stored), so there is no serial scalar tail.
+    ///
     /// # Safety
-    /// Caller guarantees NEON, the dimension bounds of [`dense`], and
-    /// `p < lanes` for every position.
+    /// Caller guarantees NEON, `p < t.n_vectors` for every position and
+    /// `d < query.len().min(t.n_dims)` for every `d` in `dims`.
     #[inline(always)]
-    unsafe fn gather<S: Step, A: Accum, D>(
-        data: &[f32],
-        lanes: usize,
+    unsafe fn gather<S: Step, D>(
+        t: Tiled<'_, f32>,
         query: &[f32],
         dims: D,
         positions: &[u32],
@@ -916,31 +913,23 @@ mod neon {
     ) where
         D: Iterator<Item = usize> + Clone,
     {
-        let dp = data.as_ptr();
-        let mut j = 0usize;
-        while j + 4 <= positions.len() {
-            let ap = acc.as_mut_ptr().add(j);
-            let mut a = vld1q_f32(ap);
+        let dp = t.data.as_ptr();
+        for (pos, acc) in positions.chunks(4).zip(acc.chunks_mut(4)) {
+            let at = t.locate_pass::<4>(pos);
+            let mut buf = [0.0f32; 4];
+            buf[..acc.len()].copy_from_slice(acc);
+            let mut a = vld1q_f32(buf.as_ptr());
             for d in dims.clone() {
-                let rp = dp.add(d * lanes);
-                let buf = [
-                    *rp.add(positions[j] as usize),
-                    *rp.add(positions[j + 1] as usize),
-                    *rp.add(positions[j + 2] as usize),
-                    *rp.add(positions[j + 3] as usize),
+                let vals = [
+                    *dp.add(at[0].0 + d * at[0].1),
+                    *dp.add(at[1].0 + d * at[1].1),
+                    *dp.add(at[2].0 + d * at[2].1),
+                    *dp.add(at[3].0 + d * at[3].1),
                 ];
-                a = S::step(a, vdupq_n_f32(query[d]), vld1q_f32(buf.as_ptr()));
+                a = S::step(a, vdupq_n_f32(query[d]), vld1q_f32(vals.as_ptr()));
             }
-            vst1q_f32(ap, a);
-            j += 4;
-        }
-        for k in j..positions.len() {
-            let p = positions[k] as usize;
-            let mut a = acc[k];
-            for d in dims.clone() {
-                a = A::accum(a, query[d], *dp.add(d * lanes + p));
-            }
-            acc[k] = a;
+            vst1q_f32(buf.as_mut_ptr(), a);
+            acc.copy_from_slice(&buf[..acc.len()]);
         }
     }
 
@@ -992,49 +981,29 @@ mod neon {
     /// # Safety
     /// Requires NEON and the bounds of [`gather`].
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn accumulate_positions(
+    pub(super) unsafe fn accumulate_survivors(
         metric: Metric,
-        data: &[f32],
-        lanes: usize,
+        t: Tiled<'_, f32>,
         query: &[f32],
         dims: DimSel<'_>,
         positions: &[u32],
         acc: &mut [f32],
     ) {
         match (metric, dims) {
-            (Metric::L2, DimSel::Range(r)) => {
-                gather::<L2Step, L2Accum, _>(data, lanes, query, r, positions, acc)
-            }
-            (Metric::L1, DimSel::Range(r)) => {
-                gather::<L1Step, L1Accum, _>(data, lanes, query, r, positions, acc)
-            }
+            (Metric::L2, DimSel::Range(r)) => gather::<L2Step, _>(t, query, r, positions, acc),
+            (Metric::L1, DimSel::Range(r)) => gather::<L1Step, _>(t, query, r, positions, acc),
             (Metric::NegativeIp, DimSel::Range(r)) => {
-                gather::<IpStep, IpAccum, _>(data, lanes, query, r, positions, acc)
+                gather::<IpStep, _>(t, query, r, positions, acc)
             }
-            (Metric::L2, DimSel::Ids(ids)) => gather::<L2Step, L2Accum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                positions,
-                acc,
-            ),
-            (Metric::L1, DimSel::Ids(ids)) => gather::<L1Step, L1Accum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                positions,
-                acc,
-            ),
-            (Metric::NegativeIp, DimSel::Ids(ids)) => gather::<IpStep, IpAccum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                positions,
-                acc,
-            ),
+            (Metric::L2, DimSel::Ids(ids)) => {
+                gather::<L2Step, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
+            }
+            (Metric::L1, DimSel::Ids(ids)) => {
+                gather::<L1Step, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
+            }
+            (Metric::NegativeIp, DimSel::Ids(ids)) => {
+                gather::<IpStep, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
+            }
         }
     }
 }

@@ -45,6 +45,7 @@
 
 use crate::distance::Metric;
 use crate::kernels::dispatch::KernelPolicy;
+use crate::kernels::{Tiled, SURVIVOR_PASS};
 use crate::layout::{QuantizedPdxBlock, QuantizedPdxGroup, Sq8Quantizer, Sq8Query};
 use std::ops::Range;
 
@@ -163,23 +164,29 @@ fn sq8_dispatch<A: Sq8Accum>(
     }
 }
 
-/// Scalar positions (software-gather) kernel.
+/// Scalar survivor (software-gather) kernel: every survivor, in whatever
+/// group of `t` it sits, accumulates `dims` in order — so its bits do
+/// not depend on how survivors are batched.
 #[inline]
-fn sq8_accum_positions<A: Sq8Accum>(
-    data: &[u8],
-    lanes: usize,
+fn sq8_survivors_scalar<A: Sq8Accum>(
+    t: Tiled<'_, u8>,
     qcode: &[f32],
     weight: &[f32],
     dims: Range<usize>,
     positions: &[u32],
     acc: &mut [f32],
 ) {
-    for d in dims {
-        let qc = qcode[d];
-        let w = weight[d];
-        let row = &data[d * lanes..(d + 1) * lanes];
-        for (a, &p) in acc.iter_mut().zip(positions) {
-            *a = A::accum(*a, qc, w, row[p as usize]);
+    for (pos, acc) in positions
+        .chunks(SURVIVOR_PASS)
+        .zip(acc.chunks_mut(SURVIVOR_PASS))
+    {
+        let at = t.locate_pass::<SURVIVOR_PASS>(pos);
+        for d in dims.clone() {
+            let qc = qcode[d];
+            let w = weight[d];
+            for (a, &(off, stride)) in acc.iter_mut().zip(&at) {
+                *a = A::accum(*a, qc, w, t.data[off + d * stride]);
+            }
         }
     }
 }
@@ -288,11 +295,41 @@ pub fn sq8_accumulate_policy(
     }
 }
 
-/// PRUNE-phase kernel: accumulates only at the surviving lanes.
+/// PRUNE-phase kernel: accumulates only at the surviving vectors of a
+/// quantized block, wherever in the block they sit — the SQ8 twin of
+/// [`pdx_accumulate_survivors`](crate::kernels::pdx_accumulate_survivors).
 ///
-/// `positions[j]` is a lane index inside this group; `acc[j]` is the
-/// compacted accumulator of that survivor — a software gather of byte
-/// lanes within a cached group.
+/// `positions[j]` is a block-relative vector index (any group, the
+/// partial tail group included); `acc[j]` is the compacted accumulator
+/// of that survivor. Eight survivors share one pass over the dimensions
+/// (a software gather of byte lanes), and every survivor sees `dims` in
+/// order, so all policies — and the per-group
+/// [`sq8_accumulate_positions`] family, which adapts onto this — produce
+/// identical bits.
+///
+/// # Panics
+/// Panics if `acc.len() != positions.len()`, a position is not a vector
+/// of `block`, or `dims` exceeds the block's or the query's
+/// dimensionality.
+pub fn sq8_accumulate_survivors(
+    q: &Sq8Query,
+    block: &QuantizedPdxBlock,
+    dims: Range<usize>,
+    positions: &[u32],
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    let t = Tiled::new(
+        block.as_slice(),
+        block.len(),
+        block.group_size(),
+        block.dims(),
+    );
+    sq8_survivors_impl(q, t, dims, positions, acc, kernel)
+}
+
+/// Per-group form of [`sq8_accumulate_survivors`]: `positions[j]` is a
+/// lane index inside this group.
 ///
 /// # Panics
 /// Panics if `acc.len() != positions.len()`.
@@ -315,94 +352,48 @@ pub fn sq8_accumulate_positions_policy(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    assert_eq!(
-        acc.len(),
-        positions.len(),
-        "one accumulator per survivor required"
-    );
+    let t = Tiled::of_group(group.data, group.lanes);
+    sq8_survivors_impl(q, t, dims, positions, acc, kernel)
+}
+
+/// The one PRUNE-phase implementation: positions, dimensions and the ISA
+/// are checked once here, not per group.
+fn sq8_survivors_impl(
+    q: &Sq8Query,
+    t: Tiled<'_, u8>,
+    dims: Range<usize>,
+    positions: &[u32],
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    t.check_positions(positions, acc.len());
     #[cfg(target_arch = "x86_64")]
     if kernel.resolve() == KernelIsa::Avx2 {
-        check_sq8_bounds(
-            group.data.len(),
-            group.lanes,
-            q.qcode.len().min(q.weight.len()),
-            &dims,
-        );
-        assert!(
-            positions.iter().all(|&p| (p as usize) < group.lanes),
-            "survivor position exceeds group lanes"
-        );
-        // SAFETY: AVX2+FMA presence established by `resolve`; dims and
-        // positions bounded above.
+        check_sq8_bounds(t.n_dims, 1, q.qcode.len().min(q.weight.len()), &dims);
+        // SAFETY: AVX2+FMA presence established by `resolve`; positions
+        // and dims bounded above, so every offset `locate` yields stays
+        // inside `t.data`.
         return unsafe {
-            avx2::accumulate_positions(
-                q.metric,
-                group.data,
-                group.lanes,
-                &q.qcode,
-                &q.weight,
-                dims,
-                positions,
-                acc,
-            )
+            avx2::accumulate_survivors(q.metric, t, &q.qcode, &q.weight, dims, positions, acc)
         };
     }
     #[cfg(target_arch = "aarch64")]
     if kernel.resolve() == KernelIsa::Neon {
-        check_sq8_bounds(
-            group.data.len(),
-            group.lanes,
-            q.qcode.len().min(q.weight.len()),
-            &dims,
-        );
-        assert!(
-            positions.iter().all(|&p| (p as usize) < group.lanes),
-            "survivor position exceeds group lanes"
-        );
-        // SAFETY: NEON presence established by `resolve`; bounds above.
+        check_sq8_bounds(t.n_dims, 1, q.qcode.len().min(q.weight.len()), &dims);
+        // SAFETY: NEON presence established by `resolve`; positions and
+        // dims bounded above, so every offset `locate` yields stays
+        // inside `t.data`.
         return unsafe {
-            neon::accumulate_positions(
-                q.metric,
-                group.data,
-                group.lanes,
-                &q.qcode,
-                &q.weight,
-                dims,
-                positions,
-                acc,
-            )
+            neon::accumulate_survivors(q.metric, t, &q.qcode, &q.weight, dims, positions, acc)
         };
     }
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     let _ = &kernel;
+    let (qcode, weight) = (&q.qcode[..], &q.weight[..]);
     match q.metric {
-        Metric::L2 => sq8_accum_positions::<L2Sq8>(
-            group.data,
-            group.lanes,
-            &q.qcode,
-            &q.weight,
-            dims,
-            positions,
-            acc,
-        ),
-        Metric::L1 => sq8_accum_positions::<L1Sq8>(
-            group.data,
-            group.lanes,
-            &q.qcode,
-            &q.weight,
-            dims,
-            positions,
-            acc,
-        ),
-        Metric::NegativeIp => sq8_accum_positions::<IpSq8>(
-            group.data,
-            group.lanes,
-            &q.qcode,
-            &q.weight,
-            dims,
-            positions,
-            acc,
-        ),
+        Metric::L2 => sq8_survivors_scalar::<L2Sq8>(t, qcode, weight, dims, positions, acc),
+        Metric::L1 => sq8_survivors_scalar::<L1Sq8>(t, qcode, weight, dims, positions, acc),
+        Metric::NegativeIp => sq8_survivors_scalar::<IpSq8>(t, qcode, weight, dims, positions, acc),
     }
 }
 
@@ -678,6 +669,7 @@ mod avx2 {
     use super::{IpSq8, L1Sq8, L2Sq8, Sq8Accum, Sq8CodeAccum};
     use crate::distance::Metric;
     use crate::kernels::dispatch::SCALAR_FMA;
+    use crate::kernels::Tiled;
     use std::arch::x86_64::*;
     use std::ops::Range;
 
@@ -789,44 +781,41 @@ mod avx2 {
         }
     }
 
+    /// Survivor kernel body: 8 survivors per pass over the dimensions,
+    /// their bytes collected through a stack buffer and widened at once,
+    /// each with its own offset and stride so a pass may span groups. A
+    /// short last pass is padded ([`Tiled::locate_pass`]: a valid load,
+    /// never stored), so there is no serial scalar tail.
+    ///
     /// # Safety
-    /// Caller guarantees AVX2+FMA, the bounds of [`dense`], and
-    /// `p < lanes` for every position.
+    /// Caller guarantees AVX2+FMA, `p < t.n_vectors` for every position
+    /// and `dims.end <= t.n_dims.min(qcode.len()).min(weight.len())`.
     #[inline(always)]
-    unsafe fn gather<S: Step, A: Sq8Accum>(
-        data: &[u8],
-        lanes: usize,
+    unsafe fn gather<S: Step>(
+        t: Tiled<'_, u8>,
         qcode: &[f32],
         weight: &[f32],
         dims: Range<usize>,
         positions: &[u32],
         acc: &mut [f32],
     ) {
-        let dp = data.as_ptr();
-        let mut j = 0usize;
-        while j + 8 <= positions.len() {
-            let ap = acc.as_mut_ptr().add(j);
-            let mut a = _mm256_loadu_ps(ap);
+        let dp = t.data.as_ptr();
+        for (pos, acc) in positions.chunks(8).zip(acc.chunks_mut(8)) {
+            let at = t.locate_pass::<8>(pos);
+            let mut buf = [0.0f32; 8];
+            buf[..acc.len()].copy_from_slice(acc);
+            let mut a = _mm256_loadu_ps(buf.as_ptr());
             for d in dims.clone() {
-                let rp = dp.add(d * lanes);
-                let mut buf = [0u8; 8];
-                for (k, b) in buf.iter_mut().enumerate() {
-                    *b = *rp.add(positions[j + k] as usize);
+                let mut codes = [0u8; 8];
+                for (c, &(off, stride)) in codes.iter_mut().zip(&at) {
+                    *c = *dp.add(off + d * stride);
                 }
                 let qc = _mm256_set1_ps(qcode[d]);
                 let w = _mm256_set1_ps(weight[d]);
-                a = S::step(a, qc, w, widen8(buf.as_ptr()));
+                a = S::step(a, qc, w, widen8(codes.as_ptr()));
             }
-            _mm256_storeu_ps(ap, a);
-            j += 8;
-        }
-        for k in j..positions.len() {
-            let p = positions[k] as usize;
-            let mut a = acc[k];
-            for d in dims.clone() {
-                a = A::accum(a, qcode[d], weight[d], *dp.add(d * lanes + p));
-            }
-            acc[k] = a;
+            _mm256_storeu_ps(buf.as_mut_ptr(), a);
+            acc.copy_from_slice(&buf[..acc.len()]);
         }
     }
 
@@ -852,11 +841,9 @@ mod avx2 {
     /// # Safety
     /// Requires AVX2+FMA and the bounds of [`gather`].
     #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn accumulate_positions(
+    pub(super) unsafe fn accumulate_survivors(
         metric: Metric,
-        data: &[u8],
-        lanes: usize,
+        t: Tiled<'_, u8>,
         qcode: &[f32],
         weight: &[f32],
         dims: Range<usize>,
@@ -864,11 +851,9 @@ mod avx2 {
         acc: &mut [f32],
     ) {
         match metric {
-            Metric::L2 => gather::<L2Step, L2Sq8>(data, lanes, qcode, weight, dims, positions, acc),
-            Metric::L1 => gather::<L1Step, L1Sq8>(data, lanes, qcode, weight, dims, positions, acc),
-            Metric::NegativeIp => {
-                gather::<IpStep, IpSq8>(data, lanes, qcode, weight, dims, positions, acc)
-            }
+            Metric::L2 => gather::<L2Step>(t, qcode, weight, dims, positions, acc),
+            Metric::L1 => gather::<L1Step>(t, qcode, weight, dims, positions, acc),
+            Metric::NegativeIp => gather::<IpStep>(t, qcode, weight, dims, positions, acc),
         }
     }
 
@@ -944,6 +929,7 @@ mod neon {
     use super::{IpCode, IpSq8, L1Sq8, L2Code, L2Sq8, Sq8Accum, Sq8CodeAccum};
     use crate::distance::Metric;
     use crate::kernels::dispatch::SCALAR_FMA;
+    use crate::kernels::Tiled;
     use std::arch::aarch64::*;
     use std::ops::Range;
 
@@ -1059,46 +1045,42 @@ mod neon {
         }
     }
 
+    /// Survivor kernel body: 4 survivors per pass over the dimensions,
+    /// each with its own offset and stride so a pass may span groups. A
+    /// short last pass is padded ([`Tiled::locate_pass`]: a valid load,
+    /// never stored), so there is no serial scalar tail.
+    ///
     /// # Safety
-    /// Caller guarantees NEON, the bounds of [`dense`], and `p < lanes`
-    /// for every position.
+    /// Caller guarantees NEON, `p < t.n_vectors` for every position and
+    /// `dims.end <= t.n_dims.min(qcode.len()).min(weight.len())`.
     #[inline(always)]
-    unsafe fn gather<S: Step, A: Sq8Accum>(
-        data: &[u8],
-        lanes: usize,
+    unsafe fn gather<S: Step>(
+        t: Tiled<'_, u8>,
         qcode: &[f32],
         weight: &[f32],
         dims: Range<usize>,
         positions: &[u32],
         acc: &mut [f32],
     ) {
-        let dp = data.as_ptr();
-        let mut j = 0usize;
-        while j + 4 <= positions.len() {
-            let ap = acc.as_mut_ptr().add(j);
-            let mut a = vld1q_f32(ap);
+        let dp = t.data.as_ptr();
+        for (pos, acc) in positions.chunks(4).zip(acc.chunks_mut(4)) {
+            let at = t.locate_pass::<4>(pos);
+            let mut buf = [0.0f32; 4];
+            buf[..acc.len()].copy_from_slice(acc);
+            let mut a = vld1q_f32(buf.as_ptr());
             for d in dims.clone() {
-                let rp = dp.add(d * lanes);
                 let vals = [
-                    *rp.add(positions[j] as usize) as f32,
-                    *rp.add(positions[j + 1] as usize) as f32,
-                    *rp.add(positions[j + 2] as usize) as f32,
-                    *rp.add(positions[j + 3] as usize) as f32,
+                    *dp.add(at[0].0 + d * at[0].1) as f32,
+                    *dp.add(at[1].0 + d * at[1].1) as f32,
+                    *dp.add(at[2].0 + d * at[2].1) as f32,
+                    *dp.add(at[3].0 + d * at[3].1) as f32,
                 ];
                 let qc = vdupq_n_f32(qcode[d]);
                 let w = vdupq_n_f32(weight[d]);
                 a = S::step(a, qc, w, vld1q_f32(vals.as_ptr()));
             }
-            vst1q_f32(ap, a);
-            j += 4;
-        }
-        for k in j..positions.len() {
-            let p = positions[k] as usize;
-            let mut a = acc[k];
-            for d in dims.clone() {
-                a = A::accum(a, qcode[d], weight[d], *dp.add(d * lanes + p));
-            }
-            acc[k] = a;
+            vst1q_f32(buf.as_mut_ptr(), a);
+            acc.copy_from_slice(&buf[..acc.len()]);
         }
     }
 
@@ -1124,11 +1106,9 @@ mod neon {
     /// # Safety
     /// Requires NEON and the bounds of [`gather`].
     #[target_feature(enable = "neon")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn accumulate_positions(
+    pub(super) unsafe fn accumulate_survivors(
         metric: Metric,
-        data: &[u8],
-        lanes: usize,
+        t: Tiled<'_, u8>,
         qcode: &[f32],
         weight: &[f32],
         dims: Range<usize>,
@@ -1136,11 +1116,9 @@ mod neon {
         acc: &mut [f32],
     ) {
         match metric {
-            Metric::L2 => gather::<L2Step, L2Sq8>(data, lanes, qcode, weight, dims, positions, acc),
-            Metric::L1 => gather::<L1Step, L1Sq8>(data, lanes, qcode, weight, dims, positions, acc),
-            Metric::NegativeIp => {
-                gather::<IpStep, IpSq8>(data, lanes, qcode, weight, dims, positions, acc)
-            }
+            Metric::L2 => gather::<L2Step>(t, qcode, weight, dims, positions, acc),
+            Metric::L1 => gather::<L1Step>(t, qcode, weight, dims, positions, acc),
+            Metric::NegativeIp => gather::<IpStep>(t, qcode, weight, dims, positions, acc),
         }
     }
 

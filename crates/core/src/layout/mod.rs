@@ -28,3 +28,21 @@ pub use dual::DualBlockMatrix;
 pub use nary::NaryMatrix;
 pub use pdx::{PdxBlock, PdxGroup};
 pub use quantized::{QuantizedPdxBlock, QuantizedPdxGroup, Sq8Quantizer, Sq8Query};
+
+/// Where vector `vec` of a group-tiled buffer lives: `(offset of its
+/// group, lanes of that group, lane inside it)` — value `d` of the vector
+/// is `data[offset + d * lanes + lane]`. The one statement of the tiling
+/// arithmetic behind both block types and the survivor kernels; callers
+/// bound `vec < n_vectors`.
+#[inline(always)]
+pub(crate) fn locate(
+    n_vectors: usize,
+    group_size: usize,
+    n_dims: usize,
+    vec: usize,
+) -> (usize, usize, usize) {
+    let lane = vec % group_size;
+    let start_vector = vec - lane;
+    let lanes = group_size.min(n_vectors - start_vector);
+    (start_vector * n_dims, lanes, lane)
+}

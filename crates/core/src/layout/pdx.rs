@@ -253,10 +253,7 @@ impl PdxBlock {
     /// `(group_base_offset, group_lanes, lane_within_group)` of a vector.
     fn locate(&self, vec: usize) -> (usize, usize, usize) {
         assert!(vec < self.n_vectors, "vector index out of range");
-        let g = vec / self.group_size;
-        let start_vector = g * self.group_size;
-        let lanes = self.group_size.min(self.n_vectors - start_vector);
-        (start_vector * self.n_dims, lanes, vec - start_vector)
+        super::locate(self.n_vectors, self.group_size, self.n_dims, vec)
     }
 }
 

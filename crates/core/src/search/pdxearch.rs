@@ -2,19 +2,27 @@
 //! search over PDX blocks.
 //!
 //! A query walks the blocks in caller-decided order (IVF: by centroid
-//! distance; exact search: storage order). The phases:
+//! distance; exact search: storage order), and each block one
+//! [`Tile`] — at most [`THRESHOLD_TILE`](crate::pruning::THRESHOLD_TILE)
+//! vectors in whole groups — at a time. The tile is the unit of control
+//! flow: it picks its phase, reads the k-NN threshold at its checkpoints
+//! and offers its survivors to the heap when it ends, so a long block
+//! prunes against a threshold that tightens as the scan moves through
+//! it. What describes the block stays per block: the dimension visit
+//! order, the statistics behind it and the aux rows. The phases:
 //!
 //! * **START** — while the heap holds fewer than `k` candidates there is
-//!   no threshold, so blocks are scanned linearly (all dimensions, all
-//!   vectors). In practice this is just the first block.
+//!   no threshold, so the tile is scanned linearly (all dimensions, all
+//!   vectors). In practice this is just the first tile.
 //! * **WARMUP** — partial distances are accumulated for *all* vectors of
-//!   the block at exponentially growing dimension steps; after each step
+//!   the tile at exponentially growing dimension steps; after each step
 //!   the pruning bound is evaluated in a separate branch-free pass that
 //!   only *counts* survivors (computing distances for pruned vectors is
 //!   still cheaper than random access while many survive).
 //! * **PRUNE** — once the surviving fraction drops below the selection
 //!   threshold (default 20 %, Figure 10), survivor positions are
-//!   compacted and further distance accumulation touches only them.
+//!   compacted and further distance accumulation touches only them, one
+//!   survivor-kernel call per step for the whole tile.
 //!
 //! The framework preserves the underlying pruner's guarantees: it never
 //! drops a vector the pruner would have kept, it only chooses *when*
@@ -24,11 +32,10 @@ use crate::collection::SearchBlock;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
 use crate::kernels::pdx::{
-    pdx_accumulate_permuted_policy, pdx_accumulate_policy,
-    pdx_accumulate_positions_permuted_policy, pdx_accumulate_positions_policy,
+    pdx_accumulate_permuted_policy, pdx_accumulate_policy, pdx_accumulate_survivors, DimSel,
 };
 use crate::profile::SearchProfile;
-use crate::pruning::{checkpoints, Pruner, StepPolicy};
+use crate::pruning::{checkpoints, tiles, Pruner, StepPolicy, Tile, DEFAULT_SELECTION_FRACTION};
 use std::time::Instant;
 
 /// Tuning knobs of a PDXearch run.
@@ -36,8 +43,8 @@ use std::time::Instant;
 pub struct SearchParams {
     /// Number of neighbours to return.
     pub k: usize,
-    /// Fraction of not-yet-pruned vectors below which the PRUNE phase
-    /// starts (the paper's sweet spot is 0.20).
+    /// Fraction of a tile's vectors below which the PRUNE phase starts
+    /// ([`DEFAULT_SELECTION_FRACTION`], the paper's sweet spot).
     pub selection_fraction: f32,
     /// Dimension fetching schedule.
     pub step: StepPolicy,
@@ -51,7 +58,7 @@ impl SearchParams {
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            selection_fraction: 0.20,
+            selection_fraction: DEFAULT_SELECTION_FRACTION,
             step: StepPolicy::default(),
             kernel: KernelPolicy::Auto,
         }
@@ -159,14 +166,12 @@ pub fn pdxearch_prepared_profiled<P: Pruner>(
 /// Reusable per-query buffers.
 #[derive(Default)]
 struct Scratch {
-    /// WARMUP partial distances, one per block vector.
+    /// WARMUP partial distances, one per tile vector.
     partials: Vec<f32>,
     /// PRUNE-phase survivor positions (block-relative).
     positions: Vec<u32>,
     /// PRUNE-phase compacted partial distances (parallel to positions).
     compact: Vec<f32>,
-    /// Group-relative lane ids for the positions kernel.
-    lane_ids: Vec<u32>,
 }
 
 #[inline(always)]
@@ -234,88 +239,52 @@ where
         // accumulated distance is a pure function of its block, not of
         // which phase happened to scan it. This is what lets a
         // block-range split (crate::exec) reproduce the sequential
-        // distances bit-for-bit: each worker's leading blocks run START
-        // while sequentially they would have run WARMUP/PRUNE, but the
+        // distances bit-for-bit: each worker's leading tile runs START
+        // while sequentially it would have run WARMUP/PRUNE, but the
         // accumulation order (and hence the f32 rounding) is identical.
         let t1 = timer::<PROFILE>();
         let perm = pruner.dim_order(q, Some(&block.stats));
         lap(&mut profile.preprocess_ns, t1);
-        if heap.len() < params.k {
-            // START: no threshold yet — full linear scan of this block.
-            scan_block_linear::<P, PROFILE>(
-                pruner,
-                q,
-                block,
-                perm.as_deref(),
-                params.kernel,
-                &mut heap,
-                &mut scratch,
-                profile,
-            );
-            continue;
-        }
         if ckpt_dims != dims {
             ckpts = checkpoints(params.step, dims);
             ckpt_dims = dims;
         }
-        scan_block_pruned::<P, PROFILE>(
-            pruner,
-            q,
-            block,
-            perm.as_deref(),
-            &ckpts,
-            params,
-            &mut heap,
-            &mut scratch,
-            profile,
-        );
+        // START is the pruned scan with one checkpoint at `dims`: no
+        // threshold exists yet, so no bound is evaluated before the end.
+        let start = [dims];
+        for tile in tiles(block.len(), block.pdx.group_size()) {
+            let schedule = if heap.len() < params.k {
+                &start[..]
+            } else {
+                &ckpts[..]
+            };
+            scan_tile::<P, PROFILE>(
+                pruner,
+                q,
+                block,
+                &tile,
+                perm.as_deref(),
+                schedule,
+                params,
+                &mut heap,
+                &mut scratch,
+                profile,
+            );
+        }
     }
     heap.into_sorted()
 }
 
-/// Full linear scan of one block; every distance is offered to the
-/// heap. Accumulates in the block's permuted dimension order when the
-/// pruner has one, matching the WARMUP/PRUNE phases exactly.
+/// Scans one tile of `block`: WARMUP over `ckpts` until few enough
+/// vectors survive, then PRUNE; whoever reaches the last checkpoint
+/// (which is always `dims`) is offered to the heap. Accumulates in the
+/// block's permuted dimension order when the pruner has one.
 #[allow(clippy::too_many_arguments)]
-fn scan_block_linear<P: Pruner, const PROFILE: bool>(
+fn scan_tile<P: Pruner, const PROFILE: bool>(
     pruner: &P,
     q: &P::Query,
     block: &SearchBlock,
-    perm: Option<&[u32]>,
-    kernel: KernelPolicy,
-    heap: &mut KnnHeap,
-    scratch: &mut Scratch,
-    profile: &mut SearchProfile,
-) {
-    let metric = pruner.metric();
-    let qvec = pruner.query_vector(q);
-    let dims = block.pdx.dims();
-    let n = block.len();
-    let t0 = timer::<PROFILE>();
-    scratch.partials.clear();
-    scratch.partials.resize(n, 0.0);
-    for g in block.pdx.groups() {
-        let acc = &mut scratch.partials[g.start_vector..g.start_vector + g.lanes];
-        match perm {
-            None => pdx_accumulate_policy(metric, &g, qvec, 0..dims, acc, kernel),
-            Some(p) => pdx_accumulate_permuted_policy(metric, &g, qvec, p, acc, kernel),
-        }
-    }
-    for (i, &d) in scratch.partials.iter().enumerate() {
-        heap.push(block.row_ids[i], d);
-    }
-    lap(&mut profile.distance_ns, t0);
-    if PROFILE {
-        profile.dims_scanned += (n * dims) as u64;
-    }
-}
-
-/// WARMUP + PRUNE scan of one block.
-#[allow(clippy::too_many_arguments)]
-fn scan_block_pruned<P: Pruner, const PROFILE: bool>(
-    pruner: &P,
-    q: &P::Query,
-    block: &SearchBlock,
+    tile: &Tile,
     perm: Option<&[u32]>,
     ckpts: &[usize],
     params: &SearchParams,
@@ -326,7 +295,8 @@ fn scan_block_pruned<P: Pruner, const PROFILE: bool>(
     let metric = pruner.metric();
     let qvec = pruner.query_vector(q);
     let dims = block.pdx.dims();
-    let n = block.len();
+    let v0 = tile.vectors.start;
+    let n = tile.vectors.len();
     let sel_limit = ((n as f32) * params.selection_fraction).ceil() as usize;
 
     scratch.partials.clear();
@@ -338,8 +308,9 @@ fn scan_block_pruned<P: Pruner, const PROFILE: bool>(
         if !pruning {
             // WARMUP: distance work for every vector.
             let t0 = timer::<PROFILE>();
-            for g in block.pdx.groups() {
-                let acc = &mut scratch.partials[g.start_vector..g.start_vector + g.lanes];
+            for g in tile.groups.clone() {
+                let g = block.pdx.group(g);
+                let acc = &mut scratch.partials[g.start_vector - v0..][..g.lanes];
                 match perm {
                     None => {
                         pdx_accumulate_policy(metric, &g, qvec, scanned..ck, acc, params.kernel)
@@ -361,8 +332,11 @@ fn scan_block_pruned<P: Pruner, const PROFILE: bool>(
             scanned = ck;
             if scanned == dims {
                 let t1 = timer::<PROFILE>();
-                for (i, &d) in scratch.partials.iter().enumerate() {
-                    heap.push(block.row_ids[i], d);
+                for (&id, &d) in block.row_ids[tile.vectors.clone()]
+                    .iter()
+                    .zip(&scratch.partials)
+                {
+                    heap.push(id, d);
                 }
                 lap(&mut profile.distance_ns, t1);
                 return;
@@ -370,7 +344,7 @@ fn scan_block_pruned<P: Pruner, const PROFILE: bool>(
             // Bound evaluation: branch-free survivor count.
             let t2 = timer::<PROFILE>();
             let cp = pruner.checkpoint(q, scanned, dims, heap.threshold());
-            let aux_row = aux_row::<P>(block, scanned);
+            let aux_row = aux_row::<P>(block, scanned).map(|row| &row[tile.vectors.clone()]);
             let survivors = match aux_row {
                 Some(aux) => scratch
                     .partials
@@ -388,22 +362,10 @@ fn scan_block_pruned<P: Pruner, const PROFILE: bool>(
                 // Switch to PRUNE: compact survivor positions + partials.
                 scratch.positions.clear();
                 scratch.compact.clear();
-                match aux_row {
-                    Some(aux) => {
-                        for (i, (&p, &a)) in scratch.partials.iter().zip(aux).enumerate() {
-                            if P::survives(&cp, p, a) {
-                                scratch.positions.push(i as u32);
-                                scratch.compact.push(p);
-                            }
-                        }
-                    }
-                    None => {
-                        for (i, &p) in scratch.partials.iter().enumerate() {
-                            if P::survives(&cp, p, 0.0) {
-                                scratch.positions.push(i as u32);
-                                scratch.compact.push(p);
-                            }
-                        }
+                for (i, &p) in scratch.partials.iter().enumerate() {
+                    if P::survives(&cp, p, aux_row.map_or(0.0, |aux| aux[i])) {
+                        scratch.positions.push((v0 + i) as u32);
+                        scratch.compact.push(p);
                     }
                 }
                 pruning = true;
@@ -415,15 +377,18 @@ fn scan_block_pruned<P: Pruner, const PROFILE: bool>(
         } else {
             // PRUNE: distance work only at survivor positions.
             let t0 = timer::<PROFILE>();
-            accumulate_survivors(
+            let sel = match perm {
+                None => DimSel::Range(scanned..ck),
+                Some(p) => DimSel::Ids(&p[scanned..ck]),
+            };
+            pdx_accumulate_survivors(
                 metric,
-                block,
+                &block.pdx,
                 qvec,
-                perm,
-                scanned,
-                ck,
+                sel,
+                &scratch.positions,
+                &mut scratch.compact,
                 params.kernel,
-                scratch,
             );
             lap(&mut profile.distance_ns, t0);
             if PROFILE {
@@ -460,7 +425,7 @@ fn scan_block_pruned<P: Pruner, const PROFILE: bool>(
     }
 }
 
-/// The aux row for a checkpoint, when the pruner consumes one.
+/// The block-long aux row for a checkpoint, when the pruner consumes one.
 #[inline]
 fn aux_row<P: Pruner>(block: &SearchBlock, scanned: usize) -> Option<&[f32]> {
     if !P::NEEDS_AUX {
@@ -476,64 +441,13 @@ fn aux_row<P: Pruner>(block: &SearchBlock, scanned: usize) -> Option<&[f32]> {
     Some(aux.row(ci))
 }
 
-/// PRUNE-phase accumulation: walks the (sorted) survivor positions one
-/// group run at a time so the kernel gathers lanes within a cached group.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_survivors(
-    metric: crate::distance::Metric,
-    block: &SearchBlock,
-    qvec: &[f32],
-    perm: Option<&[u32]>,
-    scanned: usize,
-    ck: usize,
-    kernel: KernelPolicy,
-    scratch: &mut Scratch,
-) {
-    let gsize = block.pdx.group_size();
-    let positions = &scratch.positions;
-    let compact = &mut scratch.compact;
-    let lane_ids = &mut scratch.lane_ids;
-    let mut j0 = 0usize;
-    while j0 < positions.len() {
-        let g_idx = positions[j0] as usize / gsize;
-        let mut j1 = j0 + 1;
-        while j1 < positions.len() && positions[j1] as usize / gsize == g_idx {
-            j1 += 1;
-        }
-        let g = block.pdx.group(g_idx);
-        lane_ids.clear();
-        lane_ids.extend(positions[j0..j1].iter().map(|&p| p - g.start_vector as u32));
-        let acc = &mut compact[j0..j1];
-        match perm {
-            None => pdx_accumulate_positions_policy(
-                metric,
-                &g,
-                qvec,
-                scanned..ck,
-                lane_ids,
-                acc,
-                kernel,
-            ),
-            Some(p) => pdx_accumulate_positions_permuted_policy(
-                metric,
-                &g,
-                qvec,
-                &p[scanned..ck],
-                lane_ids,
-                acc,
-                kernel,
-            ),
-        }
-        j0 = j1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bond::PdxBond;
     use crate::collection::PdxCollection;
     use crate::distance::{distance_scalar, Metric};
+    use crate::pruning::BlockAux;
     use crate::visit_order::VisitOrder;
 
     fn make_rows(n: usize, d: usize, seed: u64) -> Vec<f32> {
@@ -706,6 +620,169 @@ mod tests {
         let mut seen = ids(&got);
         seen.dedup();
         assert_eq!(seen.len(), k, "duplicate ids in result");
+    }
+
+    /// Eight well-separated clusters, vector `i` in cluster `i % 8`: a
+    /// query inside one of them prunes the other seven within a few
+    /// dimensions, so every tile past START reaches the PRUNE phase.
+    fn make_clustered(n: usize, d: usize, seed: u64) -> Vec<f32> {
+        let mut rows = make_rows(n, d, seed);
+        for (i, row) in rows.chunks_exact_mut(d).enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = *v * 0.25 + (((i % 8) * 7 + j * 3) % 5) as f32 * 6.0;
+            }
+        }
+        rows
+    }
+
+    fn bits(r: &[Neighbor]) -> Vec<(u64, u32)> {
+        r.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    }
+
+    /// Every vector's full distance, accumulated in its block's visit
+    /// order by the dense kernels alone — what PDXearch must reproduce
+    /// bit for bit whichever phase scans the vector.
+    fn linear_scan(bond: &PdxBond, blocks: &[&SearchBlock], q: &[f32], k: usize) -> Vec<Neighbor> {
+        let prepared = bond.prepare_query(q);
+        let mut heap = KnnHeap::new(k);
+        for block in blocks {
+            let perm = bond.dim_order(&prepared, Some(&block.stats));
+            for g in block.pdx.groups() {
+                let mut acc = vec![0.0f32; g.lanes];
+                match &perm {
+                    None => pdx_accumulate_policy(
+                        bond.metric(),
+                        &g,
+                        q,
+                        0..q.len(),
+                        &mut acc,
+                        KernelPolicy::Scalar,
+                    ),
+                    Some(p) => pdx_accumulate_permuted_policy(
+                        bond.metric(),
+                        &g,
+                        q,
+                        p,
+                        &mut acc,
+                        KernelPolicy::Scalar,
+                    ),
+                }
+                for (l, &d) in acc.iter().enumerate() {
+                    heap.push(block.row_ids[g.start_vector + l], d);
+                }
+            }
+        }
+        heap.into_sorted()
+    }
+
+    #[test]
+    fn tile_boundaries_keep_bond_equal_to_the_linear_scan() {
+        // One block per collection, so every length below is a tile
+        // layout: a lone vector, one short of / exactly / one past a
+        // group and a tile, two tiles plus a 17-vector tail, ten tiles.
+        let d = 20;
+        for n in [1usize, 63, 64, 65, 1023, 1024, 1025, 2065, 10_240] {
+            let rows = make_clustered(n, d, n as u64);
+            let q = make_clustered(1, d, 1000 + n as u64);
+            for group in [16usize, 64] {
+                let coll = PdxCollection::from_rows_partitioned(&rows, n, d, 10_240, group);
+                let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
+                assert_eq!(blocks.len(), 1);
+                for order in [
+                    VisitOrder::Sequential,
+                    VisitOrder::Decreasing,
+                    VisitOrder::DistanceToMeans,
+                    VisitOrder::DimensionZones { zone_size: 8 },
+                ] {
+                    let bond = PdxBond::new(Metric::L2, order);
+                    for k in [1usize, 10, n + 5] {
+                        let mut profile = SearchProfile::default();
+                        let params = SearchParams::new(k);
+                        let got = pdxearch_profiled(&bond, &blocks, &q, &params, &mut profile);
+                        let want = linear_scan(&bond, &blocks, &q, k);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "n={n} group={group} {order:?} k={k}"
+                        );
+                        // Whole tiles past START must reach PRUNE; a
+                        // heap that never fills keeps every tile in it.
+                        if n >= 2065 {
+                            assert_eq!(
+                                profile.dims_scanned < profile.dims_total,
+                                k <= 10,
+                                "n={n} group={group} {order:?} k={k}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A pruner that trusts its aux row alone: a vector survives iff the
+    /// row marks it. Any aux value read for the wrong vector shows up as
+    /// a lost neighbour or as extra scanned dimensions.
+    struct MarkerPruner;
+
+    impl Pruner for MarkerPruner {
+        type Query = Vec<f32>;
+        type Checkpoint = ();
+        const NEEDS_AUX: bool = true;
+
+        fn metric(&self) -> Metric {
+            Metric::L2
+        }
+        fn prepare_query(&self, query: &[f32]) -> Vec<f32> {
+            query.to_vec()
+        }
+        fn query_vector<'q>(&self, q: &'q Vec<f32>) -> &'q [f32] {
+            q
+        }
+        fn checkpoint(&self, _q: &Vec<f32>, _scanned: usize, _total: usize, _threshold: f32) {}
+        fn survives(_cp: &(), _partial: f32, aux: f32) -> bool {
+            aux == 1.0
+        }
+    }
+
+    #[test]
+    fn aux_rows_are_sliced_to_the_tile() {
+        // Two full tiles plus a 17-vector tail, in groups of 16 and 64.
+        let (n, d, k) = (2065usize, 16usize, 10usize);
+        let rows = make_rows(n, d, 77);
+        // A query next to a vector of the last tile; the first tile is
+        // scanned whole by START whatever its aux says.
+        let q: Vec<f32> = rows[2060 * d..2061 * d].iter().map(|x| x + 0.01).collect();
+        let want = brute_force(&rows, d, &q, k, Metric::L2);
+        assert!(want.iter().any(|nb| (1024..2048).contains(&nb.id)));
+        assert!(want.iter().any(|nb| nb.id >= 2048));
+        let sched = checkpoints(StepPolicy::default(), d);
+        for group in [16usize, 64] {
+            let mut coll = PdxCollection::from_rows_partitioned(&rows, n, d, n, group);
+            let mut aux = BlockAux::new(sched.iter().map(|&c| c as u32).collect(), n);
+            for ci in 0..sched.len() {
+                for nb in &want {
+                    aux.row_mut(ci)[nb.id as usize] = 1.0;
+                }
+            }
+            coll.blocks[0].aux = Some(aux);
+            let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
+            let mut profile = SearchProfile::default();
+            let got = pdxearch_profiled(
+                &MarkerPruner,
+                &blocks,
+                &q,
+                &SearchParams::new(k),
+                &mut profile,
+            );
+            assert_eq!(ids(&got), ids(&want), "group {group}");
+            // START reads the first tile whole; every later vector is
+            // read up to the first checkpoint and only the marked ones
+            // beyond it.
+            let marked_later = want.iter().filter(|nb| nb.id >= 1024).count();
+            let expected = 1024 * d + (n - 1024) * sched[0] + marked_later * (d - sched[0]);
+            assert_eq!(profile.dims_scanned, expected as u64, "group {group}");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! candidates, then an exact `f32` rerank.
 //!
 //! **Phase 1** walks quantized blocks with the PDXearch phase structure
-//! (START / WARMUP / PRUNE, §4 of the paper) and collects the top-`c`
+//! (START / WARMUP / PRUNE per [`Tile`], §4 of the paper and
+//! [`pdxearch`](crate::search::pdxearch)) and collects the top-`c`
 //! candidates by *estimated* distance — the distance to each vector's
 //! dequantized reconstruction. For the monotone metrics (L2/L1) the
 //! weighted SQ8 partial sums only grow with scanned dimensions, so the
@@ -22,11 +23,9 @@
 use crate::distance::{distance_scalar, Metric};
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
-use crate::kernels::sq8::{
-    sq8_accumulate_policy, sq8_accumulate_positions_policy, sq8_scan_policy,
-};
+use crate::kernels::sq8::{sq8_accumulate_policy, sq8_accumulate_survivors};
 use crate::layout::{QuantizedPdxBlock, Sq8Quantizer, Sq8Query};
-use crate::pruning::{checkpoints, StepPolicy};
+use crate::pruning::{checkpoints, tiles, StepPolicy, Tile, DEFAULT_SELECTION_FRACTION};
 
 /// Default candidate-refinement factor of the two-phase search: phase 1
 /// keeps `refine · k` candidates for phase 2 to rerank.
@@ -77,10 +76,12 @@ impl Sq8Block {
 /// Reusable per-query buffers of the quantized scan.
 #[derive(Default)]
 struct Scratch {
+    /// WARMUP partial estimates, one per tile vector.
     partials: Vec<f32>,
+    /// PRUNE-phase survivor positions (block-relative).
     positions: Vec<u32>,
+    /// PRUNE-phase compacted partial estimates (parallel to positions).
     compact: Vec<f32>,
-    lane_ids: Vec<u32>,
 }
 
 /// Phase 1: quantized PDXearch scan over `blocks` in the given order,
@@ -114,42 +115,43 @@ pub fn sq8_search_policy(
     let prune = q.metric.is_monotonic();
     let ckpts = checkpoints(step, dims);
 
+    // START (and a non-monotone metric's whole scan) is the pruned scan
+    // with one checkpoint at `dims`: nothing is bounded before the end.
+    let start = [dims];
+
     for block in blocks {
         if block.is_empty() {
             continue;
         }
         assert_eq!(block.codes.dims(), dims, "query dimensionality mismatch");
-        if !prune || heap.len() < c {
-            // START (or a non-monotone metric): full linear scan.
-            scratch.partials.clear();
-            scratch.partials.resize(block.len(), 0.0);
-            sq8_scan_policy(q, &block.codes, &mut scratch.partials, kernel);
-            for (i, &d) in scratch.partials.iter().enumerate() {
-                heap.push(block.row_ids[i], d);
-            }
-            continue;
+        for tile in tiles(block.len(), block.codes.group_size()) {
+            let schedule = if !prune || heap.len() < c {
+                &start[..]
+            } else {
+                &ckpts[..]
+            };
+            scan_tile(q, block, &tile, schedule, kernel, &mut heap, &mut scratch);
         }
-        scan_block_pruned(q, block, &ckpts, kernel, &mut heap, &mut scratch);
     }
     heap.into_sorted()
 }
 
-/// WARMUP + PRUNE scan of one quantized block against the candidate
-/// heap's threshold. Mirrors the `f32` PDXearch block scan with the
-/// trivial monotone-bound survival test `partial ≤ threshold`.
-fn scan_block_pruned(
+/// WARMUP + PRUNE scan of one tile of a quantized block against the
+/// candidate heap's threshold. Mirrors the `f32` PDXearch tile scan with
+/// the trivial monotone-bound survival test `partial ≤ threshold`.
+fn scan_tile(
     q: &Sq8Query,
     block: &Sq8Block,
+    tile: &Tile,
     ckpts: &[usize],
     kernel: KernelPolicy,
     heap: &mut KnnHeap,
     scratch: &mut Scratch,
 ) {
     let dims = block.codes.dims();
-    let n = block.len();
-    // The paper's selection threshold: drop to position-gather mode once
-    // at most 20 % of the block survives.
-    let sel_limit = ((n as f32) * 0.20).ceil() as usize;
+    let v0 = tile.vectors.start;
+    let n = tile.vectors.len();
+    let sel_limit = ((n as f32) * DEFAULT_SELECTION_FRACTION).ceil() as usize;
 
     scratch.partials.clear();
     scratch.partials.resize(n, 0.0);
@@ -158,14 +160,18 @@ fn scan_block_pruned(
 
     for &ck in ckpts {
         if !pruning {
-            for g in block.codes.groups() {
-                let acc = &mut scratch.partials[g.start_vector..g.start_vector + g.lanes];
+            for g in tile.groups.clone() {
+                let g = block.codes.group(g);
+                let acc = &mut scratch.partials[g.start_vector - v0..][..g.lanes];
                 sq8_accumulate_policy(q, &g, scanned..ck, acc, kernel);
             }
             scanned = ck;
             if scanned == dims {
-                for (i, &d) in scratch.partials.iter().enumerate() {
-                    heap.push(block.row_ids[i], d + q.bias);
+                for (&id, &d) in block.row_ids[tile.vectors.clone()]
+                    .iter()
+                    .zip(&scratch.partials)
+                {
+                    heap.push(id, d + q.bias);
                 }
                 return;
             }
@@ -180,7 +186,7 @@ fn scan_block_pruned(
                 scratch.compact.clear();
                 for (i, &p) in scratch.partials.iter().enumerate() {
                     if p <= threshold {
-                        scratch.positions.push(i as u32);
+                        scratch.positions.push((v0 + i) as u32);
                         scratch.compact.push(p);
                     }
                 }
@@ -190,7 +196,14 @@ fn scan_block_pruned(
                 }
             }
         } else {
-            accumulate_survivors(q, block, scanned, ck, kernel, scratch);
+            sq8_accumulate_survivors(
+                q,
+                &block.codes,
+                scanned..ck,
+                &scratch.positions,
+                &mut scratch.compact,
+                kernel,
+            );
             scanned = ck;
             if scanned == dims {
                 for (j, &pos) in scratch.positions.iter().enumerate() {
@@ -212,35 +225,6 @@ fn scan_block_pruned(
                 return;
             }
         }
-    }
-}
-
-/// PRUNE-phase accumulation over survivor positions, one group run at a
-/// time (same group-locality walk as the `f32` path).
-fn accumulate_survivors(
-    q: &Sq8Query,
-    block: &Sq8Block,
-    scanned: usize,
-    ck: usize,
-    kernel: KernelPolicy,
-    scratch: &mut Scratch,
-) {
-    let gsize = block.codes.group_size();
-    let positions = &scratch.positions;
-    let compact = &mut scratch.compact;
-    let lane_ids = &mut scratch.lane_ids;
-    let mut j0 = 0usize;
-    while j0 < positions.len() {
-        let g_idx = positions[j0] as usize / gsize;
-        let mut j1 = j0 + 1;
-        while j1 < positions.len() && positions[j1] as usize / gsize == g_idx {
-            j1 += 1;
-        }
-        let g = block.codes.group(g_idx);
-        lane_ids.clear();
-        lane_ids.extend(positions[j0..j1].iter().map(|&p| p - g.start_vector as u32));
-        sq8_accumulate_positions_policy(q, &g, scanned..ck, lane_ids, &mut compact[j0..j1], kernel);
-        j0 = j1;
     }
 }
 
@@ -373,30 +357,48 @@ mod tests {
     #[test]
     fn pruned_scan_equals_linear_scan_of_estimates() {
         // The quantized PDXearch must return exactly the top-c of the
-        // estimated distances — pruning is exact w.r.t. the estimate.
-        let (n, d, c) = (600, 24, 20);
-        let rows = make_rows(n, d, 3);
-        let qz = Sq8Quantizer::fit(&rows, n, d);
-        let blocks = make_blocks(&rows, n, d, 100, 64, &qz);
-        let refs: Vec<&Sq8Block> = blocks.iter().collect();
-        let raw_q = make_rows(1, d, 99);
-        for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
-            let q = qz.prepare_query(metric, &raw_q);
-            let got = sq8_search(&q, &refs, c, StepPolicy::default());
-            // Reference: scan every block fully.
-            let mut heap = KnnHeap::new(c);
-            for b in &blocks {
-                let mut out = vec![0.0; b.len()];
-                sq8_scan(&q, &b.codes, &mut out);
-                for (i, &dist) in out.iter().enumerate() {
-                    heap.push(b.row_ids[i], dist);
+        // estimated distances, ids and bits — pruning is exact w.r.t.
+        // the estimate, and a vector's estimate does not depend on the
+        // phase or the tile that scanned it. One block per length, so
+        // each length is a tile layout: a lone vector, one short of /
+        // exactly / one past a group and a tile, two tiles plus a
+        // 17-vector tail, ten tiles. Eight clusters (vector `i` in
+        // cluster `i % 8`) make every tile past START reach PRUNE.
+        let d = 20;
+        for n in [1usize, 63, 64, 65, 1023, 1024, 1025, 2065, 10_240] {
+            let mut rows = make_rows(n + 1, d, n as u64);
+            for (i, row) in rows.chunks_exact_mut(d).enumerate() {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = *v * 0.25 + (((i % 8) * 7 + j * 3) % 5) as f32 * 6.0;
                 }
             }
-            let want = heap.into_sorted();
-            let gd: Vec<f32> = got.iter().map(|x| x.distance).collect();
-            let wd: Vec<f32> = want.iter().map(|x| x.distance).collect();
-            for (a, b) in gd.iter().zip(&wd) {
-                assert!((a - b).abs() <= b.abs().max(1.0) * 1e-4, "{metric:?}");
+            let raw_q = rows.split_off(n * d);
+            let qz = Sq8Quantizer::fit(&rows, n, d);
+            for group in [16usize, 64] {
+                let blocks = make_blocks(&rows, n, d, 10_240, group, &qz);
+                assert_eq!(blocks.len(), 1);
+                let refs: Vec<&Sq8Block> = blocks.iter().collect();
+                for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
+                    let q = qz.prepare_query(metric, &raw_q);
+                    // Reference: scan every block fully.
+                    let mut out = vec![0.0; n];
+                    sq8_scan(&q, &blocks[0].codes, &mut out);
+                    for c in [1usize, 10, n + 5] {
+                        let got = sq8_search(&q, &refs, c, StepPolicy::default());
+                        let mut heap = KnnHeap::new(c);
+                        for (&id, &dist) in blocks[0].row_ids.iter().zip(&out) {
+                            heap.push(id, dist);
+                        }
+                        let bits = |r: &[Neighbor]| -> Vec<(u64, u32)> {
+                            r.iter().map(|x| (x.id, x.distance.to_bits())).collect()
+                        };
+                        assert_eq!(
+                            bits(&got),
+                            bits(&heap.into_sorted()),
+                            "n={n} group={group} {metric:?} c={c}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -38,74 +38,71 @@ pub const DEFAULT_ZONE_SIZE: usize = 16;
 /// Computes the visit permutation for a query, or `None` for storage
 /// order. `means` is required by the mean-based criteria; when absent
 /// those fall back to `Decreasing` semantics on the query alone.
+///
+/// # Panics
+/// Panics if a score is NaN (a NaN in the query or the means).
 pub fn dimension_permutation(
     order: VisitOrder,
     query: &[f32],
     means: Option<&[f32]>,
 ) -> Option<Vec<u32>> {
     let d = query.len();
+    let score = |i: usize| -> f32 {
+        match means {
+            Some(m) => (query[i] - m[i]).abs(),
+            None => query[i],
+        }
+    };
     match order {
         VisitOrder::Sequential => None,
-        VisitOrder::Decreasing => {
-            let mut perm: Vec<u32> = (0..d as u32).collect();
-            perm.sort_by(|&a, &b| {
-                query[b as usize]
-                    .partial_cmp(&query[a as usize])
-                    .expect("NaN in query")
-                    .then(a.cmp(&b))
-            });
-            Some(perm)
-        }
-        VisitOrder::DistanceToMeans => {
-            let score = |i: usize| -> f32 {
-                match means {
-                    Some(m) => (query[i] - m[i]).abs(),
-                    None => query[i],
-                }
-            };
-            let mut perm: Vec<u32> = (0..d as u32).collect();
-            perm.sort_by(|&a, &b| {
-                score(b as usize)
-                    .partial_cmp(&score(a as usize))
-                    .expect("NaN score")
-                    .then(a.cmp(&b))
-            });
-            Some(perm)
-        }
+        VisitOrder::Decreasing => Some(argsort_descending(query.iter().copied())),
+        VisitOrder::DistanceToMeans => Some(argsort_descending((0..d).map(score))),
         VisitOrder::DimensionZones { zone_size } => {
             let zone_size = zone_size.max(1);
             let n_zones = d.div_ceil(zone_size);
             if n_zones <= 1 {
                 return None;
             }
-            let score = |i: usize| -> f32 {
-                match means {
-                    Some(m) => (query[i] - m[i]).abs(),
-                    None => query[i],
-                }
-            };
-            let mut zones: Vec<(u32, f32)> = (0..n_zones as u32)
-                .map(|z| {
-                    let lo = z as usize * zone_size;
-                    let hi = (lo + zone_size).min(d);
-                    let total: f32 = (lo..hi).map(score).sum();
-                    (z, total / (hi - lo) as f32)
-                })
-                .collect();
-            zones.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("NaN zone score")
-                    .then(a.0.cmp(&b.0))
-            });
-            let mut perm = Vec::with_capacity(d);
-            for (z, _) in zones {
+            let zone = |z: u32| {
                 let lo = z as usize * zone_size;
-                let hi = (lo + zone_size).min(d);
-                perm.extend((lo as u32)..(hi as u32));
+                lo..(lo + zone_size).min(d)
+            };
+            let zones = argsort_descending((0..n_zones as u32).map(|z| {
+                let dims = zone(z);
+                let len = dims.len();
+                dims.map(score).sum::<f32>() / len as f32
+            }));
+            let mut perm = Vec::with_capacity(d);
+            for z in zones {
+                perm.extend(zone(z).map(|i| i as u32));
             }
             Some(perm)
         }
     }
+}
+
+/// Indices of `scores`, highest score first, equal scores by ascending
+/// index. Every score is read once into an integer key that orders like
+/// the float (`-0.0` as `0.0`, as `partial_cmp` has it) with the index
+/// in the low bits, so the sort compares plain `u64`s.
+fn argsort_descending(scores: impl Iterator<Item = f32>) -> Vec<u32> {
+    let mut keys: Vec<u64> = scores
+        .enumerate()
+        .map(|(i, score)| {
+            assert!(!score.is_nan(), "NaN score");
+            let bits = (score + 0.0).to_bits();
+            // Ascending float order as ascending unsigned order, then
+            // inverted: the highest score sorts first.
+            let ascending = if bits >> 31 == 1 {
+                !bits
+            } else {
+                bits | 1 << 31
+            };
+            (u64::from(!ascending) << 32) | i as u64
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|key| key as u32).collect()
 }
 
 /// Checks that a permutation covers every dimension exactly once
@@ -128,6 +125,135 @@ pub fn is_valid_permutation(perm: &[u32], dims: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The comparator-based definition [`dimension_permutation`] must equal:
+    /// scores recomputed inside `sort_by`, ties by dimension id.
+    fn dimension_permutation_oracle(
+        order: VisitOrder,
+        query: &[f32],
+        means: Option<&[f32]>,
+    ) -> Option<Vec<u32>> {
+        let d = query.len();
+        match order {
+            VisitOrder::Sequential => None,
+            VisitOrder::Decreasing => {
+                let mut perm: Vec<u32> = (0..d as u32).collect();
+                perm.sort_by(|&a, &b| {
+                    query[b as usize]
+                        .partial_cmp(&query[a as usize])
+                        .expect("NaN in query")
+                        .then(a.cmp(&b))
+                });
+                Some(perm)
+            }
+            VisitOrder::DistanceToMeans => {
+                let score = |i: usize| -> f32 {
+                    match means {
+                        Some(m) => (query[i] - m[i]).abs(),
+                        None => query[i],
+                    }
+                };
+                let mut perm: Vec<u32> = (0..d as u32).collect();
+                perm.sort_by(|&a, &b| {
+                    score(b as usize)
+                        .partial_cmp(&score(a as usize))
+                        .expect("NaN score")
+                        .then(a.cmp(&b))
+                });
+                Some(perm)
+            }
+            VisitOrder::DimensionZones { zone_size } => {
+                let zone_size = zone_size.max(1);
+                let n_zones = d.div_ceil(zone_size);
+                if n_zones <= 1 {
+                    return None;
+                }
+                let score = |i: usize| -> f32 {
+                    match means {
+                        Some(m) => (query[i] - m[i]).abs(),
+                        None => query[i],
+                    }
+                };
+                let mut zones: Vec<(u32, f32)> = (0..n_zones as u32)
+                    .map(|z| {
+                        let lo = z as usize * zone_size;
+                        let hi = (lo + zone_size).min(d);
+                        let total: f32 = (lo..hi).map(score).sum();
+                        (z, total / (hi - lo) as f32)
+                    })
+                    .collect();
+                zones.sort_by(|a, b| {
+                    b.1.partial_cmp(&a.1)
+                        .expect("NaN zone score")
+                        .then(a.0.cmp(&b.0))
+                });
+                let mut perm = Vec::with_capacity(d);
+                for (z, _) in zones {
+                    let lo = z as usize * zone_size;
+                    let hi = (lo + zone_size).min(d);
+                    perm.extend((lo as u32)..(hi as u32));
+                }
+                Some(perm)
+            }
+        }
+    }
+
+    const ALL_ORDERS: [VisitOrder; 6] = [
+        VisitOrder::Sequential,
+        VisitOrder::Decreasing,
+        VisitOrder::DistanceToMeans,
+        VisitOrder::DimensionZones { zone_size: 1 },
+        VisitOrder::DimensionZones { zone_size: 4 },
+        VisitOrder::DimensionZones { zone_size: 16 },
+    ];
+
+    /// Values from a small grid, so equal scores, zeros of both signs
+    /// and negative query values are all common.
+    fn gridded(len: usize, infinities: bool) -> impl Strategy<Value = Vec<f32>> {
+        proptest::collection::vec(0usize..11, len).prop_map(move |picks| {
+            picks
+                .into_iter()
+                .map(|pick| match pick {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::MIN_POSITIVE / 2.0,
+                    // `inf − inf` is the NaN both forms reject: queries
+                    // may be infinite, means stay finite.
+                    3 if infinities => f32::INFINITY,
+                    v => (v as f32 - 7.0) * 0.5,
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Sorting precomputed keys gives exactly the permutation of the
+        /// comparator that recomputes scores, for every order, with and
+        /// without means.
+        #[test]
+        fn key_sort_equals_the_comparator_oracle(
+            (query, means) in (1usize..70).prop_flat_map(|d| (gridded(d, true), gridded(d, false))),
+        ) {
+            for order in ALL_ORDERS {
+                for means in [None, Some(&means[..])] {
+                    prop_assert!(
+                        dimension_permutation(order, &query, means)
+                            == dimension_permutation_oracle(order, &query, means),
+                        "{:?}, means given: {}", order, means.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn nan_query_is_rejected() {
+        dimension_permutation(VisitOrder::Decreasing, &[1.0, f32::NAN], None);
+    }
 
     #[test]
     fn sequential_is_none() {

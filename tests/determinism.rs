@@ -245,6 +245,39 @@ fn hnsw_trait_batch_and_parallel_match_sequential() {
     }
 }
 
+/// Blocks longer than a PDXearch tile: three blocks of one full
+/// 1024-vector tile plus a 200-vector partial one. A block-range split
+/// hands some worker a START tile where the sequential scan was already
+/// pruning, and the stream pulls blocks one at a time — both must still
+/// reproduce the sequential `search` bit for bit, on `f32` and SQ8.
+#[test]
+fn multi_tile_blocks_parallel_and_streamed_match_sequential() {
+    use pdx::core::search::pdxearch_streamed;
+    let (d, k, nq) = (12, 10, 4);
+    let (block, n) = (1224, 3 * 1224);
+    let rows = tied_rows(n / 4, 4, d, 31);
+    let queries = tied_queries(&rows, d, nq, 32);
+    let flat = FlatPdx::new(&rows, n, d, block, 64);
+    assert_eq!(flat.collection.blocks.len(), 3);
+    let sq8 = FlatSq8::build(&rows, n, d, block, 64);
+    let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
+    let params = SearchParams::new(k);
+
+    for q in queries.chunks_exact(d) {
+        let want = flat.search(&bond, q, &params);
+        let prepared = bond.prepare_query(q);
+        let streamed = pdxearch_streamed(&bond, &prepared, flat.collection.blocks.iter(), &params);
+        assert_eq!(streamed, want, "pdxearch_streamed");
+        let want8 = sq8.search(q, k, DEFAULT_REFINE, Metric::L2);
+        for threads in THREAD_COUNTS {
+            let got = flat.search_parallel(&bond, q, &params, threads);
+            assert_eq!(got, want, "FlatPdx search_parallel at {threads} threads");
+            let got8 = sq8.search_parallel(q, k, DEFAULT_REFINE, Metric::L2, threads);
+            assert_eq!(got8, want8, "FlatSq8 search_parallel at {threads} threads");
+        }
+    }
+}
+
 /// The fitted-pruner adapters rotate a batch's queries in tiled
 /// sub-batches; every query must still come out with the bits its own
 /// `search` gives it — at batch sizes below, at and across the sub-batch

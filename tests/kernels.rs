@@ -12,7 +12,8 @@
 use pdx::core::kernels::{
     pdx_accumulate_permuted_policy, pdx_accumulate_policy,
     pdx_accumulate_positions_permuted_policy, pdx_accumulate_positions_policy,
-    sq8_accumulate_policy, sq8_accumulate_positions_policy, sq8_code_ip_policy, sq8_code_l2_policy,
+    pdx_accumulate_survivors, sq8_accumulate_policy, sq8_accumulate_positions_policy,
+    sq8_accumulate_survivors, sq8_code_ip_policy, sq8_code_l2_policy, DimSel,
 };
 use pdx::prelude::*;
 use proptest::prelude::*;
@@ -70,6 +71,21 @@ fn survivors(lanes: usize, salt: usize) -> Vec<u32> {
     } else {
         picked
     }
+}
+
+/// A deterministic survivor subset of a whole block: every `every`-th
+/// vector from `salt` on, so the count runs from one or two (well under
+/// a SIMD pass of 8) to the whole block, and survivors fall in every
+/// group, the partial tail group included.
+fn block_survivors(n: usize, every: usize, salt: usize) -> Vec<u32> {
+    (salt % every.min(n)..n)
+        .step_by(every)
+        .map(|p| p as u32)
+        .collect()
+}
+
+fn to_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -179,6 +195,83 @@ proptest! {
                         want_p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         );
                 }
+            }
+        }
+    }
+
+    /// The block-level survivor kernel PDXearch's PRUNE phase calls once
+    /// per tile: survivors spread over every group of the block (the
+    /// partial tail group too), fewer and more than one SIMD pass of 8.
+    /// Every policy must reproduce the scalar oracle bit for bit — and
+    /// the oracle is the *dense* kernel's lane, because a survivor sees
+    /// the same dimensions in the same order whichever kernel reads it.
+    #[test]
+    fn pdx_survivors_bit_identical_to_the_dense_lanes(
+        (n, d, data) in collection_strategy(),
+        group in 1usize..100,
+        every in 1usize..24,
+        salt in 0usize..1000,
+    ) {
+        let block = PdxBlock::from_rows(&data, n, d, group);
+        let q: Vec<f32> = data[..d].to_vec();
+        let lo = d / 4;
+        let perm = permute(d, salt + 2);
+        let pos = block_survivors(n, every, salt);
+        for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
+            let mut dense = vec![2.0f32; n];
+            let mut dense_p = vec![2.0f32; n];
+            for g in block.groups() {
+                let lanes = g.start_vector..g.start_vector + g.lanes;
+                pdx_accumulate_policy(
+                    metric, &g, &q, lo..d, &mut dense[lanes.clone()], KernelPolicy::Scalar,
+                );
+                pdx_accumulate_permuted_policy(
+                    metric, &g, &q, &perm[lo..], &mut dense_p[lanes], KernelPolicy::Scalar,
+                );
+            }
+            let want: Vec<f32> = pos.iter().map(|&p| dense[p as usize]).collect();
+            let want_p: Vec<f32> = pos.iter().map(|&p| dense_p[p as usize]).collect();
+            for policy in [KernelPolicy::Scalar, KernelPolicy::Auto, KernelPolicy::Simd] {
+                let mut got = vec![2.0f32; pos.len()];
+                pdx_accumulate_survivors(
+                    metric, &block, &q, DimSel::Range(lo..d), &pos, &mut got, policy,
+                );
+                prop_assert_eq!(to_bits(&got), to_bits(&want));
+                let mut got_p = vec![2.0f32; pos.len()];
+                pdx_accumulate_survivors(
+                    metric, &block, &q, DimSel::Ids(&perm[lo..]), &pos, &mut got_p, policy,
+                );
+                prop_assert_eq!(to_bits(&got_p), to_bits(&want_p));
+            }
+        }
+    }
+
+    /// The SQ8 twin of the block-level survivor kernel, under the same
+    /// contract and the same oracle (the dense SQ8 kernel's lanes).
+    #[test]
+    fn sq8_survivors_bit_identical_to_the_dense_lanes(
+        (n, d, data) in finite_collection_strategy(),
+        group in 1usize..130,
+        every in 1usize..24,
+        salt in 0usize..1000,
+    ) {
+        let quantizer = Sq8Quantizer::fit(&data, n, d);
+        let block = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
+        let raw: Vec<f32> = data[..d].iter().map(|x| x * 0.75 - 2.0).collect();
+        let lo = d / 4;
+        let pos = block_survivors(n, every, salt);
+        for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
+            let q = quantizer.prepare_query(metric, &raw);
+            let mut dense = vec![3.0f32; n];
+            for g in block.groups() {
+                let lanes = g.start_vector..g.start_vector + g.lanes;
+                sq8_accumulate_policy(&q, &g, lo..d, &mut dense[lanes], KernelPolicy::Scalar);
+            }
+            let want: Vec<f32> = pos.iter().map(|&p| dense[p as usize]).collect();
+            for policy in [KernelPolicy::Scalar, KernelPolicy::Auto, KernelPolicy::Simd] {
+                let mut got = vec![3.0f32; pos.len()];
+                sq8_accumulate_survivors(&q, &block, lo..d, &pos, &mut got, policy);
+                prop_assert_eq!(to_bits(&got), to_bits(&want));
             }
         }
     }
@@ -298,6 +391,67 @@ proptest! {
                 got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()),
                 "rotation diverged under {policy:?}"
             );
+        }
+    }
+}
+
+/// The shapes the property above reaches only by chance, pinned: two
+/// full groups plus a 5-lane tail group (`lanes < group_size`), with 3
+/// survivors (under one SIMD pass) and 11 (a full pass plus a short
+/// one), each set touching all three groups.
+#[test]
+fn survivor_kernels_span_groups_and_the_tail_group() {
+    let (n, d, group) = (2 * 64 + 5, 24, 64);
+    let data: Vec<f32> = (0..n * d)
+        .map(|i| ((i * 37 % 101) as f32) * 0.25 - 12.0)
+        .collect();
+    let q: Vec<f32> = (0..d).map(|i| (i as f32 * 0.77).sin() * 3.0).collect();
+    let block = PdxBlock::from_rows(&data, n, d, group);
+    let quantizer = Sq8Quantizer::fit(&data, n, d);
+    let codes = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
+    let perm = permute(d, 5);
+    for pos in [
+        vec![3u32, 70, 130],
+        vec![0, 9, 63, 64, 65, 100, 127, 128, 129, 131, 132],
+    ] {
+        for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
+            let q8 = quantizer.prepare_query(metric, &q);
+            let run = |policy| {
+                let mut ranged = vec![0.0f32; pos.len()];
+                pdx_accumulate_survivors(
+                    metric,
+                    &block,
+                    &q,
+                    DimSel::Range(2..d),
+                    &pos,
+                    &mut ranged,
+                    policy,
+                );
+                let mut permuted = vec![0.0f32; pos.len()];
+                pdx_accumulate_survivors(
+                    metric,
+                    &block,
+                    &q,
+                    DimSel::Ids(&perm),
+                    &pos,
+                    &mut permuted,
+                    policy,
+                );
+                let mut quantized = vec![0.0f32; pos.len()];
+                sq8_accumulate_survivors(&q8, &codes, 2..d, &pos, &mut quantized, policy);
+                [to_bits(&ranged), to_bits(&permuted), to_bits(&quantized)]
+            };
+            let want = run(KernelPolicy::Scalar);
+            // The scalar oracle itself is the full distance's lanes.
+            let mut full = vec![0.0f32; n];
+            pdx_scan_policy(metric, &block, &q, &mut full, KernelPolicy::Scalar);
+            for (j, &p) in pos.iter().enumerate() {
+                let tol = full[p as usize].abs().max(1.0) * 1e-4;
+                let permuted = f32::from_bits(want[1][j]);
+                assert!((permuted - full[p as usize]).abs() <= tol, "{metric:?}");
+            }
+            assert_eq!(run(KernelPolicy::Simd), want, "{metric:?} simd");
+            assert_eq!(run(KernelPolicy::Auto), want, "{metric:?} auto");
         }
     }
 }
