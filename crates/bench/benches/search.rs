@@ -18,14 +18,14 @@ fn bench_exact(c: &mut Criterion) {
     let sq8 = FlatSq8::with_defaults(&ds.data, n, d);
     let nary = NaryMatrix::from_rows(&ds.data, n, d);
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-    let params = SearchParams::new(10);
+    let params = SearchOptions::new(10);
 
     let mut group = c.benchmark_group("exact_search/sift50k");
     let mut qi = 0usize;
     group.bench_function("pdx_bond", |b| {
         b.iter(|| {
             qi = (qi + 1) % ds.n_queries;
-            black_box(flat.search(&bond, ds.query(qi), &params));
+            black_box(flat.search_with(&bond, ds.query(qi), &params));
         })
     });
     group.bench_function("pdx_linear", |b| {
@@ -37,7 +37,7 @@ fn bench_exact(c: &mut Criterion) {
     group.bench_function("sq8_two_phase", |b| {
         b.iter(|| {
             qi = (qi + 1) % ds.n_queries;
-            black_box(sq8.search(ds.query(qi), 10, DEFAULT_REFINE, Metric::L2));
+            black_box(sq8.search(ds.query(qi), &params));
         })
     });
     group.bench_function("nary_simd", |b| {
@@ -66,7 +66,7 @@ fn bench_ivf(c: &mut Criterion) {
     let rotated = ads.transform_collection(&ds.data, n, 0);
     let ivf = IvfPdx::new(&rotated, d, &index.assignments, DEFAULT_GROUP_SIZE);
     let ivf_hor = IvfHorizontal::new(&ds.data, d, &index.assignments, 24);
-    let params = SearchParams::new(10);
+    let params = SearchOptions::new(10);
     let nprobe = (nlist / 2).max(1);
 
     let mut group = c.benchmark_group("ivf_search/deep20k");
@@ -74,7 +74,7 @@ fn bench_ivf(c: &mut Criterion) {
     group.bench_function("pdx_ads", |b| {
         b.iter(|| {
             qi = (qi + 1) % ds.n_queries;
-            black_box(ivf.search(&ads, ds.query(qi), nprobe, &params));
+            black_box(ivf.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe)));
         })
     });
     group.bench_function("ivfflat_simd", |b| {

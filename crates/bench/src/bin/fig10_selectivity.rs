@@ -60,9 +60,9 @@ fn main() {
         let mut cells = vec![format!("{}/{}", ds.spec.name, d)];
         let mut csv_cells = vec![ds.spec.name.to_string(), d.to_string()];
         for &t in &thresholds {
-            let params = SearchParams::new(k).with_selection_fraction(t);
+            let params = SearchOptions::new(k).with_selection_fraction(t);
             let (qps, _) = time_queries(ds.n_queries, |qi| {
-                let _ = ivf.search(&ads, ds.query(qi), nprobe, &params);
+                let _ = ivf.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
             });
             let speedup = qps / qps_linear;
             cells.push(format!("{speedup:.2}x"));

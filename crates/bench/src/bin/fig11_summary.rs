@@ -29,7 +29,7 @@ fn main() {
         let flat = FlatPdx::with_defaults(&ds.data, n, d);
         let nary = NaryMatrix::from_rows(&ds.data, n, d);
         let dsm = DsmMatrix::from_rows(&ds.data, n, d);
-        let params = SearchParams::new(k);
+        let params = SearchOptions::new(k);
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
 
         // Scikit-learn stand-in: scalar horizontal scan = baseline 1.0.
@@ -47,7 +47,7 @@ fn main() {
                 map.entry(name).or_default().push(qps / qps_base);
             };
         let (qps, _) = time_queries(ds.n_queries, |qi| {
-            drop(flat.search(&bond, ds.query(qi), &params))
+            drop(flat.search_with(&bond, ds.query(qi), &params))
         });
         push(&mut exact, "PDX-BOND", qps);
         let (qps, _) = time_queries(ds.n_queries, |qi| {
@@ -104,11 +104,11 @@ fn main() {
                 map.entry(name).or_default().push(qps / qps_ivf_base);
             };
         let (qps, _) = time_queries(ds.n_queries, |qi| {
-            let _ = ivf_ads.search(&ads, ds.query(qi), nprobe, &params);
+            let _ = ivf_ads.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
         });
         push_ivf(&mut ivfb, "PDX-ADS", qps);
         let (qps, _) = time_queries(ds.n_queries, |qi| {
-            let _ = ivf_bsa.search(&bsa, ds.query(qi), nprobe, &params);
+            let _ = ivf_bsa.search_with(&bsa, ds.query(qi), &params.with_nprobe(nprobe));
         });
         push_ivf(&mut ivfb, "PDX-BSA", qps);
         let bondz = PdxBond::new(
@@ -118,11 +118,15 @@ fn main() {
             },
         );
         let (qps, _) = time_queries(ds.n_queries, |qi| {
-            let _ = ivf_raw_pdx.search(&bondz, ds.query(qi), nprobe, &params);
+            let _ = ivf_raw_pdx.search_with(&bondz, ds.query(qi), &params.with_nprobe(nprobe));
         });
         push_ivf(&mut ivfb, "PDX-BOND", qps);
         let (qps, _) = time_queries(ds.n_queries, |qi| {
-            let _ = ivf_ads_hor.search(&ads, ds.query(qi), k, nprobe, KernelVariant::Simd);
+            let _ = ivf_ads_hor.search_with(
+                &ads,
+                ds.query(qi),
+                &SearchOptions::new(k).with_nprobe(nprobe),
+            );
         });
         push_ivf(&mut ivfb, "SIMD-ADS", qps);
         let (qps, _) = time_queries(ds.n_queries, |qi| {

@@ -58,19 +58,29 @@ fn main() {
         println!("{}", "-".repeat(84));
         let mut nprobe = 1usize;
         while nprobe <= 512 && nprobe <= ivf_pdx.blocks.len() {
-            let params = SearchParams::new(k);
+            let params = SearchOptions::new(k);
             let mut ids: Vec<Vec<u64>> = Vec::new();
             let (qps_pdx, _) = time_queries(ds.n_queries, |qi| {
-                let r = ivf_pdx.search(&ads, ds.query(qi), nprobe, &params);
+                let r = ivf_pdx.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
                 ids.push(r.iter().map(|x| x.id).collect());
             });
             let recall = mean_recall(&gt, &ids, k);
 
             let (qps_simd, _) = time_queries(ds.n_queries, |qi| {
-                let _ = ivf_hor.search(&ads, ds.query(qi), k, nprobe, KernelVariant::Simd);
+                let _ = ivf_hor.search_with(
+                    &ads,
+                    ds.query(qi),
+                    &SearchOptions::new(k).with_nprobe(nprobe),
+                );
             });
             let (qps_scalar, _) = time_queries(ds.n_queries, |qi| {
-                let _ = ivf_hor.search(&ads, ds.query(qi), k, nprobe, KernelVariant::Scalar);
+                let _ = ivf_hor.search_with(
+                    &ads,
+                    ds.query(qi),
+                    &SearchOptions::new(k)
+                        .with_nprobe(nprobe)
+                        .with_kernel(KernelPolicy::Scalar),
+                );
             });
             let (qps_flat, _) = time_queries(ds.n_queries, |qi| {
                 let _ =

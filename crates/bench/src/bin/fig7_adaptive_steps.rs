@@ -34,18 +34,18 @@ fn main() {
         let ivf = IvfPdx::new(&rotated, d, &index.assignments, DEFAULT_GROUP_SIZE);
         let nprobe = (nlist / 2).max(1);
 
-        let adaptive = SearchParams::new(k).with_step(StepPolicy::Adaptive { start: 2 });
-        let fixed = SearchParams::new(k).with_step(StepPolicy::Fixed { step: 32 });
+        let adaptive = SearchOptions::new(k).with_step(StepPolicy::Adaptive { start: 2 });
+        let fixed = SearchOptions::new(k).with_step(StepPolicy::Fixed { step: 32 });
 
         // Interleave repetitions to be fair to both schedules.
         let (_, t_adaptive) = time_queries(ds.n_queries, |qi| {
-            let _ = ivf.search(&ads, ds.query(qi), nprobe, &adaptive);
+            let _ = ivf.search_with(&ads, ds.query(qi), &adaptive.with_nprobe(nprobe));
         });
         let (_, t_fixed) = time_queries(ds.n_queries, |qi| {
-            let _ = ivf.search(&ads, ds.query(qi), nprobe, &fixed);
+            let _ = ivf.search_with(&ads, ds.query(qi), &fixed.with_nprobe(nprobe));
         });
         let (_, t_adaptive2) = time_queries(ds.n_queries, |qi| {
-            let _ = ivf.search(&ads, ds.query(qi), nprobe, &adaptive);
+            let _ = ivf.search_with(&ads, ds.query(qi), &adaptive.with_nprobe(nprobe));
         });
 
         let speedups: Vec<f64> = (0..ds.n_queries)

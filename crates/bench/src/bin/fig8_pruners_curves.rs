@@ -71,21 +71,21 @@ fn main() {
             )
         );
         println!("{}", "-".repeat(86));
-        let params = SearchParams::new(k);
+        let params = SearchOptions::new(k);
         let mut nprobe = 1usize;
         while nprobe <= 512 && nprobe <= ivf_ads.blocks.len() {
             let mut ads_ids = Vec::new();
             let (qps_ads, _) = time_queries(ds.n_queries, |qi| {
-                let r = ivf_ads.search(&ads, ds.query(qi), nprobe, &params);
+                let r = ivf_ads.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
                 ads_ids.push(r.iter().map(|x| x.id).collect());
             });
             let mut bsa_ids = Vec::new();
             let (qps_bsa, _) = time_queries(ds.n_queries, |qi| {
-                let r = ivf_bsa.search(&bsa, ds.query(qi), nprobe, &params);
+                let r = ivf_bsa.search_with(&bsa, ds.query(qi), &params.with_nprobe(nprobe));
                 bsa_ids.push(r.iter().map(|x| x.id).collect());
             });
             let (qps_bond, _) = time_queries(ds.n_queries, |qi| {
-                let _ = ivf_raw.search(&bond, ds.query(qi), nprobe, &params);
+                let _ = ivf_raw.search_with(&bond, ds.query(qi), &params.with_nprobe(nprobe));
             });
             let (qps_flat, _) = time_queries(ds.n_queries, |qi| {
                 let _ = ivf_flat.linear_search(

@@ -51,11 +51,11 @@ fn main() {
         let flat = FlatPdx::with_defaults(&ds.data, n, d);
         let nary = NaryMatrix::from_rows(&ds.data, n, d);
         let dsm = DsmMatrix::from_rows(&ds.data, n, d);
-        let params = SearchParams::new(k);
+        let params = SearchOptions::new(k);
 
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
         let (qps_bond, _) = time_queries(ds.n_queries, |qi| {
-            drop(flat.search(&bond, ds.query(qi), &params))
+            drop(flat.search_with(&bond, ds.query(qi), &params))
         });
         let (qps_pdx, _) = time_queries(ds.n_queries, |qi| {
             drop(flat.linear_search(ds.query(qi), k, Metric::L2))
@@ -94,11 +94,11 @@ fn main() {
         if orders {
             let bond_decr = PdxBond::new(Metric::L2, VisitOrder::Decreasing);
             let (qps_decr, _) = time_queries(ds.n_queries, |qi| {
-                drop(flat.search(&bond_decr, ds.query(qi), &params))
+                drop(flat.search_with(&bond_decr, ds.query(qi), &params))
             });
             let bond_seq = PdxBond::new(Metric::L2, VisitOrder::Sequential);
             let (qps_seq, _) = time_queries(ds.n_queries, |qi| {
-                drop(flat.search(&bond_seq, ds.query(qi), &params))
+                drop(flat.search_with(&bond_seq, ds.query(qi), &params))
             });
             cells.push(format!("{qps_decr:.0}"));
             cells.push(format!("{qps_seq:.0}"));

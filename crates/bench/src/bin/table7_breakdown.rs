@@ -8,34 +8,29 @@
 
 use pdx::core::pruning::{checkpoints, StepPolicy};
 use pdx::core::search::horizontal_checkpoints;
+use pdx::obs::{trace::capture, QueryTrace};
 use pdx::prelude::*;
 use pdx_bench::harness::*;
 
-fn print_row(name: &str, p: &SearchProfile, n_queries: usize) {
-    let total_ms = p.total_ns() as f64 / 1e6 / n_queries as f64;
+/// One row from the merged traces of `n_queries` queries: each phase as
+/// a share of the four phases' sum, and per query.
+fn print_row(name: &str, t: &QueryTrace, n_queries: usize) {
+    let phases = (t.distance_ns + t.find_buckets_ns + t.bounds_ns + t.preprocess_ns).max(1);
+    let cell = |ns: u64| {
+        format!(
+            "{:.1}% ({:.2}ms)",
+            ns as f64 * 100.0 / phases as f64,
+            ns as f64 / 1e6 / n_queries as f64
+        )
+    };
     println!(
-        "{name:<12} {total_ms:>9.2} {:>18} {:>18} {:>18} {:>18} {:>8.1}",
-        format!(
-            "{:.1}% ({:.2}ms)",
-            p.share(p.distance_ns),
-            p.distance_ns as f64 / 1e6 / n_queries as f64
-        ),
-        format!(
-            "{:.1}% ({:.2}ms)",
-            p.share(p.find_buckets_ns),
-            p.find_buckets_ns as f64 / 1e6 / n_queries as f64
-        ),
-        format!(
-            "{:.1}% ({:.2}ms)",
-            p.share(p.bounds_ns),
-            p.bounds_ns as f64 / 1e6 / n_queries as f64
-        ),
-        format!(
-            "{:.1}% ({:.2}ms)",
-            p.share(p.preprocess_ns),
-            p.preprocess_ns as f64 / 1e6 / n_queries as f64
-        ),
-        p.pruning_ratio() * 100.0,
+        "{name:<12} {:>9.2} {:>18} {:>18} {:>18} {:>18} {:>8.1}",
+        phases as f64 / 1e6 / n_queries as f64,
+        cell(t.distance_ns),
+        cell(t.find_buckets_ns),
+        cell(t.bounds_ns),
+        cell(t.preprocess_ns),
+        t.pruning_ratio() * 100.0,
     );
 }
 
@@ -83,7 +78,9 @@ fn main() {
             zone_size: pdx::core::visit_order::DEFAULT_ZONE_SIZE,
         },
     );
-    let params = SearchParams::new(k);
+    // Traced queries publish the Table 7 phases; `capture` merges them.
+    let opts = SearchOptions::new(k).with_nprobe(nprobe).with_trace(true);
+    let traced = |search: &dyn Fn(usize)| capture(|| (0..nq).for_each(search)).1;
 
     println!(
         "\nTable 7 — IVF query runtime breakdown, {}/{d}, nprobe={nprobe}, K={k}",
@@ -102,48 +99,36 @@ fn main() {
     println!("{}", "-".repeat(108));
 
     let mut csv = Vec::new();
-    let mut record = |name: &str, p: &SearchProfile| {
-        print_row(name, p, nq);
+    let mut record = |name: &str, t: &QueryTrace| {
+        print_row(name, t, nq);
+        let phases = t.distance_ns + t.find_buckets_ns + t.bounds_ns + t.preprocess_ns;
         csv.push(format!(
             "{name},{},{},{},{},{},{:.4}",
-            p.total_ns() / nq as u64,
-            p.distance_ns / nq as u64,
-            p.find_buckets_ns / nq as u64,
-            p.bounds_ns / nq as u64,
-            p.preprocess_ns / nq as u64,
-            p.pruning_ratio()
+            phases / nq as u64,
+            t.distance_ns / nq as u64,
+            t.find_buckets_ns / nq as u64,
+            t.bounds_ns / nq as u64,
+            t.preprocess_ns / nq as u64,
+            t.pruning_ratio()
         ));
     };
 
     // N-ary ADS (SIMD-ADS on dual-block horizontal).
-    let p = profile_queries(nq, |qi, p| {
-        let _ = ivf_ads_hor.search_profiled(&ads, ds.query(qi), k, nprobe, KernelVariant::Simd, p);
-    });
-    record("N-ary ADS", &p);
+    let t = traced(&|qi| drop(ivf_ads_hor.search_with(&ads, ds.query(qi), &opts)));
+    record("N-ary ADS", &t);
 
-    // PDX ADS.
-    let p = profile_queries(nq, |qi, p| {
-        let _ = ivf_ads_pdx.search_profiled(&ads, ds.query(qi), nprobe, &params, p);
-    });
-    record("PDX ADS", &p);
+    let t = traced(&|qi| drop(ivf_ads_pdx.search_with(&ads, ds.query(qi), &opts)));
+    record("PDX ADS", &t);
 
-    // N-ary BSA.
-    let p = profile_queries(nq, |qi, p| {
-        let _ = ivf_bsa_hor.search_profiled(&bsa, ds.query(qi), k, nprobe, KernelVariant::Simd, p);
-    });
-    record("N-ary BSA", &p);
+    let t = traced(&|qi| drop(ivf_bsa_hor.search_with(&bsa, ds.query(qi), &opts)));
+    record("N-ary BSA", &t);
 
-    // PDX BSA.
-    let p = profile_queries(nq, |qi, p| {
-        let _ = ivf_bsa_pdx.search_profiled(&bsa, ds.query(qi), nprobe, &params, p);
-    });
-    record("PDX BSA", &p);
+    let t = traced(&|qi| drop(ivf_bsa_pdx.search_with(&bsa, ds.query(qi), &opts)));
+    record("PDX BSA", &t);
 
     // PDX BOND (raw space).
-    let p = profile_queries(nq, |qi, p| {
-        let _ = ivf_raw.search_profiled(&bond, ds.query(qi), nprobe, &params, p);
-    });
-    record("PDX BOND", &p);
+    let t = traced(&|qi| drop(ivf_raw.search_with(&bond, ds.query(qi), &opts)));
+    record("PDX BOND", &t);
 
     write_csv(
         "table7_breakdown.csv",

@@ -60,6 +60,12 @@ fn main() {
     let index = IvfIndex::build(&ds.data, n, dims, nlist, 10, seed);
     let f32_ivf = IvfPdx::new(&ds.data, dims, &index.assignments, DEFAULT_GROUP_SIZE);
     let sq8_ivf = IvfSq8::new(&ds.data, dims, &index.assignments, DEFAULT_GROUP_SIZE);
+    // The same buckets without the rerank payload: answers are the
+    // top-k quantized estimates.
+    let sq8_scan_only = IvfSq8 {
+        rows: Vec::new(),
+        ..sq8_ivf.clone()
+    };
 
     // Scan-resident footprint: the bucket payloads each deployment's
     // per-query scan walks.
@@ -103,9 +109,9 @@ fn main() {
 
         // f32 PDXearch (PDX-BOND, exact within the probed buckets).
         let mut results: Vec<Vec<u64>> = vec![Vec::new(); nq];
-        let params = SearchParams::new(k);
+        let params = SearchOptions::new(k);
         let (qps, per_query) = time_queries(nq, |qi| {
-            let res = f32_ivf.search(&bond, ds.query(qi), nprobe, &params);
+            let res = f32_ivf.search_with(&bond, ds.query(qi), &params.with_nprobe(nprobe));
             results[qi] = res.iter().map(|r| r.id).collect();
         });
         report(
@@ -118,7 +124,7 @@ fn main() {
         // SQ8 quantized scan only (no rerank): top-k by estimate.
         let mut results: Vec<Vec<u64>> = vec![Vec::new(); nq];
         let (qps, per_query) = time_queries(nq, |qi| {
-            let res = sq8_ivf.search_quantized(ds.query(qi), k, nprobe, Metric::L2);
+            let res = sq8_scan_only.search(ds.query(qi), &params.with_nprobe(nprobe));
             results[qi] = res.iter().map(|r| r.id).collect();
         });
         report(
@@ -132,7 +138,8 @@ fn main() {
         // f32 rerank.
         let mut results: Vec<Vec<u64>> = vec![Vec::new(); nq];
         let (qps, per_query) = time_queries(nq, |qi| {
-            let res = sq8_ivf.search(ds.query(qi), k, nprobe, refine, Metric::L2);
+            let opts = params.with_nprobe(nprobe).with_refine(refine);
+            let res = sq8_ivf.search(ds.query(qi), &opts);
             results[qi] = res.iter().map(|r| r.id).collect();
         });
         let recall = mean_recall(&gt, &results, k);

@@ -113,22 +113,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Runs `n_queries` profiled queries into one accumulated
-/// [`SearchProfile`]: the closure receives the query index and the
-/// profile to record into. Table 7-style breakdown benches share this
-/// loop (and read the derived ratios — [`SearchProfile::share`],
-/// [`SearchProfile::pruning_ratio`] — instead of recomputing them).
-pub fn profile_queries(
-    n_queries: usize,
-    mut f: impl FnMut(usize, &mut SearchProfile),
-) -> SearchProfile {
-    let mut p = SearchProfile::default();
-    for qi in 0..n_queries {
-        f(qi, &mut p);
-    }
-    p
-}
-
 /// The Δd = 1 pruning-power replay of Tables 2 and 6: scans the IVF
 /// blocks in probe order, evaluating the pruner's bound after **every**
 /// dimension, and returns the fraction of dimension values never

@@ -19,7 +19,7 @@ use crate::visit_order::{dimension_permutation, VisitOrder};
 /// The PDX-BOND pruner.
 ///
 /// ```
-/// use pdx_core::{PdxBond, Metric, VisitOrder, SearchParams};
+/// use pdx_core::{PdxBond, Metric, Pruner, SearchOptions, VisitOrder};
 /// use pdx_core::collection::PdxCollection;
 /// use pdx_core::search::pdxearch;
 ///
@@ -27,15 +27,16 @@ use crate::visit_order::{dimension_permutation, VisitOrder};
 /// let rows: Vec<f32> = (0..32).map(|i| (i % 7) as f32).collect();
 /// let coll = PdxCollection::from_rows_partitioned(&rows, 8, 4, 4, 64);
 /// let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-/// let blocks: Vec<_> = coll.blocks.iter().collect();
-/// let hits = pdxearch(&bond, &blocks, &rows[20..24], &SearchParams::new(1));
+/// let q = bond.prepare_query(&rows[20..24]);
+/// let hits = pdxearch(&bond, &q, &coll.blocks, &SearchOptions::new(1), None);
 /// assert_eq!(hits[0].id, 5);
 /// assert_eq!(hits[0].distance, 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PdxBond {
     metric: Metric,
-    order: VisitOrder,
+    /// `None`: the member of the family that never evaluates its bound.
+    order: Option<VisitOrder>,
 }
 
 /// Query state: PDX-BOND uses the raw query unchanged.
@@ -55,12 +56,21 @@ impl PdxBond {
             metric.is_monotonic(),
             "PDX-BOND requires a monotonic metric (L2/L1); {metric:?} is not"
         );
-        Self { metric, order }
+        Self {
+            metric,
+            order: Some(order),
+        }
     }
 
-    /// The configured visit order.
-    pub fn order(&self) -> VisitOrder {
-        self.order
+    /// The degenerate bond that never prunes: PDXearch then keeps every
+    /// tile on the START schedule, which *is* the PDX linear scan — in
+    /// storage order, exact, and valid for any metric, inner product
+    /// included.
+    pub fn linear(metric: Metric) -> Self {
+        Self {
+            metric,
+            order: None,
+        }
     }
 }
 
@@ -69,11 +79,18 @@ impl Pruner for PdxBond {
     type Checkpoint = f32;
 
     fn name(&self) -> &'static str {
-        "bond"
+        match self.order {
+            Some(_) => "bond",
+            None => "linear",
+        }
     }
 
     fn metric(&self) -> Metric {
         self.metric
+    }
+
+    fn prunes(&self) -> bool {
+        self.order.is_some()
     }
 
     fn prepare_query(&self, query: &[f32]) -> BondQuery {
@@ -87,7 +104,7 @@ impl Pruner for PdxBond {
     }
 
     fn dim_order(&self, q: &BondQuery, stats: Option<&BlockStats>) -> Option<Vec<u32>> {
-        dimension_permutation(self.order, &q.query, stats.map(|s| s.means.as_slice()))
+        dimension_permutation(self.order?, &q.query, stats.map(|s| s.means.as_slice()))
     }
 
     fn checkpoint(
@@ -146,6 +163,19 @@ mod tests {
         };
         let perm = bond.dim_order(&q, Some(&stats)).unwrap();
         assert_eq!(perm, vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn linear_never_prunes_and_takes_any_metric() {
+        let linear = PdxBond::linear(Metric::NegativeIp);
+        assert!(!linear.prunes());
+        assert!(PdxBond::new(Metric::L2, VisitOrder::Sequential).prunes());
+        let stats = BlockStats {
+            means: vec![1.0, 5.0],
+            variances: vec![0.0; 2],
+        };
+        let q = linear.prepare_query(&[0.0, 0.0]);
+        assert!(linear.dim_order(&q, Some(&stats)).is_none());
     }
 
     #[test]

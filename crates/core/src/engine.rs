@@ -23,12 +23,13 @@
 //! pruner choice; a flat index has no `nprobe`); each implementation
 //! documents which fields it reads.
 
+use crate::bond::PdxBond;
 use crate::distance::Metric;
 use crate::exec::{merge_neighbors_filtered, BatchSearcher};
 use crate::heap::Neighbor;
-use crate::kernels::{KernelPolicy, KernelVariant};
+use crate::kernels::KernelPolicy;
 use crate::pruning::{StepPolicy, DEFAULT_SELECTION_FRACTION};
-use crate::search::{SearchParams, DEFAULT_REFINE};
+use crate::search::DEFAULT_REFINE;
 use crate::visit_order::VisitOrder;
 
 /// Default beam width for graph-routed queries when
@@ -61,12 +62,11 @@ impl Default for PrunerKind {
 
 /// Unified search options for every [`VectorIndex`] deployment.
 ///
-/// One struct subsumes the per-deployment knobs that used to live in
-/// divergent inherent signatures: the PDXearch [`SearchParams`]
-/// (`k`, `selection_fraction`, `step`), the metric, the IVF probe
-/// count, the SQ8 rerank factor, the pruner choice, the horizontal
-/// kernel variant, the graph beam width and the worker count. Fields a
-/// deployment has no use for are ignored.
+/// One struct carries every per-query knob: what PDXearch itself reads
+/// (`k`, `selection_fraction`, `step`, `kernel`), the metric, the IVF
+/// probe count, the SQ8 rerank factor, the pruner choice, the graph beam
+/// width and the worker count. Fields a deployment has no use for are
+/// ignored.
 ///
 /// The defaults reproduce what each deployment did before the engine
 /// layer existed: exact PDX-BOND with the distance-to-means order,
@@ -163,6 +163,12 @@ impl SearchOptions {
         self
     }
 
+    /// Replaces the PRUNE-phase selection fraction.
+    pub fn with_selection_fraction(mut self, fraction: f32) -> Self {
+        self.selection_fraction = fraction;
+        self
+    }
+
     /// Replaces the step policy.
     pub fn with_step(mut self, step: StepPolicy) -> Self {
         self.step = step;
@@ -193,20 +199,6 @@ impl SearchOptions {
         self
     }
 
-    /// Replaces the horizontal kernel variant.
-    ///
-    /// Deprecated shim over the unified [`KernelPolicy`]:
-    /// [`KernelVariant::Scalar`] maps to [`KernelPolicy::Scalar`]; the
-    /// unrolled and SIMD tiers map to [`KernelPolicy::Simd`] (which
-    /// picks the best available tier, exactly like the old dispatch).
-    #[deprecated(since = "0.8.0", note = "use `with_kernel(KernelPolicy)` instead")]
-    pub fn with_variant(self, variant: KernelVariant) -> Self {
-        self.with_kernel(match variant {
-            KernelVariant::Scalar => KernelPolicy::Scalar,
-            KernelVariant::Unrolled | KernelVariant::Simd => KernelPolicy::Simd,
-        })
-    }
-
     /// Replaces the worker count (`0` = default width).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -220,12 +212,17 @@ impl SearchOptions {
         self
     }
 
-    /// The PDXearch parameters these options describe.
-    pub fn params(&self) -> SearchParams {
-        SearchParams::new(self.k)
-            .with_selection_fraction(self.selection_fraction)
-            .with_step(self.step)
-            .with_kernel(self.kernel)
+    /// The pruner [`SearchOptions::pruner`] names under
+    /// [`SearchOptions::metric`], as the one concrete type the `f32`
+    /// deployments hand to PDXearch.
+    ///
+    /// # Panics
+    /// Panics if a `Bond` order is paired with a non-monotonic metric.
+    pub fn bond(&self) -> PdxBond {
+        match self.pruner {
+            PrunerKind::Bond(order) => PdxBond::new(self.metric, order),
+            PrunerKind::Linear => PdxBond::linear(self.metric),
+        }
     }
 
     /// Probe count against an index of `n_buckets` buckets: `0` and
@@ -254,9 +251,7 @@ impl SearchOptions {
 /// Every deployment in the workspace — flat and IVF, `f32` and SQ8,
 /// horizontal and graph-routed — implements this trait, so callers can
 /// hold a `Box<dyn VectorIndex>` (see `pdx-engine`'s `AnyIndex::open`)
-/// and serve queries without knowing the concrete type. The concrete
-/// inherent methods (generic over [`Pruner`](crate::pruning::Pruner))
-/// remain the typed API the trait implementations delegate to.
+/// and serve queries without knowing the concrete type.
 ///
 /// # Determinism contract
 ///
@@ -496,24 +491,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn with_variant_shim_maps_onto_the_policy() {
-        let opts = SearchOptions::new(5);
-        assert_eq!(
-            opts.with_variant(KernelVariant::Scalar).kernel,
-            KernelPolicy::Scalar
-        );
-        assert_eq!(
-            opts.with_variant(KernelVariant::Unrolled).kernel,
-            KernelPolicy::Simd
-        );
-        assert_eq!(
-            opts.with_variant(KernelVariant::Simd).kernel,
-            KernelPolicy::Simd
-        );
-    }
-
-    #[test]
     fn nprobe_and_ef_resolution() {
         let opts = SearchOptions::new(10);
         assert_eq!(opts.resolve_nprobe(7), 7);
@@ -596,19 +573,5 @@ mod tests {
         assert_eq!(ids, vec![100, 1, 2]);
         let par = seg(1).search_parallel(&extra, &[0.0], &opts.with_threads(4), |id| id != 0);
         assert_eq!(par, got);
-    }
-
-    #[test]
-    fn params_carries_the_pdxearch_knobs() {
-        let opts = SearchOptions::new(7)
-            .with_step(StepPolicy::Fixed { step: 32 })
-            .with_pruner(PrunerKind::Linear);
-        let params = opts.params();
-        assert_eq!(params.k, 7);
-        assert_eq!(params.step, StepPolicy::Fixed { step: 32 });
-        assert_eq!(params.selection_fraction, 0.20);
-        assert_eq!(params.kernel, KernelPolicy::Auto);
-        let scalar = SearchOptions::new(7).with_kernel(KernelPolicy::Scalar);
-        assert_eq!(scalar.params().kernel, KernelPolicy::Scalar);
     }
 }

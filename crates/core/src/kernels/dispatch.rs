@@ -2,7 +2,7 @@
 //! vertical SQ8, *and* horizontal kernels.
 //!
 //! [`KernelPolicy`] is the user-facing selector carried by
-//! `SearchOptions`/`SearchParams`; [`KernelIsa`] is what it resolves to
+//! `SearchOptions`; [`KernelIsa`] is what it resolves to
 //! on the running machine. Detection runs once per process (cached in a
 //! `OnceLock`, like `nary::simd_available`), and the `PDX_KERNEL`
 //! environment variable can force a policy without touching call sites —

@@ -10,6 +10,8 @@
 //! breakdown.
 
 use crate::distance::Metric;
+use crate::kernels::pdx::{pdx_accumulate, DimSel};
+use crate::kernels::KernelPolicy;
 use crate::layout::{NaryMatrix, PdxGroup};
 use std::time::Instant;
 
@@ -52,7 +54,14 @@ pub fn gather_scan(metric: Metric, nary: &NaryMatrix, query: &[f32], out: &mut [
         };
         let acc = &mut out[v0..v0 + lanes];
         acc.fill(0.0);
-        super::pdx::pdx_accumulate(metric, &group, query, 0..d, acc);
+        pdx_accumulate(
+            metric,
+            &group,
+            query,
+            DimSel::Range(0..d),
+            acc,
+            KernelPolicy::Auto,
+        );
         v0 += lanes;
     }
 }
@@ -84,7 +93,14 @@ pub fn gather_scan_split_timing(
         let acc = &mut out[v0..v0 + lanes];
         acc.fill(0.0);
         let t1 = Instant::now();
-        super::pdx::pdx_accumulate(metric, &group, query, 0..d, acc);
+        pdx_accumulate(
+            metric,
+            &group,
+            query,
+            DimSel::Range(0..d),
+            acc,
+            KernelPolicy::Auto,
+        );
         c_ns += t1.elapsed().as_nanos() as u64;
         v0 += lanes;
     }

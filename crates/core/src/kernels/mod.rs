@@ -36,15 +36,12 @@ pub use dsm::dsm_scan;
 pub use gather::{gather_scan, gather_scan_split_timing};
 pub use nary::{nary_distance, simd_available, KernelVariant};
 pub use pdx::{
-    pdx_accumulate, pdx_accumulate_permuted, pdx_accumulate_permuted_policy, pdx_accumulate_policy,
-    pdx_accumulate_positions, pdx_accumulate_positions_permuted,
-    pdx_accumulate_positions_permuted_policy, pdx_accumulate_positions_policy,
+    pdx_accumulate, pdx_accumulate_positions, pdx_accumulate_positions_policy,
     pdx_accumulate_survivors, pdx_scan, pdx_scan_policy, DimSel,
 };
 pub use sq8::{
-    sq8_accumulate, sq8_accumulate_policy, sq8_accumulate_positions,
-    sq8_accumulate_positions_policy, sq8_accumulate_survivors, sq8_code_ip, sq8_code_ip_policy,
-    sq8_code_l2, sq8_code_l2_policy, sq8_distance_scalar, sq8_scan, sq8_scan_policy,
+    sq8_accumulate, sq8_accumulate_positions, sq8_accumulate_survivors, sq8_code_ip, sq8_code_l2,
+    sq8_distance_scalar, sq8_scan, sq8_scan_policy,
 };
 
 /// A group-tiled buffer as the survivor (PRUNE-phase) kernels see it: a

@@ -276,7 +276,7 @@ fn scalar_sel<A: Accum>(
 
 /// Survivor (gather) accumulate over a dimension selection — the one
 /// PRUNE-phase implementation behind [`pdx_accumulate_survivors`] and
-/// the per-group `pdx_accumulate_positions*` adapters. Positions,
+/// the per-group [`pdx_accumulate_positions_policy`] adapter. Positions,
 /// dimensions and the ISA are checked once here, not per group.
 fn survivors_impl(
     metric: Metric,
@@ -335,80 +335,28 @@ fn survivors_scalar_sel<A: Accum>(
     }
 }
 
-/// Accumulates the metric over dimensions `dims` of a PDX group into the
-/// per-lane accumulator array `acc` (length = `group.lanes`), with the
-/// default [`KernelPolicy::Auto`] dispatch.
+/// Accumulates the metric over the dimensions `dims` selects of a PDX
+/// group into the per-lane accumulator array `acc` (length =
+/// `group.lanes`): a storage range, or a slice of a query-aware
+/// permutation (PDX-BOND's orders, §5). All policies produce
+/// bit-identical accumulators (see the module docs).
 ///
 /// # Panics
-/// Panics if `acc.len() != group.lanes` or `dims.end > query.len()`.
+/// Panics if `acc.len() != group.lanes` or a selected dimension exceeds
+/// the query or the group.
 pub fn pdx_accumulate(
     metric: Metric,
     group: &PdxGroup<'_>,
     query: &[f32],
-    dims: Range<usize>,
-    acc: &mut [f32],
-) {
-    pdx_accumulate_policy(metric, group, query, dims, acc, KernelPolicy::Auto)
-}
-
-/// [`pdx_accumulate`] with an explicit [`KernelPolicy`]. All policies
-/// produce bit-identical accumulators (see the module docs).
-pub fn pdx_accumulate_policy(
-    metric: Metric,
-    group: &PdxGroup<'_>,
-    query: &[f32],
-    dims: Range<usize>,
+    dims: DimSel<'_>,
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
     assert_eq!(acc.len(), group.lanes, "one accumulator per lane required");
-    assert!(
-        dims.end <= query.len(),
-        "dimension range exceeds query length"
-    );
-    accumulate_impl(
-        metric,
-        group.data,
-        group.lanes,
-        query,
-        DimSel::Range(dims),
-        acc,
-        kernel,
-    )
-}
-
-/// Like [`pdx_accumulate`] but visiting the *storage* dimensions listed in
-/// `dim_ids` (a slice of a query-aware permutation — PDX-BOND's
-/// distance-to-means / dimension-zones orders, §5).
-pub fn pdx_accumulate_permuted(
-    metric: Metric,
-    group: &PdxGroup<'_>,
-    query: &[f32],
-    dim_ids: &[u32],
-    acc: &mut [f32],
-) {
-    pdx_accumulate_permuted_policy(metric, group, query, dim_ids, acc, KernelPolicy::Auto)
-}
-
-/// [`pdx_accumulate_permuted`] with an explicit [`KernelPolicy`].
-pub fn pdx_accumulate_permuted_policy(
-    metric: Metric,
-    group: &PdxGroup<'_>,
-    query: &[f32],
-    dim_ids: &[u32],
-    acc: &mut [f32],
-    kernel: KernelPolicy,
-) {
-    assert_eq!(acc.len(), group.lanes, "one accumulator per lane required");
-    accumulate_impl(
-        metric,
-        group.data,
-        group.lanes,
-        query,
-        DimSel::Ids(dim_ids),
-        acc,
-        kernel,
-    )
+    if let DimSel::Range(r) = &dims {
+        assert!(r.end <= query.len(), "dimension range exceeds query length");
+    }
+    accumulate_impl(metric, group.data, group.lanes, query, dims, acc, kernel)
 }
 
 /// PRUNE-phase kernel: accumulates only at the surviving vectors of a
@@ -421,7 +369,7 @@ pub fn pdx_accumulate_permuted_policy(
 /// scattered over many groups still run as independent accumulators
 /// instead of one serial add chain per group (§4 PHASE 2). Every
 /// survivor sees `dims` in order, so all policies — and the per-group
-/// [`pdx_accumulate_positions`] family, which adapts onto this — produce
+/// [`pdx_accumulate_positions_policy`], which adapts onto this — produce
 /// identical bits.
 ///
 /// # Panics
@@ -448,6 +396,21 @@ pub fn pdx_accumulate_survivors(
 
 /// Per-group form of [`pdx_accumulate_survivors`]: `positions[j]` is a
 /// lane index inside this group.
+pub fn pdx_accumulate_positions_policy(
+    metric: Metric,
+    group: &PdxGroup<'_>,
+    query: &[f32],
+    dims: DimSel<'_>,
+    positions: &[u32],
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    let t = Tiled::of_group(group.data, group.lanes);
+    survivors_impl(metric, t, query, dims, positions, acc, kernel)
+}
+
+/// [`pdx_accumulate_positions_policy`] over a storage range with the
+/// default [`KernelPolicy::Auto`] dispatch.
 pub fn pdx_accumulate_positions(
     metric: Metric,
     group: &PdxGroup<'_>,
@@ -456,6 +419,7 @@ pub fn pdx_accumulate_positions(
     positions: &[u32],
     acc: &mut [f32],
 ) {
+    let dims = DimSel::Range(dims);
     pdx_accumulate_positions_policy(
         metric,
         group,
@@ -464,68 +428,6 @@ pub fn pdx_accumulate_positions(
         positions,
         acc,
         KernelPolicy::Auto,
-    )
-}
-
-/// [`pdx_accumulate_positions`] with an explicit [`KernelPolicy`].
-pub fn pdx_accumulate_positions_policy(
-    metric: Metric,
-    group: &PdxGroup<'_>,
-    query: &[f32],
-    dims: Range<usize>,
-    positions: &[u32],
-    acc: &mut [f32],
-    kernel: KernelPolicy,
-) {
-    survivors_impl(
-        metric,
-        Tiled::of_group(group.data, group.lanes),
-        query,
-        DimSel::Range(dims),
-        positions,
-        acc,
-        kernel,
-    )
-}
-
-/// [`pdx_accumulate_positions`] with a dimension permutation (PDX-BOND).
-pub fn pdx_accumulate_positions_permuted(
-    metric: Metric,
-    group: &PdxGroup<'_>,
-    query: &[f32],
-    dim_ids: &[u32],
-    positions: &[u32],
-    acc: &mut [f32],
-) {
-    pdx_accumulate_positions_permuted_policy(
-        metric,
-        group,
-        query,
-        dim_ids,
-        positions,
-        acc,
-        KernelPolicy::Auto,
-    )
-}
-
-/// [`pdx_accumulate_positions_permuted`] with an explicit [`KernelPolicy`].
-pub fn pdx_accumulate_positions_permuted_policy(
-    metric: Metric,
-    group: &PdxGroup<'_>,
-    query: &[f32],
-    dim_ids: &[u32],
-    positions: &[u32],
-    acc: &mut [f32],
-    kernel: KernelPolicy,
-) {
-    survivors_impl(
-        metric,
-        Tiled::of_group(group.data, group.lanes),
-        query,
-        DimSel::Ids(dim_ids),
-        positions,
-        acc,
-        kernel,
     )
 }
 
@@ -551,7 +453,14 @@ pub fn pdx_scan_policy(
     out.fill(0.0);
     for g in block.groups() {
         let acc = &mut out[g.start_vector..g.start_vector + g.lanes];
-        pdx_accumulate_policy(metric, &g, query, 0..block.dims(), acc, kernel);
+        pdx_accumulate(
+            metric,
+            &g,
+            query,
+            DimSel::Range(0..block.dims()),
+            acc,
+            kernel,
+        );
     }
 }
 
@@ -1012,6 +921,7 @@ mod neon {
 mod tests {
     use super::*;
     use crate::distance::distance_scalar;
+    use crate::kernels::KernelPolicy::Auto;
 
     fn block_and_rows(n: usize, d: usize, group: usize) -> (PdxBlock, Vec<f32>) {
         let rows: Vec<f32> = (0..n * d)
@@ -1066,9 +976,9 @@ mod tests {
         let q = query(20);
         let g = block.group(0);
         let mut acc = vec![0.0; 64];
-        pdx_accumulate(Metric::L2, &g, &q, 0..5, &mut acc);
-        pdx_accumulate(Metric::L2, &g, &q, 5..13, &mut acc);
-        pdx_accumulate(Metric::L2, &g, &q, 13..20, &mut acc);
+        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..5), &mut acc, Auto);
+        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(5..13), &mut acc, Auto);
+        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(13..20), &mut acc, Auto);
         for v in 0..64 {
             let want = distance_scalar(Metric::L2, &q, &rows[v * 20..(v + 1) * 20]);
             assert!((acc[v] - want).abs() <= want.max(1.0) * 1e-5);
@@ -1081,10 +991,10 @@ mod tests {
         let q = query(12);
         let g = block.group(0);
         let mut seq = vec![0.0; 64];
-        pdx_accumulate(Metric::L1, &g, &q, 0..12, &mut seq);
+        pdx_accumulate(Metric::L1, &g, &q, DimSel::Range(0..12), &mut seq, Auto);
         let perm: Vec<u32> = [7u32, 0, 11, 3, 4, 10, 1, 2, 9, 5, 8, 6].to_vec();
         let mut per = vec![0.0; 64];
-        pdx_accumulate_permuted(Metric::L1, &g, &q, &perm, &mut per);
+        pdx_accumulate(Metric::L1, &g, &q, DimSel::Ids(&perm), &mut per, Auto);
         for (s, p) in seq.iter().zip(&per) {
             assert!((s - p).abs() <= s.max(1.0) * 1e-5);
         }
@@ -1096,7 +1006,7 @@ mod tests {
         let q = query(16);
         let g = block.group(0);
         let mut dense = vec![0.0; 64];
-        pdx_accumulate(Metric::L2, &g, &q, 0..16, &mut dense);
+        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..16), &mut dense, Auto);
         let positions: Vec<u32> = vec![3, 17, 18, 40, 63];
         let mut compact = vec![0.0; positions.len()];
         pdx_accumulate_positions(Metric::L2, &g, &q, 0..16, &positions, &mut compact);
@@ -1111,11 +1021,12 @@ mod tests {
         let q = query(10);
         let g = block.group(0);
         let mut dense = vec![0.0; 40];
-        pdx_accumulate(Metric::L2, &g, &q, 0..10, &mut dense);
+        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..10), &mut dense, Auto);
         let perm: Vec<u32> = (0..10u32).rev().collect();
         let positions: Vec<u32> = vec![0, 9, 39];
         let mut compact = vec![0.0; 3];
-        pdx_accumulate_positions_permuted(Metric::L2, &g, &q, &perm, &positions, &mut compact);
+        let dims = DimSel::Ids(&perm);
+        pdx_accumulate_positions_policy(Metric::L2, &g, &q, dims, &positions, &mut compact, Auto);
         for (j, &p) in positions.iter().enumerate() {
             assert!((compact[j] - dense[p as usize]).abs() <= dense[p as usize].max(1.0) * 1e-5);
         }
@@ -1126,7 +1037,14 @@ mod tests {
         let (block, _) = block_and_rows(10, 4, 64);
         let g = block.group(0);
         let mut acc = vec![1.5; 10];
-        pdx_accumulate(Metric::L2, &g, &query(4), 2..2, &mut acc);
+        pdx_accumulate(
+            Metric::L2,
+            &g,
+            &query(4),
+            DimSel::Range(2..2),
+            &mut acc,
+            Auto,
+        );
         assert!(acc.iter().all(|&x| x == 1.5));
     }
 
@@ -1169,7 +1087,7 @@ mod tests {
                 metric,
                 &g,
                 &q,
-                0..16,
+                DimSel::Range(0..16),
                 &positions,
                 &mut scalar,
                 KernelPolicy::Scalar,
@@ -1179,7 +1097,7 @@ mod tests {
                 metric,
                 &g,
                 &q,
-                0..16,
+                DimSel::Range(0..16),
                 &positions,
                 &mut simd,
                 KernelPolicy::Simd,

@@ -208,8 +208,9 @@ fn check_sq8_bounds(data_len: usize, lanes: usize, param_len: usize, dims: &Rang
 }
 
 /// Accumulates the metric over dimensions `dims` of a quantized PDX group
-/// into the per-lane accumulator array `acc` (length = `group.lanes`),
-/// with the default [`KernelPolicy::Auto`] dispatch.
+/// into the per-lane accumulator array `acc` (length = `group.lanes`).
+/// All policies produce bit-identical accumulators (see the module
+/// docs).
 ///
 /// The accumulated value is the distance between the query and each
 /// vector's *dequantized* reconstruction (the [`Sq8Query`] bias, if any,
@@ -218,17 +219,6 @@ fn check_sq8_bounds(data_len: usize, lanes: usize, param_len: usize, dims: &Rang
 /// # Panics
 /// Panics if `acc.len() != group.lanes` or `dims.end > q.dims()`.
 pub fn sq8_accumulate(
-    q: &Sq8Query,
-    group: &QuantizedPdxGroup<'_>,
-    dims: Range<usize>,
-    acc: &mut [f32],
-) {
-    sq8_accumulate_policy(q, group, dims, acc, KernelPolicy::Auto)
-}
-
-/// [`sq8_accumulate`] with an explicit [`KernelPolicy`]. All policies
-/// produce bit-identical accumulators (see the module docs).
-pub fn sq8_accumulate_policy(
     q: &Sq8Query,
     group: &QuantizedPdxGroup<'_>,
     dims: Range<usize>,
@@ -304,7 +294,7 @@ pub fn sq8_accumulate_policy(
 /// of that survivor. Eight survivors share one pass over the dimensions
 /// (a software gather of byte lanes), and every survivor sees `dims` in
 /// order, so all policies — and the per-group
-/// [`sq8_accumulate_positions`] family, which adapts onto this — produce
+/// [`sq8_accumulate_positions`], which adapts onto this — produce
 /// identical bits.
 ///
 /// # Panics
@@ -334,17 +324,6 @@ pub fn sq8_accumulate_survivors(
 /// # Panics
 /// Panics if `acc.len() != positions.len()`.
 pub fn sq8_accumulate_positions(
-    q: &Sq8Query,
-    group: &QuantizedPdxGroup<'_>,
-    dims: Range<usize>,
-    positions: &[u32],
-    acc: &mut [f32],
-) {
-    sq8_accumulate_positions_policy(q, group, dims, positions, acc, KernelPolicy::Auto)
-}
-
-/// [`sq8_accumulate_positions`] with an explicit [`KernelPolicy`].
-pub fn sq8_accumulate_positions_policy(
     q: &Sq8Query,
     group: &QuantizedPdxGroup<'_>,
     dims: Range<usize>,
@@ -434,7 +413,7 @@ pub fn sq8_scan_policy(
     out.fill(0.0);
     for g in block.groups() {
         let acc = &mut out[g.start_vector..g.start_vector + g.lanes];
-        sq8_accumulate_policy(q, &g, 0..block.dims(), acc, kernel);
+        sq8_accumulate(q, &g, 0..block.dims(), acc, kernel);
     }
     if q.bias != 0.0 {
         for o in out.iter_mut() {
@@ -565,20 +544,12 @@ fn code_dispatch<A: Sq8CodeAccum>(
 /// code space only. Safe for any `dims ≤ 66 049` (`255² · dims` must fit
 /// `u32`) — far above any embedding dimensionality.
 ///
+/// Integer accumulation is order-insensitive, so every policy agrees
+/// exactly.
+///
 /// # Panics
 /// Panics if `acc.len() != group.lanes` or `dims.end > qcodes.len()`.
 pub fn sq8_code_l2(
-    group: &QuantizedPdxGroup<'_>,
-    qcodes: &[u8],
-    dims: Range<usize>,
-    acc: &mut [u32],
-) {
-    sq8_code_l2_policy(group, qcodes, dims, acc, KernelPolicy::Auto)
-}
-
-/// [`sq8_code_l2`] with an explicit [`KernelPolicy`]. Integer
-/// accumulation is order-insensitive, so every policy agrees exactly.
-pub fn sq8_code_l2_policy(
     group: &QuantizedPdxGroup<'_>,
     qcodes: &[u8],
     dims: Range<usize>,
@@ -617,16 +588,6 @@ pub fn sq8_code_l2_policy(
 /// # Panics
 /// Panics if `acc.len() != group.lanes` or `dims.end > qcodes.len()`.
 pub fn sq8_code_ip(
-    group: &QuantizedPdxGroup<'_>,
-    qcodes: &[u8],
-    dims: Range<usize>,
-    acc: &mut [i32],
-) {
-    sq8_code_ip_policy(group, qcodes, dims, acc, KernelPolicy::Auto)
-}
-
-/// [`sq8_code_ip`] with an explicit [`KernelPolicy`].
-pub fn sq8_code_ip_policy(
     group: &QuantizedPdxGroup<'_>,
     qcodes: &[u8],
     dims: Range<usize>,
@@ -1299,9 +1260,9 @@ mod tests {
         let q = qz.prepare_query(Metric::L2, &raw_q);
         let g = block.group(0);
         let mut acc = vec![0.0; 64];
-        sq8_accumulate(&q, &g, 0..5, &mut acc);
-        sq8_accumulate(&q, &g, 5..13, &mut acc);
-        sq8_accumulate(&q, &g, 13..20, &mut acc);
+        sq8_accumulate(&q, &g, 0..5, &mut acc, KernelPolicy::Auto);
+        sq8_accumulate(&q, &g, 5..13, &mut acc, KernelPolicy::Auto);
+        sq8_accumulate(&q, &g, 13..20, &mut acc, KernelPolicy::Auto);
         let mut full = vec![0.0; 64];
         sq8_scan(&q, &block, &mut full);
         for v in 0..64 {
@@ -1315,10 +1276,10 @@ mod tests {
         let q = qz.prepare_query(Metric::L2, &query(16));
         let g = block.group(0);
         let mut dense = vec![0.0; 64];
-        sq8_accumulate(&q, &g, 0..16, &mut dense);
+        sq8_accumulate(&q, &g, 0..16, &mut dense, KernelPolicy::Auto);
         let positions: Vec<u32> = vec![3, 17, 18, 40, 63];
         let mut compact = vec![0.0; positions.len()];
-        sq8_accumulate_positions(&q, &g, 0..16, &positions, &mut compact);
+        sq8_accumulate_positions(&q, &g, 0..16, &positions, &mut compact, KernelPolicy::Auto);
         for (j, &p) in positions.iter().enumerate() {
             assert!((compact[j] - dense[p as usize]).abs() <= dense[p as usize].max(1.0) * 1e-5);
         }
@@ -1363,9 +1324,9 @@ mod tests {
         let scale2 = qz.scale(0) * qz.scale(0);
         for g in block.groups() {
             let mut int_acc = vec![0u32; g.lanes];
-            sq8_code_l2(&g, &qcodes, 0..d, &mut int_acc);
+            sq8_code_l2(&g, &qcodes, 0..d, &mut int_acc, KernelPolicy::Auto);
             let mut f_acc = vec![0.0f32; g.lanes];
-            sq8_accumulate(&q, &g, 0..d, &mut f_acc);
+            sq8_accumulate(&q, &g, 0..d, &mut f_acc, KernelPolicy::Auto);
             for l in 0..g.lanes {
                 let int_dist = int_acc[l] as f32 * scale2;
                 assert!(
@@ -1387,7 +1348,7 @@ mod tests {
         let qcodes: Vec<u8> = (0..d as u8).map(|x| x * 30).collect();
         let g = block.group(0);
         let mut acc = vec![0i32; g.lanes];
-        sq8_code_ip(&g, &qcodes, 0..d, &mut acc);
+        sq8_code_ip(&g, &qcodes, 0..d, &mut acc, KernelPolicy::Auto);
         let code_rows = block.to_code_rows();
         for l in 0..g.lanes {
             let want: i32 = (0..d)
@@ -1403,7 +1364,7 @@ mod tests {
         let q = qz.prepare_query(Metric::L2, &query(4));
         let g = block.group(0);
         let mut acc = vec![1.5; 10];
-        sq8_accumulate(&q, &g, 2..2, &mut acc);
+        sq8_accumulate(&q, &g, 2..2, &mut acc, KernelPolicy::Auto);
         assert!(acc.iter().all(|&x| x == 1.5));
     }
 
@@ -1437,23 +1398,9 @@ mod tests {
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
             let q = qz.prepare_query(metric, &query(16));
             let mut scalar = vec![0.0; positions.len()];
-            sq8_accumulate_positions_policy(
-                &q,
-                &g,
-                0..16,
-                &positions,
-                &mut scalar,
-                KernelPolicy::Scalar,
-            );
+            sq8_accumulate_positions(&q, &g, 0..16, &positions, &mut scalar, KernelPolicy::Scalar);
             let mut simd = vec![0.0; positions.len()];
-            sq8_accumulate_positions_policy(
-                &q,
-                &g,
-                0..16,
-                &positions,
-                &mut simd,
-                KernelPolicy::Simd,
-            );
+            sq8_accumulate_positions(&q, &g, 0..16, &positions, &mut simd, KernelPolicy::Simd);
             for j in 0..positions.len() {
                 assert_eq!(scalar[j].to_bits(), simd[j].to_bits(), "{metric:?} pos {j}");
             }
@@ -1467,14 +1414,14 @@ mod tests {
         let qcodes: Vec<u8> = (0..12u8).map(|x| x.wrapping_mul(21)).collect();
         for g in block.groups() {
             let mut l2_scalar = vec![0u32; g.lanes];
-            sq8_code_l2_policy(&g, &qcodes, 0..12, &mut l2_scalar, KernelPolicy::Scalar);
+            sq8_code_l2(&g, &qcodes, 0..12, &mut l2_scalar, KernelPolicy::Scalar);
             let mut l2_simd = vec![0u32; g.lanes];
-            sq8_code_l2_policy(&g, &qcodes, 0..12, &mut l2_simd, KernelPolicy::Simd);
+            sq8_code_l2(&g, &qcodes, 0..12, &mut l2_simd, KernelPolicy::Simd);
             assert_eq!(l2_scalar, l2_simd);
             let mut ip_scalar = vec![0i32; g.lanes];
-            sq8_code_ip_policy(&g, &qcodes, 0..12, &mut ip_scalar, KernelPolicy::Scalar);
+            sq8_code_ip(&g, &qcodes, 0..12, &mut ip_scalar, KernelPolicy::Scalar);
             let mut ip_simd = vec![0i32; g.lanes];
-            sq8_code_ip_policy(&g, &qcodes, 0..12, &mut ip_simd, KernelPolicy::Simd);
+            sq8_code_ip(&g, &qcodes, 0..12, &mut ip_simd, KernelPolicy::Simd);
             assert_eq!(ip_scalar, ip_simd);
         }
     }

@@ -20,7 +20,7 @@
 //! * [`search`] — the **PDXearch** framework (§4): block-by-block search
 //!   with START / WARMUP / PRUNE phases, adaptive dimension stepping and
 //!   branchless bound evaluation, generic over a dimension [`pruning`]
-//!   strategy; plus linear-scan searchers for every layout and the
+//!   strategy and over the element type it scans ([`ScanBlock`]); plus linear-scan searchers for every layout and the
 //!   vector-at-a-time horizontal pruned search used by the paper's
 //!   SIMD-ADS / SCALAR-ADS baselines.
 //! * [`bond`] — **PDX-BOND** (§5), the exact, transformation-free pruner
@@ -101,13 +101,13 @@ pub use kernels::{active_kernel_isa, detected_isa, KernelIsa, KernelPolicy};
 pub use layout::{
     DsmMatrix, DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer,
 };
-pub use obs::{publish_trace, total_only_trace, trace_from_profile, TRACE_ENV};
+pub use obs::{publish_trace, trace_from_profile, TRACE_ENV};
 pub use pdx_obs::QueryTrace;
 pub use profile::SearchProfile;
 pub use pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
 pub use search::{
     horizontal_pruned_search, linear_scan_dsm, linear_scan_nary, linear_scan_pdx, pdxearch,
-    sq8_two_phase, KernelVariant, SearchParams, Sq8Block,
+    sq8_two_phase, KernelVariant, ScanBlock, Sq8Block,
 };
 pub use stats::BlockStats;
 pub use visit_order::VisitOrder;

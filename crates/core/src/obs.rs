@@ -186,7 +186,8 @@ pub fn publish_trace(t: &QueryTrace) {
 
 /// Builds a [`QueryTrace`] from a profiled search's output: the
 /// accumulated [`SearchProfile`], the measured wall time, and the
-/// deployment identity.
+/// deployment identity. A search without phases (a graph traversal)
+/// passes an empty profile: wall time plus identity only.
 pub fn trace_from_profile(
     deployment: &'static str,
     profile: &SearchProfile,
@@ -202,18 +203,6 @@ pub fn trace_from_profile(
         vectors_visited: profile.vectors,
         dims_total: profile.dims_total,
         dims_scanned: profile.dims_scanned,
-        deployment,
-        kernel_isa: crate::kernels::active_kernel_isa().name(),
-        ..QueryTrace::default()
-    }
-}
-
-/// Builds a minimal trace — wall time plus identity only — for
-/// deployments whose scan has no profiled monomorphization (graph
-/// traversal, quantized scans). Work counters stay zero.
-pub fn total_only_trace(deployment: &'static str, total_ns: u64) -> QueryTrace {
-    QueryTrace {
-        total_ns,
         deployment,
         kernel_isa: crate::kernels::active_kernel_isa().name(),
         ..QueryTrace::default()

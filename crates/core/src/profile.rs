@@ -14,6 +14,8 @@
 //! layer both read [`SearchProfile::pruning_ratio`] instead of
 //! recomputing it.
 
+use std::time::Instant;
+
 /// Accumulated per-phase runtime and work counters of one or more
 /// queries (times in nanoseconds).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,6 +80,21 @@ impl SearchProfile {
         } else {
             self.dims_pruned() as f64 / self.dims_total as f64
         }
+    }
+}
+
+/// Starts a phase timer in the profiled monomorphization of a scan;
+/// compiles to nothing in the unprofiled one.
+#[inline(always)]
+pub(crate) fn timer<const PROFILE: bool>() -> Option<Instant> {
+    PROFILE.then(Instant::now)
+}
+
+/// Charges the time since `timer` returned `t` to `slot`.
+#[inline(always)]
+pub(crate) fn lap(slot: &mut u64, t: Option<Instant>) {
+    if let Some(t0) = t {
+        *slot += t0.elapsed().as_nanos() as u64;
     }
 }
 

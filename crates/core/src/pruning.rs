@@ -73,7 +73,7 @@ pub fn checkpoints(policy: StepPolicy, dims: usize) -> Vec<usize> {
 /// Default PRUNE-phase selection threshold: the fraction of a tile's
 /// vectors below which PDXearch compacts the survivors and accumulates
 /// only at their positions (the paper's sweet spot, Figure 10). The one
-/// default behind `SearchOptions`, `SearchParams` and the SQ8 scan.
+/// default behind `SearchOptions::selection_fraction`.
 pub const DEFAULT_SELECTION_FRACTION: f32 = 0.20;
 
 /// Vectors per PDXearch [`Tile`]: how often a scan re-reads the k-NN
@@ -184,6 +184,15 @@ pub trait Pruner {
 
     /// The metric whose distances this pruner bounds.
     fn metric(&self) -> Metric;
+
+    /// Whether a partial distance can rule a vector out at all. When
+    /// `false` — a non-monotone metric, whose partial sums bound
+    /// nothing, or a strategy that is a plain linear scan — PDXearch
+    /// keeps every tile on the one-checkpoint START schedule and never
+    /// asks for a bound.
+    fn prunes(&self) -> bool {
+        self.metric().is_monotonic()
+    }
 
     /// Transforms a raw query into collection space.
     fn prepare_query(&self, query: &[f32]) -> Self::Query;

@@ -8,10 +8,13 @@
 //! linear scans win — the effect PDXearch removes.
 
 use crate::distance::Metric;
+use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::nary::{nary_distance, KernelVariant};
 use crate::layout::DualBlockMatrix;
+use crate::profile::{lap, timer, SearchProfile};
 use crate::pruning::{BlockAux, Pruner};
+use std::ops::Deref;
 
 /// One horizontal search unit (an IVF bucket or a whole collection) in
 /// ADSampling's dual-block layout.
@@ -64,37 +67,67 @@ pub fn horizontal_checkpoints(dims: usize, split: usize, delta_d: usize) -> Vec<
     out
 }
 
-/// Pruned vector-at-a-time k-NN over dual-block buckets.
+/// Pruned vector-at-a-time k-NN of the prepared query `q` over
+/// dual-block buckets, in the given order.
 ///
-/// `delta_d` is the bound-evaluation period on the tail segment; the
-/// first bucket effectively gets a linear scan because the heap threshold
-/// is infinite until `k` candidates exist.
-pub fn horizontal_pruned_search<P: Pruner>(
-    pruner: &P,
-    buckets: &[&HorizontalBucket],
-    query: &[f32],
-    k: usize,
-    delta_d: usize,
-    variant: KernelVariant,
-) -> Vec<Neighbor> {
-    let q = pruner.prepare_query(query);
-    horizontal_pruned_search_prepared(pruner, &q, buckets, k, delta_d, variant)
-}
-
-/// Prepared-query variant of [`horizontal_pruned_search`] (the IVF layer
-/// prepares once and probes centroids with the transformed vector).
-pub fn horizontal_pruned_search_prepared<P: Pruner>(
+/// Reads `k` and the horizontal tier of `kernel` from `opts`; `delta_d`
+/// is the bound-evaluation period on the tail segment. The first bucket
+/// effectively gets a linear scan because the heap threshold is infinite
+/// until `k` candidates exist.
+///
+/// With `profile`, wall time is split into distance work and bound
+/// evaluation for the Table 7 breakdown. The timer calls sit inside the
+/// per-vector loop (that interleaving *is* the baseline's design), so
+/// absolute numbers carry some timer overhead; the phase shares are what
+/// the table reports. Results are bit-identical either way.
+///
+/// # Panics
+/// Panics if the query's dimensionality differs from a bucket's.
+pub fn horizontal_pruned_search<P, I>(
     pruner: &P,
     q: &P::Query,
-    buckets: &[&HorizontalBucket],
-    k: usize,
+    buckets: I,
+    opts: &SearchOptions,
     delta_d: usize,
-    variant: KernelVariant,
-) -> Vec<Neighbor> {
+    profile: Option<&mut SearchProfile>,
+) -> Vec<Neighbor>
+where
+    P: Pruner,
+    I: IntoIterator,
+    I::Item: Deref<Target = HorizontalBucket>,
+{
+    match profile {
+        Some(profile) => run::<P, I, true>(pruner, q, buckets, opts, delta_d, profile),
+        None => run::<P, I, false>(
+            pruner,
+            q,
+            buckets,
+            opts,
+            delta_d,
+            &mut SearchProfile::default(),
+        ),
+    }
+}
+
+fn run<P, I, const PROFILE: bool>(
+    pruner: &P,
+    q: &P::Query,
+    buckets: I,
+    opts: &SearchOptions,
+    delta_d: usize,
+    profile: &mut SearchProfile,
+) -> Vec<Neighbor>
+where
+    P: Pruner,
+    I: IntoIterator,
+    I::Item: Deref<Target = HorizontalBucket>,
+{
     let qvec = pruner.query_vector(q);
     let metric = pruner.metric();
-    let mut heap = KnnHeap::new(k);
+    let variant = opts.kernel.horizontal_variant();
+    let mut heap = KnnHeap::new(opts.k);
     for bucket in buckets {
+        let bucket = &*bucket;
         if bucket.is_empty() {
             continue;
         }
@@ -125,93 +158,29 @@ pub fn horizontal_pruned_search_prepared<P: Pruner>(
         let q_tail = &qvec[split..];
         'vectors: for v in 0..bucket.len() {
             // Head segment: always scanned (the dual-block design).
+            let t0 = timer::<PROFILE>();
             let mut partial = nary_distance(metric, variant, q_head, bucket.dual.head_row(v));
             let mut scanned = split;
             let tail = bucket.dual.tail_row(v);
+            lap(&mut profile.distance_ns, t0);
             for (ci, &ck) in sched.iter().enumerate() {
                 if ck > scanned {
+                    let t1 = timer::<PROFILE>();
                     let lo = scanned - split;
                     let hi = ck - split;
                     partial += nary_distance(metric, variant, &q_tail[lo..hi], &tail[lo..hi]);
                     scanned = ck;
+                    lap(&mut profile.distance_ns, t1);
                 }
                 if scanned == dims {
                     break;
                 }
                 // Interleaved bound evaluation (the branchy baseline).
-                let cp = pruner.checkpoint(q, scanned, dims, heap.threshold());
-                let a = aux_rows[ci].map_or(0.0, |r| r[v]);
-                if !P::survives(&cp, partial, a) {
-                    continue 'vectors;
-                }
-            }
-            heap.push(bucket.row_ids[v], partial);
-        }
-    }
-    heap.into_sorted()
-}
-
-/// Profiled variant of [`horizontal_pruned_search_prepared`]: splits
-/// wall time into distance work and bound evaluation for the Table 7
-/// breakdown. Timer calls sit inside the per-vector loop (that
-/// interleaving *is* the baseline's design), so absolute numbers carry
-/// some timer overhead; the phase shares are what the table reports.
-pub fn horizontal_pruned_search_profiled<P: Pruner>(
-    pruner: &P,
-    q: &P::Query,
-    buckets: &[&HorizontalBucket],
-    k: usize,
-    delta_d: usize,
-    variant: KernelVariant,
-    profile: &mut crate::profile::SearchProfile,
-) -> Vec<Neighbor> {
-    use std::time::Instant;
-    let qvec = pruner.query_vector(q);
-    let metric = pruner.metric();
-    let mut heap = KnnHeap::new(k);
-    for bucket in buckets {
-        if bucket.is_empty() {
-            continue;
-        }
-        let dims = bucket.dual.dims();
-        let split = bucket.dual.split();
-        let sched = horizontal_checkpoints(dims, split, delta_d);
-        let aux_rows: Vec<Option<&[f32]>> = sched
-            .iter()
-            .map(|&scanned| {
-                if !P::NEEDS_AUX || scanned == dims {
-                    None
-                } else {
-                    let aux = bucket.aux.as_ref().expect("pruner requires aux data");
-                    Some(aux.row(aux.index_of(scanned).expect("aux checkpoint missing")))
-                }
-            })
-            .collect();
-        let q_head = &qvec[..split];
-        let q_tail = &qvec[split..];
-        'vectors: for v in 0..bucket.len() {
-            let t0 = Instant::now();
-            let mut partial = nary_distance(metric, variant, q_head, bucket.dual.head_row(v));
-            let mut scanned = split;
-            let tail = bucket.dual.tail_row(v);
-            profile.distance_ns += t0.elapsed().as_nanos() as u64;
-            for (ci, &ck) in sched.iter().enumerate() {
-                if ck > scanned {
-                    let t1 = Instant::now();
-                    let lo = scanned - split;
-                    let hi = ck - split;
-                    partial += nary_distance(metric, variant, &q_tail[lo..hi], &tail[lo..hi]);
-                    scanned = ck;
-                    profile.distance_ns += t1.elapsed().as_nanos() as u64;
-                }
-                if scanned == dims {
-                    break;
-                }
-                let t2 = Instant::now();
+                let t2 = timer::<PROFILE>();
                 let cp = pruner.checkpoint(q, scanned, dims, heap.threshold());
                 let a = aux_rows[ci].map_or(0.0, |r| r[v]);
                 let keep = P::survives(&cp, partial, a);
-                profile.bounds_ns += t2.elapsed().as_nanos() as u64;
+                lap(&mut profile.bounds_ns, t2);
                 if !keep {
                     continue 'vectors;
                 }
@@ -253,6 +222,7 @@ mod tests {
     use super::*;
     use crate::bond::PdxBond;
     use crate::distance::distance_scalar;
+    use crate::kernels::KernelPolicy;
     use crate::visit_order::VisitOrder;
 
     fn rows(n: usize, d: usize, seed: u64) -> Vec<f32> {
@@ -293,10 +263,12 @@ mod tests {
         // PDX-BOND's bound (partial ≤ threshold) is exact, so the
         // horizontal searcher must return the true k-NN.
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        for variant in [KernelVariant::Scalar, KernelVariant::Simd] {
-            let got = horizontal_pruned_search(&bond, &[&b0, &b1], &q, k, dd, variant);
+        let prepared = bond.prepare_query(&q);
+        for kernel in [KernelPolicy::Scalar, KernelPolicy::Simd] {
+            let opts = SearchOptions::new(k).with_kernel(kernel);
+            let got = horizontal_pruned_search(&bond, &prepared, [&b0, &b1], &opts, dd, None);
             let ids: Vec<u64> = got.iter().map(|x| x.id).collect();
-            assert_eq!(ids, brute(&data, d, &q, k), "{variant:?}");
+            assert_eq!(ids, brute(&data, d, &q, k), "{kernel:?}");
         }
     }
 
@@ -318,7 +290,8 @@ mod tests {
         assert_eq!(b.dual.split(), 6);
         let q = rows(1, 6, 3);
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        let got = horizontal_pruned_search(&bond, &[&b], &q, 3, 100, KernelVariant::Scalar);
+        let opts = SearchOptions::new(3).with_kernel(KernelPolicy::Scalar);
+        let got = horizontal_pruned_search(&bond, &bond.prepare_query(&q), [&b], &opts, 100, None);
         assert_eq!(got.len(), 3);
     }
 }

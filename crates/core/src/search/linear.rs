@@ -13,7 +13,8 @@ use crate::distance::Metric;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dsm::dsm_scan;
 use crate::kernels::nary::{nary_distance, KernelVariant};
-use crate::kernels::pdx::pdx_accumulate;
+use crate::kernels::pdx::{pdx_accumulate, DimSel};
+use crate::kernels::KernelPolicy;
 use crate::layout::{DsmMatrix, NaryMatrix};
 
 /// Exhaustive k-NN over a PDX collection.
@@ -47,7 +48,14 @@ pub fn linear_scan_blocks(
         distances.resize(block.len(), 0.0);
         for g in block.pdx.groups() {
             let acc = &mut distances[g.start_vector..g.start_vector + g.lanes];
-            pdx_accumulate(metric, &g, query, 0..dims, acc);
+            pdx_accumulate(
+                metric,
+                &g,
+                query,
+                DimSel::Range(0..dims),
+                acc,
+                KernelPolicy::Auto,
+            );
         }
         for (i, &d) in distances.iter().enumerate() {
             heap.push(block.row_ids[i], d);

@@ -1,7 +1,9 @@
 //! Search algorithms over every layout.
 //!
 //! * [`pdxearch`] — the PDXearch framework (§4): block-by-block,
-//!   dimension-by-dimension pruned search with START/WARMUP/PRUNE phases.
+//!   dimension-by-dimension pruned search with START/WARMUP/PRUNE phases,
+//!   written once over the [`ScanBlock`] element trait (`f32` blocks and
+//!   SQ8 code blocks are its two impls).
 //! * `linear` — exhaustive linear scans on the PDX, horizontal and DSM
 //!   layouts (the paper's FAISS-like / Scikit-learn-like / DSM baselines),
 //!   re-exported here as [`linear_scan_pdx`] and friends.
@@ -9,8 +11,8 @@
 //!   dual-block horizontal layout (the SIMD-ADS / SCALAR-ADS baselines,
 //!   with bound evaluation interleaved every Δd dimensions), re-exported
 //!   as [`horizontal_pruned_search`] and friends.
-//! * [`quantized`] — the two-phase SQ8 path: a quantized PDXearch scan
-//!   producing candidates, then an exact `f32` rerank.
+//! * [`quantized`] — the two-phase SQ8 path: the SQ8 element and its
+//!   candidate bound for [`pdxearch`], then an exact `f32` rerank.
 
 mod horizontal;
 mod linear;
@@ -19,17 +21,10 @@ mod pdxearch;
 pub mod quantized;
 
 pub use horizontal::{
-    horizontal_checkpoints, horizontal_linear_scan, horizontal_pruned_search,
-    horizontal_pruned_search_prepared, horizontal_pruned_search_profiled, HorizontalBucket,
+    horizontal_checkpoints, horizontal_linear_scan, horizontal_pruned_search, HorizontalBucket,
 };
 pub use linear::{linear_scan_blocks, linear_scan_dsm, linear_scan_nary, linear_scan_pdx};
-pub use pdxearch::{
-    pdxearch, pdxearch_prepared, pdxearch_prepared_profiled, pdxearch_profiled, pdxearch_streamed,
-    SearchParams,
-};
-pub use quantized::{
-    sq8_rerank, sq8_search, sq8_search_policy, sq8_two_phase, sq8_two_phase_policy, Sq8Block,
-    DEFAULT_REFINE,
-};
+pub use pdxearch::{pdxearch, ScanBlock};
+pub use quantized::{sq8_rerank, sq8_two_phase, Sq8Block, Sq8Bound, DEFAULT_REFINE};
 
 pub use crate::kernels::{KernelIsa, KernelPolicy, KernelVariant};

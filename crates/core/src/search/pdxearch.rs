@@ -29,138 +29,174 @@
 //! bounds are evaluated and *which* vectors still get distance work.
 
 use crate::collection::SearchBlock;
+use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
-use crate::kernels::pdx::{
-    pdx_accumulate_permuted_policy, pdx_accumulate_policy, pdx_accumulate_survivors, DimSel,
-};
-use crate::profile::SearchProfile;
-use crate::pruning::{checkpoints, tiles, Pruner, StepPolicy, Tile, DEFAULT_SELECTION_FRACTION};
-use std::time::Instant;
+use crate::kernels::pdx::{pdx_accumulate, pdx_accumulate_survivors, DimSel};
+use crate::profile::{lap, timer, SearchProfile};
+use crate::pruning::{checkpoints, tiles, BlockAux, Pruner, Tile};
+use crate::stats::BlockStats;
+use std::ops::Deref;
 
-/// Tuning knobs of a PDXearch run.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchParams {
-    /// Number of neighbours to return.
-    pub k: usize,
-    /// Fraction of a tile's vectors below which the PRUNE phase starts
-    /// ([`DEFAULT_SELECTION_FRACTION`], the paper's sweet spot).
-    pub selection_fraction: f32,
-    /// Dimension fetching schedule.
-    pub step: StepPolicy,
-    /// Kernel implementation policy (scalar oracle vs explicit SIMD).
-    /// Distances are bit-identical either way.
-    pub kernel: KernelPolicy,
+/// One element type PDXearch can scan: a block of vectors stored
+/// dimension-major in groups, plus the two kernels that accumulate over
+/// it and the step from an accumulated partial to a distance.
+///
+/// The scan itself — tiles, phases, checkpoints, survivor compaction —
+/// is written once against this trait and monomorphized per element, so
+/// a new element (a narrower code, a head/tail split) is one impl, not
+/// another copy of the loop. The bound stays with the [`Pruner`]; the
+/// trait is parameterized by it because the kernels read the pruner's
+/// query state (`f32` blocks take its query vector, SQ8 blocks the
+/// prepared code-space query).
+pub trait ScanBlock<P: Pruner> {
+    /// Number of vectors in the block.
+    fn len(&self) -> usize;
+
+    /// Whether the block is empty.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Dimensionality of the vectors.
+    fn dims(&self) -> usize;
+
+    /// Vectors per group (the last group may hold fewer).
+    fn group_size(&self) -> usize;
+
+    /// Global id of each vector, in block order.
+    fn row_ids(&self) -> &[u64];
+
+    /// Per-dimension statistics for a query-aware visit order.
+    fn stats(&self) -> Option<&BlockStats> {
+        None
+    }
+
+    /// Per-vector, per-checkpoint pruner data ([`Pruner::NEEDS_AUX`]).
+    fn aux(&self) -> Option<&BlockAux> {
+        None
+    }
+
+    /// Dense accumulate: adds the dimensions `dims` of every vector of
+    /// group `group` into `acc` (one accumulator per lane).
+    fn accumulate(
+        &self,
+        pruner: &P,
+        q: &P::Query,
+        group: usize,
+        dims: DimSel<'_>,
+        acc: &mut [f32],
+        kernel: KernelPolicy,
+    );
+
+    /// Survivor accumulate: adds the dimensions `dims` of the vectors at
+    /// the block-relative `positions` into the compacted `acc`.
+    fn accumulate_survivors(
+        &self,
+        pruner: &P,
+        q: &P::Query,
+        dims: DimSel<'_>,
+        positions: &[u32],
+        acc: &mut [f32],
+        kernel: KernelPolicy,
+    );
+
+    /// The distance a fully accumulated `partial` stands for.
+    fn finish(q: &P::Query, partial: f32) -> f32;
 }
 
-impl SearchParams {
-    /// Paper-default parameters for a given `k`.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            selection_fraction: DEFAULT_SELECTION_FRACTION,
-            step: StepPolicy::default(),
-            kernel: KernelPolicy::Auto,
-        }
+impl<P: Pruner> ScanBlock<P> for SearchBlock {
+    fn len(&self) -> usize {
+        self.pdx.len()
     }
 
-    /// Replaces the step policy.
-    pub fn with_step(mut self, step: StepPolicy) -> Self {
-        self.step = step;
-        self
+    fn dims(&self) -> usize {
+        self.pdx.dims()
     }
 
-    /// Replaces the selection fraction.
-    pub fn with_selection_fraction(mut self, f: f32) -> Self {
-        self.selection_fraction = f;
-        self
+    fn group_size(&self) -> usize {
+        self.pdx.group_size()
     }
 
-    /// Replaces the kernel policy.
-    pub fn with_kernel(mut self, kernel: KernelPolicy) -> Self {
-        self.kernel = kernel;
-        self
+    fn row_ids(&self) -> &[u64] {
+        &self.row_ids
+    }
+
+    fn stats(&self) -> Option<&BlockStats> {
+        Some(&self.stats)
+    }
+
+    fn aux(&self) -> Option<&BlockAux> {
+        self.aux.as_ref()
+    }
+
+    #[inline]
+    fn accumulate(
+        &self,
+        pruner: &P,
+        q: &P::Query,
+        group: usize,
+        dims: DimSel<'_>,
+        acc: &mut [f32],
+        kernel: KernelPolicy,
+    ) {
+        let (metric, qvec) = (pruner.metric(), pruner.query_vector(q));
+        pdx_accumulate(metric, &self.pdx.group(group), qvec, dims, acc, kernel)
+    }
+
+    #[inline]
+    fn accumulate_survivors(
+        &self,
+        pruner: &P,
+        q: &P::Query,
+        dims: DimSel<'_>,
+        positions: &[u32],
+        acc: &mut [f32],
+        kernel: KernelPolicy,
+    ) {
+        let (metric, qvec) = (pruner.metric(), pruner.query_vector(q));
+        pdx_accumulate_survivors(metric, &self.pdx, qvec, dims, positions, acc, kernel)
+    }
+
+    #[inline(always)]
+    fn finish(_q: &P::Query, partial: f32) -> f32 {
+        partial
     }
 }
 
-/// Runs PDXearch over `blocks` in the given order.
+/// Runs PDXearch for the prepared query `q` over `blocks` in the given
+/// order and returns the `opts.k` nearest, ascending.
+///
+/// `blocks` is anything that yields block handles: a slice of blocks, a
+/// probe-ordered list of references, or a stream of `Arc` pins that an
+/// out-of-core deployment fetches as the scan reaches them (each item is
+/// dropped as soon as its block is scanned). The scan reads `k`,
+/// `selection_fraction`, `step` and `kernel` from `opts`.
+///
+/// With `profile`, per-phase timings and work counters (Table 7) are
+/// accumulated into it by a separate monomorphization, so the unprofiled
+/// path pays no timer cost; results are bit-identical either way.
 ///
 /// # Panics
-/// Panics if `query.len()` differs from the blocks' dimensionality or if
-/// `params.k == 0`.
-pub fn pdxearch<P: Pruner>(
-    pruner: &P,
-    blocks: &[&SearchBlock],
-    query: &[f32],
-    params: &SearchParams,
-) -> Vec<Neighbor> {
-    let mut profile = SearchProfile::default();
-    let t0 = Instant::now();
-    let q = pruner.prepare_query(query);
-    profile.preprocess_ns += t0.elapsed().as_nanos() as u64;
-    run::<P, false>(pruner, &q, blocks, params, &mut profile)
-}
-
-/// Like [`pdxearch`] but accumulates per-phase timings into `profile`
-/// (Table 7). A separate monomorphization, so the unprofiled path pays no
-/// timer cost.
-pub fn pdxearch_profiled<P: Pruner>(
-    pruner: &P,
-    blocks: &[&SearchBlock],
-    query: &[f32],
-    params: &SearchParams,
-    profile: &mut SearchProfile,
-) -> Vec<Neighbor> {
-    let t0 = Instant::now();
-    let q = pruner.prepare_query(query);
-    profile.preprocess_ns += t0.elapsed().as_nanos() as u64;
-    run::<P, true>(pruner, &q, blocks, params, profile)
-}
-
-/// Runs PDXearch with an already-prepared query (the IVF layer prepares
-/// once, probes centroids with the transformed vector, then searches —
-/// avoiding a second rotation).
-pub fn pdxearch_prepared<P: Pruner>(
-    pruner: &P,
-    q: &P::Query,
-    blocks: &[&SearchBlock],
-    params: &SearchParams,
-) -> Vec<Neighbor> {
-    let mut profile = SearchProfile::default();
-    run::<P, false>(pruner, q, blocks, params, &mut profile)
-}
-
-/// [`pdxearch_prepared`] over a block *stream* instead of a slice: the
-/// next block is pulled only when the scan reaches it, and each item is
-/// dropped as soon as its block is scanned. Out-of-core deployments use
-/// this to overlap bucket loading with the scan — the iterator yields
-/// `Arc<SearchBlock>` pins that stay alive exactly as long as the scan
-/// needs them. The accumulation order is the slice path's, so results
-/// are bit-identical to [`pdxearch_prepared`] over the same blocks.
-pub fn pdxearch_streamed<P, B, I>(
+/// Panics if the query's dimensionality differs from a block's or if
+/// `opts.k == 0`.
+pub fn pdxearch<P, B, I>(
     pruner: &P,
     q: &P::Query,
     blocks: I,
-    params: &SearchParams,
+    opts: &SearchOptions,
+    profile: Option<&mut SearchProfile>,
 ) -> Vec<Neighbor>
 where
     P: Pruner,
-    B: std::borrow::Borrow<SearchBlock>,
-    I: IntoIterator<Item = B>,
+    B: ScanBlock<P>,
+    I: IntoIterator,
+    I::Item: Deref<Target = B>,
 {
-    let mut profile = SearchProfile::default();
-    run_iter::<P, false, _, _>(pruner, q, blocks, params, &mut profile)
-}
-
-/// Prepared-query variant with per-phase timings.
-pub fn pdxearch_prepared_profiled<P: Pruner>(
-    pruner: &P,
-    q: &P::Query,
-    blocks: &[&SearchBlock],
-    params: &SearchParams,
-    profile: &mut SearchProfile,
-) -> Vec<Neighbor> {
-    run::<P, true>(pruner, q, blocks, params, profile)
+    match profile {
+        Some(profile) => run::<P, B, I, true>(pruner, q, blocks, opts, profile),
+        None => run::<P, B, I, false>(pruner, q, blocks, opts, &mut SearchProfile::default()),
+    }
 }
 
 /// Reusable per-query buffers.
@@ -174,57 +210,33 @@ struct Scratch {
     compact: Vec<f32>,
 }
 
-#[inline(always)]
-fn timer<const PROFILE: bool>() -> Option<Instant> {
-    if PROFILE {
-        Some(Instant::now())
-    } else {
-        None
-    }
-}
-
-#[inline(always)]
-fn lap(slot: &mut u64, t: Option<Instant>) {
-    if let Some(t0) = t {
-        *slot += t0.elapsed().as_nanos() as u64;
-    }
-}
-
-fn run<P: Pruner, const PROFILE: bool>(
-    pruner: &P,
-    q: &P::Query,
-    blocks: &[&SearchBlock],
-    params: &SearchParams,
-    profile: &mut SearchProfile,
-) -> Vec<Neighbor> {
-    run_iter::<P, PROFILE, _, _>(pruner, q, blocks.iter().copied(), params, profile)
-}
-
-fn run_iter<P, const PROFILE: bool, B, I>(
+fn run<P, B, I, const PROFILE: bool>(
     pruner: &P,
     q: &P::Query,
     blocks: I,
-    params: &SearchParams,
+    opts: &SearchOptions,
     profile: &mut SearchProfile,
 ) -> Vec<Neighbor>
 where
     P: Pruner,
-    B: std::borrow::Borrow<SearchBlock>,
-    I: IntoIterator<Item = B>,
+    B: ScanBlock<P>,
+    I: IntoIterator,
+    I::Item: Deref<Target = B>,
 {
-    assert!(params.k > 0, "k must be positive");
+    assert!(opts.k > 0, "k must be positive");
     let qdims = pruner.query_vector(q).len();
-    let mut heap = KnnHeap::new(params.k);
+    let prunes = pruner.prunes();
+    let mut heap = KnnHeap::new(opts.k);
     let mut scratch = Scratch::default();
     let mut ckpts: Vec<usize> = Vec::new();
     let mut ckpt_dims = usize::MAX;
 
     for block in blocks {
-        let block = block.borrow();
+        let block = &*block;
         if block.is_empty() {
             continue;
         }
-        let dims = block.pdx.dims();
+        let dims = block.dims();
         assert_eq!(qdims, dims, "query dimensionality mismatch");
         if PROFILE {
             // Work counters for the pruning-effectiveness ratio:
@@ -243,29 +255,30 @@ where
         // while sequentially it would have run WARMUP/PRUNE, but the
         // accumulation order (and hence the f32 rounding) is identical.
         let t1 = timer::<PROFILE>();
-        let perm = pruner.dim_order(q, Some(&block.stats));
+        let perm = pruner.dim_order(q, block.stats());
         lap(&mut profile.preprocess_ns, t1);
         if ckpt_dims != dims {
-            ckpts = checkpoints(params.step, dims);
+            ckpts = checkpoints(opts.step, dims);
             ckpt_dims = dims;
         }
-        // START is the pruned scan with one checkpoint at `dims`: no
-        // threshold exists yet, so no bound is evaluated before the end.
+        // START — and the whole scan of a pruner that never prunes — is
+        // the pruned scan with one checkpoint at `dims`: no threshold is
+        // consulted, so no bound is evaluated before the end.
         let start = [dims];
-        for tile in tiles(block.len(), block.pdx.group_size()) {
-            let schedule = if heap.len() < params.k {
+        for tile in tiles(block.len(), block.group_size()) {
+            let schedule = if !prunes || heap.len() < opts.k {
                 &start[..]
             } else {
                 &ckpts[..]
             };
-            scan_tile::<P, PROFILE>(
+            scan_tile::<P, B, PROFILE>(
                 pruner,
                 q,
                 block,
                 &tile,
                 perm.as_deref(),
                 schedule,
-                params,
+                opts,
                 &mut heap,
                 &mut scratch,
                 profile,
@@ -280,24 +293,23 @@ where
 /// (which is always `dims`) is offered to the heap. Accumulates in the
 /// block's permuted dimension order when the pruner has one.
 #[allow(clippy::too_many_arguments)]
-fn scan_tile<P: Pruner, const PROFILE: bool>(
+fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
     pruner: &P,
     q: &P::Query,
-    block: &SearchBlock,
+    block: &B,
     tile: &Tile,
     perm: Option<&[u32]>,
     ckpts: &[usize],
-    params: &SearchParams,
+    opts: &SearchOptions,
     heap: &mut KnnHeap,
     scratch: &mut Scratch,
     profile: &mut SearchProfile,
 ) {
-    let metric = pruner.metric();
-    let qvec = pruner.query_vector(q);
-    let dims = block.pdx.dims();
+    let dims = block.dims();
+    let group_size = block.group_size();
     let v0 = tile.vectors.start;
     let n = tile.vectors.len();
-    let sel_limit = ((n as f32) * params.selection_fraction).ceil() as usize;
+    let sel_limit = ((n as f32) * opts.selection_fraction).ceil() as usize;
 
     scratch.partials.clear();
     scratch.partials.resize(n, 0.0);
@@ -305,25 +317,19 @@ fn scan_tile<P: Pruner, const PROFILE: bool>(
     let mut pruning = false;
 
     for &ck in ckpts {
+        let sel = match perm {
+            None => DimSel::Range(scanned..ck),
+            Some(p) => DimSel::Ids(&p[scanned..ck]),
+        };
         if !pruning {
             // WARMUP: distance work for every vector.
             let t0 = timer::<PROFILE>();
-            for g in tile.groups.clone() {
-                let g = block.pdx.group(g);
-                let acc = &mut scratch.partials[g.start_vector - v0..][..g.lanes];
-                match perm {
-                    None => {
-                        pdx_accumulate_policy(metric, &g, qvec, scanned..ck, acc, params.kernel)
-                    }
-                    Some(p) => pdx_accumulate_permuted_policy(
-                        metric,
-                        &g,
-                        qvec,
-                        &p[scanned..ck],
-                        acc,
-                        params.kernel,
-                    ),
-                }
+            for (g, acc) in tile
+                .groups
+                .clone()
+                .zip(scratch.partials.chunks_mut(group_size))
+            {
+                block.accumulate(pruner, q, g, sel.clone(), acc, opts.kernel);
             }
             lap(&mut profile.distance_ns, t0);
             if PROFILE {
@@ -332,11 +338,11 @@ fn scan_tile<P: Pruner, const PROFILE: bool>(
             scanned = ck;
             if scanned == dims {
                 let t1 = timer::<PROFILE>();
-                for (&id, &d) in block.row_ids[tile.vectors.clone()]
+                for (&id, &d) in block.row_ids()[tile.vectors.clone()]
                     .iter()
                     .zip(&scratch.partials)
                 {
-                    heap.push(id, d);
+                    heap.push(id, B::finish(q, d));
                 }
                 lap(&mut profile.distance_ns, t1);
                 return;
@@ -344,7 +350,7 @@ fn scan_tile<P: Pruner, const PROFILE: bool>(
             // Bound evaluation: branch-free survivor count.
             let t2 = timer::<PROFILE>();
             let cp = pruner.checkpoint(q, scanned, dims, heap.threshold());
-            let aux_row = aux_row::<P>(block, scanned).map(|row| &row[tile.vectors.clone()]);
+            let aux_row = aux_row::<P, B>(block, scanned).map(|row| &row[tile.vectors.clone()]);
             let survivors = match aux_row {
                 Some(aux) => scratch
                     .partials
@@ -377,19 +383,8 @@ fn scan_tile<P: Pruner, const PROFILE: bool>(
         } else {
             // PRUNE: distance work only at survivor positions.
             let t0 = timer::<PROFILE>();
-            let sel = match perm {
-                None => DimSel::Range(scanned..ck),
-                Some(p) => DimSel::Ids(&p[scanned..ck]),
-            };
-            pdx_accumulate_survivors(
-                metric,
-                &block.pdx,
-                qvec,
-                sel,
-                &scratch.positions,
-                &mut scratch.compact,
-                params.kernel,
-            );
+            let (positions, compact) = (&scratch.positions, &mut scratch.compact);
+            block.accumulate_survivors(pruner, q, sel, positions, compact, opts.kernel);
             lap(&mut profile.distance_ns, t0);
             if PROFILE {
                 profile.dims_scanned += ((ck - scanned) * scratch.positions.len()) as u64;
@@ -397,15 +392,15 @@ fn scan_tile<P: Pruner, const PROFILE: bool>(
             scanned = ck;
             if scanned == dims {
                 let t1 = timer::<PROFILE>();
-                for (j, &pos) in scratch.positions.iter().enumerate() {
-                    heap.push(block.row_ids[pos as usize], scratch.compact[j]);
+                for (&pos, &d) in scratch.positions.iter().zip(&scratch.compact) {
+                    heap.push(block.row_ids()[pos as usize], B::finish(q, d));
                 }
                 lap(&mut profile.distance_ns, t1);
                 return;
             }
             let t2 = timer::<PROFILE>();
             let cp = pruner.checkpoint(q, scanned, dims, heap.threshold());
-            let aux_row = aux_row::<P>(block, scanned);
+            let aux_row = aux_row::<P, B>(block, scanned);
             let mut w = 0usize;
             for j in 0..scratch.positions.len() {
                 let pos = scratch.positions[j];
@@ -427,13 +422,12 @@ fn scan_tile<P: Pruner, const PROFILE: bool>(
 
 /// The block-long aux row for a checkpoint, when the pruner consumes one.
 #[inline]
-fn aux_row<P: Pruner>(block: &SearchBlock, scanned: usize) -> Option<&[f32]> {
+fn aux_row<P: Pruner, B: ScanBlock<P>>(block: &B, scanned: usize) -> Option<&[f32]> {
     if !P::NEEDS_AUX {
         return None;
     }
     let aux = block
-        .aux
-        .as_ref()
+        .aux()
         .expect("pruner requires per-block aux data, but the block has none");
     let ci = aux.index_of(scanned).unwrap_or_else(|| {
         panic!("no aux checkpoint for dims_scanned = {scanned}; was the block preprocessed with the same step policy?")
@@ -447,8 +441,22 @@ mod tests {
     use crate::bond::PdxBond;
     use crate::collection::PdxCollection;
     use crate::distance::{distance_scalar, Metric};
-    use crate::pruning::BlockAux;
+    use crate::kernels::sq8_scan;
+    use crate::layout::Sq8Quantizer;
+    use crate::pruning::StepPolicy;
+    use crate::search::quantized::{Sq8Block, Sq8Bound};
     use crate::visit_order::VisitOrder;
+
+    /// Prepares `query` and searches `blocks` unprofiled.
+    fn search<P: Pruner>(
+        pruner: &P,
+        blocks: &[&SearchBlock],
+        query: &[f32],
+        opts: &SearchOptions,
+    ) -> Vec<Neighbor> {
+        let q = pruner.prepare_query(query);
+        pdxearch(pruner, &q, blocks.iter().copied(), opts, None)
+    }
 
     fn make_rows(n: usize, d: usize, seed: u64) -> Vec<f32> {
         // Deterministic pseudo-random data without pulling rand into the
@@ -484,7 +492,7 @@ mod tests {
         let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
         let q = &rows[7 * d..8 * d].to_vec(); // a query near vector 7
-        let got = pdxearch(&bond, &blocks, q, &SearchParams::new(k));
+        let got = search(&bond, &blocks, q, &SearchOptions::new(k));
         let want = brute_force(&rows, d, q, k, Metric::L2);
         assert_eq!(ids(&got), ids(&want));
     }
@@ -504,7 +512,7 @@ mod tests {
             VisitOrder::DimensionZones { zone_size: 8 },
         ] {
             let bond = PdxBond::new(Metric::L2, order);
-            let got = pdxearch(&bond, &blocks, &q, &SearchParams::new(k));
+            let got = search(&bond, &blocks, &q, &SearchOptions::new(k));
             assert_eq!(ids(&got), ids(&want), "order {order:?}");
         }
     }
@@ -517,7 +525,7 @@ mod tests {
         let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
         let q = make_rows(1, d, 5);
         let bond = PdxBond::new(Metric::L1, VisitOrder::DistanceToMeans);
-        let got = pdxearch(&bond, &blocks, &q, &SearchParams::new(k));
+        let got = search(&bond, &blocks, &q, &SearchOptions::new(k));
         let want = brute_force(&rows, d, &q, k, Metric::L1);
         assert_eq!(ids(&got), ids(&want));
     }
@@ -530,8 +538,8 @@ mod tests {
         let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
         let q = make_rows(1, d, 77);
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        let params = SearchParams::new(k).with_step(StepPolicy::Fixed { step: 10 });
-        let got = pdxearch(&bond, &blocks, &q, &params);
+        let opts = SearchOptions::new(k).with_step(StepPolicy::Fixed { step: 10 });
+        let got = search(&bond, &blocks, &q, &opts);
         let want = brute_force(&rows, d, &q, k, Metric::L2);
         assert_eq!(ids(&got), ids(&want));
     }
@@ -544,11 +552,31 @@ mod tests {
         let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
         let q = make_rows(1, d, 1);
         let want = brute_force(&rows, d, &q, k, Metric::L2);
+        // The SQ8 element reads the same knob: at every fraction its scan
+        // returns the linear scan of the estimates, bits included.
+        let qz = Sq8Quantizer::fit(&rows, n, d);
+        let ids_all: Vec<u64> = (0..n as u64).collect();
+        let sq8 = Sq8Block::new(&rows, ids_all.clone(), d, 32, &qz);
+        let bound = Sq8Bound::new(&qz, Metric::L2);
+        let sq8_q = bound.prepare_query(&q);
+        let mut estimates = vec![0.0; n];
+        sq8_scan(
+            &qz.prepare_query(Metric::L2, &q),
+            &sq8.codes,
+            &mut estimates,
+        );
+        let mut heap = KnnHeap::new(k);
+        for (&id, &e) in ids_all.iter().zip(&estimates) {
+            heap.push(id, e);
+        }
+        let want_sq8 = heap.into_sorted();
         for frac in [0.0f32, 0.01, 0.5, 1.0] {
             let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-            let params = SearchParams::new(k).with_selection_fraction(frac);
-            let got = pdxearch(&bond, &blocks, &q, &params);
+            let opts = SearchOptions::new(k).with_selection_fraction(frac);
+            let got = search(&bond, &blocks, &q, &opts);
             assert_eq!(ids(&got), ids(&want), "selection fraction {frac}");
+            let got = pdxearch(&bound, &sq8_q, [&sq8], &opts, None);
+            assert_eq!(bits(&got), bits(&want_sq8), "SQ8 selection fraction {frac}");
         }
     }
 
@@ -560,7 +588,7 @@ mod tests {
         let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
         let q = make_rows(1, d, 3);
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        let got = pdxearch(&bond, &blocks, &q, &SearchParams::new(50));
+        let got = search(&bond, &blocks, &q, &SearchOptions::new(50));
         assert_eq!(got.len(), n);
     }
 
@@ -572,7 +600,7 @@ mod tests {
         let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
         let q = make_rows(1, d, 4);
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        let got = pdxearch(&bond, &blocks, &q, &SearchParams::new(k));
+        let got = search(&bond, &blocks, &q, &SearchOptions::new(k));
         let want = brute_force(&rows, d, &q, k, Metric::L2);
         assert_eq!(ids(&got), ids(&want));
     }
@@ -590,7 +618,7 @@ mod tests {
         let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
         let q = make_rows(1, d, 6);
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        let got = pdxearch(&bond, &blocks, &q, &SearchParams::new(k));
+        let got = search(&bond, &blocks, &q, &SearchOptions::new(k));
         let want = brute_force(&rows, d, &q, k, Metric::L2);
         assert_eq!(ids(&got), ids(&want));
     }
@@ -611,7 +639,7 @@ mod tests {
         let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
         let q = base[..d].to_vec(); // exact match for 6 of the vectors
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        let got = pdxearch(&bond, &blocks, &q, &SearchParams::new(k));
+        let got = search(&bond, &blocks, &q, &SearchOptions::new(k));
         assert_eq!(got.len(), k);
         let want = brute_force(&rows, d, &q, k, Metric::L2);
         let dist = |r: &[Neighbor]| r.iter().map(|x| x.distance).collect::<Vec<_>>();
@@ -649,24 +677,11 @@ mod tests {
             let perm = bond.dim_order(&prepared, Some(&block.stats));
             for g in block.pdx.groups() {
                 let mut acc = vec![0.0f32; g.lanes];
-                match &perm {
-                    None => pdx_accumulate_policy(
-                        bond.metric(),
-                        &g,
-                        q,
-                        0..q.len(),
-                        &mut acc,
-                        KernelPolicy::Scalar,
-                    ),
-                    Some(p) => pdx_accumulate_permuted_policy(
-                        bond.metric(),
-                        &g,
-                        q,
-                        p,
-                        &mut acc,
-                        KernelPolicy::Scalar,
-                    ),
-                }
+                let sel = match &perm {
+                    None => DimSel::Range(0..q.len()),
+                    Some(p) => DimSel::Ids(p),
+                };
+                pdx_accumulate(bond.metric(), &g, q, sel, &mut acc, KernelPolicy::Scalar);
                 for (l, &d) in acc.iter().enumerate() {
                     heap.push(block.row_ids[g.start_vector + l], d);
                 }
@@ -697,8 +712,14 @@ mod tests {
                     let bond = PdxBond::new(Metric::L2, order);
                     for k in [1usize, 10, n + 5] {
                         let mut profile = SearchProfile::default();
-                        let params = SearchParams::new(k);
-                        let got = pdxearch_profiled(&bond, &blocks, &q, &params, &mut profile);
+                        let prepared = bond.prepare_query(&q);
+                        let got = pdxearch(
+                            &bond,
+                            &prepared,
+                            blocks.iter().copied(),
+                            &SearchOptions::new(k),
+                            Some(&mut profile),
+                        );
                         let want = linear_scan(&bond, &blocks, &q, k);
                         assert_eq!(
                             bits(&got),
@@ -768,12 +789,12 @@ mod tests {
             coll.blocks[0].aux = Some(aux);
             let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
             let mut profile = SearchProfile::default();
-            let got = pdxearch_profiled(
+            let got = pdxearch(
                 &MarkerPruner,
-                &blocks,
                 &q,
-                &SearchParams::new(k),
-                &mut profile,
+                blocks.iter().copied(),
+                &SearchOptions::new(k),
+                Some(&mut profile),
             );
             assert_eq!(ids(&got), ids(&want), "group {group}");
             // START reads the first tile whole; every later vector is
@@ -793,10 +814,17 @@ mod tests {
         let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
         let q = make_rows(1, d, 12);
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-        let params = SearchParams::new(k);
-        let plain = pdxearch(&bond, &blocks, &q, &params);
+        let opts = SearchOptions::new(k);
+        let prepared = bond.prepare_query(&q);
+        let plain = pdxearch(&bond, &prepared, blocks.iter().copied(), &opts, None);
         let mut profile = SearchProfile::default();
-        let profiled = pdxearch_profiled(&bond, &blocks, &q, &params, &mut profile);
+        let profiled = pdxearch(
+            &bond,
+            &prepared,
+            blocks.iter().copied(),
+            &opts,
+            Some(&mut profile),
+        );
         assert_eq!(ids(&plain), ids(&profiled));
         assert!(profile.distance_ns > 0, "distance phase must be timed");
         // Work counters: every visited block contributes, and the scan

@@ -1,17 +1,16 @@
 //! Two-phase quantized search: an SQ8 PDXearch scan producing
 //! candidates, then an exact `f32` rerank.
 //!
-//! **Phase 1** walks quantized blocks with the PDXearch phase structure
-//! (START / WARMUP / PRUNE per [`Tile`], §4 of the paper and
-//! [`pdxearch`](crate::search::pdxearch)) and collects the top-`c`
+//! **Phase 1** is [`pdxearch`] itself, monomorphized for the SQ8 element
+//! ([`Sq8Block`]) under the [`Sq8Bound`] pruner, and collects the top-`c`
 //! candidates by *estimated* distance — the distance to each vector's
 //! dequantized reconstruction. For the monotone metrics (L2/L1) the
 //! weighted SQ8 partial sums only grow with scanned dimensions, so the
 //! scan prunes candidates against the current c-th best estimate exactly
 //! like PDX-BOND does in `f32` — the pruning is exact *with respect to
 //! the estimate*; the estimate itself carries quantization error, which
-//! is why phase 2 exists. Inner product is not monotone, so its scan is
-//! a plain quantized linear scan.
+//! is why phase 2 exists. Inner product is not monotone, so its scan
+//! stays on the START schedule: a plain quantized linear scan.
 //!
 //! **Phase 2** recomputes the true `f32` distance of the `c` candidates
 //! against the uncompressed vectors (a per-candidate random access into
@@ -21,11 +20,16 @@
 //! recall ≥ 0.95 while the scan reads 4× fewer bytes than `f32` PDX.
 
 use crate::distance::{distance_scalar, Metric};
+use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
-use crate::kernels::sq8::{sq8_accumulate_policy, sq8_accumulate_survivors};
+use crate::kernels::pdx::DimSel;
+use crate::kernels::sq8::{sq8_accumulate, sq8_accumulate_survivors};
 use crate::layout::{QuantizedPdxBlock, Sq8Quantizer, Sq8Query};
-use crate::pruning::{checkpoints, tiles, StepPolicy, Tile, DEFAULT_SELECTION_FRACTION};
+use crate::profile::SearchProfile;
+use crate::pruning::Pruner;
+use crate::search::pdxearch::{pdxearch, ScanBlock};
+use std::ops::{Deref, Range};
 
 /// Default candidate-refinement factor of the two-phase search: phase 1
 /// keeps `refine · k` candidates for phase 2 to rerank.
@@ -73,158 +77,133 @@ impl Sq8Block {
     }
 }
 
-/// Reusable per-query buffers of the quantized scan.
-#[derive(Default)]
-struct Scratch {
-    /// WARMUP partial estimates, one per tile vector.
-    partials: Vec<f32>,
-    /// PRUNE-phase survivor positions (block-relative).
-    positions: Vec<u32>,
-    /// PRUNE-phase compacted partial estimates (parallel to positions).
-    compact: Vec<f32>,
+/// The SQ8 candidate bound as a [`Pruner`]: a vector stays a candidate
+/// while its partial estimate is at most `threshold − bias` (the bias
+/// joins a distance only when it is finished). Exact with respect to the
+/// estimate for the monotone metrics; inner product never prunes.
+#[derive(Debug, Clone, Copy)]
+pub struct Sq8Bound<'a> {
+    quantizer: &'a Sq8Quantizer,
+    metric: Metric,
 }
 
-/// Phase 1: quantized PDXearch scan over `blocks` in the given order,
-/// returning the top-`c` candidates by estimated distance (ascending).
-///
-/// Dimension pruning engages for monotone metrics (L2/L1) once the
-/// candidate heap is full; inner product scans linearly. `step` is the
-/// checkpoint schedule of the WARMUP phase (the paper's adaptive
-/// doubling by default).
-///
-/// # Panics
-/// Panics if `c == 0` or a block's dimensionality differs from the
-/// query's.
-pub fn sq8_search(q: &Sq8Query, blocks: &[&Sq8Block], c: usize, step: StepPolicy) -> Vec<Neighbor> {
-    sq8_search_policy(q, blocks, c, step, KernelPolicy::Auto)
+/// A query prepared by [`Sq8Bound`]: the code-space form the SQ8 kernels
+/// consume, beside the raw vector the `f32` side of a deployment (its
+/// centroids, its rerank payload) is compared with.
+#[derive(Debug, Clone)]
+pub struct Sq8BoundQuery {
+    raw: Vec<f32>,
+    sq8: Sq8Query,
 }
 
-/// [`sq8_search`] with an explicit kernel policy (bit-identical across
-/// policies — the SIMD kernels reproduce the scalar accumulation order).
-pub fn sq8_search_policy(
-    q: &Sq8Query,
-    blocks: &[&Sq8Block],
-    c: usize,
-    step: StepPolicy,
-    kernel: KernelPolicy,
-) -> Vec<Neighbor> {
-    assert!(c > 0, "candidate count must be positive");
-    let dims = q.dims();
-    let mut heap = KnnHeap::new(c);
-    let mut scratch = Scratch::default();
-    let prune = q.metric.is_monotonic();
-    let ckpts = checkpoints(step, dims);
+impl<'a> Sq8Bound<'a> {
+    /// The bound for queries under `metric` against codes of `quantizer`.
+    pub fn new(quantizer: &'a Sq8Quantizer, metric: Metric) -> Self {
+        Self { quantizer, metric }
+    }
+}
 
-    // START (and a non-monotone metric's whole scan) is the pruned scan
-    // with one checkpoint at `dims`: nothing is bounded before the end.
-    let start = [dims];
+impl Pruner for Sq8Bound<'_> {
+    type Query = Sq8BoundQuery;
+    type Checkpoint = f32;
 
-    for block in blocks {
-        if block.is_empty() {
-            continue;
-        }
-        assert_eq!(block.codes.dims(), dims, "query dimensionality mismatch");
-        for tile in tiles(block.len(), block.codes.group_size()) {
-            let schedule = if !prune || heap.len() < c {
-                &start[..]
-            } else {
-                &ckpts[..]
-            };
-            scan_tile(q, block, &tile, schedule, kernel, &mut heap, &mut scratch);
+    fn name(&self) -> &'static str {
+        "sq8"
+    }
+
+    fn metric(&self) -> Metric {
+        self.metric
+    }
+
+    fn prepare_query(&self, query: &[f32]) -> Sq8BoundQuery {
+        Sq8BoundQuery {
+            raw: query.to_vec(),
+            sq8: self.quantizer.prepare_query(self.metric, query),
         }
     }
-    heap.into_sorted()
+
+    fn query_vector<'q>(&self, q: &'q Sq8BoundQuery) -> &'q [f32] {
+        &q.raw
+    }
+
+    fn checkpoint(&self, q: &Sq8BoundQuery, _scanned: usize, _total: usize, threshold: f32) -> f32 {
+        threshold - q.sq8.bias
+    }
+
+    #[inline(always)]
+    fn survives(cp: &f32, partial: f32, _aux: f32) -> bool {
+        partial <= *cp
+    }
 }
 
-/// WARMUP + PRUNE scan of one tile of a quantized block against the
-/// candidate heap's threshold. Mirrors the `f32` PDXearch tile scan with
-/// the trivial monotone-bound survival test `partial ≤ threshold`.
-fn scan_tile(
-    q: &Sq8Query,
-    block: &Sq8Block,
-    tile: &Tile,
-    ckpts: &[usize],
-    kernel: KernelPolicy,
-    heap: &mut KnnHeap,
-    scratch: &mut Scratch,
-) {
-    let dims = block.codes.dims();
-    let v0 = tile.vectors.start;
-    let n = tile.vectors.len();
-    let sel_limit = ((n as f32) * DEFAULT_SELECTION_FRACTION).ceil() as usize;
+/// The storage range of a selection: [`Sq8Bound`] has no dimension
+/// order, so the scan never hands an SQ8 block a permutation.
+fn storage_range(dims: DimSel<'_>) -> Range<usize> {
+    match dims {
+        DimSel::Range(r) => r,
+        DimSel::Ids(_) => unreachable!("SQ8 blocks are scanned in storage order"),
+    }
+}
 
-    scratch.partials.clear();
-    scratch.partials.resize(n, 0.0);
-    let mut scanned = 0usize;
-    let mut pruning = false;
+impl ScanBlock<Sq8Bound<'_>> for Sq8Block {
+    fn len(&self) -> usize {
+        self.codes.len()
+    }
 
-    for &ck in ckpts {
-        if !pruning {
-            for g in tile.groups.clone() {
-                let g = block.codes.group(g);
-                let acc = &mut scratch.partials[g.start_vector - v0..][..g.lanes];
-                sq8_accumulate_policy(q, &g, scanned..ck, acc, kernel);
-            }
-            scanned = ck;
-            if scanned == dims {
-                for (&id, &d) in block.row_ids[tile.vectors.clone()]
-                    .iter()
-                    .zip(&scratch.partials)
-                {
-                    heap.push(id, d + q.bias);
-                }
-                return;
-            }
-            let threshold = heap.threshold() - q.bias;
-            let survivors = scratch
-                .partials
-                .iter()
-                .map(|&p| (p <= threshold) as usize)
-                .sum::<usize>();
-            if survivors <= sel_limit {
-                scratch.positions.clear();
-                scratch.compact.clear();
-                for (i, &p) in scratch.partials.iter().enumerate() {
-                    if p <= threshold {
-                        scratch.positions.push((v0 + i) as u32);
-                        scratch.compact.push(p);
-                    }
-                }
-                pruning = true;
-                if scratch.positions.is_empty() {
-                    return;
-                }
-            }
-        } else {
-            sq8_accumulate_survivors(
-                q,
-                &block.codes,
-                scanned..ck,
-                &scratch.positions,
-                &mut scratch.compact,
-                kernel,
-            );
-            scanned = ck;
-            if scanned == dims {
-                for (j, &pos) in scratch.positions.iter().enumerate() {
-                    heap.push(block.row_ids[pos as usize], scratch.compact[j] + q.bias);
-                }
-                return;
-            }
-            let threshold = heap.threshold() - q.bias;
-            let mut w = 0usize;
-            for j in 0..scratch.positions.len() {
-                let keep = scratch.compact[j] <= threshold;
-                scratch.positions[w] = scratch.positions[j];
-                scratch.compact[w] = scratch.compact[j];
-                w += keep as usize;
-            }
-            scratch.positions.truncate(w);
-            scratch.compact.truncate(w);
-            if scratch.positions.is_empty() {
-                return;
-            }
-        }
+    fn dims(&self) -> usize {
+        self.codes.dims()
+    }
+
+    fn group_size(&self) -> usize {
+        self.codes.group_size()
+    }
+
+    fn row_ids(&self) -> &[u64] {
+        &self.row_ids
+    }
+
+    #[inline]
+    fn accumulate(
+        &self,
+        _pruner: &Sq8Bound<'_>,
+        q: &Sq8BoundQuery,
+        group: usize,
+        dims: DimSel<'_>,
+        acc: &mut [f32],
+        kernel: KernelPolicy,
+    ) {
+        sq8_accumulate(
+            &q.sq8,
+            &self.codes.group(group),
+            storage_range(dims),
+            acc,
+            kernel,
+        )
+    }
+
+    #[inline]
+    fn accumulate_survivors(
+        &self,
+        _pruner: &Sq8Bound<'_>,
+        q: &Sq8BoundQuery,
+        dims: DimSel<'_>,
+        positions: &[u32],
+        acc: &mut [f32],
+        kernel: KernelPolicy,
+    ) {
+        sq8_accumulate_survivors(
+            &q.sq8,
+            &self.codes,
+            storage_range(dims),
+            positions,
+            acc,
+            kernel,
+        )
+    }
+
+    #[inline(always)]
+    fn finish(q: &Sq8BoundQuery, partial: f32) -> f32 {
+        partial + q.sq8.bias
     }
 }
 
@@ -252,62 +231,59 @@ pub fn sq8_rerank(
     heap.into_sorted()
 }
 
-/// The full two-phase search: quantized scan for `refine · k`
-/// candidates, exact `f32` rerank to `k`.
+/// The full two-phase search under `opts.metric`: quantized scan for
+/// `opts.refine · opts.k` candidates (a zero `refine` is clamped to 1),
+/// exact `f32` rerank to `opts.k`. `profile` is the scan's, as in
+/// [`pdxearch`].
 ///
 /// # Panics
-/// Panics if `k == 0` (a zero `refine` is clamped to 1).
-#[allow(clippy::too_many_arguments)]
-pub fn sq8_two_phase(
+/// Panics if `opts.k == 0`.
+pub fn sq8_two_phase<I>(
     quantizer: &Sq8Quantizer,
-    blocks: &[&Sq8Block],
+    blocks: I,
     rows: &[f32],
-    dims: usize,
-    metric: Metric,
     query: &[f32],
-    k: usize,
-    refine: usize,
-    step: StepPolicy,
-) -> Vec<Neighbor> {
-    sq8_two_phase_policy(
-        quantizer,
-        blocks,
+    opts: &SearchOptions,
+    profile: Option<&mut SearchProfile>,
+) -> Vec<Neighbor>
+where
+    I: IntoIterator,
+    I::Item: Deref<Target = Sq8Block>,
+{
+    let bound = Sq8Bound::new(quantizer, opts.metric);
+    let scan = SearchOptions {
+        k: opts.k * opts.refine.max(1),
+        ..*opts
+    };
+    let candidates = pdxearch(&bound, &bound.prepare_query(query), blocks, &scan, profile);
+    sq8_rerank(
+        opts.metric,
         rows,
-        dims,
-        metric,
+        quantizer.dims(),
         query,
-        k,
-        refine,
-        step,
-        KernelPolicy::Auto,
+        &candidates,
+        opts.k,
     )
-}
-
-/// [`sq8_two_phase`] with an explicit kernel policy for the quantized
-/// scan (the rerank is always the scalar `f32` reference distance).
-#[allow(clippy::too_many_arguments)]
-pub fn sq8_two_phase_policy(
-    quantizer: &Sq8Quantizer,
-    blocks: &[&Sq8Block],
-    rows: &[f32],
-    dims: usize,
-    metric: Metric,
-    query: &[f32],
-    k: usize,
-    refine: usize,
-    step: StepPolicy,
-    kernel: KernelPolicy,
-) -> Vec<Neighbor> {
-    assert!(k > 0, "k must be positive");
-    let q = quantizer.prepare_query(metric, query);
-    let candidates = sq8_search_policy(&q, blocks, k * refine.max(1), step, kernel);
-    sq8_rerank(metric, rows, dims, query, &candidates, k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels::sq8::sq8_scan;
+
+    /// Phase 1 alone: the top-`c` of `blocks` by estimated distance.
+    fn scan(
+        qz: &Sq8Quantizer,
+        metric: Metric,
+        blocks: &[Sq8Block],
+        raw_q: &[f32],
+        c: usize,
+        kernel: KernelPolicy,
+    ) -> Vec<Neighbor> {
+        let bound = Sq8Bound::new(qz, metric);
+        let opts = SearchOptions::new(c).with_kernel(kernel);
+        pdxearch(&bound, &bound.prepare_query(raw_q), blocks, &opts, None)
+    }
 
     fn make_rows(n: usize, d: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -377,14 +353,13 @@ mod tests {
             for group in [16usize, 64] {
                 let blocks = make_blocks(&rows, n, d, 10_240, group, &qz);
                 assert_eq!(blocks.len(), 1);
-                let refs: Vec<&Sq8Block> = blocks.iter().collect();
                 for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
                     let q = qz.prepare_query(metric, &raw_q);
                     // Reference: scan every block fully.
                     let mut out = vec![0.0; n];
                     sq8_scan(&q, &blocks[0].codes, &mut out);
                     for c in [1usize, 10, n + 5] {
-                        let got = sq8_search(&q, &refs, c, StepPolicy::default());
+                        let got = scan(&qz, metric, &blocks, &raw_q, c, KernelPolicy::Auto);
                         let mut heap = KnnHeap::new(c);
                         for (&id, &dist) in blocks[0].row_ids.iter().zip(&out) {
                             heap.push(id, dist);
@@ -411,19 +386,9 @@ mod tests {
         let rows = make_rows(n, d, 7);
         let qz = Sq8Quantizer::fit(&rows, n, d);
         let blocks = make_blocks(&rows, n, d, 128, 32, &qz);
-        let refs: Vec<&Sq8Block> = blocks.iter().collect();
         let raw_q = make_rows(1, d, 5);
-        let got = sq8_two_phase(
-            &qz,
-            &refs,
-            &rows,
-            d,
-            Metric::L2,
-            &raw_q,
-            k,
-            8,
-            StepPolicy::default(),
-        );
+        let opts = SearchOptions::new(k).with_refine(8);
+        let got = sq8_two_phase(&qz, &blocks, &rows, &raw_q, &opts, None);
         let ids: Vec<u64> = got.iter().map(|x| x.id).collect();
         assert_eq!(ids, brute(&rows, d, &raw_q, k, Metric::L2));
     }
@@ -455,8 +420,15 @@ mod tests {
         let qz = Sq8Quantizer::fit(&rows, 20, d);
         let empty = Sq8Block::new(&[], Vec::new(), d, 16, &qz);
         let full = Sq8Block::new(&rows, (0..20).collect(), d, 16, &qz);
-        let q = qz.prepare_query(Metric::L2, &make_rows(1, d, 4));
-        let got = sq8_search(&q, &[&empty, &full, &empty], 5, StepPolicy::default());
+        let blocks = [empty.clone(), full, empty];
+        let got = scan(
+            &qz,
+            Metric::L2,
+            &blocks,
+            &make_rows(1, d, 4),
+            5,
+            KernelPolicy::Auto,
+        );
         assert_eq!(got.len(), 5);
     }
 
@@ -468,12 +440,10 @@ mod tests {
         let rows = make_rows(n, d, 42);
         let qz = Sq8Quantizer::fit(&rows, n, d);
         let blocks = make_blocks(&rows, n, d, 64, 32, &qz);
-        let refs: Vec<&Sq8Block> = blocks.iter().collect();
         let raw_q = make_rows(1, d, 9);
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
-            let q = qz.prepare_query(metric, &raw_q);
-            let a = sq8_search_policy(&q, &refs, c, StepPolicy::default(), KernelPolicy::Scalar);
-            let b = sq8_search_policy(&q, &refs, c, StepPolicy::default(), KernelPolicy::Simd);
+            let a = scan(&qz, metric, &blocks, &raw_q, c, KernelPolicy::Scalar);
+            let b = scan(&qz, metric, &blocks, &raw_q, c, KernelPolicy::Simd);
             let ab: Vec<(u64, u32)> = a.iter().map(|x| (x.id, x.distance.to_bits())).collect();
             let bb: Vec<(u64, u32)> = b.iter().map(|x| (x.id, x.distance.to_bits())).collect();
             assert_eq!(ab, bb, "{metric:?}");
@@ -486,9 +456,14 @@ mod tests {
         let rows = make_rows(9, d, 8);
         let qz = Sq8Quantizer::fit(&rows, 9, d);
         let blocks = make_blocks(&rows, 9, d, 4, 4, &qz);
-        let refs: Vec<&Sq8Block> = blocks.iter().collect();
-        let q = qz.prepare_query(Metric::L2, &make_rows(1, d, 3));
-        let got = sq8_search(&q, &refs, 50, StepPolicy::default());
+        let got = scan(
+            &qz,
+            Metric::L2,
+            &blocks,
+            &make_rows(1, d, 3),
+            50,
+            KernelPolicy::Auto,
+        );
         assert_eq!(got.len(), 9);
     }
 }

@@ -1401,8 +1401,7 @@ mod tests {
 
     #[test]
     fn sq8_file_round_trip_searches_match() {
-        use pdx_core::distance::Metric;
-        use pdx_core::pruning::StepPolicy;
+        use pdx_core::engine::SearchOptions;
         use pdx_core::search::quantized::sq8_two_phase;
         let (quantizer, blocks, rows) = sample_sq8();
         let dir = std::env::temp_dir().join("pdx_persist_sq8_test");
@@ -1411,28 +1410,9 @@ mod tests {
         write_sq8_path(&path, &quantizer, &blocks, Some(&rows)).unwrap();
         let back = read_sq8_path(&path).unwrap();
         let q: Vec<f32> = (0..7).map(|i| i as f32 * 0.3).collect();
-        let a = sq8_two_phase(
-            &quantizer,
-            &blocks.iter().collect::<Vec<_>>(),
-            &rows,
-            7,
-            Metric::L2,
-            &q,
-            5,
-            4,
-            StepPolicy::default(),
-        );
-        let b = sq8_two_phase(
-            &back.quantizer,
-            &back.blocks.iter().collect::<Vec<_>>(),
-            &back.rows,
-            back.dims,
-            Metric::L2,
-            &q,
-            5,
-            4,
-            StepPolicy::default(),
-        );
+        let opts = SearchOptions::new(5);
+        let a = sq8_two_phase(&quantizer, &blocks, &rows, &q, &opts, None);
+        let b = sq8_two_phase(&back.quantizer, &back.blocks, &back.rows, &q, &opts, None);
         assert_eq!(a, b);
         std::fs::remove_file(&path).ok();
     }
@@ -1441,7 +1421,9 @@ mod tests {
     fn searches_on_reloaded_collection_match() {
         use pdx_core::bond::PdxBond;
         use pdx_core::distance::Metric;
-        use pdx_core::search::{pdxearch, SearchParams};
+        use pdx_core::engine::SearchOptions;
+        use pdx_core::pruning::Pruner;
+        use pdx_core::search::pdxearch;
         use pdx_core::visit_order::VisitOrder;
         let coll = sample_collection();
         let mut buf = Vec::new();
@@ -1449,18 +1431,9 @@ mod tests {
         let back = read_pdx(&buf[..]).unwrap();
         let q: Vec<f32> = (0..coll.dims).map(|i| i as f32 * 0.2).collect();
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-        let a = pdxearch(
-            &bond,
-            &coll.blocks.iter().collect::<Vec<_>>(),
-            &q,
-            &SearchParams::new(5),
-        );
-        let b = pdxearch(
-            &bond,
-            &back.blocks.iter().collect::<Vec<_>>(),
-            &q,
-            &SearchParams::new(5),
-        );
+        let (q, opts) = (bond.prepare_query(&q), SearchOptions::new(5));
+        let a = pdxearch(&bond, &q, &coll.blocks, &opts, None);
+        let b = pdxearch(&bond, &q, &back.blocks, &opts, None);
         assert_eq!(a, b);
     }
 

@@ -17,9 +17,10 @@
 //!   it contains. IVF-extended (1.1) containers additionally open
 //!   *lazily* ([`pdx_index::LazyIvf`]) when a block-cache budget is
 //!   configured via [`OpenOptions`] or `PDX_CACHE_BYTES`.
-//! * [`PrunedFlat`] / [`PrunedIvf`] — pair a deployment with a *fitted*
-//!   pruner (ADSampling's rotation, BSA's PCA — state that cannot be
-//!   chosen from plain options) and serve it through the same trait.
+//! * [`Pruned`] ([`PrunedFlat`] / [`PrunedIvf`]) — pairs a deployment
+//!   with a *fitted* pruner (ADSampling's rotation, BSA's PCA — state
+//!   that cannot be chosen from plain options) and serves it through the
+//!   same trait.
 //!
 //! ```no_run
 //! use pdx_engine::AnyIndex;
@@ -31,18 +32,18 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+use pdx_core::cache::CacheStats;
 use pdx_core::collection::SearchBlock;
 use pdx_core::engine::{SearchOptions, VectorIndex};
-use pdx_core::exec::BatchSearcher;
 use pdx_core::heap::Neighbor;
 use pdx_core::pruning::Pruner;
-use pdx_core::SearchProfile;
+use pdx_core::search::ScanBlock;
 use pdx_datasets::persist::{read_container, read_container_path, Container};
-use pdx_index::{FlatPdx, FlatSq8, IvfPdx, IvfSq8, LazyIvf};
+use pdx_index::{Deployment, FlatPdx, FlatSq8, IvfPdx, IvfSq8, LazyIvf};
 use pdx_store::{Collection, ShardedCollection, MANIFEST_FILE, MANIFEST_MAGIC};
 use std::io;
+use std::ops::Deref;
 use std::path::Path;
-use std::time::Instant;
 
 /// Deployment-independent open knobs for [`AnyIndex::open_with`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -236,37 +237,7 @@ fn pruned_kind(flat: bool, pruner: &str) -> &'static str {
     }
 }
 
-/// Runs a profiled search and publishes its phase breakdown as one
-/// [`QueryTrace`](pdx_core::QueryTrace) of deployment `kind`.
-fn publish_profiled(
-    kind: &'static str,
-    search: impl FnOnce(&mut SearchProfile) -> Vec<Neighbor>,
-) -> Vec<Neighbor> {
-    let t0 = Instant::now();
-    let mut profile = SearchProfile::default();
-    let out = search(&mut profile);
-    let total_ns = t0.elapsed().as_nanos() as u64;
-    pdx_core::publish_trace(&pdx_core::trace_from_profile(kind, &profile, total_ns));
-    out
-}
-
-/// Runs a search that has no profiled variant and, when `trace` is set,
-/// publishes its wall time alone.
-fn publish_wall_time(
-    kind: &'static str,
-    trace: bool,
-    search: impl FnOnce() -> Vec<Neighbor>,
-) -> Vec<Neighbor> {
-    let t0 = trace.then(Instant::now);
-    let out = search();
-    if let Some(t0) = t0 {
-        let total_ns = t0.elapsed().as_nanos() as u64;
-        pdx_core::publish_trace(&pdx_core::total_only_trace(kind, total_ns));
-    }
-    out
-}
-
-/// A flat deployment paired with a fitted pruner, served through
+/// A deployment paired with a fitted pruner, served through
 /// [`VectorIndex`].
 ///
 /// [`PrunerKind`](pdx_core::engine::PrunerKind) covers the strategies
@@ -274,144 +245,110 @@ fn publish_wall_time(
 /// trained state — ADSampling's random rotation, BSA's PCA — transform
 /// the collection at build time; this adapter owns that pairing, so an
 /// ADS- or BSA-pruned deployment is *also* a `Box<dyn VectorIndex>`.
-/// The wrapped collection must already be stored in the pruner's space
+/// The wrapped deployment must already be stored in the pruner's space
 /// (i.e. built from `transform_collection` output); the adapter ignores
 /// [`SearchOptions::pruner`] and `metric` — the fitted pruner defines
-/// both.
+/// both. [`SearchOptions::nprobe`] applies as usual (`0` = all buckets).
 ///
-/// For approximate pruners `search_parallel` may legitimately differ
-/// from the sequential search (their bound depends on the threshold's
-/// history); `search_batch` stays bit-identical at any width — it
-/// prepares queries in sub-batches
+/// The adapter is itself a [`Deployment`]: the wrapped one's block
+/// source under its own `kind()`, so every query runs the same serve
+/// driver as the plain deployments, with the fitted pruner where those
+/// build a PDX-BOND. For approximate pruners `search_parallel` may
+/// legitimately differ from the sequential search (their bound depends
+/// on the threshold's history); `search_batch` stays bit-identical at
+/// any width — it prepares queries in sub-batches
 /// ([`Pruner::prepare_queries`]: one tiled rotation instead of one
 /// matrix pass per query), which changes no query's prepared bits.
-///
-/// With [`SearchOptions::trace`] set, `search` runs the profiled scan
-/// and publishes a [`QueryTrace`](pdx_core::QueryTrace) under the
-/// adapter's `kind()` (the rotation is its `preprocess` phase),
-/// `search_batch` takes that path per query, and `search_parallel`
-/// publishes wall time only — like the plain deployments.
+/// Traced queries publish under the adapter's `kind()` (the rotation is
+/// their `preprocess` phase).
 #[derive(Debug, Clone)]
-pub struct PrunedFlat<P> {
+pub struct Pruned<D, P> {
     /// The deployment, stored in the pruner's space.
-    pub flat: FlatPdx,
+    pub index: D,
     /// The fitted pruner.
     pub pruner: P,
 }
 
-impl<P> PrunedFlat<P> {
+/// A flat deployment paired with a fitted pruner (see [`Pruned`]).
+pub type PrunedFlat<P> = Pruned<FlatPdx, P>;
+
+/// An IVF-PDX deployment paired with a fitted pruner (see [`Pruned`]).
+pub type PrunedIvf<P> = Pruned<IvfPdx, P>;
+
+impl<D, P> Pruned<D, P> {
     /// Pairs a deployment with its fitted pruner.
-    pub fn new(flat: FlatPdx, pruner: P) -> Self {
-        Self { flat, pruner }
+    pub fn new(index: D, pruner: P) -> Self {
+        Self { index, pruner }
     }
 }
 
-impl<P> VectorIndex for PrunedFlat<P>
+impl<D, P> Deployment for Pruned<D, P>
 where
+    D: Deployment,
     P: Pruner + Send + Sync,
     P::Query: Sync,
+    D::Block: ScanBlock<P>,
+{
+    type Block = D::Block;
+
+    fn n_blocks(&self) -> usize {
+        self.index.n_blocks()
+    }
+
+    fn centroids(&self) -> Option<&SearchBlock> {
+        self.index.centroids()
+    }
+
+    fn pin(&self, block: u32) -> impl Deref<Target = D::Block> + Send + Sync {
+        self.index.pin(block)
+    }
+
+    fn with_prefetch<R>(&self, order: &[u32], scan: impl FnOnce() -> R) -> R {
+        self.index.with_prefetch(order, scan)
+    }
+
+    fn rerank_rows(&self) -> Option<&[f32]> {
+        self.index.rerank_rows()
+    }
+}
+
+impl<D, P> VectorIndex for Pruned<D, P>
+where
+    D: Deployment,
+    P: Pruner + Send + Sync,
+    P::Query: Sync,
+    D::Block: ScanBlock<P>,
 {
     fn dims(&self) -> usize {
-        self.flat.collection.dims
+        self.index.dims()
     }
 
     fn len(&self) -> usize {
-        self.flat.collection.total_vectors()
+        self.index.len()
     }
 
     fn kind(&self) -> &'static str {
-        pruned_kind(true, self.pruner.name())
+        pruned_kind(self.index.centroids().is_none(), self.pruner.name())
     }
 
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        if !opts.trace {
-            return self.flat.search(&self.pruner, query, &opts.params());
-        }
-        publish_profiled(self.kind(), |profile| {
-            self.flat
-                .search_profiled(&self.pruner, query, &opts.params(), profile)
-        })
+        self.search_with(&self.pruner, query, opts)
     }
 
     fn search_batch(&self, queries: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
-        if opts.trace {
-            return BatchSearcher::new(opts.threads)
-                .run(queries, self.dims(), |q| self.search(q, opts));
-        }
-        self.flat
-            .search_batch(&self.pruner, queries, &opts.params(), opts.threads)
+        self.search_batch_with(&self.pruner, queries, opts)
     }
 
     fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        publish_wall_time(self.kind(), opts.trace, || {
-            self.flat
-                .search_parallel(&self.pruner, query, &opts.params(), opts.threads)
-        })
-    }
-}
-
-/// An IVF-PDX deployment paired with a fitted pruner, served through
-/// [`VectorIndex`] (see [`PrunedFlat`] for the pairing rules).
-/// [`SearchOptions::nprobe`] applies as usual (`0` = all buckets).
-#[derive(Debug, Clone)]
-pub struct PrunedIvf<P> {
-    /// The deployment, with buckets stored in the pruner's space.
-    pub ivf: IvfPdx,
-    /// The fitted pruner.
-    pub pruner: P,
-}
-
-impl<P> PrunedIvf<P> {
-    /// Pairs a deployment with its fitted pruner.
-    pub fn new(ivf: IvfPdx, pruner: P) -> Self {
-        Self { ivf, pruner }
-    }
-}
-
-impl<P> VectorIndex for PrunedIvf<P>
-where
-    P: Pruner + Send + Sync,
-    P::Query: Sync,
-{
-    fn dims(&self) -> usize {
-        self.ivf.dims
+        self.search_parallel_with(&self.pruner, query, opts)
     }
 
-    fn len(&self) -> usize {
-        self.ivf.blocks.iter().map(|b| b.len()).sum()
+    fn resident_bytes(&self) -> u64 {
+        self.index.resident_bytes()
     }
 
-    fn kind(&self) -> &'static str {
-        pruned_kind(false, self.pruner.name())
-    }
-
-    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let nprobe = opts.resolve_nprobe(self.ivf.blocks.len());
-        if !opts.trace {
-            return self.ivf.search(&self.pruner, query, nprobe, &opts.params());
-        }
-        publish_profiled(self.kind(), |profile| {
-            self.ivf
-                .search_profiled(&self.pruner, query, nprobe, &opts.params(), profile)
-        })
-    }
-
-    fn search_batch(&self, queries: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
-        if opts.trace {
-            return BatchSearcher::new(opts.threads)
-                .run(queries, self.dims(), |q| self.search(q, opts));
-        }
-        let nprobe = opts.resolve_nprobe(self.ivf.blocks.len());
-        self.ivf
-            .search_batch(&self.pruner, queries, nprobe, &opts.params(), opts.threads)
-    }
-
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let nprobe = opts.resolve_nprobe(self.ivf.blocks.len());
-        publish_wall_time(self.kind(), opts.trace, || {
-            self.ivf
-                .search_parallel(&self.pruner, query, nprobe, &opts.params(), opts.threads)
-        })
+    fn cache_stats(&self) -> Option<CacheStats> {
+        self.index.cache_stats()
     }
 }
 

@@ -1,69 +1,293 @@
-//! [`VectorIndex`] implementations for every deployment in this crate.
+//! The serve driver and the [`VectorIndex`] implementations of every
+//! deployment in this crate.
 //!
-//! The six deployments keep their typed inherent APIs (generic over
-//! [`Pruner`], with per-deployment
-//! parameters); this module is the uniform dynamic surface on top: each
-//! implementation translates one [`SearchOptions`] into the
-//! deployment's inherent calls, so all six are reachable as
-//! `Box<dyn VectorIndex>` — the serving path `AnyIndex::open` (in
-//! `pdx-engine`) and the CLI use.
+//! A PDX-layout deployment is a *block source*: it says how many blocks
+//! it holds, which centroids route a query to them (none: scan them all
+//! in storage order), how to pin one for the duration of its scan, and
+//! whether candidates are reranked against an exact payload. That is the
+//! [`Deployment`] trait. Everything a query does on top — prepare the
+//! query with the pruner, rank the centroids, run [`pdxearch`] over the
+//! pinned blocks (or split them across workers with
+//! [`parallel_block_search`]), rerank, publish one trace — is written
+//! once, in the trait's provided `search_with` / `search_batch_with` /
+//! `search_parallel_with` methods, for any [`Pruner`] and any element
+//! type ([`ScanBlock`]). The [`VectorIndex`] implementations below are
+//! therefore identity (`dims` / `len` / `kind` / `resident_bytes`) plus
+//! delegations that name the pruner: [`SearchOptions::bond`] for the
+//! `f32` deployments, [`Sq8Bound`] for the SQ8 ones, the fitted pruner
+//! for `pdx-engine`'s adapters.
 //!
 //! Which options each deployment reads:
 //!
-//! | deployment       | `pruner` | `metric` | `nprobe` | `refine` | `ef` | `kernel`  |
-//! |------------------|----------|----------|----------|----------|------|-----------|
-//! | [`FlatPdx`]      | ✓        | ✓        | –        | –        | –    | –         |
-//! | [`IvfPdx`]       | ✓        | ✓        | ✓        | –        | –    | –         |
-//! | [`IvfHorizontal`]| ✓        | ✓        | ✓        | –        | –    | ✓         |
-//! | [`FlatSq8`]      | –        | ✓        | –        | ✓        | –    | –         |
-//! | [`IvfSq8`]       | –        | ✓        | ✓        | ✓        | –    | –         |
-//! | [`Hnsw`]         | –        | – (L2)   | –        | –        | ✓    | –         |
+//! | deployment        | `pruner` | `metric` | `nprobe` | `refine` | `ef` | `selection_fraction`, `step` | `kernel`          |
+//! |-------------------|----------|----------|----------|----------|------|------------------------------|-------------------|
+//! | [`FlatPdx`]       | ✓        | ✓        | –        | –        | –    | ✓                            | vertical `f32`    |
+//! | [`IvfPdx`]        | ✓        | ✓        | ✓        | –        | –    | ✓                            | vertical `f32`    |
+//! | [`crate::LazyIvf`]| ✓        | ✓        | ✓        | –        | –    | ✓                            | vertical `f32`    |
+//! | [`FlatSq8`]       | –        | ✓        | –        | ✓        | –    | ✓                            | vertical SQ8      |
+//! | [`IvfSq8`]        | –        | ✓        | ✓        | ✓        | –    | ✓                            | vertical SQ8      |
+//! | [`IvfHorizontal`] | ✓        | ✓        | ✓        | –        | –    | –                            | horizontal tier   |
+//! | [`Hnsw`]          | –        | – (L2)   | –        | –        | ✓    | –                            | –                 |
 //!
-//! (The out-of-core [`crate::LazyIvf`] implements the trait in
-//! [`crate::lazy`] with the same option surface as [`IvfPdx`], plus
-//! live [`VectorIndex::resident_bytes`] / [`VectorIndex::cache_stats`]
-//! readings.) The fully resident deployments override
-//! `resident_bytes` with their payload footprint, so `pdx stat` and
-//! the serve stats report comparable numbers across deployments.
-//!
-//! (`k`, `step`, `selection_fraction` and `threads` apply wherever the
-//! underlying scan uses them; SQ8 deployments bound with the candidate
-//! heap's own threshold instead of a [`PrunerKind`]; the HNSW graph is
-//! built for L2 and ignores the metric option.)
+//! (`k`, `threads` and `trace` apply everywhere. SQ8 deployments bound
+//! with the candidate heap's own threshold instead of a [`PrunerKind`];
+//! one without a rerank payload answers with the quantized estimates.
+//! The HNSW graph is built for L2 and ignores the metric option.)
 //!
 //! Every implementation honours the engine determinism contract: exact
 //! configurations return bit-identical results from `search_batch` and
 //! `search_parallel` at any thread count (`tests/determinism.rs` pins
-//! all six).
+//! them, `tests/golden.rs` pins the bits themselves).
 //!
-//! When [`SearchOptions::trace`] is set, each `search` runs the
-//! *profiled* monomorphization of its scan where one exists (the PDX
-//! deployments and the horizontal baseline) or just times the wall
-//! clock (SQ8, HNSW), then publishes one
-//! [`QueryTrace`](pdx_core::QueryTrace) through
-//! [`pdx_core::publish_trace`]. Profiled and unprofiled scans differ
+//! When [`SearchOptions::trace`] is set, a `search` runs the *profiled*
+//! monomorphization of its scan and publishes one
+//! [`QueryTrace`] through [`pdx_core::publish_trace`]: the four Table 7
+//! phases, the work counters, the rerank candidate count and — for a
+//! lazily backed deployment — the cache traffic of the query. A
+//! `search_parallel` times what runs on the calling thread (preparation,
+//! routing, rerank) and the wall clock; the HNSW graph has no phases and
+//! publishes the wall clock alone. Profiled and unprofiled scans differ
 //! only in timer/counter side effects, so results stay bit-identical
 //! either way (`tests/obs.rs` pins this).
+//!
+//! [`PrunerKind`]: pdx_core::engine::PrunerKind
 
+use crate::ivf::probe_order;
 use crate::{FlatPdx, FlatSq8, Hnsw, IvfHorizontal, IvfPdx, IvfSq8};
-use pdx_core::bond::PdxBond;
 use pdx_core::collection::SearchBlock;
-use pdx_core::engine::{PrunerKind, SearchOptions, VectorIndex};
+use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::{parallel_block_search, BatchSearcher, ThreadPool};
 use pdx_core::heap::Neighbor;
 use pdx_core::pruning::Pruner;
-use pdx_core::search::quantized::{sq8_rerank, sq8_search_policy, sq8_two_phase_policy, Sq8Block};
+use pdx_core::search::quantized::{sq8_rerank, Sq8Block, Sq8Bound};
 use pdx_core::search::{
-    horizontal_linear_scan, horizontal_pruned_search_prepared, linear_scan_blocks,
-    pdxearch_prepared, HorizontalBucket,
+    horizontal_linear_scan, horizontal_pruned_search, pdxearch, HorizontalBucket, ScanBlock,
 };
-use pdx_core::SearchProfile;
+use pdx_core::{QueryTrace, SearchProfile};
+use std::ops::Deref;
 use std::time::Instant;
 
-/// Candidates the SQ8 two-phase rerank pulls from the quantized scan:
-/// `refine · k`, clamped to the deployment size.
-fn sq8_rerank_candidates(opts: &SearchOptions, len: usize) -> u64 {
-    (opts.k * opts.refine.max(1)).min(len) as u64
+/// One query's trace in the making. Off unless [`SearchOptions::trace`]
+/// is set: then no clock is read and nothing is published.
+struct Tracing(Option<(Instant, SearchProfile)>);
+
+impl Tracing {
+    fn start(opts: &SearchOptions) -> Self {
+        Self(
+            opts.trace
+                .then(|| (Instant::now(), SearchProfile::default())),
+        )
+    }
+
+    /// The profile a scan on the calling thread records into.
+    fn profile(&mut self) -> Option<&mut SearchProfile> {
+        self.0.as_mut().map(|(_, profile)| profile)
+    }
+
+    /// Runs `f`, charging its wall time to the phase `slot` selects.
+    fn phase<R>(
+        &mut self,
+        slot: impl FnOnce(&mut SearchProfile) -> &mut u64,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        let Some((_, profile)) = &mut self.0 else {
+            return f();
+        };
+        let t0 = Instant::now();
+        let out = f();
+        *slot(profile) += t0.elapsed().as_nanos() as u64;
+        out
+    }
+
+    /// Publishes the trace as deployment `kind`, after `fill` has added
+    /// what the profile does not carry.
+    fn publish(self, kind: &'static str, fill: impl FnOnce(&mut QueryTrace)) {
+        if let Some((t0, profile)) = self.0 {
+            let total_ns = t0.elapsed().as_nanos() as u64;
+            let mut trace = pdx_core::trace_from_profile(kind, &profile, total_ns);
+            fill(&mut trace);
+            pdx_core::publish_trace(&trace);
+        }
+    }
+}
+
+/// A PDX-layout deployment as the serve driver sees it: a source of
+/// scan blocks. Implementing the required items (and [`VectorIndex`]'s
+/// identity methods) is all a new deployment has to do; the provided
+/// methods are the driver, and the typed search API for callers that
+/// bring their own [`Pruner`].
+pub trait Deployment: VectorIndex {
+    /// The element type of the scan payload.
+    type Block: Sync;
+
+    /// Number of blocks; [`Deployment::pin`] takes `0..n_blocks`.
+    fn n_blocks(&self) -> usize;
+
+    /// The bucket centroids that route a query (row `i` stands for
+    /// block `i`), stored in the space of [`Pruner::query_vector`].
+    /// `None`: every block is scanned, in storage order.
+    fn centroids(&self) -> Option<&SearchBlock> {
+        None
+    }
+
+    /// A handle that keeps block `block` alive while it is scanned.
+    fn pin(&self, block: u32) -> impl Deref<Target = Self::Block> + Send + Sync;
+
+    /// Runs `scan` while the blocks of `order` that are not resident yet
+    /// load in the background (out-of-core deployments).
+    fn with_prefetch<R>(&self, _order: &[u32], scan: impl FnOnce() -> R) -> R {
+        scan()
+    }
+
+    /// The exact row-major payload the scan's candidates are reranked
+    /// against (indexed by global id, in the space of
+    /// [`Pruner::query_vector`]): the scan then keeps
+    /// [`SearchOptions::refine`]` · k` candidates. `None`: the scan's
+    /// top-`k` is the answer.
+    fn rerank_rows(&self) -> Option<&[f32]> {
+        None
+    }
+
+    /// One query: prepare → route → scan → rerank → publish one trace.
+    fn search_with<P>(&self, pruner: &P, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor>
+    where
+        P: Pruner + Sync,
+        P::Query: Sync,
+        Self::Block: ScanBlock<P>,
+    {
+        let mut tracing = Tracing::start(opts);
+        let q = tracing.phase(|p| &mut p.preprocess_ns, || pruner.prepare_query(query));
+        serve(self, pruner, &q, opts, tracing, None)
+    }
+
+    /// A batch of packed queries on [`SearchOptions::threads`] workers,
+    /// each work item a small sub-batch that one worker prepares together
+    /// ([`Pruner::prepare_queries`] — one tiled rotation for
+    /// ADSampling/BSA) and then searches query by query. Identical to a
+    /// loop of [`Deployment::search_with`] at any thread count. A traced
+    /// batch takes that loop, so that every query's trace carries its own
+    /// preparation.
+    ///
+    /// # Panics
+    /// Panics if `queries.len()` is not a multiple of the dimensionality.
+    fn search_batch_with<P>(
+        &self,
+        pruner: &P,
+        queries: &[f32],
+        opts: &SearchOptions,
+    ) -> Vec<Vec<Neighbor>>
+    where
+        P: Pruner + Sync,
+        P::Query: Sync,
+        Self::Block: ScanBlock<P>,
+    {
+        let (searcher, dims) = (BatchSearcher::new(opts.threads), self.dims());
+        if opts.trace {
+            return searcher.run(queries, dims, |q| self.search_with(pruner, q, opts));
+        }
+        searcher.run_prepared(
+            queries,
+            dims,
+            |packed| pruner.prepare_queries(packed, dims),
+            |q| serve(self, pruner, q, opts, Tracing::start(opts), None),
+        )
+    }
+
+    /// One query with the routed blocks split into contiguous per-worker
+    /// ranges on [`SearchOptions::threads`] workers; per-worker heaps
+    /// merge to the canonical top-k by `(distance, id)`. Bit-identical to
+    /// [`Deployment::search_with`] for exact pruners at any thread
+    /// count; approximate pruners may differ because their bound depends
+    /// on the threshold's history.
+    fn search_parallel_with<P>(
+        &self,
+        pruner: &P,
+        query: &[f32],
+        opts: &SearchOptions,
+    ) -> Vec<Neighbor>
+    where
+        P: Pruner + Sync,
+        P::Query: Sync,
+        Self::Block: ScanBlock<P>,
+    {
+        let mut tracing = Tracing::start(opts);
+        let q = tracing.phase(|p| &mut p.preprocess_ns, || pruner.prepare_query(query));
+        let pool = ThreadPool::new(opts.threads);
+        serve(self, pruner, &q, opts, tracing, Some(&pool))
+    }
+}
+
+/// The serve driver behind [`Deployment`]'s provided methods, from the
+/// prepared query on: route, scan on the calling thread or across
+/// `pool`, rerank, publish.
+fn serve<D, P>(
+    dep: &D,
+    pruner: &P,
+    q: &P::Query,
+    opts: &SearchOptions,
+    mut tracing: Tracing,
+    pool: Option<&ThreadPool>,
+) -> Vec<Neighbor>
+where
+    D: Deployment + ?Sized,
+    P: Pruner + Sync,
+    P::Query: Sync,
+    D::Block: ScanBlock<P>,
+{
+    let (space, metric) = (pruner.query_vector(q), pruner.metric());
+    let cache_before = tracing.profile().and_then(|_| dep.cache_stats());
+    let order: Vec<u32> = match dep.centroids() {
+        None => (0..dep.n_blocks() as u32).collect(),
+        Some(centroids) => tracing.phase(
+            |p| &mut p.find_buckets_ns,
+            || {
+                probe_order(
+                    centroids,
+                    space,
+                    opts.resolve_nprobe(dep.n_blocks()),
+                    metric,
+                )
+            },
+        ),
+    };
+    let rows = dep.rerank_rows();
+    let scan = SearchOptions {
+        k: opts.k * rows.map_or(1, |_| opts.refine.max(1)),
+        ..*opts
+    };
+    let pins = || order.iter().map(|&b| dep.pin(b));
+    let candidates = match pool {
+        // The scan streams: each block is pinned right before it is
+        // scanned and released right after.
+        None => dep.with_prefetch(&order, || {
+            pdxearch(pruner, q, pins(), &scan, tracing.profile())
+        }),
+        Some(pool) => {
+            let pinned: Vec<_> = dep.with_prefetch(&order, || pins().collect());
+            parallel_block_search(pool, pinned.len(), scan.k, |range| {
+                pdxearch(pruner, q, pinned[range].iter().map(|p| &**p), &scan, None)
+            })
+        }
+    };
+    let reranked = rows.map_or(0, |_| candidates.len() as u64);
+    let out = match rows {
+        None => candidates,
+        Some(rows) => tracing.phase(
+            |p| &mut p.distance_ns,
+            || sq8_rerank(metric, rows, dep.dims(), space, &candidates, opts.k),
+        ),
+    };
+    tracing.publish(dep.kind(), |trace| {
+        trace.rerank_candidates = reranked;
+        // The delta reads the shared cache counters, so concurrent
+        // queries can blur each other's attribution — the aggregate
+        // across queries is exact.
+        if let (Some(before), Some(after)) = (cache_before, dep.cache_stats()) {
+            trace.cache_hits = after.hits.saturating_sub(before.hits);
+            trace.cache_misses = after.misses.saturating_sub(before.misses);
+        }
+    });
+    out
 }
 
 /// Payload bytes of one resident `f32` search block: ids, stats, tiles.
@@ -76,6 +300,18 @@ fn search_block_bytes(b: &SearchBlock) -> u64 {
 /// Payload bytes of one resident SQ8 block: ids and `u8` codes.
 fn sq8_block_bytes(b: &Sq8Block) -> u64 {
     (b.row_ids.len() * 8 + b.codes.as_slice().len()) as u64
+}
+
+impl Deployment for FlatPdx {
+    type Block = SearchBlock;
+
+    fn n_blocks(&self) -> usize {
+        self.collection.blocks.len()
+    }
+
+    fn pin(&self, block: u32) -> impl Deref<Target = SearchBlock> + Send + Sync {
+        &self.collection.blocks[block as usize]
+    }
 }
 
 impl VectorIndex for FlatPdx {
@@ -91,91 +327,32 @@ impl VectorIndex for FlatPdx {
         "flat-pdx"
     }
 
-    /// Exact search over all partitions: PDX-BOND (`pruner` order) or a
-    /// plain PDX linear scan.
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        if opts.trace {
-            let t0 = Instant::now();
-            let mut profile = SearchProfile::default();
-            let out = match opts.pruner {
-                PrunerKind::Bond(order) => {
-                    let bond = PdxBond::new(opts.metric, order);
-                    FlatPdx::search_profiled(self, &bond, query, &opts.params(), &mut profile)
-                }
-                PrunerKind::Linear => self.linear_search(query, opts.k, opts.metric),
-            };
-            let trace =
-                pdx_core::trace_from_profile("flat-pdx", &profile, t0.elapsed().as_nanos() as u64);
-            pdx_core::publish_trace(&trace);
-            return out;
-        }
-        match opts.pruner {
-            PrunerKind::Bond(order) => {
-                let bond = PdxBond::new(opts.metric, order);
-                FlatPdx::search(self, &bond, query, &opts.params())
-            }
-            PrunerKind::Linear => self.linear_search(query, opts.k, opts.metric),
-        }
+        self.search_with(&opts.bond(), query, opts)
     }
 
-    /// Overridden to hoist the block-reference gathering out of the
-    /// per-query loop (flat partitions are query-independent); each
-    /// query still runs the unmodified sequential scan, so results stay
-    /// bit-identical to a loop of [`VectorIndex::search`]. A traced
-    /// batch takes the per-query path so every query publishes its own
-    /// trace.
-    fn search_batch(&self, queries: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
-        if opts.trace {
-            return BatchSearcher::new(opts.threads).run(queries, self.collection.dims, |q| {
-                VectorIndex::search(self, q, opts)
-            });
-        }
-        let blocks: Vec<&SearchBlock> = self.collection.blocks.iter().collect();
-        let searcher = BatchSearcher::new(opts.threads);
-        match opts.pruner {
-            PrunerKind::Bond(order) => {
-                let bond = PdxBond::new(opts.metric, order);
-                let params = opts.params();
-                searcher.run(queries, self.collection.dims, |q| {
-                    let pq = bond.prepare_query(q);
-                    pdxearch_prepared(&bond, &pq, &blocks, &params)
-                })
-            }
-            PrunerKind::Linear => searcher.run(queries, self.collection.dims, |q| {
-                linear_scan_blocks(&blocks, q, opts.k, opts.metric)
-            }),
-        }
-    }
-
-    /// Intra-query parallel scans have no profiled variant; a traced
-    /// call publishes a wall-time-only trace around the unmodified
-    /// parallel path.
     fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let t0 = opts.trace.then(Instant::now);
-        let out = match opts.pruner {
-            PrunerKind::Bond(order) => {
-                let bond = PdxBond::new(opts.metric, order);
-                FlatPdx::search_parallel(self, &bond, query, &opts.params(), opts.threads)
-            }
-            PrunerKind::Linear => {
-                let blocks: Vec<&SearchBlock> = self.collection.blocks.iter().collect();
-                let pool = ThreadPool::new(opts.threads);
-                parallel_block_search(&pool, blocks.len(), opts.k, |range| {
-                    linear_scan_blocks(&blocks[range], query, opts.k, opts.metric)
-                })
-            }
-        };
-        if let Some(t0) = t0 {
-            pdx_core::publish_trace(&pdx_core::total_only_trace(
-                "flat-pdx",
-                t0.elapsed().as_nanos() as u64,
-            ));
-        }
-        out
+        self.search_parallel_with(&opts.bond(), query, opts)
     }
 
     fn resident_bytes(&self) -> u64 {
         self.collection.blocks.iter().map(search_block_bytes).sum()
+    }
+}
+
+impl Deployment for IvfPdx {
+    type Block = SearchBlock;
+
+    fn n_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    fn centroids(&self) -> Option<&SearchBlock> {
+        Some(&self.centroids)
+    }
+
+    fn pin(&self, block: u32) -> impl Deref<Target = SearchBlock> + Send + Sync {
+        &self.blocks[block as usize]
     }
 }
 
@@ -192,69 +369,12 @@ impl VectorIndex for IvfPdx {
         "ivf-pdx"
     }
 
-    /// PDXearch (or a linear scan) over the `nprobe` nearest buckets
-    /// (`nprobe = 0` probes all buckets — exact for the Bond/Linear
-    /// configurations).
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let nprobe = opts.resolve_nprobe(self.blocks.len());
-        if opts.trace {
-            let t0 = Instant::now();
-            let mut profile = SearchProfile::default();
-            let out = match opts.pruner {
-                PrunerKind::Bond(order) => {
-                    let bond = PdxBond::new(opts.metric, order);
-                    IvfPdx::search_profiled(
-                        self,
-                        &bond,
-                        query,
-                        nprobe,
-                        &opts.params(),
-                        &mut profile,
-                    )
-                }
-                PrunerKind::Linear => self.linear_search(query, opts.k, nprobe, opts.metric),
-            };
-            let trace =
-                pdx_core::trace_from_profile("ivf-pdx", &profile, t0.elapsed().as_nanos() as u64);
-            pdx_core::publish_trace(&trace);
-            return out;
-        }
-        match opts.pruner {
-            PrunerKind::Bond(order) => {
-                let bond = PdxBond::new(opts.metric, order);
-                IvfPdx::search(self, &bond, query, nprobe, &opts.params())
-            }
-            PrunerKind::Linear => self.linear_search(query, opts.k, nprobe, opts.metric),
-        }
+        self.search_with(&opts.bond(), query, opts)
     }
 
-    /// Traced calls publish a wall-time-only trace around the
-    /// unmodified parallel scan (no profiled variant).
     fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let t0 = opts.trace.then(Instant::now);
-        let nprobe = opts.resolve_nprobe(self.blocks.len());
-        let out = match opts.pruner {
-            PrunerKind::Bond(order) => {
-                let bond = PdxBond::new(opts.metric, order);
-                IvfPdx::search_parallel(self, &bond, query, nprobe, &opts.params(), opts.threads)
-            }
-            PrunerKind::Linear => {
-                let order = self.probe_order(query, nprobe, opts.metric);
-                let blocks: Vec<&SearchBlock> =
-                    order.iter().map(|&b| &self.blocks[b as usize]).collect();
-                let pool = ThreadPool::new(opts.threads);
-                parallel_block_search(&pool, blocks.len(), opts.k, |range| {
-                    linear_scan_blocks(&blocks[range], query, opts.k, opts.metric)
-                })
-            }
-        };
-        if let Some(t0) = t0 {
-            pdx_core::publish_trace(&pdx_core::total_only_trace(
-                "ivf-pdx",
-                t0.elapsed().as_nanos() as u64,
-            ));
-        }
-        out
+        self.search_parallel_with(&opts.bond(), query, opts)
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -263,135 +383,19 @@ impl VectorIndex for IvfPdx {
     }
 }
 
-impl VectorIndex for IvfHorizontal {
-    fn dims(&self) -> usize {
-        self.dims
+impl Deployment for FlatSq8 {
+    type Block = Sq8Block;
+
+    fn n_blocks(&self) -> usize {
+        self.blocks.len()
     }
 
-    fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
+    fn pin(&self, block: u32) -> impl Deref<Target = Sq8Block> + Send + Sync {
+        &self.blocks[block as usize]
     }
 
-    fn kind(&self) -> &'static str {
-        "ivf-horizontal"
-    }
-
-    /// Vector-at-a-time search over the `nprobe` nearest buckets with
-    /// the horizontal tier of the configured kernel policy; `pruner`
-    /// selects the
-    /// interleaved Bond bound or the plain linear IVF_FLAT scan.
-    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let nprobe = opts.resolve_nprobe(self.buckets.len());
-        if opts.trace {
-            let t0 = Instant::now();
-            let mut profile = SearchProfile::default();
-            let out = match opts.pruner {
-                PrunerKind::Bond(order) => {
-                    let bond = PdxBond::new(opts.metric, order);
-                    IvfHorizontal::search_profiled(
-                        self,
-                        &bond,
-                        query,
-                        opts.k,
-                        nprobe,
-                        opts.kernel.horizontal_variant(),
-                        &mut profile,
-                    )
-                }
-                PrunerKind::Linear => self.linear_search(
-                    query,
-                    opts.k,
-                    nprobe,
-                    opts.metric,
-                    opts.kernel.horizontal_variant(),
-                ),
-            };
-            let trace = pdx_core::trace_from_profile(
-                "ivf-horizontal",
-                &profile,
-                t0.elapsed().as_nanos() as u64,
-            );
-            pdx_core::publish_trace(&trace);
-            return out;
-        }
-        match opts.pruner {
-            PrunerKind::Bond(order) => {
-                let bond = PdxBond::new(opts.metric, order);
-                IvfHorizontal::search(
-                    self,
-                    &bond,
-                    query,
-                    opts.k,
-                    nprobe,
-                    opts.kernel.horizontal_variant(),
-                )
-            }
-            PrunerKind::Linear => self.linear_search(
-                query,
-                opts.k,
-                nprobe,
-                opts.metric,
-                opts.kernel.horizontal_variant(),
-            ),
-        }
-    }
-
-    /// Intra-query parallelism over contiguous bucket ranges. For the
-    /// exact Bond bound this is bit-identical to the sequential search:
-    /// every true top-k candidate survives to full accumulation in any
-    /// split (the partial distance can never exceed a threshold that is
-    /// itself ≥ the final k-th distance), segments accumulate in a
-    /// fixed order, and the canonical merge retains the same set.
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let t0 = opts.trace.then(Instant::now);
-        let nprobe = opts.resolve_nprobe(self.buckets.len());
-        let pool = ThreadPool::new(opts.threads);
-        let out = match opts.pruner {
-            PrunerKind::Bond(order) => {
-                let bond = PdxBond::new(opts.metric, order);
-                let q = bond.prepare_query(query);
-                let probes = self.probe_order(
-                    bond.query_vector(&q),
-                    nprobe,
-                    opts.metric,
-                    opts.kernel.horizontal_variant(),
-                );
-                let buckets: Vec<&HorizontalBucket> =
-                    probes.iter().map(|&b| &self.buckets[b as usize]).collect();
-                parallel_block_search(&pool, buckets.len(), opts.k, |range| {
-                    horizontal_pruned_search_prepared(
-                        &bond,
-                        &q,
-                        &buckets[range],
-                        opts.k,
-                        self.delta_d,
-                        opts.kernel.horizontal_variant(),
-                    )
-                })
-            }
-            PrunerKind::Linear => {
-                let probes =
-                    self.probe_order(query, nprobe, opts.metric, opts.kernel.horizontal_variant());
-                let buckets: Vec<&HorizontalBucket> =
-                    probes.iter().map(|&b| &self.buckets[b as usize]).collect();
-                parallel_block_search(&pool, buckets.len(), opts.k, |range| {
-                    horizontal_linear_scan(
-                        &buckets[range],
-                        query,
-                        opts.k,
-                        opts.metric,
-                        opts.kernel.horizontal_variant(),
-                    )
-                })
-            }
-        };
-        if let Some(t0) = t0 {
-            pdx_core::publish_trace(&pdx_core::total_only_trace(
-                "ivf-horizontal",
-                t0.elapsed().as_nanos() as u64,
-            ));
-        }
-        out
+    fn rerank_rows(&self) -> Option<&[f32]> {
+        (!self.rows.is_empty()).then_some(&self.rows[..])
     }
 }
 
@@ -412,110 +416,36 @@ impl VectorIndex for FlatSq8 {
         }
     }
 
-    /// Two-phase query (quantized scan keeping `refine · k` candidates,
-    /// exact rerank). A scan-only deployment (no rerank payload) returns
-    /// the top-`k` quantized estimates instead. The quantized scan has
-    /// no profiled variant, so a traced call records wall time plus the
-    /// rerank candidate count.
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let t0 = opts.trace.then(Instant::now);
-        let blocks: Vec<&Sq8Block> = self.blocks.iter().collect();
-        let out = if self.rows.is_empty() {
-            let q = self.quantizer.prepare_query(opts.metric, query);
-            sq8_search_policy(&q, &blocks, opts.k, opts.step, opts.kernel)
-        } else {
-            sq8_two_phase_policy(
-                &self.quantizer,
-                &blocks,
-                &self.rows,
-                self.dims,
-                opts.metric,
-                query,
-                opts.k,
-                opts.refine,
-                opts.step,
-                opts.kernel,
-            )
-        };
-        if let Some(t0) = t0 {
-            let mut trace = pdx_core::total_only_trace(self.kind(), t0.elapsed().as_nanos() as u64);
-            if !self.rows.is_empty() {
-                trace.rerank_candidates = sq8_rerank_candidates(opts, self.total_vectors());
-            }
-            pdx_core::publish_trace(&trace);
-        }
-        out
-    }
-
-    /// Overridden to hoist the block-reference gathering out of the
-    /// per-query loop; results stay bit-identical to a sequential loop
-    /// of [`VectorIndex::search`]. A traced batch takes the per-query
-    /// path so every query publishes its own trace.
-    fn search_batch(&self, queries: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
-        if opts.trace {
-            return BatchSearcher::new(opts.threads)
-                .run(queries, self.dims, |q| VectorIndex::search(self, q, opts));
-        }
-        let blocks: Vec<&Sq8Block> = self.blocks.iter().collect();
-        let searcher = BatchSearcher::new(opts.threads);
-        if self.rows.is_empty() {
-            searcher.run(queries, self.dims, |q| {
-                let pq = self.quantizer.prepare_query(opts.metric, q);
-                sq8_search_policy(&pq, &blocks, opts.k, opts.step, opts.kernel)
-            })
-        } else {
-            searcher.run(queries, self.dims, |q| {
-                sq8_two_phase_policy(
-                    &self.quantizer,
-                    &blocks,
-                    &self.rows,
-                    self.dims,
-                    opts.metric,
-                    q,
-                    opts.k,
-                    opts.refine,
-                    opts.step,
-                    opts.kernel,
-                )
-            })
-        }
+        self.search_with(&Sq8Bound::new(&self.quantizer, opts.metric), query, opts)
     }
 
     fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let t0 = opts.trace.then(Instant::now);
-        let blocks: Vec<&Sq8Block> = self.blocks.iter().collect();
-        let pool = ThreadPool::new(opts.threads);
-        let q = self.quantizer.prepare_query(opts.metric, query);
-        let out = if self.rows.is_empty() {
-            parallel_block_search(&pool, blocks.len(), opts.k, |range| {
-                sq8_search_policy(&q, &blocks[range], opts.k, opts.step, opts.kernel)
-            })
-        } else {
-            let c = opts.k * opts.refine.max(1);
-            let candidates = parallel_block_search(&pool, blocks.len(), c, |range| {
-                sq8_search_policy(&q, &blocks[range], c, opts.step, opts.kernel)
-            });
-            sq8_rerank(
-                opts.metric,
-                &self.rows,
-                self.dims,
-                query,
-                &candidates,
-                opts.k,
-            )
-        };
-        if let Some(t0) = t0 {
-            let mut trace = pdx_core::total_only_trace(self.kind(), t0.elapsed().as_nanos() as u64);
-            if !self.rows.is_empty() {
-                trace.rerank_candidates = sq8_rerank_candidates(opts, self.total_vectors());
-            }
-            pdx_core::publish_trace(&trace);
-        }
-        out
+        self.search_parallel_with(&Sq8Bound::new(&self.quantizer, opts.metric), query, opts)
     }
 
     fn resident_bytes(&self) -> u64 {
         self.blocks.iter().map(sq8_block_bytes).sum::<u64>() + (self.rows.len() * 4) as u64
+    }
+}
+
+impl Deployment for IvfSq8 {
+    type Block = Sq8Block;
+
+    fn n_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    fn centroids(&self) -> Option<&SearchBlock> {
+        Some(&self.centroids)
+    }
+
+    fn pin(&self, block: u32) -> impl Deref<Target = Sq8Block> + Send + Sync {
+        &self.blocks[block as usize]
+    }
+
+    fn rerank_rows(&self) -> Option<&[f32]> {
+        (!self.rows.is_empty()).then_some(&self.rows[..])
     }
 }
 
@@ -532,75 +462,107 @@ impl VectorIndex for IvfSq8 {
         "ivf-sq8"
     }
 
-    /// Two-phase query over the `nprobe` nearest buckets. Traced calls
-    /// record wall time, the probed block count and the rerank
-    /// candidate count (the quantized scan has no profiled variant).
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let t0 = opts.trace.then(Instant::now);
-        let nprobe = opts.resolve_nprobe(self.blocks.len());
-        let order = self.probe_order(query, nprobe, opts.metric);
-        let blocks: Vec<&Sq8Block> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        let probed: u64 = blocks.len() as u64;
-        let probed_vectors: u64 = blocks.iter().map(|b| b.len() as u64).sum();
-        let out = sq8_two_phase_policy(
-            &self.quantizer,
-            &blocks,
-            &self.rows,
-            self.dims,
-            opts.metric,
-            query,
-            opts.k,
-            opts.refine,
-            opts.step,
-            opts.kernel,
-        );
-        if let Some(t0) = t0 {
-            let mut trace = pdx_core::total_only_trace("ivf-sq8", t0.elapsed().as_nanos() as u64);
-            trace.blocks_visited = probed;
-            trace.vectors_visited = probed_vectors;
-            trace.rerank_candidates = sq8_rerank_candidates(opts, probed_vectors as usize);
-            pdx_core::publish_trace(&trace);
-        }
-        out
+        self.search_with(&Sq8Bound::new(&self.quantizer, opts.metric), query, opts)
     }
 
-    /// Probes once, splits the quantized scan into per-worker bucket
-    /// ranges, merges the candidate sets canonically and reranks —
-    /// bit-identical to the sequential two-phase search at any width.
     fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let t0 = opts.trace.then(Instant::now);
-        let nprobe = opts.resolve_nprobe(self.blocks.len());
-        let order = self.probe_order(query, nprobe, opts.metric);
-        let blocks: Vec<&Sq8Block> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        let pool = ThreadPool::new(opts.threads);
-        let q = self.quantizer.prepare_query(opts.metric, query);
-        let c = opts.k * opts.refine.max(1);
-        let candidates = parallel_block_search(&pool, blocks.len(), c, |range| {
-            sq8_search_policy(&q, &blocks[range], c, opts.step, opts.kernel)
-        });
-        let out = sq8_rerank(
-            opts.metric,
-            &self.rows,
-            self.dims,
-            query,
-            &candidates,
-            opts.k,
-        );
-        if let Some(t0) = t0 {
-            let probed_vectors: u64 = blocks.iter().map(|b| b.len() as u64).sum();
-            let mut trace = pdx_core::total_only_trace("ivf-sq8", t0.elapsed().as_nanos() as u64);
-            trace.blocks_visited = blocks.len() as u64;
-            trace.vectors_visited = probed_vectors;
-            trace.rerank_candidates = sq8_rerank_candidates(opts, probed_vectors as usize);
-            pdx_core::publish_trace(&trace);
-        }
-        out
+        self.search_parallel_with(&Sq8Bound::new(&self.quantizer, opts.metric), query, opts)
     }
 
     fn resident_bytes(&self) -> u64 {
         search_block_bytes(&self.centroids)
             + self.blocks.iter().map(sq8_block_bytes).sum::<u64>()
             + (self.rows.len() * 4) as u64
+    }
+}
+
+impl IvfHorizontal {
+    /// Vector-at-a-time query over the `nprobe` nearest buckets with the
+    /// horizontal tier of [`SearchOptions::kernel`] (SIMD-ADS when SIMD,
+    /// SCALAR-ADS when scalar): `pruner`'s bound interleaved every Δd
+    /// dimensions, or — for a pruner that never prunes — the plain
+    /// linear IVF_FLAT scan. Traced like a [`Deployment`] query.
+    pub fn search_with<P>(&self, pruner: &P, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor>
+    where
+        P: Pruner + Sync,
+        P::Query: Sync,
+    {
+        self.serve(pruner, query, opts, None)
+    }
+
+    fn serve<P>(
+        &self,
+        pruner: &P,
+        query: &[f32],
+        opts: &SearchOptions,
+        pool: Option<&ThreadPool>,
+    ) -> Vec<Neighbor>
+    where
+        P: Pruner + Sync,
+        P::Query: Sync,
+    {
+        let mut tracing = Tracing::start(opts);
+        let variant = opts.kernel.horizontal_variant();
+        let q = tracing.phase(|p| &mut p.preprocess_ns, || pruner.prepare_query(query));
+        let (space, metric) = (pruner.query_vector(&q), pruner.metric());
+        let buckets: Vec<&HorizontalBucket> = tracing.phase(
+            |p| &mut p.find_buckets_ns,
+            || {
+                let nprobe = opts.resolve_nprobe(self.buckets.len());
+                let order = self.probe_order(space, nprobe, metric, variant);
+                order.iter().map(|&b| &self.buckets[b as usize]).collect()
+            },
+        );
+        let scan = |buckets: &[&HorizontalBucket], profile: Option<&mut SearchProfile>| {
+            if pruner.prunes() {
+                let buckets = buckets.iter().copied();
+                horizontal_pruned_search(pruner, &q, buckets, opts, self.delta_d, profile)
+            } else {
+                horizontal_linear_scan(buckets, space, opts.k, metric, variant)
+            }
+        };
+        let out = match pool {
+            None => scan(&buckets, tracing.profile()),
+            Some(pool) => parallel_block_search(pool, buckets.len(), opts.k, |range| {
+                scan(&buckets[range], None)
+            }),
+        };
+        tracing.publish(self.kind(), |_| {});
+        out
+    }
+}
+
+impl VectorIndex for IvfHorizontal {
+    fn dims(&self) -> usize {
+        self.dims
+    }
+
+    fn len(&self) -> usize {
+        self.buckets.iter().map(|b| b.len()).sum()
+    }
+
+    fn kind(&self) -> &'static str {
+        "ivf-horizontal"
+    }
+
+    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
+        self.serve(&opts.bond(), query, opts, None)
+    }
+
+    /// Intra-query parallelism over contiguous bucket ranges. For the
+    /// exact Bond bound this is bit-identical to the sequential search:
+    /// every true top-k candidate survives to full accumulation in any
+    /// split (the partial distance can never exceed a threshold that is
+    /// itself ≥ the final k-th distance), segments accumulate in a
+    /// fixed order, and the canonical merge retains the same set.
+    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
+        self.serve(
+            &opts.bond(),
+            query,
+            opts,
+            Some(&ThreadPool::new(opts.threads)),
+        )
     }
 }
 
@@ -623,14 +585,9 @@ impl VectorIndex for Hnsw {
     /// block-splittable): batches shard across the pool one query per
     /// work item, `search_parallel` is the sequential search.
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let t0 = opts.trace.then(Instant::now);
+        let tracing = Tracing::start(opts);
         let out = Hnsw::search(self, query, opts.k, opts.resolve_ef());
-        if let Some(t0) = t0 {
-            pdx_core::publish_trace(&pdx_core::total_only_trace(
-                "hnsw",
-                t0.elapsed().as_nanos() as u64,
-            ));
-        }
+        tracing.publish("hnsw", |_| {});
         out
     }
 }
@@ -639,8 +596,9 @@ impl VectorIndex for Hnsw {
 mod tests {
     use super::*;
     use crate::ivf::IvfIndex;
+    use pdx_core::bond::PdxBond;
     use pdx_core::distance::Metric;
-    use pdx_core::search::SearchParams;
+    use pdx_core::engine::PrunerKind;
     use pdx_core::visit_order::VisitOrder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -651,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn trait_search_matches_inherent_defaults() {
+    fn trait_search_is_the_typed_search_under_the_options_pruner() {
         let (n, d, k) = (600, 10, 7);
         let rows = random_rows(n, d, 1);
         let q = random_rows(1, d, 2);
@@ -659,7 +617,7 @@ mod tests {
 
         let flat = FlatPdx::new(&rows, n, d, 200, 32);
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-        let want = FlatPdx::search(&flat, &bond, &q, &SearchParams::new(k));
+        let want = flat.search_with(&bond, &q, &opts);
         let dyn_flat: &dyn VectorIndex = &flat;
         assert_eq!(dyn_flat.search(&q, &opts), want);
         assert_eq!(dyn_flat.len(), n);

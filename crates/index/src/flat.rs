@@ -7,16 +7,15 @@
 //! which lets PDX-BOND use the full "distance to means" order (the
 //! highest-pruning-power criterion).
 
-use pdx_core::collection::{PdxCollection, SearchBlock};
+use pdx_core::collection::PdxCollection;
 use pdx_core::distance::Metric;
-use pdx_core::exec::{parallel_block_search, BatchSearcher};
 use pdx_core::heap::Neighbor;
-use pdx_core::profile::SearchProfile;
-use pdx_core::pruning::Pruner;
-use pdx_core::search::{linear_scan_pdx, pdxearch_prepared, pdxearch_profiled, SearchParams};
+use pdx_core::search::linear_scan_pdx;
 use pdx_core::DEFAULT_EXACT_BLOCK;
 
-/// Flat PDX deployment of a collection for exact search.
+/// Flat PDX deployment of a collection for exact search. Queries go
+/// through [`Deployment`](crate::Deployment) (any pruner) or
+/// [`VectorIndex`](pdx_core::engine::VectorIndex) (the options' pruner).
 #[derive(Debug, Clone)]
 pub struct FlatPdx {
     /// The partitioned collection.
@@ -67,83 +66,6 @@ impl FlatPdx {
         rows
     }
 
-    /// Exact (or pruner-approximate) k-NN over all partitions in storage
-    /// order.
-    pub fn search<P: Pruner>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> Vec<Neighbor> {
-        let q = pruner.prepare_query(query);
-        let blocks: Vec<&SearchBlock> = self.collection.blocks.iter().collect();
-        pdxearch_prepared(pruner, &q, &blocks, params)
-    }
-
-    /// [`FlatPdx::search`] with the Table 7 phase breakdown.
-    pub fn search_profiled<P: Pruner>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        params: &SearchParams,
-        profile: &mut SearchProfile,
-    ) -> Vec<Neighbor> {
-        let blocks: Vec<&SearchBlock> = self.collection.blocks.iter().collect();
-        pdxearch_profiled(pruner, &blocks, query, params, profile)
-    }
-
-    /// Searches a batch of packed queries on the execution engine's
-    /// worker pool (`threads = 0` resolves the default width — the
-    /// `PDX_THREADS` env override, then hardware parallelism). Each
-    /// individual query still runs the single-threaded PDXearch — this
-    /// parallelizes *across* queries, the way vector databases serve
-    /// concurrent load — after its worker has prepared a small
-    /// sub-batch of queries together ([`Pruner::prepare_queries`] — one
-    /// tiled rotation for ADSampling/BSA), so results are identical to
-    /// a sequential loop of [`FlatPdx::search`] at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `queries.len()` is not a multiple of the
-    /// dimensionality.
-    pub fn search_batch<P: Pruner + Sync>(
-        &self,
-        pruner: &P,
-        queries: &[f32],
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        let dims = self.collection.dims;
-        let blocks: Vec<&SearchBlock> = self.collection.blocks.iter().collect();
-        BatchSearcher::new(threads).run_prepared(
-            queries,
-            dims,
-            |packed| pruner.prepare_queries(packed, dims),
-            |q| pdxearch_prepared(pruner, q, &blocks, params),
-        )
-    }
-
-    /// One large query with the partitions split into per-worker block
-    /// ranges; per-worker heaps merge to the canonical top-k by
-    /// `(distance, id)`. Bit-identical to [`FlatPdx::search`] for exact
-    /// pruners (PDX-BOND) at any thread count.
-    pub fn search_parallel<P: Pruner + Sync>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<Neighbor>
-    where
-        P::Query: Sync,
-    {
-        let q = pruner.prepare_query(query);
-        let blocks: Vec<&SearchBlock> = self.collection.blocks.iter().collect();
-        let pool = pdx_core::exec::ThreadPool::new(threads);
-        parallel_block_search(&pool, blocks.len(), params.k, |range| {
-            pdxearch_prepared(pruner, &q, &blocks[range], params)
-        })
-    }
-
     /// Non-pruning PDX linear scan (the PDX-LINEAR-SCAN competitor).
     pub fn linear_search(&self, query: &[f32], k: usize, metric: Metric) -> Vec<Neighbor> {
         linear_scan_pdx(&self.collection, query, k, metric)
@@ -153,7 +75,9 @@ impl FlatPdx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Deployment;
     use pdx_core::bond::PdxBond;
+    use pdx_core::engine::SearchOptions;
     use pdx_core::visit_order::VisitOrder;
 
     fn rows(n: usize, d: usize) -> Vec<f32> {
@@ -170,7 +94,7 @@ mod tests {
         assert_eq!(flat.collection.blocks.len(), 4);
         let q: Vec<f32> = (0..d).map(|i| (i as f32).sin() * 3.0).collect();
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-        let got = flat.search(&bond, &q, &SearchParams::new(k));
+        let got = flat.search_with(&bond, &q, &SearchOptions::new(k));
         let want = flat.linear_search(&q, k, Metric::L2);
         // The periodic test data produces exactly tied distances whose
         // order depends on FP accumulation order — compare sets.
@@ -193,7 +117,9 @@ mod tests {
 #[cfg(test)]
 mod batch_tests {
     use super::*;
+    use crate::Deployment;
     use pdx_core::bond::PdxBond;
+    use pdx_core::engine::SearchOptions;
     use pdx_core::visit_order::VisitOrder;
 
     #[test]
@@ -203,10 +129,10 @@ mod batch_tests {
         let queries: Vec<f32> = (0..7 * d).map(|i| ((i * 53 % 97) as f32) * 0.1).collect();
         let flat = FlatPdx::new(&data, n, d, 300, 32);
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-        let params = SearchParams::new(k);
-        let batch = flat.search_batch(&bond, &queries, &params, 4);
+        let opts = SearchOptions::new(k).with_threads(4);
+        let batch = flat.search_batch_with(&bond, &queries, &opts);
         for (qi, got) in batch.iter().enumerate() {
-            let want = flat.search(&bond, &queries[qi * d..(qi + 1) * d], &params);
+            let want = flat.search_with(&bond, &queries[qi * d..(qi + 1) * d], &opts);
             assert_eq!(got, &want, "query {qi}");
         }
     }
@@ -216,7 +142,8 @@ mod batch_tests {
         let data: Vec<f32> = (0..40).map(|i| i as f32).collect();
         let flat = FlatPdx::new(&data, 10, 4, 5, 4);
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        let res = flat.search_batch(&bond, &data[..4], &SearchParams::new(2), 64);
+        let opts = SearchOptions::new(2).with_threads(64);
+        let res = flat.search_batch_with(&bond, &data[..4], &opts);
         assert_eq!(res.len(), 1);
         assert_eq!(res[0].len(), 2);
     }

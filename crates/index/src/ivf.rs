@@ -19,17 +19,12 @@
 use crate::kmeans::KMeans;
 use pdx_core::collection::SearchBlock;
 use pdx_core::distance::Metric;
-use pdx_core::exec::{parallel_block_search, BatchSearcher};
+use pdx_core::engine::SearchOptions;
 use pdx_core::heap::{KnnHeap, Neighbor};
 use pdx_core::kernels::{nary_distance, KernelVariant};
 use pdx_core::layout::NaryMatrix;
-use pdx_core::profile::SearchProfile;
 use pdx_core::pruning::Pruner;
-use pdx_core::search::{
-    horizontal_linear_scan, horizontal_pruned_search_prepared, linear_scan_blocks,
-    pdxearch_prepared, pdxearch_prepared_profiled, HorizontalBucket, SearchParams,
-};
-use std::time::Instant;
+use pdx_core::search::{horizontal_linear_scan, linear_scan_blocks, pdxearch, HorizontalBucket};
 
 /// A trained IVF index: cluster model plus bucket membership.
 #[derive(Debug, Clone)]
@@ -111,7 +106,24 @@ fn bucket_centroids(rows: &[f32], dims: usize, assignments: &[Vec<u32>]) -> (Vec
     (centroids, bucket_ids)
 }
 
-/// IVF deployment with buckets and centroids in the PDX layout.
+/// Ranks the buckets of a PDX-layout IVF by the distance of their
+/// `centroids` (row `i` = bucket `i`) to the (space-transformed) query;
+/// returns the `nprobe` nearest bucket indexes, nearest first. The one
+/// ranking behind every such deployment — resident, lazy, quantized — so
+/// all of them probe identically.
+pub fn probe_order(
+    centroids: &SearchBlock,
+    query_space: &[f32],
+    nprobe: usize,
+    metric: Metric,
+) -> Vec<u32> {
+    let neighbors = linear_scan_blocks(&[centroids], query_space, nprobe.max(1), metric);
+    neighbors.iter().map(|n| n.id as u32).collect()
+}
+
+/// IVF deployment with buckets and centroids in the PDX layout. Queries
+/// go through [`Deployment`](crate::Deployment) (any pruner) or
+/// [`VectorIndex`](pdx_core::engine::VectorIndex) (the options' pruner).
 #[derive(Debug, Clone)]
 pub struct IvfPdx {
     /// Dimensionality.
@@ -156,8 +168,7 @@ impl IvfPdx {
     /// Ranks blocks by centroid distance to the (space-transformed)
     /// query; returns the `nprobe` nearest block indexes, nearest first.
     pub fn probe_order(&self, query_space: &[f32], nprobe: usize, metric: Metric) -> Vec<u32> {
-        let neighbors = linear_scan_blocks(&[&self.centroids], query_space, nprobe.max(1), metric);
-        neighbors.iter().map(|n| n.id as u32).collect()
+        probe_order(&self.centroids, query_space, nprobe, metric)
     }
 
     /// Builds an HNSW router over the centroids — the "hybrid index" of
@@ -190,115 +201,21 @@ impl IvfPdx {
     }
 
     /// PDXearch query routed through a centroid HNSW instead of the
-    /// linear centroid scan.
+    /// linear centroid scan ([`SearchOptions::nprobe`] buckets, beam
+    /// [`SearchOptions::resolve_ef`]).
     pub fn search_with_router<P: Pruner>(
         &self,
         router: &crate::hnsw::Hnsw,
         pruner: &P,
         query: &[f32],
-        nprobe: usize,
-        ef: usize,
-        params: &SearchParams,
+        opts: &SearchOptions,
     ) -> Vec<Neighbor> {
         let q = pruner.prepare_query(query);
-        let order = self.probe_order_hnsw(router, pruner.query_vector(&q), nprobe, ef);
-        let blocks: Vec<&SearchBlock> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        pdxearch_prepared(pruner, &q, &blocks, params)
-    }
-
-    /// Full PDXearch query: prepare → probe → pruned scan.
-    pub fn search<P: Pruner>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        nprobe: usize,
-        params: &SearchParams,
-    ) -> Vec<Neighbor> {
-        self.search_prepared(pruner, &pruner.prepare_query(query), nprobe, params)
-    }
-
-    /// [`IvfPdx::search`] from an already-prepared query: probe →
-    /// pruned scan.
-    pub fn search_prepared<P: Pruner>(
-        &self,
-        pruner: &P,
-        q: &P::Query,
-        nprobe: usize,
-        params: &SearchParams,
-    ) -> Vec<Neighbor> {
-        let order = self.probe_order(pruner.query_vector(q), nprobe, pruner.metric());
-        let blocks: Vec<&SearchBlock> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        pdxearch_prepared(pruner, q, &blocks, params)
-    }
-
-    /// Searches a batch of packed queries on `threads` workers (`0` =
-    /// default width). Each work item is a small sub-batch that one
-    /// worker prepares together ([`Pruner::prepare_queries`] — one
-    /// tiled rotation for ADSampling/BSA) and then searches query by
-    /// query. Results are identical to calling [`IvfPdx::search`] per
-    /// query, at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `queries.len()` is not a multiple of the
-    /// dimensionality.
-    pub fn search_batch<P: Pruner + Sync>(
-        &self,
-        pruner: &P,
-        queries: &[f32],
-        nprobe: usize,
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::new(threads).run_prepared(
-            queries,
-            self.dims,
-            |packed| pruner.prepare_queries(packed, self.dims),
-            |q| self.search_prepared(pruner, q, nprobe, params),
-        )
-    }
-
-    /// One large query with the probed buckets split into per-worker
-    /// block ranges; per-worker heaps merge to the canonical top-k by
-    /// `(distance, id)`. Bit-identical to [`IvfPdx::search`] for exact
-    /// pruners (PDX-BOND) at any thread count; approximate pruners may
-    /// differ because their bound depends on the threshold's history.
-    pub fn search_parallel<P: Pruner + Sync>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        nprobe: usize,
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<Neighbor>
-    where
-        P::Query: Sync,
-    {
-        let q = pruner.prepare_query(query);
-        let order = self.probe_order(pruner.query_vector(&q), nprobe, pruner.metric());
-        let blocks: Vec<&SearchBlock> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        let pool = pdx_core::exec::ThreadPool::new(threads);
-        parallel_block_search(&pool, blocks.len(), params.k, |range| {
-            pdxearch_prepared(pruner, &q, &blocks[range], params)
-        })
-    }
-
-    /// [`IvfPdx::search`] with the Table 7 phase breakdown.
-    pub fn search_profiled<P: Pruner>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        nprobe: usize,
-        params: &SearchParams,
-        profile: &mut SearchProfile,
-    ) -> Vec<Neighbor> {
-        let t0 = Instant::now();
-        let q = pruner.prepare_query(query);
-        profile.preprocess_ns += t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
-        let order = self.probe_order(pruner.query_vector(&q), nprobe, pruner.metric());
-        let blocks: Vec<&SearchBlock> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        profile.find_buckets_ns += t1.elapsed().as_nanos() as u64;
-        pdxearch_prepared_profiled(pruner, &q, &blocks, params, profile)
+        let nprobe = opts.resolve_nprobe(self.blocks.len());
+        let order =
+            self.probe_order_hnsw(router, pruner.query_vector(&q), nprobe, opts.resolve_ef());
+        let blocks = order.iter().map(|&b| &self.blocks[b as usize]);
+        pdxearch(pruner, &q, blocks, opts, None)
     }
 
     /// Linear scan (no pruning) of the `nprobe` nearest buckets with the
@@ -376,52 +293,6 @@ impl IvfHorizontal {
         heap.into_sorted().iter().map(|n| n.id as u32).collect()
     }
 
-    /// Pruned vector-at-a-time query (SIMD-ADS when `variant` is
-    /// [`KernelVariant::Simd`], SCALAR-ADS when scalar).
-    pub fn search<P: Pruner>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        variant: KernelVariant,
-    ) -> Vec<Neighbor> {
-        let q = pruner.prepare_query(query);
-        let order = self.probe_order(pruner.query_vector(&q), nprobe, pruner.metric(), variant);
-        let buckets: Vec<&HorizontalBucket> =
-            order.iter().map(|&b| &self.buckets[b as usize]).collect();
-        horizontal_pruned_search_prepared(pruner, &q, &buckets, k, self.delta_d, variant)
-    }
-
-    /// [`IvfHorizontal::search`] with the Table 7 phase breakdown.
-    pub fn search_profiled<P: Pruner>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        variant: KernelVariant,
-        profile: &mut SearchProfile,
-    ) -> Vec<Neighbor> {
-        let t0 = Instant::now();
-        let q = pruner.prepare_query(query);
-        profile.preprocess_ns += t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
-        let order = self.probe_order(pruner.query_vector(&q), nprobe, pruner.metric(), variant);
-        let buckets: Vec<&HorizontalBucket> =
-            order.iter().map(|&b| &self.buckets[b as usize]).collect();
-        profile.find_buckets_ns += t1.elapsed().as_nanos() as u64;
-        pdx_core::search::horizontal_pruned_search_profiled(
-            pruner,
-            &q,
-            &buckets,
-            k,
-            self.delta_d,
-            variant,
-            profile,
-        )
-    }
-
     /// Non-pruning linear IVF_FLAT query — the FAISS/Milvus stand-in.
     pub fn linear_search(
         &self,
@@ -441,6 +312,7 @@ impl IvfHorizontal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Deployment;
     use pdx_core::bond::PdxBond;
     use pdx_core::visit_order::VisitOrder;
     use rand::rngs::StdRng;
@@ -470,7 +342,7 @@ mod tests {
         let ivf = IvfPdx::new(&rows, d, &index.assignments, 64);
         let q = random_rows(1, d, 9);
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        let got = ivf.search(&bond, &q, ivf.blocks.len(), &SearchParams::new(k));
+        let got = ivf.search_with(&bond, &q, &SearchOptions::new(k));
         let ids: Vec<u64> = got.iter().map(|x| x.id).collect();
         assert_eq!(ids, brute(&rows, d, &q, k));
     }
@@ -507,20 +379,6 @@ mod tests {
             .collect();
         let got = ivf.linear_search(&q, k, 1, Metric::L2);
         assert!(got.iter().all(|r| bucket_ids.contains(&r.id)));
-    }
-
-    #[test]
-    fn profiled_search_fills_phases() {
-        let (n, d) = (300, 10);
-        let rows = random_rows(n, d, 8);
-        let index = IvfIndex::build(&rows, n, d, 10, 5, 2);
-        let ivf = IvfPdx::new(&rows, d, &index.assignments, 64);
-        let q = random_rows(1, d, 3);
-        let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-        let mut profile = SearchProfile::default();
-        let _ = ivf.search_profiled(&bond, &q, 5, &SearchParams::new(5), &mut profile);
-        assert!(profile.find_buckets_ns > 0);
-        assert!(profile.distance_ns > 0);
     }
 
     #[test]

@@ -25,19 +25,16 @@
 //!   same probe order, same scan, same distance bits, at any cache
 //!   budget and any thread count.
 
-use pdx_core::bond::PdxBond;
+use crate::Deployment;
 use pdx_core::cache::{BlockCache, CacheStats};
 use pdx_core::collection::SearchBlock;
-use pdx_core::distance::Metric;
-use pdx_core::engine::{PrunerKind, SearchOptions, VectorIndex};
-use pdx_core::exec::{parallel_block_search, ThreadPool};
+use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::heap::Neighbor;
-use pdx_core::pruning::Pruner;
-use pdx_core::search::{linear_scan_blocks, pdxearch_prepared, pdxearch_streamed, SearchParams};
 #[cfg(not(all(unix, target_endian = "little")))]
 use pdx_datasets::persist::decode_ivf_f32_bucket;
 use pdx_datasets::persist::{read_ivf_meta_path, IvfBucketEntry};
 use std::io;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -147,14 +144,6 @@ impl LazyIvf {
     /// whatever the cache currently holds.
     pub fn resident_bytes(&self) -> u64 {
         self.header_bytes + self.cache.resident_bytes()
-    }
-
-    /// Ranks buckets by centroid distance — same call as
-    /// [`IvfPdx::probe_order`](crate::IvfPdx::probe_order), so lazy and
-    /// resident deployments probe identically.
-    pub fn probe_order(&self, query_space: &[f32], nprobe: usize, metric: Metric) -> Vec<u32> {
-        let neighbors = linear_scan_blocks(&[&self.centroids], query_space, nprobe.max(1), metric);
-        neighbors.iter().map(|n| n.id as u32).collect()
     }
 
     #[cfg(not(all(unix, target_endian = "little")))]
@@ -278,22 +267,41 @@ impl LazyIvf {
                 )
             })
     }
+}
 
-    /// Runs `consume` while background workers load the not-yet-resident
-    /// buckets of `order` into the cache, nearest first. The consumer
+impl Deployment for LazyIvf {
+    type Block = SearchBlock;
+
+    fn n_blocks(&self) -> usize {
+        self.buckets.len()
+    }
+
+    fn centroids(&self) -> Option<&SearchBlock> {
+        Some(&self.centroids)
+    }
+
+    /// The cache's `Arc`: a scan that streams its pins holds each bucket
+    /// exactly as long as it scans it, a parallel scan holds all of
+    /// them, and neither can be invalidated by an eviction.
+    fn pin(&self, block: u32) -> impl Deref<Target = SearchBlock> + Send + Sync {
+        self.fetch(block)
+    }
+
+    /// Runs `scan` while background workers load the not-yet-resident
+    /// buckets of `order` into the cache, nearest first. The scan
     /// fetches each bucket itself: already-prefetched buckets hit, and a
     /// bucket mid-load blocks on its shard lock just until the loading
     /// worker inserts it — so misses overlap with each other *and* with
-    /// the consumer's scan instead of paying a serial sum of load
-    /// latencies. Purely a scheduling change: the consumer's fetch
-    /// order, and therefore the result, is untouched.
-    fn with_prefetch<R>(&self, order: &[u32], consume: impl FnOnce() -> R) -> R {
+    /// the scan instead of paying a serial sum of load latencies. Purely
+    /// a scheduling change: the scan's fetch order, and therefore the
+    /// result, is untouched.
+    fn with_prefetch<R>(&self, order: &[u32], scan: impl FnOnce() -> R) -> R {
         // Prefetch threads only pay off when a spare core can run them;
         // on a single hardware thread they would just time-slice the
-        // consumer. One miss is cheapest loaded inline; zero needs no
+        // scan. One miss is cheapest loaded inline; zero needs no
         // workers.
         if pdx_core::exec::hardware_threads() < 2 {
-            return consume();
+            return scan();
         }
         let missing: Vec<u32> = order
             .iter()
@@ -303,7 +311,7 @@ impl LazyIvf {
             })
             .collect();
         if missing.len() < 2 {
-            return consume();
+            return scan();
         }
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -316,80 +324,16 @@ impl LazyIvf {
                     self.fetch(missing[i]);
                 });
             }
-            consume()
-        })
-    }
-
-    /// Pins the probed buckets, nearest first, prefetching misses in
-    /// parallel.
-    fn pin(&self, order: &[u32]) -> Vec<Arc<SearchBlock>> {
-        self.with_prefetch(order, || order.iter().map(|&b| self.fetch(b)).collect())
-    }
-
-    /// Full PDXearch query: prepare → probe → fetch → pruned scan.
-    /// Bit-identical to [`IvfPdx::search`](crate::IvfPdx::search) on
-    /// the resident load of the same container.
-    ///
-    /// The scan *streams*: each bucket is fetched (pinning it) right
-    /// before its blocks are scanned and unpinned right after, while
-    /// background prefetch workers load upcoming
-    /// misses concurrently — so a cold query's load latency hides
-    /// behind the scan of the buckets already in hand.
-    pub fn search<P: Pruner>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        nprobe: usize,
-        params: &SearchParams,
-    ) -> Vec<Neighbor> {
-        let q = pruner.prepare_query(query);
-        let order = self.probe_order(pruner.query_vector(&q), nprobe, pruner.metric());
-        self.with_prefetch(&order, || {
-            pdxearch_streamed(pruner, &q, order.iter().map(|&b| self.fetch(b)), params)
-        })
-    }
-
-    /// Linear scan (no pruning) of the `nprobe` nearest buckets.
-    pub fn linear_search(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        metric: Metric,
-    ) -> Vec<Neighbor> {
-        let order = self.probe_order(query, nprobe, metric);
-        let pinned = self.pin(&order);
-        let blocks: Vec<&SearchBlock> = pinned.iter().map(Arc::as_ref).collect();
-        linear_scan_blocks(&blocks, query, k, metric)
-    }
-
-    /// One large query with the probed buckets split into per-worker
-    /// block ranges (see
-    /// [`IvfPdx::search_parallel`](crate::IvfPdx::search_parallel)).
-    /// The pins taken before the scan keep every worker's blocks alive
-    /// whatever the cache evicts concurrently.
-    pub fn search_parallel<P: Pruner + Sync>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        nprobe: usize,
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<Neighbor>
-    where
-        P::Query: Sync,
-    {
-        let q = pruner.prepare_query(query);
-        let order = self.probe_order(pruner.query_vector(&q), nprobe, pruner.metric());
-        let pinned = self.pin(&order);
-        let blocks: Vec<&SearchBlock> = pinned.iter().map(Arc::as_ref).collect();
-        let pool = ThreadPool::new(threads);
-        parallel_block_search(&pool, blocks.len(), params.k, |range| {
-            pdxearch_prepared(pruner, &q, &blocks[range], params)
+            scan()
         })
     }
 }
 
+/// Mirrors the resident `IvfPdx` implementation bucket for bucket; only
+/// the block source differs (cache fetch vs `Vec` index), so answers are
+/// bit-identical to the resident load of the same container at any
+/// cache budget and thread count. Traced queries carry the cache
+/// hit/miss delta around the scan.
 impl VectorIndex for LazyIvf {
     fn dims(&self) -> usize {
         self.dims
@@ -403,67 +347,12 @@ impl VectorIndex for LazyIvf {
         "ivf-pdx-lazy"
     }
 
-    /// Mirrors the resident `IvfPdx` implementation bucket for bucket;
-    /// only the block source differs (cache fetch vs `Vec` index).
-    ///
-    /// Traced calls record wall time plus the cache hit/miss delta
-    /// around the scan. The delta reads the shared cache counters, so
-    /// concurrent queries can blur each other's attribution — the
-    /// aggregate across queries is exact.
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let nprobe = opts.resolve_nprobe(self.buckets.len());
-        if opts.trace {
-            let before = LazyIvf::cache_stats(self);
-            let t0 = std::time::Instant::now();
-            let out = match opts.pruner {
-                PrunerKind::Bond(order) => {
-                    let bond = PdxBond::new(opts.metric, order);
-                    LazyIvf::search(self, &bond, query, nprobe, &opts.params())
-                }
-                PrunerKind::Linear => self.linear_search(query, opts.k, nprobe, opts.metric),
-            };
-            let total_ns = t0.elapsed().as_nanos() as u64;
-            let after = LazyIvf::cache_stats(self);
-            let mut trace = pdx_core::total_only_trace("ivf-pdx-lazy", total_ns);
-            trace.cache_hits = after.hits.saturating_sub(before.hits);
-            trace.cache_misses = after.misses.saturating_sub(before.misses);
-            pdx_core::publish_trace(&trace);
-            return out;
-        }
-        match opts.pruner {
-            PrunerKind::Bond(order) => {
-                let bond = PdxBond::new(opts.metric, order);
-                LazyIvf::search(self, &bond, query, nprobe, &opts.params())
-            }
-            PrunerKind::Linear => self.linear_search(query, opts.k, nprobe, opts.metric),
-        }
+        self.search_with(&opts.bond(), query, opts)
     }
 
     fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let t0 = opts.trace.then(std::time::Instant::now);
-        let nprobe = opts.resolve_nprobe(self.buckets.len());
-        let out = match opts.pruner {
-            PrunerKind::Bond(order) => {
-                let bond = PdxBond::new(opts.metric, order);
-                LazyIvf::search_parallel(self, &bond, query, nprobe, &opts.params(), opts.threads)
-            }
-            PrunerKind::Linear => {
-                let order = self.probe_order(query, nprobe, opts.metric);
-                let pinned = self.pin(&order);
-                let blocks: Vec<&SearchBlock> = pinned.iter().map(Arc::as_ref).collect();
-                let pool = ThreadPool::new(opts.threads);
-                parallel_block_search(&pool, blocks.len(), opts.k, |range| {
-                    linear_scan_blocks(&blocks[range], query, opts.k, opts.metric)
-                })
-            }
-        };
-        if let Some(t0) = t0 {
-            pdx_core::publish_trace(&pdx_core::total_only_trace(
-                "ivf-pdx-lazy",
-                t0.elapsed().as_nanos() as u64,
-            ));
-        }
-        out
+        self.search_parallel_with(&opts.bond(), query, opts)
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -479,6 +368,8 @@ impl VectorIndex for LazyIvf {
 mod tests {
     use super::*;
     use crate::ivf::{IvfIndex, IvfPdx};
+    use pdx_core::bond::PdxBond;
+    use pdx_core::distance::Metric;
     use pdx_core::visit_order::VisitOrder;
     use pdx_datasets::persist::write_ivf_pdx_path;
     use rand::rngs::StdRng;
@@ -507,14 +398,14 @@ mod tests {
         let lazy = LazyIvf::open(&path, 4 << 10).unwrap();
         assert_eq!(lazy.total_vectors(), 500);
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-        let params = SearchParams::new(9);
+        let opts = SearchOptions::new(9).with_nprobe(4);
         for qi in 0..12 {
             let q = random_rows(1, 8, 100 + qi);
-            let want = resident.search(&bond, &q, 4, &params);
-            let got = lazy.search(&bond, &q, 4, &params);
+            let want = resident.search_with(&bond, &q, &opts);
+            let got = lazy.search_with(&bond, &q, &opts);
             assert_eq!(want, got, "query {qi}: ids or distance bits differ");
             for threads in [1usize, 2, 8] {
-                let par = lazy.search_parallel(&bond, &q, 4, &params, threads);
+                let par = lazy.search_parallel_with(&bond, &q, &opts.with_threads(threads));
                 assert_eq!(want, par, "query {qi} at {threads} threads");
             }
         }

@@ -29,8 +29,10 @@
 //!   `nprobe`-selected buckets on demand through a byte-budgeted
 //!   [`pdx_core::cache::BlockCache`], returning results bit-identical
 //!   to the fully resident [`ivf::IvfPdx`] over the same container.
-//! * [`engine`] — [`pdx_core::engine::VectorIndex`] implementations for
-//!   all six deployments, so each is reachable as a
+//! * [`engine`] — the serve driver ([`Deployment`]: a deployment is a
+//!   block source, the prepare → route → scan → rerank → trace sequence
+//!   is written once) and the [`pdx_core::engine::VectorIndex`]
+//!   implementations on top of it, so each deployment is reachable as a
 //!   `Box<dyn VectorIndex>` behind one [`pdx_core::engine::SearchOptions`]
 //!   surface (batch and parallel entry points included).
 
@@ -42,6 +44,7 @@ pub mod kmeans;
 pub mod lazy;
 pub mod sq8;
 
+pub use engine::Deployment;
 pub use flat::FlatPdx;
 pub use hnsw::{Hnsw, HnswParams};
 pub use ivf::{IvfHorizontal, IvfIndex, IvfPdx};

@@ -12,17 +12,16 @@
 //!   DiskANN-style split: hot compressed scan data, cold exact data).
 //!
 //! Queries run the two-phase path of
-//! [`pdx_core::search::quantized`]: quantized PDXearch scan → exact
-//! `f32` rerank.
+//! [`pdx_core::search::quantized`] through the serve driver
+//! ([`Deployment`](crate::Deployment)): quantized PDXearch scan keeping
+//! `refine · k` candidates → exact `f32` rerank. A deployment without
+//! a rerank payload (a scan-only container) answers with the top-`k`
+//! quantized estimates instead.
 
 use pdx_core::collection::SearchBlock;
-use pdx_core::distance::Metric;
-use pdx_core::exec::{BatchSearcher, ThreadPool};
-use pdx_core::heap::Neighbor;
+use pdx_core::exec::ThreadPool;
 use pdx_core::layout::Sq8Quantizer;
-use pdx_core::pruning::StepPolicy;
-use pdx_core::search::linear_scan_blocks;
-use pdx_core::search::quantized::{sq8_rerank, sq8_search, sq8_two_phase, Sq8Block};
+use pdx_core::search::quantized::Sq8Block;
 use pdx_core::{DEFAULT_EXACT_BLOCK, DEFAULT_GROUP_SIZE};
 
 /// Flat SQ8 deployment: equally sized partitions (the §6.5 exact-search
@@ -30,12 +29,12 @@ use pdx_core::{DEFAULT_EXACT_BLOCK, DEFAULT_GROUP_SIZE};
 ///
 /// ```
 /// use pdx_index::FlatSq8;
-/// use pdx_core::distance::Metric;
+/// use pdx_core::engine::{SearchOptions, VectorIndex};
 ///
 /// // Sixteen 2-dimensional points on a line.
 /// let rows: Vec<f32> = (0..32).map(|i| i as f32).collect();
 /// let flat = FlatSq8::build(&rows, 16, 2, 8, 4);
-/// let hits = flat.search(&[0.0, 1.0], 3, 4, Metric::L2);
+/// let hits = flat.search(&[0.0, 1.0], &SearchOptions::new(3));
 /// assert_eq!(hits[0].id, 0); // the nearest point, reranked exactly
 /// assert_eq!(hits.len(), 3);
 /// ```
@@ -144,73 +143,6 @@ impl FlatSq8 {
     pub fn resident_block_bytes(&self) -> usize {
         self.blocks.iter().map(|b| b.codes.resident_bytes()).sum()
     }
-
-    /// Two-phase query: quantized PDXearch over all partitions keeping
-    /// `refine · k` candidates, then exact `f32` rerank to `k`.
-    pub fn search(&self, query: &[f32], k: usize, refine: usize, metric: Metric) -> Vec<Neighbor> {
-        let blocks: Vec<&Sq8Block> = self.blocks.iter().collect();
-        sq8_two_phase(
-            &self.quantizer,
-            &blocks,
-            &self.rows,
-            self.dims,
-            metric,
-            query,
-            k,
-            refine,
-            StepPolicy::default(),
-        )
-    }
-
-    /// Phase 1 only: the top-`c` candidates by quantized estimate
-    /// (useful to measure what the rerank buys).
-    pub fn search_quantized(&self, query: &[f32], c: usize, metric: Metric) -> Vec<Neighbor> {
-        let q = self.quantizer.prepare_query(metric, query);
-        let blocks: Vec<&Sq8Block> = self.blocks.iter().collect();
-        sq8_search(&q, &blocks, c, StepPolicy::default())
-    }
-
-    /// Searches a batch of packed queries on `threads` workers (`0` =
-    /// default width). Identical to a sequential loop of
-    /// [`FlatSq8::search`] at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `queries.len()` is not a multiple of the
-    /// dimensionality.
-    pub fn search_batch(
-        &self,
-        queries: &[f32],
-        k: usize,
-        refine: usize,
-        metric: Metric,
-        threads: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::new(threads).run(queries, self.dims, |q| self.search(q, k, refine, metric))
-    }
-
-    /// One large query with the quantized scan split into per-worker
-    /// partition ranges: each worker keeps its own `refine · k`
-    /// candidate heap, the candidate sets merge canonically by
-    /// `(distance, id)`, and the merged set reranks exactly.
-    /// Bit-identical to [`FlatSq8::search`] at any thread count.
-    pub fn search_parallel(
-        &self,
-        query: &[f32],
-        k: usize,
-        refine: usize,
-        metric: Metric,
-        threads: usize,
-    ) -> Vec<Neighbor> {
-        assert!(k > 0, "k must be positive");
-        let c = k * refine.max(1);
-        let q = self.quantizer.prepare_query(metric, query);
-        let blocks: Vec<&Sq8Block> = self.blocks.iter().collect();
-        let pool = ThreadPool::new(threads);
-        let candidates = pdx_core::exec::parallel_block_search(&pool, blocks.len(), c, |range| {
-            sq8_search(&q, &blocks[range], c, StepPolicy::default())
-        });
-        sq8_rerank(metric, &self.rows, self.dims, query, &candidates, k)
-    }
 }
 
 /// IVF deployment with SQ8-quantized buckets: the same shared bucket
@@ -287,92 +219,14 @@ impl IvfSq8 {
     pub fn resident_block_bytes(&self) -> usize {
         self.blocks.iter().map(|b| b.codes.resident_bytes()).sum()
     }
-
-    /// Ranks buckets by exact centroid distance; returns the `nprobe`
-    /// nearest block indexes, nearest first.
-    pub fn probe_order(&self, query: &[f32], nprobe: usize, metric: Metric) -> Vec<u32> {
-        let neighbors = linear_scan_blocks(&[&self.centroids], query, nprobe.max(1), metric);
-        neighbors.iter().map(|n| n.id as u32).collect()
-    }
-
-    /// Two-phase query over the `nprobe` nearest buckets: quantized
-    /// PDXearch keeping `refine · k` candidates, then exact rerank.
-    pub fn search(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        refine: usize,
-        metric: Metric,
-    ) -> Vec<Neighbor> {
-        let order = self.probe_order(query, nprobe, metric);
-        let blocks: Vec<&Sq8Block> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        sq8_two_phase(
-            &self.quantizer,
-            &blocks,
-            &self.rows,
-            self.dims,
-            metric,
-            query,
-            k,
-            refine,
-            StepPolicy::default(),
-        )
-    }
-
-    /// Searches a batch of packed queries on `threads` workers (`0` =
-    /// default width). Identical to a sequential loop of
-    /// [`IvfSq8::search`] at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `queries.len()` is not a multiple of the
-    /// dimensionality.
-    pub fn search_batch(
-        &self,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        refine: usize,
-        metric: Metric,
-        threads: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::new(threads).run(queries, self.dims, |q| {
-            self.search(q, k, nprobe, refine, metric)
-        })
-    }
-
-    /// Phase 1 only over the probed buckets (no rerank).
-    pub fn search_quantized(
-        &self,
-        query: &[f32],
-        c: usize,
-        nprobe: usize,
-        metric: Metric,
-    ) -> Vec<Neighbor> {
-        let order = self.probe_order(query, nprobe, metric);
-        let blocks: Vec<&Sq8Block> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        let q = self.quantizer.prepare_query(metric, query);
-        sq8_search(&q, &blocks, c, StepPolicy::default())
-    }
-
-    /// Reranks an externally produced candidate set against this
-    /// deployment's `f32` rows (exposed for benchmarks that time the
-    /// phases separately).
-    pub fn rerank(
-        &self,
-        query: &[f32],
-        candidates: &[Neighbor],
-        k: usize,
-        metric: Metric,
-    ) -> Vec<Neighbor> {
-        sq8_rerank(metric, &self.rows, self.dims, query, candidates, k)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ivf::IvfIndex;
+    use pdx_core::distance::Metric;
+    use pdx_core::engine::{SearchOptions, VectorIndex};
     use pdx_core::heap::KnnHeap;
     use pdx_core::kernels::{nary_distance, KernelVariant};
     use rand::rngs::StdRng;
@@ -402,7 +256,7 @@ mod tests {
         assert_eq!(flat.blocks.len(), 4);
         assert_eq!(flat.total_vectors(), n);
         let q = random_rows(1, d, 9);
-        let got = flat.search(&q, k, 8, Metric::L2);
+        let got = flat.search(&q, &SearchOptions::new(k).with_refine(8));
         let ids: Vec<u64> = got.iter().map(|x| x.id).collect();
         assert_eq!(ids, brute(&rows, d, &q, k));
     }
@@ -424,7 +278,7 @@ mod tests {
         let index = IvfIndex::build(&rows, n, d, 16, 10, 7);
         let ivf = IvfSq8::new(&rows, d, &index.assignments, 64);
         let q = random_rows(1, d, 11);
-        let got = ivf.search(&q, k, ivf.blocks.len(), 8, Metric::L2);
+        let got = ivf.search(&q, &SearchOptions::new(k).with_refine(8));
         let ids: Vec<u64> = got.iter().map(|x| x.id).collect();
         assert_eq!(ids, brute(&rows, d, &q, k));
     }
@@ -439,7 +293,7 @@ mod tests {
         let pdx = crate::ivf::IvfPdx::new(&rows, d, &index.assignments, 64);
         let q = random_rows(1, d, 4);
         assert_eq!(
-            sq8.probe_order(&q, 5, Metric::L2),
+            crate::ivf::probe_order(&sq8.centroids, &q, 5, Metric::L2),
             pdx.probe_order(&q, 5, Metric::L2)
         );
     }
@@ -449,8 +303,9 @@ mod tests {
         let (n, d, k) = (800, 10, 10);
         let rows = random_rows(n, d, 8);
         let flat = FlatSq8::build(&rows, n, d, 200, 32);
+        let scan_only = FlatSq8::from_parts(d, flat.quantizer, flat.blocks, Vec::new());
         let q = random_rows(1, d, 6);
-        let est = flat.search_quantized(&q, k, Metric::L2);
+        let est = scan_only.search(&q, &SearchOptions::new(k));
         let truth = brute(&rows, d, &q, k);
         let truth_set: std::collections::HashSet<u64> = truth.iter().copied().collect();
         let hits = est.iter().filter(|x| truth_set.contains(&x.id)).count();

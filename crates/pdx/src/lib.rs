@@ -85,7 +85,7 @@
 //! let sq8 = FlatSq8::with_defaults(&ds.data, ds.len, ds.dims());
 //! // The scan payload is a quarter of the f32 bytes.
 //! assert_eq!(sq8.resident_block_bytes() * 4, ds.data.len() * 4);
-//! let hits = sq8.search(ds.query(0), 10, DEFAULT_REFINE, Metric::L2);
+//! let hits = sq8.search(ds.query(0), &SearchOptions::new(10).with_refine(DEFAULT_REFINE));
 //! assert_eq!(hits.len(), 10);
 //!
 //! // Rerank distances are exact, so the top hit matches exact search.
@@ -108,13 +108,18 @@
 //! let spec = DatasetSpec { name: "demo", dims: 16, distribution: Distribution::Normal, paper_size: 0 };
 //! let ds = generate(&spec, 500, 8, 7);
 //! let flat = FlatPdx::with_defaults(&ds.data, ds.len, ds.dims());
-//! let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-//! let params = SearchParams::new(5);
+//! let opts = SearchOptions::new(5).with_threads(4);
 //!
-//! let batch = flat.search_batch(&bond, &ds.queries, &params, 4);
+//! let batch = flat.search_batch(&ds.queries, &opts);
 //! for (qi, hits) in batch.iter().enumerate() {
-//!     assert_eq!(hits, &flat.search(&bond, ds.query(qi), &params));
+//!     assert_eq!(hits, &flat.search(ds.query(qi), &opts));
 //! }
+//!
+//! // A caller that brings its own pruner uses the typed twins every
+//! // PDX-layout deployment gets from `Deployment`.
+//! let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
+//! let typed = flat.search_batch_with(&bond, &ds.queries, &opts);
+//! assert_eq!(typed[0], flat.search_with(&bond, ds.query(0), &opts));
 //! ```
 //!
 //! ## Mutable collections
@@ -181,8 +186,8 @@ pub mod prelude {
     pub use pdx_core::pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
     pub use pdx_core::search::{
         horizontal_linear_scan, horizontal_pruned_search, linear_scan_dsm, linear_scan_nary,
-        linear_scan_pdx, pdxearch, sq8_rerank, sq8_search, sq8_two_phase, HorizontalBucket,
-        SearchParams, Sq8Block, DEFAULT_REFINE,
+        linear_scan_pdx, pdxearch, sq8_rerank, sq8_two_phase, HorizontalBucket, ScanBlock,
+        Sq8Block, Sq8Bound, DEFAULT_REFINE,
     };
     pub use pdx_core::stats::BlockStats;
     pub use pdx_core::visit_order::VisitOrder;
@@ -192,10 +197,10 @@ pub mod prelude {
     pub use pdx_datasets::synthetic::{
         generate, spec_by_name, Dataset, DatasetSpec, Distribution, TABLE1,
     };
-    pub use pdx_engine::{AnyIndex, OpenOptions, PrunedFlat, PrunedIvf};
+    pub use pdx_engine::{AnyIndex, OpenOptions, Pruned, PrunedFlat, PrunedIvf};
     pub use pdx_index::{
-        FlatPdx, FlatSq8, Hnsw, HnswParams, IvfHorizontal, IvfIndex, IvfPdx, IvfSq8, KMeans,
-        LazyIvf,
+        Deployment, FlatPdx, FlatSq8, Hnsw, HnswParams, IvfHorizontal, IvfIndex, IvfPdx, IvfSq8,
+        KMeans, LazyIvf,
     };
     pub use pdx_pruners::{AdSampling, Bsa, BsaLearned};
     pub use pdx_serve::{

@@ -111,7 +111,8 @@ fn dual_block_layout_is_faithful() {
         assert_eq!(bucket.dual.vector(v), ds.vector(v));
     }
     let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-    let got = horizontal_pruned_search(&bond, &[&bucket], ds.query(0), k, 24, KernelVariant::Simd);
+    let q = bond.prepare_query(ds.query(0));
+    let got = horizontal_pruned_search(&bond, &q, [&bucket], &SearchOptions::new(k), 24, None);
     let nary = NaryMatrix::from_rows(&ds.data, ds.len, d);
     let want = linear_scan_nary(&nary, ds.query(0), k, Metric::L2, KernelVariant::Scalar);
     assert_eq!(
@@ -191,8 +192,8 @@ fn missing_bsa_aux_panics() {
     let rotated = bsa.transform_collection(&ds.data, ds.len, 2);
     // Two blocks, NO attach_aux -> the pruned scan of block 1 must panic.
     let coll = PdxCollection::from_rows_partitioned(&rotated, ds.len, 12, 200, 64);
-    let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
-    let _ = pdx_core::search::pdxearch(&bsa, &blocks, ds.query(0), &SearchParams::new(5));
+    let q = bsa.prepare_query(ds.query(0));
+    let _ = pdxearch(&bsa, &q, &coll.blocks, &SearchOptions::new(5), None);
 }
 
 /// Mismatched query dimensionality is rejected, not misread.
@@ -201,15 +202,17 @@ fn missing_bsa_aux_panics() {
 fn wrong_query_width_is_rejected() {
     let data: Vec<f32> = (0..100).map(|i| i as f32).collect();
     let coll = PdxCollection::from_rows_partitioned(&data, 10, 10, 5, 4);
-    let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
     let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-    let _ = pdx_core::search::pdxearch(&bond, &blocks, &[1.0, 2.0], &SearchParams::new(3));
+    let q = bond.prepare_query(&[1.0, 2.0]);
+    let _ = pdxearch(&bond, &q, &coll.blocks, &SearchOptions::new(3), None);
 }
 
 /// Searching an entirely empty block list returns no neighbours.
 #[test]
 fn empty_block_list_returns_nothing() {
     let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-    let res = pdx_core::search::pdxearch(&bond, &[], &[1.0, 2.0], &SearchParams::new(3));
+    let q = bond.prepare_query(&[1.0, 2.0]);
+    let none: [&SearchBlock; 0] = [];
+    let res = pdxearch(&bond, &q, none, &SearchOptions::new(3), None);
     assert!(res.is_empty());
 }

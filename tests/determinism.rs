@@ -59,17 +59,18 @@ fn flat_batch_and_parallel_match_sequential() {
     // Small blocks so duplicates of one vector land in many blocks.
     let flat = FlatPdx::new(&rows, n, d, 64, 16);
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-    let params = SearchParams::new(k);
+    let params = SearchOptions::new(k);
 
     let sequential: Vec<Vec<Neighbor>> = (0..nq)
-        .map(|qi| flat.search(&bond, &queries[qi * d..(qi + 1) * d], &params))
+        .map(|qi| flat.search_with(&bond, &queries[qi * d..(qi + 1) * d], &params))
         .collect();
 
     for threads in THREAD_COUNTS {
-        let batch = flat.search_batch(&bond, &queries, &params, threads);
+        let params = params.with_threads(threads);
+        let batch = flat.search_batch_with(&bond, &queries, &params);
         assert_eq!(batch, sequential, "search_batch at {threads} threads");
         for (qi, want) in sequential.iter().enumerate() {
-            let got = flat.search_parallel(&bond, &queries[qi * d..(qi + 1) * d], &params, threads);
+            let got = flat.search_parallel_with(&bond, &queries[qi * d..(qi + 1) * d], &params);
             assert_eq!(&got, want, "search_parallel q{qi} at {threads} threads");
         }
     }
@@ -84,28 +85,24 @@ fn ivf_batch_and_parallel_match_sequential() {
     let index = IvfIndex::build(&rows, n, d, 12, 8, 7);
     let ivf = IvfPdx::new(&rows, d, &index.assignments, 16);
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-    let params = SearchParams::new(k);
+    let params = SearchOptions::new(k);
 
     // Partial and full probes: the partial probe exercises merge at an
     // nprobe-truncated candidate set.
     for nprobe in [3usize, ivf.blocks.len()] {
+        let params = params.with_nprobe(nprobe);
         let sequential: Vec<Vec<Neighbor>> = (0..nq)
-            .map(|qi| ivf.search(&bond, &queries[qi * d..(qi + 1) * d], nprobe, &params))
+            .map(|qi| ivf.search_with(&bond, &queries[qi * d..(qi + 1) * d], &params))
             .collect();
         for threads in THREAD_COUNTS {
-            let batch = ivf.search_batch(&bond, &queries, nprobe, &params, threads);
+            let params = params.with_threads(threads);
+            let batch = ivf.search_batch_with(&bond, &queries, &params);
             assert_eq!(
                 batch, sequential,
                 "search_batch nprobe={nprobe} at {threads} threads"
             );
             for (qi, want) in sequential.iter().enumerate() {
-                let got = ivf.search_parallel(
-                    &bond,
-                    &queries[qi * d..(qi + 1) * d],
-                    nprobe,
-                    &params,
-                    threads,
-                );
+                let got = ivf.search_parallel_with(&bond, &queries[qi * d..(qi + 1) * d], &params);
                 assert_eq!(
                     &got, want,
                     "search_parallel q{qi} nprobe={nprobe} at {threads} threads"
@@ -122,29 +119,18 @@ fn flat_sq8_batch_and_parallel_match_sequential() {
     let n = base_n * copies;
     let queries = tied_queries(&rows, d, nq, 6);
     let sq8 = FlatSq8::build(&rows, n, d, 48, 16);
+    let opts = SearchOptions::new(k);
 
     let sequential: Vec<Vec<Neighbor>> = (0..nq)
-        .map(|qi| {
-            sq8.search(
-                &queries[qi * d..(qi + 1) * d],
-                k,
-                DEFAULT_REFINE,
-                Metric::L2,
-            )
-        })
+        .map(|qi| sq8.search(&queries[qi * d..(qi + 1) * d], &opts))
         .collect();
 
     for threads in THREAD_COUNTS {
-        let batch = sq8.search_batch(&queries, k, DEFAULT_REFINE, Metric::L2, threads);
+        let opts = opts.with_threads(threads);
+        let batch = sq8.search_batch(&queries, &opts);
         assert_eq!(batch, sequential, "search_batch at {threads} threads");
         for (qi, want) in sequential.iter().enumerate() {
-            let got = sq8.search_parallel(
-                &queries[qi * d..(qi + 1) * d],
-                k,
-                DEFAULT_REFINE,
-                Metric::L2,
-                threads,
-            );
+            let got = sq8.search_parallel(&queries[qi * d..(qi + 1) * d], &opts);
             assert_eq!(&got, want, "search_parallel q{qi} at {threads} threads");
         }
     }
@@ -160,19 +146,12 @@ fn ivf_sq8_batch_matches_sequential() {
     let sq8 = IvfSq8::new(&rows, d, &index.assignments, 16);
 
     for nprobe in [3usize, sq8.blocks.len()] {
+        let opts = SearchOptions::new(k).with_nprobe(nprobe);
         let sequential: Vec<Vec<Neighbor>> = (0..nq)
-            .map(|qi| {
-                sq8.search(
-                    &queries[qi * d..(qi + 1) * d],
-                    k,
-                    nprobe,
-                    DEFAULT_REFINE,
-                    Metric::L2,
-                )
-            })
+            .map(|qi| sq8.search(&queries[qi * d..(qi + 1) * d], &opts))
             .collect();
         for threads in THREAD_COUNTS {
-            let batch = sq8.search_batch(&queries, k, nprobe, DEFAULT_REFINE, Metric::L2, threads);
+            let batch = sq8.search_batch(&queries, &opts.with_threads(threads));
             assert_eq!(
                 batch, sequential,
                 "search_batch nprobe={nprobe} at {threads} threads"
@@ -252,7 +231,6 @@ fn hnsw_trait_batch_and_parallel_match_sequential() {
 /// reproduce the sequential `search` bit for bit, on `f32` and SQ8.
 #[test]
 fn multi_tile_blocks_parallel_and_streamed_match_sequential() {
-    use pdx::core::search::pdxearch_streamed;
     let (d, k, nq) = (12, 10, 4);
     let (block, n) = (1224, 3 * 1224);
     let rows = tied_rows(n / 4, 4, d, 31);
@@ -261,18 +239,25 @@ fn multi_tile_blocks_parallel_and_streamed_match_sequential() {
     assert_eq!(flat.collection.blocks.len(), 3);
     let sq8 = FlatSq8::build(&rows, n, d, block, 64);
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-    let params = SearchParams::new(k);
+    let params = SearchOptions::new(k);
 
     for q in queries.chunks_exact(d) {
-        let want = flat.search(&bond, q, &params);
-        let prepared = bond.prepare_query(q);
-        let streamed = pdxearch_streamed(&bond, &prepared, flat.collection.blocks.iter(), &params);
-        assert_eq!(streamed, want, "pdxearch_streamed");
-        let want8 = sq8.search(q, k, DEFAULT_REFINE, Metric::L2);
+        let want = flat.search_with(&bond, q, &params);
+        // An owning stream of pins, as an out-of-core deployment hands over.
+        let stream = flat
+            .collection
+            .blocks
+            .iter()
+            .cloned()
+            .map(std::sync::Arc::new);
+        let streamed = pdxearch(&bond, &bond.prepare_query(q), stream, &params, None);
+        assert_eq!(streamed, want, "pdxearch over a stream");
+        let want8 = sq8.search(q, &params);
         for threads in THREAD_COUNTS {
-            let got = flat.search_parallel(&bond, q, &params, threads);
+            let params = params.with_threads(threads);
+            let got = flat.search_parallel_with(&bond, q, &params);
             assert_eq!(got, want, "FlatPdx search_parallel at {threads} threads");
-            let got8 = sq8.search_parallel(q, k, DEFAULT_REFINE, Metric::L2, threads);
+            let got8 = sq8.search_parallel(q, &params);
             assert_eq!(got8, want8, "FlatSq8 search_parallel at {threads} threads");
         }
     }

@@ -27,7 +27,7 @@ fn flat_bond_matches_ground_truth_exactly() {
         let bond = PdxBond::new(Metric::L2, order);
         let mut total = 0.0;
         for qi in 0..ds.n_queries {
-            let res = flat.search(&bond, ds.query(qi), &SearchParams::new(k));
+            let res = flat.search_with(&bond, ds.query(qi), &SearchOptions::new(k));
             let ids: Vec<u64> = res.iter().map(|r| r.id).collect();
             total += recall_at_k(&gt[qi], &ids, k);
         }
@@ -53,12 +53,12 @@ fn ivf_adsampling_recall_behaviour() {
     let index = IvfIndex::build(&ds.data, ds.len, d, 32, 10, 3);
     let ivf = IvfPdx::new(&rotated, d, &index.assignments, 64);
 
-    let params = SearchParams::new(k);
+    let params = SearchOptions::new(k);
     let mut recalls = Vec::new();
     for nprobe in [2usize, 8, 32] {
         let mut total = 0.0;
         for qi in 0..ds.n_queries {
-            let res = ivf.search(&ads, ds.query(qi), nprobe, &params);
+            let res = ivf.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
             let ids: Vec<u64> = res.iter().map(|r| r.id).collect();
             total += recall_at_k(&gt[qi], &ids, k);
         }
@@ -91,10 +91,10 @@ fn ivf_bsa_exact_mode_is_lossless() {
         bsa.attach_aux(block, &sched);
     }
 
-    let params = SearchParams::new(k);
+    let params = SearchOptions::new(k);
     let nprobe = ivf.blocks.len();
     for qi in 0..ds.n_queries {
-        let pruned = ivf.search(&bsa, ds.query(qi), nprobe, &params);
+        let pruned = ivf.search_with(&bsa, ds.query(qi), &params.with_nprobe(nprobe));
         let rotated_q = bsa.transform_vector(ds.query(qi));
         let linear = ivf.linear_search(&rotated_q, k, nprobe, Metric::L2);
         let mut a: Vec<u64> = pruned.iter().map(|r| r.id).collect();
@@ -124,7 +124,7 @@ fn ivf_bsa_default_quantile_recall() {
 
     let mut total = 0.0;
     for qi in 0..ds.n_queries {
-        let res = ivf.search(&bsa, ds.query(qi), ivf.blocks.len(), &SearchParams::new(k));
+        let res = ivf.search_with(&bsa, ds.query(qi), &SearchOptions::new(k));
         let ids: Vec<u64> = res.iter().map(|r| r.id).collect();
         total += recall_at_k(&gt[qi], &ids, k);
     }
@@ -152,8 +152,16 @@ fn horizontal_and_pdx_adsampling_agree() {
 
     let nprobe = pdx_ivf.blocks.len();
     for qi in 0..ds.n_queries {
-        let a = pdx_ivf.search(&ads, ds.query(qi), nprobe, &SearchParams::new(k));
-        let b = hor_ivf.search(&ads, ds.query(qi), k, nprobe, KernelVariant::Simd);
+        let a = pdx_ivf.search_with(
+            &ads,
+            ds.query(qi),
+            &SearchOptions::new(k).with_nprobe(nprobe),
+        );
+        let b = hor_ivf.search_with(
+            &ads,
+            ds.query(qi),
+            &SearchOptions::new(k).with_nprobe(nprobe),
+        );
         // Both run the same hypothesis test; pruning *decisions* can
         // differ slightly because PDXearch checks at adaptive steps and
         // the horizontal path at fixed Δd — but at full probe depth the
@@ -180,8 +188,8 @@ fn full_probe_ivf_equals_flat() {
     let flat = FlatPdx::new(&ds.data, ds.len, d, 500, 64);
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
     for qi in 0..ds.n_queries {
-        let a = ivf.search(&bond, ds.query(qi), ivf.blocks.len(), &SearchParams::new(k));
-        let b = flat.search(&bond, ds.query(qi), &SearchParams::new(k));
+        let a = ivf.search_with(&bond, ds.query(qi), &SearchOptions::new(k));
+        let b = flat.search_with(&bond, ds.query(qi), &SearchOptions::new(k));
         let mut ia: Vec<u64> = a.iter().map(|r| r.id).collect();
         let mut ib: Vec<u64> = b.iter().map(|r| r.id).collect();
         ia.sort_unstable();
@@ -209,12 +217,7 @@ fn bsa_learned_end_to_end() {
     }
     let mut total = 0.0;
     for qi in 0..ds.n_queries {
-        let res = ivf.search(
-            &learned,
-            ds.query(qi),
-            ivf.blocks.len(),
-            &SearchParams::new(k),
-        );
+        let res = ivf.search_with(&learned, ds.query(qi), &SearchOptions::new(k));
         let ids: Vec<u64> = res.iter().map(|r| r.id).collect();
         total += recall_at_k(&gt[qi], &ids, k);
     }
@@ -239,11 +242,16 @@ fn hybrid_hnsw_router_preserves_recall() {
     let router = ivf.build_centroid_router(HnswParams::default(), 11);
 
     let nprobe = 16;
-    let params = SearchParams::new(k);
+    let params = SearchOptions::new(k);
     let (mut linear_total, mut routed_total) = (0.0, 0.0);
     for qi in 0..ds.n_queries {
-        let a = ivf.search(&ads, ds.query(qi), nprobe, &params);
-        let b = ivf.search_with_router(&router, &ads, ds.query(qi), nprobe, 64, &params);
+        let a = ivf.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
+        let b = ivf.search_with_router(
+            &router,
+            &ads,
+            ds.query(qi),
+            &params.with_nprobe(nprobe).with_ef(64),
+        );
         let ia: Vec<u64> = a.iter().map(|r| r.id).collect();
         let ib: Vec<u64> = b.iter().map(|r| r.id).collect();
         linear_total += recall_at_k(&gt[qi], &ia, k);

@@ -164,39 +164,50 @@ fn default_options_match_old_per_type_defaults() {
     let index = IvfIndex::build(&rows, n, d, 12, 8, 7);
     let opts = SearchOptions::new(k);
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-    let params = SearchParams::new(k);
 
     let flat = FlatPdx::new(&rows, n, d, 150, 16);
     let dyn_flat: &dyn VectorIndex = &flat;
-    assert_eq!(dyn_flat.search(&q, &opts), flat.search(&bond, &q, &params));
+    assert_eq!(
+        dyn_flat.search(&q, &opts),
+        flat.search_with(&bond, &q, &opts)
+    );
 
     let ivf = IvfPdx::new(&rows, d, &index.assignments, 16);
     let dyn_ivf: &dyn VectorIndex = &ivf;
     // nprobe defaults to 0 = every bucket (exact).
-    assert_eq!(
-        dyn_ivf.search(&q, &opts),
-        ivf.search(&bond, &q, ivf.blocks.len(), &params)
-    );
+    assert_eq!(dyn_ivf.search(&q, &opts), ivf.search_with(&bond, &q, &opts));
 
     let hor = IvfHorizontal::new(&rows, d, &index.assignments, d / 4);
     let dyn_hor: &dyn VectorIndex = &hor;
-    assert_eq!(
-        dyn_hor.search(&q, &opts),
-        hor.search(&bond, &q, k, hor.buckets.len(), KernelVariant::Simd)
-    );
+    assert_eq!(dyn_hor.search(&q, &opts), hor.search_with(&bond, &q, &opts));
 
     let sq8 = FlatSq8::build(&rows, n, d, 150, 16);
     let dyn_sq8: &dyn VectorIndex = &sq8;
+    // The two-phase defaults, spelled out against the core composition.
+    let explicit = SearchOptions {
+        metric: Metric::L2,
+        refine: DEFAULT_REFINE,
+        ..opts
+    };
     assert_eq!(
         dyn_sq8.search(&q, &opts),
-        sq8.search(&q, k, DEFAULT_REFINE, Metric::L2)
+        sq8_two_phase(&sq8.quantizer, &sq8.blocks, &sq8.rows, &q, &explicit, None)
     );
 
     let ivf_sq8 = IvfSq8::new(&rows, d, &index.assignments, 16);
     let dyn_ivf_sq8: &dyn VectorIndex = &ivf_sq8;
+    // Full probe: the candidate set is canonical whatever the bucket
+    // order, so storage order answers like probe order.
     assert_eq!(
         dyn_ivf_sq8.search(&q, &opts),
-        ivf_sq8.search(&q, k, ivf_sq8.blocks.len(), DEFAULT_REFINE, Metric::L2)
+        sq8_two_phase(
+            &ivf_sq8.quantizer,
+            &ivf_sq8.blocks,
+            &ivf_sq8.rows,
+            &q,
+            &explicit,
+            None
+        )
     );
 
     let hnsw = Hnsw::build(&rows, n, d, HnswParams::default(), 3);

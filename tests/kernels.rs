@@ -10,10 +10,8 @@
 //! scalar-vs-scalar and stay green.
 
 use pdx::core::kernels::{
-    pdx_accumulate_permuted_policy, pdx_accumulate_policy,
-    pdx_accumulate_positions_permuted_policy, pdx_accumulate_positions_policy,
-    pdx_accumulate_survivors, sq8_accumulate_policy, sq8_accumulate_positions_policy,
-    sq8_accumulate_survivors, sq8_code_ip_policy, sq8_code_l2_policy, DimSel,
+    pdx_accumulate, pdx_accumulate_positions_policy, pdx_accumulate_survivors, sq8_accumulate,
+    sq8_accumulate_positions, sq8_accumulate_survivors, sq8_code_ip, sq8_code_l2, DimSel,
 };
 use pdx::prelude::*;
 use proptest::prelude::*;
@@ -129,21 +127,21 @@ proptest! {
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
             for g in block.groups() {
                 let mut want = vec![1.5f32; g.lanes];
-                pdx_accumulate_policy(metric, &g, &q, 0..split, &mut want, KernelPolicy::Scalar);
+                pdx_accumulate(metric, &g, &q, DimSel::Range(0..split), &mut want, KernelPolicy::Scalar);
                 let mut want_p = vec![0.25f32; g.lanes];
-                pdx_accumulate_permuted_policy(
-                    metric, &g, &q, &perm[..split], &mut want_p, KernelPolicy::Scalar,
+                pdx_accumulate(
+                    metric, &g, &q, DimSel::Ids(&perm[..split]), &mut want_p, KernelPolicy::Scalar,
                 );
                 for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
                     let mut got = vec![1.5f32; g.lanes];
-                    pdx_accumulate_policy(metric, &g, &q, 0..split, &mut got, policy);
+                    pdx_accumulate(metric, &g, &q, DimSel::Range(0..split), &mut got, policy);
                     prop_assert_eq!(
                         got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         );
                     let mut got_p = vec![0.25f32; g.lanes];
-                    pdx_accumulate_permuted_policy(
-                        metric, &g, &q, &perm[..split], &mut got_p, policy,
+                    pdx_accumulate(
+                        metric, &g, &q, DimSel::Ids(&perm[..split]), &mut got_p, policy,
                     );
                     prop_assert_eq!(
                         got_p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -171,24 +169,24 @@ proptest! {
                 let pos = survivors(g.lanes, salt);
                 let mut want = vec![2.0f32; pos.len()];
                 pdx_accumulate_positions_policy(
-                    metric, &g, &q, lo..d, &pos, &mut want, KernelPolicy::Scalar,
+                    metric, &g, &q, DimSel::Range(lo..d), &pos, &mut want, KernelPolicy::Scalar,
                 );
                 let mut want_p = vec![2.0f32; pos.len()];
-                pdx_accumulate_positions_permuted_policy(
-                    metric, &g, &q, &perm[lo..], &pos, &mut want_p, KernelPolicy::Scalar,
+                pdx_accumulate_positions_policy(
+                    metric, &g, &q, DimSel::Ids(&perm[lo..]), &pos, &mut want_p, KernelPolicy::Scalar,
                 );
                 for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
                     let mut got = vec![2.0f32; pos.len()];
                     pdx_accumulate_positions_policy(
-                        metric, &g, &q, lo..d, &pos, &mut got, policy,
+                        metric, &g, &q, DimSel::Range(lo..d), &pos, &mut got, policy,
                     );
                     prop_assert_eq!(
                         got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         );
                     let mut got_p = vec![2.0f32; pos.len()];
-                    pdx_accumulate_positions_permuted_policy(
-                        metric, &g, &q, &perm[lo..], &pos, &mut got_p, policy,
+                    pdx_accumulate_positions_policy(
+                        metric, &g, &q, DimSel::Ids(&perm[lo..]), &pos, &mut got_p, policy,
                     );
                     prop_assert_eq!(
                         got_p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -222,11 +220,11 @@ proptest! {
             let mut dense_p = vec![2.0f32; n];
             for g in block.groups() {
                 let lanes = g.start_vector..g.start_vector + g.lanes;
-                pdx_accumulate_policy(
-                    metric, &g, &q, lo..d, &mut dense[lanes.clone()], KernelPolicy::Scalar,
+                pdx_accumulate(
+                    metric, &g, &q, DimSel::Range(lo..d), &mut dense[lanes.clone()], KernelPolicy::Scalar,
                 );
-                pdx_accumulate_permuted_policy(
-                    metric, &g, &q, &perm[lo..], &mut dense_p[lanes], KernelPolicy::Scalar,
+                pdx_accumulate(
+                    metric, &g, &q, DimSel::Ids(&perm[lo..]), &mut dense_p[lanes], KernelPolicy::Scalar,
                 );
             }
             let want: Vec<f32> = pos.iter().map(|&p| dense[p as usize]).collect();
@@ -265,7 +263,7 @@ proptest! {
             let mut dense = vec![3.0f32; n];
             for g in block.groups() {
                 let lanes = g.start_vector..g.start_vector + g.lanes;
-                sq8_accumulate_policy(&q, &g, lo..d, &mut dense[lanes], KernelPolicy::Scalar);
+                sq8_accumulate(&q, &g, lo..d, &mut dense[lanes], KernelPolicy::Scalar);
             }
             let want: Vec<f32> = pos.iter().map(|&p| dense[p as usize]).collect();
             for policy in [KernelPolicy::Scalar, KernelPolicy::Auto, KernelPolicy::Simd] {
@@ -303,20 +301,20 @@ proptest! {
             for g in block.groups() {
                 let pos = survivors(g.lanes, salt);
                 let mut want_a = vec![0.5f32; g.lanes];
-                sq8_accumulate_policy(&q, &g, 0..split, &mut want_a, KernelPolicy::Scalar);
+                sq8_accumulate(&q, &g, 0..split, &mut want_a, KernelPolicy::Scalar);
                 let mut want_s = vec![3.0f32; pos.len()];
-                sq8_accumulate_positions_policy(
+                sq8_accumulate_positions(
                     &q, &g, split.min(d - 1)..d, &pos, &mut want_s, KernelPolicy::Scalar,
                 );
                 for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
                     let mut got_a = vec![0.5f32; g.lanes];
-                    sq8_accumulate_policy(&q, &g, 0..split, &mut got_a, policy);
+                    sq8_accumulate(&q, &g, 0..split, &mut got_a, policy);
                     prop_assert_eq!(
                         got_a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         want_a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         );
                     let mut got_s = vec![3.0f32; pos.len()];
-                    sq8_accumulate_positions_policy(
+                    sq8_accumulate_positions(
                         &q, &g, split.min(d - 1)..d, &pos, &mut got_s, policy,
                     );
                     prop_assert_eq!(
@@ -343,9 +341,9 @@ proptest! {
         let lo = d / 5;
         for g in block.groups() {
             let mut want_l2 = vec![7u32; g.lanes];
-            sq8_code_l2_policy(&g, &qcodes, lo..d, &mut want_l2, KernelPolicy::Scalar);
+            sq8_code_l2(&g, &qcodes, lo..d, &mut want_l2, KernelPolicy::Scalar);
             let mut want_ip = vec![-3i32; g.lanes];
-            sq8_code_ip_policy(&g, &qcodes, lo..d, &mut want_ip, KernelPolicy::Scalar);
+            sq8_code_ip(&g, &qcodes, lo..d, &mut want_ip, KernelPolicy::Scalar);
             // Independent scalar recomputation of the L2 form.
             for (lane, &w) in want_l2.iter().enumerate() {
                 let mut acc = 7u32;
@@ -357,10 +355,10 @@ proptest! {
             }
             for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
                 let mut got_l2 = vec![7u32; g.lanes];
-                sq8_code_l2_policy(&g, &qcodes, lo..d, &mut got_l2, policy);
+                sq8_code_l2(&g, &qcodes, lo..d, &mut got_l2, policy);
                 prop_assert_eq!(&got_l2, &want_l2);
                 let mut got_ip = vec![-3i32; g.lanes];
-                sq8_code_ip_policy(&g, &qcodes, lo..d, &mut got_ip, policy);
+                sq8_code_ip(&g, &qcodes, lo..d, &mut got_ip, policy);
                 prop_assert_eq!(&got_ip, &want_ip);
             }
         }

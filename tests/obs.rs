@@ -134,25 +134,41 @@ fn traced_searches_reach_the_registry() {
     );
 }
 
-/// The fitted-pruner adapters publish the profiled phase breakdown
-/// under their own kind: the query rotation is the `preprocess` phase,
-/// the centroid ranking `find_buckets`.
+/// Every deployment whose scan is PDXearch publishes the profiled phase
+/// breakdown under its own kind: preparing the query (the rotation of
+/// the fitted-pruner adapters, the code-space form of the SQ8 ones) is
+/// the `preprocess` phase, the centroid ranking `find_buckets`, and the
+/// work counters are the scan's — SQ8 included, whose rerank is charged
+/// to `distance` and counted in `rerank_candidates`.
 #[test]
-fn pruned_adapters_publish_attributed_traces() {
+fn pdxearch_deployments_publish_attributed_traces() {
     let (n, d, k) = (600, 16, 5);
     let rows = random_rows(n, d, 11);
     let deps = deployments(&rows, n, d);
     let opts = SearchOptions::new(k).with_trace(true);
     let q = random_rows(1, d, 12);
-    for (kind, routed) in [("pruned-ivf-adsampling", true), ("pruned-flat-bsa", false)] {
+    for (kind, routed, reranked) in [
+        ("flat-pdx", false, 0),
+        ("ivf-pdx", true, 0),
+        ("flat-sq8", false, k * DEFAULT_REFINE),
+        ("ivf-sq8", true, k * DEFAULT_REFINE),
+        ("pruned-ivf-adsampling", true, 0),
+        ("pruned-flat-bsa", false, 0),
+    ] {
         let dep = deps.iter().find(|dep| dep.kind() == kind).unwrap();
         let (hits, trace) = pdx::obs::trace::capture(|| dep.search(&q, &opts));
         assert_eq!(hits.len(), k);
         assert_eq!(trace.deployment, kind);
-        assert!(trace.preprocess_ns > 0, "{kind}: rotation unattributed");
+        assert!(trace.preprocess_ns > 0, "{kind}: preparation unattributed");
         assert!(trace.distance_ns > 0, "{kind}: scan unattributed");
         assert_eq!(trace.find_buckets_ns > 0, routed, "{kind}: routing");
         assert!(trace.blocks_visited > 0 && trace.vectors_visited > 0);
+        assert!(trace.dims_scanned > 0, "{kind}: no work counted");
+        assert!(
+            trace.dims_scanned <= trace.dims_total,
+            "{kind}: over-counted"
+        );
+        assert_eq!(trace.rerank_candidates, reranked as u64, "{kind}: rerank");
         assert!(
             trace.preprocess_ns + trace.find_buckets_ns + trace.bounds_ns + trace.distance_ns
                 <= trace.total_ns,

@@ -66,7 +66,6 @@ proptest! {
         order_pick in 0usize..4,
     ) {
         let coll = PdxCollection::from_rows_partitioned(&data, n, d, block_size, group);
-        let blocks: Vec<&pdx_core::collection::SearchBlock> = coll.blocks.iter().collect();
         let q: Vec<f32> = data[..d].iter().map(|x| x * 0.5 + 1.0).collect();
         let order = [
             VisitOrder::Sequential,
@@ -75,8 +74,8 @@ proptest! {
             VisitOrder::DimensionZones { zone_size: 4 },
         ][order_pick];
         let bond = PdxBond::new(Metric::L2, order);
-        let params = SearchParams::new(k).with_selection_fraction(frac);
-        let got = pdxearch(&bond, &blocks, &q, &params);
+        let opts = SearchOptions::new(k).with_selection_fraction(frac);
+        let got = pdxearch(&bond, &bond.prepare_query(&q), &coll.blocks, &opts, None);
         // Brute force.
         let mut want: Vec<f32> = data
             .chunks_exact(d)

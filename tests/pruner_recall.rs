@@ -154,7 +154,7 @@ fn adsampling_default_epsilon_keeps_recall() {
     let ivf = IvfPdx::new(&rotated, d, &index.assignments, 64);
     let mut total = 0.0;
     for qi in 0..ds.n_queries {
-        let res = ivf.search(&ads, ds.query(qi), ivf.blocks.len(), &SearchParams::new(k));
+        let res = ivf.search_with(&ads, ds.query(qi), &SearchOptions::new(k));
         let ids: Vec<u64> = res.iter().map(|r| r.id).collect();
         total += recall_at_k(&gt[qi], &ids, k);
     }
@@ -188,11 +188,11 @@ fn framework_knobs_do_not_change_exact_results() {
             StepPolicy::Fixed { step: 5 },
         ] {
             let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-            let params = SearchParams::new(k)
+            let params = SearchOptions::new(k)
                 .with_selection_fraction(frac)
                 .with_step(step);
             for qi in 0..ds.n_queries {
-                let res = flat.search(&bond, ds.query(qi), &params);
+                let res = flat.search_with(&bond, ds.query(qi), &params);
                 let mut ids: Vec<u64> = res.iter().map(|r| r.id).collect();
                 let mut want = reference[qi].clone();
                 ids.sort_unstable();
@@ -226,12 +226,8 @@ fn pca_rotated_bond_is_exact_and_prunes_earlier() {
     let mut pruned = Vec::new();
     for qi in 0..ds.n_queries {
         let rq = bsa.transform_vector(ds.query(qi));
-        let res = pdx::core::search::pdxearch(
-            &bond,
-            &ivf.blocks.iter().collect::<Vec<_>>(),
-            &rq,
-            &SearchParams::new(k),
-        );
+        let q = bond.prepare_query(&rq);
+        let res = pdxearch(&bond, &q, &ivf.blocks, &SearchOptions::new(k), None);
         let ids: Vec<u64> = res.iter().map(|r| r.id).collect();
         total += recall_at_k(&gt[qi], &ids, k);
         pruned.push(measure_pruned_fraction(&bond, &ivf, &rq, k));

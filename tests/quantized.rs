@@ -93,10 +93,11 @@ proptest! {
             blocks.push(Sq8Block::new(&data[v0 * d..(v0 + here) * d], ids, d, group, &qz));
             v0 += here;
         }
-        let refs: Vec<&Sq8Block> = blocks.iter().collect();
         let query: Vec<f32> = data[(n - 1) * d..].iter().map(|x| x * 0.5 + 1.0).collect();
         let q = qz.prepare_query(Metric::L2, &query);
-        let got = sq8_search(&q, &refs, c, StepPolicy::default());
+        let bound = Sq8Bound::new(&qz, Metric::L2);
+        let prepared = bound.prepare_query(&query);
+        let got = pdxearch(&bound, &prepared, &blocks, &SearchOptions::new(c), None);
         // Reference: full scans, no pruning.
         let mut want: Vec<f32> = Vec::new();
         for b in &blocks {
@@ -121,7 +122,7 @@ proptest! {
     ) {
         let flat = FlatSq8::build(&data, n, d, 64, 16);
         let query: Vec<f32> = data[..d].iter().map(|x| x * 0.9 - 0.5).collect();
-        let hits = flat.search(&query, k, 4, Metric::L2);
+        let hits = flat.search(&query, &SearchOptions::new(k));
         for h in &hits {
             let row = &data[h.id as usize * d..(h.id as usize + 1) * d];
             let truth = distance_scalar(Metric::L2, &query, row);
@@ -144,7 +145,7 @@ fn two_phase_recall_meets_bar_on_synthetic_sift() {
     let flat = FlatSq8::build(&ds.data, n, ds.dims(), 1024, DEFAULT_GROUP_SIZE);
     let results: Vec<Vec<u64>> = (0..nq)
         .map(|qi| {
-            flat.search(ds.query(qi), k, DEFAULT_REFINE, Metric::L2)
+            flat.search(ds.query(qi), &SearchOptions::new(k))
                 .iter()
                 .map(|r| r.id)
                 .collect()
@@ -158,7 +159,7 @@ fn two_phase_recall_meets_bar_on_synthetic_sift() {
     let ivf = IvfSq8::new(&ds.data, ds.dims(), &index.assignments, DEFAULT_GROUP_SIZE);
     let results: Vec<Vec<u64>> = (0..nq)
         .map(|qi| {
-            ivf.search(ds.query(qi), k, 16, DEFAULT_REFINE, Metric::L2)
+            ivf.search(ds.query(qi), &SearchOptions::new(k).with_nprobe(16))
                 .iter()
                 .map(|r| r.id)
                 .collect()
@@ -182,8 +183,8 @@ fn persisted_sq8_index_answers_identically() {
     let reloaded = FlatSq8::from_parts(back.dims, back.quantizer, back.blocks, back.rows);
     for qi in 0..5 {
         assert_eq!(
-            flat.search(ds.query(qi), 10, 4, Metric::L2),
-            reloaded.search(ds.query(qi), 10, 4, Metric::L2),
+            flat.search(ds.query(qi), &SearchOptions::new(10)),
+            reloaded.search(ds.query(qi), &SearchOptions::new(10)),
             "query {qi}"
         );
     }
