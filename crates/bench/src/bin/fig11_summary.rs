@@ -122,11 +122,7 @@ fn main() {
         });
         push_ivf(&mut ivfb, "PDX-BOND", qps);
         let (qps, _) = time_queries(ds.n_queries, |qi| {
-            let _ = ivf_ads_hor.search_with(
-                &ads,
-                ds.query(qi),
-                &SearchOptions::new(k).with_nprobe(nprobe),
-            );
+            let _ = ivf_ads_hor.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
         });
         push_ivf(&mut ivfb, "SIMD-ADS", qps);
         let (qps, _) = time_queries(ds.n_queries, |qi| {

@@ -59,6 +59,7 @@ fn main() {
         let mut nprobe = 1usize;
         while nprobe <= 512 && nprobe <= ivf_pdx.blocks.len() {
             let params = SearchOptions::new(k);
+            let scalar = params.with_kernel(KernelPolicy::Scalar);
             let mut ids: Vec<Vec<u64>> = Vec::new();
             let (qps_pdx, _) = time_queries(ds.n_queries, |qi| {
                 let r = ivf_pdx.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
@@ -67,20 +68,10 @@ fn main() {
             let recall = mean_recall(&gt, &ids, k);
 
             let (qps_simd, _) = time_queries(ds.n_queries, |qi| {
-                let _ = ivf_hor.search_with(
-                    &ads,
-                    ds.query(qi),
-                    &SearchOptions::new(k).with_nprobe(nprobe),
-                );
+                let _ = ivf_hor.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
             });
             let (qps_scalar, _) = time_queries(ds.n_queries, |qi| {
-                let _ = ivf_hor.search_with(
-                    &ads,
-                    ds.query(qi),
-                    &SearchOptions::new(k)
-                        .with_nprobe(nprobe)
-                        .with_kernel(KernelPolicy::Scalar),
-                );
+                let _ = ivf_hor.search_with(&ads, ds.query(qi), &scalar.with_nprobe(nprobe));
             });
             let (qps_flat, _) = time_queries(ds.n_queries, |qi| {
                 let _ =

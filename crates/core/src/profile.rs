@@ -39,33 +39,6 @@ pub struct SearchProfile {
 }
 
 impl SearchProfile {
-    /// Total across phases.
-    pub fn total_ns(&self) -> u64 {
-        self.preprocess_ns + self.find_buckets_ns + self.bounds_ns + self.distance_ns
-    }
-
-    /// Adds another profile's counters into this one.
-    pub fn merge(&mut self, other: &SearchProfile) {
-        self.preprocess_ns += other.preprocess_ns;
-        self.find_buckets_ns += other.find_buckets_ns;
-        self.bounds_ns += other.bounds_ns;
-        self.distance_ns += other.distance_ns;
-        self.blocks += other.blocks;
-        self.vectors += other.vectors;
-        self.dims_total += other.dims_total;
-        self.dims_scanned += other.dims_scanned;
-    }
-
-    /// Percentage share of one phase (0–100), for table rendering.
-    pub fn share(&self, phase_ns: u64) -> f64 {
-        let total = self.total_ns();
-        if total == 0 {
-            0.0
-        } else {
-            phase_ns as f64 * 100.0 / total as f64
-        }
-    }
-
     /// Dimension-values the pruner skipped.
     pub fn dims_pruned(&self) -> u64 {
         self.dims_total.saturating_sub(self.dims_scanned)
@@ -103,42 +76,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_shares() {
-        let p = SearchProfile {
-            preprocess_ns: 10,
-            find_buckets_ns: 20,
-            bounds_ns: 30,
-            distance_ns: 40,
-            ..SearchProfile::default()
-        };
-        assert_eq!(p.total_ns(), 100);
-        assert_eq!(p.share(p.distance_ns), 40.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = SearchProfile {
-            preprocess_ns: 1,
-            find_buckets_ns: 2,
-            bounds_ns: 3,
-            distance_ns: 4,
-            blocks: 5,
-            vectors: 6,
-            dims_total: 100,
-            dims_scanned: 40,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.total_ns(), 20);
-        assert_eq!(a.blocks, 10);
-        assert_eq!(a.dims_total, 200);
-        assert_eq!(a.dims_scanned, 80);
-    }
-
-    #[test]
-    fn empty_profile_has_zero_share() {
-        let p = SearchProfile::default();
-        assert_eq!(p.share(0), 0.0);
-        assert_eq!(p.pruning_ratio(), 0.0);
+    fn empty_profile_has_zero_ratio() {
+        assert_eq!(SearchProfile::default().pruning_ratio(), 0.0);
     }
 
     #[test]

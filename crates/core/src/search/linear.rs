@@ -13,8 +13,7 @@ use crate::distance::Metric;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dsm::dsm_scan;
 use crate::kernels::nary::{nary_distance, KernelVariant};
-use crate::kernels::pdx::{pdx_accumulate, DimSel};
-use crate::kernels::KernelPolicy;
+use crate::kernels::pdx::pdx_scan;
 use crate::layout::{DsmMatrix, NaryMatrix};
 
 /// Exhaustive k-NN over a PDX collection.
@@ -42,21 +41,8 @@ pub fn linear_scan_blocks(
         if block.is_empty() {
             continue;
         }
-        let dims = block.pdx.dims();
-        assert_eq!(query.len(), dims, "query dimensionality mismatch");
-        distances.clear();
         distances.resize(block.len(), 0.0);
-        for g in block.pdx.groups() {
-            let acc = &mut distances[g.start_vector..g.start_vector + g.lanes];
-            pdx_accumulate(
-                metric,
-                &g,
-                query,
-                DimSel::Range(0..dims),
-                acc,
-                KernelPolicy::Auto,
-            );
-        }
+        pdx_scan(metric, &block.pdx, query, &mut distances);
         for (i, &d) in distances.iter().enumerate() {
             heap.push(block.row_ids[i], d);
         }

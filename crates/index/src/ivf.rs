@@ -183,26 +183,11 @@ impl IvfPdx {
         crate::hnsw::Hnsw::build(&rows, self.centroids.len(), self.dims, params, seed)
     }
 
-    /// Approximate probe ranking via a centroid HNSW (built with
-    /// [`IvfPdx::build_centroid_router`]); `ef` trades routing recall for
+    /// PDXearch query routed through a centroid HNSW (built with
+    /// [`IvfPdx::build_centroid_router`]) instead of the linear centroid
+    /// scan: an approximate ranking of [`SearchOptions::nprobe`] buckets,
+    /// whose beam [`SearchOptions::resolve_ef`] trades routing recall for
     /// speed.
-    pub fn probe_order_hnsw(
-        &self,
-        router: &crate::hnsw::Hnsw,
-        query_space: &[f32],
-        nprobe: usize,
-        ef: usize,
-    ) -> Vec<u32> {
-        router
-            .search(query_space, nprobe.max(1), ef)
-            .iter()
-            .map(|n| n.id as u32)
-            .collect()
-    }
-
-    /// PDXearch query routed through a centroid HNSW instead of the
-    /// linear centroid scan ([`SearchOptions::nprobe`] buckets, beam
-    /// [`SearchOptions::resolve_ef`]).
     pub fn search_with_router<P: Pruner>(
         &self,
         router: &crate::hnsw::Hnsw,
@@ -212,9 +197,8 @@ impl IvfPdx {
     ) -> Vec<Neighbor> {
         let q = pruner.prepare_query(query);
         let nprobe = opts.resolve_nprobe(self.blocks.len());
-        let order =
-            self.probe_order_hnsw(router, pruner.query_vector(&q), nprobe, opts.resolve_ef());
-        let blocks = order.iter().map(|&b| &self.blocks[b as usize]);
+        let order = router.search(pruner.query_vector(&q), nprobe, opts.resolve_ef());
+        let blocks = order.iter().map(|n| &self.blocks[n.id as usize]);
         pdxearch(pruner, &q, blocks, opts, None)
     }
 

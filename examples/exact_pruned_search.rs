@@ -33,7 +33,7 @@ fn main() {
     let nary = NaryMatrix::from_rows(&ds.data, n, d);
     let dsm = DsmMatrix::from_rows(&ds.data, n, d);
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-    let params = SearchOptions::new(k);
+    let opts = SearchOptions::new(k);
 
     let mut report: Vec<(&str, f64, Vec<Vec<f32>>)> = Vec::new();
 
@@ -44,7 +44,7 @@ fn main() {
     };
 
     let (qps, res) = time(&mut |qi| {
-        flat.search_with(&bond, ds.query(qi), &params)
+        flat.search_with(&bond, ds.query(qi), &opts)
             .iter()
             .map(|r| r.distance)
             .collect()

@@ -52,11 +52,11 @@ fn main() {
             break;
         }
         // PDX-ADS.
-        let params = SearchOptions::new(k);
+        let opts = SearchOptions::new(k);
         let t0 = Instant::now();
         let mut results = Vec::with_capacity(n_queries);
         for qi in 0..n_queries {
-            results.push(ivf_ads.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe)));
+            results.push(ivf_ads.search_with(&ads, ds.query(qi), &opts.with_nprobe(nprobe)));
         }
         let ads_qps = n_queries as f64 / t0.elapsed().as_secs_f64();
         let ads_recall = mean_recall(

@@ -32,14 +32,14 @@ fn main() {
     // 3. An exact pruned searcher: PDX-BOND with the distance-to-means
     //    dimension order. Works on the raw floats as-is.
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-    let params = SearchOptions::new(10);
+    let opts = SearchOptions::new(10);
 
     // 4. Search all queries, once with PDX-BOND, once with a plain
     //    PDX linear scan (both are exact; BOND skips work).
     let t0 = Instant::now();
     let mut bond_results = Vec::new();
     for qi in 0..ds.n_queries {
-        bond_results.push(flat.search_with(&bond, ds.query(qi), &params));
+        bond_results.push(flat.search_with(&bond, ds.query(qi), &opts));
     }
     let bond_time = t0.elapsed();
 
