@@ -1,0 +1,473 @@
+//! Format goldens: FNV-1a hashes of the exact bytes every writer in the
+//! workspace produces, one constant per file kind and wire message.
+//!
+//! `tests/golden.rs` pins what a search *answers*; this file pins what
+//! the system *stores and sends*. A refactor of the persistence or wire
+//! code must leave every constant below untouched — a moved byte in a
+//! `PDX1`/`PDX2` container (flat or IVF-extended), the `PDX3` manifest,
+//! the `PDXI` remap sidecar, the `SHARDS` manifest, the write-ahead log
+//! or any request/response message fails here, by name. Each artefact is
+//! also read back and compared value for value, so a reader that drifts
+//! from its writer fails next to the hash that proves the writer did not
+//! move.
+//!
+//! The collection comes from an xorshift generator this file owns and
+//! the IVF buckets are assigned by a formula, so no constant can move
+//! with the `rand` stand-in or the k-means. Every block ends in a
+//! partial group (150 vectors in partitions of 64 with groups of 16
+//! leave a 22-vector tail block: one whole group and 6 lanes).
+//!
+//! Only names that survive a redesign of the container readers are
+//! used: the writers, the typed flat readers `read_pdx` / `read_sq8`,
+//! `LazyIvf::{open, fetch, n_buckets}`, `AnyIndex::read`, the store's
+//! `Manifest` / `Segment` / `ShardedCollection` / `Wal`, and the wire
+//! `encode` / `decode` / `write_frame` / `read_frame`.
+
+use pdx::datasets::persist::{
+    read_pdx, read_sq8, write_ivf_pdx, write_ivf_sq8, write_pdx, write_sq8,
+};
+use pdx::prelude::*;
+use pdx::serve::proto::{read_frame, write_frame};
+use pdx::serve::{ErrorKind, Request, Response};
+use pdx::store::{Manifest, Segment, Wal, WalRecord};
+use std::path::PathBuf;
+
+const N: usize = 150;
+const D: usize = 7;
+const GROUP: usize = 16;
+const BLOCK: usize = 64;
+const BUCKETS: usize = 4;
+
+/// xorshift64 → `f32` in [-2, 2).
+fn xorshift(len: usize, mut s: u64) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 40) as f32 / (1u64 << 22) as f32 - 2.0
+        })
+        .collect()
+}
+
+fn rows() -> Vec<f32> {
+    xorshift(N * D, 0x9E37_79B9_7F4A_7C15)
+}
+
+/// Bucket sizes 75 / 25 / 25 / 25: every one ends in a partial group.
+fn assignments() -> Vec<Vec<u32>> {
+    let mut out = vec![Vec::new(); BUCKETS];
+    for i in 0..N {
+        let b = if i % 2 == 0 {
+            0
+        } else {
+            1 + (i / 2) % (BUCKETS - 1)
+        };
+        out[b].push(i as u32);
+    }
+    out
+}
+
+fn queries() -> Vec<f32> {
+    xorshift(4 * D, 0xD1B5_4A32_D192_ED03)
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn pin(name: &str, bytes: &[u8], want: u64) {
+    assert_eq!(
+        fnv1a(bytes),
+        want,
+        "{name}: the written bytes moved ({} bytes, got {:#018x})",
+        bytes.len(),
+        fnv1a(bytes)
+    );
+}
+
+/// A fresh directory under the system temp dir, unique per test.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pdx_format_{name}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Answers of `index` over the fixed queries at two probe widths.
+fn answers(index: &dyn VectorIndex) -> Vec<Vec<Neighbor>> {
+    let mut out = Vec::new();
+    for nprobe in [0, 2] {
+        let opts = SearchOptions::new(5).with_nprobe(nprobe);
+        for q in queries().chunks_exact(D) {
+            out.push(index.search(q, &opts));
+        }
+    }
+    out
+}
+
+#[test]
+fn pdx1_flat_container() {
+    let coll = PdxCollection::from_rows_partitioned(&rows(), N, D, BLOCK, GROUP);
+    let mut buf = Vec::new();
+    write_pdx(&mut buf, &coll).unwrap();
+    pin("write_pdx", &buf, 0x9ec1_e336_e08a_e807);
+
+    let back = read_pdx(&buf[..]).unwrap();
+    assert_eq!(back.dims, coll.dims);
+    assert_eq!(back.stats, coll.stats);
+    assert_eq!(back.blocks.len(), coll.blocks.len());
+    for (a, b) in coll.blocks.iter().zip(&back.blocks) {
+        assert_eq!(a.row_ids, b.row_ids);
+        assert_eq!(a.pdx, b.pdx);
+        assert_eq!(a.stats, b.stats);
+    }
+    let mut again = Vec::new();
+    write_pdx(&mut again, &back).unwrap();
+    assert_eq!(again, buf, "read → write must reproduce the file");
+
+    let served = AnyIndex::read(&buf[..]).unwrap();
+    assert_eq!(served.kind(), "flat-pdx");
+    assert_eq!(
+        answers(served.as_ref()),
+        answers(&FlatPdx::from_collection(coll))
+    );
+}
+
+#[test]
+fn pdx2_flat_container_with_and_without_rerank_rows() {
+    let flat = FlatSq8::build(&rows(), N, D, BLOCK, GROUP);
+    let mut with_rows = Vec::new();
+    write_sq8(
+        &mut with_rows,
+        &flat.quantizer,
+        &flat.blocks,
+        Some(&flat.rows),
+    )
+    .unwrap();
+    pin("write_sq8 (rerank rows)", &with_rows, 0xc633_4c9b_416a_7bb2);
+    let mut scan_only = Vec::new();
+    write_sq8(&mut scan_only, &flat.quantizer, &flat.blocks, None).unwrap();
+    pin("write_sq8 (scan only)", &scan_only, 0xf69f_b673_4d78_1b83);
+
+    for (buf, rows) in [(&with_rows, &flat.rows[..]), (&scan_only, &[][..])] {
+        let back = read_sq8(&buf[..]).unwrap();
+        assert_eq!(back.dims, D);
+        assert_eq!(back.group, GROUP);
+        assert_eq!(back.quantizer, flat.quantizer);
+        assert_eq!(back.blocks, flat.blocks);
+        assert_eq!(back.rows, rows);
+        let mut again = Vec::new();
+        let rerank = (!back.rows.is_empty()).then_some(&back.rows[..]);
+        write_sq8(&mut again, &back.quantizer, &back.blocks, rerank).unwrap();
+        assert_eq!(&again, buf, "read → write must reproduce the file");
+    }
+    let served = AnyIndex::read(&with_rows[..]).unwrap();
+    assert_eq!(served.kind(), "flat-sq8");
+    assert_eq!(answers(served.as_ref()), answers(&flat));
+}
+
+#[test]
+fn pdx1_ivf_container() {
+    let ivf = IvfPdx::new(&rows(), D, &assignments(), GROUP);
+    let centroid_rows = ivf.centroids.pdx.to_rows();
+    let mut buf = Vec::new();
+    write_ivf_pdx(&mut buf, D, &centroid_rows, &ivf.blocks).unwrap();
+    pin("write_ivf_pdx", &buf, 0x4a9c_5468_49ac_2cc0);
+
+    // Resident: the centroids are only reachable through the probe
+    // order, so equal answers at nprobe 2 pin them too.
+    let served = AnyIndex::read(&buf[..]).unwrap();
+    assert_eq!(served.kind(), "ivf-pdx");
+    assert_eq!(served.len(), N);
+    assert_eq!(answers(served.as_ref()), answers(&ivf));
+
+    // Lazy: every bucket record decodes to the block that was written,
+    // stored statistics included.
+    let dir = temp_dir("ivf_pdx");
+    let path = dir.join("c.pdx");
+    std::fs::write(&path, &buf).unwrap();
+    let lazy = LazyIvf::open(&path, 1 << 20).unwrap();
+    assert_eq!(lazy.n_buckets(), ivf.blocks.len());
+    let fetched: Vec<_> = (0..lazy.n_buckets() as u32)
+        .map(|b| lazy.fetch(b))
+        .collect();
+    for (a, b) in ivf.blocks.iter().zip(&fetched) {
+        assert_eq!(a.row_ids, b.row_ids);
+        assert_eq!(a.pdx, b.pdx);
+        assert_eq!(a.stats, b.stats);
+    }
+    assert_eq!(answers(&lazy), answers(&ivf));
+    let blocks: Vec<SearchBlock> = fetched.iter().map(|b| (**b).clone()).collect();
+    let mut again = Vec::new();
+    write_ivf_pdx(&mut again, D, &centroid_rows, &blocks).unwrap();
+    assert_eq!(again, buf, "read → write must reproduce the file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pdx2_ivf_container_with_and_without_rerank_rows() {
+    let ivf = IvfSq8::new(&rows(), D, &assignments(), GROUP);
+    let centroid_rows = ivf.centroids.pdx.to_rows();
+    let mut with_rows = Vec::new();
+    write_ivf_sq8(
+        &mut with_rows,
+        &ivf.quantizer,
+        &centroid_rows,
+        &ivf.blocks,
+        Some(&ivf.rows),
+    )
+    .unwrap();
+    pin(
+        "write_ivf_sq8 (rerank rows)",
+        &with_rows,
+        0xce07_acf3_e1f7_81e2,
+    );
+    let mut scan_only = Vec::new();
+    write_ivf_sq8(
+        &mut scan_only,
+        &ivf.quantizer,
+        &centroid_rows,
+        &ivf.blocks,
+        None,
+    )
+    .unwrap();
+    pin(
+        "write_ivf_sq8 (scan only)",
+        &scan_only,
+        0xf5ed_027e_67d4_00a6,
+    );
+
+    let served = AnyIndex::read(&with_rows[..]).unwrap();
+    assert_eq!(served.kind(), "ivf-sq8");
+    assert_eq!(served.len(), N);
+    assert_eq!(answers(served.as_ref()), answers(&ivf));
+    let mut no_rows = ivf.clone();
+    no_rows.rows = Vec::new();
+    let served = AnyIndex::read(&scan_only[..]).unwrap();
+    assert_eq!(answers(served.as_ref()), answers(&no_rows));
+}
+
+#[test]
+fn pdx3_manifest() {
+    let manifest = Manifest {
+        dims: D,
+        config: StoreConfig {
+            block_size: BLOCK,
+            group_size: GROUP,
+            buffer_capacity: 1024,
+            quantize: true,
+        },
+        wal_seq: 7,
+        next_segment_seq: 4,
+        segments: vec![1, 3],
+        tombstones: vec![10, 20, u64::MAX],
+    };
+    let dir = temp_dir("manifest");
+    manifest.write_atomic(&dir).unwrap();
+    pin(
+        "Manifest",
+        &std::fs::read(Manifest::path(&dir)).unwrap(),
+        0x69f4_f94a_1d57_a06d,
+    );
+    assert_eq!(Manifest::read(&dir).unwrap(), manifest);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pdxi_sidecar_and_segment_containers() {
+    let rows = rows();
+    let ids: Vec<u64> = (0..N as u64).map(|i| i * 3 + 5).collect();
+    let dir = temp_dir("segment");
+    for (seq, quantize, ids_hash, container_hash) in [
+        (3u64, false, 0x42be_3000_3c72_434c, 0x9ec1_e336_e08a_e807),
+        (4u64, true, 0x42be_3000_3c72_434c, 0xc633_4c9b_416a_7bb2),
+    ] {
+        let config = StoreConfig {
+            block_size: BLOCK,
+            group_size: GROUP,
+            buffer_capacity: 1024,
+            quantize,
+        };
+        let segment = Segment::seal(seq, ids.clone(), &rows, D, &config).unwrap();
+        segment.write(&dir).unwrap();
+        let sidecar = std::fs::read(dir.join(format!("seg-{seq:06}.ids"))).unwrap();
+        pin("PDXI sidecar", &sidecar, ids_hash);
+        let container = std::fs::read(dir.join(format!("seg-{seq:06}.pdx"))).unwrap();
+        pin("segment container", &container, container_hash);
+        let back = Segment::load(&dir, seq, D).unwrap();
+        assert_eq!(back.remap(), &ids[..]);
+        assert_eq!(back.kind(), segment.kind());
+        assert_eq!(back.rows(), rows);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shards_manifest() {
+    let dir = temp_dir("shards");
+    let parent = dir.join("sharded");
+    let created = ShardedCollection::create(&parent, D, 3, StoreConfig::default()).unwrap();
+    drop(created);
+    pin(
+        "SHARDS",
+        &std::fs::read(parent.join(SHARDS_FILE)).unwrap(),
+        0xcff9_873a_e6bb_1918,
+    );
+    let back = ShardedCollection::open(&parent).unwrap();
+    assert_eq!(back.n_shards(), 3);
+    assert_eq!(back.dims(), D);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn write_ahead_log() {
+    let records = vec![
+        WalRecord::Insert {
+            id: 3,
+            vector: rows()[..D].to_vec(),
+        },
+        WalRecord::Delete { id: 3 },
+        WalRecord::Insert {
+            id: u64::MAX,
+            vector: rows()[D..2 * D].to_vec(),
+        },
+    ];
+    let dir = temp_dir("wal");
+    let path = dir.join("wal-000001.log");
+    let mut wal = Wal::create(&path, D).unwrap();
+    for r in &records {
+        wal.append(r).unwrap();
+    }
+    wal.sync().unwrap();
+    drop(wal);
+    pin("WAL", &std::fs::read(&path).unwrap(), 0xdabb_a57d_9318_b4b4);
+    let (_wal, replayed) = Wal::open(&path, D).unwrap();
+    assert_eq!(replayed, records);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn requests() -> Vec<(Request, u64)> {
+    vec![
+        (Request::Ping, 0xaf63_bc4c_8601_b62c),
+        (
+            Request::Search {
+                deadline_ms: 25,
+                k: 10,
+                nprobe: 3,
+                refine: 4,
+                query: rows()[..D].to_vec(),
+            },
+            0x48f4_eb52_f83b_b08f,
+        ),
+        (
+            Request::SearchBatch {
+                deadline_ms: 0,
+                k: 3,
+                nprobe: 7,
+                refine: 0,
+                dims: D as u32,
+                queries: rows()[..3 * D].to_vec(),
+            },
+            0xe1c8_425d_6c35_c755,
+        ),
+        (
+            Request::Insert {
+                deadline_ms: 1,
+                id: u64::MAX,
+                vector: rows()[D..2 * D].to_vec(),
+            },
+            0x5a73_b831_83ac_fdb4,
+        ),
+        (
+            Request::Delete {
+                deadline_ms: 9,
+                id: 42,
+            },
+            0xb305_6887_7682_3eb3,
+        ),
+        (Request::Stats { deadline_ms: 5 }, 0xab4e_8d9d_2d2e_4a3c),
+    ]
+}
+
+fn responses() -> Vec<(Response, u64)> {
+    let hits = vec![
+        Neighbor {
+            id: 3,
+            distance: 0.25,
+        },
+        Neighbor {
+            id: u64::MAX,
+            distance: f32::MAX,
+        },
+    ];
+    let stats = StatsReport {
+        dims: 16,
+        live: 1000,
+        tombstones: 3,
+        uptime_ms: 12345,
+        completed: 99,
+        busy_rejected: 2,
+        deadline_rejected: 1,
+        protocol_errors: 4,
+        in_flight: 1,
+        queue_depth: 5,
+        queue_capacity: 128,
+        qps_x1000: 1500,
+        p50_us: 100,
+        p99_us: 900,
+        p999_us: 2000,
+        kernel_isa: 1,
+        resident_bytes: 1 << 30,
+        cache_hits: 77,
+        cache_misses: 13,
+        cache_evictions: 6,
+        open_us: 450,
+    };
+    vec![
+        (Response::Pong, 0xaf64_3c4c_8602_8fac),
+        (Response::Neighbors(hits.clone()), 0xf712_056b_d8a8_62da),
+        (
+            Response::Batch(vec![hits, Vec::new()]),
+            0x3a70_4587_9004_02b3,
+        ),
+        (Response::Inserted, 0xaf64_394c_8602_8a93),
+        (Response::Deleted, 0xaf64_384c_8602_88e0),
+        (Response::Stats(stats), 0xe16b_4c0a_0333_e62f),
+        (
+            Response::error(ErrorKind::Busy, "queue full — retry"),
+            0x094e_59df_d146_d47f,
+        ),
+    ]
+}
+
+#[test]
+fn wire_requests() {
+    for (req, want) in requests() {
+        let msg = req.encode();
+        pin(&format!("{req:?}"), &msg, want);
+        assert_eq!(Request::decode(&msg).unwrap(), req);
+    }
+}
+
+#[test]
+fn wire_responses() {
+    for (resp, want) in responses() {
+        let msg = resp.encode();
+        pin(&format!("{resp:?}"), &msg, want);
+        assert_eq!(Response::decode(&msg).unwrap(), resp);
+    }
+}
+
+#[test]
+fn wire_frame() {
+    let (req, _) = requests().swap_remove(1);
+    let mut framed = Vec::new();
+    write_frame(&mut framed, 0xDEAD_BEEF, &req.encode()).unwrap();
+    pin("frame", &framed, 0xf286_520c_c69f_991e);
+    let (seq, msg) = read_frame(&mut &framed[..], 1 << 20).unwrap();
+    assert_eq!(seq, 0xDEAD_BEEF);
+    assert_eq!(Request::decode(&msg).unwrap(), req);
+}
