@@ -129,6 +129,19 @@ impl PdxCollection {
         }
     }
 
+    /// Adopts already-built blocks (a persisted flat container, read
+    /// block by block), deriving the collection-level statistics from
+    /// them — the same bits [`PdxCollection::from_rows_partitioned`]
+    /// computes from the rows.
+    pub fn from_blocks(dims: usize, blocks: Vec<SearchBlock>) -> Self {
+        let stats = BlockStats::from_blocks(blocks.iter().map(|b| &b.pdx), dims);
+        Self {
+            dims,
+            blocks,
+            stats,
+        }
+    }
+
     /// Total number of vectors across blocks.
     pub fn total_vectors(&self) -> usize {
         self.blocks.iter().map(|b| b.len()).sum()

@@ -13,8 +13,7 @@
 //!   a PDX tile followed by the PDX kernel (Figure 3 rightmost /
 //!   Figure 12): shows why PDX must be the *stored* layout.
 //! * [`sq8`] — the quantized mirror of the PDX kernels on SQ8 `u8`
-//!   blocks: per-dimension codec parameters hoist out of the lane loop,
-//!   plus pure-integer `u32`/`i32` code-space kernels.
+//!   blocks: per-dimension codec parameters hoist out of the lane loop.
 //! * [`dispatch`] — the runtime kernel-selection layer: [`KernelPolicy`]
 //!   (one knob steering vertical f32, vertical SQ8, and horizontal
 //!   kernels), cached ISA detection, and the `PDX_KERNEL` env override.
@@ -40,8 +39,8 @@ pub use pdx::{
     pdx_accumulate_survivors, pdx_scan, pdx_scan_policy, DimSel,
 };
 pub use sq8::{
-    sq8_accumulate, sq8_accumulate_positions, sq8_accumulate_survivors, sq8_code_ip, sq8_code_l2,
-    sq8_distance_scalar, sq8_scan, sq8_scan_policy,
+    sq8_accumulate, sq8_accumulate_positions, sq8_accumulate_survivors, sq8_distance_scalar,
+    sq8_scan, sq8_scan_policy,
 };
 
 /// A group-tiled buffer as the survivor (PRUNE-phase) kernels see it: a

@@ -10,31 +10,20 @@
 //! lane loop, while the data loads shrink to one byte per value — 4× more
 //! vectors per cache line than `f32`.
 //!
-//! ## Two kernel families
+//! ## The weighted kernels
 //!
-//! * **Weighted kernels** ([`sq8_accumulate`], [`sq8_scan`], …) — the
-//!   production search path. They compute the exact distance between the
-//!   query and the *dequantized* vectors: for L2,
-//!   `Σ_d scale_d² · (qc_d − c_d)²` with `qc_d = (q_d − min_d)/scale_d`.
-//!   The per-dimension weight keeps per-dimension scales honest, and the
-//!   partial sums stay monotone for L2/L1 — which is what lets the
-//!   quantized PDXearch scan in
-//!   [`search::quantized`](crate::search::quantized) prune dimensions.
-//!   The `u8` code is widened and folded in `f32`; a pure-integer
-//!   accumulator is impossible here because each dimension carries its
-//!   own weight.
-//! * **Code-space kernels** ([`sq8_code_l2`], [`sq8_code_ip`]) — the
-//!   classic integer-SQ8 kernels, mirroring the [`Accum`]-trait design
-//!   with `u32`/`i32` per-lane accumulators over `u8` codes (both the
-//!   query and the data quantized). Under a *uniform* scale
-//!   ([`Sq8Quantizer::fit_uniform`](crate::layout::Sq8Quantizer::fit_uniform))
-//!   the L2 reconstruction is exact: `dist = scale² · Σ (qc_d − c_d)²`
-//!   (the per-dimension mins cancel inside the difference). With
-//!   per-dimension scales they rank in code space only — usable as a
-//!   candidate generator, but the weighted kernels are both accurate and,
-//!   in practice, just as fast.
+//! [`sq8_accumulate`], [`sq8_scan`] and their positional/survivor
+//! variants compute the exact distance between the query and the
+//! *dequantized* vectors: for L2, `Σ_d scale_d² · (qc_d − c_d)²` with
+//! `qc_d = (q_d − min_d)/scale_d`. The per-dimension weight keeps
+//! per-dimension scales honest, and the partial sums stay monotone for
+//! L2/L1 — which is what lets the quantized PDXearch scan in
+//! [`search::quantized`](crate::search::quantized) prune dimensions.
+//! The `u8` code is widened and folded in `f32`; a pure-integer
+//! accumulator is impossible here because each dimension carries its
+//! own weight.
 //!
-//! Both families have explicit AVX2 and NEON variants selected by
+//! They have explicit AVX2 and NEON variants selected by
 //! [`KernelPolicy`], bit-identical to the scalar loops (the widening
 //! `u8 → f32` conversion is exact for all 256 codes, and every SIMD step
 //! mirrors the scalar op sequence — see the invariant note in
@@ -444,190 +433,14 @@ pub fn sq8_distance_scalar(
     acc
 }
 
-// ---------------------------------------------------------------------
-// Code-space integer kernels (u32/i32 accumulators).
-// ---------------------------------------------------------------------
-
-/// One code-space accumulation step with an integer accumulator — the
-/// literal `u8` mirror of the `f32` path's `Accum` trait.
-trait Sq8CodeAccum {
-    /// Per-lane accumulator type (`u32` for L2, `i32` for IP).
-    type Acc: Copy + Default;
-    fn accum(acc: Self::Acc, qc: u8, code: u8) -> Self::Acc;
-}
-
-struct L2Code;
-impl Sq8CodeAccum for L2Code {
-    type Acc = u32;
-    #[inline(always)]
-    fn accum(acc: u32, qc: u8, code: u8) -> u32 {
-        let d = qc as i32 - code as i32;
-        acc + (d * d) as u32
-    }
-}
-
-struct IpCode;
-impl Sq8CodeAccum for IpCode {
-    type Acc = i32;
-    #[inline(always)]
-    fn accum(acc: i32, qc: u8, code: u8) -> i32 {
-        acc + qc as i32 * code as i32
-    }
-}
-
-#[inline]
-fn code_accum_fixed<A: Sq8CodeAccum, const L: usize>(
-    data: &[u8],
-    qcodes: &[u8],
-    dims: Range<usize>,
-    acc: &mut [A::Acc],
-) {
-    let acc: &mut [A::Acc; L] = acc.try_into().expect("accumulator width mismatch");
-    for d in dims {
-        let qc = qcodes[d];
-        let row: &[u8; L] = data[d * L..d * L + L]
-            .try_into()
-            .expect("group row width mismatch");
-        for l in 0..L {
-            acc[l] = A::accum(acc[l], qc, row[l]);
-        }
-    }
-}
-
-#[inline]
-fn code_accum_dyn<A: Sq8CodeAccum>(
-    data: &[u8],
-    lanes: usize,
-    qcodes: &[u8],
-    dims: Range<usize>,
-    acc: &mut [A::Acc],
-) {
-    for d in dims {
-        let qc = qcodes[d];
-        let row = &data[d * lanes..(d + 1) * lanes];
-        for (a, &c) in acc.iter_mut().zip(row) {
-            *a = A::accum(*a, qc, c);
-        }
-    }
-}
-
-#[inline]
-fn code_dispatch<A: Sq8CodeAccum>(
-    group: &QuantizedPdxGroup<'_>,
-    qcodes: &[u8],
-    dims: Range<usize>,
-    acc: &mut [A::Acc],
-) {
-    assert_eq!(acc.len(), group.lanes, "one accumulator per lane required");
-    assert!(
-        dims.end <= qcodes.len(),
-        "dimension range exceeds query length"
-    );
-    let (data, lanes) = (group.data, group.lanes);
-    match lanes {
-        16 => code_accum_fixed::<A, 16>(data, qcodes, dims, acc),
-        32 => code_accum_fixed::<A, 32>(data, qcodes, dims, acc),
-        64 => code_accum_fixed::<A, 64>(data, qcodes, dims, acc),
-        128 => code_accum_fixed::<A, 128>(data, qcodes, dims, acc),
-        256 => code_accum_fixed::<A, 256>(data, qcodes, dims, acc),
-        512 => code_accum_fixed::<A, 512>(data, qcodes, dims, acc),
-        _ => code_accum_dyn::<A>(data, lanes, qcodes, dims, acc),
-    }
-}
-
-/// Pure-integer L2 kernel in code space: `acc[l] += (qc_d − c_d[l])²`
-/// with `u32` per-lane accumulators, both sides quantized to `u8`.
-///
-/// Under a uniform-scale quantizer the exact distance to the
-/// reconstruction is `scale² · acc` (per-dimension mins cancel in the
-/// difference). With per-dimension scales the result ranks vectors in
-/// code space only. Safe for any `dims ≤ 66 049` (`255² · dims` must fit
-/// `u32`) — far above any embedding dimensionality.
-///
-/// Integer accumulation is order-insensitive, so every policy agrees
-/// exactly.
-///
-/// # Panics
-/// Panics if `acc.len() != group.lanes` or `dims.end > qcodes.len()`.
-pub fn sq8_code_l2(
-    group: &QuantizedPdxGroup<'_>,
-    qcodes: &[u8],
-    dims: Range<usize>,
-    acc: &mut [u32],
-    kernel: KernelPolicy,
-) {
-    assert_eq!(acc.len(), group.lanes, "one accumulator per lane required");
-    assert!(
-        dims.end <= qcodes.len(),
-        "dimension range exceeds query length"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if kernel.resolve() == KernelIsa::Avx2 {
-        check_sq8_bounds(group.data.len(), group.lanes, qcodes.len(), &dims);
-        // SAFETY: AVX2 presence established by `resolve`; bounds above.
-        return unsafe {
-            avx2::code_dense::<avx2::L2CodeStep, L2Code>(group.data, group.lanes, qcodes, dims, acc)
-        };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if kernel.resolve() == KernelIsa::Neon {
-        check_sq8_bounds(group.data.len(), group.lanes, qcodes.len(), &dims);
-        // SAFETY: NEON presence established by `resolve`; bounds above.
-        return unsafe { neon::code_l2(group.data, group.lanes, qcodes, dims, acc) };
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = &kernel;
-    code_dispatch::<L2Code>(group, qcodes, dims, acc);
-}
-
-/// Pure-integer dot-product kernel in code space: `acc[l] += qc_d ·
-/// c_d[l]` with `i32` per-lane accumulators — the int8-GEMM-style inner
-/// loop. The caller owns the affine reconstruction (and negation for the
-/// negative-IP convention).
-///
-/// # Panics
-/// Panics if `acc.len() != group.lanes` or `dims.end > qcodes.len()`.
-pub fn sq8_code_ip(
-    group: &QuantizedPdxGroup<'_>,
-    qcodes: &[u8],
-    dims: Range<usize>,
-    acc: &mut [i32],
-    kernel: KernelPolicy,
-) {
-    assert_eq!(acc.len(), group.lanes, "one accumulator per lane required");
-    assert!(
-        dims.end <= qcodes.len(),
-        "dimension range exceeds query length"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if kernel.resolve() == KernelIsa::Avx2 {
-        check_sq8_bounds(group.data.len(), group.lanes, qcodes.len(), &dims);
-        // SAFETY: AVX2 presence established by `resolve`; bounds above.
-        return unsafe {
-            avx2::code_dense::<avx2::IpCodeStep, IpCode>(group.data, group.lanes, qcodes, dims, acc)
-        };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if kernel.resolve() == KernelIsa::Neon {
-        check_sq8_bounds(group.data.len(), group.lanes, qcodes.len(), &dims);
-        // SAFETY: NEON presence established by `resolve`; bounds above.
-        return unsafe { neon::code_ip(group.data, group.lanes, qcodes, dims, acc) };
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = &kernel;
-    code_dispatch::<IpCode>(group, qcodes, dims, acc);
-}
-
 /// Explicit AVX2(+FMA) SQ8 kernels. The byte codes are widened
 /// `u8 → i32 → f32` in-register (`_mm256_cvtepu8_epi32` +
 /// `_mm256_cvtepi32_ps`) — exact for all 256 code values, so the widening
-/// matches the scalar `code as f32` bit-for-bit. Weighted kernels tile 32
-/// lanes (4 accumulator registers); code-space kernels run 8 × 32-bit
-/// integer lanes per register with wrapping adds (what the scalar path's
-/// release-mode arithmetic does).
+/// matches the scalar `code as f32` bit-for-bit. The kernels tile 32
+/// lanes (4 accumulator registers).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{IpSq8, L1Sq8, L2Sq8, Sq8Accum, Sq8CodeAccum};
+    use super::{IpSq8, L1Sq8, L2Sq8, Sq8Accum};
     use crate::distance::Metric;
     use crate::kernels::dispatch::SCALAR_FMA;
     use crate::kernels::Tiled;
@@ -817,77 +630,14 @@ mod avx2 {
             Metric::NegativeIp => gather::<IpStep>(t, qcode, weight, dims, positions, acc),
         }
     }
-
-    /// One 8-lane code-space step on widened `i32` codes.
-    pub(super) trait CodeStep {
-        /// # Safety
-        /// Requires AVX2 (callers are `#[target_feature]` fns).
-        unsafe fn step(acc: __m256i, qc: __m256i, v: __m256i) -> __m256i;
-    }
-
-    pub(super) struct L2CodeStep;
-    impl CodeStep for L2CodeStep {
-        #[inline(always)]
-        unsafe fn step(acc: __m256i, qc: __m256i, v: __m256i) -> __m256i {
-            let d = _mm256_sub_epi32(qc, v);
-            _mm256_add_epi32(acc, _mm256_mullo_epi32(d, d))
-        }
-    }
-
-    pub(super) struct IpCodeStep;
-    impl CodeStep for IpCodeStep {
-        #[inline(always)]
-        unsafe fn step(acc: __m256i, qc: __m256i, v: __m256i) -> __m256i {
-            _mm256_add_epi32(acc, _mm256_mullo_epi32(qc, v))
-        }
-    }
-
-    /// Integer code-space kernel: 8 × 32-bit lanes per register.
-    ///
-    /// # Safety
-    /// Requires AVX2 and the dimension bounds of [`dense`]; `A::Acc`
-    /// must be a 32-bit integer matching `S`'s accumulator convention.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn code_dense<S: CodeStep, A: Sq8CodeAccum>(
-        data: &[u8],
-        lanes: usize,
-        qcodes: &[u8],
-        dims: Range<usize>,
-        acc: &mut [A::Acc],
-    ) {
-        let dp = data.as_ptr();
-        let mut l = 0usize;
-        while l + 8 <= lanes {
-            let ap = acc.as_mut_ptr().add(l).cast::<__m256i>();
-            let mut a = _mm256_loadu_si256(ap);
-            for d in dims.clone() {
-                let qc = _mm256_set1_epi32(qcodes[d] as i32);
-                let v =
-                    _mm256_cvtepu8_epi32(_mm_loadl_epi64(dp.add(d * lanes + l) as *const __m128i));
-                a = S::step(a, qc, v);
-            }
-            _mm256_storeu_si256(ap, a);
-            l += 8;
-        }
-        for (lane, slot) in acc.iter_mut().enumerate().skip(l) {
-            let mut a = *slot;
-            for d in dims.clone() {
-                a = A::accum(a, qcodes[d], *dp.add(d * lanes + lane));
-            }
-            *slot = a;
-        }
-    }
 }
 
-/// Explicit NEON SQ8 kernels (aarch64). Weighted kernels widen
+/// Explicit NEON SQ8 kernels (aarch64). The kernels widen
 /// `u8 → u16 → u32 → f32` in-register (exact for all 256 codes) and tile
-/// 8 lanes (2 accumulator registers); the code-space kernels use the
-/// NEON byte primitives directly (`vabd`/`vmull` — products of `u8`
-/// differences fit `u16` exactly) with widening adds into `u32` lanes,
-/// which matches the scalar wrapping arithmetic.
+/// 8 lanes (2 accumulator registers).
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{IpCode, IpSq8, L1Sq8, L2Code, L2Sq8, Sq8Accum, Sq8CodeAccum};
+    use super::{IpSq8, L1Sq8, L2Sq8, Sq8Accum};
     use crate::distance::Metric;
     use crate::kernels::dispatch::SCALAR_FMA;
     use crate::kernels::Tiled;
@@ -1082,86 +832,6 @@ mod neon {
             Metric::NegativeIp => gather::<IpStep>(t, qcode, weight, dims, positions, acc),
         }
     }
-
-    /// Integer code-space L2: `vabd` (exact `|qc−c|` in `u8`) squared via
-    /// `vmull` into `u16`, widened into `u32` accumulators.
-    ///
-    /// # Safety
-    /// Requires NEON and the dimension bounds of [`dense`].
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn code_l2(
-        data: &[u8],
-        lanes: usize,
-        qcodes: &[u8],
-        dims: Range<usize>,
-        acc: &mut [u32],
-    ) {
-        let dp = data.as_ptr();
-        let mut l = 0usize;
-        while l + 8 <= lanes {
-            let ap = acc.as_mut_ptr().add(l);
-            let mut a0 = vld1q_u32(ap);
-            let mut a1 = vld1q_u32(ap.add(4));
-            for d in dims.clone() {
-                let qc = vdup_n_u8(qcodes[d]);
-                let c = vld1_u8(dp.add(d * lanes + l));
-                let ad = vabd_u8(qc, c);
-                let sq = vmull_u8(ad, ad);
-                a0 = vaddw_u16(a0, vget_low_u16(sq));
-                a1 = vaddw_u16(a1, vget_high_u16(sq));
-            }
-            vst1q_u32(ap, a0);
-            vst1q_u32(ap.add(4), a1);
-            l += 8;
-        }
-        for lane in l..lanes {
-            let mut a = acc[lane];
-            for d in dims.clone() {
-                a = L2Code::accum(a, qcodes[d], *dp.add(d * lanes + lane));
-            }
-            acc[lane] = a;
-        }
-    }
-
-    /// Integer code-space dot product: `vmull` products (exact in `u16`)
-    /// widened into 32-bit accumulators (same bits as the scalar `i32`
-    /// adds — every addend is non-negative).
-    ///
-    /// # Safety
-    /// Requires NEON and the dimension bounds of [`dense`].
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn code_ip(
-        data: &[u8],
-        lanes: usize,
-        qcodes: &[u8],
-        dims: Range<usize>,
-        acc: &mut [i32],
-    ) {
-        let dp = data.as_ptr();
-        let mut l = 0usize;
-        while l + 8 <= lanes {
-            let ap = acc.as_mut_ptr().add(l).cast::<u32>();
-            let mut a0 = vld1q_u32(ap);
-            let mut a1 = vld1q_u32(ap.add(4));
-            for d in dims.clone() {
-                let qc = vdup_n_u8(qcodes[d]);
-                let c = vld1_u8(dp.add(d * lanes + l));
-                let prod = vmull_u8(qc, c);
-                a0 = vaddw_u16(a0, vget_low_u16(prod));
-                a1 = vaddw_u16(a1, vget_high_u16(prod));
-            }
-            vst1q_u32(ap, a0);
-            vst1q_u32(ap.add(4), a1);
-            l += 8;
-        }
-        for lane in l..lanes {
-            let mut a = acc[lane];
-            for d in dims.clone() {
-                a = IpCode::accum(a, qcodes[d], *dp.add(d * lanes + lane));
-            }
-            acc[lane] = a;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1304,61 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_quantizer_integer_l2_matches_weighted_kernel() {
-        // With a uniform scale and a query snapped to the code grid, the
-        // u32 code-space kernel and the weighted kernel agree exactly
-        // (mins cancel inside the code difference).
-        let n = 96;
-        let d = 10;
-        let r = rows(n, d);
-        let qz = Sq8Quantizer::fit_uniform(&r, n, d);
-        let block = QuantizedPdxBlock::from_rows(&r, n, d, 32, &qz);
-        // Snap the query onto the quantizer grid.
-        let raw: Vec<f32> = query(d)
-            .iter()
-            .enumerate()
-            .map(|(dim, &x)| qz.decode_value(dim, qz.encode_value(dim, x)))
-            .collect();
-        let qcodes: Vec<u8> = (0..d).map(|dim| qz.encode_value(dim, raw[dim])).collect();
-        let q = qz.prepare_query(Metric::L2, &raw);
-        let scale2 = qz.scale(0) * qz.scale(0);
-        for g in block.groups() {
-            let mut int_acc = vec![0u32; g.lanes];
-            sq8_code_l2(&g, &qcodes, 0..d, &mut int_acc, KernelPolicy::Auto);
-            let mut f_acc = vec![0.0f32; g.lanes];
-            sq8_accumulate(&q, &g, 0..d, &mut f_acc, KernelPolicy::Auto);
-            for l in 0..g.lanes {
-                let int_dist = int_acc[l] as f32 * scale2;
-                assert!(
-                    (int_dist - f_acc[l]).abs() <= f_acc[l].max(1.0) * 1e-4,
-                    "lane {l}: {int_dist} vs {}",
-                    f_acc[l]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn code_ip_accumulates_exact_integer_dot() {
-        let n = 40;
-        let d = 8;
-        let r = rows(n, d);
-        let qz = Sq8Quantizer::fit(&r, n, d);
-        let block = QuantizedPdxBlock::from_rows(&r, n, d, 16, &qz);
-        let qcodes: Vec<u8> = (0..d as u8).map(|x| x * 30).collect();
-        let g = block.group(0);
-        let mut acc = vec![0i32; g.lanes];
-        sq8_code_ip(&g, &qcodes, 0..d, &mut acc, KernelPolicy::Auto);
-        let code_rows = block.to_code_rows();
-        for l in 0..g.lanes {
-            let want: i32 = (0..d)
-                .map(|dim| qcodes[dim] as i32 * code_rows[l * d + dim] as i32)
-                .sum();
-            assert_eq!(acc[l], want, "lane {l}");
-        }
-    }
-
-    #[test]
     fn empty_dimension_range_is_noop() {
         let (qz, block, _) = setup(10, 4, 64);
         let q = qz.prepare_query(Metric::L2, &query(4));
@@ -1404,25 +1019,6 @@ mod tests {
             for j in 0..positions.len() {
                 assert_eq!(scalar[j].to_bits(), simd[j].to_bits(), "{metric:?} pos {j}");
             }
-        }
-    }
-
-    #[test]
-    fn code_kernels_agree_across_policies() {
-        let (qz, block, _) = setup(67, 12, 64);
-        let _ = qz;
-        let qcodes: Vec<u8> = (0..12u8).map(|x| x.wrapping_mul(21)).collect();
-        for g in block.groups() {
-            let mut l2_scalar = vec![0u32; g.lanes];
-            sq8_code_l2(&g, &qcodes, 0..12, &mut l2_scalar, KernelPolicy::Scalar);
-            let mut l2_simd = vec![0u32; g.lanes];
-            sq8_code_l2(&g, &qcodes, 0..12, &mut l2_simd, KernelPolicy::Simd);
-            assert_eq!(l2_scalar, l2_simd);
-            let mut ip_scalar = vec![0i32; g.lanes];
-            sq8_code_ip(&g, &qcodes, 0..12, &mut ip_scalar, KernelPolicy::Scalar);
-            let mut ip_simd = vec![0i32; g.lanes];
-            sq8_code_ip(&g, &qcodes, 0..12, &mut ip_simd, KernelPolicy::Simd);
-            assert_eq!(ip_scalar, ip_simd);
         }
     }
 }

@@ -90,36 +90,8 @@ impl Sq8Quantizer {
         Self { mins, scales }
     }
 
-    /// Like [`Sq8Quantizer::fit`] but with one *shared* scale across all
-    /// dimensions (each keeps its own min). Under a uniform scale the
-    /// pure-integer code-space kernels of
-    /// [`kernels::sq8`](crate::kernels::sq8) reconstruct the L2 distance
-    /// exactly as `scale² · Σ (q_code − v_code)²` — the trade-off is that
-    /// every dimension inherits the widest dimension's grid.
-    ///
-    /// The shared scale is the widest *actual* range over 255; constant
-    /// dimensions do not contribute (an all-constant collection gets
-    /// scale 1.0).
-    ///
-    /// # Panics
-    /// Panics as [`Sq8Quantizer::fit`] does.
-    pub fn fit_uniform(rows: &[f32], n_vectors: usize, dims: usize) -> Self {
-        let (mins, maxs) =
-            Self::ranges(rows, n_vectors, dims, &crate::exec::ThreadPool::from_env());
-        let widest = mins
-            .iter()
-            .zip(&maxs)
-            .map(|(&lo, &hi)| hi - lo)
-            .fold(0.0f32, f32::max);
-        let scale = if widest > 0.0 { widest / LEVELS } else { 1.0 };
-        Self {
-            mins,
-            scales: vec![scale; dims],
-        }
-    }
-
-    /// Per-dimension `[min, max]` over row-major data (the shared first
-    /// pass of the fitters), parallelized over row chunks on `pool`.
+    /// Per-dimension `[min, max]` over row-major data, parallelized over
+    /// row chunks on `pool`.
     fn ranges(
         rows: &[f32],
         n_vectors: usize,
@@ -184,12 +156,6 @@ impl Sq8Quantizer {
     /// All per-dimension scales.
     pub fn scales(&self) -> &[f32] {
         &self.scales
-    }
-
-    /// Whether every dimension shares one scale (the
-    /// [`Sq8Quantizer::fit_uniform`] shape).
-    pub fn is_uniform(&self) -> bool {
-        self.scales.windows(2).all(|w| w[0] == w[1])
     }
 
     /// Rebuilds a codec from stored parameters (the persistence path).
@@ -580,7 +546,6 @@ mod tests {
         assert_eq!(q.min(1), -8.0);
         assert!((q.scale(0) - 10.0 / 255.0).abs() < 1e-7);
         assert!((q.scale(1) - 16.0 / 255.0).abs() < 1e-7);
-        assert!(!q.is_uniform());
     }
 
     #[test]
@@ -614,31 +579,6 @@ mod tests {
         let q = Sq8Quantizer::fit(&r, 3, 1);
         assert_eq!(q.encode_value(0, 5.0), 0);
         assert_eq!(q.decode_value(0, 0), 5.0);
-    }
-
-    #[test]
-    fn uniform_fit_shares_the_widest_scale() {
-        let r = [0.0, 0.0, 10.0, 1.0f32]; // ranges 10 and 1
-        let q = Sq8Quantizer::fit_uniform(&r, 2, 2);
-        assert!(q.is_uniform());
-        assert!((q.scale(0) - 10.0 / 255.0).abs() < 1e-7);
-        assert!((q.scale(1) - 10.0 / 255.0).abs() < 1e-7);
-        // Mins stay per-dimension.
-        assert_eq!(q.min(1), 0.0);
-    }
-
-    #[test]
-    fn uniform_fit_ignores_constant_dimension_sentinels() {
-        // Dim 1 is constant; its sentinel scale (1.0 in `fit`) must not
-        // become the shared scale and flatten dim 0's narrow range.
-        let r = [0.0, 7.0, 0.01, 7.0f32];
-        let q = Sq8Quantizer::fit_uniform(&r, 2, 2);
-        assert!((q.scale(0) - 0.01 / 255.0).abs() < 1e-9);
-        assert_eq!(q.encode_value(0, 0.01), 255);
-        // All-constant collections still fall back to scale 1.0.
-        let q = Sq8Quantizer::fit_uniform(&[3.0f32, 3.0], 2, 1);
-        assert_eq!(q.scale(0), 1.0);
-        assert_eq!(q.decode_value(0, q.encode_value(0, 3.0)), 3.0);
     }
 
     #[test]

@@ -33,6 +33,10 @@
 //!   behind out-of-core deployments: lazily loaded buckets are pinned
 //!   via `Arc`, so eviction never invalidates an in-flight scan, and
 //!   hit/miss/eviction counters make the cache observable.
+//! * [`codec`] — the one bounded byte codec under every file format and
+//!   wire message: typed little-endian getters over a slice, a stream or
+//!   a file window, and [`codec::read_vec`], the only function in the
+//!   workspace that sizes an allocation from an untrusted count.
 //! * [`obs`] — the core side of the observability layer (`pdx-obs`):
 //!   the `PDX_TRACE` default for [`SearchOptions::trace`]
 //!   (engine::SearchOptions::trace), trace publication into the
@@ -76,6 +80,7 @@
 
 pub mod bond;
 pub mod cache;
+pub mod codec;
 pub mod collection;
 pub mod distance;
 pub mod engine;

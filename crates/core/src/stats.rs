@@ -43,17 +43,7 @@ impl BlockStats {
                 squares[dim] += sq;
             }
         }
-        let inv = 1.0 / n as f64;
-        let means: Vec<f32> = sums.iter().map(|s| (s * inv) as f32).collect();
-        let variances: Vec<f32> = squares
-            .iter()
-            .zip(&sums)
-            .map(|(sq, s)| {
-                let m = s * inv;
-                ((sq * inv) - m * m).max(0.0) as f32
-            })
-            .collect();
-        Self { means, variances }
+        Self::from_sums(&sums, &squares, n)
     }
 
     /// Computes statistics from row-major data (collection-level stats
@@ -78,11 +68,46 @@ impl BlockStats {
                 squares[d] += (v as f64) * (v as f64);
             }
         }
-        let inv = 1.0 / n_vectors as f64;
+        Self::from_sums(&sums, &squares, n_vectors)
+    }
+
+    /// Statistics of the concatenation of `blocks`, bit-identical to
+    /// [`BlockStats::from_rows`] over their rows in order: each
+    /// dimension's sums receive the same values in the same (vector)
+    /// order, whichever of the two walks them. This is how a container
+    /// reader rebuilds collection-level statistics block by block,
+    /// without materializing the rows.
+    pub fn from_blocks<'a>(blocks: impl IntoIterator<Item = &'a PdxBlock>, n_dims: usize) -> Self {
+        let mut sums = vec![0.0f64; n_dims];
+        let mut squares = vec![0.0f64; n_dims];
+        let mut n = 0usize;
+        for block in blocks {
+            assert_eq!(block.dims(), n_dims, "block dimensionality differs");
+            n += block.len();
+            for g in block.groups() {
+                for (dim, row) in g.data.chunks_exact(g.lanes).enumerate() {
+                    for &v in row {
+                        sums[dim] += v as f64;
+                        squares[dim] += (v as f64) * (v as f64);
+                    }
+                }
+            }
+        }
+        if n == 0 {
+            return Self {
+                means: vec![0.0; n_dims],
+                variances: vec![0.0; n_dims],
+            };
+        }
+        Self::from_sums(&sums, &squares, n)
+    }
+
+    fn from_sums(sums: &[f64], squares: &[f64], n: usize) -> Self {
+        let inv = 1.0 / n as f64;
         let means: Vec<f32> = sums.iter().map(|s| (s * inv) as f32).collect();
         let variances: Vec<f32> = squares
             .iter()
-            .zip(&sums)
+            .zip(sums)
             .map(|(sq, s)| {
                 let m = s * inv;
                 ((sq * inv) - m * m).max(0.0) as f32

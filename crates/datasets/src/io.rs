@@ -6,6 +6,7 @@
 //! lingua franca of ANN benchmarking, so providing them lets anyone run
 //! this repo's experiments on the paper's original datasets.
 
+use pdx_core::codec::{read_vec, write_slice, Stream};
 use std::io::{self, Read, Write};
 
 /// A collection read from one of the vector formats.
@@ -38,21 +39,19 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
 }
 
 macro_rules! vecs_impl {
-    ($read_name:ident, $write_name:ident, $ty:ty, $width:expr, $from:expr, $to:expr) => {
+    ($read_name:ident, $write_name:ident, $ty:ty) => {
         /// Reads an entire file of this format.
         ///
         /// # Errors
-        /// Fails on IO errors, truncated records, or inconsistent
-        /// per-vector dimensionality.
+        /// Fails on IO errors, truncated records, inconsistent
+        /// per-vector dimensionality, or a dimensionality the bytes
+        /// present do not back (nothing is allocated for it first).
         pub fn $read_name<R: Read>(mut r: R) -> io::Result<VecsFile<$ty>> {
             let mut data: Vec<$ty> = Vec::new();
             let mut dims: Option<usize> = None;
             let mut len = 0usize;
             let mut head = [0u8; 4];
-            loop {
-                if !read_exact_or_eof(&mut r, &mut head)? {
-                    break;
-                }
+            while read_exact_or_eof(&mut r, &mut head)? {
                 let d = u32::from_le_bytes(head) as usize;
                 match dims {
                     None => dims = Some(d),
@@ -64,16 +63,11 @@ macro_rules! vecs_impl {
                     }
                     _ => {}
                 }
-                let mut payload = vec![0u8; d * $width];
-                if !read_exact_or_eof(&mut r, &mut payload)? {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "missing payload",
-                    ));
-                }
-                for chunk in payload.chunks_exact($width) {
-                    data.push($from(chunk));
-                }
+                data.extend(read_vec::<$ty, _>(
+                    &mut Stream::new(&mut r),
+                    d,
+                    "vector dims",
+                )?);
                 len += 1;
             }
             Ok(VecsFile {
@@ -100,32 +94,16 @@ macro_rules! vecs_impl {
             let head = (dims as u32).to_le_bytes();
             for row in data.chunks_exact(dims) {
                 w.write_all(&head)?;
-                for v in row {
-                    w.write_all(&$to(*v))?;
-                }
+                write_slice(&mut w, row)?;
             }
             Ok(())
         }
     };
 }
 
-vecs_impl!(
-    read_fvecs,
-    write_fvecs,
-    f32,
-    4,
-    |c: &[u8]| f32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-    |v: f32| v.to_le_bytes()
-);
-vecs_impl!(
-    read_ivecs,
-    write_ivecs,
-    i32,
-    4,
-    |c: &[u8]| i32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-    |v: i32| v.to_le_bytes()
-);
-vecs_impl!(read_bvecs, write_bvecs, u8, 1, |c: &[u8]| c[0], |v: u8| [v]);
+vecs_impl!(read_fvecs, write_fvecs, f32);
+vecs_impl!(read_ivecs, write_ivecs, i32);
+vecs_impl!(read_bvecs, write_bvecs, u8);
 
 /// Convenience: reads an `.fvecs` file from disk.
 ///

@@ -24,5 +24,5 @@ pub mod persist;
 pub mod synthetic;
 
 pub use eval::{ground_truth, recall_at_k};
-pub use persist::{read_pdx_path, write_pdx_path};
+pub use persist::write_pdx_path;
 pub use synthetic::{Dataset, DatasetSpec, Distribution, TABLE1};

@@ -4,19 +4,18 @@
 //! dimension-at-a-time. This module provides compact binary containers
 //! with a versioned magic number:
 //!
-//! * **`PDX1`** — a plain `f32` [`PdxCollection`]: a header, then per
+//! * **`PDX1`** — `f32` blocks ([`F32Container`]): a header, then per
 //!   block its row ids and its dimension-major payload, so a reader can
-//!   fetch one block (or, with the per-block offsets, a dimension range
-//!   of one block) without touching the rest of the file.
-//! * **`PDX2`** — an SQ8-quantized collection ([`Sq8Container`]): the
-//!   same block structure with one *byte* per value, preceded by the
-//!   quantization metadata (per-dimension min/scale), and followed by an
-//!   optional row-major `f32` rerank payload. The split mirrors how the
-//!   index serves queries: the quantized blocks are the hot scan data,
-//!   the `f32` rows are cold data touched only for rerank candidates.
+//!   fetch one block without touching the rest of the file.
+//! * **`PDX2`** — SQ8-quantized blocks ([`Sq8Container`]): the same
+//!   block structure with one *byte* per value, preceded by the
+//!   per-dimension min/scale and followed by an optional row-major `f32`
+//!   rerank payload — hot scan data first, cold rerank data last.
 //!
 //! [`read_container`] sniffs the magic and returns whichever kind the
-//! file holds, so callers (the CLI) stay format-agnostic.
+//! file holds. This module doc is the byte-level specification; every
+//! dialect below is read by one header parser and one block-record codec
+//! per element type, and written by one writer.
 //!
 //! `PDX1` layout (all integers little-endian):
 //!
@@ -51,7 +50,7 @@
 //! (impossible as a legacy `dims`, so 1.0 files stay readable), and the
 //! header then carries everything a router needs — the bucket
 //! centroids and a per-bucket `{offset, byte_len, n_vectors}` table —
-//! so [`read_ivf_meta_path`] can open a container in O(header) time
+//! so [`read_header_path`] can open a container in O(header) time
 //! and a lazy reader can `seek`+`read` exactly the buckets a query
 //! probes:
 //!
@@ -74,192 +73,101 @@
 //! lazy load costs one read plus a copy — re-deriving the statistics
 //! would triple the miss cost — and so resident and lazy readers see
 //! bit-identical [`SearchBlock`]s.
+//!
+//! ## The allocation rule
+//!
+//! Every count above (`dims`, `n_blocks`, `n_vectors`, `n_rows`, the
+//! bucket table) is untrusted, and none of them sizes an allocation
+//! here: each becomes a buffer only through
+//! [`pdx_core::codec::read_vec`], which checks it against the bytes the
+//! source still has (a file of known length, a bucket's table entry) or,
+//! for a stream, grows the buffer only as bytes arrive; the block list
+//! grows by one per record actually decoded. A header that lies fails
+//! with `InvalidData` naming the field, having reserved at most twice
+//! the bytes really present. No reader reads the file whole.
 
+use pdx_core::codec::{
+    invalid, put_slice, put_u32, put_u64, read_vec, write_slice, Source, Stream,
+};
 use pdx_core::collection::{PdxCollection, SearchBlock};
 use pdx_core::layout::{PdxBlock, QuantizedPdxBlock, Sq8Quantizer};
 use pdx_core::search::quantized::Sq8Block;
 use pdx_core::stats::BlockStats;
 use std::io::{self, Read, Write};
+use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"PDX1";
+const MAGIC_F32: &[u8; 4] = b"PDX1";
 const MAGIC_SQ8: &[u8; 4] = b"PDX2";
 
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
+/// The u32 following the magic that marks an IVF-extended container.
+/// Legacy (1.0) files store `dims` there, which the readers require to
+/// be non-zero and far below this value — so the sentinel can never be
+/// mistaken for a dimensionality.
+const IVF_SENTINEL: u32 = u32::MAX;
+
+/// Container format minor version written by the IVF writers.
+const IVF_MINOR: u32 = 1;
+
+/// Fixed bytes before the variable header sections of a 1.1 container:
+/// magic, sentinel, minor, dims, group, flags, n_buckets.
+const IVF_FIXED_HEADER: u64 = 4 + 6 * 4;
+
+/// Prefixes an error with its file, so a caller behind `AnyIndex::open`
+/// never reports a bare "truncated dims" with no file to blame.
+fn with_path(path: &Path) -> impl Fn(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+/// Location and shape of one bucket record inside an IVF container.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IvfBucketEntry {
+    /// Absolute file offset of the bucket record.
+    pub offset: u64,
+    /// Byte length of the bucket record.
+    pub byte_len: u64,
+    /// Number of vectors in the bucket.
+    pub n_vectors: u32,
 }
 
-/// Tracks row ids across the blocks of one container: a duplicate id
-/// would make two physical rows answer to one logical vector — searches
-/// and reranks would silently shadow one of them — so the readers reject
-/// it as corruption instead of loading it.
-#[derive(Debug, Default)]
-struct RowIdCheck {
-    seen: std::collections::HashSet<u64>,
+/// Everything a container holds ahead of its first block record, for
+/// either magic and either minor version. Reading it touches no block,
+/// which is what makes cold opens independent of the corpus size.
+#[derive(Debug, Clone)]
+pub struct ContainerHeader {
+    /// Dimensionality.
+    pub dims: usize,
+    /// PDX group size of the blocks.
+    pub group: usize,
+    /// Format flags (`PDX2` bit 0: rerank rows present).
+    pub flags: u32,
+    /// Number of block records.
+    pub n_blocks: usize,
+    /// The codec of a quantized (`PDX2`) container.
+    pub quantizer: Option<Sq8Quantizer>,
+    /// Row-major centroids, one per bucket: `Some` exactly when the
+    /// container is IVF-extended (1.1).
+    pub centroid_rows: Option<Vec<f32>>,
+    /// Per-bucket offset/length table of a 1.1 container (else empty).
+    pub buckets: Vec<IvfBucketEntry>,
+    /// Number of rerank rows a 1.1 header announces (else 0).
+    pub n_rows: u64,
 }
 
-impl RowIdCheck {
-    fn insert(&mut self, id: u64) -> io::Result<()> {
-        if !self.seen.insert(id) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("duplicate row id {id} in container"),
-            ));
-        }
-        Ok(())
-    }
+/// A `PDX1` container, fully resident.
+#[derive(Debug, Clone)]
+pub struct F32Container {
+    /// Dimensionality.
+    pub dims: usize,
+    /// Group size the blocks were tiled with.
+    pub group: usize,
+    /// The blocks, in storage order.
+    pub blocks: Vec<SearchBlock>,
+    /// Row-major centroids, one per block, when the container is
+    /// IVF-extended (the blocks are then buckets).
+    pub centroid_rows: Option<Vec<f32>>,
 }
 
-/// Serializes a collection into the PDX container format.
-///
-/// # Errors
-/// Propagates IO errors from the writer.
-pub fn write_pdx<W: Write>(mut w: W, coll: &PdxCollection) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    let group = coll
-        .blocks
-        .first()
-        .map_or(pdx_core::DEFAULT_GROUP_SIZE, |b| b.pdx.group_size());
-    w.write_all(&(coll.dims as u32).to_le_bytes())?;
-    w.write_all(&(group as u32).to_le_bytes())?;
-    w.write_all(&(coll.blocks.len() as u32).to_le_bytes())?;
-    for block in &coll.blocks {
-        w.write_all(&(block.len() as u32).to_le_bytes())?;
-        for &id in &block.row_ids {
-            w.write_all(&id.to_le_bytes())?;
-        }
-        for v in block.pdx.as_slice() {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads a collection back from the PDX container format, recomputing
-/// per-block statistics (they derive from the data).
-///
-/// # Errors
-/// Fails on IO errors, a bad magic number, or truncated payloads.
-pub fn read_pdx<R: Read>(mut r: R) -> io::Result<PdxCollection> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a PDX container",
-        ));
-    }
-    read_pdx_body(r)
-}
-
-/// Reads the `PDX1` payload after the magic has been consumed.
-fn read_pdx_body<R: Read>(mut r: R) -> io::Result<PdxCollection> {
-    let first = read_u32(&mut r)?;
-    read_pdx_body_with_dims(r, first)
-}
-
-/// [`read_pdx_body`] with the first header word (the legacy `dims`
-/// field, which doubles as the IVF sentinel slot) already consumed.
-fn read_pdx_body_with_dims<R: Read>(mut r: R, dims_word: u32) -> io::Result<PdxCollection> {
-    if dims_word == IVF_SENTINEL {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "IVF-extended PDX1 container (open it via read_container)",
-        ));
-    }
-    let dims = dims_word as usize;
-    let group = read_u32(&mut r)? as usize;
-    let n_blocks = read_u32(&mut r)? as usize;
-    if dims == 0 || group == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "zero dims or group size",
-        ));
-    }
-    let mut blocks = Vec::with_capacity(n_blocks);
-    let mut all_rows: Vec<f32> = Vec::new();
-    let mut id_check = RowIdCheck::default();
-    for _ in 0..n_blocks {
-        let n = read_u32(&mut r)? as usize;
-        let mut row_ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = read_u64(&mut r)?;
-            id_check.insert(id)?;
-            row_ids.push(id);
-        }
-        let mut payload = vec![0u8; n * dims * 4];
-        r.read_exact(&mut payload)?;
-        // The payload is already in PDX group-tiled order; rebuild the
-        // block through rows so the invariants are re-validated.
-        let flat: Vec<f32> = payload
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        let block = pdx_block_from_tiled(flat, n, dims, group);
-        let rows = block.to_rows();
-        all_rows.extend_from_slice(&rows);
-        let stats = BlockStats::from_block(&block);
-        blocks.push(SearchBlock {
-            pdx: block,
-            row_ids,
-            stats,
-            aux: None,
-        });
-    }
-    let total: usize = blocks.iter().map(|b| b.len()).sum();
-    let stats = BlockStats::from_rows(&all_rows, total, dims);
-    Ok(PdxCollection {
-        dims,
-        blocks,
-        stats,
-    })
-}
-
-/// Rebuilds a `PdxBlock` from an already group-tiled buffer by routing
-/// through the row representation (keeps `PdxBlock`'s internals private).
-fn pdx_block_from_tiled(tiled: Vec<f32>, n: usize, dims: usize, group: usize) -> PdxBlock {
-    let mut rows = vec![0.0f32; n * dims];
-    let mut offset = 0usize;
-    let mut v0 = 0usize;
-    while v0 < n {
-        let lanes = group.min(n - v0);
-        for d in 0..dims {
-            for l in 0..lanes {
-                rows[(v0 + l) * dims + d] = tiled[offset + d * lanes + l];
-            }
-        }
-        offset += lanes * dims;
-        v0 += lanes;
-    }
-    PdxBlock::from_rows(&rows, n, dims, group)
-}
-
-/// Writes a collection to a file path.
-///
-/// # Errors
-/// Propagates IO errors.
-pub fn write_pdx_path(path: &std::path::Path, coll: &PdxCollection) -> io::Result<()> {
-    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
-    write_pdx(&mut w, coll)?;
-    w.flush()
-}
-
-/// Reads a collection from a file path.
-///
-/// # Errors
-/// Propagates IO and format errors.
-pub fn read_pdx_path(path: &std::path::Path) -> io::Result<PdxCollection> {
-    read_pdx(io::BufReader::new(std::fs::File::open(path)?))
-}
-
-/// An SQ8-quantized collection as stored in a `PDX2` container.
+/// A `PDX2` container, fully resident.
 #[derive(Debug, Clone)]
 pub struct Sq8Container {
     /// Dimensionality.
@@ -273,502 +181,292 @@ pub struct Sq8Container {
     /// Row-major `f32` rerank payload by global id (empty when the
     /// container was written without one).
     pub rows: Vec<f32>,
+    /// Row-major centroids, one per block, when the container is
+    /// IVF-extended (the blocks are then buckets).
+    pub centroid_rows: Option<Vec<f32>>,
 }
 
 /// Either kind of on-disk container, as sniffed by [`read_container`].
 #[derive(Debug, Clone)]
 pub enum Container {
-    /// A plain `f32` collection (`PDX1`).
-    F32(PdxCollection),
-    /// An SQ8-quantized collection (`PDX2`).
+    /// `f32` blocks (`PDX1`), flat or IVF-extended.
+    F32(F32Container),
+    /// SQ8-quantized blocks (`PDX2`), flat or IVF-extended.
     Sq8(Sq8Container),
-    /// An IVF-extended `f32` container (`PDX1`, minor 1.1), fully
-    /// resident.
-    IvfF32(IvfF32Container),
-    /// An IVF-extended SQ8 container (`PDX2`, minor 1.1), fully
-    /// resident.
-    IvfSq8(IvfSq8Container),
+}
+
+/// End of a 1.1 header (= offset of the first bucket record). The
+/// operands are `u32` header words, so `u128` cannot overflow.
+fn ivf_header_end(quantized: bool, dims: usize, n_buckets: usize) -> Option<u64> {
+    let (d, n) = (dims as u128, n_buckets as u128);
+    // mins + scales + n_rows + rows_offset
+    let quant = if quantized { 8 * d + 16 } else { 0 };
+    u64::try_from(u128::from(IVF_FIXED_HEADER) + quant + 4 * n * d + 20 * n).ok()
+}
+
+/// The block-record codec of one element type: the same record shape
+/// sits in a 1.0 body (after an inline `n_vectors`), in a 1.1 body and
+/// behind a lazy reader's `pread`, and goes through here in all three.
+trait Record: Sized {
+    fn group_size(&self) -> usize;
+    fn row_ids(&self) -> &[u64];
+    /// Panics unless block `i` matches what the header will say.
+    fn check(&self, i: usize, dims: usize, group: usize, ivf: bool);
+    /// Byte length of a 1.1 record of `n` vectors (`None` on overflow).
+    fn ivf_len(n: u32, dims: usize) -> Option<u64>;
+    /// Decodes a record of `n` vectors of the container `h` describes.
+    fn read<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self>;
+    fn write(&self, w: &mut impl Write, ivf: bool) -> io::Result<()>;
+}
+
+fn record_values(n: usize, dims: usize) -> io::Result<usize> {
+    n.checked_mul(dims)
+        .ok_or_else(|| invalid(format!("n_vectors {n} × dims {dims} overflows")))
+}
+
+/// `row_ids n × u64 | [means, variances dims × f32 each] | data n × dims
+/// × f32`. A 1.1 record stores its statistics and they are adopted
+/// verbatim; a 1.0 record re-derives them from the data.
+impl Record for SearchBlock {
+    fn group_size(&self) -> usize {
+        self.pdx.group_size()
+    }
+
+    fn row_ids(&self) -> &[u64] {
+        &self.row_ids
+    }
+
+    fn check(&self, i: usize, dims: usize, group: usize, ivf: bool) {
+        assert_eq!(self.group_size(), group, "block {i} group size differs");
+        assert_eq!(self.pdx.dims(), dims, "block {i} dimensionality differs");
+        assert_eq!(self.row_ids.len(), self.len(), "block {i} id count differs");
+        if ivf {
+            let stats = [self.stats.means.len(), self.stats.variances.len()];
+            assert_eq!(stats, [dims; 2], "block {i} stats dims differ");
+        }
+    }
+
+    fn ivf_len(n: u32, dims: usize) -> Option<u64> {
+        let (n, d) = (u128::from(n), dims as u128);
+        u64::try_from(8 * n + 4 * (2 * d + n * d)).ok()
+    }
+
+    fn read<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self> {
+        let (dims, group) = (h.dims, h.group);
+        let n_values = record_values(n, dims)?;
+        let row_ids = read_vec(src, n, "n_vectors (row ids)")?;
+        let stored = if h.centroid_rows.is_some() {
+            Some(BlockStats {
+                means: read_vec(src, dims, "dims (block means)")?,
+                variances: read_vec(src, dims, "dims (block variances)")?,
+            })
+        } else {
+            None
+        };
+        // The on-disk order is the in-memory group-tiled order.
+        let tiled = read_vec(src, n_values, "n_vectors (block data)")?;
+        let pdx = PdxBlock::from_tiled(tiled, n, dims, group);
+        Ok(SearchBlock {
+            stats: stored.unwrap_or_else(|| BlockStats::from_block(&pdx)),
+            pdx,
+            row_ids,
+            aux: None,
+        })
+    }
+
+    fn write(&self, w: &mut impl Write, ivf: bool) -> io::Result<()> {
+        write_slice(w, &self.row_ids)?;
+        if ivf {
+            write_slice(w, &self.stats.means)?;
+            write_slice(w, &self.stats.variances)?;
+        }
+        write_slice(w, self.pdx.as_slice())
+    }
+}
+
+/// `row_ids n × u64 | codes n × dims × u8`; any byte is a valid code.
+impl Record for Sq8Block {
+    fn group_size(&self) -> usize {
+        self.codes.group_size()
+    }
+
+    fn row_ids(&self) -> &[u64] {
+        &self.row_ids
+    }
+
+    fn check(&self, i: usize, dims: usize, group: usize, _ivf: bool) {
+        assert_eq!(self.group_size(), group, "block {i} group size differs");
+        assert_eq!(self.codes.dims(), dims, "block {i} dimensionality differs");
+        assert_eq!(self.row_ids.len(), self.len(), "block {i} id count differs");
+    }
+
+    fn ivf_len(n: u32, dims: usize) -> Option<u64> {
+        u64::try_from(u128::from(n) * (8 + dims as u128)).ok()
+    }
+
+    fn read<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self> {
+        let n_values = record_values(n, h.dims)?;
+        let row_ids = read_vec(src, n, "n_vectors (row ids)")?;
+        let tiled = read_vec(src, n_values, "n_vectors (block codes)")?;
+        let codes = QuantizedPdxBlock::from_tiled(tiled, n, h.dims, h.group);
+        Ok(Sq8Block { codes, row_ids })
+    }
+
+    fn write(&self, w: &mut impl Write, _ivf: bool) -> io::Result<()> {
+        write_slice(w, &self.row_ids)?;
+        w.write_all(self.codes.as_slice())
+    }
+}
+
+/// Decodes bucket `bucket` of the `PDX1` 1.1 container `h` describes
+/// from `src`, the window of the file its table entry names — with the
+/// codec the resident reader uses, which is what makes the two
+/// bit-identical.
+///
+/// # Errors
+/// `InvalidData` if the record exceeds the window; IO errors propagate.
+pub fn read_f32_bucket<S: Source>(
+    src: &mut S,
+    h: &ContainerHeader,
+    bucket: usize,
+) -> io::Result<SearchBlock> {
+    SearchBlock::read(src, h.buckets[bucket].n_vectors as usize, h)
+}
+
+/// The one writer behind all four dialects: `quantizer` selects the
+/// magic, `centroid_rows` the minor version.
+///
+/// # Panics
+/// Panics if the blocks disagree among themselves (group size,
+/// dimensionality) — the header stores those once and the reader
+/// de-tiles every block with them, so a mismatched block would
+/// round-trip silently permuted — or if `centroid_rows` / `rows` are not
+/// one centroid per block / whole vectors.
+fn write_container<B: Record>(
+    w: &mut impl Write,
+    dims: usize,
+    quantizer: Option<&Sq8Quantizer>,
+    centroid_rows: Option<&[f32]>,
+    blocks: &[B],
+    rows: Option<&[f32]>,
+) -> io::Result<()> {
+    let ivf = centroid_rows.is_some();
+    if let Some(centroids) = centroid_rows {
+        assert!(dims > 0, "zero dims");
+        let want = blocks.len() * dims;
+        assert_eq!(centroids.len(), want, "one centroid row per bucket");
+    }
+    if let Some(rows) = rows {
+        assert_eq!(rows.len() % dims.max(1), 0, "rows must be whole vectors");
+    }
+    let group = blocks
+        .first()
+        .map_or(pdx_core::DEFAULT_GROUP_SIZE, B::group_size);
+    for (i, b) in blocks.iter().enumerate() {
+        b.check(i, dims, group, ivf);
+    }
+    let n_vectors = |b: &B| b.row_ids().len() as u32;
+    let n_rows = rows.map_or(0, |r| (r.len() / dims.max(1)) as u64);
+    let flags = u32::from(rows.is_some());
+
+    let mut head = if quantizer.is_some() {
+        MAGIC_SQ8.to_vec()
+    } else {
+        MAGIC_F32.to_vec()
+    };
+    let (d, g, nb) = (dims as u32, group as u32, blocks.len() as u32);
+    match (ivf, quantizer) {
+        (true, _) => put_slice(&mut head, &[IVF_SENTINEL, IVF_MINOR, d, g, flags, nb]),
+        (false, Some(_)) => put_slice(&mut head, &[d, g, nb, flags]),
+        (false, None) => put_slice(&mut head, &[d, g, nb]),
+    }
+    if let Some(q) = quantizer {
+        put_slice(&mut head, q.mins());
+        put_slice(&mut head, q.scales());
+    }
+    if let Some(centroids) = centroid_rows {
+        let len_of = |b| B::ivf_len(n_vectors(b), dims).expect("bucket size overflows u64");
+        let mut offset = ivf_header_end(quantizer.is_some(), dims, blocks.len())
+            .expect("header size overflows u64");
+        if quantizer.is_some() {
+            let rows_offset = offset + blocks.iter().map(len_of).sum::<u64>();
+            put_u64(&mut head, n_rows);
+            put_u64(&mut head, if rows.is_some() { rows_offset } else { 0 });
+        }
+        put_slice(&mut head, centroids);
+        for b in blocks {
+            put_u64(&mut head, offset);
+            put_u64(&mut head, len_of(b));
+            put_u32(&mut head, n_vectors(b));
+            offset += len_of(b);
+        }
+    }
+    w.write_all(&head)?;
+    for b in blocks {
+        if !ivf {
+            w.write_all(&n_vectors(b).to_le_bytes())?;
+        }
+        b.write(w, ivf)?;
+    }
+    if let Some(rows) = rows {
+        if !ivf {
+            w.write_all(&n_rows.to_le_bytes())?;
+        }
+        write_slice(w, rows)?;
+    }
+    Ok(())
+}
+
+/// Serializes a collection into the `PDX1` container format.
+///
+/// # Errors
+/// Propagates IO errors from the writer.
+///
+/// # Panics
+/// Panics if the blocks disagree among themselves (group size,
+/// dimensionality) — the container stores those once in its header.
+pub fn write_pdx<W: Write>(mut w: W, coll: &PdxCollection) -> io::Result<()> {
+    write_container(&mut w, coll.dims, None, None, &coll.blocks, None)
 }
 
 /// Serializes a quantized collection into the `PDX2` container format.
 /// Pass the original row-major vectors as `rows` to make the container
 /// self-contained for exact rerank; pass `None` for a scan-only file.
 ///
-/// # Errors
-/// Propagates IO errors from the writer.
-///
-/// # Panics
-/// Panics if `rows` is not whole vectors of the quantizer's
-/// dimensionality, or if the blocks disagree among themselves (group
-/// size, dimensionality) — the container stores those once in its
-/// header.
+/// # Errors and panics
+/// As [`write_pdx`]; also panics if `rows` is not whole vectors.
 pub fn write_sq8<W: Write>(
     mut w: W,
     quantizer: &Sq8Quantizer,
     blocks: &[Sq8Block],
     rows: Option<&[f32]>,
 ) -> io::Result<()> {
-    let dims = quantizer.dims();
-    if let Some(rows) = rows {
-        assert_eq!(rows.len() % dims.max(1), 0, "rows must be whole vectors");
-    }
-    w.write_all(MAGIC_SQ8)?;
-    let group = blocks
-        .first()
-        .map_or(pdx_core::DEFAULT_GROUP_SIZE, |b| b.codes.group_size());
-    // The header stores one group size and one dimensionality for the
-    // whole container; the reader de-tiles every block with them, so a
-    // mismatched block would round-trip silently permuted.
-    for (i, b) in blocks.iter().enumerate() {
-        assert_eq!(b.codes.group_size(), group, "block {i} group size differs");
-        assert_eq!(b.codes.dims(), dims, "block {i} dimensionality differs");
-        assert_eq!(b.row_ids.len(), b.len(), "block {i} id count differs");
-    }
-    w.write_all(&(dims as u32).to_le_bytes())?;
-    w.write_all(&(group as u32).to_le_bytes())?;
-    w.write_all(&(blocks.len() as u32).to_le_bytes())?;
-    w.write_all(&(rows.is_some() as u32).to_le_bytes())?;
-    for &m in quantizer.mins() {
-        w.write_all(&m.to_le_bytes())?;
-    }
-    for &s in quantizer.scales() {
-        w.write_all(&s.to_le_bytes())?;
-    }
-    for block in blocks {
-        w.write_all(&(block.len() as u32).to_le_bytes())?;
-        for &id in &block.row_ids {
-            w.write_all(&id.to_le_bytes())?;
-        }
-        w.write_all(block.codes.as_slice())?;
-    }
-    if let Some(rows) = rows {
-        w.write_all(&((rows.len() / dims.max(1)) as u64).to_le_bytes())?;
-        for v in rows {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads a quantized collection back from the `PDX2` container format.
-///
-/// # Errors
-/// Fails on IO errors, a bad magic number, or truncated payloads.
-pub fn read_sq8<R: Read>(mut r: R) -> io::Result<Sq8Container> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC_SQ8 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not an SQ8 PDX container",
-        ));
-    }
-    read_sq8_body(r)
-}
-
-/// Reads the `PDX2` payload after the magic has been consumed.
-fn read_sq8_body<R: Read>(mut r: R) -> io::Result<Sq8Container> {
-    let first = read_u32(&mut r)?;
-    read_sq8_body_with_dims(r, first)
-}
-
-/// [`read_sq8_body`] with the first header word (the legacy `dims`
-/// field, which doubles as the IVF sentinel slot) already consumed.
-fn read_sq8_body_with_dims<R: Read>(mut r: R, dims_word: u32) -> io::Result<Sq8Container> {
-    if dims_word == IVF_SENTINEL {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "IVF-extended PDX2 container (open it via read_container)",
-        ));
-    }
-    let dims = dims_word as usize;
-    let group = read_u32(&mut r)? as usize;
-    let n_blocks = read_u32(&mut r)? as usize;
-    let flags = read_u32(&mut r)?;
-    if dims == 0 || group == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "zero dims or group size",
-        ));
-    }
-    let read_f32s = |r: &mut R, n: usize| -> io::Result<Vec<f32>> {
-        let mut payload = vec![0u8; n * 4];
-        r.read_exact(&mut payload)?;
-        Ok(payload
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    };
-    let mins = read_f32s(&mut r, dims)?;
-    let scales = read_f32s(&mut r, dims)?;
-    if mins.iter().any(|m| !m.is_finite()) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "non-finite quantizer min",
-        ));
-    }
-    if scales.iter().any(|&s| s <= 0.0 || !s.is_finite()) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "non-positive quantizer scale",
-        ));
-    }
-    let quantizer = Sq8Quantizer::from_params(mins, scales);
-    let mut blocks = Vec::with_capacity(n_blocks);
-    let mut id_check = RowIdCheck::default();
-    for _ in 0..n_blocks {
-        let n = read_u32(&mut r)? as usize;
-        let n_codes = n
-            .checked_mul(dims)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "block size overflows"))?;
-        let mut row_ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = read_u64(&mut r)?;
-            id_check.insert(id)?;
-            row_ids.push(id);
-        }
-        // The on-disk byte order is the in-memory group-tiled order; any
-        // byte is a valid code, so the buffer loads directly.
-        let mut tiled = vec![0u8; n_codes];
-        r.read_exact(&mut tiled)?;
-        let codes = QuantizedPdxBlock::from_tiled(tiled, n, dims, group);
-        blocks.push(Sq8Block { codes, row_ids });
-    }
-    let rows = if flags & 1 != 0 {
-        // The count comes from the file: use checked arithmetic so a
-        // corrupt header fails with InvalidData instead of wrapping the
-        // allocation size (and silently under-reading) in release.
-        let n_rows = read_u64(&mut r)?;
-        let n_values = usize::try_from(n_rows)
-            .ok()
-            .and_then(|n| n.checked_mul(dims))
-            .filter(|&n| n.checked_mul(4).is_some())
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "rerank row count overflows")
-            })?;
-        let rows = read_f32s(&mut r, n_values)?;
-        // Every block id must index into the rerank payload, or later
-        // reranks would panic instead of the load failing cleanly.
-        for block in &blocks {
-            if block.row_ids.iter().any(|&id| id >= n_rows) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "block row id exceeds rerank payload",
-                ));
-            }
-        }
-        rows
-    } else {
-        Vec::new()
-    };
-    Ok(Sq8Container {
-        dims,
-        group,
-        quantizer,
-        blocks,
-        rows,
-    })
-}
-
-/// Writes a quantized collection to a file path.
-///
-/// # Errors
-/// Propagates IO errors.
-pub fn write_sq8_path(
-    path: &std::path::Path,
-    quantizer: &Sq8Quantizer,
-    blocks: &[Sq8Block],
-    rows: Option<&[f32]>,
-) -> io::Result<()> {
-    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
-    write_sq8(&mut w, quantizer, blocks, rows)?;
-    w.flush()
-}
-
-/// Reads a quantized collection from a file path.
-///
-/// # Errors
-/// Propagates IO and format errors.
-pub fn read_sq8_path(path: &std::path::Path) -> io::Result<Sq8Container> {
-    read_sq8(io::BufReader::new(std::fs::File::open(path)?))
-}
-
-/// Reads either container kind, dispatching on the magic number.
-///
-/// # Errors
-/// Fails on IO errors or an unrecognized magic number.
-pub fn read_container<R: Read>(mut r: R) -> io::Result<Container> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    match &magic {
-        m if m == MAGIC => {
-            let first = read_u32(&mut r)?;
-            if first == IVF_SENTINEL {
-                Ok(Container::IvfF32(read_ivf_f32_body(r)?))
-            } else {
-                Ok(Container::F32(read_pdx_body_with_dims(r, first)?))
-            }
-        }
-        m if m == MAGIC_SQ8 => {
-            let first = read_u32(&mut r)?;
-            if first == IVF_SENTINEL {
-                Ok(Container::IvfSq8(read_ivf_sq8_body(r)?))
-            } else {
-                Ok(Container::Sq8(read_sq8_body_with_dims(r, first)?))
-            }
-        }
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            // The offending bytes make "served the wrong file" failures
-            // attributable (an .fvecs file, a truncated download, …).
-            format!(
-                "not a PDX container (unknown magic {:?}, expected \"PDX1\"/\"PDX2\")",
-                magic.escape_ascii().to_string()
-            ),
-        )),
-    }
-}
-
-/// Reads either container kind from a file path. Every error — the
-/// open itself, a truncation, a format violation — names the offending
-/// path, so a caller layered behind `AnyIndex::open` (or a CLI) never
-/// reports a bare "failed to fill whole buffer" with no file to blame.
-///
-/// # Errors
-/// Propagates IO and format errors, with the path prepended.
-pub fn read_container_path(path: &std::path::Path) -> io::Result<Container> {
-    let with_path = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-    let file = std::fs::File::open(path).map_err(with_path)?;
-    read_container(io::BufReader::new(file)).map_err(with_path)
-}
-
-// ---------------------------------------------------------------------------
-// IVF-extended containers (minor version 1.1): bucket-granular layout
-// ---------------------------------------------------------------------------
-
-/// The u32 following the magic that marks an IVF-extended container.
-/// Legacy (1.0) files store `dims` there, which the readers require to
-/// be non-zero and far below this value — so the sentinel can never be
-/// mistaken for a dimensionality.
-pub const IVF_SENTINEL: u32 = u32::MAX;
-
-/// Container format minor version written by the IVF writers.
-pub const IVF_MINOR: u32 = 1;
-
-/// Fixed bytes before the variable header sections: magic, sentinel,
-/// minor, dims, group, flags, n_buckets.
-const IVF_FIXED_HEADER: u64 = 4 + 6 * 4;
-
-/// Location and shape of one bucket record inside an IVF container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IvfBucketEntry {
-    /// Absolute file offset of the bucket record.
-    pub offset: u64,
-    /// Byte length of the bucket record.
-    pub byte_len: u64,
-    /// Number of vectors in the bucket.
-    pub n_vectors: u32,
-}
-
-/// Everything an IVF container's header holds: the routing data
-/// (centroids), the bucket table, and — for `PDX2` — the quantizer and
-/// the rerank payload's location. Reading this is O(header): no bucket
-/// record is touched, which is what makes cold opens independent of
-/// the corpus size.
-#[derive(Debug, Clone)]
-pub struct IvfMeta {
-    /// Whether the container is SQ8-quantized (`PDX2`).
-    pub quantized: bool,
-    /// Dimensionality.
-    pub dims: usize,
-    /// PDX group size of the bucket blocks.
-    pub group: usize,
-    /// Format flags (`PDX2` bit 0: rerank rows present).
-    pub flags: u32,
-    /// Row-major centroid vectors, one per bucket.
-    pub centroid_rows: Vec<f32>,
-    /// Per-bucket offset/length table, in bucket order.
-    pub buckets: Vec<IvfBucketEntry>,
-    /// The codec of a quantized container.
-    pub quantizer: Option<Sq8Quantizer>,
-    /// Number of rerank rows (`PDX2` with flags bit 0; else 0).
-    pub n_rows: u64,
-    /// Absolute file offset of the rerank payload (`PDX2`; else 0).
-    pub rows_offset: u64,
-}
-
-/// Byte length of one `f32` IVF bucket record: ids, stats, payload
-/// (`None` on arithmetic overflow). Readers that stream bucket
-/// sections directly (see `pdx-index`'s lazy deployment) validate a
-/// table entry's `byte_len` against this before trusting its geometry.
-pub fn ivf_f32_bucket_len(n: usize, dims: usize) -> Option<u64> {
-    let ids = (n as u64).checked_mul(8)?;
-    let stats = (dims as u64).checked_mul(8)?;
-    let data = (n as u64).checked_mul(dims as u64)?.checked_mul(4)?;
-    ids.checked_add(stats)?.checked_add(data)
-}
-
-/// Byte length of one SQ8 IVF bucket record: ids, codes.
-fn ivf_sq8_bucket_len(n: usize, dims: usize) -> Option<u64> {
-    let ids = (n as u64).checked_mul(8)?;
-    let codes = (n as u64).checked_mul(dims as u64)?;
-    ids.checked_add(codes)
-}
-
-/// End of the header (= offset of the first bucket record).
-fn ivf_header_end(quantized: bool, dims: usize, n_buckets: usize) -> Option<u64> {
-    let centroids = (n_buckets as u64)
-        .checked_mul(dims as u64)?
-        .checked_mul(4)?;
-    let table = (n_buckets as u64).checked_mul(20)?;
-    let quant = if quantized {
-        // mins + scales + n_rows + rows_offset
-        (dims as u64).checked_mul(8)?.checked_add(16)?
-    } else {
-        0
-    };
-    IVF_FIXED_HEADER
-        .checked_add(quant)?
-        .checked_add(centroids)?
-        .checked_add(table)
-}
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Reads `n` little-endian `f32`s in bounded chunks, so a corrupt count
-/// fails at end-of-file instead of pre-allocating the lie.
-fn read_f32s_chunked<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<f32>> {
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    let mut buf = [0u8; 4096];
-    let mut remaining = n;
-    while remaining > 0 {
-        let take = remaining.min(buf.len() / 4);
-        let bytes = &mut buf[..take * 4];
-        r.read_exact(bytes)?;
-        out.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-/// Reads `n` bytes in bounded chunks (same OOM-safety rationale as
-/// [`read_f32s_chunked`]).
-fn read_bytes_chunked<R: Read>(r: &mut R, n: u64) -> io::Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(n.min(1 << 20) as usize);
-    let mut buf = [0u8; 4096];
-    let mut remaining = n;
-    while remaining > 0 {
-        let take = remaining.min(buf.len() as u64) as usize;
-        r.read_exact(&mut buf[..take])?;
-        out.extend_from_slice(&buf[..take]);
-        remaining -= take as u64;
-    }
-    Ok(out)
+    let (dims, q) = (quantizer.dims(), Some(quantizer));
+    write_container(&mut w, dims, q, None, blocks, rows)
 }
 
 /// Serializes an IVF deployment into the IVF-extended `PDX1` format:
 /// `centroid_rows` are the row-major centroids (one per bucket, the
 /// router's data) and `blocks` the bucket [`SearchBlock`]s in the same
-/// order. The per-block statistics are persisted alongside the payload
-/// so lazy and resident readers rebuild bit-identical blocks without
-/// recomputation.
+/// order, written with their statistics.
 ///
-/// # Errors
-/// Propagates IO errors from the writer.
-///
-/// # Panics
-/// Panics if the centroids don't match the bucket count, or if the
-/// blocks disagree among themselves (group size, dimensionality) —
-/// the container stores those once in its header.
+/// # Errors and panics
+/// As [`write_pdx`]; also panics unless there is one centroid per bucket.
 pub fn write_ivf_pdx<W: Write>(
     mut w: W,
     dims: usize,
     centroid_rows: &[f32],
     blocks: &[SearchBlock],
 ) -> io::Result<()> {
-    assert!(dims > 0, "zero dims");
-    assert_eq!(
-        centroid_rows.len(),
-        blocks.len() * dims,
-        "one centroid row per bucket"
-    );
-    let group = blocks
-        .first()
-        .map_or(pdx_core::DEFAULT_GROUP_SIZE, |b| b.pdx.group_size());
-    for (i, b) in blocks.iter().enumerate() {
-        assert_eq!(b.pdx.group_size(), group, "block {i} group size differs");
-        assert_eq!(b.pdx.dims(), dims, "block {i} dimensionality differs");
-        assert_eq!(b.row_ids.len(), b.len(), "block {i} id count differs");
-        assert_eq!(b.stats.means.len(), dims, "block {i} stats dims differ");
-        assert_eq!(b.stats.variances.len(), dims, "block {i} stats dims differ");
-    }
-    w.write_all(MAGIC)?;
-    w.write_all(&IVF_SENTINEL.to_le_bytes())?;
-    w.write_all(&IVF_MINOR.to_le_bytes())?;
-    w.write_all(&(dims as u32).to_le_bytes())?;
-    w.write_all(&(group as u32).to_le_bytes())?;
-    w.write_all(&0u32.to_le_bytes())?; // flags
-    w.write_all(&(blocks.len() as u32).to_le_bytes())?;
-    for v in centroid_rows {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    let mut offset = ivf_header_end(false, dims, blocks.len()).expect("header size overflows u64");
-    for b in blocks {
-        let byte_len = ivf_f32_bucket_len(b.len(), dims).expect("bucket size overflows u64");
-        w.write_all(&offset.to_le_bytes())?;
-        w.write_all(&byte_len.to_le_bytes())?;
-        w.write_all(&(b.len() as u32).to_le_bytes())?;
-        offset += byte_len;
-    }
-    for b in blocks {
-        for &id in &b.row_ids {
-            w.write_all(&id.to_le_bytes())?;
-        }
-        for &m in &b.stats.means {
-            w.write_all(&m.to_le_bytes())?;
-        }
-        for &v in &b.stats.variances {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        for v in b.pdx.as_slice() {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// [`write_ivf_pdx`] to a file path.
-///
-/// # Errors
-/// Propagates IO errors, with the path prepended.
-pub fn write_ivf_pdx_path(
-    path: &std::path::Path,
-    dims: usize,
-    centroid_rows: &[f32],
-    blocks: &[SearchBlock],
-) -> io::Result<()> {
-    let with_path = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-    let mut w = io::BufWriter::new(std::fs::File::create(path).map_err(with_path)?);
-    write_ivf_pdx(&mut w, dims, centroid_rows, blocks).map_err(with_path)?;
-    w.flush().map_err(with_path)
+    write_container(&mut w, dims, None, Some(centroid_rows), blocks, None)
 }
 
 /// Serializes an SQ8 IVF deployment into the IVF-extended `PDX2`
 /// format. Pass the original row-major vectors as `rows` for exact
 /// rerank; `None` writes a scan-only container.
 ///
-/// # Errors
-/// Propagates IO errors from the writer.
-///
-/// # Panics
-/// Panics under the same header-consistency rules as
-/// [`write_ivf_pdx`], or if `rows` is not whole vectors.
+/// # Errors and panics
+/// As [`write_ivf_pdx`] and [`write_sq8`].
 pub fn write_ivf_sq8<W: Write>(
     mut w: W,
     quantizer: &Sq8Quantizer,
@@ -776,116 +474,72 @@ pub fn write_ivf_sq8<W: Write>(
     blocks: &[Sq8Block],
     rows: Option<&[f32]>,
 ) -> io::Result<()> {
-    let dims = quantizer.dims();
-    assert!(dims > 0, "zero dims");
-    assert_eq!(
-        centroid_rows.len(),
-        blocks.len() * dims,
-        "one centroid row per bucket"
-    );
-    if let Some(rows) = rows {
-        assert_eq!(rows.len() % dims, 0, "rows must be whole vectors");
-    }
-    let group = blocks
-        .first()
-        .map_or(pdx_core::DEFAULT_GROUP_SIZE, |b| b.codes.group_size());
-    for (i, b) in blocks.iter().enumerate() {
-        assert_eq!(b.codes.group_size(), group, "block {i} group size differs");
-        assert_eq!(b.codes.dims(), dims, "block {i} dimensionality differs");
-        assert_eq!(b.row_ids.len(), b.len(), "block {i} id count differs");
-    }
-    w.write_all(MAGIC_SQ8)?;
-    w.write_all(&IVF_SENTINEL.to_le_bytes())?;
-    w.write_all(&IVF_MINOR.to_le_bytes())?;
-    w.write_all(&(dims as u32).to_le_bytes())?;
-    w.write_all(&(group as u32).to_le_bytes())?;
-    w.write_all(&(rows.is_some() as u32).to_le_bytes())?; // flags
-    w.write_all(&(blocks.len() as u32).to_le_bytes())?;
-    for &m in quantizer.mins() {
-        w.write_all(&m.to_le_bytes())?;
-    }
-    for &s in quantizer.scales() {
-        w.write_all(&s.to_le_bytes())?;
-    }
-    let header_end = ivf_header_end(true, dims, blocks.len()).expect("header size overflows u64");
-    let bucket_bytes: u64 = blocks
-        .iter()
-        .map(|b| ivf_sq8_bucket_len(b.len(), dims).expect("bucket size overflows u64"))
-        .sum();
-    match rows {
-        Some(rows) => {
-            w.write_all(&((rows.len() / dims) as u64).to_le_bytes())?;
-            w.write_all(&(header_end + bucket_bytes).to_le_bytes())?;
-        }
-        None => {
-            w.write_all(&0u64.to_le_bytes())?;
-            w.write_all(&0u64.to_le_bytes())?;
-        }
-    }
-    for v in centroid_rows {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    let mut offset = header_end;
-    for b in blocks {
-        let byte_len = ivf_sq8_bucket_len(b.len(), dims).expect("bucket size overflows u64");
-        w.write_all(&offset.to_le_bytes())?;
-        w.write_all(&byte_len.to_le_bytes())?;
-        w.write_all(&(b.len() as u32).to_le_bytes())?;
-        offset += byte_len;
-    }
-    for b in blocks {
-        for &id in &b.row_ids {
-            w.write_all(&id.to_le_bytes())?;
-        }
-        w.write_all(b.codes.as_slice())?;
-    }
-    if let Some(rows) = rows {
-        for v in rows {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
+    let (dims, q) = (quantizer.dims(), Some(quantizer));
+    write_container(&mut w, dims, q, Some(centroid_rows), blocks, rows)
 }
 
-/// [`write_ivf_sq8`] to a file path.
-///
-/// # Errors
-/// Propagates IO errors, with the path prepended.
-pub fn write_ivf_sq8_path(
-    path: &std::path::Path,
-    quantizer: &Sq8Quantizer,
-    centroid_rows: &[f32],
-    blocks: &[Sq8Block],
-    rows: Option<&[f32]>,
-) -> io::Result<()> {
-    let with_path = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-    let mut w = io::BufWriter::new(std::fs::File::create(path).map_err(with_path)?);
-    write_ivf_sq8(&mut w, quantizer, centroid_rows, blocks, rows).map_err(with_path)?;
-    w.flush().map_err(with_path)
+/// Defines `$name`: `$write` into a buffered file at `path`, flushed,
+/// every error naming the path (as `vecs_impl!` stamps out `io`'s
+/// readers: the four differ only in the argument list they forward).
+macro_rules! path_writer {
+    ($name:ident => $write:ident($($arg:ident: $ty:ty),*)) => {
+        #[doc = concat!("[`", stringify!($write), "`] to a file path; errors name the path.")]
+        pub fn $name(path: &Path, $($arg: $ty),*) -> io::Result<()> {
+            let mut w = io::BufWriter::new(std::fs::File::create(path).map_err(with_path(path))?);
+            $write(&mut w, $($arg),*)
+                .and_then(|()| w.flush())
+                .map_err(with_path(path))
+        }
+    };
 }
+path_writer!(write_pdx_path => write_pdx(coll: &PdxCollection));
+path_writer!(write_sq8_path => write_sq8(
+    quantizer: &Sq8Quantizer, blocks: &[Sq8Block], rows: Option<&[f32]>));
+path_writer!(write_ivf_pdx_path => write_ivf_pdx(
+    dims: usize, centroid_rows: &[f32], blocks: &[SearchBlock]));
+path_writer!(write_ivf_sq8_path => write_ivf_sq8(
+    quantizer: &Sq8Quantizer, centroid_rows: &[f32], blocks: &[Sq8Block], rows: Option<&[f32]>));
 
-/// Parses an IVF header with the magic and sentinel already consumed.
-/// Validates the bucket table — every entry's byte length must equal
-/// what its vector count implies, and the records must sit contiguous
-/// from the header end — so a corrupt table fails here with a typed
-/// error instead of seeding giant allocations or misaligned reads.
-fn read_ivf_header<R: Read>(r: &mut R, quantized: bool) -> io::Result<IvfMeta> {
-    let minor = read_u32(r)?;
-    if minor != IVF_MINOR {
-        return Err(invalid(format!(
-            "unsupported IVF container minor version {minor} (this build reads {IVF_MINOR})"
-        )));
-    }
-    let dims = read_u32(r)? as usize;
-    let group = read_u32(r)? as usize;
-    let flags = read_u32(r)?;
-    let n_buckets = read_u32(r)? as usize;
+/// The one header parser: magic sniff, 1.0 / 1.1 field order, the
+/// quantizer parameters of a `PDX2`, and the centroids and bucket table
+/// of a 1.1 container. Leaves `src` at the first block record.
+fn read_header<S: Source>(src: &mut S) -> io::Result<ContainerHeader> {
+    let magic: [u8; 4] = src.array("magic")?;
+    let quantized = match &magic {
+        MAGIC_F32 => false,
+        MAGIC_SQ8 => true,
+        // The offending bytes make "served the wrong file" failures
+        // attributable (an .fvecs file, a truncated download, …).
+        _ => {
+            return Err(invalid(format!(
+                "not a PDX container (unknown magic {:?}, expected \"PDX1\"/\"PDX2\")",
+                magic.escape_ascii().to_string()
+            )))
+        }
+    };
+    let first = src.u32("dims")?;
+    let is_ivf = first == IVF_SENTINEL;
+    let [dims, group, flags, n_blocks] = if is_ivf {
+        let minor = src.u32("minor version")?;
+        if minor != IVF_MINOR {
+            return Err(invalid(format!(
+                "unsupported IVF container minor version {minor} (this build reads {IVF_MINOR})"
+            )));
+        }
+        let (dims, group) = (src.u32("dims")?, src.u32("group")?);
+        [dims, group, src.u32("flags")?, src.u32("n_buckets")?]
+    } else {
+        let (group, n_blocks) = (src.u32("group")?, src.u32("n_blocks")?);
+        let flags = if quantized { src.u32("flags")? } else { 0 };
+        [first, group, flags, n_blocks]
+    };
+    let (dims, group, n_blocks) = (dims as usize, group as usize, n_blocks as usize);
     if dims == 0 || group == 0 {
         return Err(invalid("zero dims or group size"));
     }
     let quantizer = if quantized {
-        let mins = read_f32s_chunked(r, dims)?;
-        let scales = read_f32s_chunked(r, dims)?;
+        let mins: Vec<f32> = read_vec(src, dims, "dims (quantizer mins)")?;
+        let scales: Vec<f32> = read_vec(src, dims, "dims (quantizer scales)")?;
         if mins.iter().any(|m| !m.is_finite()) {
             return Err(invalid("non-finite quantizer min"));
         }
@@ -896,305 +550,277 @@ fn read_ivf_header<R: Read>(r: &mut R, quantized: bool) -> io::Result<IvfMeta> {
     } else {
         None
     };
-    let (n_rows, rows_offset) = if quantized {
-        (read_u64(r)?, read_u64(r)?)
-    } else {
-        (0, 0)
-    };
-    let n_centroid_vals = n_buckets
-        .checked_mul(dims)
-        .ok_or_else(|| invalid("centroid count overflows"))?;
-    let centroid_rows = read_f32s_chunked(r, n_centroid_vals)?;
-    let header_end = ivf_header_end(quantized, dims, n_buckets)
-        .ok_or_else(|| invalid("header size overflows"))?;
-    let mut buckets = Vec::with_capacity(n_buckets.min(1 << 16));
-    let mut expected_offset = header_end;
-    for i in 0..n_buckets {
-        let offset = read_u64(r)?;
-        let byte_len = read_u64(r)?;
-        let n_vectors = read_u32(r)?;
-        let expect = if quantized {
-            ivf_sq8_bucket_len(n_vectors as usize, dims)
-        } else {
-            ivf_f32_bucket_len(n_vectors as usize, dims)
-        }
-        .ok_or_else(|| invalid(format!("bucket {i}: record size overflows")))?;
-        if byte_len != expect {
-            return Err(invalid(format!(
-                "bucket {i}: table byte length {byte_len} disagrees with \
-                 {n_vectors} vectors × {dims} dims (expected {expect})"
-            )));
-        }
-        if offset != expected_offset {
-            return Err(invalid(format!(
-                "bucket {i}: offset {offset} breaks record contiguity \
-                 (expected {expected_offset})"
-            )));
-        }
-        expected_offset = expected_offset
-            .checked_add(byte_len)
-            .ok_or_else(|| invalid(format!("bucket {i}: offset overflows")))?;
-        buckets.push(IvfBucketEntry {
-            offset,
-            byte_len,
-            n_vectors,
-        });
-    }
-    if quantized {
-        let has_rows = flags & 1 != 0;
-        if has_rows {
-            if rows_offset != expected_offset {
-                return Err(invalid(format!(
-                    "rerank payload offset {rows_offset} disagrees with the \
-                     bucket records' end {expected_offset}"
-                )));
-            }
-            n_rows
-                .checked_mul(dims as u64)
-                .and_then(|v| v.checked_mul(4))
-                .and_then(|v| rows_offset.checked_add(v))
-                .ok_or_else(|| invalid("rerank row count overflows"))?;
-        } else if n_rows != 0 || rows_offset != 0 {
-            return Err(invalid("rerank fields set without the rerank flag"));
-        }
-    }
-    Ok(IvfMeta {
-        quantized,
+    let mut header = ContainerHeader {
         dims,
         group,
         flags,
-        centroid_rows,
-        buckets,
+        n_blocks,
         quantizer,
-        n_rows,
-        rows_offset,
+        centroid_rows: None,
+        buckets: Vec::new(),
+        n_rows: 0,
+    };
+    if is_ivf {
+        read_ivf_table(src, &mut header)?;
+    }
+    Ok(header)
+}
+
+/// The 1.1 half of the header. Validates the bucket table — every
+/// entry's byte length must equal what its vector count implies, the
+/// records must sit contiguous from the header end, and (when the
+/// source knows its length) all of it must fit the file — so a corrupt
+/// table fails here with a typed error instead of misaligned reads.
+fn read_ivf_table<S: Source>(src: &mut S, h: &mut ContainerHeader) -> io::Result<()> {
+    let (dims, n_buckets, quantized) = (h.dims, h.n_blocks, h.quantizer.is_some());
+    let (n_rows, rows_offset) = if quantized {
+        (src.u64("n_rows")?, src.u64("rows_offset")?)
+    } else {
+        (0, 0)
+    };
+    let n_centroid_values = n_buckets
+        .checked_mul(dims)
+        .ok_or_else(|| invalid(format!("n_buckets {n_buckets} × dims {dims} overflows")))?;
+    let centroid_rows = read_vec(src, n_centroid_values, "n_buckets (centroids)")?;
+    let header_end = ivf_header_end(quantized, dims, n_buckets)
+        .ok_or_else(|| invalid("header size overflows"))?;
+    let mut end = header_end;
+    for i in 0..n_buckets {
+        let entry = IvfBucketEntry {
+            offset: src.u64("bucket offset")?,
+            byte_len: src.u64("bucket byte_len")?,
+            n_vectors: src.u32("bucket n_vectors")?,
+        };
+        let expect = if quantized {
+            Sq8Block::ivf_len(entry.n_vectors, dims)
+        } else {
+            SearchBlock::ivf_len(entry.n_vectors, dims)
+        };
+        if Some(entry.byte_len) != expect {
+            return Err(invalid(format!(
+                "bucket {i}: {entry:?} disagrees with {dims} dims (expected {expect:?} bytes)"
+            )));
+        }
+        if entry.offset != end {
+            return Err(invalid(format!(
+                "bucket {i}: {entry:?} breaks record contiguity (expected offset {end})"
+            )));
+        }
+        end = end
+            .checked_add(entry.byte_len)
+            .ok_or_else(|| invalid(format!("bucket {i}: offset overflows")))?;
+        h.buckets.push(entry);
+    }
+    if h.flags & 1 != 0 && quantized {
+        if rows_offset != end {
+            return Err(invalid(format!(
+                "rerank payload offset {rows_offset} disagrees with the \
+                 bucket records' end {end}"
+            )));
+        }
+        end = n_rows
+            .checked_mul(dims as u64 * 4)
+            .and_then(|bytes| end.checked_add(bytes))
+            .ok_or_else(|| invalid("rerank row count n_rows overflows"))?;
+    } else if n_rows != 0 || rows_offset != 0 {
+        return Err(invalid("rerank fields set without the rerank flag"));
+    }
+    // The header has been consumed exactly, so what the source has left
+    // is what the file holds past `header_end`.
+    if let Some(file_len) = src.remaining().map(|left| header_end.saturating_add(left)) {
+        if end > file_len {
+            return Err(invalid(format!(
+                "bucket records extend to byte {end} but the file has \
+                 {file_len} (truncated container?)"
+            )));
+        }
+    }
+    h.centroid_rows = Some(centroid_rows);
+    h.n_rows = n_rows;
+    Ok(())
+}
+
+/// Reads the `n_blocks` records after the header, rejecting a row id
+/// that appears twice: a duplicate would make two physical rows answer
+/// to one logical vector — searches and reranks would silently shadow
+/// one of them. The list grows by one per record actually decoded, so
+/// `n_blocks` itself never sizes anything.
+fn read_blocks<B: Record, S: Source>(src: &mut S, h: &ContainerHeader) -> io::Result<Vec<B>> {
+    let mut seen = std::collections::HashSet::new();
+    let mut blocks = Vec::new();
+    for i in 0..h.n_blocks {
+        let n = match h.buckets.get(i) {
+            Some(entry) => entry.n_vectors,
+            // Running out of bytes here means the count lied; any other
+            // IO error is the caller's to see as it is.
+            None => src.u32("block n_vectors").map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => invalid(format!(
+                    "n_blocks {}: the container ends after {i} blocks",
+                    h.n_blocks
+                )),
+                _ => e,
+            })?,
+        };
+        let block = B::read(src, n as usize, h)?;
+        if let Some(id) = block.row_ids().iter().find(|&&id| !seen.insert(id)) {
+            return Err(invalid(format!("duplicate row id {id} in container")));
+        }
+        blocks.push(block);
+    }
+    Ok(blocks)
+}
+
+/// Reads the rerank payload that follows the blocks of a `PDX2`
+/// container whose flags announce one. Every block id must index into
+/// it, or later reranks would panic instead of the load failing cleanly.
+fn read_rerank_rows<S: Source>(
+    src: &mut S,
+    h: &ContainerHeader,
+    blocks: &[Sq8Block],
+) -> io::Result<Vec<f32>> {
+    if h.flags & 1 == 0 {
+        return Ok(Vec::new());
+    }
+    let n_rows = match h.centroid_rows {
+        Some(_) => h.n_rows,
+        None => src.u64("n_rows")?,
+    };
+    let n_values = usize::try_from(n_rows)
+        .ok()
+        .and_then(|n| n.checked_mul(h.dims))
+        .ok_or_else(|| invalid("rerank row count n_rows overflows"))?;
+    let rows = read_vec(src, n_values, "n_rows (rerank rows)")?;
+    if blocks
+        .iter()
+        .flat_map(|b| &b.row_ids)
+        .any(|&id| id >= n_rows)
+    {
+        return Err(invalid("block row id exceeds rerank payload"));
+    }
+    Ok(rows)
+}
+
+fn read_from<S: Source>(src: &mut S) -> io::Result<Container> {
+    let mut h = read_header(src)?;
+    let (dims, group) = (h.dims, h.group);
+    Ok(match h.quantizer.take() {
+        Some(quantizer) => {
+            let blocks = read_blocks(src, &h)?;
+            Container::Sq8(Sq8Container {
+                rows: read_rerank_rows(src, &h, &blocks)?,
+                centroid_rows: h.centroid_rows,
+                blocks,
+                dims,
+                group,
+                quantizer,
+            })
+        }
+        None => Container::F32(F32Container {
+            blocks: read_blocks(src, &h)?,
+            centroid_rows: h.centroid_rows,
+            dims,
+            group,
+        }),
     })
 }
 
-/// Reads only the IVF header of a container file — the O(header) cold
-/// open behind lazy serving. Returns `Ok(None)` for a legacy (1.0) or
-/// unrecognized file, leaving the caller to fall back to
-/// [`read_container_path`].
+/// Reads either container kind from a stream of unknown length,
+/// dispatching on the magic number. Block-at-a-time: buffers grow only
+/// as bytes arrive.
 ///
-/// Beyond the header reader's table validation, this checks every
-/// bucket record (and the rerank payload) against the actual file
-/// length, so a truncated container is rejected at open time rather
-/// than failing mid-search.
+/// # Errors
+/// Fails on IO errors, an unrecognized magic number, truncation, or a
+/// header whose counts the bytes present do not back.
+pub fn read_container<R: Read>(r: R) -> io::Result<Container> {
+    read_from(&mut Stream::new(r))
+}
+
+fn open_stream(path: &Path) -> io::Result<Stream<io::BufReader<std::fs::File>>> {
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    Ok(Stream::with_len(io::BufReader::new(file), len))
+}
+
+/// Reads either container kind from a file path; the file's length
+/// bounds every count before anything is allocated for it. Every error
+/// — the open itself, a truncation, a format violation — names the
+/// offending path.
 ///
 /// # Errors
 /// Propagates IO and format errors, with the path prepended.
-pub fn read_ivf_meta_path(path: &std::path::Path) -> io::Result<Option<IvfMeta>> {
-    let with_path = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-    let file = std::fs::File::open(path).map_err(with_path)?;
-    let file_len = file.metadata().map_err(with_path)?.len();
-    let mut r = io::BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(with_path)?;
-    let quantized = match &magic {
-        m if m == MAGIC => false,
-        m if m == MAGIC_SQ8 => true,
-        _ => return Ok(None),
-    };
-    if read_u32(&mut r).map_err(with_path)? != IVF_SENTINEL {
-        return Ok(None);
-    }
-    let meta = read_ivf_header(&mut r, quantized).map_err(with_path)?;
-    for (i, e) in meta.buckets.iter().enumerate() {
-        // Table arithmetic was overflow-checked above, so `offset +
-        // byte_len` is exact; only the file can come up short.
-        if e.offset + e.byte_len > file_len {
-            return Err(with_path(invalid(format!(
-                "bucket {i} extends to byte {} but the file has {file_len} \
-                 (truncated container?)",
-                e.offset + e.byte_len
-            ))));
-        }
-    }
-    if meta.quantized && meta.flags & 1 != 0 {
-        let rows_end = meta.rows_offset + meta.n_rows * meta.dims as u64 * 4;
-        if rows_end > file_len {
-            return Err(with_path(invalid(format!(
-                "rerank payload extends to byte {rows_end} but the file has \
-                 {file_len} (truncated container?)"
-            ))));
-        }
-    }
-    Ok(Some(meta))
+pub fn read_container_path(path: &Path) -> io::Result<Container> {
+    open_stream(path)
+        .and_then(|mut src| read_from(&mut src))
+        .map_err(with_path(path))
 }
 
-/// Decodes one `f32` IVF bucket record (the bytes at its table entry's
-/// `offset..offset + byte_len`) into a [`SearchBlock`]. The stored
-/// statistics are adopted verbatim — both the resident and the lazy
-/// read paths go through here, which is what makes them bit-identical.
+/// Reads only the header of a container file — the O(header) cold open
+/// behind lazy serving. A 1.1 bucket table is validated against the
+/// actual file length, so a truncated container is rejected at open
+/// time rather than failing mid-search.
 ///
 /// # Errors
-/// Fails with `InvalidData` if the byte length disagrees with the
-/// geometry.
-pub fn decode_ivf_f32_bucket(
-    bytes: &[u8],
-    n: usize,
-    dims: usize,
-    group: usize,
-) -> io::Result<SearchBlock> {
-    let expect = ivf_f32_bucket_len(n, dims)
-        .filter(|&b| usize::try_from(b).is_ok())
-        .ok_or_else(|| invalid("bucket record size overflows"))?;
-    if bytes.len() as u64 != expect {
-        return Err(invalid(format!(
-            "bucket record has {} bytes, expected {expect}",
-            bytes.len()
-        )));
-    }
-    let (ids_b, rest) = bytes.split_at(n * 8);
-    let (means_b, rest) = rest.split_at(dims * 4);
-    let (vars_b, data_b) = rest.split_at(dims * 4);
-    let to_f32s = |b: &[u8]| -> Vec<f32> {
-        b.chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect()
-    };
-    let row_ids: Vec<u64> = ids_b
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    let pdx = PdxBlock::from_tiled(to_f32s(data_b), n, dims, group);
-    Ok(SearchBlock {
-        pdx,
-        row_ids,
-        stats: BlockStats {
-            means: to_f32s(means_b),
-            variances: to_f32s(vars_b),
-        },
-        aux: None,
-    })
+/// Propagates IO and format errors, with the path prepended.
+pub fn read_header_path(path: &Path) -> io::Result<ContainerHeader> {
+    open_stream(path)
+        .and_then(|mut src| read_header(&mut src))
+        .map_err(with_path(path))
 }
 
-/// Decodes one SQ8 IVF bucket record into an [`Sq8Block`] (see
-/// [`decode_ivf_f32_bucket`]).
+/// Reads a flat `PDX1` container as the collection it holds, deriving
+/// the collection-level statistics from the blocks.
 ///
 /// # Errors
-/// Fails with `InvalidData` if the byte length disagrees with the
-/// geometry.
-pub fn decode_ivf_sq8_bucket(
-    bytes: &[u8],
-    n: usize,
-    dims: usize,
-    group: usize,
-) -> io::Result<Sq8Block> {
-    let expect = ivf_sq8_bucket_len(n, dims)
-        .filter(|&b| usize::try_from(b).is_ok())
-        .ok_or_else(|| invalid("bucket record size overflows"))?;
-    if bytes.len() as u64 != expect {
-        return Err(invalid(format!(
-            "bucket record has {} bytes, expected {expect}",
-            bytes.len()
-        )));
-    }
-    let (ids_b, codes_b) = bytes.split_at(n * 8);
-    let row_ids: Vec<u64> = ids_b
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    let codes = QuantizedPdxBlock::from_tiled(codes_b.to_vec(), n, dims, group);
-    Ok(Sq8Block { codes, row_ids })
-}
-
-/// An IVF-extended `f32` container, fully resident.
-#[derive(Debug, Clone)]
-pub struct IvfF32Container {
-    /// Dimensionality.
-    pub dims: usize,
-    /// PDX group size of the bucket blocks.
-    pub group: usize,
-    /// Row-major centroid vectors, one per bucket.
-    pub centroid_rows: Vec<f32>,
-    /// The bucket blocks, in bucket order.
-    pub blocks: Vec<SearchBlock>,
-}
-
-/// An IVF-extended SQ8 container, fully resident.
-#[derive(Debug, Clone)]
-pub struct IvfSq8Container {
-    /// Dimensionality.
-    pub dims: usize,
-    /// PDX group size of the bucket blocks.
-    pub group: usize,
-    /// The per-dimension codec.
-    pub quantizer: Sq8Quantizer,
-    /// Row-major centroid vectors, one per bucket.
-    pub centroid_rows: Vec<f32>,
-    /// The quantized bucket blocks, in bucket order.
-    pub blocks: Vec<Sq8Block>,
-    /// Row-major `f32` rerank payload by global id (empty when absent).
-    pub rows: Vec<f32>,
-}
-
-/// Reads an IVF-extended `PDX1` body (magic and sentinel consumed):
-/// the fully resident path of [`read_container`].
-fn read_ivf_f32_body<R: Read>(mut r: R) -> io::Result<IvfF32Container> {
-    let meta = read_ivf_header(&mut r, false)?;
-    let mut id_check = RowIdCheck::default();
-    let mut blocks = Vec::with_capacity(meta.buckets.len());
-    for e in &meta.buckets {
-        // Contiguity was validated, so streaming reads line up with the
-        // table offsets.
-        let bytes = read_bytes_chunked(&mut r, e.byte_len)?;
-        let block = decode_ivf_f32_bucket(&bytes, e.n_vectors as usize, meta.dims, meta.group)?;
-        for &id in &block.row_ids {
-            id_check.insert(id)?;
+/// As [`read_container`]; `InvalidData` for any other container kind.
+pub fn read_pdx<R: Read>(r: R) -> io::Result<PdxCollection> {
+    match read_container(r)? {
+        Container::F32(c) if c.centroid_rows.is_none() => {
+            Ok(PdxCollection::from_blocks(c.dims, c.blocks))
         }
-        blocks.push(block);
+        _ => Err(invalid(
+            "not a flat PDX1 container (open it via read_container)",
+        )),
     }
-    Ok(IvfF32Container {
-        dims: meta.dims,
-        group: meta.group,
-        centroid_rows: meta.centroid_rows,
-        blocks,
-    })
 }
 
-/// Reads an IVF-extended `PDX2` body (magic and sentinel consumed).
-fn read_ivf_sq8_body<R: Read>(mut r: R) -> io::Result<IvfSq8Container> {
-    let meta = read_ivf_header(&mut r, true)?;
-    let quantizer = meta.quantizer.clone().expect("quantized header");
-    let mut id_check = RowIdCheck::default();
-    let mut blocks = Vec::with_capacity(meta.buckets.len());
-    for e in &meta.buckets {
-        let bytes = read_bytes_chunked(&mut r, e.byte_len)?;
-        let block = decode_ivf_sq8_bucket(&bytes, e.n_vectors as usize, meta.dims, meta.group)?;
-        for &id in &block.row_ids {
-            id_check.insert(id)?;
-        }
-        blocks.push(block);
+/// Reads a flat `PDX2` container.
+///
+/// # Errors
+/// As [`read_container`]; `InvalidData` for any other container kind.
+pub fn read_sq8<R: Read>(r: R) -> io::Result<Sq8Container> {
+    match read_container(r)? {
+        Container::Sq8(c) if c.centroid_rows.is_none() => Ok(c),
+        _ => Err(invalid(
+            "not a flat PDX2 container (open it via read_container)",
+        )),
     }
-    let rows = if meta.flags & 1 != 0 {
-        let n_values = usize::try_from(meta.n_rows)
-            .ok()
-            .and_then(|n| n.checked_mul(meta.dims))
-            .ok_or_else(|| invalid("rerank row count overflows"))?;
-        let rows = read_f32s_chunked(&mut r, n_values)?;
-        for block in &blocks {
-            if block.row_ids.iter().any(|&id| id >= meta.n_rows) {
-                return Err(invalid("block row id exceeds rerank payload"));
-            }
-        }
-        rows
-    } else {
-        Vec::new()
-    };
-    Ok(IvfSq8Container {
-        dims: meta.dims,
-        group: meta.group,
-        quantizer,
-        centroid_rows: meta.centroid_rows,
-        blocks,
-        rows,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdx_core::codec::ByteReader;
+
+    /// `file` inside a per-test directory under the system temp dir.
+    fn temp_path(dir: &str, file: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(file)
+    }
+
+    fn f32_container(c: Container) -> F32Container {
+        match c {
+            Container::F32(c) => c,
+            other => panic!("wrong container variant: {other:?}"),
+        }
+    }
+
+    fn sq8_container(c: Container) -> Sq8Container {
+        match c {
+            Container::Sq8(c) => c,
+            other => panic!("wrong container variant: {other:?}"),
+        }
+    }
 
     fn sample_collection() -> PdxCollection {
         let n = 137;
@@ -1236,11 +862,10 @@ mod tests {
     #[test]
     fn file_round_trip() {
         let coll = sample_collection();
-        let dir = std::env::temp_dir().join("pdx_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("coll.pdx");
+        let path = temp_path("pdx_persist_test", "coll.pdx");
         write_pdx_path(&path, &coll).unwrap();
-        let back = read_pdx_path(&path).unwrap();
+        let back = f32_container(read_container_path(&path).unwrap());
+        assert_eq!(back.centroid_rows, None);
         assert_eq!(back.blocks[0].pdx, coll.blocks[0].pdx);
         std::fs::remove_file(&path).ok();
     }
@@ -1404,11 +1029,9 @@ mod tests {
         use pdx_core::engine::SearchOptions;
         use pdx_core::search::quantized::sq8_two_phase;
         let (quantizer, blocks, rows) = sample_sq8();
-        let dir = std::env::temp_dir().join("pdx_persist_sq8_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("coll.pdx2");
+        let path = temp_path("pdx_persist_sq8_test", "coll.pdx2");
         write_sq8_path(&path, &quantizer, &blocks, Some(&rows)).unwrap();
-        let back = read_sq8_path(&path).unwrap();
+        let back = sq8_container(read_container_path(&path).unwrap());
         let q: Vec<f32> = (0..7).map(|i| i as f32 * 0.3).collect();
         let opts = SearchOptions::new(5);
         let a = sq8_two_phase(&quantizer, &blocks, &rows, &q, &opts, None);
@@ -1463,13 +1086,10 @@ mod tests {
         let (d, centroids, blocks) = sample_ivf_f32();
         let mut buf = Vec::new();
         write_ivf_pdx(&mut buf, d, &centroids, &blocks).unwrap();
-        let back = match read_container(&buf[..]).unwrap() {
-            Container::IvfF32(c) => c,
-            other => panic!("wrong container variant: {other:?}"),
-        };
+        let back = f32_container(read_container(&buf[..]).unwrap());
         assert_eq!(back.dims, d);
         assert_eq!(back.group, 16);
-        assert_eq!(back.centroid_rows, centroids);
+        assert_eq!(back.centroid_rows, Some(centroids));
         assert_eq!(back.blocks.len(), blocks.len());
         for (a, b) in blocks.iter().zip(&back.blocks) {
             assert_eq!(a.row_ids, b.row_ids);
@@ -1481,28 +1101,22 @@ mod tests {
     #[test]
     fn ivf_meta_sniff_is_header_only_and_matches() {
         let (d, centroids, blocks) = sample_ivf_f32();
-        let dir = std::env::temp_dir().join("pdx_persist_ivf_meta");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("c.pdx");
+        let path = temp_path("pdx_persist_ivf_meta", "c.pdx");
         write_ivf_pdx_path(&path, d, &centroids, &blocks).unwrap();
-        let meta = read_ivf_meta_path(&path).unwrap().expect("ivf container");
-        assert!(!meta.quantized);
-        assert_eq!(meta.dims, d);
-        assert_eq!(meta.centroid_rows, centroids);
-        assert_eq!(meta.buckets.len(), blocks.len());
-        for (e, b) in meta.buckets.iter().zip(&blocks) {
+        let header = read_header_path(&path).unwrap();
+        assert!(header.quantizer.is_none());
+        assert_eq!(header.dims, d);
+        assert_eq!(header.n_blocks, blocks.len());
+        assert_eq!(header.centroid_rows.as_ref(), Some(&centroids));
+        assert_eq!(header.buckets.len(), blocks.len());
+        for (e, b) in header.buckets.iter().zip(&blocks) {
             assert_eq!(e.n_vectors as usize, b.len());
         }
         // Decoding a bucket from the table entry reproduces the block.
         let bytes = std::fs::read(&path).unwrap();
-        let e = meta.buckets[2];
-        let block = decode_ivf_f32_bucket(
-            &bytes[e.offset as usize..(e.offset + e.byte_len) as usize],
-            e.n_vectors as usize,
-            meta.dims,
-            meta.group,
-        )
-        .unwrap();
+        let e = header.buckets[2];
+        let record = &bytes[e.offset as usize..(e.offset + e.byte_len) as usize];
+        let block = read_f32_bucket(&mut ByteReader::new(record), &header, 2).unwrap();
         assert_eq!(block.row_ids, blocks[2].row_ids);
         assert_eq!(block.pdx, blocks[2].pdx);
         assert_eq!(block.stats, blocks[2].stats);
@@ -1512,11 +1126,10 @@ mod tests {
     #[test]
     fn ivf_meta_sniff_returns_none_for_legacy_files() {
         let coll = sample_collection();
-        let dir = std::env::temp_dir().join("pdx_persist_ivf_legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.pdx");
+        let path = temp_path("pdx_persist_ivf_legacy", "legacy.pdx");
         write_pdx_path(&path, &coll).unwrap();
-        assert!(read_ivf_meta_path(&path).unwrap().is_none());
+        let header = read_header_path(&path).unwrap();
+        assert!(header.centroid_rows.is_none() && header.buckets.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1526,11 +1139,9 @@ mod tests {
         let mut buf = Vec::new();
         write_ivf_pdx(&mut buf, d, &centroids, &blocks).unwrap();
         buf.truncate(buf.len() - 10);
-        let dir = std::env::temp_dir().join("pdx_persist_ivf_trunc");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.pdx");
+        let path = temp_path("pdx_persist_ivf_trunc", "t.pdx");
         std::fs::write(&path, &buf).unwrap();
-        let err = read_ivf_meta_path(&path).unwrap_err();
+        let err = read_header_path(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("truncated"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -1579,32 +1190,23 @@ mod tests {
         let centroids: Vec<f32> = (0..nb * d).map(|i| i as f32 * 0.1).collect();
         let mut buf = Vec::new();
         write_ivf_sq8(&mut buf, &quantizer, &centroids, &blocks, Some(&rows)).unwrap();
-        let back = match read_container(&buf[..]).unwrap() {
-            Container::IvfSq8(c) => c,
-            other => panic!("wrong container variant: {other:?}"),
-        };
+        let back = sq8_container(read_container(&buf[..]).unwrap());
         assert_eq!(back.dims, d);
         assert_eq!(back.quantizer, quantizer);
-        assert_eq!(back.centroid_rows, centroids);
+        assert_eq!(back.centroid_rows.as_ref(), Some(&centroids));
         assert_eq!(back.blocks, blocks);
         assert_eq!(back.rows, rows);
         // Scan-only variant drops the rerank payload.
         let mut buf = Vec::new();
         write_ivf_sq8(&mut buf, &quantizer, &centroids, &blocks, None).unwrap();
-        let back = match read_container(&buf[..]).unwrap() {
-            Container::IvfSq8(c) => c,
-            other => panic!("wrong container variant: {other:?}"),
-        };
+        let back = sq8_container(read_container(&buf[..]).unwrap());
         assert!(back.rows.is_empty());
         // And the sniffer sees the quantized header.
-        let dir = std::env::temp_dir().join("pdx_persist_ivf_sq8");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("c.pdx2");
+        let path = temp_path("pdx_persist_ivf_sq8", "c.pdx2");
         write_ivf_sq8_path(&path, &quantizer, &centroids, &blocks, Some(&rows)).unwrap();
-        let meta = read_ivf_meta_path(&path).unwrap().expect("ivf container");
-        assert!(meta.quantized);
-        assert_eq!(meta.n_rows as usize * d, rows.len());
-        assert_eq!(meta.quantizer.as_ref(), Some(&quantizer));
+        let header = read_header_path(&path).unwrap();
+        assert_eq!(header.n_rows as usize * d, rows.len());
+        assert_eq!(header.quantizer.as_ref(), Some(&quantizer));
         std::fs::remove_file(&path).ok();
     }
 

@@ -33,12 +33,13 @@
 //! ```
 
 use pdx_core::cache::CacheStats;
-use pdx_core::collection::SearchBlock;
+use pdx_core::collection::{PdxCollection, SearchBlock};
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::heap::Neighbor;
 use pdx_core::pruning::Pruner;
 use pdx_core::search::ScanBlock;
 use pdx_datasets::persist::{read_container, read_container_path, Container};
+use pdx_index::ivf::centroid_block;
 use pdx_index::{Deployment, FlatPdx, FlatSq8, IvfPdx, IvfSq8, LazyIvf};
 use pdx_store::{Collection, ShardedCollection, MANIFEST_FILE, MANIFEST_MAGIC};
 use std::io;
@@ -175,43 +176,29 @@ impl AnyIndex {
 
     /// Wraps an already-loaded container in its deployment.
     pub fn from_container(container: Container) -> Box<dyn VectorIndex> {
+        // The centroid block is rebuilt with the call the lazy reader
+        // uses, so resident and lazy deployments probe identically.
         match container {
-            Container::F32(collection) => Box::new(FlatPdx::from_collection(collection)),
-            Container::Sq8(c) => {
-                Box::new(FlatSq8::from_parts(c.dims, c.quantizer, c.blocks, c.rows))
-            }
-            Container::IvfF32(c) => {
-                let n_buckets = c.blocks.len();
-                // Rebuilt with the same call the lazy reader uses, so
-                // both deployments probe identically.
-                let centroids = SearchBlock::new(
-                    &c.centroid_rows,
-                    (0..n_buckets as u64).collect(),
-                    c.dims,
-                    c.group,
-                );
-                Box::new(IvfPdx {
+            Container::F32(c) => match c.centroid_rows {
+                None => Box::new(FlatPdx::from_collection(PdxCollection::from_blocks(
+                    c.dims, c.blocks,
+                ))),
+                Some(rows) => Box::new(IvfPdx {
                     dims: c.dims,
-                    centroids,
+                    centroids: centroid_block(&rows, c.dims, c.group),
                     blocks: c.blocks,
-                })
-            }
-            Container::IvfSq8(c) => {
-                let n_buckets = c.blocks.len();
-                let centroids = SearchBlock::new(
-                    &c.centroid_rows,
-                    (0..n_buckets as u64).collect(),
-                    c.dims,
-                    c.group,
-                );
-                Box::new(IvfSq8 {
+                }),
+            },
+            Container::Sq8(c) => match c.centroid_rows {
+                None => Box::new(FlatSq8::from_parts(c.dims, c.quantizer, c.blocks, c.rows)),
+                Some(rows) => Box::new(IvfSq8 {
                     dims: c.dims,
                     quantizer: c.quantizer,
-                    centroids,
+                    centroids: centroid_block(&rows, c.dims, c.group),
                     blocks: c.blocks,
                     rows: c.rows,
-                })
-            }
+                }),
+            },
         }
     }
 }

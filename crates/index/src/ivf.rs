@@ -106,6 +106,20 @@ fn bucket_centroids(rows: &[f32], dims: usize, assignments: &[Vec<u32>]) -> (Vec
     (centroids, bucket_ids)
 }
 
+/// The router's block: row-major `centroid_rows` (row `i` = bucket `i`)
+/// in the PDX layout, with the bucket index as row id. Built by this one
+/// call whether the centroids were just computed or came out of a
+/// container header, so every deployment of one IVF probes identically.
+pub fn centroid_block(centroid_rows: &[f32], dims: usize, group_size: usize) -> SearchBlock {
+    let n_centroids = centroid_rows.len() / dims.max(1);
+    SearchBlock::new(
+        centroid_rows,
+        (0..n_centroids as u64).collect(),
+        dims,
+        group_size,
+    )
+}
+
 /// Ranks the buckets of a PDX-layout IVF by the distance of their
 /// `centroids` (row `i` = bucket `i`) to the (space-transformed) query;
 /// returns the `nprobe` nearest bucket indexes, nearest first. The one
@@ -151,16 +165,9 @@ impl IvfPdx {
                 aux: None,
             });
         }
-        let n_centroids = centroid_rows.len() / dims.max(1);
-        let centroids = SearchBlock::new(
-            &centroid_rows,
-            (0..n_centroids as u64).collect(),
-            dims,
-            group_size,
-        );
         Self {
             dims,
-            centroids,
+            centroids: centroid_block(&centroid_rows, dims, group_size),
             blocks,
         }
     }

@@ -19,20 +19,19 @@
 //!   miss latency without changing the scan order.
 //! * **Bit-identity** — bucket records persist their PDX tiles *and*
 //!   their block statistics, and both the resident and the lazy read
-//!   paths decode them with
-//!   [`pdx_datasets::persist::decode_ivf_f32_bucket`]. A query
+//!   paths decode them with the same record codec
+//!   ([`pdx_datasets::persist::read_f32_bucket`]). A query
 //!   therefore sees exactly the blocks the resident deployment holds:
 //!   same probe order, same scan, same distance bits, at any cache
 //!   budget and any thread count.
 
+use crate::ivf::centroid_block;
 use crate::Deployment;
 use pdx_core::cache::{BlockCache, CacheStats};
 use pdx_core::collection::SearchBlock;
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::heap::Neighbor;
-#[cfg(not(all(unix, target_endian = "little")))]
-use pdx_datasets::persist::decode_ivf_f32_bucket;
-use pdx_datasets::persist::{read_ivf_meta_path, IvfBucketEntry};
+use pdx_datasets::persist::{read_f32_bucket, read_header_path, ContainerHeader};
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
@@ -50,12 +49,11 @@ const PREFETCH_WIDTH: usize = 4;
 pub struct LazyIvf {
     path: PathBuf,
     file: std::fs::File,
-    dims: usize,
-    group: usize,
+    /// The container's header: geometry, centroid rows, bucket table.
+    header: ContainerHeader,
     /// Centroids rebuilt exactly as the resident reader does, so probe
     /// orders match bit-for-bit.
     centroids: SearchBlock,
-    buckets: Vec<IvfBucketEntry>,
     total_vectors: usize,
     header_bytes: u64,
     cache: Arc<BlockCache<u32, SearchBlock>>,
@@ -72,42 +70,31 @@ impl LazyIvf {
     /// by — open those via `AnyIndex`/`read_container_path` instead),
     /// or if the header is corrupt or truncated.
     pub fn open(path: &Path, cache_bytes: u64) -> io::Result<Self> {
-        let meta = read_ivf_meta_path(path)?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: not an IVF-extended container (lazy opening needs the \
-                     bucket table of format 1.1)",
-                    path.display()
-                ),
-            )
-        })?;
-        if meta.quantized {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: lazy opening supports f32 IVF containers (PDX2 reranks \
-                     against a global row payload; open it resident instead)",
-                    path.display()
-                ),
-            ));
+        let header = read_header_path(path)?;
+        let refuse = |why: &str| {
+            let msg = format!("{}: {why}", path.display());
+            Err(io::Error::new(io::ErrorKind::InvalidData, msg))
+        };
+        let Some(centroid_rows) = &header.centroid_rows else {
+            return refuse(
+                "not an IVF-extended container (lazy opening needs the bucket table of \
+                 format 1.1)",
+            );
+        };
+        if header.quantizer.is_some() {
+            return refuse(
+                "lazy opening supports f32 IVF containers (PDX2 reranks against a global \
+                 row payload; open it resident instead)",
+            );
         }
-        let n_buckets = meta.buckets.len();
-        let centroids = SearchBlock::new(
-            &meta.centroid_rows,
-            (0..n_buckets as u64).collect(),
-            meta.dims,
-            meta.group,
-        );
-        let total_vectors = meta.buckets.iter().map(|e| e.n_vectors as usize).sum();
-        let header_bytes = (meta.centroid_rows.len() as u64) * 4 + (n_buckets as u64) * 20;
+        let n_buckets = header.buckets.len();
+        let total_vectors = header.buckets.iter().map(|e| e.n_vectors as usize).sum();
+        let header_bytes = (centroid_rows.len() as u64) * 4 + (n_buckets as u64) * 20;
         Ok(Self {
             file: std::fs::File::open(path)?,
             path: path.to_path_buf(),
-            dims: meta.dims,
-            group: meta.group,
-            centroids,
-            buckets: meta.buckets,
+            centroids: centroid_block(centroid_rows, header.dims, header.group),
+            header,
             total_vectors,
             header_bytes,
             cache: Arc::new(BlockCache::new(cache_bytes)),
@@ -116,12 +103,12 @@ impl LazyIvf {
 
     /// Dimensionality.
     pub fn dims(&self) -> usize {
-        self.dims
+        self.header.dims
     }
 
     /// Number of buckets.
     pub fn n_buckets(&self) -> usize {
-        self.buckets.len()
+        self.header.buckets.len()
     }
 
     /// Total vectors across all buckets (from the table — no record
@@ -146,106 +133,26 @@ impl LazyIvf {
         self.header_bytes + self.cache.resident_bytes()
     }
 
-    #[cfg(not(all(unix, target_endian = "little")))]
-    fn read_bucket_bytes(&self, e: IvfBucketEntry) -> io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; e.byte_len as usize];
+    /// Loads one bucket record into a [`SearchBlock`] with the record
+    /// codec the resident reader uses, so results stay bit-identical to
+    /// the resident deployment. On unix each record section — ids,
+    /// stats, tiles — is `pread` straight into its final buffer
+    /// ([`FileAt`] is a direct source): the kernel's copy out of the
+    /// page cache is the only copy a miss pays. Elsewhere a private
+    /// handle is positioned at the record, since a shared cursor would
+    /// race between concurrent misses.
+    fn load_bucket(&self, bucket: u32) -> io::Result<SearchBlock> {
+        let e = self.header.buckets[bucket as usize];
         #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(&mut buf, e.offset)?;
-        }
+        let mut src = pdx_core::codec::FileAt::new(&self.file, e.offset, e.byte_len);
         #[cfg(not(unix))]
-        {
-            use std::io::{Read, Seek, SeekFrom};
+        let mut src = {
+            use std::io::{Seek, SeekFrom};
             let mut f = std::fs::File::open(&self.path)?;
             f.seek(SeekFrom::Start(e.offset))?;
-            f.read_exact(&mut buf)?;
-        }
-        Ok(buf)
-    }
-
-    /// Loads one bucket record into a [`SearchBlock`].
-    ///
-    /// On little-endian unix (every deployment target that matters for
-    /// the out-of-core path) each record section — ids, stats, tiles —
-    /// is `pread` straight into its final buffer: the record's
-    /// little-endian words *are* the in-memory representation, so the
-    /// kernel's copy out of the page cache is the only copy a miss
-    /// pays. Elsewhere the portable path reads the record once and
-    /// decodes it with [`decode_ivf_f32_bucket`]. Both construct the
-    /// exact same values, so results stay bit-identical to the
-    /// resident deployment either way.
-    fn load_bucket(&self, e: IvfBucketEntry) -> io::Result<SearchBlock> {
-        #[cfg(all(unix, target_endian = "little"))]
-        {
-            use pdx_core::layout::PdxBlock;
-            use pdx_core::stats::BlockStats;
-            use pdx_datasets::persist::ivf_f32_bucket_len;
-            use std::os::unix::fs::FileExt;
-
-            let n = e.n_vectors as usize;
-            let expect = ivf_f32_bucket_len(n, self.dims)
-                .filter(|&b| usize::try_from(b).is_ok())
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bucket record size overflows")
-                })?;
-            if e.byte_len != expect {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bucket record has {} bytes, expected {expect}", e.byte_len),
-                ));
-            }
-            // Each section is read straight into a fresh allocation
-            // whose length is set only after `read_exact_at` has
-            // written every byte — skipping the zero-fill a
-            // `vec![0; n]` would pay, which on ~160 KB buckets is the
-            // second-largest miss cost after the kernel copy itself.
-            //
-            // SAFETY (per call below): u64/f32 accept every byte
-            // pattern, the slice covers exactly the capacity just
-            // reserved, and `set_len` runs only after the read filled
-            // the whole slice.
-            unsafe fn read_vec<T>(
-                file: &std::fs::File,
-                n: usize,
-                off: &mut u64,
-            ) -> io::Result<Vec<T>> {
-                let mut v: Vec<T> = Vec::with_capacity(n);
-                let bytes = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        v.as_mut_ptr().cast::<u8>(),
-                        n * std::mem::size_of::<T>(),
-                    )
-                };
-                file.read_exact_at(bytes, *off)?;
-                *off += bytes.len() as u64;
-                unsafe { v.set_len(n) };
-                Ok(v)
-            }
-            let mut off = e.offset;
-            let (row_ids, means, vars, tiled) = unsafe {
-                (
-                    read_vec::<u64>(&self.file, n, &mut off)?,
-                    read_vec::<f32>(&self.file, self.dims, &mut off)?,
-                    read_vec::<f32>(&self.file, self.dims, &mut off)?,
-                    read_vec::<f32>(&self.file, n * self.dims, &mut off)?,
-                )
-            };
-            Ok(SearchBlock {
-                pdx: PdxBlock::from_tiled(tiled, n, self.dims, self.group),
-                row_ids,
-                stats: BlockStats {
-                    means,
-                    variances: vars,
-                },
-                aux: None,
-            })
-        }
-        #[cfg(not(all(unix, target_endian = "little")))]
-        {
-            let bytes = self.read_bucket_bytes(e)?;
-            decode_ivf_f32_bucket(&bytes, e.n_vectors as usize, self.dims, self.group)
-        }
+            pdx_core::codec::Stream::with_len(f, e.byte_len)
+        };
+        read_f32_bucket(&mut src, &self.header, bucket as usize)
     }
 
     /// Fetches one bucket through the cache, pinning it via `Arc`.
@@ -257,9 +164,9 @@ impl LazyIvf {
     /// truncated or replaced underneath a live deployment, which no
     /// search result could be trusted over anyway.
     pub fn fetch(&self, bucket: u32) -> Arc<SearchBlock> {
-        let e = self.buckets[bucket as usize];
+        let e = self.header.buckets[bucket as usize];
         self.cache
-            .get_or_load(&bucket, || Ok((self.load_bucket(e)?, e.byte_len)))
+            .get_or_load(&bucket, || Ok((self.load_bucket(bucket)?, e.byte_len)))
             .unwrap_or_else(|err| {
                 panic!(
                     "{}: bucket {bucket} unreadable mid-search: {err}",
@@ -273,7 +180,7 @@ impl Deployment for LazyIvf {
     type Block = SearchBlock;
 
     fn n_blocks(&self) -> usize {
-        self.buckets.len()
+        self.header.buckets.len()
     }
 
     fn centroids(&self) -> Option<&SearchBlock> {
@@ -307,7 +214,8 @@ impl Deployment for LazyIvf {
             .iter()
             .copied()
             .filter(|&b| {
-                self.cache.admits(self.buckets[b as usize].byte_len) && !self.cache.contains(&b)
+                self.cache.admits(self.header.buckets[b as usize].byte_len)
+                    && !self.cache.contains(&b)
             })
             .collect();
         if missing.len() < 2 {
@@ -336,7 +244,7 @@ impl Deployment for LazyIvf {
 /// hit/miss delta around the scan.
 impl VectorIndex for LazyIvf {
     fn dims(&self) -> usize {
-        self.dims
+        self.header.dims
     }
 
     fn len(&self) -> usize {

@@ -199,17 +199,10 @@ impl IvfSq8 {
                 &quantizer,
             ));
         }
-        let n_centroids = centroid_rows.len() / dims.max(1);
-        let centroids = SearchBlock::new(
-            &centroid_rows,
-            (0..n_centroids as u64).collect(),
-            dims,
-            group_size,
-        );
         Self {
             dims,
             quantizer,
-            centroids,
+            centroids: crate::ivf::centroid_block(&centroid_rows, dims, group_size),
             blocks,
             rows: rows.to_vec(),
         }

@@ -193,7 +193,7 @@ pub mod prelude {
     pub use pdx_core::visit_order::VisitOrder;
     pub use pdx_core::{DEFAULT_EXACT_BLOCK, DEFAULT_GROUP_SIZE};
     pub use pdx_datasets::eval::{ground_truth, mean_recall, recall_at_k};
-    pub use pdx_datasets::persist::{IvfBucketEntry, IvfMeta};
+    pub use pdx_datasets::persist::{ContainerHeader, IvfBucketEntry};
     pub use pdx_datasets::synthetic::{
         generate, spec_by_name, Dataset, DatasetSpec, Distribution, TABLE1,
     };

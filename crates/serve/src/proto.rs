@@ -23,6 +23,7 @@
 //! buffer is reserved, so a hostile frame cannot make the server
 //! allocate more than the (capped) frame it already read.
 
+use pdx_core::codec::{put_slice, put_u32, put_u64, read_vec, ByteReader, Source, Stream};
 use pdx_core::heap::Neighbor;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -61,6 +62,14 @@ impl fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+/// The shared byte reader reports truncation and lying counts as
+/// `io::Error`s naming the field; on the wire they are protocol errors.
+impl From<io::Error> for ProtoError {
+    fn from(e: io::Error) -> Self {
+        ProtoError(e.to_string())
+    }
+}
 
 /// Typed failure classes a server can answer with, instead of hanging
 /// or dropping the connection.
@@ -255,7 +264,7 @@ impl Request {
     /// fields or trailing garbage. Never panics, never allocates beyond
     /// the input's own length.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cur::new(bytes);
+        let mut c = ByteReader::new(bytes);
         let req = match c.u8("request tag")? {
             TAG_PING => Request::Ping,
             TAG_SEARCH => Request::Search {
@@ -263,7 +272,7 @@ impl Request {
                 k: c.u32("k")?,
                 nprobe: c.u32("nprobe")?,
                 refine: c.u32("refine")?,
-                query: c.f32_vec("query")?,
+                query: f32_vec(&mut c, "query")?,
             },
             TAG_SEARCH_BATCH => {
                 let (deadline_ms, k, nprobe, refine) = (
@@ -273,7 +282,7 @@ impl Request {
                     c.u32("refine")?,
                 );
                 let dims = c.u32("dims")?;
-                let queries = c.f32_vec("queries")?;
+                let queries = f32_vec(&mut c, "queries")?;
                 if dims == 0 && !queries.is_empty() {
                     return Err(ProtoError("batch with zero dims but non-empty data".into()));
                 }
@@ -295,7 +304,7 @@ impl Request {
             TAG_INSERT => Request::Insert {
                 deadline_ms: c.u32("deadline_ms")?,
                 id: c.u64("id")?,
-                vector: c.f32_vec("vector")?,
+                vector: f32_vec(&mut c, "vector")?,
             },
             TAG_DELETE => Request::Delete {
                 deadline_ms: c.u32("deadline_ms")?,
@@ -366,67 +375,46 @@ pub struct StatsReport {
     pub open_us: u64,
 }
 
-impl StatsReport {
-    const FIELDS: usize = 21;
+/// The report's wire form: its fields as `u64`s in this order. One list
+/// drives both directions, so they cannot drift apart.
+macro_rules! stats_codec {
+    ($($field:ident),*) => {
+        impl StatsReport {
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                put_slice(out, &[$(self.$field),*]);
+            }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.dims,
-            self.live,
-            self.tombstones,
-            self.uptime_ms,
-            self.completed,
-            self.busy_rejected,
-            self.deadline_rejected,
-            self.protocol_errors,
-            self.in_flight,
-            self.queue_depth,
-            self.queue_capacity,
-            self.qps_x1000,
-            self.p50_us,
-            self.p99_us,
-            self.p999_us,
-            self.kernel_isa,
-            self.resident_bytes,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.open_us,
-        ] {
-            put_u64(out, v);
+            fn decode_from(c: &mut ByteReader<'_>) -> io::Result<Self> {
+                Ok(StatsReport {
+                    $($field: c.u64(stringify!($field))?),*
+                })
+            }
         }
-    }
-
-    fn decode_from(c: &mut Cur<'_>) -> Result<Self, ProtoError> {
-        let mut vals = [0u64; Self::FIELDS];
-        for v in vals.iter_mut() {
-            *v = c.u64("stats field")?;
-        }
-        Ok(StatsReport {
-            dims: vals[0],
-            live: vals[1],
-            tombstones: vals[2],
-            uptime_ms: vals[3],
-            completed: vals[4],
-            busy_rejected: vals[5],
-            deadline_rejected: vals[6],
-            protocol_errors: vals[7],
-            in_flight: vals[8],
-            queue_depth: vals[9],
-            queue_capacity: vals[10],
-            qps_x1000: vals[11],
-            p50_us: vals[12],
-            p99_us: vals[13],
-            p999_us: vals[14],
-            kernel_isa: vals[15],
-            resident_bytes: vals[16],
-            cache_hits: vals[17],
-            cache_misses: vals[18],
-            cache_evictions: vals[19],
-            open_us: vals[20],
-        })
-    }
+    };
 }
+stats_codec!(
+    dims,
+    live,
+    tombstones,
+    uptime_ms,
+    completed,
+    busy_rejected,
+    deadline_rejected,
+    protocol_errors,
+    in_flight,
+    queue_depth,
+    queue_capacity,
+    qps_x1000,
+    p50_us,
+    p99_us,
+    p999_us,
+    kernel_isa,
+    resident_bytes,
+    cache_hits,
+    cache_misses,
+    cache_evictions,
+    open_us
+);
 
 /// One server response.
 #[derive(Debug, Clone, PartialEq)]
@@ -500,22 +488,17 @@ impl Response {
     /// fields or trailing garbage. Never panics, never allocates beyond
     /// the input's own length.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cur::new(bytes);
+        let mut c = ByteReader::new(bytes);
         let resp = match c.u8("response tag")? {
             TAG_PONG => Response::Pong,
-            TAG_NEIGHBORS => Response::Neighbors(c.neighbors()?),
+            TAG_NEIGHBORS => Response::Neighbors(neighbors(&mut c)?),
             TAG_BATCH => {
-                let n = c.u32("batch count")? as usize;
-                // Each list needs at least its own 4-byte count.
-                if n > c.remaining() / 4 {
-                    return Err(ProtoError(format!(
-                        "batch count {n} exceeds the {} bytes present",
-                        c.remaining()
-                    )));
-                }
-                let mut lists = Vec::with_capacity(n);
+                // The list grows by one per list actually decoded, so the
+                // count itself reserves nothing.
+                let n = c.u32("batch count")?;
+                let mut lists = Vec::new();
                 for _ in 0..n {
-                    lists.push(c.neighbors()?);
+                    lists.push(neighbors(&mut c)?);
                 }
                 Response::Batch(lists)
             }
@@ -525,14 +508,7 @@ impl Response {
             TAG_ERROR => {
                 let kind = ErrorKind::from_u8(c.u8("error kind")?)?;
                 let len = c.u32("message length")? as usize;
-                if len > c.remaining() {
-                    return Err(ProtoError(format!(
-                        "message length {len} exceeds the {} bytes present",
-                        c.remaining()
-                    )));
-                }
-                let raw = c.bytes(len)?;
-                let message = String::from_utf8(raw.to_vec())
+                let message = String::from_utf8(c.take(len, "message length")?.to_vec())
                     .map_err(|_| ProtoError("error message is not UTF-8".into()))?;
                 Response::Error { kind, message }
             }
@@ -564,12 +540,10 @@ pub fn write_frame(w: &mut impl Write, seq: u32, msg: &[u8]) -> io::Result<()> {
 /// sequence number or exceeds `max_frame` (the connection cannot be
 /// resynchronized after either); IO errors are propagated.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> io::Result<(u32, Vec<u8>)> {
-    let mut hdr = [0u8; 4];
-    r.read_exact(&mut hdr)?;
-    let len = u32::from_le_bytes(hdr);
+    let mut src = Stream::new(r);
+    let len = src.u32("frame length")?;
     check_frame_len(len, max_frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload: Vec<u8> = read_vec(&mut src, len as usize, "frame length")?;
     let seq = u32::from_le_bytes(payload[..4].try_into().expect("length checked above"));
     payload.drain(..4);
     Ok((seq, payload))
@@ -594,19 +568,9 @@ pub fn check_frame_len(len: u32, max_frame: u32) -> Result<(), ProtoError> {
     Ok(())
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_f32_vec(out: &mut Vec<u8>, v: &[f32]) {
     put_u32(out, v.len() as u32);
-    for &x in v {
-        put_u32(out, x.to_bits());
-    }
+    put_slice(out, v);
 }
 
 fn put_neighbors(out: &mut Vec<u8>, hits: &[Neighbor]) {
@@ -617,95 +581,26 @@ fn put_neighbors(out: &mut Vec<u8>, hits: &[Neighbor]) {
     }
 }
 
-/// A bounds-checked read cursor: every accessor returns [`ProtoError`]
-/// on truncation, and every count is validated against the remaining
-/// bytes before its buffer is reserved.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// `count u32 | f32 × count`, the count checked against the bytes
+/// present before the vector is allocated.
+fn f32_vec(c: &mut ByteReader<'_>, what: &str) -> io::Result<Vec<f32>> {
+    let n = c.u32(what)? as usize;
+    read_vec(c, n, what)
 }
 
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.remaining() < n {
-            return Err(ProtoError(format!(
-                "truncated message: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, ProtoError> {
-        self.bytes(1)
-            .map(|b| b[0])
-            .map_err(|_| ProtoError(format!("truncated {what}")))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, ProtoError> {
-        self.bytes(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-            .map_err(|_| ProtoError(format!("truncated {what}")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, ProtoError> {
-        self.bytes(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-            .map_err(|_| ProtoError(format!("truncated {what}")))
-    }
-
-    fn f32_vec(&mut self, what: &str) -> Result<Vec<f32>, ProtoError> {
-        let n = self.u32(what)? as usize;
-        if n > self.remaining() / 4 {
-            return Err(ProtoError(format!(
-                "{what} count {n} exceeds the {} bytes present",
-                self.remaining()
-            )));
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(f32::from_bits(self.u32(what)?));
-        }
-        Ok(v)
-    }
-
-    fn neighbors(&mut self) -> Result<Vec<Neighbor>, ProtoError> {
-        let n = self.u32("neighbor count")? as usize;
-        if n > self.remaining() / 12 {
-            return Err(ProtoError(format!(
-                "neighbor count {n} exceeds the {} bytes present",
-                self.remaining()
-            )));
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(Neighbor {
-                id: self.u64("neighbor id")?,
-                distance: f32::from_bits(self.u32("neighbor distance")?),
-            });
-        }
-        Ok(v)
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.remaining() != 0 {
-            return Err(ProtoError(format!(
-                "{} trailing bytes after the message",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
+/// `count u32 | { id u64, distance f32 } × count`. The records are
+/// borrowed from the message first, so the list is sized by bytes that
+/// exist.
+fn neighbors(c: &mut ByteReader<'_>) -> io::Result<Vec<Neighbor>> {
+    let n = c.u32("neighbor count")? as usize;
+    let raw = c.take(n.saturating_mul(12), "neighbor count")?;
+    Ok(raw
+        .chunks_exact(12)
+        .map(|r| Neighbor {
+            id: u64::from_le_bytes(r[..8].try_into().expect("8 bytes")),
+            distance: f32::from_le_bytes(r[8..].try_into().expect("4 bytes")),
+        })
+        .collect())
 }
 
 #[cfg(test)]

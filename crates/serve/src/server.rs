@@ -25,6 +25,7 @@ use crate::metrics::ServerMetrics;
 use crate::proto::{
     check_frame_len, write_frame, ErrorKind, Request, Response, StatsReport, DEFAULT_MAX_FRAME,
 };
+use pdx_core::codec::{read_vec, Source, Stream};
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::{resolve_threads, spawn_job, JobHandle};
 use pdx_core::KernelPolicy;
@@ -554,38 +555,30 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// What one interruptible exact-read ended as.
-enum ReadStatus {
-    /// The buffer was filled.
-    Full,
-    /// The peer closed (or errored, or the server is stopping).
-    Eof,
+/// A connection's read half as the frame reader sees it: a read
+/// timeout polls the stop flag and retries, and a stopping server reads
+/// as end-of-stream. A peer close — clean between frames or truncating
+/// one — ends the connection either way: a part-read frame cannot be
+/// resynchronized.
+struct Polled<'a> {
+    stream: &'a mut TcpStream,
+    shared: &'a Shared,
 }
 
-/// Fills `buf` from `stream`, polling the stop flag on every read
-/// timeout. A peer close — clean between frames or truncating one —
-/// returns `Eof` either way: a part-read frame cannot be
-/// resynchronized, so the connection ends.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared) -> ReadStatus {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shared.stopping() {
-            return ReadStatus::Eof;
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return ReadStatus::Eof,
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                continue;
+impl Read for Polled<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            if self.shared.stopping() {
+                return Ok(0);
             }
-            Err(_) => return ReadStatus::Eof,
+            match self.stream.read(buf) {
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut => {}
+                other => return other,
+            }
         }
     }
-    ReadStatus::Full
 }
 
 /// One connection: reads frames, answers control-plane requests inline,
@@ -600,12 +593,14 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
         stream: Mutex::new(write_half),
     });
     let mut stream = stream;
+    let mut frames = Stream::new(Polled {
+        stream: &mut stream,
+        shared,
+    });
     loop {
-        let mut hdr = [0u8; 4];
-        if matches!(read_full(&mut stream, &mut hdr, shared), ReadStatus::Eof) {
+        let Ok(len) = frames.u32("frame length") else {
             return;
-        }
-        let len = u32::from_le_bytes(hdr);
+        };
         if let Err(err) = check_frame_len(len, shared.config.max_frame) {
             // The stream offset is now unknowable: answer and close.
             shared
@@ -615,13 +610,11 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
             conn.send(0, &Response::error(ErrorKind::Protocol, err.0));
             return;
         }
-        let mut payload = vec![0u8; len as usize];
-        if matches!(
-            read_full(&mut stream, &mut payload, shared),
-            ReadStatus::Eof
-        ) {
+        // The buffer grows as the payload arrives: a connection that
+        // announces a large frame and sends nothing holds nothing.
+        let Ok(payload) = read_vec::<u8, _>(&mut frames, len as usize, "frame length") else {
             return;
-        }
+        };
         let seq = u32::from_le_bytes(payload[..4].try_into().expect("length checked"));
         let arrived = Instant::now();
         match Request::decode(&payload[4..]) {

@@ -21,7 +21,8 @@
 //! ```
 
 use crate::{StoreConfig, StoreError};
-use std::io::{self, Read, Write};
+use pdx_core::codec::{invalid, put_slice, put_u32, put_u64, read_vec, ByteReader, Source};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// The magic number identifying a mutable-collection manifest; what
@@ -72,29 +73,66 @@ impl Manifest {
 
     /// Serializes the manifest.
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.segments.len() * 8 + self.tombstones.len() * 8);
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        for v in [
+        let mut out = MANIFEST_MAGIC.to_vec();
+        let config = [
             self.dims,
             self.config.block_size,
             self.config.group_size,
             self.config.buffer_capacity,
             usize::from(self.config.quantize),
-        ] {
-            out.extend_from_slice(&(v as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&self.wal_seq.to_le_bytes());
-        out.extend_from_slice(&self.next_segment_seq.to_le_bytes());
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
-        for seq in &self.segments {
-            out.extend_from_slice(&seq.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.tombstones.len() as u64).to_le_bytes());
-        for id in &self.tombstones {
-            out.extend_from_slice(&id.to_le_bytes());
-        }
+        ];
+        put_u32(&mut out, VERSION);
+        put_slice(&mut out, &config.map(|v| v as u32));
+        put_u64(&mut out, self.wal_seq);
+        put_u64(&mut out, self.next_segment_seq);
+        put_u32(&mut out, self.segments.len() as u32);
+        put_slice(&mut out, &self.segments);
+        put_u64(&mut out, self.tombstones.len() as u64);
+        put_slice(&mut out, &self.tombstones);
         out
+    }
+
+    /// Parses and validates manifest bytes. Both counts are untrusted:
+    /// each is checked against the bytes present before its list is
+    /// allocated ([`read_vec`]), and nothing may follow the tombstones.
+    fn decode(bytes: &[u8]) -> io::Result<Self> {
+        let mut r = ByteReader::new(bytes);
+        if &r.array::<4>("manifest magic")? != MANIFEST_MAGIC {
+            return Err(invalid("not a PDX3 manifest"));
+        }
+        let version = r.u32("manifest version")?;
+        if version != VERSION {
+            return Err(invalid(format!("unsupported manifest version {version}")));
+        }
+        let mut config = [0usize; 5];
+        for field in &mut config {
+            *field = r.u32("manifest config")? as usize;
+        }
+        let [dims, block_size, group_size, buffer_capacity, quantize] = config;
+        if dims == 0 || block_size == 0 || group_size == 0 || buffer_capacity == 0 {
+            return Err(invalid("zero dims/block/group/buffer in manifest"));
+        }
+        let wal_seq = r.u64("wal_seq")?;
+        let next_segment_seq = r.u64("next_segment_seq")?;
+        let n_segments = r.u32("segment count")? as usize;
+        let segments = read_vec(&mut r, n_segments, "segment count")?;
+        let n_tombstones = usize::try_from(r.u64("tombstone count")?)
+            .map_err(|_| invalid("tombstone count overflows"))?;
+        let tombstones = read_vec(&mut r, n_tombstones, "tombstone count")?;
+        r.finish()?;
+        Ok(Self {
+            dims,
+            config: StoreConfig {
+                block_size,
+                group_size,
+                buffer_capacity,
+                quantize: quantize != 0,
+            },
+            wal_seq,
+            next_segment_seq,
+            segments,
+            tombstones,
+        })
     }
 
     /// Atomically replaces the manifest in `dir`: the new bytes land in
@@ -123,84 +161,8 @@ impl Manifest {
     /// errors (including a missing manifest) are propagated.
     pub fn read(dir: &Path) -> Result<Self, StoreError> {
         let path = Self::path(dir);
-        let mut r = io::BufReader::new(std::fs::File::open(&path)?);
-        let corrupt = |msg: &str| StoreError::Corrupt(format!("{}: {msg}", path.display()));
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)
-            .map_err(|_| corrupt("truncated manifest"))?;
-        if &magic != MANIFEST_MAGIC {
-            return Err(corrupt("not a PDX3 manifest"));
-        }
-        let mut u32_buf = [0u8; 4];
-        let mut u64_buf = [0u8; 8];
-        let mut read_u32 = |r: &mut dyn Read| -> Result<u32, StoreError> {
-            r.read_exact(&mut u32_buf)
-                .map_err(|_| StoreError::Corrupt("truncated manifest".into()))?;
-            Ok(u32::from_le_bytes(u32_buf))
-        };
-        let mut read_u64 = |r: &mut dyn Read| -> Result<u64, StoreError> {
-            r.read_exact(&mut u64_buf)
-                .map_err(|_| StoreError::Corrupt("truncated manifest".into()))?;
-            Ok(u64::from_le_bytes(u64_buf))
-        };
-        let version = read_u32(&mut r)?;
-        if version != VERSION {
-            return Err(corrupt(&format!("unsupported manifest version {version}")));
-        }
-        let dims = read_u32(&mut r)? as usize;
-        let block_size = read_u32(&mut r)? as usize;
-        let group_size = read_u32(&mut r)? as usize;
-        let buffer_capacity = read_u32(&mut r)? as usize;
-        let quantize = read_u32(&mut r)? != 0;
-        if dims == 0 || block_size == 0 || group_size == 0 || buffer_capacity == 0 {
-            return Err(corrupt("zero dims/block/group/buffer in manifest"));
-        }
-        let wal_seq = read_u64(&mut r)?;
-        let next_segment_seq = read_u64(&mut r)?;
-        // The counts below are untrusted on-disk values: bound every
-        // pre-allocation and cross-check against the file size before
-        // looping, so a corrupt manifest yields `Corrupt`, never an
-        // OOM abort. Fixed prefix: magic + version + 5×u32 config +
-        // wal_seq + next_segment_seq + segment count = 48 bytes.
-        let file_len = std::fs::metadata(&path)?.len();
-        let fixed: u64 = 48 + 8; // prefix + tombstone-count field
-        let n_segments = read_u32(&mut r)? as usize;
-        let seg_bytes = (n_segments as u64).saturating_mul(8);
-        if fixed.saturating_add(seg_bytes) > file_len {
-            return Err(corrupt(&format!(
-                "segment count {n_segments} exceeds manifest size {file_len}"
-            )));
-        }
-        let mut segments = Vec::with_capacity(n_segments.min(1 << 20));
-        for _ in 0..n_segments {
-            segments.push(read_u64(&mut r)?);
-        }
-        let n_tombstones = read_u64(&mut r)?;
-        let n_tombstones =
-            usize::try_from(n_tombstones).map_err(|_| corrupt("tombstone count overflows"))?;
-        let tomb_bytes = (n_tombstones as u64).saturating_mul(8);
-        if fixed.saturating_add(seg_bytes).saturating_add(tomb_bytes) != file_len {
-            return Err(corrupt(&format!(
-                "tombstone count {n_tombstones} disagrees with manifest size {file_len}"
-            )));
-        }
-        let mut tombstones = Vec::with_capacity(n_tombstones.min(1 << 20));
-        for _ in 0..n_tombstones {
-            tombstones.push(read_u64(&mut r)?);
-        }
-        Ok(Self {
-            dims,
-            config: StoreConfig {
-                block_size,
-                group_size,
-                buffer_capacity,
-                quantize,
-            },
-            wal_seq,
-            next_segment_seq,
-            segments,
-            tombstones,
-        })
+        Self::decode(&std::fs::read(&path)?)
+            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
     }
 }
 

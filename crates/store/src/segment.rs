@@ -15,11 +15,13 @@
 
 use crate::manifest::{segment_file, segment_ids_file};
 use crate::{StoreConfig, StoreError};
+use pdx_core::codec::{invalid, put_slice, put_u32, put_u64, read_vec, ByteReader, Source};
+use pdx_core::collection::PdxCollection;
 use pdx_core::engine::VectorIndex;
 use pdx_datasets::persist::{read_container_path, write_pdx_path, write_sq8_path, Container};
 use pdx_index::{FlatPdx, FlatSq8};
 use std::collections::HashSet;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 const IDS_MAGIC: &[u8; 4] = b"PDXI";
@@ -170,15 +172,13 @@ impl Segment {
         }
         std::fs::File::open(&container)?.sync_all()?;
         let ids_path = dir.join(segment_ids_file(self.seq));
-        let mut w = io::BufWriter::new(std::fs::File::create(&ids_path)?);
-        w.write_all(IDS_MAGIC)?;
-        w.write_all(&IDS_VERSION.to_le_bytes())?;
-        w.write_all(&(self.remap.len() as u64).to_le_bytes())?;
-        for id in &self.remap {
-            w.write_all(&id.to_le_bytes())?;
-        }
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        Ok(())
+        let mut ids = IDS_MAGIC.to_vec();
+        put_u32(&mut ids, IDS_VERSION);
+        put_u64(&mut ids, self.remap.len() as u64);
+        put_slice(&mut ids, &self.remap);
+        let mut file = std::fs::File::create(&ids_path)?;
+        file.write_all(&ids)?;
+        file.sync_all()
     }
 
     /// Loads segment `seq` from `dir`, validating the remap table
@@ -192,8 +192,10 @@ impl Segment {
         let data = match read_container_path(&container_path)
             .map_err(|e| StoreError::Corrupt(e.to_string()))?
         {
-            Container::F32(collection) => SegmentData::F32(FlatPdx::from_collection(collection)),
-            Container::Sq8(c) => {
+            Container::F32(c) if c.centroid_rows.is_none() => SegmentData::F32(
+                FlatPdx::from_collection(PdxCollection::from_blocks(c.dims, c.blocks)),
+            ),
+            Container::Sq8(c) if c.centroid_rows.is_none() => {
                 if c.rows.is_empty() {
                     return Err(StoreError::Corrupt(format!(
                         "{}: segment container has no rerank payload",
@@ -202,7 +204,7 @@ impl Segment {
                 }
                 SegmentData::Sq8(FlatSq8::from_parts(c.dims, c.quantizer, c.blocks, c.rows))
             }
-            Container::IvfF32(_) | Container::IvfSq8(_) => {
+            _ => {
                 return Err(StoreError::Corrupt(format!(
                     "{}: segments are flat containers, found an IVF-extended one",
                     container_path.display()
@@ -211,41 +213,7 @@ impl Segment {
         };
         let ids_path = dir.join(segment_ids_file(seq));
         let corrupt = |msg: String| StoreError::Corrupt(format!("{}: {msg}", ids_path.display()));
-        let mut r = io::BufReader::new(std::fs::File::open(&ids_path)?);
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)
-            .map_err(|_| corrupt("truncated remap table".into()))?;
-        if &magic != IDS_MAGIC {
-            return Err(corrupt("not a PDXI remap table".into()));
-        }
-        let mut u32_buf = [0u8; 4];
-        r.read_exact(&mut u32_buf)
-            .map_err(|_| corrupt("truncated remap table".into()))?;
-        let version = u32::from_le_bytes(u32_buf);
-        if version != IDS_VERSION {
-            return Err(corrupt(format!("unsupported remap version {version}")));
-        }
-        let mut u64_buf = [0u8; 8];
-        r.read_exact(&mut u64_buf)
-            .map_err(|_| corrupt("truncated remap table".into()))?;
-        let n_raw = u64::from_le_bytes(u64_buf);
-        // Untrusted on-disk count: cross-check it against the file's
-        // actual size (header 16 bytes + 8 per id, exactly) before
-        // allocating, so a corrupt table yields `Corrupt`, not an OOM
-        // abort.
-        let ids_len = std::fs::metadata(&ids_path)?.len();
-        if 16u64.saturating_add(n_raw.saturating_mul(8)) != ids_len {
-            return Err(corrupt(format!(
-                "remap count {n_raw} disagrees with table size {ids_len}"
-            )));
-        }
-        let n = usize::try_from(n_raw).map_err(|_| corrupt("remap count overflows".into()))?;
-        let mut remap = Vec::with_capacity(n.min(1 << 24));
-        for _ in 0..n {
-            r.read_exact(&mut u64_buf)
-                .map_err(|_| corrupt("truncated remap table".into()))?;
-            remap.push(u64::from_le_bytes(u64_buf));
-        }
+        let remap = decode_ids(&std::fs::read(&ids_path)?).map_err(|e| corrupt(e.to_string()))?;
         let segment = Self { seq, data, remap };
         if segment.remap.len() != segment.index().len() {
             return Err(corrupt(format!(
@@ -272,6 +240,24 @@ impl Segment {
         std::fs::remove_file(dir.join(segment_file(seq))).ok();
         std::fs::remove_file(dir.join(segment_ids_file(seq))).ok();
     }
+}
+
+/// Decodes a `PDXI` remap table: `magic | version u32 | n u64 | id u64 ×
+/// n`, nothing after. The count is checked against the bytes present
+/// before the ids are allocated ([`read_vec`]).
+fn decode_ids(bytes: &[u8]) -> io::Result<Vec<u64>> {
+    let mut r = ByteReader::new(bytes);
+    if &r.array::<4>("remap table magic")? != IDS_MAGIC {
+        return Err(invalid("not a PDXI remap table"));
+    }
+    let version = r.u32("remap table version")?;
+    if version != IDS_VERSION {
+        return Err(invalid(format!("unsupported remap version {version}")));
+    }
+    let n = usize::try_from(r.u64("remap count")?).map_err(|_| invalid("remap count overflows"))?;
+    let remap = read_vec(&mut r, n, "remap count")?;
+    r.finish()?;
+    Ok(remap)
 }
 
 #[cfg(test)]

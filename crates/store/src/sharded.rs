@@ -148,7 +148,9 @@ impl ShardedCollection {
                 "SHARDS manifest with zero shards or dims".into(),
             ));
         }
-        let mut shards = Vec::with_capacity(n_shards);
+        // Grows by one per shard actually opened: the manifest's count
+        // is untrusted and sizes nothing.
+        let mut shards = Vec::new();
         for i in 0..n_shards {
             let shard = Collection::open(Self::shard_dir(dir, i))?;
             if shard.dims() != dims {

@@ -25,6 +25,7 @@
 //! file to an empty log.
 
 use crate::StoreError;
+use pdx_core::codec::{put_slice, read_vec, ByteReader, Source};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -175,9 +176,7 @@ impl Wal {
                 assert_eq!(vector.len(), self.dims, "insert record dims");
                 buf.push(1u8);
                 buf.extend_from_slice(&id.to_le_bytes());
-                for v in vector {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
+                put_slice(&mut buf, vector);
             }
             WalRecord::Delete { id } => {
                 buf.push(2u8);
@@ -230,42 +229,32 @@ impl Wal {
 /// the offset where the first torn/corrupt record begins.
 fn parse_records(bytes: &[u8], dims: usize) -> (Vec<WalRecord>, u64) {
     let mut records = Vec::new();
-    let mut at = HEADER_LEN;
-    loop {
-        let start = at;
-        let Some(&tag) = bytes.get(at) else {
-            return (records, start as u64);
-        };
-        let body_len = match tag {
-            1 => 1 + 8 + dims * 4,
-            2 => 1 + 8,
-            // An unknown tag can only be a torn/corrupt tail; nothing
-            // after it can be trusted.
-            _ => return (records, start as u64),
-        };
-        let Some(body) = bytes.get(start..start + body_len) else {
-            return (records, start as u64);
-        };
-        let Some(sum_bytes) = bytes.get(start + body_len..start + body_len + 4) else {
-            return (records, start as u64);
-        };
-        let sum = u32::from_le_bytes(sum_bytes.try_into().unwrap());
-        if sum != fnv1a(body) {
-            return (records, start as u64);
-        }
-        let id = u64::from_le_bytes(body[1..9].try_into().unwrap());
-        records.push(match tag {
-            1 => WalRecord::Insert {
-                id,
-                vector: body[9..]
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect(),
-            },
-            _ => WalRecord::Delete { id },
-        });
-        at = start + body_len + 4;
+    let mut valid_end = HEADER_LEN;
+    while let Some((record, len)) = parse_record(&bytes[valid_end..], dims) {
+        records.push(record);
+        valid_end += len;
     }
+    (records, valid_end as u64)
+}
+
+/// Parses the record at the start of `bytes`, returning it with its
+/// encoded length. `None` — a short read, an unknown tag, a checksum
+/// mismatch — can only be a torn/corrupt tail; nothing after it can be
+/// trusted.
+fn parse_record(bytes: &[u8], dims: usize) -> Option<(WalRecord, usize)> {
+    let mut r = ByteReader::new(bytes);
+    let (tag, id) = (r.u8("tag").ok()?, r.u64("id").ok()?);
+    let record = match tag {
+        1 => WalRecord::Insert {
+            id,
+            vector: read_vec(&mut r, dims, "vector").ok()?,
+        },
+        2 => WalRecord::Delete { id },
+        _ => return None,
+    };
+    let body_len = bytes.len() - r.remaining()? as usize;
+    let sum = r.u32("checksum").ok()?;
+    (sum == fnv1a(&bytes[..body_len])).then_some((record, body_len + 4))
 }
 
 #[cfg(test)]

@@ -4,14 +4,13 @@
 //! *pure performance knob*: for every metric, layout, lane count, tail
 //! shape, permuted dimension order, and survivor subset, the dispatched
 //! kernel must reproduce the scalar oracle **bit for bit** (`to_bits`
-//! equality for `f32`, exact equality for the integer code-space
-//! kernels). These properties pin that contract on whatever ISA the
+//! equality). These properties pin that contract on whatever ISA the
 //! host actually detects — on a scalar-only machine they degenerate to
 //! scalar-vs-scalar and stay green.
 
 use pdx::core::kernels::{
     pdx_accumulate, pdx_accumulate_positions_policy, pdx_accumulate_survivors, sq8_accumulate,
-    sq8_accumulate_positions, sq8_accumulate_survivors, sq8_code_ip, sq8_code_l2, DimSel,
+    sq8_accumulate_positions, sq8_accumulate_survivors, DimSel,
 };
 use pdx::prelude::*;
 use proptest::prelude::*;
@@ -322,44 +321,6 @@ proptest! {
                         want_s.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         );
                 }
-            }
-        }
-    }
-
-    /// The pure-integer code-space kernels: `u32`/`i32` accumulation is
-    /// order-insensitive, so every policy must agree *exactly* — and
-    /// the L2 form must equal a from-scratch scalar recomputation.
-    #[test]
-    fn sq8_code_policies_exactly_equal(
-        (n, d, data) in finite_collection_strategy(),
-        group in 1usize..130,
-    ) {
-        let quantizer = Sq8Quantizer::fit(&data, n, d);
-        let block = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
-        let raw: Vec<f32> = data[data.len() - d..].to_vec();
-        let qcodes = quantizer.encode_rows(&raw);
-        let lo = d / 5;
-        for g in block.groups() {
-            let mut want_l2 = vec![7u32; g.lanes];
-            sq8_code_l2(&g, &qcodes, lo..d, &mut want_l2, KernelPolicy::Scalar);
-            let mut want_ip = vec![-3i32; g.lanes];
-            sq8_code_ip(&g, &qcodes, lo..d, &mut want_ip, KernelPolicy::Scalar);
-            // Independent scalar recomputation of the L2 form.
-            for (lane, &w) in want_l2.iter().enumerate() {
-                let mut acc = 7u32;
-                for (dim, &qc) in qcodes.iter().enumerate().skip(lo) {
-                    let diff = qc as i32 - g.data[dim * g.lanes + lane] as i32;
-                    acc += (diff * diff) as u32;
-                }
-                prop_assert_eq!(w, acc);
-            }
-            for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
-                let mut got_l2 = vec![7u32; g.lanes];
-                sq8_code_l2(&g, &qcodes, lo..d, &mut got_l2, policy);
-                prop_assert_eq!(&got_l2, &want_l2);
-                let mut got_ip = vec![-3i32; g.lanes];
-                sq8_code_ip(&g, &qcodes, lo..d, &mut got_ip, policy);
-                prop_assert_eq!(&got_ip, &want_ip);
             }
         }
     }

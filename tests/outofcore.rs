@@ -3,7 +3,7 @@
 //! cache pressure and concurrency, corruption probes on the bucket
 //! table, and proptest invariants for the byte-budgeted block cache.
 
-use pdx::datasets::persist::{read_ivf_meta_path, write_ivf_pdx_path};
+use pdx::datasets::persist::{read_header_path, write_ivf_pdx_path};
 use pdx::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -132,8 +132,7 @@ fn truncated_and_corrupt_bucket_tables_are_typed_errors() {
     let path = dir.join("c.pdx");
     build_ivf_container(&path, 300, 6, 13);
     let healthy = std::fs::read(&path).unwrap();
-    let meta = read_ivf_meta_path(&path).unwrap().expect("v1.1 container");
-    let n_buckets = meta.buckets.len();
+    let n_buckets = read_header_path(&path).unwrap().buckets.len();
     // The bucket table sits right after the 28-byte fixed header and
     // the centroid rows (f32 container: no quantizer section).
     let table_at = 28 + n_buckets * 6 * 4;
