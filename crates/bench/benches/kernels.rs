@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the Table 4 kernel comparison:
 //! PDX auto-vectorized vs N-ary explicit-SIMD vs N-ary scalar, for
 //! L2 / IP / L1 at representative dimensionalities — and, in the
-//! `rotation` groups, the query/collection rotation kernel.
+//! `rotation` groups, the query/collection rotations of the pruners.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pdx::prelude::*;
@@ -51,18 +51,21 @@ fn bench_kernels(c: &mut Criterion) {
     }
 }
 
-/// The ADSampling/BSA rotation kernel (`pdx-linalg`'s `dot_rows`): a
-/// `d × d` matrix against `B` packed queries, scalar oracle vs the ISA
-/// the `Auto` policy resolves on this machine. `B = 1` is the per-query
-/// `matvec`; larger `B` is the batched rotation of `search_batch` and
-/// the collection rotation. Throughput counts the matrix bytes the
-/// arithmetic consumes (`B` passes over `d × d` `f32`), so the rate is
-/// comparable with a memory-bandwidth figure
-/// (`harness.calib_stream_gbps` in `perfbench`): at `B = 1` it is the
-/// bandwidth of the cache level the matrix lives in, and what it gains
-/// with `B` is the tile reusing each matrix strip across queries.
+/// The two rotations of the pruners, per `d`. BSA's PCA rotation is
+/// `pdx-linalg`'s `dot_rows`: a `d × d` matrix against `B` packed
+/// queries, scalar oracle vs the ISA the `Auto` policy resolves on this
+/// machine. `B = 1` is the per-query `matvec`; larger `B` is the batched
+/// rotation of `search_batch` and the collection rotation. Its
+/// throughput counts the matrix bytes the arithmetic consumes (`B`
+/// passes over `d × d` `f32`), so the rate is comparable with a
+/// memory-bandwidth figure (`harness.calib_stream_gbps` in `perfbench`):
+/// at `B = 1` it is the bandwidth of the cache level the matrix lives
+/// in, and what it gains with `B` is the tile reusing each matrix strip
+/// across queries. ADSampling's `RandomRotation` (`structured`) has no
+/// matrix to stream, so its throughput counts rotated elements; compare
+/// the two by time per query.
 fn bench_rotation(c: &mut Criterion) {
-    use pdx::linalg::{kernel::dot_rows, MatrixView};
+    use pdx::linalg::{kernel::dot_rows, MatrixView, RandomRotation};
     let isa = KernelPolicy::Auto.resolve().name();
     for d in [128usize, 960] {
         let mut group = c.benchmark_group(format!("rotation/d{d}"));
@@ -74,9 +77,15 @@ fn bench_rotation(c: &mut Criterion) {
         };
         let ds = generate(&spec, d, 16, d as u64);
         let matrix = MatrixView::new(d, d, &ds.data);
+        let structured = RandomRotation::new(d, d as u64);
         for batch in [1usize, 4, 16] {
+            let packed = &ds.queries[..batch * d];
+            group.throughput(Throughput::Elements((batch * d) as u64));
+            group.bench_with_input(BenchmarkId::new("structured", batch), &batch, |b, _| {
+                b.iter(|| black_box(structured.transform_rows(black_box(packed), 1)))
+            });
             group.throughput(Throughput::Bytes((batch * d * d * 4) as u64));
-            let queries = MatrixView::new(batch, d, &ds.queries[..batch * d]);
+            let queries = MatrixView::new(batch, d, packed);
             let mut out = vec![0.0f32; batch * d];
             let auto = format!("auto-{isa}");
             for (name, policy) in [

@@ -199,8 +199,9 @@ pub trait Pruner {
 
     /// Transforms a packed row-major batch of raw `dims`-sized queries,
     /// in order. Element `i` must equal `prepare_query` of query `i` bit
-    /// for bit; pruners whose transformation is a matrix product
-    /// override this to rotate the whole batch in one tiled call.
+    /// for bit; a pruner whose transformation is a dense matrix product
+    /// (BSA's PCA rotation) overrides this to rotate the whole batch in
+    /// one tiled call, streaming the matrix once.
     fn prepare_queries(&self, packed: &[f32], dims: usize) -> Vec<Self::Query> {
         packed
             .chunks_exact(dims)

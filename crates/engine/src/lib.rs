@@ -244,8 +244,9 @@ fn pruned_kind(flat: bool, pruner: &str) -> &'static str {
 /// legitimately differ from the sequential search (their bound depends
 /// on the threshold's history); `search_batch` stays bit-identical at
 /// any width — it prepares queries in sub-batches
-/// ([`Pruner::prepare_queries`]: one tiled rotation instead of one
-/// matrix pass per query), which changes no query's prepared bits.
+/// ([`Pruner::prepare_queries`]: for BSA one tiled PCA rotation instead
+/// of one matrix pass per query; ADSampling's structured rotation has no
+/// matrix and rotates row by row), which changes no query's prepared bits.
 /// Traced queries publish under the adapter's `kind()` (the rotation is
 /// their `preprocess` phase).
 #[derive(Debug, Clone)]

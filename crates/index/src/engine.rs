@@ -162,8 +162,8 @@ pub trait Deployment: VectorIndex {
 
     /// A batch of packed queries on [`SearchOptions::threads`] workers,
     /// each work item a small sub-batch that one worker prepares together
-    /// ([`Pruner::prepare_queries`] — one tiled rotation for
-    /// ADSampling/BSA) and then searches query by query. Identical to a
+    /// ([`Pruner::prepare_queries`] — one tiled PCA rotation for BSA)
+    /// and then searches query by query. Identical to a
     /// loop of [`Deployment::search_with`] at any thread count. A traced
     /// batch takes that loop, so that every query's trace carries its own
     /// preparation.

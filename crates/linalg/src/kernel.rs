@@ -1,12 +1,13 @@
-//! The one dot-product kernel behind every rotation in the pipeline.
+//! The one dot-product kernel behind every dense rotation in the
+//! pipeline (BSA's PCA rotation; ADSampling's structured rotation is
+//! [`crate::rotation`] and has no matrix).
 //!
 //! [`dot_rows`] computes `out[b][r] = ⟨a.row(r), x.row(b)⟩` for every
 //! row pair of two row-major operands. [`MatrixView::matvec`] (one `x`
-//! row: the per-query rotation of ADSampling/BSA),
-//! [`MatrixView::mul_transposed`] (many `x` rows: the one-time
-//! collection rotation) and the batched query rotation of
-//! `Pruner::prepare_queries` are all this one function, so a vector
-//! rotates to the same bits whichever path carried it.
+//! row: BSA's per-query rotation), [`MatrixView::mul_transposed`] (many
+//! `x` rows: the one-time collection rotation) and BSA's batched query
+//! rotation (`Pruner::prepare_queries`) are all this one function, so a
+//! vector rotates to the same bits whichever path carried it.
 //!
 //! ## Canonical accumulation order
 //!

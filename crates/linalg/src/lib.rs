@@ -6,15 +6,16 @@
 //! transformation of the vector collection:
 //!
 //! * **ADSampling** rotates the collection with a *random orthogonal
-//!   matrix* so that any prefix of dimensions is a uniform random sample
-//!   of the vector's energy ([`orthogonal`]).
+//!   map* so that any prefix of dimensions is a uniform random sample of
+//!   the vector's energy ([`rotation`]: sign flips, block Hadamard
+//!   transforms and permutations, `O(d log d)` per vector and no matrix).
 //! * **BSA** rotates the collection onto its *principal components* so
 //!   that the leading dimensions carry most of the energy ([`pca`],
 //!   backed by the symmetric eigensolver in [`eigen`]).
 //!
 //! Neither transformation needs external BLAS/LAPACK: this crate provides
 //! a register- and cache-tiled, multi-threaded matrix product on one
-//! explicit-SIMD dot-product kernel ([`kernel`]), Householder QR, a
+//! explicit-SIMD dot-product kernel ([`kernel`]), a
 //! Householder-tridiagonalisation + implicit-QL symmetric eigensolver, and
 //! ordinary least squares (used by the learned BSA ablation). Decomposition
 //! internals run in `f64` for stability; vector data stays `f32`.
@@ -23,14 +24,14 @@ pub mod eigen;
 pub mod kernel;
 pub mod matrix;
 pub mod ols;
-pub mod orthogonal;
 pub mod pca;
+pub mod rotation;
 
 pub use eigen::SymmetricEigen;
 pub use matrix::{Matrix, MatrixView};
 pub use ols::LinearRegression;
-pub use orthogonal::random_orthogonal;
 pub use pca::Pca;
+pub use rotation::RandomRotation;
 
 /// Deterministic standard-normal sampler (Box–Muller on top of any
 /// [`rand::Rng`]), avoiding an extra `rand_distr` dependency.

@@ -3,7 +3,7 @@
 //! shape so a caller's row buffer (a whole collection, a packed query
 //! batch) can be an operand without being copied. The two products —
 //! `A · x` and the multi-threaded `A · Bᵀ` that rotates whole vector
-//! collections (ADSampling / BSA preprocessing) — both run on the one
+//! collections (BSA preprocessing) — both run on the one
 //! dot-product kernel of [`crate::kernel`].
 
 use crate::kernel::{dot_rows, X_BLOCK};
@@ -176,7 +176,7 @@ impl<'a> MatrixView<'a> {
 
     /// `y = self · x` for a column vector `x`.
     ///
-    /// This is the per-query rotation of ADSampling/BSA (`D × D` matrix,
+    /// This is the per-query PCA rotation of BSA (`D × D` matrix,
     /// every query): one [`dot_rows`] call with a single `x` row, on the
     /// kernel the `Auto` policy resolves to. `y[r]` has the same bits
     /// as element `r` of this vector's row in

@@ -302,5 +302,7 @@ const FLAT_SQ8_IP: u64 = 0xb61b_c084_2ca2_732d;
 const FLAT_SQ8_SCAN_ONLY: u64 = 0x5204_ec90_fbed_a100;
 const IVF_SQ8_PARTIAL: u64 = 0xadfe_d4e0_7abd_19cd;
 const IVF_SQ8_WIDE: u64 = 0xd814_32ba_b0e1_5b2f;
-const PRUNED_IVF_ADS: u64 = 0x31c7_bf56_34fc_72fb;
+// Re-pinned when ADSampling's dense Haar matrix became the structured
+// `RandomRotation`: a different rotation, so different distance bits.
+const PRUNED_IVF_ADS: u64 = 0x774f_ea38_0230_8a1d;
 const PRUNED_FLAT_BSA: u64 = 0xc478_6829_f8c4_f75c;

@@ -327,8 +327,8 @@ proptest! {
 }
 
 proptest! {
-    /// The rotation kernel (`pdx-linalg`'s `dot_rows`, behind every
-    /// ADSampling/BSA query and collection rotation) under the same
+    /// The dense rotation kernel (`pdx-linalg`'s `dot_rows`, behind
+    /// every BSA query and collection rotation) under the same
     /// contract: explicit policies `Scalar` and `Simd` produce the same
     /// bits, whatever `PDX_KERNEL` says, and so does the `Auto` policy
     /// the rotations actually run on.
