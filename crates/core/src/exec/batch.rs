@@ -4,11 +4,17 @@ use crate::exec::ThreadPool;
 use crate::heap::{KnnHeap, Neighbor};
 use std::ops::Range;
 
-/// Queries a worker prepares together in
-/// [`BatchSearcher::run_prepared`]: enough for a batched query
-/// transformation to amortize its pass over the transform matrix, few
-/// enough that a 100-query batch still spreads over many workers.
-pub const SUB_BATCH: usize = 8;
+/// Most queries a worker prepares together in
+/// [`BatchSearcher::run_prepared`]. A batch of up to `SUB_BATCH` queries
+/// a worker is cut into one contiguous band per worker, so which worker
+/// answers which query — and with it what the batch costs — does not
+/// depend on which thread reached the queue first; only a larger batch is
+/// shared out band by band as workers come free. The price is that a
+/// small batch waits for its slowest worker. At 8, a 100-query batch on
+/// two workers is thirteen items whose split follows thread start-up
+/// and the momentary speed of each CPU: on a shared host its time varied
+/// by a fifth from run to run.
+pub const SUB_BATCH: usize = 64;
 
 /// Shards a query batch across a worker pool.
 ///
@@ -92,7 +98,8 @@ impl BatchSearcher {
     /// query per input query, in order; as long as it prepares each
     /// query to the same value whatever it is batched with, results
     /// equal a sequential loop at any thread count. Batches too small
-    /// to give every worker a full sub-batch are cut finer instead.
+    /// to give every worker a full sub-batch are cut into one band a
+    /// worker instead.
     ///
     /// # Panics
     /// Panics if `dims == 0`, `queries.len()` is not a multiple of

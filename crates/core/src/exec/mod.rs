@@ -18,7 +18,8 @@
 //!   sequential loop at any thread count. For pruners whose query
 //!   preparation is worth batching (a rotation),
 //!   [`BatchSearcher::run_prepared`] hands each worker a sub-batch of
-//!   [`SUB_BATCH`] queries to prepare together and search one by one.
+//!   up to [`SUB_BATCH`] queries (a small batch: one band a worker) to
+//!   prepare together and search one by one.
 //! * [`parallel_block_search`] + [`merge_neighbors`] — intra-query
 //!   parallelism for large single queries: the block list is split into
 //!   one contiguous range per worker, each worker fills a private

@@ -5,7 +5,11 @@
 //! threads let workers borrow the caller's data directly — no `'static`
 //! bounds, no channels, no unsafe — at the cost of spawning OS threads
 //! per region. Regions here are batch-of-queries or whole-collection
-//! sized (milliseconds to seconds), so the ~10 µs spawn cost is noise.
+//! sized (milliseconds to seconds) and a spawn is 30–60 µs on a quiet
+//! host, but milliseconds while a shared host is busy: the calling
+//! thread is therefore one of a region's workers (`on_workers`), so a
+//! region of `n` workers spawns `n − 1` threads and never waits for one
+//! before it starts.
 //!
 //! Both primitives schedule **dynamically**: work is cut into chunks and
 //! workers pull the next chunk from a shared cursor, so a straggler
@@ -58,6 +62,19 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
+/// Runs `work` on `workers` threads at once: the calling thread and
+/// `workers − 1` scoped ones. The caller takes its first chunk while the
+/// others are still being created and scheduled, and when it is the last
+/// to find the queue empty there is nobody to wake.
+fn on_workers(workers: usize, work: impl Fn() + Sync) {
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(&work);
+        }
+        work();
+    });
+}
+
 /// A scoped-thread worker pool of a fixed width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadPool {
@@ -107,14 +124,10 @@ impl ThreadPool {
         // yielded sub-slices are disjoint, so each is mutated by exactly
         // one worker.
         let queue = Mutex::new(data.chunks_mut(chunk_size).enumerate());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let next = queue.lock().unwrap().next();
-                    let Some((ci, chunk)) = next else { break };
-                    f(ci * chunk_size, chunk);
-                });
-            }
+        on_workers(workers, || loop {
+            let next = queue.lock().unwrap().next();
+            let Some((ci, chunk)) = next else { break };
+            f(ci * chunk_size, chunk);
         });
     }
 
@@ -143,17 +156,13 @@ impl ThreadPool {
         // the disjoint writes safe.
         let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let ci = cursor.fetch_add(1, Ordering::Relaxed);
-                    if ci >= n_chunks {
-                        break;
-                    }
-                    let r = f(ci, range_of(ci));
-                    *slots[ci].lock().unwrap() = Some(r);
-                });
+        on_workers(workers, || loop {
+            let ci = cursor.fetch_add(1, Ordering::Relaxed);
+            if ci >= n_chunks {
+                break;
             }
+            let r = f(ci, range_of(ci));
+            *slots[ci].lock().unwrap() = Some(r);
         });
         slots
             .into_iter()

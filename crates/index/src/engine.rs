@@ -161,7 +161,7 @@ pub trait Deployment: VectorIndex {
     }
 
     /// A batch of packed queries on [`SearchOptions::threads`] workers,
-    /// each work item a small sub-batch that one worker prepares together
+    /// each work item a sub-batch that one worker prepares together
     /// ([`Pruner::prepare_queries`] — one tiled PCA rotation for BSA)
     /// and then searches query by query. Identical to a
     /// loop of [`Deployment::search_with`] at any thread count. A traced
