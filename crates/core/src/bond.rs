@@ -28,7 +28,7 @@ use crate::visit_order::{dimension_permutation, VisitOrder};
 /// let coll = PdxCollection::from_rows_partitioned(&rows, 8, 4, 4, 64);
 /// let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
 /// let q = bond.prepare_query(&rows[20..24]);
-/// let hits = pdxearch(&bond, &q, &coll.blocks, &SearchOptions::new(1), None);
+/// let hits = pdxearch(&bond, &q, &coll.blocks, &SearchOptions::new(1), None, None);
 /// assert_eq!(hits[0].id, 5);
 /// assert_eq!(hits[0].distance, 0.0);
 /// ```

@@ -25,9 +25,10 @@
 
 use crate::bond::PdxBond;
 use crate::distance::Metric;
-use crate::exec::{merge_neighbors_filtered, BatchSearcher};
+use crate::exec::{merge_neighbors, BatchSearcher};
 use crate::heap::Neighbor;
 use crate::kernels::KernelPolicy;
+use crate::mask::RowMask;
 use crate::pruning::{StepPolicy, DEFAULT_SELECTION_FRACTION};
 use crate::search::DEFAULT_REFINE;
 use crate::visit_order::VisitOrder;
@@ -304,6 +305,36 @@ pub trait VectorIndex: Send + Sync {
         self.search(query, opts)
     }
 
+    /// [`VectorIndex::search`] (`parallel`: [`VectorIndex::search_parallel`])
+    /// over the rows whose id is not in `dead`: the `k` nearest *live*
+    /// rows. This default serves deployments that do not scan through
+    /// PDXearch: it asks for `k + dead.len()` neighbours — each dead row
+    /// can displace at most one live one — and drops the dead ones.
+    /// Deployments that do override it and hand the mask to the scan,
+    /// where a dead row costs no heap slot and loosens no threshold.
+    fn search_live(
+        &self,
+        query: &[f32],
+        opts: &SearchOptions,
+        dead: Option<&RowMask>,
+        parallel: bool,
+    ) -> Vec<Neighbor> {
+        let fetch = SearchOptions {
+            k: opts.k + dead.map_or(0, RowMask::len),
+            ..*opts
+        };
+        let mut hits = if parallel {
+            self.search_parallel(query, &fetch)
+        } else {
+            self.search(query, &fetch)
+        };
+        if let Some(dead) = dead {
+            hits.retain(|n| !dead.contains(n.id));
+        }
+        hits.truncate(opts.k);
+        hits
+    }
+
     /// Approximate bytes this deployment holds resident in memory
     /// (scan payloads, row ids, statistics — not transient per-query
     /// state). `0` means the deployment does not report it.
@@ -321,11 +352,10 @@ pub trait VectorIndex: Send + Sync {
 /// One sealed sub-index inside a segmented (mutable) collection.
 ///
 /// A segment serves local row ids `0..len`; `remap[local]` is the
-/// collection-level **external id** of that row. `dead` is the number of
-/// rows in this segment that a collection-level filter will discard
-/// (tombstoned deletes): the segmented search over-fetches by exactly
-/// that amount, which guarantees the surviving top-`k` of the segment is
-/// complete — each discarded row can displace at most one slot.
+/// collection-level **external id** of that row. `dead` holds the local
+/// ids of the rows the collection has deleted (tombstones): the segment
+/// is searched through [`VectorIndex::search_live`], which answers with
+/// its `k` nearest rows outside the mask.
 #[derive(Clone, Copy)]
 pub struct SearchSegment<'a> {
     /// The sealed deployment (any [`VectorIndex`]).
@@ -334,19 +364,18 @@ pub struct SearchSegment<'a> {
     /// the canonical `(distance, id)` tie order is the same in local and
     /// external id space.
     pub remap: &'a [u64],
-    /// Rows of this segment the caller's filter will drop.
-    pub dead: usize,
+    /// Local ids of the rows no search may return.
+    pub dead: Option<&'a RowMask>,
 }
 
 /// Searches a set of sealed segments plus extra candidate lists (an
-/// in-memory write buffer, typically) as **one** collection, with a
-/// tombstone filter applied during the canonical heap merge.
+/// in-memory write buffer, typically) as **one** collection.
 ///
 /// This is the read path of an LSM-style mutable collection: every
-/// segment is scanned with its own deployment's sequential (or
-/// intra-query-parallel) search, results are remapped to external ids,
-/// and one [`merge_neighbors_filtered`] pass retains the canonical
-/// top-`k` by `(distance, id)` over the *live* rows. Because each
+/// segment answers with the top-`k` of its live rows
+/// ([`VectorIndex::search_live`], sequential or intra-query parallel),
+/// results are remapped to external ids, and one [`merge_neighbors`]
+/// pass retains the canonical top-`k` by `(distance, id)`. Because each
 /// segment's scan is bit-identical at any thread count (the engine
 /// determinism contract) and the merge is a pure function of the
 /// candidate set, [`SegmentedSearch::search_parallel`] is bit-identical
@@ -371,53 +400,39 @@ impl<'a> SegmentedSearch<'a> {
         Self { segments }
     }
 
-    /// Per-segment candidate lists in external-id space, each
-    /// over-fetched by the segment's `dead` count and **unfiltered** —
-    /// the filter belongs to the merge.
-    fn segment_lists(
+    /// The canonical top-`k` over every segment's live rows and the
+    /// `extra` lists (already in external-id space).
+    fn merged(
         &self,
+        extra: &[Vec<Neighbor>],
         query: &[f32],
         opts: &SearchOptions,
         parallel: bool,
-    ) -> Vec<Vec<Neighbor>> {
-        self.segments
-            .iter()
-            .map(|s| {
-                let inner_opts = SearchOptions {
-                    k: opts.k + s.dead,
-                    ..*opts
-                };
-                let hits = if parallel {
-                    s.index.search_parallel(query, &inner_opts)
-                } else {
-                    s.index.search(query, &inner_opts)
-                };
-                hits.into_iter()
-                    .map(|n| Neighbor {
-                        id: s.remap[n.id as usize],
-                        distance: n.distance,
-                    })
-                    .collect()
-            })
-            .collect()
+    ) -> Vec<Neighbor> {
+        if opts.k == 0 {
+            return Vec::new();
+        }
+        let mut lists: Vec<Vec<Neighbor>> = extra.to_vec();
+        for s in &self.segments {
+            let mut hits = s.index.search_live(query, opts, s.dead, parallel);
+            for n in &mut hits {
+                n.id = s.remap[n.id as usize];
+            }
+            lists.push(hits);
+        }
+        merge_neighbors(&lists, opts.k)
     }
 
     /// The canonical top-`k` over all segments and `extra` candidate
-    /// lists (already in external-id space), keeping only ids for which
-    /// `keep` returns `true`. `k == 0` answers empty without scanning.
+    /// lists (already in external-id space). `k == 0` answers empty
+    /// without scanning.
     pub fn search(
         &self,
         extra: &[Vec<Neighbor>],
         query: &[f32],
         opts: &SearchOptions,
-        keep: impl Fn(u64) -> bool,
     ) -> Vec<Neighbor> {
-        if opts.k == 0 {
-            return Vec::new();
-        }
-        let mut lists = self.segment_lists(query, opts, false);
-        lists.extend_from_slice(extra);
-        merge_neighbors_filtered(&lists, opts.k, keep)
+        self.merged(extra, query, opts, false)
     }
 
     /// [`SegmentedSearch::search`] with each segment scanned through its
@@ -429,14 +444,8 @@ impl<'a> SegmentedSearch<'a> {
         extra: &[Vec<Neighbor>],
         query: &[f32],
         opts: &SearchOptions,
-        keep: impl Fn(u64) -> bool,
     ) -> Vec<Neighbor> {
-        if opts.k == 0 {
-            return Vec::new();
-        }
-        let mut lists = self.segment_lists(query, opts, true);
-        lists.extend_from_slice(extra);
-        merge_neighbors_filtered(&lists, opts.k, keep)
+        self.merged(extra, query, opts, true)
     }
 }
 
@@ -547,18 +556,19 @@ mod tests {
                 SearchSegment {
                     index: &b,
                     remap: &remap_b,
-                    dead: 0,
+                    dead: None,
                 },
             ])
         };
         let opts = SearchOptions::new(3);
-        let got = seg(0).search(&[], &[0.0], &opts, |_| true);
+        let got = seg(None).search(&[], &[0.0], &opts);
         let ids: Vec<u64> = got.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
 
-        // Tombstone external id 0: with dead = 1 the over-fetch keeps the
-        // surviving top-3 complete.
-        let got = seg(1).search(&[], &[0.0], &opts, |id| id != 0);
+        // Tombstone external id 0 (local row 0 of segment A): the
+        // surviving top-3 is complete.
+        let dead: RowMask = [0u64].into_iter().collect();
+        let got = seg(Some(&dead)).search(&[], &[0.0], &opts);
         let ids: Vec<u64> = got.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![1, 2, 3]);
 
@@ -568,10 +578,48 @@ mod tests {
             id: 100,
             distance: 0.25,
         }]];
-        let got = seg(1).search(&extra, &[0.0], &opts, |id| id != 0);
+        let got = seg(Some(&dead)).search(&extra, &[0.0], &opts);
         let ids: Vec<u64> = got.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![100, 1, 2]);
-        let par = seg(1).search_parallel(&extra, &[0.0], &opts.with_threads(4), |id| id != 0);
+        let par = seg(Some(&dead)).search_parallel(&extra, &[0.0], &opts.with_threads(4));
         assert_eq!(par, got);
+    }
+
+    #[test]
+    fn default_search_live_is_the_search_of_the_live_rows() {
+        // 1-dim points 0..12 with duplicates of the nearest ones, so dead
+        // rows sit on both sides of the k-th live distance and in a tie.
+        let rows: Vec<f32> = vec![0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
+        let toy = Toy { dims: 1, rows };
+        let index: &dyn VectorIndex = &toy;
+        for dead_rows in [
+            vec![],
+            vec![0],
+            vec![1, 2, 5],
+            (0..12).collect::<Vec<u64>>(),
+        ] {
+            let dead: RowMask = dead_rows.iter().copied().collect();
+            let live: Vec<u64> = (0..12).filter(|id| !dead_rows.contains(id)).collect();
+            let without = Toy {
+                dims: 1,
+                rows: live.iter().map(|&id| toy.rows[id as usize]).collect(),
+            };
+            for k in [1usize, 3, 20] {
+                let opts = SearchOptions::new(k);
+                let mut want = without.search(&[0.4], &opts);
+                for n in &mut want {
+                    n.id = live[n.id as usize];
+                }
+                for parallel in [false, true] {
+                    let got = index.search_live(&[0.4], &opts, Some(&dead), parallel);
+                    assert_eq!(got, want, "dead {dead_rows:?} k={k}");
+                }
+            }
+        }
+        let opts = SearchOptions::new(4);
+        assert_eq!(
+            index.search_live(&[0.4], &opts, None, false),
+            index.search(&[0.4], &opts)
+        );
     }
 }

@@ -174,30 +174,13 @@ where
 /// `(distance, id)`. Deterministic regardless of list order or how the
 /// candidates were partitioned. `k == 0` merges to an empty list.
 pub fn merge_neighbors(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
-    merge_neighbors_filtered(lists, k, |_| true)
-}
-
-/// [`merge_neighbors`] with a candidate filter applied during the heap
-/// merge: only ids for which `keep` returns `true` can enter the
-/// canonical top-`k`. This is how a segmented collection drops
-/// tombstoned rows — the per-segment scans over-fetch, and the deleted
-/// ids are discarded here, at merge time, so the surviving top-`k` is
-/// exactly what a scan over the live rows alone would have retained.
-/// `k == 0` merges to an empty list.
-pub fn merge_neighbors_filtered(
-    lists: &[Vec<Neighbor>],
-    k: usize,
-    keep: impl Fn(u64) -> bool,
-) -> Vec<Neighbor> {
     if k == 0 {
         return Vec::new();
     }
     let mut heap = KnnHeap::new(k);
     for list in lists {
         for n in list {
-            if keep(n.id) {
-                heap.push(n.id, n.distance);
-            }
+            heap.push(n.id, n.distance);
         }
     }
     heap.into_sorted()
@@ -299,29 +282,6 @@ mod tests {
                 "threads = {threads}"
             );
         }
-    }
-
-    #[test]
-    fn filtered_merge_drops_ids_before_they_take_slots() {
-        let lists = vec![vec![
-            Neighbor {
-                id: 0,
-                distance: 1.0,
-            },
-            Neighbor {
-                id: 1,
-                distance: 2.0,
-            },
-            Neighbor {
-                id: 2,
-                distance: 3.0,
-            },
-        ]];
-        // Without the filter, id 0 wins a slot; with it, id 2 gets in.
-        let got = merge_neighbors_filtered(&lists, 2, |id| id != 0);
-        let ids: Vec<u64> = got.iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![1, 2]);
-        assert_eq!(merge_neighbors(&lists, 2).len(), 2);
     }
 
     #[test]

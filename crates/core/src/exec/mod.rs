@@ -47,8 +47,6 @@ mod batch;
 mod job;
 mod pool;
 
-pub use batch::{
-    merge_neighbors, merge_neighbors_filtered, parallel_block_search, BatchSearcher, SUB_BATCH,
-};
+pub use batch::{merge_neighbors, parallel_block_search, BatchSearcher, SUB_BATCH};
 pub use job::{spawn_job, JobHandle};
 pub use pool::{hardware_threads, resolve_threads, ThreadPool, THREADS_ENV};

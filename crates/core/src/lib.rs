@@ -29,6 +29,8 @@
 //!   trait every deployment implements and the unified
 //!   [`SearchOptions`] struct, so applications can hold a
 //!   `Box<dyn VectorIndex>` and stay deployment-agnostic.
+//! * [`mask`] — [`RowMask`], the set of rows a search must not return
+//!   (a collection's tombstoned rows): PDXearch drops them in the scan.
 //! * [`cache`] — the sharded, byte-budgeted [`cache::BlockCache`]
 //!   behind out-of-core deployments: lazily loaded buckets are pinned
 //!   via `Arc`, so eviction never invalidates an in-flight scan, and
@@ -88,6 +90,7 @@ pub mod exec;
 pub mod heap;
 pub mod kernels;
 pub mod layout;
+pub mod mask;
 pub mod obs;
 pub mod profile;
 pub mod pruning;
@@ -106,6 +109,7 @@ pub use kernels::{active_kernel_isa, detected_isa, KernelIsa, KernelPolicy};
 pub use layout::{
     DsmMatrix, DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer,
 };
+pub use mask::RowMask;
 pub use obs::{publish_trace, trace_from_profile, TRACE_ENV};
 pub use pdx_obs::QueryTrace;
 pub use profile::SearchProfile;

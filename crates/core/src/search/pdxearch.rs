@@ -27,12 +27,20 @@
 //! The framework preserves the underlying pruner's guarantees: it never
 //! drops a vector the pruner would have kept, it only chooses *when*
 //! bounds are evaluated and *which* vectors still get distance work.
+//!
+//! A caller may hand the scan a [`RowMask`] of dead rows (a collection's
+//! tombstones). Each tile looks its rows up once: masked lanes are never
+//! offered to the heap, not counted as survivors and not compacted into
+//! PRUNE's positions, in whichever phase the tile runs — so `k` stays
+//! `k`, the threshold is that of the k-th *live* neighbour, and the
+//! answer is the one the same blocks would give with those rows absent.
 
 use crate::collection::SearchBlock;
 use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
 use crate::kernels::pdx::{pdx_accumulate, pdx_accumulate_survivors, DimSel};
+use crate::mask::RowMask;
 use crate::profile::{lap, timer, SearchProfile};
 use crate::pruning::{checkpoints, tiles, BlockAux, Pruner, Tile};
 use crate::stats::BlockStats;
@@ -171,7 +179,8 @@ impl<P: Pruner> ScanBlock<P> for SearchBlock {
 /// probe-ordered list of references, or a stream of `Arc` pins that an
 /// out-of-core deployment fetches as the scan reaches them (each item is
 /// dropped as soon as its block is scanned). The scan reads `k`,
-/// `selection_fraction`, `step` and `kernel` from `opts`.
+/// `selection_fraction`, `step` and `kernel` from `opts`. Rows whose id
+/// is in `dead` are skipped; `None` and an empty mask are the same scan.
 ///
 /// With `profile`, per-phase timings and work counters (Table 7) are
 /// accumulated into it by a separate monomorphization, so the unprofiled
@@ -185,6 +194,7 @@ pub fn pdxearch<P, B, I>(
     q: &P::Query,
     blocks: I,
     opts: &SearchOptions,
+    dead: Option<&RowMask>,
     profile: Option<&mut SearchProfile>,
 ) -> Vec<Neighbor>
 where
@@ -193,9 +203,10 @@ where
     I: IntoIterator,
     I::Item: Deref<Target = B>,
 {
+    let dead = dead.filter(|mask| !mask.is_empty());
     match profile {
-        Some(profile) => run::<P, B, I, true>(pruner, q, blocks, opts, profile),
-        None => run::<P, B, I, false>(pruner, q, blocks, opts, &mut SearchProfile::default()),
+        Some(profile) => run::<P, B, I, true>(pruner, q, blocks, opts, dead, profile),
+        None => run::<P, B, I, false>(pruner, q, blocks, opts, dead, &mut SearchProfile::default()),
     }
 }
 
@@ -208,6 +219,19 @@ struct Scratch {
     positions: Vec<u32>,
     /// PRUNE-phase compacted partial distances (parallel to positions).
     compact: Vec<f32>,
+    /// The tile's masked lanes (tile-relative, ascending).
+    dead: Vec<u32>,
+}
+
+/// Collects the lanes of a tile with row ids `ids` that `mask` holds. A
+/// tile whose id span holds no masked row pays the span check alone.
+fn dead_lanes(mask: &RowMask, ids: &[u64], lanes: &mut Vec<u32>) {
+    let span = ids
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &id| (lo.min(id), hi.max(id)));
+    if mask.any_in(span.0..=span.1) {
+        lanes.extend((0..ids.len() as u32).filter(|&l| mask.contains(ids[l as usize])));
+    }
 }
 
 fn run<P, B, I, const PROFILE: bool>(
@@ -215,6 +239,7 @@ fn run<P, B, I, const PROFILE: bool>(
     q: &P::Query,
     blocks: I,
     opts: &SearchOptions,
+    dead: Option<&RowMask>,
     profile: &mut SearchProfile,
 ) -> Vec<Neighbor>
 where
@@ -266,6 +291,14 @@ where
         // consulted, so no bound is evaluated before the end.
         let start = [dims];
         for tile in tiles(block.len(), block.group_size()) {
+            scratch.dead.clear();
+            if let Some(mask) = dead {
+                let ids = &block.row_ids()[tile.vectors.clone()];
+                dead_lanes(mask, ids, &mut scratch.dead);
+                if scratch.dead.len() == ids.len() {
+                    continue;
+                }
+            }
             let schedule = if !prunes || heap.len() < opts.k {
                 &start[..]
             } else {
@@ -291,7 +324,9 @@ where
 /// Scans one tile of `block`: WARMUP over `ckpts` until few enough
 /// vectors survive, then PRUNE; whoever reaches the last checkpoint
 /// (which is always `dims`) is offered to the heap. Accumulates in the
-/// block's permuted dimension order when the pruner has one.
+/// block's permuted dimension order when the pruner has one. The lanes
+/// in `scratch.dead` take part in WARMUP's dense accumulation and in
+/// nothing else.
 #[allow(clippy::too_many_arguments)]
 fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
     pruner: &P,
@@ -338,11 +373,12 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
             scanned = ck;
             if scanned == dims {
                 let t1 = timer::<PROFILE>();
-                for (&id, &d) in block.row_ids()[tile.vectors.clone()]
-                    .iter()
-                    .zip(&scratch.partials)
-                {
-                    heap.push(id, B::finish(q, d));
+                let ids = &block.row_ids()[tile.vectors.clone()];
+                let mut dead = scratch.dead.iter().peekable();
+                for (i, (&id, &d)) in ids.iter().zip(&scratch.partials).enumerate() {
+                    if dead.next_if(|&&l| l as usize == i).is_none() {
+                        heap.push(id, B::finish(q, d));
+                    }
                 }
                 lap(&mut profile.distance_ns, t1);
                 return;
@@ -364,12 +400,18 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
                     .map(|&p| P::survives(&cp, p, 0.0) as usize)
                     .sum::<usize>(),
             };
-            if survivors <= sel_limit {
-                // Switch to PRUNE: compact survivor positions + partials.
+            let survives =
+                |i: usize, p: f32| P::survives(&cp, p, aux_row.map_or(0.0, |aux| aux[i]));
+            let masked = scratch.dead.iter().map(|&l| l as usize);
+            let masked = masked.filter(|&i| survives(i, scratch.partials[i])).count();
+            if survivors - masked <= sel_limit {
+                // Switch to PRUNE: compact survivor positions + partials
+                // (the few survivors, not the many lanes, are looked up
+                // among the masked ones).
                 scratch.positions.clear();
                 scratch.compact.clear();
                 for (i, &p) in scratch.partials.iter().enumerate() {
-                    if P::survives(&cp, p, aux_row.map_or(0.0, |aux| aux[i])) {
+                    if survives(i, p) && scratch.dead.binary_search(&(i as u32)).is_err() {
                         scratch.positions.push((v0 + i) as u32);
                         scratch.compact.push(p);
                     }
@@ -443,7 +485,7 @@ mod tests {
     use crate::distance::{distance_scalar, Metric};
     use crate::kernels::sq8_scan;
     use crate::layout::Sq8Quantizer;
-    use crate::pruning::StepPolicy;
+    use crate::pruning::{StepPolicy, DEFAULT_SELECTION_FRACTION};
     use crate::search::quantized::{Sq8Block, Sq8Bound};
     use crate::visit_order::VisitOrder;
 
@@ -455,7 +497,7 @@ mod tests {
         opts: &SearchOptions,
     ) -> Vec<Neighbor> {
         let q = pruner.prepare_query(query);
-        pdxearch(pruner, &q, blocks.iter().copied(), opts, None)
+        pdxearch(pruner, &q, blocks.iter().copied(), opts, None, None)
     }
 
     fn make_rows(n: usize, d: usize, seed: u64) -> Vec<f32> {
@@ -575,7 +617,7 @@ mod tests {
             let opts = SearchOptions::new(k).with_selection_fraction(frac);
             let got = search(&bond, &blocks, &q, &opts);
             assert_eq!(ids(&got), ids(&want), "selection fraction {frac}");
-            let got = pdxearch(&bound, &sq8_q, [&sq8], &opts, None);
+            let got = pdxearch(&bound, &sq8_q, [&sq8], &opts, None, None);
             assert_eq!(bits(&got), bits(&want_sq8), "SQ8 selection fraction {frac}");
         }
     }
@@ -718,6 +760,7 @@ mod tests {
                             &prepared,
                             blocks.iter().copied(),
                             &SearchOptions::new(k),
+                            None,
                             Some(&mut profile),
                         );
                         let want = linear_scan(&bond, &blocks, &q, k);
@@ -738,6 +781,161 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Checks that the scan of `blocks` under `dead` returns, bit for bit,
+    /// the scan of `rebuilt` (the same blocks without the dead rows) — for
+    /// every kernel policy, for tiles past START that stay in WARMUP to
+    /// the end (selection fraction 0), reach PRUNE late (the default) or
+    /// at their first bound (1), for `k` below and beyond the live rows,
+    /// profiled and split across 1/2/8 workers.
+    fn assert_masked_equals_rebuilt<P, B>(
+        pruner: &P,
+        q: &P::Query,
+        blocks: &[B],
+        rebuilt: &[B],
+        dead: &RowMask,
+        what: &str,
+    ) where
+        P: Pruner + Sync,
+        P::Query: Sync,
+        B: ScanBlock<P> + Sync,
+    {
+        let live: usize = rebuilt.iter().map(|b| b.len()).sum();
+        for kernel in [KernelPolicy::Scalar, KernelPolicy::Simd, KernelPolicy::Auto] {
+            for fraction in [0.0f32, DEFAULT_SELECTION_FRACTION, 1.0] {
+                for k in [10usize, live + 7] {
+                    let opts = SearchOptions::new(k)
+                        .with_kernel(kernel)
+                        .with_selection_fraction(fraction);
+                    let at = format!("{what} {kernel:?} fraction={fraction} k={k}");
+                    let want = pdxearch(pruner, q, rebuilt, &opts, None, None);
+                    assert_eq!(want.len(), k.min(live), "{at}");
+                    let got = pdxearch(pruner, q, blocks, &opts, Some(dead), None);
+                    assert_eq!(bits(&got), bits(&want), "{at}");
+                    let mut profile = SearchProfile::default();
+                    let got = pdxearch(pruner, q, blocks, &opts, Some(dead), Some(&mut profile));
+                    assert_eq!(bits(&got), bits(&want), "{at} profiled");
+                    for threads in [1usize, 2, 8] {
+                        let pool = crate::exec::ThreadPool::new(threads);
+                        let got =
+                            crate::exec::parallel_block_search(&pool, blocks.len(), k, |range| {
+                                pdxearch(pruner, q, &blocks[range], &opts, Some(dead), None)
+                            });
+                        assert_eq!(bits(&got), bits(&want), "{at} at {threads} threads");
+                    }
+                }
+            }
+        }
+        // No mask and an empty mask are the same scan.
+        let opts = SearchOptions::new(10);
+        let none = pdxearch(pruner, q, blocks, &opts, None, None);
+        let empty = pdxearch(pruner, q, blocks, &opts, Some(&RowMask::default()), None);
+        assert_eq!(bits(&none), bits(&empty), "{what}");
+    }
+
+    #[test]
+    fn masked_scan_equals_the_scan_of_blocks_rebuilt_without_the_rows() {
+        // Blocks of 2 100 vectors: tiles of 1 024, 1 024 and 52, twice,
+        // and one block of 800.
+        let (n, d, group) = (5_000usize, 20usize, 64usize);
+        let rows = make_clustered(n, d, 9);
+        let query = make_clustered(1, d, 1009);
+        let coll = PdxCollection::from_rows_partitioned(&rows, n, d, 2_100, group);
+        let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
+        let nearest = search(
+            &bond,
+            &coll.blocks.iter().collect::<Vec<_>>(),
+            &query,
+            &SearchOptions::new(10),
+        );
+        // Dead: true neighbours; rows the START tile meets before and
+        // after its heap fills; the whole second tile; rows of the short
+        // tail tile; every seventh row of the second block, whose tiles
+        // run WARMUP and PRUNE; the whole last block.
+        let dead: RowMask = [nearest[0].id, nearest[2].id, nearest[9].id, 3, 5, 700]
+            .into_iter()
+            .chain(1_024..2_048)
+            .chain([2_050, 2_099])
+            .chain((2_100..4_200).step_by(7))
+            .chain(4_200..5_000)
+            .collect();
+        let live_rows = |ids: &[u64]| -> (Vec<u64>, Vec<f32>) {
+            let ids: Vec<u64> = ids
+                .iter()
+                .copied()
+                .filter(|&id| !dead.contains(id))
+                .collect();
+            let row = |&id: &u64| rows[id as usize * d..(id as usize + 1) * d].iter().copied();
+            let live = ids.iter().flat_map(row).collect();
+            (ids, live)
+        };
+
+        for order in [VisitOrder::Sequential, VisitOrder::DistanceToMeans] {
+            let bond = PdxBond::new(Metric::L2, order);
+            // A vector's distance bits are a function of its block's visit
+            // order, so the rebuilt block keeps the block's statistics.
+            let rebuilt: Vec<SearchBlock> = coll
+                .blocks
+                .iter()
+                .map(|block| {
+                    let (ids, live) = live_rows(&block.row_ids);
+                    SearchBlock {
+                        stats: block.stats.clone(),
+                        ..SearchBlock::new(&live, ids, d, group)
+                    }
+                })
+                .collect();
+            let q = bond.prepare_query(&query);
+            let what = format!("f32 {order:?}");
+            assert_masked_equals_rebuilt(&bond, &q, &coll.blocks, &rebuilt, &dead, &what);
+            // The exact scan's answer is also what over-fetching by the
+            // dead count and filtering gives.
+            let fetch = SearchOptions::new(10 + dead.len());
+            let mut over = pdxearch(&bond, &q, &coll.blocks, &fetch, None, None);
+            over.retain(|nb| !dead.contains(nb.id));
+            over.truncate(10);
+            let opts = SearchOptions::new(10);
+            let got = pdxearch(&bond, &q, &coll.blocks, &opts, Some(&dead), None);
+            assert_eq!(bits(&got), bits(&over), "{what}");
+        }
+        let linear = PdxBond::linear(Metric::L2);
+        let rebuilt: Vec<SearchBlock> = coll
+            .blocks
+            .iter()
+            .map(|block| {
+                let (ids, live) = live_rows(&block.row_ids);
+                SearchBlock::new(&live, ids, d, group)
+            })
+            .collect();
+        let q = linear.prepare_query(&query);
+        assert_masked_equals_rebuilt(&linear, &q, &coll.blocks, &rebuilt, &dead, "f32 linear");
+
+        let qz = Sq8Quantizer::fit(&rows, n, d);
+        let sq8_block =
+            |ids: &[u64], live: &[f32]| Sq8Block::new(live, ids.to_vec(), d, group, &qz);
+        let all = |block: &SearchBlock| {
+            let ids = &block.row_ids;
+            sq8_block(
+                ids,
+                &rows[ids[0] as usize * d..(ids[ids.len() - 1] as usize + 1) * d],
+            )
+        };
+        let blocks: Vec<Sq8Block> = coll.blocks.iter().map(all).collect();
+        let rebuilt: Vec<Sq8Block> = coll
+            .blocks
+            .iter()
+            .map(|block| {
+                let (ids, live) = live_rows(&block.row_ids);
+                sq8_block(&ids, &live)
+            })
+            .collect();
+        for metric in [Metric::L2, Metric::NegativeIp] {
+            let bound = Sq8Bound::new(&qz, metric);
+            let q = bound.prepare_query(&query);
+            let what = format!("sq8 {metric:?}");
+            assert_masked_equals_rebuilt(&bound, &q, &blocks, &rebuilt, &dead, &what);
         }
     }
 
@@ -794,6 +992,7 @@ mod tests {
                 &q,
                 blocks.iter().copied(),
                 &SearchOptions::new(k),
+                None,
                 Some(&mut profile),
             );
             assert_eq!(ids(&got), ids(&want), "group {group}");
@@ -807,6 +1006,39 @@ mod tests {
     }
 
     #[test]
+    fn masked_lanes_do_not_count_as_survivors() {
+        // Two tiles; START reads the first whole. In the second the aux
+        // row marks 150 live and 100 dead vectors: the tile goes to PRUNE
+        // at its first bound (150 ≤ 20 % of 1 024 < 250) only if the dead
+        // ones are not counted, and then reads on for the live 150 alone.
+        let (n, d, k) = (2_048usize, 16usize, 10usize);
+        let rows = make_rows(n, d, 78);
+        let q = make_rows(1, d, 79);
+        let sched = checkpoints(StepPolicy::default(), d);
+        let mut coll = PdxCollection::from_rows_partitioned(&rows, n, d, n, 64);
+        let mut aux = BlockAux::new(sched.iter().map(|&c| c as u32).collect(), n);
+        for ci in 0..sched.len() {
+            aux.row_mut(ci)[1_100..1_350].fill(1.0);
+        }
+        coll.blocks[0].aux = Some(aux);
+        let dead: RowMask = (1_250..1_350).chain([7]).collect();
+        let mut profile = SearchProfile::default();
+        let opts = SearchOptions::new(k);
+        let profiled = Some(&mut profile);
+        let got = pdxearch(
+            &MarkerPruner,
+            &q,
+            &coll.blocks,
+            &opts,
+            Some(&dead),
+            profiled,
+        );
+        assert!(got.iter().all(|nb| !dead.contains(nb.id)));
+        let expected = 1_024 * d + 1_024 * sched[0] + 150 * (d - sched[0]);
+        assert_eq!(profile.dims_scanned, expected as u64);
+    }
+
+    #[test]
     fn profiled_run_matches_unprofiled_and_records_time() {
         let (n, d, k) = (400, 28, 6);
         let rows = make_rows(n, d, 44);
@@ -816,13 +1048,14 @@ mod tests {
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
         let opts = SearchOptions::new(k);
         let prepared = bond.prepare_query(&q);
-        let plain = pdxearch(&bond, &prepared, blocks.iter().copied(), &opts, None);
+        let plain = pdxearch(&bond, &prepared, blocks.iter().copied(), &opts, None, None);
         let mut profile = SearchProfile::default();
         let profiled = pdxearch(
             &bond,
             &prepared,
             blocks.iter().copied(),
             &opts,
+            None,
             Some(&mut profile),
         );
         assert_eq!(ids(&plain), ids(&profiled));

@@ -255,7 +255,14 @@ where
         k: opts.k * opts.refine.max(1),
         ..*opts
     };
-    let candidates = pdxearch(&bound, &bound.prepare_query(query), blocks, &scan, profile);
+    let candidates = pdxearch(
+        &bound,
+        &bound.prepare_query(query),
+        blocks,
+        &scan,
+        None,
+        profile,
+    );
     sq8_rerank(
         opts.metric,
         rows,
@@ -282,7 +289,14 @@ mod tests {
     ) -> Vec<Neighbor> {
         let bound = Sq8Bound::new(qz, metric);
         let opts = SearchOptions::new(c).with_kernel(kernel);
-        pdxearch(&bound, &bound.prepare_query(raw_q), blocks, &opts, None)
+        pdxearch(
+            &bound,
+            &bound.prepare_query(raw_q),
+            blocks,
+            &opts,
+            None,
+            None,
+        )
     }
 
     fn make_rows(n: usize, d: usize, seed: u64) -> Vec<f32> {

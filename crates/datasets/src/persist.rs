@@ -1055,8 +1055,8 @@ mod tests {
         let q: Vec<f32> = (0..coll.dims).map(|i| i as f32 * 0.2).collect();
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
         let (q, opts) = (bond.prepare_query(&q), SearchOptions::new(5));
-        let a = pdxearch(&bond, &q, &coll.blocks, &opts, None);
-        let b = pdxearch(&bond, &q, &back.blocks, &opts, None);
+        let a = pdxearch(&bond, &q, &coll.blocks, &opts, None, None);
+        let b = pdxearch(&bond, &q, &back.blocks, &opts, None, None);
         assert_eq!(a, b);
     }
 

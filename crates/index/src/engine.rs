@@ -11,7 +11,10 @@
 //! [`parallel_block_search`]), rerank, publish one trace — is written
 //! once, in the trait's provided `search_with` / `search_batch_with` /
 //! `search_parallel_with` methods, for any [`Pruner`] and any element
-//! type ([`ScanBlock`]). The [`VectorIndex`] implementations below are
+//! type ([`ScanBlock`]); `search_live_with` is the one body behind the
+//! first and the last, and takes the dead-row mask ([`RowMask`]) a
+//! collection's segment is searched under down to the scan. The
+//! [`VectorIndex`] implementations below are
 //! therefore identity (`dims` / `len` / `kind` / `resident_bytes`) plus
 //! delegations that name the pruner: [`SearchOptions::bond`] for the
 //! `f32` deployments, [`Sq8Bound`] for the SQ8 ones, the fitted pruner
@@ -58,6 +61,7 @@ use pdx_core::collection::SearchBlock;
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::{parallel_block_search, BatchSearcher, ThreadPool};
 use pdx_core::heap::Neighbor;
+use pdx_core::mask::RowMask;
 use pdx_core::pruning::Pruner;
 use pdx_core::search::quantized::{sq8_rerank, Sq8Block, Sq8Bound};
 use pdx_core::search::{
@@ -155,9 +159,7 @@ pub trait Deployment: VectorIndex {
         P::Query: Sync,
         Self::Block: ScanBlock<P>,
     {
-        let mut tracing = Tracing::start(opts);
-        let q = tracing.phase(|p| &mut p.preprocess_ns, || pruner.prepare_query(query));
-        serve(self, pruner, &q, opts, tracing, None)
+        self.search_live_with(pruner, query, opts, None, false)
     }
 
     /// A batch of packed queries on [`SearchOptions::threads`] workers,
@@ -189,7 +191,7 @@ pub trait Deployment: VectorIndex {
             queries,
             dims,
             |packed| pruner.prepare_queries(packed, dims),
-            |q| serve(self, pruner, q, opts, Tracing::start(opts), None),
+            |q| serve(self, pruner, q, opts, None, Tracing::start(opts), None),
         )
     }
 
@@ -210,21 +212,43 @@ pub trait Deployment: VectorIndex {
         P::Query: Sync,
         Self::Block: ScanBlock<P>,
     {
+        self.search_live_with(pruner, query, opts, None, true)
+    }
+
+    /// [`Deployment::search_with`] — with `parallel`,
+    /// [`Deployment::search_parallel_with`] — over the rows whose id is
+    /// not in `dead`: the mask goes to [`pdxearch`], which drops those
+    /// rows in the scan, so the answer is that of the same blocks without
+    /// them (the body behind [`VectorIndex::search_live`]).
+    fn search_live_with<P>(
+        &self,
+        pruner: &P,
+        query: &[f32],
+        opts: &SearchOptions,
+        dead: Option<&RowMask>,
+        parallel: bool,
+    ) -> Vec<Neighbor>
+    where
+        P: Pruner + Sync,
+        P::Query: Sync,
+        Self::Block: ScanBlock<P>,
+    {
         let mut tracing = Tracing::start(opts);
         let q = tracing.phase(|p| &mut p.preprocess_ns, || pruner.prepare_query(query));
-        let pool = ThreadPool::new(opts.threads);
-        serve(self, pruner, &q, opts, tracing, Some(&pool))
+        let pool = parallel.then(|| ThreadPool::new(opts.threads));
+        serve(self, pruner, &q, opts, dead, tracing, pool.as_ref())
     }
 }
 
 /// The serve driver behind [`Deployment`]'s provided methods, from the
-/// prepared query on: route, scan on the calling thread or across
-/// `pool`, rerank, publish.
+/// prepared query on: route, scan (minus the `dead` rows) on the calling
+/// thread or across `pool`, rerank, publish.
 fn serve<D, P>(
     dep: &D,
     pruner: &P,
     q: &P::Query,
     opts: &SearchOptions,
+    dead: Option<&RowMask>,
     mut tracing: Tracing,
     pool: Option<&ThreadPool>,
 ) -> Vec<Neighbor>
@@ -260,12 +284,19 @@ where
         // The scan streams: each block is pinned right before it is
         // scanned and released right after.
         None => dep.with_prefetch(&order, || {
-            pdxearch(pruner, q, pins(), &scan, tracing.profile())
+            pdxearch(pruner, q, pins(), &scan, dead, tracing.profile())
         }),
         Some(pool) => {
             let pinned: Vec<_> = dep.with_prefetch(&order, || pins().collect());
             parallel_block_search(pool, pinned.len(), scan.k, |range| {
-                pdxearch(pruner, q, pinned[range].iter().map(|p| &**p), &scan, None)
+                pdxearch(
+                    pruner,
+                    q,
+                    pinned[range].iter().map(|p| &**p),
+                    &scan,
+                    dead,
+                    None,
+                )
             })
         }
     };
@@ -289,6 +320,34 @@ where
     });
     out
 }
+
+/// The three searches of [`VectorIndex`] for a [`Deployment`] (`this`)
+/// whose pruner under the options `opts` is `$pruner`: all of them are
+/// [`Deployment::search_live_with`], so a dead-row mask handed to
+/// [`VectorIndex::search_live`] reaches the scan.
+macro_rules! searches_through_serve {
+    (|$this:ident, $opts:ident| $pruner:expr) => {
+        fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
+            self.search_live(query, opts, None, false)
+        }
+
+        fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
+            self.search_live(query, opts, None, true)
+        }
+
+        fn search_live(
+            &self,
+            query: &[f32],
+            $opts: &SearchOptions,
+            dead: Option<&pdx_core::mask::RowMask>,
+            parallel: bool,
+        ) -> Vec<Neighbor> {
+            let $this = self;
+            $this.search_live_with(&$pruner, query, $opts, dead, parallel)
+        }
+    };
+}
+pub(crate) use searches_through_serve;
 
 /// Payload bytes of one resident `f32` search block: ids, stats, tiles.
 fn search_block_bytes(b: &SearchBlock) -> u64 {
@@ -327,13 +386,7 @@ impl VectorIndex for FlatPdx {
         "flat-pdx"
     }
 
-    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_with(&opts.bond(), query, opts)
-    }
-
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_parallel_with(&opts.bond(), query, opts)
-    }
+    searches_through_serve!(|_this, opts| opts.bond());
 
     fn resident_bytes(&self) -> u64 {
         self.collection.blocks.iter().map(search_block_bytes).sum()
@@ -369,13 +422,7 @@ impl VectorIndex for IvfPdx {
         "ivf-pdx"
     }
 
-    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_with(&opts.bond(), query, opts)
-    }
-
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_parallel_with(&opts.bond(), query, opts)
-    }
+    searches_through_serve!(|_this, opts| opts.bond());
 
     fn resident_bytes(&self) -> u64 {
         search_block_bytes(&self.centroids)
@@ -416,13 +463,7 @@ impl VectorIndex for FlatSq8 {
         }
     }
 
-    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_with(&Sq8Bound::new(&self.quantizer, opts.metric), query, opts)
-    }
-
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_parallel_with(&Sq8Bound::new(&self.quantizer, opts.metric), query, opts)
-    }
+    searches_through_serve!(|this, opts| Sq8Bound::new(&this.quantizer, opts.metric));
 
     fn resident_bytes(&self) -> u64 {
         self.blocks.iter().map(sq8_block_bytes).sum::<u64>() + (self.rows.len() * 4) as u64
@@ -462,13 +503,7 @@ impl VectorIndex for IvfSq8 {
         "ivf-sq8"
     }
 
-    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_with(&Sq8Bound::new(&self.quantizer, opts.metric), query, opts)
-    }
-
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_parallel_with(&Sq8Bound::new(&self.quantizer, opts.metric), query, opts)
-    }
+    searches_through_serve!(|this, opts| Sq8Bound::new(&this.quantizer, opts.metric));
 
     fn resident_bytes(&self) -> u64 {
         search_block_bytes(&self.centroids)

@@ -206,7 +206,7 @@ impl IvfPdx {
         let nprobe = opts.resolve_nprobe(self.blocks.len());
         let order = router.search(pruner.query_vector(&q), nprobe, opts.resolve_ef());
         let blocks = order.iter().map(|n| &self.blocks[n.id as usize]);
-        pdxearch(pruner, &q, blocks, opts, None)
+        pdxearch(pruner, &q, blocks, opts, None, None)
     }
 
     /// Linear scan (no pruning) of the `nprobe` nearest buckets with the

@@ -255,13 +255,7 @@ impl VectorIndex for LazyIvf {
         "ivf-pdx-lazy"
     }
 
-    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_with(&opts.bond(), query, opts)
-    }
-
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_parallel_with(&opts.bond(), query, opts)
-    }
+    crate::engine::searches_through_serve!(|_this, opts| opts.bond());
 
     fn resident_bytes(&self) -> u64 {
         LazyIvf::resident_bytes(self)

@@ -182,6 +182,7 @@ pub mod prelude {
     pub use pdx_core::layout::{
         DsmMatrix, DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer, Sq8Query,
     };
+    pub use pdx_core::mask::RowMask;
     pub use pdx_core::profile::SearchProfile;
     pub use pdx_core::pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
     pub use pdx_core::search::{

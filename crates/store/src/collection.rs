@@ -10,8 +10,9 @@
 //!   never block on writers, writers never wait for readers) and runs
 //!   against a frozen, internally consistent state.
 //! * a mutex-guarded **writer half** — the WAL, the write buffer, the
-//!   segment list, tombstones, and the manifest bookkeeping. Every
-//!   mutation ends by publishing a fresh snapshot.
+//!   segment list with one dead-row mask per segment, tombstones, and
+//!   the manifest bookkeeping. Every mutation ends by publishing a
+//!   fresh snapshot.
 //!
 //! Sealing and compaction share one *freeze → build → commit* path: the
 //! buffer's rows are frozen under the writer lock (staying searchable
@@ -51,6 +52,7 @@ use crate::{Segment, StoreConfig, StoreError, WriteBuffer};
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::{spawn_job, JobHandle};
 use pdx_core::heap::Neighbor;
+use pdx_core::mask::RowMask;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -65,8 +67,8 @@ enum Loc {
     /// Frozen by an in-flight seal/compaction (still served from
     /// memory; becomes a segment row at the commit).
     Sealing,
-    /// In `segments[i]`.
-    Segment(usize),
+    /// In a sealed segment (which one, its remap tables say).
+    Segment,
 }
 
 /// Per-segment statistics, as reported by [`Collection::segment_stats`].
@@ -190,8 +192,9 @@ struct MaintPlan {
     /// Frozen ids already deleted *at* the freeze (rows excluded from
     /// the build; left over from an earlier failed commit).
     dead0: HashSet<u64>,
-    /// Segments being rewritten (empty for a plain seal).
-    segments_in: Vec<Arc<Segment>>,
+    /// Segments being rewritten, with their masks as of the freeze: the
+    /// rows the build leaves out (empty for a plain seal).
+    segments_in: Vec<SegmentView>,
     /// Tombstones being purged (captured at the freeze).
     t0: TombstoneSet,
     /// Reserved sequence number of the new segment.
@@ -202,11 +205,12 @@ struct MaintPlan {
 #[derive(Debug)]
 struct Writer {
     buffer: WriteBuffer,
-    segments: Vec<Arc<Segment>>,
-    /// Tombstoned-row count per segment (parallel to `segments`).
-    seg_dead: Vec<usize>,
-    /// External ids deleted from sealed segments, filtered at merge
-    /// time and purged at compaction.
+    /// The sealed segments, each with the mask of its tombstoned rows
+    /// (what searches skip; published as is with every snapshot).
+    segments: Vec<SegmentView>,
+    /// External ids deleted from sealed segments — the masks' rows by
+    /// name, for the manifest and for reconciling a maintenance commit;
+    /// purged at compaction.
     tombstones: TombstoneSet,
     /// Live external id → current residence.
     locations: HashMap<u64, Loc>,
@@ -226,7 +230,6 @@ impl Writer {
         Self {
             buffer: WriteBuffer::new(dims),
             segments: Vec::new(),
-            seg_dead: Vec::new(),
             tombstones: TombstoneSet::default(),
             locations: HashMap::new(),
             sealing: None,
@@ -289,13 +292,20 @@ impl Writer {
                 self.locations.remove(&id);
                 Ok(())
             }
-            Some(Loc::Segment(si)) => {
+            Some(Loc::Segment) => {
+                let masked = self.mask_row(id);
+                debug_assert!(masked, "a live sealed id has a row in some segment");
                 self.tombstones.insert(id);
-                self.seg_dead[si] += 1;
                 self.locations.remove(&id);
                 Ok(())
             }
         }
+    }
+
+    /// Masks the sealed row that holds external id `id`, so that
+    /// searches skip it; `false` if no segment holds an unmasked one.
+    fn mask_row(&mut self, id: u64) -> bool {
+        self.segments.iter_mut().any(|view| view.mask_id(id))
     }
 }
 
@@ -431,29 +441,25 @@ impl Collection {
         w.next_segment_seq = manifest.next_segment_seq;
         for &seq in &manifest.segments {
             let segment = Segment::load(dir, seq, manifest.dims)?;
-            let si = w.segments.len();
             for &ext in segment.remap() {
-                if w.locations.insert(ext, Loc::Segment(si)).is_some() {
+                if w.locations.insert(ext, Loc::Segment).is_some() {
                     return Err(StoreError::Corrupt(format!(
                         "external id {ext} appears in two segments"
                     )));
                 }
             }
-            w.segments.push(Arc::new(segment));
-            w.seg_dead.push(0);
+            w.segments.push(SegmentView {
+                segment: Arc::new(segment),
+                dead: RowMask::default(),
+            });
         }
         for &id in &manifest.tombstones {
-            match w.locations.remove(&id) {
-                Some(Loc::Segment(si)) => {
-                    w.seg_dead[si] += 1;
-                    w.tombstones.insert(id);
-                }
-                _ => {
-                    return Err(StoreError::Corrupt(format!(
-                        "tombstone for id {id} which no segment holds"
-                    )))
-                }
+            if w.locations.remove(&id).is_none() || !w.mask_row(id) {
+                return Err(StoreError::Corrupt(format!(
+                    "tombstone for id {id} which no segment holds"
+                )));
             }
+            w.tombstones.insert(id);
         }
         let (wal, records) = Wal::open(&dir.join(wal_file(manifest.wal_seq)), manifest.dims)?;
         for record in records {
@@ -527,15 +533,7 @@ impl Collection {
     fn snapshot_of(dims: usize, w: &Writer) -> Snapshot {
         Snapshot::new(
             dims,
-            w.segments
-                .iter()
-                .zip(&w.seg_dead)
-                .map(|(segment, &dead)| SegmentView {
-                    segment: Arc::clone(segment),
-                    dead,
-                })
-                .collect(),
-            w.tombstones.clone(),
+            w.segments.clone(),
             w.sealing.as_ref().map(|s| s.view(dims)),
             w.buffer.snapshot(),
             w.locations.len(),
@@ -548,7 +546,7 @@ impl Collection {
             config,
             wal_seq: w.wal_seq,
             next_segment_seq: w.next_segment_seq,
-            segments: w.segments.iter().map(|s| s.seq()).collect(),
+            segments: w.segments.iter().map(|v| v.segment.seq()).collect(),
             tombstones: w.tombstones.to_sorted_vec(),
         }
     }
@@ -632,12 +630,11 @@ impl Collection {
         let w = self.lock_writer();
         w.segments
             .iter()
-            .zip(&w.seg_dead)
-            .map(|(s, &dead)| SegmentStat {
-                seq: s.seq(),
-                kind: s.kind(),
-                rows: s.len(),
-                dead,
+            .map(|v| SegmentStat {
+                seq: v.segment.seq(),
+                kind: v.segment.kind(),
+                rows: v.segment.len(),
+                dead: v.dead.len(),
             })
             .collect()
     }
@@ -980,17 +977,21 @@ impl Collection {
     }
 
     /// Build phase: assembles the survivor rows — the plan's segments
-    /// minus the captured tombstones, plus the frozen buffer rows —
+    /// minus the rows masked at the freeze, plus the frozen buffer rows —
     /// sorted by external id, seals them into one segment, and writes
     /// its files. Touches no shared state: safe off the writer lock.
     fn build_maintenance(&self, plan: &MaintPlan) -> Result<Option<Arc<Segment>>, StoreError> {
-        let t0 = plan.t0.to_hashset();
-        let mut all_ids: Vec<u64> = Vec::new();
-        let mut all_rows: Vec<f32> = Vec::new();
-        for segment in &plan.segments_in {
-            let (ids, rows) = segment.live_rows(&t0);
-            all_ids.extend_from_slice(&ids);
-            all_rows.extend_from_slice(&rows);
+        let sealed = plan.segments_in.iter();
+        let frozen = plan.frozen_chunks.iter().map(|c| c.ids.len());
+        let n = sealed
+            .map(|v| v.segment.len() - v.dead.len())
+            .sum::<usize>()
+            + frozen.sum::<usize>();
+        let mut all_ids: Vec<u64> = Vec::with_capacity(n);
+        let mut all_rows: Vec<f32> = Vec::with_capacity(n * self.dims);
+        for view in &plan.segments_in {
+            view.segment
+                .live_rows(&view.dead, &mut all_ids, &mut all_rows);
         }
         for chunk in &plan.frozen_chunks {
             for (pos, &id) in chunk.ids.iter().enumerate() {
@@ -1003,15 +1004,19 @@ impl Collection {
         if all_ids.is_empty() {
             return Ok(None);
         }
-        // Global external-id order (each source is sorted or nearly so,
-        // but sources interleave).
-        let mut order: Vec<usize> = (0..all_ids.len()).collect();
-        order.sort_unstable_by_key(|&i| all_ids[i]);
-        let ids: Vec<u64> = order.iter().map(|&i| all_ids[i]).collect();
-        let mut rows = Vec::with_capacity(all_rows.len());
-        for &i in &order {
-            rows.extend_from_slice(&all_rows[i * self.dims..(i + 1) * self.dims]);
-        }
+        // Global external-id order: each source is sorted, and sources
+        // that interleave are gathered into one run.
+        let (ids, rows) = if all_ids.windows(2).all(|pair| pair[0] < pair[1]) {
+            (all_ids, all_rows)
+        } else {
+            let mut order: Vec<usize> = (0..all_ids.len()).collect();
+            order.sort_unstable_by_key(|&i| all_ids[i]);
+            let mut rows = Vec::with_capacity(all_rows.len());
+            for &i in &order {
+                rows.extend_from_slice(&all_rows[i * self.dims..(i + 1) * self.dims]);
+            }
+            (order.iter().map(|&i| all_ids[i]).collect(), rows)
+        };
         let segment = Arc::new(Segment::seal(
             plan.seq,
             ids,
@@ -1057,12 +1062,20 @@ impl Collection {
             w.segments
                 .iter()
                 .zip(&plan.segments_in)
-                .all(|(a, b)| a.seq() == b.seq())
+                .all(|(a, b)| a.segment.seq() == b.segment.seq())
                 && w.segments.len() >= plan.segments_in.len()
         );
-        let mut segments: Vec<Arc<Segment>> = w.segments[plan.segments_in.len()..].to_vec();
+        // The segments that stay carry masks every delete has kept
+        // current; the new one holds the rows of whichever reconciled
+        // tombstones fall into it (one binary search each).
+        let mut segments: Vec<SegmentView> = w.segments[plan.segments_in.len()..].to_vec();
         if let Some(segment) = built {
-            segments.push(segment);
+            let dead = RowMask::default();
+            let mut view = SegmentView { segment, dead };
+            for id in tombstones.iter() {
+                view.mask_id(id);
+            }
+            segments.push(view);
         }
         if let Some(dir) = &self.dir {
             let wal = commit_durable(
@@ -1071,7 +1084,7 @@ impl Collection {
                 self.config,
                 w.wal_seq + 1,
                 w.next_segment_seq,
-                segments.iter().map(|s| s.seq()).collect(),
+                segments.iter().map(|v| v.segment.seq()).collect(),
                 tombstones.to_sorted_vec(),
                 &w.buffer,
             )?;
@@ -1082,39 +1095,18 @@ impl Collection {
             if let Some(old) = old {
                 std::fs::remove_file(old.path()).ok();
             }
-            for segment in &plan.segments_in {
-                Segment::remove_files(dir, segment.seq());
+            for view in &plan.segments_in {
+                Segment::remove_files(dir, view.segment.seq());
             }
         }
-        // Rebuild the derived state against the new segment list.
-        let buffered: Vec<u64> = w
-            .locations
-            .iter()
-            .filter(|(_, loc)| matches!(loc, Loc::Buffer))
-            .map(|(&id, _)| id)
-            .collect();
+        // The frozen rows are sealed now; sealed and buffered rows are
+        // where they were.
+        for loc in w.locations.values_mut() {
+            if *loc == Loc::Sealing {
+                *loc = Loc::Segment;
+            }
+        }
         w.segments = segments;
-        w.seg_dead = w
-            .segments
-            .iter()
-            .map(|s| {
-                s.remap()
-                    .iter()
-                    .filter(|&&id| tombstones.contains(id))
-                    .count()
-            })
-            .collect();
-        w.locations.clear();
-        for (si, segment) in w.segments.iter().enumerate() {
-            for &id in segment.remap() {
-                if !tombstones.contains(id) {
-                    w.locations.insert(id, Loc::Segment(si));
-                }
-            }
-        }
-        for id in buffered {
-            w.locations.insert(id, Loc::Buffer);
-        }
         w.tombstones = tombstones;
         w.sealing = None;
         self.publish(w);
@@ -1288,6 +1280,7 @@ impl VectorIndex for Collection {
 mod tests {
     use super::*;
     use pdx_core::engine::SearchOptions;
+    use std::collections::BTreeMap;
 
     fn small_config() -> StoreConfig {
         StoreConfig {
@@ -1478,5 +1471,191 @@ mod tests {
         assert!(!coll.contains(20));
         let hits = coll.search(&[100.0, 0.0], &SearchOptions::new(1));
         assert_eq!(ids_of(&hits), vec![100]);
+    }
+
+    /// The live rows as the test knows them: external id → vector.
+    type Model = BTreeMap<u64, Vec<f32>>;
+
+    /// The exact top-`k` of `rows` (external id → vector), canonical.
+    fn brute_force<'a>(
+        rows: impl Iterator<Item = (u64, &'a Vec<f32>)>,
+        q: &[f32],
+        k: usize,
+    ) -> Vec<Neighbor> {
+        let mut heap = pdx_core::heap::KnnHeap::new(k);
+        for (id, row) in rows {
+            let metric = pdx_core::distance::Metric::L2;
+            heap.push(id, pdx_core::distance::distance_scalar(metric, q, row));
+        }
+        heap.into_sorted()
+    }
+
+    /// What the collection must answer, from the model alone for an
+    /// `f32` collection (integer coordinates make every summation order
+    /// exact, so a brute-force scan has the answer's bits) and, for an SQ8
+    /// one, from each segment rebuilt without its dead rows under its own
+    /// quantizer, merged with the exact scan of the unsealed rows.
+    fn expected(
+        coll: &Collection,
+        model: &Model,
+        q: &[f32],
+        opts: &SearchOptions,
+    ) -> Vec<Neighbor> {
+        if !coll.config.quantize {
+            return brute_force(model.iter().map(|(&id, row)| (id, row)), q, opts.k);
+        }
+        let w = coll.lock_writer();
+        let mut lists = Vec::new();
+        for view in &w.segments {
+            let without = view
+                .segment
+                .sq8_without(&view.dead)
+                .expect("an SQ8 segment");
+            let mut hits = without.search(q, opts);
+            for n in &mut hits {
+                n.id = view.segment.remap()[n.id as usize];
+            }
+            lists.push(hits);
+        }
+        let sealed = |id: &u64| w.segments.iter().any(|v| v.segment.remap().contains(id));
+        let unsealed = model.iter().filter(|(id, _)| !sealed(id));
+        lists.push(brute_force(unsealed.map(|(&id, row)| (id, row)), q, opts.k));
+        pdx_core::exec::merge_neighbors(&lists, opts.k)
+    }
+
+    /// Every segment's mask is `tombstones ∩ remap`, the published view
+    /// carries the same masks, and the tombstones are exactly the deleted
+    /// ids that still have a sealed row.
+    fn assert_masks_match_tombstones(coll: &Collection, model: &Model) {
+        let w = coll.lock_writer();
+        let mut masked = 0;
+        for view in &w.segments {
+            let remap = view.segment.remap().iter().enumerate();
+            let want: Vec<u64> = remap
+                .filter(|(_, &id)| w.tombstones.contains(id))
+                .map(|(local, _)| local as u64)
+                .collect();
+            assert_eq!(view.dead.iter().collect::<Vec<_>>(), want);
+            assert_eq!(view.dead.len(), want.len());
+            masked += want.len();
+            let live = view.segment.remap().iter().enumerate();
+            for (local, id) in live.filter(|(local, _)| !view.dead.contains(*local as u64)) {
+                assert!(
+                    model.contains_key(id),
+                    "row {local} (id {id}) should be dead"
+                );
+            }
+        }
+        assert_eq!(masked, w.tombstones.len());
+        assert_eq!(coll.snapshot().tombstone_count(), masked);
+        assert!(w.tombstones.iter().all(|id| !model.contains_key(&id)));
+    }
+
+    #[test]
+    fn mask_state_machine_matches_the_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (d, k) = (6usize, 5usize);
+        for quantize in [false, true] {
+            let dir = std::env::temp_dir().join(format!("pdx_store_mask_machine_{quantize}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = StoreConfig {
+                quantize,
+                ..small_config()
+            };
+            let mut coll = Collection::create(&dir, d, config).unwrap();
+            let mut model = Model::new();
+            let mut rng = StdRng::seed_from_u64(0x5eed + u64::from(quantize));
+            let point = |rng: &mut StdRng| -> Vec<f32> {
+                (0..d).map(|_| rng.random_range(-8i32..=8) as f32).collect()
+            };
+            let insert = |coll: &Collection, model: &mut Model, rng: &mut StdRng, most: usize| {
+                for _ in 0..rng.random_range(1..most) {
+                    let id = rng.random_range(0..600u64);
+                    if !coll.is_id_reserved(id) {
+                        let row = point(rng);
+                        coll.insert(id, &row).unwrap();
+                        model.insert(id, row);
+                    }
+                }
+            };
+            let delete = |coll: &Collection, model: &mut Model, rng: &mut StdRng, most: usize| {
+                for _ in 0..rng.random_range(1..most).min(model.len()) {
+                    let nth = rng.random_range(0..model.len());
+                    let id = *model.keys().nth(nth).unwrap();
+                    coll.delete(id).unwrap();
+                    model.remove(&id);
+                }
+            };
+            for step in 0..120 {
+                match rng.random_range(0..20u32) {
+                    0..=7 => insert(&coll, &mut model, &mut rng, 40),
+                    8..=13 => delete(&coll, &mut model, &mut rng, 25),
+                    14 => coll.seal().unwrap(),
+                    15 => coll.compact().unwrap(),
+                    op @ 16..=17 => {
+                        // A background job's three phases, with writes
+                        // landing while the segment is built.
+                        let kind = [MaintKind::Seal, MaintKind::Compact][op as usize - 16];
+                        let _claim = coll.try_claim(false).unwrap();
+                        let plan = coll.plan_maintenance(&mut coll.lock_writer(), kind);
+                        if let Some(plan) = plan {
+                            let built = coll.build_maintenance(&plan).unwrap();
+                            delete(&coll, &mut model, &mut rng, 25);
+                            insert(&coll, &mut model, &mut rng, 10);
+                            let mut w = coll.lock_writer();
+                            coll.commit_maintenance(&mut w, &plan, built).unwrap();
+                        }
+                    }
+                    _ => {
+                        drop(coll);
+                        coll = Collection::open(&dir).unwrap();
+                    }
+                }
+                assert_eq!(coll.live_len(), model.len(), "step {step}");
+                assert_masks_match_tombstones(&coll, &model);
+                for _ in 0..2 {
+                    let q = point(&mut rng);
+                    let opts = SearchOptions::new(k);
+                    let got = coll.search(&q, &opts);
+                    let at = format!("step {step} quantize={quantize}");
+                    assert_eq!(got, expected(&coll, &model, &q, &opts), "{at}");
+                    assert_eq!(got, coll.search(&q, &opts.with_trace(true)), "{at}");
+                    for threads in [1usize, 2, 8] {
+                        let par = coll.search_parallel(&q, &opts.with_threads(threads));
+                        assert_eq!(got, par, "{at} at {threads} threads");
+                    }
+                }
+            }
+            assert!(coll.segment_count() > 0 && !model.is_empty());
+            drop(coll);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn mask_keeps_the_rerank_at_refine_times_k() {
+        let (n, d, k) = (2_000usize, 8usize, 10usize);
+        let config = StoreConfig {
+            block_size: 512,
+            group_size: 64,
+            buffer_capacity: 4_096,
+            quantize: true,
+        };
+        let coll = Collection::in_memory(d, config);
+        let rows: Vec<f32> = (0..n * d).map(|i| (i as f32 * 0.61).sin()).collect();
+        coll.bulk_insert(0, &rows).unwrap();
+        for id in (0..n as u64).step_by(10) {
+            coll.delete(id).unwrap();
+        }
+        let stats = coll.segment_stats();
+        assert_eq!((stats.len(), stats[0].rows, stats[0].dead), (1, n, 200));
+        // A count, not a timing: one segment scanned for `refine · k`
+        // candidates however many of its rows are dead.
+        let opts = SearchOptions::new(k).with_trace(true);
+        let (hits, trace) = pdx_obs::trace::capture(|| coll.search(&rows[..d], &opts));
+        assert_eq!(trace.rerank_candidates, (opts.refine * k) as u64);
+        assert_eq!(hits.len(), k);
+        assert!(hits.iter().all(|hit| hit.id % 10 != 0));
     }
 }

@@ -14,9 +14,10 @@
 //!   or [`FlatSq8`](pdx_index::FlatSq8) segment served through
 //!   [`VectorIndex`](pdx_core::engine::VectorIndex), with a per-segment
 //!   remap table from local row ids to external ids.
-//! * **Tombstones** — deletes of sealed rows are recorded in a tombstone
-//!   set and filtered during the canonical heap merge (and purged for
-//!   good at seal/compaction time).
+//! * **Tombstones** — a delete of a sealed row sets the row's bit in its
+//!   segment's dead-row mask ([`RowMask`](pdx_core::mask::RowMask)),
+//!   which the segment's scan skips, and records the id in a tombstone
+//!   set for the manifest (the row is purged for good at compaction).
 //! * [`Collection::compact`] — merges all segments and the buffer,
 //!   drops tombstoned rows, and rewrites the surviving rows as one
 //!   freshly partitioned segment. Post-compaction searches are
@@ -24,9 +25,12 @@
 //!
 //! Searches go through
 //! [`SegmentedSearch`](pdx_core::engine::SegmentedSearch): each segment
-//! over-fetches by its tombstone count, results remap to external ids,
-//! and one canonical `(distance, id)` merge — the same order the
-//! parallel execution engine uses — combines them with the buffer scan.
+//! answers with the top-`k` of its live rows — its mask goes into the
+//! PDXearch scan, where a dead row takes no heap slot and loosens no
+//! threshold — results remap to external ids, and one canonical
+//! `(distance, id)` merge — the same order the parallel execution engine
+//! uses — combines them with the buffer scan. [`Snapshot`] states the
+//! result contract per segment kind.
 //! Batch and intra-query parallel searches are therefore bit-identical
 //! to the sequential path at any thread count, live tombstones included.
 //!

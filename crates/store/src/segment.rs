@@ -18,9 +18,10 @@ use crate::{StoreConfig, StoreError};
 use pdx_core::codec::{invalid, put_slice, put_u32, put_u64, read_vec, ByteReader, Source};
 use pdx_core::collection::PdxCollection;
 use pdx_core::engine::VectorIndex;
+use pdx_core::mask::RowMask;
 use pdx_datasets::persist::{read_container_path, write_pdx_path, write_sq8_path, Container};
 use pdx_index::{FlatPdx, FlatSq8};
-use std::collections::HashSet;
+use std::borrow::Cow;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -38,8 +39,9 @@ enum SegmentData {
 
 /// One immutable sealed segment of a mutable collection.
 ///
-/// Segments carry no mutable state at all — tombstone counts live in
-/// the collection's writer/snapshot halves — so one `Arc<Segment>` can
+/// Segments carry no mutable state at all — the masks of their
+/// tombstoned rows live in the collection's writer/snapshot halves — so
+/// one `Arc<Segment>` can
 /// be shared freely between the writer, any number of read snapshots,
 /// and an in-flight background compaction.
 #[derive(Debug, Clone)]
@@ -132,29 +134,27 @@ impl Segment {
         self.index().kind()
     }
 
-    /// Row-major `f32` rows by local id (for SQ8 segments this is the
-    /// exact rerank payload, not a dequantization).
-    pub fn rows(&self) -> Vec<f32> {
+    /// Row-major `f32` rows by local id: an SQ8 segment lends its exact
+    /// rerank payload (not a dequantization), an `f32` segment transposes
+    /// its blocks back.
+    pub fn rows(&self) -> Cow<'_, [f32]> {
         match &self.data {
-            SegmentData::F32(flat) => flat.to_rows(),
-            SegmentData::Sq8(sq8) => sq8.rows.clone(),
+            SegmentData::F32(flat) => Cow::Owned(flat.to_rows()),
+            SegmentData::Sq8(sq8) => Cow::Borrowed(&sq8.rows),
         }
     }
 
-    /// The surviving `(external ids, rows)` after dropping `tombstones`,
-    /// in external-id order (the compaction input).
-    pub fn live_rows(&self, tombstones: &HashSet<u64>) -> (Vec<u64>, Vec<f32>) {
-        let dims = self.index().dims();
-        let all = self.rows();
-        let mut ids = Vec::with_capacity(self.remap.len());
-        let mut rows = Vec::with_capacity(self.remap.len() * dims);
-        for (local, &ext) in self.remap.iter().enumerate() {
-            if !tombstones.contains(&ext) {
-                ids.push(ext);
-                rows.extend_from_slice(&all[local * dims..(local + 1) * dims]);
-            }
+    /// Appends the rows whose local id is not in `dead` to `ids` (their
+    /// external ids, increasing) and `rows` — the compaction input. The
+    /// live runs between two dead rows are copied whole.
+    pub fn live_rows(&self, dead: &RowMask, ids: &mut Vec<u64>, rows: &mut Vec<f32>) {
+        let (dims, all) = (self.index().dims(), self.rows());
+        let mut start = 0;
+        for end in dead.iter().map(|row| row as usize).chain([self.len()]) {
+            ids.extend_from_slice(&self.remap[start..end]);
+            rows.extend_from_slice(&all[start * dims..end * dims]);
+            start = end + 1;
         }
-        (ids, rows)
     }
 
     /// Writes the segment's container and remap table into `dir` and
@@ -242,6 +242,31 @@ impl Segment {
     }
 }
 
+#[cfg(test)]
+impl Segment {
+    /// The SQ8 deployment of this segment with the rows in `dead`
+    /// physically absent: every block quantized again from its surviving
+    /// rows under the same quantizer; local ids and the rerank payload
+    /// are unchanged. `None` for an `f32` segment.
+    pub(crate) fn sq8_without(&self, dead: &RowMask) -> Option<FlatSq8> {
+        let SegmentData::Sq8(sq8) = &self.data else {
+            return None;
+        };
+        let dims = sq8.dims;
+        let without = |block: &pdx_core::search::Sq8Block| {
+            let live = |id: &u64| !dead.contains(*id);
+            let ids: Vec<u64> = block.row_ids.iter().copied().filter(live).collect();
+            let row = |&id: &u64| sq8.rows[id as usize * dims..][..dims].iter().copied();
+            let rows: Vec<f32> = ids.iter().flat_map(row).collect();
+            let group = block.codes.group_size();
+            pdx_core::search::Sq8Block::new(&rows, ids, dims, group, &sq8.quantizer)
+        };
+        let blocks = sq8.blocks.iter().map(without).collect();
+        let (quantizer, rows) = (sq8.quantizer.clone(), sq8.rows.clone());
+        Some(FlatSq8::from_parts(dims, quantizer, blocks, rows))
+    }
+}
+
 /// Decodes a `PDXI` remap table: `magic | version u32 | n u64 | id u64 ×
 /// n`, nothing after. The count is checked against the bytes present
 /// before the ids are allocated ([`read_vec`]).
@@ -298,13 +323,22 @@ mod tests {
             assert_eq!(back.remap(), seg.remap());
             assert_eq!(back.kind(), seg.kind());
             assert_eq!(back.rows(), seg.rows());
-            // Live rows drop exactly the tombstoned ids, in order.
-            let tombs: HashSet<u64> = [ids[0], ids[7]].into_iter().collect();
-            let (live_ids, live_rows) = back.live_rows(&tombs);
-            assert_eq!(live_ids.len(), n - 2);
-            assert!(!live_ids.contains(&ids[0]));
-            assert_eq!(live_rows.len(), (n - 2) * dims);
-            assert_eq!(&live_rows[..dims], &rows[dims..2 * dims]);
+            // Live rows drop exactly the masked rows, in order, and
+            // append to what the caller already holds.
+            let dead: RowMask = [0u64, 7, 8, n as u64 - 1].into_iter().collect();
+            let (mut live_ids, mut live_rows) = (vec![1u64], vec![0.5f32; dims]);
+            back.live_rows(&dead, &mut live_ids, &mut live_rows);
+            let want: Vec<usize> = (0..n).filter(|&i| !dead.contains(i as u64)).collect();
+            assert_eq!(live_ids[0], 1);
+            assert_eq!(live_ids.len(), 1 + n - 4);
+            for (slot, &i) in want.iter().enumerate() {
+                assert_eq!(live_ids[1 + slot], ids[i]);
+                let got = &live_rows[(1 + slot) * dims..(2 + slot) * dims];
+                assert_eq!(got, &rows[i * dims..(i + 1) * dims]);
+            }
+            let (mut all_ids, mut all_rows) = (Vec::new(), Vec::new());
+            back.live_rows(&RowMask::default(), &mut all_ids, &mut all_rows);
+            assert_eq!((all_ids, all_rows), (ids.clone(), rows.clone()));
         }
         std::fs::remove_dir_all(&dir).ok();
     }

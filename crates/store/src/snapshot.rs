@@ -4,22 +4,23 @@
 //! A [`Collection`](crate::Collection) keeps exactly one current
 //! [`Snapshot`] behind an atomically-swapped `Arc`. Readers clone the
 //! `Arc` (one refcount bump) and search a frozen, internally consistent
-//! state — sealed segments, tombstones, an optional in-flight sealing
-//! section, and the write-buffer view — while the writer keeps
-//! mutating and publishing newer snapshots. No search ever takes the
-//! writer lock, and no writer ever waits for a search.
+//! state — sealed segments with their dead-row masks, an optional
+//! in-flight sealing section, and the write-buffer view — while the
+//! writer keeps mutating and publishing newer snapshots. No search ever
+//! takes the writer lock, and no writer ever waits for a search.
 //!
 //! Everything inside a snapshot is structurally shared: segments are
-//! `Arc<Segment>`, the tombstone set is a layered copy-on-write
-//! structure ([`TombstoneSet`]), and the buffer view shares chunks with
-//! the live buffer. Publishing a new snapshot after a single insert or
-//! delete is therefore cheap — a handful of `Arc` clones — not a copy
-//! of the collection.
+//! `Arc<Segment>`, each segment's [`RowMask`] shares its pages with the
+//! writer's copy (a delete copies one page), and the buffer view shares
+//! chunks with the live buffer. Publishing a new snapshot after a single
+//! insert or delete is therefore cheap — a handful of `Arc` clones — not
+//! a copy of the collection.
 
 use crate::buffer::BufferSnapshot;
 use crate::Segment;
 use pdx_core::engine::{SearchOptions, SearchSegment, SegmentedSearch, VectorIndex};
 use pdx_core::heap::Neighbor;
+use pdx_core::mask::RowMask;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -28,13 +29,12 @@ use std::sync::Arc;
 const DELTA_ROLL: usize = 512;
 
 /// A layered set of tombstoned external ids, cheap to clone and to
-/// publish after every delete.
+/// capture at every maintenance freeze.
 ///
 /// The set is two layers: a large shared `base` and a small `delta` of
 /// recent deletes. Inserting copies at most the delta (copy-on-write);
 /// when the delta reaches `DELTA_ROLL` entries it is folded into the
-/// base. Cloning — which happens on every snapshot publication — is two
-/// `Arc` clones regardless of size.
+/// base. Cloning is two `Arc` clones regardless of size.
 #[derive(Debug, Clone, Default)]
 pub struct TombstoneSet {
     base: Arc<HashSet<u64>>,
@@ -86,15 +86,6 @@ impl TombstoneSet {
         }
     }
 
-    /// All ids as one plain set (for compaction's row filtering).
-    pub fn to_hashset(&self) -> HashSet<u64> {
-        if self.delta.is_empty() {
-            (*self.base).clone()
-        } else {
-            self.iter().collect()
-        }
-    }
-
     /// All ids, sorted (the manifest encoding order).
     pub fn to_sorted_vec(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.iter().collect();
@@ -113,14 +104,24 @@ impl FromIterator<u64> for TombstoneSet {
 }
 
 /// One sealed segment as seen by a snapshot: the shared immutable
-/// segment plus how many of its rows were tombstoned when the snapshot
-/// was taken (the merge over-fetch budget).
+/// segment plus the local ids of its rows that were tombstoned when the
+/// snapshot was taken, which its scan skips.
 #[derive(Debug, Clone)]
 pub struct SegmentView {
     /// The immutable sealed segment.
     pub segment: Arc<Segment>,
-    /// Tombstoned rows of this segment at snapshot time.
-    pub dead: usize,
+    /// Tombstoned rows of this segment at snapshot time (local ids).
+    pub dead: RowMask,
+}
+
+impl SegmentView {
+    /// Masks the row that holds external id `id`; `false` if the segment
+    /// has no such row (or it is masked already). One binary search: the
+    /// remap is strictly increasing.
+    pub(crate) fn mask_id(&mut self, id: u64) -> bool {
+        let local = self.segment.remap().binary_search(&id);
+        local.is_ok_and(|local| self.dead.insert(local as u64))
+    }
 }
 
 /// An immutable, internally consistent point-in-time view of a
@@ -130,11 +131,30 @@ pub struct SegmentView {
 /// (or implicitly by every `Collection` search). Results are
 /// bit-identical to searching the collection itself at the moment the
 /// snapshot was published, no matter what the writer does afterwards.
+///
+/// ## Tombstones on the read path
+///
+/// A deleted sealed row stays in its segment until compaction; the
+/// segment's mask holds its local row id and goes into the segment's
+/// scan ([`VectorIndex::search_live`]), which skips the row: it takes no
+/// slot of the scan's heap and does not loosen its threshold, and `k`
+/// stays `k`. The contract, per segment kind:
+///
+/// * an `f32` segment answers with its exact top-`k` live rows, the
+///   distance bits those of the unmasked scan;
+/// * an SQ8 segment answers, bit for bit, as the same segment would with
+///   the dead rows physically absent under the same quantizer: the
+///   `refine · k` best live estimates are reranked. (A scan that
+///   over-fetched `k + dead` would rerank `(k + dead) · refine`
+///   candidates and could rescue a row this one does not.)
+///
+/// Both are independent of thread count, kernel policy and tracing. The
+/// [`TombstoneSet`] of external ids is the writer's: it feeds the
+/// manifest and reconciles a maintenance commit, and no search reads it.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     dims: usize,
     segments: Vec<SegmentView>,
-    tombstones: TombstoneSet,
     /// Buffer rows frozen by an in-flight seal/compaction, still served
     /// from memory until the job commits.
     sealing: Option<BufferSnapshot>,
@@ -148,7 +168,6 @@ impl Snapshot {
     pub(crate) fn new(
         dims: usize,
         segments: Vec<SegmentView>,
-        tombstones: TombstoneSet,
         sealing: Option<BufferSnapshot>,
         buffer: BufferSnapshot,
         live: usize,
@@ -156,7 +175,6 @@ impl Snapshot {
         Self {
             dims,
             segments,
-            tombstones,
             sealing,
             buffer,
             live,
@@ -180,7 +198,7 @@ impl Snapshot {
 
     /// Number of tombstoned ids in this view.
     pub fn tombstone_count(&self) -> usize {
-        self.tombstones.len()
+        self.segments.iter().map(|v| v.dead.len()).sum()
     }
 
     /// The segmented read path over this view's sealed segments.
@@ -191,7 +209,7 @@ impl Snapshot {
                 .map(|v| SearchSegment {
                     index: v.segment.index(),
                     remap: v.segment.remap(),
-                    dead: v.dead,
+                    dead: Some(&v.dead),
                 })
                 .collect(),
         )
@@ -226,16 +244,14 @@ impl VectorIndex for Snapshot {
     }
 
     /// Merges the memory-resident exact scans with every segment's
-    /// search through the canonical `(distance, id)` order, dropping
-    /// tombstoned rows during the merge — the collection's read path,
-    /// frozen at snapshot time.
+    /// search of its live rows through the canonical `(distance, id)`
+    /// order — the collection's read path, frozen at snapshot time.
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
         if opts.k == 0 {
             return Vec::new();
         }
         let extra = self.memory_lists(query, opts);
-        self.segmented()
-            .search(&extra, query, opts, |id| !self.tombstones.contains(id))
+        self.segmented().search(&extra, query, opts)
     }
 
     /// Intra-query parallelism over the same view: each segment scans
@@ -248,8 +264,7 @@ impl VectorIndex for Snapshot {
             return Vec::new();
         }
         let extra = self.memory_lists(query, opts);
-        self.segmented()
-            .search_parallel(&extra, query, opts, |id| !self.tombstones.contains(id))
+        self.segmented().search_parallel(&extra, query, opts)
     }
 }
 

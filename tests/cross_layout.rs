@@ -193,7 +193,7 @@ fn missing_bsa_aux_panics() {
     // Two blocks, NO attach_aux -> the pruned scan of block 1 must panic.
     let coll = PdxCollection::from_rows_partitioned(&rotated, ds.len, 12, 200, 64);
     let q = bsa.prepare_query(ds.query(0));
-    let _ = pdxearch(&bsa, &q, &coll.blocks, &SearchOptions::new(5), None);
+    let _ = pdxearch(&bsa, &q, &coll.blocks, &SearchOptions::new(5), None, None);
 }
 
 /// Mismatched query dimensionality is rejected, not misread.
@@ -204,7 +204,7 @@ fn wrong_query_width_is_rejected() {
     let coll = PdxCollection::from_rows_partitioned(&data, 10, 10, 5, 4);
     let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
     let q = bond.prepare_query(&[1.0, 2.0]);
-    let _ = pdxearch(&bond, &q, &coll.blocks, &SearchOptions::new(3), None);
+    let _ = pdxearch(&bond, &q, &coll.blocks, &SearchOptions::new(3), None, None);
 }
 
 /// Searching an entirely empty block list returns no neighbours.
@@ -213,6 +213,6 @@ fn empty_block_list_returns_nothing() {
     let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
     let q = bond.prepare_query(&[1.0, 2.0]);
     let none: [&SearchBlock; 0] = [];
-    let res = pdxearch(&bond, &q, none, &SearchOptions::new(3), None);
+    let res = pdxearch(&bond, &q, none, &SearchOptions::new(3), None, None);
     assert!(res.is_empty());
 }

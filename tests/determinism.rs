@@ -250,7 +250,7 @@ fn multi_tile_blocks_parallel_and_streamed_match_sequential() {
             .iter()
             .cloned()
             .map(std::sync::Arc::new);
-        let streamed = pdxearch(&bond, &bond.prepare_query(q), stream, &params, None);
+        let streamed = pdxearch(&bond, &bond.prepare_query(q), stream, &params, None, None);
         assert_eq!(streamed, want, "pdxearch over a stream");
         let want8 = sq8.search(q, &params);
         for threads in THREAD_COUNTS {

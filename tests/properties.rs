@@ -75,7 +75,7 @@ proptest! {
         ][order_pick];
         let bond = PdxBond::new(Metric::L2, order);
         let opts = SearchOptions::new(k).with_selection_fraction(frac);
-        let got = pdxearch(&bond, &bond.prepare_query(&q), &coll.blocks, &opts, None);
+        let got = pdxearch(&bond, &bond.prepare_query(&q), &coll.blocks, &opts, None, None);
         // Brute force.
         let mut want: Vec<f32> = data
             .chunks_exact(d)

@@ -227,7 +227,7 @@ fn pca_rotated_bond_is_exact_and_prunes_earlier() {
     for qi in 0..ds.n_queries {
         let rq = bsa.transform_vector(ds.query(qi));
         let q = bond.prepare_query(&rq);
-        let res = pdxearch(&bond, &q, &ivf.blocks, &SearchOptions::new(k), None);
+        let res = pdxearch(&bond, &q, &ivf.blocks, &SearchOptions::new(k), None, None);
         let ids: Vec<u64> = res.iter().map(|r| r.id).collect();
         total += recall_at_k(&gt[qi], &ids, k);
         pruned.push(measure_pruned_fraction(&bond, &ivf, &rq, k));

@@ -97,7 +97,7 @@ proptest! {
         let q = qz.prepare_query(Metric::L2, &query);
         let bound = Sq8Bound::new(&qz, Metric::L2);
         let prepared = bound.prepare_query(&query);
-        let got = pdxearch(&bound, &prepared, &blocks, &SearchOptions::new(c), None);
+        let got = pdxearch(&bound, &prepared, &blocks, &SearchOptions::new(c), None, None);
         // Reference: full scans, no pruning.
         let mut want: Vec<f32> = Vec::new();
         for b in &blocks {

@@ -660,13 +660,11 @@ fn k_zero_and_k_beyond_live_rows_are_well_defined() {
     let seg = SegmentedSearch::new(vec![SearchSegment {
         index: &flat,
         remap: &remap,
-        dead: 0,
+        dead: None,
     }]);
+    assert!(seg.search(&[], q, &SearchOptions::new(0)).is_empty());
     assert!(seg
-        .search(&[], q, &SearchOptions::new(0), |_| true)
-        .is_empty());
-    assert!(seg
-        .search_parallel(&[], q, &SearchOptions::new(0).with_threads(4), |_| true)
+        .search_parallel(&[], q, &SearchOptions::new(0).with_threads(4))
         .is_empty());
     assert!(coll.search(q, &SearchOptions::new(0)).is_empty());
     assert!(coll
@@ -692,8 +690,8 @@ fn k_zero_and_k_beyond_live_rows_are_well_defined() {
     let par = coll.search_parallel(q, &SearchOptions::new(2 * n).with_threads(8));
     assert_eq!(hits, par);
 
-    // The direct segmented path over-fetches past the end too.
-    let all = seg.search(&[], q, &SearchOptions::new(n + 50), |_| true);
+    // The direct segmented path answers past the end too.
+    let all = seg.search(&[], q, &SearchOptions::new(n + 50));
     assert_eq!(all.len(), n);
 }
 
