@@ -9,17 +9,18 @@
 //! but only where the caller left the policy at [`KernelPolicy::Auto`],
 //! so explicit program choices always win.
 //!
-//! The explicit SIMD kernels reproduce the scalar accumulation order
-//! bit-for-bit (see the module docs of [`pdx`](crate::kernels::pdx)), so
-//! switching policy never changes a distance bit — the policy is a pure
+//! The explicit-SIMD nest ([`lanes`](crate::kernels::lanes)) runs the
+//! scalar loops' own metric steps in the scalar loops' dimension order
+//! (see the module docs of [`pdx`](crate::kernels::pdx)), so switching
+//! policy never changes a distance bit — the policy is a pure
 //! performance knob, which is what lets `Auto` default to SIMD.
 
 use crate::kernels::nary::KernelVariant;
 use std::sync::OnceLock;
 
-/// Whether the *scalar* kernels were compiled with FMA contraction
-/// (`mul_add` in the `Accum` steps). The explicit SIMD kernels branch on
-/// this constant so their op sequence always matches the scalar oracle.
+/// Whether the *scalar* kernels were compiled with FMA contraction. The
+/// metric steps branch on this constant — the same way at one lane and
+/// at eight — so the SIMD op sequence always matches the scalar oracle.
 ///
 /// Kept at module scope deliberately: inside a `#[target_feature]`
 /// function, `cfg!(target_feature = "fma")` may reflect the function's
@@ -109,9 +110,9 @@ impl KernelPolicy {
 pub enum KernelIsa {
     /// Portable scalar loops (auto-vectorized by the compiler).
     Scalar,
-    /// Explicit AVX2+FMA intrinsics (x86-64).
+    /// The kernel nest at `lanes::Avx2`: AVX2+FMA intrinsics (x86-64).
     Avx2,
-    /// Explicit NEON intrinsics (aarch64).
+    /// The kernel nest at `lanes::Neon`: NEON intrinsics (aarch64).
     Neon,
 }
 

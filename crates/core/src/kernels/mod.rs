@@ -3,6 +3,10 @@
 //! * [`pdx`] — the multiple-vectors-at-a-time kernels on PDX groups
 //!   (Algorithm 1): plain scalar Rust whose inner loop auto-vectorizes,
 //!   with per-lane independent accumulators and no reduction step.
+//! * [`lanes`] — the same loop as one explicit-SIMD nest (dense and
+//!   survivor form), generic over an 8-lane vector type with an AVX2, a
+//!   NEON and a checked portable implementation, the stored element
+//!   (`f32` | SQ8 code) and the metric step.
 //! * [`nary`] — horizontal kernels: the single-accumulator scalar
 //!   baseline, the unrolled multi-accumulator variant, and the explicit
 //!   AVX2+FMA SIMD kernels that stand in for SimSIMD/FAISS (Table 4's
@@ -18,14 +22,16 @@
 //!   (one knob steering vertical f32, vertical SQ8, and horizontal
 //!   kernels), cached ISA detection, and the `PDX_KERNEL` env override.
 //!
-//! The vertical kernels ([`pdx`], [`sq8`]) carry explicit AVX2 and NEON
-//! variants that are **bit-identical** to the scalar loops (see the
+//! The vertical kernels ([`pdx`], [`sq8`]) run either their scalar lane
+//! loops or the [`lanes`] nest at the target's SIMD type, and the two are
+//! **bit-identical** (one metric-step source per element; see the
 //! invariant note in [`pdx`]); the policy is therefore a pure
 //! performance knob.
 
 pub mod dispatch;
 pub mod dsm;
 pub mod gather;
+pub mod lanes;
 pub mod nary;
 pub mod pdx;
 pub mod sq8;
@@ -35,15 +41,14 @@ pub use dsm::dsm_scan;
 pub use gather::{gather_scan, gather_scan_split_timing};
 pub use nary::{nary_distance, simd_available, KernelVariant};
 pub use pdx::{
-    pdx_accumulate, pdx_accumulate_positions, pdx_accumulate_positions_policy,
-    pdx_accumulate_survivors, pdx_scan, pdx_scan_policy, DimSel,
+    pdx_accumulate, pdx_accumulate_positions, pdx_accumulate_survivors, pdx_scan, pdx_scan_policy,
+    DimSel,
 };
 pub use sq8::{
-    sq8_accumulate, sq8_accumulate_positions, sq8_accumulate_survivors, sq8_distance_scalar,
-    sq8_scan, sq8_scan_policy,
+    sq8_accumulate, sq8_accumulate_survivors, sq8_distance_scalar, sq8_scan, sq8_scan_policy,
 };
 
-/// A group-tiled buffer as the survivor (PRUNE-phase) kernels see it: a
+/// A group-tiled buffer as the survivor (PRUNE-phase) nest sees it: a
 /// whole block, or one group viewed as a single-group block. Survivor
 /// positions index its vectors; [`Tiled::locate`] turns one into the
 /// offset of its first value and the stride between its dimensions, so
@@ -109,7 +114,3 @@ impl<'a, T> Tiled<'a, T> {
         std::array::from_fn(|k| self.locate(pos[if k < pos.len() { k } else { 0 }] as usize))
     }
 }
-
-/// Survivors folded per pass of the scalar survivor kernels: that many
-/// independent add chains are in flight per dimension.
-const SURVIVOR_PASS: usize = 8;

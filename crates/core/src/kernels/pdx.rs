@@ -9,19 +9,24 @@
 //! accumulator array can live in registers across the dimension loop;
 //! other widths fall back to a dynamic-length loop.
 //!
-//! ## Explicit SIMD variants and the bit-identity invariant
+//! ## Explicit SIMD and the bit-identity invariant
 //!
-//! Next to the scalar loops live explicit AVX2(+FMA) and NEON kernels,
-//! selected at runtime by [`KernelPolicy`]. They are *bit-identical* to
-//! the scalar loops by construction:
+//! Next to the scalar loops, [`KernelPolicy`] selects at runtime the one
+//! explicit-SIMD loop nest of [`lanes`],
+//! instantiated at the target's 8-lane type (AVX2+FMA or NEON). It is
+//! *bit-identical* to the scalar loops by construction:
 //!
 //! * every lane has its own accumulator and no reduction ever happens,
 //!   so the only thing that matters per lane is the *order of dimension
 //!   updates* — and every variant walks dimensions in the same order;
-//! * each SIMD step uses exactly the scalar step's operation sequence
-//!   (`sub`/`mul`/`add` in the same association, `abs` as a sign-bit
-//!   clear), with FMA used **only** when the scalar path was itself
+//! * there is one source per metric step: the three `Step` bodies
+//!   below run at `f32` in the scalar loops and at the 8-lane type in the
+//!   nest, with FMA used **only** when the scalar path was itself
 //!   compiled with FMA contraction (`SCALAR_FMA`).
+//!
+//! The loops, the bounds checks and the policy dispatch below are generic
+//! over the stored element, so [`sq8`](crate::kernels::sq8) adds only its
+//! weighted steps and its entry points.
 //!
 //! The scalar loops are therefore the oracle: `tests/kernels.rs` pins
 //! `to_bits` equality between the scalar and dispatched kernels, which
@@ -30,58 +35,47 @@
 //!
 
 use crate::distance::Metric;
-use crate::kernels::dispatch::KernelPolicy;
-use crate::kernels::{Tiled, SURVIVOR_PASS};
+use crate::kernels::dispatch::{KernelIsa, KernelPolicy, SCALAR_FMA};
+use crate::kernels::lanes::{self, Ip, Lane, Step, Stored, L1, L2};
+use crate::kernels::Tiled;
 use crate::layout::{PdxBlock, PdxGroup};
 use std::ops::Range;
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-use crate::kernels::dispatch::KernelIsa;
+// The `f32` steps: `q` is the query's value at the dimension, `v` the
+// stored one. When the compile target has FMA (e.g. `-C
+// target-cpu=native` on any modern x86), the L2/IP steps fuse, matching
+// what a C++ compiler's default `-ffp-contract=fast` produces for
+// Algorithm 1.
 
-/// One metric's accumulation step, monomorphized into the kernels.
-///
-/// When the compile target has FMA (e.g. `-C target-cpu=native` on any
-/// modern x86), the L2/IP steps use `mul_add`, matching what a C++
-/// compiler's default `-ffp-contract=fast` produces for Algorithm 1.
-trait Accum {
-    fn accum(acc: f32, q: f32, v: f32) -> f32;
-}
-
-struct L2Accum;
-impl Accum for L2Accum {
+/// `acc + (q − v)²`.
+impl Step<1> for L2 {
     #[inline(always)]
-    fn accum(acc: f32, q: f32, v: f32) -> f32 {
-        let d = q - v;
-        #[cfg(target_feature = "fma")]
-        {
-            d.mul_add(d, acc)
-        }
-        #[cfg(not(target_feature = "fma"))]
-        {
-            acc + d * d
+    fn step<L: Lane>(acc: L, [q]: [L; 1], v: L) -> L {
+        let d = q.sub(v);
+        if SCALAR_FMA {
+            d.fmadd(d, acc)
+        } else {
+            acc.add(d.mul(d))
         }
     }
 }
 
-struct L1Accum;
-impl Accum for L1Accum {
+/// `acc + |q − v|`.
+impl Step<1> for L1 {
     #[inline(always)]
-    fn accum(acc: f32, q: f32, v: f32) -> f32 {
-        acc + (q - v).abs()
+    fn step<L: Lane>(acc: L, [q]: [L; 1], v: L) -> L {
+        acc.add(q.sub(v).abs())
     }
 }
 
-struct IpAccum;
-impl Accum for IpAccum {
+/// `acc − q·v`.
+impl Step<1> for Ip {
     #[inline(always)]
-    fn accum(acc: f32, q: f32, v: f32) -> f32 {
-        #[cfg(target_feature = "fma")]
-        {
-            q.mul_add(-v, acc)
-        }
-        #[cfg(not(target_feature = "fma"))]
-        {
-            acc - q * v
+    fn step<L: Lane>(acc: L, [q]: [L; 1], v: L) -> L {
+        if SCALAR_FMA {
+            q.fnmadd(v, acc)
+        } else {
+            acc.sub(q.mul(v))
         }
     }
 }
@@ -96,118 +90,83 @@ pub enum DimSel<'a> {
     Ids(&'a [u32]),
 }
 
-/// Fixed-width inner kernel: `acc[l] += term(query[d], group[d][l])` for
-/// every dimension in `dims`. `L` is the compile-time lane count, letting
-/// LLVM keep the whole accumulator array in vector registers across the
-/// dimension loop (the "tight loop" requirement of §3).
+/// Fixed-width inner kernel: `acc[l] += term(params[d], group[d][l])` for
+/// every dimension in `dims` (`params[d]` is `query[k][d]` for each `k`).
+/// `L` is the compile-time lane count, letting LLVM keep the whole
+/// accumulator array in vector registers across the dimension loop (the
+/// "tight loop" requirement of §3).
 #[inline]
-fn accum_fixed<A: Accum, const L: usize>(
-    data: &[f32],
-    query: &[f32],
+fn accum_fixed<E: Stored, S: Step<P>, const L: usize, const P: usize>(
+    data: &[E],
+    query: [&[f32]; P],
     dims: Range<usize>,
     acc: &mut [f32],
 ) {
     let acc: &mut [f32; L] = acc.try_into().expect("accumulator width mismatch");
     for d in dims {
-        let q = query[d];
-        let row: &[f32; L] = data[d * L..d * L + L]
+        let params = query.map(|q| q[d]);
+        let row: &[E; L] = data[d * L..d * L + L]
             .try_into()
             .expect("group row width mismatch");
         for l in 0..L {
-            acc[l] = A::accum(acc[l], q, row[l]);
+            acc[l] = S::step(acc[l], params, row[l].into());
         }
     }
 }
 
-/// Dynamic-width fallback for irregular lane counts (partial tail groups).
+/// Dynamic-width scalar kernel: irregular lane counts (partial tail
+/// groups) and permuted dimensions (PDX-BOND orders).
 #[inline]
-fn accum_dyn<A: Accum>(
-    data: &[f32],
+fn accum_dyn<E: Stored, S: Step<P>, const P: usize>(
+    data: &[E],
     lanes: usize,
-    query: &[f32],
-    dims: Range<usize>,
+    query: [&[f32]; P],
+    dims: impl Iterator<Item = usize>,
     acc: &mut [f32],
 ) {
     for d in dims {
-        let q = query[d];
+        let params = query.map(|q| q[d]);
         let row = &data[d * lanes..(d + 1) * lanes];
-        for (a, v) in acc.iter_mut().zip(row) {
-            *a = A::accum(*a, q, *v);
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a = S::step(*a, params, v.into());
         }
     }
 }
 
+/// The Algorithm-1 scalar lane loops over a dimension selection, for
+/// either element: the paper's auto-vectorised kernel, and the oracle
+/// every other path is compared against.
 #[inline]
-fn accum_dispatch<A: Accum>(
-    data: &[f32],
+fn accum_scalar<E: Stored, S: Step<P>, const P: usize>(
+    data: &[E],
     lanes: usize,
-    query: &[f32],
-    dims: Range<usize>,
+    query: [&[f32]; P],
+    dims: DimSel<'_>,
     acc: &mut [f32],
 ) {
-    match lanes {
-        16 => accum_fixed::<A, 16>(data, query, dims, acc),
-        32 => accum_fixed::<A, 32>(data, query, dims, acc),
-        64 => accum_fixed::<A, 64>(data, query, dims, acc),
-        128 => accum_fixed::<A, 128>(data, query, dims, acc),
-        256 => accum_fixed::<A, 256>(data, query, dims, acc),
-        512 => accum_fixed::<A, 512>(data, query, dims, acc),
-        _ => accum_dyn::<A>(data, lanes, query, dims, acc),
+    match (dims, lanes) {
+        (DimSel::Range(r), 16) => accum_fixed::<E, S, 16, P>(data, query, r, acc),
+        (DimSel::Range(r), 32) => accum_fixed::<E, S, 32, P>(data, query, r, acc),
+        (DimSel::Range(r), 64) => accum_fixed::<E, S, 64, P>(data, query, r, acc),
+        (DimSel::Range(r), 128) => accum_fixed::<E, S, 128, P>(data, query, r, acc),
+        (DimSel::Range(r), 256) => accum_fixed::<E, S, 256, P>(data, query, r, acc),
+        (DimSel::Range(r), 512) => accum_fixed::<E, S, 512, P>(data, query, r, acc),
+        (DimSel::Range(r), _) => accum_dyn::<E, S, P>(data, lanes, query, r, acc),
+        (DimSel::Ids(ids), _) => accum_dyn::<E, S, P>(data, lanes, query, ids_of(ids), acc),
     }
 }
 
-/// Permuted-dimension scalar kernel (PDX-BOND orders).
-#[inline]
-fn accum_perm<A: Accum>(
-    data: &[f32],
-    lanes: usize,
-    query: &[f32],
-    dim_ids: &[u32],
-    acc: &mut [f32],
-) {
-    for &d in dim_ids {
-        let d = d as usize;
-        let q = query[d];
-        let row = &data[d * lanes..(d + 1) * lanes];
-        for (a, v) in acc.iter_mut().zip(row) {
-            *a = A::accum(*a, q, *v);
-        }
-    }
+/// A permutation slice as the `usize` dimension iterator the loops take.
+#[inline(always)]
+fn ids_of(ids: &[u32]) -> impl Iterator<Item = usize> + Clone + '_ {
+    ids.iter().map(|&d| d as usize)
 }
 
-/// Scalar survivor (software-gather) kernel: `acc[j] += term(query[d],
-/// value of survivor j at d)` for every `d` of `dims`, in order.
-/// Survivors may sit in any group of `t`; each keeps the dimension
-/// order, so its bits do not depend on how survivors are batched.
-#[inline]
-fn survivors_scalar<A: Accum, D>(
-    t: Tiled<'_, f32>,
-    query: &[f32],
-    dims: D,
-    positions: &[u32],
-    acc: &mut [f32],
-) where
-    D: Iterator<Item = usize> + Clone,
-{
-    for (pos, acc) in positions
-        .chunks(SURVIVOR_PASS)
-        .zip(acc.chunks_mut(SURVIVOR_PASS))
-    {
-        let at = t.locate_pass::<SURVIVOR_PASS>(pos);
-        for d in dims.clone() {
-            let q = query[d];
-            for (a, &(off, stride)) in acc.iter_mut().zip(&at) {
-                *a = A::accum(*a, q, t.data[off + d * stride]);
-            }
-        }
-    }
-}
-
-/// Bounds every dimension a SIMD kernel will touch (the scalar loops
-/// bound-check lazily through slice indexing; the SIMD loops use raw
+/// Bounds every dimension a SIMD nest will touch (the scalar loops
+/// bound-check lazily through slice indexing; the SIMD nests use raw
 /// loads, so the whole selection is validated up front).
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-fn check_dim_bounds(data_len: usize, lanes: usize, query_len: usize, dims: &DimSel<'_>) {
+fn check_dim_bounds(data_len: usize, lanes: usize, query: &[&[f32]], dims: &DimSel<'_>) {
+    let query_len = query.iter().map(|q| q.len()).min().unwrap_or(0);
     match dims {
         DimSel::Range(r) => {
             if r.start < r.end {
@@ -225,112 +184,74 @@ fn check_dim_bounds(data_len: usize, lanes: usize, query_len: usize, dims: &DimS
     }
 }
 
-/// Dense accumulate over a dimension selection: SIMD when the resolved
-/// ISA has an explicit kernel, scalar otherwise — bit-identical either
-/// way.
-fn accumulate_impl(
-    metric: Metric,
-    data: &[f32],
+/// Dense accumulate of one metric over a dimension selection, for
+/// either element: the SIMD nest when the resolved ISA has one, the
+/// scalar lane loops otherwise — bit-identical either way.
+pub(super) fn accumulate<E: Stored, S: Step<P>, const P: usize>(
+    data: &[E],
     lanes: usize,
-    query: &[f32],
+    query: [&[f32]; P],
     dims: DimSel<'_>,
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if kernel.resolve() == KernelIsa::Avx2 {
-        check_dim_bounds(data.len(), lanes, query.len(), &dims);
-        // SAFETY: AVX2+FMA presence established by `resolve`; every
-        // load was bounded by `check_dim_bounds` above.
-        return unsafe { avx2::accumulate(metric, data, lanes, query, dims, acc) };
+    assert_eq!(acc.len(), lanes, "one accumulator per lane required");
+    if kernel.resolve() != KernelIsa::Scalar {
+        check_dim_bounds(data.len(), lanes, &query, &dims);
+        // SAFETY: `resolve` names a SIMD ISA only when the running CPU
+        // has it; `acc` was sized and every load bounded
+        // (`check_dim_bounds`) just above.
+        return unsafe {
+            match dims {
+                DimSel::Range(r) => lanes::dense_native::<E, S, _, P>(data, lanes, query, r, acc),
+                DimSel::Ids(ids) => {
+                    lanes::dense_native::<E, S, _, P>(data, lanes, query, ids_of(ids), acc)
+                }
+            }
+        };
     }
-    #[cfg(target_arch = "aarch64")]
-    if kernel.resolve() == KernelIsa::Neon {
-        check_dim_bounds(data.len(), lanes, query.len(), &dims);
-        // SAFETY: NEON presence established by `resolve`; every load
-        // was bounded by `check_dim_bounds` above.
-        return unsafe { neon::accumulate(metric, data, lanes, query, dims, acc) };
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = &kernel;
-    match metric {
-        Metric::L2 => scalar_sel::<L2Accum>(data, lanes, query, dims, acc),
-        Metric::L1 => scalar_sel::<L1Accum>(data, lanes, query, dims, acc),
-        Metric::NegativeIp => scalar_sel::<IpAccum>(data, lanes, query, dims, acc),
-    }
+    accum_scalar::<E, S, P>(data, lanes, query, dims, acc)
 }
 
-#[inline]
-fn scalar_sel<A: Accum>(
-    data: &[f32],
-    lanes: usize,
-    query: &[f32],
-    dims: DimSel<'_>,
-    acc: &mut [f32],
-) {
-    match dims {
-        DimSel::Range(r) => accum_dispatch::<A>(data, lanes, query, r, acc),
-        DimSel::Ids(ids) => accum_perm::<A>(data, lanes, query, ids, acc),
-    }
-}
-
-/// Survivor (gather) accumulate over a dimension selection — the one
-/// PRUNE-phase implementation behind [`pdx_accumulate_survivors`] and
-/// the per-group [`pdx_accumulate_positions_policy`] adapter. Positions,
-/// dimensions and the ISA are checked once here, not per group.
-fn survivors_impl(
-    metric: Metric,
-    t: Tiled<'_, f32>,
-    query: &[f32],
+/// Survivor (gather) accumulate of one metric over a dimension
+/// selection, for either element — the one PRUNE-phase implementation
+/// behind [`pdx_accumulate_survivors`], [`pdx_accumulate_positions`] and
+/// the SQ8 twin. Positions, dimensions and the ISA are checked once
+/// here, not per group.
+pub(super) fn survivors<E: Stored, S: Step<P>, const P: usize>(
+    t: Tiled<'_, E>,
+    query: [&[f32]; P],
     dims: DimSel<'_>,
     positions: &[u32],
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
     t.check_positions(positions, acc.len());
-    // The hardware gather addresses survivors with 32-bit element
-    // offsets; a buffer beyond that range takes the (bit-identical)
-    // scalar loop.
-    #[cfg(target_arch = "x86_64")]
-    if kernel.resolve() == KernelIsa::Avx2 && t.data.len() <= i32::MAX as usize {
+    // The AVX2 gather addresses survivors with 32-bit element offsets; a
+    // buffer beyond that range takes the (bit-identical) portable nest.
+    if kernel.resolve() != KernelIsa::Scalar && t.data.len() <= i32::MAX as usize {
         // With one lane `check_dim_bounds` bounds every selected
         // dimension by `n_dims` (and by the query).
-        check_dim_bounds(t.n_dims, 1, query.len(), &dims);
-        // SAFETY: AVX2+FMA presence established by `resolve`; positions
-        // and dims bounded above, so every offset `locate` yields stays
-        // inside `t.data` (the gather does not bound-check) and fits an
-        // `i32`.
-        return unsafe { avx2::accumulate_survivors(metric, t, query, dims, positions, acc) };
+        check_dim_bounds(t.n_dims, 1, &query, &dims);
+        // SAFETY: `resolve` names a SIMD ISA only when the running CPU
+        // has it; positions and dims were bounded above, so every offset
+        // `locate` yields stays inside `t.data` (the gather does not
+        // bound-check) and fits an `i32`.
+        return unsafe {
+            match dims {
+                DimSel::Range(r) => {
+                    lanes::survivors_native::<E, S, _, P>(t, query, r, positions, acc)
+                }
+                DimSel::Ids(ids) => {
+                    lanes::survivors_native::<E, S, _, P>(t, query, ids_of(ids), positions, acc)
+                }
+            }
+        };
     }
-    #[cfg(target_arch = "aarch64")]
-    if kernel.resolve() == KernelIsa::Neon {
-        check_dim_bounds(t.n_dims, 1, query.len(), &dims);
-        // SAFETY: NEON presence established by `resolve`; positions and
-        // dims bounded above, so every offset `locate` yields stays
-        // inside `t.data`.
-        return unsafe { neon::accumulate_survivors(metric, t, query, dims, positions, acc) };
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = &kernel;
-    match metric {
-        Metric::L2 => survivors_scalar_sel::<L2Accum>(t, query, dims, positions, acc),
-        Metric::L1 => survivors_scalar_sel::<L1Accum>(t, query, dims, positions, acc),
-        Metric::NegativeIp => survivors_scalar_sel::<IpAccum>(t, query, dims, positions, acc),
-    }
-}
-
-#[inline]
-fn survivors_scalar_sel<A: Accum>(
-    t: Tiled<'_, f32>,
-    query: &[f32],
-    dims: DimSel<'_>,
-    positions: &[u32],
-    acc: &mut [f32],
-) {
     match dims {
-        DimSel::Range(r) => survivors_scalar::<A, _>(t, query, r, positions, acc),
+        DimSel::Range(r) => lanes::survivors_portable::<E, S, _, P>(t, query, r, positions, acc),
         DimSel::Ids(ids) => {
-            survivors_scalar::<A, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
+            lanes::survivors_portable::<E, S, _, P>(t, query, ids_of(ids), positions, acc)
         }
     }
 }
@@ -352,11 +273,33 @@ pub fn pdx_accumulate(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    assert_eq!(acc.len(), group.lanes, "one accumulator per lane required");
     if let DimSel::Range(r) = &dims {
         assert!(r.end <= query.len(), "dimension range exceeds query length");
     }
-    accumulate_impl(metric, group.data, group.lanes, query, dims, acc, kernel)
+    let (data, lanes, query) = (group.data, group.lanes, [query]);
+    match metric {
+        Metric::L2 => accumulate::<_, L2, 1>(data, lanes, query, dims, acc, kernel),
+        Metric::L1 => accumulate::<_, L1, 1>(data, lanes, query, dims, acc, kernel),
+        Metric::NegativeIp => accumulate::<_, Ip, 1>(data, lanes, query, dims, acc, kernel),
+    }
+}
+
+/// The survivor kernel over a tiled view: a whole block, or one group.
+fn survivors_impl(
+    metric: Metric,
+    t: Tiled<'_, f32>,
+    query: &[f32],
+    dims: DimSel<'_>,
+    positions: &[u32],
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    let query = [query];
+    match metric {
+        Metric::L2 => survivors::<_, L2, 1>(t, query, dims, positions, acc, kernel),
+        Metric::L1 => survivors::<_, L1, 1>(t, query, dims, positions, acc, kernel),
+        Metric::NegativeIp => survivors::<_, Ip, 1>(t, query, dims, positions, acc, kernel),
+    }
 }
 
 /// PRUNE-phase kernel: accumulates only at the surviving vectors of a
@@ -368,9 +311,8 @@ pub fn pdx_accumulate(
 /// the dimensions (a hardware gather on AVX2), so a handful of survivors
 /// scattered over many groups still run as independent accumulators
 /// instead of one serial add chain per group (§4 PHASE 2). Every
-/// survivor sees `dims` in order, so all policies — and the per-group
-/// [`pdx_accumulate_positions_policy`], which adapts onto this — produce
-/// identical bits.
+/// survivor sees `dims` in order, so all policies produce identical
+/// bits — those of the survivor's lane in [`pdx_accumulate`].
 ///
 /// # Panics
 /// Panics if `acc.len() != positions.len()`, a position is not a vector
@@ -394,23 +336,12 @@ pub fn pdx_accumulate_survivors(
     survivors_impl(metric, t, query, dims, positions, acc, kernel)
 }
 
-/// Per-group form of [`pdx_accumulate_survivors`]: `positions[j]` is a
+/// Per-group form of [`pdx_accumulate_survivors`] over a storage range
+/// with the default [`KernelPolicy::Auto`] dispatch: `positions[j]` is a
 /// lane index inside this group.
-pub fn pdx_accumulate_positions_policy(
-    metric: Metric,
-    group: &PdxGroup<'_>,
-    query: &[f32],
-    dims: DimSel<'_>,
-    positions: &[u32],
-    acc: &mut [f32],
-    kernel: KernelPolicy,
-) {
-    let t = Tiled::of_group(group.data, group.lanes);
-    survivors_impl(metric, t, query, dims, positions, acc, kernel)
-}
-
-/// [`pdx_accumulate_positions_policy`] over a storage range with the
-/// default [`KernelPolicy::Auto`] dispatch.
+///
+/// # Panics
+/// As [`pdx_accumulate_survivors`], with `group` as the block.
 pub fn pdx_accumulate_positions(
     metric: Metric,
     group: &PdxGroup<'_>,
@@ -419,16 +350,9 @@ pub fn pdx_accumulate_positions(
     positions: &[u32],
     acc: &mut [f32],
 ) {
+    let t = Tiled::of_group(group.data, group.lanes);
     let dims = DimSel::Range(dims);
-    pdx_accumulate_positions_policy(
-        metric,
-        group,
-        query,
-        dims,
-        positions,
-        acc,
-        KernelPolicy::Auto,
-    )
+    survivors_impl(metric, t, query, dims, positions, acc, KernelPolicy::Auto)
 }
 
 /// Full linear scan of a block: fills `out[i]` with the distance of
@@ -461,459 +385,6 @@ pub fn pdx_scan_policy(
             acc,
             kernel,
         );
-    }
-}
-
-/// Explicit AVX2(+FMA) kernels. Lane tiling: 32 lanes (4 × 256-bit
-/// accumulator registers) held live across the dimension loop, then
-/// 8-wide, then a scalar tail — every lane still sees its dimension
-/// updates in the same order as the scalar loop, so the results are
-/// bit-identical (the SIMD steps mirror the scalar op sequence exactly,
-/// FMA only when `SCALAR_FMA`).
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{Accum, DimSel, IpAccum, L1Accum, L2Accum};
-    use crate::distance::Metric;
-    use crate::kernels::dispatch::SCALAR_FMA;
-    use crate::kernels::Tiled;
-    use std::arch::x86_64::*;
-
-    /// One metric's 8-wide step — the scalar `Accum` step, widened.
-    trait Step {
-        /// # Safety
-        /// Requires AVX2+FMA (callers are `#[target_feature]` fns).
-        unsafe fn step(acc: __m256, q: __m256, v: __m256) -> __m256;
-    }
-
-    struct L2Step;
-    impl Step for L2Step {
-        #[inline(always)]
-        unsafe fn step(acc: __m256, q: __m256, v: __m256) -> __m256 {
-            let d = _mm256_sub_ps(q, v);
-            if SCALAR_FMA {
-                _mm256_fmadd_ps(d, d, acc)
-            } else {
-                _mm256_add_ps(acc, _mm256_mul_ps(d, d))
-            }
-        }
-    }
-
-    struct L1Step;
-    impl Step for L1Step {
-        #[inline(always)]
-        unsafe fn step(acc: __m256, q: __m256, v: __m256) -> __m256 {
-            // abs = clear the sign bit, exactly like `f32::abs`.
-            let d = _mm256_andnot_ps(_mm256_set1_ps(-0.0), _mm256_sub_ps(q, v));
-            _mm256_add_ps(acc, d)
-        }
-    }
-
-    struct IpStep;
-    impl Step for IpStep {
-        #[inline(always)]
-        unsafe fn step(acc: __m256, q: __m256, v: __m256) -> __m256 {
-            if SCALAR_FMA {
-                // q.mul_add(-v, acc) == fnmadd(q, v, acc): one rounding.
-                _mm256_fnmadd_ps(q, v, acc)
-            } else {
-                _mm256_sub_ps(acc, _mm256_mul_ps(q, v))
-            }
-        }
-    }
-
-    /// Dense kernel body, generic over the step and a re-iterable
-    /// dimension sequence (`Range` or a permutation slice).
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2+FMA and that every `d` in `dims` satisfies
-    /// `d < query.len()` and `(d + 1) * lanes <= data.len()`.
-    #[inline(always)]
-    unsafe fn dense<S: Step, A: Accum, D>(
-        data: &[f32],
-        lanes: usize,
-        query: &[f32],
-        dims: D,
-        acc: &mut [f32],
-    ) where
-        D: Iterator<Item = usize> + Clone,
-    {
-        let dp = data.as_ptr();
-        let mut l = 0usize;
-        while l + 32 <= lanes {
-            let ap = acc.as_mut_ptr().add(l);
-            let mut a0 = _mm256_loadu_ps(ap);
-            let mut a1 = _mm256_loadu_ps(ap.add(8));
-            let mut a2 = _mm256_loadu_ps(ap.add(16));
-            let mut a3 = _mm256_loadu_ps(ap.add(24));
-            for d in dims.clone() {
-                let q = _mm256_set1_ps(query[d]);
-                let rp = dp.add(d * lanes + l);
-                a0 = S::step(a0, q, _mm256_loadu_ps(rp));
-                a1 = S::step(a1, q, _mm256_loadu_ps(rp.add(8)));
-                a2 = S::step(a2, q, _mm256_loadu_ps(rp.add(16)));
-                a3 = S::step(a3, q, _mm256_loadu_ps(rp.add(24)));
-            }
-            _mm256_storeu_ps(ap, a0);
-            _mm256_storeu_ps(ap.add(8), a1);
-            _mm256_storeu_ps(ap.add(16), a2);
-            _mm256_storeu_ps(ap.add(24), a3);
-            l += 32;
-        }
-        while l + 8 <= lanes {
-            let ap = acc.as_mut_ptr().add(l);
-            let mut a = _mm256_loadu_ps(ap);
-            for d in dims.clone() {
-                let v = _mm256_loadu_ps(dp.add(d * lanes + l));
-                a = S::step(a, _mm256_set1_ps(query[d]), v);
-            }
-            _mm256_storeu_ps(ap, a);
-            l += 8;
-        }
-        for (lane, slot) in acc.iter_mut().enumerate().skip(l) {
-            let mut a = *slot;
-            for d in dims.clone() {
-                a = A::accum(a, query[d], *dp.add(d * lanes + lane));
-            }
-            *slot = a;
-        }
-    }
-
-    /// Survivor kernel body: 8 survivors per pass over the dimensions
-    /// via a hardware gather, each with its own offset and stride so a
-    /// pass may span groups. A short last pass is padded
-    /// ([`Tiled::locate_pass`]) — a padded lane repeats a valid load and
-    /// is never stored — so there is no serial scalar tail.
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2+FMA, `p < t.n_vectors` for every position,
-    /// `d < query.len().min(t.n_dims)` for every `d` in `dims`, and
-    /// `t.data.len() <= i32::MAX`.
-    #[inline(always)]
-    unsafe fn gather<S: Step, D>(
-        t: Tiled<'_, f32>,
-        query: &[f32],
-        dims: D,
-        positions: &[u32],
-        acc: &mut [f32],
-    ) where
-        D: Iterator<Item = usize> + Clone,
-    {
-        let dp = t.data.as_ptr();
-        for (pos, acc) in positions.chunks(8).zip(acc.chunks_mut(8)) {
-            let at = t.locate_pass::<8>(pos);
-            let off = at.map(|(off, _)| off as i32);
-            let stride = at.map(|(_, stride)| stride as i32);
-            let mut buf = [0.0f32; 8];
-            buf[..acc.len()].copy_from_slice(acc);
-            let off = _mm256_loadu_si256(off.as_ptr() as *const __m256i);
-            let stride = _mm256_loadu_si256(stride.as_ptr() as *const __m256i);
-            let mut a = _mm256_loadu_ps(buf.as_ptr());
-            for d in dims.clone() {
-                let idx =
-                    _mm256_add_epi32(off, _mm256_mullo_epi32(stride, _mm256_set1_epi32(d as i32)));
-                let v = _mm256_i32gather_ps::<4>(dp, idx);
-                a = S::step(a, _mm256_set1_ps(query[d]), v);
-            }
-            _mm256_storeu_ps(buf.as_mut_ptr(), a);
-            acc.copy_from_slice(&buf[..acc.len()]);
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2+FMA and the dimension bounds of [`dense`].
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn accumulate(
-        metric: Metric,
-        data: &[f32],
-        lanes: usize,
-        query: &[f32],
-        dims: DimSel<'_>,
-        acc: &mut [f32],
-    ) {
-        match (metric, dims) {
-            (Metric::L2, DimSel::Range(r)) => {
-                dense::<L2Step, L2Accum, _>(data, lanes, query, r, acc)
-            }
-            (Metric::L1, DimSel::Range(r)) => {
-                dense::<L1Step, L1Accum, _>(data, lanes, query, r, acc)
-            }
-            (Metric::NegativeIp, DimSel::Range(r)) => {
-                dense::<IpStep, IpAccum, _>(data, lanes, query, r, acc)
-            }
-            (Metric::L2, DimSel::Ids(ids)) => dense::<L2Step, L2Accum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                acc,
-            ),
-            (Metric::L1, DimSel::Ids(ids)) => dense::<L1Step, L1Accum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                acc,
-            ),
-            (Metric::NegativeIp, DimSel::Ids(ids)) => dense::<IpStep, IpAccum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                acc,
-            ),
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2+FMA and the bounds of [`gather`].
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn accumulate_survivors(
-        metric: Metric,
-        t: Tiled<'_, f32>,
-        query: &[f32],
-        dims: DimSel<'_>,
-        positions: &[u32],
-        acc: &mut [f32],
-    ) {
-        match (metric, dims) {
-            (Metric::L2, DimSel::Range(r)) => gather::<L2Step, _>(t, query, r, positions, acc),
-            (Metric::L1, DimSel::Range(r)) => gather::<L1Step, _>(t, query, r, positions, acc),
-            (Metric::NegativeIp, DimSel::Range(r)) => {
-                gather::<IpStep, _>(t, query, r, positions, acc)
-            }
-            (Metric::L2, DimSel::Ids(ids)) => {
-                gather::<L2Step, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
-            }
-            (Metric::L1, DimSel::Ids(ids)) => {
-                gather::<L1Step, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
-            }
-            (Metric::NegativeIp, DimSel::Ids(ids)) => {
-                gather::<IpStep, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
-            }
-        }
-    }
-}
-
-/// Explicit NEON kernels (aarch64). Lane tiling: 16 lanes (4 × 128-bit
-/// accumulator registers), then 4-wide, then a scalar tail. aarch64 has
-/// no hardware gather, so the positions kernel loads survivors through a
-/// small stack buffer. Bit-identical to the scalar loops for the same
-/// reasons as the AVX2 path (note `SCALAR_FMA` is `false` unless the
-/// crate was compiled with an `fma` target feature, so these kernels
-/// normally use unfused mul/add like the scalar oracle).
-///
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{Accum, DimSel, IpAccum, L1Accum, L2Accum};
-    use crate::distance::Metric;
-    use crate::kernels::dispatch::SCALAR_FMA;
-    use crate::kernels::Tiled;
-    use std::arch::aarch64::*;
-
-    /// One metric's 4-wide step — the scalar `Accum` step, widened.
-    trait Step {
-        /// # Safety
-        /// Requires NEON (callers are `#[target_feature]` fns).
-        unsafe fn step(acc: float32x4_t, q: float32x4_t, v: float32x4_t) -> float32x4_t;
-    }
-
-    struct L2Step;
-    impl Step for L2Step {
-        #[inline(always)]
-        unsafe fn step(acc: float32x4_t, q: float32x4_t, v: float32x4_t) -> float32x4_t {
-            let d = vsubq_f32(q, v);
-            if SCALAR_FMA {
-                vfmaq_f32(acc, d, d)
-            } else {
-                vaddq_f32(acc, vmulq_f32(d, d))
-            }
-        }
-    }
-
-    struct L1Step;
-    impl Step for L1Step {
-        #[inline(always)]
-        unsafe fn step(acc: float32x4_t, q: float32x4_t, v: float32x4_t) -> float32x4_t {
-            vaddq_f32(acc, vabsq_f32(vsubq_f32(q, v)))
-        }
-    }
-
-    struct IpStep;
-    impl Step for IpStep {
-        #[inline(always)]
-        unsafe fn step(acc: float32x4_t, q: float32x4_t, v: float32x4_t) -> float32x4_t {
-            if SCALAR_FMA {
-                vfmsq_f32(acc, q, v)
-            } else {
-                vsubq_f32(acc, vmulq_f32(q, v))
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller guarantees NEON and that every `d` in `dims` satisfies
-    /// `d < query.len()` and `(d + 1) * lanes <= data.len()`.
-    #[inline(always)]
-    unsafe fn dense<S: Step, A: Accum, D>(
-        data: &[f32],
-        lanes: usize,
-        query: &[f32],
-        dims: D,
-        acc: &mut [f32],
-    ) where
-        D: Iterator<Item = usize> + Clone,
-    {
-        let dp = data.as_ptr();
-        let mut l = 0usize;
-        while l + 16 <= lanes {
-            let ap = acc.as_mut_ptr().add(l);
-            let mut a0 = vld1q_f32(ap);
-            let mut a1 = vld1q_f32(ap.add(4));
-            let mut a2 = vld1q_f32(ap.add(8));
-            let mut a3 = vld1q_f32(ap.add(12));
-            for d in dims.clone() {
-                let q = vdupq_n_f32(query[d]);
-                let rp = dp.add(d * lanes + l);
-                a0 = S::step(a0, q, vld1q_f32(rp));
-                a1 = S::step(a1, q, vld1q_f32(rp.add(4)));
-                a2 = S::step(a2, q, vld1q_f32(rp.add(8)));
-                a3 = S::step(a3, q, vld1q_f32(rp.add(12)));
-            }
-            vst1q_f32(ap, a0);
-            vst1q_f32(ap.add(4), a1);
-            vst1q_f32(ap.add(8), a2);
-            vst1q_f32(ap.add(12), a3);
-            l += 16;
-        }
-        while l + 4 <= lanes {
-            let ap = acc.as_mut_ptr().add(l);
-            let mut a = vld1q_f32(ap);
-            for d in dims.clone() {
-                a = S::step(a, vdupq_n_f32(query[d]), vld1q_f32(dp.add(d * lanes + l)));
-            }
-            vst1q_f32(ap, a);
-            l += 4;
-        }
-        for (lane, slot) in acc.iter_mut().enumerate().skip(l) {
-            let mut a = *slot;
-            for d in dims.clone() {
-                a = A::accum(a, query[d], *dp.add(d * lanes + lane));
-            }
-            *slot = a;
-        }
-    }
-
-    /// Survivor kernel body: 4 survivors per pass over the dimensions,
-    /// loaded through a small stack buffer (no hardware gather), each
-    /// with its own offset and stride so a pass may span groups. A short
-    /// last pass is padded ([`Tiled::locate_pass`]: a valid load, never
-    /// stored), so there is no serial scalar tail.
-    ///
-    /// # Safety
-    /// Caller guarantees NEON, `p < t.n_vectors` for every position and
-    /// `d < query.len().min(t.n_dims)` for every `d` in `dims`.
-    #[inline(always)]
-    unsafe fn gather<S: Step, D>(
-        t: Tiled<'_, f32>,
-        query: &[f32],
-        dims: D,
-        positions: &[u32],
-        acc: &mut [f32],
-    ) where
-        D: Iterator<Item = usize> + Clone,
-    {
-        let dp = t.data.as_ptr();
-        for (pos, acc) in positions.chunks(4).zip(acc.chunks_mut(4)) {
-            let at = t.locate_pass::<4>(pos);
-            let mut buf = [0.0f32; 4];
-            buf[..acc.len()].copy_from_slice(acc);
-            let mut a = vld1q_f32(buf.as_ptr());
-            for d in dims.clone() {
-                let vals = [
-                    *dp.add(at[0].0 + d * at[0].1),
-                    *dp.add(at[1].0 + d * at[1].1),
-                    *dp.add(at[2].0 + d * at[2].1),
-                    *dp.add(at[3].0 + d * at[3].1),
-                ];
-                a = S::step(a, vdupq_n_f32(query[d]), vld1q_f32(vals.as_ptr()));
-            }
-            vst1q_f32(buf.as_mut_ptr(), a);
-            acc.copy_from_slice(&buf[..acc.len()]);
-        }
-    }
-
-    /// # Safety
-    /// Requires NEON and the dimension bounds of [`dense`].
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn accumulate(
-        metric: Metric,
-        data: &[f32],
-        lanes: usize,
-        query: &[f32],
-        dims: DimSel<'_>,
-        acc: &mut [f32],
-    ) {
-        match (metric, dims) {
-            (Metric::L2, DimSel::Range(r)) => {
-                dense::<L2Step, L2Accum, _>(data, lanes, query, r, acc)
-            }
-            (Metric::L1, DimSel::Range(r)) => {
-                dense::<L1Step, L1Accum, _>(data, lanes, query, r, acc)
-            }
-            (Metric::NegativeIp, DimSel::Range(r)) => {
-                dense::<IpStep, IpAccum, _>(data, lanes, query, r, acc)
-            }
-            (Metric::L2, DimSel::Ids(ids)) => dense::<L2Step, L2Accum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                acc,
-            ),
-            (Metric::L1, DimSel::Ids(ids)) => dense::<L1Step, L1Accum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                acc,
-            ),
-            (Metric::NegativeIp, DimSel::Ids(ids)) => dense::<IpStep, IpAccum, _>(
-                data,
-                lanes,
-                query,
-                ids.iter().map(|&d| d as usize),
-                acc,
-            ),
-        }
-    }
-
-    /// # Safety
-    /// Requires NEON and the bounds of [`gather`].
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn accumulate_survivors(
-        metric: Metric,
-        t: Tiled<'_, f32>,
-        query: &[f32],
-        dims: DimSel<'_>,
-        positions: &[u32],
-        acc: &mut [f32],
-    ) {
-        match (metric, dims) {
-            (Metric::L2, DimSel::Range(r)) => gather::<L2Step, _>(t, query, r, positions, acc),
-            (Metric::L1, DimSel::Range(r)) => gather::<L1Step, _>(t, query, r, positions, acc),
-            (Metric::NegativeIp, DimSel::Range(r)) => {
-                gather::<IpStep, _>(t, query, r, positions, acc)
-            }
-            (Metric::L2, DimSel::Ids(ids)) => {
-                gather::<L2Step, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
-            }
-            (Metric::L1, DimSel::Ids(ids)) => {
-                gather::<L1Step, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
-            }
-            (Metric::NegativeIp, DimSel::Ids(ids)) => {
-                gather::<IpStep, _>(t, query, ids.iter().map(|&d| d as usize), positions, acc)
-            }
-        }
     }
 }
 
@@ -1026,7 +497,7 @@ mod tests {
         let positions: Vec<u32> = vec![0, 9, 39];
         let mut compact = vec![0.0; 3];
         let dims = DimSel::Ids(&perm);
-        pdx_accumulate_positions_policy(Metric::L2, &g, &q, dims, &positions, &mut compact, Auto);
+        pdx_accumulate_survivors(Metric::L2, &block, &q, dims, &positions, &mut compact, Auto);
         for (j, &p) in positions.iter().enumerate() {
             assert!((compact[j] - dense[p as usize]).abs() <= dense[p as usize].max(1.0) * 1e-5);
         }
@@ -1078,30 +549,16 @@ mod tests {
     fn positions_simd_policy_is_bit_identical_to_scalar() {
         let (block, _) = block_and_rows(64, 16, 64);
         let q = query(16);
-        let g = block.group(0);
-        // 11 survivors: one 8-wide gather plus a 3-wide scalar tail.
+        // 11 survivors: one full pass of 8 plus a padded pass of 3.
         let positions: Vec<u32> = vec![3, 9, 17, 18, 21, 33, 40, 47, 55, 60, 63];
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
-            let mut scalar = vec![0.0; positions.len()];
-            pdx_accumulate_positions_policy(
-                metric,
-                &g,
-                &q,
-                DimSel::Range(0..16),
-                &positions,
-                &mut scalar,
-                KernelPolicy::Scalar,
-            );
-            let mut simd = vec![0.0; positions.len()];
-            pdx_accumulate_positions_policy(
-                metric,
-                &g,
-                &q,
-                DimSel::Range(0..16),
-                &positions,
-                &mut simd,
-                KernelPolicy::Simd,
-            );
+            let run = |kernel| {
+                let mut acc = vec![0.0; positions.len()];
+                let dims = DimSel::Range(0..16);
+                pdx_accumulate_survivors(metric, &block, &q, dims, &positions, &mut acc, kernel);
+                acc
+            };
+            let (scalar, simd) = (run(KernelPolicy::Scalar), run(KernelPolicy::Simd));
             for j in 0..positions.len() {
                 assert_eq!(scalar[j].to_bits(), simd[j].to_bits(), "{metric:?} pos {j}");
             }

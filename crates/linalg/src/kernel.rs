@@ -20,13 +20,15 @@
 //! `((acc0 + acc1) + (acc2 + acc3)) + ((acc4 + acc5) + (acc6 + acc7)) + tail`.
 //!
 //! The scalar loop (`dot8`) spells that order out and is the oracle;
-//! the explicit AVX2 and NEON variants keep one 8-lane register
-//! accumulator per output element and run the same per-lane operations
-//! in the same order, so they are **bit-identical** to it (pinned by
-//! the proptest below and by `tests/kernels.rs`). Fused multiply-add
-//! is deliberately not used: Rust never contracts `a * b + c`, so the
-//! scalar oracle rounds twice on every target, and a fused SIMD step
-//! would round once and drift from it.
+//! the SIMD tile is written once over the workspace's 8-lane vector
+//! type ([`pdx_core::kernels::lanes`]: `Avx2` on x86-64, `Neon` on
+//! aarch64 — this crate imports no intrinsics of its own), keeps one
+//! such accumulator per output element and runs the same per-lane
+//! operations in the same order, so it is **bit-identical** to the
+//! oracle (pinned by the proptest below and by `tests/kernels.rs`). The
+//! lane type's fused multiply-add is deliberately not used: Rust never
+//! contracts `a * b + c`, so the scalar oracle rounds twice on every
+//! target, and a fused SIMD step would round once and drift from it.
 //!
 //! ## Tile shape
 //!
@@ -43,10 +45,7 @@
 //! `Auto` honours `PDX_KERNEL` and otherwise takes the detected ISA.
 
 use crate::matrix::MatrixView;
-use pdx_core::kernels::KernelPolicy;
-
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-use pdx_core::kernels::KernelIsa;
+use pdx_core::kernels::{KernelIsa, KernelPolicy};
 
 /// Lane accumulators per output element.
 const LANES: usize = 8;
@@ -95,7 +94,6 @@ pub fn dot_rows(a: MatrixView<'_>, x: MatrixView<'_>, out: &mut [f32], policy: K
         a.rows() * x.rows(),
         "output must hold one element per row pair"
     );
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
     if policy.resolve() != KernelIsa::Scalar {
         assert_eq!(a.as_slice().len(), a.rows() * a.cols());
         assert_eq!(x.as_slice().len(), x.rows() * x.cols());
@@ -106,8 +104,6 @@ pub fn dot_rows(a: MatrixView<'_>, x: MatrixView<'_>, out: &mut [f32], policy: K
         // `simd::dot_rows`.
         return unsafe { simd::dot_rows(a, x, out) };
     }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = policy;
     if a.rows() == 0 {
         return;
     }
@@ -118,128 +114,45 @@ pub fn dot_rows(a: MatrixView<'_>, x: MatrixView<'_>, out: &mut [f32], policy: K
     }
 }
 
-/// The 8-lane vector the tile is written in: one AVX2 register.
-#[cfg(target_arch = "x86_64")]
-mod lanes {
-    use std::arch::x86_64::*;
-
-    pub(super) type V = __m256;
-
-    /// # Safety
-    /// Requires AVX (callers are inlined into a `#[target_feature]` fn).
-    #[inline(always)]
-    pub(super) unsafe fn zero() -> V {
-        _mm256_setzero_ps()
-    }
-
-    /// # Safety
-    /// Requires AVX and 8 readable `f32` at `p`.
-    #[inline(always)]
-    pub(super) unsafe fn load(p: *const f32) -> V {
-        _mm256_loadu_ps(p)
-    }
-
-    /// `acc + a · x` per lane, multiply and add rounded separately.
-    ///
-    /// # Safety
-    /// Requires AVX.
-    #[inline(always)]
-    pub(super) unsafe fn mul_add(acc: V, a: V, x: V) -> V {
-        _mm256_add_ps(acc, _mm256_mul_ps(a, x))
-    }
-
-    /// # Safety
-    /// Requires AVX.
-    #[inline(always)]
-    pub(super) unsafe fn to_array(v: V) -> [f32; 8] {
-        let mut out = [0.0f32; 8];
-        _mm256_storeu_ps(out.as_mut_ptr(), v);
-        out
-    }
-}
-
-/// The 8-lane vector the tile is written in: two NEON registers
-/// (lanes 0–3, lanes 4–7).
-#[cfg(target_arch = "aarch64")]
-mod lanes {
-    use std::arch::aarch64::*;
-
-    pub(super) type V = [float32x4_t; 2];
-
-    /// # Safety
-    /// Requires NEON (callers are inlined into a `#[target_feature]` fn).
-    #[inline(always)]
-    pub(super) unsafe fn zero() -> V {
-        [vdupq_n_f32(0.0); 2]
-    }
-
-    /// # Safety
-    /// Requires NEON and 8 readable `f32` at `p`.
-    #[inline(always)]
-    pub(super) unsafe fn load(p: *const f32) -> V {
-        [vld1q_f32(p), vld1q_f32(p.add(4))]
-    }
-
-    /// `acc + a · x` per lane, multiply and add rounded separately.
-    ///
-    /// # Safety
-    /// Requires NEON.
-    #[inline(always)]
-    pub(super) unsafe fn mul_add(acc: V, a: V, x: V) -> V {
-        [
-            vaddq_f32(acc[0], vmulq_f32(a[0], x[0])),
-            vaddq_f32(acc[1], vmulq_f32(a[1], x[1])),
-        ]
-    }
-
-    /// # Safety
-    /// Requires NEON.
-    #[inline(always)]
-    pub(super) unsafe fn to_array(v: V) -> [f32; 8] {
-        let mut out = [0.0f32; 8];
-        vst1q_f32(out.as_mut_ptr(), v[0]);
-        vst1q_f32(out.as_mut_ptr().add(4), v[1]);
-        out
-    }
-}
-
-/// The register-tiled loop nest, written once over [`lanes`].
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+/// The register-tiled loop nest, written once over the workspace's
+/// 8-lane vector type ([`Lanes8`](pdx_core::kernels::lanes::Lanes8):
+/// one AVX2 register, two NEON registers).
 mod simd {
-    use super::{lanes, reduce, MatrixView, LANES, X_BLOCK};
+    use super::{reduce, MatrixView, LANES, X_BLOCK};
+    use pdx_core::kernels::lanes::{Lane, Lanes8, Native as V};
 
     /// Rows of `a` per register tile.
     const A_TILE: usize = 4;
     /// Rows of `x` per register tile.
     const X_TILE: usize = 2;
 
-    /// One `R × B` register tile: `out[b * stride + r] = ⟨a row r, x row
-    /// b⟩` for `r < R`, `b < B`, each in the canonical order.
+    /// One `R × B` register tile: `out[o + b * stride + r] = ⟨a row r, x
+    /// row b⟩` for `r < R`, `b < B`, each in the canonical order — the
+    /// multiply and the add of a step are separate `Lane` operations,
+    /// never the fused one.
     ///
     /// # Safety
-    /// Requires the ISA of [`lanes`]; `a` and `x` must point at `R` and
-    /// `B` rows of `cols` readable `f32`, and `out.add(b * stride + r)`
-    /// must be writable for every `r < R`, `b < B`.
+    /// Requires the ISA of `V`; `a` and `x` must hold `R` and `B` rows of
+    /// `cols` values from their start, and `out[o + b * stride + r]` must
+    /// exist for every `r < R`, `b < B`.
     #[inline(always)]
     unsafe fn tile<const R: usize, const B: usize>(
-        a: *const f32,
-        x: *const f32,
+        a: &[f32],
+        x: &[f32],
         cols: usize,
-        out: *mut f32,
+        out: &mut [f32],
+        o: usize,
         stride: usize,
     ) {
-        let mut acc = [[lanes::zero(); B]; R];
+        let mut acc = [[V::splat(0.0); B]; R];
         let main = cols / LANES * LANES;
         let mut c = 0;
         while c < main {
-            let mut xv = [lanes::zero(); B];
-            for (b, v) in xv.iter_mut().enumerate() {
-                *v = lanes::load(x.add(b * cols + c));
-            }
+            let xv: [V; B] = std::array::from_fn(|b| V::load(x, b * cols + c));
             for (r, acc_r) in acc.iter_mut().enumerate() {
-                let av = lanes::load(a.add(r * cols + c));
+                let av = V::load(a, r * cols + c);
                 for (slot, &xv) in acc_r.iter_mut().zip(&xv) {
-                    *slot = lanes::mul_add(*slot, av, xv);
+                    *slot = slot.add(av.mul(xv));
                 }
             }
             c += LANES;
@@ -248,9 +161,11 @@ mod simd {
             for (b, &v) in acc_r.iter().enumerate() {
                 let mut tail = 0.0f32;
                 for c in main..cols {
-                    tail += *a.add(r * cols + c) * *x.add(b * cols + c);
+                    tail += a.get_unchecked(r * cols + c) * x.get_unchecked(b * cols + c);
                 }
-                *out.add(b * stride + r) = reduce(lanes::to_array(v), tail);
+                let mut lanes = [0.0f32; LANES];
+                v.store(&mut lanes, 0);
+                *out.get_unchecked_mut(o + b * stride + r) = reduce(lanes, tail);
             }
         }
     }
@@ -263,22 +178,22 @@ mod simd {
     unsafe fn strip<const R: usize>(
         a: MatrixView<'_>,
         x: MatrixView<'_>,
-        out: *mut f32,
+        out: &mut [f32],
         r0: usize,
         x0: usize,
         x1: usize,
     ) {
         let (cols, stride) = (a.cols(), a.rows());
-        let ap = a.as_slice().as_ptr().add(r0 * cols);
+        let ap = &a.as_slice()[r0 * cols..];
         let mut b = x0;
         while b + X_TILE <= x1 {
-            let xp = x.as_slice().as_ptr().add(b * cols);
-            tile::<R, X_TILE>(ap, xp, cols, out.add(b * stride + r0), stride);
+            let xp = &x.as_slice()[b * cols..];
+            tile::<R, X_TILE>(ap, xp, cols, out, b * stride + r0, stride);
             b += X_TILE;
         }
         while b < x1 {
-            let xp = x.as_slice().as_ptr().add(b * cols);
-            tile::<R, 1>(ap, xp, cols, out.add(b * stride + r0), stride);
+            let xp = &x.as_slice()[b * cols..];
+            tile::<R, 1>(ap, xp, cols, out, b * stride + r0, stride);
             b += 1;
         }
     }
@@ -286,10 +201,9 @@ mod simd {
     /// # Safety
     /// Requires the ISA named in the `target_feature` attribute, and
     /// `out.len() == x.rows() * a.rows()` with `a.cols() == x.cols()`.
-    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
     #[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
     pub(super) unsafe fn dot_rows(a: MatrixView<'_>, x: MatrixView<'_>, out: &mut [f32]) {
-        let out = out.as_mut_ptr();
         let mut x0 = 0;
         while x0 < x.rows() {
             let x1 = (x0 + X_BLOCK).min(x.rows());

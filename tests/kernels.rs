@@ -9,8 +9,7 @@
 //! scalar-vs-scalar and stay green.
 
 use pdx::core::kernels::{
-    pdx_accumulate, pdx_accumulate_positions_policy, pdx_accumulate_survivors, sq8_accumulate,
-    sq8_accumulate_positions, sq8_accumulate_survivors, DimSel,
+    pdx_accumulate, pdx_accumulate_survivors, sq8_accumulate, sq8_accumulate_survivors, DimSel,
 };
 use pdx::prelude::*;
 use proptest::prelude::*;
@@ -151,46 +150,34 @@ proptest! {
         }
     }
 
-    /// The PRUNE-phase gather kernels: arbitrary survivor subsets, with
-    /// and without a dimension permutation.
+    /// The PRUNE-phase gather kernels on a one-group block (the view a
+    /// per-group caller such as `pdx_accumulate_positions` takes):
+    /// arbitrary survivor subsets, with and without a dimension
+    /// permutation.
     #[test]
     fn pdx_positions_policies_bit_identical(
-        (n, d, data) in collection_strategy(),
+        (_, d, data) in collection_strategy(),
         group in 1usize..100,
         salt in 0usize..1000,
     ) {
-        let block = PdxBlock::from_rows(&data, n, d, group);
         let q: Vec<f32> = data[..d].to_vec();
         let lo = d / 4;
         let perm = permute(d, salt + 1);
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
-            for g in block.groups() {
-                let pos = survivors(g.lanes, salt);
-                let mut want = vec![2.0f32; pos.len()];
-                pdx_accumulate_positions_policy(
-                    metric, &g, &q, DimSel::Range(lo..d), &pos, &mut want, KernelPolicy::Scalar,
-                );
-                let mut want_p = vec![2.0f32; pos.len()];
-                pdx_accumulate_positions_policy(
-                    metric, &g, &q, DimSel::Ids(&perm[lo..]), &pos, &mut want_p, KernelPolicy::Scalar,
-                );
+            for rows in data.chunks(group * d) {
+                let lanes = rows.len() / d;
+                let one = PdxBlock::from_rows(rows, lanes, d, lanes);
+                let pos = survivors(lanes, salt);
+                let run = |dims: DimSel<'_>, policy| {
+                    let mut acc = vec![2.0f32; pos.len()];
+                    pdx_accumulate_survivors(metric, &one, &q, dims, &pos, &mut acc, policy);
+                    to_bits(&acc)
+                };
+                let want = run(DimSel::Range(lo..d), KernelPolicy::Scalar);
+                let want_p = run(DimSel::Ids(&perm[lo..]), KernelPolicy::Scalar);
                 for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
-                    let mut got = vec![2.0f32; pos.len()];
-                    pdx_accumulate_positions_policy(
-                        metric, &g, &q, DimSel::Range(lo..d), &pos, &mut got, policy,
-                    );
-                    prop_assert_eq!(
-                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        );
-                    let mut got_p = vec![2.0f32; pos.len()];
-                    pdx_accumulate_positions_policy(
-                        metric, &g, &q, DimSel::Ids(&perm[lo..]), &pos, &mut got_p, policy,
-                    );
-                    prop_assert_eq!(
-                        got_p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        want_p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        );
+                    prop_assert_eq!(&run(DimSel::Range(lo..d), policy), &want);
+                    prop_assert_eq!(&run(DimSel::Ids(&perm[lo..]), policy), &want_p);
                 }
             }
         }
@@ -297,29 +284,23 @@ proptest! {
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     );
             }
-            for g in block.groups() {
+            for (g, rows) in block.groups().zip(data.chunks(group * d)) {
                 let pos = survivors(g.lanes, salt);
+                let one = QuantizedPdxBlock::from_rows(rows, g.lanes, d, g.lanes, &quantizer);
+                let tail = split.min(d - 1)..d;
                 let mut want_a = vec![0.5f32; g.lanes];
                 sq8_accumulate(&q, &g, 0..split, &mut want_a, KernelPolicy::Scalar);
                 let mut want_s = vec![3.0f32; pos.len()];
-                sq8_accumulate_positions(
-                    &q, &g, split.min(d - 1)..d, &pos, &mut want_s, KernelPolicy::Scalar,
+                sq8_accumulate_survivors(
+                    &q, &one, tail.clone(), &pos, &mut want_s, KernelPolicy::Scalar,
                 );
                 for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
                     let mut got_a = vec![0.5f32; g.lanes];
                     sq8_accumulate(&q, &g, 0..split, &mut got_a, policy);
-                    prop_assert_eq!(
-                        got_a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        want_a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        );
+                    prop_assert_eq!(to_bits(&got_a), to_bits(&want_a));
                     let mut got_s = vec![3.0f32; pos.len()];
-                    sq8_accumulate_positions(
-                        &q, &g, split.min(d - 1)..d, &pos, &mut got_s, policy,
-                    );
-                    prop_assert_eq!(
-                        got_s.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        want_s.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        );
+                    sq8_accumulate_survivors(&q, &one, tail.clone(), &pos, &mut got_s, policy);
+                    prop_assert_eq!(to_bits(&got_s), to_bits(&want_s));
                 }
             }
         }
@@ -448,5 +429,242 @@ fn dispatch_is_stable_and_consistent() {
         ("sse9", None),
     ] {
         assert_eq!(KernelPolicy::parse(name), want, "parse {name:?}");
+    }
+}
+
+/// Every `# Panics` the vertical kernels document, as one table. The
+/// SIMD loads are raw, so their bounds must be refused *before* any
+/// load: under `Simd` each row must panic with the documented message.
+/// Under `Scalar` the asserts the entry points make themselves carry the
+/// same message (`everywhere`); the rest surface as a slice-index panic
+/// of the checked loops, which is still a panic and never a wrong read.
+#[test]
+fn kernel_panic_contracts() {
+    use pdx::core::kernels::pdx_accumulate_positions;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let (n, d, group) = (70usize, 6usize, 64usize);
+    let data: Vec<f32> = (0..n * d).map(|i| (i % 17) as f32 - 8.0).collect();
+    let block = PdxBlock::from_rows(&data, n, d, group);
+    let quantizer = Sq8Quantizer::fit(&data, n, d);
+    let codes = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
+    let q = vec![0.5f32; d];
+    let long_q = vec![0.5f32; d + 4];
+    let q8 = quantizer.prepare_query(Metric::L2, &q);
+    let (g, g8) = (block.group(0), codes.group(0));
+    let lanes = g.lanes;
+
+    type Case<'a> = (&'a str, &'a str, bool, Box<dyn Fn(KernelPolicy) + 'a>);
+    let cases: Vec<Case<'_>> = vec![
+        (
+            "pdx_accumulate: acc.len() != group.lanes",
+            "one accumulator per lane required",
+            true,
+            Box::new(|p| {
+                let mut acc = vec![0.0; lanes - 1];
+                pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..d), &mut acc, p)
+            }),
+        ),
+        (
+            "pdx_accumulate: range past the query",
+            "dimension range exceeds query length",
+            true,
+            Box::new(|p| {
+                let mut acc = vec![0.0; lanes];
+                pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..d + 1), &mut acc, p)
+            }),
+        ),
+        (
+            "pdx_accumulate: range past the group",
+            "dimension range exceeds group",
+            false,
+            Box::new(|p| {
+                let mut acc = vec![0.0; lanes];
+                pdx_accumulate(
+                    Metric::L1,
+                    &g,
+                    &long_q,
+                    DimSel::Range(0..d + 1),
+                    &mut acc,
+                    p,
+                )
+            }),
+        ),
+        (
+            "pdx_accumulate: Ids entry >= dims",
+            "dimension id exceeds query length",
+            false,
+            Box::new(|p| {
+                let mut acc = vec![0.0; lanes];
+                let ids = [0u32, d as u32];
+                pdx_accumulate(Metric::L2, &g, &q, DimSel::Ids(&ids), &mut acc, p)
+            }),
+        ),
+        (
+            "pdx_accumulate: Ids entry past the group",
+            "dimension id exceeds group",
+            false,
+            Box::new(|p| {
+                let mut acc = vec![0.0; lanes];
+                let ids = [1u32, d as u32 + 2];
+                pdx_accumulate(
+                    Metric::NegativeIp,
+                    &g,
+                    &long_q,
+                    DimSel::Ids(&ids),
+                    &mut acc,
+                    p,
+                )
+            }),
+        ),
+        (
+            "pdx_accumulate_survivors: acc.len() != positions.len()",
+            "one accumulator per survivor required",
+            true,
+            Box::new(|p| {
+                let mut acc = vec![0.0; 2];
+                pdx_accumulate_survivors(
+                    Metric::L2,
+                    &block,
+                    &q,
+                    DimSel::Range(0..d),
+                    &[1, 2, 3],
+                    &mut acc,
+                    p,
+                )
+            }),
+        ),
+        (
+            "pdx_accumulate_survivors: position >= n_vectors",
+            "survivor position exceeds the stored vectors",
+            true,
+            Box::new(|p| {
+                let mut acc = vec![0.0; 2];
+                pdx_accumulate_survivors(
+                    Metric::L2,
+                    &block,
+                    &q,
+                    DimSel::Range(0..d),
+                    &[0, n as u32],
+                    &mut acc,
+                    p,
+                )
+            }),
+        ),
+        (
+            "pdx_accumulate_survivors: range past the query",
+            "dimension range exceeds query length",
+            false,
+            Box::new(|p| {
+                let mut acc = vec![0.0; 1];
+                let short = &q[..d - 1];
+                pdx_accumulate_survivors(
+                    Metric::L2,
+                    &block,
+                    short,
+                    DimSel::Range(0..d),
+                    &[69],
+                    &mut acc,
+                    p,
+                )
+            }),
+        ),
+        (
+            "pdx_accumulate_survivors: Ids entry past the block",
+            "dimension id exceeds group",
+            false,
+            Box::new(|p| {
+                let mut acc = vec![0.0; 1];
+                let ids = [d as u32];
+                pdx_accumulate_survivors(
+                    Metric::L1,
+                    &block,
+                    &long_q,
+                    DimSel::Ids(&ids),
+                    &[69],
+                    &mut acc,
+                    p,
+                )
+            }),
+        ),
+        (
+            "pdx_accumulate_positions: position >= group.lanes",
+            "survivor position exceeds the stored vectors",
+            true,
+            Box::new(|_| {
+                let mut acc = vec![0.0; 1];
+                pdx_accumulate_positions(Metric::L2, &g, &q, 0..d, &[lanes as u32], &mut acc)
+            }),
+        ),
+        (
+            "pdx_accumulate_positions: acc.len() != positions.len()",
+            "one accumulator per survivor required",
+            true,
+            Box::new(|_| {
+                let mut acc = vec![0.0; 3];
+                pdx_accumulate_positions(Metric::L2, &g, &q, 0..d, &[1, 2], &mut acc)
+            }),
+        ),
+        (
+            "sq8_accumulate: acc.len() != group.lanes",
+            "one accumulator per lane required",
+            true,
+            Box::new(|p| {
+                let mut acc = vec![0.0; lanes + 1];
+                sq8_accumulate(&q8, &g8, 0..d, &mut acc, p)
+            }),
+        ),
+        (
+            "sq8_accumulate: dims.end > q.dims()",
+            "dimension range exceeds query length",
+            true,
+            Box::new(|p| {
+                let mut acc = vec![0.0; lanes];
+                sq8_accumulate(&q8, &g8, 0..d + 1, &mut acc, p)
+            }),
+        ),
+        (
+            "sq8_accumulate_survivors: acc.len() != positions.len()",
+            "one accumulator per survivor required",
+            true,
+            Box::new(|p| {
+                let mut acc = vec![0.0; 1];
+                sq8_accumulate_survivors(&q8, &codes, 0..d, &[4, 5], &mut acc, p)
+            }),
+        ),
+        (
+            "sq8_accumulate_survivors: position >= n_vectors",
+            "survivor position exceeds the stored vectors",
+            true,
+            Box::new(|p| {
+                let mut acc = vec![0.0; 1];
+                sq8_accumulate_survivors(&q8, &codes, 0..d, &[n as u32 + 7], &mut acc, p)
+            }),
+        ),
+        (
+            "sq8_accumulate_survivors: dims.end > q.dims()",
+            "dimension range exceeds query length",
+            false,
+            Box::new(|p| {
+                let mut acc = vec![0.0; 1];
+                sq8_accumulate_survivors(&q8, &codes, 2..d + 1, &[3], &mut acc, p)
+            }),
+        ),
+    ];
+
+    for (name, want, everywhere, run) in &cases {
+        for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
+            let err = catch_unwind(AssertUnwindSafe(|| run(policy)))
+                .expect_err(&format!("{name} under {policy:?}: no panic"));
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            let simd = policy.resolve() != KernelIsa::Scalar;
+            if simd || *everywhere {
+                assert!(msg.contains(want), "{name} under {policy:?}: {msg:?}");
+            }
+        }
     }
 }
