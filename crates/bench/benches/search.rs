@@ -2,7 +2,7 @@
 //! scan and the SQ8 two-phase search on exact search, PDX-ADS on an IVF
 //! index (the Figures 6/9 operating points at microbenchmark scale).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pdx::prelude::*;
 use std::hint::black_box;
 
@@ -51,6 +51,19 @@ fn bench_exact(c: &mut Criterion) {
                 KernelVariant::Simd,
             ));
         })
+    });
+    // One 64-query `search_batch` on one thread — one band, every tile
+    // loaded once for all of it — with its rate in queries per second:
+    // against `pdx_bond` it is what a batch buys beyond threads. Last in
+    // the group, since a group's throughput unit stays set.
+    let band: Vec<f32> = (0..64)
+        .flat_map(|i| ds.query(i % ds.n_queries))
+        .copied()
+        .collect();
+    let one_thread = params.with_threads(1);
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("pdx_bond_batch64", |b| {
+        b.iter(|| black_box(flat.search_batch_with(&bond, &band, &one_thread)))
     });
     group.finish();
 }

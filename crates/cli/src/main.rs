@@ -248,7 +248,10 @@ commands:
                   [--refine=4]       SQ8 candidate factor (rerank refine·k)
                   [--threads=N]      parallel batch width (default: PDX_THREADS
                                      env, then all hardware threads; results
-                                     are identical at every width)
+                                     are identical at every width). The query
+                                     file is one batch, served tile-major on
+                                     flat indexes: each worker scans a tile for
+                                     its whole band of up to 64 queries
                   [--kernel=auto]    kernel policy: auto (best ISA, honors the
                                      PDX_KERNEL env), scalar, or simd —
                                      distances are bit-identical either way

@@ -264,7 +264,10 @@ impl SearchOptions {
 /// batching runs the unmodified sequential path per query, and the
 /// parallel fallback *is* the sequential path. Overrides must preserve
 /// the two invariants of [`crate::exec`] (canonical heaps,
-/// split-independent per-vector accumulation).
+/// split-independent per-vector accumulation); the PDXearch
+/// deployments' `search_batch` override — a band of queries sharing one
+/// tile-major scan — keeps every query's own visit and accumulation
+/// order, so it holds for approximate pruners as well.
 pub trait VectorIndex: Send + Sync {
     /// Dimensionality of the indexed vectors.
     fn dims(&self) -> usize;
@@ -284,13 +287,21 @@ pub trait VectorIndex: Send + Sync {
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor>;
 
     /// Searches a batch of packed queries on `opts.threads` workers
-    /// (`0` = default width). Identical to a sequential loop of
-    /// [`VectorIndex::search`] at any thread count: each query runs the
-    /// unmodified sequential path.
+    /// (`0` = default width); an empty batch is the empty answer.
+    /// Identical to a sequential loop of [`VectorIndex::search`] at any
+    /// thread count. This default hands the workers one query at a time,
+    /// each through `search`; it is what `Hnsw`, `IvfHorizontal` and a
+    /// collection's `Snapshot` batch with. The PDXearch deployments
+    /// override it (`pdx_index::Deployment::search_batch_with`): a
+    /// worker takes a band of up to [`SUB_BATCH`](crate::exec::SUB_BATCH)
+    /// consecutive queries, prepares it together, and — where the
+    /// deployment is unrouted (`FlatPdx`, `FlatSq8`, a flat `Pruned`) —
+    /// scans each tile for the whole band before touching the next;
+    /// routed deployments answer the band's queries one by one.
     ///
     /// # Panics
-    /// Panics if `queries.len()` is not a multiple of the
-    /// dimensionality.
+    /// Panics with "queries buffer must hold whole vectors" if
+    /// `queries.len()` is not a multiple of the dimensionality.
     fn search_batch(&self, queries: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
         BatchSearcher::new(opts.threads).run(queries, self.dims(), |q| self.search(q, opts))
     }

@@ -4,24 +4,52 @@ use crate::exec::ThreadPool;
 use crate::heap::{KnnHeap, Neighbor};
 use std::ops::Range;
 
-/// Most queries a worker prepares together in
-/// [`BatchSearcher::run_prepared`]. A batch of up to `SUB_BATCH` queries
-/// a worker is cut into one contiguous band per worker, so which worker
-/// answers which query — and with it what the batch costs — does not
-/// depend on which thread reached the queue first; only a larger batch is
-/// shared out band by band as workers come free. The price is that a
-/// small batch waits for its slowest worker. At 8, a 100-query batch on
-/// two workers is thirteen items whose split follows thread start-up
-/// and the momentary speed of each CPU: on a shared host its time varied
-/// by a fifth from run to run.
+/// Most queries of one band: the consecutive queries a worker of
+/// [`BatchSearcher::run_prepared`] prepares together and then searches
+/// together. A batch is cut into bands of even size, a whole number of
+/// them per worker, so which worker answers which query —
+/// and with it what the batch costs — does not depend on which thread
+/// reached the queue first; only when there are more bands than workers
+/// are they shared out as workers come free. The price is that a small
+/// batch waits for its slowest worker. At 8, a 100-query batch on two
+/// workers is thirteen items whose split follows thread start-up and the
+/// momentary speed of each CPU: on a shared host its time varied by a
+/// fifth from run to run. 64 is also what a band's reuse of a loaded
+/// tile is worth having: one thread's time per query on a flat exact
+/// collection stops falling between 32 and 64.
 pub const SUB_BATCH: usize = 64;
 
-/// Shards a query batch across a worker pool.
+/// Cuts `0..nq` into bands for `workers` ≥ 1 workers: `ceil(nq / SUB_BATCH)`
+/// bands rounded up to a multiple of `workers` (at most one a query),
+/// consecutive, sizes differing by at most one. 130 queries on two
+/// workers are 32 / 33 / 32 / 33, not 64 / 64 / 2 — no worker streams a
+/// collection for two queries while the other idles.
+fn bands(nq: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
+    let n = nq.div_ceil(SUB_BATCH).next_multiple_of(workers).min(nq);
+    (0..n).map(move |b| b * nq / n..(b + 1) * nq / n)
+}
+
+/// Shards a query batch across a worker pool. Two entry points:
 ///
-/// Queries are distributed one at a time from a shared cursor (dynamic
-/// scheduling — an expensive query does not stall a whole band), and
-/// each runs the caller's unmodified single-query closure, so results
-/// are identical to a sequential loop at any thread count.
+/// * [`BatchSearcher::run`] — one query a work item, pulled off a shared
+///   cursor (an expensive query does not stall a band), each through the
+///   caller's single-query closure. This is the [`VectorIndex`] default
+///   `search_batch`, which serves the deployments whose scan is not
+///   PDXearch (`Hnsw`, `IvfHorizontal`) and a collection's `Snapshot`.
+/// * [`BatchSearcher::run_prepared`] — one *band* of up to [`SUB_BATCH`]
+///   consecutive queries a work item: the worker prepares the band
+///   together and hands the whole band to the caller's search closure.
+///   Every PDXearch deployment batches through it: the unrouted ones
+///   (`FlatPdx`, `FlatSq8`, `PrunedFlat`) scan tile-major — a loaded tile
+///   serves every query of the band before the next tile is touched
+///   ([`pdxearch_band`](crate::search::pdxearch_band)) — and the routed
+///   ones, whose queries each probe their own buckets, answer the band's
+///   queries one by one.
+///
+/// Either way every query gets the answer of the sequential path, bit
+/// for bit, at any thread count.
+///
+/// [`VectorIndex`]: crate::engine::VectorIndex
 ///
 /// ```
 /// use pdx_core::exec::BatchSearcher;
@@ -91,19 +119,18 @@ impl BatchSearcher {
         out
     }
 
-    /// [`BatchSearcher::run`] with query preparation split out: each
-    /// work item is a sub-batch of up to [`SUB_BATCH`] consecutive
-    /// queries that one worker hands to `prepare` as a packed buffer
-    /// and then searches one by one. `prepare` must return one prepared
-    /// query per input query, in order; as long as it prepares each
-    /// query to the same value whatever it is batched with, results
-    /// equal a sequential loop at any thread count. Batches too small
-    /// to give every worker a full sub-batch are cut into one band a
-    /// worker instead.
+    /// Runs `search` for every band of the batch — `ceil(nq / SUB_BATCH)`
+    /// bands rounded up to a whole number a worker, of even size: a
+    /// worker hands the band's queries to `prepare` as a packed buffer and
+    /// the prepared band to `search`, which answers all of it. `prepare`
+    /// must return one prepared query per input query and `search` one
+    /// answer list per prepared query, both in order; as long as each
+    /// query is prepared and answered the same whatever it is banded
+    /// with, results equal a sequential loop at any thread count.
     ///
     /// # Panics
     /// Panics if `dims == 0`, `queries.len()` is not a multiple of
-    /// `dims`, or `prepare` returns the wrong number of queries.
+    /// `dims`, or `prepare` or `search` returns the wrong number of items.
     pub fn run_prepared<Q, P, S>(
         &self,
         queries: &[f32],
@@ -113,7 +140,7 @@ impl BatchSearcher {
     ) -> Vec<Vec<Neighbor>>
     where
         P: Fn(&[f32]) -> Vec<Q> + Sync,
-        S: Fn(&Q) -> Vec<Neighbor> + Sync,
+        S: Fn(&[Q]) -> Vec<Vec<Neighbor>> + Sync,
     {
         assert!(dims > 0, "dims must be positive");
         assert_eq!(
@@ -121,17 +148,16 @@ impl BatchSearcher {
             0,
             "queries buffer must hold whole vectors"
         );
-        let nq = queries.len() / dims;
-        let sub = SUB_BATCH.min(nq.div_ceil(self.threads())).max(1);
-        let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
-        self.pool.for_each_chunk_mut(&mut out, sub, |q0, slots| {
-            let prepared = prepare(&queries[q0 * dims..(q0 + slots.len()) * dims]);
-            assert_eq!(prepared.len(), slots.len(), "one prepared query per query");
-            for (slot, q) in slots.iter_mut().zip(&prepared) {
-                *slot = search(q);
-            }
+        let cut: Vec<Range<usize>> = bands(queries.len() / dims, self.threads()).collect();
+        let answers = self.pool.run_chunks(cut.len(), 1, |b, _| {
+            let band = &cut[b];
+            let prepared = prepare(&queries[band.start * dims..band.end * dims]);
+            assert_eq!(prepared.len(), band.len(), "one prepared query per query");
+            let answers = search(&prepared);
+            assert_eq!(answers.len(), band.len(), "one answer list per query");
+            answers
         });
-        out
+        answers.into_iter().flatten().collect()
     }
 }
 
@@ -224,11 +250,36 @@ mod tests {
                         assert!(packed.len() <= SUB_BATCH * dims);
                         packed.chunks_exact(dims).map(<[f32]>::to_vec).collect()
                     },
-                    |q| brute_1nn(&[1.0; 3], q),
+                    |band| band.iter().map(|q| brute_1nn(&[1.0; 3], q)).collect(),
                 );
                 assert_eq!(got, want, "{nq} queries at {threads} threads");
             }
         }
+    }
+
+    #[test]
+    fn bands_are_even_consecutive_and_a_whole_number_per_worker() {
+        for nq in [0usize, 1, 63, 64, 65, 100, 129, 130, 1000] {
+            for workers in [1usize, 2, 3, 8] {
+                let cut: Vec<Range<usize>> = bands(nq, workers).collect();
+                let at = format!("{nq} queries on {workers} workers: {cut:?}");
+                // Covers 0..nq once, in order.
+                let mut next = 0;
+                for band in &cut {
+                    assert_eq!(band.start, next, "{at}");
+                    assert!(!band.is_empty() && band.len() <= SUB_BATCH, "{at}");
+                    next = band.end;
+                }
+                assert_eq!(next, nq, "{at}");
+                let sizes = || cut.iter().map(|band| band.len());
+                let spread = sizes().max().unwrap_or(0) - sizes().min().unwrap_or(0);
+                assert!(spread <= 1, "{at}");
+                assert!(cut.len() % workers == 0 || cut.len() == nq, "{at}");
+            }
+        }
+        let sizes = |nq, workers| bands(nq, workers).map(|b| b.len()).collect::<Vec<_>>();
+        assert_eq!(sizes(130, 2), [32, 33, 32, 33]);
+        assert_eq!(sizes(100, 2), [50, 50]);
     }
 
     #[test]

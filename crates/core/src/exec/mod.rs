@@ -11,15 +11,18 @@
 //!   primitives: disjoint-chunk mutation of an output slice and
 //!   chunk-indexed map-reduce whose results come back in chunk order, so
 //!   order-sensitive reductions stay deterministic under work stealing.
-//! * [`BatchSearcher`] — shards a query batch across the pool, one
-//!   query at a time (queries are the natural unit of load balance for
-//!   serving workloads). Each query runs the unmodified sequential
-//!   search path, so batch results are trivially identical to a
-//!   sequential loop at any thread count. For pruners whose query
-//!   preparation is worth batching (a rotation),
-//!   [`BatchSearcher::run_prepared`] hands each worker a sub-batch of
-//!   up to [`SUB_BATCH`] queries (a small batch: one band a worker) to
-//!   prepare together and search one by one.
+//! * [`BatchSearcher`] — shards a query batch across the pool. `run`
+//!   hands out one query at a time, each through the caller's
+//!   single-query closure (the trait default behind `Hnsw`,
+//!   `IvfHorizontal` and a collection's `Snapshot`);
+//!   [`BatchSearcher::run_prepared`] hands each worker a *band* of up to
+//!   [`SUB_BATCH`] consecutive queries (bands of even size, a whole
+//!   number a worker) to prepare together — one tiled rotation — and to
+//!   answer together: every PDXearch deployment batches through it, and
+//!   the unrouted ones scan each tile for the whole band before the
+//!   next ([`pdxearch_band`](crate::search::pdxearch_band)). A query in a
+//!   band keeps its own heap and meets its blocks and tiles in its own
+//!   order, so batch results equal a sequential loop at any thread count.
 //! * [`parallel_block_search`] + [`merge_neighbors`] — intra-query
 //!   parallelism for large single queries: the block list is split into
 //!   one contiguous range per worker, each worker fills a private
@@ -39,9 +42,9 @@
 //! order regardless of threading, and the canonical heap makes the
 //! retained set a pure function of the candidate set. Approximate
 //! pruners (ADSampling, BSA) keep this guarantee for *batch* sharding
-//! (each query still runs the sequential path); intra-query block
-//! splitting may legitimately differ for them because their pruning
-//! bound depends on the threshold's history.
+//! (banded or not, each query sees its own sequential scan); intra-query
+//! block splitting may legitimately differ for them because their
+//! pruning bound depends on the threshold's history.
 
 mod batch;
 mod job;

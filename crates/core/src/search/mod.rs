@@ -24,7 +24,7 @@ pub use horizontal::{
     horizontal_checkpoints, horizontal_linear_scan, horizontal_pruned_search, HorizontalBucket,
 };
 pub use linear::{linear_scan_blocks, linear_scan_dsm, linear_scan_nary, linear_scan_pdx};
-pub use pdxearch::{pdxearch, ScanBlock};
+pub use pdxearch::{pdxearch, pdxearch_band, ScanBlock};
 pub use quantized::{sq8_rerank, sq8_two_phase, Sq8Block, Sq8Bound, DEFAULT_REFINE};
 
 pub use crate::kernels::{KernelIsa, KernelPolicy, KernelVariant};

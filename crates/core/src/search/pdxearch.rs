@@ -173,7 +173,8 @@ impl<P: Pruner> ScanBlock<P> for SearchBlock {
 }
 
 /// Runs PDXearch for the prepared query `q` over `blocks` in the given
-/// order and returns the `opts.k` nearest, ascending.
+/// order and returns the `opts.k` nearest, ascending: a band of one
+/// through [`pdxearch_band`].
 ///
 /// `blocks` is anything that yields block handles: a slice of blocks, a
 /// probe-ordered list of references, or a stream of `Arc` pins that an
@@ -203,14 +204,55 @@ where
     I: IntoIterator,
     I::Item: Deref<Target = B>,
 {
+    let band = std::slice::from_ref(q);
+    let mut answers = pdxearch_band(pruner, band, blocks, opts, dead, profile);
+    answers.pop().expect("one answer list per query")
+}
+
+/// [`pdxearch`] for a *band* of prepared queries that visit the same
+/// `blocks` in the same order: one answer list per query, in band order.
+///
+/// The scan runs tile-major — every query of the band scans a tile
+/// before the next tile is touched, so a tile is loaded from memory once
+/// a band instead of once a query. Each query keeps its own heap, its
+/// own per-block dimension order and its own phase choice, and meets the
+/// tiles in the order a scan of its own would: its accumulation order,
+/// its thresholds and so every id and distance bit are those of
+/// [`pdxearch`] on that query alone, for approximate pruners too. A
+/// `profile` accumulates the whole band's phases and counters.
+///
+/// # Panics
+/// Panics if a query's dimensionality differs from a block's or if
+/// `opts.k == 0`.
+pub fn pdxearch_band<P, B, I>(
+    pruner: &P,
+    band: &[P::Query],
+    blocks: I,
+    opts: &SearchOptions,
+    dead: Option<&RowMask>,
+    profile: Option<&mut SearchProfile>,
+) -> Vec<Vec<Neighbor>>
+where
+    P: Pruner,
+    B: ScanBlock<P>,
+    I: IntoIterator,
+    I::Item: Deref<Target = B>,
+{
     let dead = dead.filter(|mask| !mask.is_empty());
     match profile {
-        Some(profile) => run::<P, B, I, true>(pruner, q, blocks, opts, dead, profile),
-        None => run::<P, B, I, false>(pruner, q, blocks, opts, dead, &mut SearchProfile::default()),
+        Some(profile) => run::<P, B, I, true>(pruner, band, blocks, opts, dead, profile),
+        None => run::<P, B, I, false>(
+            pruner,
+            band,
+            blocks,
+            opts,
+            dead,
+            &mut SearchProfile::default(),
+        ),
     }
 }
 
-/// Reusable per-query buffers.
+/// Reusable buffers of one scan, shared by the queries of its band.
 #[derive(Default)]
 struct Scratch {
     /// WARMUP partial distances, one per tile vector.
@@ -236,12 +278,12 @@ fn dead_lanes(mask: &RowMask, ids: &[u64], lanes: &mut Vec<u32>) {
 
 fn run<P, B, I, const PROFILE: bool>(
     pruner: &P,
-    q: &P::Query,
+    band: &[P::Query],
     blocks: I,
     opts: &SearchOptions,
     dead: Option<&RowMask>,
     profile: &mut SearchProfile,
-) -> Vec<Neighbor>
+) -> Vec<Vec<Neighbor>>
 where
     P: Pruner,
     B: ScanBlock<P>,
@@ -249,9 +291,15 @@ where
     I::Item: Deref<Target = B>,
 {
     assert!(opts.k > 0, "k must be positive");
-    let qdims = pruner.query_vector(q).len();
+    if band.is_empty() {
+        return Vec::new();
+    }
     let prunes = pruner.prunes();
-    let mut heap = KnnHeap::new(opts.k);
+    // Per query: the heap and, block by block, the dimension order.
+    // Shared by the band: the scratch, the checkpoint schedule and the
+    // tile's masked lanes.
+    let mut heaps: Vec<KnnHeap> = band.iter().map(|_| KnnHeap::new(opts.k)).collect();
+    let mut perms: Vec<Option<Vec<u32>>> = Vec::with_capacity(band.len());
     let mut scratch = Scratch::default();
     let mut ckpts: Vec<usize> = Vec::new();
     let mut ckpt_dims = usize::MAX;
@@ -262,14 +310,13 @@ where
             continue;
         }
         let dims = block.dims();
-        assert_eq!(qdims, dims, "query dimensionality mismatch");
         if PROFILE {
             // Work counters for the pruning-effectiveness ratio:
             // `dims_total` is what a full scan of the visited blocks
             // would read; the scan functions below add what was read.
-            profile.blocks += 1;
-            profile.vectors += block.len() as u64;
-            profile.dims_total += (block.len() * dims) as u64;
+            profile.blocks += band.len() as u64;
+            profile.vectors += (band.len() * block.len()) as u64;
+            profile.dims_total += (band.len() * block.len() * dims) as u64;
         }
         // The per-block dimension visit order is applied in *every*
         // phase — including the START linear scan — so a vector's
@@ -280,7 +327,12 @@ where
         // while sequentially it would have run WARMUP/PRUNE, but the
         // accumulation order (and hence the f32 rounding) is identical.
         let t1 = timer::<PROFILE>();
-        let perm = pruner.dim_order(q, block.stats());
+        perms.clear();
+        for q in band {
+            let qdims = pruner.query_vector(q).len();
+            assert_eq!(qdims, dims, "query dimensionality mismatch");
+            perms.push(pruner.dim_order(q, block.stats()));
+        }
         lap(&mut profile.preprocess_ns, t1);
         if ckpt_dims != dims {
             ckpts = checkpoints(opts.step, dims);
@@ -299,26 +351,31 @@ where
                     continue;
                 }
             }
-            let schedule = if !prunes || heap.len() < opts.k {
-                &start[..]
-            } else {
-                &ckpts[..]
-            };
-            scan_tile::<P, B, PROFILE>(
-                pruner,
-                q,
-                block,
-                &tile,
-                perm.as_deref(),
-                schedule,
-                opts,
-                &mut heap,
-                &mut scratch,
-                profile,
-            );
+            // Tile-major: the whole band scans the tile while it is in
+            // cache. A query's own scan would meet the same tiles in the
+            // same order against the same heap, so it sees no difference.
+            for ((q, heap), perm) in band.iter().zip(&mut heaps).zip(&perms) {
+                let schedule = if !prunes || heap.len() < opts.k {
+                    &start[..]
+                } else {
+                    &ckpts[..]
+                };
+                scan_tile::<P, B, PROFILE>(
+                    pruner,
+                    q,
+                    block,
+                    &tile,
+                    perm.as_deref(),
+                    schedule,
+                    opts,
+                    heap,
+                    &mut scratch,
+                    profile,
+                );
+            }
         }
     }
-    heap.into_sorted()
+    heaps.into_iter().map(KnnHeap::into_sorted).collect()
 }
 
 /// Scans one tile of `block`: WARMUP over `ckpts` until few enough
@@ -937,6 +994,99 @@ mod tests {
             let what = format!("sq8 {metric:?}");
             assert_masked_equals_rebuilt(&bound, &q, &blocks, &rebuilt, &dead, &what);
         }
+    }
+
+    /// Checks that a band's answers and work counters are those of a
+    /// loop of single-query scans, with and without `dead`.
+    fn assert_band_equals_loop<P: Pruner, B: ScanBlock<P>>(
+        pruner: &P,
+        band: &[P::Query],
+        blocks: &[B],
+        dead: &RowMask,
+        ks: [usize; 2],
+        what: &str,
+    ) {
+        for kernel in [KernelPolicy::Scalar, KernelPolicy::Auto] {
+            for fraction in [0.0f32, DEFAULT_SELECTION_FRACTION, 1.0] {
+                for k in ks {
+                    for mask in [None, Some(dead)] {
+                        let opts = SearchOptions::new(k)
+                            .with_kernel(kernel)
+                            .with_selection_fraction(fraction);
+                        let at = format!(
+                            "{what} {kernel:?} fraction={fraction} k={k} masked={}",
+                            mask.is_some()
+                        );
+                        let mut looped = SearchProfile::default();
+                        let want: Vec<_> = band
+                            .iter()
+                            .map(|q| pdxearch(pruner, q, blocks, &opts, mask, Some(&mut looped)))
+                            .collect();
+                        let mut banded = SearchProfile::default();
+                        let got =
+                            pdxearch_band(pruner, band, blocks, &opts, mask, Some(&mut banded));
+                        assert_eq!(got.len(), band.len(), "{at}");
+                        for (qi, (got, want)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(bits(got), bits(want), "{at} q{qi}");
+                        }
+                        let work =
+                            |p: &SearchProfile| (p.blocks, p.vectors, p.dims_total, p.dims_scanned);
+                        assert_eq!(work(&banded), work(&looped), "{at}");
+                        let plain = pdxearch_band(pruner, band, blocks, &opts, mask, None);
+                        assert_eq!(plain, got, "{at} unprofiled");
+                    }
+                }
+            }
+        }
+        let none = pdxearch_band(pruner, &[], blocks, &SearchOptions::new(3), None, None);
+        assert!(none.is_empty(), "{what}: an empty band has no answers");
+    }
+
+    #[test]
+    fn band_equals_the_loop_of_single_queries_masked_and_not() {
+        // Blocks of 2 100 vectors (tiles of 1 024, 1 024 and 52) twice and
+        // one of 800. Dead: two of every three rows of the first tile
+        // (342 stay live), the whole second tile, rows of the short tail
+        // tile, every seventh row of the second block. At k = 10 every
+        // query leaves START after the first tile and prunes from then
+        // on; at k = 400 the first tile's live rows do not fill a heap,
+        // so the next live tile starts in START as well — for the whole
+        // band, whose queries share `k` and the mask.
+        let (n, d, group) = (5_000usize, 20usize, 64usize);
+        let rows = make_clustered(n, d, 19);
+        let queries = make_clustered(70, d, 1019);
+        let coll = PdxCollection::from_rows_partitioned(&rows, n, d, 2_100, group);
+        let dead: RowMask = (0..1_024u64)
+            .filter(|id| id % 3 != 0)
+            .chain(1_024..2_048)
+            .chain([2_050, 2_099])
+            .chain((2_100..4_200).step_by(7))
+            .collect();
+        let ks = [10usize, 400];
+
+        for order in [VisitOrder::Sequential, VisitOrder::DistanceToMeans] {
+            let bond = PdxBond::new(Metric::L2, order);
+            let band = bond.prepare_queries(&queries, d);
+            let what = format!("f32 {order:?}");
+            assert_band_equals_loop(&bond, &band, &coll.blocks, &dead, ks, &what);
+        }
+        let linear = PdxBond::linear(Metric::L2);
+        let band = linear.prepare_queries(&queries, d);
+        assert_band_equals_loop(&linear, &band, &coll.blocks, &dead, ks, "f32 linear");
+
+        let qz = Sq8Quantizer::fit(&rows, n, d);
+        let blocks: Vec<Sq8Block> = coll
+            .blocks
+            .iter()
+            .map(|block| {
+                let ids = &block.row_ids;
+                let span = ids[0] as usize * d..(ids[ids.len() - 1] as usize + 1) * d;
+                Sq8Block::new(&rows[span], ids.clone(), d, group, &qz)
+            })
+            .collect();
+        let bound = Sq8Bound::new(&qz, Metric::L2);
+        let band = bound.prepare_queries(&queries, d);
+        assert_band_equals_loop(&bound, &band, &blocks, &dead, ks, "sq8");
     }
 
     /// A pruner that trusts its aux row alone: a vector survives iff the

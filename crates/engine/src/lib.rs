@@ -243,10 +243,12 @@ fn pruned_kind(flat: bool, pruner: &str) -> &'static str {
 /// build a PDX-BOND. For approximate pruners `search_parallel` may
 /// legitimately differ from the sequential search (their bound depends
 /// on the threshold's history); `search_batch` stays bit-identical at
-/// any width — it prepares queries in sub-batches
+/// any width — it prepares queries a band at a time
 /// ([`Pruner::prepare_queries`]: for BSA one tiled PCA rotation instead
 /// of one matrix pass per query; ADSampling's structured rotation has no
-/// matrix and rotates row by row), which changes no query's prepared bits.
+/// matrix and rotates row by row), which changes no query's prepared
+/// bits, and a flat adapter's band then shares one tile-major scan in
+/// which every query still meets the tiles in its own order.
 /// Traced queries publish under the adapter's `kind()` (the rotation is
 /// their `preprocess` phase).
 #[derive(Debug, Clone)]

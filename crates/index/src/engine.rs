@@ -13,7 +13,10 @@
 //! `search_parallel_with` methods, for any [`Pruner`] and any element
 //! type ([`ScanBlock`]); `search_live_with` is the one body behind the
 //! first and the last, and takes the dead-row mask ([`RowMask`]) a
-//! collection's segment is searched under down to the scan. The
+//! collection's segment is searched under down to the scan. The driver
+//! serves a *band* of queries — one query is a band of one: a batch
+//! worker's band on an unrouted deployment shares one tile-major scan
+//! ([`pdxearch_band`]), on a routed one it is served query by query. The
 //! [`VectorIndex`] implementations below are
 //! therefore identity (`dims` / `len` / `kind` / `resident_bytes`) plus
 //! delegations that name the pruner: [`SearchOptions::bond`] for the
@@ -65,7 +68,8 @@ use pdx_core::mask::RowMask;
 use pdx_core::pruning::Pruner;
 use pdx_core::search::quantized::{sq8_rerank, Sq8Block, Sq8Bound};
 use pdx_core::search::{
-    horizontal_linear_scan, horizontal_pruned_search, pdxearch, HorizontalBucket, ScanBlock,
+    horizontal_linear_scan, horizontal_pruned_search, pdxearch, pdxearch_band, HorizontalBucket,
+    ScanBlock,
 };
 use pdx_core::{QueryTrace, SearchProfile};
 use std::ops::Deref;
@@ -163,12 +167,17 @@ pub trait Deployment: VectorIndex {
     }
 
     /// A batch of packed queries on [`SearchOptions::threads`] workers,
-    /// each work item a sub-batch that one worker prepares together
-    /// ([`Pruner::prepare_queries`] — one tiled PCA rotation for BSA)
-    /// and then searches query by query. Identical to a
-    /// loop of [`Deployment::search_with`] at any thread count. A traced
-    /// batch takes that loop, so that every query's trace carries its own
-    /// preparation.
+    /// each work item a band of up to
+    /// [`SUB_BATCH`](pdx_core::exec::SUB_BATCH) consecutive queries that
+    /// one worker prepares together ([`Pruner::prepare_queries`] — one
+    /// tiled PCA rotation for BSA) and then serves together: an unrouted
+    /// deployment ([`Deployment::centroids`] is `None`) scans its blocks
+    /// once for the whole band, tile-major ([`pdxearch_band`]), a routed
+    /// one answers the band's queries one by one, each over its own
+    /// probe list. Identical to a loop of [`Deployment::search_with`] at
+    /// any thread count, for every pruner. A traced batch takes that
+    /// loop, so that every query's trace carries its own preparation and
+    /// phases.
     ///
     /// # Panics
     /// Panics if `queries.len()` is not a multiple of the dimensionality.
@@ -191,7 +200,7 @@ pub trait Deployment: VectorIndex {
             queries,
             dims,
             |packed| pruner.prepare_queries(packed, dims),
-            |q| serve(self, pruner, q, opts, None, Tracing::start(opts), None),
+            |band| serve(self, pruner, band, opts, None, Tracing::start(opts), None),
         )
     }
 
@@ -236,43 +245,65 @@ pub trait Deployment: VectorIndex {
         let mut tracing = Tracing::start(opts);
         let q = tracing.phase(|p| &mut p.preprocess_ns, || pruner.prepare_query(query));
         let pool = parallel.then(|| ThreadPool::new(opts.threads));
-        serve(self, pruner, &q, opts, dead, tracing, pool.as_ref())
+        let band = std::slice::from_ref(&q);
+        let mut answers = serve(self, pruner, band, opts, dead, tracing, pool.as_ref());
+        answers.pop().expect("one answer list per query")
     }
 }
 
 /// The serve driver behind [`Deployment`]'s provided methods, from the
-/// prepared query on: route, scan (minus the `dead` rows) on the calling
-/// thread or across `pool`, rerank, publish.
+/// prepared queries on: route, scan (minus the `dead` rows) on the
+/// calling thread or across `pool`, rerank, publish. `band` is the
+/// queries served together — one, or a batch worker's band: the queries
+/// of an unrouted deployment share one tile-major scan of its blocks,
+/// those of a routed one are served one after the other, because each
+/// has its own probe list (and an approximate pruner's answer depends on
+/// the order its blocks are visited in). `tracing` is the trace of the
+/// whole call.
 fn serve<D, P>(
     dep: &D,
     pruner: &P,
-    q: &P::Query,
+    band: &[P::Query],
     opts: &SearchOptions,
     dead: Option<&RowMask>,
     mut tracing: Tracing,
     pool: Option<&ThreadPool>,
-) -> Vec<Neighbor>
+) -> Vec<Vec<Neighbor>>
 where
     D: Deployment + ?Sized,
     P: Pruner + Sync,
     P::Query: Sync,
     D::Block: ScanBlock<P>,
 {
-    let (space, metric) = (pruner.query_vector(q), pruner.metric());
+    let metric = pruner.metric();
     let cache_before = tracing.profile().and_then(|_| dep.cache_stats());
-    let order: Vec<u32> = match dep.centroids() {
-        None => (0..dep.n_blocks() as u32).collect(),
-        Some(centroids) => tracing.phase(
+    let order: Vec<u32> = match (dep.centroids(), band) {
+        (None, _) => (0..dep.n_blocks() as u32).collect(),
+        (Some(centroids), [q]) => tracing.phase(
             |p| &mut p.find_buckets_ns,
             || {
                 probe_order(
                     centroids,
-                    space,
+                    pruner.query_vector(q),
                     opts.resolve_nprobe(dep.n_blocks()),
                     metric,
                 )
             },
         ),
+        (Some(_), _) => {
+            let one = |q| {
+                serve(
+                    dep,
+                    pruner,
+                    std::slice::from_ref(q),
+                    opts,
+                    dead,
+                    Tracing::start(opts),
+                    pool,
+                )
+            };
+            return band.iter().flat_map(one).collect();
+        }
     };
     let rows = dep.rerank_rows();
     let scan = SearchOptions {
@@ -284,28 +315,37 @@ where
         // The scan streams: each block is pinned right before it is
         // scanned and released right after.
         None => dep.with_prefetch(&order, || {
-            pdxearch(pruner, q, pins(), &scan, dead, tracing.profile())
+            pdxearch_band(pruner, band, pins(), &scan, dead, tracing.profile())
         }),
         Some(pool) => {
             let pinned: Vec<_> = dep.with_prefetch(&order, || pins().collect());
-            parallel_block_search(pool, pinned.len(), scan.k, |range| {
-                pdxearch(
-                    pruner,
-                    q,
-                    pinned[range].iter().map(|p| &**p),
-                    &scan,
-                    dead,
-                    None,
-                )
-            })
+            let split = |q| {
+                parallel_block_search(pool, pinned.len(), scan.k, |range| {
+                    let blocks = pinned[range].iter().map(|p| &**p);
+                    pdxearch(pruner, q, blocks, &scan, dead, None)
+                })
+            };
+            band.iter().map(split).collect()
         }
     };
-    let reranked = rows.map_or(0, |_| candidates.len() as u64);
+    let reranked = rows.map_or(0, |_| candidates.iter().map(Vec::len).sum::<usize>() as u64);
     let out = match rows {
         None => candidates,
         Some(rows) => tracing.phase(
             |p| &mut p.distance_ns,
-            || sq8_rerank(metric, rows, dep.dims(), space, &candidates, opts.k),
+            || {
+                let rerank = |(q, found): (&P::Query, &Vec<Neighbor>)| {
+                    sq8_rerank(
+                        metric,
+                        rows,
+                        dep.dims(),
+                        pruner.query_vector(q),
+                        found,
+                        opts.k,
+                    )
+                };
+                band.iter().zip(&candidates).map(rerank).collect()
+            },
         ),
     };
     tracing.publish(dep.kind(), |trace| {
@@ -321,10 +361,11 @@ where
     out
 }
 
-/// The three searches of [`VectorIndex`] for a [`Deployment`] (`this`)
-/// whose pruner under the options `opts` is `$pruner`: all of them are
-/// [`Deployment::search_live_with`], so a dead-row mask handed to
-/// [`VectorIndex::search_live`] reaches the scan.
+/// The searches of [`VectorIndex`] for a [`Deployment`] (`this`) whose
+/// pruner under the options `opts` is `$pruner`: the single-query ones
+/// are all [`Deployment::search_live_with`], so a dead-row mask handed
+/// to [`VectorIndex::search_live`] reaches the scan, and a batch is
+/// [`Deployment::search_batch_with`], served a band at a time.
 macro_rules! searches_through_serve {
     (|$this:ident, $opts:ident| $pruner:expr) => {
         fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
@@ -333,6 +374,11 @@ macro_rules! searches_through_serve {
 
         fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
             self.search_live(query, opts, None, true)
+        }
+
+        fn search_batch(&self, queries: &[f32], $opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
+            let $this = self;
+            $this.search_batch_with(&$pruner, queries, $opts)
         }
 
         fn search_live(

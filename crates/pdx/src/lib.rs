@@ -187,8 +187,8 @@ pub mod prelude {
     pub use pdx_core::pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
     pub use pdx_core::search::{
         horizontal_linear_scan, horizontal_pruned_search, linear_scan_dsm, linear_scan_nary,
-        linear_scan_pdx, pdxearch, sq8_rerank, sq8_two_phase, HorizontalBucket, ScanBlock,
-        Sq8Block, Sq8Bound, DEFAULT_REFINE,
+        linear_scan_pdx, pdxearch, pdxearch_band, sq8_rerank, sq8_two_phase, HorizontalBucket,
+        ScanBlock, Sq8Block, Sq8Bound, DEFAULT_REFINE,
     };
     pub use pdx_core::stats::BlockStats;
     pub use pdx_core::visit_order::VisitOrder;

@@ -315,6 +315,86 @@ fn pruned_adapters_batch_matches_sequential_loop() {
     }
 }
 
+/// A batch is served a band at a time — up to `SUB_BATCH` consecutive
+/// queries a worker, each tile scanned for the whole band before the
+/// next is touched on the unrouted deployments — and every query must
+/// still get the ids and distance bits of its own `search`: at batch
+/// sizes of one query, one short of / exactly / one past a full band and
+/// more than one band a worker, at every thread count, for exact and
+/// approximate pruners alike. Blocks of 2 100 vectors are two full tiles
+/// and a tile ending in a 52-vector group.
+#[test]
+fn bands_match_the_sequential_loop() {
+    let (n, d, k, block, group) = (4_600usize, 16usize, 10usize, 2_100usize, 64usize);
+    // Noise around seven centres, so that pruning engages in every tile.
+    let clustered = |n: usize, seed: u64| {
+        let mut rows = make_rows(n, d, seed);
+        for (i, row) in rows.chunks_exact_mut(d).enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = *v * 0.5 + (((i % 7) * 7 + j * 3) % 5) as f32 * 1.5;
+            }
+        }
+        rows
+    };
+    let rows = clustered(n, 41);
+    let queries = clustered(130, 42);
+
+    let flat = FlatPdx::new(&rows, n, d, block, group);
+    assert_eq!(flat.collection.blocks[0].len() % group, 52);
+    let sq8 = FlatSq8::build(&rows, n, d, block, group);
+    let ads = AdSampling::fit(d, 43);
+    let by_ads = FlatPdx::new(&ads.transform_collection(&rows, n, 2), n, d, block, group);
+    let by_ads = PrunedFlat::new(by_ads, ads);
+    let bsa = Bsa::fit(&rows, n, d, usize::MAX);
+    let mut by_bsa = FlatPdx::new(&bsa.transform_collection(&rows, n, 2), n, d, block, group);
+    let sched = checkpoints(StepPolicy::default(), d);
+    for block in &mut by_bsa.collection.blocks {
+        bsa.attach_aux(block, &sched);
+    }
+    let by_bsa = PrunedFlat::new(by_bsa, bsa);
+
+    let opts = SearchOptions::new(k);
+    let mut cases: Vec<(String, &dyn VectorIndex, SearchOptions)> = Vec::new();
+    for order in [
+        VisitOrder::Sequential,
+        VisitOrder::Decreasing,
+        VisitOrder::DistanceToMeans,
+        VisitOrder::DimensionZones { zone_size: 8 },
+    ] {
+        let opts = opts.with_pruner(PrunerKind::Bond(order));
+        cases.push((format!("flat-pdx {order:?}"), &flat, opts));
+    }
+    for refine in [1usize, 4] {
+        let name = format!("flat-sq8 refine={refine}");
+        cases.push((name, &sq8, opts.with_refine(refine)));
+    }
+    cases.push(("pruned-flat adsampling".into(), &by_ads, opts));
+    cases.push(("pruned-flat bsa".into(), &by_bsa, opts));
+
+    let bits = |r: &[Neighbor]| -> Vec<(u64, u32)> {
+        r.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    };
+    for (name, dep, opts) in cases {
+        let sequential: Vec<_> = queries
+            .chunks_exact(d)
+            .map(|q| bits(&dep.search(q, &opts)))
+            .collect();
+        for nq in [1usize, 2, 63, 64, 65, 100, 130] {
+            for threads in THREAD_COUNTS {
+                let batch = dep.search_batch(&queries[..nq * d], &opts.with_threads(threads));
+                assert_eq!(batch.len(), nq, "{name}: {nq} queries at {threads} threads");
+                for (qi, (got, want)) in batch.iter().zip(&sequential).enumerate() {
+                    assert_eq!(
+                        &bits(got),
+                        want,
+                        "{name}: q{qi} of {nq} at {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn index_build_is_thread_count_independent() {
     // IVF training (k-means) and SQ8 quantizer training run on the same

@@ -68,6 +68,11 @@ fn clustered(n: usize, seed: u64) -> Vec<f32> {
     rows
 }
 
+/// More queries than one worker's band holds, all near a centre.
+fn many_queries() -> Vec<f32> {
+    clustered(130, 0x2545_F491_4F6C_DD1D)
+}
+
 /// Three queries near a centre, three in the middle of all of them.
 fn queries() -> Vec<f32> {
     let mut q = clustered(NQ, 0xD1B5_4A32_D192_ED03);
@@ -104,17 +109,18 @@ fn fnv1a(results: &[Vec<Neighbor>]) -> u64 {
 const VERTICAL: &[KernelPolicy] = &[KernelPolicy::Scalar, KernelPolicy::Auto];
 
 /// Asserts `want` for every kernel policy of `kernels` × tracing × entry
-/// point of `index` under `opts`. `exact` adds `search_parallel`, whose
-/// contract covers the exact configurations only.
+/// point of `index` under `opts`, over the packed `queries`. `exact`
+/// adds `search_parallel`, whose contract covers the exact
+/// configurations only.
 fn pin_under(
     kernels: &[KernelPolicy],
+    queries: &[f32],
     name: &str,
     index: &dyn VectorIndex,
     opts: SearchOptions,
     exact: bool,
     want: u64,
 ) {
-    let queries = queries();
     for &kernel in kernels {
         for trace in [false, true] {
             let opts = opts.with_kernel(kernel).with_trace(trace);
@@ -124,7 +130,7 @@ fn pin_under(
             let tag = format!("{name} {kernel:?} trace={trace}");
             let single = fnv1a(&each(&|q| index.search(q, &opts)));
             assert_eq!(single, want, "{tag} search: {single:#018x}");
-            let batch = fnv1a(&index.search_batch(&queries, &opts.with_threads(2)));
+            let batch = fnv1a(&index.search_batch(queries, &opts.with_threads(2)));
             assert_eq!(batch, want, "{tag} search_batch: {batch:#018x}");
             for threads in [1usize, 2, 3].into_iter().filter(|_| exact) {
                 let opts = opts.with_threads(threads);
@@ -136,7 +142,7 @@ fn pin_under(
 }
 
 fn pin(name: &str, index: &dyn VectorIndex, opts: SearchOptions, exact: bool, want: u64) {
-    pin_under(VERTICAL, name, index, opts, exact, want);
+    pin_under(VERTICAL, &queries(), name, index, opts, exact, want);
 }
 
 #[test]
@@ -158,6 +164,12 @@ fn flat_pdx_every_visit_order_and_linear() {
     pin("flat-pdx linear", &flat, linear, true, FLAT_LINEAR);
     let ip = linear.with_metric(Metric::NegativeIp);
     pin("flat-pdx linear IP", &flat, ip, true, FLAT_LINEAR_IP);
+
+    // 130 queries on the batch's two workers are two bands a worker.
+    let many = many_queries();
+    let opts = SearchOptions::new(10);
+    let name = "flat-pdx 130 queries";
+    pin_under(VERTICAL, &many, name, &flat, opts, true, FLAT_130_QUERIES);
 }
 
 #[test]
@@ -195,6 +207,7 @@ fn ivf_horizontal() {
     let partial = SearchOptions::new(10).with_nprobe(3);
     pin_under(
         scalar,
+        &queries(),
         "ivf-horizontal nprobe=3",
         &hor,
         partial,
@@ -204,6 +217,7 @@ fn ivf_horizontal() {
     let linear = SearchOptions::new(10).with_pruner(PrunerKind::Linear);
     pin_under(
         scalar,
+        &queries(),
         "ivf-horizontal linear",
         &hor,
         linear,
@@ -280,6 +294,11 @@ fn fitted_pruners() {
         false,
         PRUNED_FLAT_BSA,
     );
+    // An approximate pruner's answer depends on its threshold's history:
+    // a query served in a band must have met every tile in its own order.
+    let (many, opts) = (many_queries(), SearchOptions::new(10));
+    let name = "pruned-flat-bsa 130 queries";
+    pin_under(VERTICAL, &many, name, &flat, opts, false, BSA_130_QUERIES);
 }
 
 // Coinciding constants are answers that must coincide: a linear scan
@@ -306,3 +325,7 @@ const IVF_SQ8_WIDE: u64 = 0xd814_32ba_b0e1_5b2f;
 // `RandomRotation`: a different rotation, so different distance bits.
 const PRUNED_IVF_ADS: u64 = 0x774f_ea38_0230_8a1d;
 const PRUNED_FLAT_BSA: u64 = 0xc478_6829_f8c4_f75c;
+// Landed with the tile-major bands, computed by the per-query code
+// before them.
+const FLAT_130_QUERIES: u64 = 0xb8b0_503f_b5d1_1039;
+const BSA_130_QUERIES: u64 = 0xf39a_a897_6bb0_d51d;

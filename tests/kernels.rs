@@ -432,7 +432,8 @@ fn dispatch_is_stable_and_consistent() {
     }
 }
 
-/// Every `# Panics` the vertical kernels document, as one table. The
+/// Every `# Panics` the vertical kernels document — and the batch entry
+/// points' ragged-buffer one — as one table. The
 /// SIMD loads are raw, so their bounds must be refused *before* any
 /// load: under `Simd` each row must panic with the documented message.
 /// Under `Scalar` the asserts the entry points make themselves carry the
@@ -453,6 +454,8 @@ fn kernel_panic_contracts() {
     let q8 = quantizer.prepare_query(Metric::L2, &q);
     let (g, g8) = (block.group(0), codes.group(0));
     let lanes = g.lanes;
+    let flat = FlatPdx::new(&data, n, d, n, group);
+    let hnsw = Hnsw::build(&data, n, d, HnswParams::default(), 1);
 
     type Case<'a> = (&'a str, &'a str, bool, Box<dyn Fn(KernelPolicy) + 'a>);
     let cases: Vec<Case<'_>> = vec![
@@ -650,7 +653,33 @@ fn kernel_panic_contracts() {
                 sq8_accumulate_survivors(&q8, &codes, 2..d + 1, &[3], &mut acc, p)
             }),
         ),
+        // A ragged batch is refused before any query is prepared: by the
+        // banded driver every PDXearch deployment batches through, and by
+        // the one-query-a-work-item trait default.
+        (
+            "FlatPdx::search_batch: queries.len() % dims != 0",
+            "queries buffer must hold whole vectors",
+            true,
+            Box::new(|p| {
+                let opts = SearchOptions::new(3).with_kernel(p);
+                flat.search_batch(&data[..2 * d + 1], &opts);
+            }),
+        ),
+        (
+            "Hnsw::search_batch: queries.len() % dims != 0",
+            "queries buffer must hold whole vectors",
+            true,
+            Box::new(|p| {
+                let opts = SearchOptions::new(3).with_kernel(p);
+                VectorIndex::search_batch(&hnsw, &data[..2 * d + 1], &opts);
+            }),
+        ),
     ];
+
+    // The empty batch is no panic: it is the empty answer.
+    let opts = SearchOptions::new(3);
+    assert!(flat.search_batch(&[], &opts).is_empty());
+    assert!(VectorIndex::search_batch(&hnsw, &[], &opts).is_empty());
 
     for (name, want, everywhere, run) in &cases {
         for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
