@@ -1,9 +1,12 @@
 //! Criterion microbenchmarks for the Table 4 kernel comparison:
 //! PDX auto-vectorized vs N-ary explicit-SIMD vs N-ary scalar, for
 //! L2 / IP / L1 at representative dimensionalities — and, in the
-//! `rotation` groups, the query/collection rotations of the pruners.
+//! `rotation` groups, the query/collection rotations of the pruners; in
+//! `bound_pass` and `dense/tile_vs_groups`, the two per-checkpoint steps
+//! of a PDXearch tile.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pdx::core::kernels::{pdx_accumulate_groups, sq8_accumulate_groups, survival_bits, DimSel};
 use pdx::prelude::*;
 use std::hint::black_box;
 
@@ -104,12 +107,131 @@ fn bench_rotation(c: &mut Criterion) {
     }
 }
 
+/// The bound pass of one 1 024-lane tile at 6 % survivors (what a
+/// `flat_exact` WARMUP checkpoint meets): survival bits plus their
+/// count, the checked portable loop against the ISA the `Auto` policy
+/// resolves here. Throughput counts lanes.
+fn bench_bound_pass(c: &mut Criterion) {
+    let isa = KernelPolicy::Auto.resolve().name();
+    let n = 1_024usize;
+    let partials: Vec<f32> = (0..n).map(|l| (l * 61 % 1_000) as f32).collect();
+    let threshold = 60.0f32; // keeps the 62 lanes below it
+    let mut bits = Vec::new();
+    let mut group = c.benchmark_group("bound_pass");
+    group.throughput(Throughput::Elements(n as u64));
+    let auto = format!("auto-{isa}");
+    for (name, policy) in [
+        ("scalar", KernelPolicy::Scalar),
+        (auto.as_str(), KernelPolicy::Auto),
+    ] {
+        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+            b.iter(|| {
+                let (cp, partials) = (black_box(&threshold), black_box(&partials[..]));
+                black_box(survival_bits::<PdxBond>(
+                    cp, partials, None, &mut bits, policy,
+                ));
+                black_box(&bits);
+            })
+        });
+    }
+    group.finish();
+}
+
+/// One WARMUP checkpoint step of a 16-group tile (1 024 vectors of
+/// d = 128): one dense call over the group range against sixteen
+/// one-group calls, at the 2-, 4- and 8-dimension steps where the
+/// per-call cost is largest, `f32` values and SQ8 codes. Throughput
+/// counts values read.
+fn bench_tile_vs_groups(c: &mut Criterion) {
+    let (n, d, groups) = (1_024usize, 128usize, 16usize);
+    let spec = DatasetSpec {
+        name: "bench",
+        dims: d,
+        distribution: Distribution::Normal,
+        paper_size: 0,
+    };
+    let ds = generate(&spec, n, 1, 7);
+    let q = ds.query(0).to_vec();
+    let block = PdxBlock::from_rows(&ds.data, n, d, DEFAULT_GROUP_SIZE);
+    let quantizer = Sq8Quantizer::fit(&ds.data, n, d);
+    let codes = QuantizedPdxBlock::from_rows(&ds.data, n, d, DEFAULT_GROUP_SIZE, &quantizer);
+    let q8 = quantizer.prepare_query(Metric::L2, &q);
+    let (metric, policy) = (Metric::L2, KernelPolicy::Auto);
+    let mut acc = vec![0.0f32; n];
+    let mut group = c.benchmark_group("dense/tile_vs_groups");
+    for step in [2usize, 4, 8] {
+        let dims = step..2 * step;
+        group.throughput(Throughput::Elements((n * step) as u64));
+        group.bench_with_input(BenchmarkId::new("f32/tile", step), &step, |b, _| {
+            b.iter(|| {
+                let sel = DimSel::Range(dims.clone());
+                pdx_accumulate_groups(
+                    metric,
+                    &block,
+                    0..groups,
+                    black_box(&q),
+                    sel,
+                    &mut acc,
+                    policy,
+                );
+                black_box(&acc);
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("f32/groups", step), &step, |b, _| {
+            b.iter(|| {
+                for (g, acc) in (0..groups).zip(acc.chunks_mut(DEFAULT_GROUP_SIZE)) {
+                    let sel = DimSel::Range(dims.clone());
+                    pdx_accumulate_groups(
+                        metric,
+                        &block,
+                        g..g + 1,
+                        black_box(&q),
+                        sel,
+                        acc,
+                        policy,
+                    );
+                }
+                black_box(&acc);
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("sq8/tile", step), &step, |b, _| {
+            b.iter(|| {
+                sq8_accumulate_groups(
+                    black_box(&q8),
+                    &codes,
+                    0..groups,
+                    dims.clone(),
+                    &mut acc,
+                    policy,
+                );
+                black_box(&acc);
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("sq8/groups", step), &step, |b, _| {
+            b.iter(|| {
+                for (g, acc) in (0..groups).zip(acc.chunks_mut(DEFAULT_GROUP_SIZE)) {
+                    sq8_accumulate_groups(
+                        black_box(&q8),
+                        &codes,
+                        g..g + 1,
+                        dims.clone(),
+                        acc,
+                        policy,
+                    );
+                }
+                black_box(&acc);
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kernels, bench_rotation
+    targets = bench_kernels, bench_rotation, bench_bound_pass, bench_tile_vs_groups
 }
 criterion_main!(benches);

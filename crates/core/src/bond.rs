@@ -118,8 +118,8 @@ impl Pruner for PdxBond {
     }
 
     #[inline(always)]
-    fn survives(cp: &f32, partial: f32, _aux: f32) -> bool {
-        partial <= *cp
+    fn limit(cp: &f32) -> f32 {
+        *cp
     }
 }
 

@@ -1,33 +1,42 @@
-//! The one vertical kernel nest, written once over an 8-lane vector
+//! The vertical kernel nests, each written once over an 8-lane vector
 //! type.
 //!
 //! Algorithm 1 of the paper is one loop — dimension by dimension over
 //! multiple vectors at a time, one accumulator per lane, no reduction —
-//! and this file is the only place it is spelled with explicit SIMD:
+//! and this file is the only place it, and the bound pass that follows
+//! each of its steps, are spelled with explicit SIMD:
 //!
 //! * [`Lane`] is the arithmetic of one accumulation step (`sub` / `mul`
-//!   / `add` / `abs` / fused multiply-add). `f32` implements it, so the
-//!   auto-vectorised scalar lane loops of [`pdx`](super::pdx) and
-//!   [`sq8`](super::sq8) and the SIMD nests run the *same* `Step`
-//!   bodies: L2 / L1 / IP are written once per element, which is why
-//!   every path accumulates to identical bits.
+//!   / `add` / `abs` / fused multiply-add) and of a pruner's bound.
+//!   `f32` implements it, so the auto-vectorised scalar lane loops of
+//!   [`pdx`](super::pdx) and [`sq8`](super::sq8) and the SIMD nests run
+//!   the *same* `Step` bodies: L2 / L1 / IP are written once per
+//!   element, which is why every path accumulates to identical bits —
+//!   and a [`Pruner::slack`] written over it keeps the same vectors one
+//!   lane or eight at a time.
 //! * [`Lanes8`] adds what a nest needs to move eight lanes: splat, load
 //!   eight elements from a slice at an index (`f32` values, or `u8`
-//!   codes widened), gather eight survivors, store. Three types
-//!   implement it: `Avx2` (one `__m256`), `Neon` (`[float32x4_t; 2]`)
-//!   and [`Portable`] (`[f32; 8]`, plain Rust, every access a checked
-//!   slice index).
-//! * `dense` and `survivors` are the two nests, generic over the lane
-//!   type, the stored element ([`Stored`]), the metric `Step` and the
-//!   dimension iterator.
+//!   codes widened), gather eight survivors, store, and compare eight
+//!   lanes into an 8-bit mask. Three types implement it: `Avx2` (one
+//!   `__m256`), `Neon` (`[float32x4_t; 2]`) and [`Portable`] (`[f32;
+//!   8]`, plain Rust, every access a checked slice index).
+//! * `dense`, `survivors` and `bound` are the three nests: a tile's
+//!   groups accumulated in one call, its survivors accumulated wherever
+//!   they sit, and its survival bits with their count. The first two are
+//!   generic over the lane type, the stored element ([`Stored`]), the
+//!   metric `Step` and the dimension iterator; the third over the lane
+//!   type and the [`Pruner`]. Each has one `#[target_feature]` entry.
 //!
-//! `Portable` is the kernels' scalar survivor path, and it is also the
-//! bounds proof of the other two: the nests' index arithmetic is shared,
-//! so a `Portable` run that does not panic shows every index the raw
-//! loads of `Avx2` / `Neon` would take is inside its slice (the unit
-//! proptest below runs all three against the Algorithm-1 scalar loops).
+//! `Portable` is the kernels' scalar survivor and bound path, and it is
+//! also the bounds proof of the other two: the nests' index arithmetic
+//! is shared, so a `Portable` run that does not panic shows every index
+//! the raw loads of `Avx2` / `Neon` would take is inside its slice (the
+//! unit proptest below runs all three against the Algorithm-1 scalar
+//! loops and a loop of [`Pruner::survives`]).
 
 use super::Tiled;
+use crate::pruning::Pruner;
+use std::ops::Range;
 
 #[cfg(target_arch = "aarch64")]
 use std::arch::aarch64::*;
@@ -38,8 +47,8 @@ use std::arch::x86_64::*;
 /// survivors that share one pass over the dimensions.
 pub type Pass = [(usize, usize); 8];
 
-/// The arithmetic of one accumulation step, on one lane (`f32`) or on
-/// eight. Every operation rounds exactly like its `f32` namesake, lane
+/// The arithmetic of one accumulation step or one bound, on one lane
+/// (`f32`) or on eight. Every operation rounds exactly like its `f32` namesake, lane
 /// by lane, so a metric step written over `Lane` yields the same bits
 /// on every implementation.
 pub trait Lane: Copy {
@@ -55,6 +64,9 @@ pub trait Lane: Copy {
     fn fmadd(self, b: Self, c: Self) -> Self;
     /// `c - self * b`, rounded once.
     fn fnmadd(self, b: Self, c: Self) -> Self;
+    /// `x` in every lane. It takes `self` so that a constant is only made
+    /// where a value already exists (see [`Lanes8`]'s contract).
+    fn fill(self, x: f32) -> Self;
 }
 
 impl Lane for f32 {
@@ -82,6 +94,10 @@ impl Lane for f32 {
     fn fnmadd(self, b: Self, c: Self) -> Self {
         self.mul_add(-b, c)
     }
+    #[inline(always)]
+    fn fill(self, x: f32) -> Self {
+        x
+    }
 }
 
 /// A stored element of a PDX group: an `f32` value, or an SQ8 `u8` code
@@ -106,14 +122,15 @@ mod sealed {
 /// Eight [`Lane`]s moved together.
 ///
 /// # Safety
-/// Every method here creates a value or touches memory, and each has the
-/// same two-part contract: the implementing type's instruction set is
+/// Every method here but `le_mask` creates a value or touches memory,
+/// and each of those has the same two-part contract: the implementing type's instruction set is
 /// present on the running CPU (nothing for [`Portable`]), and the
 /// elements it names — `src[at..at + 8]`, every `src[off + d * stride]`
 /// of a [`Pass`] — are inside the slice. `Portable` checks the second
 /// part itself (slice indexing, a panic on a miss); `Avx2` and `Neon` do
-/// not. The [`Lane`] arithmetic on a value is safe: a value only exists
-/// where one of these methods made it.
+/// not. The [`Lane`] arithmetic on a value and [`Lanes8::le_mask`] are
+/// safe: they touch no memory, and a value only exists where one of
+/// these methods made it.
 pub trait Lanes8: Lane {
     /// Whether one-element reads (scalar tail, software gather) go
     /// through slice indexing.
@@ -148,6 +165,12 @@ pub trait Lanes8: Lane {
         let vals = pass.map(|(off, stride)| at::<Self, E>(src, off + d * stride));
         Self::load(&vals, 0)
     }
+
+    /// Bit `k` is lane `k` of `self <= o`, an ordered compare: a NaN on
+    /// either side clears the bit, as `f32`'s `<=` does. Safe like the
+    /// [`Lane`] arithmetic — it reads two values that already exist and
+    /// touches no memory.
+    fn le_mask(self, o: Self) -> u8;
 }
 
 /// `src[i]`: the one-element read of the scalar tail and the software
@@ -202,6 +225,10 @@ impl Lane for Portable {
     fn fnmadd(self, b: Self, c: Self) -> Self {
         Self(std::array::from_fn(|i| self.0[i].fnmadd(b.0[i], c.0[i])))
     }
+    #[inline(always)]
+    fn fill(self, x: f32) -> Self {
+        Self([x; 8])
+    }
 }
 
 impl Lanes8 for Portable {
@@ -218,6 +245,10 @@ impl Lanes8 for Portable {
     #[inline(always)]
     unsafe fn store(self, dst: &mut [f32], at: usize) {
         dst[at..at + 8].copy_from_slice(&self.0);
+    }
+    #[inline(always)]
+    fn le_mask(self, o: Self) -> u8 {
+        (0..8).fold(0, |m, k| m | u8::from(self.0[k] <= o.0[k]) << k)
     }
 }
 
@@ -260,6 +291,11 @@ impl Lane for Avx2 {
         // SAFETY: as `sub`.
         unsafe { Self(_mm256_fnmadd_ps(self.0, b.0, c.0)) }
     }
+    #[inline(always)]
+    fn fill(self, x: f32) -> Self {
+        // SAFETY: as `sub`; `splat` touches no memory.
+        unsafe { Self::splat(x) }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -301,6 +337,11 @@ impl Lanes8 for Avx2 {
         let stride = _mm256_setr_epi32(p0.1, p1.1, p2.1, p3.1, p4.1, p5.1, p6.1, p7.1);
         let idx = _mm256_add_epi32(off, _mm256_mullo_epi32(stride, _mm256_set1_epi32(d as i32)));
         Self(_mm256_i32gather_ps::<4>(src.as_ptr() as *const f32, idx))
+    }
+    #[inline(always)]
+    fn le_mask(self, o: Self) -> u8 {
+        // SAFETY: AVX2+FMA is present wherever an `Avx2` exists.
+        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(self.0, o.0)) as u8 }
     }
 }
 
@@ -349,6 +390,11 @@ impl Lane for Neon {
         // SAFETY: as `sub`.
         unsafe { Self([vfmsq_f32(c0, a0, b0), vfmsq_f32(c1, a1, b1)]) }
     }
+    #[inline(always)]
+    fn fill(self, x: f32) -> Self {
+        // SAFETY: as `sub`; `splat` touches no memory.
+        unsafe { Self::splat(x) }
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -376,6 +422,20 @@ impl Lanes8 for Neon {
         let p = dst.as_mut_ptr().add(at);
         vst1q_f32(p, self.0[0]);
         vst1q_f32(p.add(4), self.0[1]);
+    }
+    #[inline(always)]
+    fn le_mask(self, o: Self) -> u8 {
+        const WEIGHTS: [u32; 4] = [1, 2, 4, 8];
+        // SAFETY: NEON is present wherever a `Neon` exists; the load
+        // reads the four elements of `WEIGHTS`.
+        unsafe {
+            let w = vld1q_u32(WEIGHTS.as_ptr());
+            // A lane of the compare is all ones or zero: masked by its
+            // weight and summed across, four lanes give four bits.
+            let lo = vaddvq_u32(vandq_u32(vcleq_f32(self.0[0], o.0[0]), w));
+            let hi = vaddvq_u32(vandq_u32(vcleq_f32(self.0[1], o.0[1]), w));
+            (lo | hi << 4) as u8
+        }
     }
 }
 
@@ -412,22 +472,24 @@ pub(super) trait Dims: Iterator<Item = usize> + Clone {}
 impl<D: Iterator<Item = usize> + Clone> Dims for D {}
 
 /// The dense nest: `acc[l] ⊕= term(params[d], data[d * lanes + l])` for
-/// every lane `l` of a group and every `d` of `dims`, in order. Lanes
-/// are tiled 32 (four `V` accumulators live across the dimension loop),
-/// then 8, then one by one; each lane sees `dims` in the same order
-/// whichever tile holds it, so the tiling never shows in the bits.
+/// every lane `l` of every group of `groups` and every `d` of `dims`, in
+/// order — a whole tile's checkpoint step in one call. Within a group,
+/// lanes are tiled 32 (four `V` accumulators live across the dimension
+/// loop), then 8, then one by one; each lane sees `dims` in the same
+/// order whichever tile holds it, so neither tiling shows in the bits.
 /// `query[k][d]` is the `k`-th per-dimension parameter (indexed through
 /// the slice, so a short query panics here on every `V`).
 ///
 /// # Safety
-/// `V`'s instruction set is present, `acc.len() == lanes`, and
-/// `(d + 1) * lanes <= data.len()` for every `d` of `dims`. Those bound
-/// every index below — and `dense::<Portable, ..>` checks each of them,
-/// which is how the arithmetic itself is tested.
+/// `V`'s instruction set is present, [`Tiled::check_groups`] passed for
+/// `groups` and `acc`, and every `d` of `dims` is below `t.n_dims`: a
+/// group's buffer is then `lanes × n_dims` values (sliced, so checked)
+/// and `(d + 1) * lanes` stays inside it. `dense::<Portable, ..>` checks
+/// each index instead, which is how the arithmetic itself is tested.
 #[inline(always)]
 unsafe fn dense<V, E, S, D, const P: usize>(
-    data: &[E],
-    lanes: usize,
+    t: Tiled<'_, E>,
+    groups: Range<usize>,
     query: [&[f32]; P],
     dims: D,
     acc: &mut [f32],
@@ -437,38 +499,81 @@ unsafe fn dense<V, E, S, D, const P: usize>(
     S: Step<P>,
     D: Dims,
 {
-    let mut l = 0;
-    while l + 32 <= lanes {
-        let mut a: [V; 4] = std::array::from_fn(|k| V::load(acc, l + 8 * k));
-        for d in dims.clone() {
-            let params = query.map(|q| V::splat(q[d]));
-            let row = d * lanes + l;
-            for (k, a) in a.iter_mut().enumerate() {
-                *a = S::step(*a, params, V::load(data, row + 8 * k));
+    for (data, acc) in t.zip_groups(groups, acc) {
+        let lanes = acc.len();
+        let mut l = 0;
+        while l + 32 <= lanes {
+            let mut a: [V; 4] = std::array::from_fn(|k| V::load(acc, l + 8 * k));
+            for d in dims.clone() {
+                let params = query.map(|q| V::splat(q[d]));
+                let row = d * lanes + l;
+                for (k, a) in a.iter_mut().enumerate() {
+                    *a = S::step(*a, params, V::load(data, row + 8 * k));
+                }
             }
+            for (k, a) in a.into_iter().enumerate() {
+                a.store(acc, l + 8 * k);
+            }
+            l += 32;
         }
-        for (k, a) in a.into_iter().enumerate() {
-            a.store(acc, l + 8 * k);
+        while l + 8 <= lanes {
+            let mut a = V::load(acc, l);
+            for d in dims.clone() {
+                let params = query.map(|q| V::splat(q[d]));
+                a = S::step(a, params, V::load(data, d * lanes + l));
+            }
+            a.store(acc, l);
+            l += 8;
         }
-        l += 32;
+        for (lane, slot) in acc.iter_mut().enumerate().skip(l) {
+            let mut a = *slot;
+            for d in dims.clone() {
+                let v: f32 = at::<V, E>(data, d * lanes + lane).into();
+                a = S::step(a, query.map(|q| q[d]), v);
+            }
+            *slot = a;
+        }
     }
-    while l + 8 <= lanes {
-        let mut a = V::load(acc, l);
-        for d in dims.clone() {
-            let params = query.map(|q| V::splat(q[d]));
-            a = S::step(a, params, V::load(data, d * lanes + l));
+}
+
+/// The bound nest: bit `l % 64` of `bits[l / 64]` says whether lane `l`
+/// survives — `P::slack(cp, partials[l], aux[l]) <= P::limit(cp)`, a
+/// missing `aux` standing for zeros — and the return value is the number
+/// of set bits. Eight lanes a compare, a scalar tail of up to seven; the
+/// bits past the last lane are zero. `slack` rounds lane by lane like
+/// its `f32` instance, so the bits are those of a loop of
+/// [`Pruner::survives`].
+///
+/// # Safety
+/// `V`'s instruction set is present, `bits.len() ==
+/// partials.len().div_ceil(64)` and an `aux` is as long as `partials`.
+/// `bound::<Portable, _>` — the scalar policy's bound pass — checks each
+/// index instead.
+#[inline(always)]
+pub(super) unsafe fn bound<V: Lanes8, P: Pruner>(
+    cp: &P::Checkpoint,
+    partials: &[f32],
+    aux: Option<&[f32]>,
+    bits: &mut [u64],
+) -> usize {
+    let (limit, mut count) = (P::limit(cp), 0);
+    for (w, word) in bits.iter_mut().enumerate() {
+        let end = partials.len().min(64 * w + 64);
+        let (mut l, mut m) = (64 * w, 0u64);
+        while l + 8 <= end {
+            let p = V::load(partials, l);
+            let a = aux.map_or(V::splat(0.0), |aux| V::load(aux, l));
+            m |= u64::from(P::slack(cp, p, a).le_mask(V::splat(limit))) << (l % 64);
+            l += 8;
         }
-        a.store(acc, l);
-        l += 8;
-    }
-    for (lane, slot) in acc.iter_mut().enumerate().skip(l) {
-        let mut a = *slot;
-        for d in dims.clone() {
-            let v: f32 = at::<V, E>(data, d * lanes + lane).into();
-            a = S::step(a, query.map(|q| q[d]), v);
+        for l in l..end {
+            let a = aux.map_or(0.0, |aux| at::<V, f32>(aux, l));
+            m |= u64::from(P::slack(cp, at::<V, f32>(partials, l), a) <= limit) << (l % 64);
         }
-        *slot = a;
+        *word = m;
+        count += m.count_ones() as usize;
     }
+    count
 }
 
 /// The survivor nest: `acc[j] ⊕= term(params[d], value of survivor
@@ -520,13 +625,13 @@ unsafe fn survivors<V, E, S, D, const P: usize>(
 #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
 #[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
 pub(super) unsafe fn dense_native<E: Stored, S: Step<P>, D: Dims, const P: usize>(
-    data: &[E],
-    lanes: usize,
+    t: Tiled<'_, E>,
+    groups: Range<usize>,
     query: [&[f32]; P],
     dims: D,
     acc: &mut [f32],
 ) {
-    dense::<Native, E, S, D, P>(data, lanes, query, dims, acc)
+    dense::<Native, E, S, D, P>(t, groups, query, dims, acc)
 }
 
 /// [`survivors`] at the target's SIMD lane type, as [`dense_native`].
@@ -543,6 +648,21 @@ pub(super) unsafe fn survivors_native<E: Stored, S: Step<P>, D: Dims, const P: u
     acc: &mut [f32],
 ) {
     survivors::<Native, E, S, D, P>(t, query, dims, positions, acc)
+}
+
+/// [`bound`] at the target's SIMD lane type, as [`dense_native`].
+///
+/// # Safety
+/// As [`bound`] at `V = Native`.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
+#[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
+pub(super) unsafe fn bound_native<P: Pruner>(
+    cp: &P::Checkpoint,
+    partials: &[f32],
+    aux: Option<&[f32]>,
+    bits: &mut [u64],
+) -> usize {
+    bound::<Native, P>(cp, partials, aux, bits)
 }
 
 /// [`survivors`] at [`Portable`]: the scalar policy's survivor kernel.
@@ -562,8 +682,8 @@ mod tests {
     use super::*;
     use crate::distance::Metric;
     use crate::kernels::{
-        pdx_accumulate, pdx_accumulate_survivors, sq8_accumulate, sq8_accumulate_survivors, DimSel,
-        KernelPolicy,
+        pdx_accumulate, pdx_accumulate_groups, pdx_accumulate_survivors, sq8_accumulate,
+        sq8_accumulate_groups, sq8_accumulate_survivors, survival_bits, DimSel, KernelPolicy,
     };
     use crate::layout::{PdxBlock, QuantizedPdxBlock, Sq8Query};
     use proptest::prelude::*;
@@ -603,8 +723,65 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// A bound with every [`Lane`] operation a pruner's `slack` uses:
+    /// `partial + |aux·(aux − c)|` against `limit`.
+    struct Quadratic;
+
+    impl Pruner for Quadratic {
+        type Query = Vec<f32>;
+        type Checkpoint = (f32, f32);
+        const NEEDS_AUX: bool = true;
+
+        fn metric(&self) -> Metric {
+            Metric::L2
+        }
+        fn prepare_query(&self, query: &[f32]) -> Vec<f32> {
+            query.to_vec()
+        }
+        fn query_vector<'q>(&self, q: &'q Vec<f32>) -> &'q [f32] {
+            q
+        }
+        fn checkpoint(&self, q: &Vec<f32>, _: usize, _: usize, threshold: f32) -> (f32, f32) {
+            (q[0], threshold)
+        }
+        fn slack<L: Lane>(&(c, _): &(f32, f32), partial: L, aux: L) -> L {
+            partial.add(aux.mul(aux.sub(aux.fill(c))).abs())
+        }
+        fn limit(&(_, limit): &(f32, f32)) -> f32 {
+            limit
+        }
+    }
+
+    /// The bound nest: a loop of `survives` == `Portable` == resolved
+    /// ISA, with and without an aux row, count included. `partials`
+    /// holds ±inf and a NaN, and `limit` is one of its values, so ties
+    /// and unordered compares are on every run.
+    fn check_bound(partials: &[f32], c: f32) -> Result<(), TestCaseError> {
+        let n = partials.len();
+        let aux: Vec<f32> = partials.iter().rev().copied().collect();
+        let mut partials = partials.to_vec();
+        partials[n / 2] = f32::NAN;
+        let cp = (c, partials[n / 3]);
+        for aux in [None, Some(&aux[..])] {
+            let mut want = vec![0u64; n.div_ceil(64)];
+            for (l, &p) in partials.iter().enumerate() {
+                let keep = Quadratic::survives(&cp, p, aux.map_or(0.0, |a| a[l]));
+                want[l / 64] |= u64::from(keep) << (l % 64);
+            }
+            let count: u32 = want.iter().map(|w| w.count_ones()).sum();
+            // `Scalar` is the nest at `Portable`, `Simd` at the resolved ISA.
+            for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
+                let mut got = vec![u64::MAX; 3];
+                let counted = survival_bits::<Quadratic>(&cp, &partials, aux, &mut got, policy);
+                prop_assert!((&got, counted) == (&want, count as usize), "{policy:?}");
+            }
+        }
+        Ok(())
+    }
+
     /// For one metric: `Portable` == Algorithm-1 scalar == resolved ISA,
-    /// dense and survivors, both elements.
+    /// dense (one group, and every group range of a tiled block) and
+    /// survivors, both elements.
     fn check<S: Step<1> + Step<2>>(
         metric: Metric,
         (n, d, values, codes, q): &Case,
@@ -629,12 +806,13 @@ mod tests {
         let wide = PdxBlock::from_rows(values, n, d, n);
         let wide8 = QuantizedPdxBlock::from_code_rows(&codes, n, d, n);
         let (g, g8) = (wide.group(0), wide8.group(0));
+        let (w, w8) = (Tiled::of_group(g.data, n), Tiled::of_group(g8.data, n));
         let mut dense_p = [vec![1.5f32; n], vec![1.5f32; n], vec![1.5f32; n]];
         // SAFETY: `Portable` needs no ISA and checks every index itself.
         unsafe {
-            dense::<Portable, _, S, _, 1>(g.data, n, [query], lo..d, &mut dense_p[0]);
-            dense::<Portable, _, S, _, 1>(g.data, n, [query], ids(), &mut dense_p[1]);
-            dense::<Portable, _, S, _, 2>(g8.data, n, params, lo..d, &mut dense_p[2]);
+            dense::<Portable, _, S, _, 1>(w, 0..1, [query], lo..d, &mut dense_p[0]);
+            dense::<Portable, _, S, _, 1>(w, 0..1, [query], ids(), &mut dense_p[1]);
+            dense::<Portable, _, S, _, 2>(w8, 0..1, params, lo..d, &mut dense_p[2]);
         }
         // Survivors, in every group of a `group`-tiled block.
         let block = PdxBlock::from_rows(values, n, d, group);
@@ -655,6 +833,29 @@ mod tests {
             // A survivor's bits are those of its lane in the dense kernel.
             let lanes: Vec<f32> = pos.iter().map(|&p| dense_p[k][p as usize]).collect();
             prop_assert_eq!(bits(&surv_p[k]), bits(&lanes));
+        }
+        // The group loop: a range of groups of the tiled block (the
+        // partial tail group in it, or empty) leaves each of its lanes
+        // with the bits of the one-group call, and no other lane touched.
+        let groups = n.div_ceil(group);
+        for range in [0..groups, groups / 2..groups, 0..groups / 2, groups..groups] {
+            let lanes = (range.start * group).min(n)..(range.end * group).min(n);
+            let mut tiled = [vec![1.5f32; lanes.len()], vec![1.5f32; lanes.len()]];
+            // SAFETY: `Portable` needs no ISA and checks every index itself.
+            unsafe {
+                dense::<Portable, _, S, _, 1>(t, range.clone(), [query], ids(), &mut tiled[0]);
+                dense::<Portable, _, S, _, 2>(t8, range.clone(), params, lo..d, &mut tiled[1]);
+            }
+            prop_assert_eq!(bits(&tiled[0]), bits(&dense_p[1][lanes.clone()]));
+            prop_assert_eq!(bits(&tiled[1]), bits(&dense_p[2][lanes.clone()]));
+            for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
+                let mut got = [vec![1.5f32; lanes.len()], vec![1.5f32; lanes.len()]];
+                let (permuted, r) = (DimSel::Ids(&perm), range.clone());
+                pdx_accumulate_groups(metric, &block, r, query, permuted, &mut got[0], policy);
+                sq8_accumulate_groups(&q8, &block8, range.clone(), lo..d, &mut got[1], policy);
+                prop_assert!(bits(&got[0]) == bits(&tiled[0]), "{range:?} {policy:?}");
+                prop_assert!(bits(&got[1]) == bits(&tiled[1]), "{range:?} {policy:?} sq8");
+            }
         }
 
         for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
@@ -693,7 +894,8 @@ mod tests {
         /// The three instantiations of the nests agree bit for bit. The
         /// `Portable` one indexes through slices, so a green run is also
         /// the bounds proof of the index arithmetic (`d * lanes + l`,
-        /// padded passes) that `Avx2` / `Neon` trust.
+        /// group buffers, padded passes, bound-pass words) that `Avx2` /
+        /// `Neon` trust.
         #[test]
         fn portable_equals_scalar_equals_isa(
             c in case(),
@@ -705,6 +907,7 @@ mod tests {
             // Every `every`-th vector: one to `n` survivors, in every
             // group (the partial tail group too), short last pass.
             let pos: Vec<u32> = (salt % every.min(c.0)..c.0).step_by(every).map(|p| p as u32).collect();
+            check_bound(&c.2[..c.0], c.4[0])?;
             check::<L2>(Metric::L2, &c, group, &pos)?;
             check::<L1>(Metric::L1, &c, group, &pos)?;
             check::<Ip>(Metric::NegativeIp, &c, group, &pos)?;

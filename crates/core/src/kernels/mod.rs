@@ -3,10 +3,11 @@
 //! * [`pdx`] — the multiple-vectors-at-a-time kernels on PDX groups
 //!   (Algorithm 1): plain scalar Rust whose inner loop auto-vectorizes,
 //!   with per-lane independent accumulators and no reduction step.
-//! * [`lanes`] — the same loop as one explicit-SIMD nest (dense and
-//!   survivor form), generic over an 8-lane vector type with an AVX2, a
-//!   NEON and a checked portable implementation, the stored element
-//!   (`f32` | SQ8 code) and the metric step.
+//! * [`lanes`] — the same loop as one explicit-SIMD nest (dense over a
+//!   range of groups, and survivor form), generic over an 8-lane vector
+//!   type with an AVX2, a NEON and a checked portable implementation,
+//!   the stored element (`f32` | SQ8 code) and the metric step; beside
+//!   it the bound nest, a pruner's survival test eight lanes a compare.
 //! * [`nary`] — horizontal kernels: the single-accumulator scalar
 //!   baseline, the unrolled multi-accumulator variant, and the explicit
 //!   AVX2+FMA SIMD kernels that stand in for SimSIMD/FAISS (Table 4's
@@ -28,6 +29,8 @@
 //! invariant note in [`pdx`]); the policy is therefore a pure
 //! performance knob.
 
+use std::ops::Range;
+
 pub mod dispatch;
 pub mod dsm;
 pub mod gather;
@@ -41,15 +44,17 @@ pub use dsm::dsm_scan;
 pub use gather::{gather_scan, gather_scan_split_timing};
 pub use nary::{nary_distance, simd_available, KernelVariant};
 pub use pdx::{
-    pdx_accumulate, pdx_accumulate_positions, pdx_accumulate_survivors, pdx_scan, pdx_scan_policy,
-    DimSel,
+    pdx_accumulate, pdx_accumulate_groups, pdx_accumulate_positions, pdx_accumulate_survivors,
+    pdx_scan, pdx_scan_policy, survival_bits, DimSel,
 };
 pub use sq8::{
-    sq8_accumulate, sq8_accumulate_survivors, sq8_distance_scalar, sq8_scan, sq8_scan_policy,
+    sq8_accumulate, sq8_accumulate_groups, sq8_accumulate_survivors, sq8_distance_scalar, sq8_scan,
+    sq8_scan_policy,
 };
 
-/// A group-tiled buffer as the survivor (PRUNE-phase) nest sees it: a
-/// whole block, or one group viewed as a single-group block. Survivor
+/// A group-tiled buffer as the dense and survivor nests see it: a whole
+/// block, or one group viewed as a single-group block. A dense call
+/// names a range of its groups ([`Tiled::zip_groups`]). Survivor
 /// positions index its vectors; [`Tiled::locate`] turns one into the
 /// offset of its first value and the stride between its dimensions, so
 /// one kernel call serves survivors in any number of groups.
@@ -93,6 +98,40 @@ impl<'a, T> Tiled<'a, T> {
             positions.iter().all(|&p| (p as usize) < self.n_vectors),
             "survivor position exceeds the stored vectors"
         );
+    }
+
+    /// Number of groups, the partial tail group included.
+    fn n_groups(&self) -> usize {
+        self.n_vectors.div_ceil(self.group_size)
+    }
+
+    /// Validates once what a dense kernel call relies on: `groups` are
+    /// groups of this buffer and `acc` holds one accumulator per vector
+    /// they cover.
+    fn check_groups(&self, groups: &Range<usize>, acc_len: usize) {
+        assert!(groups.start <= groups.end, "group range is reversed");
+        assert!(
+            groups.end <= self.n_groups(),
+            "group range exceeds the block"
+        );
+        let vectors = |groups: usize| (groups * self.group_size).min(self.n_vectors);
+        let covered = vectors(groups.end) - vectors(groups.start);
+        assert_eq!(acc_len, covered, "one accumulator per lane required");
+    }
+
+    /// Each group of `groups` as `(its buffer, its accumulators)`; the
+    /// lane count is the accumulators' length, short for a partial tail
+    /// group. [`Tiled::check_groups`] must have passed for the pair.
+    #[inline(always)]
+    fn zip_groups<'b>(
+        &self,
+        groups: Range<usize>,
+        acc: &'b mut [f32],
+    ) -> impl Iterator<Item = (&'a [T], &'b mut [f32])> {
+        let (data, per_group, n_dims) = (self.data, self.group_size * self.n_dims, self.n_dims);
+        groups
+            .zip(acc.chunks_mut(self.group_size))
+            .map(move |(g, acc)| (&data[g * per_group..][..acc.len() * n_dims], acc))
     }
 
     /// `(offset of dimension 0, stride between dimensions)` of vector

@@ -36,9 +36,10 @@
 
 use crate::distance::Metric;
 use crate::kernels::dispatch::{KernelIsa, KernelPolicy, SCALAR_FMA};
-use crate::kernels::lanes::{self, Ip, Lane, Step, Stored, L1, L2};
+use crate::kernels::lanes::{self, Ip, Lane, Portable, Step, Stored, L1, L2};
 use crate::kernels::Tiled;
 use crate::layout::{PdxBlock, PdxGroup};
+use crate::pruning::Pruner;
 use std::ops::Range;
 
 // The `f32` steps: `q` is the query's value at the dimension, `v` the
@@ -162,55 +163,59 @@ fn ids_of(ids: &[u32]) -> impl Iterator<Item = usize> + Clone + '_ {
     ids.iter().map(|&d| d as usize)
 }
 
-/// Bounds every dimension a SIMD nest will touch (the scalar loops
-/// bound-check lazily through slice indexing; the SIMD nests use raw
-/// loads, so the whole selection is validated up front).
-fn check_dim_bounds(data_len: usize, lanes: usize, query: &[&[f32]], dims: &DimSel<'_>) {
+/// Bounds every dimension a kernel call will touch by the query and by
+/// the buffer's `n_dims`, once per call and under every policy (the SIMD
+/// nests use raw loads; the scalar loops would bound-check lazily, with
+/// whatever message a slice index prints).
+fn check_dim_bounds(n_dims: usize, query: &[&[f32]], dims: &DimSel<'_>) {
     let query_len = query.iter().map(|q| q.len()).min().unwrap_or(0);
     match dims {
         DimSel::Range(r) => {
             if r.start < r.end {
                 assert!(r.end <= query_len, "dimension range exceeds query length");
-                assert!(r.end * lanes <= data_len, "dimension range exceeds group");
+                assert!(r.end <= n_dims, "dimension range exceeds group");
             }
         }
         DimSel::Ids(ids) => {
             for &d in *ids {
                 let d = d as usize;
                 assert!(d < query_len, "dimension id exceeds query length");
-                assert!((d + 1) * lanes <= data_len, "dimension id exceeds group");
+                assert!(d < n_dims, "dimension id exceeds group");
             }
         }
     }
 }
 
-/// Dense accumulate of one metric over a dimension selection, for
-/// either element: the SIMD nest when the resolved ISA has one, the
-/// scalar lane loops otherwise — bit-identical either way.
+/// Dense accumulate of one metric over a dimension selection and a range
+/// of groups, for either element: the SIMD nest when the resolved ISA
+/// has one, the scalar lane loops group by group otherwise —
+/// bit-identical either way. Groups, accumulators, dimensions and the
+/// ISA are checked once here, not per group.
 pub(super) fn accumulate<E: Stored, S: Step<P>, const P: usize>(
-    data: &[E],
-    lanes: usize,
+    t: Tiled<'_, E>,
+    groups: Range<usize>,
     query: [&[f32]; P],
     dims: DimSel<'_>,
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    assert_eq!(acc.len(), lanes, "one accumulator per lane required");
+    t.check_groups(&groups, acc.len());
+    check_dim_bounds(t.n_dims, &query, &dims);
     if kernel.resolve() != KernelIsa::Scalar {
-        check_dim_bounds(data.len(), lanes, &query, &dims);
         // SAFETY: `resolve` names a SIMD ISA only when the running CPU
-        // has it; `acc` was sized and every load bounded
-        // (`check_dim_bounds`) just above.
+        // has it; groups, `acc` and dims were checked just above.
         return unsafe {
             match dims {
-                DimSel::Range(r) => lanes::dense_native::<E, S, _, P>(data, lanes, query, r, acc),
+                DimSel::Range(r) => lanes::dense_native::<E, S, _, P>(t, groups, query, r, acc),
                 DimSel::Ids(ids) => {
-                    lanes::dense_native::<E, S, _, P>(data, lanes, query, ids_of(ids), acc)
+                    lanes::dense_native::<E, S, _, P>(t, groups, query, ids_of(ids), acc)
                 }
             }
         };
     }
-    accum_scalar::<E, S, P>(data, lanes, query, dims, acc)
+    for (data, acc) in t.zip_groups(groups, acc) {
+        accum_scalar::<E, S, P>(data, acc.len(), query, dims.clone(), acc)
+    }
 }
 
 /// Survivor (gather) accumulate of one metric over a dimension
@@ -227,12 +232,10 @@ pub(super) fn survivors<E: Stored, S: Step<P>, const P: usize>(
     kernel: KernelPolicy,
 ) {
     t.check_positions(positions, acc.len());
+    check_dim_bounds(t.n_dims, &query, &dims);
     // The AVX2 gather addresses survivors with 32-bit element offsets; a
     // buffer beyond that range takes the (bit-identical) portable nest.
     if kernel.resolve() != KernelIsa::Scalar && t.data.len() <= i32::MAX as usize {
-        // With one lane `check_dim_bounds` bounds every selected
-        // dimension by `n_dims` (and by the query).
-        check_dim_bounds(t.n_dims, 1, &query, &dims);
         // SAFETY: `resolve` names a SIMD ISA only when the running CPU
         // has it; positions and dims were bounded above, so every offset
         // `locate` yields stays inside `t.data` (the gather does not
@@ -256,6 +259,80 @@ pub(super) fn survivors<E: Stored, S: Step<P>, const P: usize>(
     }
 }
 
+/// One bound pass over a tile's partial distances: sets bit `l % 64` of
+/// `bits[l / 64]` when lane `l` survives checkpoint `cp` of pruner `P`
+/// (`aux`, when the pruner reads one, is the tile's slice of the aux
+/// row) and returns how many do. `bits` is resized to
+/// `partials.len().div_ceil(64)` words. Eight lanes a compare on a SIMD
+/// ISA; every policy writes the bits of a loop of [`Pruner::survives`].
+///
+/// # Panics
+/// Panics if an `aux` is not as long as `partials`.
+pub fn survival_bits<P: Pruner>(
+    cp: &P::Checkpoint,
+    partials: &[f32],
+    aux: Option<&[f32]>,
+    bits: &mut Vec<u64>,
+    kernel: KernelPolicy,
+) -> usize {
+    let aux_len = aux.map_or(partials.len(), <[f32]>::len);
+    assert_eq!(aux_len, partials.len(), "one aux value per lane required");
+    bits.resize(partials.len().div_ceil(64), 0);
+    if kernel.resolve() != KernelIsa::Scalar {
+        // SAFETY: `resolve` names a SIMD ISA only when the running CPU
+        // has it; `bits` and `aux` were sized just above.
+        return unsafe { lanes::bound_native::<P>(cp, partials, aux, bits) };
+    }
+    // SAFETY: `Portable` needs no ISA and checks every index itself.
+    unsafe { lanes::bound::<Portable, P>(cp, partials, aux, bits) }
+}
+
+/// The view of a block's buffer the nests take.
+fn tiled(b: &PdxBlock) -> Tiled<'_, f32> {
+    Tiled::new(b.as_slice(), b.len(), b.group_size(), b.dims())
+}
+
+/// The dense kernel over a tiled view: a whole block, or one group.
+fn accumulate_impl(
+    metric: Metric,
+    t: Tiled<'_, f32>,
+    groups: Range<usize>,
+    query: &[f32],
+    dims: DimSel<'_>,
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    let query = [query];
+    match metric {
+        Metric::L2 => accumulate::<_, L2, 1>(t, groups, query, dims, acc, kernel),
+        Metric::L1 => accumulate::<_, L1, 1>(t, groups, query, dims, acc, kernel),
+        Metric::NegativeIp => accumulate::<_, Ip, 1>(t, groups, query, dims, acc, kernel),
+    }
+}
+
+/// Accumulates the metric over the dimensions `dims` selects — a storage
+/// range, or a slice of a query-aware permutation (PDX-BOND's orders,
+/// §5) — of every vector of the groups `groups` of `block` into `acc`,
+/// one accumulator per vector in block order: a tile's whole checkpoint
+/// step in one call. All policies produce bit-identical accumulators
+/// (see the module docs), those of one [`pdx_accumulate`] per group.
+///
+/// # Panics
+/// Panics if `groups` is reversed or ends past the block's groups, if
+/// `acc.len()` is not the number of vectors `groups` covers, or if a
+/// selected dimension exceeds the query or the block.
+pub fn pdx_accumulate_groups(
+    metric: Metric,
+    block: &PdxBlock,
+    groups: Range<usize>,
+    query: &[f32],
+    dims: DimSel<'_>,
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    accumulate_impl(metric, tiled(block), groups, query, dims, acc, kernel)
+}
+
 /// Accumulates the metric over the dimensions `dims` selects of a PDX
 /// group into the per-lane accumulator array `acc` (length =
 /// `group.lanes`): a storage range, or a slice of a query-aware
@@ -273,15 +350,8 @@ pub fn pdx_accumulate(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    if let DimSel::Range(r) = &dims {
-        assert!(r.end <= query.len(), "dimension range exceeds query length");
-    }
-    let (data, lanes, query) = (group.data, group.lanes, [query]);
-    match metric {
-        Metric::L2 => accumulate::<_, L2, 1>(data, lanes, query, dims, acc, kernel),
-        Metric::L1 => accumulate::<_, L1, 1>(data, lanes, query, dims, acc, kernel),
-        Metric::NegativeIp => accumulate::<_, Ip, 1>(data, lanes, query, dims, acc, kernel),
-    }
+    let t = Tiled::of_group(group.data, group.lanes);
+    accumulate_impl(metric, t, 0..t.n_groups(), query, dims, acc, kernel)
 }
 
 /// The survivor kernel over a tiled view: a whole block, or one group.
@@ -327,13 +397,7 @@ pub fn pdx_accumulate_survivors(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    let t = Tiled::new(
-        block.as_slice(),
-        block.len(),
-        block.group_size(),
-        block.dims(),
-    );
-    survivors_impl(metric, t, query, dims, positions, acc, kernel)
+    survivors_impl(metric, tiled(block), query, dims, positions, acc, kernel)
 }
 
 /// Per-group form of [`pdx_accumulate_survivors`] over a storage range
@@ -375,17 +439,8 @@ pub fn pdx_scan_policy(
     assert_eq!(out.len(), block.len(), "one output per vector required");
     assert_eq!(query.len(), block.dims(), "query dimensionality mismatch");
     out.fill(0.0);
-    for g in block.groups() {
-        let acc = &mut out[g.start_vector..g.start_vector + g.lanes];
-        pdx_accumulate(
-            metric,
-            &g,
-            query,
-            DimSel::Range(0..block.dims()),
-            acc,
-            kernel,
-        );
-    }
+    let (groups, dims) = (0..block.group_count(), DimSel::Range(0..block.dims()));
+    pdx_accumulate_groups(metric, block, groups, query, dims, out, kernel)
 }
 
 #[cfg(test)]

@@ -78,6 +78,29 @@ impl Step<2> for Ip {
     }
 }
 
+/// The view of a block's buffer the nests take.
+fn tiled(b: &QuantizedPdxBlock) -> Tiled<'_, u8> {
+    Tiled::new(b.as_slice(), b.len(), b.group_size(), b.dims())
+}
+
+/// The dense kernel over a tiled view: a whole block, or one group.
+fn accumulate_impl(
+    q: &Sq8Query,
+    t: Tiled<'_, u8>,
+    groups: Range<usize>,
+    dims: Range<usize>,
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    let query = [&q.qcode[..], &q.weight[..]];
+    let dims = DimSel::Range(dims);
+    match q.metric {
+        Metric::L2 => accumulate::<_, L2, 2>(t, groups, query, dims, acc, kernel),
+        Metric::L1 => accumulate::<_, L1, 2>(t, groups, query, dims, acc, kernel),
+        Metric::NegativeIp => accumulate::<_, Ip, 2>(t, groups, query, dims, acc, kernel),
+    }
+}
+
 /// Accumulates the metric over dimensions `dims` of a quantized PDX group
 /// into the per-lane accumulator array `acc` (length = `group.lanes`).
 /// All policies produce bit-identical accumulators (see the module
@@ -88,7 +111,8 @@ impl Step<2> for Ip {
 /// is **not** added here — callers add it once per finished distance).
 ///
 /// # Panics
-/// Panics if `acc.len() != group.lanes` or `dims.end > q.dims()`.
+/// Panics if `acc.len() != group.lanes` or `dims` exceeds the query's or
+/// the group's dimensionality.
 pub fn sq8_accumulate(
     q: &Sq8Query,
     group: &QuantizedPdxGroup<'_>,
@@ -96,14 +120,29 @@ pub fn sq8_accumulate(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    assert!(dims.end <= q.dims(), "dimension range exceeds query length");
-    let (data, lanes, query) = (group.data, group.lanes, [&q.qcode[..], &q.weight[..]]);
-    let dims = DimSel::Range(dims);
-    match q.metric {
-        Metric::L2 => accumulate::<_, L2, 2>(data, lanes, query, dims, acc, kernel),
-        Metric::L1 => accumulate::<_, L1, 2>(data, lanes, query, dims, acc, kernel),
-        Metric::NegativeIp => accumulate::<_, Ip, 2>(data, lanes, query, dims, acc, kernel),
-    }
+    let t = Tiled::of_group(group.data, group.lanes);
+    accumulate_impl(q, t, 0..t.n_groups(), dims, acc, kernel)
+}
+
+/// [`sq8_accumulate`] over the groups `groups` of `block` in one call —
+/// the SQ8 twin of
+/// [`pdx_accumulate_groups`](crate::kernels::pdx_accumulate_groups):
+/// `acc` holds one accumulator per vector the groups cover, in block
+/// order, and ends with the bits of one [`sq8_accumulate`] per group.
+///
+/// # Panics
+/// Panics if `groups` is reversed or ends past the block's groups, if
+/// `acc.len()` is not the number of vectors `groups` covers, or if `dims`
+/// exceeds the block's or the query's dimensionality.
+pub fn sq8_accumulate_groups(
+    q: &Sq8Query,
+    block: &QuantizedPdxBlock,
+    groups: Range<usize>,
+    dims: Range<usize>,
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    accumulate_impl(q, tiled(block), groups, dims, acc, kernel)
 }
 
 /// PRUNE-phase kernel: accumulates only at the surviving vectors of a
@@ -129,13 +168,7 @@ pub fn sq8_accumulate_survivors(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    let t = Tiled::new(
-        block.as_slice(),
-        block.len(),
-        block.group_size(),
-        block.dims(),
-    );
-    let query = [&q.qcode[..], &q.weight[..]];
+    let (t, query) = (tiled(block), [&q.qcode[..], &q.weight[..]]);
     let dims = DimSel::Range(dims);
     match q.metric {
         Metric::L2 => survivors::<_, L2, 2>(t, query, dims, positions, acc, kernel),
@@ -179,10 +212,8 @@ pub fn sq8_scan_policy(
     assert_eq!(out.len(), block.len(), "one output per vector required");
     assert_eq!(q.dims(), block.dims(), "query dimensionality mismatch");
     out.fill(0.0);
-    for g in block.groups() {
-        let acc = &mut out[g.start_vector..g.start_vector + g.lanes];
-        sq8_accumulate(q, &g, 0..block.dims(), acc, kernel);
-    }
+    let groups = 0..block.group_count();
+    sq8_accumulate_groups(q, block, groups, 0..block.dims(), out, kernel);
     if q.bias != 0.0 {
         for o in out.iter_mut() {
             *o += q.bias;

@@ -7,11 +7,13 @@
 //!    (identity for PDX-BOND, a rotation for ADSampling/BSA);
 //! 2. an optional query-aware dimension visit order (PDX-BOND);
 //! 3. a **branchless survival test**: per checkpoint, a small `Copy`
-//!    state is computed once, and `survives(state, partial, aux)` is a
-//!    pure comparison evaluated in a tight loop over all candidates —
-//!    never interleaved with distance accumulation (Issue #3 of §2.4).
+//!    state is computed once, and `slack(state, partial, aux) <=
+//!    limit(state)` is a pure comparison evaluated over all candidates,
+//!    eight lanes at a time — never interleaved with distance
+//!    accumulation (Issue #3 of §2.4).
 
 use crate::distance::Metric;
+pub use crate::kernels::lanes::Lane;
 use crate::stats::BlockStats;
 use std::ops::Range;
 
@@ -172,7 +174,7 @@ pub trait Pruner {
     /// and tiny so it lives in registers during the test loop.
     type Checkpoint: Copy;
 
-    /// Whether [`Pruner::survives`] consumes per-vector auxiliary data
+    /// Whether [`Pruner::slack`] consumes per-vector auxiliary data
     /// (BSA's residual norms). When `false`, PDXearch skips aux lookups.
     const NEEDS_AUX: bool = false;
 
@@ -231,10 +233,32 @@ pub trait Pruner {
         threshold: f32,
     ) -> Self::Checkpoint;
 
-    /// Branch-free survival test: `true` keeps the candidate. `aux` is
-    /// this vector's value from the block's [`BlockAux`] row (0.0 when
-    /// [`Pruner::NEEDS_AUX`] is `false`).
-    fn survives(cp: &Self::Checkpoint, partial: f32, aux: f32) -> bool;
+    /// The left side of the survival test, on one lane (`f32`) or on
+    /// eight: what is compared with [`Pruner::limit`]. `aux` is the
+    /// vector's value from the block's [`BlockAux`] row (0.0 when
+    /// [`Pruner::NEEDS_AUX`] is `false`). Spell it with [`Lane`]'s `add` /
+    /// `sub` / `mul` and never `fmadd`: each rounds like its `f32`
+    /// namesake, so the eight-lane bound pass keeps exactly the vectors
+    /// the one-lane test keeps; a fused step would round once where the
+    /// one-lane expression rounds twice. Provided: the partial distance
+    /// itself — the whole left side of a bound that only scales or shifts
+    /// the threshold (PDX-BOND, ADSampling, the SQ8 bound).
+    #[inline(always)]
+    fn slack<L: Lane>(_cp: &Self::Checkpoint, partial: L, _aux: L) -> L {
+        partial
+    }
+
+    /// The right side of the survival test: a vector survives while its
+    /// [`Pruner::slack`] is at most this.
+    fn limit(cp: &Self::Checkpoint) -> f32;
+
+    /// Branch-free survival test: `true` keeps the candidate. A NaN on
+    /// either side prunes it. Provided — a pruner states its bound once,
+    /// as `slack` and `limit`.
+    #[inline(always)]
+    fn survives(cp: &Self::Checkpoint, partial: f32, aux: f32) -> bool {
+        Self::slack(cp, partial, aux) <= Self::limit(cp)
+    }
 }
 
 #[cfg(test)]

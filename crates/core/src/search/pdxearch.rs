@@ -15,14 +15,17 @@
 //!   no threshold, so the tile is scanned linearly (all dimensions, all
 //!   vectors). In practice this is just the first tile.
 //! * **WARMUP** — partial distances are accumulated for *all* vectors of
-//!   the tile at exponentially growing dimension steps; after each step
-//!   the pruning bound is evaluated in a separate branch-free pass that
-//!   only *counts* survivors (computing distances for pruned vectors is
-//!   still cheaper than random access while many survive).
+//!   the tile at exponentially growing dimension steps, one dense-kernel
+//!   call per step for the whole tile; after each step the pruning bound
+//!   is evaluated in a separate branch-free pass, eight lanes a compare,
+//!   that writes one survival bit per vector and counts them (computing
+//!   distances for pruned vectors is still cheaper than random access
+//!   while many survive).
 //! * **PRUNE** — once the surviving fraction drops below the selection
-//!   threshold (default 20 %, Figure 10), survivor positions are
-//!   compacted and further distance accumulation touches only them, one
-//!   survivor-kernel call per step for the whole tile.
+//!   threshold (default 20 %, Figure 10), the set bits are walked into
+//!   compacted survivor positions and further distance accumulation
+//!   touches only them, one survivor-kernel call per step for the whole
+//!   tile.
 //!
 //! The framework preserves the underlying pruner's guarantees: it never
 //! drops a vector the pruner would have kept, it only chooses *when*
@@ -30,8 +33,9 @@
 //!
 //! A caller may hand the scan a [`RowMask`] of dead rows (a collection's
 //! tombstones). Each tile looks its rows up once: masked lanes are never
-//! offered to the heap, not counted as survivors and not compacted into
-//! PRUNE's positions, in whichever phase the tile runs — so `k` stays
+//! offered to the heap, and after a bound pass they give up their
+//! survival bits — so they are not counted as survivors and not compacted
+//! into PRUNE's positions — in whichever phase the tile runs — so `k` stays
 //! `k`, the threshold is that of the k-th *live* neighbour, and the
 //! answer is the one the same blocks would give with those rows absent.
 
@@ -39,12 +43,12 @@ use crate::collection::SearchBlock;
 use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
-use crate::kernels::pdx::{pdx_accumulate, pdx_accumulate_survivors, DimSel};
+use crate::kernels::pdx::{pdx_accumulate_groups, pdx_accumulate_survivors, survival_bits, DimSel};
 use crate::mask::RowMask;
 use crate::profile::{lap, timer, SearchProfile};
 use crate::pruning::{checkpoints, tiles, BlockAux, Pruner, Tile};
 use crate::stats::BlockStats;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 
 /// One element type PDXearch can scan: a block of vectors stored
 /// dimension-major in groups, plus the two kernels that accumulate over
@@ -53,7 +57,10 @@ use std::ops::Deref;
 /// The scan itself — tiles, phases, checkpoints, survivor compaction —
 /// is written once against this trait and monomorphized per element, so
 /// a new element (a narrower code, a head/tail split) is one impl, not
-/// another copy of the loop. The bound stays with the [`Pruner`]; the
+/// another copy of the loop. The tile is the unit of both kernels: each
+/// is entered once per tile-checkpoint, never per group or per lane. The
+/// bound stays with the [`Pruner`] (`slack` / `limit`, evaluated by the
+/// kernels' bound pass, [`survival_bits`]); the
 /// trait is parameterized by it because the kernels read the pruner's
 /// query state (`f32` blocks take its query vector, SQ8 blocks the
 /// prepared code-space query).
@@ -86,12 +93,15 @@ pub trait ScanBlock<P: Pruner> {
     }
 
     /// Dense accumulate: adds the dimensions `dims` of every vector of
-    /// group `group` into `acc` (one accumulator per lane).
+    /// the groups `groups` — a tile's — into `acc`, one accumulator per
+    /// vector in block order. One call per tile-checkpoint: the kernel
+    /// checks its arguments and enters its SIMD nest once, whatever the
+    /// number of groups.
     fn accumulate(
         &self,
         pruner: &P,
         q: &P::Query,
-        group: usize,
+        groups: Range<usize>,
         dims: DimSel<'_>,
         acc: &mut [f32],
         kernel: KernelPolicy,
@@ -143,13 +153,13 @@ impl<P: Pruner> ScanBlock<P> for SearchBlock {
         &self,
         pruner: &P,
         q: &P::Query,
-        group: usize,
+        groups: Range<usize>,
         dims: DimSel<'_>,
         acc: &mut [f32],
         kernel: KernelPolicy,
     ) {
         let (metric, qvec) = (pruner.metric(), pruner.query_vector(q));
-        pdx_accumulate(metric, &self.pdx.group(group), qvec, dims, acc, kernel)
+        pdx_accumulate_groups(metric, &self.pdx, groups, qvec, dims, acc, kernel)
     }
 
     #[inline]
@@ -263,6 +273,8 @@ struct Scratch {
     compact: Vec<f32>,
     /// The tile's masked lanes (tile-relative, ascending).
     dead: Vec<u32>,
+    /// WARMUP survival bits of the last bound pass, one per tile vector.
+    bits: Vec<u64>,
 }
 
 /// Collects the lanes of a tile with row ids `ids` that `mask` holds. A
@@ -398,7 +410,6 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
     profile: &mut SearchProfile,
 ) {
     let dims = block.dims();
-    let group_size = block.group_size();
     let v0 = tile.vectors.start;
     let n = tile.vectors.len();
     let sel_limit = ((n as f32) * opts.selection_fraction).ceil() as usize;
@@ -416,13 +427,8 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
         if !pruning {
             // WARMUP: distance work for every vector.
             let t0 = timer::<PROFILE>();
-            for (g, acc) in tile
-                .groups
-                .clone()
-                .zip(scratch.partials.chunks_mut(group_size))
-            {
-                block.accumulate(pruner, q, g, sel.clone(), acc, opts.kernel);
-            }
+            let (groups, partials) = (tile.groups.clone(), &mut scratch.partials);
+            block.accumulate(pruner, q, groups, sel, partials, opts.kernel);
             lap(&mut profile.distance_ns, t0);
             if PROFILE {
                 profile.dims_scanned += ((ck - scanned) * n) as u64;
@@ -440,37 +446,31 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
                 lap(&mut profile.distance_ns, t1);
                 return;
             }
-            // Bound evaluation: branch-free survivor count.
+            // Bound evaluation: one branch-free pass writes the tile's
+            // survival bits and counts them; the masked lanes — the few,
+            // not the many — then give theirs up.
             let t2 = timer::<PROFILE>();
             let cp = pruner.checkpoint(q, scanned, dims, heap.threshold());
             let aux_row = aux_row::<P, B>(block, scanned).map(|row| &row[tile.vectors.clone()]);
-            let survivors = match aux_row {
-                Some(aux) => scratch
-                    .partials
-                    .iter()
-                    .zip(aux)
-                    .map(|(&p, &a)| P::survives(&cp, p, a) as usize)
-                    .sum::<usize>(),
-                None => scratch
-                    .partials
-                    .iter()
-                    .map(|&p| P::survives(&cp, p, 0.0) as usize)
-                    .sum::<usize>(),
-            };
-            let survives =
-                |i: usize, p: f32| P::survives(&cp, p, aux_row.map_or(0.0, |aux| aux[i]));
-            let masked = scratch.dead.iter().map(|&l| l as usize);
-            let masked = masked.filter(|&i| survives(i, scratch.partials[i])).count();
-            if survivors - masked <= sel_limit {
-                // Switch to PRUNE: compact survivor positions + partials
-                // (the few survivors, not the many lanes, are looked up
-                // among the masked ones).
+            let (partials, bits) = (&scratch.partials, &mut scratch.bits);
+            let mut survivors = survival_bits::<P>(&cp, partials, aux_row, bits, opts.kernel);
+            for &l in &scratch.dead {
+                let (word, bit) = (&mut bits[l as usize / 64], 1u64 << (l % 64));
+                survivors -= usize::from(*word & bit != 0);
+                *word &= !bit;
+            }
+            if survivors <= sel_limit {
+                // Switch to PRUNE: walk the set bits into survivor
+                // positions + partials, ascending.
                 scratch.positions.clear();
                 scratch.compact.clear();
-                for (i, &p) in scratch.partials.iter().enumerate() {
-                    if survives(i, p) && scratch.dead.binary_search(&(i as u32)).is_err() {
+                for (w, &word) in bits.iter().enumerate() {
+                    let mut left = word;
+                    while left != 0 {
+                        let i = 64 * w + left.trailing_zeros() as usize;
                         scratch.positions.push((v0 + i) as u32);
-                        scratch.compact.push(p);
+                        scratch.compact.push(partials[i]);
+                        left &= left - 1;
                     }
                 }
                 pruning = true;
@@ -540,7 +540,8 @@ mod tests {
     use crate::bond::PdxBond;
     use crate::collection::PdxCollection;
     use crate::distance::{distance_scalar, Metric};
-    use crate::kernels::sq8_scan;
+    use crate::kernels::lanes::Lane;
+    use crate::kernels::{pdx_accumulate, sq8_scan};
     use crate::layout::Sq8Quantizer;
     use crate::pruning::{StepPolicy, DEFAULT_SELECTION_FRACTION};
     use crate::search::quantized::{Sq8Block, Sq8Bound};
@@ -1109,8 +1110,12 @@ mod tests {
             q
         }
         fn checkpoint(&self, _q: &Vec<f32>, _scanned: usize, _total: usize, _threshold: f32) {}
-        fn survives(_cp: &(), _partial: f32, aux: f32) -> bool {
-            aux == 1.0
+        /// `|aux − 1| ≤ 0`: exactly the marked vectors.
+        fn slack<L: Lane>(_cp: &(), _partial: L, aux: L) -> L {
+            aux.sub(aux.fill(1.0)).abs()
+        }
+        fn limit(_cp: &()) -> f32 {
+            0.0
         }
     }
 
@@ -1186,6 +1191,90 @@ mod tests {
         assert!(got.iter().all(|nb| !dead.contains(nb.id)));
         let expected = 1_024 * d + 1_024 * sched[0] + 150 * (d - sched[0]);
         assert_eq!(profile.dims_scanned, expected as u64);
+    }
+
+    /// Scans one block of `n` vectors (groups of 64, `d` = 16, `k` = 10)
+    /// with [`MarkerPruner`]: `marked` vectors survive every bound, rows
+    /// of `dead` are masked. Returns the answer, the dimension values
+    /// read and the first checkpoint.
+    fn marker_scan(
+        n: usize,
+        marked: impl IntoIterator<Item = usize>,
+        dead: &RowMask,
+    ) -> (Vec<Neighbor>, u64, usize) {
+        let d = 16usize;
+        let rows = make_rows(n, d, 80);
+        let q = make_rows(1, d, 81);
+        let sched = checkpoints(StepPolicy::default(), d);
+        let mut coll = PdxCollection::from_rows_partitioned(&rows, n, d, n, 64);
+        let mut aux = BlockAux::new(sched.iter().map(|&c| c as u32).collect(), n);
+        for v in marked {
+            for ci in 0..sched.len() {
+                aux.row_mut(ci)[v] = 1.0;
+            }
+        }
+        coll.blocks[0].aux = Some(aux);
+        let mut profile = SearchProfile::default();
+        let (opts, profiled) = (SearchOptions::new(10), Some(&mut profile));
+        let got = pdxearch(&MarkerPruner, &q, &coll.blocks, &opts, Some(dead), profiled);
+        (got, profile.dims_scanned, sched[0])
+    }
+
+    #[test]
+    fn a_survivor_count_equal_to_the_selection_limit_switches_to_prune() {
+        // The second tile's limit is ⌈0.2 × 1 024⌉ = 205 survivors: 205
+        // (across four words of the bit buffer, the last lane included)
+        // switch to PRUNE at the first bound, 206 stay in WARMUP — and,
+        // marked at every checkpoint, to the end.
+        let (d, none) = (16usize, RowMask::default());
+        let marked = |count: usize| (1_024..1_024 + count - 1).chain([2_047]);
+        let (got, scanned, first) = marker_scan(2_048, marked(205), &none);
+        assert_eq!(
+            scanned as usize,
+            1_024 * d + 1_024 * first + 205 * (d - first)
+        );
+        assert!(got.iter().all(|nb| nb.id < 1_024 + 204 || nb.id == 2_047));
+        let (_, scanned, _) = marker_scan(2_048, marked(206), &none);
+        assert_eq!(scanned as usize, 2_048 * d);
+        // Masked survivors do not count towards the limit.
+        let dead: RowMask = [1_024u64, 2_047].into_iter().collect();
+        let (got, scanned, _) = marker_scan(2_048, marked(207), &dead);
+        assert_eq!(
+            scanned as usize,
+            1_024 * d + 1_024 * first + 205 * (d - first)
+        );
+        assert!(got.iter().all(|nb| !dead.contains(nb.id)));
+    }
+
+    #[test]
+    fn a_tile_whose_every_survivor_is_masked_ends_at_its_first_bound() {
+        // All 100 marked vectors of the second tile are dead: no bit is
+        // left, so there is no position to prune at and the tile returns.
+        let d = 16usize;
+        let dead: RowMask = (1_500..1_600u64).collect();
+        let (got, scanned, first) = marker_scan(2_048, 1_500..1_600, &dead);
+        assert_eq!(scanned as usize, 1_024 * d + 1_024 * first);
+        assert_eq!(got.len(), 10);
+        assert!(got.iter().all(|nb| nb.id < 1_024));
+    }
+
+    #[test]
+    fn a_one_lane_tile_prunes_or_keeps_its_vector() {
+        // 1 025 vectors: a full tile, then a tile of one lane (limit
+        // ⌈0.2⌉ = 1, a bit buffer of one word with one live bit).
+        let (d, none) = (16usize, RowMask::default());
+        let (_, scanned, first) = marker_scan(1_025, [1_024], &none);
+        assert_eq!(scanned as usize, 1_024 * d + d);
+        let (got, scanned, _) = marker_scan(1_025, [], &none);
+        assert_eq!(scanned as usize, 1_024 * d + first);
+        assert!(got.iter().all(|nb| nb.id < 1_024));
+        let dead: RowMask = [1_024u64].into_iter().collect();
+        let (_, scanned, _) = marker_scan(1_025, [1_024], &dead);
+        assert_eq!(
+            scanned as usize,
+            1_024 * d,
+            "a fully masked tile is skipped"
+        );
     }
 
     #[test]

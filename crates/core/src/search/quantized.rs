@@ -24,7 +24,7 @@ use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
 use crate::kernels::pdx::DimSel;
-use crate::kernels::sq8::{sq8_accumulate, sq8_accumulate_survivors};
+use crate::kernels::sq8::{sq8_accumulate_groups, sq8_accumulate_survivors};
 use crate::layout::{QuantizedPdxBlock, Sq8Quantizer, Sq8Query};
 use crate::profile::SearchProfile;
 use crate::pruning::Pruner;
@@ -131,8 +131,8 @@ impl Pruner for Sq8Bound<'_> {
     }
 
     #[inline(always)]
-    fn survives(cp: &f32, partial: f32, _aux: f32) -> bool {
-        partial <= *cp
+    fn limit(cp: &f32) -> f32 {
+        *cp
     }
 }
 
@@ -167,18 +167,13 @@ impl ScanBlock<Sq8Bound<'_>> for Sq8Block {
         &self,
         _pruner: &Sq8Bound<'_>,
         q: &Sq8BoundQuery,
-        group: usize,
+        groups: Range<usize>,
         dims: DimSel<'_>,
         acc: &mut [f32],
         kernel: KernelPolicy,
     ) {
-        sq8_accumulate(
-            &q.sq8,
-            &self.codes.group(group),
-            storage_range(dims),
-            acc,
-            kernel,
-        )
+        let dims = storage_range(dims);
+        sq8_accumulate_groups(&q.sq8, &self.codes, groups, dims, acc, kernel)
     }
 
     #[inline]

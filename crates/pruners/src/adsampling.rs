@@ -125,8 +125,8 @@ impl Pruner for AdSampling {
     }
 
     #[inline(always)]
-    fn survives(cp: &AdsCheckpoint, partial: f32, _aux: f32) -> bool {
-        partial <= cp.bound
+    fn limit(cp: &AdsCheckpoint) -> f32 {
+        cp.bound
     }
 }
 

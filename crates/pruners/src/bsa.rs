@@ -31,7 +31,7 @@
 
 use pdx_core::collection::SearchBlock;
 use pdx_core::distance::Metric;
-use pdx_core::pruning::{BlockAux, Pruner};
+use pdx_core::pruning::{BlockAux, Lane, Pruner};
 use pdx_core::search::HorizontalBucket;
 use pdx_linalg::{LinearRegression, MatrixView, Pca};
 use rand::rngs::StdRng;
@@ -220,9 +220,15 @@ impl Pruner for Bsa {
         }
     }
 
+    /// `partial + a·(a − c)`.
     #[inline(always)]
-    fn survives(cp: &BsaCheckpoint, partial: f32, aux: f32) -> bool {
-        partial + aux * (aux - cp.c) <= cp.thr_adj
+    fn slack<L: Lane>(cp: &BsaCheckpoint, partial: L, aux: L) -> L {
+        partial.add(aux.mul(aux.sub(aux.fill(cp.c))))
+    }
+
+    #[inline(always)]
+    fn limit(cp: &BsaCheckpoint) -> f32 {
+        cp.thr_adj
     }
 }
 
@@ -398,9 +404,15 @@ impl Pruner for BsaLearned {
         }
     }
 
+    /// `partial + a·(p·a + q)`.
     #[inline(always)]
-    fn survives(cp: &BsaLearnedCheckpoint, partial: f32, aux: f32) -> bool {
-        partial + aux * (cp.p * aux + cp.q) <= cp.thr_adj
+    fn slack<L: Lane>(cp: &BsaLearnedCheckpoint, partial: L, aux: L) -> L {
+        partial.add(aux.mul(aux.fill(cp.p).mul(aux).add(aux.fill(cp.q))))
+    }
+
+    #[inline(always)]
+    fn limit(cp: &BsaLearnedCheckpoint) -> f32 {
+        cp.thr_adj
     }
 }
 
@@ -472,6 +484,31 @@ mod tests {
                 let want = bsa.prepare_query(raw);
                 assert_eq!(bits(&q.rotated), bits(&want.rotated));
                 assert_eq!(bits(&q.sqrt_res), bits(&want.sqrt_res));
+            }
+        }
+    }
+
+    #[test]
+    fn slack_is_the_f32_expression_of_the_bound() {
+        // The one-lane `slack` must round like the plain `f32`
+        // expressions the two bounds were first written as.
+        let vals = [0.0f32, -0.0, 0.3, 1.7, 123.456, 9.9e7, f32::INFINITY];
+        for &partial in &vals {
+            for &a in &vals {
+                for &(x, y) in &[(0.37f32, 41.5f32), (-2.25, 0.001), (1e-3, -7.0)] {
+                    let cp = BsaCheckpoint { thr_adj: y, c: x };
+                    let want = partial + a * (a - cp.c);
+                    assert_eq!(Bsa::slack(&cp, partial, a).to_bits(), want.to_bits());
+                    assert_eq!(Bsa::survives(&cp, partial, a), want <= cp.thr_adj);
+                    let cp = BsaLearnedCheckpoint {
+                        p: x,
+                        q: y,
+                        thr_adj: y,
+                    };
+                    let want = partial + a * (cp.p * a + cp.q);
+                    assert_eq!(BsaLearned::slack(&cp, partial, a).to_bits(), want.to_bits());
+                    assert_eq!(BsaLearned::survives(&cp, partial, a), want <= cp.thr_adj);
+                }
             }
         }
     }

@@ -9,7 +9,8 @@
 //! scalar-vs-scalar and stay green.
 
 use pdx::core::kernels::{
-    pdx_accumulate, pdx_accumulate_survivors, sq8_accumulate, sq8_accumulate_survivors, DimSel,
+    pdx_accumulate, pdx_accumulate_groups, pdx_accumulate_survivors, sq8_accumulate,
+    sq8_accumulate_groups, sq8_accumulate_survivors, survival_bits, DimSel,
 };
 use pdx::prelude::*;
 use proptest::prelude::*;
@@ -396,6 +397,185 @@ fn survivor_kernels_span_groups_and_the_tail_group() {
     }
 }
 
+/// The bound pass of one pruner at one checkpoint: for every length —
+/// empty, under / at / past one compare of 8, one word of 64 and one
+/// tile of 1 024 — with and without an aux row and under both policies,
+/// the survival bits and their count are those of a scalar loop of
+/// `survives`. The partials hold NaN, ±inf, −0.0 and, where the aux
+/// value is zero, exact ties `slack == limit` (a tie survives).
+fn check_bound_pass<P: Pruner>(name: &str, cp: &P::Checkpoint) {
+    let limit = P::limit(cp);
+    assert!(limit.is_finite(), "{name}: limit {limit}");
+    let spread = limit.abs().max(1.0);
+    for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025] {
+        let mut state = 0x9E37_79B9u32.wrapping_mul(n as u32 + 1);
+        let mut unit = || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) as f32 / (1u32 << 24) as f32
+        };
+        let aux: Vec<f32> = (0..n)
+            .map(|l| {
+                if l % 3 == 0 {
+                    0.0
+                } else {
+                    unit() * spread.sqrt()
+                }
+            })
+            .collect();
+        let partials: Vec<f32> = (0..n)
+            .map(|l| match l % 13 {
+                0 | 3 | 6 => limit,
+                1 => f32::NAN,
+                2 => f32::INFINITY,
+                4 => f32::NEG_INFINITY,
+                5 => -0.0,
+                _ => limit + (unit() - 0.5) * spread,
+            })
+            .collect();
+        for aux in [None, Some(&aux[..])] {
+            let keep = |l: usize| P::survives(cp, partials[l], aux.map_or(0.0, |a| a[l]));
+            let mut want = vec![0u64; n.div_ceil(64)];
+            for l in (0..n).filter(|&l| keep(l)) {
+                want[l / 64] |= 1 << (l % 64);
+            }
+            let count = (0..n).filter(|&l| keep(l)).count();
+            // Ties survive, NaN does not, whatever the aux row says.
+            for l in (0..n).filter(|l| l % 39 == 0) {
+                assert!(keep(l), "{name}: tie at lane {l} of {n}");
+            }
+            assert!((0..n).all(|l| l % 13 != 1 || !keep(l)), "{name}: NaN kept");
+            for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
+                let mut bits = vec![u64::MAX; 40];
+                let counted = survival_bits::<P>(cp, &partials, aux, &mut bits, policy);
+                let at = format!("{name} n={n} aux={} {policy:?}", aux.is_some());
+                assert_eq!(bits, want, "{at}");
+                assert_eq!(counted, count, "{at}");
+            }
+        }
+    }
+}
+
+/// The bound nest serves all five pruners: what `slack` / `limit` say
+/// eight lanes at a time is what `survives` says one lane at a time.
+#[test]
+fn bound_pass_bits_equal_the_scalar_survives_loop() {
+    let (n, d) = (300usize, 16usize);
+    let rows: Vec<f32> = (0..n * d)
+        .map(|i| ((i * 37 % 101) as f32) * 0.25 - 12.0 + (i % 7) as f32 * 0.5)
+        .collect();
+    let raw_q: Vec<f32> = (0..d).map(|i| (i as f32 * 0.77).sin() * 3.0).collect();
+    let sched = checkpoints(StepPolicy::default(), d);
+    let (scanned, threshold) = (sched[1], 750.0f32);
+
+    let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
+    let cp = bond.checkpoint(&bond.prepare_query(&raw_q), scanned, d, threshold);
+    check_bound_pass::<PdxBond>("bond", &cp);
+    // BOND's bound is the threshold itself, as it was before `slack`.
+    assert!(PdxBond::survives(&cp, threshold, 9.0) && !PdxBond::survives(&cp, 750.1, 0.0));
+
+    let quantizer = Sq8Quantizer::fit(&rows, n, d);
+    let sq8 = Sq8Bound::new(&quantizer, Metric::NegativeIp);
+    let cp = sq8.checkpoint(&sq8.prepare_query(&raw_q), scanned, d, threshold);
+    check_bound_pass::<Sq8Bound<'_>>("sq8", &cp);
+
+    let ads = AdSampling::fit(d, 3);
+    let cp = ads.checkpoint(&ads.prepare_query(&raw_q), scanned, d, threshold);
+    check_bound_pass::<AdSampling>("adsampling", &cp);
+
+    let bsa = Bsa::fit(&rows, n, d, usize::MAX);
+    let cp = bsa.checkpoint(&bsa.prepare_query(&raw_q), scanned, d, threshold);
+    check_bound_pass::<Bsa>("bsa", &cp);
+
+    let rotated = bsa.transform_collection(&rows, n, 1);
+    let learned = BsaLearned::fit(bsa, &rotated, n, &sched, 500, 11);
+    let cp = learned.checkpoint(&learned.prepare_query(&raw_q), scanned, d, threshold);
+    check_bound_pass::<BsaLearned>("bsa-learned", &cp);
+}
+
+/// One dense call over a range of groups is the per-group calls it
+/// replaces, bit for bit: `f32` (ranged and permuted) and `u8` (ranged —
+/// SQ8 has no dimension order), every metric, both policies, over the
+/// empty range, one group, one tile of 16 groups, the partial tail group
+/// alone and the whole block — and it writes nothing outside the range.
+#[test]
+fn dense_over_a_group_range_equals_the_per_group_calls() {
+    let d = 12usize;
+    for (n, group) in [(64 * 19 + 17, 64usize), (300, 16), (5, 64), (64, 64)] {
+        let data: Vec<f32> = (0..n * d)
+            .map(|i| ((i * 29 % 113) as f32) * 0.5 - 20.0)
+            .collect();
+        let block = PdxBlock::from_rows(&data, n, d, group);
+        let quantizer = Sq8Quantizer::fit(&data, n, d);
+        let codes = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
+        let raw: Vec<f32> = (0..d).map(|i| (i as f32 * 0.6).cos() * 4.0).collect();
+        let perm = permute(d, n);
+        let (lo, groups) = (d / 4, block.group_count());
+        let ranges = [
+            0..0,
+            groups..groups,
+            0..1,
+            0..groups.min(16),
+            groups - 1..groups,
+            groups / 2..groups,
+            0..groups,
+        ];
+        for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
+            let q8 = quantizer.prepare_query(metric, &raw);
+            for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
+                // The per-group calls, over the whole block.
+                let mut want = [vec![1.5f32; n], vec![1.5f32; n], vec![1.5f32; n]];
+                for (g, g8) in block.groups().zip(codes.groups()) {
+                    let lanes = g.start_vector..g.start_vector + g.lanes;
+                    let (ranged, permuted) = (DimSel::Range(lo..d), DimSel::Ids(&perm[lo..]));
+                    pdx_accumulate(
+                        metric,
+                        &g,
+                        &raw,
+                        ranged,
+                        &mut want[0][lanes.clone()],
+                        policy,
+                    );
+                    pdx_accumulate(
+                        metric,
+                        &g,
+                        &raw,
+                        permuted,
+                        &mut want[1][lanes.clone()],
+                        policy,
+                    );
+                    sq8_accumulate(&q8, &g8, lo..d, &mut want[2][lanes], policy);
+                }
+                for range in &ranges {
+                    let lanes = (range.start * group).min(n)..(range.end * group).min(n);
+                    let mut got = [vec![1.5f32; n], vec![1.5f32; n], vec![1.5f32; n]];
+                    let (ranged, permuted) = (DimSel::Range(lo..d), DimSel::Ids(&perm[lo..]));
+                    let r = || range.clone();
+                    let acc = &mut got[0][lanes.clone()];
+                    pdx_accumulate_groups(metric, &block, r(), &raw, ranged, acc, policy);
+                    let acc = &mut got[1][lanes.clone()];
+                    pdx_accumulate_groups(metric, &block, r(), &raw, permuted, acc, policy);
+                    let acc = &mut got[2][lanes.clone()];
+                    sq8_accumulate_groups(&q8, &codes, r(), lo..d, acc, policy);
+                    for (k, (got, want)) in got.iter().zip(&want).enumerate() {
+                        let at =
+                            format!("n={n} group={group} {metric:?} {policy:?} {range:?} #{k}");
+                        assert_eq!(
+                            to_bits(&got[lanes.clone()]),
+                            to_bits(&want[lanes.clone()]),
+                            "{at}"
+                        );
+                        let untouched = |v: &[f32]| v.iter().all(|&x| x == 1.5);
+                        assert!(
+                            untouched(&got[..lanes.start]) && untouched(&got[lanes.end..]),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Dispatch sanity: detection is stable, the policies resolve the way
 /// the docs promise, and the wire codes round-trip.
 #[test]
@@ -435,10 +615,11 @@ fn dispatch_is_stable_and_consistent() {
 /// Every `# Panics` the vertical kernels document — and the batch entry
 /// points' ragged-buffer one — as one table. The
 /// SIMD loads are raw, so their bounds must be refused *before* any
-/// load: under `Simd` each row must panic with the documented message.
-/// Under `Scalar` the asserts the entry points make themselves carry the
-/// same message (`everywhere`); the rest surface as a slice-index panic
-/// of the checked loops, which is still a panic and never a wrong read.
+/// load, and the entry points check groups, accumulators, positions and
+/// dimensions once a call whatever the policy: every row panics with its
+/// documented message under `Scalar` and `Simd` alike (six dimension
+/// rows used to surface as a slice-index panic of the checked scalar
+/// loops, with whatever message std printed).
 #[test]
 fn kernel_panic_contracts() {
     use pdx::core::kernels::pdx_accumulate_positions;
@@ -457,12 +638,11 @@ fn kernel_panic_contracts() {
     let flat = FlatPdx::new(&data, n, d, n, group);
     let hnsw = Hnsw::build(&data, n, d, HnswParams::default(), 1);
 
-    type Case<'a> = (&'a str, &'a str, bool, Box<dyn Fn(KernelPolicy) + 'a>);
+    type Case<'a> = (&'a str, &'a str, Box<dyn Fn(KernelPolicy) + 'a>);
     let cases: Vec<Case<'_>> = vec![
         (
             "pdx_accumulate: acc.len() != group.lanes",
             "one accumulator per lane required",
-            true,
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes - 1];
                 pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..d), &mut acc, p)
@@ -471,7 +651,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate: range past the query",
             "dimension range exceeds query length",
-            true,
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
                 pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..d + 1), &mut acc, p)
@@ -480,7 +659,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate: range past the group",
             "dimension range exceeds group",
-            false,
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
                 pdx_accumulate(
@@ -496,7 +674,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate: Ids entry >= dims",
             "dimension id exceeds query length",
-            false,
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
                 let ids = [0u32, d as u32];
@@ -506,7 +683,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate: Ids entry past the group",
             "dimension id exceeds group",
-            false,
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
                 let ids = [1u32, d as u32 + 2];
@@ -523,7 +699,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate_survivors: acc.len() != positions.len()",
             "one accumulator per survivor required",
-            true,
             Box::new(|p| {
                 let mut acc = vec![0.0; 2];
                 pdx_accumulate_survivors(
@@ -540,7 +715,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate_survivors: position >= n_vectors",
             "survivor position exceeds the stored vectors",
-            true,
             Box::new(|p| {
                 let mut acc = vec![0.0; 2];
                 pdx_accumulate_survivors(
@@ -557,7 +731,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate_survivors: range past the query",
             "dimension range exceeds query length",
-            false,
             Box::new(|p| {
                 let mut acc = vec![0.0; 1];
                 let short = &q[..d - 1];
@@ -575,7 +748,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate_survivors: Ids entry past the block",
             "dimension id exceeds group",
-            false,
             Box::new(|p| {
                 let mut acc = vec![0.0; 1];
                 let ids = [d as u32];
@@ -593,7 +765,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate_positions: position >= group.lanes",
             "survivor position exceeds the stored vectors",
-            true,
             Box::new(|_| {
                 let mut acc = vec![0.0; 1];
                 pdx_accumulate_positions(Metric::L2, &g, &q, 0..d, &[lanes as u32], &mut acc)
@@ -602,7 +773,6 @@ fn kernel_panic_contracts() {
         (
             "pdx_accumulate_positions: acc.len() != positions.len()",
             "one accumulator per survivor required",
-            true,
             Box::new(|_| {
                 let mut acc = vec![0.0; 3];
                 pdx_accumulate_positions(Metric::L2, &g, &q, 0..d, &[1, 2], &mut acc)
@@ -611,7 +781,6 @@ fn kernel_panic_contracts() {
         (
             "sq8_accumulate: acc.len() != group.lanes",
             "one accumulator per lane required",
-            true,
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes + 1];
                 sq8_accumulate(&q8, &g8, 0..d, &mut acc, p)
@@ -620,7 +789,6 @@ fn kernel_panic_contracts() {
         (
             "sq8_accumulate: dims.end > q.dims()",
             "dimension range exceeds query length",
-            true,
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
                 sq8_accumulate(&q8, &g8, 0..d + 1, &mut acc, p)
@@ -629,7 +797,6 @@ fn kernel_panic_contracts() {
         (
             "sq8_accumulate_survivors: acc.len() != positions.len()",
             "one accumulator per survivor required",
-            true,
             Box::new(|p| {
                 let mut acc = vec![0.0; 1];
                 sq8_accumulate_survivors(&q8, &codes, 0..d, &[4, 5], &mut acc, p)
@@ -638,7 +805,6 @@ fn kernel_panic_contracts() {
         (
             "sq8_accumulate_survivors: position >= n_vectors",
             "survivor position exceeds the stored vectors",
-            true,
             Box::new(|p| {
                 let mut acc = vec![0.0; 1];
                 sq8_accumulate_survivors(&q8, &codes, 0..d, &[n as u32 + 7], &mut acc, p)
@@ -647,10 +813,91 @@ fn kernel_panic_contracts() {
         (
             "sq8_accumulate_survivors: dims.end > q.dims()",
             "dimension range exceeds query length",
-            false,
             Box::new(|p| {
                 let mut acc = vec![0.0; 1];
                 sq8_accumulate_survivors(&q8, &codes, 2..d + 1, &[3], &mut acc, p)
+            }),
+        ),
+        (
+            "pdx_accumulate_groups: group range past the block",
+            "group range exceeds the block",
+            Box::new(|p| {
+                let mut acc = vec![0.0; n - group];
+                pdx_accumulate_groups(
+                    Metric::L2,
+                    &block,
+                    1..3,
+                    &q,
+                    DimSel::Range(0..d),
+                    &mut acc,
+                    p,
+                )
+            }),
+        ),
+        (
+            "pdx_accumulate_groups: reversed group range",
+            "group range is reversed",
+            Box::new(|p| {
+                #[allow(clippy::reversed_empty_ranges)]
+                let groups = 2..1;
+                pdx_accumulate_groups(
+                    Metric::L2,
+                    &block,
+                    groups,
+                    &q,
+                    DimSel::Range(0..d),
+                    &mut [],
+                    p,
+                )
+            }),
+        ),
+        (
+            "pdx_accumulate_groups: acc.len() != vectors covered",
+            "one accumulator per lane required",
+            Box::new(|p| {
+                // Two groups cover 70 vectors, not 2 × 64.
+                let mut acc = vec![0.0; 2 * group];
+                pdx_accumulate_groups(
+                    Metric::L2,
+                    &block,
+                    0..2,
+                    &q,
+                    DimSel::Range(0..d),
+                    &mut acc,
+                    p,
+                )
+            }),
+        ),
+        (
+            "pdx_accumulate_groups: Ids entry >= dims",
+            "dimension id exceeds query length",
+            Box::new(|p| {
+                let mut acc = vec![0.0; n];
+                let ids = [0u32, d as u32];
+                pdx_accumulate_groups(Metric::L2, &block, 0..2, &q, DimSel::Ids(&ids), &mut acc, p)
+            }),
+        ),
+        (
+            "sq8_accumulate_groups: group range past the block",
+            "group range exceeds the block",
+            Box::new(|p| {
+                let mut acc = vec![0.0; n];
+                sq8_accumulate_groups(&q8, &codes, 0..3, 0..d, &mut acc, p)
+            }),
+        ),
+        (
+            "sq8_accumulate_groups: acc.len() != vectors covered",
+            "one accumulator per lane required",
+            Box::new(|p| {
+                let mut acc = vec![0.0; n - 1];
+                sq8_accumulate_groups(&q8, &codes, 0..2, 0..d, &mut acc, p)
+            }),
+        ),
+        (
+            "survival_bits: aux.len() != partials.len()",
+            "one aux value per lane required",
+            Box::new(|p| {
+                survival_bits::<PdxBond>(&1.0, &[0.5; 9], Some(&[0.0; 8]), &mut Vec::new(), p);
             }),
         ),
         // A ragged batch is refused before any query is prepared: by the
@@ -659,7 +906,6 @@ fn kernel_panic_contracts() {
         (
             "FlatPdx::search_batch: queries.len() % dims != 0",
             "queries buffer must hold whole vectors",
-            true,
             Box::new(|p| {
                 let opts = SearchOptions::new(3).with_kernel(p);
                 flat.search_batch(&data[..2 * d + 1], &opts);
@@ -668,7 +914,6 @@ fn kernel_panic_contracts() {
         (
             "Hnsw::search_batch: queries.len() % dims != 0",
             "queries buffer must hold whole vectors",
-            true,
             Box::new(|p| {
                 let opts = SearchOptions::new(3).with_kernel(p);
                 VectorIndex::search_batch(&hnsw, &data[..2 * d + 1], &opts);
@@ -681,7 +926,7 @@ fn kernel_panic_contracts() {
     assert!(flat.search_batch(&[], &opts).is_empty());
     assert!(VectorIndex::search_batch(&hnsw, &[], &opts).is_empty());
 
-    for (name, want, everywhere, run) in &cases {
+    for (name, want, run) in &cases {
         for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
             let err = catch_unwind(AssertUnwindSafe(|| run(policy)))
                 .expect_err(&format!("{name} under {policy:?}: no panic"));
@@ -690,10 +935,7 @@ fn kernel_panic_contracts() {
                 .map(String::as_str)
                 .or_else(|| err.downcast_ref::<&str>().copied())
                 .unwrap_or("");
-            let simd = policy.resolve() != KernelIsa::Scalar;
-            if simd || *everywhere {
-                assert!(msg.contains(want), "{name} under {policy:?}: {msg:?}");
-            }
+            assert!(msg.contains(want), "{name} under {policy:?}: {msg:?}");
         }
     }
 }
