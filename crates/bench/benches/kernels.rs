@@ -3,7 +3,7 @@
 //! L2 / IP / L1 at representative dimensionalities — and, in the
 //! `rotation` groups, the query/collection rotations of the pruners; in
 //! `bound_pass` and `dense/tile_vs_groups`, the two per-checkpoint steps
-//! of a PDXearch tile.
+//! of a PDXearch tile; in `sq8_from_rows`, the SQ8 build of a compaction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pdx::core::kernels::{pdx_accumulate_groups, sq8_accumulate_groups, survival_bits, DimSel};
@@ -226,12 +226,42 @@ fn bench_tile_vs_groups(c: &mut Criterion) {
     group.finish();
 }
 
+/// The build half of an SQ8 seal or compaction at the shape a
+/// `store_churn` compaction rewrites (30 200 rows of d = 128): the
+/// quantizer fit, then the encode and group tiling of `from_rows`, and
+/// the two together. Throughput counts values, so the rate inverts to
+/// ns per value.
+fn bench_sq8_from_rows(c: &mut Criterion) {
+    let (n, d) = (30_200usize, 128usize);
+    let spec = DatasetSpec {
+        name: "bench",
+        dims: d,
+        distribution: Distribution::Normal,
+        paper_size: 0,
+    };
+    let ds = generate(&spec, n, 1, 11);
+    let rows = &ds.data[..n * d];
+    let quantizer = Sq8Quantizer::fit(rows, n, d);
+    let tile = |q: &Sq8Quantizer| QuantizedPdxBlock::from_rows(rows, n, d, DEFAULT_GROUP_SIZE, q);
+    let mut group = c.benchmark_group(format!("sq8_from_rows/{n}x{d}"));
+    group.throughput(Throughput::Elements((n * d) as u64));
+    group.bench_function("fit", |b| {
+        b.iter(|| Sq8Quantizer::fit(black_box(rows), n, d))
+    });
+    group.bench_function("encode+tile", |b| b.iter(|| tile(black_box(&quantizer))));
+    group.bench_function("fit+encode+tile", |b| {
+        b.iter(|| tile(&Sq8Quantizer::fit(black_box(rows), n, d)))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kernels, bench_rotation, bench_bound_pass, bench_tile_vs_groups
+    targets = bench_kernels, bench_rotation, bench_bound_pass, bench_tile_vs_groups,
+        bench_sq8_from_rows
 }
 criterion_main!(benches);

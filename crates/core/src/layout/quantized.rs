@@ -23,11 +23,41 @@
 //! so the reconstruction error per value is at most `scale_d / 2` for any
 //! value inside the learned range. That bound is what the SQ8 distance
 //! error analysis in [`kernels::sq8`](crate::kernels::sq8) builds on.
+//!
+//! # The rounding contract
+//!
+//! The code of a value is `x = (v − min_d) / scale_d` rounded half away
+//! from zero and clamped to `[0, 255]`, with NaN → 0: bit for bit
+//! `x.round().clamp(0.0, 255.0) as u8` on every `f32` (±0.0, subnormals,
+//! ±inf and every NaN included — a unit test checks all 2³² inputs). One
+//! private function spells it, and both [`Sq8Quantizer::encode_value`]
+//! and [`QuantizedPdxBlock::from_rows`] call it. It has no `round`
+//! call: at the baseline x86-64 target `f32::round` is a libm call per
+//! value (`roundps` needs SSE4.1), and a saturating `as u8` is one
+//! scalar conversion per value even inside a vector loop. Instead the
+//! clamped value `c` is added to 2²³, which leaves its nearest integer
+//! (ties to even) in the low mantissa bits — read with `to_bits`, no
+//! conversion — and a tie that went down to even (`c` minus that integer
+//! is exactly 0.5, a difference `f32` represents exactly) gets its 1
+//! back. Every step is an add, a compare or a bit operation: no call and
+//! no branch.
 
 use crate::distance::Metric;
 
 /// Number of quantization levels of the 8-bit codec.
 const LEVELS: f32 = 255.0;
+
+/// The SQ8 code of `x`, a value already in code space (`(v − min_d) /
+/// scale_d`): the one spelling of the rounding contract (module docs).
+#[inline]
+fn code(x: f32) -> u8 {
+    // 2²³: the sum's unit in the last place is 1, so the add rounds `c`
+    // to an integer and leaves it in the low byte of the bits.
+    const ROUNDER: f32 = 8_388_608.0;
+    let c = if x > 0.0 { x.min(LEVELS) } else { 0.0 }; // NaN → 0 too
+    let near = c + ROUNDER;
+    near.to_bits() as u8 + u8::from(c - (near - ROUNDER) == 0.5)
+}
 
 /// Per-dimension affine SQ8 codec: `value ≈ min_d + scale_d · code`.
 ///
@@ -175,29 +205,12 @@ impl Sq8Quantizer {
 
     /// Encodes one value of dimension `d`, clamping to the learned range.
     pub fn encode_value(&self, d: usize, v: f32) -> u8 {
-        let code = (v - self.mins[d]) / self.scales[d];
-        code.round().clamp(0.0, LEVELS) as u8
+        code((v - self.mins[d]) / self.scales[d])
     }
 
     /// Decodes one code of dimension `d` back to the cell centre.
     pub fn decode_value(&self, d: usize, code: u8) -> f32 {
         self.mins[d] + self.scales[d] * code as f32
-    }
-
-    /// Encodes row-major vectors into row-major codes.
-    ///
-    /// # Panics
-    /// Panics if the buffer is not whole vectors of [`Sq8Quantizer::dims`].
-    pub fn encode_rows(&self, rows: &[f32]) -> Vec<u8> {
-        let d = self.dims();
-        assert_eq!(rows.len() % d, 0, "rows must be whole vectors");
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows.chunks_exact(d) {
-            for (dim, &v) in row.iter().enumerate() {
-                out.push(self.encode_value(dim, v));
-            }
-        }
-        out
     }
 
     /// Decodes one row of codes back to `f32` values.
@@ -325,7 +338,9 @@ pub struct QuantizedPdxGroup<'a> {
 
 impl QuantizedPdxBlock {
     /// Quantizes row-major `f32` data (`n_vectors × n_dims`) into a
-    /// group-tiled `u8` block.
+    /// group-tiled `u8` block, one group at a time: each value is encoded
+    /// straight into its tiled slot, with no row-major code buffer and no
+    /// transpose pass between the two.
     ///
     /// # Panics
     /// Panics if the buffer size disagrees with the dimensions, the
@@ -338,13 +353,26 @@ impl QuantizedPdxBlock {
         group_size: usize,
         quantizer: &Sq8Quantizer,
     ) -> Self {
+        assert!(group_size > 0, "group size must be positive");
         assert_eq!(
             rows.len(),
             n_vectors * n_dims,
             "row buffer does not match dimensions"
         );
         assert_eq!(quantizer.dims(), n_dims, "quantizer dimensionality");
-        Self::from_code_rows(&quantizer.encode_rows(rows), n_vectors, n_dims, group_size)
+        let (mins, scales) = (quantizer.mins(), quantizer.scales());
+        let mut data = vec![0u8; rows.len()];
+        let span = group_size * n_dims;
+        for (group_rows, tile) in rows.chunks(span).zip(data.chunks_mut(span)) {
+            let lanes = group_rows.len() / n_dims;
+            for (lane, row) in group_rows.chunks_exact(n_dims).enumerate() {
+                let cols = tile.chunks_exact_mut(lanes);
+                for (((col, &v), &lo), &s) in cols.zip(row).zip(mins).zip(scales) {
+                    col[lane] = code((v - lo) / s);
+                }
+            }
+        }
+        Self::from_tiled(data, n_vectors, n_dims, group_size)
     }
 
     /// Builds a block by gathering (and quantizing) the given row indices
@@ -663,5 +691,170 @@ mod tests {
     #[should_panic(expected = "code buffer")]
     fn mismatched_buffer_panics() {
         let _ = QuantizedPdxBlock::from_code_rows(&[1, 2], 2, 2, 64);
+    }
+
+    /// The SQ8 code as first written, kept as the oracle: `round` (half
+    /// away from zero), clamp, then the saturating cast (NaN → 0).
+    fn reference_code(x: f32) -> u8 {
+        x.round().clamp(0.0, LEVELS) as u8
+    }
+
+    /// The block as first built: every row encoded with
+    /// [`reference_code`] into a row-major temp, then tiled.
+    fn reference_block(
+        rows: &[f32],
+        n: usize,
+        d: usize,
+        group: usize,
+        q: &Sq8Quantizer,
+    ) -> QuantizedPdxBlock {
+        let codes: Vec<u8> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| reference_code((v - q.min(i % d)) / q.scale(i % d)))
+            .collect();
+        QuantizedPdxBlock::from_code_rows(&codes, n, d, group)
+    }
+
+    /// A one-dimensional codec with `min = 0`, `scale = 1`: its
+    /// `encode_value(0, x)` is the code of `x` itself, since `(x − 0) / 1`
+    /// is `x` for every `f32` (−0.0, subnormals and NaN included).
+    fn unit() -> Sq8Quantizer {
+        Sq8Quantizer::from_params(vec![0.0], vec![1.0])
+    }
+
+    fn assert_codes_match(xs: impl IntoIterator<Item = f32>) {
+        let q = unit();
+        for x in xs {
+            let (got, want) = (q.encode_value(0, x), reference_code(x));
+            assert_eq!(got, want, "x = {x:e} (bits {:#010x})", x.to_bits());
+        }
+    }
+
+    /// `x` moved `ulps` representable steps away from or towards zero.
+    fn ulps_from(x: f32, ulps: i32) -> f32 {
+        f32::from_bits(x.to_bits().wrapping_add_signed(ulps))
+    }
+
+    /// xorshift64, so no case moves with the `rand` stand-in.
+    fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    #[test]
+    fn code_equals_reference_at_every_tie_and_its_neighbours() {
+        let mut xs = Vec::new();
+        for k in -2i32..=257 {
+            let tie = k as f32 + 0.5;
+            xs.push(tie);
+            for ulps in 1..=8 {
+                xs.extend([ulps_from(tie, ulps), ulps_from(tie, -ulps)]);
+            }
+        }
+        assert_codes_match(xs);
+    }
+
+    #[test]
+    fn code_equals_reference_on_the_edge_cases() {
+        assert_codes_match([
+            0.499_999_97,
+            0.5,
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0xffc0_0001), // negative NaN with a payload
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            -f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::EPSILON,
+            254.5,
+            255.0,
+            255.5,
+            256.0,
+            1e10,
+            -1e10,
+        ]);
+        assert_eq!(unit().encode_value(0, 0.499_999_97), 0);
+        assert_eq!(unit().encode_value(0, 0.5), 1);
+        assert_eq!(unit().encode_value(0, 1.5), 2, "ties round away from zero");
+        assert_eq!(unit().encode_value(0, 2.5), 3, "ties round away from zero");
+        assert_eq!(unit().encode_value(0, f32::NAN), 0);
+    }
+
+    #[test]
+    fn code_equals_reference_on_random_bit_patterns() {
+        let mut next = xorshift(0x5851_F42D_4C95_7F2D);
+        assert_codes_match((0..1_000_000).map(|_| f32::from_bits(next() as u32)));
+    }
+
+    /// All 2³² bit patterns, split over a few threads (about 10–20 s in
+    /// release): `cargo test --release -p pdx-core --lib
+    /// code_equals_reference_on_every_f32 -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over every f32: run in release with --ignored"]
+    fn code_equals_reference_on_every_f32() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8)) as u64;
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                s.spawn(move || {
+                    let q = unit();
+                    let (lo, hi) = ((t << 32) / threads, ((t + 1) << 32) / threads);
+                    for bits in lo..hi {
+                        let x = f32::from_bits(bits as u32);
+                        if q.encode_value(0, x) != reference_code(x) {
+                            panic!("x = {x:e} (bits {bits:#010x})");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn from_rows_equals_the_reference_encode_then_tile() {
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        for d in [1usize, 7, 128] {
+            // Dyadic parameters: `(v − min) / scale` is exact, so the
+            // half-step values below land on exact .5 ties; the values
+            // past either end of the range clamp.
+            let mins: Vec<f32> = (0..d).map(|j| j as f32 * 0.25 - 4.0).collect();
+            let scales: Vec<f32> = (0..d).map(|j| 2f32.powi(j as i32 % 5 - 2)).collect();
+            let dyadic = Sq8Quantizer::from_params(mins, scales);
+            for n in [0usize, 1, 63, 64, 65, 1_025] {
+                let rows: Vec<f32> = (0..n * d)
+                    .map(|i| {
+                        let r = next();
+                        let (lo, s) = (dyadic.min(i % d), dyadic.scale(i % d));
+                        let step = (r % 300) as f32 - 20.0; // −20 ..= 279
+                        match r >> 62 {
+                            0 => lo + s * (step + 0.5),
+                            1 => lo + s * step,
+                            _ => (r >> 40) as f32 / (1u64 << 20) as f32 - 8.0,
+                        }
+                    })
+                    .collect();
+                let fitted = Sq8Quantizer::fit(&rows, n, d);
+                for group in [1usize, 16, 64] {
+                    for q in [&dyadic, &fitted] {
+                        let got = QuantizedPdxBlock::from_rows(&rows, n, d, group, q);
+                        let want = reference_block(&rows, n, d, group, q);
+                        assert_eq!(got, want, "n {n} d {d} group {group}");
+                    }
+                }
+            }
+        }
     }
 }

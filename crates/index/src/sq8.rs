@@ -23,6 +23,7 @@ use pdx_core::exec::ThreadPool;
 use pdx_core::layout::Sq8Quantizer;
 use pdx_core::search::quantized::Sq8Block;
 use pdx_core::{DEFAULT_EXACT_BLOCK, DEFAULT_GROUP_SIZE};
+use std::borrow::Cow;
 
 /// Flat SQ8 deployment: equally sized partitions (the §6.5 exact-search
 /// shape) with quantized scan data and exact rerank data.
@@ -31,9 +32,10 @@ use pdx_core::{DEFAULT_EXACT_BLOCK, DEFAULT_GROUP_SIZE};
 /// use pdx_index::FlatSq8;
 /// use pdx_core::engine::{SearchOptions, VectorIndex};
 ///
-/// // Sixteen 2-dimensional points on a line.
+/// // Sixteen 2-dimensional points on a line, moved in as the rerank
+/// // payload (`&rows` would copy them).
 /// let rows: Vec<f32> = (0..32).map(|i| i as f32).collect();
-/// let flat = FlatSq8::build(&rows, 16, 2, 8, 4);
+/// let flat = FlatSq8::build(rows, 16, 2, 8, 4);
 /// let hits = flat.search(&[0.0, 1.0], &SearchOptions::new(3));
 /// assert_eq!(hits[0].id, 0); // the nearest point, reranked exactly
 /// assert_eq!(hits.len(), 3);
@@ -54,10 +56,15 @@ impl FlatSq8 {
     /// Fits the quantizer on all rows and quantizes consecutive
     /// partitions of at most `block_size` vectors.
     ///
+    /// The rows become the rerank payload: an owned `Vec<f32>` is moved
+    /// in, never copied (`Segment::seal` in `pdx-store` hands over the
+    /// rows a seal or compaction gathered); a borrowed slice is copied
+    /// once, by `Cow::into_owned`.
+    ///
     /// # Panics
     /// Panics if the buffer size disagrees or `block_size == 0`.
-    pub fn build(
-        rows: &[f32],
+    pub fn build<'a>(
+        rows: impl Into<Cow<'a, [f32]>>,
         n_vectors: usize,
         dims: usize,
         block_size: usize,
@@ -69,8 +76,8 @@ impl FlatSq8 {
     /// [`FlatSq8::build`] with an explicit worker count (`0` = default)
     /// for quantizer training. The built deployment is bitwise identical
     /// at every thread count (min/max range merging is exact).
-    pub fn build_with_threads(
-        rows: &[f32],
+    pub fn build_with_threads<'a>(
+        rows: impl Into<Cow<'a, [f32]>>,
         n_vectors: usize,
         dims: usize,
         block_size: usize,
@@ -78,13 +85,14 @@ impl FlatSq8 {
         threads: usize,
     ) -> Self {
         assert!(block_size > 0, "block size must be positive");
+        let rows = rows.into().into_owned();
         assert_eq!(
             rows.len(),
             n_vectors * dims,
             "row buffer does not match dimensions"
         );
         let quantizer =
-            Sq8Quantizer::fit_with_pool(rows, n_vectors, dims, &ThreadPool::new(threads));
+            Sq8Quantizer::fit_with_pool(&rows, n_vectors, dims, &ThreadPool::new(threads));
         let mut blocks = Vec::with_capacity(n_vectors.div_ceil(block_size));
         let mut v0 = 0usize;
         while v0 < n_vectors {
@@ -103,12 +111,16 @@ impl FlatSq8 {
             dims,
             quantizer,
             blocks,
-            rows: rows.to_vec(),
+            rows,
         }
     }
 
     /// Paper-default partitioning (blocks of 10 240, groups of 64).
-    pub fn with_defaults(rows: &[f32], n_vectors: usize, dims: usize) -> Self {
+    pub fn with_defaults<'a>(
+        rows: impl Into<Cow<'a, [f32]>>,
+        n_vectors: usize,
+        dims: usize,
+    ) -> Self {
         Self::build(
             rows,
             n_vectors,

@@ -888,7 +888,7 @@ impl Collection {
             return Ok(());
         };
         let built = self.build_maintenance(&plan)?;
-        Self::record_maintenance(kind, &built, self.dims);
+        Self::record_maintenance(kind, &built);
         let out = self.commit_maintenance(w, &plan, built);
         Self::maint_metrics_of(kind)
             .duration_us
@@ -908,7 +908,7 @@ impl Collection {
             }
         };
         let built = self.build_maintenance(&plan)?;
-        Self::record_maintenance(kind, &built, self.dims);
+        Self::record_maintenance(kind, &built);
         let mut w = self.lock_writer();
         let out = self.commit_maintenance(&mut w, &plan, built);
         Self::maint_metrics_of(kind)
@@ -924,11 +924,11 @@ impl Collection {
         }
     }
 
-    /// Charges the new segment's payload (rows + id remap) to the
-    /// phase's bytes-rewritten counter.
-    fn record_maintenance(kind: MaintKind, built: &Option<Arc<Segment>>, dims: usize) {
+    /// Charges the new segment's payload ([`Segment::payload_bytes`]) to
+    /// the phase's bytes-rewritten counter.
+    fn record_maintenance(kind: MaintKind, built: &Option<Arc<Segment>>) {
         if let Some(segment) = built {
-            let bytes = (segment.len() * dims * 4 + segment.len() * 8) as u64;
+            let bytes = segment.payload_bytes() as u64;
             Self::maint_metrics_of(kind).bytes_rewritten.add(bytes);
         }
     }
@@ -1017,13 +1017,7 @@ impl Collection {
             }
             (order.iter().map(|&i| all_ids[i]).collect(), rows)
         };
-        let segment = Arc::new(Segment::seal(
-            plan.seq,
-            ids,
-            &rows,
-            self.dims,
-            &self.config,
-        )?);
+        let segment = Arc::new(Segment::seal(plan.seq, ids, rows, self.dims, &self.config)?);
         if let Some(dir) = &self.dir {
             segment.write(dir)?;
         }

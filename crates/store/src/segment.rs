@@ -56,6 +56,10 @@ impl Segment {
     /// Seals `(ids, rows)` — already sorted by external id — into an
     /// immutable segment with sequence number `seq`.
     ///
+    /// Takes the rows by value: an SQ8 segment keeps them as its rerank
+    /// payload, moved rather than copied; an `f32` segment tiles them
+    /// and drops them.
+    ///
     /// # Errors
     /// [`StoreError::DuplicateId`] if the ids are not strictly
     /// increasing: a duplicate would make two physical rows answer to
@@ -66,7 +70,7 @@ impl Segment {
     pub fn seal(
         seq: u64,
         ids: Vec<u64>,
-        rows: &[f32],
+        rows: Vec<f32>,
         dims: usize,
         config: &StoreConfig,
     ) -> Result<Self, StoreError> {
@@ -87,7 +91,7 @@ impl Segment {
             ))
         } else {
             SegmentData::F32(FlatPdx::new(
-                rows,
+                &rows,
                 n,
                 dims,
                 config.block_size,
@@ -132,6 +136,18 @@ impl Segment {
     /// Deployment kind of this segment (`flat-pdx` / `flat-sq8`).
     pub fn kind(&self) -> &'static str {
         self.index().kind()
+    }
+
+    /// Bytes of payload the segment holds: its rows (an `f32` segment's
+    /// blocks, an SQ8 segment's rerank payload), the id remap and, for
+    /// SQ8, the codes.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        let values = self.len() * self.index().dims();
+        let codes = match &self.data {
+            SegmentData::F32(_) => 0,
+            SegmentData::Sq8(_) => values,
+        };
+        values * 4 + self.len() * 8 + codes
     }
 
     /// Row-major `f32` rows by local id: an SQ8 segment lends its exact
@@ -301,9 +317,9 @@ mod tests {
     #[test]
     fn seal_rejects_duplicate_and_unsorted_ids() {
         let rows: Vec<f32> = (0..6).map(|i| i as f32).collect();
-        let err = Segment::seal(0, vec![1, 1, 2], &rows, 2, &config(false)).unwrap_err();
+        let err = Segment::seal(0, vec![1, 1, 2], rows.clone(), 2, &config(false)).unwrap_err();
         assert!(matches!(err, StoreError::DuplicateId(1)));
-        let err = Segment::seal(0, vec![2, 1, 3], &rows, 2, &config(false)).unwrap_err();
+        let err = Segment::seal(0, vec![2, 1, 3], rows, 2, &config(false)).unwrap_err();
         assert!(matches!(err, StoreError::DuplicateId(1)));
     }
 
@@ -317,7 +333,8 @@ mod tests {
         let ids: Vec<u64> = (0..n as u64).map(|i| i * 2 + 5).collect();
         for quantize in [false, true] {
             let seq = u64::from(quantize);
-            let seg = Segment::seal(seq, ids.clone(), &rows, dims, &config(quantize)).unwrap();
+            let seg =
+                Segment::seal(seq, ids.clone(), rows.clone(), dims, &config(quantize)).unwrap();
             seg.write(&dir).unwrap();
             let back = Segment::load(&dir, seq, dims).unwrap();
             assert_eq!(back.remap(), seg.remap());
@@ -343,12 +360,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// 30 rows of 3 dims: 360 bytes of `f32` rows, 240 of remap.
+    fn payload_of(quantize: bool) -> usize {
+        let rows: Vec<f32> = (0..90).map(|i| (i as f32 * 0.37).sin()).collect();
+        let seg = Segment::seal(0, (0..30).collect(), rows, 3, &config(quantize)).unwrap();
+        seg.payload_bytes()
+    }
+
+    #[test]
+    fn payload_bytes_of_an_f32_segment_are_rows_and_remap() {
+        assert_eq!(payload_of(false), 30 * 3 * 4 + 30 * 8);
+    }
+
+    #[test]
+    fn payload_bytes_of_an_sq8_segment_add_the_codes() {
+        assert_eq!(payload_of(true), 30 * 3 * 4 + 30 * 8 + 30 * 3);
+    }
+
     #[test]
     fn load_rejects_mismatched_remap() {
         let dir = std::env::temp_dir().join("pdx_store_segment_bad");
         std::fs::create_dir_all(&dir).unwrap();
         let rows: Vec<f32> = (0..20).map(|i| i as f32).collect();
-        let seg = Segment::seal(3, (0..10).collect(), &rows, 2, &config(false)).unwrap();
+        let seg = Segment::seal(3, (0..10).collect(), rows, 2, &config(false)).unwrap();
         seg.write(&dir).unwrap();
         // Truncate the remap table: the count no longer matches.
         let ids_path = dir.join(segment_ids_file(3));

@@ -138,7 +138,7 @@ fn pdx1_flat_container() {
 
 #[test]
 fn pdx2_flat_container_with_and_without_rerank_rows() {
-    let flat = FlatSq8::build(&rows(), N, D, BLOCK, GROUP);
+    let flat = FlatSq8::build(rows(), N, D, BLOCK, GROUP);
     let mut with_rows = Vec::new();
     write_sq8(
         &mut with_rows,
@@ -291,7 +291,7 @@ fn pdxi_sidecar_and_segment_containers() {
             buffer_capacity: 1024,
             quantize,
         };
-        let segment = Segment::seal(seq, ids.clone(), &rows, D, &config).unwrap();
+        let segment = Segment::seal(seq, ids.clone(), rows.clone(), D, &config).unwrap();
         segment.write(&dir).unwrap();
         let sidecar = std::fs::read(dir.join(format!("seg-{seq:06}.ids"))).unwrap();
         pin("PDXI sidecar", &sidecar, ids_hash);
@@ -302,6 +302,65 @@ fn pdxi_sidecar_and_segment_containers() {
         assert_eq!(back.kind(), segment.kind());
         assert_eq!(back.rows(), rows);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rows of an SQ8 segment that reach every branch of the code function.
+/// Dimensions 0–5 span exactly 255 steps of a power of two, so the
+/// fitted scale is that step and the half-step values land on exact .5
+/// ties in code space (even and odd codes alike). Dimension 6 spans
+/// [−2, −1.408], whose fitted scale puts the maximum at code 255.00002:
+/// past the top of the range, so it clamps.
+fn tie_rows() -> Vec<f32> {
+    let noise = xorshift(N * D, 0x2545_F491_4F6C_DD1D);
+    (0..N * D)
+        .map(|i| {
+            let (row, j, unit) = (i / D, i % D, (noise[i] + 2.0) / 4.0);
+            if j == D - 1 {
+                let (lo, hi) = (-2.0f32, -1.408f32);
+                return [lo, hi].get(row).copied().unwrap_or(lo + (hi - lo) * unit);
+            }
+            let (lo, step) = (j as f32 * 0.25 - 1.0, 2f32.powi(j as i32 % 3 - 3));
+            match row {
+                0 => lo,
+                1 => lo + 255.0 * step,
+                _ => lo + step * ((unit * 255.0) as u32 as f32 + 0.5).min(254.5),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn sq8_segment_with_ties_and_clamped_codes() {
+    let rows = tie_rows();
+    let q = Sq8Quantizer::fit(&rows, N, D);
+    let code = |i: usize| (rows[i] - q.min(i % D)) / q.scale(i % D);
+    assert!((0..N * D).any(|i| code(i) > 255.0), "no value clamps");
+    let ties = (0..N * D).filter(|&i| code(i).fract() == 0.5).count();
+    assert!(ties > 5 * N, "only {ties} exact .5 ties");
+
+    let ids: Vec<u64> = (0..N as u64).map(|i| i * 7 + 2).collect();
+    let config = StoreConfig {
+        block_size: BLOCK,
+        group_size: GROUP,
+        buffer_capacity: 1024,
+        quantize: true,
+    };
+    let dir = temp_dir("sq8_ties");
+    let segment = Segment::seal(9, ids.clone(), rows.clone(), D, &config).unwrap();
+    segment.write(&dir).unwrap();
+    let sidecar = std::fs::read(dir.join("seg-000009.ids")).unwrap();
+    pin("PDXI sidecar (ties)", &sidecar, 0x9420_0f94_1fc9_c688);
+    let container = std::fs::read(dir.join("seg-000009.pdx")).unwrap();
+    pin(
+        "SQ8 segment container (ties)",
+        &container,
+        0xb0d1_71d4_3d6a_4ced,
+    );
+    let back = Segment::load(&dir, 9, D).unwrap();
+    assert_eq!(back.remap(), &ids[..]);
+    assert_eq!(back.rows(), rows);
+    assert_eq!(answers(back.index()), answers(segment.index()));
     std::fs::remove_dir_all(&dir).ok();
 }
 

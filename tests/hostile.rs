@@ -283,7 +283,7 @@ fn manifest_prefixes_and_mutations_are_corrupt_or_decode() {
 fn sidecar_prefixes_and_mutations_are_corrupt_or_decode() {
     let dir = temp_dir("sidecar");
     let ids: Vec<u64> = (0..N as u64).map(|i| i * 2 + 1).collect();
-    let segment = Segment::seal(2, ids, &rows(), D, &config(false)).unwrap();
+    let segment = Segment::seal(2, ids, rows(), D, &config(false)).unwrap();
     segment.write(&dir).unwrap();
     let path = dir.join("seg-000002.ids");
     let healthy = std::fs::read(&path).unwrap();
