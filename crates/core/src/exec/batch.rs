@@ -34,8 +34,8 @@ fn bands(nq: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
 /// * [`BatchSearcher::run`] — one query a work item, pulled off a shared
 ///   cursor (an expensive query does not stall a band), each through the
 ///   caller's single-query closure. This is the [`VectorIndex`] default
-///   `search_batch`, which serves the deployments whose scan is not
-///   PDXearch (`Hnsw`, `IvfHorizontal`) and a collection's `Snapshot`.
+///   `search_batch`, which serves a collection's `Snapshot`: each query
+///   merges the buffer scan with one PDXearch scan per segment.
 /// * [`BatchSearcher::run_prepared`] — one *band* of up to [`SUB_BATCH`]
 ///   consecutive queries a work item: the worker prepares the band
 ///   together and hands the whole band to the caller's search closure.

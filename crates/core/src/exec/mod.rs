@@ -13,8 +13,8 @@
 //!   order-sensitive reductions stay deterministic under work stealing.
 //! * [`BatchSearcher`] — shards a query batch across the pool. `run`
 //!   hands out one query at a time, each through the caller's
-//!   single-query closure (the trait default behind `Hnsw`,
-//!   `IvfHorizontal` and a collection's `Snapshot`);
+//!   single-query closure (the trait default, behind a collection's
+//!   `Snapshot`, whose segments are searched one after another);
 //!   [`BatchSearcher::run_prepared`] hands each worker a *band* of up to
 //!   [`SUB_BATCH`] consecutive queries (bands of even size, a whole
 //!   number a worker) to prepare together — one tiled rotation — and to

@@ -13,32 +13,36 @@
 //! `search_parallel_with` methods, for any [`Pruner`] and any element
 //! type ([`ScanBlock`]); `search_live_with` is the one body behind the
 //! first and the last, and takes the dead-row mask ([`RowMask`]) a
-//! collection's segment is searched under down to the scan. The driver
-//! serves a *band* of queries — one query is a band of one: a batch
-//! worker's band on an unrouted deployment shares one tile-major scan
-//! ([`pdxearch_band`]), on a routed one it is served query by query. The
-//! [`VectorIndex`] implementations below are
-//! therefore identity (`dims` / `len` / `kind` / `resident_bytes`) plus
+//! collection's sealed segment is searched under (`pdx-store`'s read
+//! path) down to the scan. The driver serves a *band* of queries — one
+//! query is a band of one: a batch worker's band on an unrouted
+//! deployment shares one tile-major scan ([`pdxearch_band`]), on a
+//! routed one it is served query by query. The [`VectorIndex`]
+//! implementations below are therefore identity (`dims` / `len` /
+//! `kind` / `resident_bytes`) plus
 //! delegations that name the pruner: [`SearchOptions::bond`] for the
 //! `f32` deployments, [`Sq8Bound`] for the SQ8 ones, the fitted pruner
 //! for `pdx-engine`'s adapters.
 //!
 //! Which options each deployment reads:
 //!
-//! | deployment        | `pruner` | `metric` | `nprobe` | `refine` | `ef` | `selection_fraction`, `step` | `kernel`          |
-//! |-------------------|----------|----------|----------|----------|------|------------------------------|-------------------|
-//! | [`FlatPdx`]       | ✓        | ✓        | –        | –        | –    | ✓                            | vertical `f32`    |
-//! | [`IvfPdx`]        | ✓        | ✓        | ✓        | –        | –    | ✓                            | vertical `f32`    |
-//! | [`crate::LazyIvf`]| ✓        | ✓        | ✓        | –        | –    | ✓                            | vertical `f32`    |
-//! | [`FlatSq8`]       | –        | ✓        | –        | ✓        | –    | ✓                            | vertical SQ8      |
-//! | [`IvfSq8`]        | –        | ✓        | ✓        | ✓        | –    | ✓                            | vertical SQ8      |
-//! | [`IvfHorizontal`] | ✓        | ✓        | ✓        | –        | –    | –                            | horizontal tier   |
-//! | [`Hnsw`]          | –        | – (L2)   | –        | –        | ✓    | –                            | –                 |
+//! | deployment        | `pruner` | `metric` | `nprobe` | `refine` | `selection_fraction`, `step` | `kernel`       |
+//! |-------------------|----------|----------|----------|----------|------------------------------|----------------|
+//! | [`FlatPdx`]       | ✓        | ✓        | –        | –        | ✓                            | vertical `f32` |
+//! | [`IvfPdx`]        | ✓        | ✓        | ✓        | –        | ✓                            | vertical `f32` |
+//! | [`crate::LazyIvf`]| ✓        | ✓        | ✓        | –        | ✓                            | vertical `f32` |
+//! | [`FlatSq8`]       | –        | ✓        | –        | ✓        | ✓                            | vertical SQ8   |
+//! | [`IvfSq8`]        | –        | ✓        | ✓        | ✓        | ✓                            | vertical SQ8   |
 //!
 //! (`k`, `threads` and `trace` apply everywhere. SQ8 deployments bound
 //! with the candidate heap's own threshold instead of a [`PrunerKind`];
-//! one without a rerank payload answers with the quantized estimates.
-//! The HNSW graph is built for L2 and ignores the metric option.)
+//! one without a rerank payload answers with the quantized estimates.)
+//!
+//! The paper's comparison baselines are not served and do not implement
+//! [`VectorIndex`]: [`IvfHorizontal::search_with`] is the horizontal
+//! IVF's one query (traced like a [`Deployment`] query, which Table 7's
+//! breakdown reads), and [`crate::Hnsw::search`] takes its beam width
+//! as an argument.
 //!
 //! Every implementation honours the engine determinism contract: exact
 //! configurations return bit-identical results from `search_batch` and
@@ -51,15 +55,14 @@
 //! phases, the work counters, the rerank candidate count and — for a
 //! lazily backed deployment — the cache traffic of the query. A
 //! `search_parallel` times what runs on the calling thread (preparation,
-//! routing, rerank) and the wall clock; the HNSW graph has no phases and
-//! publishes the wall clock alone. Profiled and unprofiled scans differ
+//! routing, rerank) and the wall clock. Profiled and unprofiled scans differ
 //! only in timer/counter side effects, so results stay bit-identical
 //! either way (`tests/obs.rs` pins this).
 //!
 //! [`PrunerKind`]: pdx_core::engine::PrunerKind
 
 use crate::ivf::probe_order;
-use crate::{FlatPdx, FlatSq8, Hnsw, IvfHorizontal, IvfPdx, IvfSq8};
+use crate::{FlatPdx, FlatSq8, IvfHorizontal, IvfPdx, IvfSq8};
 use pdx_core::collection::SearchBlock;
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::{parallel_block_search, BatchSearcher, ThreadPool};
@@ -228,7 +231,8 @@ pub trait Deployment: VectorIndex {
     /// [`Deployment::search_parallel_with`] — over the rows whose id is
     /// not in `dead`: the mask goes to [`pdxearch`], which drops those
     /// rows in the scan, so the answer is that of the same blocks without
-    /// them (the body behind [`VectorIndex::search_live`]).
+    /// them (how a collection searches a sealed segment that holds
+    /// tombstoned rows).
     fn search_live_with<P>(
         &self,
         pruner: &P,
@@ -363,33 +367,23 @@ where
 
 /// The searches of [`VectorIndex`] for a [`Deployment`] (`this`) whose
 /// pruner under the options `opts` is `$pruner`: the single-query ones
-/// are all [`Deployment::search_live_with`], so a dead-row mask handed
-/// to [`VectorIndex::search_live`] reaches the scan, and a batch is
+/// are [`Deployment::search_live_with`] without a mask, and a batch is
 /// [`Deployment::search_batch_with`], served a band at a time.
 macro_rules! searches_through_serve {
     (|$this:ident, $opts:ident| $pruner:expr) => {
-        fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-            self.search_live(query, opts, None, false)
+        fn search(&self, query: &[f32], $opts: &SearchOptions) -> Vec<Neighbor> {
+            let $this = self;
+            $this.search_live_with(&$pruner, query, $opts, None, false)
         }
 
-        fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-            self.search_live(query, opts, None, true)
+        fn search_parallel(&self, query: &[f32], $opts: &SearchOptions) -> Vec<Neighbor> {
+            let $this = self;
+            $this.search_live_with(&$pruner, query, $opts, None, true)
         }
 
         fn search_batch(&self, queries: &[f32], $opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
             let $this = self;
             $this.search_batch_with(&$pruner, queries, $opts)
-        }
-
-        fn search_live(
-            &self,
-            query: &[f32],
-            $opts: &SearchOptions,
-            dead: Option<&pdx_core::mask::RowMask>,
-            parallel: bool,
-        ) -> Vec<Neighbor> {
-            let $this = self;
-            $this.search_live_with(&$pruner, query, $opts, dead, parallel)
         }
     };
 }
@@ -563,26 +557,14 @@ impl IvfHorizontal {
     /// horizontal tier of [`SearchOptions::kernel`] (SIMD-ADS when SIMD,
     /// SCALAR-ADS when scalar): `pruner`'s bound interleaved every Δd
     /// dimensions, or — for a pruner that never prunes — the plain
-    /// linear IVF_FLAT scan. Traced like a [`Deployment`] query.
-    pub fn search_with<P>(&self, pruner: &P, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor>
-    where
-        P: Pruner + Sync,
-        P::Query: Sync,
-    {
-        self.serve(pruner, query, opts, None)
-    }
-
-    fn serve<P>(
+    /// linear IVF_FLAT scan. Traced like a [`Deployment`] query, as
+    /// `ivf-horizontal`.
+    pub fn search_with<P: Pruner>(
         &self,
         pruner: &P,
         query: &[f32],
         opts: &SearchOptions,
-        pool: Option<&ThreadPool>,
-    ) -> Vec<Neighbor>
-    where
-        P: Pruner + Sync,
-        P::Query: Sync,
-    {
+    ) -> Vec<Neighbor> {
         let mut tracing = Tracing::start(opts);
         let variant = opts.kernel.horizontal_variant();
         let q = tracing.phase(|p| &mut p.preprocess_ns, || pruner.prepare_query(query));
@@ -595,80 +577,13 @@ impl IvfHorizontal {
                 order.iter().map(|&b| &self.buckets[b as usize]).collect()
             },
         );
-        let scan = |buckets: &[&HorizontalBucket], profile: Option<&mut SearchProfile>| {
-            if pruner.prunes() {
-                let buckets = buckets.iter().copied();
-                horizontal_pruned_search(pruner, &q, buckets, opts, self.delta_d, profile)
-            } else {
-                horizontal_linear_scan(buckets, space, opts.k, metric, variant)
-            }
+        let out = if pruner.prunes() {
+            let profile = tracing.profile();
+            horizontal_pruned_search(pruner, &q, buckets, opts, self.delta_d, profile)
+        } else {
+            horizontal_linear_scan(&buckets, space, opts.k, metric, variant)
         };
-        let out = match pool {
-            None => scan(&buckets, tracing.profile()),
-            Some(pool) => parallel_block_search(pool, buckets.len(), opts.k, |range| {
-                scan(&buckets[range], None)
-            }),
-        };
-        tracing.publish(self.kind(), |_| {});
-        out
-    }
-}
-
-impl VectorIndex for IvfHorizontal {
-    fn dims(&self) -> usize {
-        self.dims
-    }
-
-    fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
-    }
-
-    fn kind(&self) -> &'static str {
-        "ivf-horizontal"
-    }
-
-    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.serve(&opts.bond(), query, opts, None)
-    }
-
-    /// Intra-query parallelism over contiguous bucket ranges. For the
-    /// exact Bond bound this is bit-identical to the sequential search:
-    /// every true top-k candidate survives to full accumulation in any
-    /// split (the partial distance can never exceed a threshold that is
-    /// itself ≥ the final k-th distance), segments accumulate in a
-    /// fixed order, and the canonical merge retains the same set.
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.serve(
-            &opts.bond(),
-            query,
-            opts,
-            Some(&ThreadPool::new(opts.threads)),
-        )
-    }
-}
-
-impl VectorIndex for Hnsw {
-    fn dims(&self) -> usize {
-        Hnsw::dims(self)
-    }
-
-    fn len(&self) -> usize {
-        Hnsw::len(self)
-    }
-
-    fn kind(&self) -> &'static str {
-        "hnsw"
-    }
-
-    /// Beam search with width [`SearchOptions::resolve_ef`]. The graph
-    /// is built for L2; the metric option is ignored. Batch and
-    /// parallel queries use the trait defaults (graph traversal is not
-    /// block-splittable): batches shard across the pool one query per
-    /// work item, `search_parallel` is the sequential search.
-    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let tracing = Tracing::start(opts);
-        let out = Hnsw::search(self, query, opts.k, opts.resolve_ef());
-        tracing.publish("hnsw", |_| {});
+        tracing.publish("ivf-horizontal", |_| {});
         out
     }
 }
@@ -723,20 +638,30 @@ mod tests {
         );
     }
 
+    /// The six deployments this crate serves: flat and IVF, `f32` and
+    /// SQ8, resident and lazy, with and without a rerank payload.
     #[test]
     fn all_six_deployments_box_and_agree_on_top1() {
         let (n, d) = (500, 8);
         let rows = random_rows(n, d, 7);
         let q = random_rows(1, d, 8);
         let index = IvfIndex::build(&rows, n, d, 10, 8, 5);
+        let ivf = IvfPdx::new(&rows, d, &index.assignments, 16);
+        let dir = std::env::temp_dir().join(format!("pdx_index_six_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ivf.pdx");
+        let centroids = ivf.centroids.pdx.to_rows();
+        pdx_datasets::persist::write_ivf_pdx_path(&path, d, &centroids, &ivf.blocks).unwrap();
+        let sq8 = FlatSq8::build(&rows, n, d, 128, 16);
+        let scan_only = FlatSq8::from_parts(d, sq8.quantizer.clone(), sq8.blocks.clone(), vec![]);
 
         let deployments: Vec<Box<dyn VectorIndex>> = vec![
             Box::new(FlatPdx::new(&rows, n, d, 128, 16)),
-            Box::new(IvfPdx::new(&rows, d, &index.assignments, 16)),
-            Box::new(IvfHorizontal::new(&rows, d, &index.assignments, 4)),
-            Box::new(FlatSq8::build(&rows, n, d, 128, 16)),
+            Box::new(ivf),
+            Box::new(crate::LazyIvf::open(&path, 1 << 10).unwrap()),
+            Box::new(sq8),
+            Box::new(scan_only),
             Box::new(IvfSq8::new(&rows, d, &index.assignments, 16)),
-            Box::new(Hnsw::build(&rows, n, d, crate::HnswParams::default(), 9)),
         ];
         let exact = FlatPdx::new(&rows, n, d, n, 16).linear_search(&q, 1, Metric::L2);
         let opts = SearchOptions::new(3);
@@ -746,5 +671,6 @@ mod tests {
             assert_eq!(got[0].id, exact[0].id, "{} top-1", dep.kind());
             assert_eq!(dep.len(), n, "{}", dep.kind());
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -193,18 +193,19 @@ impl IvfPdx {
     /// PDXearch query routed through a centroid HNSW (built with
     /// [`IvfPdx::build_centroid_router`]) instead of the linear centroid
     /// scan: an approximate ranking of [`SearchOptions::nprobe`] buckets,
-    /// whose beam [`SearchOptions::resolve_ef`] trades routing recall for
-    /// speed.
+    /// whose beam width `ef` (at least the probe count) trades routing
+    /// recall for speed.
     pub fn search_with_router<P: Pruner>(
         &self,
         router: &crate::hnsw::Hnsw,
         pruner: &P,
         query: &[f32],
         opts: &SearchOptions,
+        ef: usize,
     ) -> Vec<Neighbor> {
         let q = pruner.prepare_query(query);
         let nprobe = opts.resolve_nprobe(self.blocks.len());
-        let order = router.search(pruner.query_vector(&q), nprobe, opts.resolve_ef());
+        let order = router.search(pruner.query_vector(&q), nprobe, ef);
         let blocks = order.iter().map(|n| &self.blocks[n.id as usize]);
         pdxearch(pruner, &q, blocks, opts, None, None)
     }

@@ -32,9 +32,11 @@
 //! * [`engine`] — the serve driver ([`Deployment`]: a deployment is a
 //!   block source, the prepare → route → scan → rerank → trace sequence
 //!   is written once) and the [`pdx_core::engine::VectorIndex`]
-//!   implementations on top of it, so each deployment is reachable as a
-//!   `Box<dyn VectorIndex>` behind one [`pdx_core::engine::SearchOptions`]
-//!   surface (batch and parallel entry points included).
+//!   implementations on top of it, so each PDX-layout deployment is
+//!   reachable as a `Box<dyn VectorIndex>` behind one
+//!   [`pdx_core::engine::SearchOptions`] surface (batch and parallel
+//!   entry points included). The two baselines, [`ivf::IvfHorizontal`]
+//!   and [`hnsw::Hnsw`], are served by no layer and keep typed calls.
 
 pub mod engine;
 pub mod flat;

@@ -23,14 +23,13 @@
 //!   freshly partitioned segment. Post-compaction searches are
 //!   bit-identical to a fresh flat build over the surviving rows.
 //!
-//! Searches go through
-//! [`SegmentedSearch`](pdx_core::engine::SegmentedSearch): each segment
-//! answers with the top-`k` of its live rows — its mask goes into the
-//! PDXearch scan, where a dead row takes no heap slot and loosens no
-//! threshold — results remap to external ids, and one canonical
-//! `(distance, id)` merge — the same order the parallel execution engine
-//! uses — combines them with the buffer scan. [`Snapshot`] states the
-//! result contract per segment kind.
+//! Searches run against a [`Snapshot`]: each segment answers with the
+//! top-`k` of its live rows under external ids (`Segment::search` —
+//! its mask goes into the PDXearch scan, where a dead row takes no heap
+//! slot and loosens no threshold), and one canonical `(distance, id)`
+//! merge — the same order the parallel execution engine uses — combines
+//! them with the buffer scan. [`Snapshot`] states the result contract
+//! per segment kind.
 //! Batch and intra-query parallel searches are therefore bit-identical
 //! to the sequential path at any thread count, live tombstones included.
 //!

@@ -8,7 +8,8 @@
 //! **atomically** (write `MANIFEST.tmp`, fsync, rename), so a reader
 //! always sees either the old state or the new state, never a mix; a
 //! segment file only becomes reachable once the manifest naming it has
-//! been renamed into place.
+//! been renamed into place. One function of this module does that
+//! replace, for the `SHARDS` manifest of a sharded collection too.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -48,6 +49,26 @@ pub struct Manifest {
     /// External ids deleted from sealed segments but not yet compacted
     /// away.
     pub tombstones: Vec<u64>,
+}
+
+/// Atomically replaces the file at `path` with `bytes`: they land in
+/// `<path>.tmp`, are fsynced, take effect with a rename, and the parent
+/// directory is fsynced so the rename itself is durable where the
+/// platform allows it. A reader of `path` sees the old bytes or the new
+/// ones, never a mix.
+pub(crate) fn replace_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Ok(d) = std::fs::File::open(dir.unwrap_or(Path::new("."))) {
+        d.sync_all().ok();
+    }
+    Ok(())
 }
 
 /// File name of a WAL generation.
@@ -135,23 +156,14 @@ impl Manifest {
         })
     }
 
-    /// Atomically replaces the manifest in `dir`: the new bytes land in
-    /// `MANIFEST.tmp`, are fsynced, and take effect with a rename.
+    /// Atomically replaces the manifest in `dir`: the bytes land in
+    /// `MANIFEST.tmp`, are fsynced, take effect with a rename, and `dir`
+    /// is fsynced.
     ///
     /// # Errors
     /// Propagates IO errors.
     pub fn write_atomic(&self, dir: &Path) -> io::Result<()> {
-        let tmp = dir.join("MANIFEST.tmp");
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&self.encode())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, Self::path(dir))?;
-        // Make the rename itself durable where the platform allows it.
-        if let Ok(d) = std::fs::File::open(dir) {
-            d.sync_all().ok();
-        }
-        Ok(())
+        replace_atomic(&Self::path(dir), &self.encode())
     }
 
     /// Reads and validates the manifest of `dir`.
@@ -199,6 +211,27 @@ mod tests {
         m2.write_atomic(&dir).unwrap();
         assert_eq!(Manifest::read(&dir).unwrap(), m2);
         assert!(!dir.join("MANIFEST.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The replaced file holds exactly the new bytes and no `.tmp` is
+    /// left behind. What a power cut between the steps leaves is not
+    /// tested here: that needs a fault-injecting file system.
+    #[test]
+    fn replace_atomic_leaves_exactly_the_new_bytes() {
+        let dir = std::env::temp_dir().join(format!("pdx_store_replace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("FILE");
+        for bytes in [&b"first version"[..], b"2nd", b""] {
+            replace_atomic(&path, bytes).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+            assert!(!dir.join("FILE.tmp").exists());
+        }
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["FILE"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,10 +17,12 @@ use crate::manifest::{segment_file, segment_ids_file};
 use crate::{StoreConfig, StoreError};
 use pdx_core::codec::{invalid, put_slice, put_u32, put_u64, read_vec, ByteReader, Source};
 use pdx_core::collection::PdxCollection;
-use pdx_core::engine::VectorIndex;
+use pdx_core::engine::{SearchOptions, VectorIndex};
+use pdx_core::heap::Neighbor;
 use pdx_core::mask::RowMask;
+use pdx_core::search::Sq8Bound;
 use pdx_datasets::persist::{read_container_path, write_pdx_path, write_sq8_path, Container};
-use pdx_index::{FlatPdx, FlatSq8};
+use pdx_index::{Deployment, FlatPdx, FlatSq8};
 use std::borrow::Cow;
 use std::io::{self, Write};
 use std::path::Path;
@@ -131,6 +133,37 @@ impl Segment {
             SegmentData::F32(flat) => flat,
             SegmentData::Sq8(sq8) => sq8,
         }
+    }
+
+    /// The `k` nearest rows of this segment whose local id is not in
+    /// `dead`, under their external ids. The frozen deployment scans
+    /// with the pruner its [`VectorIndex::search`] names under `opts`
+    /// ([`SearchOptions::bond`] for `f32`, [`Sq8Bound`] for SQ8) and
+    /// `dead` handed to the scan; with `parallel`, its blocks split
+    /// across `opts.threads` workers. The remap is strictly increasing,
+    /// so the canonical `(distance, id)` order is the same in local and
+    /// external ids.
+    pub(crate) fn search(
+        &self,
+        query: &[f32],
+        opts: &SearchOptions,
+        dead: &RowMask,
+        parallel: bool,
+    ) -> Vec<Neighbor> {
+        let dead = Some(dead);
+        let mut hits = match &self.data {
+            SegmentData::F32(flat) => {
+                flat.search_live_with(&opts.bond(), query, opts, dead, parallel)
+            }
+            SegmentData::Sq8(sq8) => {
+                let bound = Sq8Bound::new(&sq8.quantizer, opts.metric);
+                sq8.search_live_with(&bound, query, opts, dead, parallel)
+            }
+        };
+        for n in &mut hits {
+            n.id = self.remap[n.id as usize];
+        }
+        hits
     }
 
     /// Deployment kind of this segment (`flat-pdx` / `flat-sq8`).

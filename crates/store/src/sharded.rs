@@ -18,11 +18,13 @@
 //! order) bit-identical to an equivalent single-shard build holding
 //! the same rows.
 
+use crate::manifest::replace_atomic;
 use crate::{Collection, StoreConfig, StoreError};
+use pdx_core::codec::put_u32;
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::{merge_neighbors, parallel_block_search, ThreadPool};
 use pdx_core::heap::Neighbor;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// File name of the sharding manifest inside the parent directory.
@@ -99,16 +101,11 @@ impl ShardedCollection {
         // Written last and atomically: a crash mid-create leaves shard
         // directories but no manifest, and `create` can be retried
         // only after cleanup — `open` never sees a half-built parent.
-        let tmp = dir.join(format!("{SHARDS_FILE}.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(SHARDS_MAGIC)?;
-            f.write_all(&SHARDS_VERSION.to_le_bytes())?;
-            f.write_all(&(n_shards as u32).to_le_bytes())?;
-            f.write_all(&(dims as u32).to_le_bytes())?;
-            f.sync_all()?;
+        let mut bytes = SHARDS_MAGIC.to_vec();
+        for word in [SHARDS_VERSION, n_shards as u32, dims as u32] {
+            put_u32(&mut bytes, word);
         }
-        std::fs::rename(&tmp, &manifest)?;
+        replace_atomic(&manifest, &bytes)?;
         Ok(Self {
             dir: dir.to_path_buf(),
             dims,

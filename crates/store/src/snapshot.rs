@@ -18,7 +18,8 @@
 
 use crate::buffer::BufferSnapshot;
 use crate::Segment;
-use pdx_core::engine::{SearchOptions, SearchSegment, SegmentedSearch, VectorIndex};
+use pdx_core::engine::{SearchOptions, VectorIndex};
+use pdx_core::exec::merge_neighbors;
 use pdx_core::heap::Neighbor;
 use pdx_core::mask::RowMask;
 use std::collections::HashSet;
@@ -136,9 +137,9 @@ impl SegmentView {
 ///
 /// A deleted sealed row stays in its segment until compaction; the
 /// segment's mask holds its local row id and goes into the segment's
-/// scan ([`VectorIndex::search_live`]), which skips the row: it takes no
-/// slot of the scan's heap and does not loosen its threshold, and `k`
-/// stays `k`. The contract, per segment kind:
+/// scan (`Segment::search`), which skips the row: it takes no slot of
+/// the scan's heap and does not loosen its threshold, and `k` stays
+/// `k`. The contract, per segment kind:
 ///
 /// * an `f32` segment answers with its exact top-`k` live rows, the
 ///   distance bits those of the unmasked scan;
@@ -201,32 +202,26 @@ impl Snapshot {
         self.segments.iter().map(|v| v.dead.len()).sum()
     }
 
-    /// The segmented read path over this view's sealed segments.
-    fn segmented(&self) -> SegmentedSearch<'_> {
-        SegmentedSearch::new(
-            self.segments
-                .iter()
-                .map(|v| SearchSegment {
-                    index: v.segment.index(),
-                    remap: v.segment.remap(),
-                    dead: Some(&v.dead),
-                })
-                .collect(),
-        )
-    }
-
-    /// The exact-scan candidate lists of the memory-resident rows: the
-    /// in-flight sealing section (if any) and the write buffer.
-    fn memory_lists(&self, query: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
-        let mut lists = Vec::with_capacity(2);
-        if let Some(sealing) = &self.sealing {
-            lists.push(sealing.scan(query, opts.k, opts.metric, opts.kernel.horizontal_variant()));
+    /// The collection's read path, frozen at snapshot time: the exact
+    /// scans of the memory-resident rows (the in-flight sealing section,
+    /// if any, and the write buffer) and every segment's top-`k` live
+    /// rows under external ids ([`Segment::search`]; `parallel` splits
+    /// each segment's scan across `opts.threads` workers), merged in one
+    /// canonical `(distance, id)` pass. `k == 0` answers empty without
+    /// scanning.
+    fn merged(&self, query: &[f32], opts: &SearchOptions, parallel: bool) -> Vec<Neighbor> {
+        if opts.k == 0 {
+            return Vec::new();
         }
-        lists.push(
-            self.buffer
-                .scan(query, opts.k, opts.metric, opts.kernel.horizontal_variant()),
-        );
-        lists
+        let variant = opts.kernel.horizontal_variant();
+        let memory = self.sealing.iter().chain([&self.buffer]);
+        let scan = |rows: &BufferSnapshot| rows.scan(query, opts.k, opts.metric, variant);
+        let sealed = |v: &SegmentView| v.segment.search(query, opts, &v.dead, parallel);
+        let lists: Vec<Vec<Neighbor>> = memory
+            .map(scan)
+            .chain(self.segments.iter().map(sealed))
+            .collect();
+        merge_neighbors(&lists, opts.k)
     }
 }
 
@@ -247,30 +242,78 @@ impl VectorIndex for Snapshot {
     /// search of its live rows through the canonical `(distance, id)`
     /// order — the collection's read path, frozen at snapshot time.
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        if opts.k == 0 {
-            return Vec::new();
-        }
-        let extra = self.memory_lists(query, opts);
-        self.segmented().search(&extra, query, opts)
+        self.merged(query, opts, false)
     }
 
-    /// Intra-query parallelism over the same view: each segment scans
-    /// through its deployment's `search_parallel` (bit-identical to
-    /// sequential at any thread count), the memory scans stay
-    /// sequential, and the merge is canonical — so the result equals
-    /// [`VectorIndex::search`] at any width.
+    /// Intra-query parallelism over the same view: each segment's scan
+    /// splits its blocks across the workers (bit-identical to sequential
+    /// at any thread count), the memory scans stay sequential, and the
+    /// merge is canonical — so the result equals [`VectorIndex::search`]
+    /// at any width.
     fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        if opts.k == 0 {
-            return Vec::new();
-        }
-        let extra = self.memory_lists(query, opts);
-        self.segmented().search_parallel(&extra, query, opts)
+        self.merged(query, opts, true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{StoreConfig, WriteBuffer};
+
+    /// A segment of one-dimensional points, point `p` under external id
+    /// `100 + p`, in blocks of two.
+    fn points(seq: u64, points: &[f32], quantize: bool) -> Arc<Segment> {
+        let config = StoreConfig {
+            block_size: 2,
+            group_size: 2,
+            buffer_capacity: 64,
+            quantize,
+        };
+        let ids = points.iter().map(|&p| 100 + p as u64).collect();
+        Arc::new(Segment::seal(seq, ids, points.to_vec(), 1, &config).unwrap())
+    }
+
+    /// The read path over real segments of both kinds: hits come back
+    /// under external ids, a segment's dead rows never surface (and cost
+    /// no slot of the top-`k`), the write buffer's rows merge in, and
+    /// the intra-query parallel path answers like the sequential one.
+    #[test]
+    fn search_remaps_masks_merges_the_buffer_and_splits_alike() {
+        for quantize in [false, true] {
+            let a = points(0, &[0.0, 2.0, 4.0, 6.0], quantize);
+            let b = points(1, &[1.0, 3.0, 5.0, 7.0], quantize);
+            let mut buffer = WriteBuffer::new(1);
+            let snapshot = |dead_in_a: &[u64], buffer: &WriteBuffer| {
+                let view = |segment: &Arc<Segment>, dead: &[u64]| SegmentView {
+                    segment: Arc::clone(segment),
+                    dead: dead.iter().copied().collect(),
+                };
+                let segments = vec![view(&a, dead_in_a), view(&b, &[])];
+                let live = 8 - dead_in_a.len() + buffer.len();
+                Snapshot::new(1, segments, None, buffer.snapshot(), live)
+            };
+            let ids = |hits: &[Neighbor]| hits.iter().map(|n| n.id).collect::<Vec<_>>();
+            let opts = SearchOptions::new(3);
+            let tag = format!("quantize={quantize}");
+
+            let got = snapshot(&[], &buffer).search(&[0.0], &opts);
+            assert_eq!(ids(&got), [100, 101, 102], "{tag}");
+            // Local row 0 of segment A (external id 100) is dead.
+            let got = snapshot(&[0], &buffer).search(&[0.0], &opts);
+            assert_eq!(ids(&got), [101, 102, 103], "{tag}");
+
+            buffer.append(7, &[0.25]).unwrap();
+            let snap = snapshot(&[0], &buffer);
+            let got = snap.search(&[0.0], &opts);
+            assert_eq!(ids(&got), [7, 101, 102], "{tag}");
+            let distances: Vec<f32> = got.iter().map(|n| n.distance).collect();
+            assert_eq!(distances, [0.0625, 1.0, 4.0], "{tag}");
+            for threads in [1, 2, 4] {
+                let par = snap.search_parallel(&[0.0], &opts.with_threads(threads));
+                assert_eq!(par, got, "{tag} at {threads} threads");
+            }
+        }
+    }
 
     #[test]
     fn tombstone_set_layers_stay_consistent() {

@@ -1,8 +1,7 @@
 //! The determinism suite of the parallel execution engine: every
 //! `search_batch` / `search_parallel` entry point must return neighbor
 //! ids AND distances bit-identical to the sequential path at 1, 2 and 8
-//! threads — on all six deployments (flat, IVF, SQ8, horizontal, HNSW;
-//! the latter two through the `VectorIndex` trait) and, for
+//! threads — on the flat and IVF deployments, `f32` and SQ8, and, for
 //! `search_batch`, the two fitted-pruner adapters — including
 //! duplicate-distance ties.
 //!
@@ -156,70 +155,6 @@ fn ivf_sq8_batch_matches_sequential() {
                 batch, sequential,
                 "search_batch nprobe={nprobe} at {threads} threads"
             );
-        }
-    }
-}
-
-#[test]
-fn ivf_horizontal_trait_batch_and_parallel_match_sequential() {
-    // The engine trait gives IvfHorizontal its batch/parallel entry
-    // points; pin them to the sequential trait search on tie-crowded
-    // data at partial and full probe depth.
-    let (base_n, copies, d, k, nq) = (50, 6, 12, 8, 5);
-    let rows = tied_rows(base_n, copies, d, 13);
-    let n = base_n * copies;
-    let queries = tied_queries(&rows, d, nq, 14);
-    let index = IvfIndex::build(&rows, n, d, 12, 8, 7);
-    let hor = IvfHorizontal::new(&rows, d, &index.assignments, d / 4);
-    let dep: &dyn VectorIndex = &hor;
-
-    for nprobe in [3usize, 0] {
-        let opts = SearchOptions::new(k).with_nprobe(nprobe);
-        let sequential: Vec<Vec<Neighbor>> = (0..nq)
-            .map(|qi| dep.search(&queries[qi * d..(qi + 1) * d], &opts))
-            .collect();
-        for threads in THREAD_COUNTS {
-            let batch = dep.search_batch(&queries, &opts.with_threads(threads));
-            assert_eq!(
-                batch, sequential,
-                "search_batch nprobe={nprobe} at {threads} threads"
-            );
-            for (qi, want) in sequential.iter().enumerate() {
-                let got = dep
-                    .search_parallel(&queries[qi * d..(qi + 1) * d], &opts.with_threads(threads));
-                assert_eq!(
-                    &got, want,
-                    "search_parallel q{qi} nprobe={nprobe} at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn hnsw_trait_batch_and_parallel_match_sequential() {
-    // Graph traversal is not block-splittable, so the trait serves HNSW
-    // through the default methods: batches shard one query per work
-    // item and search_parallel is the sequential search — both must be
-    // bit-identical to a sequential loop at any width, ties included.
-    let (base_n, copies, d, k, nq) = (40, 5, 8, 6, 5);
-    let rows = tied_rows(base_n, copies, d, 17);
-    let n = base_n * copies;
-    let queries = tied_queries(&rows, d, nq, 18);
-    let hnsw = Hnsw::build(&rows, n, d, HnswParams::default(), 19);
-    let dep: &dyn VectorIndex = &hnsw;
-
-    let opts = SearchOptions::new(k);
-    let sequential: Vec<Vec<Neighbor>> = (0..nq)
-        .map(|qi| dep.search(&queries[qi * d..(qi + 1) * d], &opts))
-        .collect();
-    for threads in THREAD_COUNTS {
-        let batch = dep.search_batch(&queries, &opts.with_threads(threads));
-        assert_eq!(batch, sequential, "search_batch at {threads} threads");
-        for (qi, want) in sequential.iter().enumerate() {
-            let got =
-                dep.search_parallel(&queries[qi * d..(qi + 1) * d], &opts.with_threads(threads));
-            assert_eq!(&got, want, "search_parallel q{qi} at {threads} threads");
         }
     }
 }

@@ -246,12 +246,8 @@ fn hybrid_hnsw_router_preserves_recall() {
     let (mut linear_total, mut routed_total) = (0.0, 0.0);
     for qi in 0..ds.n_queries {
         let a = ivf.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
-        let b = ivf.search_with_router(
-            &router,
-            &ads,
-            ds.query(qi),
-            &params.with_nprobe(nprobe).with_ef(64),
-        );
+        let b =
+            ivf.search_with_router(&router, &ads, ds.query(qi), &params.with_nprobe(nprobe), 64);
         let ia: Vec<u64> = a.iter().map(|r| r.id).collect();
         let ib: Vec<u64> = b.iter().map(|r| r.id).collect();
         linear_total += recall_at_k(&gt[qi], &ia, k);

@@ -1,10 +1,10 @@
-//! Trait-object conformance suite: every deployment, served as a
+//! Trait-object conformance suite: every served deployment, as a
 //! `Box<dyn VectorIndex>`, must
 //!
-//! (a) return a top-1 that agrees with an exact linear scan (all six
-//!     configurations here are exact or rerank-exact except HNSW, whose
-//!     beam at the default `ef` recovers the true top-1 on these
-//!     collections),
+//! (a) return a top-1 that agrees with an exact linear scan (all four
+//!     configurations here are exact or rerank-exact) — and so must the
+//!     paper's two baselines through their typed calls (the horizontal
+//!     IVF under the options' pruner, HNSW at a beam of 100),
 //! (b) answer `search_batch` bit-identically to a sequential loop of
 //!     `search` at any thread count, and `search_parallel`
 //!     bit-identically for the block-splittable deployments,
@@ -34,31 +34,29 @@ fn brute(rows: &[f32], d: usize, q: &[f32], k: usize) -> Vec<Neighbor> {
     heap.into_sorted()
 }
 
-/// All six deployments over the same collection, as trait objects.
+/// The four resident deployments over the same collection, as trait
+/// objects.
 fn deployments(rows: &[f32], n: usize, d: usize) -> Vec<Box<dyn VectorIndex>> {
     let index = IvfIndex::build(rows, n, d, 12, 8, 7);
     vec![
         Box::new(FlatPdx::new(rows, n, d, 150, 16)),
         Box::new(IvfPdx::new(rows, d, &index.assignments, 16)),
-        Box::new(IvfHorizontal::new(rows, d, &index.assignments, d / 4)),
         Box::new(FlatSq8::build(rows, n, d, 150, 16)),
         Box::new(IvfSq8::new(rows, d, &index.assignments, 16)),
-        Box::new(Hnsw::build(rows, n, d, HnswParams::default(), 3)),
     ]
+}
+
+/// The horizontal IVF baseline over the same buckets as [`deployments`].
+fn horizontal(rows: &[f32], n: usize, d: usize) -> IvfHorizontal {
+    let index = IvfIndex::build(rows, n, d, 12, 8, 7);
+    IvfHorizontal::new(rows, d, &index.assignments, d / 4)
 }
 
 #[test]
 fn every_deployment_is_reachable_as_a_trait_object() {
     let (n, d) = (700, 16);
     let rows = random_rows(n, d, 1);
-    let expected_kinds = [
-        "flat-pdx",
-        "ivf-pdx",
-        "ivf-horizontal",
-        "flat-sq8",
-        "ivf-sq8",
-        "hnsw",
-    ];
+    let expected_kinds = ["flat-pdx", "ivf-pdx", "flat-sq8", "ivf-sq8"];
     for (dep, want) in deployments(&rows, n, d).iter().zip(expected_kinds) {
         assert_eq!(dep.kind(), want);
         assert_eq!(dep.dims(), d, "{}", dep.kind());
@@ -72,14 +70,20 @@ fn top1_agrees_with_exact_linear_scan() {
     let (n, d, k) = (700, 16, 10);
     let rows = random_rows(n, d, 1);
     let deps = deployments(&rows, n, d);
+    let hor = horizontal(&rows, n, d);
+    let hnsw = Hnsw::build(&rows, n, d, HnswParams::default(), 3);
     let opts = SearchOptions::new(k);
     for qi in 0..5 {
         let q = random_rows(1, d, 100 + qi);
         let exact = brute(&rows, d, &q, k);
-        for dep in &deps {
-            let got = dep.search(&q, &opts);
-            assert_eq!(got.len(), k, "{} query {qi}", dep.kind());
-            assert_eq!(got[0].id, exact[0].id, "{} query {qi} top-1", dep.kind());
+        let baselines = [
+            ("ivf-horizontal", hor.search_with(&opts.bond(), &q, &opts)),
+            ("hnsw", hnsw.search(&q, k, 100)),
+        ];
+        let served = deps.iter().map(|dep| (dep.kind(), dep.search(&q, &opts)));
+        for (kind, got) in served.chain(baselines) {
+            assert_eq!(got.len(), k, "{kind} query {qi}");
+            assert_eq!(got[0].id, exact[0].id, "{kind} query {qi} top-1");
         }
     }
 }
@@ -152,6 +156,17 @@ fn kernel_policies_are_bit_identical_across_deployments_and_threads() {
             }
         }
     }
+    // The horizontal baseline's one entry point, query by query.
+    let hor = horizontal(&rows, n, d);
+    let search = |opts: SearchOptions| -> Vec<Vec<Neighbor>> {
+        let each = |q: &[f32]| hor.search_with(&opts.bond(), q, &opts);
+        queries.chunks_exact(d).map(each).collect()
+    };
+    let want = search(SearchOptions::new(k).with_kernel(KernelPolicy::Scalar));
+    for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
+        let got = search(SearchOptions::new(k).with_kernel(policy));
+        assert_eq!(got, want, "ivf-horizontal with {policy:?}");
+    }
 }
 
 /// (c) `SearchOptions::default()` must reproduce each deployment's old
@@ -176,10 +191,6 @@ fn default_options_match_old_per_type_defaults() {
     let dyn_ivf: &dyn VectorIndex = &ivf;
     // nprobe defaults to 0 = every bucket (exact).
     assert_eq!(dyn_ivf.search(&q, &opts), ivf.search_with(&bond, &q, &opts));
-
-    let hor = IvfHorizontal::new(&rows, d, &index.assignments, d / 4);
-    let dyn_hor: &dyn VectorIndex = &hor;
-    assert_eq!(dyn_hor.search(&q, &opts), hor.search_with(&bond, &q, &opts));
 
     let sq8 = FlatSq8::build(&rows, n, d, 150, 16);
     let dyn_sq8: &dyn VectorIndex = &sq8;
@@ -209,11 +220,6 @@ fn default_options_match_old_per_type_defaults() {
             None
         )
     );
-
-    let hnsw = Hnsw::build(&rows, n, d, HnswParams::default(), 3);
-    let dyn_hnsw: &dyn VectorIndex = &hnsw;
-    // ef defaults to max(DEFAULT_EF, k) = 100.
-    assert_eq!(dyn_hnsw.search(&q, &opts), hnsw.search(&q, k, DEFAULT_EF));
 }
 
 #[test]

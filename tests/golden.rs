@@ -7,7 +7,7 @@
 //! every constant below untouched: each is asserted under
 //! `KernelPolicy::{Scalar, Auto}`, with tracing on and off, and through
 //! `search`, `search_batch` and — for the exact configurations —
-//! `search_parallel` at 1, 2 and 3 workers.
+//! `search_parallel` at 1, 2, 3 and 8 workers.
 //!
 //! The collection comes from an xorshift generator this file owns (as
 //! `pdx-linalg`'s `golden_input` does), and the IVF buckets are assigned
@@ -16,8 +16,9 @@
 //! `THRESHOLD_TILE` and end in a partial group, so a scan crosses tile
 //! boundaries inside one block.
 //!
-//! Only names of the `VectorIndex` serving surface are used, so the file
-//! compiles unchanged on either side of a search-path refactor.
+//! Only names of the `VectorIndex` serving surface are used, plus the
+//! horizontal baseline's typed `search_with`, so the file compiles
+//! unchanged on either side of a search-path refactor.
 
 use pdx::prelude::*;
 
@@ -108,10 +109,14 @@ fn fnv1a(results: &[Vec<Neighbor>]) -> u64 {
 /// The vertical kernels answer with the same bits under every policy.
 const VERTICAL: &[KernelPolicy] = &[KernelPolicy::Scalar, KernelPolicy::Auto];
 
+/// Worker counts of `search_batch` and `search_parallel`.
+const WIDTHS: [usize; 4] = [1, 2, 3, 8];
+
 /// Asserts `want` for every kernel policy of `kernels` × tracing × entry
-/// point of `index` under `opts`, over the packed `queries`. `exact`
-/// adds `search_parallel`, whose contract covers the exact
-/// configurations only.
+/// point of `index` under `opts`, over the packed `queries`, the batch
+/// and parallel entry points at every width of [`WIDTHS`]. `exact` adds
+/// `search_parallel`, whose contract covers the exact configurations
+/// only.
 fn pin_under(
     kernels: &[KernelPolicy],
     queries: &[f32],
@@ -130,12 +135,14 @@ fn pin_under(
             let tag = format!("{name} {kernel:?} trace={trace}");
             let single = fnv1a(&each(&|q| index.search(q, &opts)));
             assert_eq!(single, want, "{tag} search: {single:#018x}");
-            let batch = fnv1a(&index.search_batch(queries, &opts.with_threads(2)));
-            assert_eq!(batch, want, "{tag} search_batch: {batch:#018x}");
-            for threads in [1usize, 2, 3].into_iter().filter(|_| exact) {
+            for threads in WIDTHS {
                 let opts = opts.with_threads(threads);
-                let par = fnv1a(&each(&|q| index.search_parallel(q, &opts)));
-                assert_eq!(par, want, "{tag} search_parallel@{threads}: {par:#018x}");
+                let batch = fnv1a(&index.search_batch(queries, &opts));
+                assert_eq!(batch, want, "{tag} search_batch@{threads}: {batch:#018x}");
+                if exact {
+                    let par = fnv1a(&each(&|q| index.search_parallel(q, &opts)));
+                    assert_eq!(par, want, "{tag} search_parallel@{threads}: {par:#018x}");
+                }
             }
         }
     }
@@ -197,33 +204,31 @@ fn ivf_pdx_partial_and_full_probe_resident_and_lazy() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The paper's horizontal baseline is not served: its one entry point is
+/// the typed `search_with`, pinned under the pruner the options name.
 #[test]
 fn ivf_horizontal() {
-    // The horizontal SIMD tiers reduce across lanes, so their bits move
-    // with the ISA; the scalar tier is the one a constant can pin.
-    let scalar = &[KernelPolicy::Scalar];
     let rows = clustered(N, 0x9E37_79B9_7F4A_7C15);
     let hor = IvfHorizontal::new(&rows, D, &assignments(), 8);
     let partial = SearchOptions::new(10).with_nprobe(3);
-    pin_under(
-        scalar,
-        &queries(),
-        "ivf-horizontal nprobe=3",
-        &hor,
-        partial,
-        true,
-        HORIZONTAL_PARTIAL,
-    );
     let linear = SearchOptions::new(10).with_pruner(PrunerKind::Linear);
-    pin_under(
-        scalar,
-        &queries(),
-        "ivf-horizontal linear",
-        &hor,
-        linear,
-        true,
-        HORIZONTAL_LINEAR,
-    );
+    for (name, opts, want) in [
+        ("nprobe=3", partial, HORIZONTAL_PARTIAL),
+        ("linear", linear, HORIZONTAL_LINEAR),
+    ] {
+        // The horizontal SIMD tiers reduce across lanes, so their bits
+        // move with the ISA; the scalar tier is the one a constant can pin.
+        let opts = opts.with_kernel(KernelPolicy::Scalar);
+        for trace in [false, true] {
+            let opts = opts.with_trace(trace);
+            let search = |q: &[f32]| hor.search_with(&opts.bond(), q, &opts);
+            let got = fnv1a(&queries().chunks_exact(D).map(search).collect::<Vec<_>>());
+            assert_eq!(
+                got, want,
+                "ivf-horizontal {name} trace={trace}: {got:#018x}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -301,6 +306,41 @@ fn fitted_pruners() {
     pin_under(VERTICAL, &many, name, &flat, opts, false, BSA_130_QUERIES);
 }
 
+/// A collection's read path: three sealed segments, every one with
+/// tombstoned rows, and rows still in the write buffer. External ids
+/// are `3 i + 1`, so no segment's remap is the identity, and every fifth
+/// row is deleted, so dead rows sit among each query's neighbours.
+#[test]
+fn store_read_path() {
+    // The write buffer is scanned with the horizontal tier of the kernel
+    // policy, whose SIMD bits move with the ISA (see `ivf_horizontal`);
+    // the sealed segments answer alike under every policy.
+    let scalar = &[KernelPolicy::Scalar];
+    let rows = clustered(N, 0x9E37_79B9_7F4A_7C15);
+    for (quantize, want) in [(false, STORE_F32), (true, STORE_SQ8)] {
+        let config = StoreConfig {
+            block_size: 512,
+            group_size: GROUP,
+            buffer_capacity: 800,
+            quantize,
+        };
+        let coll = Collection::in_memory(D, config);
+        for (i, row) in rows.chunks_exact(D).enumerate() {
+            coll.insert(3 * i as u64 + 1, row).unwrap();
+        }
+        for i in (2..N).step_by(5) {
+            coll.delete(3 * i as u64 + 1).unwrap();
+        }
+        let stats = coll.segment_stats();
+        assert_eq!(stats.len(), 3);
+        assert!(stats.iter().all(|s| s.rows == 800 && s.dead == 160));
+        assert_eq!(coll.buffer_len(), 80);
+        let name = format!("collection quantize={quantize}");
+        let opts = SearchOptions::new(10);
+        pin_under(scalar, &queries(), &name, &coll, opts, true, want);
+    }
+}
+
 // Coinciding constants are answers that must coincide: a linear scan
 // and the Sequential order accumulate in storage order, and an exact
 // rerank over enough candidates recomputes those same distances.
@@ -329,3 +369,7 @@ const PRUNED_FLAT_BSA: u64 = 0xc478_6829_f8c4_f75c;
 // before them.
 const FLAT_130_QUERIES: u64 = 0xb8b0_503f_b5d1_1039;
 const BSA_130_QUERIES: u64 = 0xf39a_a897_6bb0_d51d;
+// Landed with the read path folded into `Snapshot`, computed by the
+// segmented merge before it.
+const STORE_F32: u64 = 0xb5f4_52f7_b3f4_acd2;
+const STORE_SQ8: u64 = 0xd14e_edc7_8b52_2670;

@@ -636,7 +636,8 @@ fn kernel_panic_contracts() {
     let (g, g8) = (block.group(0), codes.group(0));
     let lanes = g.lanes;
     let flat = FlatPdx::new(&data, n, d, n, group);
-    let hnsw = Hnsw::build(&data, n, d, HnswParams::default(), 1);
+    let coll = Collection::in_memory(d, StoreConfig::default());
+    coll.bulk_insert(0, &data).unwrap();
 
     type Case<'a> = (&'a str, &'a str, Box<dyn Fn(KernelPolicy) + 'a>);
     let cases: Vec<Case<'_>> = vec![
@@ -902,7 +903,8 @@ fn kernel_panic_contracts() {
         ),
         // A ragged batch is refused before any query is prepared: by the
         // banded driver every PDXearch deployment batches through, and by
-        // the one-query-a-work-item trait default.
+        // the one-query-a-work-item trait default a collection batches
+        // with.
         (
             "FlatPdx::search_batch: queries.len() % dims != 0",
             "queries buffer must hold whole vectors",
@@ -912,11 +914,11 @@ fn kernel_panic_contracts() {
             }),
         ),
         (
-            "Hnsw::search_batch: queries.len() % dims != 0",
+            "Collection::search_batch: queries.len() % dims != 0",
             "queries buffer must hold whole vectors",
             Box::new(|p| {
                 let opts = SearchOptions::new(3).with_kernel(p);
-                VectorIndex::search_batch(&hnsw, &data[..2 * d + 1], &opts);
+                coll.search_batch(&data[..2 * d + 1], &opts);
             }),
         ),
     ];
@@ -924,7 +926,7 @@ fn kernel_panic_contracts() {
     // The empty batch is no panic: it is the empty answer.
     let opts = SearchOptions::new(3);
     assert!(flat.search_batch(&[], &opts).is_empty());
-    assert!(VectorIndex::search_batch(&hnsw, &[], &opts).is_empty());
+    assert!(coll.search_batch(&[], &opts).is_empty());
 
     for (name, want, run) in &cases {
         for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {

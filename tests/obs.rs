@@ -32,8 +32,8 @@ fn random_rows(n: usize, d: usize, seed: u64) -> Vec<f32> {
     (0..n * d).map(|_| rng.random::<f32>() * 10.0).collect()
 }
 
-/// The six deployments over one collection, as trait objects (the
-/// same set the engine conformance suite exercises), plus the two
+/// The four resident deployments over one collection, as trait objects
+/// (the same set the engine conformance suite exercises), plus the two
 /// fitted-pruner adapters over the rotated collection.
 fn deployments(rows: &[f32], n: usize, d: usize) -> Vec<Box<dyn VectorIndex>> {
     let index = IvfIndex::build(rows, n, d, 12, 8, 7);
@@ -48,10 +48,8 @@ fn deployments(rows: &[f32], n: usize, d: usize) -> Vec<Box<dyn VectorIndex>> {
     vec![
         Box::new(FlatPdx::new(rows, n, d, 150, 16)),
         Box::new(IvfPdx::new(rows, d, &index.assignments, 16)),
-        Box::new(IvfHorizontal::new(rows, d, &index.assignments, d / 4)),
         Box::new(FlatSq8::build(rows, n, d, 150, 16)),
         Box::new(IvfSq8::new(rows, d, &index.assignments, 16)),
-        Box::new(Hnsw::build(rows, n, d, HnswParams::default(), 3)),
         Box::new(PrunedIvf::new(
             IvfPdx::new(&by_ads, d, &index.assignments, 16),
             ads,
@@ -103,6 +101,18 @@ fn tracing_changes_no_result_bits() {
                 assert_same_hits(a, b, &format!("{ctx} search_batch"));
             }
         }
+    }
+    // The horizontal baseline traces its one entry point too.
+    let index = IvfIndex::build(&rows, n, d, 12, 8, 7);
+    let hor = IvfHorizontal::new(&rows, d, &index.assignments, d / 4);
+    let off = SearchOptions::new(k);
+    let on = off.with_trace(true);
+    for q in queries.chunks_exact(d) {
+        assert_same_hits(
+            &hor.search_with(&off.bond(), q, &off),
+            &hor.search_with(&on.bond(), q, &on),
+            "ivf-horizontal search_with",
+        );
     }
 }
 

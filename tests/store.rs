@@ -629,11 +629,11 @@ fn collection_len_dims_kind_through_the_trait() {
     assert!(!dep.is_empty());
 }
 
-/// `k = 0` asks for nothing and must answer nothing — at the merge, at
-/// the segmented read path, and through the collection trait — and
-/// `k > live rows` must return exactly the live rows in canonical
-/// `(distance, id)` order. Both ends of the `k` range came up while
-/// wiring the network server, where `k` arrives from the wire.
+/// `k = 0` asks for nothing and must answer nothing — at the merge and
+/// through every search of the collection — and `k > live rows` must
+/// return exactly the live rows in canonical `(distance, id)` order.
+/// Both ends of the `k` range came up while wiring the network server,
+/// where `k` arrives from the wire.
 #[test]
 fn k_zero_and_k_beyond_live_rows_are_well_defined() {
     let (n, d) = (300, 8);
@@ -649,27 +649,18 @@ fn k_zero_and_k_beyond_live_rows_are_well_defined() {
     assert!(live < n);
     let q = &rows[..d];
 
-    // k = 0: empty everywhere, sequential and parallel.
+    // k = 0: empty everywhere, sequential, parallel and batched.
     let one = vec![vec![Neighbor {
         id: 1,
         distance: 0.5,
     }]];
     assert!(merge_neighbors(&one, 0).is_empty());
-    let flat = FlatPdx::with_defaults(&rows, n, d);
-    let remap: Vec<u64> = (0..n as u64).collect();
-    let seg = SegmentedSearch::new(vec![SearchSegment {
-        index: &flat,
-        remap: &remap,
-        dead: None,
-    }]);
-    assert!(seg.search(&[], q, &SearchOptions::new(0)).is_empty());
-    assert!(seg
-        .search_parallel(&[], q, &SearchOptions::new(0).with_threads(4))
-        .is_empty());
     assert!(coll.search(q, &SearchOptions::new(0)).is_empty());
     assert!(coll
         .search_parallel(q, &SearchOptions::new(0).with_threads(4))
         .is_empty());
+    let batch = coll.search_batch(&rows[..3 * d], &SearchOptions::new(0).with_threads(2));
+    assert_eq!(batch, vec![Vec::<Neighbor>::new(); 3]);
 
     // k > live: every live row exactly once, canonically ordered, with
     // no tombstoned id leaking through; parallel path bit-identical.
@@ -690,8 +681,14 @@ fn k_zero_and_k_beyond_live_rows_are_well_defined() {
     let par = coll.search_parallel(q, &SearchOptions::new(2 * n).with_threads(8));
     assert_eq!(hits, par);
 
-    // The direct segmented path answers past the end too.
-    let all = seg.search(&[], q, &SearchOptions::new(n + 50));
+    // Past the end with nothing deleted: every row, sealed and buffered.
+    let whole = Collection::in_memory(d, small_config(false));
+    whole.bulk_insert(0, &rows[..(n - 50) * d]).unwrap();
+    for i in n - 50..n {
+        whole.insert(i as u64, &rows[i * d..(i + 1) * d]).unwrap();
+    }
+    assert!(whole.segment_count() > 1 && whole.buffer_len() == 50);
+    let all = whole.search(q, &SearchOptions::new(n + 50));
     assert_eq!(all.len(), n);
 }
 
