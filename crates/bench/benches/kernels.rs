@@ -56,8 +56,8 @@ fn bench_kernels(c: &mut Criterion) {
 
 /// The two rotations of the pruners, per `d`. BSA's PCA rotation is
 /// `pdx-linalg`'s `dot_rows`: a `d × d` matrix against `B` packed
-/// queries, scalar oracle vs the ISA the `Auto` policy resolves on this
-/// machine. `B = 1` is the per-query `matvec`; larger `B` is the batched
+/// queries, scalar oracle vs the nest the `Auto` policy runs on this
+/// machine (`dot_rows_isa`: the 8-lane AVX2 tile on an AVX-512 host). `B = 1` is the per-query `matvec`; larger `B` is the batched
 /// rotation of `search_batch` and the collection rotation. Its
 /// throughput counts the matrix bytes the arithmetic consumes (`B`
 /// passes over `d × d` `f32`), so the rate is comparable with a
@@ -68,8 +68,9 @@ fn bench_kernels(c: &mut Criterion) {
 /// matrix to stream, so its throughput counts rotated elements; compare
 /// the two by time per query.
 fn bench_rotation(c: &mut Criterion) {
-    use pdx::linalg::{kernel::dot_rows, MatrixView, RandomRotation};
-    let isa = KernelPolicy::Auto.resolve().name();
+    use pdx::linalg::kernel::{dot_rows, dot_rows_isa};
+    use pdx::linalg::{MatrixView, RandomRotation};
+    let isa = dot_rows_isa(KernelPolicy::Auto).name();
     for d in [128usize, 960] {
         let mut group = c.benchmark_group(format!("rotation/d{d}"));
         let spec = DatasetSpec {

@@ -274,7 +274,7 @@ mod tests {
                 let sizes = || cut.iter().map(|band| band.len());
                 let spread = sizes().max().unwrap_or(0) - sizes().min().unwrap_or(0);
                 assert!(spread <= 1, "{at}");
-                assert!(cut.len() % workers == 0 || cut.len() == nq, "{at}");
+                assert!(cut.len().is_multiple_of(workers) || cut.len() == nq, "{at}");
             }
         }
         let sizes = |nq, workers| bands(nq, workers).map(|b| b.len()).collect::<Vec<_>>();

@@ -9,18 +9,21 @@
 //! but only where the caller left the policy at [`KernelPolicy::Auto`],
 //! so explicit program choices always win.
 //!
-//! The explicit-SIMD nest ([`lanes`](crate::kernels::lanes)) runs the
+//! The explicit-SIMD nests ([`lanes`](crate::kernels::lanes)) run the
 //! scalar loops' own metric steps in the scalar loops' dimension order
-//! (see the module docs of [`pdx`](crate::kernels::pdx)), so switching
-//! policy never changes a distance bit — the policy is a pure
-//! performance knob, which is what lets `Auto` default to SIMD.
+//! (see the module docs of [`pdx`](crate::kernels::pdx)) at whatever
+//! register width the resolved ISA has — 16 lanes on AVX-512, 8 on AVX2
+//! and NEON — so switching policy or host never changes a distance bit:
+//! the policy is a pure performance knob, which is what lets `Auto`
+//! default to SIMD.
 
 use crate::kernels::nary::KernelVariant;
 use std::sync::OnceLock;
 
 /// Whether the *scalar* kernels were compiled with FMA contraction. The
-/// metric steps branch on this constant — the same way at one lane and
-/// at eight — so the SIMD op sequence always matches the scalar oracle.
+/// metric steps branch on this constant — the same way at one lane, at
+/// eight and at sixteen — so the SIMD op sequence always matches the
+/// scalar oracle.
 ///
 /// Kept at module scope deliberately: inside a `#[target_feature]`
 /// function, `cfg!(target_feature = "fma")` may reflect the function's
@@ -110,10 +113,18 @@ impl KernelPolicy {
 pub enum KernelIsa {
     /// Portable scalar loops (auto-vectorized by the compiler).
     Scalar,
-    /// The kernel nest at `lanes::Avx2`: AVX2+FMA intrinsics (x86-64).
+    /// The kernel nests at `lanes::Avx2`: 8 lanes of AVX2+FMA intrinsics
+    /// (x86-64).
     Avx2,
-    /// The kernel nest at `lanes::Neon`: NEON intrinsics (aarch64).
+    /// The kernel nests at `lanes::Neon`: 8 lanes of NEON intrinsics
+    /// (aarch64).
     Neon,
+    /// The kernel nests at `lanes::Avx512`: 16 lanes of AVX-512F
+    /// intrinsics (x86-64 with AVX2+FMA as well). The rotation
+    /// (`pdx_linalg::kernel::dot_rows`) and the horizontal kernels,
+    /// whose bits are defined by eight-accumulator reductions, run their
+    /// AVX2 code under it.
+    Avx512,
 }
 
 impl KernelIsa {
@@ -123,6 +134,7 @@ impl KernelIsa {
             Self::Scalar => "scalar",
             Self::Avx2 => "avx2",
             Self::Neon => "neon",
+            Self::Avx512 => "avx512",
         }
     }
 
@@ -132,6 +144,7 @@ impl KernelIsa {
             Self::Scalar => 0,
             Self::Avx2 => 1,
             Self::Neon => 2,
+            Self::Avx512 => 3,
         }
     }
 
@@ -142,18 +155,24 @@ impl KernelIsa {
             0 => Some(Self::Scalar),
             1 => Some(Self::Avx2),
             2 => Some(Self::Neon),
+            3 => Some(Self::Avx512),
             _ => None,
         }
     }
 }
 
-/// The best ISA the running machine supports, detected once per process.
+/// The best ISA the running machine supports, detected once per process:
+/// AVX-512 ahead of AVX2 (it requires AVX2+FMA too, so every AVX2 code
+/// path stays valid under it), then NEON, then scalar.
 pub fn detected_isa() -> KernelIsa {
     static ISA: OnceLock<KernelIsa> = OnceLock::new();
     *ISA.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
             if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+                if std::is_x86_feature_detected!("avx512f") {
+                    return KernelIsa::Avx512;
+                }
                 return KernelIsa::Avx2;
             }
         }
@@ -221,9 +240,16 @@ mod tests {
 
     #[test]
     fn wire_codes_round_trip() {
-        for isa in [KernelIsa::Scalar, KernelIsa::Avx2, KernelIsa::Neon] {
+        for isa in [
+            KernelIsa::Scalar,
+            KernelIsa::Avx2,
+            KernelIsa::Neon,
+            KernelIsa::Avx512,
+        ] {
             assert_eq!(KernelIsa::from_wire(isa.wire_code()), Some(isa));
         }
+        assert_eq!(KernelIsa::Avx512.wire_code(), 3);
+        assert_eq!(KernelIsa::Avx512.name(), "avx512");
         assert_eq!(KernelIsa::from_wire(99), None);
     }
 

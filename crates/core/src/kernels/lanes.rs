@@ -1,5 +1,5 @@
-//! The vertical kernel nests, each written once over an 8-lane vector
-//! type.
+//! The vertical kernel nests, each written once over a lane-width-generic
+//! vector type.
 //!
 //! Algorithm 1 of the paper is one loop — dimension by dimension over
 //! multiple vectors at a time, one accumulator per lane, no reduction —
@@ -13,27 +13,41 @@
 //!   the *same* `Step` bodies: L2 / L1 / IP are written once per
 //!   element, which is why every path accumulates to identical bits —
 //!   and a [`Pruner::slack`] written over it keeps the same vectors one
-//!   lane or eight at a time.
-//! * [`Lanes8`] adds what a nest needs to move eight lanes: splat, load
-//!   eight elements from a slice at an index (`f32` values, or `u8`
-//!   codes widened), gather eight survivors, store, and compare eight
-//!   lanes into an 8-bit mask. Three types implement it: `Avx2` (one
-//!   `__m256`), `Neon` (`[float32x4_t; 2]`) and [`Portable`] (`[f32;
-//!   8]`, plain Rust, every access a checked slice index).
+//!   lane or sixteen at a time.
+//! * [`Lanes<N>`] adds what a nest needs to move `N` lanes: splat, load
+//!   `N` elements from a slice at an index (`f32` values, or `u8` codes
+//!   widened), gather `N` survivors, store, and compare `N` lanes into
+//!   the low `N` bits of a mask. Four types implement it: `Avx512` (one
+//!   `__m512`, `N = 16`), `Avx2` (one `__m256`, `N = 8`), `Neon`
+//!   (`[float32x4_t; 2]`, `N = 8`) and [`Portable<N>`] (`[f32; N]`, plain
+//!   Rust, every access a checked slice index).
 //! * `dense`, `survivors` and `bound` are the three nests: a tile's
 //!   groups accumulated in one call, its survivors accumulated wherever
 //!   they sit, and its survival bits with their count. The first two are
-//!   generic over the lane type, the stored element ([`Stored`]), the
-//!   metric `Step` and the dimension iterator; the third over the lane
-//!   type and the [`Pruner`]. Each has one `#[target_feature]` entry.
+//!   generic over the lane width and type, the stored element
+//!   ([`Stored`]), the metric `Step` and the dimension iterator; the
+//!   third over the lane width and type and the [`Pruner`]. Each (nest,
+//!   ISA) pair that runs has one `#[target_feature]` shim, and `dense_on` /
+//!   `survivors_on` / `bound_on` call the shim of a resolved
+//!   [`KernelIsa`]. The dense and bound nests run at the ISA's full
+//!   width; survivor passes are 8 lanes on every ISA, because a pass
+//!   costs one gathered value per lane whether or not the lane holds a
+//!   survivor (`survivors_on`).
+//!
+//! A lane never sees another lane, so the width only decides how many
+//! run side by side: every lane runs the same `Step` bodies in the same
+//! dimension order at 8 lanes, at 16 or at one, and the bits cannot
+//! move with the register.
 //!
 //! `Portable` is the kernels' scalar survivor and bound path, and it is
-//! also the bounds proof of the other two: the nests' index arithmetic
-//! is shared, so a `Portable` run that does not panic shows every index
-//! the raw loads of `Avx2` / `Neon` would take is inside its slice (the
-//! unit proptest below runs all three against the Algorithm-1 scalar
-//! loops and a loop of [`Pruner::survives`]).
+//! also the bounds proof of the other three: the nests' index arithmetic
+//! is shared per width, so a `Portable<8>` / `Portable<16>` run that does
+//! not panic shows every index the raw loads and gathers of `Avx2` /
+//! `Neon` / `Avx512` would take is inside its slice (the unit proptest
+//! below runs them all against the Algorithm-1 scalar loops and a loop
+//! of [`Pruner::survives`]).
 
+use super::dispatch::KernelIsa;
 use super::Tiled;
 use crate::pruning::Pruner;
 use std::ops::Range;
@@ -43,14 +57,14 @@ use std::arch::aarch64::*;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-/// `(offset of dimension 0, stride between dimensions)` of the eight
+/// `(offset of dimension 0, stride between dimensions)` of the `N`
 /// survivors that share one pass over the dimensions.
-pub type Pass = [(usize, usize); 8];
+pub type Pass<const N: usize> = [(usize, usize); N];
 
 /// The arithmetic of one accumulation step or one bound, on one lane
-/// (`f32`) or on eight. Every operation rounds exactly like its `f32` namesake, lane
-/// by lane, so a metric step written over `Lane` yields the same bits
-/// on every implementation.
+/// (`f32`) or on many. Every operation rounds exactly like its `f32`
+/// namesake, lane by lane, so a metric step written over `Lane` yields
+/// the same bits on every implementation.
 pub trait Lane: Copy {
     /// `self - o`.
     fn sub(self, o: Self) -> Self;
@@ -65,7 +79,7 @@ pub trait Lane: Copy {
     /// `c - self * b`, rounded once.
     fn fnmadd(self, b: Self, c: Self) -> Self;
     /// `x` in every lane. It takes `self` so that a constant is only made
-    /// where a value already exists (see [`Lanes8`]'s contract).
+    /// where a value already exists (see [`Lanes`]'s contract).
     fn fill(self, x: f32) -> Self;
 }
 
@@ -119,67 +133,67 @@ mod sealed {
     impl Sealed for u8 {}
 }
 
-/// Eight [`Lane`]s moved together.
+/// `N` [`Lane`]s moved together (`N` divides 64).
 ///
 /// # Safety
 /// Every method here but `le_mask` creates a value or touches memory,
-/// and each of those has the same two-part contract: the implementing type's instruction set is
-/// present on the running CPU (nothing for [`Portable`]), and the
-/// elements it names — `src[at..at + 8]`, every `src[off + d * stride]`
-/// of a [`Pass`] — are inside the slice. `Portable` checks the second
-/// part itself (slice indexing, a panic on a miss); `Avx2` and `Neon` do
-/// not. The [`Lane`] arithmetic on a value and [`Lanes8::le_mask`] are
-/// safe: they touch no memory, and a value only exists where one of
-/// these methods made it.
-pub trait Lanes8: Lane {
-    /// Whether one-element reads (scalar tail, software gather) go
-    /// through slice indexing.
+/// and each of those has the same two-part contract: the implementing
+/// type's instruction set is present on the running CPU (nothing for
+/// [`Portable`]), and the elements it names — `src[at..at + N]`, every
+/// `src[off + d * stride]` of a [`Pass`] — are inside the slice.
+/// `Portable` checks the second part itself (slice indexing, a panic on
+/// a miss); `Avx512`, `Avx2` and `Neon` do not. The [`Lane`] arithmetic
+/// on a value and [`Lanes::le_mask`] are safe: they touch no memory, and
+/// a value only exists where one of these methods made it.
+pub trait Lanes<const N: usize>: Lane {
+    /// Whether one-element reads (a group narrower than `N`, the bound
+    /// pass's last lanes, the software gather) go through slice indexing.
     const CHECKED: bool = false;
 
-    /// All eight lanes `x`.
+    /// All `N` lanes `x`.
     ///
     /// # Safety
     /// See the trait.
     unsafe fn splat(x: f32) -> Self;
 
-    /// `src[at..at + 8]`; codes are widened to `f32`, which is exact for
+    /// `src[at..at + N]`; codes are widened to `f32`, which is exact for
     /// all 256 of them and so equal to the scalar `code as f32`.
     ///
     /// # Safety
     /// See the trait.
     unsafe fn load<E: Stored>(src: &[E], at: usize) -> Self;
 
-    /// Writes the lanes to `dst[at..at + 8]`.
+    /// Writes the lanes to `dst[at..at + N]`.
     ///
     /// # Safety
     /// See the trait.
     unsafe fn store(self, dst: &mut [f32], at: usize);
 
-    /// Dimension `d` of the eight survivors of `pass`: lane `k` is
+    /// Dimension `d` of the `N` survivors of `pass`: lane `k` is
     /// `src[off_k + d * stride_k]`, read one by one.
     ///
     /// # Safety
     /// See the trait.
     #[inline(always)]
-    unsafe fn gather<E: Stored>(src: &[E], pass: &Pass, d: usize) -> Self {
-        let vals = pass.map(|(off, stride)| at::<Self, E>(src, off + d * stride));
+    unsafe fn gather<E: Stored>(src: &[E], pass: &Pass<N>, d: usize) -> Self {
+        let vals = pass.map(|(off, stride)| at::<N, Self, E>(src, off + d * stride));
         Self::load(&vals, 0)
     }
 
-    /// Bit `k` is lane `k` of `self <= o`, an ordered compare: a NaN on
-    /// either side clears the bit, as `f32`'s `<=` does. Safe like the
-    /// [`Lane`] arithmetic — it reads two values that already exist and
-    /// touches no memory.
-    fn le_mask(self, o: Self) -> u8;
+    /// Bit `k < N` is lane `k` of `self <= o`, an ordered compare: a NaN
+    /// on either side clears the bit, as `f32`'s `<=` does; the bits from
+    /// `N` up are zero. Safe like the [`Lane`] arithmetic — it reads two
+    /// values that already exist and touches no memory.
+    fn le_mask(self, o: Self) -> u64;
 }
 
-/// `src[i]`: the one-element read of the scalar tail and the software
-/// gather, slice-indexed when `V` is [`Portable`].
+/// `src[i]`: the one-element read of the lane-by-lane paths and the
+/// software gather, slice-indexed when `V` is [`Portable`].
 ///
 /// # Safety
 /// `i < src.len()` unless `V::CHECKED`.
 #[inline(always)]
-unsafe fn at<V: Lanes8, E: Copy>(src: &[E], i: usize) -> E {
+unsafe fn at<const N: usize, V: Lanes<N>, E: Copy>(src: &[E], i: usize) -> E {
     if V::CHECKED {
         src[i]
     } else {
@@ -187,20 +201,21 @@ unsafe fn at<V: Lanes8, E: Copy>(src: &[E], i: usize) -> E {
     }
 }
 
-/// Eight lanes in plain Rust. Every access is a checked slice index, so
+/// `N` lanes in plain Rust. Every access is a checked slice index, so
 /// this is the implementation that compiles on every target, the scalar
-/// survivor kernel, and the bounds proof of the other two (module docs).
+/// survivor and bound kernel (at `N = 8`), and the bounds proof of the
+/// other three (module docs).
 #[derive(Clone, Copy)]
-pub struct Portable([f32; 8]);
+pub struct Portable<const N: usize>([f32; N]);
 
-impl Portable {
+impl<const N: usize> Portable<N> {
     #[inline(always)]
     fn zip(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
         Self(std::array::from_fn(|i| f(self.0[i], o.0[i])))
     }
 }
 
-impl Lane for Portable {
+impl<const N: usize> Lane for Portable<N> {
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
         self.zip(o, |a, b| a - b)
@@ -227,16 +242,16 @@ impl Lane for Portable {
     }
     #[inline(always)]
     fn fill(self, x: f32) -> Self {
-        Self([x; 8])
+        Self([x; N])
     }
 }
 
-impl Lanes8 for Portable {
+impl<const N: usize> Lanes<N> for Portable<N> {
     const CHECKED: bool = true;
 
     #[inline(always)]
     unsafe fn splat(x: f32) -> Self {
-        Self([x; 8])
+        Self([x; N])
     }
     #[inline(always)]
     unsafe fn load<E: Stored>(src: &[E], at: usize) -> Self {
@@ -244,17 +259,91 @@ impl Lanes8 for Portable {
     }
     #[inline(always)]
     unsafe fn store(self, dst: &mut [f32], at: usize) {
-        dst[at..at + 8].copy_from_slice(&self.0);
+        dst[at..at + N].copy_from_slice(&self.0);
     }
     #[inline(always)]
-    fn le_mask(self, o: Self) -> u8 {
-        (0..8).fold(0, |m, k| m | u8::from(self.0[k] <= o.0[k]) << k)
+    fn le_mask(self, o: Self) -> u64 {
+        (0..N).fold(0, |m, k| m | u64::from(self.0[k] <= o.0[k]) << k)
+    }
+}
+
+/// Sixteen lanes in one AVX-512 register. Invariant: a value exists only
+/// on a CPU with AVX-512F (and AVX2+FMA, which every such CPU has and
+/// `KernelIsa::Avx512` detection also checks) — the field is private and
+/// every constructor is a [`Lanes`] method, whose contract says so.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub struct Avx512(__m512);
+
+#[cfg(target_arch = "x86_64")]
+impl Lane for Avx512 {
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        // SAFETY: AVX-512F is present wherever an `Avx512` exists.
+        unsafe { Self(_mm512_sub_ps(self.0, o.0)) }
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        // SAFETY: as `sub`.
+        unsafe { Self(_mm512_mul_ps(self.0, o.0)) }
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        // SAFETY: as `sub`.
+        unsafe { Self(_mm512_add_ps(self.0, o.0)) }
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        // SAFETY: as `sub`.
+        unsafe { Self(_mm512_abs_ps(self.0)) }
+    }
+    #[inline(always)]
+    fn fmadd(self, b: Self, c: Self) -> Self {
+        // SAFETY: as `sub`.
+        unsafe { Self(_mm512_fmadd_ps(self.0, b.0, c.0)) }
+    }
+    #[inline(always)]
+    fn fnmadd(self, b: Self, c: Self) -> Self {
+        // SAFETY: as `sub`.
+        unsafe { Self(_mm512_fnmadd_ps(self.0, b.0, c.0)) }
+    }
+    #[inline(always)]
+    fn fill(self, x: f32) -> Self {
+        // SAFETY: as `sub`; `splat` touches no memory.
+        unsafe { Self::splat(x) }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes<16> for Avx512 {
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        Self(_mm512_set1_ps(x))
+    }
+    #[inline(always)]
+    unsafe fn load<E: Stored>(src: &[E], at: usize) -> Self {
+        let p = src.as_ptr().add(at);
+        if E::CODE {
+            let codes = _mm_loadu_si128(p as *const __m128i);
+            Self(_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(codes)))
+        } else {
+            Self(_mm512_loadu_ps(p as *const f32))
+        }
+    }
+    #[inline(always)]
+    unsafe fn store(self, dst: &mut [f32], at: usize) {
+        _mm512_storeu_ps(dst.as_mut_ptr().add(at), self.0)
+    }
+    #[inline(always)]
+    fn le_mask(self, o: Self) -> u64 {
+        // SAFETY: AVX-512F is present wherever an `Avx512` exists.
+        unsafe { u64::from(_mm512_cmp_ps_mask::<_CMP_LE_OQ>(self.0, o.0)) }
     }
 }
 
 /// Eight lanes in one AVX2 register. Invariant: a value exists only on a
 /// CPU with AVX2+FMA — the field is private and every constructor is a
-/// [`Lanes8`] method, whose contract says so.
+/// [`Lanes`] method, whose contract says so.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub struct Avx2(__m256);
@@ -299,7 +388,7 @@ impl Lane for Avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-impl Lanes8 for Avx2 {
+impl Lanes<8> for Avx2 {
     #[inline(always)]
     unsafe fn splat(x: f32) -> Self {
         Self(_mm256_set1_ps(x))
@@ -324,10 +413,10 @@ impl Lanes8 for Avx2 {
     /// depend on `d`, so inlined into a dimension loop they are built
     /// once per pass.
     #[inline(always)]
-    unsafe fn gather<E: Stored>(src: &[E], pass: &Pass, d: usize) -> Self {
+    unsafe fn gather<E: Stored>(src: &[E], pass: &Pass<8>, d: usize) -> Self {
         if E::CODE {
             return Self::load(
-                &pass.map(|(off, stride)| at::<Self, E>(src, off + d * stride)),
+                &pass.map(|(off, stride)| at::<8, Self, E>(src, off + d * stride)),
                 0,
             );
         }
@@ -339,9 +428,9 @@ impl Lanes8 for Avx2 {
         Self(_mm256_i32gather_ps::<4>(src.as_ptr() as *const f32, idx))
     }
     #[inline(always)]
-    fn le_mask(self, o: Self) -> u8 {
+    fn le_mask(self, o: Self) -> u64 {
         // SAFETY: AVX2+FMA is present wherever an `Avx2` exists.
-        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(self.0, o.0)) as u8 }
+        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(self.0, o.0)) as u8 as u64 }
     }
 }
 
@@ -398,7 +487,7 @@ impl Lane for Neon {
 }
 
 #[cfg(target_arch = "aarch64")]
-impl Lanes8 for Neon {
+impl Lanes<8> for Neon {
     #[inline(always)]
     unsafe fn splat(x: f32) -> Self {
         Self([vdupq_n_f32(x); 2])
@@ -424,7 +513,7 @@ impl Lanes8 for Neon {
         vst1q_f32(p.add(4), self.0[1]);
     }
     #[inline(always)]
-    fn le_mask(self, o: Self) -> u8 {
+    fn le_mask(self, o: Self) -> u64 {
         const WEIGHTS: [u32; 4] = [1, 2, 4, 8];
         // SAFETY: NEON is present wherever a `Neon` exists; the load
         // reads the four elements of `WEIGHTS`.
@@ -434,21 +523,10 @@ impl Lanes8 for Neon {
             // weight and summed across, four lanes give four bits.
             let lo = vaddvq_u32(vandq_u32(vcleq_f32(self.0[0], o.0[0]), w));
             let hi = vaddvq_u32(vandq_u32(vcleq_f32(self.0[1], o.0[1]), w));
-            (lo | hi << 4) as u8
+            u64::from(lo | hi << 4)
         }
     }
 }
-
-/// The lane type a non-`Scalar` `KernelIsa` runs on the compile target.
-#[cfg(target_arch = "x86_64")]
-pub type Native = Avx2;
-/// The lane type a non-`Scalar` `KernelIsa` runs on the compile target.
-#[cfg(target_arch = "aarch64")]
-pub type Native = Neon;
-/// No SIMD lane type on this target: `KernelPolicy::resolve` only ever
-/// says `Scalar` here, and the call sites type-check against `Portable`.
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub type Native = Portable;
 
 /// One metric's accumulation step: `acc ⊕ term(params, v)`, where
 /// `params` are the element's per-dimension query-side values — `[q]`
@@ -474,27 +552,32 @@ impl<D: Iterator<Item = usize> + Clone> Dims for D {}
 /// The dense nest: `acc[l] ⊕= term(params[d], data[d * lanes + l])` for
 /// every lane `l` of every group of `groups` and every `d` of `dims`, in
 /// order — a whole tile's checkpoint step in one call. Within a group,
-/// lanes are tiled 32 (four `V` accumulators live across the dimension
-/// loop), then 8, then one by one; each lane sees `dims` in the same
-/// order whichever tile holds it, so neither tiling shows in the bits.
-/// `query[k][d]` is the `k`-th per-dimension parameter (indexed through
-/// the slice, so a short query panics here on every `V`).
+/// lanes are tiled `4N` (four `V` accumulators live across the dimension
+/// loop; at `N = 16` that is a whole default 64-vector group, so each
+/// dimension row is walked once), then the rest in one [`tile`] of up to
+/// four accumulators whose last one ends at the group's last lane; only
+/// a group narrower than `N` goes lane by lane. Each lane sees `dims` in
+/// the same order whichever accumulator holds it, so neither tiling nor
+/// width shows in the bits. `query[k][d]` is the `k`-th per-dimension
+/// parameter (indexed through the slice, so a short query panics here on
+/// every `V`).
 ///
 /// # Safety
 /// `V`'s instruction set is present, [`Tiled::check_groups`] passed for
 /// `groups` and `acc`, and every `d` of `dims` is below `t.n_dims`: a
 /// group's buffer is then `lanes × n_dims` values (sliced, so checked)
-/// and `(d + 1) * lanes` stays inside it. `dense::<Portable, ..>` checks
-/// each index instead, which is how the arithmetic itself is tested.
+/// and `(d + 1) * lanes` stays inside it. `dense::<_, Portable<_>, ..>`
+/// checks each index instead, which is how the arithmetic itself is
+/// tested.
 #[inline(always)]
-unsafe fn dense<V, E, S, D, const P: usize>(
+unsafe fn dense<const N: usize, V, E, S, D, const P: usize>(
     t: Tiled<'_, E>,
     groups: Range<usize>,
     query: [&[f32]; P],
     dims: D,
     acc: &mut [f32],
 ) where
-    V: Lanes8,
+    V: Lanes<N>,
     E: Stored,
     S: Step<P>,
     D: Dims,
@@ -502,36 +585,80 @@ unsafe fn dense<V, E, S, D, const P: usize>(
     for (data, acc) in t.zip_groups(groups, acc) {
         let lanes = acc.len();
         let mut l = 0;
-        while l + 32 <= lanes {
-            let mut a: [V; 4] = std::array::from_fn(|k| V::load(acc, l + 8 * k));
-            for d in dims.clone() {
-                let params = query.map(|q| V::splat(q[d]));
-                let row = d * lanes + l;
-                for (k, a) in a.iter_mut().enumerate() {
-                    *a = S::step(*a, params, V::load(data, row + 8 * k));
+        while l + 4 * N <= lanes {
+            let at = [l, l + N, l + 2 * N, l + 3 * N];
+            tile::<N, 4, V, E, S, D, P>(data, query, dims.clone(), acc, at, 0);
+            l += 4 * N;
+        }
+        let rest = lanes - l;
+        if rest > 0 && lanes < N {
+            for (lane, slot) in acc.iter_mut().enumerate() {
+                let mut a = *slot;
+                for d in dims.clone() {
+                    let v: f32 = at::<N, V, E>(data, d * lanes + lane).into();
+                    a = S::step(a, query.map(|q| q[d]), v);
+                }
+                *slot = a;
+            }
+        } else if rest > 0 {
+            // The last accumulator starts `skip` lanes early so that it
+            // ends at the group's last lane.
+            let (end, skip) = (lanes - N, rest.div_ceil(N) * N - rest);
+            match rest.div_ceil(N) {
+                1 => tile::<N, 1, V, E, S, D, P>(data, query, dims.clone(), acc, [end], skip),
+                2 => tile::<N, 2, V, E, S, D, P>(data, query, dims.clone(), acc, [l, end], skip),
+                3 => {
+                    let at = [l, l + N, end];
+                    tile::<N, 3, V, E, S, D, P>(data, query, dims.clone(), acc, at, skip)
+                }
+                _ => {
+                    let at = [l, l + N, l + 2 * N, end];
+                    tile::<N, 4, V, E, S, D, P>(data, query, dims.clone(), acc, at, skip)
                 }
             }
-            for (k, a) in a.into_iter().enumerate() {
-                a.store(acc, l + 8 * k);
-            }
-            l += 32;
         }
-        while l + 8 <= lanes {
-            let mut a = V::load(acc, l);
-            for d in dims.clone() {
-                let params = query.map(|q| V::splat(q[d]));
-                a = S::step(a, params, V::load(data, d * lanes + l));
-            }
-            a.store(acc, l);
-            l += 8;
+    }
+}
+
+/// One register tile of [`dense`] over one group of `acc.len()` lanes:
+/// accumulator `k` holds lanes `at[k]..at[k] + N`, and all `K` of them
+/// live across one walk of `dims`. The last one stores only its lanes
+/// from `skip` on — it may start inside lanes that an earlier
+/// accumulator or tile owns, which it computes again from whatever
+/// `acc` held and discards.
+///
+/// # Safety
+/// As [`dense`], for one group: `at[k] + N <= acc.len()` for every `k`,
+/// and `data` holds `acc.len()` values per dimension of `dims`.
+#[inline(always)]
+unsafe fn tile<const N: usize, const K: usize, V, E, S, D, const P: usize>(
+    data: &[E],
+    query: [&[f32]; P],
+    dims: D,
+    acc: &mut [f32],
+    at: [usize; K],
+    skip: usize,
+) where
+    V: Lanes<N>,
+    E: Stored,
+    S: Step<P>,
+    D: Dims,
+{
+    let lanes = acc.len();
+    let mut a = at.map(|o| V::load(acc, o));
+    for d in dims {
+        let params = query.map(|q| V::splat(q[d]));
+        for (a, &o) in a.iter_mut().zip(&at) {
+            *a = S::step(*a, params, V::load(data, d * lanes + o));
         }
-        for (lane, slot) in acc.iter_mut().enumerate().skip(l) {
-            let mut a = *slot;
-            for d in dims.clone() {
-                let v: f32 = at::<V, E>(data, d * lanes + lane).into();
-                a = S::step(a, query.map(|q| q[d]), v);
-            }
-            *slot = a;
+    }
+    for (k, (a, o)) in a.into_iter().zip(at).enumerate() {
+        if k + 1 < K || skip == 0 {
+            a.store(acc, o);
+        } else {
+            let mut buf = [0.0f32; N];
+            a.store(&mut buf, 0);
+            acc[o + skip..o + N].copy_from_slice(&buf[skip..]);
         }
     }
 }
@@ -539,36 +666,37 @@ unsafe fn dense<V, E, S, D, const P: usize>(
 /// The bound nest: bit `l % 64` of `bits[l / 64]` says whether lane `l`
 /// survives — `P::slack(cp, partials[l], aux[l]) <= P::limit(cp)`, a
 /// missing `aux` standing for zeros — and the return value is the number
-/// of set bits. Eight lanes a compare, a scalar tail of up to seven; the
-/// bits past the last lane are zero. `slack` rounds lane by lane like
-/// its `f32` instance, so the bits are those of a loop of
-/// [`Pruner::survives`].
+/// of set bits. `N` lanes a compare (`N` divides 64, so a compare never
+/// straddles two words), a scalar tail of up to `N − 1`; the bits past
+/// the last lane are zero. `slack` rounds lane by lane like its `f32`
+/// instance, so the bits are those of a loop of [`Pruner::survives`].
 ///
 /// # Safety
 /// `V`'s instruction set is present, `bits.len() ==
 /// partials.len().div_ceil(64)` and an `aux` is as long as `partials`.
-/// `bound::<Portable, _>` — the scalar policy's bound pass — checks each
-/// index instead.
+/// `bound::<_, Portable<_>, _>` — the scalar policy's bound pass —
+/// checks each index instead.
 #[inline(always)]
-pub(super) unsafe fn bound<V: Lanes8, P: Pruner>(
+unsafe fn bound<const N: usize, V: Lanes<N>, P: Pruner>(
     cp: &P::Checkpoint,
     partials: &[f32],
     aux: Option<&[f32]>,
     bits: &mut [u64],
 ) -> usize {
+    const { assert!(64 % N == 0, "a compare must not straddle two words") };
     let (limit, mut count) = (P::limit(cp), 0);
     for (w, word) in bits.iter_mut().enumerate() {
         let end = partials.len().min(64 * w + 64);
         let (mut l, mut m) = (64 * w, 0u64);
-        while l + 8 <= end {
+        while l + N <= end {
             let p = V::load(partials, l);
             let a = aux.map_or(V::splat(0.0), |aux| V::load(aux, l));
-            m |= u64::from(P::slack(cp, p, a).le_mask(V::splat(limit))) << (l % 64);
-            l += 8;
+            m |= P::slack(cp, p, a).le_mask(V::splat(limit)) << (l % 64);
+            l += N;
         }
         for l in l..end {
-            let a = aux.map_or(0.0, |aux| at::<V, f32>(aux, l));
-            m |= u64::from(P::slack(cp, at::<V, f32>(partials, l), a) <= limit) << (l % 64);
+            let a = aux.map_or(0.0, |aux| at::<N, V, f32>(aux, l));
+            m |= u64::from(P::slack(cp, at::<N, V, f32>(partials, l), a) <= limit) << (l % 64);
         }
         *word = m;
         count += m.count_ones() as usize;
@@ -577,7 +705,7 @@ pub(super) unsafe fn bound<V: Lanes8, P: Pruner>(
 }
 
 /// The survivor nest: `acc[j] ⊕= term(params[d], value of survivor
-/// positions[j] at d)` for every `d` of `dims`, in order. Eight survivors
+/// positions[j] at d)` for every `d` of `dims`, in order. `N` survivors
 /// share one pass over the dimensions, each with its own offset and
 /// stride ([`Tiled::locate_pass`]), so a pass may span groups; a short
 /// last pass is padded — the padded lanes repeat a valid read and are
@@ -589,23 +717,23 @@ pub(super) unsafe fn bound<V: Lanes8, P: Pruner>(
 /// for `positions` and `acc`, and every `d` of `dims` is below
 /// `t.n_dims`: together they put each `off + d * stride` inside `t.data`.
 /// `V = Avx2` over `f32` also needs `t.data.len() <= i32::MAX`.
-/// `survivors::<Portable, ..>` checks each index instead.
+/// `survivors::<_, Portable<_>, ..>` checks each index instead.
 #[inline(always)]
-unsafe fn survivors<V, E, S, D, const P: usize>(
+unsafe fn survivors<const N: usize, V, E, S, D, const P: usize>(
     t: Tiled<'_, E>,
     query: [&[f32]; P],
     dims: D,
     positions: &[u32],
     acc: &mut [f32],
 ) where
-    V: Lanes8,
+    V: Lanes<N>,
     E: Stored,
     S: Step<P>,
     D: Dims,
 {
-    for (pos, acc) in positions.chunks(8).zip(acc.chunks_mut(8)) {
-        let pass = t.locate_pass::<8>(pos);
-        let mut buf = [0.0f32; 8];
+    for (pos, acc) in positions.chunks(N).zip(acc.chunks_mut(N)) {
+        let pass = t.locate_pass::<N>(pos);
+        let mut buf = [0.0f32; N];
         buf[..acc.len()].copy_from_slice(acc);
         let mut a = V::load(&buf, 0);
         for d in dims.clone() {
@@ -617,64 +745,137 @@ unsafe fn survivors<V, E, S, D, const P: usize>(
     }
 }
 
-/// [`dense`] at the target's SIMD lane type: the `#[target_feature]`
-/// entry the nest and every [`Lanes8`] method inline into.
+/// The nests at one SIMD lane type: one `#[target_feature]` shim each,
+/// the entries the nest and every [`Lanes`] method inline into. Each
+/// shim's contract is its nest's at that lane type. A lane type without
+/// a survivor shim (`Avx512`) leaves its survivors to the 8-lane type of
+/// its ISA ([`survivors_on`]).
+macro_rules! shims {
+    ($features:literal, $v:ty, $n:literal, $dense:ident, $bound:ident $(, $survivors:ident)?) => {
+        #[target_feature(enable = $features)]
+        unsafe fn $dense<E: Stored, S: Step<P>, D: Dims, const P: usize>(
+            t: Tiled<'_, E>,
+            groups: Range<usize>,
+            query: [&[f32]; P],
+            dims: D,
+            acc: &mut [f32],
+        ) {
+            dense::<$n, $v, E, S, D, P>(t, groups, query, dims, acc)
+        }
+
+        #[target_feature(enable = $features)]
+        unsafe fn $bound<P: Pruner>(
+            cp: &P::Checkpoint,
+            partials: &[f32],
+            aux: Option<&[f32]>,
+            bits: &mut [u64],
+        ) -> usize {
+            bound::<$n, $v, P>(cp, partials, aux, bits)
+        }
+
+        $(
+            #[target_feature(enable = $features)]
+            unsafe fn $survivors<E: Stored, S: Step<P>, D: Dims, const P: usize>(
+                t: Tiled<'_, E>,
+                query: [&[f32]; P],
+                dims: D,
+                positions: &[u32],
+                acc: &mut [f32],
+            ) {
+                survivors::<$n, $v, E, S, D, P>(t, query, dims, positions, acc)
+            }
+        )?
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+shims!("avx512f,avx2,fma", Avx512, 16, dense_avx512, bound_avx512);
+#[cfg(target_arch = "x86_64")]
+shims!("avx2,fma", Avx2, 8, dense_avx2, bound_avx2, survivors_avx2);
+#[cfg(target_arch = "aarch64")]
+shims!("neon", Neon, 8, dense_neon, bound_neon, survivors_neon);
+
+/// [`dense`] at the lane type of `isa`: `Avx512`, `Avx2` or `Neon`
+/// through its shim, `Portable<8>` for `Scalar` (the kernels' scalar
+/// dense path is the Algorithm-1 loops; this arm only keeps the match
+/// total).
 ///
 /// # Safety
-/// As [`dense`] at `V = Native`.
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-#[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
-pub(super) unsafe fn dense_native<E: Stored, S: Step<P>, D: Dims, const P: usize>(
+/// `isa` is present on the running CPU (a [`KernelPolicy::resolve`]
+/// value), and [`dense`]'s index contract holds.
+///
+/// [`KernelPolicy::resolve`]: super::KernelPolicy::resolve
+pub(super) unsafe fn dense_on<E: Stored, S: Step<P>, D: Dims, const P: usize>(
+    isa: KernelIsa,
     t: Tiled<'_, E>,
     groups: Range<usize>,
     query: [&[f32]; P],
     dims: D,
     acc: &mut [f32],
 ) {
-    dense::<Native, E, S, D, P>(t, groups, query, dims, acc)
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::Avx512 => dense_avx512::<E, S, D, P>(t, groups, query, dims, acc),
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::Avx2 => dense_avx2::<E, S, D, P>(t, groups, query, dims, acc),
+        #[cfg(target_arch = "aarch64")]
+        KernelIsa::Neon => dense_neon::<E, S, D, P>(t, groups, query, dims, acc),
+        _ => dense::<8, Portable<8>, E, S, D, P>(t, groups, query, dims, acc),
+    }
 }
 
-/// [`survivors`] at the target's SIMD lane type, as [`dense_native`].
+/// [`survivors`] at 8 lanes of `isa`, as [`dense_on`]: `Avx512` runs
+/// the `Avx2` nest (its CPUs have AVX2+FMA) and `Scalar` `Portable<8>`,
+/// the scalar policy's survivor kernel.
+///
+/// A pass gathers one value per lane, padding included, so its cost is
+/// its lane count, not its register count — and a PRUNE step often has
+/// few survivors (about half of `store_churn`'s SQ8 steps have at most
+/// eight). Sixteen-lane passes measured ≈ 1.55 ns per value there
+/// against ≈ 1.1 at eight, so every ISA runs eight.
 ///
 /// # Safety
-/// As [`survivors`] at `V = Native`.
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-#[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
-pub(super) unsafe fn survivors_native<E: Stored, S: Step<P>, D: Dims, const P: usize>(
+/// As [`dense_on`], with [`survivors`]'s index contract.
+pub(super) unsafe fn survivors_on<E: Stored, S: Step<P>, D: Dims, const P: usize>(
+    isa: KernelIsa,
     t: Tiled<'_, E>,
     query: [&[f32]; P],
     dims: D,
     positions: &[u32],
     acc: &mut [f32],
 ) {
-    survivors::<Native, E, S, D, P>(t, query, dims, positions, acc)
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::Avx512 | KernelIsa::Avx2 => {
+            survivors_avx2::<E, S, D, P>(t, query, dims, positions, acc)
+        }
+        #[cfg(target_arch = "aarch64")]
+        KernelIsa::Neon => survivors_neon::<E, S, D, P>(t, query, dims, positions, acc),
+        _ => survivors::<8, Portable<8>, E, S, D, P>(t, query, dims, positions, acc),
+    }
 }
 
-/// [`bound`] at the target's SIMD lane type, as [`dense_native`].
+/// [`bound`] at the lane type of `isa`, as [`dense_on`]; `Scalar` runs
+/// `Portable<8>`, the scalar policy's bound pass.
 ///
 /// # Safety
-/// As [`bound`] at `V = Native`.
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-#[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
-pub(super) unsafe fn bound_native<P: Pruner>(
+/// As [`dense_on`], with [`bound`]'s length contract.
+pub(super) unsafe fn bound_on<P: Pruner>(
+    isa: KernelIsa,
     cp: &P::Checkpoint,
     partials: &[f32],
     aux: Option<&[f32]>,
     bits: &mut [u64],
 ) -> usize {
-    bound::<Native, P>(cp, partials, aux, bits)
-}
-
-/// [`survivors`] at [`Portable`]: the scalar policy's survivor kernel.
-pub(super) fn survivors_portable<E: Stored, S: Step<P>, D: Dims, const P: usize>(
-    t: Tiled<'_, E>,
-    query: [&[f32]; P],
-    dims: D,
-    positions: &[u32],
-    acc: &mut [f32],
-) {
-    // SAFETY: `Portable` needs no ISA and checks every index itself.
-    unsafe { survivors::<Portable, E, S, D, P>(t, query, dims, positions, acc) }
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::Avx512 => bound_avx512::<P>(cp, partials, aux, bits),
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::Avx2 => bound_avx2::<P>(cp, partials, aux, bits),
+        #[cfg(target_arch = "aarch64")]
+        KernelIsa::Neon => bound_neon::<P>(cp, partials, aux, bits),
+        _ => bound::<8, Portable<8>, P>(cp, partials, aux, bits),
+    }
 }
 
 #[cfg(test)]
@@ -688,6 +889,104 @@ mod tests {
     use crate::layout::{PdxBlock, QuantizedPdxBlock, Sq8Query};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+
+    /// One instantiation of the three nests: a checked portable width,
+    /// or the shims of a SIMD ISA this CPU has.
+    #[derive(Clone, Copy, Debug)]
+    enum Nest {
+        Portable8,
+        Portable16,
+        Isa(KernelIsa),
+    }
+
+    impl Nest {
+        /// The two portable widths, then every SIMD lane type the running
+        /// CPU can execute — on x86-64 `Avx2` and, where `avx512f` is
+        /// detected, `Avx512` (said once when it is not).
+        fn all() -> Vec<Self> {
+            let mut nests = vec![Nest::Portable8, Nest::Portable16];
+            #[cfg(target_arch = "x86_64")]
+            {
+                let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+                if avx2 {
+                    nests.push(Nest::Isa(KernelIsa::Avx2));
+                }
+                if avx2 && is_x86_feature_detected!("avx512f") {
+                    nests.push(Nest::Isa(KernelIsa::Avx512));
+                } else {
+                    static SKIP: std::sync::Once = std::sync::Once::new();
+                    SKIP.call_once(|| println!("kernels::lanes: no avx512f, Avx512 skipped"));
+                }
+            }
+            #[cfg(target_arch = "aarch64")]
+            if std::arch::is_aarch64_feature_detected!("neon") {
+                nests.push(Nest::Isa(KernelIsa::Neon));
+            }
+            nests
+        }
+
+        // SAFETY (the three methods): the portable widths need no ISA and
+        // check every index; `all` names an ISA only when it is detected,
+        // and the callers below pass the arguments the portable widths
+        // run on first.
+        fn dense<E: Stored, S: Step<P>, D: Dims, const P: usize>(
+            self,
+            t: Tiled<'_, E>,
+            groups: Range<usize>,
+            query: [&[f32]; P],
+            dims: D,
+            acc: &mut [f32],
+        ) {
+            unsafe {
+                match self {
+                    Nest::Portable8 => {
+                        dense::<8, Portable<8>, E, S, D, P>(t, groups, query, dims, acc)
+                    }
+                    Nest::Portable16 => {
+                        dense::<16, Portable<16>, E, S, D, P>(t, groups, query, dims, acc)
+                    }
+                    Nest::Isa(isa) => dense_on::<E, S, D, P>(isa, t, groups, query, dims, acc),
+                }
+            }
+        }
+
+        fn survivors<E: Stored, S: Step<P>, D: Dims, const P: usize>(
+            self,
+            t: Tiled<'_, E>,
+            query: [&[f32]; P],
+            dims: D,
+            pos: &[u32],
+            acc: &mut [f32],
+        ) {
+            unsafe {
+                match self {
+                    Nest::Portable8 => {
+                        survivors::<8, Portable<8>, E, S, D, P>(t, query, dims, pos, acc)
+                    }
+                    Nest::Portable16 => {
+                        survivors::<16, Portable<16>, E, S, D, P>(t, query, dims, pos, acc)
+                    }
+                    Nest::Isa(isa) => survivors_on::<E, S, D, P>(isa, t, query, dims, pos, acc),
+                }
+            }
+        }
+
+        fn bound<P: Pruner>(
+            self,
+            cp: &P::Checkpoint,
+            partials: &[f32],
+            aux: Option<&[f32]>,
+            bits: &mut [u64],
+        ) -> usize {
+            unsafe {
+                match self {
+                    Nest::Portable8 => bound::<8, Portable<8>, P>(cp, partials, aux, bits),
+                    Nest::Portable16 => bound::<16, Portable<16>, P>(cp, partials, aux, bits),
+                    Nest::Isa(isa) => bound_on::<P>(isa, cp, partials, aux, bits),
+                }
+            }
+        }
+    }
 
     /// The FP-edge values of `tests/kernels.rs::value_strategy`: ordinary
     /// magnitudes plus ±0, subnormals and ±inf.
@@ -717,6 +1016,20 @@ mod tests {
             let codes = proptest::collection::vec(0u32..256, n * d);
             (floats(n * d), codes, floats(3 * d)).prop_map(move |(v, c, q)| (n, d, v, c, q))
         })
+    }
+
+    /// A fixed [`Case`] of `n` vectors: ordinary values with every FP edge
+    /// of [`value`] mixed in, and every code.
+    fn fixed_case(n: usize, d: usize) -> Case {
+        const EDGES: [f32; 6] = [0.0, -0.0, f32::MIN_POSITIVE / 2.0, 1.0, -3.5, f32::INFINITY];
+        let val = |i: usize| match i % 11 {
+            k @ 0..=5 => EDGES[k],
+            _ => ((i * 37 % 101) as f32) * 0.25 - 12.0,
+        };
+        let values = (0..n * d).map(val).collect();
+        let codes = (0..n * d).map(|i| (i * 97 % 256) as u32).collect();
+        let q = (0..3 * d).map(|i| val(i + 7) * 0.5).collect();
+        (n, d, values, codes, q)
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -752,10 +1065,10 @@ mod tests {
         }
     }
 
-    /// The bound nest: a loop of `survives` == `Portable` == resolved
-    /// ISA, with and without an aux row, count included. `partials`
-    /// holds ±inf and a NaN, and `limit` is one of its values, so ties
-    /// and unordered compares are on every run.
+    /// The bound nest: a loop of `survives` == every [`Nest`] == both
+    /// policies, with and without an aux row, count included. `partials`
+    /// gets a NaN, and `limit` is one of its values, so ties and
+    /// unordered compares are on every run.
     fn check_bound(partials: &[f32], c: f32) -> Result<(), TestCaseError> {
         let n = partials.len();
         let aux: Vec<f32> = partials.iter().rev().copied().collect();
@@ -768,20 +1081,27 @@ mod tests {
                 let keep = Quadratic::survives(&cp, p, aux.map_or(0.0, |a| a[l]));
                 want[l / 64] |= u64::from(keep) << (l % 64);
             }
-            let count: u32 = want.iter().map(|w| w.count_ones()).sum();
-            // `Scalar` is the nest at `Portable`, `Simd` at the resolved ISA.
+            let count = want.iter().map(|w| w.count_ones() as usize).sum();
+            for nest in Nest::all() {
+                let mut got = vec![u64::MAX; n.div_ceil(64)];
+                let counted = nest.bound::<Quadratic>(&cp, &partials, aux, &mut got);
+                prop_assert!((&got, counted) == (&want, count), "{nest:?}");
+            }
+            // `Scalar` is the nest at `Portable<8>`, `Simd` at the resolved ISA.
             for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
                 let mut got = vec![u64::MAX; 3];
                 let counted = survival_bits::<Quadratic>(&cp, &partials, aux, &mut got, policy);
-                prop_assert!((&got, counted) == (&want, count as usize), "{policy:?}");
+                prop_assert!((&got, counted) == (&want, count), "{policy:?}");
             }
         }
         Ok(())
     }
 
-    /// For one metric: `Portable` == Algorithm-1 scalar == resolved ISA,
-    /// dense (one group, and every group range of a tiled block) and
-    /// survivors, both elements.
+    /// For one metric, both elements: every [`Nest`] and both policies
+    /// equal the Algorithm-1 scalar loops — dense on one group as wide as
+    /// the collection (ranged and permuted `f32`, ranged codes), dense
+    /// over every group range of a `group`-tiled block, and survivors
+    /// `pos` in that block.
     fn check<S: Step<1> + Step<2>>(
         metric: Metric,
         (n, d, values, codes, q): &Case,
@@ -800,102 +1120,105 @@ mod tests {
         };
         let perm: Vec<u32> = (lo as u32..d as u32).rev().collect();
         let ids = || perm.iter().map(|&d| d as usize);
+        let (ranged, permuted) = (DimSel::Range(lo..d), DimSel::Ids(&perm));
+        let fresh = |len| [vec![1.5f32; len], vec![1.5f32; len], vec![1.5f32; len]];
 
-        // Dense, on one group as wide as the collection: ranged and
-        // permuted `f32`, ranged codes.
+        // The oracle: the scalar lane loops on one group as wide as the
+        // collection; a survivor's bits are those of its lane there.
         let wide = PdxBlock::from_rows(values, n, d, n);
         let wide8 = QuantizedPdxBlock::from_code_rows(&codes, n, d, n);
         let (g, g8) = (wide.group(0), wide8.group(0));
+        let scalar = KernelPolicy::Scalar;
+        let mut want = fresh(n);
+        pdx_accumulate(metric, &g, query, ranged.clone(), &mut want[0], scalar);
+        pdx_accumulate(metric, &g, query, permuted.clone(), &mut want[1], scalar);
+        sq8_accumulate(&q8, &g8, lo..d, &mut want[2], scalar);
+        let want_surv = want
+            .clone()
+            .map(|w| pos.iter().map(|&p| w[p as usize]).collect::<Vec<f32>>());
+
         let (w, w8) = (Tiled::of_group(g.data, n), Tiled::of_group(g8.data, n));
-        let mut dense_p = [vec![1.5f32; n], vec![1.5f32; n], vec![1.5f32; n]];
-        // SAFETY: `Portable` needs no ISA and checks every index itself.
-        unsafe {
-            dense::<Portable, _, S, _, 1>(w, 0..1, [query], lo..d, &mut dense_p[0]);
-            dense::<Portable, _, S, _, 1>(w, 0..1, [query], ids(), &mut dense_p[1]);
-            dense::<Portable, _, S, _, 2>(w8, 0..1, params, lo..d, &mut dense_p[2]);
-        }
-        // Survivors, in every group of a `group`-tiled block.
         let block = PdxBlock::from_rows(values, n, d, group);
         let block8 = QuantizedPdxBlock::from_code_rows(&codes, n, d, group);
         let (t, t8) = (
             Tiled::new(block.as_slice(), n, group, d),
             Tiled::new(block8.as_slice(), n, group, d),
         );
-        let mut surv_p = [
-            vec![1.5f32; pos.len()],
-            vec![1.5f32; pos.len()],
-            vec![1.5f32; pos.len()],
-        ];
-        survivors_portable::<_, S, _, 1>(t, [query], lo..d, pos, &mut surv_p[0]);
-        survivors_portable::<_, S, _, 1>(t, [query], ids(), pos, &mut surv_p[1]);
-        survivors_portable::<_, S, _, 2>(t8, params, lo..d, pos, &mut surv_p[2]);
-        for k in 0..3 {
-            // A survivor's bits are those of its lane in the dense kernel.
-            let lanes: Vec<f32> = pos.iter().map(|&p| dense_p[k][p as usize]).collect();
-            prop_assert_eq!(bits(&surv_p[k]), bits(&lanes));
-        }
-        // The group loop: a range of groups of the tiled block (the
-        // partial tail group in it, or empty) leaves each of its lanes
-        // with the bits of the one-group call, and no other lane touched.
         let groups = n.div_ceil(group);
-        for range in [0..groups, groups / 2..groups, 0..groups / 2, groups..groups] {
-            let lanes = (range.start * group).min(n)..(range.end * group).min(n);
-            let mut tiled = [vec![1.5f32; lanes.len()], vec![1.5f32; lanes.len()]];
-            // SAFETY: `Portable` needs no ISA and checks every index itself.
-            unsafe {
-                dense::<Portable, _, S, _, 1>(t, range.clone(), [query], ids(), &mut tiled[0]);
-                dense::<Portable, _, S, _, 2>(t8, range.clone(), params, lo..d, &mut tiled[1]);
+        let ranges = [0..groups, groups / 2..groups, 0..groups / 2, groups..groups];
+        let covered = |r: &Range<usize>| (r.start * group).min(n)..(r.end * group).min(n);
+
+        for nest in Nest::all() {
+            let mut dense = fresh(n);
+            nest.dense::<_, S, _, 1>(w, 0..1, [query], lo..d, &mut dense[0]);
+            nest.dense::<_, S, _, 1>(w, 0..1, [query], ids(), &mut dense[1]);
+            nest.dense::<_, S, _, 2>(w8, 0..1, params, lo..d, &mut dense[2]);
+            let mut surv = fresh(pos.len());
+            nest.survivors::<_, S, _, 1>(t, [query], lo..d, pos, &mut surv[0]);
+            nest.survivors::<_, S, _, 1>(t, [query], ids(), pos, &mut surv[1]);
+            nest.survivors::<_, S, _, 2>(t8, params, lo..d, pos, &mut surv[2]);
+            for k in 0..3 {
+                prop_assert!(bits(&dense[k]) == bits(&want[k]), "dense {k} {nest:?}");
+                prop_assert!(bits(&surv[k]) == bits(&want_surv[k]), "surv {k} {nest:?}");
             }
-            prop_assert_eq!(bits(&tiled[0]), bits(&dense_p[1][lanes.clone()]));
-            prop_assert_eq!(bits(&tiled[1]), bits(&dense_p[2][lanes.clone()]));
-            for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
-                let mut got = [vec![1.5f32; lanes.len()], vec![1.5f32; lanes.len()]];
-                let (permuted, r) = (DimSel::Ids(&perm), range.clone());
-                pdx_accumulate_groups(metric, &block, r, query, permuted, &mut got[0], policy);
-                sq8_accumulate_groups(&q8, &block8, range.clone(), lo..d, &mut got[1], policy);
-                prop_assert!(bits(&got[0]) == bits(&tiled[0]), "{range:?} {policy:?}");
-                prop_assert!(bits(&got[1]) == bits(&tiled[1]), "{range:?} {policy:?} sq8");
+            // A range of groups of the tiled block (the partial tail group
+            // in it, or empty) leaves each of its lanes with the bits of
+            // the one-group call.
+            for range in &ranges {
+                let lanes = covered(range);
+                let mut tiled = [vec![1.5f32; lanes.len()], vec![1.5f32; lanes.len()]];
+                nest.dense::<_, S, _, 1>(t, range.clone(), [query], ids(), &mut tiled[0]);
+                nest.dense::<_, S, _, 2>(t8, range.clone(), params, lo..d, &mut tiled[1]);
+                for (k, got) in tiled.iter().enumerate() {
+                    let want = &want[k + 1][lanes.clone()];
+                    prop_assert!(bits(got) == bits(want), "{range:?} {nest:?} #{k}");
+                }
             }
         }
 
         for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
-            let mut dense = [vec![1.5f32; n], vec![1.5f32; n], vec![1.5f32; n]];
-            pdx_accumulate(
-                metric,
-                &g,
-                query,
-                DimSel::Range(lo..d),
-                &mut dense[0],
-                policy,
-            );
-            pdx_accumulate(metric, &g, query, DimSel::Ids(&perm), &mut dense[1], policy);
+            for range in &ranges {
+                let lanes = covered(range);
+                let mut got = [vec![1.5f32; lanes.len()], vec![1.5f32; lanes.len()]];
+                let (sel, r) = (permuted.clone(), range.clone());
+                pdx_accumulate_groups(metric, &block, r, query, sel, &mut got[0], policy);
+                sq8_accumulate_groups(&q8, &block8, range.clone(), lo..d, &mut got[1], policy);
+                for (k, got) in got.iter().enumerate() {
+                    let want = &want[k + 1][lanes.clone()];
+                    prop_assert!(bits(got) == bits(want), "{range:?} {policy:?} #{k}");
+                }
+            }
+            let mut dense = fresh(n);
+            pdx_accumulate(metric, &g, query, ranged.clone(), &mut dense[0], policy);
+            pdx_accumulate(metric, &g, query, permuted.clone(), &mut dense[1], policy);
             sq8_accumulate(&q8, &g8, lo..d, &mut dense[2], policy);
-            let mut surv = [
-                vec![1.5f32; pos.len()],
-                vec![1.5f32; pos.len()],
-                vec![1.5f32; pos.len()],
-            ];
-            let (ranged, permuted) = (DimSel::Range(lo..d), DimSel::Ids(&perm));
-            pdx_accumulate_survivors(metric, &block, query, ranged, pos, &mut surv[0], policy);
-            pdx_accumulate_survivors(metric, &block, query, permuted, pos, &mut surv[1], policy);
+            let mut surv = fresh(pos.len());
+            let (sel, block) = (ranged.clone(), &block);
+            pdx_accumulate_survivors(metric, block, query, sel, pos, &mut surv[0], policy);
+            let sel = permuted.clone();
+            pdx_accumulate_survivors(metric, block, query, sel, pos, &mut surv[1], policy);
             sq8_accumulate_survivors(&q8, &block8, lo..d, pos, &mut surv[2], policy);
             for k in 0..3 {
-                prop_assert!(bits(&dense[k]) == bits(&dense_p[k]), "dense {k} {policy:?}");
-                prop_assert!(
-                    bits(&surv[k]) == bits(&surv_p[k]),
-                    "survivors {k} {policy:?}"
-                );
+                prop_assert!(bits(&dense[k]) == bits(&want[k]), "dense {k} {policy:?}");
+                prop_assert!(bits(&surv[k]) == bits(&want_surv[k]), "surv {k} {policy:?}");
             }
         }
         Ok(())
     }
 
+    /// [`check`] for all three metrics.
+    fn check_metrics(c: &Case, group: usize, pos: &[u32]) -> Result<(), TestCaseError> {
+        check::<L2>(Metric::L2, c, group, pos)?;
+        check::<L1>(Metric::L1, c, group, pos)?;
+        check::<Ip>(Metric::NegativeIp, c, group, pos)
+    }
+
     proptest! {
-        /// The three instantiations of the nests agree bit for bit. The
-        /// `Portable` one indexes through slices, so a green run is also
-        /// the bounds proof of the index arithmetic (`d * lanes + l`,
-        /// group buffers, padded passes, bound-pass words) that `Avx2` /
-        /// `Neon` trust.
+        /// Every instantiation of the nests agrees bit for bit with the
+        /// scalar loops. The `Portable` ones index through slices, so a
+        /// green run is also the bounds proof of the index arithmetic
+        /// (`d * lanes + l`, group buffers, padded passes, bound-pass
+        /// words) that `Avx2` / `Neon` trust at 8 lanes and `Avx512` at 16.
         #[test]
         fn portable_equals_scalar_equals_isa(
             c in case(),
@@ -908,9 +1231,67 @@ mod tests {
             // group (the partial tail group too), short last pass.
             let pos: Vec<u32> = (salt % every.min(c.0)..c.0).step_by(every).map(|p| p as u32).collect();
             check_bound(&c.2[..c.0], c.4[0])?;
-            check::<L2>(Metric::L2, &c, group, &pos)?;
-            check::<L1>(Metric::L1, &c, group, &pos)?;
-            check::<Ip>(Metric::NegativeIp, &c, group, &pos)?;
+            check_metrics(&c, group, &pos)?;
+        }
+    }
+
+    /// The 16-lane tiling's edges: lane counts on each side of `N = 16`
+    /// and `4N = 64` — `4N` tiles, rest tiles of one to four registers
+    /// whose last one reaches back into its own tile (17, 31, 33, 63,
+    /// 127) or into a finished `4N` tile (65), and groups narrower than
+    /// a register (1, 15) — in one wide group and in tiled blocks.
+    #[test]
+    fn every_16_lane_tail() {
+        for n in [1, 15, 16, 17, 31, 33, 63, 64, 65, 127] {
+            let c = fixed_case(n, 5);
+            for group in [16, 64] {
+                let pos: Vec<u32> = (0..n as u32).step_by(3).collect();
+                check_metrics(&c, group, &pos)
+                    .unwrap_or_else(|e| panic!("n={n} group={group}: {e:?}"));
+            }
+        }
+    }
+
+    /// Survivor passes of every length from 1 to 17 — a short 16-lane
+    /// pass, a full one, one past it — with the survivors spread over all
+    /// eight groups of a 127-vector block, the partial tail group included.
+    #[test]
+    fn survivor_passes_span_groups() {
+        let n = 127;
+        let c = fixed_case(n, 6);
+        for count in 1..=17u32 {
+            let pos: Vec<u32> = (0..count).map(|j| (j * 37 + 5) % 127).collect();
+            check_metrics(&c, 16, &pos).unwrap_or_else(|e| panic!("{count} survivors: {e:?}"));
+        }
+    }
+
+    /// Bound words at lengths on each side of 16 and 64 with NaN, ±inf,
+    /// −0.0 and +0.0 among the partials and a limit that ties some of
+    /// them.
+    #[test]
+    fn bound_words_at_the_edges() {
+        const EDGES: [f32; 7] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            2.0,
+            2.0,
+        ];
+        for n in [1, 15, 16, 17, 63, 64, 65, 127, 130] {
+            let partials: Vec<f32> = (0..n)
+                .map(|l| {
+                    if l % 3 == 0 {
+                        EDGES[l / 3 % 7]
+                    } else {
+                        l as f32 * 0.25
+                    }
+                })
+                .collect();
+            for c in [0.0, -0.0, 1.0] {
+                check_bound(&partials, c).unwrap_or_else(|e| panic!("n={n} c={c}: {e:?}"));
+            }
         }
     }
 }

@@ -4,10 +4,11 @@
 //!   (Algorithm 1): plain scalar Rust whose inner loop auto-vectorizes,
 //!   with per-lane independent accumulators and no reduction step.
 //! * [`lanes`] — the same loop as one explicit-SIMD nest (dense over a
-//!   range of groups, and survivor form), generic over an 8-lane vector
-//!   type with an AVX2, a NEON and a checked portable implementation,
-//!   the stored element (`f32` | SQ8 code) and the metric step; beside
-//!   it the bound nest, a pruner's survival test eight lanes a compare.
+//!   range of groups, and survivor form), generic over a lane-width
+//!   generic vector type — 16 lanes of AVX-512, 8 of AVX2 or NEON, and
+//!   a checked portable one of any width — the stored element (`f32` |
+//!   SQ8 code) and the metric step; beside it the bound nest, a pruner's
+//!   survival test one register of lanes a compare.
 //! * [`nary`] — horizontal kernels: the single-accumulator scalar
 //!   baseline, the unrolled multi-accumulator variant, and the explicit
 //!   AVX2+FMA SIMD kernels that stand in for SimSIMD/FAISS (Table 4's
@@ -24,8 +25,8 @@
 //!   kernels), cached ISA detection, and the `PDX_KERNEL` env override.
 //!
 //! The vertical kernels ([`pdx`], [`sq8`]) run either their scalar lane
-//! loops or the [`lanes`] nest at the target's SIMD type, and the two are
-//! **bit-identical** (one metric-step source per element; see the
+//! loops or the [`lanes`] nest at the resolved ISA's lane type, and the
+//! two are **bit-identical** at any width (one metric-step source per element; see the
 //! invariant note in [`pdx`]); the policy is therefore a pure
 //! performance knob.
 

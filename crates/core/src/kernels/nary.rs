@@ -28,6 +28,8 @@ pub enum KernelVariant {
 /// Whether explicit SIMD intrinsics are usable on this machine
 /// (AVX2+FMA on x86-64, NEON on aarch64 — detection is cached once per
 /// process in [`detected_isa`](crate::kernels::dispatch::detected_isa)).
+/// An AVX-512 host has AVX2+FMA too and runs the AVX2 kernels: their
+/// bits are defined by eight-accumulator reductions.
 pub fn simd_available() -> bool {
     crate::kernels::dispatch::detected_isa() != crate::kernels::dispatch::KernelIsa::Scalar
 }

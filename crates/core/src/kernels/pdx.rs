@@ -12,15 +12,15 @@
 //! ## Explicit SIMD and the bit-identity invariant
 //!
 //! Next to the scalar loops, [`KernelPolicy`] selects at runtime the one
-//! explicit-SIMD loop nest of [`lanes`],
-//! instantiated at the target's 8-lane type (AVX2+FMA or NEON). It is
-//! *bit-identical* to the scalar loops by construction:
+//! explicit-SIMD loop nest of [`lanes`], instantiated at the resolved
+//! ISA's lane type (16 lanes of AVX-512F, 8 of AVX2+FMA or NEON). It is
+//! *bit-identical* to the scalar loops by construction, at any width:
 //!
 //! * every lane has its own accumulator and no reduction ever happens,
 //!   so the only thing that matters per lane is the *order of dimension
 //!   updates* — and every variant walks dimensions in the same order;
 //! * there is one source per metric step: the three `Step` bodies
-//!   below run at `f32` in the scalar loops and at the 8-lane type in the
+//!   below run at `f32` in the scalar loops and at the lane type in the
 //!   nest, with FMA used **only** when the scalar path was itself
 //!   compiled with FMA contraction (`SCALAR_FMA`).
 //!
@@ -36,7 +36,7 @@
 
 use crate::distance::Metric;
 use crate::kernels::dispatch::{KernelIsa, KernelPolicy, SCALAR_FMA};
-use crate::kernels::lanes::{self, Ip, Lane, Portable, Step, Stored, L1, L2};
+use crate::kernels::lanes::{self, Ip, Lane, Step, Stored, L1, L2};
 use crate::kernels::Tiled;
 use crate::layout::{PdxBlock, PdxGroup};
 use crate::pruning::Pruner;
@@ -187,9 +187,9 @@ fn check_dim_bounds(n_dims: usize, query: &[&[f32]], dims: &DimSel<'_>) {
 }
 
 /// Dense accumulate of one metric over a dimension selection and a range
-/// of groups, for either element: the SIMD nest when the resolved ISA
-/// has one, the scalar lane loops group by group otherwise —
-/// bit-identical either way. Groups, accumulators, dimensions and the
+/// of groups, for either element: the SIMD nest at the resolved ISA's
+/// full width when it has one, the scalar lane loops group by group
+/// otherwise — bit-identical either way. Groups, accumulators, dimensions and the
 /// ISA are checked once here, not per group.
 pub(super) fn accumulate<E: Stored, S: Step<P>, const P: usize>(
     t: Tiled<'_, E>,
@@ -201,14 +201,15 @@ pub(super) fn accumulate<E: Stored, S: Step<P>, const P: usize>(
 ) {
     t.check_groups(&groups, acc.len());
     check_dim_bounds(t.n_dims, &query, &dims);
-    if kernel.resolve() != KernelIsa::Scalar {
+    let isa = kernel.resolve();
+    if isa != KernelIsa::Scalar {
         // SAFETY: `resolve` names a SIMD ISA only when the running CPU
         // has it; groups, `acc` and dims were checked just above.
         return unsafe {
             match dims {
-                DimSel::Range(r) => lanes::dense_native::<E, S, _, P>(t, groups, query, r, acc),
+                DimSel::Range(r) => lanes::dense_on::<E, S, _, P>(isa, t, groups, query, r, acc),
                 DimSel::Ids(ids) => {
-                    lanes::dense_native::<E, S, _, P>(t, groups, query, ids_of(ids), acc)
+                    lanes::dense_on::<E, S, _, P>(isa, t, groups, query, ids_of(ids), acc)
                 }
             }
         };
@@ -235,26 +236,21 @@ pub(super) fn survivors<E: Stored, S: Step<P>, const P: usize>(
     check_dim_bounds(t.n_dims, &query, &dims);
     // The AVX2 gather addresses survivors with 32-bit element offsets; a
     // buffer beyond that range takes the (bit-identical) portable nest.
-    if kernel.resolve() != KernelIsa::Scalar && t.data.len() <= i32::MAX as usize {
-        // SAFETY: `resolve` names a SIMD ISA only when the running CPU
-        // has it; positions and dims were bounded above, so every offset
-        // `locate` yields stays inside `t.data` (the gather does not
-        // bound-check) and fits an `i32`.
-        return unsafe {
-            match dims {
-                DimSel::Range(r) => {
-                    lanes::survivors_native::<E, S, _, P>(t, query, r, positions, acc)
-                }
-                DimSel::Ids(ids) => {
-                    lanes::survivors_native::<E, S, _, P>(t, query, ids_of(ids), positions, acc)
-                }
+    let isa = if t.data.len() <= i32::MAX as usize {
+        kernel.resolve()
+    } else {
+        KernelIsa::Scalar
+    };
+    // SAFETY: `resolve` names a SIMD ISA only when the running CPU has
+    // it; positions and dims were bounded above, so every offset `locate`
+    // yields stays inside `t.data` (the gather does not bound-check) and,
+    // for a SIMD ISA, fits an `i32`.
+    unsafe {
+        match dims {
+            DimSel::Range(r) => lanes::survivors_on::<E, S, _, P>(isa, t, query, r, positions, acc),
+            DimSel::Ids(ids) => {
+                lanes::survivors_on::<E, S, _, P>(isa, t, query, ids_of(ids), positions, acc)
             }
-        };
-    }
-    match dims {
-        DimSel::Range(r) => lanes::survivors_portable::<E, S, _, P>(t, query, r, positions, acc),
-        DimSel::Ids(ids) => {
-            lanes::survivors_portable::<E, S, _, P>(t, query, ids_of(ids), positions, acc)
         }
     }
 }
@@ -263,8 +259,9 @@ pub(super) fn survivors<E: Stored, S: Step<P>, const P: usize>(
 /// `bits[l / 64]` when lane `l` survives checkpoint `cp` of pruner `P`
 /// (`aux`, when the pruner reads one, is the tile's slice of the aux
 /// row) and returns how many do. `bits` is resized to
-/// `partials.len().div_ceil(64)` words. Eight lanes a compare on a SIMD
-/// ISA; every policy writes the bits of a loop of [`Pruner::survives`].
+/// `partials.len().div_ceil(64)` words. One register of lanes a compare
+/// on a SIMD ISA (16 on AVX-512, 8 on AVX2 and NEON); every policy
+/// writes the bits of a loop of [`Pruner::survives`].
 ///
 /// # Panics
 /// Panics if an `aux` is not as long as `partials`.
@@ -278,13 +275,9 @@ pub fn survival_bits<P: Pruner>(
     let aux_len = aux.map_or(partials.len(), <[f32]>::len);
     assert_eq!(aux_len, partials.len(), "one aux value per lane required");
     bits.resize(partials.len().div_ceil(64), 0);
-    if kernel.resolve() != KernelIsa::Scalar {
-        // SAFETY: `resolve` names a SIMD ISA only when the running CPU
-        // has it; `bits` and `aux` were sized just above.
-        return unsafe { lanes::bound_native::<P>(cp, partials, aux, bits) };
-    }
-    // SAFETY: `Portable` needs no ISA and checks every index itself.
-    unsafe { lanes::bound::<Portable, P>(cp, partials, aux, bits) }
+    // SAFETY: `resolve` names a SIMD ISA only when the running CPU has
+    // it; `bits` and `aux` were sized just above.
+    unsafe { lanes::bound_on::<P>(kernel.resolve(), cp, partials, aux, bits) }
 }
 
 /// The view of a block's buffer the nests take.
@@ -580,8 +573,8 @@ mod tests {
         // sequence) makes every policy produce the same bits; the full
         // sweep lives in tests/kernels.rs, this is the smoke pin.
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
-            // 67 lanes: one 64-lane group plus a 3-lane tail group,
-            // exercising every SIMD tile width and the scalar tail.
+            // 67 lanes: one 64-lane group (whole `4N` tiles) plus a
+            // 3-lane tail group, narrower than a register.
             let (block, _) = block_and_rows(67, 13, 64);
             let q = query(13);
             let mut scalar = vec![0.0; 67];

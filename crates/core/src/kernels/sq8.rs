@@ -24,14 +24,15 @@
 //! own weight.
 //!
 //! [`KernelPolicy`] selects between the scalar lane loops and the one
-//! SIMD nest of [`lanes`](crate::kernels::lanes) at the target's 8-lane
-//! type, bit-identical by construction: the widening `u8 → f32`
+//! SIMD nest of [`lanes`](crate::kernels::lanes) at the resolved ISA's
+//! lane type, bit-identical by construction: the widening `u8 → f32`
 //! conversion is exact for all 256 codes, and the three `Step` bodies
 //! below are the only spelling of the weighted L2 / L1 / IP step, run at
-//! `f32` by the scalar loops and at eight lanes by the nest (see the
+//! `f32` by the scalar loops and at 8 or 16 lanes by the nest (see the
 //! invariant note in [`pdx`](crate::kernels::pdx)). The `u8` data makes
-//! these the largest SIMD win in the codebase: 32 codes fit one AVX2
-//! register load.
+//! these the largest SIMD win in the codebase: the dense nest's cost is
+//! the `u8 → f32` widen-and-fold, so it scales with the register — a
+//! 64-code group row is one 16-lane tile on AVX-512.
 
 use crate::distance::Metric;
 use crate::kernels::dispatch::{KernelPolicy, SCALAR_FMA};

@@ -9,7 +9,7 @@
 //! 3. a **branchless survival test**: per checkpoint, a small `Copy`
 //!    state is computed once, and `slack(state, partial, aux) <=
 //!    limit(state)` is a pure comparison evaluated over all candidates,
-//!    eight lanes at a time — never interleaved with distance
+//!    a SIMD register of lanes at a time — never interleaved with distance
 //!    accumulation (Issue #3 of §2.4).
 
 use crate::distance::Metric;

@@ -17,10 +17,10 @@
 //! * **WARMUP** — partial distances are accumulated for *all* vectors of
 //!   the tile at exponentially growing dimension steps, one dense-kernel
 //!   call per step for the whole tile; after each step the pruning bound
-//!   is evaluated in a separate branch-free pass, eight lanes a compare,
-//!   that writes one survival bit per vector and counts them (computing
-//!   distances for pruned vectors is still cheaper than random access
-//!   while many survive).
+//!   is evaluated in a separate branch-free pass, a register of lanes a
+//!   compare, that writes one survival bit per vector and counts them
+//!   (computing distances for pruned vectors is still cheaper than
+//!   random access while many survive).
 //! * **PRUNE** — once the surviving fraction drops below the selection
 //!   threshold (default 20 %, Figure 10), the set bits are walked into
 //!   compacted survivor positions and further distance accumulation

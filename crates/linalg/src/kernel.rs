@@ -20,10 +20,10 @@
 //! `((acc0 + acc1) + (acc2 + acc3)) + ((acc4 + acc5) + (acc6 + acc7)) + tail`.
 //!
 //! The scalar loop (`dot8`) spells that order out and is the oracle;
-//! the SIMD tile is written once over the workspace's 8-lane vector
-//! type ([`pdx_core::kernels::lanes`]: `Avx2` on x86-64, `Neon` on
-//! aarch64 — this crate imports no intrinsics of its own), keeps one
-//! such accumulator per output element and runs the same per-lane
+//! the SIMD tile is written once over an 8-lane vector type of
+//! [`pdx_core::kernels::lanes`] (`Avx2` on x86-64, `Neon` on aarch64 —
+//! this crate imports no intrinsics of its own), keeps one such
+//! accumulator per output element and runs the same per-lane
 //! operations in the same order, so it is **bit-identical** to the
 //! oracle (pinned by the proptest below and by `tests/kernels.rs`). The
 //! lane type's fused multiply-add is deliberately not used: Rust never
@@ -42,7 +42,11 @@
 //! one pass over `a`.
 //!
 //! The variant is picked per call through [`KernelPolicy::resolve`] —
-//! `Auto` honours `PDX_KERNEL` and otherwise takes the detected ISA.
+//! `Auto` honours `PDX_KERNEL` and otherwise takes the detected ISA —
+//! and [`dot_rows_isa`] names it. The eight lanes are the order, not a
+//! register width: an AVX-512 host runs the 8-lane AVX2 tile (every
+//! such host has AVX2+FMA), since sixteen accumulators would reduce in
+//! another order and move every rotated bit.
 
 use crate::matrix::MatrixView;
 use pdx_core::kernels::{KernelIsa, KernelPolicy};
@@ -80,9 +84,19 @@ fn dot8(row: &[f32], x: &[f32]) -> f32 {
     reduce(acc, tail)
 }
 
+/// The ISA [`dot_rows`] runs on under `policy`: the one it resolves to,
+/// except that [`KernelIsa::Avx512`] runs the 8-lane AVX2 tile (module
+/// docs).
+pub fn dot_rows_isa(policy: KernelPolicy) -> KernelIsa {
+    match policy.resolve() {
+        KernelIsa::Avx512 => KernelIsa::Avx2,
+        isa => isa,
+    }
+}
+
 /// `out[b * a.rows() + r] = ⟨a.row(r), x.row(b)⟩` for every row `r` of
-/// `a` and every row `b` of `x`, on the implementation `policy`
-/// resolves to. The output bits do not depend on the policy.
+/// `a` and every row `b` of `x`, on the implementation [`dot_rows_isa`]
+/// names for `policy`. The output bits do not depend on the policy.
 ///
 /// # Panics
 /// Panics if the operands' column counts differ or `out` is not
@@ -94,10 +108,10 @@ pub fn dot_rows(a: MatrixView<'_>, x: MatrixView<'_>, out: &mut [f32], policy: K
         a.rows() * x.rows(),
         "output must hold one element per row pair"
     );
-    if policy.resolve() != KernelIsa::Scalar {
+    if dot_rows_isa(policy) != KernelIsa::Scalar {
         assert_eq!(a.as_slice().len(), a.rows() * a.cols());
         assert_eq!(x.as_slice().len(), x.rows() * x.cols());
-        // SAFETY: `resolve` returns a SIMD ISA only when the running
+        // SAFETY: `dot_rows_isa` names a SIMD ISA only when the running
         // CPU has it (AVX2 on x86-64, NEON on aarch64). The asserts
         // above size `a`, `x` and `out` as `rows × cols`, `rows × cols`
         // and `x.rows × a.rows`, which bounds every load and store of
@@ -114,12 +128,20 @@ pub fn dot_rows(a: MatrixView<'_>, x: MatrixView<'_>, out: &mut [f32], policy: K
     }
 }
 
-/// The register-tiled loop nest, written once over the workspace's
-/// 8-lane vector type ([`Lanes8`](pdx_core::kernels::lanes::Lanes8):
-/// one AVX2 register, two NEON registers).
+/// The register-tiled loop nest, written once over an 8-lane vector type
+/// ([`Lanes<8>`](pdx_core::kernels::lanes::Lanes): one AVX2 register,
+/// two NEON registers).
 mod simd {
     use super::{reduce, MatrixView, LANES, X_BLOCK};
-    use pdx_core::kernels::lanes::{Lane, Lanes8, Native as V};
+    #[cfg(target_arch = "x86_64")]
+    use pdx_core::kernels::lanes::Avx2 as V;
+    #[cfg(target_arch = "aarch64")]
+    use pdx_core::kernels::lanes::Neon as V;
+    use pdx_core::kernels::lanes::{Lane, Lanes};
+    /// No SIMD lane type on this target: `dot_rows_isa` only ever says
+    /// `Scalar` here, and the nest type-checks against the portable one.
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    type V = pdx_core::kernels::lanes::Portable<LANES>;
 
     /// Rows of `a` per register tile.
     const A_TILE: usize = 4;

@@ -84,7 +84,7 @@ impl SlowQueryLog {
         let n = self.seen.fetch_add(1, Ordering::Relaxed);
         let total_us = trace.total_ns / 1_000;
         let slow = self.threshold_us > 0 && total_us >= self.threshold_us;
-        let sampled = self.sample_every > 0 && n % self.sample_every == 0;
+        let sampled = self.sample_every > 0 && n.is_multiple_of(self.sample_every);
         if !slow && !sampled {
             return false;
         }

@@ -360,7 +360,7 @@ pub struct StatsReport {
     pub p999_us: u64,
     /// Kernel ISA the server's searches run on:
     /// [`KernelIsa::wire_code`](pdx_core::KernelIsa::wire_code)
-    /// (0 = scalar, 1 = avx2, 2 = neon).
+    /// (0 = scalar, 1 = avx2, 2 = neon, 3 = avx512).
     pub kernel_isa: u64,
     /// Approximate bytes the backend holds resident (header +
     /// cached buckets for lazy deployments, full payload otherwise).

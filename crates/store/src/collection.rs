@@ -713,7 +713,7 @@ impl Collection {
     /// seal are lost, consistent with "the manifest is the commit
     /// point".
     pub fn bulk_insert(&self, first_id: u64, rows: &[f32]) -> Result<(), StoreError> {
-        if rows.len() % self.dims != 0 {
+        if !rows.len().is_multiple_of(self.dims) {
             return Err(StoreError::DimsMismatch {
                 expected: self.dims,
                 got: rows.len(),

@@ -47,7 +47,7 @@ fn xorshift(len: usize, mut s: u64) -> Vec<f32> {
 /// one tile, three whole groups and a 34-vector tail), the odd ones
 /// spread over the other eleven.
 fn bucket_of(i: usize) -> usize {
-    if i % 2 == 0 {
+    if i.is_multiple_of(2) {
         0
     } else {
         1 + (i / 2) % (BUCKETS - 1)

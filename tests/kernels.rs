@@ -31,8 +31,8 @@ fn value_strategy() -> impl Strategy<Value = f32> {
 }
 
 /// Collections with deliberately awkward shapes: lane counts from 1 up
-/// past the widest SIMD tile (32 lanes on AVX2), so every test run
-/// exercises full tiles, partial tiles, and scalar tails.
+/// past the widest SIMD tile (64 lanes on AVX-512, 32 on AVX2), so every
+/// test run exercises full tiles, partial tiles, and scalar tails.
 fn collection_strategy() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
     (1usize..130, 1usize..40).prop_flat_map(|(n, d)| {
         proptest::collection::vec(value_strategy(), n * d).prop_map(move |data| (n, d, data))
@@ -61,7 +61,7 @@ fn permute(d: usize, salt: usize) -> Vec<u32> {
 /// non-empty so the kernels have work to do).
 fn survivors(lanes: usize, salt: usize) -> Vec<u32> {
     let picked: Vec<u32> = (0..lanes as u32)
-        .filter(|&l| (l as usize * 7 + salt) % 3 != 0)
+        .filter(|&l| !(l as usize * 7 + salt).is_multiple_of(3))
         .collect();
     if picked.is_empty() {
         vec![(salt % lanes) as u32]
@@ -455,8 +455,9 @@ fn check_bound_pass<P: Pruner>(name: &str, cp: &P::Checkpoint) {
     }
 }
 
-/// The bound nest serves all five pruners: what `slack` / `limit` say
-/// eight lanes at a time is what `survives` says one lane at a time.
+/// The bound nest serves all five pruners: what `slack` / `limit` say a
+/// register of lanes at a time is what `survives` says one lane at a
+/// time.
 #[test]
 fn bound_pass_bits_equal_the_scalar_survives_loop() {
     let (n, d) = (300usize, 16usize);
@@ -576,19 +577,38 @@ fn dense_over_a_group_range_equals_the_per_group_calls() {
     }
 }
 
-/// Dispatch sanity: detection is stable, the policies resolve the way
-/// the docs promise, and the wire codes round-trip.
+/// Dispatch sanity: detection is stable and prefers the widest ISA, the
+/// policies resolve the way the docs promise, and the wire codes
+/// round-trip.
 #[test]
 fn dispatch_is_stable_and_consistent() {
     let isa = detected_isa();
     assert_eq!(isa, detected_isa(), "detection must be cached and stable");
     // The query/collection rotation takes the `Auto` policy, so this is
-    // the kernel `Matrix::matvec` / `mul_transposed` run on here.
+    // the kernel `Matrix::matvec` / `mul_transposed` run on here: the
+    // 8-lane AVX2 tile on an AVX-512 host.
     println!(
-        "kernel dispatch: detected {}, rotation (Auto policy) resolved {}",
+        "kernel dispatch: detected {}, rotation (Auto policy) runs {}",
         isa.name(),
-        KernelPolicy::Auto.resolve().name()
+        pdx::linalg::kernel::dot_rows_isa(KernelPolicy::Auto).name()
     );
+    #[cfg(target_arch = "x86_64")]
+    {
+        let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        if avx2 && is_x86_feature_detected!("avx512f") {
+            assert_eq!(
+                isa,
+                KernelIsa::Avx512,
+                "avx512f present: detection prefers it"
+            );
+        } else if avx2 {
+            assert_eq!(isa, KernelIsa::Avx2);
+        }
+        if isa == KernelIsa::Avx512 {
+            let rotation = pdx::linalg::kernel::dot_rows_isa(KernelPolicy::Simd);
+            assert_eq!(rotation, KernelIsa::Avx2, "the rotation stays 8 lanes");
+        }
+    }
     assert_eq!(KernelPolicy::Scalar.resolve(), KernelIsa::Scalar);
     assert_eq!(KernelPolicy::Simd.resolve(), isa);
     // `Auto` honors the PDX_KERNEL env; with `scalar` it must land on
@@ -599,9 +619,16 @@ fn dispatch_is_stable_and_consistent() {
         Ok(_) => {} // invalid override: warned once, treated as auto
     }
     assert_eq!(active_kernel_isa(), KernelPolicy::Auto.resolve());
-    for isa in [KernelIsa::Scalar, KernelIsa::Avx2, KernelIsa::Neon] {
-        assert_eq!(KernelIsa::from_wire(isa.wire_code()), Some(isa));
+    for (isa, code, name) in [
+        (KernelIsa::Scalar, 0, "scalar"),
+        (KernelIsa::Avx2, 1, "avx2"),
+        (KernelIsa::Neon, 2, "neon"),
+        (KernelIsa::Avx512, 3, "avx512"),
+    ] {
+        assert_eq!((isa.wire_code(), isa.name()), (code, name));
+        assert_eq!(KernelIsa::from_wire(code), Some(isa));
     }
+    assert_eq!(KernelIsa::from_wire(4), None);
     for (name, want) in [
         ("auto", Some(KernelPolicy::Auto)),
         ("scalar", Some(KernelPolicy::Scalar)),
@@ -619,7 +646,10 @@ fn dispatch_is_stable_and_consistent() {
 /// dimensions once a call whatever the policy: every row panics with its
 /// documented message under `Scalar` and `Simd` alike (six dimension
 /// rows used to surface as a slice-index panic of the checked scalar
-/// loops, with whatever message std printed).
+/// loops, with whatever message std printed). Under `Simd` the rows aim
+/// at the resolved ISA's shims — the 16-lane AVX-512 ones on a host with
+/// `avx512f` — and the last rows put the bad index exactly one 16-lane
+/// load past a valid one.
 #[test]
 fn kernel_panic_contracts() {
     use pdx::core::kernels::pdx_accumulate_positions;
@@ -635,6 +665,7 @@ fn kernel_panic_contracts() {
     let q8 = quantizer.prepare_query(Metric::L2, &q);
     let (g, g8) = (block.group(0), codes.group(0));
     let lanes = g.lanes;
+    let block16 = PdxBlock::from_rows(&data, n, d, 16);
     let flat = FlatPdx::new(&data, n, d, n, group);
     let coll = Collection::in_memory(d, StoreConfig::default());
     coll.bulk_insert(0, &data).unwrap();
@@ -901,6 +932,34 @@ fn kernel_panic_contracts() {
                 survival_bits::<PdxBond>(&1.0, &[0.5; 9], Some(&[0.0; 8]), &mut Vec::new(), p);
             }),
         ),
+        (
+            "pdx_accumulate_groups: a 16-lane group one accumulator long",
+            "one accumulator per lane required",
+            Box::new(|p| {
+                // Groups 3..5 of 16 cover lanes 48..70: 22, not 23.
+                let mut acc = vec![0.0; 23];
+                let sel = DimSel::Range(0..d);
+                pdx_accumulate_groups(Metric::L2, &block16, 3..5, &q, sel, &mut acc, p)
+            }),
+        ),
+        (
+            "pdx_accumulate_survivors: 17th position past the vectors",
+            "survivor position exceeds the stored vectors",
+            Box::new(|p| {
+                let mut positions: Vec<u32> = (0..16).collect();
+                positions.push(n as u32);
+                let mut acc = vec![0.0; 17];
+                let sel = DimSel::Range(0..d);
+                pdx_accumulate_survivors(Metric::L2, &block16, &q, sel, &positions, &mut acc, p)
+            }),
+        ),
+        (
+            "survival_bits: 17 partials, 16 aux values",
+            "one aux value per lane required",
+            Box::new(|p| {
+                survival_bits::<PdxBond>(&1.0, &[0.5; 17], Some(&[0.0; 16]), &mut Vec::new(), p);
+            }),
+        ),
         // A ragged batch is refused before any query is prepared: by the
         // banded driver every PDXearch deployment batches through, and by
         // the one-query-a-work-item trait default a collection batches
@@ -930,14 +989,15 @@ fn kernel_panic_contracts() {
 
     for (name, want, run) in &cases {
         for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
+            let policy_isa = format!("{policy:?} ({})", policy.resolve().name());
             let err = catch_unwind(AssertUnwindSafe(|| run(policy)))
-                .expect_err(&format!("{name} under {policy:?}: no panic"));
+                .expect_err(&format!("{name} under {policy_isa}: no panic"));
             let msg = err
                 .downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| err.downcast_ref::<&str>().copied())
                 .unwrap_or("");
-            assert!(msg.contains(want), "{name} under {policy:?}: {msg:?}");
+            assert!(msg.contains(want), "{name} under {policy_isa}: {msg:?}");
         }
     }
 }

@@ -282,22 +282,48 @@ fn concurrent_clients_all_get_correct_results() {
     server.shutdown();
 }
 
+/// A backend whose every search takes at least 2 ms: it sleeps, then
+/// asks the index it wraps. The overload test's deadlines expire behind
+/// it however fast the kernels scan.
+struct SlowIndex(FlatPdx);
+
+impl VectorIndex for SlowIndex {
+    fn dims(&self) -> usize {
+        self.0.dims()
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn kind(&self) -> &'static str {
+        "slow-flat-pdx"
+    }
+    fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
+        std::thread::sleep(Duration::from_millis(2));
+        self.0.search(query, opts)
+    }
+}
+
 /// Floods a single pipelined connection faster than one worker can
 /// drain a tiny admission queue: the overflow must come back as typed
 /// `busy` frames immediately, and queued requests with a 1 ms deadline
 /// must come back `deadline-exceeded` once the backlog exceeds it.
 /// Every request is answered and the connection stays usable.
+///
+/// Each search sleeps 2 ms first ([`SlowIndex`]), so a 1 ms deadline
+/// queued behind one expires whatever the kernel speed; the server
+/// still reads the wall clock, so the test waits real milliseconds
+/// rather than advancing an injected clock.
 #[test]
 fn overload_answers_typed_busy_and_deadline_frames() {
     let (n, d, k) = (6000, 64, 10);
     let rows = make_rows(n, d, 12);
-    let flat = FlatPdx::with_defaults(&rows, n, d);
+    let slow = SlowIndex(FlatPdx::with_defaults(&rows, n, d));
     let config = ServeConfig {
         workers: 1,
         queue_depth: 8,
         ..ServeConfig::default()
     };
-    let server = start_server(Backend::frozen(Box::new(flat)), config);
+    let server = start_server(Backend::frozen(Box::new(slow)), config);
 
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).ok();
