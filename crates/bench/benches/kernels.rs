@@ -3,7 +3,8 @@
 //! L2 / IP / L1 at representative dimensionalities — and, in the
 //! `rotation` groups, the query/collection rotations of the pruners; in
 //! `bound_pass` and `dense/tile_vs_groups`, the two per-checkpoint steps
-//! of a PDXearch tile; in `sq8_from_rows`, the SQ8 build of a compaction.
+//! of a PDXearch tile; in `sq8_from_rows`, the SQ8 build of a compaction;
+//! in `route`, IVF routing a query at a time against a band at a time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pdx::core::kernels::{pdx_accumulate_groups, sq8_accumulate_groups, survival_bits, DimSel};
@@ -256,6 +257,39 @@ fn bench_sq8_from_rows(c: &mut Criterion) {
     group.finish();
 }
 
+/// IVF routing at the `ivf_ads_hd` shape: 200 centroids of d = 960 in
+/// 64-vector groups (the last one 8 wide), `nprobe` 2. `band1` routes 64
+/// queries one band of one at a time, `band64` as one band — what the
+/// serve driver does with a batch worker's band, each register of
+/// centroids loaded once for a block of queries. Throughput counts
+/// queries, so the rate inverts to ns per query.
+fn bench_route(c: &mut Criterion) {
+    use pdx::index::ivf::{centroid_block, probe_orders};
+    let (n, d, nq) = (200usize, 960usize, 64usize);
+    let spec = DatasetSpec {
+        name: "bench",
+        dims: d,
+        distribution: Distribution::Normal,
+        paper_size: 0,
+    };
+    let ds = generate(&spec, n, nq, 13);
+    let centroids = centroid_block(&ds.data[..n * d], d, DEFAULT_GROUP_SIZE);
+    let queries: Vec<&[f32]> = (0..nq).map(|i| ds.query(i)).collect();
+    let mut group = c.benchmark_group(format!("route/{n}x{d}"));
+    group.throughput(Throughput::Elements(nq as u64));
+    group.bench_function("band1", |b| {
+        b.iter(|| {
+            for q in &queries {
+                black_box(probe_orders(&centroids, &[black_box(*q)], 2, Metric::L2));
+            }
+        })
+    });
+    group.bench_function("band64", |b| {
+        b.iter(|| black_box(probe_orders(&centroids, black_box(&queries), 2, Metric::L2)))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -263,6 +297,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_kernels, bench_rotation, bench_bound_pass, bench_tile_vs_groups,
-        bench_sq8_from_rows
+        bench_sq8_from_rows, bench_route
 }
 criterion_main!(benches);

@@ -102,6 +102,18 @@ fn bench_ivf(c: &mut Criterion) {
             ));
         })
     });
+    // One 64-query `search_batch` on one thread, as `pdx_bond_batch64`:
+    // the band is routed in one pass over the centroids, then scanned a
+    // query at a time. Last in the group, as there.
+    let band: Vec<f32> = (0..64)
+        .flat_map(|i| ds.query(i % ds.n_queries))
+        .copied()
+        .collect();
+    let one_thread = params.with_nprobe(nprobe).with_threads(1);
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("pdx_ads_batch64", |b| {
+        b.iter(|| black_box(ivf.search_batch_with(&ads, &band, &one_thread)))
+    });
     group.finish();
 }
 

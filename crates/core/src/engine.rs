@@ -277,7 +277,8 @@ pub trait VectorIndex: Send + Sync {
     /// consecutive queries, prepares it together, and — where the
     /// deployment is unrouted (`FlatPdx`, `FlatSq8`, a flat `Pruned`) —
     /// scans each tile for the whole band before touching the next;
-    /// routed deployments answer the band's queries one by one.
+    /// routed deployments rank their centroids for the whole band in one
+    /// pass, then scan the band's queries one by one.
     ///
     /// # Panics
     /// Panics with "queries buffer must hold whole vectors" if

@@ -43,8 +43,8 @@ fn bands(nq: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
 ///   (`FlatPdx`, `FlatSq8`, `PrunedFlat`) scan tile-major — a loaded tile
 ///   serves every query of the band before the next tile is touched
 ///   ([`pdxearch_band`](crate::search::pdxearch_band)) — and the routed
-///   ones, whose queries each probe their own buckets, answer the band's
-///   queries one by one.
+///   ones rank their centroids for the whole band in one pass, then scan
+///   the band's queries one by one, each over its own buckets.
 ///
 /// Either way every query gets the answer of the sequential path, bit
 /// for bit, at any thread count.

@@ -120,7 +120,8 @@ pub enum KernelIsa {
     /// (aarch64).
     Neon,
     /// The kernel nests at `lanes::Avx512`: 16 lanes of AVX-512F
-    /// intrinsics (x86-64 with AVX2+FMA as well). The rotation
+    /// intrinsics (x86-64 with AVX-512BW+VL, for the masked byte load of
+    /// a narrow SQ8 group, and AVX2+FMA as well). The rotation
     /// (`pdx_linalg::kernel::dot_rows`) and the horizontal kernels,
     /// whose bits are defined by eight-accumulator reductions, run their
     /// AVX2 code under it.
@@ -162,15 +163,18 @@ impl KernelIsa {
 }
 
 /// The best ISA the running machine supports, detected once per process:
-/// AVX-512 ahead of AVX2 (it requires AVX2+FMA too, so every AVX2 code
-/// path stays valid under it), then NEON, then scalar.
+/// AVX-512 (F+BW+VL) ahead of AVX2 (it requires AVX2+FMA too, so every
+/// AVX2 code path stays valid under it), then NEON, then scalar.
 pub fn detected_isa() -> KernelIsa {
     static ISA: OnceLock<KernelIsa> = OnceLock::new();
     *ISA.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
             if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-                if std::is_x86_feature_detected!("avx512f") {
+                if std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512bw")
+                    && std::is_x86_feature_detected!("avx512vl")
+                {
                     return KernelIsa::Avx512;
                 }
                 return KernelIsa::Avx2;

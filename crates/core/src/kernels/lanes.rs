@@ -16,28 +16,35 @@
 //!   lane or sixteen at a time.
 //! * [`Lanes<N>`] adds what a nest needs to move `N` lanes: splat, load
 //!   `N` elements from a slice at an index (`f32` values, or `u8` codes
-//!   widened), gather `N` survivors, store, and compare `N` lanes into
-//!   the low `N` bits of a mask. Four types implement it: `Avx512` (one
-//!   `__m512`, `N = 16`), `Avx2` (one `__m256`, `N = 8`), `Neon`
-//!   (`[float32x4_t; 2]`, `N = 8`) and [`Portable<N>`] (`[f32; N]`, plain
-//!   Rust, every access a checked slice index).
+//!   widened) or only its first `n < N` (a group narrower than the
+//!   register, masked loads and stores on AVX-512 and AVX2), gather `N`
+//!   survivors, store, and compare `N` lanes into the low `N` bits of a
+//!   mask. Four types implement it: `Avx512` (one `__m512`, `N = 16`),
+//!   `Avx2` (one `__m256`, `N = 8`), `Neon` (`[float32x4_t; 2]`, `N = 8`)
+//!   and [`Portable<N>`] (`[f32; N]`, plain Rust, every access a checked
+//!   slice index).
 //! * `dense`, `survivors` and `bound` are the three nests: a tile's
 //!   groups accumulated in one call, its survivors accumulated wherever
-//!   they sit, and its survival bits with their count. The first two are
+//!   they sit, and its survival bits with their count. `dense` also runs
+//!   a block of `Q` queries a walk of the dimensions, sharing every load
+//!   of a register of vectors among them: `dense_band` is that form over
+//!   a whole block for a band of queries in one storage order, which is
+//!   how a band is routed through an IVF's centroids. The first two are
 //!   generic over the lane width and type, the stored element
 //!   ([`Stored`]), the metric `Step` and the dimension iterator; the
 //!   third over the lane width and type and the [`Pruner`]. Each (nest,
-//!   ISA) pair that runs has one `#[target_feature]` shim, and `dense_on` /
-//!   `survivors_on` / `bound_on` call the shim of a resolved
-//!   [`KernelIsa`]. The dense and bound nests run at the ISA's full
-//!   width; survivor passes are 8 lanes on every ISA, because a pass
+//!   ISA) pair that runs has one `#[target_feature]` shim, and `dense_on`
+//!   / `dense_band_on` / `survivors_on` / `bound_on` call the shim of a
+//!   resolved [`KernelIsa`]. The dense and bound nests run at the ISA's
+//!   full width; survivor passes are 8 lanes on every ISA, because a pass
 //!   costs one gathered value per lane whether or not the lane holds a
 //!   survivor (`survivors_on`).
 //!
-//! A lane never sees another lane, so the width only decides how many
-//! run side by side: every lane runs the same `Step` bodies in the same
-//! dimension order at 8 lanes, at 16 or at one, and the bits cannot
-//! move with the register.
+//! A lane never sees another lane, or another query, so the width and
+//! the band only decide how many run side by side: every lane runs the
+//! same `Step` bodies in the same dimension order at 8 lanes, at 16, at
+//! one, or beside three other queries, and the bits cannot move with the
+//! register or the band.
 //!
 //! `Portable` is the kernels' scalar survivor and bound path, and it is
 //! also the bounds proof of the other three: the nests' index arithmetic
@@ -169,6 +176,30 @@ pub trait Lanes<const N: usize>: Lane {
     /// See the trait.
     unsafe fn store(self, dst: &mut [f32], at: usize);
 
+    /// `src[at..at + n]` in the first `n < N` lanes and zeros in the
+    /// others, as [`Lanes::load`]: the register of a group narrower than
+    /// `N`. The elements it names are `src[at..at + n]`; by default they
+    /// go through a stack buffer, one checked read each for `Portable`.
+    ///
+    /// # Safety
+    /// See the trait.
+    #[inline(always)]
+    unsafe fn load_first<E: Stored>(src: &[E], at: usize, n: usize) -> Self {
+        buffered::<N, Self, E>(src, at, n)
+    }
+
+    /// Writes the first `n < N` lanes to `dst[at..at + n]` (by default
+    /// through a stack buffer and a slice copy, which checks the range).
+    ///
+    /// # Safety
+    /// See the trait.
+    #[inline(always)]
+    unsafe fn store_first(self, dst: &mut [f32], at: usize, n: usize) {
+        let mut buf = [0.0f32; N];
+        self.store(&mut buf, 0);
+        dst[at..at + n].copy_from_slice(&buf[..n]);
+    }
+
     /// Dimension `d` of the `N` survivors of `pass`: lane `k` is
     /// `src[off_k + d * stride_k]`, read one by one.
     ///
@@ -187,8 +218,9 @@ pub trait Lanes<const N: usize>: Lane {
     fn le_mask(self, o: Self) -> u64;
 }
 
-/// `src[i]`: the one-element read of the lane-by-lane paths and the
-/// software gather, slice-indexed when `V` is [`Portable`].
+/// `src[i]`: the one-element read of the bound pass's last lanes, the
+/// software gather and the buffered partial load, slice-indexed when `V`
+/// is [`Portable`].
 ///
 /// # Safety
 /// `i < src.len()` unless `V::CHECKED`.
@@ -199,6 +231,20 @@ unsafe fn at<const N: usize, V: Lanes<N>, E: Copy>(src: &[E], i: usize) -> E {
     } else {
         *src.get_unchecked(i)
     }
+}
+
+/// [`Lanes::load_first`] through a stack buffer: `n` one-element reads
+/// widened to `f32`, zeros after them, one full load.
+///
+/// # Safety
+/// As [`Lanes::load_first`].
+#[inline(always)]
+unsafe fn buffered<const N: usize, V: Lanes<N>, E: Stored>(src: &[E], start: usize, n: usize) -> V {
+    let mut buf = [0.0f32; N];
+    for (i, b) in buf[..n].iter_mut().enumerate() {
+        *b = at::<N, V, E>(src, start + i).into();
+    }
+    V::load(&buf, 0)
 }
 
 /// `N` lanes in plain Rust. Every access is a checked slice index, so
@@ -268,9 +314,9 @@ impl<const N: usize> Lanes<N> for Portable<N> {
 }
 
 /// Sixteen lanes in one AVX-512 register. Invariant: a value exists only
-/// on a CPU with AVX-512F (and AVX2+FMA, which every such CPU has and
-/// `KernelIsa::Avx512` detection also checks) — the field is private and
-/// every constructor is a [`Lanes`] method, whose contract says so.
+/// on a CPU with AVX-512F+BW+VL (and AVX2+FMA, which every such CPU has;
+/// `KernelIsa::Avx512` detection checks all five) — the field is private
+/// and every constructor is a [`Lanes`] method, whose contract says so.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub struct Avx512(__m512);
@@ -314,6 +360,13 @@ impl Lane for Avx512 {
     }
 }
 
+/// The write mask of the first `n < 16` lanes.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn first_lanes(n: usize) -> __mmask16 {
+    ((1u32 << n) - 1) as __mmask16
+}
+
 #[cfg(target_arch = "x86_64")]
 impl Lanes<16> for Avx512 {
     #[inline(always)]
@@ -333,6 +386,24 @@ impl Lanes<16> for Avx512 {
     #[inline(always)]
     unsafe fn store(self, dst: &mut [f32], at: usize) {
         _mm512_storeu_ps(dst.as_mut_ptr().add(at), self.0)
+    }
+    /// A masked load, which reads nothing of the lanes it leaves out —
+    /// of bytes for codes (AVX-512BW+VL), widened as [`Lanes::load`]
+    /// does. A stack buffer measured ≈ 8× slower for codes: `n` byte
+    /// stores read back as one load stall on store forwarding.
+    #[inline(always)]
+    unsafe fn load_first<E: Stored>(src: &[E], at: usize, n: usize) -> Self {
+        let p = src.as_ptr().add(at);
+        if E::CODE {
+            let codes = _mm_maskz_loadu_epi8(first_lanes(n), p as *const i8);
+            Self(_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(codes)))
+        } else {
+            Self(_mm512_maskz_loadu_ps(first_lanes(n), p as *const f32))
+        }
+    }
+    #[inline(always)]
+    unsafe fn store_first(self, dst: &mut [f32], at: usize, n: usize) {
+        _mm512_mask_storeu_ps(dst.as_mut_ptr().add(at), first_lanes(n), self.0)
     }
     #[inline(always)]
     fn le_mask(self, o: Self) -> u64 {
@@ -387,6 +458,20 @@ impl Lane for Avx2 {
     }
 }
 
+/// The load / store mask of the first `n < 8` lanes: the sign bit set in
+/// lanes `0..n`.
+///
+/// # Safety
+/// AVX2 is present.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn first_eight(n: usize) -> __m256i {
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(n as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
 #[cfg(target_arch = "x86_64")]
 impl Lanes<8> for Avx2 {
     #[inline(always)]
@@ -406,6 +491,26 @@ impl Lanes<8> for Avx2 {
     #[inline(always)]
     unsafe fn store(self, dst: &mut [f32], at: usize) {
         _mm256_storeu_ps(dst.as_mut_ptr().add(at), self.0)
+    }
+    /// `f32` values take a masked load, which reads nothing of the lanes
+    /// it leaves out. AVX2 has no masked byte load, so the `n` codes are
+    /// gathered into one 64-bit word in a register (a stack buffer read
+    /// back whole would stall on store forwarding) and widened.
+    #[inline(always)]
+    unsafe fn load_first<E: Stored>(src: &[E], at: usize, n: usize) -> Self {
+        let p = src.as_ptr().add(at);
+        if E::CODE {
+            let p = p as *const u8;
+            let word = (0..n).fold(0u64, |w, i| w | u64::from(*p.add(i)) << (8 * i));
+            let codes = _mm_cvtsi64_si128(word as i64);
+            Self(_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(codes)))
+        } else {
+            Self(_mm256_maskload_ps(p as *const f32, first_eight(n)))
+        }
+    }
+    #[inline(always)]
+    unsafe fn store_first(self, dst: &mut [f32], at: usize, n: usize) {
+        _mm256_maskstore_ps(dst.as_mut_ptr().add(at), first_eight(n), self.0)
     }
     /// `f32` values take the hardware gather (there is none for bytes).
     /// Its element offsets are 32-bit: the caller additionally
@@ -549,93 +654,107 @@ pub(super) struct Ip;
 pub(super) trait Dims: Iterator<Item = usize> + Clone {}
 impl<D: Iterator<Item = usize> + Clone> Dims for D {}
 
-/// The dense nest: `acc[l] ⊕= term(params[d], data[d * lanes + l])` for
-/// every lane `l` of every group of `groups` and every `d` of `dims`, in
-/// order — a whole tile's checkpoint step in one call. Within a group,
-/// lanes are tiled `4N` (four `V` accumulators live across the dimension
-/// loop; at `N = 16` that is a whole default 64-vector group, so each
-/// dimension row is walked once), then the rest in one [`tile`] of up to
-/// four accumulators whose last one ends at the group's last lane; only
-/// a group narrower than `N` goes lane by lane. Each lane sees `dims` in
-/// the same order whichever accumulator holds it, so neither tiling nor
-/// width shows in the bits. `query[k][d]` is the `k`-th per-dimension
-/// parameter (indexed through the slice, so a short query panics here on
-/// every `V`).
+/// The dense nest: `acc[j][l] ⊕= term(query[j][d], data[d * lanes + l])`
+/// for each of `Q` queries `j`, every lane `l` of every group of `groups`
+/// and every `d` of `dims`, in order — a whole tile's checkpoint step in
+/// one call (`Q = 1`), or one walk of the dimensions for `Q` queries of a
+/// band ([`dense_band`]). Within a group, lanes are tiled `4N` (four `V`
+/// registers live across the dimension loop for each query, and each
+/// register of data is loaded once per dimension for all `Q`; at `N = 16`
+/// a tile is a whole default 64-vector group, so each dimension row is
+/// walked once), then the rest in one [`tile`] of up to four registers
+/// whose last one ends at the group's last lane, and a group narrower
+/// than `N` in one masked register. Each lane sees `dims` in the same
+/// order whichever register or query block holds it, so neither tiling,
+/// width nor band shows in the bits. `query[j][k][d]` is query `j`'s
+/// `k`-th per-dimension parameter (indexed through the slice, so a short
+/// query panics here on every `V`).
 ///
 /// # Safety
 /// `V`'s instruction set is present, [`Tiled::check_groups`] passed for
-/// `groups` and `acc`, and every `d` of `dims` is below `t.n_dims`: a
-/// group's buffer is then `lanes × n_dims` values (sliced, so checked)
-/// and `(d + 1) * lanes` stays inside it. `dense::<_, Portable<_>, ..>`
-/// checks each index instead, which is how the arithmetic itself is
-/// tested.
+/// `groups` and each `acc[j]`, and every `d` of `dims` is below
+/// `t.n_dims`: a group's buffer is then `lanes × n_dims` values (sliced,
+/// so checked) and `(d + 1) * lanes` stays inside it. `dense::<_, _,
+/// Portable<_>, ..>` checks each index instead, which is how the
+/// arithmetic itself is tested.
 #[inline(always)]
-unsafe fn dense<const N: usize, V, E, S, D, const P: usize>(
+unsafe fn dense<const N: usize, const Q: usize, V, E, S, D, const P: usize>(
     t: Tiled<'_, E>,
     groups: Range<usize>,
-    query: [&[f32]; P],
+    query: [[&[f32]; P]; Q],
     dims: D,
-    acc: &mut [f32],
+    acc: [&mut [f32]; Q],
 ) where
     V: Lanes<N>,
     E: Stored,
     S: Step<P>,
     D: Dims,
 {
-    for (data, acc) in t.zip_groups(groups, acc) {
-        let lanes = acc.len();
+    for (data, mut acc) in t.zip_groups(groups, acc) {
+        let lanes = acc[0].len();
+        if lanes < N {
+            tile::<N, 1, Q, true, V, E, S, D, P>(data, query, dims.clone(), &mut acc, [0], 0);
+            continue;
+        }
         let mut l = 0;
         while l + 4 * N <= lanes {
             let at = [l, l + N, l + 2 * N, l + 3 * N];
-            tile::<N, 4, V, E, S, D, P>(data, query, dims.clone(), acc, at, 0);
+            tile::<N, 4, Q, false, V, E, S, D, P>(data, query, dims.clone(), &mut acc, at, 0);
             l += 4 * N;
         }
+        // The last register starts `skip` lanes early so that it ends at
+        // the group's last lane.
         let rest = lanes - l;
-        if rest > 0 && lanes < N {
-            for (lane, slot) in acc.iter_mut().enumerate() {
-                let mut a = *slot;
-                for d in dims.clone() {
-                    let v: f32 = at::<N, V, E>(data, d * lanes + lane).into();
-                    a = S::step(a, query.map(|q| q[d]), v);
-                }
-                *slot = a;
+        let (end, skip, dims) = (lanes - N, rest.div_ceil(N) * N - rest, dims.clone());
+        match rest.div_ceil(N) {
+            0 => {}
+            1 => tile::<N, 1, Q, false, V, E, S, D, P>(data, query, dims, &mut acc, [end], skip),
+            2 => {
+                let at = [l, end];
+                tile::<N, 2, Q, false, V, E, S, D, P>(data, query, dims, &mut acc, at, skip)
             }
-        } else if rest > 0 {
-            // The last accumulator starts `skip` lanes early so that it
-            // ends at the group's last lane.
-            let (end, skip) = (lanes - N, rest.div_ceil(N) * N - rest);
-            match rest.div_ceil(N) {
-                1 => tile::<N, 1, V, E, S, D, P>(data, query, dims.clone(), acc, [end], skip),
-                2 => tile::<N, 2, V, E, S, D, P>(data, query, dims.clone(), acc, [l, end], skip),
-                3 => {
-                    let at = [l, l + N, end];
-                    tile::<N, 3, V, E, S, D, P>(data, query, dims.clone(), acc, at, skip)
-                }
-                _ => {
-                    let at = [l, l + N, l + 2 * N, end];
-                    tile::<N, 4, V, E, S, D, P>(data, query, dims.clone(), acc, at, skip)
-                }
+            3 => {
+                let at = [l, l + N, end];
+                tile::<N, 3, Q, false, V, E, S, D, P>(data, query, dims, &mut acc, at, skip)
+            }
+            _ => {
+                let at = [l, l + N, l + 2 * N, end];
+                tile::<N, 4, Q, false, V, E, S, D, P>(data, query, dims, &mut acc, at, skip)
             }
         }
     }
 }
 
-/// One register tile of [`dense`] over one group of `acc.len()` lanes:
-/// accumulator `k` holds lanes `at[k]..at[k] + N`, and all `K` of them
-/// live across one walk of `dims`. The last one stores only its lanes
-/// from `skip` on — it may start inside lanes that an earlier
-/// accumulator or tile owns, which it computes again from whatever
-/// `acc` held and discards.
+/// One register tile of [`dense`] over one group of `acc[0].len()`
+/// lanes: for each query `j`, register `k` holds lanes `at[k]..at[k] +
+/// N` of `acc[j]`, and all `K × Q` of them live across one walk of
+/// `dims`. The last one stores only its lanes from `skip` on — it may
+/// start inside lanes that an earlier register or tile owns, which it
+/// computes again from whatever `acc` held and discards. `MASKED` is a
+/// group narrower than `N` (`K = 1`, `at = [0]`): its register holds the
+/// group's lanes and zeros past them, and only those lanes are read and
+/// stored ([`Lanes::load_first`] / [`Lanes::store_first`]).
 ///
 /// # Safety
-/// As [`dense`], for one group: `at[k] + N <= acc.len()` for every `k`,
-/// and `data` holds `acc.len()` values per dimension of `dims`.
+/// As [`dense`], for one group: every `acc[j]` is `acc[0].len()` long,
+/// `at[k] + N <= acc[0].len()` for every `k` unless `MASKED`, and `data`
+/// holds `acc[0].len()` values per dimension of `dims`.
 #[inline(always)]
-unsafe fn tile<const N: usize, const K: usize, V, E, S, D, const P: usize>(
+unsafe fn tile<
+    const N: usize,
+    const K: usize,
+    const Q: usize,
+    const MASKED: bool,
+    V,
+    E,
+    S,
+    D,
+    const P: usize,
+>(
     data: &[E],
-    query: [&[f32]; P],
+    query: [[&[f32]; P]; Q],
     dims: D,
-    acc: &mut [f32],
+    acc: &mut [&mut [f32]; Q],
     at: [usize; K],
     skip: usize,
 ) where
@@ -644,22 +763,84 @@ unsafe fn tile<const N: usize, const K: usize, V, E, S, D, const P: usize>(
     S: Step<P>,
     D: Dims,
 {
-    let lanes = acc.len();
-    let mut a = at.map(|o| V::load(acc, o));
+    let lanes = acc[0].len();
+    let mut a: [[V; K]; Q] =
+        std::array::from_fn(|j| at.map(|o| register::<N, MASKED, V, f32>(acc[j], o, lanes)));
     for d in dims {
-        let params = query.map(|q| V::splat(q[d]));
-        for (a, &o) in a.iter_mut().zip(&at) {
-            *a = S::step(*a, params, V::load(data, d * lanes + o));
+        let v = at.map(|o| register::<N, MASKED, V, E>(data, d * lanes + o, lanes));
+        for (a, query) in a.iter_mut().zip(&query) {
+            let params = query.map(|q| V::splat(q[d]));
+            for (a, &v) in a.iter_mut().zip(&v) {
+                *a = S::step(*a, params, v);
+            }
         }
     }
-    for (k, (a, o)) in a.into_iter().zip(at).enumerate() {
-        if k + 1 < K || skip == 0 {
-            a.store(acc, o);
-        } else {
-            let mut buf = [0.0f32; N];
-            a.store(&mut buf, 0);
-            acc[o + skip..o + N].copy_from_slice(&buf[skip..]);
+    for (a, acc) in a.into_iter().zip(acc.iter_mut()) {
+        for (k, (a, o)) in a.into_iter().zip(at).enumerate() {
+            if MASKED {
+                a.store_first(acc, o, lanes);
+            } else if k + 1 < K || skip == 0 {
+                a.store(acc, o);
+            } else {
+                let mut buf = [0.0f32; N];
+                a.store(&mut buf, 0);
+                acc[o + skip..o + N].copy_from_slice(&buf[skip..]);
+            }
         }
+    }
+}
+
+/// One register of a [`tile`]: `src[at..at + N]`, or with `MASKED` its
+/// first `n` lanes.
+///
+/// # Safety
+/// As [`Lanes::load`] / [`Lanes::load_first`].
+#[inline(always)]
+unsafe fn register<const N: usize, const MASKED: bool, V: Lanes<N>, E: Stored>(
+    src: &[E],
+    at: usize,
+    n: usize,
+) -> V {
+    if MASKED {
+        V::load_first(src, at, n)
+    } else {
+        V::load(src, at)
+    }
+}
+
+/// The band nest: [`dense`] over every group of `t` and the storage range
+/// `dims` for each query of `band`, `Q` queries a walk of the dimensions
+/// (the last `band.len() % Q` one a walk). `acc` is query-major: query
+/// `j`'s accumulators are `acc[j * t.n_vectors..][..t.n_vectors]`, and
+/// they end with the bits of a one-query [`dense`] — a lane runs the same
+/// steps in the same order in either.
+///
+/// # Safety
+/// As [`dense`] over every group of `t` for each query, with `acc.len() ==
+/// band.len() * t.n_vectors`.
+#[inline(always)]
+unsafe fn dense_band<const N: usize, const Q: usize, V, E, S, const P: usize>(
+    t: Tiled<'_, E>,
+    band: &[[&[f32]; P]],
+    dims: Range<usize>,
+    acc: &mut [f32],
+) where
+    V: Lanes<N>,
+    E: Stored,
+    S: Step<P>,
+{
+    if t.n_vectors == 0 {
+        return;
+    }
+    let (mut rows, groups) = (acc.chunks_exact_mut(t.n_vectors), 0..t.n_groups());
+    let mut blocks = band.chunks_exact(Q);
+    for queries in &mut blocks {
+        let query = std::array::from_fn(|j| queries[j]);
+        let acc = std::array::from_fn(|_| rows.next().expect("one accumulator row per query"));
+        dense::<N, Q, V, E, S, _, P>(t, groups.clone(), query, dims.clone(), acc);
+    }
+    for (&query, acc) in blocks.remainder().iter().zip(rows) {
+        dense::<N, 1, V, E, S, _, P>(t, groups.clone(), [query], dims.clone(), [acc]);
     }
 }
 
@@ -747,11 +928,16 @@ unsafe fn survivors<const N: usize, V, E, S, D, const P: usize>(
 
 /// The nests at one SIMD lane type: one `#[target_feature]` shim each,
 /// the entries the nest and every [`Lanes`] method inline into. Each
-/// shim's contract is its nest's at that lane type. A lane type without
-/// a survivor shim (`Avx512`) leaves its survivors to the 8-lane type of
-/// its ISA ([`survivors_on`]).
+/// shim's contract is its nest's at that lane type. `$q` is the band
+/// nest's query block: `4 × $q` registers of accumulators must fit the
+/// register file beside the four of data. A lane type without a survivor
+/// shim (`Avx512`) leaves its survivors to the 8-lane type of its ISA
+/// ([`survivors_on`]).
 macro_rules! shims {
-    ($features:literal, $v:ty, $n:literal, $dense:ident, $bound:ident $(, $survivors:ident)?) => {
+    (
+        $features:literal, $v:ty, $n:literal, $q:literal,
+        $dense:ident, $dense_band:ident, $bound:ident $(, $survivors:ident)?
+    ) => {
         #[target_feature(enable = $features)]
         unsafe fn $dense<E: Stored, S: Step<P>, D: Dims, const P: usize>(
             t: Tiled<'_, E>,
@@ -760,7 +946,17 @@ macro_rules! shims {
             dims: D,
             acc: &mut [f32],
         ) {
-            dense::<$n, $v, E, S, D, P>(t, groups, query, dims, acc)
+            dense::<$n, 1, $v, E, S, D, P>(t, groups, [query], dims, [acc])
+        }
+
+        #[target_feature(enable = $features)]
+        unsafe fn $dense_band<E: Stored, S: Step<P>, const P: usize>(
+            t: Tiled<'_, E>,
+            band: &[[&[f32]; P]],
+            dims: Range<usize>,
+            acc: &mut [f32],
+        ) {
+            dense_band::<$n, $q, $v, E, S, P>(t, band, dims, acc)
         }
 
         #[target_feature(enable = $features)]
@@ -789,11 +985,37 @@ macro_rules! shims {
 }
 
 #[cfg(target_arch = "x86_64")]
-shims!("avx512f,avx2,fma", Avx512, 16, dense_avx512, bound_avx512);
+shims!(
+    "avx512f,avx512bw,avx512vl,avx2,fma",
+    Avx512,
+    16,
+    4,
+    dense_avx512,
+    dense_band_avx512,
+    bound_avx512
+);
 #[cfg(target_arch = "x86_64")]
-shims!("avx2,fma", Avx2, 8, dense_avx2, bound_avx2, survivors_avx2);
+shims!(
+    "avx2,fma",
+    Avx2,
+    8,
+    2,
+    dense_avx2,
+    dense_band_avx2,
+    bound_avx2,
+    survivors_avx2
+);
 #[cfg(target_arch = "aarch64")]
-shims!("neon", Neon, 8, dense_neon, bound_neon, survivors_neon);
+shims!(
+    "neon",
+    Neon,
+    8,
+    2,
+    dense_neon,
+    dense_band_neon,
+    bound_neon,
+    survivors_neon
+);
 
 /// [`dense`] at the lane type of `isa`: `Avx512`, `Avx2` or `Neon`
 /// through its shim, `Portable<8>` for `Scalar` (the kernels' scalar
@@ -820,7 +1042,30 @@ pub(super) unsafe fn dense_on<E: Stored, S: Step<P>, D: Dims, const P: usize>(
         KernelIsa::Avx2 => dense_avx2::<E, S, D, P>(t, groups, query, dims, acc),
         #[cfg(target_arch = "aarch64")]
         KernelIsa::Neon => dense_neon::<E, S, D, P>(t, groups, query, dims, acc),
-        _ => dense::<8, Portable<8>, E, S, D, P>(t, groups, query, dims, acc),
+        _ => dense::<8, 1, Portable<8>, E, S, D, P>(t, groups, [query], dims, [acc]),
+    }
+}
+
+/// [`dense_band`] at the lane type of `isa`, as [`dense_on`]: four queries
+/// a walk on `Avx512`, two on `Avx2` and `Neon`.
+///
+/// # Safety
+/// As [`dense_on`], with [`dense_band`]'s index contract.
+pub(super) unsafe fn dense_band_on<E: Stored, S: Step<P>, const P: usize>(
+    isa: KernelIsa,
+    t: Tiled<'_, E>,
+    band: &[[&[f32]; P]],
+    dims: Range<usize>,
+    acc: &mut [f32],
+) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::Avx512 => dense_band_avx512::<E, S, P>(t, band, dims, acc),
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::Avx2 => dense_band_avx2::<E, S, P>(t, band, dims, acc),
+        #[cfg(target_arch = "aarch64")]
+        KernelIsa::Neon => dense_band_neon::<E, S, P>(t, band, dims, acc),
+        _ => dense_band::<8, 2, Portable<8>, E, S, P>(t, band, dims, acc),
     }
 }
 
@@ -883,8 +1128,9 @@ mod tests {
     use super::*;
     use crate::distance::Metric;
     use crate::kernels::{
-        pdx_accumulate, pdx_accumulate_groups, pdx_accumulate_survivors, sq8_accumulate,
-        sq8_accumulate_groups, sq8_accumulate_survivors, survival_bits, DimSel, KernelPolicy,
+        detected_isa, pdx_accumulate, pdx_accumulate_band, pdx_accumulate_groups,
+        pdx_accumulate_survivors, sq8_accumulate, sq8_accumulate_groups, sq8_accumulate_survivors,
+        survival_bits, DimSel, KernelPolicy,
     };
     use crate::layout::{PdxBlock, QuantizedPdxBlock, Sq8Query};
     use proptest::prelude::*;
@@ -901,8 +1147,8 @@ mod tests {
 
     impl Nest {
         /// The two portable widths, then every SIMD lane type the running
-        /// CPU can execute — on x86-64 `Avx2` and, where `avx512f` is
-        /// detected, `Avx512` (said once when it is not).
+        /// CPU can execute — on x86-64 `Avx2` and, where the ISA detection
+        /// picks it, `Avx512` (said once when it does not).
         fn all() -> Vec<Self> {
             let mut nests = vec![Nest::Portable8, Nest::Portable16];
             #[cfg(target_arch = "x86_64")]
@@ -911,11 +1157,11 @@ mod tests {
                 if avx2 {
                     nests.push(Nest::Isa(KernelIsa::Avx2));
                 }
-                if avx2 && is_x86_feature_detected!("avx512f") {
+                if detected_isa() == KernelIsa::Avx512 {
                     nests.push(Nest::Isa(KernelIsa::Avx512));
                 } else {
                     static SKIP: std::sync::Once = std::sync::Once::new();
-                    SKIP.call_once(|| println!("kernels::lanes: no avx512f, Avx512 skipped"));
+                    SKIP.call_once(|| println!("kernels::lanes: no avx512f+bw+vl, Avx512 skipped"));
                 }
             }
             #[cfg(target_arch = "aarch64")]
@@ -940,12 +1186,32 @@ mod tests {
             unsafe {
                 match self {
                     Nest::Portable8 => {
-                        dense::<8, Portable<8>, E, S, D, P>(t, groups, query, dims, acc)
+                        dense::<8, 1, Portable<8>, E, S, D, P>(t, groups, [query], dims, [acc])
                     }
                     Nest::Portable16 => {
-                        dense::<16, Portable<16>, E, S, D, P>(t, groups, query, dims, acc)
+                        dense::<16, 1, Portable<16>, E, S, D, P>(t, groups, [query], dims, [acc])
                     }
                     Nest::Isa(isa) => dense_on::<E, S, D, P>(isa, t, groups, query, dims, acc),
+                }
+            }
+        }
+
+        /// The band nest, at the query block its ISA runs: two queries a
+        /// walk at 8 lanes, four at 16.
+        fn band<E: Stored, S: Step<P>, const P: usize>(
+            self,
+            t: Tiled<'_, E>,
+            band: &[[&[f32]; P]],
+            dims: Range<usize>,
+            acc: &mut [f32],
+        ) {
+            unsafe {
+                match self {
+                    Nest::Portable8 => dense_band::<8, 2, Portable<8>, E, S, P>(t, band, dims, acc),
+                    Nest::Portable16 => {
+                        dense_band::<16, 4, Portable<16>, E, S, P>(t, band, dims, acc)
+                    }
+                    Nest::Isa(isa) => dense_band_on::<E, S, P>(isa, t, band, dims, acc),
                 }
             }
         }
@@ -1100,8 +1366,9 @@ mod tests {
     /// For one metric, both elements: every [`Nest`] and both policies
     /// equal the Algorithm-1 scalar loops — dense on one group as wide as
     /// the collection (ranged and permuted `f32`, ranged codes), dense
-    /// over every group range of a `group`-tiled block, and survivors
-    /// `pos` in that block.
+    /// over every group range of a `group`-tiled block, survivors `pos` in
+    /// that block, and the band nest over both for a band of `1 + n % 9`
+    /// queries (every remainder of a two- and a four-query block).
     fn check<S: Step<1> + Step<2>>(
         metric: Metric,
         (n, d, values, codes, q): &Case,
@@ -1136,6 +1403,17 @@ mod tests {
         let want_surv = want
             .clone()
             .map(|w| pos.iter().map(|&p| w[p as usize]).collect::<Vec<f32>>());
+        // The band: the three vectors of `q` cycled, each query with the
+        // bits of its own scalar loop over the storage range.
+        let b = 1 + n % 9;
+        let distinct = [query, params[0], params[1]];
+        let band: Vec<[&[f32]; 1]> = (0..b).map(|j| [distinct[j % 3]]).collect();
+        let band8 = vec![params; b];
+        let mut want_band = vec![1.5f32; b * n];
+        for ([query], want) in band.iter().zip(want_band.chunks_mut(n)) {
+            pdx_accumulate(metric, &g, query, ranged.clone(), want, scalar);
+        }
+        let want_band8 = want[2].repeat(b);
 
         let (w, w8) = (Tiled::of_group(g.data, n), Tiled::of_group(g8.data, n));
         let block = PdxBlock::from_rows(values, n, d, group);
@@ -1174,6 +1452,16 @@ mod tests {
                     prop_assert!(bits(got) == bits(want), "{range:?} {nest:?} #{k}");
                 }
             }
+            for (t, t8) in [(w, w8), (t, t8)] {
+                let (mut got, mut got8) = (vec![1.5f32; b * n], vec![1.5f32; b * n]);
+                nest.band::<_, S, 1>(t, &band, lo..d, &mut got);
+                nest.band::<_, S, 2>(t8, &band8, lo..d, &mut got8);
+                prop_assert!(bits(&got) == bits(&want_band), "band of {b} {nest:?}");
+                prop_assert!(
+                    bits(&got8) == bits(&want_band8),
+                    "code band of {b} {nest:?}"
+                );
+            }
         }
 
         for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
@@ -1202,6 +1490,10 @@ mod tests {
                 prop_assert!(bits(&dense[k]) == bits(&want[k]), "dense {k} {policy:?}");
                 prop_assert!(bits(&surv[k]) == bits(&want_surv[k]), "surv {k} {policy:?}");
             }
+            let queries: Vec<&[f32]> = band.iter().map(|&[q]| q).collect();
+            let mut got = vec![1.5f32; b * n];
+            pdx_accumulate_band(metric, block, &queries, lo..d, &mut got, policy);
+            prop_assert!(bits(&got) == bits(&want_band), "band of {b} {policy:?}");
         }
         Ok(())
     }
@@ -1239,10 +1531,12 @@ mod tests {
     /// and `4N = 64` — `4N` tiles, rest tiles of one to four registers
     /// whose last one reaches back into its own tile (17, 31, 33, 63,
     /// 127) or into a finished `4N` tile (65), and groups narrower than
-    /// a register (1, 15) — in one wide group and in tiled blocks.
+    /// a register, run as one masked register (1, 7 and 15; 7 also at
+    /// `N = 8`, and 9 past it) — in one wide group and in tiled blocks,
+    /// alone and in bands.
     #[test]
     fn every_16_lane_tail() {
-        for n in [1, 15, 16, 17, 31, 33, 63, 64, 65, 127] {
+        for n in [1, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 127] {
             let c = fixed_case(n, 5);
             for group in [16, 64] {
                 let pos: Vec<u32> = (0..n as u32).step_by(3).collect();
@@ -1263,6 +1557,86 @@ mod tests {
             let pos: Vec<u32> = (0..count).map(|j| (j * 37 + 5) % 127).collect();
             check_metrics(&c, 16, &pos).unwrap_or_else(|e| panic!("{count} survivors: {e:?}"));
         }
+    }
+
+    /// The partial register of a narrow group: on every lane type the
+    /// first `n` lanes read and write exactly `src[at..at + n]` and the
+    /// other lanes load as zero, and `Portable` — the bounds proof of the
+    /// others — refuses a partial row that ends one lane past its slice.
+    #[test]
+    fn partial_registers_read_and_write_only_their_lanes() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        fn check<const N: usize, V: Lanes<N>>(name: &str) {
+            let values: Vec<f32> = (0..40).map(|i| i as f32 * 0.5 - 3.0).collect();
+            let codes: Vec<u8> = (0..40).map(|i| (i * 7) as u8).collect();
+            let mut buf = [0.0f32; N];
+            for n in 1..N {
+                for at in [0, 3, 40 - n] {
+                    let first = |x: &dyn Fn(usize) -> f32| -> [f32; N] {
+                        std::array::from_fn(|i| if i < n { x(at + i) } else { 0.0 })
+                    };
+                    let mut dst = vec![9.0f32; 40];
+                    // SAFETY: `at + n <= 40`, and `V` is a lane type this
+                    // CPU has (the callers below check it).
+                    unsafe {
+                        V::load_first(&values, at, n).store(&mut buf, 0);
+                        assert_eq!(buf, first(&|i| values[i]), "{name} load n={n} at={at}");
+                        V::load_first(&codes, at, n).store(&mut buf, 0);
+                        assert_eq!(
+                            buf,
+                            first(&|i| codes[i].into()),
+                            "{name} codes n={n} at={at}"
+                        );
+                        V::load(&values, 24).store_first(&mut dst, at, n);
+                    }
+                    let want: Vec<f32> = (0..40)
+                        .map(|i| {
+                            if (at..at + n).contains(&i) {
+                                values[24 + i - at]
+                            } else {
+                                9.0
+                            }
+                        })
+                        .collect();
+                    assert_eq!(dst, want, "{name} store n={n} at={at}");
+                }
+            }
+        }
+        check::<8, Portable<8>>("Portable<8>");
+        check::<16, Portable<16>>("Portable<16>");
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+            if avx2 {
+                check::<8, Avx2>("Avx2");
+            }
+            if detected_isa() == KernelIsa::Avx512 {
+                check::<16, Avx512>("Avx512");
+            }
+        }
+        // One lane past the slice: `Portable` panics on the read, and the
+        // store's slice copy on every lane type.
+        let values = [1.0f32; 20];
+        // SAFETY: `Portable` checks every index itself.
+        let load = catch_unwind(|| unsafe { Portable::<16>::load_first(&values, 10, 11) });
+        assert!(
+            load.is_err(),
+            "a partial row one lane past the slice must panic"
+        );
+        let codes = [1u8; 20];
+        let load = catch_unwind(|| unsafe { Portable::<8>::load_first(&codes, 14, 7) });
+        assert!(
+            load.is_err(),
+            "a partial code row one lane past the slice must panic"
+        );
+        let mut dst = [0.0f32; 20];
+        let store = catch_unwind(AssertUnwindSafe(|| unsafe {
+            Portable::<16>::splat(2.0).store_first(&mut dst, 10, 11)
+        }));
+        assert!(
+            store.is_err(),
+            "a partial store one lane past the slice must panic"
+        );
     }
 
     /// Bound words at lengths on each side of 16 and 64 with NaN, ±inf,

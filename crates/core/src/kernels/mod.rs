@@ -4,7 +4,8 @@
 //!   (Algorithm 1): plain scalar Rust whose inner loop auto-vectorizes,
 //!   with per-lane independent accumulators and no reduction step.
 //! * [`lanes`] — the same loop as one explicit-SIMD nest (dense over a
-//!   range of groups, and survivor form), generic over a lane-width
+//!   range of groups for one query or a block of a band's, and survivor
+//!   form), generic over a lane-width
 //!   generic vector type — 16 lanes of AVX-512, 8 of AVX2 or NEON, and
 //!   a checked portable one of any width — the stored element (`f32` |
 //!   SQ8 code) and the metric step; beside it the bound nest, a pruner's
@@ -45,8 +46,8 @@ pub use dsm::dsm_scan;
 pub use gather::{gather_scan, gather_scan_split_timing};
 pub use nary::{nary_distance, simd_available, KernelVariant};
 pub use pdx::{
-    pdx_accumulate, pdx_accumulate_groups, pdx_accumulate_positions, pdx_accumulate_survivors,
-    pdx_scan, pdx_scan_policy, survival_bits, DimSel,
+    pdx_accumulate, pdx_accumulate_band, pdx_accumulate_groups, pdx_accumulate_positions,
+    pdx_accumulate_survivors, pdx_scan, pdx_scan_policy, survival_bits, DimSel,
 };
 pub use sq8::{
     sq8_accumulate, sq8_accumulate_groups, sq8_accumulate_survivors, sq8_distance_scalar, sq8_scan,
@@ -120,19 +121,24 @@ impl<'a, T> Tiled<'a, T> {
         assert_eq!(acc_len, covered, "one accumulator per lane required");
     }
 
-    /// Each group of `groups` as `(its buffer, its accumulators)`; the
-    /// lane count is the accumulators' length, short for a partial tail
-    /// group. [`Tiled::check_groups`] must have passed for the pair.
+    /// Each group of `groups` as `(its buffer, its accumulators in each of
+    /// the `Q` arrays of `acc`)`; the lane count is the accumulators'
+    /// length, short for a partial tail group. [`Tiled::check_groups`]
+    /// must have passed for `groups` and each array.
     #[inline(always)]
-    fn zip_groups<'b>(
+    fn zip_groups<'b, const Q: usize>(
         &self,
         groups: Range<usize>,
-        acc: &'b mut [f32],
-    ) -> impl Iterator<Item = (&'a [T], &'b mut [f32])> {
+        acc: [&'b mut [f32]; Q],
+    ) -> impl Iterator<Item = (&'a [T], [&'b mut [f32]; Q])> {
         let (data, per_group, n_dims) = (self.data, self.group_size * self.n_dims, self.n_dims);
-        groups
-            .zip(acc.chunks_mut(self.group_size))
-            .map(move |(g, acc)| (&data[g * per_group..][..acc.len() * n_dims], acc))
+        let mut chunks = acc.map(|acc| acc.chunks_mut(self.group_size));
+        groups.map(move |g| {
+            let acc = chunks
+                .each_mut()
+                .map(|c| c.next().expect("one accumulator per lane"));
+            (&data[g * per_group..][..acc[0].len() * n_dims], acc)
+        })
     }
 
     /// `(offset of dimension 0, stride between dimensions)` of vector

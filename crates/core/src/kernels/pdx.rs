@@ -28,6 +28,15 @@
 //! over the stored element, so [`sq8`](crate::kernels::sq8) adds only its
 //! weighted steps and its entry points.
 //!
+//! [`pdx_accumulate_band`] is the dense kernel for a band of queries over
+//! a whole block and a storage range: the nest walks the dimensions once
+//! for a block of queries (four on AVX-512, two on AVX2 and NEON),
+//! sharing every register of vectors it loads among them, and `Scalar`
+//! runs the scalar loops query by query. It needs every query to walk the
+//! same dimension order, which is why it serves IVF routing — a band's
+//! queries all rank one centroid block in storage order — and not a
+//! PDX-BOND band, whose orders are per query.
+//!
 //! The scalar loops are therefore the oracle: `tests/kernels.rs` pins
 //! `to_bits` equality between the scalar and dispatched kernels, which
 //! extends the PR 3 determinism contract (identical distance bits at any
@@ -214,9 +223,44 @@ pub(super) fn accumulate<E: Stored, S: Step<P>, const P: usize>(
             }
         };
     }
-    for (data, acc) in t.zip_groups(groups, acc) {
+    for (data, [acc]) in t.zip_groups(groups, [acc]) {
         accum_scalar::<E, S, P>(data, acc.len(), query, dims.clone(), acc)
     }
+}
+
+/// The band form of [`accumulate`] over every group of `t` and the
+/// storage range `dims`: `acc[j * t.n_vectors..][..t.n_vectors]` are
+/// query `j`'s accumulators. The SIMD nest walks the dimensions once for
+/// a block of queries ([`lanes::dense_band_on`]); `Scalar` runs the
+/// Algorithm-1 loops query by query — the same bits either way.
+fn accumulate_band<E: Stored, S: Step<P>, const P: usize>(
+    t: Tiled<'_, E>,
+    band: &[[&[f32]; P]],
+    dims: Range<usize>,
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    let n = t.n_vectors;
+    assert_eq!(
+        acc.len(),
+        band.len() * n,
+        "one accumulator per query and vector required"
+    );
+    for query in band {
+        check_dim_bounds(t.n_dims, query, &DimSel::Range(dims.clone()));
+    }
+    let isa = kernel.resolve();
+    if isa == KernelIsa::Scalar {
+        for (query, acc) in band.iter().zip(acc.chunks_mut(n.max(1))) {
+            let groups = 0..t.n_groups();
+            accumulate::<E, S, P>(t, groups, *query, DimSel::Range(dims.clone()), acc, kernel);
+        }
+        return;
+    }
+    // SAFETY: `resolve` names a SIMD ISA only when the running CPU has it;
+    // `acc` and every query's dims were checked just above, and the band
+    // covers every group of `t`.
+    unsafe { lanes::dense_band_on::<E, S, P>(isa, t, band, dims, acc) }
 }
 
 /// Survivor (gather) accumulate of one metric over a dimension
@@ -324,6 +368,36 @@ pub fn pdx_accumulate_groups(
     kernel: KernelPolicy,
 ) {
     accumulate_impl(metric, tiled(block), groups, query, dims, acc, kernel)
+}
+
+/// Accumulates the metric over the storage dimensions `dims` of every
+/// vector of `block` for each query of `band` — the band form of
+/// [`pdx_accumulate_groups`] over the whole block, which is what routes
+/// a band of queries through an IVF's centroids. `acc[j * block.len() +
+/// v]` is query `j`'s accumulator of vector `v`. The SIMD nest walks the
+/// dimensions once for each block of four queries on AVX-512 (two on
+/// AVX2 and NEON), so every register of vectors it loads serves them
+/// all; each (query, vector) lane still runs the same steps in the same
+/// order, so all policies produce the bits of one
+/// [`pdx_accumulate_groups`] per query — which is what `Scalar` runs.
+///
+/// # Panics
+/// Panics if `acc.len()` is not `band.len() × block.len()`, or if `dims`
+/// exceeds a query or the block.
+pub fn pdx_accumulate_band(
+    metric: Metric,
+    block: &PdxBlock,
+    band: &[&[f32]],
+    dims: Range<usize>,
+    acc: &mut [f32],
+    kernel: KernelPolicy,
+) {
+    let (t, band) = (tiled(block), band.as_chunks::<1>().0);
+    match metric {
+        Metric::L2 => accumulate_band::<_, L2, 1>(t, band, dims, acc, kernel),
+        Metric::L1 => accumulate_band::<_, L1, 1>(t, band, dims, acc, kernel),
+        Metric::NegativeIp => accumulate_band::<_, Ip, 1>(t, band, dims, acc, kernel),
+    }
 }
 
 /// Accumulates the metric over the dimensions `dims` selects of a PDX

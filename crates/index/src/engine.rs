@@ -17,7 +17,9 @@
 //! path) down to the scan. The driver serves a *band* of queries — one
 //! query is a band of one: a batch worker's band on an unrouted
 //! deployment shares one tile-major scan ([`pdxearch_band`]), on a
-//! routed one it is served query by query. The [`VectorIndex`]
+//! routed one it is routed together — one pass over the centroids for
+//! the whole band ([`probe_orders`]) — and scanned query by query, each
+//! over its own probe list. The [`VectorIndex`]
 //! implementations below are therefore identity (`dims` / `len` /
 //! `kind` / `resident_bytes`) plus
 //! delegations that name the pruner: [`SearchOptions::bond`] for the
@@ -61,7 +63,7 @@
 //!
 //! [`PrunerKind`]: pdx_core::engine::PrunerKind
 
-use crate::ivf::probe_order;
+use crate::ivf::probe_orders;
 use crate::{FlatPdx, FlatSq8, IvfHorizontal, IvfPdx, IvfSq8};
 use pdx_core::collection::SearchBlock;
 use pdx_core::engine::{SearchOptions, VectorIndex};
@@ -175,12 +177,13 @@ pub trait Deployment: VectorIndex {
     /// one worker prepares together ([`Pruner::prepare_queries`] — one
     /// tiled PCA rotation for BSA) and then serves together: an unrouted
     /// deployment ([`Deployment::centroids`] is `None`) scans its blocks
-    /// once for the whole band, tile-major ([`pdxearch_band`]), a routed
-    /// one answers the band's queries one by one, each over its own
-    /// probe list. Identical to a loop of [`Deployment::search_with`] at
-    /// any thread count, for every pruner. A traced batch takes that
-    /// loop, so that every query's trace carries its own preparation and
-    /// phases.
+    /// once for the whole band, tile-major ([`pdxearch_band`]); a routed
+    /// one ranks its centroids for the whole band in one pass
+    /// ([`probe_orders`]), then scans the band's queries one by one, each
+    /// over its own probe list. Identical to a loop of
+    /// [`Deployment::search_with`] at any thread count, for every pruner.
+    /// A traced batch takes that loop, so that every query's trace
+    /// carries its own preparation and phases.
     ///
     /// # Panics
     /// Panics if `queries.len()` is not a multiple of the dimensionality.
@@ -258,12 +261,13 @@ pub trait Deployment: VectorIndex {
 /// The serve driver behind [`Deployment`]'s provided methods, from the
 /// prepared queries on: route, scan (minus the `dead` rows) on the
 /// calling thread or across `pool`, rerank, publish. `band` is the
-/// queries served together — one, or a batch worker's band: the queries
-/// of an unrouted deployment share one tile-major scan of its blocks,
-/// those of a routed one are served one after the other, because each
-/// has its own probe list (and an approximate pruner's answer depends on
-/// the order its blocks are visited in). `tracing` is the trace of the
-/// whole call.
+/// queries served together — one, or a batch worker's band. A routed
+/// deployment ranks its centroids for the whole band in one pass
+/// ([`probe_orders`]), then scans the band's queries one after the
+/// other, each over its own probe list (an approximate pruner's answer
+/// depends on the order its blocks are visited in); the queries of an
+/// unrouted deployment share one tile-major scan of its blocks.
+/// `tracing` is the trace of the whole call.
 fn serve<D, P>(
     dep: &D,
     pruner: &P,
@@ -281,55 +285,51 @@ where
 {
     let metric = pruner.metric();
     let cache_before = tracing.profile().and_then(|_| dep.cache_stats());
-    let order: Vec<u32> = match (dep.centroids(), band) {
-        (None, _) => (0..dep.n_blocks() as u32).collect(),
-        (Some(centroids), [q]) => tracing.phase(
+    let orders = dep.centroids().map(|centroids| {
+        tracing.phase(
             |p| &mut p.find_buckets_ns,
             || {
-                probe_order(
+                let spaces: Vec<&[f32]> = band.iter().map(|q| pruner.query_vector(q)).collect();
+                probe_orders(
                     centroids,
-                    pruner.query_vector(q),
+                    &spaces,
                     opts.resolve_nprobe(dep.n_blocks()),
                     metric,
                 )
             },
-        ),
-        (Some(_), _) => {
-            let one = |q| {
-                serve(
-                    dep,
-                    pruner,
-                    std::slice::from_ref(q),
-                    opts,
-                    dead,
-                    Tracing::start(opts),
-                    pool,
-                )
-            };
-            return band.iter().flat_map(one).collect();
-        }
-    };
+        )
+    });
     let rows = dep.rerank_rows();
     let scan = SearchOptions {
         k: opts.k * rows.map_or(1, |_| opts.refine.max(1)),
         ..*opts
     };
-    let pins = || order.iter().map(|&b| dep.pin(b));
-    let candidates = match pool {
-        // The scan streams: each block is pinned right before it is
-        // scanned and released right after.
-        None => dep.with_prefetch(&order, || {
-            pdxearch_band(pruner, band, pins(), &scan, dead, tracing.profile())
-        }),
-        Some(pool) => {
-            let pinned: Vec<_> = dep.with_prefetch(&order, || pins().collect());
-            let split = |q| {
-                parallel_block_search(pool, pinned.len(), scan.k, |range| {
-                    let blocks = pinned[range].iter().map(|p| &**p);
-                    pdxearch(pruner, q, blocks, &scan, dead, None)
-                })
-            };
-            band.iter().map(split).collect()
+    let mut scan_band = |band: &[P::Query], order: &[u32]| {
+        let pins = || order.iter().map(|&b| dep.pin(b));
+        match pool {
+            // The scan streams: each block is pinned right before it is
+            // scanned and released right after.
+            None => dep.with_prefetch(order, || {
+                pdxearch_band(pruner, band, pins(), &scan, dead, tracing.profile())
+            }),
+            Some(pool) => {
+                let pinned: Vec<_> = dep.with_prefetch(order, || pins().collect());
+                let split = |q| {
+                    parallel_block_search(pool, pinned.len(), scan.k, |range| {
+                        let blocks = pinned[range].iter().map(|p| &**p);
+                        pdxearch(pruner, q, blocks, &scan, dead, None)
+                    })
+                };
+                band.iter().map(split).collect()
+            }
+        }
+    };
+    let candidates: Vec<Vec<Neighbor>> = match &orders {
+        None => scan_band(band, &(0..dep.n_blocks() as u32).collect::<Vec<_>>()),
+        Some(orders) => {
+            let one =
+                |(q, order): (&P::Query, &Vec<u32>)| scan_band(std::slice::from_ref(q), order);
+            band.iter().zip(orders).flat_map(one).collect()
         }
     };
     let reranked = rows.map_or(0, |_| candidates.iter().map(Vec::len).sum::<usize>() as u64);

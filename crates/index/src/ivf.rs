@@ -21,7 +21,7 @@ use pdx_core::collection::SearchBlock;
 use pdx_core::distance::Metric;
 use pdx_core::engine::SearchOptions;
 use pdx_core::heap::{KnnHeap, Neighbor};
-use pdx_core::kernels::{nary_distance, KernelVariant};
+use pdx_core::kernels::{nary_distance, pdx_accumulate_band, KernelPolicy, KernelVariant};
 use pdx_core::layout::NaryMatrix;
 use pdx_core::pruning::Pruner;
 use pdx_core::search::{horizontal_linear_scan, linear_scan_blocks, pdxearch, HorizontalBucket};
@@ -121,18 +121,35 @@ pub fn centroid_block(centroid_rows: &[f32], dims: usize, group_size: usize) -> 
 }
 
 /// Ranks the buckets of a PDX-layout IVF by the distance of their
-/// `centroids` (row `i` = bucket `i`) to the (space-transformed) query;
-/// returns the `nprobe` nearest bucket indexes, nearest first. The one
-/// ranking behind every such deployment — resident, lazy, quantized — so
-/// all of them probe identically.
-pub fn probe_order(
+/// `centroids` (row `i` = bucket `i`) to each (space-transformed) query
+/// of a band; returns, per query, the `nprobe` nearest bucket indexes,
+/// nearest first. The one ranking behind every such deployment —
+/// resident, lazy, quantized — so all of them probe identically, a query
+/// alone or in a band: the distances come from one
+/// [`pdx_accumulate_band`] over the centroid block, which loads each
+/// register of centroids once for a block of queries and gives every
+/// query the bits of its own [`pdx_scan`](pdx_core::kernels::pdx_scan).
+pub fn probe_orders(
     centroids: &SearchBlock,
-    query_space: &[f32],
+    queries: &[&[f32]],
     nprobe: usize,
     metric: Metric,
-) -> Vec<u32> {
-    let neighbors = linear_scan_blocks(&[centroids], query_space, nprobe.max(1), metric);
-    neighbors.iter().map(|n| n.id as u32).collect()
+) -> Vec<Vec<u32>> {
+    let n = centroids.len();
+    if n == 0 {
+        return vec![Vec::new(); queries.len()];
+    }
+    let (mut distances, dims) = (vec![0.0f32; queries.len() * n], 0..centroids.pdx.dims());
+    let auto = KernelPolicy::Auto;
+    pdx_accumulate_band(metric, &centroids.pdx, queries, dims, &mut distances, auto);
+    let rank = |distances: &[f32]| {
+        let mut heap = KnnHeap::new(nprobe.max(1));
+        for (&id, &d) in centroids.row_ids.iter().zip(distances) {
+            heap.push(id, d);
+        }
+        heap.into_sorted().iter().map(|n| n.id as u32).collect()
+    };
+    distances.chunks_exact(n).map(rank).collect()
 }
 
 /// IVF deployment with buckets and centroids in the PDX layout. Queries
@@ -173,9 +190,11 @@ impl IvfPdx {
     }
 
     /// Ranks blocks by centroid distance to the (space-transformed)
-    /// query; returns the `nprobe` nearest block indexes, nearest first.
+    /// query; returns the `nprobe` nearest block indexes, nearest first:
+    /// [`probe_orders`] for a band of one.
     pub fn probe_order(&self, query_space: &[f32], nprobe: usize, metric: Metric) -> Vec<u32> {
-        probe_order(&self.centroids, query_space, nprobe, metric)
+        let mut orders = probe_orders(&self.centroids, &[query_space], nprobe, metric);
+        orders.pop().expect("one probe list per query")
     }
 
     /// Builds an HNSW router over the centroids — the "hybrid index" of

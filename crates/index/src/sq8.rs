@@ -298,8 +298,8 @@ mod tests {
         let pdx = crate::ivf::IvfPdx::new(&rows, d, &index.assignments, 64);
         let q = random_rows(1, d, 4);
         assert_eq!(
-            crate::ivf::probe_order(&sq8.centroids, &q, 5, Metric::L2),
-            pdx.probe_order(&q, 5, Metric::L2)
+            crate::ivf::probe_orders(&sq8.centroids, &[&q], 5, Metric::L2),
+            [pdx.probe_order(&q, 5, Metric::L2)]
         );
     }
 

@@ -330,6 +330,67 @@ fn bands_match_the_sequential_loop() {
     }
 }
 
+/// A routed batch ranks the centroids for a whole band in one pass, a
+/// block of queries a walk, then scans its queries one by one: every
+/// query must still get the ids and distance bits of its own `search`.
+/// Batch sizes 1, 3, 6, 7, 9 and 67 at 1 / 2 / 8 threads leave every
+/// remainder of a two- and a four-query block in some band, and 70
+/// buckets in 64-wide groups end the centroid block in a group narrower
+/// than a register — for the resident, lazy (cache below one bucket),
+/// SQ8 and ADSampling IVFs.
+#[test]
+fn routed_bands_match_the_sequential_loop() {
+    let (n, d, k, nlist, group) = (2_100usize, 12usize, 6usize, 70usize, 64usize);
+    let rows = make_rows(n, d, 51);
+    let queries = make_rows(67, d, 52);
+    let index = IvfIndex::build(&rows, n, d, nlist, 8, 53);
+    let ivf = IvfPdx::new(&rows, d, &index.assignments, group);
+    assert!(
+        (1..8).contains(&(ivf.centroids.len() % group)),
+        "{} centroids: no narrow tail group",
+        ivf.centroids.len()
+    );
+
+    let dir = std::env::temp_dir().join(format!("pdx_routed_bands_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ivf.pdx");
+    let centroids = ivf.centroids.pdx.to_rows();
+    pdx::datasets::persist::write_ivf_pdx_path(&path, d, &centroids, &ivf.blocks).unwrap();
+    let smallest = ivf.blocks.iter().map(|b| b.len()).min().unwrap();
+    let lazy = LazyIvf::open(&path, (smallest * (8 + 4 * d)) as u64 / 2).unwrap();
+    let sq8 = IvfSq8::new(&rows, d, &index.assignments, group);
+    let ads = AdSampling::fit(d, 54);
+    let by_ads = ads.transform_collection(&rows, n, 2);
+    let pruned = PrunedIvf::new(IvfPdx::new(&by_ads, d, &index.assignments, group), ads);
+
+    let bits = |r: &[Neighbor]| -> Vec<(u64, u32)> {
+        r.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    };
+    let deployments: [&dyn VectorIndex; 4] = [&ivf, &lazy, &sq8, &pruned];
+    let opts = SearchOptions::new(k).with_nprobe(4);
+    for dep in deployments {
+        let sequential: Vec<_> = queries
+            .chunks_exact(d)
+            .map(|q| bits(&dep.search(q, &opts)))
+            .collect();
+        for nq in [1usize, 3, 6, 7, 9, 67] {
+            for threads in THREAD_COUNTS {
+                let batch = dep.search_batch(&queries[..nq * d], &opts.with_threads(threads));
+                assert_eq!(batch.len(), nq);
+                for (qi, (got, want)) in batch.iter().zip(&sequential).enumerate() {
+                    let at = format!("{}: q{qi} of {nq} at {threads} threads", dep.kind());
+                    assert_eq!(&bits(got), want, "{at}");
+                }
+            }
+        }
+    }
+    // Below one bucket nothing stays resident: every probe reads its
+    // bucket from the file.
+    let stats = VectorIndex::cache_stats(&lazy).unwrap();
+    assert!(stats.hits == 0 && stats.misses > 0, "{stats:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn index_build_is_thread_count_independent() {
     // IVF training (k-means) and SQ8 quantizer training run on the same

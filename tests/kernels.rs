@@ -9,8 +9,9 @@
 //! scalar-vs-scalar and stay green.
 
 use pdx::core::kernels::{
-    pdx_accumulate, pdx_accumulate_groups, pdx_accumulate_survivors, sq8_accumulate,
-    sq8_accumulate_groups, sq8_accumulate_survivors, survival_bits, DimSel,
+    pdx_accumulate, pdx_accumulate_band, pdx_accumulate_groups, pdx_accumulate_survivors,
+    pdx_scan_policy, sq8_accumulate, sq8_accumulate_groups, sq8_accumulate_survivors,
+    survival_bits, DimSel,
 };
 use pdx::prelude::*;
 use proptest::prelude::*;
@@ -577,6 +578,70 @@ fn dense_over_a_group_range_equals_the_per_group_calls() {
     }
 }
 
+/// Routing a band is a loop of single routes, bit for bit. For centroid
+/// counts on each side of a 16- and a 64-lane register tile (1, 8, 15,
+/// 16, 63, 64, 65 and 200 centroids in 16- and 64-wide groups, so narrow
+/// groups, rest tiles and full tiles all come up), dims 1, 7, 128 and
+/// 960, all three metrics and bands of 1 to 9 and 64 queries (every
+/// remainder of a two- and a four-query block): `pdx_accumulate_band`
+/// under `Scalar`, `Simd` and `Auto` gives every query the distance bits
+/// of its own scalar `pdx_scan`, and `probe_orders` the ids of its own
+/// band of one — which are those of the linear centroid scan.
+#[test]
+fn band_routing_equals_single_routes() {
+    use pdx::core::search::linear_scan_blocks;
+    use pdx::index::ivf::{centroid_block, probe_orders};
+    let val = |i: usize, salt: usize| ((i * 37 + salt * 101) % 997) as f32 * 0.01 - 5.0;
+    let nprobe = 5;
+    for d in [1usize, 7, 128, 960] {
+        let packed: Vec<f32> = (0..64 * d).map(|i| val(i, 3)).collect();
+        let queries: Vec<&[f32]> = packed.chunks(d).collect();
+        for n in [1usize, 8, 15, 16, 63, 64, 65, 200] {
+            let rows: Vec<f32> = (0..n * d).map(|i| val(i, 7)).collect();
+            for (group, metric) in [16usize, 64]
+                .into_iter()
+                .flat_map(|g| [Metric::L2, Metric::L1, Metric::NegativeIp].map(|m| (g, m)))
+            {
+                let at = format!("{n} centroids of d={d} in groups of {group}, {metric:?}");
+                let centroids = centroid_block(&rows, d, group);
+                let alone = |q: &[f32]| {
+                    let mut out = vec![0.0f32; n];
+                    pdx_scan_policy(metric, &centroids.pdx, q, &mut out, KernelPolicy::Scalar);
+                    to_bits(&out)
+                };
+                let want: Vec<Vec<u32>> = queries.iter().map(|q| alone(q)).collect();
+                let single: Vec<Vec<u32>> = queries
+                    .iter()
+                    .map(|q| probe_orders(&centroids, &[q], nprobe, metric).remove(0))
+                    .collect();
+                for (q, ids) in queries.iter().zip(&single) {
+                    let linear = linear_scan_blocks(&[&centroids], q, nprobe, metric);
+                    let linear: Vec<u32> = linear.iter().map(|x| x.id as u32).collect();
+                    assert_eq!(ids, &linear, "{at}: band of one vs the linear scan");
+                }
+                for b in (1..=9).chain([64]) {
+                    for policy in [KernelPolicy::Scalar, KernelPolicy::Simd, KernelPolicy::Auto] {
+                        let mut acc = vec![0.0f32; b * n];
+                        pdx_accumulate_band(
+                            metric,
+                            &centroids.pdx,
+                            &queries[..b],
+                            0..d,
+                            &mut acc,
+                            policy,
+                        );
+                        for (j, got) in acc.chunks(n).enumerate() {
+                            assert_eq!(to_bits(got), want[j], "{at}: q{j} of {b} under {policy:?}");
+                        }
+                    }
+                    let band = probe_orders(&centroids, &queries[..b], nprobe, metric);
+                    assert_eq!(band, single[..b], "{at}: probe lists of a band of {b}");
+                }
+            }
+        }
+    }
+}
+
 /// Dispatch sanity: detection is stable and prefers the widest ISA, the
 /// policies resolve the way the docs promise, and the wire codes
 /// round-trip.
@@ -595,11 +660,14 @@ fn dispatch_is_stable_and_consistent() {
     #[cfg(target_arch = "x86_64")]
     {
         let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
-        if avx2 && is_x86_feature_detected!("avx512f") {
+        let avx512 = is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vl");
+        if avx2 && avx512 {
             assert_eq!(
                 isa,
                 KernelIsa::Avx512,
-                "avx512f present: detection prefers it"
+                "avx512f+bw+vl present: detection prefers it"
             );
         } else if avx2 {
             assert_eq!(isa, KernelIsa::Avx2);
@@ -648,7 +716,7 @@ fn dispatch_is_stable_and_consistent() {
 /// rows used to surface as a slice-index panic of the checked scalar
 /// loops, with whatever message std printed). Under `Simd` the rows aim
 /// at the resolved ISA's shims — the 16-lane AVX-512 ones on a host with
-/// `avx512f` — and the last rows put the bad index exactly one 16-lane
+/// `avx512f`, `avx512bw` and `avx512vl` — and the last rows put the bad index exactly one 16-lane
 /// load past a valid one.
 #[test]
 fn kernel_panic_contracts() {
@@ -951,6 +1019,41 @@ fn kernel_panic_contracts() {
                 let mut acc = vec![0.0; 17];
                 let sel = DimSel::Range(0..d);
                 pdx_accumulate_survivors(Metric::L2, &block16, &q, sel, &positions, &mut acc, p)
+            }),
+        ),
+        (
+            "pdx_accumulate_band: acc.len() != queries × vectors",
+            "one accumulator per query and vector required",
+            Box::new(|p| {
+                let mut acc = vec![0.0; 2 * n - 1];
+                pdx_accumulate_band(Metric::L2, &block, &[&q, &q], 0..d, &mut acc, p)
+            }),
+        ),
+        (
+            "pdx_accumulate_band: range past the second query",
+            "dimension range exceeds query length",
+            Box::new(|p| {
+                let mut acc = vec![0.0; 2 * n];
+                let band = [&long_q[..], &q[..d - 1]];
+                pdx_accumulate_band(Metric::L1, &block, &band, 0..d, &mut acc, p)
+            }),
+        ),
+        (
+            "pdx_accumulate_band: range past the block",
+            "dimension range exceeds group",
+            Box::new(|p| {
+                let mut acc = vec![0.0; n];
+                pdx_accumulate_band(Metric::L2, &block, &[&long_q], 0..d + 1, &mut acc, p)
+            }),
+        ),
+        (
+            "pdx_accumulate_band: five queries over a narrow tail group, one accumulator short",
+            "one accumulator per query and vector required",
+            Box::new(|p| {
+                // 70 vectors in 16-wide groups end in a 6-lane group.
+                let mut acc = vec![0.0; 5 * n - 1];
+                let band = [&q[..]; 5];
+                pdx_accumulate_band(Metric::NegativeIp, &block16, &band, 0..d, &mut acc, p)
             }),
         ),
         (
