@@ -1,8 +1,10 @@
 //! Criterion end-to-end search benchmarks: PDX-BOND, the PDX linear
 //! scan and the SQ8 two-phase search on exact search, PDX-ADS on an IVF
-//! index (the Figures 6/9 operating points at microbenchmark scale).
+//! index (the Figures 6/9 operating points at microbenchmark scale), and
+//! the out-of-core IVF's cache hit and miss paths.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use pdx::datasets::persist::{read_container_path, write_ivf_pdx_path};
 use pdx::prelude::*;
 use std::hint::black_box;
 
@@ -117,12 +119,62 @@ fn bench_ivf(c: &mut Criterion) {
     group.finish();
 }
 
+/// The out-of-core paths at the repo benchmark's `ivf_ooc` bucket shape
+/// (sift-like, ≈ 256 vectors a bucket, nprobe 4), at n = 16 384. `hit`
+/// is a `LazyIvf` query whose buckets are all resident; `resident` asks
+/// the same queries of the same file opened resident, so the gap is
+/// what the lazy index adds to a query that never misses. `miss` is one
+/// cold `LazyIvf::fetch` (a zero budget caches nothing): a bucket's
+/// reads plus its decode.
+fn bench_lazy_ivf(c: &mut Criterion) {
+    let spec = *spec_by_name("sift").unwrap();
+    let n = 16_384;
+    let ds = generate(&spec, n, 16, 5);
+    let d = ds.dims();
+    let index = IvfIndex::build(&ds.data, n, d, 64, 5, 3);
+    let ivf = IvfPdx::new(&ds.data, d, &index.assignments, DEFAULT_GROUP_SIZE);
+    let path = std::env::temp_dir().join(format!("pdx_bench_lazy_{}.pdx", std::process::id()));
+    write_ivf_pdx_path(&path, d, &ivf.centroids.pdx.to_rows(), &ivf.blocks).unwrap();
+    let resident = AnyIndex::from_container(read_container_path(&path).unwrap());
+    let file_bytes = std::fs::metadata(&path).unwrap().len();
+    let warm = LazyIvf::open(&path, 2 * file_bytes).unwrap();
+    let cold = LazyIvf::open(&path, 0).unwrap();
+    let opts = SearchOptions::new(10).with_nprobe(4);
+    for qi in 0..ds.n_queries {
+        warm.search(ds.query(qi), &opts);
+    }
+
+    let mut group = c.benchmark_group("lazy_ivf/sift16k");
+    let mut qi = 0usize;
+    group.bench_function("hit", |b| {
+        b.iter(|| {
+            qi = (qi + 1) % ds.n_queries;
+            black_box(warm.search(ds.query(qi), &opts));
+        })
+    });
+    group.bench_function("resident", |b| {
+        b.iter(|| {
+            qi = (qi + 1) % ds.n_queries;
+            black_box(resident.search(ds.query(qi), &opts));
+        })
+    });
+    let mut bucket = 0u32;
+    group.bench_function("miss", |b| {
+        b.iter(|| {
+            bucket = (bucket + 1) % cold.n_buckets() as u32;
+            black_box(cold.fetch(bucket));
+        })
+    });
+    group.finish();
+    std::fs::remove_file(&path).ok();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_exact, bench_ivf
+    targets = bench_exact, bench_ivf, bench_lazy_ivf
 }
 criterion_main!(benches);

@@ -36,13 +36,17 @@
 //! pinned by in-flight readers can transiently exceed it, and those
 //! bytes are the readers', not the cache's.
 //!
-//! Sharding keeps lock contention low under concurrent readers: a key
-//! hashes to one shard, and a miss holds only that shard's lock while
-//! it loads (which also collapses concurrent loads of the same key
-//! into one read). The shard count adapts to the budget so that tiny
-//! budgets — like the `PDX_CACHE_BYTES` eviction-churn CI leg — still
-//! get one meaningfully sized LRU domain instead of sixteen degenerate
-//! ones.
+//! ## Loads run under the shard lock
+//!
+//! A key hashes to one shard, and a miss runs its loader while holding
+//! that shard's lock. Concurrent loads of one key therefore collapse
+//! into one read, but every other fetch that hashes to the shard — hit
+//! or miss — waits until the load ends. A budget under twice
+//! `MIN_SHARD_BUDGET` (64 MiB) is a single shard, so there all misses
+//! are serialized with each other and with every hit. The shard count
+//! adapts to the budget so that tiny budgets — like the
+//! `PDX_CACHE_BYTES` eviction-churn CI leg — still get one meaningfully
+//! sized LRU domain instead of sixteen degenerate ones.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -206,11 +210,14 @@ impl<K: Hash + Eq + Clone, V> BlockCache<K, V> {
         bytes <= self.shard_budget
     }
 
-    /// Returns the cached value for `key`, or runs `load` (under the
-    /// shard lock, so concurrent loads of one key collapse into one
-    /// read), caches the result if it fits the shard budget — evicting
-    /// the least-frequently-used entries (ties broken by recency) as
-    /// needed — and returns it.
+    /// Returns the cached value for `key`, or runs `load`, caches the
+    /// result if it fits the shard budget — evicting the
+    /// least-frequently-used entries (ties broken by recency) as needed
+    /// — and returns it.
+    ///
+    /// `load` runs under the shard lock: concurrent loads of one key
+    /// collapse into one read, and every other fetch of the shard's keys
+    /// waits for the load to end (see the module docs).
     ///
     /// # Errors
     /// Propagates the loader's error; nothing is cached on failure.

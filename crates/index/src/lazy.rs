@@ -14,9 +14,13 @@
 //! * **Pinning** — the cache hands out `Arc<SearchBlock>`s; a search
 //!   holds a pin on every bucket for as long as it scans it, so
 //!   eviction (even from a concurrent query) can never invalidate an
-//!   in-flight scan. Cold buckets are prefetched by a few scoped
-//!   worker threads concurrently with the scan, hiding most of the
-//!   miss latency without changing the scan order.
+//!   in-flight scan. When the process could run on two or more CPUs
+//!   at open, a query's cold buckets are prefetched by a few scoped
+//!   worker threads concurrently with the scan, without changing the
+//!   scan order. The cache loads under its shard lock, so the misses
+//!   overlap with each other and with the scan's hits only across
+//!   shards: under a one-shard budget (below 64 MiB) they are
+//!   serialized.
 //! * **Bit-identity** — bucket records persist their PDX tiles *and*
 //!   their block statistics, and both the resident and the lazy read
 //!   paths decode them with the same record codec
@@ -57,12 +61,22 @@ pub struct LazyIvf {
     total_vectors: usize,
     header_bytes: u64,
     cache: Arc<BlockCache<u32, SearchBlock>>,
+    /// The CPUs the process could run on at open: below two, queries
+    /// load their misses inline instead of starting a prefetch.
+    cpus: usize,
 }
 
 impl LazyIvf {
     /// Opens an IVF-extended `PDX1` container lazily with a cache
     /// budget of `cache_bytes`. Reads (and validates) only the header;
     /// no bucket record is touched until a query probes it.
+    ///
+    /// The open also reads how many CPUs the process may run on (the
+    /// probe costs tens of µs, so queries never repeat it): with two or
+    /// more, each query prefetches its cold buckets on up to four worker
+    /// threads beside its scan; with one, it loads them inline. Later
+    /// changes to the process's CPU affinity or cgroup quota are not
+    /// observed: reopen the file to pick them up.
     ///
     /// # Errors
     /// Fails with `InvalidData` if the file is not an IVF-extended
@@ -98,6 +112,7 @@ impl LazyIvf {
             total_vectors,
             header_bytes,
             cache: Arc::new(BlockCache::new(cache_bytes)),
+            cpus: pdx_core::exec::hardware_threads(),
         })
     }
 
@@ -194,20 +209,23 @@ impl Deployment for LazyIvf {
         self.fetch(block)
     }
 
-    /// Runs `scan` while background workers load the not-yet-resident
-    /// buckets of `order` into the cache, nearest first. The scan
-    /// fetches each bucket itself: already-prefetched buckets hit, and a
-    /// bucket mid-load blocks on its shard lock just until the loading
-    /// worker inserts it — so misses overlap with each other *and* with
-    /// the scan instead of paying a serial sum of load latencies. Purely
-    /// a scheduling change: the scan's fetch order, and therefore the
+    /// Runs `scan` while up to four background workers load the
+    /// not-yet-resident buckets of `order` into the cache, nearest
+    /// first. The scan fetches each bucket itself: already-prefetched
+    /// buckets hit, and a bucket mid-load blocks on its shard lock just
+    /// until the loading worker inserts it. The cache loads under its
+    /// shard lock, so misses overlap with each other and with the scan's
+    /// hits only when they fall in different shards; under a one-shard
+    /// budget (below 64 MiB) the workers' loads are serialized, and the
+    /// prefetch only moves them off the scan's thread. Purely a
+    /// scheduling change: the scan's fetch order, and therefore the
     /// result, is untouched.
     fn with_prefetch<R>(&self, order: &[u32], scan: impl FnOnce() -> R) -> R {
         // Prefetch threads only pay off when a spare core can run them;
-        // on a single hardware thread they would just time-slice the
-        // scan. One miss is cheapest loaded inline; zero needs no
-        // workers.
-        if pdx_core::exec::hardware_threads() < 2 {
+        // on a single CPU (as counted at open) they would just
+        // time-slice the scan. One miss is cheapest loaded inline; zero
+        // needs no workers.
+        if self.cpus < 2 {
             return scan();
         }
         let missing: Vec<u32> = order
@@ -313,6 +331,30 @@ mod tests {
         }
         let stats = lazy.cache_stats();
         assert!(stats.misses > 0, "tiny budget must miss");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_one_cpu_open_loads_misses_inline() {
+        let dir = std::env::temp_dir().join("pdx_lazy_one_cpu");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("c.pdx");
+        let resident = build_container(500, 8, 7, &path);
+        let mut lazy = LazyIvf::open(&path, 4 << 10).unwrap();
+        lazy.cpus = 1;
+        let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
+        let opts = SearchOptions::new(9).with_nprobe(4);
+        for qi in 0..12 {
+            let q = random_rows(1, 8, 100 + qi);
+            assert_eq!(
+                resident.search_with(&bond, &q, &opts),
+                lazy.search_with(&bond, &q, &opts)
+            );
+        }
+        // Every fetch was the scan's own: no prefetch ran beside it.
+        let s = lazy.cache_stats();
+        assert_eq!(s.hits + s.misses, 12 * 4);
+        assert!(s.misses > 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -94,36 +94,116 @@ fn lazy_engine_search_is_bit_identical_under_cache_churn() {
     assert!(stats.resident_bytes <= stats.budget_bytes);
 }
 
+/// 2 and 8 callers share one lazy open under a 4 KiB budget (about
+/// three buckets), each cycling through its own four queries: every
+/// answer equals the resident open's bit for bit, and the counters
+/// account for every fetch. At one probe no query starts a prefetch (it
+/// needs two misses), so the fetches are exactly the scans' own; at
+/// three, the prefetch adds at most one fetch per scanned bucket.
 #[test]
 fn concurrent_searches_stay_correct_during_eviction() {
+    const ROUNDS: usize = 20;
     let dir = temp_dir("engine_lazy_concurrent");
     let path = dir.join("c.pdx");
     let baseline = build_ivf_container(&path, 500, 8, 5);
-    let lazy: Arc<Box<dyn VectorIndex>> = Arc::new(
-        AnyIndex::open_with(&path, OpenOptions::default().with_cache_bytes(4 << 10)).unwrap(),
-    );
-    // Per-thread expected answers, precomputed on the resident baseline.
-    let jobs: Vec<(Vec<f32>, Vec<Neighbor>)> = (0..8u64)
-        .map(|t| {
-            let q = random_rows(1, 8, 300 + t);
-            let want = (&baseline as &dyn VectorIndex).search(&q, &ivf_opts(6, 3, 1));
-            (q, want)
-        })
-        .collect();
-    std::thread::scope(|scope| {
-        for (q, want) in &jobs {
-            let lazy = Arc::clone(&lazy);
-            scope.spawn(move || {
-                // Repeated rounds so every thread both loads and gets
-                // evicted under the shared 4 KiB budget.
-                for round in 0..20 {
-                    let got = lazy.search(q, &ivf_opts(6, 3, 1));
-                    assert_eq!(want, &got, "round {round} diverged under eviction churn");
+    let resident: &dyn VectorIndex = &baseline;
+    for callers in [2usize, 8] {
+        for nprobe in [1usize, 3] {
+            let opts = ivf_opts(6, nprobe, 1);
+            let open = OpenOptions::default().with_cache_bytes(4 << 10);
+            let lazy = AnyIndex::open_with(&path, open).unwrap();
+            let lazy = lazy.as_ref();
+            // Per-caller queries and the resident answers to them.
+            let jobs: Vec<Vec<(Vec<f32>, Vec<Neighbor>)>> = (0..callers as u64)
+                .map(|t| {
+                    (0..4)
+                        .map(|j| {
+                            let q = random_rows(1, 8, 300 + 4 * t + j);
+                            let want = resident.search(&q, &opts);
+                            (q, want)
+                        })
+                        .collect()
+                })
+                .collect();
+            std::thread::scope(|scope| {
+                for job in &jobs {
+                    scope.spawn(move || {
+                        for round in 0..ROUNDS {
+                            for (q, want) in job {
+                                let got = lazy.search(q, &opts);
+                                assert_eq!(
+                                    want, &got,
+                                    "{callers} callers, nprobe {nprobe}, round {round}: \
+                                     diverged under eviction churn"
+                                );
+                            }
+                        }
+                    });
                 }
             });
+            let s = lazy.cache_stats().unwrap();
+            let scanned = (callers * 4 * ROUNDS * nprobe) as u64;
+            let fetches = s.hits + s.misses;
+            if nprobe == 1 {
+                assert_eq!(fetches, scanned, "{callers} callers: {s:?}");
+            } else {
+                assert!(
+                    (scanned..=2 * scanned).contains(&fetches),
+                    "{callers} callers: {s:?}"
+                );
+            }
+            assert!(s.evictions > 0, "{callers} callers, nprobe {nprobe}: {s:?}");
+            assert!(s.resident_bytes <= s.budget_bytes);
         }
-    });
-    assert!(lazy.cache_stats().unwrap().evictions > 0);
+    }
+}
+
+/// A skewed stream of `len` draws from `0..distinct`: index `⌊u³ ·
+/// distinct⌋` for a uniform `u`, so the first few indices dominate.
+fn skewed_stream(distinct: usize, len: usize, seed: u64) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| {
+            let u = rng.random::<f32>();
+            ((u * u * u * distinct as f32) as usize).min(distinct - 1)
+        })
+        .collect()
+}
+
+/// The cache counters `(hits, misses, evictions)` of one caller replaying
+/// a fixed skewed stream through a budget of a quarter of the container
+/// (the `ivf_ooc` shape at test size). A change to the cache's locking
+/// or to the prefetch must leave them as they are. Each query probes one
+/// bucket, so no query starts a prefetch (it needs two misses) and the
+/// counts are the same on any host. `search_batch` fetches in the order
+/// of a loop of `search`, so both surfaces pin the same counts.
+#[test]
+fn cache_counters_of_a_skewed_replay_are_goldens() {
+    const GOLDEN: (u64, u64, u64) = (332, 268, 264);
+    let dir = temp_dir("cache_counter_goldens");
+    let path = dir.join("c.pdx");
+    let d = 16;
+    build_ivf_container(&path, 2_000, d, 41);
+    let header = read_header_path(&path).unwrap();
+    let budget = header.buckets.iter().map(|e| e.byte_len).sum::<u64>() / 4;
+    let population = random_rows(64, d, 4_242);
+    let stream: Vec<f32> = skewed_stream(64, 600, 7)
+        .into_iter()
+        .flat_map(|i| population[i * d..(i + 1) * d].iter().copied())
+        .collect();
+    let opts = ivf_opts(10, 1, 1);
+    let counts = |lazy: &LazyIvf| {
+        let s = lazy.cache_stats();
+        (s.hits, s.misses, s.evictions)
+    };
+    let one_by_one = LazyIvf::open(&path, budget).unwrap();
+    for q in stream.chunks(d) {
+        one_by_one.search(q, &opts);
+    }
+    assert_eq!(counts(&one_by_one), GOLDEN, "search");
+    let batched = LazyIvf::open(&path, budget).unwrap();
+    batched.search_batch(&stream, &opts);
+    assert_eq!(counts(&batched), GOLDEN, "search_batch");
 }
 
 #[test]
@@ -238,20 +318,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The cache's own footprint never exceeds its budget, after every
-    /// single operation, for arbitrary budgets and load sequences —
-    /// oversized entries bypass instead of blowing the budget, and the
-    /// hit/miss counters account for every access.
+    /// single operation, for arbitrary budgets and load sequences and
+    /// 1–4 concurrent callers — oversized entries bypass instead of
+    /// blowing the budget, and the hit/miss counters account for every
+    /// access.
     #[test]
     fn cache_resident_never_exceeds_budget(
         budget in 0u64..4096,
         ops in proptest::collection::vec((0u32..64, 1u64..1024), 1..200),
+        callers in 1usize..5,
     ) {
         let cache: BlockCache<u32, u64> = BlockCache::new(budget);
-        for &(key, bytes) in &ops {
-            let v = cache.get_or_load(&key, || Ok((u64::from(key) * 31, bytes))).unwrap();
-            prop_assert_eq!(*v, u64::from(key) * 31);
-            prop_assert!(cache.resident_bytes() <= budget);
-        }
+        // Caller `c` issues every `callers`-th op, all callers at once;
+        // each reports its first violation.
+        let violations: Vec<Option<String>> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..callers)
+                .map(|c| {
+                    let (cache, ops) = (&cache, &ops);
+                    s.spawn(move || {
+                        ops.iter().skip(c).step_by(callers).find_map(|&(key, bytes)| {
+                            let v = cache.get_or_load(&key, || Ok((u64::from(key) * 31, bytes)));
+                            let v = *v.unwrap();
+                            let resident = cache.resident_bytes();
+                            (v != u64::from(key) * 31 || resident > budget)
+                                .then(|| format!("key {key}: value {v}, resident {resident}"))
+                        })
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        prop_assert_eq!(violations.into_iter().flatten().next(), None);
         let s = cache.stats();
         prop_assert_eq!(s.hits + s.misses, ops.len() as u64);
         prop_assert!(s.resident_bytes <= s.budget_bytes);
