@@ -3,6 +3,7 @@
 //! replay used by Tables 2 and 6.
 
 use pdx::core::pruning::Pruner;
+use pdx::obs::QueryTrace;
 use pdx::prelude::*;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -116,7 +117,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 /// The Δd = 1 pruning-power replay of Tables 2 and 6: scans the IVF
 /// blocks in probe order, evaluating the pruner's bound after **every**
 /// dimension, and returns the fraction of dimension values never
-/// touched ([`SearchProfile::pruning_ratio`] over the replay's work
+/// touched ([`QueryTrace::pruning_ratio`] over the replay's work
 /// counters — the same derivation the observability layer exports).
 /// Mirrors the paper's measurement (K of the k-NN heap, first block
 /// scanned fully to seed the threshold).
@@ -130,11 +131,11 @@ pub fn pruning_power<P: Pruner>(pruner: &P, ivf: &IvfPdx, query: &[f32], k: usiz
     let qvec = pruner.query_vector(&q);
     let order = ivf.probe_order(qvec, ivf.blocks.len(), pruner.metric());
     let mut heap = KnnHeap::new(k);
-    let mut profile = SearchProfile::default();
+    let mut trace = QueryTrace::default();
     for (bi, &b) in order.iter().enumerate() {
         let block = &ivf.blocks[b as usize];
         let n = block.len();
-        profile.dims_total += (n * dims) as u64;
+        trace.dims_total += (n * dims) as u64;
         let rows: Vec<Vec<f32>> = (0..n).map(|v| block.pdx.vector(v)).collect();
         let perm = pruner.dim_order(&q, Some(&block.stats));
         let dim_at = |i: usize| -> usize {
@@ -148,7 +149,7 @@ pub fn pruning_power<P: Pruner>(pruner: &P, ivf: &IvfPdx, query: &[f32], k: usiz
                 let d: f32 = qvec.iter().zip(row).map(|(a, b)| (a - b) * (a - b)).sum();
                 heap.push(block.row_ids[v], d);
             }
-            profile.dims_scanned += (n * dims) as u64;
+            trace.dims_scanned += (n * dims) as u64;
             continue;
         }
         let mut alive: Vec<usize> = (0..n).collect();
@@ -160,7 +161,7 @@ pub fn pruning_power<P: Pruner>(pruner: &P, ivf: &IvfPdx, query: &[f32], k: usiz
                 let diff = qd - rows[v][d];
                 partials[v] += diff * diff;
             }
-            profile.dims_scanned += alive.len() as u64;
+            trace.dims_scanned += alive.len() as u64;
             if step + 1 == dims {
                 break;
             }
@@ -174,7 +175,7 @@ pub fn pruning_power<P: Pruner>(pruner: &P, ivf: &IvfPdx, query: &[f32], k: usiz
             heap.push(block.row_ids[v], partials[v]);
         }
     }
-    profile.pruning_ratio()
+    trace.pruning_ratio()
 }
 
 /// Renders a row of `|`-separated cells with the given widths.

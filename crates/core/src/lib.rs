@@ -92,7 +92,6 @@ pub mod kernels;
 pub mod layout;
 pub mod mask;
 pub mod obs;
-pub mod profile;
 pub mod pruning;
 pub mod search;
 pub mod stats;
@@ -110,9 +109,8 @@ pub use layout::{
     DsmMatrix, DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer,
 };
 pub use mask::RowMask;
-pub use obs::{publish_trace, trace_from_profile, TRACE_ENV};
+pub use obs::{publish_trace, TRACE_ENV};
 pub use pdx_obs::QueryTrace;
-pub use profile::SearchProfile;
 pub use pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
 pub use search::{
     horizontal_pruned_search, linear_scan_dsm, linear_scan_nary, linear_scan_pdx, pdxearch,

@@ -2,13 +2,18 @@
 //! cache metric families in the process-global
 //! [`Registry`].
 //!
+//! A traced scan ([`pdxearch`](crate::search::pdxearch) and its
+//! siblings) writes its phases and work counters straight into the
+//! caller's [`QueryTrace`]; the engine layer stamps the total time and
+//! identity on it and hands it to [`publish_trace`], which is the only
+//! path from a query into these families.
+//!
 //! The handles below are resolved once (through `OnceLock` / a small
 //! read-mostly map) and then recorded through with single relaxed
 //! atomics, so the instrumented paths stay cheap. Everything here is
 //! *pull*-driven: nothing is emitted until someone renders the
 //! registry (`pdx serve --metrics-port`, `pdx stat --metrics`).
 
-use crate::profile::SearchProfile;
 use pdx_obs::{expo, trace, Counter, Gauge, Histogram, QueryTrace, Registry};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -184,31 +189,6 @@ pub fn publish_trace(t: &QueryTrace) {
     totals.scanned.add(t.dims_scanned);
 }
 
-/// Builds a [`QueryTrace`] from a profiled search's output: the
-/// accumulated [`SearchProfile`], the measured wall time, and the
-/// deployment identity. A search without phases (a graph traversal)
-/// passes an empty profile: wall time plus identity only.
-pub fn trace_from_profile(
-    deployment: &'static str,
-    profile: &SearchProfile,
-    total_ns: u64,
-) -> QueryTrace {
-    QueryTrace {
-        total_ns,
-        preprocess_ns: profile.preprocess_ns,
-        find_buckets_ns: profile.find_buckets_ns,
-        bounds_ns: profile.bounds_ns,
-        distance_ns: profile.distance_ns,
-        blocks_visited: profile.blocks,
-        vectors_visited: profile.vectors,
-        dims_total: profile.dims_total,
-        dims_scanned: profile.dims_scanned,
-        deployment,
-        kernel_isa: crate::kernels::active_kernel_isa().name(),
-        ..QueryTrace::default()
-    }
-}
-
 /// Registry handles for the block-cache family (process-global: every
 /// cache in the process reports into the same counters).
 pub(crate) struct CacheMetrics {
@@ -275,25 +255,5 @@ mod tests {
         let mut out = String::new();
         render_derived(&mut out);
         assert!(out.contains("pdx_search_pruning_ratio"), "{out}");
-    }
-
-    #[test]
-    fn trace_from_profile_copies_counters() {
-        let p = SearchProfile {
-            bounds_ns: 7,
-            distance_ns: 11,
-            blocks: 3,
-            vectors: 64,
-            dims_total: 1000,
-            dims_scanned: 400,
-            ..SearchProfile::default()
-        };
-        let t = trace_from_profile("flat-pdx", &p, 123);
-        assert_eq!(t.total_ns, 123);
-        assert_eq!(t.bounds_ns, 7);
-        assert_eq!(t.blocks_visited, 3);
-        assert_eq!(t.dims_total, 1000);
-        assert!((t.pruning_ratio() - 0.6).abs() < 1e-12);
-        assert!(!t.kernel_isa.is_empty());
     }
 }

@@ -7,13 +7,14 @@
 //! blames for the 4× branch-misprediction overhead that lets plain SIMD
 //! linear scans win — the effect PDXearch removes.
 
+use super::{lap, timer};
 use crate::distance::Metric;
 use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::nary::{nary_distance, KernelVariant};
 use crate::layout::DualBlockMatrix;
-use crate::profile::{lap, timer, SearchProfile};
 use crate::pruning::{BlockAux, Pruner};
+use pdx_obs::QueryTrace;
 use std::ops::Deref;
 
 /// One horizontal search unit (an IVF bucket or a whole collection) in
@@ -75,7 +76,7 @@ pub fn horizontal_checkpoints(dims: usize, split: usize, delta_d: usize) -> Vec<
 /// effectively gets a linear scan because the heap threshold is infinite
 /// until `k` candidates exist.
 ///
-/// With `profile`, wall time is split into distance work and bound
+/// With `trace`, wall time is split into distance work and bound
 /// evaluation for the Table 7 breakdown. The timer calls sit inside the
 /// per-vector loop (that interleaving *is* the baseline's design), so
 /// absolute numbers carry some timer overhead; the phase shares are what
@@ -89,22 +90,22 @@ pub fn horizontal_pruned_search<P, I>(
     buckets: I,
     opts: &SearchOptions,
     delta_d: usize,
-    profile: Option<&mut SearchProfile>,
+    trace: Option<&mut QueryTrace>,
 ) -> Vec<Neighbor>
 where
     P: Pruner,
     I: IntoIterator,
     I::Item: Deref<Target = HorizontalBucket>,
 {
-    match profile {
-        Some(profile) => run::<P, I, true>(pruner, q, buckets, opts, delta_d, profile),
+    match trace {
+        Some(trace) => run::<P, I, true>(pruner, q, buckets, opts, delta_d, trace),
         None => run::<P, I, false>(
             pruner,
             q,
             buckets,
             opts,
             delta_d,
-            &mut SearchProfile::default(),
+            &mut QueryTrace::default(),
         ),
     }
 }
@@ -115,7 +116,7 @@ fn run<P, I, const PROFILE: bool>(
     buckets: I,
     opts: &SearchOptions,
     delta_d: usize,
-    profile: &mut SearchProfile,
+    trace: &mut QueryTrace,
 ) -> Vec<Neighbor>
 where
     P: Pruner,
@@ -162,7 +163,7 @@ where
             let mut partial = nary_distance(metric, variant, q_head, bucket.dual.head_row(v));
             let mut scanned = split;
             let tail = bucket.dual.tail_row(v);
-            lap(&mut profile.distance_ns, t0);
+            lap(&mut trace.distance_ns, t0);
             for (ci, &ck) in sched.iter().enumerate() {
                 if ck > scanned {
                     let t1 = timer::<PROFILE>();
@@ -170,7 +171,7 @@ where
                     let hi = ck - split;
                     partial += nary_distance(metric, variant, &q_tail[lo..hi], &tail[lo..hi]);
                     scanned = ck;
-                    lap(&mut profile.distance_ns, t1);
+                    lap(&mut trace.distance_ns, t1);
                 }
                 if scanned == dims {
                     break;
@@ -180,7 +181,7 @@ where
                 let cp = pruner.checkpoint(q, scanned, dims, heap.threshold());
                 let a = aux_rows[ci].map_or(0.0, |r| r[v]);
                 let keep = P::survives(&cp, partial, a);
-                lap(&mut profile.bounds_ns, t2);
+                lap(&mut trace.bounds_ns, t2);
                 if !keep {
                     continue 'vectors;
                 }

@@ -28,3 +28,20 @@ pub use pdxearch::{pdxearch, pdxearch_band, ScanBlock};
 pub use quantized::{sq8_rerank, sq8_two_phase, Sq8Block, Sq8Bound, DEFAULT_REFINE};
 
 pub use crate::kernels::{KernelIsa, KernelPolicy, KernelVariant};
+
+use std::time::Instant;
+
+/// Starts a phase timer in the traced monomorphization of a scan;
+/// compiles to nothing in the untraced one.
+#[inline(always)]
+pub(crate) fn timer<const PROFILE: bool>() -> Option<Instant> {
+    PROFILE.then(Instant::now)
+}
+
+/// Charges the time since `timer` returned `t` to `slot`.
+#[inline(always)]
+pub(crate) fn lap(slot: &mut u64, t: Option<Instant>) {
+    if let Some(t0) = t {
+        *slot += t0.elapsed().as_nanos() as u64;
+    }
+}

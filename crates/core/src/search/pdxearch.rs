@@ -39,15 +39,16 @@
 //! `k`, the threshold is that of the k-th *live* neighbour, and the
 //! answer is the one the same blocks would give with those rows absent.
 
+use super::{lap, timer};
 use crate::collection::SearchBlock;
 use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
 use crate::kernels::pdx::{pdx_accumulate_groups, pdx_accumulate_survivors, survival_bits, DimSel};
 use crate::mask::RowMask;
-use crate::profile::{lap, timer, SearchProfile};
 use crate::pruning::{checkpoints, tiles, BlockAux, Pruner, Tile};
 use crate::stats::BlockStats;
+use pdx_obs::QueryTrace;
 use std::ops::{Deref, Range};
 
 /// One element type PDXearch can scan: a block of vectors stored
@@ -193,7 +194,7 @@ impl<P: Pruner> ScanBlock<P> for SearchBlock {
 /// `selection_fraction`, `step` and `kernel` from `opts`. Rows whose id
 /// is in `dead` are skipped; `None` and an empty mask are the same scan.
 ///
-/// With `profile`, per-phase timings and work counters (Table 7) are
+/// With `trace`, per-phase timings and work counters (Table 7) are
 /// accumulated into it by a separate monomorphization, so the unprofiled
 /// path pays no timer cost; results are bit-identical either way.
 ///
@@ -206,7 +207,7 @@ pub fn pdxearch<P, B, I>(
     blocks: I,
     opts: &SearchOptions,
     dead: Option<&RowMask>,
-    profile: Option<&mut SearchProfile>,
+    trace: Option<&mut QueryTrace>,
 ) -> Vec<Neighbor>
 where
     P: Pruner,
@@ -215,7 +216,7 @@ where
     I::Item: Deref<Target = B>,
 {
     let band = std::slice::from_ref(q);
-    let mut answers = pdxearch_band(pruner, band, blocks, opts, dead, profile);
+    let mut answers = pdxearch_band(pruner, band, blocks, opts, dead, trace);
     answers.pop().expect("one answer list per query")
 }
 
@@ -229,7 +230,7 @@ where
 /// tiles in the order a scan of its own would: its accumulation order,
 /// its thresholds and so every id and distance bit are those of
 /// [`pdxearch`] on that query alone, for approximate pruners too. A
-/// `profile` accumulates the whole band's phases and counters.
+/// `trace` accumulates the whole band's phases and counters.
 ///
 /// # Panics
 /// Panics if a query's dimensionality differs from a block's or if
@@ -240,7 +241,7 @@ pub fn pdxearch_band<P, B, I>(
     blocks: I,
     opts: &SearchOptions,
     dead: Option<&RowMask>,
-    profile: Option<&mut SearchProfile>,
+    trace: Option<&mut QueryTrace>,
 ) -> Vec<Vec<Neighbor>>
 where
     P: Pruner,
@@ -249,16 +250,9 @@ where
     I::Item: Deref<Target = B>,
 {
     let dead = dead.filter(|mask| !mask.is_empty());
-    match profile {
-        Some(profile) => run::<P, B, I, true>(pruner, band, blocks, opts, dead, profile),
-        None => run::<P, B, I, false>(
-            pruner,
-            band,
-            blocks,
-            opts,
-            dead,
-            &mut SearchProfile::default(),
-        ),
+    match trace {
+        Some(trace) => run::<P, B, I, true>(pruner, band, blocks, opts, dead, trace),
+        None => run::<P, B, I, false>(pruner, band, blocks, opts, dead, &mut QueryTrace::default()),
     }
 }
 
@@ -294,7 +288,7 @@ fn run<P, B, I, const PROFILE: bool>(
     blocks: I,
     opts: &SearchOptions,
     dead: Option<&RowMask>,
-    profile: &mut SearchProfile,
+    trace: &mut QueryTrace,
 ) -> Vec<Vec<Neighbor>>
 where
     P: Pruner,
@@ -326,9 +320,9 @@ where
             // Work counters for the pruning-effectiveness ratio:
             // `dims_total` is what a full scan of the visited blocks
             // would read; the scan functions below add what was read.
-            profile.blocks += band.len() as u64;
-            profile.vectors += (band.len() * block.len()) as u64;
-            profile.dims_total += (band.len() * block.len() * dims) as u64;
+            trace.blocks_visited += band.len() as u64;
+            trace.vectors_visited += (band.len() * block.len()) as u64;
+            trace.dims_total += (band.len() * block.len() * dims) as u64;
         }
         // The per-block dimension visit order is applied in *every*
         // phase — including the START linear scan — so a vector's
@@ -345,7 +339,7 @@ where
             assert_eq!(qdims, dims, "query dimensionality mismatch");
             perms.push(pruner.dim_order(q, block.stats()));
         }
-        lap(&mut profile.preprocess_ns, t1);
+        lap(&mut trace.preprocess_ns, t1);
         if ckpt_dims != dims {
             ckpts = checkpoints(opts.step, dims);
             ckpt_dims = dims;
@@ -382,7 +376,7 @@ where
                     opts,
                     heap,
                     &mut scratch,
-                    profile,
+                    trace,
                 );
             }
         }
@@ -407,7 +401,7 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
     opts: &SearchOptions,
     heap: &mut KnnHeap,
     scratch: &mut Scratch,
-    profile: &mut SearchProfile,
+    trace: &mut QueryTrace,
 ) {
     let dims = block.dims();
     let v0 = tile.vectors.start;
@@ -429,9 +423,9 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
             let t0 = timer::<PROFILE>();
             let (groups, partials) = (tile.groups.clone(), &mut scratch.partials);
             block.accumulate(pruner, q, groups, sel, partials, opts.kernel);
-            lap(&mut profile.distance_ns, t0);
+            lap(&mut trace.distance_ns, t0);
             if PROFILE {
-                profile.dims_scanned += ((ck - scanned) * n) as u64;
+                trace.dims_scanned += ((ck - scanned) * n) as u64;
             }
             scanned = ck;
             if scanned == dims {
@@ -443,7 +437,7 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
                         heap.push(id, B::finish(q, d));
                     }
                 }
-                lap(&mut profile.distance_ns, t1);
+                lap(&mut trace.distance_ns, t1);
                 return;
             }
             // Bound evaluation: one branch-free pass writes the tile's
@@ -475,7 +469,7 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
                 }
                 pruning = true;
             }
-            lap(&mut profile.bounds_ns, t2);
+            lap(&mut trace.bounds_ns, t2);
             if pruning && scratch.positions.is_empty() {
                 return;
             }
@@ -484,9 +478,9 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
             let t0 = timer::<PROFILE>();
             let (positions, compact) = (&scratch.positions, &mut scratch.compact);
             block.accumulate_survivors(pruner, q, sel, positions, compact, opts.kernel);
-            lap(&mut profile.distance_ns, t0);
+            lap(&mut trace.distance_ns, t0);
             if PROFILE {
-                profile.dims_scanned += ((ck - scanned) * scratch.positions.len()) as u64;
+                trace.dims_scanned += ((ck - scanned) * scratch.positions.len()) as u64;
             }
             scanned = ck;
             if scanned == dims {
@@ -494,7 +488,7 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
                 for (&pos, &d) in scratch.positions.iter().zip(&scratch.compact) {
                     heap.push(block.row_ids()[pos as usize], B::finish(q, d));
                 }
-                lap(&mut profile.distance_ns, t1);
+                lap(&mut trace.distance_ns, t1);
                 return;
             }
             let t2 = timer::<PROFILE>();
@@ -511,7 +505,7 @@ fn scan_tile<P: Pruner, B: ScanBlock<P>, const PROFILE: bool>(
             }
             scratch.positions.truncate(w);
             scratch.compact.truncate(w);
-            lap(&mut profile.bounds_ns, t2);
+            lap(&mut trace.bounds_ns, t2);
             if scratch.positions.is_empty() {
                 return;
             }
@@ -811,7 +805,7 @@ mod tests {
                 ] {
                     let bond = PdxBond::new(Metric::L2, order);
                     for k in [1usize, 10, n + 5] {
-                        let mut profile = SearchProfile::default();
+                        let mut profile = QueryTrace::default();
                         let prepared = bond.prepare_query(&q);
                         let got = pdxearch(
                             &bond,
@@ -872,7 +866,7 @@ mod tests {
                     assert_eq!(want.len(), k.min(live), "{at}");
                     let got = pdxearch(pruner, q, blocks, &opts, Some(dead), None);
                     assert_eq!(bits(&got), bits(&want), "{at}");
-                    let mut profile = SearchProfile::default();
+                    let mut profile = QueryTrace::default();
                     let got = pdxearch(pruner, q, blocks, &opts, Some(dead), Some(&mut profile));
                     assert_eq!(bits(&got), bits(&want), "{at} profiled");
                     for threads in [1usize, 2, 8] {
@@ -1018,20 +1012,26 @@ mod tests {
                             "{what} {kernel:?} fraction={fraction} k={k} masked={}",
                             mask.is_some()
                         );
-                        let mut looped = SearchProfile::default();
+                        let mut looped = QueryTrace::default();
                         let want: Vec<_> = band
                             .iter()
                             .map(|q| pdxearch(pruner, q, blocks, &opts, mask, Some(&mut looped)))
                             .collect();
-                        let mut banded = SearchProfile::default();
+                        let mut banded = QueryTrace::default();
                         let got =
                             pdxearch_band(pruner, band, blocks, &opts, mask, Some(&mut banded));
                         assert_eq!(got.len(), band.len(), "{at}");
                         for (qi, (got, want)) in got.iter().zip(&want).enumerate() {
                             assert_eq!(bits(got), bits(want), "{at} q{qi}");
                         }
-                        let work =
-                            |p: &SearchProfile| (p.blocks, p.vectors, p.dims_total, p.dims_scanned);
+                        let work = |p: &QueryTrace| {
+                            (
+                                p.blocks_visited,
+                                p.vectors_visited,
+                                p.dims_total,
+                                p.dims_scanned,
+                            )
+                        };
                         assert_eq!(work(&banded), work(&looped), "{at}");
                         let plain = pdxearch_band(pruner, band, blocks, &opts, mask, None);
                         assert_eq!(plain, got, "{at} unprofiled");
@@ -1141,7 +1141,7 @@ mod tests {
             }
             coll.blocks[0].aux = Some(aux);
             let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
-            let mut profile = SearchProfile::default();
+            let mut profile = QueryTrace::default();
             let got = pdxearch(
                 &MarkerPruner,
                 &q,
@@ -1177,7 +1177,7 @@ mod tests {
         }
         coll.blocks[0].aux = Some(aux);
         let dead: RowMask = (1_250..1_350).chain([7]).collect();
-        let mut profile = SearchProfile::default();
+        let mut profile = QueryTrace::default();
         let opts = SearchOptions::new(k);
         let profiled = Some(&mut profile);
         let got = pdxearch(
@@ -1214,7 +1214,7 @@ mod tests {
             }
         }
         coll.blocks[0].aux = Some(aux);
-        let mut profile = SearchProfile::default();
+        let mut profile = QueryTrace::default();
         let (opts, profiled) = (SearchOptions::new(10), Some(&mut profile));
         let got = pdxearch(&MarkerPruner, &q, &coll.blocks, &opts, Some(dead), profiled);
         (got, profile.dims_scanned, sched[0])
@@ -1288,7 +1288,7 @@ mod tests {
         let opts = SearchOptions::new(k);
         let prepared = bond.prepare_query(&q);
         let plain = pdxearch(&bond, &prepared, blocks.iter().copied(), &opts, None, None);
-        let mut profile = SearchProfile::default();
+        let mut profile = QueryTrace::default();
         let profiled = pdxearch(
             &bond,
             &prepared,
@@ -1301,8 +1301,8 @@ mod tests {
         assert!(profile.distance_ns > 0, "distance phase must be timed");
         // Work counters: every visited block contributes, and the scan
         // never reads more than a full scan would.
-        assert_eq!(profile.blocks, blocks.len() as u64);
-        assert_eq!(profile.vectors, n as u64);
+        assert_eq!(profile.blocks_visited, blocks.len() as u64);
+        assert_eq!(profile.vectors_visited, n as u64);
         assert_eq!(profile.dims_total, (n * d) as u64);
         assert!(profile.dims_scanned > 0);
         assert!(profile.dims_scanned <= profile.dims_total);

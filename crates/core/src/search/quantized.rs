@@ -26,9 +26,9 @@ use crate::kernels::dispatch::KernelPolicy;
 use crate::kernels::pdx::DimSel;
 use crate::kernels::sq8::{sq8_accumulate_groups, sq8_accumulate_survivors};
 use crate::layout::{QuantizedPdxBlock, Sq8Quantizer, Sq8Query};
-use crate::profile::SearchProfile;
 use crate::pruning::Pruner;
 use crate::search::pdxearch::{pdxearch, ScanBlock};
+use pdx_obs::QueryTrace;
 use std::ops::{Deref, Range};
 
 /// Default candidate-refinement factor of the two-phase search: phase 1
@@ -228,7 +228,7 @@ pub fn sq8_rerank(
 
 /// The full two-phase search under `opts.metric`: quantized scan for
 /// `opts.refine · opts.k` candidates (a zero `refine` is clamped to 1),
-/// exact `f32` rerank to `opts.k`. `profile` is the scan's, as in
+/// exact `f32` rerank to `opts.k`. `trace` is the scan's, as in
 /// [`pdxearch`].
 ///
 /// # Panics
@@ -239,7 +239,7 @@ pub fn sq8_two_phase<I>(
     rows: &[f32],
     query: &[f32],
     opts: &SearchOptions,
-    profile: Option<&mut SearchProfile>,
+    trace: Option<&mut QueryTrace>,
 ) -> Vec<Neighbor>
 where
     I: IntoIterator,
@@ -256,7 +256,7 @@ where
         blocks,
         &scan,
         None,
-        profile,
+        trace,
     );
     sq8_rerank(
         opts.metric,

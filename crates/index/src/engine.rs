@@ -51,13 +51,15 @@
 //! `search_parallel` at any thread count (`tests/determinism.rs` pins
 //! them, `tests/golden.rs` pins the bits themselves).
 //!
-//! When [`SearchOptions::trace`] is set, a `search` runs the *profiled*
-//! monomorphization of its scan and publishes one
-//! [`QueryTrace`] through [`pdx_core::publish_trace`]: the four Table 7
-//! phases, the work counters, the rerank candidate count and — for a
-//! lazily backed deployment — the cache traffic of the query. A
-//! `search_parallel` times what runs on the calling thread (preparation,
-//! routing, rerank) and the wall clock. Profiled and unprofiled scans differ
+//! When [`SearchOptions::trace`] is set, a `search` keeps one
+//! [`QueryTrace`] for the query: the driver times preparation, routing
+//! and rerank into it, the *profiled* monomorphization of the scan adds
+//! its phases and work counters to the same record, and the driver adds
+//! the rerank candidate count, the cache traffic of a lazily backed
+//! deployment, the wall time and the identity before it publishes the
+//! record through [`pdx_core::publish_trace`]. A `search_parallel` times
+//! what runs on the calling thread (preparation, routing, rerank) and
+//! the wall clock. Profiled and unprofiled scans differ
 //! only in timer/counter side effects, so results stay bit-identical
 //! either way (`tests/obs.rs` pins this).
 //!
@@ -76,49 +78,46 @@ use pdx_core::search::{
     horizontal_linear_scan, horizontal_pruned_search, pdxearch, pdxearch_band, HorizontalBucket,
     ScanBlock,
 };
-use pdx_core::{QueryTrace, SearchProfile};
+use pdx_core::QueryTrace;
 use std::ops::Deref;
 use std::time::Instant;
 
 /// One query's trace in the making. Off unless [`SearchOptions::trace`]
 /// is set: then no clock is read and nothing is published.
-struct Tracing(Option<(Instant, SearchProfile)>);
+struct Tracing(Option<(Instant, QueryTrace)>);
 
 impl Tracing {
     fn start(opts: &SearchOptions) -> Self {
-        Self(
-            opts.trace
-                .then(|| (Instant::now(), SearchProfile::default())),
-        )
+        Self(opts.trace.then(|| (Instant::now(), QueryTrace::default())))
     }
 
-    /// The profile a scan on the calling thread records into.
-    fn profile(&mut self) -> Option<&mut SearchProfile> {
-        self.0.as_mut().map(|(_, profile)| profile)
+    /// The trace a scan on the calling thread records into.
+    fn trace(&mut self) -> Option<&mut QueryTrace> {
+        self.0.as_mut().map(|(_, trace)| trace)
     }
 
     /// Runs `f`, charging its wall time to the phase `slot` selects.
     fn phase<R>(
         &mut self,
-        slot: impl FnOnce(&mut SearchProfile) -> &mut u64,
+        slot: impl FnOnce(&mut QueryTrace) -> &mut u64,
         f: impl FnOnce() -> R,
     ) -> R {
-        let Some((_, profile)) = &mut self.0 else {
+        let Some((_, trace)) = &mut self.0 else {
             return f();
         };
         let t0 = Instant::now();
         let out = f();
-        *slot(profile) += t0.elapsed().as_nanos() as u64;
+        *slot(trace) += t0.elapsed().as_nanos() as u64;
         out
     }
 
-    /// Publishes the trace as deployment `kind`, after `fill` has added
-    /// what the profile does not carry.
-    fn publish(self, kind: &'static str, fill: impl FnOnce(&mut QueryTrace)) {
-        if let Some((t0, profile)) = self.0 {
-            let total_ns = t0.elapsed().as_nanos() as u64;
-            let mut trace = pdx_core::trace_from_profile(kind, &profile, total_ns);
-            fill(&mut trace);
+    /// Publishes the trace as deployment `kind`, stamped with its wall
+    /// time and the kernel ISA that ran it.
+    fn publish(self, kind: &'static str) {
+        if let Some((t0, mut trace)) = self.0 {
+            trace.total_ns = t0.elapsed().as_nanos() as u64;
+            trace.deployment = kind;
+            trace.kernel_isa = pdx_core::active_kernel_isa().name();
             pdx_core::publish_trace(&trace);
         }
     }
@@ -284,7 +283,7 @@ where
     D::Block: ScanBlock<P>,
 {
     let metric = pruner.metric();
-    let cache_before = tracing.profile().and_then(|_| dep.cache_stats());
+    let cache_before = tracing.trace().and_then(|_| dep.cache_stats());
     let orders = dep.centroids().map(|centroids| {
         tracing.phase(
             |p| &mut p.find_buckets_ns,
@@ -310,7 +309,7 @@ where
             // The scan streams: each block is pinned right before it is
             // scanned and released right after.
             None => dep.with_prefetch(order, || {
-                pdxearch_band(pruner, band, pins(), &scan, dead, tracing.profile())
+                pdxearch_band(pruner, band, pins(), &scan, dead, tracing.trace())
             }),
             Some(pool) => {
                 let pinned: Vec<_> = dep.with_prefetch(order, || pins().collect());
@@ -352,7 +351,7 @@ where
             },
         ),
     };
-    tracing.publish(dep.kind(), |trace| {
+    if let Some(trace) = tracing.trace() {
         trace.rerank_candidates = reranked;
         // The delta reads the shared cache counters, so concurrent
         // queries can blur each other's attribution — the aggregate
@@ -361,7 +360,8 @@ where
             trace.cache_hits = after.hits.saturating_sub(before.hits);
             trace.cache_misses = after.misses.saturating_sub(before.misses);
         }
-    });
+    }
+    tracing.publish(dep.kind());
     out
 }
 
@@ -578,12 +578,12 @@ impl IvfHorizontal {
             },
         );
         let out = if pruner.prunes() {
-            let profile = tracing.profile();
-            horizontal_pruned_search(pruner, &q, buckets, opts, self.delta_d, profile)
+            let trace = tracing.trace();
+            horizontal_pruned_search(pruner, &q, buckets, opts, self.delta_d, trace)
         } else {
             horizontal_linear_scan(&buckets, space, opts.k, metric, variant)
         };
-        tracing.publish("ivf-horizontal", |_| {});
+        tracing.publish("ivf-horizontal");
         out
     }
 }

@@ -98,21 +98,6 @@ impl Hnsw {
         hnsw
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Dimensionality of the indexed vectors.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// Whether the graph is empty.
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-
     /// Highest layer currently in use.
     pub fn max_level(&self) -> usize {
         self.neighbors.len() - 1

@@ -7,8 +7,8 @@
 //! resolution — in ~300 fixed `AtomicU64` cells, with recording being
 //! two relaxed fetch-adds (no locks on the hot path).
 //!
-//! This generalizes the latency histogram that originally lived in
-//! `pdx-serve`; the server re-exports it from here.
+//! A `pdx-serve` server registers one as its latency histogram; the
+//! search families register one per deployment.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

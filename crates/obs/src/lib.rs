@@ -3,7 +3,8 @@
 //!
 //! Three pillars:
 //!
-//! 1. A process-global **metric registry** ([`Registry`]) of lock-free
+//! 1. A process-global **metric registry** ([`Registry`]; private
+//!    instances hold counts one owner keeps to itself) of lock-free
 //!    [`Counter`]s, [`Gauge`]s and log-scale [`Histogram`]s, registered
 //!    by static name + label set and rendered in Prometheus text
 //!    exposition format 0.0.4. Recording is a relaxed `fetch_add`;

@@ -1,4 +1,4 @@
-//! The process-global metric registry.
+//! Metric registries: the process-global one and private ones.
 //!
 //! Metrics are registered by static name + label set and handed back
 //! as `Arc` handles; recording through a handle is a single relaxed
@@ -7,9 +7,11 @@
 //! to register once (at startup or through a `OnceLock`) and record
 //! through the cached handle.
 //!
-//! The registry is process-global by design: two servers or caches in
-//! one process share families, and their counters merge. Tests that
-//! need isolation can construct a private [`Registry`].
+//! [`Registry::global`] is process-wide: the caches, collections and
+//! search families of one process share it, and their counters merge.
+//! A component whose counts must stay its own constructs a private
+//! [`Registry`] and renders it beside the global one — a `pdx-serve`
+//! server does, so two servers in one process keep separate `Stats`.
 
 use crate::expo;
 use crate::hist::Histogram;
@@ -106,8 +108,10 @@ struct Family {
 
 /// A collection of metric families, rendered together.
 ///
-/// Use [`Registry::global`] for the process-wide instance every
-/// subsystem reports into; private instances exist for tests.
+/// Use [`Registry::global`] for the process-wide instance the search,
+/// cache and store families report into; a private instance
+/// ([`Registry::new`]) holds counts that belong to one owner, such as
+/// one server's request counters.
 #[derive(Debug, Default)]
 pub struct Registry {
     families: Mutex<BTreeMap<&'static str, Family>>,

@@ -181,7 +181,6 @@ pub mod prelude {
         DsmMatrix, DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer, Sq8Query,
     };
     pub use pdx_core::mask::RowMask;
-    pub use pdx_core::profile::SearchProfile;
     pub use pdx_core::pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
     pub use pdx_core::search::{
         horizontal_linear_scan, horizontal_pruned_search, linear_scan_dsm, linear_scan_nary,
@@ -203,8 +202,8 @@ pub mod prelude {
     };
     pub use pdx_pruners::{AdSampling, Bsa, BsaLearned};
     pub use pdx_serve::{
-        Backend, BackendReadings, Client as ServeClient, ClientError, ErrorKind as ServeErrorKind,
-        ServeConfig, Server, StatsReport,
+        Backend, Client as ServeClient, ClientError, ErrorKind as ServeErrorKind, ServeConfig,
+        Server, StatsReport,
     };
     pub use pdx_store::{
         Collection, GroupCommit, MaintenanceJob, SegmentStat, ShardedCollection, Snapshot,

@@ -13,10 +13,10 @@
 //! * [`server`] — accept loop, bounded admission queue (full → typed
 //!   `Busy`), per-request deadlines (expired → typed
 //!   `DeadlineExceeded`), worker dispatch on
-//!   [`spawn_job`](pdx_core::exec::spawn_job) threads, clean shutdown.
-//! * [`metrics`] — a lock-free fixed-bucket latency histogram and the
-//!   counters behind the `Stats` response (QPS, in-flight, queue
-//!   depth, p50/p99/p999).
+//!   [`spawn_job`](pdx_core::exec::spawn_job) threads, clean shutdown,
+//!   and the server's counters: one per-server metric registry that both
+//!   the `Stats` response (QPS, in-flight, queue depth, p50/p99/p999)
+//!   and the `/metrics` endpoint read.
 //! * [`client`] — a blocking client used by `pdx query --remote` and
 //!   the test/bench load generators.
 //!
@@ -49,11 +49,9 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod metrics;
 pub mod proto;
 pub mod server;
 
 pub use client::{Client, ClientError};
-pub use metrics::BackendReadings;
 pub use proto::{ErrorKind, ProtoError, Request, Response, StatsReport, DEFAULT_PORT};
 pub use server::{Backend, ServeConfig, Server};

@@ -19,9 +19,14 @@
 //! and receive replies out of order. All blocking reads use a short
 //! timeout and poll the server's stop flag, which is what makes
 //! [`Server::shutdown`] clean: no leaked threads, port released.
+//!
+//! ## Counters
+//!
+//! A server counts into its own [`Registry`] (not the process-global
+//! one, so two servers in one process keep separate counts). The `Stats`
+//! frame reads those handles, and `GET /metrics` renders that registry
+//! ahead of the process-global one: both are views of one store.
 
-use crate::metrics::BackendReadings;
-use crate::metrics::ServerMetrics;
 use crate::proto::{
     check_frame_len, write_frame, ErrorKind, Request, Response, StatsReport, DEFAULT_MAX_FRAME,
 };
@@ -30,7 +35,7 @@ use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::{resolve_threads, spawn_job, JobHandle};
 use pdx_core::KernelPolicy;
 use pdx_engine::{AnyIndex, OpenOptions};
-use pdx_obs::{expo, trace, MetricsServer, Registry, SlowQueryLog};
+use pdx_obs::{trace, Counter, Gauge, Histogram, MetricsServer, Registry, SlowQueryLog};
 use pdx_store::{Collection, ShardedCollection, StoreError, MANIFEST_FILE};
 use std::collections::VecDeque;
 use std::io::{self, Read};
@@ -223,20 +228,6 @@ impl Backend {
                 .sum(),
         }
     }
-
-    /// Memory/cache observability plus the measured open time, for
-    /// `Stats` reports.
-    fn readings(&self) -> BackendReadings {
-        let index = self.index();
-        let cache = index.cache_stats().unwrap_or_default();
-        BackendReadings {
-            resident_bytes: index.resident_bytes(),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            open_us: self.open_us,
-        }
-    }
 }
 
 /// One admitted request waiting for a worker.
@@ -266,7 +257,6 @@ impl ConnWriter {
 struct Shared {
     backend: Backend,
     config: ServeConfig,
-    metrics: ServerMetrics,
     queue: Mutex<VecDeque<QueuedJob>>,
     available: Condvar,
     stop: AtomicBool,
@@ -274,8 +264,24 @@ struct Shared {
     /// Whether workers run queries with per-query tracing (set when
     /// the metrics endpoint or the slow-query log is configured).
     trace: bool,
-    /// The sampling slow-query log, when configured.
-    slow_log: Option<SlowQueryLog>,
+    /// The sampling slow-query log, when configured, and the count of
+    /// traced queries it has observed.
+    slow_log: Option<(SlowQueryLog, Arc<Counter>)>,
+    /// This server's families; the handles below are registered in it.
+    registry: Registry,
+    /// Requests executed to completion.
+    completed: Arc<Counter>,
+    /// Requests rejected because the admission queue was full.
+    busy_rejected: Arc<Counter>,
+    /// Requests rejected because their deadline passed in the queue.
+    deadline_rejected: Arc<Counter>,
+    /// Malformed frames answered with a typed `Protocol` error.
+    protocol_errors: Arc<Counter>,
+    /// Requests currently executing on workers.
+    in_flight: Arc<Gauge>,
+    /// Service latency (arrival → response written) of completed
+    /// requests, microseconds.
+    latency_us: Arc<Histogram>,
 }
 
 impl Shared {
@@ -283,135 +289,72 @@ impl Shared {
         self.stop.load(Ordering::Acquire)
     }
 
-    fn stats(&self) -> StatsReport {
-        let queue_depth = self.queue.lock().expect("queue lock").len() as u64;
-        self.metrics.report(
-            self.started,
-            self.backend.index().dims() as u64,
-            self.backend.live(),
-            self.backend.tombstones(),
-            queue_depth,
-            self.config.queue_depth as u64,
-            self.config.kernel.resolve().wire_code(),
-            self.backend.readings(),
-        )
+    fn queue_depth(&self) -> u64 {
+        self.queue.lock().expect("queue lock").len() as u64
     }
 
-    /// Renders the full Prometheus exposition: server-level families,
-    /// everything in the process-global registry (search, cache, WAL,
-    /// maintenance, exec), and the derived ratios.
+    /// The `Stats` frame: this server's counters plus the backend's own
+    /// readings.
+    fn stats(&self) -> StatsReport {
+        let index = self.backend.index();
+        let cache = index.cache_stats().unwrap_or_default();
+        let uptime = self.started.elapsed();
+        let completed = self.completed.get();
+        let secs = uptime.as_secs_f64();
+        let qps_x1000 = if secs > 0.0 {
+            (completed as f64 / secs * 1000.0) as u64
+        } else {
+            0
+        };
+        StatsReport {
+            dims: index.dims() as u64,
+            live: self.backend.live(),
+            tombstones: self.backend.tombstones(),
+            uptime_ms: uptime.as_millis() as u64,
+            completed,
+            busy_rejected: self.busy_rejected.get(),
+            deadline_rejected: self.deadline_rejected.get(),
+            protocol_errors: self.protocol_errors.get(),
+            in_flight: self.in_flight.get(),
+            queue_depth: self.queue_depth(),
+            queue_capacity: self.config.queue_depth as u64,
+            qps_x1000,
+            p50_us: self.latency_us.quantile(0.50),
+            p99_us: self.latency_us.quantile(0.99),
+            p999_us: self.latency_us.quantile(0.999),
+            kernel_isa: self.config.kernel.resolve().wire_code(),
+            resident_bytes: index.resident_bytes(),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            open_us: self.backend.open_us,
+        }
+    }
+
+    /// Renders the full Prometheus exposition: this server's registry
+    /// (its scrape-time gauges set first), then the process-global one
+    /// (search, cache, WAL, maintenance, exec), then the derived ratios.
     fn render_prometheus(&self) -> String {
-        let mut out = String::with_capacity(8 * 1024);
-        let queue_depth = self.queue.lock().expect("queue lock").len() as u64;
-        let m = &self.metrics;
-        expo::push_header(
-            &mut out,
-            "pdx_serve_requests_completed_total",
-            "Requests executed to completion.",
-            "counter",
-        );
-        expo::push_sample(
-            &mut out,
-            "pdx_serve_requests_completed_total",
-            &[],
-            m.completed.load(Ordering::Relaxed),
-        );
-        expo::push_header(
-            &mut out,
-            "pdx_serve_rejected_total",
-            "Requests rejected before execution.",
-            "counter",
-        );
-        expo::push_sample(
-            &mut out,
-            "pdx_serve_rejected_total",
-            &[("reason".to_string(), "busy".to_string())],
-            m.busy_rejected.load(Ordering::Relaxed),
-        );
-        expo::push_sample(
-            &mut out,
-            "pdx_serve_rejected_total",
-            &[("reason".to_string(), "deadline".to_string())],
-            m.deadline_rejected.load(Ordering::Relaxed),
-        );
-        expo::push_sample(
-            &mut out,
-            "pdx_serve_rejected_total",
-            &[("reason".to_string(), "protocol".to_string())],
-            m.protocol_errors.load(Ordering::Relaxed),
-        );
-        expo::push_header(
-            &mut out,
-            "pdx_serve_in_flight",
-            "Requests currently executing on workers.",
-            "gauge",
-        );
-        expo::push_sample(
-            &mut out,
-            "pdx_serve_in_flight",
-            &[],
-            m.in_flight.load(Ordering::Relaxed),
-        );
-        expo::push_header(
-            &mut out,
+        let r = &self.registry;
+        let gauge = |name, help| r.gauge(name, help, &[]);
+        gauge(
             "pdx_serve_queue_depth",
             "Requests waiting in the admission queue.",
-            "gauge",
-        );
-        expo::push_sample(&mut out, "pdx_serve_queue_depth", &[], queue_depth);
-        expo::push_header(
-            &mut out,
-            "pdx_serve_queue_capacity",
-            "Admission queue capacity.",
-            "gauge",
-        );
-        expo::push_sample(
-            &mut out,
-            "pdx_serve_queue_capacity",
-            &[],
-            self.config.queue_depth as u64,
-        );
-        expo::push_header(
-            &mut out,
+        )
+        .set(self.queue_depth());
+        gauge("pdx_serve_queue_capacity", "Admission queue capacity.")
+            .set(self.config.queue_depth as u64);
+        gauge(
             "pdx_serve_uptime_seconds",
             "Seconds since the server started.",
-            "gauge",
-        );
-        expo::push_sample(
-            &mut out,
-            "pdx_serve_uptime_seconds",
-            &[],
-            self.started.elapsed().as_secs(),
-        );
-        expo::push_header(
-            &mut out,
-            "pdx_serve_latency_us",
-            "Service latency (arrival to response written), microseconds.",
-            "histogram",
-        );
-        expo::push_histogram(&mut out, "pdx_serve_latency_us", &[], &m.latency);
-        let readings = self.backend.readings();
-        expo::push_header(
-            &mut out,
+        )
+        .set(self.started.elapsed().as_secs());
+        gauge(
             "pdx_serve_resident_bytes",
             "Bytes the backend holds resident.",
-            "gauge",
-        );
-        expo::push_sample(
-            &mut out,
-            "pdx_serve_resident_bytes",
-            &[],
-            readings.resident_bytes,
-        );
-        if let Some(log) = &self.slow_log {
-            expo::push_header(
-                &mut out,
-                "pdx_serve_slow_queries_total",
-                "Traced queries at or over the slow-query threshold.",
-                "counter",
-            );
-            expo::push_sample(&mut out, "pdx_serve_slow_queries_total", &[], log.seen());
-        }
+        )
+        .set(self.backend.index().resident_bytes());
+        let mut out = r.render();
         out.push_str(&Registry::global().render());
         pdx_core::obs::render_derived(&mut out);
         out
@@ -451,16 +394,43 @@ impl Server {
         // at zero before the first traced query / write.
         pdx_core::obs::touch(backend.index().kind());
         pdx_store::obs::touch();
+        let registry = Registry::new();
+        let rejected = |reason| {
+            let help = "Requests rejected before execution.";
+            registry.counter("pdx_serve_rejected_total", help, &[("reason", reason)])
+        };
         let shared = Arc::new(Shared {
             backend,
             config,
-            metrics: ServerMetrics::new(),
             queue: Mutex::new(VecDeque::with_capacity(config.queue_depth)),
             available: Condvar::new(),
             stop: AtomicBool::new(false),
             started: Instant::now(),
             trace: metrics_on || slow_log.is_some(),
-            slow_log,
+            completed: registry.counter(
+                "pdx_serve_requests_completed_total",
+                "Requests executed to completion.",
+                &[],
+            ),
+            busy_rejected: rejected("busy"),
+            deadline_rejected: rejected("deadline"),
+            protocol_errors: rejected("protocol"),
+            in_flight: registry.gauge(
+                "pdx_serve_in_flight",
+                "Requests currently executing on workers.",
+                &[],
+            ),
+            latency_us: registry.histogram(
+                "pdx_serve_latency_us",
+                "Service latency (arrival to response written), microseconds.",
+                &[],
+            ),
+            slow_log: slow_log.map(|log| {
+                let help = "Traced queries at or over the slow-query threshold.";
+                let seen = registry.counter("pdx_serve_slow_queries_total", help, &[]);
+                (log, seen)
+            }),
+            registry,
         });
         let metrics_http = if metrics_on {
             let render_shared = Arc::clone(&shared);
@@ -603,10 +573,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
         };
         if let Err(err) = check_frame_len(len, shared.config.max_frame) {
             // The stream offset is now unknowable: answer and close.
-            shared
-                .metrics
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
+            shared.protocol_errors.inc();
             conn.send(0, &Response::error(ErrorKind::Protocol, err.0));
             return;
         }
@@ -620,10 +587,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
         match Request::decode(&payload[4..]) {
             Err(err) => {
                 // Frame boundaries are intact: answer and keep serving.
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.protocol_errors.inc();
                 conn.send(seq, &Response::error(ErrorKind::Protocol, err.0));
             }
             Ok(req) => dispatch(req, seq, arrived, &conn, shared),
@@ -655,7 +619,7 @@ fn dispatch(req: Request, seq: u32, arrived: Instant, conn: &Arc<ConnWriter>, sh
     let mut queue = shared.queue.lock().expect("queue lock");
     if queue.len() >= shared.config.queue_depth {
         drop(queue);
-        shared.metrics.busy_rejected.fetch_add(1, Ordering::Relaxed);
+        shared.busy_rejected.inc();
         conn.send(
             seq,
             &Response::error(
@@ -702,10 +666,7 @@ fn worker_loop(shared: &Shared) {
         let Some(job) = job else { return };
         if let Some(deadline) = job.deadline {
             if Instant::now() > deadline {
-                shared
-                    .metrics
-                    .deadline_rejected
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.deadline_rejected.inc();
                 job.conn.send(
                     job.seq,
                     &Response::error(
@@ -719,7 +680,7 @@ fn worker_loop(shared: &Shared) {
                 continue;
             }
         }
-        shared.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+        shared.in_flight.add(1);
         let resp = if shared.trace {
             // Capture the query's trace (the index layer publishes it
             // into the registry either way) and feed the slow-query
@@ -728,8 +689,9 @@ fn worker_loop(shared: &Shared) {
             let (resp, mut captured) = trace::capture(|| {
                 execute_with_trace(&shared.backend, shared.config.kernel, &job.req, true)
             });
-            if let Some(log) = &shared.slow_log {
+            if let Some((log, seen)) = &shared.slow_log {
                 captured.total_ns = job.arrived.elapsed().as_nanos() as u64;
+                seen.inc();
                 log.observe(
                     &captured,
                     &[("request", request_name(&job.req).to_string())],
@@ -737,13 +699,12 @@ fn worker_loop(shared: &Shared) {
             }
             resp
         } else {
-            execute(&shared.backend, shared.config.kernel, &job.req)
+            execute_with_trace(&shared.backend, shared.config.kernel, &job.req, false)
         };
-        shared.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-        shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
+        shared.in_flight.sub(1);
+        shared.completed.inc();
         shared
-            .metrics
-            .latency
+            .latency_us
             .record(job.arrived.elapsed().as_micros() as u64);
         job.conn.send(job.seq, &resp);
     }
@@ -789,17 +750,12 @@ fn request_name(req: &Request) -> &'static str {
     }
 }
 
-/// Executes one admitted request against the backend. Total: every
+/// Executes one admitted request against the backend, with per-query
+/// tracing forced on when `traced` (results are bit-identical; the
+/// traced scans differ only in timer/counter side effects). Total: every
 /// outcome is a response frame, including shape mismatches (typed
 /// `Protocol`) and mutations against frozen containers (typed
 /// `Unsupported`).
-fn execute(backend: &Backend, kernel: KernelPolicy, req: &Request) -> Response {
-    execute_with_trace(backend, kernel, req, false)
-}
-
-/// [`execute`] with per-query tracing forced on (results are
-/// bit-identical; the traced scans differ only in timer/counter side
-/// effects).
 fn execute_with_trace(
     backend: &Backend,
     kernel: KernelPolicy,

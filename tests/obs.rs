@@ -19,6 +19,7 @@
 
 use pdx::obs::{Counter, Gauge, Histogram, MetricsServer, Registry};
 use pdx::prelude::*;
+use pdx::serve::proto::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,6 +170,7 @@ fn pdxearch_deployments_publish_attributed_traces() {
         let (hits, trace) = pdx::obs::trace::capture(|| dep.search(&q, &opts));
         assert_eq!(hits.len(), k);
         assert_eq!(trace.deployment, kind);
+        assert_eq!(trace.kernel_isa, active_kernel_isa().name(), "{kind}");
         assert!(trace.preprocess_ns > 0, "{kind}: preparation unattributed");
         assert!(trace.distance_ns > 0, "{kind}: scan unattributed");
         assert_eq!(trace.find_buckets_ns > 0, routed, "{kind}: routing");
@@ -405,9 +407,23 @@ fn concurrent_scrapes_during_search_churn() {
     });
 }
 
+/// The `pdx_serve_*` families a server without a slow-query log exposes
+/// before its first request, with their kinds.
+const SERVE_FAMILIES: [(&str, &str); 8] = [
+    ("pdx_serve_requests_completed_total", "counter"),
+    ("pdx_serve_rejected_total", "counter"),
+    ("pdx_serve_in_flight", "gauge"),
+    ("pdx_serve_queue_depth", "gauge"),
+    ("pdx_serve_queue_capacity", "gauge"),
+    ("pdx_serve_uptime_seconds", "gauge"),
+    ("pdx_serve_latency_us", "histogram"),
+    ("pdx_serve_resident_bytes", "gauge"),
+];
+
 /// Full-stack: a `pdx-serve` server with `metrics_port` set exposes
-/// its own families plus the search counters, and completed-request
-/// counters are monotone across scrapes.
+/// its own families plus the search counters, completed-request
+/// counters are monotone across scrapes, and the `Stats` frame reads
+/// the same counters the scrape does — per server, not per process.
 #[test]
 fn serve_metrics_endpoint_counts_requests() {
     let (n, d, k) = (400, 16, 5);
@@ -440,6 +456,10 @@ fn serve_metrics_endpoint_counts_requests() {
 
     let (_, before) = http_get(metrics_addr, "/metrics");
     assert_prometheus_grammar(&before);
+    for (family, kind) in SERVE_FAMILIES {
+        let typed = format!("# TYPE {family} {kind}\n");
+        assert!(before.contains(&typed), "{typed:?} missing from:\n{before}");
+    }
     let completed_before = sample_value(&before, "pdx_serve_requests_completed_total");
 
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
@@ -476,6 +496,61 @@ fn serve_metrics_endpoint_counts_requests() {
         completed_after >= completed_before + 6.0,
         "completed counter not monotone: {completed_before} -> {completed_after}"
     );
+
+    // Two malformed payloads (an unknown tag, a truncated search), each
+    // answered with a typed protocol error.
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for garbage in [vec![0xFFu8, 1, 2, 3], vec![0x02u8, 0, 0, 0, 0]] {
+        write_frame(&mut raw, 5, &garbage).expect("send");
+        let (seq, _) = read_frame(&mut raw, DEFAULT_MAX_FRAME).expect("typed reply");
+        assert_eq!(seq, 5);
+    }
+    // The Stats frame and a scrape taken at rest read the same counters.
+    let stats = loop {
+        let stats = client.stats().expect("stats");
+        if stats.in_flight == 0 && stats.queue_depth == 0 {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let (_, body) = http_get(metrics_addr, "/metrics");
+    let rejected = |reason: &str| format!("pdx_serve_rejected_total{{reason=\"{reason}\"}}");
+    for (series, want) in [
+        (
+            "pdx_serve_requests_completed_total".to_string(),
+            stats.completed,
+        ),
+        (rejected("busy"), stats.busy_rejected),
+        (rejected("deadline"), stats.deadline_rejected),
+        (rejected("protocol"), stats.protocol_errors),
+        ("pdx_serve_in_flight".to_string(), stats.in_flight),
+        ("pdx_serve_queue_depth".to_string(), stats.queue_depth),
+        ("pdx_serve_queue_capacity".to_string(), stats.queue_capacity),
+        ("pdx_serve_latency_us_count".to_string(), stats.completed),
+    ] {
+        assert_eq!(series_value(&body, &series), want, "{series}");
+    }
+    assert_eq!(stats.completed, 6);
+    assert_eq!(stats.protocol_errors, 2);
+
+    // A second server in the same process counts for itself.
+    let flat = FlatPdx::new(&rows, n, d, 150, 16);
+    let config = ServeConfig::default();
+    let other = Server::start(Backend::frozen(Box::new(flat)), ("127.0.0.1", 0), config)
+        .expect("start a second server");
+    let fresh = other.stats();
+    assert_eq!((fresh.completed, fresh.protocol_errors), (0, 0));
+}
+
+/// The value of the sample whose series (name and labels) is `series`.
+fn series_value(body: &str, series: &str) -> u64 {
+    body.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .find(|(s, _)| *s == series)
+        .and_then(|(_, v)| v.parse().ok())
+        .unwrap_or_else(|| panic!("no sample for {series}"))
 }
 
 /// First sample value of `family` in an exposition body.
