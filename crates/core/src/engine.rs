@@ -4,8 +4,8 @@
 //! The paper's core claim is that a single layout (PDX) and a single
 //! search framework (PDXearch) serve many deployments — flat, IVF,
 //! quantized, pruned, mutable. [`VectorIndex`] is that claim as an API:
-//! every served deployment answers the same `search` / `search_batch` /
-//! `search_parallel` calls from the same [`SearchOptions`], so the CLI,
+//! every served deployment answers the same `search` / `search_batch`
+//! calls from the same [`SearchOptions`], so the CLI,
 //! the network server and the store hold a `Box<dyn VectorIndex>` and
 //! never know (or care) which deployment is behind it. `pdx-engine`'s
 //! `AnyIndex::open` produces exactly that box by sniffing a persisted
@@ -14,13 +14,12 @@
 //! IVF, the HNSW graph) keep their own typed entry points in
 //! `pdx-index`.
 //!
-//! The batch and parallel entry points come for free: the trait's
-//! default methods run on the shared [`exec`](crate::exec) worker pool,
-//! and because each query (or block range) still runs the deployment's
-//! sequential path against a canonical [`KnnHeap`](crate::heap::KnnHeap),
-//! results are **bit-identical to the sequential path at any thread
-//! count** — the same determinism contract the concrete
-//! `search_batch` methods established.
+//! The batch entry point comes for free: the trait's default method
+//! runs on the shared [`exec`](crate::exec) worker pool, and because
+//! each query still runs the deployment's sequential path, results are
+//! **bit-identical to the sequential path at any thread count** — the
+//! same determinism contract the concrete `search_batch` methods
+//! established.
 //!
 //! Options irrelevant to a deployment are ignored (an SQ8 index has no
 //! pruner choice; a flat index has no `nprobe`); each implementation
@@ -105,9 +104,10 @@ pub struct SearchOptions {
     /// the horizontal SIMD tiers reduce across lanes, so their bits
     /// follow the ISA.
     pub kernel: KernelPolicy,
-    /// Worker count for `search_batch` / `search_parallel`; `0` means
-    /// the default width (the `PDX_THREADS` env override, then the
-    /// hardware parallelism). Single-query `search` ignores it.
+    /// Worker count of `search_batch` — the batch width; `0` means the
+    /// default width (the `PDX_THREADS` env override, then the hardware
+    /// parallelism). Single-query `search` ignores it: one query runs on
+    /// the calling thread.
     pub threads: usize,
     /// Per-query tracing: when `true`, deployments run their profiled
     /// monomorphization and publish a
@@ -235,18 +235,12 @@ impl SearchOptions {
 ///
 /// # Determinism contract
 ///
-/// For exact configurations (PDX-BOND, linear scans, the SQ8 two-phase
-/// path) every implementation must return results bit-identical to its
-/// sequential `search` from `search_batch` and `search_parallel` at any
-/// thread count — ids *and* distances, duplicate-distance ties
-/// included. The default method bodies satisfy this by construction:
-/// batching runs the unmodified sequential path per query, and the
-/// parallel fallback *is* the sequential path. Overrides must preserve
-/// the two invariants of [`crate::exec`] (canonical heaps,
-/// split-independent per-vector accumulation); the PDXearch
-/// deployments' `search_batch` override — a band of queries sharing one
-/// tile-major scan — keeps every query's own visit and accumulation
-/// order, so it holds for approximate pruners as well.
+/// Every entry point returns the bits of sequential `search` at any
+/// thread count, for every pruner — ids *and* distances,
+/// duplicate-distance ties included. The default `search_batch` runs the
+/// unmodified sequential path per query; the PDXearch deployments'
+/// override — a band of queries sharing one tile-major scan — keeps
+/// every query's own visit and accumulation order.
 pub trait VectorIndex: Send + Sync {
     /// Dimensionality of the indexed vectors.
     fn dims(&self) -> usize;
@@ -285,16 +279,6 @@ pub trait VectorIndex: Send + Sync {
     /// `queries.len()` is not a multiple of the dimensionality.
     fn search_batch(&self, queries: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
         BatchSearcher::new(opts.threads).run(queries, self.dims(), |q| self.search(q, opts))
-    }
-
-    /// One query with intra-query parallelism where the deployment's
-    /// scan is block-splittable. The default is the sequential
-    /// [`VectorIndex::search`] (trivially bit-identical); deployments
-    /// whose scan decomposes into independent block ranges override it
-    /// with [`parallel_block_search`](crate::exec::parallel_block_search).
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let _ = opts.threads;
-        self.search(query, opts)
     }
 
     /// Approximate bytes this deployment holds resident in memory
@@ -383,10 +367,5 @@ mod tests {
             let want = index.search(&queries[qi * 2..(qi + 1) * 2], &opts);
             assert_eq!(got, &want, "query {qi}");
         }
-        // The default parallel path is the sequential path.
-        assert_eq!(
-            index.search_parallel(&queries[..2], &opts),
-            index.search(&queries[..2], &opts)
-        );
     }
 }

@@ -1,4 +1,5 @@
-//! Batch and intra-query search drivers on top of [`ThreadPool`].
+//! The batch search driver on top of [`ThreadPool`], and the canonical
+//! merge of per-part result lists.
 
 use crate::exec::ThreadPool;
 use crate::heap::{KnnHeap, Neighbor};
@@ -80,16 +81,6 @@ impl BatchSearcher {
         }
     }
 
-    /// A searcher on an existing pool.
-    pub fn on_pool(pool: ThreadPool) -> Self {
-        Self { pool }
-    }
-
-    /// The underlying pool.
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-
     /// Worker count.
     pub fn threads(&self) -> usize {
         self.pool.threads()
@@ -161,44 +152,10 @@ impl BatchSearcher {
     }
 }
 
-/// Intra-query parallelism for one large query: splits `0..n_blocks`
-/// into one contiguous range per worker, runs `scan` on each range (the
-/// closure fills and sorts a private heap — typically a sequential
-/// PDXearch over the sub-range), and merges the per-range results to
-/// the canonical top-`k` by `(distance, id)`.
-///
-/// For exact search paths the merged result is bit-identical to running
-/// `scan(0..n_blocks)` sequentially: per-vector distances do not depend
-/// on the split, and the canonical heap retains the same set no matter
-/// how candidates are grouped (see [`crate::heap`]).
-///
-/// # Panics
-/// Panics if `k == 0`.
-pub fn parallel_block_search<F>(
-    pool: &ThreadPool,
-    n_blocks: usize,
-    k: usize,
-    scan: F,
-) -> Vec<Neighbor>
-where
-    F: Fn(Range<usize>) -> Vec<Neighbor> + Sync,
-{
-    assert!(k > 0, "k must be positive");
-    let workers = pool.threads().min(n_blocks.max(1));
-    if workers <= 1 {
-        return scan(0..n_blocks);
-    }
-    // One contiguous band per worker: block visit order (IVF probe
-    // order, storage order) is preserved inside a band, which keeps each
-    // band's START-phase seeding effective.
-    let band = n_blocks.div_ceil(workers);
-    let partials = pool.run_chunks(n_blocks, band, |_ci, range| scan(range));
-    merge_neighbors(&partials, k)
-}
-
-/// Merges per-worker result lists into the canonical top-`k` by
-/// `(distance, id)`. Deterministic regardless of list order or how the
-/// candidates were partitioned. `k == 0` merges to an empty list.
+/// Merges per-part result lists (a snapshot's segments, a sharded
+/// collection's shards) into the canonical top-`k` by `(distance, id)`.
+/// Deterministic regardless of list order or how the candidates were
+/// partitioned. `k == 0` merges to an empty list.
 pub fn merge_neighbors(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
     if k == 0 {
         return Vec::new();
@@ -310,35 +267,5 @@ mod tests {
         let mut reversed = split.clone();
         reversed.reverse();
         assert_eq!(merge_neighbors(&reversed, 8), want);
-    }
-
-    #[test]
-    fn parallel_block_search_matches_sequential_scan() {
-        // 40 "blocks" of one candidate each; scan returns its range's
-        // candidates, heap-merged to top-k.
-        let dist = |b: u64| ((b * 17) % 11) as f32;
-        let scan = |r: Range<usize>| -> Vec<Neighbor> {
-            let mut h = KnnHeap::new(6);
-            for b in r {
-                h.push(b as u64, dist(b as u64));
-            }
-            h.into_sorted()
-        };
-        let want = scan(0..40);
-        for threads in [1usize, 2, 3, 8, 64] {
-            let pool = ThreadPool::new(threads);
-            assert_eq!(
-                parallel_block_search(&pool, 40, 6, scan),
-                want,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_block_search_with_no_blocks() {
-        let pool = ThreadPool::new(4);
-        let got = parallel_block_search(&pool, 0, 3, |_r| Vec::new());
-        assert!(got.is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! The parallel execution engine: a scoped-thread worker pool and the
-//! batch/intra-query search drivers built on it.
+//! batch search driver built on it.
 //!
 //! Everything here is std-only (no crates.io). The engine has three
-//! layers:
+//! parts:
 //!
 //! * [`ThreadPool`] — a scoped-thread worker pool with dynamically
 //!   scheduled chunk queues. The pool owns *how many* OS threads a
@@ -23,33 +23,21 @@
 //!   next ([`pdxearch_band`](crate::search::pdxearch_band)). A query in a
 //!   band keeps its own heap and meets its blocks and tiles in its own
 //!   order, so batch results equal a sequential loop at any thread count.
-//! * [`parallel_block_search`] + [`merge_neighbors`] — intra-query
-//!   parallelism for large single queries: the block list is split into
-//!   one contiguous range per worker, each worker fills a private
-//!   [`KnnHeap`](crate::heap::KnnHeap), and the per-worker results merge
-//!   through one final heap. Because the heap retains the canonical
-//!   top-k by `(distance, id)` (see [`crate::heap`]), the merged result
-//!   is bit-identical to the sequential scan for exact pruners — ids
-//!   *and* distances, duplicate-distance ties included.
+//! * [`merge_neighbors`] — the canonical merge of per-part top-k lists
+//!   (a snapshot's segments, a sharded collection's shards) through one
+//!   [`KnnHeap`](crate::heap::KnnHeap): the heap retains the top-k by
+//!   `(distance, id)` (see [`crate::heap`]), so the merge does not
+//!   depend on how the candidates were partitioned.
 //!
 //! ## Determinism guarantee
 //!
-//! For exact search paths (PDX-BOND, linear scans, the SQ8 two-phase
-//! search) every `search_batch`/`search_parallel` entry point returns
-//! bit-identical neighbor ids and distances at any thread count,
-//! including 1, and identical to the corresponding sequential method.
-//! Per-vector distances are always accumulated in the same dimension
-//! order regardless of threading, and the canonical heap makes the
-//! retained set a pure function of the candidate set. Approximate
-//! pruners (ADSampling, BSA) keep this guarantee for *batch* sharding
-//! (banded or not, each query sees its own sequential scan); intra-query
-//! block splitting may legitimately differ for them because their
-//! pruning bound depends on the threshold's history.
+//! Every entry point returns the bits of sequential `search` at any
+//! thread count, for every pruner.
 
 mod batch;
 mod job;
 mod pool;
 
-pub use batch::{merge_neighbors, parallel_block_search, BatchSearcher, SUB_BATCH};
+pub use batch::{merge_neighbors, BatchSearcher, SUB_BATCH};
 pub use job::{spawn_job, JobHandle};
 pub use pool::{hardware_threads, resolve_threads, ThreadPool, THREADS_ENV};

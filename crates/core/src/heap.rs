@@ -8,9 +8,10 @@
 //! worst entry whenever a strictly smaller `(distance, id)` pair is
 //! offered, so the retained set is the **canonical top-k of the offered
 //! candidate set** — independent of arrival order. This is the invariant
-//! the parallel execution engine ([`crate::exec`]) builds on: per-worker
-//! heaps over disjoint block ranges merge into exactly the result a
-//! sequential scan would produce, including duplicate-distance ties.
+//! [`crate::exec::merge_neighbors`] builds on: the top-k lists of
+//! disjoint parts (a snapshot's segments, a sharded collection's shards)
+//! merge into exactly the result one scan over all of them would
+//! produce, including duplicate-distance ties.
 
 /// One search result: a vector id and its distance to the query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,7 +281,7 @@ mod tests {
 
     #[test]
     fn retained_set_is_arrival_order_independent() {
-        // The canonical-top-k invariant the parallel engine relies on:
+        // The canonical-top-k invariant the canonical merge relies on:
         // any permutation of the candidate stream yields the same heap.
         let mut cands: Vec<(u64, f32)> = (0..40u64).map(|id| (id, (id % 7) as f32)).collect();
         let reference = {

@@ -213,19 +213,6 @@ impl Sq8Quantizer {
         self.mins[d] + self.scales[d] * code as f32
     }
 
-    /// Decodes one row of codes back to `f32` values.
-    ///
-    /// # Panics
-    /// Panics if `codes.len()` differs from [`Sq8Quantizer::dims`].
-    pub fn decode_row(&self, codes: &[u8]) -> Vec<f32> {
-        assert_eq!(codes.len(), self.dims(), "one code per dimension");
-        codes
-            .iter()
-            .enumerate()
-            .map(|(d, &c)| self.decode_value(d, c))
-            .collect()
-    }
-
     /// Worst-case reconstruction error of dimension `d` for values inside
     /// the learned range: half a quantization step.
     pub fn max_error(&self, d: usize) -> f32 {

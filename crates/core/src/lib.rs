@@ -45,10 +45,9 @@
 //!   process-global metric registry, and the derived pruning-ratio
 //!   family.
 //! * [`exec`] — the parallel execution engine: a std-only scoped-thread
-//!   worker pool ([`exec::ThreadPool`]), batch query sharding
-//!   ([`exec::BatchSearcher`]) and deterministic intra-query block-range
-//!   splitting ([`exec::parallel_block_search`]), all returning results
-//!   bit-identical to the sequential paths at any thread count.
+//!   worker pool ([`exec::ThreadPool`]) and batch query sharding
+//!   ([`exec::BatchSearcher`]), whose results are bit-identical to the
+//!   sequential path at any thread count.
 //! * [`layout::QuantizedPdxBlock`] + [`kernels::sq8`] +
 //!   [`search::quantized`] — the **SQ8** path: scalar-quantized `u8`
 //!   blocks in the same dimension-major layout, integer-friendly

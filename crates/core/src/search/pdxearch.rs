@@ -841,7 +841,7 @@ mod tests {
     /// every kernel policy, for tiles past START that stay in WARMUP to
     /// the end (selection fraction 0), reach PRUNE late (the default) or
     /// at their first bound (1), for `k` below and beyond the live rows,
-    /// profiled and split across 1/2/8 workers.
+    /// unprofiled and profiled.
     fn assert_masked_equals_rebuilt<P, B>(
         pruner: &P,
         q: &P::Query,
@@ -850,9 +850,8 @@ mod tests {
         dead: &RowMask,
         what: &str,
     ) where
-        P: Pruner + Sync,
-        P::Query: Sync,
-        B: ScanBlock<P> + Sync,
+        P: Pruner,
+        B: ScanBlock<P>,
     {
         let live: usize = rebuilt.iter().map(|b| b.len()).sum();
         for kernel in [KernelPolicy::Scalar, KernelPolicy::Simd, KernelPolicy::Auto] {
@@ -869,14 +868,6 @@ mod tests {
                     let mut profile = QueryTrace::default();
                     let got = pdxearch(pruner, q, blocks, &opts, Some(dead), Some(&mut profile));
                     assert_eq!(bits(&got), bits(&want), "{at} profiled");
-                    for threads in [1usize, 2, 8] {
-                        let pool = crate::exec::ThreadPool::new(threads);
-                        let got =
-                            crate::exec::parallel_block_search(&pool, blocks.len(), k, |range| {
-                                pdxearch(pruner, q, &blocks[range], &opts, Some(dead), None)
-                            });
-                        assert_eq!(bits(&got), bits(&want), "{at} at {threads} threads");
-                    }
                 }
             }
         }

@@ -240,10 +240,9 @@ fn pruned_kind(flat: bool, pruner: &str) -> &'static str {
 /// The adapter is itself a [`Deployment`]: the wrapped one's block
 /// source under its own `kind()`, so every query runs the same serve
 /// driver as the plain deployments, with the fitted pruner where those
-/// build a PDX-BOND. For approximate pruners `search_parallel` may
-/// legitimately differ from the sequential search (their bound depends
-/// on the threshold's history); `search_batch` stays bit-identical at
-/// any width — it prepares queries a band at a time
+/// build a PDX-BOND. `search_batch` returns the bits of `search` at any
+/// width, for ADSampling and BSA too — it prepares queries a band at a
+/// time
 /// ([`Pruner::prepare_queries`]: for BSA one tiled PCA rotation instead
 /// of one matrix pass per query; ADSampling's structured rotation has no
 /// matrix and rotates row by row), which changes no query's prepared
@@ -276,7 +275,6 @@ impl<D, P> Deployment for Pruned<D, P>
 where
     D: Deployment,
     P: Pruner + Send + Sync,
-    P::Query: Sync,
     D::Block: ScanBlock<P>,
 {
     type Block = D::Block;
@@ -289,7 +287,7 @@ where
         self.index.centroids()
     }
 
-    fn pin(&self, block: u32) -> impl Deref<Target = D::Block> + Send + Sync {
+    fn pin(&self, block: u32) -> impl Deref<Target = D::Block> {
         self.index.pin(block)
     }
 
@@ -306,7 +304,6 @@ impl<D, P> VectorIndex for Pruned<D, P>
 where
     D: Deployment,
     P: Pruner + Send + Sync,
-    P::Query: Sync,
     D::Block: ScanBlock<P>,
 {
     fn dims(&self) -> usize {
@@ -327,10 +324,6 @@ where
 
     fn search_batch(&self, queries: &[f32], opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
         self.search_batch_with(&self.pruner, queries, opts)
-    }
-
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.search_parallel_with(&self.pruner, query, opts)
     }
 
     fn resident_bytes(&self) -> u64 {

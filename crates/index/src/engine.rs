@@ -6,16 +6,15 @@
 //! in storage order), how to pin one for the duration of its scan, and
 //! whether candidates are reranked against an exact payload. That is the
 //! [`Deployment`] trait. Everything a query does on top — prepare the
-//! query with the pruner, rank the centroids, run [`pdxearch`] over the
-//! pinned blocks (or split them across workers with
-//! [`parallel_block_search`]), rerank, publish one trace — is written
-//! once, in the trait's provided `search_with` / `search_batch_with` /
-//! `search_parallel_with` methods, for any [`Pruner`] and any element
-//! type ([`ScanBlock`]); `search_live_with` is the one body behind the
-//! first and the last, and takes the dead-row mask ([`RowMask`]) a
-//! collection's sealed segment is searched under (`pdx-store`'s read
-//! path) down to the scan. The driver serves a *band* of queries — one
-//! query is a band of one: a batch worker's band on an unrouted
+//! query with the pruner, rank the centroids, run [`pdxearch_band`] over
+//! the blocks as they are pinned, rerank, publish one trace — is written
+//! once, in the trait's provided `search_with` / `search_batch_with`
+//! methods, for any [`Pruner`] and any element type ([`ScanBlock`]);
+//! `search_live_with` is the body behind the first, and takes the
+//! dead-row mask ([`RowMask`]) a collection's sealed segment is searched
+//! under (`pdx-store`'s read path) down to the scan. The driver serves a
+//! *band* of queries — one query is a band of one, on the calling
+//! thread; a batch worker's band on an unrouted
 //! deployment shares one tile-major scan ([`pdxearch_band`]), on a
 //! routed one it is routed together — one pass over the centroids for
 //! the whole band ([`probe_orders`]) — and scanned query by query, each
@@ -46,10 +45,10 @@
 //! breakdown reads), and [`crate::Hnsw::search`] takes its beam width
 //! as an argument.
 //!
-//! Every implementation honours the engine determinism contract: exact
-//! configurations return bit-identical results from `search_batch` and
-//! `search_parallel` at any thread count (`tests/determinism.rs` pins
-//! them, `tests/golden.rs` pins the bits themselves).
+//! Every implementation honours the engine determinism contract:
+//! `search_batch` returns the bits of sequential `search` at any thread
+//! count, for every pruner (`tests/determinism.rs` pins it,
+//! `tests/golden.rs` pins the bits themselves).
 //!
 //! When [`SearchOptions::trace`] is set, a `search` keeps one
 //! [`QueryTrace`] for the query: the driver times preparation, routing
@@ -57,11 +56,9 @@
 //! its phases and work counters to the same record, and the driver adds
 //! the rerank candidate count, the cache traffic of a lazily backed
 //! deployment, the wall time and the identity before it publishes the
-//! record through [`pdx_core::publish_trace`]. A `search_parallel` times
-//! what runs on the calling thread (preparation, routing, rerank) and
-//! the wall clock. Profiled and unprofiled scans differ
-//! only in timer/counter side effects, so results stay bit-identical
-//! either way (`tests/obs.rs` pins this).
+//! record through [`pdx_core::publish_trace`]. Profiled and unprofiled
+//! scans differ only in timer/counter side effects, so results stay
+//! bit-identical either way (`tests/obs.rs` pins this).
 //!
 //! [`PrunerKind`]: pdx_core::engine::PrunerKind
 
@@ -69,14 +66,13 @@ use crate::ivf::probe_orders;
 use crate::{FlatPdx, FlatSq8, IvfHorizontal, IvfPdx, IvfSq8};
 use pdx_core::collection::SearchBlock;
 use pdx_core::engine::{SearchOptions, VectorIndex};
-use pdx_core::exec::{parallel_block_search, BatchSearcher, ThreadPool};
+use pdx_core::exec::BatchSearcher;
 use pdx_core::heap::Neighbor;
 use pdx_core::mask::RowMask;
 use pdx_core::pruning::Pruner;
 use pdx_core::search::quantized::{sq8_rerank, Sq8Block, Sq8Bound};
 use pdx_core::search::{
-    horizontal_linear_scan, horizontal_pruned_search, pdxearch, pdxearch_band, HorizontalBucket,
-    ScanBlock,
+    horizontal_linear_scan, horizontal_pruned_search, pdxearch_band, HorizontalBucket, ScanBlock,
 };
 use pdx_core::QueryTrace;
 use std::ops::Deref;
@@ -130,7 +126,7 @@ impl Tracing {
 /// bring their own [`Pruner`].
 pub trait Deployment: VectorIndex {
     /// The element type of the scan payload.
-    type Block: Sync;
+    type Block;
 
     /// Number of blocks; [`Deployment::pin`] takes `0..n_blocks`.
     fn n_blocks(&self) -> usize;
@@ -143,7 +139,7 @@ pub trait Deployment: VectorIndex {
     }
 
     /// A handle that keeps block `block` alive while it is scanned.
-    fn pin(&self, block: u32) -> impl Deref<Target = Self::Block> + Send + Sync;
+    fn pin(&self, block: u32) -> impl Deref<Target = Self::Block>;
 
     /// Runs `scan` while the blocks of `order` that are not resident yet
     /// load in the background (out-of-core deployments).
@@ -163,11 +159,10 @@ pub trait Deployment: VectorIndex {
     /// One query: prepare → route → scan → rerank → publish one trace.
     fn search_with<P>(&self, pruner: &P, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor>
     where
-        P: Pruner + Sync,
-        P::Query: Sync,
+        P: Pruner,
         Self::Block: ScanBlock<P>,
     {
-        self.search_live_with(pruner, query, opts, None, false)
+        self.search_live_with(pruner, query, opts, None)
     }
 
     /// A batch of packed queries on [`SearchOptions::threads`] workers,
@@ -194,7 +189,6 @@ pub trait Deployment: VectorIndex {
     ) -> Vec<Vec<Neighbor>>
     where
         P: Pruner + Sync,
-        P::Query: Sync,
         Self::Block: ScanBlock<P>,
     {
         let (searcher, dims) = (BatchSearcher::new(opts.threads), self.dims());
@@ -205,62 +199,38 @@ pub trait Deployment: VectorIndex {
             queries,
             dims,
             |packed| pruner.prepare_queries(packed, dims),
-            |band| serve(self, pruner, band, opts, None, Tracing::start(opts), None),
+            |band| serve(self, pruner, band, opts, None, Tracing::start(opts)),
         )
     }
 
-    /// One query with the routed blocks split into contiguous per-worker
-    /// ranges on [`SearchOptions::threads`] workers; per-worker heaps
-    /// merge to the canonical top-k by `(distance, id)`. Bit-identical to
-    /// [`Deployment::search_with`] for exact pruners at any thread
-    /// count; approximate pruners may differ because their bound depends
-    /// on the threshold's history.
-    fn search_parallel_with<P>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        opts: &SearchOptions,
-    ) -> Vec<Neighbor>
-    where
-        P: Pruner + Sync,
-        P::Query: Sync,
-        Self::Block: ScanBlock<P>,
-    {
-        self.search_live_with(pruner, query, opts, None, true)
-    }
-
-    /// [`Deployment::search_with`] — with `parallel`,
-    /// [`Deployment::search_parallel_with`] — over the rows whose id is
-    /// not in `dead`: the mask goes to [`pdxearch`], which drops those
-    /// rows in the scan, so the answer is that of the same blocks without
-    /// them (how a collection searches a sealed segment that holds
-    /// tombstoned rows).
+    /// [`Deployment::search_with`] over the rows whose id is not in
+    /// `dead`: the mask goes to [`pdxearch_band`], which drops those rows
+    /// in the scan, so the answer is that of the same blocks without them
+    /// (how a collection searches a sealed segment that holds tombstoned
+    /// rows).
     fn search_live_with<P>(
         &self,
         pruner: &P,
         query: &[f32],
         opts: &SearchOptions,
         dead: Option<&RowMask>,
-        parallel: bool,
     ) -> Vec<Neighbor>
     where
-        P: Pruner + Sync,
-        P::Query: Sync,
+        P: Pruner,
         Self::Block: ScanBlock<P>,
     {
         let mut tracing = Tracing::start(opts);
         let q = tracing.phase(|p| &mut p.preprocess_ns, || pruner.prepare_query(query));
-        let pool = parallel.then(|| ThreadPool::new(opts.threads));
         let band = std::slice::from_ref(&q);
-        let mut answers = serve(self, pruner, band, opts, dead, tracing, pool.as_ref());
+        let mut answers = serve(self, pruner, band, opts, dead, tracing);
         answers.pop().expect("one answer list per query")
     }
 }
 
 /// The serve driver behind [`Deployment`]'s provided methods, from the
-/// prepared queries on: route, scan (minus the `dead` rows) on the
-/// calling thread or across `pool`, rerank, publish. `band` is the
-/// queries served together — one, or a batch worker's band. A routed
+/// prepared queries on: route, scan (minus the `dead` rows), rerank,
+/// publish. `band` is the queries served together — one, or a batch
+/// worker's band. A routed
 /// deployment ranks its centroids for the whole band in one pass
 /// ([`probe_orders`]), then scans the band's queries one after the
 /// other, each over its own probe list (an approximate pruner's answer
@@ -274,12 +244,10 @@ fn serve<D, P>(
     opts: &SearchOptions,
     dead: Option<&RowMask>,
     mut tracing: Tracing,
-    pool: Option<&ThreadPool>,
 ) -> Vec<Vec<Neighbor>>
 where
     D: Deployment + ?Sized,
-    P: Pruner + Sync,
-    P::Query: Sync,
+    P: Pruner,
     D::Block: ScanBlock<P>,
 {
     let metric = pruner.metric();
@@ -303,25 +271,13 @@ where
         k: opts.k * rows.map_or(1, |_| opts.refine.max(1)),
         ..*opts
     };
+    // The scan streams: each block is pinned right before it is scanned
+    // and released right after.
     let mut scan_band = |band: &[P::Query], order: &[u32]| {
-        let pins = || order.iter().map(|&b| dep.pin(b));
-        match pool {
-            // The scan streams: each block is pinned right before it is
-            // scanned and released right after.
-            None => dep.with_prefetch(order, || {
-                pdxearch_band(pruner, band, pins(), &scan, dead, tracing.trace())
-            }),
-            Some(pool) => {
-                let pinned: Vec<_> = dep.with_prefetch(order, || pins().collect());
-                let split = |q| {
-                    parallel_block_search(pool, pinned.len(), scan.k, |range| {
-                        let blocks = pinned[range].iter().map(|p| &**p);
-                        pdxearch(pruner, q, blocks, &scan, dead, None)
-                    })
-                };
-                band.iter().map(split).collect()
-            }
-        }
+        let pins = order.iter().map(|&b| dep.pin(b));
+        dep.with_prefetch(order, || {
+            pdxearch_band(pruner, band, pins, &scan, dead, tracing.trace())
+        })
     };
     let candidates: Vec<Vec<Neighbor>> = match &orders {
         None => scan_band(band, &(0..dep.n_blocks() as u32).collect::<Vec<_>>()),
@@ -366,19 +322,14 @@ where
 }
 
 /// The searches of [`VectorIndex`] for a [`Deployment`] (`this`) whose
-/// pruner under the options `opts` is `$pruner`: the single-query ones
-/// are [`Deployment::search_live_with`] without a mask, and a batch is
+/// pruner under the options `opts` is `$pruner`: a single query is
+/// [`Deployment::search_with`], and a batch is
 /// [`Deployment::search_batch_with`], served a band at a time.
 macro_rules! searches_through_serve {
     (|$this:ident, $opts:ident| $pruner:expr) => {
         fn search(&self, query: &[f32], $opts: &SearchOptions) -> Vec<Neighbor> {
             let $this = self;
-            $this.search_live_with(&$pruner, query, $opts, None, false)
-        }
-
-        fn search_parallel(&self, query: &[f32], $opts: &SearchOptions) -> Vec<Neighbor> {
-            let $this = self;
-            $this.search_live_with(&$pruner, query, $opts, None, true)
+            $this.search_with(&$pruner, query, $opts)
         }
 
         fn search_batch(&self, queries: &[f32], $opts: &SearchOptions) -> Vec<Vec<Neighbor>> {
@@ -408,7 +359,7 @@ impl Deployment for FlatPdx {
         self.collection.blocks.len()
     }
 
-    fn pin(&self, block: u32) -> impl Deref<Target = SearchBlock> + Send + Sync {
+    fn pin(&self, block: u32) -> impl Deref<Target = SearchBlock> {
         &self.collection.blocks[block as usize]
     }
 }
@@ -444,7 +395,7 @@ impl Deployment for IvfPdx {
         Some(&self.centroids)
     }
 
-    fn pin(&self, block: u32) -> impl Deref<Target = SearchBlock> + Send + Sync {
+    fn pin(&self, block: u32) -> impl Deref<Target = SearchBlock> {
         &self.blocks[block as usize]
     }
 }
@@ -477,7 +428,7 @@ impl Deployment for FlatSq8 {
         self.blocks.len()
     }
 
-    fn pin(&self, block: u32) -> impl Deref<Target = Sq8Block> + Send + Sync {
+    fn pin(&self, block: u32) -> impl Deref<Target = Sq8Block> {
         &self.blocks[block as usize]
     }
 
@@ -521,7 +472,7 @@ impl Deployment for IvfSq8 {
         Some(&self.centroids)
     }
 
-    fn pin(&self, block: u32) -> impl Deref<Target = Sq8Block> + Send + Sync {
+    fn pin(&self, block: u32) -> impl Deref<Target = Sq8Block> {
         &self.blocks[block as usize]
     }
 
@@ -633,7 +584,7 @@ mod tests {
             flat.linear_search(&q, k, Metric::L2)
         );
         assert_eq!(
-            dyn_flat.search_parallel(&q, &opts.with_threads(3)),
+            dyn_flat.search_batch(&q, &opts.with_threads(3))[0],
             flat.linear_search(&q, k, Metric::L2)
         );
     }

@@ -202,10 +202,10 @@ impl Deployment for LazyIvf {
         Some(&self.centroids)
     }
 
-    /// The cache's `Arc`: a scan that streams its pins holds each bucket
-    /// exactly as long as it scans it, a parallel scan holds all of
-    /// them, and neither can be invalidated by an eviction.
-    fn pin(&self, block: u32) -> impl Deref<Target = SearchBlock> + Send + Sync {
+    /// The cache's `Arc`: the scan streams its pins, so it holds each
+    /// bucket exactly as long as it scans it, and an eviction cannot
+    /// invalidate it.
+    fn pin(&self, block: u32) -> impl Deref<Target = SearchBlock> {
         self.fetch(block)
     }
 
@@ -319,15 +319,16 @@ mod tests {
         assert_eq!(lazy.total_vectors(), 500);
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
         let opts = SearchOptions::new(9).with_nprobe(4);
-        for qi in 0..12 {
-            let q = random_rows(1, 8, 100 + qi);
-            let want = resident.search_with(&bond, &q, &opts);
-            let got = lazy.search_with(&bond, &q, &opts);
-            assert_eq!(want, got, "query {qi}: ids or distance bits differ");
-            for threads in [1usize, 2, 8] {
-                let par = lazy.search_parallel_with(&bond, &q, &opts.with_threads(threads));
-                assert_eq!(want, par, "query {qi} at {threads} threads");
-            }
+        let queries: Vec<f32> = (0..12).flat_map(|qi| random_rows(1, 8, 100 + qi)).collect();
+        let mut want = Vec::new();
+        for (qi, q) in queries.chunks_exact(8).enumerate() {
+            want.push(resident.search_with(&bond, q, &opts));
+            let got = lazy.search_with(&bond, q, &opts);
+            assert_eq!(want[qi], got, "query {qi}: ids or distance bits differ");
+        }
+        for threads in [1usize, 2, 8] {
+            let batch = lazy.search_batch_with(&bond, &queries, &opts.with_threads(threads));
+            assert_eq!(want, batch, "batch at {threads} threads");
         }
         let stats = lazy.cache_stats();
         assert!(stats.misses > 0, "tiny budget must miss");

@@ -34,8 +34,8 @@
 //!   is written once) and the [`pdx_core::engine::VectorIndex`]
 //!   implementations on top of it, so each PDX-layout deployment is
 //!   reachable as a `Box<dyn VectorIndex>` behind one
-//!   [`pdx_core::engine::SearchOptions`] surface (batch and parallel
-//!   entry points included). The two baselines, [`ivf::IvfHorizontal`]
+//!   [`pdx_core::engine::SearchOptions`] surface (the batch entry point
+//!   included). The two baselines, [`ivf::IvfHorizontal`]
 //!   and [`hnsw::Hnsw`], are served by no layer and keep typed calls.
 
 pub mod engine;

@@ -168,8 +168,7 @@ pub mod prelude {
     pub use pdx_core::distance::{normalize, Metric};
     pub use pdx_core::engine::{PrunerKind, SearchOptions, VectorIndex};
     pub use pdx_core::exec::{
-        merge_neighbors, parallel_block_search, resolve_threads, BatchSearcher, ThreadPool,
-        THREADS_ENV,
+        merge_neighbors, resolve_threads, BatchSearcher, ThreadPool, THREADS_ENV,
     };
     pub use pdx_core::heap::{KnnHeap, Neighbor};
     pub use pdx_core::kernels::{

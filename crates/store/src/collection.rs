@@ -578,11 +578,6 @@ impl Collection {
         self.lock_writer().tombstones.len()
     }
 
-    /// Whether the collection persists to a directory.
-    pub fn is_persistent(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// Current WAL generation (persistent collections).
     pub fn wal_seq(&self) -> u64 {
         self.lock_writer().wal_seq
@@ -1249,12 +1244,6 @@ impl VectorIndex for Collection {
         self.snapshot().search_batch(queries, opts)
     }
 
-    /// Intra-query parallelism over one pinned snapshot: bit-identical
-    /// to [`VectorIndex::search`] at any thread count.
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.snapshot().search_parallel(query, opts)
-    }
-
     /// Approximate payload footprint: live vectors × (per-dimension
     /// scan bytes + 8-byte id). Quantized collections also keep the
     /// `f32` rerank rows resident.
@@ -1608,17 +1597,19 @@ mod tests {
                 }
                 assert_eq!(coll.live_len(), model.len(), "step {step}");
                 assert_masks_match_tombstones(&coll, &model);
-                for _ in 0..2 {
-                    let q = point(&mut rng);
-                    let opts = SearchOptions::new(k);
-                    let got = coll.search(&q, &opts);
-                    let at = format!("step {step} quantize={quantize}");
-                    assert_eq!(got, expected(&coll, &model, &q, &opts), "{at}");
-                    assert_eq!(got, coll.search(&q, &opts.with_trace(true)), "{at}");
-                    for threads in [1usize, 2, 8] {
-                        let par = coll.search_parallel(&q, &opts.with_threads(threads));
-                        assert_eq!(got, par, "{at} at {threads} threads");
-                    }
+                let queries: Vec<f32> = (0..2).flat_map(|_| point(&mut rng)).collect();
+                let opts = SearchOptions::new(k);
+                let at = format!("step {step} quantize={quantize}");
+                let mut want = Vec::new();
+                for q in queries.chunks_exact(d) {
+                    let got = coll.search(q, &opts);
+                    assert_eq!(got, expected(&coll, &model, q, &opts), "{at}");
+                    assert_eq!(got, coll.search(q, &opts.with_trace(true)), "{at}");
+                    want.push(got);
+                }
+                for threads in [1usize, 2, 8] {
+                    let batch = coll.search_batch(&queries, &opts.with_threads(threads));
+                    assert_eq!(batch, want, "{at} at {threads} threads");
                 }
             }
             assert!(coll.segment_count() > 0 && !model.is_empty());

@@ -27,11 +27,10 @@
 //! top-`k` of its live rows under external ids (`Segment::search` —
 //! its mask goes into the PDXearch scan, where a dead row takes no heap
 //! slot and loosens no threshold), and one canonical `(distance, id)`
-//! merge — the same order the parallel execution engine uses — combines
-//! them with the buffer scan. [`Snapshot`] states the result contract
-//! per segment kind.
-//! Batch and intra-query parallel searches are therefore bit-identical
-//! to the sequential path at any thread count, live tombstones included.
+//! merge ([`pdx_core::exec::merge_neighbors`]) combines them with the
+//! buffer scan. [`Snapshot`] states the result contract per segment
+//! kind. A batch answers each query with the bits of its sequential
+//! search at any thread count, live tombstones included.
 //!
 //! ## Concurrency
 //!

@@ -139,25 +139,21 @@ impl Segment {
     /// `dead`, under their external ids. The frozen deployment scans
     /// with the pruner its [`VectorIndex::search`] names under `opts`
     /// ([`SearchOptions::bond`] for `f32`, [`Sq8Bound`] for SQ8) and
-    /// `dead` handed to the scan; with `parallel`, its blocks split
-    /// across `opts.threads` workers. The remap is strictly increasing,
-    /// so the canonical `(distance, id)` order is the same in local and
+    /// `dead` handed to the scan. The remap is strictly increasing, so
+    /// the canonical `(distance, id)` order is the same in local and
     /// external ids.
     pub(crate) fn search(
         &self,
         query: &[f32],
         opts: &SearchOptions,
         dead: &RowMask,
-        parallel: bool,
     ) -> Vec<Neighbor> {
         let dead = Some(dead);
         let mut hits = match &self.data {
-            SegmentData::F32(flat) => {
-                flat.search_live_with(&opts.bond(), query, opts, dead, parallel)
-            }
+            SegmentData::F32(flat) => flat.search_live_with(&opts.bond(), query, opts, dead),
             SegmentData::Sq8(sq8) => {
                 let bound = Sq8Bound::new(&sq8.quantizer, opts.metric);
-                sq8.search_live_with(&bound, query, opts, dead, parallel)
+                sq8.search_live_with(&bound, query, opts, dead)
             }
         };
         for n in &mut hits {

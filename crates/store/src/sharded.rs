@@ -11,18 +11,17 @@
 //!
 //! Reads are merged, not partitioned: a query runs against every shard
 //! and the per-shard top-k lists merge canonically by `(distance, id)`
-//! — the same merge the intra-query parallel paths use — so
-//! [`ShardedCollection::search`] and
-//! [`ShardedCollection::search_parallel`] return bit-identical results
-//! at any thread count, and (under the row-pure `Sequential` visit
-//! order) bit-identical to an equivalent single-shard build holding
-//! the same rows.
+//! — the same merge a collection's snapshot uses across its segments —
+//! so [`ShardedCollection::search`] returns, under the row-pure
+//! `Sequential` visit order, the bits of an equivalent single-shard
+//! build holding the same rows; a batch returns the bits of `search` at
+//! any thread count.
 
 use crate::manifest::replace_atomic;
 use crate::{Collection, StoreConfig, StoreError};
 use pdx_core::codec::put_u32;
 use pdx_core::engine::{SearchOptions, VectorIndex};
-use pdx_core::exec::{merge_neighbors, parallel_block_search, ThreadPool};
+use pdx_core::exec::merge_neighbors;
 use pdx_core::heap::Neighbor;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -265,22 +264,6 @@ impl VectorIndex for ShardedCollection {
         merge_neighbors(&lists, opts.k)
     }
 
-    /// One shard per work item on the intra-query pool. Each worker
-    /// runs the *sequential* per-shard search, and the pool's merge is
-    /// the same canonical `(distance, id)` merge as
-    /// [`VectorIndex::search`] — so results are bit-identical to the
-    /// sequential path at any thread count.
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        let pool = ThreadPool::new(opts.threads);
-        parallel_block_search(&pool, self.shards.len(), opts.k, |range| {
-            let lists: Vec<Vec<Neighbor>> = self.shards[range]
-                .iter()
-                .map(|s| VectorIndex::search(s, query, opts))
-                .collect();
-            merge_neighbors(&lists, opts.k)
-        })
-    }
-
     fn resident_bytes(&self) -> u64 {
         self.shards.iter().map(VectorIndex::resident_bytes).sum()
     }
@@ -367,8 +350,8 @@ mod tests {
         assert_eq!(VectorIndex::search(&sharded, &q, &opts), want);
         for threads in [1usize, 2, 8] {
             assert_eq!(
-                sharded.search_parallel(&q, &opts.with_threads(threads)),
-                want,
+                sharded.search_batch(&q, &opts.with_threads(threads)),
+                std::slice::from_ref(&want),
                 "{threads} threads"
             );
         }

@@ -201,28 +201,6 @@ impl Snapshot {
     pub fn tombstone_count(&self) -> usize {
         self.segments.iter().map(|v| v.dead.len()).sum()
     }
-
-    /// The collection's read path, frozen at snapshot time: the exact
-    /// scans of the memory-resident rows (the in-flight sealing section,
-    /// if any, and the write buffer) and every segment's top-`k` live
-    /// rows under external ids ([`Segment::search`]; `parallel` splits
-    /// each segment's scan across `opts.threads` workers), merged in one
-    /// canonical `(distance, id)` pass. `k == 0` answers empty without
-    /// scanning.
-    fn merged(&self, query: &[f32], opts: &SearchOptions, parallel: bool) -> Vec<Neighbor> {
-        if opts.k == 0 {
-            return Vec::new();
-        }
-        let variant = opts.kernel.horizontal_variant();
-        let memory = self.sealing.iter().chain([&self.buffer]);
-        let scan = |rows: &BufferSnapshot| rows.scan(query, opts.k, opts.metric, variant);
-        let sealed = |v: &SegmentView| v.segment.search(query, opts, &v.dead, parallel);
-        let lists: Vec<Vec<Neighbor>> = memory
-            .map(scan)
-            .chain(self.segments.iter().map(sealed))
-            .collect();
-        merge_neighbors(&lists, opts.k)
-    }
 }
 
 impl VectorIndex for Snapshot {
@@ -238,20 +216,25 @@ impl VectorIndex for Snapshot {
         "collection-snapshot"
     }
 
-    /// Merges the memory-resident exact scans with every segment's
-    /// search of its live rows through the canonical `(distance, id)`
-    /// order — the collection's read path, frozen at snapshot time.
+    /// The collection's read path, frozen at snapshot time: the exact
+    /// scans of the memory-resident rows (the in-flight sealing section,
+    /// if any, and the write buffer) and every segment's top-`k` live
+    /// rows under external ids (`Segment::search`), merged in one
+    /// canonical `(distance, id)` pass. `k == 0` answers empty without
+    /// scanning.
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.merged(query, opts, false)
-    }
-
-    /// Intra-query parallelism over the same view: each segment's scan
-    /// splits its blocks across the workers (bit-identical to sequential
-    /// at any thread count), the memory scans stay sequential, and the
-    /// merge is canonical — so the result equals [`VectorIndex::search`]
-    /// at any width.
-    fn search_parallel(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor> {
-        self.merged(query, opts, true)
+        if opts.k == 0 {
+            return Vec::new();
+        }
+        let variant = opts.kernel.horizontal_variant();
+        let memory = self.sealing.iter().chain([&self.buffer]);
+        let scan = |rows: &BufferSnapshot| rows.scan(query, opts.k, opts.metric, variant);
+        let sealed = |v: &SegmentView| v.segment.search(query, opts, &v.dead);
+        let lists: Vec<Vec<Neighbor>> = memory
+            .map(scan)
+            .chain(self.segments.iter().map(sealed))
+            .collect();
+        merge_neighbors(&lists, opts.k)
     }
 }
 
@@ -275,8 +258,8 @@ mod tests {
 
     /// The read path over real segments of both kinds: hits come back
     /// under external ids, a segment's dead rows never surface (and cost
-    /// no slot of the top-`k`), the write buffer's rows merge in, and
-    /// the intra-query parallel path answers like the sequential one.
+    /// no slot of the top-`k`), the write buffer's rows merge in, and a
+    /// batch split across workers answers like the sequential search.
     #[test]
     fn search_remaps_masks_merges_the_buffer_and_splits_alike() {
         for quantize in [false, true] {
@@ -309,8 +292,8 @@ mod tests {
             let distances: Vec<f32> = got.iter().map(|n| n.distance).collect();
             assert_eq!(distances, [0.0625, 1.0, 4.0], "{tag}");
             for threads in [1, 2, 4] {
-                let par = snap.search_parallel(&[0.0], &opts.with_threads(threads));
-                assert_eq!(par, got, "{tag} at {threads} threads");
+                let batch = snap.search_batch(&[0.0, 0.0], &opts.with_threads(threads));
+                assert_eq!(batch, vec![got.clone(); 2], "{tag} at {threads} threads");
             }
         }
     }

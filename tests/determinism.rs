@@ -1,9 +1,8 @@
 //! The determinism suite of the parallel execution engine: every
-//! `search_batch` / `search_parallel` entry point must return neighbor
-//! ids AND distances bit-identical to the sequential path at 1, 2 and 8
-//! threads — on the flat and IVF deployments, `f32` and SQ8, and, for
-//! `search_batch`, the two fitted-pruner adapters — including
-//! duplicate-distance ties.
+//! `search_batch` entry point must return neighbor ids AND distances
+//! bit-identical to the sequential path at 1, 2 and 8 threads — on the
+//! flat and IVF deployments, `f32` and SQ8, and the two fitted-pruner
+//! adapters — including duplicate-distance ties.
 //!
 //! The data is built to tie aggressively: a small base set of vectors is
 //! tiled many times, so the k-NN frontier is crowded with exact
@@ -50,7 +49,7 @@ fn tied_queries(rows: &[f32], d: usize, nq: usize, seed: u64) -> Vec<f32> {
 }
 
 #[test]
-fn flat_batch_and_parallel_match_sequential() {
+fn flat_batch_matches_sequential() {
     let (base_n, copies, d, k, nq) = (60, 8, 12, 10, 6);
     let rows = tied_rows(base_n, copies, d, 1);
     let n = base_n * copies;
@@ -68,15 +67,11 @@ fn flat_batch_and_parallel_match_sequential() {
         let params = params.with_threads(threads);
         let batch = flat.search_batch_with(&bond, &queries, &params);
         assert_eq!(batch, sequential, "search_batch at {threads} threads");
-        for (qi, want) in sequential.iter().enumerate() {
-            let got = flat.search_parallel_with(&bond, &queries[qi * d..(qi + 1) * d], &params);
-            assert_eq!(&got, want, "search_parallel q{qi} at {threads} threads");
-        }
     }
 }
 
 #[test]
-fn ivf_batch_and_parallel_match_sequential() {
+fn ivf_batch_matches_sequential() {
     let (base_n, copies, d, k, nq) = (50, 6, 10, 8, 5);
     let rows = tied_rows(base_n, copies, d, 3);
     let n = base_n * copies;
@@ -100,19 +95,12 @@ fn ivf_batch_and_parallel_match_sequential() {
                 batch, sequential,
                 "search_batch nprobe={nprobe} at {threads} threads"
             );
-            for (qi, want) in sequential.iter().enumerate() {
-                let got = ivf.search_parallel_with(&bond, &queries[qi * d..(qi + 1) * d], &params);
-                assert_eq!(
-                    &got, want,
-                    "search_parallel q{qi} nprobe={nprobe} at {threads} threads"
-                );
-            }
         }
     }
 }
 
 #[test]
-fn flat_sq8_batch_and_parallel_match_sequential() {
+fn flat_sq8_batch_matches_sequential() {
     let (base_n, copies, d, k, nq) = (40, 6, 8, 6, 5);
     let rows = tied_rows(base_n, copies, d, 5);
     let n = base_n * copies;
@@ -128,10 +116,6 @@ fn flat_sq8_batch_and_parallel_match_sequential() {
         let opts = opts.with_threads(threads);
         let batch = sq8.search_batch(&queries, &opts);
         assert_eq!(batch, sequential, "search_batch at {threads} threads");
-        for (qi, want) in sequential.iter().enumerate() {
-            let got = sq8.search_parallel(&queries[qi * d..(qi + 1) * d], &opts);
-            assert_eq!(&got, want, "search_parallel q{qi} at {threads} threads");
-        }
     }
 }
 
@@ -160,10 +144,10 @@ fn ivf_sq8_batch_matches_sequential() {
 }
 
 /// Blocks longer than a PDXearch tile: three blocks of one full
-/// 1024-vector tile plus a 200-vector partial one. A block-range split
-/// hands some worker a START tile where the sequential scan was already
-/// pruning, and the stream pulls blocks one at a time — both must still
-/// reproduce the sequential `search` bit for bit, on `f32` and SQ8.
+/// 1024-vector tile plus a 200-vector partial one. A batch split across
+/// workers scans them tile-major for a band of queries, and the stream
+/// pulls blocks one at a time — both must still reproduce the sequential
+/// `search` bit for bit, on `f32` and SQ8.
 #[test]
 fn multi_tile_blocks_parallel_and_streamed_match_sequential() {
     let (d, k, nq) = (12, 10, 4);
@@ -176,8 +160,9 @@ fn multi_tile_blocks_parallel_and_streamed_match_sequential() {
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
     let params = SearchOptions::new(k);
 
+    let (mut want, mut want8) = (Vec::new(), Vec::new());
     for q in queries.chunks_exact(d) {
-        let want = flat.search_with(&bond, q, &params);
+        want.push(flat.search_with(&bond, q, &params));
         // An owning stream of pins, as an out-of-core deployment hands over.
         let stream = flat
             .collection
@@ -186,15 +171,15 @@ fn multi_tile_blocks_parallel_and_streamed_match_sequential() {
             .cloned()
             .map(std::sync::Arc::new);
         let streamed = pdxearch(&bond, &bond.prepare_query(q), stream, &params, None, None);
-        assert_eq!(streamed, want, "pdxearch over a stream");
-        let want8 = sq8.search(q, &params);
-        for threads in THREAD_COUNTS {
-            let params = params.with_threads(threads);
-            let got = flat.search_parallel_with(&bond, q, &params);
-            assert_eq!(got, want, "FlatPdx search_parallel at {threads} threads");
-            let got8 = sq8.search_parallel(q, &params);
-            assert_eq!(got8, want8, "FlatSq8 search_parallel at {threads} threads");
-        }
+        assert_eq!(&streamed, want.last().unwrap(), "pdxearch over a stream");
+        want8.push(sq8.search(q, &params));
+    }
+    for threads in THREAD_COUNTS {
+        let params = params.with_threads(threads);
+        let got = flat.search_batch_with(&bond, &queries, &params);
+        assert_eq!(got, want, "FlatPdx search_batch at {threads} threads");
+        let got8 = sq8.search_batch(&queries, &params);
+        assert_eq!(got8, want8, "FlatSq8 search_batch at {threads} threads");
     }
 }
 

@@ -6,8 +6,7 @@
 //!     paper's two baselines through their typed calls (the horizontal
 //!     IVF under the options' pruner, HNSW at a beam of 100),
 //! (b) answer `search_batch` bit-identically to a sequential loop of
-//!     `search` at any thread count, and `search_parallel`
-//!     bit-identically for the block-splittable deployments,
+//!     `search` at any thread count,
 //! (c) reproduce, from `SearchOptions::default()`, exactly what each
 //!     deployment's inherent API returned with its old per-type
 //!     defaults — the refactor must not have moved any default.
@@ -106,22 +105,6 @@ fn batch_is_bit_identical_to_sequential_loop() {
     }
 }
 
-#[test]
-fn parallel_is_bit_identical_to_sequential_search() {
-    let (n, d, k) = (500, 12, 6);
-    let rows = random_rows(n, d, 8);
-    let q = random_rows(1, d, 9);
-    let deps = deployments(&rows, n, d);
-    let opts = SearchOptions::new(k);
-    for dep in &deps {
-        let want = dep.search(&q, &opts);
-        for threads in [1usize, 2, 8] {
-            let got = dep.search_parallel(&q, &opts.with_threads(threads));
-            assert_eq!(got, want, "{} at {threads} threads", dep.kind());
-        }
-    }
-}
-
 /// The kernel policy is a pure performance knob: for every deployment,
 /// every policy, and every thread count, results are bit-identical —
 /// the explicit SIMD kernels reproduce the scalar accumulation order.
@@ -144,13 +127,6 @@ fn kernel_policies_are_bit_identical_across_deployments_and_threads() {
                     batch,
                     want,
                     "{} with {policy:?} at {threads} threads",
-                    dep.kind()
-                );
-                let par = dep.search_parallel(&queries[..d], &opts.with_threads(threads));
-                assert_eq!(
-                    par,
-                    want[0],
-                    "{} parallel with {policy:?} at {threads} threads",
                     dep.kind()
                 );
             }

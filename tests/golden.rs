@@ -6,8 +6,7 @@
 //! the build with the past. A refactor of the search path must leave
 //! every constant below untouched: each is asserted under
 //! `KernelPolicy::{Scalar, Auto}`, with tracing on and off, and through
-//! `search`, `search_batch` and — for the exact configurations —
-//! `search_parallel` at 1, 2, 3 and 8 workers.
+//! `search` and `search_batch` at 1, 2, 3 and 8 workers.
 //!
 //! The collection comes from an xorshift generator this file owns (as
 //! `pdx-linalg`'s `golden_input` does), and the IVF buckets are assigned
@@ -109,47 +108,38 @@ fn fnv1a(results: &[Vec<Neighbor>]) -> u64 {
 /// The vertical kernels answer with the same bits under every policy.
 const VERTICAL: &[KernelPolicy] = &[KernelPolicy::Scalar, KernelPolicy::Auto];
 
-/// Worker counts of `search_batch` and `search_parallel`.
+/// Worker counts of `search_batch`.
 const WIDTHS: [usize; 4] = [1, 2, 3, 8];
 
 /// Asserts `want` for every kernel policy of `kernels` × tracing × entry
 /// point of `index` under `opts`, over the packed `queries`, the batch
-/// and parallel entry points at every width of [`WIDTHS`]. `exact` adds
-/// `search_parallel`, whose contract covers the exact configurations
-/// only.
+/// entry point at every width of [`WIDTHS`].
 fn pin_under(
     kernels: &[KernelPolicy],
     queries: &[f32],
     name: &str,
     index: &dyn VectorIndex,
     opts: SearchOptions,
-    exact: bool,
     want: u64,
 ) {
     for &kernel in kernels {
         for trace in [false, true] {
             let opts = opts.with_kernel(kernel).with_trace(trace);
-            let each = |search: &dyn Fn(&[f32]) -> Vec<Neighbor>| -> Vec<Vec<Neighbor>> {
-                queries.chunks_exact(D).map(search).collect()
-            };
             let tag = format!("{name} {kernel:?} trace={trace}");
-            let single = fnv1a(&each(&|q| index.search(q, &opts)));
+            let each = queries.chunks_exact(D).map(|q| index.search(q, &opts));
+            let single = fnv1a(&each.collect::<Vec<_>>());
             assert_eq!(single, want, "{tag} search: {single:#018x}");
             for threads in WIDTHS {
                 let opts = opts.with_threads(threads);
                 let batch = fnv1a(&index.search_batch(queries, &opts));
                 assert_eq!(batch, want, "{tag} search_batch@{threads}: {batch:#018x}");
-                if exact {
-                    let par = fnv1a(&each(&|q| index.search_parallel(q, &opts)));
-                    assert_eq!(par, want, "{tag} search_parallel@{threads}: {par:#018x}");
-                }
             }
         }
     }
 }
 
-fn pin(name: &str, index: &dyn VectorIndex, opts: SearchOptions, exact: bool, want: u64) {
-    pin_under(VERTICAL, &queries(), name, index, opts, exact, want);
+fn pin(name: &str, index: &dyn VectorIndex, opts: SearchOptions, want: u64) {
+    pin_under(VERTICAL, &queries(), name, index, opts, want);
 }
 
 #[test]
@@ -165,18 +155,18 @@ fn flat_pdx_every_visit_order_and_linear() {
     ];
     for (order, want) in orders {
         let opts = SearchOptions::new(10).with_pruner(PrunerKind::Bond(order));
-        pin(&format!("flat-pdx {order:?}"), &flat, opts, true, want);
+        pin(&format!("flat-pdx {order:?}"), &flat, opts, want);
     }
     let linear = SearchOptions::new(10).with_pruner(PrunerKind::Linear);
-    pin("flat-pdx linear", &flat, linear, true, FLAT_LINEAR);
+    pin("flat-pdx linear", &flat, linear, FLAT_LINEAR);
     let ip = linear.with_metric(Metric::NegativeIp);
-    pin("flat-pdx linear IP", &flat, ip, true, FLAT_LINEAR_IP);
+    pin("flat-pdx linear IP", &flat, ip, FLAT_LINEAR_IP);
 
     // 130 queries on the batch's two workers are two bands a worker.
     let many = many_queries();
     let opts = SearchOptions::new(10);
     let name = "flat-pdx 130 queries";
-    pin_under(VERTICAL, &many, name, &flat, opts, true, FLAT_130_QUERIES);
+    pin_under(VERTICAL, &many, name, &flat, opts, FLAT_130_QUERIES);
 }
 
 #[test]
@@ -186,8 +176,8 @@ fn ivf_pdx_partial_and_full_probe_resident_and_lazy() {
     assert_eq!(ivf.blocks[0].len(), 1250);
     let partial = SearchOptions::new(10).with_nprobe(3);
     let full = SearchOptions::new(10);
-    pin("ivf-pdx nprobe=3", &ivf, partial, true, IVF_PARTIAL);
-    pin("ivf-pdx full", &ivf, full, true, IVF_FULL);
+    pin("ivf-pdx nprobe=3", &ivf, partial, IVF_PARTIAL);
+    pin("ivf-pdx full", &ivf, full, IVF_FULL);
 
     // The same container behind a cache that holds one bucket at most:
     // every query churns it, and the answers may not move.
@@ -198,8 +188,8 @@ fn ivf_pdx_partial_and_full_probe_resident_and_lazy() {
         .unwrap();
     let one_bucket = (1250 * (8 + 4 * D) + 8 * D) as u64;
     let lazy = LazyIvf::open(&path, one_bucket).unwrap();
-    pin("ivf-pdx-lazy nprobe=3", &lazy, partial, true, IVF_PARTIAL);
-    pin("ivf-pdx-lazy full", &lazy, full, true, IVF_FULL);
+    pin("ivf-pdx-lazy nprobe=3", &lazy, partial, IVF_PARTIAL);
+    pin("ivf-pdx-lazy full", &lazy, full, IVF_FULL);
     assert!(VectorIndex::cache_stats(&lazy).unwrap().evictions > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -238,18 +228,12 @@ fn sq8_two_phase_and_scan_only() {
     // with tombstones asks of a sealed SQ8 segment (`k + dead`).
     let wide = SearchOptions::new(60);
     let flat = FlatSq8::build(&rows, N, D, BLOCK, GROUP);
-    pin(
-        "flat-sq8 k=10",
-        &flat,
-        SearchOptions::new(10),
-        true,
-        FLAT_SQ8,
-    );
-    pin("flat-sq8 k=60", &flat, wide, true, FLAT_SQ8_WIDE);
+    pin("flat-sq8 k=10", &flat, SearchOptions::new(10), FLAT_SQ8);
+    pin("flat-sq8 k=60", &flat, wide, FLAT_SQ8_WIDE);
     let l1 = SearchOptions::new(10).with_metric(Metric::L1);
-    pin("flat-sq8 L1", &flat, l1, true, FLAT_SQ8_L1);
+    pin("flat-sq8 L1", &flat, l1, FLAT_SQ8_L1);
     let ip = SearchOptions::new(10).with_metric(Metric::NegativeIp);
-    pin("flat-sq8 IP", &flat, ip, true, FLAT_SQ8_IP);
+    pin("flat-sq8 IP", &flat, ip, FLAT_SQ8_IP);
 
     let scan_only = FlatSq8::from_parts(D, flat.quantizer.clone(), flat.blocks.clone(), Vec::new());
     assert_eq!(scan_only.kind(), "flat-sq8-scan-only");
@@ -257,14 +241,13 @@ fn sq8_two_phase_and_scan_only() {
         "flat-sq8-scan-only",
         &scan_only,
         SearchOptions::new(10),
-        true,
         FLAT_SQ8_SCAN_ONLY,
     );
 
     let ivf = IvfSq8::new(&rows, D, &assignments(), GROUP);
     let partial = SearchOptions::new(10).with_nprobe(3);
-    pin("ivf-sq8 nprobe=3", &ivf, partial, true, IVF_SQ8_PARTIAL);
-    pin("ivf-sq8 k=60", &ivf, wide, true, IVF_SQ8_WIDE);
+    pin("ivf-sq8 nprobe=3", &ivf, partial, IVF_SQ8_PARTIAL);
+    pin("ivf-sq8 k=60", &ivf, wide, IVF_SQ8_WIDE);
 }
 
 #[test]
@@ -275,13 +258,7 @@ fn fitted_pruners() {
     let rotated = ads.transform_collection(&rows, N, 1);
     let ivf = PrunedIvf::new(IvfPdx::new(&rotated, D, &assignments(), GROUP), ads);
     let partial = SearchOptions::new(10).with_nprobe(3);
-    pin(
-        "pruned-ivf-adsampling",
-        &ivf,
-        partial,
-        false,
-        PRUNED_IVF_ADS,
-    );
+    pin("pruned-ivf-adsampling", &ivf, partial, PRUNED_IVF_ADS);
 
     // BSA reads a per-vector aux row at every checkpoint (`NEEDS_AUX`).
     let bsa = Bsa::fit(&rows, N, D, N);
@@ -296,14 +273,13 @@ fn fitted_pruners() {
         "pruned-flat-bsa",
         &flat,
         SearchOptions::new(10),
-        false,
         PRUNED_FLAT_BSA,
     );
     // An approximate pruner's answer depends on its threshold's history:
     // a query served in a band must have met every tile in its own order.
     let (many, opts) = (many_queries(), SearchOptions::new(10));
     let name = "pruned-flat-bsa 130 queries";
-    pin_under(VERTICAL, &many, name, &flat, opts, false, BSA_130_QUERIES);
+    pin_under(VERTICAL, &many, name, &flat, opts, BSA_130_QUERIES);
 }
 
 /// A collection's read path: three sealed segments, every one with
@@ -337,7 +313,7 @@ fn store_read_path() {
         assert_eq!(coll.buffer_len(), 80);
         let name = format!("collection quantize={quantize}");
         let opts = SearchOptions::new(10);
-        pin_under(scalar, &queries(), &name, &coll, opts, true, want);
+        pin_under(scalar, &queries(), &name, &coll, opts, want);
     }
 }
 

@@ -2,7 +2,7 @@
 //! (`pdx-store`): insert/delete visibility, seal + compaction
 //! bit-identity against fresh flat builds, WAL torn-tail crash
 //! recovery through `AnyIndex::open`, duplicate-id rejection at every
-//! layer, batch/parallel determinism at 1/2/8 threads on a collection
+//! layer, batch determinism at 1/2/8 threads on a collection
 //! with live tombstones, reader bit-identity during background
 //! compaction, WAL-rotation fault injection, and group-commit
 //! power-loss durability. Edge cases backfilled while wiring the
@@ -160,18 +160,17 @@ fn assert_compacted_matches_fresh(quantize: bool) {
     let queries = make_rows(6, d, 8);
     for threads in THREAD_COUNTS {
         let opts = SearchOptions::new(k).with_threads(threads);
-        for qi in 0..6 {
-            let q = &queries[qi * d..(qi + 1) * d];
-            let got = if threads == 1 {
-                coll.search(q, &opts)
+        let answers = |index: &dyn VectorIndex| -> Vec<Vec<Neighbor>> {
+            if threads == 1 {
+                queries
+                    .chunks_exact(d)
+                    .map(|q| index.search(q, &opts))
+                    .collect()
             } else {
-                coll.search_parallel(q, &opts)
-            };
-            let want = if threads == 1 {
-                fresh.search(q, &opts)
-            } else {
-                fresh.search_parallel(q, &opts)
-            };
+                index.search_batch(&queries, &opts)
+            }
+        };
+        for (qi, (got, want)) in answers(&coll).iter().zip(answers(fresh)).enumerate() {
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 // Bitwise-equal distances, ids through the remap.
@@ -226,14 +225,6 @@ fn batch_and_parallel_match_sequential_with_live_tombstones() {
                 batch, sequential,
                 "search_batch at {threads} threads (quantize={quantize})"
             );
-            for (qi, want) in sequential.iter().enumerate() {
-                let got = dep
-                    .search_parallel(&queries[qi * d..(qi + 1) * d], &opts.with_threads(threads));
-                assert_eq!(
-                    &got, want,
-                    "search_parallel q{qi} at {threads} threads (quantize={quantize})"
-                );
-            }
         }
     }
 }
@@ -363,15 +354,17 @@ fn assert_concurrent_compaction_bit_identical(threads: usize) {
     }
     let queries = Arc::new(make_rows(nq, d, 42));
     let opts = SearchOptions::new(k).with_threads(threads);
-    let run_query = move |coll: &Collection, queries: &[f32], qi: usize| {
-        let q = &queries[qi * d..(qi + 1) * d];
+    let run_queries = move |coll: &Collection, queries: &[f32]| -> Vec<Vec<Neighbor>> {
         if threads == 1 {
-            coll.search(q, &opts)
+            queries
+                .chunks_exact(d)
+                .map(|q| coll.search(q, &opts))
+                .collect()
         } else {
-            coll.search_parallel(q, &opts)
+            coll.search_batch(queries, &opts)
         }
     };
-    let pre: Vec<Vec<Neighbor>> = (0..nq).map(|qi| run_query(&coll, &queries, qi)).collect();
+    let pre = run_queries(&coll, &queries);
 
     let job = coll.compact_background().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
@@ -386,8 +379,8 @@ fn assert_concurrent_compaction_bit_identical(threads: usize) {
                 // oracle; the main thread checks them against post.
                 let mut divergent = Vec::new();
                 while !stop.load(Ordering::Acquire) {
-                    for (qi, pre_q) in pre.iter().enumerate() {
-                        let got = run_query(&coll, &queries, qi);
+                    let answers = run_queries(&coll, &queries).into_iter().zip(&pre);
+                    for (qi, (got, pre_q)) in answers.enumerate() {
                         if got != *pre_q {
                             divergent.push((qi, got));
                         }
@@ -402,7 +395,7 @@ fn assert_concurrent_compaction_bit_identical(threads: usize) {
 
     assert_eq!(coll.segment_count(), 1);
     assert_eq!(coll.tombstone_count(), 0);
-    let post: Vec<Vec<Neighbor>> = (0..nq).map(|qi| run_query(&coll, &queries, qi)).collect();
+    let post = run_queries(&coll, &queries);
     for reader in readers {
         for (qi, got) in reader.join().unwrap() {
             // Bit-identical to post (== on Neighbor compares the f32
@@ -557,7 +550,7 @@ fn stress_snapshot_swap_under_concurrent_load() {
                         // Pin one snapshot: two searches against it must
                         // be bit-identical however the writer races.
                         let snap = coll.snapshot();
-                        let a = snap.search_parallel(q, &opts);
+                        let a = snap.search_batch(q, &opts).remove(0);
                         let b = snap.search(q, &opts);
                         assert_eq!(a, b, "reader {r}: pinned snapshot diverged");
                         assert!(a.len() <= k);
@@ -649,21 +642,18 @@ fn k_zero_and_k_beyond_live_rows_are_well_defined() {
     assert!(live < n);
     let q = &rows[..d];
 
-    // k = 0: empty everywhere, sequential, parallel and batched.
+    // k = 0: empty everywhere, sequential and batched.
     let one = vec![vec![Neighbor {
         id: 1,
         distance: 0.5,
     }]];
     assert!(merge_neighbors(&one, 0).is_empty());
     assert!(coll.search(q, &SearchOptions::new(0)).is_empty());
-    assert!(coll
-        .search_parallel(q, &SearchOptions::new(0).with_threads(4))
-        .is_empty());
     let batch = coll.search_batch(&rows[..3 * d], &SearchOptions::new(0).with_threads(2));
     assert_eq!(batch, vec![Vec::<Neighbor>::new(); 3]);
 
     // k > live: every live row exactly once, canonically ordered, with
-    // no tombstoned id leaking through; parallel path bit-identical.
+    // no tombstoned id leaking through; the batch path bit-identical.
     let opts = SearchOptions::new(2 * n);
     let hits = coll.search(q, &opts);
     assert_eq!(hits.len(), live);
@@ -678,8 +668,8 @@ fn k_zero_and_k_beyond_live_rows_are_well_defined() {
     ids.dedup();
     assert_eq!(ids.len(), live, "a row appeared twice");
     assert!(ids.iter().all(|id| id % 3 != 0), "a tombstoned row leaked");
-    let par = coll.search_parallel(q, &SearchOptions::new(2 * n).with_threads(8));
-    assert_eq!(hits, par);
+    let batch = coll.search_batch(&rows[..2 * d], &SearchOptions::new(2 * n).with_threads(8));
+    assert_eq!(batch[0], hits);
 
     // Past the end with nothing deleted: every row, sealed and buffered.
     let whole = Collection::in_memory(d, small_config(false));
