@@ -17,7 +17,25 @@
 //!   absolute error instead of inheriting the widest dimension's grid.
 //! * [`QuantizedPdxBlock`] — the dimension-major `u8` twin of
 //!   [`PdxBlock`](crate::layout::PdxBlock): the same vector groups, the
-//!   same `data[dim * lanes + lane]` addressing, one byte per value.
+//!   same `data[s * lanes + lane]` addressing, one byte per value — with
+//!   `s` a *storage position*, not a row dimension (below).
+//!
+//! # The storage order
+//!
+//! A fit also yields a dimension permutation, [`Sq8Quantizer::order`]:
+//! decreasing per-dimension variance, ties broken by index. Codes are
+//! stored in that order — storage position `s` of a block holds row
+//! dimension `order[s]` — and [`Sq8Quantizer::prepare_query`] emits its
+//! per-dimension terms in the same order, so the kernels, which walk
+//! storage positions front to back, visit the dimensions that separate
+//! vectors most first and the SQ8 scan prunes after fewer of them (the
+//! BOND argument), while every step still reads one contiguous row of
+//! codes per group. Nothing else sees the permutation: the codec's
+//! `min` / `scale` / `encode_value` / `decode_value` and a block's
+//! [`code`](QuantizedPdxBlock::code), [`to_code_rows`](QuantizedPdxBlock::to_code_rows)
+//! and [`decode_vector`](QuantizedPdxBlock::decode_vector) all speak row
+//! dimensions. A codec rebuilt with the identity order (a container
+//! written before the order existed) scans exactly as before it.
 //!
 //! The decoded value of a code is the *centre* of its quantization cell,
 //! so the reconstruction error per value is at most `scale_d / 2` for any
@@ -43,6 +61,7 @@
 //! no branch.
 
 use crate::distance::Metric;
+use std::sync::Arc;
 
 /// Number of quantization levels of the 8-bit codec.
 const LEVELS: f32 = 255.0;
@@ -79,11 +98,15 @@ fn code(x: f32) -> u8 {
 pub struct Sq8Quantizer {
     mins: Vec<f32>,
     scales: Vec<f32>,
+    /// Storage position → row dimension (module docs), shared with
+    /// every block encoded under this codec.
+    order: Arc<[u32]>,
 }
 
 impl Sq8Quantizer {
     /// Learns per-dimension `[min, max]` ranges from row-major data and
-    /// derives `scale_d = (max_d − min_d) / 255`.
+    /// derives `scale_d = (max_d − min_d) / 255`; the storage order sorts
+    /// the dimensions by decreasing variance, ties by index.
     ///
     /// A dimension whose range is empty (constant value) gets scale 1.0:
     /// every value encodes to code 0 and decodes back to the constant.
@@ -96,15 +119,16 @@ impl Sq8Quantizer {
     }
 
     /// [`Sq8Quantizer::fit`] with an explicit worker pool for the range
-    /// pass. Min/max merging is exact, so the learned codec is bitwise
-    /// identical at every thread count.
+    /// pass. Min/max merging is exact and the variance sums merge in
+    /// chunk order over chunks that do not depend on the pool, so the
+    /// learned codec is bitwise identical at every thread count.
     pub fn fit_with_pool(
         rows: &[f32],
         n_vectors: usize,
         dims: usize,
         pool: &crate::exec::ThreadPool,
     ) -> Self {
-        let (mins, maxs) = Self::ranges(rows, n_vectors, dims, pool);
+        let (mins, maxs, spread) = Self::ranges(rows, n_vectors, dims, pool);
         let scales = mins
             .iter()
             .zip(&maxs)
@@ -117,50 +141,68 @@ impl Sq8Quantizer {
                 }
             })
             .collect();
-        Self { mins, scales }
+        let mut order: Vec<u32> = (0..dims as u32).collect();
+        // Stable: equal spreads keep index order.
+        order.sort_by(|&a, &b| spread[b as usize].total_cmp(&spread[a as usize]));
+        Self {
+            mins,
+            scales,
+            order: order.into(),
+        }
     }
 
-    /// Per-dimension `[min, max]` over row-major data, parallelized over
-    /// row chunks on `pool`.
+    /// Per-dimension `[min, max]` and spread (`n ·` variance) over
+    /// row-major data, in one pass parallelized over row chunks on
+    /// `pool`. The spread sums values shifted by the first row, which
+    /// keeps the cancellation in `Σx² − (Σx)²/n` small, in `f32` within
+    /// a chunk and in `f64` across chunks.
     fn ranges(
         rows: &[f32],
         n_vectors: usize,
         dims: usize,
         pool: &crate::exec::ThreadPool,
-    ) -> (Vec<f32>, Vec<f32>) {
+    ) -> (Vec<f32>, Vec<f32>, Vec<f64>) {
         assert!(dims > 0, "dims must be positive");
         assert_eq!(
             rows.len(),
             n_vectors * dims,
             "row buffer does not match dimensions"
         );
-        // Large fixed chunks: the pass is pure streaming min/max, so the
-        // only goal is to amortize the per-chunk scheduling cost.
+        // Large fixed chunks: the pass is pure streaming, so the only goal
+        // is to amortize the per-chunk scheduling cost. The chunking is
+        // the same at every pool width and the chunks merge in order,
+        // which is what makes the merged sums bitwise reproducible.
         const CHUNK_VECTORS: usize = 8192;
+        let shift = &rows[..dims.min(rows.len())];
         let partials = pool.run_chunks(n_vectors, CHUNK_VECTORS, |_ci, range| {
-            let mut mins = vec![f32::INFINITY; dims];
-            let mut maxs = vec![f32::NEG_INFINITY; dims];
+            let mut p = Partial::new(dims);
             for row in rows[range.start * dims..range.end * dims].chunks_exact(dims) {
-                for (d, &v) in row.iter().enumerate() {
-                    mins[d] = mins[d].min(v);
-                    maxs[d] = maxs[d].max(v);
-                }
+                p.add(row, shift);
             }
-            (mins, maxs)
+            p
         });
         let mut mins = vec![f32::INFINITY; dims];
         let mut maxs = vec![f32::NEG_INFINITY; dims];
-        for (pmin, pmax) in partials {
+        let (mut sums, mut squares) = (vec![0.0f64; dims], vec![0.0f64; dims]);
+        for p in partials {
             for d in 0..dims {
-                mins[d] = mins[d].min(pmin[d]);
-                maxs[d] = maxs[d].max(pmax[d]);
+                mins[d] = mins[d].min(p.mins[d]);
+                maxs[d] = maxs[d].max(p.maxs[d]);
+                sums[d] += f64::from(p.sums[d]);
+                squares[d] += f64::from(p.squares[d]);
             }
         }
         if n_vectors == 0 {
             mins.fill(0.0);
             maxs.fill(0.0);
         }
-        (mins, maxs)
+        let n = n_vectors.max(1) as f64;
+        let spread = sums
+            .iter()
+            .zip(&squares)
+            .map(|(&s, &q)| q - s * s / n)
+            .collect();
+        (mins, maxs, spread)
     }
 
     /// Dimensionality the codec was learned on.
@@ -188,19 +230,40 @@ impl Sq8Quantizer {
         &self.scales
     }
 
-    /// Rebuilds a codec from stored parameters (the persistence path).
+    /// The storage order: entry `s` is the row dimension stored at
+    /// position `s` of every block encoded under this codec (module
+    /// docs). A fit sorts by decreasing variance.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Rebuilds a codec from stored parameters (the persistence path);
+    /// `order` is the storage order, `0..dims` for a container that
+    /// stores none.
     ///
     /// # Panics
-    /// Panics if the slices differ in length, are empty, or any scale is
-    /// not strictly positive.
-    pub fn from_params(mins: Vec<f32>, scales: Vec<f32>) -> Self {
+    /// Panics if the vectors differ in length, are empty, any scale is
+    /// not strictly positive, or `order` is not a permutation of
+    /// `0..dims`.
+    pub fn from_params(mins: Vec<f32>, scales: Vec<f32>, order: Vec<u32>) -> Self {
         assert_eq!(mins.len(), scales.len(), "one scale per min required");
         assert!(!mins.is_empty(), "dims must be positive");
         assert!(
             scales.iter().all(|&s| s > 0.0),
             "scales must be strictly positive"
         );
-        Self { mins, scales }
+        let mut seen = vec![false; mins.len()];
+        let permutation = order.len() == mins.len()
+            && order.iter().all(|&d| {
+                let d = d as usize;
+                d < seen.len() && !std::mem::replace(&mut seen[d], true)
+            });
+        assert!(permutation, "order must be a permutation of the dimensions");
+        Self {
+            mins,
+            scales,
+            order: order.into(),
+        }
     }
 
     /// Encodes one value of dimension `d`, clamping to the learned range.
@@ -221,7 +284,8 @@ impl Sq8Quantizer {
 
     /// Prepares a query for the SQ8 kernels: the query is lifted into
     /// code space once, so the per-dimension affine parameters never
-    /// appear in the hot loop. See
+    /// appear in the hot loop. Its terms come out in storage order, the
+    /// order of the codes they meet. See
     /// [`kernels::sq8`](crate::kernels::sq8) for the per-metric algebra.
     pub fn prepare_query(&self, metric: Metric, query: &[f32]) -> Sq8Query {
         assert_eq!(query.len(), self.dims(), "query dimensionality mismatch");
@@ -229,7 +293,9 @@ impl Sq8Quantizer {
         let mut qcode = Vec::with_capacity(d);
         let mut weight = Vec::with_capacity(d);
         let mut bias = 0.0f64;
-        for ((&q, &s), &m) in query.iter().zip(&self.scales).zip(&self.mins) {
+        for &dim in self.order.iter() {
+            let dim = dim as usize;
+            let (q, s, m) = (query[dim], self.scales[dim], self.mins[dim]);
             match metric {
                 // L2: Σ s²·(qc − c)² with qc the query in code space.
                 Metric::L2 => {
@@ -258,8 +324,46 @@ impl Sq8Quantizer {
     }
 }
 
+/// One row chunk's share of [`Sq8Quantizer::ranges`]: per-dimension
+/// extremes and shifted sums.
+struct Partial {
+    mins: Vec<f32>,
+    maxs: Vec<f32>,
+    sums: Vec<f32>,
+    squares: Vec<f32>,
+}
+
+impl Partial {
+    fn new(dims: usize) -> Self {
+        Self {
+            mins: vec![f32::INFINITY; dims],
+            maxs: vec![f32::NEG_INFINITY; dims],
+            sums: vec![0.0; dims],
+            squares: vec![0.0; dims],
+        }
+    }
+
+    /// Folds in one row; `shift` is the first row of the data.
+    #[inline]
+    fn add(&mut self, row: &[f32], shift: &[f32]) {
+        // Equal-length slices: the loop vectorizes with no bounds checks.
+        let d = row.len();
+        let (mins, maxs) = (&mut self.mins[..d], &mut self.maxs[..d]);
+        let (sums, squares, shift) = (&mut self.sums[..d], &mut self.squares[..d], &shift[..d]);
+        for j in 0..d {
+            let v = row[j];
+            mins[j] = mins[j].min(v);
+            maxs[j] = maxs[j].max(v);
+            let x = v - shift[j];
+            sums[j] += x;
+            squares[j] += x * x;
+        }
+    }
+}
+
 /// A query prepared for SQ8 scanning: per-dimension code-space
-/// coordinates and fold weights, plus a per-distance constant.
+/// coordinates and fold weights, in the codec's storage order, plus a
+/// per-distance constant.
 ///
 /// Produced by [`Sq8Quantizer::prepare_query`]; consumed by the kernels
 /// in [`kernels::sq8`](crate::kernels::sq8). The estimated distance a
@@ -270,14 +374,15 @@ impl Sq8Quantizer {
 pub struct Sq8Query {
     /// Metric the preparation targeted.
     pub metric: Metric,
-    /// Per-dimension query coordinate: `(q_d − min_d) / scale_d` for
-    /// L2/L1, `q_d · scale_d` for inner product.
+    /// Query coordinate of storage position `s`, dimension `d =
+    /// order[s]`: `(q_d − min_d) / scale_d` for L2/L1, `q_d · scale_d`
+    /// for inner product.
     pub qcode: Vec<f32>,
-    /// Per-dimension fold weight: `scale_d²` (L2), `scale_d` (L1), unused
-    /// (1.0) for inner product.
+    /// Fold weight of storage position `s`: `scale_d²` (L2), `scale_d`
+    /// (L1), unused (1.0) for inner product.
     pub weight: Vec<f32>,
     /// Constant added once per distance (`−Σ q_d · min_d` for inner
-    /// product, 0 otherwise).
+    /// product, summed in storage order; 0 otherwise).
     pub bias: f32,
 }
 
@@ -289,7 +394,8 @@ impl Sq8Query {
 }
 
 /// A block of SQ8-quantized vectors in the PDX layout: the `u8` twin of
-/// [`PdxBlock`](crate::layout::PdxBlock), with identical group tiling.
+/// [`PdxBlock`](crate::layout::PdxBlock), with identical group tiling,
+/// its dimensions in the codec's storage order (module docs).
 ///
 /// ```
 /// use pdx_core::layout::{QuantizedPdxBlock, Sq8Quantizer};
@@ -309,13 +415,16 @@ pub struct QuantizedPdxBlock {
     n_vectors: usize,
     n_dims: usize,
     group_size: usize,
+    /// Storage position → row dimension.
+    order: Arc<[u32]>,
     data: Vec<u8>,
 }
 
 /// Borrowed view of one vector group inside a [`QuantizedPdxBlock`].
 #[derive(Debug, Clone, Copy)]
 pub struct QuantizedPdxGroup<'a> {
-    /// Dimension-major codes: `data[dim * lanes + lane]`.
+    /// Dimension-major codes: `data[s * lanes + lane]`, `s` a storage
+    /// position (the codec's `order[s]` is its row dimension).
     pub data: &'a [u8],
     /// Number of vectors (lanes) in this group (= stride between dims).
     pub lanes: usize,
@@ -325,9 +434,10 @@ pub struct QuantizedPdxGroup<'a> {
 
 impl QuantizedPdxBlock {
     /// Quantizes row-major `f32` data (`n_vectors × n_dims`) into a
-    /// group-tiled `u8` block, one group at a time: each value is encoded
-    /// straight into its tiled slot, with no row-major code buffer and no
-    /// transpose pass between the two.
+    /// group-tiled `u8` block in the codec's storage order, one row at
+    /// a time: the row is encoded into a row-sized buffer and each code
+    /// goes straight to its tiled slot, with no block-sized code buffer
+    /// and no transpose pass.
     ///
     /// # Panics
     /// Panics if the buffer size disagrees with the dimensions, the
@@ -347,19 +457,26 @@ impl QuantizedPdxBlock {
             "row buffer does not match dimensions"
         );
         assert_eq!(quantizer.dims(), n_dims, "quantizer dimensionality");
+        // The encode runs in row order over slices in step, which
+        // vectorizes; gathering the `f32` row into storage order first
+        // measured slower than gathering its codes.
+        let order = quantizer.order();
         let (mins, scales) = (quantizer.mins(), quantizer.scales());
+        let mut row_codes = vec![0u8; n_dims];
         let mut data = vec![0u8; rows.len()];
         let span = group_size * n_dims;
         for (group_rows, tile) in rows.chunks(span).zip(data.chunks_mut(span)) {
             let lanes = group_rows.len() / n_dims;
             for (lane, row) in group_rows.chunks_exact(n_dims).enumerate() {
-                let cols = tile.chunks_exact_mut(lanes);
-                for (((col, &v), &lo), &s) in cols.zip(row).zip(mins).zip(scales) {
-                    col[lane] = code((v - lo) / s);
+                for (((c, &v), &lo), &s) in row_codes.iter_mut().zip(row).zip(mins).zip(scales) {
+                    *c = code((v - lo) / s);
+                }
+                for (col, &d) in tile.chunks_exact_mut(lanes).zip(order) {
+                    col[lane] = row_codes[d as usize];
                 }
             }
         }
-        Self::from_tiled(data, n_vectors, n_dims, group_size)
+        Self::from_tiled(data, n_vectors, group_size, quantizer)
     }
 
     /// Builds a block by gathering (and quantizing) the given row indices
@@ -382,7 +499,8 @@ impl QuantizedPdxBlock {
         Self::from_rows(&rows, ids.len(), n_dims, group_size, quantizer)
     }
 
-    /// Tiles row-major codes (`n_vectors × n_dims`) into PDX groups.
+    /// Tiles row-major codes (`n_vectors × n_dims`) into PDX groups, in
+    /// the identity storage order.
     ///
     /// # Panics
     /// Panics if the buffer size disagrees or `group_size == 0`.
@@ -415,19 +533,27 @@ impl QuantizedPdxBlock {
             n_vectors,
             n_dims,
             group_size,
+            order: (0..n_dims as u32).collect(),
             data,
         }
     }
 
-    /// Rebuilds a block from an already group-tiled code buffer (the
-    /// persistence read path — [`QuantizedPdxBlock::as_slice`] is the
-    /// matching write side). Unlike `f32` blocks there is no numeric
-    /// invariant to re-validate: any byte is a valid code, so only the
-    /// buffer geometry is checked.
+    /// Rebuilds a block of `quantizer`'s codes from an already
+    /// group-tiled buffer in its storage order (the persistence read
+    /// path — [`QuantizedPdxBlock::as_slice`] is the matching write
+    /// side). Unlike `f32` blocks there is no numeric invariant to
+    /// re-validate: any byte is a valid code, so only the buffer
+    /// geometry is checked.
     ///
     /// # Panics
     /// Panics if the buffer size disagrees or `group_size == 0`.
-    pub fn from_tiled(tiled: Vec<u8>, n_vectors: usize, n_dims: usize, group_size: usize) -> Self {
+    pub fn from_tiled(
+        tiled: Vec<u8>,
+        n_vectors: usize,
+        group_size: usize,
+        quantizer: &Sq8Quantizer,
+    ) -> Self {
+        let n_dims = quantizer.dims();
         assert!(group_size > 0, "group size must be positive");
         assert_eq!(
             tiled.len(),
@@ -438,6 +564,7 @@ impl QuantizedPdxBlock {
             n_vectors,
             n_dims,
             group_size,
+            order: Arc::clone(&quantizer.order),
             data: tiled,
         }
     }
@@ -497,21 +624,30 @@ impl QuantizedPdxBlock {
         (0..self.group_count()).map(|g| self.group(g))
     }
 
-    /// Code of dimension `dim` of vector `vec` (random access; slow path
-    /// for tests and rerank-free decoding, not for kernels).
+    /// Code of row dimension `dim` of vector `vec` (random access; slow
+    /// path for tests and rerank-free decoding, not for kernels).
+    ///
+    /// # Panics
+    /// Panics if `vec` or `dim` is out of range.
     pub fn code(&self, vec: usize, dim: usize) -> u8 {
         let (base, lanes, lane) = self.locate(vec);
-        self.data[base + dim * lanes + lane]
+        let s = self
+            .order
+            .iter()
+            .position(|&d| d as usize == dim)
+            .expect("dimension out of range");
+        self.data[base + s * lanes + lane]
     }
 
-    /// Converts the whole block back to row-major codes.
+    /// Converts the whole block back to row-major codes, in row
+    /// dimension order.
     pub fn to_code_rows(&self) -> Vec<u8> {
         let mut rows = vec![0u8; self.n_vectors * self.n_dims];
         for g in self.groups() {
             for l in 0..g.lanes {
-                let v = g.start_vector + l;
-                for d in 0..self.n_dims {
-                    rows[v * self.n_dims + d] = g.data[d * g.lanes + l];
+                let row = &mut rows[(g.start_vector + l) * self.n_dims..][..self.n_dims];
+                for (s, &d) in self.order.iter().enumerate() {
+                    row[d as usize] = g.data[s * g.lanes + l];
                 }
             }
         }
@@ -521,17 +657,25 @@ impl QuantizedPdxBlock {
     /// Decodes vector `vec` back into `f32` row form.
     ///
     /// # Panics
-    /// Panics if the quantizer dimensionality differs or `vec` is out of
-    /// range.
+    /// Panics if the block was not encoded under `quantizer`'s
+    /// dimensionality and storage order, or `vec` is out of range.
     pub fn decode_vector(&self, vec: usize, quantizer: &Sq8Quantizer) -> Vec<f32> {
         assert_eq!(quantizer.dims(), self.n_dims, "quantizer dimensionality");
+        assert_eq!(
+            quantizer.order(),
+            &self.order[..],
+            "quantizer storage order"
+        );
         let (base, lanes, lane) = self.locate(vec);
-        (0..self.n_dims)
-            .map(|d| quantizer.decode_value(d, self.data[base + d * lanes + lane]))
-            .collect()
+        let mut row = vec![0.0; self.n_dims];
+        for (s, &d) in self.order.iter().enumerate() {
+            let d = d as usize;
+            row[d] = quantizer.decode_value(d, self.data[base + s * lanes + lane]);
+        }
+        row
     }
 
-    /// Raw dimension-major code buffer (group-by-group).
+    /// Raw dimension-major code buffer (group-by-group, storage order).
     pub fn as_slice(&self) -> &[u8] {
         &self.data
     }
@@ -600,8 +744,88 @@ mod tests {
     fn from_params_round_trips() {
         let r = rows(20, 3);
         let q = Sq8Quantizer::fit(&r, 20, 3);
-        let q2 = Sq8Quantizer::from_params(q.mins().to_vec(), q.scales().to_vec());
+        let q2 =
+            Sq8Quantizer::from_params(q.mins().to_vec(), q.scales().to_vec(), q.order().to_vec());
         assert_eq!(q, q2);
+    }
+
+    /// Dimension `j` of row `i` spreads `|j − 2|` wide; dims 1 and 3 tie,
+    /// and dim 2 is constant.
+    fn spread_rows(n: usize) -> Vec<f32> {
+        (0..n * 5)
+            .map(|i| {
+                let (row, j) = (i / 5, i % 5);
+                let sign = if row % 2 == 0 { 1.0 } else { -1.0 };
+                sign * (j as f32 - 2.0).abs() + j as f32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn storage_order_sorts_by_decreasing_variance_ties_by_index() {
+        let q = Sq8Quantizer::fit(&spread_rows(10), 10, 5);
+        assert_eq!(q.order(), &[0, 4, 1, 3, 2]);
+        let empty = Sq8Quantizer::fit(&[], 0, 3);
+        assert_eq!(empty.order(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn storage_order_fit_is_identical_at_every_thread_count() {
+        // Three row chunks (8 192 rows each) with a shifted mean, so the
+        // chunked sums really merge.
+        let (n, d) = (20_000, 6);
+        let r: Vec<f32> = rows(n, d)
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| v * (1 + i % d) as f32 + (i / d / 7000) as f32 * 50.0)
+            .collect();
+        let one = Sq8Quantizer::fit_with_pool(&r, n, d, &crate::exec::ThreadPool::new(1));
+        assert_ne!(one.order(), &[0, 1, 2, 3, 4, 5], "the fixture has an order");
+        for threads in [2, 8] {
+            let pool = crate::exec::ThreadPool::new(threads);
+            assert_eq!(
+                Sq8Quantizer::fit_with_pool(&r, n, d, &pool),
+                one,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn storage_order_is_invisible_to_row_dimension_accessors() {
+        let (n, d) = (37, 5);
+        let r = spread_rows(n);
+        let q = Sq8Quantizer::fit(&r, n, d);
+        assert_ne!(q.order(), &[0, 1, 2, 3, 4]);
+        let b = QuantizedPdxBlock::from_rows(&r, n, d, 16, &q);
+        let codes: Vec<u8> = (0..n * d).map(|i| q.encode_value(i % d, r[i])).collect();
+        assert_eq!(b.to_code_rows(), codes);
+        for v in 0..n {
+            let back = b.decode_vector(v, &q);
+            for dim in 0..d {
+                assert_eq!(b.code(v, dim), codes[v * d + dim]);
+                assert_eq!(back[dim], q.decode_value(dim, codes[v * d + dim]));
+            }
+        }
+        // Storage position s of a group holds dimension order[s].
+        let g = b.group(0);
+        for (s, &dim) in q.order().iter().enumerate() {
+            assert_eq!(g.data[s * g.lanes + 3], codes[3 * d + dim as usize]);
+        }
+        let prepared = q.prepare_query(Metric::L2, &r[..d]);
+        for (s, &dim) in q.order().iter().enumerate() {
+            let dim = dim as usize;
+            assert_eq!(prepared.qcode[s], (r[dim] - q.min(dim)) / q.scale(dim));
+            assert_eq!(prepared.weight[s], q.scale(dim) * q.scale(dim));
+        }
+        let tiled = QuantizedPdxBlock::from_tiled(b.as_slice().to_vec(), n, 16, &q);
+        assert_eq!(tiled, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn from_params_refuses_an_order_that_is_not_a_permutation() {
+        let _ = Sq8Quantizer::from_params(vec![0.0; 3], vec![1.0; 3], vec![0, 2, 2]);
     }
 
     #[test]
@@ -686,28 +910,33 @@ mod tests {
         x.round().clamp(0.0, LEVELS) as u8
     }
 
-    /// The block as first built: every row encoded with
-    /// [`reference_code`] into a row-major temp, then tiled.
+    /// The block's bytes as first built: every row encoded with
+    /// [`reference_code`] into a row-major temp in storage order, then
+    /// tiled.
     fn reference_block(
         rows: &[f32],
         n: usize,
         d: usize,
         group: usize,
         q: &Sq8Quantizer,
-    ) -> QuantizedPdxBlock {
-        let codes: Vec<u8> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| reference_code((v - q.min(i % d)) / q.scale(i % d)))
+    ) -> Vec<u8> {
+        let codes: Vec<u8> = (0..n * d)
+            .map(|i| {
+                let dim = q.order()[i % d] as usize;
+                let v = rows[i - i % d + dim];
+                reference_code((v - q.min(dim)) / q.scale(dim))
+            })
             .collect();
         QuantizedPdxBlock::from_code_rows(&codes, n, d, group)
+            .as_slice()
+            .to_vec()
     }
 
     /// A one-dimensional codec with `min = 0`, `scale = 1`: its
     /// `encode_value(0, x)` is the code of `x` itself, since `(x − 0) / 1`
     /// is `x` for every `f32` (−0.0, subnormals and NaN included).
     fn unit() -> Sq8Quantizer {
-        Sq8Quantizer::from_params(vec![0.0], vec![1.0])
+        Sq8Quantizer::from_params(vec![0.0], vec![1.0], vec![0])
     }
 
     fn assert_codes_match(xs: impl IntoIterator<Item = f32>) {
@@ -819,7 +1048,7 @@ mod tests {
             // past either end of the range clamp.
             let mins: Vec<f32> = (0..d).map(|j| j as f32 * 0.25 - 4.0).collect();
             let scales: Vec<f32> = (0..d).map(|j| 2f32.powi(j as i32 % 5 - 2)).collect();
-            let dyadic = Sq8Quantizer::from_params(mins, scales);
+            let dyadic = Sq8Quantizer::from_params(mins, scales, (0..d as u32).collect());
             for n in [0usize, 1, 63, 64, 65, 1_025] {
                 let rows: Vec<f32> = (0..n * d)
                     .map(|i| {
@@ -838,7 +1067,7 @@ mod tests {
                     for q in [&dyadic, &fitted] {
                         let got = QuantizedPdxBlock::from_rows(&rows, n, d, group, q);
                         let want = reference_block(&rows, n, d, group, q);
-                        assert_eq!(got, want, "n {n} d {d} group {group}");
+                        assert_eq!(got.as_slice(), want, "n {n} d {d} group {group}");
                     }
                 }
             }

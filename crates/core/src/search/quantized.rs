@@ -136,8 +136,10 @@ impl Pruner for Sq8Bound<'_> {
     }
 }
 
-/// The storage range of a selection: [`Sq8Bound`] has no dimension
-/// order, so the scan never hands an SQ8 block a permutation.
+/// The storage range of a selection: an SQ8 block stores its codes in
+/// the codec's visit order already (decreasing variance, see
+/// [`Sq8Quantizer::order`]), so [`Sq8Bound`] has no per-query order and
+/// the scan never hands an SQ8 block a permutation.
 fn storage_range(dims: DimSel<'_>) -> Range<usize> {
     match dims {
         DimSel::Range(r) => r,

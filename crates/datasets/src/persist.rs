@@ -9,8 +9,9 @@
 //!   fetch one block without touching the rest of the file.
 //! * **`PDX2`** — SQ8-quantized blocks ([`Sq8Container`]): the same
 //!   block structure with one *byte* per value, preceded by the
-//!   per-dimension min/scale and followed by an optional row-major `f32`
-//!   rerank payload — hot scan data first, cold rerank data last.
+//!   per-dimension min/scale and the codec's storage order, and followed
+//!   by an optional row-major `f32` rerank payload — hot scan data
+//!   first, cold rerank data last.
 //!
 //! [`read_container`] sniffs the magic and returns whichever kind the
 //! file holds. This module doc is the byte-level specification; every
@@ -32,16 +33,26 @@
 //!
 //! ```text
 //! magic  "PDX2"            4 bytes
-//! dims   u32 | group  u32 | n_blocks u32 | flags u32 (bit 0: rerank rows)
-//! mins   dims × f32 | scales dims × f32
+//! dims   u32 | group  u32 | n_blocks u32 | flags u32
+//!        (bit 0: rerank rows; bit 1: storage order)
+//! mins   dims × f32 | scales dims × f32  (by row dimension)
+//! if flags bit 1:
+//!   order dims × u32                    (storage position → dimension)
 //! per block:
 //!   n_vectors u32
 //!   row_ids   n_vectors × u64
-//!   codes     n_vectors × dims × u8    (PDX group-tiled order)
+//!   codes     n_vectors × dims × u8    (PDX group-tiled, storage order)
 //! if flags bit 0:
 //!   n_rows u64
 //!   rows   n_rows × dims × f32          (row-major, by global id)
 //! ```
+//!
+//! The **storage order** is the codec's dimension permutation
+//! ([`Sq8Quantizer::order`]): code position `s` of every block holds
+//! row dimension `order[s]`. It must be a permutation of `0..dims`. A
+//! file with bit 1 clear — every `PDX2` written before the order
+//! existed — reads as the identity permutation and scans exactly as it
+//! did then. The writer always sets bit 1.
 //!
 //! ## IVF-extended containers (minor version 1.1)
 //!
@@ -59,6 +70,7 @@
 //! sentinel u32 = 0xFFFF_FFFF  | minor u32 = 1
 //! dims     u32 | group u32 | flags u32 | n_buckets u32
 //! PDX2 only: mins dims × f32 | scales dims × f32
+//! PDX2 with flags bit 1: order dims × u32
 //! PDX2 only: n_rows u64 | rows_offset u64     (0/0 without rerank rows)
 //! centroids  n_buckets × dims × f32           (row-major)
 //! table      n_buckets × { offset u64, byte_len u64, n_vectors u32 }
@@ -99,6 +111,11 @@ use std::path::Path;
 const MAGIC_F32: &[u8; 4] = b"PDX1";
 const MAGIC_SQ8: &[u8; 4] = b"PDX2";
 
+/// `PDX2` flags: a rerank payload follows the blocks.
+const FLAG_RERANK_ROWS: u32 = 1;
+/// `PDX2` flags: the codec's storage order follows the scales.
+const FLAG_ORDER: u32 = 2;
+
 /// The u32 following the magic that marks an IVF-extended container.
 /// Legacy (1.0) files store `dims` there, which the readers require to
 /// be non-zero and far below this value — so the sentinel can never be
@@ -138,7 +155,8 @@ pub struct ContainerHeader {
     pub dims: usize,
     /// PDX group size of the blocks.
     pub group: usize,
-    /// Format flags (`PDX2` bit 0: rerank rows present).
+    /// Format flags (`PDX2` bit 0: rerank rows present; bit 1: storage
+    /// order present).
     pub flags: u32,
     /// Number of block records.
     pub n_blocks: usize,
@@ -195,12 +213,17 @@ pub enum Container {
     Sq8(Sq8Container),
 }
 
-/// End of a 1.1 header (= offset of the first bucket record). The
-/// operands are `u32` header words, so `u128` cannot overflow.
-fn ivf_header_end(quantized: bool, dims: usize, n_buckets: usize) -> Option<u64> {
+/// End of a 1.1 header (= offset of the first bucket record); `flags`
+/// of a `PDX2`, `None` for a `PDX1`. The operands are `u32` header
+/// words, so `u128` cannot overflow.
+fn ivf_header_end(flags: Option<u32>, dims: usize, n_buckets: usize) -> Option<u64> {
     let (d, n) = (dims as u128, n_buckets as u128);
-    // mins + scales + n_rows + rows_offset
-    let quant = if quantized { 8 * d + 16 } else { 0 };
+    // mins + scales + [order] + n_rows + rows_offset
+    let quant = match flags {
+        Some(f) if f & FLAG_ORDER != 0 => 12 * d + 16,
+        Some(_) => 8 * d + 16,
+        None => 0,
+    };
     u64::try_from(u128::from(IVF_FIXED_HEADER) + quant + 4 * n * d + 20 * n).ok()
 }
 
@@ -305,10 +328,14 @@ impl Record for Sq8Block {
     }
 
     fn read<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self> {
+        let quantizer = h
+            .quantizer
+            .as_ref()
+            .ok_or_else(|| invalid("SQ8 blocks in a container without a codec"))?;
         let n_values = record_values(n, h.dims)?;
         let row_ids = read_vec(src, n, "n_vectors (row ids)")?;
         let tiled = read_vec(src, n_values, "n_vectors (block codes)")?;
-        let codes = QuantizedPdxBlock::from_tiled(tiled, n, h.dims, h.group);
+        let codes = QuantizedPdxBlock::from_tiled(tiled, n, h.group, quantizer);
         Ok(Sq8Block { codes, row_ids })
     }
 
@@ -367,7 +394,10 @@ fn write_container<B: Record>(
     }
     let n_vectors = |b: &B| b.row_ids().len() as u32;
     let n_rows = rows.map_or(0, |r| (r.len() / dims.max(1)) as u64);
-    let flags = u32::from(rows.is_some());
+    let flags = match quantizer {
+        Some(_) => FLAG_ORDER | if rows.is_some() { FLAG_RERANK_ROWS } else { 0 },
+        None => 0,
+    };
 
     let mut head = if quantizer.is_some() {
         MAGIC_SQ8.to_vec()
@@ -383,10 +413,11 @@ fn write_container<B: Record>(
     if let Some(q) = quantizer {
         put_slice(&mut head, q.mins());
         put_slice(&mut head, q.scales());
+        put_slice(&mut head, q.order());
     }
     if let Some(centroids) = centroid_rows {
         let len_of = |b| B::ivf_len(n_vectors(b), dims).expect("bucket size overflows u64");
-        let mut offset = ivf_header_end(quantizer.is_some(), dims, blocks.len())
+        let mut offset = ivf_header_end(quantizer.map(|_| flags), dims, blocks.len())
             .expect("header size overflows u64");
         if quantizer.is_some() {
             let rows_offset = offset + blocks.iter().map(len_of).sum::<u64>();
@@ -546,7 +577,15 @@ fn read_header<S: Source>(src: &mut S) -> io::Result<ContainerHeader> {
         if scales.iter().any(|&s| s <= 0.0 || !s.is_finite()) {
             return Err(invalid("non-positive quantizer scale"));
         }
-        Some(Sq8Quantizer::from_params(mins, scales))
+        let order = if flags & FLAG_ORDER != 0 {
+            let order = read_vec(src, dims, "dims (quantizer order)")?;
+            check_order(&order)?;
+            order
+        } else {
+            // Backed by the 8 · dims bytes of mins and scales just read.
+            (0..dims as u32).collect()
+        };
+        Some(Sq8Quantizer::from_params(mins, scales, order))
     } else {
         None
     };
@@ -566,6 +605,28 @@ fn read_header<S: Source>(src: &mut S) -> io::Result<ContainerHeader> {
     Ok(header)
 }
 
+/// Rejects a storage order that is not a permutation of `0..dims`.
+fn check_order(order: &[u32]) -> io::Result<()> {
+    let mut seen = vec![false; order.len()];
+    for (s, &d) in order.iter().enumerate() {
+        match seen.get_mut(d as usize) {
+            None => {
+                return Err(invalid(format!(
+                    "quantizer order: position {s} names dimension {d} of {}",
+                    order.len()
+                )))
+            }
+            Some(true) => {
+                return Err(invalid(format!(
+                    "quantizer order: dimension {d} appears twice"
+                )))
+            }
+            Some(slot) => *slot = true,
+        }
+    }
+    Ok(())
+}
+
 /// The 1.1 half of the header. Validates the bucket table — every
 /// entry's byte length must equal what its vector count implies, the
 /// records must sit contiguous from the header end, and (when the
@@ -582,7 +643,7 @@ fn read_ivf_table<S: Source>(src: &mut S, h: &mut ContainerHeader) -> io::Result
         .checked_mul(dims)
         .ok_or_else(|| invalid(format!("n_buckets {n_buckets} × dims {dims} overflows")))?;
     let centroid_rows = read_vec(src, n_centroid_values, "n_buckets (centroids)")?;
-    let header_end = ivf_header_end(quantized, dims, n_buckets)
+    let header_end = ivf_header_end(quantized.then_some(h.flags), dims, n_buckets)
         .ok_or_else(|| invalid("header size overflows"))?;
     let mut end = header_end;
     for i in 0..n_buckets {
@@ -611,7 +672,7 @@ fn read_ivf_table<S: Source>(src: &mut S, h: &mut ContainerHeader) -> io::Result
             .ok_or_else(|| invalid(format!("bucket {i}: offset overflows")))?;
         h.buckets.push(entry);
     }
-    if h.flags & 1 != 0 && quantized {
+    if h.flags & FLAG_RERANK_ROWS != 0 && quantized {
         if rows_offset != end {
             return Err(invalid(format!(
                 "rerank payload offset {rows_offset} disagrees with the \
@@ -678,7 +739,7 @@ fn read_rerank_rows<S: Source>(
     h: &ContainerHeader,
     blocks: &[Sq8Block],
 ) -> io::Result<Vec<f32>> {
-    if h.flags & 1 == 0 {
+    if h.flags & FLAG_RERANK_ROWS == 0 {
         return Ok(Vec::new());
     }
     let n_rows = match h.centroid_rows {
@@ -701,9 +762,10 @@ fn read_rerank_rows<S: Source>(
 }
 
 fn read_from<S: Source>(src: &mut S) -> io::Result<Container> {
-    let mut h = read_header(src)?;
+    let h = read_header(src)?;
     let (dims, group) = (h.dims, h.group);
-    Ok(match h.quantizer.take() {
+    // The blocks decode under the header's codec, so it stays in `h`.
+    Ok(match h.quantizer.clone() {
         Some(quantizer) => {
             let blocks = read_blocks(src, &h)?;
             Container::Sq8(Sq8Container {
@@ -949,11 +1011,12 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("duplicate row id"), "{err}");
 
-        // PDX2: same surgery after the header + quantizer params.
+        // PDX2: same surgery after the header, the quantizer params and
+        // the storage order.
         let (quantizer, blocks, _) = sample_sq8();
         let mut buf = Vec::new();
         write_sq8(&mut buf, &quantizer, &blocks, None).unwrap();
-        let first_id_at = 4 + 16 + 7 * 4 * 2 + 4;
+        let first_id_at = 4 + 16 + 7 * 4 * 3 + 4;
         let dup = buf[first_id_at..first_id_at + 8].to_vec();
         buf[first_id_at + 8..first_id_at + 16].copy_from_slice(&dup);
         let err = read_sq8(&buf[..]).unwrap_err();

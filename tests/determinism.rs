@@ -401,6 +401,29 @@ fn index_build_is_thread_count_independent() {
 }
 
 #[test]
+fn sq8_storage_order_is_thread_count_independent() {
+    // Three 8 192-row chunks of the fit, scaled per dimension so the
+    // variance order is not the identity: the order, the codec and the
+    // codes are the same bits at every pool width.
+    let (n, d) = (17_000, 8);
+    let rows: Vec<f32> = make_rows(n, d, 31)
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| v * [3.0, 0.5, 2.0, 1.0, 0.25, 4.0, 1.5, 0.75][i % d])
+        .collect();
+    let one = FlatSq8::build_with_threads(&rows, n, d, 4096, 64, 1);
+    assert_eq!(one.quantizer.order(), &[5, 0, 2, 6, 3, 7, 1, 4]);
+    for threads in [2usize, 8] {
+        let sq8 = FlatSq8::build_with_threads(&rows, n, d, 4096, 64, threads);
+        assert_eq!(
+            sq8.quantizer, one.quantizer,
+            "quantizer at {threads} threads"
+        );
+        assert_eq!(sq8.blocks, one.blocks, "codes at {threads} threads");
+    }
+}
+
+#[test]
 fn merge_reproduces_any_partitioning() {
     // Directly pin the merge invariant on a crowded tie set: however the
     // candidate lists are partitioned, the canonical top-k is the same.

@@ -18,13 +18,15 @@
 //! leave a 22-vector tail block: one whole group and 6 lanes).
 //!
 //! Only names that survive a redesign of the container readers are
-//! used: the writers, the typed flat readers `read_pdx` / `read_sq8`,
+//! used: the writers, the readers `read_pdx` / `read_sq8` /
+//! `read_container`,
 //! `LazyIvf::{open, fetch, n_buckets}`, `AnyIndex::read`, the store's
 //! `Manifest` / `Segment` / `ShardedCollection` / `Wal`, and the wire
 //! `encode` / `decode` / `write_frame` / `read_frame`.
 
 use pdx::datasets::persist::{
-    read_pdx, read_sq8, write_ivf_pdx, write_ivf_sq8, write_pdx, write_sq8,
+    read_container, read_pdx, read_sq8, write_ivf_pdx, write_ivf_sq8, write_pdx, write_sq8,
+    Container, Sq8Container,
 };
 use pdx::prelude::*;
 use pdx::serve::proto::{read_frame, write_frame};
@@ -147,10 +149,10 @@ fn pdx2_flat_container_with_and_without_rerank_rows() {
         Some(&flat.rows),
     )
     .unwrap();
-    pin("write_sq8 (rerank rows)", &with_rows, 0xc633_4c9b_416a_7bb2);
+    pin("write_sq8 (rerank rows)", &with_rows, 0x2ed1_bd3c_ce90_2a07);
     let mut scan_only = Vec::new();
     write_sq8(&mut scan_only, &flat.quantizer, &flat.blocks, None).unwrap();
-    pin("write_sq8 (scan only)", &scan_only, 0xf69f_b673_4d78_1b83);
+    pin("write_sq8 (scan only)", &scan_only, 0x9dff_b95e_9db9_ec2a);
 
     for (buf, rows) in [(&with_rows, &flat.rows[..]), (&scan_only, &[][..])] {
         let back = read_sq8(&buf[..]).unwrap();
@@ -223,7 +225,7 @@ fn pdx2_ivf_container_with_and_without_rerank_rows() {
     pin(
         "write_ivf_sq8 (rerank rows)",
         &with_rows,
-        0xce07_acf3_e1f7_81e2,
+        0xcad5_3182_2e1d_d7f6,
     );
     let mut scan_only = Vec::new();
     write_ivf_sq8(
@@ -237,7 +239,7 @@ fn pdx2_ivf_container_with_and_without_rerank_rows() {
     pin(
         "write_ivf_sq8 (scan only)",
         &scan_only,
-        0xf5ed_027e_67d4_00a6,
+        0xfa22_e1fe_85e6_3a53,
     );
 
     let served = AnyIndex::read(&with_rows[..]).unwrap();
@@ -248,6 +250,85 @@ fn pdx2_ivf_container_with_and_without_rerank_rows() {
     no_rows.rows = Vec::new();
     let served = AnyIndex::read(&scan_only[..]).unwrap();
     assert_eq!(answers(served.as_ref()), answers(&no_rows));
+}
+
+/// FNV-1a of `(id, distance.to_bits())` over answers, as
+/// `tests/golden.rs` hashes them.
+fn answer_bits(results: &[Vec<Neighbor>]) -> u64 {
+    let mut bytes = Vec::new();
+    for n in results.iter().flatten() {
+        bytes.extend_from_slice(&n.id.to_le_bytes());
+        bytes.extend_from_slice(&n.distance.to_bits().to_le_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+fn sq8_of(bytes: &[u8]) -> Sq8Container {
+    match read_container(bytes).unwrap() {
+        Container::Sq8(c) => c,
+        Container::F32(_) => panic!("not a PDX2 container"),
+    }
+}
+
+#[test]
+fn pdx2_storage_order_round_trips_flat_and_ivf() {
+    let identity: Vec<u32> = (0..D as u32).collect();
+    let flat = FlatSq8::build(rows(), N, D, BLOCK, GROUP);
+    assert_ne!(
+        flat.quantizer.order(),
+        &identity[..],
+        "the fixture has an order"
+    );
+    let mut buf = Vec::new();
+    write_sq8(&mut buf, &flat.quantizer, &flat.blocks, None).unwrap();
+    let back = read_sq8(&buf[..]).unwrap();
+    assert_eq!(back.quantizer.order(), flat.quantizer.order());
+    assert_eq!(back.blocks, flat.blocks);
+
+    let ivf = IvfSq8::new(&rows(), D, &assignments(), GROUP);
+    assert_ne!(
+        ivf.quantizer.order(),
+        &identity[..],
+        "the fixture has an order"
+    );
+    let mut buf = Vec::new();
+    let centroid_rows = ivf.centroids.pdx.to_rows();
+    write_ivf_sq8(&mut buf, &ivf.quantizer, &centroid_rows, &ivf.blocks, None).unwrap();
+    let back = sq8_of(&buf);
+    assert_eq!(back.quantizer.order(), ivf.quantizer.order());
+    assert_eq!(back.blocks, ivf.blocks);
+}
+
+/// `PDX2` containers written before the storage order existed (flags
+/// bit 1 clear), by the writer of that time from this file's
+/// collection: the flat one with rerank rows, the IVF 1.1 one
+/// scan-only. Their hashes are that writer's pinned constants.
+const OLD_PDX2_FLAT: &[u8] = include_bytes!("fixtures/pdx2_flat.pdx");
+const OLD_PDX2_IVF: &[u8] = include_bytes!("fixtures/pdx2_ivf.pdx");
+
+#[test]
+fn old_pdx2_fixtures_read_with_the_identity_storage_order() {
+    pin("old flat PDX2", OLD_PDX2_FLAT, 0xc633_4c9b_416a_7bb2);
+    pin("old IVF PDX2", OLD_PDX2_IVF, 0xf5ed_027e_67d4_00a6);
+    let identity: Vec<u32> = (0..D as u32).collect();
+
+    // The answers the writer's own build gave, reranked and estimated.
+    let flat = read_sq8(OLD_PDX2_FLAT).unwrap();
+    assert_eq!(flat.quantizer.order(), &identity[..]);
+    let served = AnyIndex::read(OLD_PDX2_FLAT).unwrap();
+    assert_eq!(
+        answer_bits(&answers(served.as_ref())),
+        0x903f_8c17_0398_e755
+    );
+    let scan_only = FlatSq8::from_parts(D, flat.quantizer, flat.blocks, Vec::new());
+    assert_eq!(answer_bits(&answers(&scan_only)), 0x76f4_8eab_25e7_20b5);
+
+    assert_eq!(sq8_of(OLD_PDX2_IVF).quantizer.order(), &identity[..]);
+    let served = AnyIndex::read(OLD_PDX2_IVF).unwrap();
+    assert_eq!(
+        answer_bits(&answers(served.as_ref())),
+        0x1f0b_9e89_e1c7_13ba
+    );
 }
 
 #[test]
@@ -283,7 +364,7 @@ fn pdxi_sidecar_and_segment_containers() {
     let dir = temp_dir("segment");
     for (seq, quantize, ids_hash, container_hash) in [
         (3u64, false, 0x42be_3000_3c72_434c, 0x9ec1_e336_e08a_e807),
-        (4u64, true, 0x42be_3000_3c72_434c, 0xc633_4c9b_416a_7bb2),
+        (4u64, true, 0x42be_3000_3c72_434c, 0x2ed1_bd3c_ce90_2a07),
     ] {
         let config = StoreConfig {
             block_size: BLOCK,
@@ -355,7 +436,7 @@ fn sq8_segment_with_ties_and_clamped_codes() {
     pin(
         "SQ8 segment container (ties)",
         &container,
-        0xb0d1_71d4_3d6a_4ced,
+        0x4676_f7b5_be49_a7bc,
     );
     let back = Segment::load(&dir, 9, D).unwrap();
     assert_eq!(back.remap(), &ids[..]);

@@ -334,7 +334,7 @@ const FLAT_SQ8: u64 = 0x6a4a_fd60_94a1_8c08;
 const FLAT_SQ8_WIDE: u64 = 0xd814_32ba_b0e1_5b2f;
 const FLAT_SQ8_L1: u64 = 0x3160_4b25_a280_6d6d;
 const FLAT_SQ8_IP: u64 = 0xb61b_c084_2ca2_732d;
-const FLAT_SQ8_SCAN_ONLY: u64 = 0x5204_ec90_fbed_a100;
+const FLAT_SQ8_SCAN_ONLY: u64 = 0xcd8b_195e_9006_9fa1;
 const IVF_SQ8_PARTIAL: u64 = 0xadfe_d4e0_7abd_19cd;
 const IVF_SQ8_WIDE: u64 = 0xd814_32ba_b0e1_5b2f;
 // Re-pinned when ADSampling's dense Haar matrix became the structured

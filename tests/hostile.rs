@@ -136,17 +136,46 @@ fn containers() -> Vec<Sample> {
         });
     };
     push("pdx1", 16, &|b| write_pdx(b, &coll).unwrap());
-    push("pdx2", 20 + D * 8, &|b| {
+    push("pdx2", 20 + D * 12, &|b| {
         write_sq8(b, &flat.quantizer, &flat.blocks, Some(&flat.rows)).unwrap()
     });
     push("pdx1-ivf", 28 + table, &|b| {
         write_ivf_pdx(b, D, &centroids, &ivf.blocks).unwrap()
     });
-    push("pdx2-ivf", 28 + D * 8 + 16 + table, &|b| {
+    push("pdx2-ivf", 28 + D * 12 + 16 + table, &|b| {
         let rows = Some(&ivf_sq8.rows[..]);
         write_ivf_sq8(b, &ivf_sq8.quantizer, &centroids, &ivf_sq8.blocks, rows).unwrap()
     });
     out
+}
+
+#[test]
+fn hostile_pdx2_storage_order_that_is_not_a_permutation_is_invalid_data() {
+    for sample in containers().iter().filter(|s| s.name.starts_with("pdx2")) {
+        // The order follows the fixed words, the mins and the scales.
+        let fixed = if sample.name.ends_with("ivf") { 28 } else { 20 };
+        let at = fixed + D * 8;
+        let entry = |bytes: &[u8], i: usize| {
+            u32::from_le_bytes(bytes[at + 4 * i..at + 4 * i + 4].try_into().unwrap())
+        };
+        let order: Vec<u32> = (0..D).map(|i| entry(&sample.bytes, i)).collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..D as u32).collect::<Vec<_>>(), "{}", sample.name);
+        for (what, first) in [("duplicate", order[1]), ("out of range", D as u32)] {
+            let mut bytes = sample.bytes.clone();
+            bytes[at..at + 4].copy_from_slice(&first.to_le_bytes());
+            let err = read_container(&bytes[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("quantizer order"), "{what}: {err}");
+            let dir = temp_dir(&format!("order_{}_{}", sample.name, first));
+            let path = dir.join("c.pdx");
+            std::fs::write(&path, &bytes).unwrap();
+            let err = read_container_path(&path).unwrap_err();
+            assert!(err.to_string().contains("quantizer order"), "{what}: {err}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 /// A fresh directory under the system temp dir, unique per test.

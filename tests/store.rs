@@ -759,3 +759,40 @@ fn truncated_manifest_is_a_typed_corrupt_error() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// ROADMAP item 14(a) for SQ8: the work a `store_churn`-shaped search
+/// does — sift-like rows (d = 128) from the repo's generator, sealed
+/// under SQ8 and compacted to one segment — is exact and host-free, so
+/// its trace counters are goldens. The codes are stored in decreasing-
+/// variance order; `dims_scanned` is what that order buys (the identity
+/// order scanned 14 913 320 of the same 25 600 000 dimension values).
+#[test]
+fn sq8_storage_order_work_counters_are_goldens() {
+    const GOLDEN: (u64, u64, u64) = (12_914_270, 25_600_000, 800);
+    let (n, n_queries, k) = (10_000, 20, 10);
+    let spec = pdx::datasets::synthetic::spec_by_name("sift").unwrap();
+    let ds = pdx::datasets::synthetic::generate(spec, n, n_queries, 0x0C0F_FEE5);
+    let dir = temp_dir("sq8_storage_order_counters");
+    let config = StoreConfig {
+        quantize: true,
+        ..StoreConfig::default()
+    };
+    let coll = Collection::create(&dir, ds.dims(), config).unwrap();
+    coll.bulk_insert(0, &ds.data).unwrap();
+    coll.compact().unwrap();
+    assert_eq!(coll.segment_count(), 1);
+    let opts = SearchOptions::new(k).with_trace(true);
+    let mut sum = pdx::obs::QueryTrace::default();
+    for q in ds.queries.chunks_exact(ds.dims()) {
+        let (hits, trace) = pdx::obs::trace::capture(|| coll.search(q, &opts));
+        assert_eq!(hits.len(), k);
+        sum.merge(&trace);
+    }
+    let counts = (sum.dims_scanned, sum.dims_total, sum.rerank_candidates);
+    assert_eq!(
+        counts, GOLDEN,
+        "dims_scanned, dims_total, rerank_candidates"
+    );
+    drop(coll);
+    std::fs::remove_dir_all(&dir).ok();
+}
