@@ -1,6 +1,7 @@
 //! **Figure 9** — Exact-search QPS of all competitors (K = 10):
-//! PDX-BOND, PDX linear scan, DSM linear scan, N-ary SIMD
-//! (FAISS/USearch stand-in) and N-ary scalar (Scikit-learn stand-in).
+//! PDX-BOND, PDX linear scan, N-ary SIMD (FAISS/USearch stand-in) and
+//! N-ary scalar (Scikit-learn stand-in). The paper's DSM column is not
+//! reproduced (ARCHITECTURE.md, "Not reproduced").
 //!
 //! ```text
 //! cargo run --release -p pdx-bench --bin fig9_exact_search \
@@ -24,7 +25,6 @@ fn main() {
         "dataset/D",
         "PDX-BOND",
         "PDX-LINEAR",
-        "DSM",
         "N-ary-SIMD",
         "scalar",
     ];
@@ -50,7 +50,6 @@ fn main() {
         let n = ds.len;
         let flat = FlatPdx::with_defaults(&ds.data, n, d);
         let nary = NaryMatrix::from_rows(&ds.data, n, d);
-        let dsm = DsmMatrix::from_rows(&ds.data, n, d);
         let params = SearchOptions::new(k);
 
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
@@ -59,9 +58,6 @@ fn main() {
         });
         let (qps_pdx, _) = time_queries(ds.n_queries, |qi| {
             drop(flat.linear_search(ds.query(qi), k, Metric::L2))
-        });
-        let (qps_dsm, _) = time_queries(ds.n_queries, |qi| {
-            drop(linear_scan_dsm(&dsm, ds.query(qi), k, Metric::L2))
         });
         let (qps_simd, _) = time_queries(ds.n_queries, |qi| {
             drop(linear_scan_nary(
@@ -86,7 +82,6 @@ fn main() {
             format!("{}/{}", ds.spec.name, d),
             format!("{qps_bond:.0}"),
             format!("{qps_pdx:.0}"),
-            format!("{qps_dsm:.0}"),
             format!("{qps_simd:.0}"),
             format!("{qps_scalar:.0}"),
         ];
@@ -106,16 +101,16 @@ fn main() {
         }
         println!("{}", row(&cells, &widths));
         csv.push(format!(
-            "{},{d},{qps_bond:.1},{qps_pdx:.1},{qps_dsm:.1},{qps_simd:.1},{qps_scalar:.1}{extra}",
+            "{},{d},{qps_bond:.1},{qps_pdx:.1},{qps_simd:.1},{qps_scalar:.1}{extra}",
             ds.spec.name
         ));
     }
     write_csv(
         "fig9_exact_search.csv",
-        "dataset,dims,qps_pdx_bond,qps_pdx_linear,qps_dsm,qps_nary_simd,qps_nary_scalar",
+        "dataset,dims,qps_pdx_bond,qps_pdx_linear,qps_nary_simd,qps_nary_scalar",
         &csv,
     );
     println!("\nPaper shape to verify: PDX-BOND and the PDX linear scan lead everywhere;");
-    println!("PDX linear > DSM (register-resident accumulators); N-ary SIMD sits between");
-    println!("DSM and scalar; the gap to scalar grows with dimensionality.");
+    println!("N-ary SIMD sits between them and scalar; the gap to scalar grows with");
+    println!("dimensionality. (The paper's DSM column is not reproduced.)");
 }

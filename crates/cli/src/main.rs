@@ -746,8 +746,10 @@ fn cmd_insert(args: &Args) -> Result<(), String> {
 }
 
 /// Parses `--ids=3,17,100..200` (comma-separated ids and `lo..hi`
-/// half-open ranges) into an ordered id list.
-fn parse_id_list(spec: &str) -> Result<Vec<u64>, String> {
+/// half-open ranges) into an ordered id list. Every id must name one of
+/// the collection's `live` rows, so a range that would take the list past
+/// `live` ids is rejected before it is materialised.
+fn parse_id_list(spec: &str, live: usize) -> Result<Vec<u64>, String> {
     let mut ids = Vec::new();
     for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         if let Some((lo, hi)) = part.split_once("..") {
@@ -759,6 +761,12 @@ fn parse_id_list(spec: &str) -> Result<Vec<u64>, String> {
                 .map_err(|_| format!("invalid id range end '{hi}'"))?;
             if hi < lo {
                 return Err(format!("empty id range '{part}'"));
+            }
+            if hi - lo > live.saturating_sub(ids.len()) as u64 {
+                return Err(format!(
+                    "id range '{part}' spans {} ids; --ids can name at most the {live} live rows",
+                    hi - lo
+                ));
             }
             ids.extend(lo..hi);
         } else {
@@ -773,7 +781,7 @@ fn parse_id_list(spec: &str) -> Result<Vec<u64>, String> {
 
 fn cmd_delete(args: &Args) -> Result<(), String> {
     let (dir, coll) = open_collection(args)?;
-    let ids = parse_id_list(args.require("ids")?)?;
+    let ids = parse_id_list(args.require("ids")?, coll.live_len())?;
     // Validate the whole list first: a missing (or repeated) id aborts
     // the command before any tombstone is durably applied.
     let mut seen = std::collections::HashSet::new();
@@ -1242,12 +1250,22 @@ mod tests {
 
     #[test]
     fn id_lists_parse_singles_and_ranges() {
-        assert_eq!(parse_id_list("3").unwrap(), vec![3]);
-        assert_eq!(parse_id_list("3,5,4").unwrap(), vec![3, 5, 4]);
-        assert_eq!(parse_id_list("10..13,2").unwrap(), vec![10, 11, 12, 2]);
-        assert!(parse_id_list("").is_err());
-        assert!(parse_id_list("5..3").is_err());
-        assert!(parse_id_list("abc").is_err());
+        assert_eq!(parse_id_list("3", 10).unwrap(), vec![3]);
+        assert_eq!(parse_id_list("3,5,4", 10).unwrap(), vec![3, 5, 4]);
+        assert_eq!(parse_id_list("10..13,2", 10).unwrap(), vec![10, 11, 12, 2]);
+        assert!(parse_id_list("", 10).is_err());
+        assert!(parse_id_list("5..3", 10).is_err());
+        assert!(parse_id_list("abc", 10).is_err());
+        // A range longer than the live rows is rejected unexpanded.
+        let err = parse_id_list("0..18446744073709551615", 10).unwrap_err();
+        assert!(err.contains("'0..18446744073709551615'"), "{err}");
+        assert_eq!(parse_id_list("5..15", 10).unwrap().len(), 10);
+        let err = parse_id_list("5..16", 10).unwrap_err();
+        assert!(err.contains("'5..16' spans 11 ids"), "{err}");
+        assert!(err.contains("10 live rows"), "{err}");
+        // The bound counts the ids named before the range too.
+        let err = parse_id_list("1,2,3..12", 10).unwrap_err();
+        assert!(err.contains("'3..12'"), "{err}");
     }
 
     #[test]

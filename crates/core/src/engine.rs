@@ -10,9 +10,8 @@
 //! never know (or care) which deployment is behind it. `pdx-engine`'s
 //! `AnyIndex::open` produces exactly that box by sniffing a persisted
 //! container. The trait and the options are what those serving layers
-//! use and no more: the paper's comparison baselines (the horizontal
-//! IVF, the HNSW graph) keep their own typed entry points in
-//! `pdx-index`.
+//! use and no more: the paper's horizontal IVF baseline keeps its own
+//! typed entry point in `pdx-index`.
 //!
 //! The batch entry point comes for free: the trait's default method
 //! runs on the shared [`exec`](crate::exec) worker pool, and because

@@ -14,11 +14,6 @@
 //!   baseline, the unrolled multi-accumulator variant, and the explicit
 //!   AVX2+FMA SIMD kernels that stand in for SimSIMD/FAISS (Table 4's
 //!   competitor), selected at runtime.
-//! * [`dsm`] — the full-column kernel (distance array updated once per
-//!   dimension across the whole collection).
-//! * [`gather`] — on-the-fly transposition of the horizontal layout into
-//!   a PDX tile followed by the PDX kernel (Figure 3 rightmost /
-//!   Figure 12): shows why PDX must be the *stored* layout.
 //! * [`sq8`] — the quantized mirror of the PDX kernels on SQ8 `u8`
 //!   blocks: per-dimension codec parameters hoist out of the lane loop.
 //! * [`dispatch`] — the runtime kernel-selection layer: [`KernelPolicy`]
@@ -34,16 +29,12 @@
 use std::ops::Range;
 
 pub mod dispatch;
-pub mod dsm;
-pub mod gather;
 pub mod lanes;
 pub mod nary;
 pub mod pdx;
 pub mod sq8;
 
 pub use dispatch::{active_kernel_isa, detected_isa, KernelIsa, KernelPolicy};
-pub use dsm::dsm_scan;
-pub use gather::{gather_scan, gather_scan_split_timing};
 pub use nary::{nary_distance, simd_available, KernelVariant};
 pub use pdx::{
     pdx_accumulate, pdx_accumulate_band, pdx_accumulate_groups, pdx_accumulate_positions,

@@ -1,6 +1,7 @@
 //! Vector storage layouts.
 //!
-//! The paper compares four physical layouts (its Figures 1 and 3):
+//! The layouts of the paper's Figures 1 and 3, plus the SQ8 twin of the
+//! PDX block:
 //!
 //! * [`PdxBlock`] — the proposed **PDX** layout: vectors are tiled into
 //!   groups of `G` (default 64) and each group stores its values
@@ -8,8 +9,6 @@
 //!   `G` vectors in a tight, dependence-free loop.
 //! * [`NaryMatrix`] — the conventional horizontal (vector-by-vector)
 //!   layout used by FAISS/USearch/Milvus and the `.fvecs` format.
-//! * [`DsmMatrix`] — full vertical decomposition (one array per
-//!   dimension over the *whole* collection), the BOND/DSM layout.
 //! * [`DualBlockMatrix`] — ADSampling's two-segment horizontal layout
 //!   (first Δd dimensions of all vectors stored together, remainder in a
 //!   second segment).
@@ -17,13 +16,11 @@
 //!   same dimension-major groups, one byte per value, with the
 //!   per-dimension codec in [`Sq8Quantizer`].
 
-mod dsm;
 mod dual;
 mod nary;
 mod pdx;
 mod quantized;
 
-pub use dsm::DsmMatrix;
 pub use dual::DualBlockMatrix;
 pub use nary::NaryMatrix;
 pub use pdx::{PdxBlock, PdxGroup};

@@ -10,13 +10,12 @@
 //! * [`layout`] — the **PDX** (Partition Dimensions Across) block layout
 //!   that stores groups of vectors dimension-major, plus the competing
 //!   layouts the paper evaluates against: the horizontal/N-ary layout
-//!   ([`layout::NaryMatrix`]), the fully decomposed DSM layout
-//!   ([`layout::DsmMatrix`]) and ADSampling's dual-block layout
+//!   ([`layout::NaryMatrix`]) and ADSampling's dual-block layout
 //!   ([`layout::DualBlockMatrix`]).
 //! * [`kernels`] — multi-vector-at-a-time distance kernels on PDX blocks
 //!   (scalar code that auto-vectorizes; Algorithm 1 of the paper), the
-//!   explicit-SIMD and scalar horizontal kernels used as baselines, the
-//!   DSM kernel, and the on-the-fly gather/transpose kernel of Figure 12.
+//!   explicit-SIMD and scalar horizontal kernels used as baselines, and
+//!   the quantized SQ8 mirror of the PDX kernels.
 //! * [`search`] — the **PDXearch** framework (§4): block-by-block search
 //!   with START / WARMUP / PRUNE phases, adaptive dimension stepping and
 //!   branchless bound evaluation, generic over a dimension [`pruning`]
@@ -104,16 +103,14 @@ pub use engine::{PrunerKind, SearchOptions, VectorIndex};
 pub use exec::{BatchSearcher, ThreadPool};
 pub use heap::{KnnHeap, Neighbor};
 pub use kernels::{active_kernel_isa, detected_isa, KernelIsa, KernelPolicy};
-pub use layout::{
-    DsmMatrix, DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer,
-};
+pub use layout::{DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer};
 pub use mask::RowMask;
 pub use obs::{publish_trace, TRACE_ENV};
 pub use pdx_obs::QueryTrace;
 pub use pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
 pub use search::{
-    horizontal_pruned_search, linear_scan_dsm, linear_scan_nary, linear_scan_pdx, pdxearch,
-    sq8_two_phase, KernelVariant, ScanBlock, Sq8Block,
+    horizontal_pruned_search, linear_scan_nary, linear_scan_pdx, pdxearch, sq8_two_phase,
+    KernelVariant, ScanBlock, Sq8Block,
 };
 pub use stats::BlockStats;
 pub use visit_order::VisitOrder;

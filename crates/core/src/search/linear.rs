@@ -6,15 +6,13 @@
 //! * [`linear_scan_nary`] — the horizontal scan; with
 //!   [`KernelVariant::Simd`] this is the FAISS/USearch stand-in, with
 //!   [`KernelVariant::Scalar`] the Scikit-learn stand-in.
-//! * [`linear_scan_dsm`] — the fully decomposed scan of §7.
 
 use crate::collection::{PdxCollection, SearchBlock};
 use crate::distance::Metric;
 use crate::heap::{KnnHeap, Neighbor};
-use crate::kernels::dsm::dsm_scan;
 use crate::kernels::nary::{nary_distance, KernelVariant};
 use crate::kernels::pdx::pdx_scan;
-use crate::layout::{DsmMatrix, NaryMatrix};
+use crate::layout::NaryMatrix;
 
 /// Exhaustive k-NN over a PDX collection.
 pub fn linear_scan_pdx(
@@ -67,18 +65,6 @@ pub fn linear_scan_nary(
     heap.into_sorted()
 }
 
-/// Exhaustive k-NN over a DSM collection. Vector `i` is reported with
-/// id `i`.
-pub fn linear_scan_dsm(dsm: &DsmMatrix, query: &[f32], k: usize, metric: Metric) -> Vec<Neighbor> {
-    let mut distances = vec![0.0f32; dsm.len()];
-    dsm_scan(metric, dsm, query, &mut distances);
-    let mut heap = KnnHeap::new(k);
-    for (i, &d) in distances.iter().enumerate() {
-        heap.push(i as u64, d);
-    }
-    heap.into_sorted()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,13 +110,6 @@ mod tests {
                     .collect();
                 assert_eq!(got, want, "nary {metric:?} {variant:?}");
             }
-
-            let dsm = DsmMatrix::from_rows(&data, n, d);
-            let got_dsm: Vec<u64> = linear_scan_dsm(&dsm, &q, k, metric)
-                .iter()
-                .map(|x| x.id)
-                .collect();
-            assert_eq!(got_dsm, want, "dsm {metric:?}");
         }
     }
 

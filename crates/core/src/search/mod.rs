@@ -4,8 +4,8 @@
 //!   dimension-by-dimension pruned search with START/WARMUP/PRUNE phases,
 //!   written once over the [`ScanBlock`] element trait (`f32` blocks and
 //!   SQ8 code blocks are its two impls).
-//! * `linear` — exhaustive linear scans on the PDX, horizontal and DSM
-//!   layouts (the paper's FAISS-like / Scikit-learn-like / DSM baselines),
+//! * `linear` — exhaustive linear scans on the PDX and horizontal
+//!   layouts (the paper's FAISS-like / Scikit-learn-like baselines),
 //!   re-exported here as [`linear_scan_pdx`] and friends.
 //! * `horizontal` — the vector-at-a-time pruned search on ADSampling's
 //!   dual-block horizontal layout (the SIMD-ADS / SCALAR-ADS baselines,
@@ -23,7 +23,7 @@ pub mod quantized;
 pub use horizontal::{
     horizontal_checkpoints, horizontal_linear_scan, horizontal_pruned_search, HorizontalBucket,
 };
-pub use linear::{linear_scan_blocks, linear_scan_dsm, linear_scan_nary, linear_scan_pdx};
+pub use linear::{linear_scan_blocks, linear_scan_nary, linear_scan_pdx};
 pub use pdxearch::{pdxearch, pdxearch_band, ScanBlock};
 pub use quantized::{sq8_rerank, sq8_two_phase, Sq8Block, Sq8Bound, DEFAULT_REFINE};
 

@@ -39,11 +39,10 @@
 //! with the candidate heap's own threshold instead of a [`PrunerKind`];
 //! one without a rerank payload answers with the quantized estimates.)
 //!
-//! The paper's comparison baselines are not served and do not implement
-//! [`VectorIndex`]: [`IvfHorizontal::search_with`] is the horizontal
-//! IVF's one query (traced like a [`Deployment`] query, which Table 7's
-//! breakdown reads), and [`crate::Hnsw::search`] takes its beam width
-//! as an argument.
+//! The paper's horizontal comparison baseline is not served and does not
+//! implement [`VectorIndex`]: [`IvfHorizontal::search_with`] is the
+//! horizontal IVF's one query (traced like a [`Deployment`] query, which
+//! Table 7's breakdown reads).
 //!
 //! Every implementation honours the engine determinism contract:
 //! `search_batch` returns the bits of sequential `search` at any thread

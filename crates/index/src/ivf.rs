@@ -19,12 +19,10 @@
 use crate::kmeans::KMeans;
 use pdx_core::collection::SearchBlock;
 use pdx_core::distance::Metric;
-use pdx_core::engine::SearchOptions;
 use pdx_core::heap::{KnnHeap, Neighbor};
 use pdx_core::kernels::{nary_distance, pdx_accumulate_band, KernelPolicy, KernelVariant};
 use pdx_core::layout::NaryMatrix;
-use pdx_core::pruning::Pruner;
-use pdx_core::search::{horizontal_linear_scan, linear_scan_blocks, pdxearch, HorizontalBucket};
+use pdx_core::search::{horizontal_linear_scan, linear_scan_blocks, HorizontalBucket};
 
 /// A trained IVF index: cluster model plus bucket membership.
 #[derive(Debug, Clone)]
@@ -197,38 +195,6 @@ impl IvfPdx {
         orders.pop().expect("one probe list per query")
     }
 
-    /// Builds an HNSW router over the centroids — the "hybrid index" of
-    /// §2.1 (HNSW on the IVF centroids finds promising buckets quickly
-    /// when `nlist` is large).
-    pub fn build_centroid_router(
-        &self,
-        params: crate::hnsw::HnswParams,
-        seed: u64,
-    ) -> crate::hnsw::Hnsw {
-        let rows = self.centroids.pdx.to_rows();
-        crate::hnsw::Hnsw::build(&rows, self.centroids.len(), self.dims, params, seed)
-    }
-
-    /// PDXearch query routed through a centroid HNSW (built with
-    /// [`IvfPdx::build_centroid_router`]) instead of the linear centroid
-    /// scan: an approximate ranking of [`SearchOptions::nprobe`] buckets,
-    /// whose beam width `ef` (at least the probe count) trades routing
-    /// recall for speed.
-    pub fn search_with_router<P: Pruner>(
-        &self,
-        router: &crate::hnsw::Hnsw,
-        pruner: &P,
-        query: &[f32],
-        opts: &SearchOptions,
-        ef: usize,
-    ) -> Vec<Neighbor> {
-        let q = pruner.prepare_query(query);
-        let nprobe = opts.resolve_nprobe(self.blocks.len());
-        let order = router.search(pruner.query_vector(&q), nprobe, ef);
-        let blocks = order.iter().map(|n| &self.blocks[n.id as usize]);
-        pdxearch(pruner, &q, blocks, opts, None, None)
-    }
-
     /// Linear scan (no pruning) of the `nprobe` nearest buckets with the
     /// PDX kernels — the "PDX linear scan" competitor.
     pub fn linear_search(
@@ -325,6 +291,7 @@ mod tests {
     use super::*;
     use crate::Deployment;
     use pdx_core::bond::PdxBond;
+    use pdx_core::engine::SearchOptions;
     use pdx_core::visit_order::VisitOrder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -16,9 +16,6 @@
 //!   competitors share the same IVF index" setup.
 //! * [`flat`] — equally sized horizontal partitions (≤ 10 240 vectors)
 //!   for exact search (§6.5).
-//! * [`hnsw`] — an HNSW graph used as the centroid router of the §2.1
-//!   hybrid index (HNSW over IVF centroids), and the §7 stepping stone
-//!   toward PDX on graph indexes.
 //! * [`sq8`] — SQ8-quantized deployments of both substrates
 //!   ([`sq8::FlatSq8`], [`sq8::IvfSq8`]): `u8` scan blocks 4× smaller
 //!   than `f32`, searched with the two-phase quantized-scan → exact
@@ -35,12 +32,11 @@
 //!   implementations on top of it, so each PDX-layout deployment is
 //!   reachable as a `Box<dyn VectorIndex>` behind one
 //!   [`pdx_core::engine::SearchOptions`] surface (the batch entry point
-//!   included). The two baselines, [`ivf::IvfHorizontal`]
-//!   and [`hnsw::Hnsw`], are served by no layer and keep typed calls.
+//!   included). The horizontal baseline, [`ivf::IvfHorizontal`], is
+//!   served by no layer and keeps a typed call.
 
 pub mod engine;
 pub mod flat;
-pub mod hnsw;
 pub mod ivf;
 pub mod kmeans;
 pub mod lazy;
@@ -48,7 +44,6 @@ pub mod sq8;
 
 pub use engine::Deployment;
 pub use flat::FlatPdx;
-pub use hnsw::{Hnsw, HnswParams};
 pub use ivf::{IvfHorizontal, IvfIndex, IvfPdx};
 pub use kmeans::KMeans;
 pub use lazy::LazyIvf;

@@ -172,19 +172,18 @@ pub mod prelude {
     };
     pub use pdx_core::heap::{KnnHeap, Neighbor};
     pub use pdx_core::kernels::{
-        active_kernel_isa, detected_isa, dsm_scan, gather_scan, nary_distance, pdx_scan,
-        pdx_scan_policy, sq8_distance_scalar, sq8_scan, sq8_scan_policy, KernelIsa, KernelPolicy,
-        KernelVariant,
+        active_kernel_isa, detected_isa, nary_distance, pdx_scan, pdx_scan_policy,
+        sq8_distance_scalar, sq8_scan, sq8_scan_policy, KernelIsa, KernelPolicy, KernelVariant,
     };
     pub use pdx_core::layout::{
-        DsmMatrix, DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer, Sq8Query,
+        DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer, Sq8Query,
     };
     pub use pdx_core::mask::RowMask;
     pub use pdx_core::pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
     pub use pdx_core::search::{
-        horizontal_linear_scan, horizontal_pruned_search, linear_scan_dsm, linear_scan_nary,
-        linear_scan_pdx, pdxearch, pdxearch_band, sq8_rerank, sq8_two_phase, HorizontalBucket,
-        ScanBlock, Sq8Block, Sq8Bound, DEFAULT_REFINE,
+        horizontal_linear_scan, horizontal_pruned_search, linear_scan_nary, linear_scan_pdx,
+        pdxearch, pdxearch_band, sq8_rerank, sq8_two_phase, HorizontalBucket, ScanBlock, Sq8Block,
+        Sq8Bound, DEFAULT_REFINE,
     };
     pub use pdx_core::stats::BlockStats;
     pub use pdx_core::visit_order::VisitOrder;
@@ -196,8 +195,7 @@ pub mod prelude {
     };
     pub use pdx_engine::{AnyIndex, OpenOptions, Pruned, PrunedFlat, PrunedIvf};
     pub use pdx_index::{
-        Deployment, FlatPdx, FlatSq8, Hnsw, HnswParams, IvfHorizontal, IvfIndex, IvfPdx, IvfSq8,
-        KMeans, LazyIvf,
+        Deployment, FlatPdx, FlatSq8, IvfHorizontal, IvfIndex, IvfPdx, IvfSq8, KMeans, LazyIvf,
     };
     pub use pdx_pruners::{AdSampling, Bsa, BsaLearned};
     pub use pdx_serve::{

@@ -1,4 +1,4 @@
-//! A guided tour of the four storage layouts and their kernels
+//! A guided tour of the storage layouts and their kernels
 //! (Figures 1 and 3 of the paper, in code).
 //!
 //! ```text
@@ -31,11 +31,10 @@ fn main() {
     let ds = generate(&spec, n, 1, 5);
     let q = ds.query(0);
 
-    // --- The four layouts -------------------------------------------------
+    // --- The layouts ------------------------------------------------------
     println!("building layouts…");
     let pdx_block = PdxBlock::from_rows(&ds.data, n, d, DEFAULT_GROUP_SIZE);
     let nary = NaryMatrix::from_rows(&ds.data, n, d);
-    let dsm = DsmMatrix::from_rows(&ds.data, n, d);
     let dual = DualBlockMatrix::from_rows(&ds.data, n, d, 32);
 
     println!(
@@ -49,11 +48,6 @@ fn main() {
         nary.dims()
     );
     println!(
-        "  DSM:        {} full columns of {} floats",
-        dsm.dims(),
-        dsm.len()
-    );
-    println!(
         "  Dual-block: head {} dims + tail {} dims per vector\n",
         dual.split(),
         d - dual.split()
@@ -62,7 +56,6 @@ fn main() {
     // A value lives at the same logical place in all of them.
     let (v, dim) = (12_345usize, 40usize);
     assert_eq!(pdx_block.value(v, dim), nary.row(v)[dim]);
-    assert_eq!(pdx_block.value(v, dim), dsm.value(v, dim));
     assert_eq!(pdx_block.value(v, dim), dual.vector(v)[dim]);
     println!(
         "value (vector {v}, dim {dim}) identical across layouts: {}\n",
@@ -96,18 +89,7 @@ fn main() {
         },
         reps,
     );
-    time_scans(
-        "DSM column-at-a-time",
-        || dsm_scan(Metric::L2, &dsm, q, &mut out),
-        reps,
-    );
-    time_scans(
-        "N-ary + on-the-fly gather",
-        || gather_scan(Metric::L2, &nary, q, &mut out),
-        reps,
-    );
 
-    println!("\nExpected ordering (paper, Figures 3/12): PDX fastest, then N-ary SIMD,");
-    println!("then DSM / scalar, with the gather kernel slowest — storing the data in");
-    println!("PDX is what makes the vertical kernel pay off.");
+    println!("\nExpected ordering (paper, Figure 3): PDX fastest, then N-ary SIMD, then");
+    println!("scalar — storing the data in PDX is what makes the vertical kernel pay off.");
 }

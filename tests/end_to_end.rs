@@ -225,38 +225,58 @@ fn bsa_learned_end_to_end() {
     assert!(recall > 0.85, "learned BSA recall too low: {recall}");
 }
 
-/// The §2.1 hybrid index: an HNSW router over IVF centroids finds the
-/// same promising buckets as the exhaustive centroid scan, preserving
-/// end-to-end recall.
-#[test]
-fn hybrid_hnsw_router_preserves_recall() {
-    let ds = small_dataset("deep", 3000, 15, 9);
-    let d = ds.dims();
-    let k = 10;
-    let gt = ground_truth(&ds.data, &ds.queries, d, k, Metric::L2, 8);
-
-    let ads = AdSampling::fit(d, 4);
-    let rotated = ads.transform_collection(&ds.data, ds.len, 8);
-    let index = IvfIndex::build(&ds.data, ds.len, d, 50, 10, 3);
-    let ivf = IvfPdx::new(&rotated, d, &index.assignments, 64);
-    let router = ivf.build_centroid_router(HnswParams::default(), 11);
-
-    let nprobe = 16;
-    let params = SearchOptions::new(k);
-    let (mut linear_total, mut routed_total) = (0.0, 0.0);
+/// Sums the ● work counters of every query of `ds`, each searched alone
+/// under its own trace capture: `(dims_scanned, dims_total,
+/// vectors_visited, blocks_visited)`.
+fn work_counters(index: &dyn VectorIndex, ds: &Dataset, opts: SearchOptions) -> [u64; 4] {
+    let opts = opts.with_trace(true);
+    let mut sum = pdx::obs::QueryTrace::default();
     for qi in 0..ds.n_queries {
-        let a = ivf.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
-        let b =
-            ivf.search_with_router(&router, &ads, ds.query(qi), &params.with_nprobe(nprobe), 64);
-        let ia: Vec<u64> = a.iter().map(|r| r.id).collect();
-        let ib: Vec<u64> = b.iter().map(|r| r.id).collect();
-        linear_total += recall_at_k(&gt[qi], &ia, k);
-        routed_total += recall_at_k(&gt[qi], &ib, k);
+        let (hits, trace) = pdx::obs::trace::capture(|| index.search(ds.query(qi), &opts));
+        assert_eq!(hits.len(), opts.k);
+        sum.merge(&trace);
     }
-    let linear = linear_total / ds.n_queries as f64;
-    let routed = routed_total / ds.n_queries as f64;
-    assert!(
-        routed >= linear - 0.05,
-        "HNSW routing lost too much recall: {routed:.3} vs {linear:.3}"
+    [
+        sum.dims_scanned,
+        sum.dims_total,
+        sum.vectors_visited,
+        sum.blocks_visited,
+    ]
+}
+
+/// ROADMAP item 14(a) for `flat_exact`: PDX-BOND (distance-to-means
+/// order) over a sift-like `FlatPdx` at the paper-default partitioning.
+/// The work a query does is exact and host-free, so its counters are
+/// goldens: a change that keeps the answers but scans more shows here.
+#[test]
+fn flat_exact_work_counters_are_goldens() {
+    const GOLDEN: [u64; 4] = [5_311_932, 25_600_000, 200_000, 20];
+    let ds = small_dataset("sift", 10_000, 20, 0x0F1A_7E8A);
+    let flat = FlatPdx::with_defaults(&ds.data, ds.len, ds.dims());
+    let counts = work_counters(&flat, &ds, SearchOptions::new(10));
+    assert_eq!(
+        counts, GOLDEN,
+        "dims_scanned, dims_total, vectors_visited, blocks_visited"
+    );
+}
+
+/// ROADMAP item 14(a) for `ivf_ads_hd`: ADSampling on gist-like
+/// (d = 960) IVF buckets at `nprobe` 2, the workload's shape at a fifth
+/// of its rows and buckets. Rotation, routing and the bound evaluation
+/// all decide what is scanned, so each of them is pinned here.
+#[test]
+fn ivf_ads_hd_work_counters_are_goldens() {
+    const GOLDEN: [u64; 4] = [1_683_860, 2_350_080, 2_448, 40];
+    let ds = small_dataset("gist", 2_000, 20, 0x0AD5_4D96);
+    let d = ds.dims();
+    let ivf = IvfIndex::build(&ds.data, ds.len, d, 40, 5, 0x5EED);
+    let ads = AdSampling::fit(d, 0x5EED ^ 0xAD5);
+    let rotated = ads.transform_collection(&ds.data, ds.len, 2);
+    let buckets = IvfPdx::new(&rotated, d, &ivf.assignments, DEFAULT_GROUP_SIZE);
+    let index = PrunedIvf::new(buckets, ads);
+    let counts = work_counters(&index, &ds, SearchOptions::new(10).with_nprobe(2));
+    assert_eq!(
+        counts, GOLDEN,
+        "dims_scanned, dims_total, vectors_visited, blocks_visited"
     );
 }
