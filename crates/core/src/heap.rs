@@ -22,6 +22,10 @@ pub struct Neighbor {
     pub distance: f32,
 }
 
+/// The most slots [`KnnHeap::new`] reserves before any candidate arrives
+/// (16 KiB), so that a `k` from outside never sizes an allocation.
+const RESERVE: usize = 1024;
+
 /// Bounded max-heap of the `k` best candidates by `(distance, id)`.
 ///
 /// ```
@@ -55,13 +59,18 @@ fn above(a: &Neighbor, b: &Neighbor) -> bool {
 impl KnnHeap {
     /// Creates an empty heap that retains the best `k` candidates.
     ///
+    /// At most 1 024 slots are allocated up front; past them the heap
+    /// grows as candidates arrive. `k` can come from outside (a
+    /// Search frame), and a `k` past the candidates a query reaches
+    /// keeps them all, as `k` = their count does.
+    ///
     /// # Panics
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         Self {
             k,
-            entries: Vec::with_capacity(k),
+            entries: Vec::with_capacity(k.min(RESERVE)),
         }
     }
 

@@ -249,7 +249,7 @@ where
 {
     let bound = Sq8Bound::new(quantizer, opts.metric);
     let scan = SearchOptions {
-        k: opts.k * opts.refine.max(1),
+        k: opts.k.saturating_mul(opts.refine.max(1)),
         ..*opts
     };
     let candidates = pdxearch(

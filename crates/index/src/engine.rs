@@ -266,8 +266,9 @@ where
         )
     });
     let rows = dep.rerank_rows();
+    let refine = rows.map_or(1, |_| opts.refine.max(1));
     let scan = SearchOptions {
-        k: opts.k * rows.map_or(1, |_| opts.refine.max(1)),
+        k: opts.k.saturating_mul(refine),
         ..*opts
     };
     // The scan streams: each block is pinned right before it is scanned

@@ -55,7 +55,9 @@ fn engine_opens_ivf_containers_lazily_under_a_budget() {
     assert_eq!(lazy.kind(), "ivf-pdx-lazy");
     assert_eq!(lazy.len(), 400);
     assert_eq!(lazy.dims(), 12);
-    assert!(lazy.cache_stats().is_some());
+    // The open reads the header and the centroids, never a bucket.
+    let cold = lazy.cache_stats().unwrap();
+    assert_eq!((cold.misses, cold.resident_bytes), (0, 0), "{cold:?}");
     // Without an explicit budget the open also succeeds (resident, or
     // lazy when the CI leg sets PDX_CACHE_BYTES — both must serve).
     let default_open = AnyIndex::open(&path).unwrap();
@@ -204,6 +206,47 @@ fn cache_counters_of_a_skewed_replay_are_goldens() {
     let batched = LazyIvf::open(&path, budget).unwrap();
     batched.search_batch(&stream, &opts);
     assert_eq!(counts(&batched), GOLDEN, "search_batch");
+}
+
+/// ROADMAP item 14(a) for `ivf_ooc`: a lazy open under a budget of a
+/// quarter of the file replays a skewed stream at `nprobe` 4. What a
+/// query scans is decided by routing and the pruner, never by the cache,
+/// so its summed ● work counters are goldens, and the resident buckets
+/// read the same ones for the same queries.
+#[test]
+fn ivf_ooc_work_counters_are_goldens() {
+    const GOLDEN: [u64; 4] = [9_036_428, 9_577_344, 299_292, 1_200];
+    let dir = temp_dir("ivf_ooc_work_counters");
+    let path = dir.join("c.pdx");
+    let d = 32;
+    let resident = build_ivf_container(&path, 4_000, d, 63);
+    let budget = std::fs::metadata(&path).unwrap().len() / 4;
+    let lazy = LazyIvf::open(&path, budget).unwrap();
+    let population = random_rows(64, d, 6_363);
+    let opts = SearchOptions::new(10).with_nprobe(4).with_trace(true);
+    let counters = |index: &dyn VectorIndex| {
+        let mut sum = pdx::obs::QueryTrace::default();
+        for i in skewed_stream(64, 300, 11) {
+            let q = &population[i * d..(i + 1) * d];
+            let (hits, trace) = pdx::obs::trace::capture(|| index.search(q, &opts));
+            assert_eq!(hits.len(), opts.k);
+            sum.merge(&trace);
+        }
+        [
+            sum.dims_scanned,
+            sum.dims_total,
+            sum.vectors_visited,
+            sum.blocks_visited,
+        ]
+    };
+    let what = "dims_scanned, dims_total, vectors_visited, blocks_visited";
+    assert_eq!(counters(&lazy), GOLDEN, "lazy open: {what}");
+    assert_eq!(counters(&resident), GOLDEN, "resident buckets: {what}");
+    let s = lazy.cache_stats();
+    assert!(
+        s.evictions > 0 && s.resident_bytes <= s.budget_bytes,
+        "{s:?}"
+    );
 }
 
 #[test]

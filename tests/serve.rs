@@ -250,6 +250,74 @@ fn mutations_on_frozen_containers_are_typed_unsupported() {
     server.shutdown();
 }
 
+/// A wire-supplied `k` of `u32::MAX` (and, on SQ8, a `refine` of
+/// `u32::MAX`) answers every row, as a local search at `k = n` does,
+/// through both search frames on the `f32` and SQ8 backends; and the
+/// server goes on answering ordinary searches. The connection's reads
+/// time out, so a server that never answers fails the test instead of
+/// hanging it.
+#[test]
+fn k_and_refine_past_the_rows_answer_every_row() {
+    let (n, d) = (300, 8);
+    let rows = make_rows(n, d, 17);
+    let queries = &rows[..2 * d];
+    let indexes: [(Box<dyn VectorIndex>, &[u32]); 2] = [
+        (Box::new(FlatPdx::with_defaults(&rows, n, d)), &[0]),
+        (
+            Box::new(FlatSq8::with_defaults(&rows, n, d)),
+            &[0, u32::MAX],
+        ),
+    ];
+    for (index, refines) in indexes {
+        let kind = index.kind();
+        let local = |k: usize| -> Vec<Vec<Neighbor>> {
+            let opts = SearchOptions::new(k).with_threads(1);
+            queries.chunks(d).map(|q| index.search(q, &opts)).collect()
+        };
+        let (every_row, top10) = (local(n), local(10));
+        assert!(every_row.iter().all(|hits| hits.len() == n), "{kind}");
+        let server = start_server(Backend::frozen(index), ServeConfig::default());
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        let mut seq = 0;
+        let mut ask = |k: u32, refine: u32, batch: bool| {
+            seq += 1;
+            let req = if batch {
+                Request::SearchBatch {
+                    deadline_ms: 0,
+                    k,
+                    nprobe: 0,
+                    refine,
+                    dims: d as u32,
+                    queries: queries.to_vec(),
+                }
+            } else {
+                Request::Search {
+                    deadline_ms: 0,
+                    k,
+                    nprobe: 0,
+                    refine,
+                    query: queries[..d].to_vec(),
+                }
+            };
+            write_frame(&mut stream, seq, &req.encode()).unwrap();
+            let (reply, msg) = read_frame(&mut stream, DEFAULT_MAX_FRAME).expect("a reply in time");
+            assert_eq!(reply, seq);
+            Response::decode(&msg).expect("decodable")
+        };
+        for &refine in refines {
+            let what = format!("{kind}, k = u32::MAX, refine = {refine}");
+            let one = ask(u32::MAX, refine, false);
+            assert_eq!(one, Response::Neighbors(every_row[0].clone()), "{what}");
+            let batch = ask(u32::MAX, refine, true);
+            assert_eq!(batch, Response::Batch(every_row.clone()), "{what}, batch");
+        }
+        assert_eq!(ask(10, 0, false), Response::Neighbors(top10[0].clone()));
+        assert_eq!(ask(10, 0, true), Response::Batch(top10));
+        server.shutdown();
+    }
+}
+
 #[test]
 fn concurrent_clients_all_get_correct_results() {
     let (n, d, k, n_clients, per_client) = (1500, 16, 5, 8, 12);
