@@ -165,6 +165,16 @@ impl Args {
         }
     }
 
+    /// [`Args::usize`] for a size that has no meaning at zero.
+    fn positive(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.usize(key, default)? {
+            0 => Err(format!(
+                "invalid value for --{key}: '0' (expected a positive integer)"
+            )),
+            n => Ok(n),
+        }
+    }
+
     fn str_or(&self, key: &str, default: &'static str) -> String {
         self.values
             .get(key)
@@ -386,9 +396,10 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_build(args: &Args) -> Result<(), String> {
+    let block_size = args.positive("block-size", DEFAULT_EXACT_BLOCK)?;
+    let group = args.positive("group", DEFAULT_GROUP_SIZE)?;
+    let buffer_capacity = args.positive("buffer-capacity", block_size)?;
     let data = read_fvecs(&args.path("data")?)?;
-    let block_size = args.usize("block-size", DEFAULT_EXACT_BLOCK)?;
-    let group = args.usize("group", DEFAULT_GROUP_SIZE)?;
     let out = args.path("out")?;
     let quantize = match args.str_or("quantize", "none").as_str() {
         "none" => false,
@@ -416,7 +427,7 @@ fn cmd_build(args: &Args) -> Result<(), String> {
             let config = StoreConfig {
                 block_size,
                 group_size: group,
-                buffer_capacity: args.usize("buffer-capacity", block_size)?,
+                buffer_capacity,
                 quantize,
             };
             let shards = args.usize("shards", 0)?;
@@ -1246,6 +1257,29 @@ mod tests {
     fn bad_integer_values_error_instead_of_defaulting() {
         let a = Args::parse(&argv(&["--k=ten"]), QUERY_FLAGS).unwrap();
         assert!(a.usize("k", 10).is_err());
+    }
+
+    #[test]
+    fn zero_build_sizes_are_rejected_before_any_output() {
+        let out = std::env::temp_dir().join("pdx_cli_zero_build_sizes");
+        let _ = std::fs::remove_dir_all(&out);
+        for (mode, flag) in [
+            ("collection", "block-size"),
+            ("collection", "group"),
+            ("collection", "buffer-capacity"),
+            ("ivf", "group"),
+            ("container", "block-size"),
+        ] {
+            let argv = argv(&[
+                &format!("--mode={mode}"),
+                "--data=missing.fvecs",
+                &format!("--out={}", out.display()),
+                &format!("--{flag}=0"),
+            ]);
+            let err = cmd_build(&Args::parse(&argv, BUILD_FLAGS).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("--{flag}: '0'")), "{mode}: {err}");
+            assert!(!out.exists(), "{mode} --{flag}=0 left {}", out.display());
+        }
     }
 
     #[test]

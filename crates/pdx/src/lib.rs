@@ -204,6 +204,6 @@ pub mod prelude {
     };
     pub use pdx_store::{
         Collection, GroupCommit, MaintenanceJob, SegmentStat, ShardedCollection, Snapshot,
-        StoreConfig, StoreError, WriteBuffer, SHARDS_FILE,
+        StoreConfig, StoreError, SHARDS_FILE,
     };
 }

@@ -34,26 +34,25 @@ impl BufChunk {
 }
 
 /// An append buffer of `(external id, vector)` pairs, searched by exact
-/// linear scan.
+/// linear scan through its [`snapshot`](WriteBuffer::snapshot).
 ///
 /// The buffer is the only mutable part of a
 /// [`Collection`](crate::Collection): inserts append here (after being
 /// logged to the WAL), deletes of buffered rows hide them in place, and
-/// a seal drains the whole buffer — sorted by external id — into an
-/// immutable segment. [`WriteBuffer::snapshot`] captures the current
-/// contents as an immutable view that stays valid while the buffer
-/// keeps mutating.
+/// a seal drains the whole buffer into an immutable segment. The
+/// collection's writer knows which ids are buffered, and checks a
+/// duplicate insert or a delete of a row the buffer does not hold
+/// before it calls in, so the buffer keeps no id index of its own.
 #[derive(Debug, Clone, Default)]
-pub struct WriteBuffer {
+pub(crate) struct WriteBuffer {
     dims: usize,
-    /// Full immutable chunks, oldest first.
+    /// Full immutable chunks of `CHUNK_ROWS` rows each, oldest first.
     full: Vec<Arc<BufChunk>>,
     /// The growing tail chunk (copy-on-write once snapshotted).
     tail: Arc<BufChunk>,
-    /// Ids logically deleted but still physically present in a chunk.
+    /// Ids logically deleted but still physically present in a chunk
+    /// (each once: a re-insert purges its dead row first).
     dead: Arc<HashSet<u64>>,
-    /// Live buffered ids.
-    live: HashSet<u64>,
 }
 
 impl WriteBuffer {
@@ -61,52 +60,38 @@ impl WriteBuffer {
     ///
     /// # Panics
     /// Panics if `dims == 0`.
-    pub fn new(dims: usize) -> Self {
+    pub(crate) fn new(dims: usize) -> Self {
         assert!(dims > 0, "dims must be positive");
         Self {
             dims,
             full: Vec::new(),
             tail: Arc::new(BufChunk::default()),
             dead: Arc::new(HashSet::new()),
-            live: HashSet::new(),
         }
     }
 
     /// Dimensionality of the buffered vectors.
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.dims
     }
 
-    /// Number of buffered (live) vectors.
-    pub fn len(&self) -> usize {
-        self.live.len()
+    /// Number of buffered (live) vectors: the physical rows minus the
+    /// logically deleted ones.
+    pub(crate) fn len(&self) -> usize {
+        self.full.len() * CHUNK_ROWS + self.tail.ids.len() - self.dead.len()
     }
 
-    /// Whether the buffer holds no live vectors.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
-    /// Whether `id` is buffered (live).
-    pub fn contains(&self, id: u64) -> bool {
-        self.live.contains(&id)
-    }
-
-    /// Appends one vector under an external id.
+    /// Appends one vector under an external id the caller has checked
+    /// is free.
     ///
     /// # Errors
-    /// [`StoreError::DimsMismatch`] for a wrong-length vector,
-    /// [`StoreError::DuplicateId`] if the id is already buffered — an
-    /// insert never silently shadows an existing row.
-    pub fn append(&mut self, id: u64, vector: &[f32]) -> Result<(), StoreError> {
+    /// [`StoreError::DimsMismatch`] for a wrong-length vector.
+    pub(crate) fn append(&mut self, id: u64, vector: &[f32]) -> Result<(), StoreError> {
         if vector.len() != self.dims {
             return Err(StoreError::DimsMismatch {
                 expected: self.dims,
                 got: vector.len(),
             });
-        }
-        if self.live.contains(&id) {
-            return Err(StoreError::DuplicateId(id));
         }
         // A re-insert of a logically deleted id must not leave two
         // physical rows with the same id behind a snapshot-visible
@@ -114,6 +99,12 @@ impl WriteBuffer {
         if self.dead.contains(&id) {
             self.purge_dead();
         }
+        self.push_row(id, vector);
+        Ok(())
+    }
+
+    /// Appends a row to the tail chunk, first retiring a full tail.
+    fn push_row(&mut self, id: u64, vector: &[f32]) {
         if self.tail.ids.len() >= CHUNK_ROWS {
             let sealed = std::mem::take(&mut self.tail);
             self.full.push(sealed);
@@ -121,27 +112,18 @@ impl WriteBuffer {
         let tail = Arc::make_mut(&mut self.tail);
         tail.ids.push(id);
         tail.rows.extend_from_slice(vector);
-        self.live.insert(id);
-        Ok(())
     }
 
-    /// Removes a buffered vector (logically; the row is hidden from
-    /// scans and snapshots immediately and physically dropped at the
-    /// next seal or purge).
-    ///
-    /// # Errors
-    /// [`StoreError::NotFound`] if the id is not buffered.
-    pub fn remove(&mut self, id: u64) -> Result<(), StoreError> {
-        if !self.live.remove(&id) {
-            return Err(StoreError::NotFound(id));
-        }
+    /// Removes a buffered vector the caller has checked is live
+    /// (logically; the row is hidden from snapshots immediately and
+    /// physically dropped at the next seal or purge).
+    pub(crate) fn remove(&mut self, id: u64) {
         Arc::make_mut(&mut self.dead).insert(id);
         // Keep memory bounded when deletes dominate: once dead rows
         // outnumber live ones, rebuild the chunks without them.
-        if self.dead.len() >= CHUNK_ROWS * 2 && self.dead.len() > self.live.len() {
+        if self.dead.len() >= CHUNK_ROWS * 2 && self.dead.len() > self.len() {
             self.purge_dead();
         }
-        Ok(())
     }
 
     /// Rebuilds the chunks without the logically deleted rows.
@@ -150,91 +132,25 @@ impl WriteBuffer {
             return;
         }
         let entries: Vec<(u64, Vec<f32>)> = self
-            .iter_rows()
-            .filter(|(id, _)| self.live.contains(id))
+            .live_entries()
             .map(|(id, row)| (id, row.to_vec()))
             .collect();
         self.full.clear();
         self.tail = Arc::new(BufChunk::default());
         self.dead = Arc::new(HashSet::new());
         for (id, row) in entries {
-            if self.tail.ids.len() >= CHUNK_ROWS {
-                let sealed = std::mem::take(&mut self.tail);
-                self.full.push(sealed);
-            }
-            let tail = Arc::make_mut(&mut self.tail);
-            tail.ids.push(id);
-            tail.rows.extend_from_slice(&row);
+            self.push_row(id, &row);
         }
-    }
-
-    /// All physical rows, in chunk order (including logically deleted
-    /// ones — callers filter against `live`/`dead` as appropriate).
-    fn iter_rows(&self) -> impl Iterator<Item = (u64, &[f32])> {
-        let dims = self.dims;
-        self.full
-            .iter()
-            .chain(std::iter::once(&self.tail))
-            .flat_map(move |chunk| {
-                chunk
-                    .ids
-                    .iter()
-                    .enumerate()
-                    .map(move |(pos, &id)| (id, chunk.row(pos, dims)))
-            })
-    }
-
-    /// Exact linear scan: the canonical top-`k` of the buffered vectors
-    /// by `(distance, external id)`.
-    pub fn scan(
-        &self,
-        query: &[f32],
-        k: usize,
-        metric: Metric,
-        variant: KernelVariant,
-    ) -> Vec<Neighbor> {
-        if self.live.is_empty() {
-            return Vec::new();
-        }
-        let mut heap = KnnHeap::new(k);
-        for (id, row) in self.iter_rows() {
-            if !self.dead.is_empty() && self.dead.contains(&id) {
-                continue;
-            }
-            heap.push(id, nary_distance(metric, variant, query, row));
-        }
-        heap.into_sorted()
-    }
-
-    /// The live buffered entries sorted by external id: the seal order,
-    /// which keeps every segment's remap table monotone so local and
-    /// external `(distance, id)` tie orders agree.
-    pub fn entries_sorted(&self) -> (Vec<u64>, Vec<f32>) {
-        let mut entries: Vec<(u64, &[f32])> = self
-            .iter_rows()
-            .filter(|(id, _)| self.live.contains(id))
-            .collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        let ids: Vec<u64> = entries.iter().map(|&(id, _)| id).collect();
-        let mut rows = Vec::with_capacity(ids.len() * self.dims);
-        for (_, row) in entries {
-            rows.extend_from_slice(row);
-        }
-        (ids, rows)
-    }
-
-    /// Drops all buffered entries (after a seal consumed them).
-    pub fn clear(&mut self) {
-        self.full.clear();
-        self.tail = Arc::new(BufChunk::default());
-        self.dead = Arc::new(HashSet::new());
-        self.live.clear();
     }
 
     /// The live entries, in chunk order (the WAL re-log order at a
     /// maintenance commit).
     pub(crate) fn live_entries(&self) -> impl Iterator<Item = (u64, &[f32])> {
-        self.iter_rows().filter(|(id, _)| self.live.contains(id))
+        let (dims, dead) = (self.dims, &self.dead);
+        self.full
+            .iter()
+            .chain(std::iter::once(&self.tail))
+            .flat_map(move |chunk| live_rows(chunk, dims, dead))
     }
 
     /// Freezes the current live contents for sealing: physically purges
@@ -248,7 +164,6 @@ impl WriteBuffer {
         if !tail.ids.is_empty() {
             chunks.push(tail);
         }
-        self.live.clear();
         chunks
     }
 
@@ -257,7 +172,7 @@ impl WriteBuffer {
     /// matter how the buffer mutates afterwards; taking one costs a
     /// handful of `Arc` clones plus one tail-chunk copy-on-write at the
     /// next append.
-    pub fn snapshot(&self) -> BufferSnapshot {
+    pub(crate) fn snapshot(&self) -> BufferSnapshot {
         let mut chunks = self.full.clone();
         if !self.tail.ids.is_empty() {
             chunks.push(Arc::clone(&self.tail));
@@ -266,9 +181,23 @@ impl WriteBuffer {
             dims: self.dims,
             chunks,
             dead: Arc::clone(&self.dead),
-            live: self.live.len(),
+            live: self.len(),
         }
     }
+}
+
+/// The rows of `chunk` whose ids are not in `dead`, in chunk order.
+fn live_rows<'a>(
+    chunk: &'a BufChunk,
+    dims: usize,
+    dead: &'a HashSet<u64>,
+) -> impl Iterator<Item = (u64, &'a [f32])> {
+    chunk
+        .ids
+        .iter()
+        .enumerate()
+        .filter(move |(_, id)| !dead.contains(id))
+        .map(move |(pos, &id)| (id, chunk.row(pos, dims)))
 }
 
 /// An immutable point-in-time view of a [`WriteBuffer`].
@@ -276,7 +205,7 @@ impl WriteBuffer {
 /// Snapshots share chunk storage with the buffer (and with each other);
 /// they are cheap to clone and are `Send + Sync`.
 #[derive(Debug, Clone, Default)]
-pub struct BufferSnapshot {
+pub(crate) struct BufferSnapshot {
     dims: usize,
     chunks: Vec<Arc<BufChunk>>,
     dead: Arc<HashSet<u64>>,
@@ -284,8 +213,8 @@ pub struct BufferSnapshot {
 }
 
 impl BufferSnapshot {
-    /// Assembles a view from raw parts (crate-internal: used for the
-    /// frozen buffer section of an in-flight seal).
+    /// Assembles a view from raw parts (the frozen buffer section of an
+    /// in-flight seal).
     pub(crate) fn from_parts(
         dims: usize,
         chunks: Vec<Arc<BufChunk>>,
@@ -300,33 +229,17 @@ impl BufferSnapshot {
         }
     }
 
-    /// Number of live rows in the view.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether the view holds no live rows.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// The live entries of the view, in chunk order.
     pub(crate) fn live_entries(&self) -> impl Iterator<Item = (u64, &[f32])> {
-        let dims = self.dims;
-        let dead = &self.dead;
-        self.chunks.iter().flat_map(move |chunk| {
-            chunk
-                .ids
-                .iter()
-                .enumerate()
-                .filter(move |(_, id)| !dead.contains(id))
-                .map(move |(pos, &id)| (id, chunk.row(pos, dims)))
-        })
+        let (dims, dead) = (self.dims, &self.dead);
+        self.chunks
+            .iter()
+            .flat_map(move |chunk| live_rows(chunk, dims, dead))
     }
 
     /// Exact linear scan: the canonical top-`k` of the view's live rows
     /// by `(distance, external id)`.
-    pub fn scan(
+    pub(crate) fn scan(
         &self,
         query: &[f32],
         k: usize,
@@ -348,6 +261,23 @@ impl BufferSnapshot {
 mod tests {
     use super::*;
 
+    /// The ids of the top-`k` rows of `buf`'s snapshot for `query`.
+    fn top(buf: &WriteBuffer, query: &[f32], k: usize) -> Vec<u64> {
+        let hits = buf
+            .snapshot()
+            .scan(query, k, Metric::L2, KernelVariant::Scalar);
+        hits.iter().map(|n| n.id).collect()
+    }
+
+    /// The live entries of `snap` sorted by external id, as ids and rows.
+    fn sorted(snap: &BufferSnapshot) -> (Vec<u64>, Vec<f32>) {
+        let mut entries: Vec<(u64, &[f32])> = snap.live_entries().collect();
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        let ids = entries.iter().map(|&(id, _)| id).collect();
+        let rows = entries.iter().flat_map(|&(_, row)| row.iter().copied());
+        (ids, rows.collect())
+    }
+
     #[test]
     fn append_scan_and_remove() {
         let mut buf = WriteBuffer::new(2);
@@ -355,16 +285,11 @@ mod tests {
         buf.append(7, &[1.0, 0.0]).unwrap();
         buf.append(3, &[2.0, 0.0]).unwrap();
         assert_eq!(buf.len(), 3);
-        let hits = buf.scan(&[0.0, 0.0], 2, Metric::L2, KernelVariant::Scalar);
-        let ids: Vec<u64> = hits.iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![10, 7]);
+        assert_eq!(top(&buf, &[0.0, 0.0], 2), [10, 7]);
 
-        buf.remove(10).unwrap();
-        assert!(!buf.contains(10));
-        let hits = buf.scan(&[0.0, 0.0], 2, Metric::L2, KernelVariant::Scalar);
-        let ids: Vec<u64> = hits.iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![7, 3]);
-        assert!(matches!(buf.remove(10), Err(StoreError::NotFound(10))));
+        buf.remove(10);
+        assert_eq!(buf.len(), 2);
+        assert_eq!(top(&buf, &[0.0, 0.0], 2), [7, 3]);
     }
 
     #[test]
@@ -372,18 +297,28 @@ mod tests {
         let mut buf = WriteBuffer::new(2);
         buf.append(1, &[0.0, 0.0]).unwrap();
         assert!(matches!(
-            buf.append(1, &[1.0, 1.0]),
-            Err(StoreError::DuplicateId(1))
-        ));
-        assert!(matches!(
             buf.append(2, &[1.0]),
             Err(StoreError::DimsMismatch {
                 expected: 2,
                 got: 1
             })
         ));
-        // The failed appends left no trace.
+        // The failed append left no trace.
         assert_eq!(buf.len(), 1);
+
+        // The writer rejects a buffered duplicate before it reaches the
+        // buffer, and the buffer keeps the first row.
+        use pdx_core::VectorIndex;
+        let coll = crate::Collection::in_memory(2, crate::StoreConfig::default());
+        coll.insert(1, &[0.0, 0.0]).unwrap();
+        assert!(matches!(
+            coll.insert(1, &[1.0, 1.0]),
+            Err(StoreError::DuplicateId(1))
+        ));
+        assert_eq!(coll.live_len(), 1);
+        let hits = coll.search(&[1.0, 1.0], &pdx_core::engine::SearchOptions::new(2));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].distance, 2.0);
     }
 
     #[test]
@@ -392,10 +327,13 @@ mod tests {
         for id in [5u64, 1, 9, 2] {
             buf.append(id, &[id as f32]).unwrap();
         }
-        buf.remove(9).unwrap();
-        let (ids, rows) = buf.entries_sorted();
-        assert_eq!(ids, vec![1, 2, 5]);
-        assert_eq!(rows, vec![1.0, 2.0, 5.0]);
+        buf.remove(9);
+        assert_eq!(
+            sorted(&buf.snapshot()),
+            (vec![1, 2, 5], vec![1.0, 2.0, 5.0])
+        );
+        let relog: Vec<u64> = buf.live_entries().map(|(id, _)| id).collect();
+        assert_eq!(relog, [5, 1, 2], "the re-log keeps chunk order");
     }
 
     #[test]
@@ -405,30 +343,27 @@ mod tests {
             buf.append(id, &[id as f32]).unwrap();
         }
         let snap = buf.snapshot();
-        assert_eq!(snap.len(), 100);
 
         // Mutate the buffer heavily after the snapshot.
         for id in 0..50u64 {
-            buf.remove(id).unwrap();
+            buf.remove(id);
         }
         for id in 200..260u64 {
             buf.append(id, &[id as f32]).unwrap();
         }
-        buf.remove(203).unwrap();
+        buf.remove(203);
 
         // The snapshot still sees exactly the original 100 rows.
-        assert_eq!(snap.len(), 100);
         let hits = snap.scan(&[0.0], 3, Metric::L2, KernelVariant::Scalar);
         let ids: Vec<u64> = hits.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-        let mut ids: Vec<u64> = snap.live_entries().map(|(id, _)| id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..100).collect::<Vec<u64>>());
+        assert_eq!(sorted(&snap).0, (0..100).collect::<Vec<u64>>());
 
         // And the buffer sees the new state.
         assert_eq!(buf.len(), 109);
-        assert!(!buf.contains(3));
-        assert!(buf.contains(204));
+        let now = sorted(&buf.snapshot()).0;
+        assert!(!now.contains(&3) && !now.contains(&203) && now.contains(&204));
+        assert_eq!(now.len(), 109);
     }
 
     #[test]
@@ -436,15 +371,15 @@ mod tests {
         let mut buf = WriteBuffer::new(1);
         buf.append(1, &[1.0]).unwrap();
         buf.append(2, &[2.0]).unwrap();
-        buf.remove(1).unwrap();
+        buf.remove(1);
         buf.append(1, &[10.0]).unwrap();
         assert_eq!(buf.len(), 2);
-        let hits = buf.scan(&[10.0], 2, Metric::L2, KernelVariant::Scalar);
+        let hits = buf
+            .snapshot()
+            .scan(&[10.0], 2, Metric::L2, KernelVariant::Scalar);
         assert_eq!(hits[0].id, 1);
         assert_eq!(hits[0].distance, 0.0);
-        let (ids, rows) = buf.entries_sorted();
-        assert_eq!(ids, vec![1, 2]);
-        assert_eq!(rows, vec![10.0, 2.0]);
+        assert_eq!(sorted(&buf.snapshot()), (vec![1, 2], vec![10.0, 2.0]));
     }
 
     #[test]
@@ -454,11 +389,10 @@ mod tests {
             buf.append(id, &[id as f32]).unwrap();
         }
         for id in 0..200u64 {
-            buf.remove(id).unwrap();
+            buf.remove(id);
         }
         assert_eq!(buf.len(), 56);
-        let (ids, _) = buf.entries_sorted();
-        assert_eq!(ids, (200..256).collect::<Vec<u64>>());
+        assert_eq!(sorted(&buf.snapshot()).0, (200..256).collect::<Vec<u64>>());
         // The purge heuristic kicked in: dead rows were dropped.
         assert!(buf.dead.len() < 200);
     }

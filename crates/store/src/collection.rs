@@ -1,5 +1,5 @@
-//! The mutable collection: write buffer + sealed segments + tombstones,
-//! served through [`VectorIndex`] and persisted crash-safely.
+//! The mutable collection: write buffer + sealed segments with dead-row
+//! masks, served through [`VectorIndex`] and persisted crash-safely.
 //!
 //! ## Concurrency model
 //!
@@ -10,15 +10,16 @@
 //!   never block on writers, writers never wait for readers) and runs
 //!   against a frozen, internally consistent state.
 //! * a mutex-guarded **writer half** — the WAL, the write buffer, the
-//!   segment list with one dead-row mask per segment, tombstones, and
-//!   the manifest bookkeeping. Every mutation ends by publishing a
-//!   fresh snapshot.
+//!   segment list with one dead-row mask per segment (the only record
+//!   of a tombstoned row), the map of every taken external id, and the
+//!   manifest bookkeeping. Every mutation ends by publishing a fresh
+//!   snapshot.
 //!
 //! Sealing and compaction share one *freeze → build → commit* path: the
 //! buffer's rows are frozen under the writer lock (staying searchable
 //! as the snapshot's "sealing" section), the new segment is built and
 //! written **without** holding the writer lock, and the result commits
-//! by swapping the segment set, tombstones, manifest, and WAL
+//! by swapping the segment set and its masks, the manifest, and the WAL
 //! generation in one short critical section. Run it inline
 //! ([`Collection::seal`]/[`Collection::compact`]) or as a background
 //! job on a [`pdx_core::exec`] thread
@@ -34,8 +35,9 @@
 //! 1. the new segment's files are written and fsynced;
 //! 2. a fresh WAL generation is created and the rows still buffered in
 //!    memory are re-logged into it and fsynced;
-//! 3. the manifest — naming the new segment list, tombstones, and WAL
-//!    generation — is atomically renamed into place (the commit point);
+//! 3. the manifest — naming the new segment list, the ids of its masked
+//!    rows (tombstones), and the WAL generation — is atomically renamed
+//!    into place (the commit point);
 //! 4. only then are the old WAL generation and replaced segment files
 //!    deleted.
 //!
@@ -44,11 +46,11 @@
 //! ever lost to a failed rotation; the half-created files are orphans
 //! that [`Collection::open`] cleans up.
 
-use crate::buffer::{BufChunk, BufferSnapshot};
+use crate::buffer::{BufChunk, BufferSnapshot, WriteBuffer};
 use crate::manifest::{segment_file, segment_ids_file, wal_file, Manifest};
-use crate::snapshot::{SegmentView, Snapshot, TombstoneSet};
+use crate::snapshot::{SegmentView, Snapshot};
 use crate::wal::{Wal, WalRecord};
-use crate::{Segment, StoreConfig, StoreError, WriteBuffer};
+use crate::{Segment, StoreConfig, StoreError};
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::{spawn_job, JobHandle};
 use pdx_core::heap::Neighbor;
@@ -59,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Where a live external id currently resides.
+/// Where a taken external id currently resides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Loc {
     /// In the write buffer.
@@ -69,6 +71,19 @@ enum Loc {
     Sealing,
     /// In a sealed segment (which one, its remap tables say).
     Segment,
+    /// Deleted, with its row still stored: masked in a segment, or in
+    /// the sealing section's dead set. The id stays reserved until the
+    /// maintenance commit that purges the row.
+    Dead,
+}
+
+/// What `in_memory` panics with and `create` returns for a zero size.
+const ZERO_SIZE: &str = "dims and config knobs must be positive";
+
+/// Whether `dims` and every size knob of `config` are positive.
+fn sizes_are_positive(dims: usize, config: &StoreConfig) -> bool {
+    let knobs = [config.block_size, config.group_size, config.buffer_capacity];
+    dims > 0 && !knobs.contains(&0)
 }
 
 /// Per-segment statistics, as reported by [`Collection::segment_stats`].
@@ -155,7 +170,7 @@ enum MaintKind {
     /// Seal the frozen buffer rows into one new segment.
     Seal,
     /// Rewrite the frozen buffer rows *and* every sealed segment, minus
-    /// the tombstones captured at the freeze, into one new segment.
+    /// the rows masked at the freeze, into one new segment.
     Compact,
 }
 
@@ -195,8 +210,6 @@ struct MaintPlan {
     /// Segments being rewritten, with their masks as of the freeze: the
     /// rows the build leaves out (empty for a plain seal).
     segments_in: Vec<SegmentView>,
-    /// Tombstones being purged (captured at the freeze).
-    t0: TombstoneSet,
     /// Reserved sequence number of the new segment.
     seq: u64,
 }
@@ -206,13 +219,11 @@ struct MaintPlan {
 struct Writer {
     buffer: WriteBuffer,
     /// The sealed segments, each with the mask of its tombstoned rows
-    /// (what searches skip; published as is with every snapshot).
+    /// (what searches skip; published as is with every snapshot, and
+    /// read off for the manifest's tombstone list).
     segments: Vec<SegmentView>,
-    /// External ids deleted from sealed segments — the masks' rows by
-    /// name, for the manifest and for reconciling a maintenance commit;
-    /// purged at compaction.
-    tombstones: TombstoneSet,
-    /// Live external id → current residence.
+    /// Every taken external id → where it resides: the live ones and
+    /// the [`Loc::Dead`] ones whose rows are not purged yet.
     locations: HashMap<u64, Loc>,
     /// Frozen buffer rows of an in-flight (or failed) seal/compaction.
     sealing: Option<SealingBuffer>,
@@ -230,7 +241,6 @@ impl Writer {
         Self {
             buffer: WriteBuffer::new(dims),
             segments: Vec::new(),
-            tombstones: TombstoneSet::default(),
             locations: HashMap::new(),
             sealing: None,
             wal: None,
@@ -242,13 +252,27 @@ impl Writer {
         }
     }
 
-    /// Whether `id` is unavailable for insertion: live, tombstoned, or
-    /// deleted from an in-flight sealing section (those rows become
-    /// tombstones at the commit).
+    /// Whether `id` is unavailable for insertion: live, or dead with its
+    /// row not purged yet.
     fn is_reserved(&self, id: u64) -> bool {
         self.locations.contains_key(&id)
-            || self.tombstones.contains(id)
-            || self.sealing.as_ref().is_some_and(|s| s.dead.contains(&id))
+    }
+
+    /// Whether `id` is live (searchable).
+    fn is_live(&self, id: u64) -> bool {
+        self.locations.get(&id).is_some_and(|&loc| loc != Loc::Dead)
+    }
+
+    /// Number of masked rows across the segments.
+    fn tombstone_count(&self) -> usize {
+        self.segments.iter().map(|v| v.dead.len()).sum()
+    }
+
+    /// Number of live ids: the taken ones minus the dead ones, which are
+    /// the masked rows and the sealing section's deletes. O(segments).
+    fn live_len(&self) -> usize {
+        let sealing_dead = self.sealing.as_ref().map_or(0, |s| s.dead.len());
+        self.locations.len() - self.tombstone_count() - sealing_dead
     }
 
     /// Validation shared by [`Collection::insert`] and WAL replay.
@@ -274,14 +298,16 @@ impl Writer {
         Ok(())
     }
 
-    /// Memory-only delete (the WAL record is already durable).
+    /// Memory-only delete (the WAL record is already durable). A
+    /// buffered id is freed at once; a frozen or sealed one stays
+    /// reserved as [`Loc::Dead`] until its row is purged.
     fn apply_delete(&mut self, id: u64) -> Result<(), StoreError> {
         match self.locations.get(&id).copied() {
-            None => Err(StoreError::NotFound(id)),
+            None | Some(Loc::Dead) => return Err(StoreError::NotFound(id)),
             Some(Loc::Buffer) => {
-                self.buffer.remove(id)?;
+                self.buffer.remove(id);
                 self.locations.remove(&id);
-                Ok(())
+                return Ok(());
             }
             Some(Loc::Sealing) => {
                 let sealing = self
@@ -289,17 +315,14 @@ impl Writer {
                     .as_mut()
                     .expect("sealing rows without a freeze");
                 Arc::make_mut(&mut sealing.dead).insert(id);
-                self.locations.remove(&id);
-                Ok(())
             }
             Some(Loc::Segment) => {
                 let masked = self.mask_row(id);
                 debug_assert!(masked, "a live sealed id has a row in some segment");
-                self.tombstones.insert(id);
-                self.locations.remove(&id);
-                Ok(())
             }
         }
+        self.locations.insert(id, Loc::Dead);
+        Ok(())
     }
 
     /// Masks the sealed row that holds external id `id`, so that
@@ -312,7 +335,7 @@ impl Writer {
 /// An LSM-style mutable vector collection, safe to share across
 /// threads.
 ///
-/// Inserts land in an in-memory [`WriteBuffer`] (after a WAL append
+/// Inserts land in an in-memory write buffer (after a WAL append
 /// when persistent) and seal into immutable [`Segment`]s; deletes
 /// remove buffered rows in place and tombstone sealed rows; searches
 /// run lock-free against the current [`Snapshot`], merging the buffer
@@ -371,11 +394,7 @@ impl Collection {
     /// # Panics
     /// Panics if `dims == 0` or the config has a zero knob.
     pub fn in_memory(dims: usize, config: StoreConfig) -> Self {
-        assert!(dims > 0, "dims must be positive");
-        assert!(
-            config.block_size > 0 && config.group_size > 0 && config.buffer_capacity > 0,
-            "config knobs must be positive"
-        );
+        assert!(sizes_are_positive(dims, &config), "{ZERO_SIZE}");
         Self::assemble(dims, config, None, Writer::new(dims))
     }
 
@@ -398,13 +417,18 @@ impl Collection {
     /// missing), writing the initial manifest and WAL.
     ///
     /// # Errors
-    /// `AlreadyExists` if `dir` already holds a manifest; IO errors are
-    /// propagated.
+    /// `InvalidInput` for `dims == 0` or a zero config knob, before
+    /// anything touches the disk; `AlreadyExists` if `dir` already holds
+    /// a manifest; IO errors are propagated.
     pub fn create(
         dir: impl AsRef<Path>,
         dims: usize,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
+        if !sizes_are_positive(dims, &config) {
+            let kind = std::io::ErrorKind::InvalidInput;
+            return Err(StoreError::Io(std::io::Error::new(kind, ZERO_SIZE)));
+        }
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         if Manifest::path(dir).exists() {
@@ -454,12 +478,12 @@ impl Collection {
             });
         }
         for &id in &manifest.tombstones {
-            if w.locations.remove(&id).is_none() || !w.mask_row(id) {
+            if w.locations.get(&id) != Some(&Loc::Segment) || !w.mask_row(id) {
                 return Err(StoreError::Corrupt(format!(
                     "tombstone for id {id} which no segment holds"
                 )));
             }
-            w.tombstones.insert(id);
+            w.locations.insert(id, Loc::Dead);
         }
         let (wal, records) = Wal::open(&dir.join(wal_file(manifest.wal_seq)), manifest.dims)?;
         for record in records {
@@ -515,7 +539,7 @@ impl Collection {
         let m = crate::obs::state_metrics();
         let sealing = w.sealing.as_ref().map_or(0, |s| s.total - s.dead.len());
         let buffer = (w.buffer.len() + sealing) as u64;
-        let tombstones = w.tombstones.len() as u64;
+        let tombstones = w.tombstone_count() as u64;
         let prev_b = self.obs_buffer_rows.swap(buffer, Ordering::Relaxed);
         let prev_t = self.obs_tombstones.swap(tombstones, Ordering::Relaxed);
         if buffer >= prev_b {
@@ -536,7 +560,7 @@ impl Collection {
             w.segments.clone(),
             w.sealing.as_ref().map(|s| s.view(dims)),
             w.buffer.snapshot(),
-            w.locations.len(),
+            w.live_len(),
         )
     }
 
@@ -547,7 +571,7 @@ impl Collection {
             wal_seq: w.wal_seq,
             next_segment_seq: w.next_segment_seq,
             segments: w.segments.iter().map(|v| v.segment.seq()).collect(),
-            tombstones: w.tombstones.to_sorted_vec(),
+            tombstones: tombstone_ids(&w.segments),
         }
     }
 
@@ -575,7 +599,7 @@ impl Collection {
 
     /// Number of tombstoned (deleted but not yet compacted) rows.
     pub fn tombstone_count(&self) -> usize {
-        self.lock_writer().tombstones.len()
+        self.lock_writer().tombstone_count()
     }
 
     /// Current WAL generation (persistent collections).
@@ -637,19 +661,12 @@ impl Collection {
     /// The largest external id ever observed (live or tombstoned), or
     /// `None` for a collection that never held a row.
     pub fn max_id(&self) -> Option<u64> {
-        let w = self.lock_writer();
-        let live = w.locations.keys().max().copied();
-        let dead = w.tombstones.iter().max();
-        let sealing_dead = w
-            .sealing
-            .as_ref()
-            .and_then(|s| s.dead.iter().max().copied());
-        live.max(dead).max(sealing_dead)
+        self.lock_writer().locations.keys().max().copied()
     }
 
     /// Whether `id` is live (searchable) in the collection.
     pub fn contains(&self, id: u64) -> bool {
-        self.lock_writer().locations.contains_key(&id)
+        self.lock_writer().is_live(id)
     }
 
     /// Whether `id` is unavailable for insertion: live, or tombstoned
@@ -745,7 +762,7 @@ impl Collection {
     /// [`StoreError::NotFound`] if the id is not live, or an IO error.
     pub fn delete(&self, id: u64) -> Result<(), StoreError> {
         let mut w = self.lock_writer();
-        if !w.locations.contains_key(&id) {
+        if !w.is_live(id) {
             return Err(StoreError::NotFound(id));
         }
         if let Some(wal) = &mut w.wal {
@@ -955,9 +972,9 @@ impl Collection {
             dead: dead_arc,
             total,
         });
-        let (segments_in, t0) = match kind {
-            MaintKind::Seal => (Vec::new(), TombstoneSet::default()),
-            MaintKind::Compact => (w.segments.clone(), w.tombstones.clone()),
+        let segments_in = match kind {
+            MaintKind::Seal => Vec::new(),
+            MaintKind::Compact => w.segments.clone(),
         };
         let seq = w.next_segment_seq;
         w.next_segment_seq += 1;
@@ -966,7 +983,6 @@ impl Collection {
             frozen_chunks: chunks,
             dead0,
             segments_in,
-            t0,
             seq,
         })
     }
@@ -1020,9 +1036,9 @@ impl Collection {
     }
 
     /// Commit phase: swaps the new segment in for the plan's inputs,
-    /// reconciles tombstones and locations with everything that changed
-    /// during the build, commits durably (fresh WAL generation with the
-    /// still-buffered rows re-logged, then the manifest rename), and
+    /// masks in it the rows deleted during the build, commits durably
+    /// (fresh WAL generation with the still-buffered rows re-logged,
+    /// then the manifest rename), frees the ids of the purged rows, and
     /// publishes the new view. On error the previous durable state and
     /// the sealing section survive untouched.
     fn commit_maintenance(
@@ -1031,18 +1047,6 @@ impl Collection {
         plan: &MaintPlan,
         built: Option<Arc<Segment>>,
     ) -> Result<(), StoreError> {
-        let dead_now: HashSet<u64> = w
-            .sealing
-            .as_ref()
-            .map(|s| (*s.dead).clone())
-            .unwrap_or_default();
-        // Tombstones after the commit: everything deleted since the
-        // freeze (the plan's captured set is purged), plus frozen rows
-        // deleted mid-build — their physical rows are in `built`.
-        let mut tombstones = w.tombstones.subtract(&plan.t0);
-        for &id in dead_now.difference(&plan.dead0) {
-            tombstones.insert(id);
-        }
         // The claim is exclusive, so no other seal ran since the
         // freeze: the writer's segment list still starts with the
         // plan's inputs (all of them for a compaction, none for a
@@ -1055,13 +1059,23 @@ impl Collection {
                 && w.segments.len() >= plan.segments_in.len()
         );
         // The segments that stay carry masks every delete has kept
-        // current; the new one holds the rows of whichever reconciled
-        // tombstones fall into it (one binary search each).
+        // current. The new one holds the rows deleted during the build
+        // (one binary search each): input rows masked since the freeze,
+        // and frozen rows deleted mid-build.
         let mut segments: Vec<SegmentView> = w.segments[plan.segments_in.len()..].to_vec();
         if let Some(segment) = built {
-            let dead = RowMask::default();
-            let mut view = SegmentView { segment, dead };
-            for id in tombstones.iter() {
+            let mut view = SegmentView {
+                segment,
+                dead: RowMask::default(),
+            };
+            for (now, then) in w.segments.iter().zip(&plan.segments_in) {
+                let remap = now.segment.remap();
+                for row in now.dead.iter().filter(|&row| !then.dead.contains(row)) {
+                    view.mask_id(remap[row as usize]);
+                }
+            }
+            let sealing_dead = w.sealing.iter().flat_map(|s| s.dead.iter());
+            for &id in sealing_dead.filter(|id| !plan.dead0.contains(id)) {
                 view.mask_id(id);
             }
             segments.push(view);
@@ -1074,7 +1088,7 @@ impl Collection {
                 w.wal_seq + 1,
                 w.next_segment_seq,
                 segments.iter().map(|v| v.segment.seq()).collect(),
-                tombstones.to_sorted_vec(),
+                tombstone_ids(&segments),
                 &w.buffer,
             )?;
             let old = w.wal.replace(wal);
@@ -1088,6 +1102,18 @@ impl Collection {
                 Segment::remove_files(dir, view.segment.seq());
             }
         }
+        // The rows the build left out are gone, which frees their ids:
+        // the inputs' rows masked at the freeze, and the frozen rows
+        // deleted before it.
+        for view in &plan.segments_in {
+            let remap = view.segment.remap();
+            for row in view.dead.iter() {
+                w.locations.remove(&remap[row as usize]);
+            }
+        }
+        for id in &plan.dead0 {
+            w.locations.remove(id);
+        }
         // The frozen rows are sealed now; sealed and buffered rows are
         // where they were.
         for loc in w.locations.values_mut() {
@@ -1096,7 +1122,6 @@ impl Collection {
             }
         }
         w.segments = segments;
-        w.tombstones = tombstones;
         w.sealing = None;
         self.publish(w);
         Ok(())
@@ -1161,6 +1186,20 @@ fn commit_durable(
         std::fs::remove_file(&wal_path).ok();
     }
     result
+}
+
+/// The external ids of every masked row, ascending: the manifest's
+/// tombstone list.
+fn tombstone_ids(segments: &[SegmentView]) -> Vec<u64> {
+    let mut ids: Vec<u64> = segments
+        .iter()
+        .flat_map(|v| {
+            let remap = v.segment.remap();
+            v.dead.iter().map(move |row| remap[row as usize])
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// Deletes files in `dir` that match the store's naming scheme but are
@@ -1263,7 +1302,7 @@ impl VectorIndex for Collection {
 mod tests {
     use super::*;
     use pdx_core::engine::SearchOptions;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn small_config() -> StoreConfig {
         StoreConfig {
@@ -1459,6 +1498,9 @@ mod tests {
     /// The live rows as the test knows them: external id → vector.
     type Model = BTreeMap<u64, Vec<f32>>;
 
+    /// The state machine draws its ids from `0..ID_SPACE`.
+    const ID_SPACE: u64 = 600;
+
     /// The exact top-`k` of `rows` (external id → vector), canonical.
     fn brute_force<'a>(
         rows: impl Iterator<Item = (u64, &'a Vec<f32>)>,
@@ -1506,32 +1548,43 @@ mod tests {
         pdx_core::exec::merge_neighbors(&lists, opts.k)
     }
 
-    /// Every segment's mask is `tombstones ∩ remap`, the published view
-    /// carries the same masks, and the tombstones are exactly the deleted
-    /// ids that still have a sealed row.
-    fn assert_masks_match_tombstones(coll: &Collection, model: &Model) {
-        let w = coll.lock_writer();
-        let mut masked = 0;
-        for view in &w.segments {
-            let remap = view.segment.remap().iter().enumerate();
-            let want: Vec<u64> = remap
-                .filter(|(_, &id)| w.tombstones.contains(id))
-                .map(|(local, _)| local as u64)
+    /// The writer's record of deleted and taken ids agrees with the
+    /// model: every segment's mask is exactly its rows whose id has left
+    /// the model; over the whole id space, an id is reserved iff the model
+    /// holds it or a segment masks its row (or, after a failed build, the
+    /// sealing section holds it deleted), and live iff the model holds
+    /// it; and `max_id` is the largest reserved id.
+    fn assert_reservations_match_the_model(coll: &Collection, model: &Model) {
+        let (masked, frozen_dead) = {
+            let w = coll.lock_writer();
+            let frozen_dead: BTreeSet<u64> = w
+                .sealing
+                .iter()
+                .flat_map(|s| s.dead.iter())
+                .copied()
                 .collect();
-            assert_eq!(view.dead.iter().collect::<Vec<_>>(), want);
-            assert_eq!(view.dead.len(), want.len());
-            masked += want.len();
-            let live = view.segment.remap().iter().enumerate();
-            for (local, id) in live.filter(|(local, _)| !view.dead.contains(*local as u64)) {
-                assert!(
-                    model.contains_key(id),
-                    "row {local} (id {id}) should be dead"
-                );
+            let mut masked = BTreeSet::new();
+            for view in &w.segments {
+                for (local, &id) in view.segment.remap().iter().enumerate() {
+                    let dead = view.dead.contains(local as u64);
+                    assert_eq!(dead, !model.contains_key(&id), "row {local} (id {id})");
+                    if dead {
+                        masked.insert(id);
+                    }
+                }
             }
+            (masked, frozen_dead)
+        };
+        assert_eq!(coll.tombstone_count(), masked.len());
+        assert_eq!(coll.snapshot().tombstone_count(), masked.len());
+        for id in 0..ID_SPACE {
+            let live = model.contains_key(&id);
+            let reserved = live || masked.contains(&id) || frozen_dead.contains(&id);
+            assert_eq!(coll.is_id_reserved(id), reserved, "id {id} reserved");
+            assert_eq!(coll.contains(id), live, "id {id} live");
         }
-        assert_eq!(masked, w.tombstones.len());
-        assert_eq!(coll.snapshot().tombstone_count(), masked);
-        assert!(w.tombstones.iter().all(|id| !model.contains_key(&id)));
+        let largest = model.keys().chain(&masked).chain(&frozen_dead).max();
+        assert_eq!(coll.max_id(), largest.copied());
     }
 
     #[test]
@@ -1554,7 +1607,7 @@ mod tests {
             };
             let insert = |coll: &Collection, model: &mut Model, rng: &mut StdRng, most: usize| {
                 for _ in 0..rng.random_range(1..most) {
-                    let id = rng.random_range(0..600u64);
+                    let id = rng.random_range(0..ID_SPACE);
                     if !coll.is_id_reserved(id) {
                         let row = point(rng);
                         coll.insert(id, &row).unwrap();
@@ -1590,13 +1643,21 @@ mod tests {
                             coll.commit_maintenance(&mut w, &plan, built).unwrap();
                         }
                     }
+                    18 => {
+                        // A build that fails: the frozen rows stay in the
+                        // sealing section, deletes of them land there, and
+                        // the next maintenance run takes them back.
+                        let _claim = coll.try_claim(false).unwrap();
+                        coll.plan_maintenance(&mut coll.lock_writer(), MaintKind::Seal);
+                        delete(&coll, &mut model, &mut rng, 25);
+                    }
                     _ => {
                         drop(coll);
                         coll = Collection::open(&dir).unwrap();
                     }
                 }
                 assert_eq!(coll.live_len(), model.len(), "step {step}");
-                assert_masks_match_tombstones(&coll, &model);
+                assert_reservations_match_the_model(&coll, &model);
                 let queries: Vec<f32> = (0..2).flat_map(|_| point(&mut rng)).collect();
                 let opts = SearchOptions::new(k);
                 let at = format!("step {step} quantize={quantize}");

@@ -7,7 +7,7 @@
 //! the LSM-style mutable layer that serves live traffic on top of those
 //! frozen parts:
 //!
-//! * [`WriteBuffer`] — an in-memory append log of `(external id,
+//! * **Write buffer** — an in-memory append log of `(external id,
 //!   vector)` pairs, searched by exact linear scan. Inserts land here.
 //! * **Sealed segments** — when the buffer fills (or on an explicit
 //!   seal), its rows become an immutable [`FlatPdx`](pdx_index::FlatPdx)
@@ -16,8 +16,9 @@
 //!   remap table from local row ids to external ids.
 //! * **Tombstones** — a delete of a sealed row sets the row's bit in its
 //!   segment's dead-row mask ([`RowMask`](pdx_core::mask::RowMask)),
-//!   which the segment's scan skips, and records the id in a tombstone
-//!   set for the manifest (the row is purged for good at compaction).
+//!   which the segment's scan skips. The masks are the only record of a
+//!   deleted sealed row: the manifest's tombstone list is read off them,
+//!   and the id stays reserved until compaction purges the row.
 //! * [`Collection::compact`] — merges all segments and the buffer,
 //!   drops tombstoned rows, and rewrites the surviving rows as one
 //!   freshly partitioned segment. Post-compaction searches are
@@ -103,12 +104,11 @@ mod sharded;
 mod snapshot;
 mod wal;
 
-pub use buffer::{BufferSnapshot, WriteBuffer};
 pub use collection::{Collection, GroupCommit, MaintenanceJob, SegmentStat};
 pub use manifest::{Manifest, MANIFEST_FILE, MANIFEST_MAGIC};
 pub use segment::Segment;
 pub use sharded::{ShardedCollection, SHARDS_FILE, SHARDS_MAGIC};
-pub use snapshot::{SegmentView, Snapshot, TombstoneSet};
+pub use snapshot::{SegmentView, Snapshot};
 pub use wal::{Wal, WalRecord};
 
 /// Build/maintenance knobs of a mutable collection, fixed at creation

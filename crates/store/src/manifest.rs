@@ -3,8 +3,8 @@
 //!
 //! The manifest is the single source of truth for what a collection
 //! directory contains: the store configuration, the sealed segments (by
-//! sequence number — file names derive from it), the tombstone set of
-//! sealed rows, and the current WAL generation. It is replaced
+//! sequence number — file names derive from it), the ids of the
+//! tombstoned sealed rows, and the current WAL generation. It is replaced
 //! **atomically** (write `MANIFEST.tmp`, fsync, rename), so a reader
 //! always sees either the old state or the new state, never a mix; a
 //! segment file only becomes reachable once the manifest naming it has

@@ -22,87 +22,7 @@ use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::merge_neighbors;
 use pdx_core::heap::Neighbor;
 use pdx_core::mask::RowMask;
-use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Roll the delta layer into the base once it reaches this size: keeps
-/// per-delete publication O(delta) while amortizing the base copy.
-const DELTA_ROLL: usize = 512;
-
-/// A layered set of tombstoned external ids, cheap to clone and to
-/// capture at every maintenance freeze.
-///
-/// The set is two layers: a large shared `base` and a small `delta` of
-/// recent deletes. Inserting copies at most the delta (copy-on-write);
-/// when the delta reaches `DELTA_ROLL` entries it is folded into the
-/// base. Cloning is two `Arc` clones regardless of size.
-#[derive(Debug, Clone, Default)]
-pub struct TombstoneSet {
-    base: Arc<HashSet<u64>>,
-    delta: Arc<HashSet<u64>>,
-}
-
-impl TombstoneSet {
-    /// Whether `id` is tombstoned.
-    pub fn contains(&self, id: u64) -> bool {
-        self.delta.contains(&id) || self.base.contains(&id)
-    }
-
-    /// Number of tombstoned ids.
-    pub fn len(&self) -> usize {
-        // The two layers are kept disjoint by `insert`.
-        self.base.len() + self.delta.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.base.is_empty() && self.delta.is_empty()
-    }
-
-    /// Iterates over all tombstoned ids (unordered).
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.base.iter().chain(self.delta.iter()).copied()
-    }
-
-    /// Inserts an id; returns whether it was newly inserted.
-    pub fn insert(&mut self, id: u64) -> bool {
-        if self.contains(id) {
-            return false;
-        }
-        Arc::make_mut(&mut self.delta).insert(id);
-        if self.delta.len() >= DELTA_ROLL {
-            let delta = std::mem::take(&mut self.delta);
-            Arc::make_mut(&mut self.base).extend(delta.iter().copied());
-        }
-        true
-    }
-
-    /// The ids of `self` that are **not** in `other` (the tombstones
-    /// that arrived after `other` was captured).
-    pub fn subtract(&self, other: &TombstoneSet) -> TombstoneSet {
-        let survivors: HashSet<u64> = self.iter().filter(|&id| !other.contains(id)).collect();
-        TombstoneSet {
-            base: Arc::new(survivors),
-            delta: Arc::new(HashSet::new()),
-        }
-    }
-
-    /// All ids, sorted (the manifest encoding order).
-    pub fn to_sorted_vec(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.iter().collect();
-        ids.sort_unstable();
-        ids
-    }
-}
-
-impl FromIterator<u64> for TombstoneSet {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        TombstoneSet {
-            base: Arc::new(iter.into_iter().collect()),
-            delta: Arc::new(HashSet::new()),
-        }
-    }
-}
 
 /// One sealed segment as seen by a snapshot: the shared immutable
 /// segment plus the local ids of its rows that were tombstoned when the
@@ -150,8 +70,8 @@ impl SegmentView {
 ///   candidates and could rescue a row this one does not.)
 ///
 /// Both are independent of thread count, kernel policy and tracing. The
-/// [`TombstoneSet`] of external ids is the writer's: it feeds the
-/// manifest and reconciles a maintenance commit, and no search reads it.
+/// masks are the collection's only record of its deleted sealed rows:
+/// the manifest's tombstone list is read off them at every commit.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     dims: usize,
@@ -241,7 +161,8 @@ impl VectorIndex for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StoreConfig, WriteBuffer};
+    use crate::buffer::WriteBuffer;
+    use crate::StoreConfig;
 
     /// A segment of one-dimensional points, point `p` under external id
     /// `100 + p`, in blocks of two.
@@ -296,43 +217,5 @@ mod tests {
                 assert_eq!(batch, vec![got.clone(); 2], "{tag} at {threads} threads");
             }
         }
-    }
-
-    #[test]
-    fn tombstone_set_layers_stay_consistent() {
-        let mut set = TombstoneSet::default();
-        // Push well past the roll threshold.
-        for id in 0..2000u64 {
-            assert!(set.insert(id));
-            assert!(!set.insert(id), "double insert must report false");
-        }
-        assert_eq!(set.len(), 2000);
-        assert!(set.contains(0));
-        assert!(set.contains(1999));
-        assert!(!set.contains(2000));
-        let sorted = set.to_sorted_vec();
-        assert_eq!(sorted.len(), 2000);
-        assert_eq!(sorted[0], 0);
-        assert_eq!(sorted[1999], 1999);
-    }
-
-    #[test]
-    fn tombstone_clones_are_independent() {
-        let mut set = TombstoneSet::default();
-        for id in 0..600u64 {
-            set.insert(id);
-        }
-        let frozen = set.clone();
-        for id in 600..1200u64 {
-            set.insert(id);
-        }
-        assert_eq!(frozen.len(), 600);
-        assert!(!frozen.contains(700));
-        assert_eq!(set.len(), 1200);
-
-        let delta = set.subtract(&frozen);
-        assert_eq!(delta.len(), 600);
-        assert!(delta.contains(700));
-        assert!(!delta.contains(10));
     }
 }

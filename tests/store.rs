@@ -760,6 +760,49 @@ fn truncated_manifest_is_a_typed_corrupt_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A zero `dims` or config knob is an `InvalidInput` error from
+/// `create`, returned before the directory is made.
+#[test]
+fn create_rejects_zero_sizes_before_touching_the_disk() {
+    let dir = temp_dir("zero_sizes");
+    let good = small_config(false);
+    let cases = [
+        (0, good),
+        (
+            4,
+            StoreConfig {
+                block_size: 0,
+                ..good
+            },
+        ),
+        (
+            4,
+            StoreConfig {
+                group_size: 0,
+                ..good
+            },
+        ),
+        (
+            4,
+            StoreConfig {
+                buffer_capacity: 0,
+                ..good
+            },
+        ),
+    ];
+    for (dims, config) in cases {
+        match Collection::create(&dir, dims, config).map(|_| ()) {
+            Err(StoreError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+            other => panic!("dims {dims}, {config:?}: expected InvalidInput, got {other:?}"),
+        }
+        assert!(
+            !dir.exists(),
+            "dims {dims}, {config:?} left {}",
+            dir.display()
+        );
+    }
+}
+
 /// ROADMAP item 14(a) for SQ8: the work a `store_churn`-shaped search
 /// does — sift-like rows (d = 128) from the repo's generator, sealed
 /// under SQ8 and compacted to one segment — is exact and host-free, so
