@@ -236,7 +236,8 @@ commands:
                   --data=<file> --out=<file> [--block-size=10240 --group=64]
                   [--quantize=sq8]   SQ8-quantize the scan blocks (4× smaller,
                                      two-phase search with exact rerank)
-                  [--threads=N]      worker count for quantizer training
+                  [--threads=N]      worker count for training: IVF k-means
+                                     (--mode=ivf) and the SQ8 quantizer
                   [--mode=collection]  write a *mutable* collection directory
                                      (insert/delete/compact afterwards) instead
                                      of a frozen container
@@ -506,6 +507,12 @@ fn build_ivf(
     out: &Path,
     quantize: bool,
 ) -> Result<(), String> {
+    if data.len == 0 {
+        return Err(format!(
+            "--data: '{}' holds no vectors; an IVF build trains on at least one",
+            args.path("data")?.display()
+        ));
+    }
     let threads = args.usize("threads", 0)?;
     let nlist = match args.usize("nlist", 0)? {
         0 => IvfIndex::default_nlist(data.len),
@@ -1280,6 +1287,29 @@ mod tests {
             assert!(err.contains(&format!("--{flag}: '0'")), "{mode}: {err}");
             assert!(!out.exists(), "{mode} --{flag}=0 left {}", out.display());
         }
+    }
+
+    #[test]
+    fn empty_ivf_build_is_rejected_before_any_output() {
+        let dir = std::env::temp_dir().join("pdx_cli_empty_ivf_build");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("empty.fvecs");
+        std::fs::write(&data, b"").unwrap();
+        let out = dir.join("e.pdx");
+        for quantize in ["none", "sq8"] {
+            let argv = argv(&[
+                "--mode=ivf",
+                &format!("--data={}", data.display()),
+                &format!("--out={}", out.display()),
+                &format!("--quantize={quantize}"),
+            ]);
+            let err = cmd_build(&Args::parse(&argv, BUILD_FLAGS).unwrap()).unwrap_err();
+            assert!(err.contains("--data"), "{quantize}: {err}");
+            assert!(err.contains("no vectors"), "{quantize}: {err}");
+            assert!(!out.exists(), "{quantize}: left {}", out.display());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

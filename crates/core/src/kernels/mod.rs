@@ -35,7 +35,7 @@ pub mod pdx;
 pub mod sq8;
 
 pub use dispatch::{active_kernel_isa, detected_isa, KernelIsa, KernelPolicy};
-pub use nary::{nary_distance, simd_available, KernelVariant};
+pub use nary::{nary_distance, nary_l2_bounded, simd_available, KernelVariant};
 pub use pdx::{
     pdx_accumulate, pdx_accumulate_band, pdx_accumulate_groups, pdx_accumulate_positions,
     pdx_accumulate_survivors, pdx_scan, pdx_scan_policy, survival_bits, DimSel,

@@ -63,6 +63,70 @@ pub fn nary_distance(metric: Metric, variant: KernelVariant, query: &[f32], vect
     }
 }
 
+/// `nary_distance(Metric::L2, KernelVariant::Simd, query, vector)` for a
+/// caller that only wants it when it beats `bound`: when it is below
+/// `bound`, or equal to it if `ties` holds.
+///
+/// It runs the same kernel, and every `CHECK_DIMS` (32) dimensions it
+/// reduces the accumulators exactly as the kernel reduces them at the
+/// end. Every L2 term is ≥ 0, and `fma` / `add` under round-to-nearest
+/// are monotone, so that partial never exceeds the final value (or the
+/// final value is NaN, which beats nothing). Once the partial cannot
+/// beat `bound` the kernel stops and returns `None`.
+///
+/// Returns `Some` with exactly `nary_distance`'s bits, or `None` only
+/// when that distance does not beat `bound`. A `Some` may not beat it
+/// either: the caller still compares.
+pub fn nary_l2_bounded(query: &[f32], vector: &[f32], bound: f32, ties: bool) -> Option<f32> {
+    debug_assert_eq!(query.len(), vector.len());
+    let cut = Cutoff { bound, ties };
+    #[cfg(target_arch = "x86_64")]
+    {
+        if simd_available() {
+            // SAFETY: AVX2+FMA presence checked above.
+            return unsafe { l2_bounded_avx2(query, vector, cut) };
+        }
+    }
+    #[cfg(target_arch = "aarch64")]
+    {
+        if simd_available() {
+            // SAFETY: NEON presence checked above.
+            return unsafe { l2_bounded_neon(query, vector, cut) };
+        }
+    }
+    unrolled_body::<true>(Metric::L2, query, vector, cut)
+}
+
+/// How often (in dimensions) [`nary_l2_bounded`] reduces its partial.
+const CHECK_DIMS: usize = 32;
+
+/// The bound a bounded kernel stops at; see [`nary_l2_bounded`]. The
+/// unbounded instances (`BOUNDED = false`) never read it.
+#[derive(Clone, Copy)]
+struct Cutoff {
+    bound: f32,
+    ties: bool,
+}
+
+impl Cutoff {
+    /// Unread by an unbounded kernel.
+    const NONE: Self = Self {
+        bound: f32::INFINITY,
+        ties: true,
+    };
+
+    /// Whether a partial (≤ the final value, or the final is NaN) proves
+    /// the final value cannot beat the bound. NaN never stops.
+    #[inline(always)]
+    fn stops(self, partial: f32) -> bool {
+        if self.ties {
+            partial > self.bound
+        } else {
+            partial >= self.bound
+        }
+    }
+}
+
 /// Partial distance over a dimension range (used by the horizontal
 /// pruned-search baselines that evaluate bounds every Δd dimensions).
 pub fn nary_distance_range(
@@ -84,14 +148,35 @@ fn scalar(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
 }
 
 fn unrolled(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
+    let Some(total) = unrolled_body::<false>(metric, q, v, Cutoff::NONE) else {
+        unreachable!("an unbounded kernel runs to the end")
+    };
+    total
+}
+
+/// The unrolled kernel, and with `BOUNDED` its L2 form that stops at
+/// `cut` ([`nary_l2_bounded`]).
+#[inline(always)]
+fn unrolled_body<const BOUNDED: bool>(
+    metric: Metric,
+    q: &[f32],
+    v: &[f32],
+    cut: Cutoff,
+) -> Option<f32> {
     const U: usize = 8;
+    let reduce = |acc: &[f32; U]| {
+        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    };
     let mut acc = [0.0f32; U];
     let chunks = q.len() / U;
     let (qh, qt) = q.split_at(chunks * U);
     let (vh, vt) = v.split_at(chunks * U);
     match metric {
         Metric::L2 => {
-            for (qc, vc) in qh.chunks_exact(U).zip(vh.chunks_exact(U)) {
+            for (c, (qc, vc)) in qh.chunks_exact(U).zip(vh.chunks_exact(U)).enumerate() {
+                if BOUNDED && c > 0 && c % (CHECK_DIMS / U) == 0 && cut.stops(reduce(&acc)) {
+                    return None;
+                }
                 for i in 0..U {
                     let d = qc[i] - vc[i];
                     acc[i] += d * d;
@@ -113,12 +198,11 @@ fn unrolled(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
             }
         }
     }
-    let mut total =
-        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    let mut total = reduce(&acc);
     for (a, b) in qt.iter().zip(vt) {
         total += metric.term(*a, *b);
     }
-    total
+    Some(total)
 }
 
 /// Explicit AVX2+FMA kernels: 32 floats (4 × 256-bit registers) per
@@ -127,7 +211,44 @@ fn unrolled(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn simd_avx2(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
+    let Some(total) = avx2_body::<false>(metric, q, v, Cutoff::NONE) else {
+        unreachable!("an unbounded kernel runs to the end")
+    };
+    total
+}
+
+/// [`nary_l2_bounded`] on AVX2+FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn l2_bounded_avx2(q: &[f32], v: &[f32], cut: Cutoff) -> Option<f32> {
+    avx2_body::<true>(Metric::L2, q, v, cut)
+}
+
+/// The one body of [`simd_avx2`] and [`l2_bounded_avx2`]: with
+/// `BOUNDED`, the L2 loop reduces its accumulators every `CHECK_DIMS`
+/// dimensions and stops at `cut`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn avx2_body<const BOUNDED: bool>(
+    metric: Metric,
+    q: &[f32],
+    v: &[f32],
+    cut: Cutoff,
+) -> Option<f32> {
     use std::arch::x86_64::*;
+    // The reduction step the PDX layout eliminates (Figure 3): the four
+    // accumulators' 32 lanes summed into one value, always in this order.
+    let reduce = |acc0: __m256, acc1: __m256, acc2: __m256, acc3: __m256| {
+        let sum01 = _mm256_add_ps(acc0, acc1);
+        let sum23 = _mm256_add_ps(acc2, acc3);
+        let sum = _mm256_add_ps(sum01, sum23);
+        let hi = _mm256_extractf128_ps(sum, 1);
+        let lo = _mm256_castps256_ps128(sum);
+        let s4 = _mm_add_ps(hi, lo);
+        let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
+        let s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0b01));
+        _mm_cvtss_f32(s1)
+    };
     let n = q.len();
     let mut acc0 = _mm256_setzero_ps();
     let mut acc1 = _mm256_setzero_ps();
@@ -136,6 +257,10 @@ unsafe fn simd_avx2(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
     let sign_mask = _mm256_set1_ps(-0.0);
     let mut i = 0usize;
     while i + 32 <= n {
+        // One iteration is `CHECK_DIMS` dimensions.
+        if BOUNDED && i > 0 && cut.stops(reduce(acc0, acc1, acc2, acc3)) {
+            return None;
+        }
         let q0 = _mm256_loadu_ps(q.as_ptr().add(i));
         let q1 = _mm256_loadu_ps(q.as_ptr().add(i + 8));
         let q2 = _mm256_loadu_ps(q.as_ptr().add(i + 16));
@@ -192,16 +317,7 @@ unsafe fn simd_avx2(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
         }
         i += 8;
     }
-    // The reduction step the PDX layout eliminates (Figure 3).
-    let sum01 = _mm256_add_ps(acc0, acc1);
-    let sum23 = _mm256_add_ps(acc2, acc3);
-    let sum = _mm256_add_ps(sum01, sum23);
-    let hi = _mm256_extractf128_ps(sum, 1);
-    let lo = _mm256_castps256_ps128(sum);
-    let s4 = _mm_add_ps(hi, lo);
-    let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-    let s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0b01));
-    let mut total = _mm_cvtss_f32(s1);
+    let mut total = reduce(acc0, acc1, acc2, acc3);
     if matches!(metric, Metric::NegativeIp) {
         total = -total;
     }
@@ -209,7 +325,7 @@ unsafe fn simd_avx2(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
     for j in i..n {
         total += metric.term(q[j], v[j]);
     }
-    total
+    Some(total)
 }
 
 /// Explicit NEON horizontal kernels (aarch64): 16 floats (4 × 128-bit
@@ -218,7 +334,36 @@ unsafe fn simd_avx2(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
 unsafe fn simd_neon(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
+    let Some(total) = neon_body::<false>(metric, q, v, Cutoff::NONE) else {
+        unreachable!("an unbounded kernel runs to the end")
+    };
+    total
+}
+
+/// [`nary_l2_bounded`] on NEON.
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+unsafe fn l2_bounded_neon(q: &[f32], v: &[f32], cut: Cutoff) -> Option<f32> {
+    neon_body::<true>(Metric::L2, q, v, cut)
+}
+
+/// The one body of [`simd_neon`] and [`l2_bounded_neon`]: with
+/// `BOUNDED`, the L2 loop reduces its accumulators every `CHECK_DIMS`
+/// dimensions (every second iteration) and stops at `cut`.
+#[cfg(target_arch = "aarch64")]
+#[inline(always)]
+unsafe fn neon_body<const BOUNDED: bool>(
+    metric: Metric,
+    q: &[f32],
+    v: &[f32],
+    cut: Cutoff,
+) -> Option<f32> {
     use std::arch::aarch64::*;
+    // The reduction step the PDX layout eliminates (Figure 3): the four
+    // accumulators' 16 lanes summed into one value, always in this order.
+    let reduce = |acc0: float32x4_t, acc1: float32x4_t, acc2: float32x4_t, acc3: float32x4_t| {
+        vaddvq_f32(vaddq_f32(vaddq_f32(acc0, acc1), vaddq_f32(acc2, acc3)))
+    };
     let n = q.len();
     let mut acc0 = vdupq_n_f32(0.0);
     let mut acc1 = vdupq_n_f32(0.0);
@@ -226,6 +371,9 @@ unsafe fn simd_neon(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
     let mut acc3 = vdupq_n_f32(0.0);
     let mut i = 0usize;
     while i + 16 <= n {
+        if BOUNDED && i > 0 && i % CHECK_DIMS == 0 && cut.stops(reduce(acc0, acc1, acc2, acc3)) {
+            return None;
+        }
         let q0 = vld1q_f32(q.as_ptr().add(i));
         let q1 = vld1q_f32(q.as_ptr().add(i + 4));
         let q2 = vld1q_f32(q.as_ptr().add(i + 8));
@@ -277,9 +425,7 @@ unsafe fn simd_neon(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
         }
         i += 4;
     }
-    // The reduction step the PDX layout eliminates (Figure 3).
-    let sum = vaddq_f32(vaddq_f32(acc0, acc1), vaddq_f32(acc2, acc3));
-    let mut total = vaddvq_f32(sum);
+    let mut total = reduce(acc0, acc1, acc2, acc3);
     if matches!(metric, Metric::NegativeIp) {
         total = -total;
     }
@@ -287,7 +433,7 @@ unsafe fn simd_neon(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
     for j in i..n {
         total += metric.term(q[j], v[j]);
     }
-    total
+    Some(total)
 }
 
 #[cfg(test)]
@@ -343,6 +489,96 @@ mod tests {
         ] {
             assert_eq!(nary_distance(Metric::L2, variant, &[], &[]), 0.0);
         }
+    }
+
+    /// A bounded kernel and the unbounded one whose bits it must keep.
+    type Path = (
+        &'static str,
+        fn(&[f32], &[f32], Cutoff) -> Option<f32>,
+        fn(&[f32], &[f32]) -> f32,
+    );
+
+    /// Every bounded path compiled for this target, runnable here: the
+    /// unrolled fallback, and the SIMD one of the running CPU (AVX2 on
+    /// x86-64, NEON on aarch64; the fallback again without either).
+    fn bounded_paths() -> [Path; 2] {
+        [
+            (
+                "unrolled",
+                |q, v, cut| unrolled_body::<true>(Metric::L2, q, v, cut),
+                |q, v| nary_distance(Metric::L2, KernelVariant::Unrolled, q, v),
+            ),
+            (
+                "simd",
+                |q, v, cut| nary_l2_bounded(q, v, cut.bound, cut.ties),
+                |q, v| nary_distance(Metric::L2, KernelVariant::Simd, q, v),
+            ),
+        ]
+    }
+
+    #[test]
+    fn bounded_l2_is_the_full_kernel_or_a_proven_loss() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let hostile = [
+            0.0f32,
+            -0.0,
+            1e19,
+            -1e19,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut stopped = 0usize;
+        for (name, bounded, full) in bounded_paths() {
+            for d in [1usize, 7, 8, 31, 32, 33, 63, 64, 65, 100, 128, 960] {
+                for trial in 0..40 {
+                    let draw = |rng: &mut rand::rngs::StdRng| -> f32 {
+                        if trial % 4 == 3 && rng.random_range(0..8) == 0 {
+                            hostile[rng.random_range(0..hostile.len())]
+                        } else {
+                            rng.random_range(-2.0f32..2.0)
+                        }
+                    };
+                    let q: Vec<f32> = (0..d).map(|_| draw(&mut rng)).collect();
+                    let v: Vec<f32> = (0..d).map(|_| draw(&mut rng)).collect();
+                    let want = full(&q, &v);
+                    let bounds = [
+                        want,
+                        f32::from_bits(want.to_bits().wrapping_add(1)),
+                        f32::from_bits(want.to_bits().wrapping_sub(1)),
+                        want * 0.5,
+                        want * 0.05,
+                        0.0,
+                        f32::MAX,
+                        f32::INFINITY,
+                        f32::NAN,
+                    ];
+                    for bound in bounds {
+                        for ties in [false, true] {
+                            let cut = Cutoff { bound, ties };
+                            match bounded(&q, &v, cut) {
+                                Some(got) => assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{name} d={d} bound={bound} ties={ties}"
+                                ),
+                                None => {
+                                    stopped += 1;
+                                    let beats = if ties { want <= bound } else { want < bound };
+                                    assert!(
+                                        !beats,
+                                        "{name} d={d}: stopped at bound={bound} (ties={ties}) \
+                                         but {want} beats it"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(stopped > 0, "no bound ever stopped a kernel");
     }
 
     #[cfg(target_arch = "x86_64")]

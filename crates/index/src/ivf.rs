@@ -40,7 +40,7 @@ pub struct IvfIndex {
 impl IvfIndex {
     /// Trains IVF with `nlist` buckets on the raw collection, using the
     /// default worker pool (`PDX_THREADS` env override, then hardware
-    /// width) for the k-means assignment passes.
+    /// width) for k-means training (seeding and assignment passes).
     pub fn build(
         rows: &[f32],
         n_vectors: usize,
@@ -66,8 +66,12 @@ impl IvfIndex {
         threads: usize,
     ) -> Self {
         let pool = pdx_core::exec::ThreadPool::new(threads);
-        let kmeans = KMeans::fit_with_pool(rows, n_vectors, dims, nlist, max_iters, seed, &pool);
-        let assignments = kmeans.assignments_with_pool(rows, n_vectors, &pool);
+        let (kmeans, assign) =
+            KMeans::fit_with_pool(rows, n_vectors, dims, nlist, max_iters, seed, &pool);
+        let mut assignments: Vec<Vec<u32>> = vec![Vec::new(); kmeans.k];
+        for (v, &c) in assign.iter().enumerate() {
+            assignments[c as usize].push(v as u32);
+        }
         Self {
             dims,
             nlist: kmeans.k,

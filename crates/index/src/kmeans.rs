@@ -1,13 +1,37 @@
 //! Lloyd's k-means with k-means++ initialization — the IVF trainer.
 //!
 //! The paper uses a "non-optimized Lloyd algorithm" (§2.1) to build IVF
-//! buckets; this implementation mirrors that: full-assignment iterations
-//! with the SIMD horizontal kernel, k-means++ seeding for stability, and
-//! re-seeding of emptied clusters to the farthest-assigned point.
+//! buckets. This one fits the same model, bit for bit: full-assignment
+//! iterations with the SIMD horizontal kernel, k-means++ seeding, and
+//! re-seeding of emptied clusters to the farthest-assigned point. It
+//! only skips distance work it can prove cannot change a result:
+//!
+//! * **Assignment.** A row visits its previous centroid first, then the
+//!   others in index order through [`nary_l2_bounded`], which abandons a
+//!   centroid once a partial sum proves it cannot beat the best
+//!   `(distance, index)` so far (a lower index may tie, a higher one
+//!   must be strictly closer). Every L2 term is ≥ 0 and `fma` / `add`
+//!   round monotonically, so a partial never exceeds the distance the
+//!   full kernel returns, and every distance that is computed is that
+//!   kernel's. The winner is the least `(distance, index)` among
+//!   distances below `+inf` — what a plain loop over `0..k` keeping the
+//!   first strict minimum returns, whatever the visiting order — and
+//!   `(0, +inf)` when there is none.
+//! * **Seeding.** A row's nearest-seed distance only changes when a new
+//!   seed is nearer. With `a` its squared distance to its nearest seed
+//!   and `c` the squared distance between that seed and the new one, the
+//!   triangle inequality gives `√b ≥ √c − √a` for the new distance `b`,
+//!   so `c > 4a` means the new seed is farther. `seed_skips` asks for a
+//!   margin on top, so that rounding cannot turn that into `b < a` in
+//!   `f32`.
+//!
+//! Both run on the fit's pool over fixed row chunks, and every sum that
+//! crosses rows runs in row or chunk order, so the fitted model is
+//! bitwise identical at every thread count.
 
 use pdx_core::distance::Metric;
 use pdx_core::exec::ThreadPool;
-use pdx_core::kernels::{nary_distance, KernelVariant};
+use pdx_core::kernels::{nary_distance, nary_l2_bounded, KernelVariant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,10 +48,20 @@ pub struct KMeans {
     pub inertia: f64,
 }
 
+/// Rows per chunk of a pool pass (fixed, so no result depends on the
+/// worker count).
+const CHUNK_VECTORS: usize = 1024;
+
+/// The seeding step: `k` seeds, row-major.
+type Seeding = fn(&[f32], usize, usize, usize, &mut StdRng, &ThreadPool) -> Vec<f32>;
+
+/// The assignment step: fills `assign`, returns the inertia.
+type Assignment = fn(&[f32], usize, usize, &[f32], usize, &mut [u32], &ThreadPool) -> f64;
+
 impl KMeans {
     /// Fits `k` clusters with at most `max_iters` Lloyd iterations on
     /// the default worker pool (`PDX_THREADS` env override, then
-    /// hardware width).
+    /// hardware width); see [`KMeans::fit_with_pool`].
     ///
     /// # Panics
     /// Panics if the collection is empty, `k == 0`, or buffers mismatch.
@@ -38,7 +72,7 @@ impl KMeans {
         k: usize,
         max_iters: usize,
         seed: u64,
-    ) -> Self {
+    ) -> (Self, Vec<u32>) {
         Self::fit_with_pool(
             rows,
             n_vectors,
@@ -50,10 +84,12 @@ impl KMeans {
         )
     }
 
-    /// [`KMeans::fit`] on an explicit worker pool. The assignment step
-    /// parallelizes over fixed-size vector chunks whose partial inertias
-    /// are summed in chunk order, so the fitted model is bitwise
-    /// identical at every thread count for a given seed.
+    /// [`KMeans::fit`] on an explicit worker pool. Returns the model
+    /// and the cluster of every row after the final assignment pass
+    /// (the one the reported inertia sums). Seeding and assignment run
+    /// over fixed-size row chunks, and the partial inertias are summed
+    /// in chunk order, so both are bitwise identical at every thread
+    /// count for a given seed.
     #[allow(clippy::too_many_arguments)]
     pub fn fit_with_pool(
         rows: &[f32],
@@ -63,117 +99,119 @@ impl KMeans {
         max_iters: usize,
         seed: u64,
         pool: &ThreadPool,
-    ) -> Self {
-        assert!(k > 0, "k must be positive");
-        assert!(n_vectors > 0, "cannot cluster an empty collection");
-        assert_eq!(
-            rows.len(),
-            n_vectors * dims,
-            "row buffer does not match dimensions"
-        );
-        let k = k.min(n_vectors);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut centroids = plus_plus_init(rows, n_vectors, dims, k, &mut rng);
-        let mut assign = vec![0u32; n_vectors];
-        let mut inertia = f64::INFINITY;
-        for _ in 0..max_iters.max(1) {
-            // Assignment step (parallel over vectors).
-            let new_inertia = assign_all(rows, n_vectors, dims, &centroids, k, &mut assign, pool);
-            // Update step.
-            let mut counts = vec![0usize; k];
-            let mut sums = vec![0.0f64; k * dims];
-            for (v, &c) in assign.iter().enumerate() {
-                counts[c as usize] += 1;
-                let row = &rows[v * dims..(v + 1) * dims];
-                let sum = &mut sums[c as usize * dims..(c as usize + 1) * dims];
-                for (s, &x) in sum.iter_mut().zip(row) {
-                    *s += x as f64;
-                }
-            }
-            for c in 0..k {
-                if counts[c] == 0 {
-                    // Re-seed an empty cluster to the point farthest from
-                    // its current centroid.
-                    let far = farthest_point(rows, n_vectors, dims, &centroids, &assign);
-                    centroids[c * dims..(c + 1) * dims]
-                        .copy_from_slice(&rows[far * dims..(far + 1) * dims]);
-                    continue;
-                }
-                let inv = 1.0 / counts[c] as f64;
-                for d in 0..dims {
-                    centroids[c * dims + d] = (sums[c * dims + d] * inv) as f32;
-                }
-            }
-            // Converged when inertia stops improving meaningfully.
-            if new_inertia >= inertia * (1.0 - 1e-4) {
-                break;
-            }
-            inertia = new_inertia;
-        }
-        // Final assignment for the reported inertia.
-        let final_inertia = assign_all(rows, n_vectors, dims, &centroids, k, &mut assign, pool);
-        Self {
-            centroids,
-            k,
-            dims,
-            inertia: final_inertia,
-        }
-    }
-
-    /// Index of the nearest centroid to `row`.
-    pub fn assign(&self, row: &[f32]) -> usize {
-        nearest(row, &self.centroids, self.k, self.dims).0
-    }
-
-    /// Groups all vectors into per-cluster id lists (the IVF buckets)
-    /// on the default worker pool.
-    pub fn assignments(&self, rows: &[f32], n_vectors: usize) -> Vec<Vec<u32>> {
-        self.assignments_with_pool(rows, n_vectors, &ThreadPool::from_env())
-    }
-
-    /// [`KMeans::assignments`] on an explicit worker pool (callers that
-    /// capped the training width cap this whole-collection pass too).
-    pub fn assignments_with_pool(
-        &self,
-        rows: &[f32],
-        n_vectors: usize,
-        pool: &ThreadPool,
-    ) -> Vec<Vec<u32>> {
-        let mut assign = vec![0u32; n_vectors];
-        assign_all(
+    ) -> (Self, Vec<u32>) {
+        lloyd(
             rows,
             n_vectors,
-            self.dims,
-            &self.centroids,
-            self.k,
-            &mut assign,
+            dims,
+            k,
+            max_iters,
+            seed,
             pool,
-        );
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); self.k];
-        for (v, &c) in assign.iter().enumerate() {
-            buckets[c as usize].push(v as u32);
-        }
-        buckets
+            plus_plus_init,
+            assign_all,
+        )
     }
 }
 
-fn nearest(row: &[f32], centroids: &[f32], k: usize, dims: usize) -> (usize, f32) {
-    let mut best = (0usize, f32::INFINITY);
-    for c in 0..k {
-        let d = nary_distance(
-            Metric::L2,
-            KernelVariant::Simd,
-            row,
-            &centroids[c * dims..(c + 1) * dims],
-        );
-        if d < best.1 {
-            best = (c, d);
+/// The fit, with its seeding and assignment steps as parameters (the
+/// tests run it with the unpruned steps as well).
+#[allow(clippy::too_many_arguments)]
+fn lloyd(
+    rows: &[f32],
+    n_vectors: usize,
+    dims: usize,
+    k: usize,
+    max_iters: usize,
+    seed: u64,
+    pool: &ThreadPool,
+    seeding: Seeding,
+    assignment: Assignment,
+) -> (KMeans, Vec<u32>) {
+    assert!(k > 0, "k must be positive");
+    assert!(n_vectors > 0, "cannot cluster an empty collection");
+    assert_eq!(
+        rows.len(),
+        n_vectors * dims,
+        "row buffer does not match dimensions"
+    );
+    let k = k.min(n_vectors);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut centroids = seeding(rows, n_vectors, dims, k, &mut rng, pool);
+    let mut assign = vec![0u32; n_vectors];
+    let mut inertia = f64::INFINITY;
+    for _ in 0..max_iters.max(1) {
+        // Assignment step (parallel over vectors).
+        let new_inertia = assignment(rows, n_vectors, dims, &centroids, k, &mut assign, pool);
+        // Update step.
+        let mut counts = vec![0usize; k];
+        let mut sums = vec![0.0f64; k * dims];
+        for (v, &c) in assign.iter().enumerate() {
+            counts[c as usize] += 1;
+            let row = &rows[v * dims..(v + 1) * dims];
+            let sum = &mut sums[c as usize * dims..(c as usize + 1) * dims];
+            for (s, &x) in sum.iter_mut().zip(row) {
+                *s += x as f64;
+            }
+        }
+        for c in 0..k {
+            if counts[c] == 0 {
+                // Re-seed an empty cluster to the point farthest from
+                // its current centroid.
+                let far = farthest_point(rows, n_vectors, dims, &centroids, &assign);
+                centroids[c * dims..(c + 1) * dims]
+                    .copy_from_slice(&rows[far * dims..(far + 1) * dims]);
+                continue;
+            }
+            let inv = 1.0 / counts[c] as f64;
+            for d in 0..dims {
+                centroids[c * dims + d] = (sums[c * dims + d] * inv) as f32;
+            }
+        }
+        // Converged when inertia stops improving meaningfully.
+        if new_inertia >= inertia * (1.0 - 1e-4) {
+            break;
+        }
+        inertia = new_inertia;
+    }
+    // Final assignment for the reported inertia.
+    let final_inertia = assignment(rows, n_vectors, dims, &centroids, k, &mut assign, pool);
+    let model = KMeans {
+        centroids,
+        k,
+        dims,
+        inertia: final_inertia,
+    };
+    (model, assign)
+}
+
+/// The nearest of the `k` centroids to `row` — the least `(distance,
+/// index)` among distances below `+inf`, or `(0, +inf)` when there is
+/// none — visiting `prev` first and abandoning every other centroid
+/// once it cannot win (module docs).
+fn nearest(row: &[f32], centroids: &[f32], k: usize, dims: usize, prev: usize) -> (usize, f32) {
+    let centroid = |c: usize| &centroids[c * dims..(c + 1) * dims];
+    let d = nary_distance(Metric::L2, KernelVariant::Simd, row, centroid(prev));
+    let mut best = if d < f32::INFINITY {
+        (prev, d)
+    } else {
+        (0, f32::INFINITY)
+    };
+    for c in (0..k).filter(|&c| c != prev) {
+        // A lower index than the best wins a tie; a higher one must be
+        // strictly closer.
+        let ties = c < best.0;
+        if let Some(d) = nary_l2_bounded(row, centroid(c), best.1, ties) {
+            if d < best.1 || (ties && d == best.1) {
+                best = (c, d);
+            }
         }
     }
     best
 }
 
-/// Assigns every vector to its nearest centroid; returns total inertia.
+/// Assigns every vector to its nearest centroid, starting from the
+/// centroid `assign` holds for it; returns total inertia.
 ///
 /// The chunk boundaries are fixed (never derived from the worker count)
 /// and the per-chunk partial inertias are summed in chunk order, so the
@@ -188,13 +226,13 @@ fn assign_all(
     assign: &mut [u32],
     pool: &ThreadPool,
 ) -> f64 {
-    const CHUNK_VECTORS: usize = 1024;
     let inertias = std::sync::Mutex::new(vec![0.0f64; n_vectors.div_ceil(CHUNK_VECTORS)]);
     pool.for_each_chunk_mut(assign, CHUNK_VECTORS, |start, chunk| {
         let mut local = 0.0f64;
         let end = start + chunk.len();
         for (slot, v) in chunk.iter_mut().zip(start..end) {
-            let (c, d) = nearest(&rows[v * dims..(v + 1) * dims], centroids, k, dims);
+            let row = &rows[v * dims..(v + 1) * dims];
+            let (c, d) = nearest(row, centroids, k, dims, *slot as usize);
             *slot = c as u32;
             local += d as f64;
         }
@@ -203,37 +241,81 @@ fn assign_all(
     inertias.into_inner().unwrap().iter().sum()
 }
 
+/// A row's nearest seed so far during k-means++ seeding.
+#[derive(Clone, Copy)]
+struct Near {
+    /// Squared distance to the seed, as the kernel computed it.
+    d2: f32,
+    /// Index of the seed.
+    seed: u32,
+}
+
+/// Whether the triangle inequality proves that a new seed at squared
+/// distance `dcc` from a row's nearest seed is not nearer to the row
+/// than `d2`, the row's squared distance to that seed.
+///
+/// In real numbers `dcc > 4 · d2` is enough. The kernel's values carry
+/// a relative error of at most `ε ≈ (dims + 3) · 2⁻²⁴` each (a sum of
+/// `dims` non-negative terms, each `(x − y)²` with its own rounding), so
+/// the test asks for a margin `m` on top: with computed values the
+/// distance `b` to the new seed then satisfies
+/// `√b ≥ √a · (2√((1 − ε)(1 + m)/(1 + ε)) − 1)`, and its computed value
+/// is ≥ the computed `d2` once `m ≥ 3ε`. `m` = 1 % covers
+/// `ε ≤ 3.3 · 10⁻³`, that is `dims` up to ≈ 55 000; seeding does not
+/// skip above [`SEED_SKIP_MAX_DIMS`] = 2¹⁵, where `ε ≤ 2 · 10⁻³`. Near
+/// the subnormal range a term's rounding error is absolute (≤ 2⁻¹⁵⁰),
+/// not relative, so a `d2` below [`SEED_SKIP_MIN_D2`] never skips
+/// either. Nothing non-finite skips: an infinite or NaN `d2` compares
+/// false and `dcc` must be finite. Computed in `f64`, where
+/// `4 · d2 · (1 + m)` cannot overflow.
+fn seed_skips(dcc: f32, d2: f32) -> bool {
+    const MARGIN: f64 = 0.01;
+    dcc.is_finite()
+        && f64::from(d2) >= SEED_SKIP_MIN_D2
+        && f64::from(dcc) > 4.0 * f64::from(d2) * (1.0 + MARGIN)
+}
+
+/// Widest rows whose rounding [`seed_skips`]' margin covers.
+const SEED_SKIP_MAX_DIMS: usize = 1 << 15;
+
+/// Smallest `d2` [`seed_skips`] trusts: `2⁻¹⁰⁰`. The subnormal rounding
+/// of at most [`SEED_SKIP_MAX_DIMS`] terms adds up to `2⁻¹³⁵`, a relative
+/// `2⁻³⁵` at that size, far below the margin.
+const SEED_SKIP_MIN_D2: f64 = 1.0 / (1u128 << 100) as f64;
+
 /// k-means++ seeding: each next seed is drawn with probability
 /// proportional to its squared distance to the nearest existing seed.
+/// The sampling sum and the draw run in row order; the distance update
+/// runs on the pool and skips the rows [`seed_skips`] proves untouched.
 fn plus_plus_init(
     rows: &[f32],
     n_vectors: usize,
     dims: usize,
     k: usize,
     rng: &mut StdRng,
+    pool: &ThreadPool,
 ) -> Vec<f32> {
+    let row = |v: usize| &rows[v * dims..(v + 1) * dims];
+    let skip = dims <= SEED_SKIP_MAX_DIMS;
     let mut centroids = Vec::with_capacity(k * dims);
     let first = rng.random_range(0..n_vectors);
-    centroids.extend_from_slice(&rows[first * dims..(first + 1) * dims]);
-    let mut d2: Vec<f32> = (0..n_vectors)
-        .map(|v| {
-            nary_distance(
-                Metric::L2,
-                KernelVariant::Simd,
-                &rows[v * dims..(v + 1) * dims],
-                &centroids[..dims],
-            )
-        })
-        .collect();
+    centroids.extend_from_slice(row(first));
+    let mut near = vec![Near { d2: 0.0, seed: 0 }; n_vectors];
+    pool.for_each_chunk_mut(&mut near, CHUNK_VECTORS, |start, chunk| {
+        for (slot, v) in chunk.iter_mut().zip(start..) {
+            slot.d2 = nary_distance(Metric::L2, KernelVariant::Simd, row(v), row(first));
+        }
+    });
+    let mut dcc = Vec::with_capacity(k);
     while centroids.len() < k * dims {
-        let total: f64 = d2.iter().map(|&x| x as f64).sum();
+        let total: f64 = near.iter().map(|s| s.d2 as f64).sum();
         let pick = if total <= 0.0 {
             rng.random_range(0..n_vectors)
         } else {
             let mut target = rng.random::<f64>() * total;
             let mut chosen = n_vectors - 1;
-            for (v, &x) in d2.iter().enumerate() {
-                target -= x as f64;
+            for (v, s) in near.iter().enumerate() {
+                target -= s.d2 as f64;
                 if target <= 0.0 {
                     chosen = v;
                     break;
@@ -241,19 +323,26 @@ fn plus_plus_init(
             }
             chosen
         };
-        let new = &rows[pick * dims..(pick + 1) * dims];
+        let new = row(pick);
+        dcc.clear();
+        dcc.extend(
+            centroids
+                .chunks_exact(dims)
+                .map(|c| nary_distance(Metric::L2, KernelVariant::Simd, c, new)),
+        );
+        let seed = dcc.len() as u32;
         centroids.extend_from_slice(new);
-        for (v, slot) in d2.iter_mut().enumerate() {
-            let d = nary_distance(
-                Metric::L2,
-                KernelVariant::Simd,
-                &rows[v * dims..(v + 1) * dims],
-                new,
-            );
-            if d < *slot {
-                *slot = d;
+        pool.for_each_chunk_mut(&mut near, CHUNK_VECTORS, |start, chunk| {
+            for (slot, v) in chunk.iter_mut().zip(start..) {
+                if skip && seed_skips(dcc[slot.seed as usize], slot.d2) {
+                    continue;
+                }
+                let d = nary_distance(Metric::L2, KernelVariant::Simd, row(v), new);
+                if d < slot.d2 {
+                    *slot = Near { d2: d, seed };
+                }
             }
-        }
+        });
     }
     centroids
 }
@@ -298,11 +387,20 @@ mod tests {
         rows
     }
 
+    /// The cluster of every row as per-cluster member lists.
+    fn buckets(k: usize, assign: &[u32]) -> Vec<Vec<u32>> {
+        let mut buckets = vec![Vec::new(); k];
+        for (v, &c) in assign.iter().enumerate() {
+            buckets[c as usize].push(v as u32);
+        }
+        buckets
+    }
+
     #[test]
     fn separates_two_blobs() {
         let rows = two_blobs(50);
-        let km = KMeans::fit(&rows, 100, 2, 2, 20, 1);
-        let buckets = km.assignments(&rows, 100);
+        let (km, assign) = KMeans::fit(&rows, 100, 2, 2, 20, 1);
+        let buckets = buckets(km.k, &assign);
         assert_eq!(buckets.len(), 2);
         let sizes: Vec<usize> = buckets.iter().map(|b| b.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 100);
@@ -321,24 +419,25 @@ mod tests {
     #[test]
     fn inertia_is_small_for_tight_blobs() {
         let rows = two_blobs(30);
-        let km = KMeans::fit(&rows, 60, 2, 2, 25, 3);
+        let (km, _) = KMeans::fit(&rows, 60, 2, 2, 25, 3);
         assert!(km.inertia < 1.0, "inertia {}", km.inertia);
     }
 
     #[test]
     fn k_clamped_to_collection_size() {
         let rows = vec![0.0f32, 0.0, 1.0, 1.0];
-        let km = KMeans::fit(&rows, 2, 2, 10, 5, 0);
+        let (km, _) = KMeans::fit(&rows, 2, 2, 10, 5, 0);
         assert_eq!(km.k, 2);
     }
 
     #[test]
     fn every_vector_assigned_exactly_once() {
         let rows: Vec<f32> = (0..400).map(|i| ((i * 7919 % 997) as f32) * 0.1).collect();
-        let km = KMeans::fit(&rows, 100, 4, 7, 10, 5);
-        let buckets = km.assignments(&rows, 100);
+        let (km, assign) = KMeans::fit(&rows, 100, 4, 7, 10, 5);
+        assert_eq!(assign.len(), 100);
+        assert!(assign.iter().all(|&c| (c as usize) < km.k));
         let mut seen = [false; 100];
-        for b in &buckets {
+        for b in &buckets(km.k, &assign) {
             for &v in b {
                 assert!(!seen[v as usize], "vector {v} in two buckets");
                 seen[v as usize] = true;
@@ -349,14 +448,17 @@ mod tests {
 
     #[test]
     fn assign_matches_assignments() {
+        // The fitted assignment is each row's nearest final centroid, and
+        // its distances sum to the reported inertia.
         let rows = two_blobs(20);
-        let km = KMeans::fit(&rows, 40, 2, 2, 10, 9);
-        let buckets = km.assignments(&rows, 40);
-        for (c, b) in buckets.iter().enumerate() {
-            for &v in b {
-                assert_eq!(km.assign(&rows[v as usize * 2..(v as usize + 1) * 2]), c);
-            }
+        let (km, assign) = KMeans::fit(&rows, 40, 2, 2, 10, 9);
+        let mut inertia = 0.0f64;
+        for (v, &c) in assign.iter().enumerate() {
+            let (want, d) = reference::nearest(&rows[v * 2..(v + 1) * 2], &km.centroids, km.k, 2);
+            assert_eq!(c as usize, want, "row {v}");
+            inertia += d as f64;
         }
+        assert_eq!(inertia.to_bits(), km.inertia.to_bits());
     }
 
     #[test]
@@ -364,7 +466,8 @@ mod tests {
         let rows: Vec<f32> = (0..600).map(|i| ((i * 31 % 173) as f32) * 0.3).collect();
         let a = KMeans::fit(&rows, 150, 4, 5, 8, 42);
         let b = KMeans::fit(&rows, 150, 4, 5, 8, 42);
-        assert_eq!(a.centroids, b.centroids);
+        assert_eq!(a.0.centroids, b.0.centroids);
+        assert_eq!(a.1, b.1);
     }
 
     #[test]
@@ -375,8 +478,340 @@ mod tests {
         let want = KMeans::fit_with_pool(&rows, 500, 4, 7, 10, 11, &ThreadPool::new(1));
         for threads in [2usize, 8] {
             let got = KMeans::fit_with_pool(&rows, 500, 4, 7, 10, 11, &ThreadPool::new(threads));
-            assert_eq!(got.centroids, want.centroids, "threads = {threads}");
-            assert_eq!(got.inertia.to_bits(), want.inertia.to_bits());
+            assert_eq!(got.0.centroids, want.0.centroids, "threads = {threads}");
+            assert_eq!(got.0.inertia.to_bits(), want.0.inertia.to_bits());
+            assert_eq!(got.1, want.1, "threads = {threads}");
         }
+    }
+
+    /// The unpruned steps: seeding, `nearest` and the re-assignment
+    /// pass exactly as a plain Lloyd fit runs them, one full distance
+    /// per (row, seed) and per (row, centroid).
+    mod reference {
+        use super::*;
+
+        pub(super) fn nearest(
+            row: &[f32],
+            centroids: &[f32],
+            k: usize,
+            dims: usize,
+        ) -> (usize, f32) {
+            let mut best = (0usize, f32::INFINITY);
+            for c in 0..k {
+                let d = nary_distance(
+                    Metric::L2,
+                    KernelVariant::Simd,
+                    row,
+                    &centroids[c * dims..(c + 1) * dims],
+                );
+                if d < best.1 {
+                    best = (c, d);
+                }
+            }
+            best
+        }
+
+        pub(super) fn assign_all(
+            rows: &[f32],
+            n_vectors: usize,
+            dims: usize,
+            centroids: &[f32],
+            k: usize,
+            assign: &mut [u32],
+            pool: &ThreadPool,
+        ) -> f64 {
+            let inertias = std::sync::Mutex::new(vec![0.0f64; n_vectors.div_ceil(CHUNK_VECTORS)]);
+            pool.for_each_chunk_mut(assign, CHUNK_VECTORS, |start, chunk| {
+                let mut local = 0.0f64;
+                let end = start + chunk.len();
+                for (slot, v) in chunk.iter_mut().zip(start..end) {
+                    let (c, d) = nearest(&rows[v * dims..(v + 1) * dims], centroids, k, dims);
+                    *slot = c as u32;
+                    local += d as f64;
+                }
+                inertias.lock().unwrap()[start / CHUNK_VECTORS] = local;
+            });
+            inertias.into_inner().unwrap().iter().sum()
+        }
+
+        pub(super) fn plus_plus_init(
+            rows: &[f32],
+            n_vectors: usize,
+            dims: usize,
+            k: usize,
+            rng: &mut StdRng,
+            _pool: &ThreadPool,
+        ) -> Vec<f32> {
+            let mut centroids = Vec::with_capacity(k * dims);
+            let first = rng.random_range(0..n_vectors);
+            centroids.extend_from_slice(&rows[first * dims..(first + 1) * dims]);
+            let mut d2: Vec<f32> = (0..n_vectors)
+                .map(|v| {
+                    nary_distance(
+                        Metric::L2,
+                        KernelVariant::Simd,
+                        &rows[v * dims..(v + 1) * dims],
+                        &centroids[..dims],
+                    )
+                })
+                .collect();
+            while centroids.len() < k * dims {
+                let total: f64 = d2.iter().map(|&x| x as f64).sum();
+                let pick = if total <= 0.0 {
+                    rng.random_range(0..n_vectors)
+                } else {
+                    let mut target = rng.random::<f64>() * total;
+                    let mut chosen = n_vectors - 1;
+                    for (v, &x) in d2.iter().enumerate() {
+                        target -= x as f64;
+                        if target <= 0.0 {
+                            chosen = v;
+                            break;
+                        }
+                    }
+                    chosen
+                };
+                let new = &rows[pick * dims..(pick + 1) * dims];
+                centroids.extend_from_slice(new);
+                for (v, slot) in d2.iter_mut().enumerate() {
+                    let d = nary_distance(
+                        Metric::L2,
+                        KernelVariant::Simd,
+                        &rows[v * dims..(v + 1) * dims],
+                        new,
+                    );
+                    if d < *slot {
+                        *slot = d;
+                    }
+                }
+            }
+            centroids
+        }
+
+        /// A plain Lloyd fit: the unpruned steps in the same loop.
+        pub(super) fn fit(
+            rows: &[f32],
+            n_vectors: usize,
+            dims: usize,
+            k: usize,
+            max_iters: usize,
+            seed: u64,
+        ) -> (KMeans, Vec<u32>) {
+            let pool = ThreadPool::new(1);
+            lloyd(
+                rows,
+                n_vectors,
+                dims,
+                k,
+                max_iters,
+                seed,
+                &pool,
+                plus_plus_init,
+                assign_all,
+            )
+        }
+    }
+
+    /// One hostile input: rows, their count and width, and `k`.
+    struct Case {
+        name: String,
+        rows: Vec<f32>,
+        n: usize,
+        d: usize,
+        k: usize,
+    }
+
+    /// Every input class the pruning must survive: duplicate rows, all
+    /// rows equal, zero vectors, `k` of 1 and of `n`, widths on every
+    /// side of the kernels' 8- and 32-dimension steps, rows symmetric
+    /// about two centroids (exact ties), magnitudes whose squared
+    /// distances overflow, and NaN / ±inf entries.
+    fn hostile_cases() -> Vec<Case> {
+        use rand::rngs::StdRng;
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut cases = Vec::new();
+        let mut push = |name: String, rows: Vec<f32>, d: usize, k: usize| {
+            let n = rows.len() / d;
+            cases.push(Case {
+                name,
+                rows,
+                n,
+                d,
+                k,
+            });
+        };
+        for d in [1usize, 7, 8, 31, 32, 33, 65, 960] {
+            let n = if d == 960 { 48 } else { 160 };
+            let gauss = |rng: &mut StdRng, n: usize| -> Vec<f32> {
+                (0..n * d).map(|_| rng.random_range(-1.0f32..1.0)).collect()
+            };
+            // Clustered rows: a few centres plus small noise.
+            let centres = gauss(&mut rng, 6);
+            let clustered: Vec<f32> = (0..n)
+                .flat_map(|v| {
+                    let c = v % 6;
+                    centres[c * d..(c + 1) * d]
+                        .iter()
+                        .map(|&x| x * 10.0)
+                        .collect::<Vec<_>>()
+                })
+                .zip(gauss(&mut rng, n))
+                .map(|(c, e)| c + 0.1 * e)
+                .collect();
+            for k in [1, 5, 16, n] {
+                push(format!("clustered d={d} k={k}"), clustered.clone(), d, k);
+            }
+            push(format!("uniform d={d}"), gauss(&mut rng, n), d, 12);
+            // Duplicates: every row appears three times.
+            let base = gauss(&mut rng, n / 3);
+            let dup: Vec<f32> = (0..3).flat_map(|_| base.iter().copied()).collect();
+            push(format!("duplicates d={d}"), dup, d, 9);
+            // All rows equal (the seeding's `total <= 0` branch), and zero vectors.
+            let one = gauss(&mut rng, 1);
+            push(format!("all equal d={d}"), one.repeat(n), d, 4);
+            let mut zeros = gauss(&mut rng, n);
+            for v in (0..n).step_by(3) {
+                zeros[v * d..(v + 1) * d].fill(0.0);
+            }
+            push(format!("zero vectors d={d}"), zeros, d, 7);
+            push(format!("all zero d={d}"), vec![0.0; n * d], d, 3);
+            // Rows symmetric about two centroids: ±1 around ±10 on the first axis.
+            let sym: Vec<f32> = (0..n)
+                .flat_map(|v| {
+                    let mut r = vec![0.0f32; d];
+                    r[0] = [-11.0, -9.0, 9.0, 11.0][v % 4];
+                    if d > 1 {
+                        r[d - 1] = [1.0, -1.0][(v / 4) % 2];
+                    }
+                    r
+                })
+                .collect();
+            push(format!("symmetric d={d}"), sym.clone(), d, 2);
+            push(format!("symmetric d={d} k=3"), sym, d, 3);
+            // Magnitudes near 1e19: squared distances overflow to +inf.
+            let huge: Vec<f32> = gauss(&mut rng, n).iter().map(|&x| x * 1e19).collect();
+            push(format!("huge d={d}"), huge, d, 6);
+            // NaN and ±inf entries sprinkled into clustered rows.
+            let mut bad = clustered.clone();
+            for (i, x) in bad.iter_mut().enumerate() {
+                match rng.random_range(0..40) {
+                    0 => *x = f32::NAN,
+                    1 => *x = f32::INFINITY,
+                    2 => *x = f32::NEG_INFINITY,
+                    _ if i % 97 == 0 => *x = f32::INFINITY,
+                    _ => {}
+                }
+            }
+            push(format!("nan/inf d={d}"), bad, d, 8);
+            let mut few_bad = clustered;
+            for v in (0..n).step_by(11) {
+                few_bad[v * d] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(v / 11) % 3];
+            }
+            push(format!("few nan/inf d={d}"), few_bad, d, 8);
+        }
+        cases
+    }
+
+    #[test]
+    fn pruned_fit_is_the_plain_fit_bit_for_bit() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for case in hostile_cases() {
+            for seed in [1u64, 2] {
+                let (want, want_assign) =
+                    reference::fit(&case.rows, case.n, case.d, case.k, 6, seed);
+                for threads in [1usize, 2, 8] {
+                    let (got, got_assign) = KMeans::fit_with_pool(
+                        &case.rows,
+                        case.n,
+                        case.d,
+                        case.k,
+                        6,
+                        seed,
+                        &ThreadPool::new(threads),
+                    );
+                    let at = format!("{} seed={seed} threads={threads}", case.name);
+                    assert_eq!(got.k, want.k, "{at}");
+                    assert_eq!(bits(&got.centroids), bits(&want.centroids), "{at}");
+                    assert_eq!(got.inertia.to_bits(), want.inertia.to_bits(), "{at}");
+                    assert_eq!(got_assign, want_assign, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_is_the_plain_loop_from_any_previous_centroid() {
+        // Ties, NaN and +inf distances: the visiting order never shows,
+        // wherever in the table the NaN and +inf distances sit.
+        let table = [
+            [0.0f32, 0.0],
+            [2.0, 0.0],
+            [-2.0, 0.0],
+            [2.0, 0.0],
+            [f32::NAN, 0.0],
+            [f32::INFINITY, 0.0],
+            [1e30, 0.0],
+        ];
+        let k = table.len();
+        let rows = [
+            [1.0f32, 0.0],
+            [-1.0, 0.0],
+            [0.0, 0.0],
+            [2.0, 0.0],
+            [1e19, 0.0],
+            [f32::NAN, 0.0],
+            [f32::INFINITY, 0.0],
+            [0.0, f32::NEG_INFINITY],
+        ];
+        for shift in 0..k {
+            let centroids: Vec<f32> = (0..k).flat_map(|c| table[(c + shift) % k]).collect();
+            for row in &rows {
+                let want = reference::nearest(row, &centroids, k, 2);
+                for prev in 0..k {
+                    let got = nearest(row, &centroids, k, 2, prev);
+                    let at = format!("{row:?} from {prev}, shift {shift}");
+                    assert_eq!(got.0, want.0, "{at}");
+                    assert_eq!(got.1.to_bits(), want.1.to_bits(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seed_skip_margin_covers_rounding() {
+        // Rounding alone puts `c` above `4a` here although the new seed
+        // is nearer to `x` (`b < a`): without the margin, seeding would
+        // skip the one row it must update.
+        let x = [-0.473_056_55f32, -0.181_772_93];
+        let near = [0.084_300_235f32, 0.939_629_3];
+        let new = [-1.030_413_4f32, -1.303_175_1];
+        let l2 = |p: &[f32], q: &[f32]| nary_distance(Metric::L2, KernelVariant::Simd, p, q);
+        let (a, b, c) = (l2(&x, &near), l2(&x, &new), l2(&near, &new));
+        assert!(b < a, "{b} < {a}");
+        assert!(f64::from(c) > 4.0 * f64::from(a), "{c} > 4 · {a}");
+        assert!(!seed_skips(c, a));
+    }
+
+    #[test]
+    fn seeding_skips_rows_on_separated_data() {
+        // The skip test must fire where seeds are far apart, or the
+        // bit-identity above proves nothing about it.
+        let (n, d) = (600, 16);
+        let rows: Vec<f32> = (0..n)
+            .flat_map(|v| (0..d).map(move |j| ((v % 20) * 50 + (v * 7 + j * 3) % 5) as f32))
+            .collect();
+        let mut skipped = 0usize;
+        let mut rng = StdRng::seed_from_u64(3);
+        let seeds = plus_plus_init(&rows, n, d, 20, &mut rng, &ThreadPool::new(1));
+        let seed = |s: usize| &seeds[s * d..(s + 1) * d];
+        for s in 1..20 {
+            for v in 0..n {
+                let row = &rows[v * d..(v + 1) * d];
+                let (near, d2) = reference::nearest(row, &seeds[..s * d], s, d);
+                let dcc = nary_distance(Metric::L2, KernelVariant::Simd, seed(near), seed(s));
+                skipped += seed_skips(dcc, d2) as usize;
+            }
+        }
+        assert!(skipped > n * 19 / 4, "skipped {skipped} of {}", n * 19);
     }
 }
