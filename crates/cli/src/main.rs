@@ -412,19 +412,13 @@ fn cmd_build(args: &Args) -> Result<(), String> {
         }
     };
     let mode = args.str_or("mode", "container");
-    if args.has("nlist") && mode != "ivf" {
-        eprintln!("note: --nlist only applies to --mode=ivf builds; ignored");
-    }
-    if args.has("shards") && mode != "collection" {
-        eprintln!("note: --shards only applies to --mode=collection builds; ignored");
+    for note in ignored_build_flags(args, &mode) {
+        eprintln!("note: {note}; ignored");
     }
     match mode.as_str() {
         "container" => {}
         "ivf" => return build_ivf(args, &data, group, &out, quantize),
         "collection" => {
-            if args.has("threads") {
-                eprintln!("note: --threads only applies to container builds; ignored");
-            }
             let config = StoreConfig {
                 block_size,
                 group_size: group,
@@ -494,6 +488,38 @@ fn cmd_build(args: &Args) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// What `build` says of each flag given that its `mode` does not use.
+fn ignored_build_flags(args: &Args, mode: &str) -> Vec<&'static str> {
+    let (ivf, collection) = (mode == "ivf", mode == "collection");
+    [
+        ("nlist", !ivf, "--nlist only applies to --mode=ivf builds"),
+        (
+            "shards",
+            !collection,
+            "--shards only applies to --mode=collection builds",
+        ),
+        (
+            "threads",
+            collection,
+            "--threads only applies to container builds",
+        ),
+        (
+            "block-size",
+            ivf,
+            "--block-size does not apply to --mode=ivf builds",
+        ),
+        (
+            "buffer-capacity",
+            !collection,
+            "--buffer-capacity only applies to --mode=collection builds",
+        ),
+    ]
+    .into_iter()
+    .filter(|&(flag, ignored, _)| ignored && args.has(flag))
+    .map(|(_, _, note)| note)
+    .collect()
 }
 
 /// `build --mode=ivf`: trains IVF (k-means bucketing) and writes the
@@ -1286,6 +1312,41 @@ mod tests {
             let err = cmd_build(&Args::parse(&argv, BUILD_FLAGS).unwrap()).unwrap_err();
             assert!(err.contains(&format!("--{flag}: '0'")), "{mode}: {err}");
             assert!(!out.exists(), "{mode} --{flag}=0 left {}", out.display());
+        }
+    }
+
+    #[test]
+    fn build_notes_every_flag_its_mode_ignores() {
+        let notes = |mode: &str, flag: &str| {
+            let args = Args::parse(&argv(&[&format!("--{flag}=2")]), BUILD_FLAGS).unwrap();
+            ignored_build_flags(&args, mode)
+        };
+        for (mode, flag) in [
+            ("ivf", "block-size"),
+            ("ivf", "buffer-capacity"),
+            ("container", "buffer-capacity"),
+            ("container", "nlist"),
+            ("ivf", "shards"),
+            ("collection", "threads"),
+        ] {
+            let notes = notes(mode, flag);
+            assert_eq!(notes.len(), 1, "--mode={mode} --{flag}: {notes:?}");
+            assert!(notes[0].starts_with(&format!("--{flag} ")), "{notes:?}");
+        }
+        for (mode, flag) in [
+            ("container", "block-size"),
+            ("collection", "block-size"),
+            ("collection", "buffer-capacity"),
+            ("ivf", "nlist"),
+            ("ivf", "threads"),
+            ("container", "threads"),
+            ("collection", "shards"),
+        ] {
+            assert_eq!(
+                notes(mode, flag),
+                Vec::<&str>::new(),
+                "--mode={mode} --{flag}"
+            );
         }
     }
 

@@ -1171,10 +1171,10 @@ mod tests {
             nests
         }
 
-        // SAFETY (the three methods): the portable widths need no ISA and
-        // check every index; `all` names an ISA only when it is detected,
-        // and the callers below pass the arguments the portable widths
-        // run on first.
+        // The portable widths need no ISA and check every index; `all`
+        // names an ISA only when it is detected, and the callers below
+        // pass the arguments the portable widths run on first. Each
+        // method's SAFETY comment rests on this.
         fn dense<E: Stored, S: Step<P>, D: Dims, const P: usize>(
             self,
             t: Tiled<'_, E>,
@@ -1183,6 +1183,8 @@ mod tests {
             dims: D,
             acc: &mut [f32],
         ) {
+            // SAFETY: the portable widths check every index, and `all`
+            // names only a detected ISA (see above).
             unsafe {
                 match self {
                     Nest::Portable8 => {
@@ -1205,6 +1207,8 @@ mod tests {
             dims: Range<usize>,
             acc: &mut [f32],
         ) {
+            // SAFETY: the portable widths check every index, and `all`
+            // names only a detected ISA (see above).
             unsafe {
                 match self {
                     Nest::Portable8 => dense_band::<8, 2, Portable<8>, E, S, P>(t, band, dims, acc),
@@ -1224,6 +1228,8 @@ mod tests {
             pos: &[u32],
             acc: &mut [f32],
         ) {
+            // SAFETY: the portable widths check every index, and `all`
+            // names only a detected ISA (see above).
             unsafe {
                 match self {
                     Nest::Portable8 => {
@@ -1244,6 +1250,8 @@ mod tests {
             aux: Option<&[f32]>,
             bits: &mut [u64],
         ) -> usize {
+            // SAFETY: the portable widths check every index, and `all`
+            // names only a detected ISA (see above).
             unsafe {
                 match self {
                     Nest::Portable8 => bound::<8, Portable<8>, P>(cp, partials, aux, bits),
@@ -1624,12 +1632,14 @@ mod tests {
             "a partial row one lane past the slice must panic"
         );
         let codes = [1u8; 20];
+        // SAFETY: `Portable` checks every index itself.
         let load = catch_unwind(|| unsafe { Portable::<8>::load_first(&codes, 14, 7) });
         assert!(
             load.is_err(),
             "a partial code row one lane past the slice must panic"
         );
         let mut dst = [0.0f32; 20];
+        // SAFETY: the store's slice copy checks every index.
         let store = catch_unwind(AssertUnwindSafe(|| unsafe {
             Portable::<16>::splat(2.0).store_first(&mut dst, 10, 11)
         }));

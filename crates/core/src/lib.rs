@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! # pdx-core — the PDX data layout and the PDXearch framework
 //!

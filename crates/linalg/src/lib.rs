@@ -20,6 +20,8 @@
 //! ordinary least squares (used by the learned BSA ablation). Decomposition
 //! internals run in `f64` for stability; vector data stays `f32`.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod eigen;
 pub mod kernel;
 pub mod matrix;

@@ -444,3 +444,37 @@ fn merge_reproduces_any_partitioning() {
         assert_eq!(merge_neighbors(&lists, 12), want, "{parts} partitions");
     }
 }
+
+/// FNV-1a over the bits of a fitted model — its centroids, then its
+/// inertia — and the cluster of every row.
+fn kmeans_hash(km: &KMeans, assign: &[u32]) -> u64 {
+    let centroids = km.centroids.iter().flat_map(|c| c.to_bits().to_le_bytes());
+    let inertia = km.inertia.to_bits().to_le_bytes();
+    let assign = assign.iter().flat_map(|c| c.to_le_bytes());
+    centroids
+        .chain(inertia)
+        .chain(assign)
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn kmeans_fit_bits_are_goldens() {
+    // The IVF trainer's exact output on a sift-like and a gist-like
+    // collection, at 1 and 2 threads. Recorded on the parent of the
+    // assignment screen: a change to the fit that keeps its bits keeps
+    // these.
+    for (name, n, k, want) in [
+        ("sift", 8_192, 64, 0x1e3a_5b70_7d79_2f6c),
+        ("gist", 2_000, 40, 0x705c_42e7_9b55_9d73),
+    ] {
+        let ds = generate(spec_by_name(name).unwrap(), n, 0, 42);
+        for threads in [1usize, 2] {
+            let pool = ThreadPool::new(threads);
+            let (km, assign) = KMeans::fit_with_pool(&ds.data, n, ds.dims(), k, 10, 7, &pool);
+            let got = kmeans_hash(&km, &assign);
+            assert_eq!(got, want, "{name} at {threads} threads: {got:#018x}");
+        }
+    }
+}
