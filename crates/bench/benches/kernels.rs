@@ -156,7 +156,7 @@ fn bench_tile_vs_groups(c: &mut Criterion) {
     let q = ds.query(0).to_vec();
     let block = PdxBlock::from_rows(&ds.data, n, d, DEFAULT_GROUP_SIZE);
     let quantizer = Sq8Quantizer::fit(&ds.data, n, d);
-    let codes = QuantizedPdxBlock::from_rows(&ds.data, n, d, DEFAULT_GROUP_SIZE, &quantizer);
+    let codes = quantizer.encode_block(&ds.data, n, DEFAULT_GROUP_SIZE);
     let q8 = quantizer.prepare_query(Metric::L2, &q);
     let (metric, policy) = (Metric::L2, KernelPolicy::Auto);
     let mut acc = vec![0.0f32; n];
@@ -244,7 +244,7 @@ fn bench_sq8_from_rows(c: &mut Criterion) {
     let ds = generate(&spec, n, 1, 11);
     let rows = &ds.data[..n * d];
     let quantizer = Sq8Quantizer::fit(rows, n, d);
-    let tile = |q: &Sq8Quantizer| QuantizedPdxBlock::from_rows(rows, n, d, DEFAULT_GROUP_SIZE, q);
+    let tile = |q: &Sq8Quantizer| q.encode_block(rows, n, DEFAULT_GROUP_SIZE);
     let mut group = c.benchmark_group(format!("sq8_from_rows/{n}x{d}"));
     group.throughput(Throughput::Elements((n * d) as u64));
     group.bench_function("fit", |b| {

@@ -12,6 +12,7 @@
 //! cargo run --release -p pdx-bench --bin table4_kernel_speedups [--quick]
 //! ```
 
+use pdx::core::kernels::{pdx_accumulate_groups, DimSel};
 use pdx::prelude::*;
 use pdx_bench::harness::*;
 use std::time::Instant;
@@ -81,8 +82,22 @@ fn main() {
                 let scan_cost = (n * d) as f64;
                 let reps = ((2e8 / scan_cost) as usize).clamp(3, 2001);
                 let t_pdx = time_scan(|| pdx_scan(metric, &block, q, &mut out), reps);
+                // `pdx_scan` is this call at `Auto`, after zeroing `out`.
+                let (groups, scalar) = (0..block.group_count(), KernelPolicy::Scalar);
                 let t_scalar = time_scan(
-                    || pdx_scan_policy(metric, &block, q, &mut out, KernelPolicy::Scalar),
+                    || {
+                        out.fill(0.0);
+                        let dims = DimSel::Range(0..d);
+                        pdx_accumulate_groups(
+                            metric,
+                            &block,
+                            groups.clone(),
+                            q,
+                            dims,
+                            &mut out,
+                            scalar,
+                        )
+                    },
                     reps,
                 );
                 let t_nary = time_scan(

@@ -13,19 +13,23 @@
 //! ≥ 3.5× smaller than `f32`. The SIMD speedup line is timing and only
 //! prints PASS / FAIL.
 
+use pdx::core::kernels::sq8_accumulate_groups;
 use pdx::prelude::*;
 use pdx_bench::harness::*;
 use std::time::Instant;
 
-/// Median-of-`reps` wall time of scanning every bucket with one policy.
+/// Median-of-`reps` wall time of scanning every bucket with one policy
+/// (the dense kernel `sq8_scan` runs at `Auto`, without the bias add).
 fn time_sq8_scan(q: &Sq8Query, blocks: &[Sq8Block], kernel: KernelPolicy, reps: usize) -> f64 {
     let mut out: Vec<f32> = Vec::new();
     let mut times = Vec::with_capacity(reps);
     for rep in 0..=reps {
         let t0 = Instant::now();
         for b in blocks {
+            out.clear();
             out.resize(b.codes.len(), 0.0);
-            sq8_scan_policy(q, &b.codes, &mut out, kernel);
+            let (groups, dims) = (0..b.codes.group_count(), 0..b.codes.dims());
+            sq8_accumulate_groups(q, &b.codes, groups, dims, &mut out, kernel);
         }
         if rep > 0 {
             // rep 0 is the warm-up

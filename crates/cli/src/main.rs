@@ -1100,7 +1100,7 @@ fn cmd_query_remote(args: &Args, remote: &str) -> Result<(), String> {
             eprintln!("note: --{local_only} does not apply with --remote; ignored");
         }
     }
-    let k = args.usize("k", 10)?;
+    let k = args.positive("k", 10)?;
     let refine = args.usize("refine", 0)?;
     let queries = read_fvecs(&args.path("queries")?)?;
     let mut client = ServeClient::connect(remote).map_err(|e| format!("{remote}: {e}"))?;
@@ -1144,7 +1144,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     if args.has("deadline-ms") {
         eprintln!("note: --deadline-ms only applies with --remote; ignored");
     }
-    let k = args.usize("k", 10)?;
+    let k = args.positive("k", 10)?;
     let index = load_index(args)?;
     let opts = search_options(args, k, index.as_ref())?;
     let queries = read_fvecs(&args.path("queries")?)?;
@@ -1176,6 +1176,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_ground_truth(args: &Args) -> Result<(), String> {
+    let k = args.positive("k", 10)?;
     let data = read_fvecs(&args.path("data")?)?;
     let queries = read_fvecs(&args.path("queries")?)?;
     if queries.dims != data.dims {
@@ -1184,7 +1185,6 @@ fn cmd_ground_truth(args: &Args) -> Result<(), String> {
             queries.dims, data.dims
         ));
     }
-    let k = args.usize("k", 10)?;
     let out = args.path("out")?;
     eprintln!("computing exact top-{k} for {} queries…", queries.len);
     let gt = ground_truth(&data.data, &queries.data, data.dims, k, Metric::L2, 0);
@@ -1200,13 +1200,23 @@ fn cmd_ground_truth(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_evaluate(args: &Args) -> Result<(), String> {
-    let gt_file = std::fs::File::open(args.path("gt")?).map_err(|e| e.to_string())?;
+    let k = args.positive("k", 10)?;
+    let gt_path = args.path("gt")?;
+    let gt_file = std::fs::File::open(&gt_path).map_err(|e| e.to_string())?;
     let gt = pdx::datasets::io::read_ivecs(std::io::BufReader::new(gt_file))
         .map_err(|e| e.to_string())?;
-    let k = args.usize("k", 10)?.min(gt.dims);
+    let k = k.min(gt.dims);
     let index = load_index(args)?;
     let opts = search_options(args, k, index.as_ref())?;
     let queries = read_fvecs(&args.path("queries")?)?;
+    if gt.len < queries.len {
+        return Err(format!(
+            "--gt={}: {} ground-truth rows for {} queries (one row per query required)",
+            gt_path.display(),
+            gt.len,
+            queries.len
+        ));
+    }
     if queries.dims != index.dims() {
         return Err(format!(
             "query dims {} != index dims {}",
@@ -1313,6 +1323,71 @@ mod tests {
             assert!(err.contains(&format!("--{flag}: '0'")), "{mode}: {err}");
             assert!(!out.exists(), "{mode} --{flag}=0 left {}", out.display());
         }
+    }
+
+    #[test]
+    fn zero_k_is_rejected_before_any_output() {
+        let out = std::env::temp_dir().join("pdx_cli_zero_k.ivecs");
+        let _ = std::fs::remove_file(&out);
+        let out_flag = format!("--out={}", out.display());
+        type Cmd = fn(&Args) -> Result<(), String>;
+        let (index, queries) = ("--index=missing.pdx", "--queries=missing.fvecs");
+        let cases: [(&str, Cmd, &[&str], &[&str]); 4] = [
+            ("query", cmd_query, QUERY_FLAGS, &[index, queries]),
+            (
+                "query --remote",
+                cmd_query,
+                QUERY_FLAGS,
+                &["--remote=127.0.0.1:1", queries],
+            ),
+            (
+                "evaluate",
+                cmd_evaluate,
+                EVALUATE_FLAGS,
+                &[index, queries, "--gt=missing.ivecs"],
+            ),
+            (
+                "ground-truth",
+                cmd_ground_truth,
+                GROUND_TRUTH_FLAGS,
+                &["--data=missing.fvecs", queries, &out_flag],
+            ),
+        ];
+        for (name, cmd, flags, args) in cases {
+            let argv = argv(&[args, &["--k=0"]].concat());
+            let err = cmd(&Args::parse(&argv, flags).unwrap()).unwrap_err();
+            assert!(err.contains("--k: '0'"), "{name}: {err}");
+        }
+        assert!(!out.exists(), "ground-truth --k=0 left {}", out.display());
+    }
+
+    #[test]
+    fn evaluate_rejects_a_ground_truth_shorter_than_the_queries() {
+        let dir = std::env::temp_dir().join("pdx_cli_short_gt");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (n, d) = (40, 4);
+        let rows: Vec<f32> = (0..n * d).map(|i| (i % 13) as f32).collect();
+        let path = |name: &str| dir.join(name).display().to_string();
+        write_fvecs(&dir.join("base.fvecs"), &rows, d).unwrap();
+        write_fvecs(&dir.join("q.fvecs"), &rows[..5 * d], d).unwrap();
+        let gt = std::fs::File::create(dir.join("gt.ivecs")).unwrap();
+        pdx::datasets::io::write_ivecs(gt, &[0, 1, 2, 3, 4, 5], 2).unwrap();
+        let build = argv(&[
+            &format!("--data={}", path("base.fvecs")),
+            &format!("--out={}", path("index.pdx")),
+        ]);
+        cmd_build(&Args::parse(&build, BUILD_FLAGS).unwrap()).unwrap();
+        let evaluate = argv(&[
+            &format!("--index={}", path("index.pdx")),
+            &format!("--queries={}", path("q.fvecs")),
+            &format!("--gt={}", path("gt.ivecs")),
+            "--k=2",
+        ]);
+        let err = cmd_evaluate(&Args::parse(&evaluate, EVALUATE_FLAGS).unwrap()).unwrap_err();
+        assert!(err.contains("--gt="), "{err}");
+        assert!(err.contains("3 ground-truth rows for 5 queries"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

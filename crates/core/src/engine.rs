@@ -255,7 +255,9 @@ pub trait VectorIndex: Send + Sync {
     /// Short static name of the deployment (for logs and reports).
     fn kind(&self) -> &'static str;
 
-    /// Single-query k-NN with the unified options.
+    /// Single-query k-NN with the unified options. `opts.k == 0` asks
+    /// for nothing: every implementation answers it with the empty list
+    /// (and [`VectorIndex::search_batch`] with one empty list per query).
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor>;
 
     /// Searches a batch of packed queries on `opts.threads` workers

@@ -1128,11 +1128,10 @@ mod tests {
     use super::*;
     use crate::distance::Metric;
     use crate::kernels::{
-        detected_isa, pdx_accumulate, pdx_accumulate_band, pdx_accumulate_groups,
-        pdx_accumulate_survivors, sq8_accumulate, sq8_accumulate_groups, sq8_accumulate_survivors,
-        survival_bits, DimSel, KernelPolicy,
+        detected_isa, pdx_accumulate_band, pdx_accumulate_groups, pdx_accumulate_survivors,
+        sq8_accumulate_groups, sq8_accumulate_survivors, survival_bits, DimSel, KernelPolicy,
     };
-    use crate::layout::{PdxBlock, QuantizedPdxBlock, Sq8Query};
+    use crate::layout::{PdxBlock, Sq8Query};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -1400,14 +1399,31 @@ mod tests {
 
         // The oracle: the scalar lane loops on one group as wide as the
         // collection; a survivor's bits are those of its lane there.
-        let wide = PdxBlock::from_rows(values, n, d, n);
-        let wide8 = QuantizedPdxBlock::from_code_rows(&codes, n, d, n);
-        let (g, g8) = (wide.group(0), wide8.group(0));
+        let (wide, wide8) = (
+            PdxBlock::from_rows(values, n, d, n),
+            PdxBlock::from_rows(&codes, n, d, n),
+        );
         let scalar = KernelPolicy::Scalar;
         let mut want = fresh(n);
-        pdx_accumulate(metric, &g, query, ranged.clone(), &mut want[0], scalar);
-        pdx_accumulate(metric, &g, query, permuted.clone(), &mut want[1], scalar);
-        sq8_accumulate(&q8, &g8, lo..d, &mut want[2], scalar);
+        pdx_accumulate_groups(
+            metric,
+            &wide,
+            0..1,
+            query,
+            ranged.clone(),
+            &mut want[0],
+            scalar,
+        );
+        pdx_accumulate_groups(
+            metric,
+            &wide,
+            0..1,
+            query,
+            permuted.clone(),
+            &mut want[1],
+            scalar,
+        );
+        sq8_accumulate_groups(&q8, &wide8, 0..1, lo..d, &mut want[2], scalar);
         let want_surv = want
             .clone()
             .map(|w| pos.iter().map(|&p| w[p as usize]).collect::<Vec<f32>>());
@@ -1419,17 +1435,14 @@ mod tests {
         let band8 = vec![params; b];
         let mut want_band = vec![1.5f32; b * n];
         for ([query], want) in band.iter().zip(want_band.chunks_mut(n)) {
-            pdx_accumulate(metric, &g, query, ranged.clone(), want, scalar);
+            pdx_accumulate_groups(metric, &wide, 0..1, query, ranged.clone(), want, scalar);
         }
         let want_band8 = want[2].repeat(b);
 
-        let (w, w8) = (Tiled::of_group(g.data, n), Tiled::of_group(g8.data, n));
+        let (w, w8) = (Tiled::of(&wide), Tiled::of(&wide8));
         let block = PdxBlock::from_rows(values, n, d, group);
-        let block8 = QuantizedPdxBlock::from_code_rows(&codes, n, d, group);
-        let (t, t8) = (
-            Tiled::new(block.as_slice(), n, group, d),
-            Tiled::new(block8.as_slice(), n, group, d),
-        );
+        let block8 = PdxBlock::from_rows(&codes, n, d, group);
+        let (t, t8) = (Tiled::of(&block), Tiled::of(&block8));
         let groups = n.div_ceil(group);
         let ranges = [0..groups, groups / 2..groups, 0..groups / 2, groups..groups];
         let covered = |r: &Range<usize>| (r.start * group).min(n)..(r.end * group).min(n);
@@ -1485,9 +1498,11 @@ mod tests {
                 }
             }
             let mut dense = fresh(n);
-            pdx_accumulate(metric, &g, query, ranged.clone(), &mut dense[0], policy);
-            pdx_accumulate(metric, &g, query, permuted.clone(), &mut dense[1], policy);
-            sq8_accumulate(&q8, &g8, lo..d, &mut dense[2], policy);
+            let (sel, wide) = (ranged.clone(), &wide);
+            pdx_accumulate_groups(metric, wide, 0..1, query, sel, &mut dense[0], policy);
+            let sel = permuted.clone();
+            pdx_accumulate_groups(metric, wide, 0..1, query, sel, &mut dense[1], policy);
+            sq8_accumulate_groups(&q8, &wide8, 0..1, lo..d, &mut dense[2], policy);
             let mut surv = fresh(pos.len());
             let (sel, block) = (ranged.clone(), &block);
             pdx_accumulate_survivors(metric, block, query, sel, pos, &mut surv[0], policy);

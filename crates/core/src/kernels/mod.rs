@@ -24,8 +24,14 @@
 //! loops or the [`lanes`] nest at the resolved ISA's lane type, and the
 //! two are **bit-identical** at any width (one metric-step source per element; see the
 //! invariant note in [`pdx`]); the policy is therefore a pure
-//! performance knob.
+//! performance knob. Both read a [`PdxBlock`] of their element through
+//! one view, and each operation is one function taking the policy last:
+//! one group is the group range `g..g + 1`, and [`pdx_scan`] /
+//! [`sq8_scan`] are the dense kernel over every group at
+//! [`KernelPolicy::Auto`].
 
+use crate::layout::{PdxBlock, PdxGroup};
+use lanes::Stored;
 use std::ops::Range;
 
 pub mod dispatch;
@@ -37,16 +43,14 @@ pub mod sq8;
 pub use dispatch::{active_kernel_isa, detected_isa, KernelIsa, KernelPolicy};
 pub use nary::{nary_distance, nary_l2_bounded, simd_available, KernelVariant};
 pub use pdx::{
-    pdx_accumulate, pdx_accumulate_band, pdx_accumulate_groups, pdx_accumulate_positions,
-    pdx_accumulate_survivors, pdx_scan, pdx_scan_policy, survival_bits, DimSel,
+    pdx_accumulate_band, pdx_accumulate_groups, pdx_accumulate_positions, pdx_accumulate_survivors,
+    pdx_scan, survival_bits, DimSel,
 };
-pub use sq8::{
-    sq8_accumulate, sq8_accumulate_groups, sq8_accumulate_survivors, sq8_distance_scalar, sq8_scan,
-    sq8_scan_policy,
-};
+pub use sq8::{sq8_accumulate_groups, sq8_accumulate_survivors, sq8_distance_scalar, sq8_scan};
 
 /// A group-tiled buffer as the dense and survivor nests see it: a whole
-/// block, or one group viewed as a single-group block. A dense call
+/// [`PdxBlock`] of either element, or one group viewed as a single-group
+/// block. A dense call
 /// names a range of its groups ([`Tiled::zip_groups`]). Survivor
 /// positions index its vectors; [`Tiled::locate`] turns one into the
 /// offset of its first value and the stride between its dimensions, so
@@ -59,24 +63,26 @@ struct Tiled<'a, T> {
     n_dims: usize,
 }
 
-impl<'a, T> Tiled<'a, T> {
+impl<'a, T: Stored> Tiled<'a, T> {
     /// The view of a block's buffer.
-    ///
-    /// # Panics
-    /// Panics if the buffer does not hold `n_vectors × n_dims` values.
-    fn new(data: &'a [T], n_vectors: usize, group_size: usize, n_dims: usize) -> Self {
-        assert_eq!(data.len(), n_vectors * n_dims, "tiled buffer size mismatch");
+    fn of(b: &'a PdxBlock<T>) -> Self {
         Self {
-            data,
-            n_vectors,
-            group_size: group_size.max(1),
-            n_dims,
+            data: b.as_slice(),
+            n_vectors: b.len(),
+            group_size: b.group_size(),
+            n_dims: b.dims(),
         }
     }
 
     /// One group (`data[dim * lanes + lane]`) as a single-group block.
-    fn of_group(data: &'a [T], lanes: usize) -> Self {
-        Self::new(data, lanes, lanes, data.len() / lanes.max(1))
+    fn of_group(g: &PdxGroup<'a, T>) -> Self {
+        let group_size = g.lanes.max(1);
+        Self {
+            data: g.data,
+            n_vectors: g.lanes,
+            group_size,
+            n_dims: g.data.len() / group_size,
+        }
     }
 
     /// Validates once what every load of a kernel call relies on:

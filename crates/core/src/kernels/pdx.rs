@@ -324,35 +324,13 @@ pub fn survival_bits<P: Pruner>(
     unsafe { lanes::bound_on::<P>(kernel.resolve(), cp, partials, aux, bits) }
 }
 
-/// The view of a block's buffer the nests take.
-fn tiled(b: &PdxBlock) -> Tiled<'_, f32> {
-    Tiled::new(b.as_slice(), b.len(), b.group_size(), b.dims())
-}
-
-/// The dense kernel over a tiled view: a whole block, or one group.
-fn accumulate_impl(
-    metric: Metric,
-    t: Tiled<'_, f32>,
-    groups: Range<usize>,
-    query: &[f32],
-    dims: DimSel<'_>,
-    acc: &mut [f32],
-    kernel: KernelPolicy,
-) {
-    let query = [query];
-    match metric {
-        Metric::L2 => accumulate::<_, L2, 1>(t, groups, query, dims, acc, kernel),
-        Metric::L1 => accumulate::<_, L1, 1>(t, groups, query, dims, acc, kernel),
-        Metric::NegativeIp => accumulate::<_, Ip, 1>(t, groups, query, dims, acc, kernel),
-    }
-}
-
 /// Accumulates the metric over the dimensions `dims` selects — a storage
 /// range, or a slice of a query-aware permutation (PDX-BOND's orders,
 /// §5) — of every vector of the groups `groups` of `block` into `acc`,
 /// one accumulator per vector in block order: a tile's whole checkpoint
 /// step in one call. All policies produce bit-identical accumulators
-/// (see the module docs), those of one [`pdx_accumulate`] per group.
+/// (see the module docs), and each vector's are those of the one-group
+/// call `g..g + 1` over its group `g`.
 ///
 /// # Panics
 /// Panics if `groups` is reversed or ends past the block's groups, if
@@ -367,7 +345,12 @@ pub fn pdx_accumulate_groups(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    accumulate_impl(metric, tiled(block), groups, query, dims, acc, kernel)
+    let (t, query) = (Tiled::of(block), [query]);
+    match metric {
+        Metric::L2 => accumulate::<_, L2, 1>(t, groups, query, dims, acc, kernel),
+        Metric::L1 => accumulate::<_, L1, 1>(t, groups, query, dims, acc, kernel),
+        Metric::NegativeIp => accumulate::<_, Ip, 1>(t, groups, query, dims, acc, kernel),
+    }
 }
 
 /// Accumulates the metric over the storage dimensions `dims` of every
@@ -392,33 +375,12 @@ pub fn pdx_accumulate_band(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    let (t, band) = (tiled(block), band.as_chunks::<1>().0);
+    let (t, band) = (Tiled::of(block), band.as_chunks::<1>().0);
     match metric {
         Metric::L2 => accumulate_band::<_, L2, 1>(t, band, dims, acc, kernel),
         Metric::L1 => accumulate_band::<_, L1, 1>(t, band, dims, acc, kernel),
         Metric::NegativeIp => accumulate_band::<_, Ip, 1>(t, band, dims, acc, kernel),
     }
-}
-
-/// Accumulates the metric over the dimensions `dims` selects of a PDX
-/// group into the per-lane accumulator array `acc` (length =
-/// `group.lanes`): a storage range, or a slice of a query-aware
-/// permutation (PDX-BOND's orders, §5). All policies produce
-/// bit-identical accumulators (see the module docs).
-///
-/// # Panics
-/// Panics if `acc.len() != group.lanes` or a selected dimension exceeds
-/// the query or the group.
-pub fn pdx_accumulate(
-    metric: Metric,
-    group: &PdxGroup<'_>,
-    query: &[f32],
-    dims: DimSel<'_>,
-    acc: &mut [f32],
-    kernel: KernelPolicy,
-) {
-    let t = Tiled::of_group(group.data, group.lanes);
-    accumulate_impl(metric, t, 0..t.n_groups(), query, dims, acc, kernel)
 }
 
 /// The survivor kernel over a tiled view: a whole block, or one group.
@@ -449,7 +411,7 @@ fn survivors_impl(
 /// scattered over many groups still run as independent accumulators
 /// instead of one serial add chain per group (§4 PHASE 2). Every
 /// survivor sees `dims` in order, so all policies produce identical
-/// bits — those of the survivor's lane in [`pdx_accumulate`].
+/// bits — those of the survivor's lane in [`pdx_accumulate_groups`].
 ///
 /// # Panics
 /// Panics if `acc.len() != positions.len()`, a position is not a vector
@@ -464,7 +426,15 @@ pub fn pdx_accumulate_survivors(
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    survivors_impl(metric, tiled(block), query, dims, positions, acc, kernel)
+    survivors_impl(
+        metric,
+        Tiled::of(block),
+        query,
+        dims,
+        positions,
+        acc,
+        kernel,
+    )
 }
 
 /// Per-group form of [`pdx_accumulate_survivors`] over a storage range
@@ -481,8 +451,7 @@ pub fn pdx_accumulate_positions(
     positions: &[u32],
     acc: &mut [f32],
 ) {
-    let t = Tiled::of_group(group.data, group.lanes);
-    let dims = DimSel::Range(dims);
+    let (t, dims) = (Tiled::of_group(group), DimSel::Range(dims));
     survivors_impl(metric, t, query, dims, positions, acc, KernelPolicy::Auto)
 }
 
@@ -492,22 +461,11 @@ pub fn pdx_accumulate_positions(
 /// # Panics
 /// Panics if `out.len() != block.len()` or the query width differs.
 pub fn pdx_scan(metric: Metric, block: &PdxBlock, query: &[f32], out: &mut [f32]) {
-    pdx_scan_policy(metric, block, query, out, KernelPolicy::Auto)
-}
-
-/// [`pdx_scan`] with an explicit [`KernelPolicy`].
-pub fn pdx_scan_policy(
-    metric: Metric,
-    block: &PdxBlock,
-    query: &[f32],
-    out: &mut [f32],
-    kernel: KernelPolicy,
-) {
     assert_eq!(out.len(), block.len(), "one output per vector required");
     assert_eq!(query.len(), block.dims(), "query dimensionality mismatch");
     out.fill(0.0);
     let (groups, dims) = (0..block.group_count(), DimSel::Range(0..block.dims()));
-    pdx_accumulate_groups(metric, block, groups, query, dims, out, kernel)
+    pdx_accumulate_groups(metric, block, groups, query, dims, out, KernelPolicy::Auto)
 }
 
 #[cfg(test)]
@@ -567,11 +525,34 @@ mod tests {
     fn partial_ranges_compose_to_full_distance() {
         let (block, rows) = block_and_rows(64, 20, 64);
         let q = query(20);
-        let g = block.group(0);
         let mut acc = vec![0.0; 64];
-        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..5), &mut acc, Auto);
-        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(5..13), &mut acc, Auto);
-        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(13..20), &mut acc, Auto);
+        pdx_accumulate_groups(
+            Metric::L2,
+            &block,
+            0..1,
+            &q,
+            DimSel::Range(0..5),
+            &mut acc,
+            Auto,
+        );
+        pdx_accumulate_groups(
+            Metric::L2,
+            &block,
+            0..1,
+            &q,
+            DimSel::Range(5..13),
+            &mut acc,
+            Auto,
+        );
+        pdx_accumulate_groups(
+            Metric::L2,
+            &block,
+            0..1,
+            &q,
+            DimSel::Range(13..20),
+            &mut acc,
+            Auto,
+        );
         for v in 0..64 {
             let want = distance_scalar(Metric::L2, &q, &rows[v * 20..(v + 1) * 20]);
             assert!((acc[v] - want).abs() <= want.max(1.0) * 1e-5);
@@ -582,12 +563,27 @@ mod tests {
     fn permuted_accumulation_matches_sequential() {
         let (block, _) = block_and_rows(64, 12, 64);
         let q = query(12);
-        let g = block.group(0);
         let mut seq = vec![0.0; 64];
-        pdx_accumulate(Metric::L1, &g, &q, DimSel::Range(0..12), &mut seq, Auto);
+        pdx_accumulate_groups(
+            Metric::L1,
+            &block,
+            0..1,
+            &q,
+            DimSel::Range(0..12),
+            &mut seq,
+            Auto,
+        );
         let perm: Vec<u32> = [7u32, 0, 11, 3, 4, 10, 1, 2, 9, 5, 8, 6].to_vec();
         let mut per = vec![0.0; 64];
-        pdx_accumulate(Metric::L1, &g, &q, DimSel::Ids(&perm), &mut per, Auto);
+        pdx_accumulate_groups(
+            Metric::L1,
+            &block,
+            0..1,
+            &q,
+            DimSel::Ids(&perm),
+            &mut per,
+            Auto,
+        );
         for (s, p) in seq.iter().zip(&per) {
             assert!((s - p).abs() <= s.max(1.0) * 1e-5);
         }
@@ -599,7 +595,15 @@ mod tests {
         let q = query(16);
         let g = block.group(0);
         let mut dense = vec![0.0; 64];
-        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..16), &mut dense, Auto);
+        pdx_accumulate_groups(
+            Metric::L2,
+            &block,
+            0..1,
+            &q,
+            DimSel::Range(0..16),
+            &mut dense,
+            Auto,
+        );
         let positions: Vec<u32> = vec![3, 17, 18, 40, 63];
         let mut compact = vec![0.0; positions.len()];
         pdx_accumulate_positions(Metric::L2, &g, &q, 0..16, &positions, &mut compact);
@@ -612,9 +616,16 @@ mod tests {
     fn positions_permuted_matches_dense() {
         let (block, _) = block_and_rows(40, 10, 64);
         let q = query(10);
-        let g = block.group(0);
         let mut dense = vec![0.0; 40];
-        pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..10), &mut dense, Auto);
+        pdx_accumulate_groups(
+            Metric::L2,
+            &block,
+            0..1,
+            &q,
+            DimSel::Range(0..10),
+            &mut dense,
+            Auto,
+        );
         let perm: Vec<u32> = (0..10u32).rev().collect();
         let positions: Vec<u32> = vec![0, 9, 39];
         let mut compact = vec![0.0; 3];
@@ -628,16 +639,9 @@ mod tests {
     #[test]
     fn empty_dimension_range_is_noop() {
         let (block, _) = block_and_rows(10, 4, 64);
-        let g = block.group(0);
         let mut acc = vec![1.5; 10];
-        pdx_accumulate(
-            Metric::L2,
-            &g,
-            &query(4),
-            DimSel::Range(2..2),
-            &mut acc,
-            Auto,
-        );
+        let dims = DimSel::Range(2..2);
+        pdx_accumulate_groups(Metric::L2, &block, 0..1, &query(4), dims, &mut acc, Auto);
         assert!(acc.iter().all(|&x| x == 1.5));
     }
 
@@ -651,10 +655,13 @@ mod tests {
             // 3-lane tail group, narrower than a register.
             let (block, _) = block_and_rows(67, 13, 64);
             let q = query(13);
-            let mut scalar = vec![0.0; 67];
-            pdx_scan_policy(metric, &block, &q, &mut scalar, KernelPolicy::Scalar);
-            let mut simd = vec![0.0; 67];
-            pdx_scan_policy(metric, &block, &q, &mut simd, KernelPolicy::Simd);
+            let run = |kernel| {
+                let mut acc = vec![0.0; 67];
+                let dims = DimSel::Range(0..13);
+                pdx_accumulate_groups(metric, &block, 0..2, &q, dims, &mut acc, kernel);
+                acc
+            };
+            let (scalar, simd) = (run(KernelPolicy::Scalar), run(KernelPolicy::Simd));
             for v in 0..67 {
                 assert_eq!(
                     scalar[v].to_bits(),

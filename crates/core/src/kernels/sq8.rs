@@ -12,7 +12,7 @@
 //!
 //! ## The weighted kernels
 //!
-//! [`sq8_accumulate`], [`sq8_scan`] and the survivor variant compute the
+//! [`sq8_accumulate_groups`], [`sq8_scan`] and the survivor variant compute the
 //! exact distance between the query and the *dequantized* vectors: for
 //! L2, `Σ_d scale_d² · (qc_d − c_d)²` with `qc_d = (q_d − min_d)/scale_d`.
 //! The per-dimension weight keeps per-dimension scales honest, and the
@@ -39,7 +39,7 @@ use crate::kernels::dispatch::{KernelPolicy, SCALAR_FMA};
 use crate::kernels::lanes::{Ip, Lane, Step, L1, L2};
 use crate::kernels::pdx::{accumulate, survivors, DimSel};
 use crate::kernels::Tiled;
-use crate::layout::{QuantizedPdxBlock, QuantizedPdxGroup, Sq8Quantizer, Sq8Query};
+use crate::layout::{PdxBlock, Sq8Quantizer, Sq8Query};
 use std::ops::Range;
 
 // The SQ8 steps: `qc` is the query's code-space coordinate for the
@@ -79,57 +79,17 @@ impl Step<2> for Ip {
     }
 }
 
-/// The view of a block's buffer the nests take.
-fn tiled(b: &QuantizedPdxBlock) -> Tiled<'_, u8> {
-    Tiled::new(b.as_slice(), b.len(), b.group_size(), b.dims())
-}
-
-/// The dense kernel over a tiled view: a whole block, or one group.
-fn accumulate_impl(
-    q: &Sq8Query,
-    t: Tiled<'_, u8>,
-    groups: Range<usize>,
-    dims: Range<usize>,
-    acc: &mut [f32],
-    kernel: KernelPolicy,
-) {
-    let query = [&q.qcode[..], &q.weight[..]];
-    let dims = DimSel::Range(dims);
-    match q.metric {
-        Metric::L2 => accumulate::<_, L2, 2>(t, groups, query, dims, acc, kernel),
-        Metric::L1 => accumulate::<_, L1, 2>(t, groups, query, dims, acc, kernel),
-        Metric::NegativeIp => accumulate::<_, Ip, 2>(t, groups, query, dims, acc, kernel),
-    }
-}
-
-/// Accumulates the metric over dimensions `dims` of a quantized PDX group
-/// into the per-lane accumulator array `acc` (length = `group.lanes`).
+/// Accumulates the metric over storage dimensions `dims` of every vector
+/// of the groups `groups` of a block of SQ8 codes into `acc`, one
+/// accumulator per vector the groups cover, in block order — the SQ8
+/// twin of [`pdx_accumulate_groups`](crate::kernels::pdx_accumulate_groups).
 /// All policies produce bit-identical accumulators (see the module
-/// docs).
+/// docs), and each vector's are those of the one-group call `g..g + 1`
+/// over its group `g`.
 ///
 /// The accumulated value is the distance between the query and each
 /// vector's *dequantized* reconstruction (the [`Sq8Query`] bias, if any,
 /// is **not** added here — callers add it once per finished distance).
-///
-/// # Panics
-/// Panics if `acc.len() != group.lanes` or `dims` exceeds the query's or
-/// the group's dimensionality.
-pub fn sq8_accumulate(
-    q: &Sq8Query,
-    group: &QuantizedPdxGroup<'_>,
-    dims: Range<usize>,
-    acc: &mut [f32],
-    kernel: KernelPolicy,
-) {
-    let t = Tiled::of_group(group.data, group.lanes);
-    accumulate_impl(q, t, 0..t.n_groups(), dims, acc, kernel)
-}
-
-/// [`sq8_accumulate`] over the groups `groups` of `block` in one call —
-/// the SQ8 twin of
-/// [`pdx_accumulate_groups`](crate::kernels::pdx_accumulate_groups):
-/// `acc` holds one accumulator per vector the groups cover, in block
-/// order, and ends with the bits of one [`sq8_accumulate`] per group.
 ///
 /// # Panics
 /// Panics if `groups` is reversed or ends past the block's groups, if
@@ -137,13 +97,19 @@ pub fn sq8_accumulate(
 /// exceeds the block's or the query's dimensionality.
 pub fn sq8_accumulate_groups(
     q: &Sq8Query,
-    block: &QuantizedPdxBlock,
+    block: &PdxBlock<u8>,
     groups: Range<usize>,
     dims: Range<usize>,
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    accumulate_impl(q, tiled(block), groups, dims, acc, kernel)
+    let (t, query) = (Tiled::of(block), [&q.qcode[..], &q.weight[..]]);
+    let dims = DimSel::Range(dims);
+    match q.metric {
+        Metric::L2 => accumulate::<_, L2, 2>(t, groups, query, dims, acc, kernel),
+        Metric::L1 => accumulate::<_, L1, 2>(t, groups, query, dims, acc, kernel),
+        Metric::NegativeIp => accumulate::<_, Ip, 2>(t, groups, query, dims, acc, kernel),
+    }
 }
 
 /// PRUNE-phase kernel: accumulates only at the surviving vectors of a
@@ -155,7 +121,7 @@ pub fn sq8_accumulate_groups(
 /// of that survivor. Eight survivors share one pass over the dimensions
 /// (a software gather of byte lanes), and every survivor sees `dims` in
 /// order, so all policies produce identical bits — those of the
-/// survivor's lane in [`sq8_accumulate`].
+/// survivor's lane in [`sq8_accumulate_groups`].
 ///
 /// # Panics
 /// Panics if `acc.len() != positions.len()`, a position is not a vector
@@ -163,13 +129,13 @@ pub fn sq8_accumulate_groups(
 /// dimensionality.
 pub fn sq8_accumulate_survivors(
     q: &Sq8Query,
-    block: &QuantizedPdxBlock,
+    block: &PdxBlock<u8>,
     dims: Range<usize>,
     positions: &[u32],
     acc: &mut [f32],
     kernel: KernelPolicy,
 ) {
-    let (t, query) = (tiled(block), [&q.qcode[..], &q.weight[..]]);
+    let (t, query) = (Tiled::of(block), [&q.qcode[..], &q.weight[..]]);
     let dims = DimSel::Range(dims);
     match q.metric {
         Metric::L2 => survivors::<_, L2, 2>(t, query, dims, positions, acc, kernel),
@@ -185,11 +151,11 @@ pub fn sq8_accumulate_survivors(
 /// ```
 /// use pdx_core::distance::Metric;
 /// use pdx_core::kernels::sq8_scan;
-/// use pdx_core::layout::{QuantizedPdxBlock, Sq8Quantizer};
+/// use pdx_core::layout::Sq8Quantizer;
 ///
 /// let rows = [0.0, 0.0, 3.0, 4.0, 1.0, 1.0f32];
 /// let quantizer = Sq8Quantizer::fit(&rows, 3, 2);
-/// let block = QuantizedPdxBlock::from_rows(&rows, 3, 2, 64, &quantizer);
+/// let block = quantizer.encode_block(&rows, 3, 64);
 /// let q = quantizer.prepare_query(Metric::L2, &[0.0, 0.0]);
 /// let mut out = vec![0.0; 3];
 /// sq8_scan(&q, &block, &mut out);
@@ -199,22 +165,12 @@ pub fn sq8_accumulate_survivors(
 ///
 /// # Panics
 /// Panics if `out.len() != block.len()` or the query width differs.
-pub fn sq8_scan(q: &Sq8Query, block: &QuantizedPdxBlock, out: &mut [f32]) {
-    sq8_scan_policy(q, block, out, KernelPolicy::Auto)
-}
-
-/// [`sq8_scan`] with an explicit [`KernelPolicy`].
-pub fn sq8_scan_policy(
-    q: &Sq8Query,
-    block: &QuantizedPdxBlock,
-    out: &mut [f32],
-    kernel: KernelPolicy,
-) {
+pub fn sq8_scan(q: &Sq8Query, block: &PdxBlock<u8>, out: &mut [f32]) {
     assert_eq!(out.len(), block.len(), "one output per vector required");
     assert_eq!(q.dims(), block.dims(), "query dimensionality mismatch");
     out.fill(0.0);
     let groups = 0..block.group_count();
-    sq8_accumulate_groups(q, block, groups, 0..block.dims(), out, kernel);
+    sq8_accumulate_groups(q, block, groups, 0..block.dims(), out, KernelPolicy::Auto);
     if q.bias != 0.0 {
         for o in out.iter_mut() {
             *o += q.bias;
@@ -259,10 +215,10 @@ mod tests {
         (0..d).map(|i| (i as f32 * 0.77).sin() * 3.0).collect()
     }
 
-    fn setup(n: usize, d: usize, group: usize) -> (Sq8Quantizer, QuantizedPdxBlock, Vec<f32>) {
+    fn setup(n: usize, d: usize, group: usize) -> (Sq8Quantizer, PdxBlock<u8>, Vec<f32>) {
         let r = rows(n, d);
         let qz = Sq8Quantizer::fit(&r, n, d);
-        let b = QuantizedPdxBlock::from_rows(&r, n, d, group, &qz);
+        let b = qz.encode_block(&r, n, group);
         (qz, b, r)
     }
 
@@ -274,7 +230,7 @@ mod tests {
             let q = qz.prepare_query(metric, &raw_q);
             let mut out = vec![0.0; 150];
             sq8_scan(&q, &block, &mut out);
-            let code_rows = block.to_code_rows();
+            let code_rows = qz.to_code_rows(&block);
             for v in 0..150 {
                 let want =
                     sq8_distance_scalar(&qz, metric, &raw_q, &code_rows[v * 17..(v + 1) * 17]);
@@ -296,7 +252,7 @@ mod tests {
             let q = qz.prepare_query(Metric::L2, &raw_q);
             let mut out = vec![0.0; n];
             sq8_scan(&q, &block, &mut out);
-            let code_rows = block.to_code_rows();
+            let code_rows = qz.to_code_rows(&block);
             for v in (0..n).step_by(53) {
                 let want =
                     sq8_distance_scalar(&qz, Metric::L2, &raw_q, &code_rows[v * 9..(v + 1) * 9]);
@@ -318,7 +274,7 @@ mod tests {
         for v in 0..200 {
             let truth = distance_scalar(Metric::L2, &raw_q, &r[v * 24..(v + 1) * 24]);
             // Analytic bound: Σ (|q_d − v̂_d|·s_d + s_d²/4).
-            let vhat = block.decode_vector(v, &qz);
+            let vhat = qz.decode_vector(&block, v);
             let bound: f32 = (0..24)
                 .map(|d| {
                     let s = qz.scale(d);
@@ -338,11 +294,10 @@ mod tests {
         let (qz, block, _) = setup(64, 20, 64);
         let raw_q = query(20);
         let q = qz.prepare_query(Metric::L2, &raw_q);
-        let g = block.group(0);
         let mut acc = vec![0.0; 64];
-        sq8_accumulate(&q, &g, 0..5, &mut acc, KernelPolicy::Auto);
-        sq8_accumulate(&q, &g, 5..13, &mut acc, KernelPolicy::Auto);
-        sq8_accumulate(&q, &g, 13..20, &mut acc, KernelPolicy::Auto);
+        sq8_accumulate_groups(&q, &block, 0..1, 0..5, &mut acc, KernelPolicy::Auto);
+        sq8_accumulate_groups(&q, &block, 0..1, 5..13, &mut acc, KernelPolicy::Auto);
+        sq8_accumulate_groups(&q, &block, 0..1, 13..20, &mut acc, KernelPolicy::Auto);
         let mut full = vec![0.0; 64];
         sq8_scan(&q, &block, &mut full);
         for v in 0..64 {
@@ -354,9 +309,8 @@ mod tests {
     fn positions_kernel_matches_dense_kernel() {
         let (qz, block, _) = setup(64, 16, 64);
         let q = qz.prepare_query(Metric::L2, &query(16));
-        let g = block.group(0);
         let mut dense = vec![0.0; 64];
-        sq8_accumulate(&q, &g, 0..16, &mut dense, KernelPolicy::Auto);
+        sq8_accumulate_groups(&q, &block, 0..1, 0..16, &mut dense, KernelPolicy::Auto);
         let positions: Vec<u32> = vec![3, 17, 18, 40, 63];
         let mut compact = vec![0.0; positions.len()];
         sq8_accumulate_survivors(
@@ -394,9 +348,8 @@ mod tests {
     fn empty_dimension_range_is_noop() {
         let (qz, block, _) = setup(10, 4, 64);
         let q = qz.prepare_query(Metric::L2, &query(4));
-        let g = block.group(0);
         let mut acc = vec![1.5; 10];
-        sq8_accumulate(&q, &g, 2..2, &mut acc, KernelPolicy::Auto);
+        sq8_accumulate_groups(&q, &block, 0..1, 2..2, &mut acc, KernelPolicy::Auto);
         assert!(acc.iter().all(|&x| x == 1.5));
     }
 
@@ -406,10 +359,12 @@ mod tests {
             // 67 lanes across a 64-group: hits the tiles and the tail.
             let (qz, block, _) = setup(67, 13, 64);
             let q = qz.prepare_query(metric, &query(13));
-            let mut scalar = vec![0.0; 67];
-            sq8_scan_policy(&q, &block, &mut scalar, KernelPolicy::Scalar);
-            let mut simd = vec![0.0; 67];
-            sq8_scan_policy(&q, &block, &mut simd, KernelPolicy::Simd);
+            let run = |kernel| {
+                let mut acc = vec![0.0; 67];
+                sq8_accumulate_groups(&q, &block, 0..2, 0..13, &mut acc, kernel);
+                acc
+            };
+            let (scalar, simd) = (run(KernelPolicy::Scalar), run(KernelPolicy::Simd));
             for v in 0..67 {
                 assert_eq!(
                     scalar[v].to_bits(),

@@ -1,20 +1,21 @@
 //! Vector storage layouts.
 //!
-//! The layouts of the paper's Figures 1 and 3, plus the SQ8 twin of the
+//! The layouts of the paper's Figures 1 and 3, plus the SQ8 codec of the
 //! PDX block:
 //!
 //! * [`PdxBlock`] — the proposed **PDX** layout: vectors are tiled into
 //!   groups of `G` (default 64) and each group stores its values
 //!   dimension-major, so a distance kernel sweeps one dimension across
-//!   `G` vectors in a tight, dependence-free loop.
+//!   `G` vectors in a tight, dependence-free loop. `PdxBlock<u8>` is the
+//!   same layout holding SQ8 codes, one byte per value.
 //! * [`NaryMatrix`] — the conventional horizontal (vector-by-vector)
 //!   layout used by FAISS/USearch/Milvus and the `.fvecs` format.
 //! * [`DualBlockMatrix`] — ADSampling's two-segment horizontal layout
 //!   (first Δd dimensions of all vectors stored together, remainder in a
 //!   second segment).
-//! * [`QuantizedPdxBlock`] — the SQ8-quantized twin of [`PdxBlock`]: the
-//!   same dimension-major groups, one byte per value, with the
-//!   per-dimension codec in [`Sq8Quantizer`].
+//! * [`Sq8Quantizer`] — the per-dimension SQ8 codec: it encodes rows
+//!   into a `PdxBlock<u8>` in its storage order and reads such a block
+//!   back in row dimensions.
 
 mod dual;
 mod nary;
@@ -24,12 +25,12 @@ mod quantized;
 pub use dual::DualBlockMatrix;
 pub use nary::NaryMatrix;
 pub use pdx::{PdxBlock, PdxGroup};
-pub use quantized::{QuantizedPdxBlock, QuantizedPdxGroup, Sq8Quantizer, Sq8Query};
+pub use quantized::{Sq8Quantizer, Sq8Query};
 
 /// Where vector `vec` of a group-tiled buffer lives: `(offset of its
 /// group, lanes of that group, lane inside it)` — value `d` of the vector
 /// is `data[offset + d * lanes + lane]`. The one statement of the tiling
-/// arithmetic behind both block types and the survivor kernels; callers
+/// arithmetic behind the block and the survivor kernels; callers
 /// bound `vec < n_vectors`.
 #[inline(always)]
 pub(crate) fn locate(

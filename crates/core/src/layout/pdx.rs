@@ -15,71 +15,97 @@
 //! in the paper). The final group may have fewer than `group_size`
 //! vectors; it keeps its true lane count as the stride (no padding:
 //! padding would corrupt inner-product results and inflate the buffer).
+//!
+//! The block is generic over its stored element ([`Stored`]): `f32`
+//! values, or the one-byte SQ8 codes
+//! [`Sq8Quantizer::encode_block`](crate::layout::Sq8Quantizer::encode_block)
+//! writes. The geometry is the same for both; a code block's dimension
+//! `s` is a *storage position*, whose row dimension only its quantizer
+//! knows.
 
-/// A block of vectors stored in the PDX layout.
+use crate::kernels::lanes::Stored;
+
+/// A block of vectors stored in the PDX layout: `f32` values by default,
+/// SQ8 codes as `PdxBlock<u8>`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PdxBlock {
+pub struct PdxBlock<E: Stored = f32> {
     n_vectors: usize,
     n_dims: usize,
     group_size: usize,
-    data: Vec<f32>,
+    data: Vec<E>,
 }
 
 /// Borrowed view of one vector group inside a [`PdxBlock`].
 #[derive(Debug, Clone, Copy)]
-pub struct PdxGroup<'a> {
+pub struct PdxGroup<'a, E = f32> {
     /// Dimension-major data: `data[dim * lanes + lane]`.
-    pub data: &'a [f32],
+    pub data: &'a [E],
     /// Number of vectors (lanes) in this group (= stride between dims).
     pub lanes: usize,
     /// Block-level index of this group's first vector.
     pub start_vector: usize,
 }
 
-impl PdxBlock {
+impl<E: Stored> PdxBlock<E> {
     /// Builds a block from row-major vector data (`n_vectors × n_dims`).
     ///
     /// # Panics
     /// Panics if the buffer size disagrees with the dimensions or if
     /// `group_size == 0`.
-    pub fn from_rows(rows: &[f32], n_vectors: usize, n_dims: usize, group_size: usize) -> Self {
-        assert!(group_size > 0, "group size must be positive");
+    pub fn from_rows(rows: &[E], n_vectors: usize, n_dims: usize, group_size: usize) -> Self {
         assert_eq!(
             rows.len(),
             n_vectors * n_dims,
             "row buffer does not match dimensions"
         );
-        let mut data = vec![0.0f32; n_vectors * n_dims];
-        let mut out = 0usize;
-        let mut v0 = 0usize;
-        while v0 < n_vectors {
-            let lanes = group_size.min(n_vectors - v0);
+        Self::tile(n_vectors, n_dims, group_size, |v| {
+            &rows[v * n_dims..][..n_dims]
+        })
+    }
+
+    /// Builds a block by gathering the given `ids` rows out of a
+    /// row-major collection — the IVF bucket construction path.
+    ///
+    /// # Panics
+    /// Panics if any index is out of range or `group_size == 0`.
+    pub fn from_row_ids(all_rows: &[E], n_dims: usize, ids: &[u32], group_size: usize) -> Self {
+        Self::tile(ids.len(), n_dims, group_size, |v| {
+            &all_rows[ids[v] as usize * n_dims..][..n_dims]
+        })
+    }
+
+    /// The one row → tile loop: vector `v` of the block is `row(v)`.
+    fn tile<'r>(
+        n_vectors: usize,
+        n_dims: usize,
+        group_size: usize,
+        row: impl Fn(usize) -> &'r [E],
+    ) -> Self
+    where
+        E: 'r,
+    {
+        assert!(group_size > 0, "group size must be positive");
+        let mut data = Vec::with_capacity(n_vectors * n_dims);
+        let mut group = Vec::with_capacity(group_size.min(n_vectors));
+        for v0 in (0..n_vectors).step_by(group_size) {
+            group.clear();
+            group.extend((v0..n_vectors.min(v0 + group_size)).map(&row));
             for d in 0..n_dims {
-                for l in 0..lanes {
-                    data[out] = rows[(v0 + l) * n_dims + d];
-                    out += 1;
-                }
+                data.extend(group.iter().map(|r: &&[E]| r[d]));
             }
-            v0 += lanes;
         }
-        debug_assert_eq!(out, data.len());
-        Self {
-            n_vectors,
-            n_dims,
-            group_size,
-            data,
-        }
+        Self::from_tiled(data, n_vectors, n_dims, group_size)
     }
 
     /// Rebuilds a block from an already group-tiled buffer (the
-    /// persistence read path — [`PdxBlock::as_slice`] is the matching
-    /// write side). The values are stored verbatim, so a block that
-    /// round-trips through a container scans bit-identically to the
-    /// original.
+    /// persistence read path and the SQ8 encode —
+    /// [`PdxBlock::as_slice`] is the matching write side). The values are
+    /// stored verbatim, so a block that round-trips through a container
+    /// scans bit-identically to the original.
     ///
     /// # Panics
     /// Panics if the buffer size disagrees or `group_size == 0`.
-    pub fn from_tiled(tiled: Vec<f32>, n_vectors: usize, n_dims: usize, group_size: usize) -> Self {
+    pub fn from_tiled(tiled: Vec<E>, n_vectors: usize, n_dims: usize, group_size: usize) -> Self {
         assert!(group_size > 0, "group size must be positive");
         assert_eq!(
             tiled.len(),
@@ -91,36 +117,6 @@ impl PdxBlock {
             n_dims,
             group_size,
             data: tiled,
-        }
-    }
-
-    /// Builds a block by gathering the given `rows` indices out of a
-    /// row-major collection — the IVF bucket construction path.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range or `group_size == 0`.
-    pub fn from_row_ids(all_rows: &[f32], n_dims: usize, ids: &[u32], group_size: usize) -> Self {
-        assert!(group_size > 0, "group size must be positive");
-        let n_vectors = ids.len();
-        let mut data = vec![0.0f32; n_vectors * n_dims];
-        let mut out = 0usize;
-        let mut v0 = 0usize;
-        while v0 < n_vectors {
-            let lanes = group_size.min(n_vectors - v0);
-            for d in 0..n_dims {
-                for l in 0..lanes {
-                    let row = ids[v0 + l] as usize;
-                    data[out] = all_rows[row * n_dims + d];
-                    out += 1;
-                }
-            }
-            v0 += lanes;
-        }
-        Self {
-            n_vectors,
-            n_dims,
-            group_size,
-            data,
         }
     }
 
@@ -153,7 +149,7 @@ impl PdxBlock {
     ///
     /// # Panics
     /// Panics if `g >= group_count()`.
-    pub fn group(&self, g: usize) -> PdxGroup<'_> {
+    pub fn group(&self, g: usize) -> PdxGroup<'_, E> {
         let start_vector = g * self.group_size;
         assert!(
             start_vector < self.n_vectors || (self.n_vectors == 0 && g == 0),
@@ -169,84 +165,38 @@ impl PdxBlock {
     }
 
     /// Iterator over all groups.
-    pub fn groups(&self) -> impl Iterator<Item = PdxGroup<'_>> {
+    pub fn groups(&self) -> impl Iterator<Item = PdxGroup<'_, E>> {
         (0..self.group_count()).map(|g| self.group(g))
     }
 
-    /// Value of dimension `dim` of vector `vec` (random access; slow path
-    /// for tests/updates, not for kernels).
-    pub fn value(&self, vec: usize, dim: usize) -> f32 {
+    /// Value of storage dimension `dim` of vector `vec` (random access;
+    /// slow path for tests, not for kernels).
+    pub fn value(&self, vec: usize, dim: usize) -> E {
         let (base, lanes, lane) = self.locate(vec);
         self.data[base + dim * lanes + lane]
     }
 
-    /// Overwrites vector `vec` in place (the paper's §3 "updates are
-    /// trivial while data is memory-resident").
-    ///
-    /// # Panics
-    /// Panics if `values.len() != dims()` or `vec` is out of range.
-    pub fn set_vector(&mut self, vec: usize, values: &[f32]) {
-        assert_eq!(values.len(), self.n_dims, "value count must equal dims");
-        let (base, lanes, lane) = self.locate(vec);
-        for (d, v) in values.iter().enumerate() {
-            self.data[base + d * lanes + lane] = *v;
-        }
-    }
-
-    /// Appends one vector to the block (§3: append is the typical vector
-    /// workload besides bulk load).
-    ///
-    /// Full groups are untouched; the partial tail group (if any) is
-    /// re-strided in place to make room for the new lane, so the cost is
-    /// `O(group_size · dims)` worst case, independent of the block size.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != dims()`.
-    pub fn push(&mut self, values: &[f32]) {
-        assert_eq!(values.len(), self.n_dims, "value count must equal dims");
-        let tail_lanes = self.n_vectors % self.group_size;
-        if tail_lanes == 0 {
-            // Start a fresh group: dimension-major with a single lane.
-            self.data.extend_from_slice(values);
-        } else {
-            // Re-stride the tail group from `tail_lanes` to `tail_lanes+1`.
-            let base = (self.n_vectors - tail_lanes) * self.n_dims;
-            let old = self.data.split_off(base);
-            let new_lanes = tail_lanes + 1;
-            self.data.reserve(new_lanes * self.n_dims);
-            for d in 0..self.n_dims {
-                self.data
-                    .extend_from_slice(&old[d * tail_lanes..(d + 1) * tail_lanes]);
-                self.data.push(values[d]);
-            }
-        }
-        self.n_vectors += 1;
-    }
-
-    /// Copies vector `vec` out into row form.
-    pub fn vector(&self, vec: usize) -> Vec<f32> {
+    /// Copies vector `vec` out into row form, in storage order.
+    pub fn vector(&self, vec: usize) -> Vec<E> {
         let (base, lanes, lane) = self.locate(vec);
         (0..self.n_dims)
             .map(|d| self.data[base + d * lanes + lane])
             .collect()
     }
 
-    /// Converts the whole block back to row-major form.
-    pub fn to_rows(&self) -> Vec<f32> {
-        let mut rows = vec![0.0f32; self.n_vectors * self.n_dims];
+    /// Converts the whole block back to row-major form, in storage order.
+    pub fn to_rows(&self) -> Vec<E> {
+        let mut rows = Vec::with_capacity(self.n_vectors * self.n_dims);
         for g in self.groups() {
             for l in 0..g.lanes {
-                let v = g.start_vector + l;
-                for d in 0..self.n_dims {
-                    rows[v * self.n_dims + d] = g.data[d * g.lanes + l];
-                }
+                rows.extend((0..self.n_dims).map(|d| g.data[d * g.lanes + l]));
             }
         }
         rows
     }
 
     /// Raw dimension-major buffer (group-by-group).
-    pub fn as_slice(&self) -> &[f32] {
+    pub fn as_slice(&self) -> &[E] {
         &self.data
     }
 
@@ -309,16 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn set_vector_updates_in_place() {
-        let r = rows(6, 3);
-        let mut b = PdxBlock::from_rows(&r, 6, 3, 4);
-        b.set_vector(5, &[9.0, 8.0, 7.0]);
-        assert_eq!(b.vector(5), vec![9.0, 8.0, 7.0]);
-        // Others untouched.
-        assert_eq!(b.vector(0), vec![0.0, 1.0, 2.0]);
-    }
-
-    #[test]
     fn from_row_ids_gathers() {
         let r = rows(5, 2);
         let b = PdxBlock::from_row_ids(&r, 2, &[4, 0, 2], 2);
@@ -339,45 +279,10 @@ mod tests {
 
     #[test]
     fn empty_block() {
-        let b = PdxBlock::from_rows(&[], 0, 4, 64);
+        let b = PdxBlock::<f32>::from_rows(&[], 0, 4, 64);
         assert!(b.is_empty());
         assert_eq!(b.group_count(), 0);
         assert_eq!(b.to_rows(), Vec::<f32>::new());
-    }
-
-    #[test]
-    fn push_onto_empty_block() {
-        let mut b = PdxBlock::from_rows(&[], 0, 3, 4);
-        b.push(&[1.0, 2.0, 3.0]);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.vector(0), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn push_grows_partial_group_then_starts_new_one() {
-        let r = rows(4, 2); // group size 4 -> first group exactly full
-        let mut b = PdxBlock::from_rows(&r, 4, 2, 4);
-        b.push(&[100.0, 101.0]); // starts group 1 with 1 lane
-        b.push(&[200.0, 201.0]); // re-strides group 1 to 2 lanes
-        assert_eq!(b.len(), 6);
-        assert_eq!(b.group_count(), 2);
-        assert_eq!(b.group(1).lanes, 2);
-        assert_eq!(b.vector(4), vec![100.0, 101.0]);
-        assert_eq!(b.vector(5), vec![200.0, 201.0]);
-        // Equivalent to building from all rows at once.
-        let mut all = r.clone();
-        all.extend_from_slice(&[100.0, 101.0, 200.0, 201.0]);
-        assert_eq!(b, PdxBlock::from_rows(&all, 6, 2, 4));
-    }
-
-    #[test]
-    fn many_pushes_equal_bulk_load() {
-        let r = rows(23, 5);
-        let mut b = PdxBlock::from_rows(&[], 0, 5, 4);
-        for row in r.chunks_exact(5) {
-            b.push(row);
-        }
-        assert_eq!(b, PdxBlock::from_rows(&r, 23, 5, 4));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! SQ8 scalar quantization and the quantized PDX block layout.
+//! SQ8 scalar quantization of the PDX block layout.
 //!
 //! Scalar quantization (SQ8) maps each `f32` value to one byte, shrinking
 //! the scan-resident data 4× and letting the distance kernels read four
@@ -8,17 +8,14 @@
 //! hoist out of the hot lane loop — no per-element parameter lookups, the
 //! failure mode that makes quantized kernels on horizontal layouts messy.
 //!
-//! Two types live here:
-//!
-//! * [`Sq8Quantizer`] — per-dimension affine codec `value ≈ min_d +
-//!   scale_d · code`, learned from the collection at build time. Each
-//!   dimension uses its own `[min, max]` range, so dimensions with small
-//!   spread (the majority, in power-law-scaled embeddings) keep small
-//!   absolute error instead of inheriting the widest dimension's grid.
-//! * [`QuantizedPdxBlock`] — the dimension-major `u8` twin of
-//!   [`PdxBlock`](crate::layout::PdxBlock): the same vector groups, the
-//!   same `data[s * lanes + lane]` addressing, one byte per value — with
-//!   `s` a *storage position*, not a row dimension (below).
+//! [`Sq8Quantizer`] is a per-dimension affine codec `value ≈ min_d +
+//! scale_d · code`, learned from the collection at build time. Each
+//! dimension uses its own `[min, max]` range, so dimensions with small
+//! spread (the majority, in power-law-scaled embeddings) keep small
+//! absolute error instead of inheriting the widest dimension's grid. Its
+//! codes live in a [`PdxBlock<u8>`]: the same vector groups as the `f32`
+//! block, the same `data[s * lanes + lane]` addressing, one byte per
+//! value — with `s` a *storage position*, not a row dimension (below).
 //!
 //! # The storage order
 //!
@@ -30,10 +27,11 @@
 //! storage positions front to back, visit the dimensions that separate
 //! vectors most first and the SQ8 scan prunes after fewer of them (the
 //! BOND argument), while every step still reads one contiguous row of
-//! codes per group. Nothing else sees the permutation: the codec's
-//! `min` / `scale` / `encode_value` / `decode_value` and a block's
-//! [`code`](QuantizedPdxBlock::code), [`to_code_rows`](QuantizedPdxBlock::to_code_rows)
-//! and [`decode_vector`](QuantizedPdxBlock::decode_vector) all speak row
+//! codes per group. The quantizer holds the only copy of the order, and
+//! nothing outside it sees the permutation: its `min` / `scale` /
+//! `encode_value` / `decode_value` and its block readers
+//! [`code`](Sq8Quantizer::code), [`to_code_rows`](Sq8Quantizer::to_code_rows)
+//! and [`decode_vector`](Sq8Quantizer::decode_vector) all speak row
 //! dimensions. A codec rebuilt with the identity order (a container
 //! written before the order existed) scans exactly as before it.
 //!
@@ -49,7 +47,7 @@
 //! `x.round().clamp(0.0, 255.0) as u8` on every `f32` (±0.0, subnormals,
 //! ±inf and every NaN included — a unit test checks all 2³² inputs). One
 //! private function spells it, and both [`Sq8Quantizer::encode_value`]
-//! and [`QuantizedPdxBlock::from_rows`] call it. It has no `round`
+//! and [`Sq8Quantizer::encode_block`] call it. It has no `round`
 //! call: at the baseline x86-64 target `f32::round` is a libm call per
 //! value (`roundps` needs SSE4.1), and a saturating `as u8` is one
 //! scalar conversion per value even inside a vector loop. Instead the
@@ -61,7 +59,7 @@
 //! no branch.
 
 use crate::distance::Metric;
-use std::sync::Arc;
+use crate::layout::PdxBlock;
 
 /// Number of quantization levels of the 8-bit codec.
 const LEVELS: f32 = 255.0;
@@ -98,9 +96,9 @@ fn code(x: f32) -> u8 {
 pub struct Sq8Quantizer {
     mins: Vec<f32>,
     scales: Vec<f32>,
-    /// Storage position → row dimension (module docs), shared with
-    /// every block encoded under this codec.
-    order: Arc<[u32]>,
+    /// Storage position → row dimension (module docs): the one copy
+    /// every block encoded under this codec is read through.
+    order: Vec<u32>,
 }
 
 impl Sq8Quantizer {
@@ -147,7 +145,7 @@ impl Sq8Quantizer {
         Self {
             mins,
             scales,
-            order: order.into(),
+            order,
         }
     }
 
@@ -262,7 +260,7 @@ impl Sq8Quantizer {
         Self {
             mins,
             scales,
-            order: order.into(),
+            order,
         }
     }
 
@@ -280,6 +278,107 @@ impl Sq8Quantizer {
     /// the learned range: half a quantization step.
     pub fn max_error(&self, d: usize) -> f32 {
         self.scales[d] / 2.0
+    }
+
+    /// Quantizes row-major `f32` data (`n_vectors × dims()`) into a
+    /// group-tiled block of codes in the storage order, one row at a
+    /// time: the row is encoded into a row-sized buffer and each code
+    /// goes straight to its tiled slot, with no block-sized code buffer
+    /// and no transpose pass.
+    ///
+    /// ```
+    /// use pdx_core::layout::Sq8Quantizer;
+    ///
+    /// let rows = [0.0, 4.0, 1.0, 5.0, 2.0, 6.0, 3.0, 7.0f32];
+    /// let quantizer = Sq8Quantizer::fit(&rows, 4, 2);
+    /// let block = quantizer.encode_block(&rows, 4, 64);
+    /// assert_eq!(block.len(), 4);
+    /// // One byte per value: 4× smaller than the f32 block.
+    /// assert_eq!(block.as_slice().len(), 8);
+    /// // Decoding recovers each value to within half a step.
+    /// let v = quantizer.decode_vector(&block, 2);
+    /// assert!((v[0] - 2.0).abs() <= quantizer.scale(0) / 2.0);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if the buffer size disagrees with `n_vectors × dims()` or
+    /// `group_size == 0`.
+    pub fn encode_block(&self, rows: &[f32], n_vectors: usize, group_size: usize) -> PdxBlock<u8> {
+        let n_dims = self.dims();
+        assert!(group_size > 0, "group size must be positive");
+        assert_eq!(
+            rows.len(),
+            n_vectors * n_dims,
+            "row buffer does not match dimensions"
+        );
+        // The encode runs in row order over slices in step, which
+        // vectorizes; gathering the `f32` row into storage order first
+        // measured slower than gathering its codes.
+        let (order, mins, scales) = (&self.order[..], &self.mins[..], &self.scales[..]);
+        let mut row_codes = vec![0u8; n_dims];
+        let mut data = vec![0u8; rows.len()];
+        let span = group_size * n_dims;
+        for (group_rows, tile) in rows.chunks(span).zip(data.chunks_mut(span)) {
+            let lanes = group_rows.len() / n_dims;
+            for (lane, row) in group_rows.chunks_exact(n_dims).enumerate() {
+                for (((c, &v), &lo), &s) in row_codes.iter_mut().zip(row).zip(mins).zip(scales) {
+                    *c = code((v - lo) / s);
+                }
+                for (col, &d) in tile.chunks_exact_mut(lanes).zip(order) {
+                    col[lane] = row_codes[d as usize];
+                }
+            }
+        }
+        PdxBlock::from_tiled(data, n_vectors, n_dims, group_size)
+    }
+
+    /// Code of row dimension `dim` of vector `vec` of a block this codec
+    /// encoded (random access; slow path for tests, not for kernels).
+    ///
+    /// # Panics
+    /// Panics if `vec` or `dim` is out of range.
+    pub fn code(&self, block: &PdxBlock<u8>, vec: usize, dim: usize) -> u8 {
+        let s = self
+            .order
+            .iter()
+            .position(|&d| d as usize == dim)
+            .expect("dimension out of range");
+        block.value(vec, s)
+    }
+
+    /// A block this codec encoded as row-major codes, in row dimension
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if the block's dimensionality is not the codec's.
+    pub fn to_code_rows(&self, block: &PdxBlock<u8>) -> Vec<u8> {
+        assert_eq!(block.dims(), self.dims(), "quantizer dimensionality");
+        let mut rows = vec![0u8; block.len() * self.dims()];
+        for (row, stored) in rows
+            .chunks_exact_mut(self.dims())
+            .zip(block.to_rows().chunks_exact(self.dims()))
+        {
+            for (&d, &c) in self.order.iter().zip(stored) {
+                row[d as usize] = c;
+            }
+        }
+        rows
+    }
+
+    /// Decodes vector `vec` of a block this codec encoded back into
+    /// `f32` row form.
+    ///
+    /// # Panics
+    /// Panics if the block's dimensionality is not the codec's, or `vec`
+    /// is out of range.
+    pub fn decode_vector(&self, block: &PdxBlock<u8>, vec: usize) -> Vec<f32> {
+        assert_eq!(block.dims(), self.dims(), "quantizer dimensionality");
+        let mut row = vec![0.0; self.dims()];
+        for (&d, c) in self.order.iter().zip(block.vector(vec)) {
+            let d = d as usize;
+            row[d] = self.decode_value(d, c);
+        }
+        row
     }
 
     /// Prepares a query for the SQ8 kernels: the query is lifted into
@@ -393,300 +492,6 @@ impl Sq8Query {
     }
 }
 
-/// A block of SQ8-quantized vectors in the PDX layout: the `u8` twin of
-/// [`PdxBlock`](crate::layout::PdxBlock), with identical group tiling,
-/// its dimensions in the codec's storage order (module docs).
-///
-/// ```
-/// use pdx_core::layout::{QuantizedPdxBlock, Sq8Quantizer};
-///
-/// let rows = [0.0, 4.0, 1.0, 5.0, 2.0, 6.0, 3.0, 7.0f32];
-/// let quantizer = Sq8Quantizer::fit(&rows, 4, 2);
-/// let block = QuantizedPdxBlock::from_rows(&rows, 4, 2, 64, &quantizer);
-/// assert_eq!(block.len(), 4);
-/// // One byte per value: 4× smaller than the f32 block.
-/// assert_eq!(block.resident_bytes(), 8);
-/// // Decoding recovers each value to within half a step.
-/// let v = block.decode_vector(2, &quantizer);
-/// assert!((v[0] - 2.0).abs() <= quantizer.scale(0) / 2.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedPdxBlock {
-    n_vectors: usize,
-    n_dims: usize,
-    group_size: usize,
-    /// Storage position → row dimension.
-    order: Arc<[u32]>,
-    data: Vec<u8>,
-}
-
-/// Borrowed view of one vector group inside a [`QuantizedPdxBlock`].
-#[derive(Debug, Clone, Copy)]
-pub struct QuantizedPdxGroup<'a> {
-    /// Dimension-major codes: `data[s * lanes + lane]`, `s` a storage
-    /// position (the codec's `order[s]` is its row dimension).
-    pub data: &'a [u8],
-    /// Number of vectors (lanes) in this group (= stride between dims).
-    pub lanes: usize,
-    /// Block-level index of this group's first vector.
-    pub start_vector: usize,
-}
-
-impl QuantizedPdxBlock {
-    /// Quantizes row-major `f32` data (`n_vectors × n_dims`) into a
-    /// group-tiled `u8` block in the codec's storage order, one row at
-    /// a time: the row is encoded into a row-sized buffer and each code
-    /// goes straight to its tiled slot, with no block-sized code buffer
-    /// and no transpose pass.
-    ///
-    /// # Panics
-    /// Panics if the buffer size disagrees with the dimensions, the
-    /// quantizer was fit on a different dimensionality, or
-    /// `group_size == 0`.
-    pub fn from_rows(
-        rows: &[f32],
-        n_vectors: usize,
-        n_dims: usize,
-        group_size: usize,
-        quantizer: &Sq8Quantizer,
-    ) -> Self {
-        assert!(group_size > 0, "group size must be positive");
-        assert_eq!(
-            rows.len(),
-            n_vectors * n_dims,
-            "row buffer does not match dimensions"
-        );
-        assert_eq!(quantizer.dims(), n_dims, "quantizer dimensionality");
-        // The encode runs in row order over slices in step, which
-        // vectorizes; gathering the `f32` row into storage order first
-        // measured slower than gathering its codes.
-        let order = quantizer.order();
-        let (mins, scales) = (quantizer.mins(), quantizer.scales());
-        let mut row_codes = vec![0u8; n_dims];
-        let mut data = vec![0u8; rows.len()];
-        let span = group_size * n_dims;
-        for (group_rows, tile) in rows.chunks(span).zip(data.chunks_mut(span)) {
-            let lanes = group_rows.len() / n_dims;
-            for (lane, row) in group_rows.chunks_exact(n_dims).enumerate() {
-                for (((c, &v), &lo), &s) in row_codes.iter_mut().zip(row).zip(mins).zip(scales) {
-                    *c = code((v - lo) / s);
-                }
-                for (col, &d) in tile.chunks_exact_mut(lanes).zip(order) {
-                    col[lane] = row_codes[d as usize];
-                }
-            }
-        }
-        Self::from_tiled(data, n_vectors, group_size, quantizer)
-    }
-
-    /// Builds a block by gathering (and quantizing) the given row indices
-    /// out of a row-major collection — the IVF bucket construction path.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range or `group_size == 0`.
-    pub fn from_row_ids(
-        all_rows: &[f32],
-        n_dims: usize,
-        ids: &[u32],
-        group_size: usize,
-        quantizer: &Sq8Quantizer,
-    ) -> Self {
-        assert_eq!(quantizer.dims(), n_dims, "quantizer dimensionality");
-        let mut rows = Vec::with_capacity(ids.len() * n_dims);
-        for &v in ids {
-            rows.extend_from_slice(&all_rows[v as usize * n_dims..(v as usize + 1) * n_dims]);
-        }
-        Self::from_rows(&rows, ids.len(), n_dims, group_size, quantizer)
-    }
-
-    /// Tiles row-major codes (`n_vectors × n_dims`) into PDX groups, in
-    /// the identity storage order.
-    ///
-    /// # Panics
-    /// Panics if the buffer size disagrees or `group_size == 0`.
-    pub fn from_code_rows(
-        codes: &[u8],
-        n_vectors: usize,
-        n_dims: usize,
-        group_size: usize,
-    ) -> Self {
-        assert!(group_size > 0, "group size must be positive");
-        assert_eq!(
-            codes.len(),
-            n_vectors * n_dims,
-            "code buffer does not match dimensions"
-        );
-        let mut data = vec![0u8; n_vectors * n_dims];
-        let mut out = 0usize;
-        let mut v0 = 0usize;
-        while v0 < n_vectors {
-            let lanes = group_size.min(n_vectors - v0);
-            for d in 0..n_dims {
-                for l in 0..lanes {
-                    data[out] = codes[(v0 + l) * n_dims + d];
-                    out += 1;
-                }
-            }
-            v0 += lanes;
-        }
-        Self {
-            n_vectors,
-            n_dims,
-            group_size,
-            order: (0..n_dims as u32).collect(),
-            data,
-        }
-    }
-
-    /// Rebuilds a block of `quantizer`'s codes from an already
-    /// group-tiled buffer in its storage order (the persistence read
-    /// path — [`QuantizedPdxBlock::as_slice`] is the matching write
-    /// side). Unlike `f32` blocks there is no numeric invariant to
-    /// re-validate: any byte is a valid code, so only the buffer
-    /// geometry is checked.
-    ///
-    /// # Panics
-    /// Panics if the buffer size disagrees or `group_size == 0`.
-    pub fn from_tiled(
-        tiled: Vec<u8>,
-        n_vectors: usize,
-        group_size: usize,
-        quantizer: &Sq8Quantizer,
-    ) -> Self {
-        let n_dims = quantizer.dims();
-        assert!(group_size > 0, "group size must be positive");
-        assert_eq!(
-            tiled.len(),
-            n_vectors * n_dims,
-            "code buffer does not match dimensions"
-        );
-        Self {
-            n_vectors,
-            n_dims,
-            group_size,
-            order: Arc::clone(&quantizer.order),
-            data: tiled,
-        }
-    }
-
-    /// Number of vectors in the block.
-    pub fn len(&self) -> usize {
-        self.n_vectors
-    }
-
-    /// Whether the block holds no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.n_vectors == 0
-    }
-
-    /// Dimensionality of the stored vectors.
-    pub fn dims(&self) -> usize {
-        self.n_dims
-    }
-
-    /// Configured maximum lanes per group.
-    pub fn group_size(&self) -> usize {
-        self.group_size
-    }
-
-    /// Number of vector groups (the last may be partial).
-    pub fn group_count(&self) -> usize {
-        self.n_vectors.div_ceil(self.group_size)
-    }
-
-    /// Bytes of scan-resident code data (exactly `len() · dims()`; the
-    /// f32 twin holds 4× as much).
-    pub fn resident_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Borrowed view of group `g`.
-    ///
-    /// # Panics
-    /// Panics if `g >= group_count()`.
-    pub fn group(&self, g: usize) -> QuantizedPdxGroup<'_> {
-        let start_vector = g * self.group_size;
-        assert!(
-            start_vector < self.n_vectors || (self.n_vectors == 0 && g == 0),
-            "group out of range"
-        );
-        let lanes = self.group_size.min(self.n_vectors - start_vector);
-        let base = start_vector * self.n_dims;
-        QuantizedPdxGroup {
-            data: &self.data[base..base + lanes * self.n_dims],
-            lanes,
-            start_vector,
-        }
-    }
-
-    /// Iterator over all groups.
-    pub fn groups(&self) -> impl Iterator<Item = QuantizedPdxGroup<'_>> {
-        (0..self.group_count()).map(|g| self.group(g))
-    }
-
-    /// Code of row dimension `dim` of vector `vec` (random access; slow
-    /// path for tests and rerank-free decoding, not for kernels).
-    ///
-    /// # Panics
-    /// Panics if `vec` or `dim` is out of range.
-    pub fn code(&self, vec: usize, dim: usize) -> u8 {
-        let (base, lanes, lane) = self.locate(vec);
-        let s = self
-            .order
-            .iter()
-            .position(|&d| d as usize == dim)
-            .expect("dimension out of range");
-        self.data[base + s * lanes + lane]
-    }
-
-    /// Converts the whole block back to row-major codes, in row
-    /// dimension order.
-    pub fn to_code_rows(&self) -> Vec<u8> {
-        let mut rows = vec![0u8; self.n_vectors * self.n_dims];
-        for g in self.groups() {
-            for l in 0..g.lanes {
-                let row = &mut rows[(g.start_vector + l) * self.n_dims..][..self.n_dims];
-                for (s, &d) in self.order.iter().enumerate() {
-                    row[d as usize] = g.data[s * g.lanes + l];
-                }
-            }
-        }
-        rows
-    }
-
-    /// Decodes vector `vec` back into `f32` row form.
-    ///
-    /// # Panics
-    /// Panics if the block was not encoded under `quantizer`'s
-    /// dimensionality and storage order, or `vec` is out of range.
-    pub fn decode_vector(&self, vec: usize, quantizer: &Sq8Quantizer) -> Vec<f32> {
-        assert_eq!(quantizer.dims(), self.n_dims, "quantizer dimensionality");
-        assert_eq!(
-            quantizer.order(),
-            &self.order[..],
-            "quantizer storage order"
-        );
-        let (base, lanes, lane) = self.locate(vec);
-        let mut row = vec![0.0; self.n_dims];
-        for (s, &d) in self.order.iter().enumerate() {
-            let d = d as usize;
-            row[d] = quantizer.decode_value(d, self.data[base + s * lanes + lane]);
-        }
-        row
-    }
-
-    /// Raw dimension-major code buffer (group-by-group, storage order).
-    pub fn as_slice(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// `(group_base_offset, group_lanes, lane_within_group)` of a vector.
-    fn locate(&self, vec: usize) -> (usize, usize, usize) {
-        assert!(vec < self.n_vectors, "vector index out of range");
-        super::locate(self.n_vectors, self.group_size, self.n_dims, vec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,13 +602,13 @@ mod tests {
         let r = spread_rows(n);
         let q = Sq8Quantizer::fit(&r, n, d);
         assert_ne!(q.order(), &[0, 1, 2, 3, 4]);
-        let b = QuantizedPdxBlock::from_rows(&r, n, d, 16, &q);
+        let b = q.encode_block(&r, n, 16);
         let codes: Vec<u8> = (0..n * d).map(|i| q.encode_value(i % d, r[i])).collect();
-        assert_eq!(b.to_code_rows(), codes);
+        assert_eq!(q.to_code_rows(&b), codes);
         for v in 0..n {
-            let back = b.decode_vector(v, &q);
+            let back = q.decode_vector(&b, v);
             for dim in 0..d {
-                assert_eq!(b.code(v, dim), codes[v * d + dim]);
+                assert_eq!(q.code(&b, v, dim), codes[v * d + dim]);
                 assert_eq!(back[dim], q.decode_value(dim, codes[v * d + dim]));
             }
         }
@@ -818,7 +623,7 @@ mod tests {
             assert_eq!(prepared.qcode[s], (r[dim] - q.min(dim)) / q.scale(dim));
             assert_eq!(prepared.weight[s], q.scale(dim) * q.scale(dim));
         }
-        let tiled = QuantizedPdxBlock::from_tiled(b.as_slice().to_vec(), n, 16, &q);
+        let tiled = PdxBlock::from_tiled(b.as_slice().to_vec(), n, d, 16);
         assert_eq!(tiled, b);
     }
 
@@ -832,40 +637,47 @@ mod tests {
     fn block_layout_is_dimension_major_within_group() {
         // 2 vectors, 2 dims: codes must tile as d0(v0 v1) d1(v0 v1).
         let codes = [1u8, 2, 3, 4];
-        let b = QuantizedPdxBlock::from_code_rows(&codes, 2, 2, 64);
+        let b = PdxBlock::<u8>::from_rows(&codes, 2, 2, 64);
         assert_eq!(b.as_slice(), &[1, 3, 2, 4]);
     }
 
     #[test]
     fn code_rows_round_trip_with_partial_tail_group() {
         let codes: Vec<u8> = (0..50u8).collect();
-        let b = QuantizedPdxBlock::from_code_rows(&codes, 10, 5, 4);
+        let b = PdxBlock::<u8>::from_rows(&codes, 10, 5, 4);
         assert_eq!(b.group_count(), 3);
         assert_eq!(b.group(2).lanes, 2);
-        assert_eq!(b.to_code_rows(), codes);
+        assert_eq!(b.to_rows(), codes);
     }
 
     #[test]
     fn quantized_block_matches_scalar_codec() {
         let r = rows(23, 6);
         let q = Sq8Quantizer::fit(&r, 23, 6);
-        let b = QuantizedPdxBlock::from_rows(&r, 23, 6, 8, &q);
+        let b = q.encode_block(&r, 23, 8);
         for v in 0..23 {
             for d in 0..6 {
-                assert_eq!(b.code(v, d), q.encode_value(d, r[v * 6 + d]));
+                assert_eq!(q.code(&b, v, d), q.encode_value(d, r[v * 6 + d]));
             }
         }
     }
 
     #[test]
     fn from_row_ids_gathers_and_quantizes() {
+        // The IVF bucket path: the bucket's rows gathered by id, then
+        // encoded.
         let r = rows(9, 4);
         let q = Sq8Quantizer::fit(&r, 9, 4);
-        let b = QuantizedPdxBlock::from_row_ids(&r, 4, &[8, 0, 3], 2, &q);
+        let gathered: Vec<f32> = [8, 0, 3]
+            .iter()
+            .flat_map(|&v| &r[v * 4..][..4])
+            .copied()
+            .collect();
+        let b = q.encode_block(&gathered, 3, 2);
         assert_eq!(b.len(), 3);
         for d in 0..4 {
-            assert_eq!(b.code(0, d), q.encode_value(d, r[8 * 4 + d]));
-            assert_eq!(b.code(1, d), q.encode_value(d, r[d]));
+            assert_eq!(q.code(&b, 0, d), q.encode_value(d, r[8 * 4 + d]));
+            assert_eq!(q.code(&b, 1, d), q.encode_value(d, r[d]));
         }
     }
 
@@ -873,9 +685,9 @@ mod tests {
     fn decode_vector_is_close_to_original() {
         let r = rows(40, 5);
         let q = Sq8Quantizer::fit(&r, 40, 5);
-        let b = QuantizedPdxBlock::from_rows(&r, 40, 5, 16, &q);
+        let b = q.encode_block(&r, 40, 16);
         for v in [0usize, 17, 39] {
-            let back = b.decode_vector(v, &q);
+            let back = q.decode_vector(&b, v);
             for d in 0..5 {
                 assert!((back[d] - r[v * 5 + d]).abs() <= q.max_error(d) * (1.0 + 1e-3));
             }
@@ -886,22 +698,22 @@ mod tests {
     fn resident_bytes_are_one_per_value() {
         let r = rows(30, 8);
         let q = Sq8Quantizer::fit(&r, 30, 8);
-        let b = QuantizedPdxBlock::from_rows(&r, 30, 8, 64, &q);
-        assert_eq!(b.resident_bytes(), 30 * 8);
+        let b = q.encode_block(&r, 30, 64);
+        assert_eq!(std::mem::size_of_val(b.as_slice()), 30 * 8);
     }
 
     #[test]
     fn empty_block() {
         let q = Sq8Quantizer::fit(&[], 0, 3);
-        let b = QuantizedPdxBlock::from_rows(&[], 0, 3, 64, &q);
+        let b = q.encode_block(&[], 0, 64);
         assert!(b.is_empty());
         assert_eq!(b.group_count(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "code buffer")]
+    #[should_panic(expected = "row buffer")]
     fn mismatched_buffer_panics() {
-        let _ = QuantizedPdxBlock::from_code_rows(&[1, 2], 2, 2, 64);
+        let _ = PdxBlock::<u8>::from_rows(&[1, 2], 2, 2, 64);
     }
 
     /// The SQ8 code as first written, kept as the oracle: `round` (half
@@ -927,7 +739,7 @@ mod tests {
                 reference_code((v - q.min(dim)) / q.scale(dim))
             })
             .collect();
-        QuantizedPdxBlock::from_code_rows(&codes, n, d, group)
+        PdxBlock::<u8>::from_rows(&codes, n, d, group)
             .as_slice()
             .to_vec()
     }
@@ -1065,7 +877,7 @@ mod tests {
                 let fitted = Sq8Quantizer::fit(&rows, n, d);
                 for group in [1usize, 16, 64] {
                     for q in [&dyadic, &fitted] {
-                        let got = QuantizedPdxBlock::from_rows(&rows, n, d, group, q);
+                        let got = q.encode_block(&rows, n, group);
                         let want = reference_block(&rows, n, d, group, q);
                         assert_eq!(got.as_slice(), want, "n {n} d {d} group {group}");
                     }

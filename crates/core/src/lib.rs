@@ -48,9 +48,9 @@
 //!   worker pool ([`exec::ThreadPool`]) and batch query sharding
 //!   ([`exec::BatchSearcher`]), whose results are bit-identical to the
 //!   sequential path at any thread count.
-//! * [`layout::QuantizedPdxBlock`] + [`kernels::sq8`] +
+//! * [`layout::Sq8Quantizer`] + [`kernels::sq8`] +
 //!   [`search::quantized`] — the **SQ8** path: scalar-quantized `u8`
-//!   blocks in the same dimension-major layout, integer-friendly
+//!   blocks in the same dimension-major layout (`PdxBlock<u8>`), integer-friendly
 //!   kernels, and a two-phase search (quantized PDXearch scan → exact
 //!   `f32` rerank) that trades 4× less scan-resident memory for a small,
 //!   rerank-recoverable accuracy loss.
@@ -104,7 +104,7 @@ pub use engine::{PrunerKind, SearchOptions, VectorIndex};
 pub use exec::{BatchSearcher, ThreadPool};
 pub use heap::{KnnHeap, Neighbor};
 pub use kernels::{active_kernel_isa, detected_isa, KernelIsa, KernelPolicy};
-pub use layout::{DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer};
+pub use layout::{DualBlockMatrix, NaryMatrix, PdxBlock, Sq8Quantizer};
 pub use mask::RowMask;
 pub use obs::{publish_trace, TRACE_ENV};
 pub use pdx_obs::QueryTrace;

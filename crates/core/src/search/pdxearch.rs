@@ -535,7 +535,7 @@ mod tests {
     use crate::collection::PdxCollection;
     use crate::distance::{distance_scalar, Metric};
     use crate::kernels::lanes::Lane;
-    use crate::kernels::{pdx_accumulate, sq8_scan};
+    use crate::kernels::sq8_scan;
     use crate::layout::Sq8Quantizer;
     use crate::pruning::{StepPolicy, DEFAULT_SELECTION_FRACTION};
     use crate::search::quantized::{Sq8Block, Sq8Bound};
@@ -769,13 +769,14 @@ mod tests {
         let mut heap = KnnHeap::new(k);
         for block in blocks {
             let perm = bond.dim_order(&prepared, Some(&block.stats));
-            for g in block.pdx.groups() {
+            for (i, g) in block.pdx.groups().enumerate() {
                 let mut acc = vec![0.0f32; g.lanes];
                 let sel = match &perm {
                     None => DimSel::Range(0..q.len()),
                     Some(p) => DimSel::Ids(p),
                 };
-                pdx_accumulate(bond.metric(), &g, q, sel, &mut acc, KernelPolicy::Scalar);
+                let (metric, scalar) = (bond.metric(), KernelPolicy::Scalar);
+                pdx_accumulate_groups(metric, &block.pdx, i..i + 1, q, sel, &mut acc, scalar);
                 for (l, &d) in acc.iter().enumerate() {
                     heap.push(block.row_ids[g.start_vector + l], d);
                 }

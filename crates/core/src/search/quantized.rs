@@ -25,7 +25,7 @@ use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
 use crate::kernels::pdx::DimSel;
 use crate::kernels::sq8::{sq8_accumulate_groups, sq8_accumulate_survivors};
-use crate::layout::{QuantizedPdxBlock, Sq8Quantizer, Sq8Query};
+use crate::layout::{PdxBlock, Sq8Quantizer, Sq8Query};
 use crate::pruning::Pruner;
 use crate::search::pdxearch::{pdxearch, ScanBlock};
 use pdx_obs::QueryTrace;
@@ -41,7 +41,7 @@ pub const DEFAULT_REFINE: usize = 4;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sq8Block {
     /// The codes, dimension-major in groups.
-    pub codes: QuantizedPdxBlock,
+    pub codes: PdxBlock<u8>,
     /// Global id of each vector (block order).
     pub row_ids: Vec<u64>,
 }
@@ -59,7 +59,8 @@ impl Sq8Block {
         group_size: usize,
         quantizer: &Sq8Quantizer,
     ) -> Self {
-        let codes = QuantizedPdxBlock::from_rows(rows, ids.len(), n_dims, group_size, quantizer);
+        assert_eq!(quantizer.dims(), n_dims, "quantizer dimensionality");
+        let codes = quantizer.encode_block(rows, ids.len(), group_size);
         Self {
             codes,
             row_ids: ids,

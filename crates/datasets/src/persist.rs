@@ -102,7 +102,7 @@ use pdx_core::codec::{
     invalid, put_slice, put_u32, put_u64, read_vec, write_slice, Source, Stream,
 };
 use pdx_core::collection::{PdxCollection, SearchBlock};
-use pdx_core::layout::{PdxBlock, QuantizedPdxBlock, Sq8Quantizer};
+use pdx_core::layout::{PdxBlock, Sq8Quantizer};
 use pdx_core::search::quantized::Sq8Block;
 use pdx_core::stats::BlockStats;
 use std::io::{self, Read, Write};
@@ -335,7 +335,7 @@ impl Record for Sq8Block {
         let n_values = record_values(n, h.dims)?;
         let row_ids = read_vec(src, n, "n_vectors (row ids)")?;
         let tiled = read_vec(src, n_values, "n_vectors (block codes)")?;
-        let codes = QuantizedPdxBlock::from_tiled(tiled, n, h.group, quantizer);
+        let codes = PdxBlock::from_tiled(tiled, n, quantizer.dims(), h.group);
         Ok(Sq8Block { codes, row_ids })
     }
 

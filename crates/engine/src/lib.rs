@@ -480,6 +480,20 @@ mod tests {
         let got = served.search(&q, &opts); // nprobe = 0 → all buckets
         assert_eq!(got[0].id, exact[0].id);
         assert_eq!(served.len(), n);
+
+        // k = 0 asks both adapters for nothing, alone or in a batch.
+        let flat = PrunedFlat::new(FlatPdx::new(&rotated, n, d, 128, 16), AdSampling::fit(d, 3));
+        let none = SearchOptions::new(0);
+        for served in [&flat as &dyn VectorIndex, &*served] {
+            assert_eq!(served.search(&q, &none), vec![], "{}", served.kind());
+            let empty = vec![Vec::<Neighbor>::new(); 3];
+            assert_eq!(
+                served.search_batch(&queries, &none),
+                empty,
+                "{}",
+                served.kind()
+            );
+        }
     }
 
     #[test]

@@ -235,7 +235,8 @@ pub trait Deployment: VectorIndex {
 /// other, each over its own probe list (an approximate pruner's answer
 /// depends on the order its blocks are visited in); the queries of an
 /// unrouted deployment share one tile-major scan of its blocks.
-/// `tracing` is the trace of the whole call.
+/// `tracing` is the trace of the whole call. At `k == 0` every query's
+/// answer is empty, and no block is routed to, pinned or scanned.
 fn serve<D, P>(
     dep: &D,
     pruner: &P,
@@ -249,6 +250,10 @@ where
     P: Pruner,
     D::Block: ScanBlock<P>,
 {
+    if opts.k == 0 {
+        tracing.publish(dep.kind());
+        return vec![Vec::new(); band.len()];
+    }
     let metric = pruner.metric();
     let cache_before = tracing.trace().and_then(|_| dep.cache_stats());
     let orders = dep.centroids().map(|centroids| {
@@ -616,11 +621,23 @@ mod tests {
         ];
         let exact = FlatPdx::new(&rows, n, d, n, 16).linear_search(&q, 1, Metric::L2);
         let opts = SearchOptions::new(3);
+        // k = 0 asks for nothing, traced or not, alone or in a batch.
+        let (none, batch) = (SearchOptions::new(0), random_rows(3, d, 9));
         for dep in &deployments {
             let got = dep.search(&q, &opts);
             assert_eq!(got.len(), 3, "{}", dep.kind());
             assert_eq!(got[0].id, exact[0].id, "{} top-1", dep.kind());
             assert_eq!(dep.len(), n, "{}", dep.kind());
+            for none in [none, none.with_trace(true)] {
+                assert_eq!(dep.search(&q, &none), vec![], "{} k = 0", dep.kind());
+                let empty = vec![Vec::<Neighbor>::new(); 3];
+                assert_eq!(
+                    dep.search_batch(&batch, &none),
+                    empty,
+                    "{} k = 0",
+                    dep.kind()
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -153,7 +153,7 @@ impl FlatSq8 {
 
     /// Bytes of scan-resident code data (the `f32` twin holds 4× this).
     pub fn resident_block_bytes(&self) -> usize {
-        self.blocks.iter().map(|b| b.codes.resident_bytes()).sum()
+        self.blocks.iter().map(|b| b.codes.as_slice().len()).sum()
     }
 }
 
@@ -222,7 +222,7 @@ impl IvfSq8 {
 
     /// Bytes of scan-resident bucket code data.
     pub fn resident_block_bytes(&self) -> usize {
-        self.blocks.iter().map(|b| b.codes.resident_bytes()).sum()
+        self.blocks.iter().map(|b| b.codes.as_slice().len()).sum()
     }
 }
 

@@ -172,12 +172,10 @@ pub mod prelude {
     };
     pub use pdx_core::heap::{KnnHeap, Neighbor};
     pub use pdx_core::kernels::{
-        active_kernel_isa, detected_isa, nary_distance, pdx_scan, pdx_scan_policy,
-        sq8_distance_scalar, sq8_scan, sq8_scan_policy, KernelIsa, KernelPolicy, KernelVariant,
+        active_kernel_isa, detected_isa, nary_distance, pdx_scan, sq8_distance_scalar, sq8_scan,
+        KernelIsa, KernelPolicy, KernelVariant,
     };
-    pub use pdx_core::layout::{
-        DualBlockMatrix, NaryMatrix, PdxBlock, QuantizedPdxBlock, Sq8Quantizer, Sq8Query,
-    };
+    pub use pdx_core::layout::{DualBlockMatrix, NaryMatrix, PdxBlock, Sq8Quantizer, Sq8Query};
     pub use pdx_core::mask::RowMask;
     pub use pdx_core::pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
     pub use pdx_core::search::{

@@ -100,8 +100,9 @@ fn dual_block_layout_is_faithful() {
     );
 }
 
-/// Updating a vector in place (the §3 update story) immediately affects
-/// search results.
+/// Updating a vector in place (the §3 update story: rewrite its row,
+/// re-tile the one block that holds it, so its statistics follow)
+/// immediately affects search results.
 #[test]
 fn in_place_update_is_visible_to_search() {
     let ds = dataset(500, "nytimes", 5);
@@ -109,7 +110,10 @@ fn in_place_update_is_visible_to_search() {
     let mut coll = PdxCollection::from_rows_partitioned(&ds.data, ds.len, d, 250, 64);
     let q = ds.query(0).to_vec();
     // Overwrite vector 123 with the query itself -> it must become the 1-NN.
-    coll.blocks[0].pdx.set_vector(123, &q);
+    let mut rows = coll.blocks[0].pdx.to_rows();
+    rows[123 * d..124 * d].copy_from_slice(&q);
+    let ids = coll.blocks[0].row_ids.clone();
+    coll.blocks[0] = SearchBlock::new(&rows, ids, d, 64);
     let res = linear_scan_pdx(&coll, &q, 1, Metric::L2);
     assert_eq!(res[0].id, 123);
     assert!(res[0].distance.abs() < 1e-3);

@@ -9,9 +9,8 @@
 //! scalar-vs-scalar and stay green.
 
 use pdx::core::kernels::{
-    pdx_accumulate, pdx_accumulate_band, pdx_accumulate_groups, pdx_accumulate_survivors,
-    pdx_scan_policy, sq8_accumulate, sq8_accumulate_groups, sq8_accumulate_survivors,
-    survival_bits, DimSel,
+    pdx_accumulate_band, pdx_accumulate_groups, pdx_accumulate_survivors, sq8_accumulate_groups,
+    sq8_accumulate_survivors, survival_bits, DimSel,
 };
 use pdx::prelude::*;
 use proptest::prelude::*;
@@ -86,6 +85,38 @@ fn to_bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Every distance of `block` to `q` under one policy: the dense kernel
+/// over all its groups and dimensions, which is what `pdx_scan` runs at
+/// `Auto`.
+fn scan(metric: Metric, block: &PdxBlock, q: &[f32], policy: KernelPolicy) -> Vec<f32> {
+    let (mut out, dims) = (vec![0.0f32; block.len()], DimSel::Range(0..block.dims()));
+    pdx_accumulate_groups(
+        metric,
+        block,
+        0..block.group_count(),
+        q,
+        dims,
+        &mut out,
+        policy,
+    );
+    out
+}
+
+/// [`scan`] for a block of SQ8 codes, without the query's bias: the
+/// partial sums `sq8_scan` adds it to.
+fn scan8(q: &Sq8Query, block: &PdxBlock<u8>, policy: KernelPolicy) -> Vec<f32> {
+    let mut out = vec![0.0f32; block.len()];
+    sq8_accumulate_groups(
+        q,
+        block,
+        0..block.group_count(),
+        0..block.dims(),
+        &mut out,
+        policy,
+    );
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -99,11 +130,9 @@ proptest! {
         let block = PdxBlock::from_rows(&data, n, d, group);
         let q: Vec<f32> = data[..d].iter().map(|x| x * 0.5 + 1.0).collect();
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
-            let mut want = vec![0.0f32; n];
-            pdx_scan_policy(metric, &block, &q, &mut want, KernelPolicy::Scalar);
+            let want = scan(metric, &block, &q, KernelPolicy::Scalar);
             for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
-                let mut got = vec![0.0f32; n];
-                pdx_scan_policy(metric, &block, &q, &mut got, policy);
+                let got = scan(metric, &block, &q, policy);
                 let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
                 let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(got_bits, want_bits);
@@ -125,23 +154,29 @@ proptest! {
         let split = d - d / 3;
         let perm = permute(d, salt);
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
-            for g in block.groups() {
+            for (i, g) in block.groups().enumerate() {
+                let one = || i..i + 1;
                 let mut want = vec![1.5f32; g.lanes];
-                pdx_accumulate(metric, &g, &q, DimSel::Range(0..split), &mut want, KernelPolicy::Scalar);
+                pdx_accumulate_groups(
+                    metric, &block, one(), &q, DimSel::Range(0..split), &mut want, KernelPolicy::Scalar,
+                );
                 let mut want_p = vec![0.25f32; g.lanes];
-                pdx_accumulate(
-                    metric, &g, &q, DimSel::Ids(&perm[..split]), &mut want_p, KernelPolicy::Scalar,
+                pdx_accumulate_groups(
+                    metric, &block, one(), &q, DimSel::Ids(&perm[..split]), &mut want_p,
+                    KernelPolicy::Scalar,
                 );
                 for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
                     let mut got = vec![1.5f32; g.lanes];
-                    pdx_accumulate(metric, &g, &q, DimSel::Range(0..split), &mut got, policy);
+                    pdx_accumulate_groups(
+                        metric, &block, one(), &q, DimSel::Range(0..split), &mut got, policy,
+                    );
                     prop_assert_eq!(
                         got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         );
                     let mut got_p = vec![0.25f32; g.lanes];
-                    pdx_accumulate(
-                        metric, &g, &q, DimSel::Ids(&perm[..split]), &mut got_p, policy,
+                    pdx_accumulate_groups(
+                        metric, &block, one(), &q, DimSel::Ids(&perm[..split]), &mut got_p, policy,
                     );
                     prop_assert_eq!(
                         got_p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -206,13 +241,15 @@ proptest! {
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
             let mut dense = vec![2.0f32; n];
             let mut dense_p = vec![2.0f32; n];
-            for g in block.groups() {
-                let lanes = g.start_vector..g.start_vector + g.lanes;
-                pdx_accumulate(
-                    metric, &g, &q, DimSel::Range(lo..d), &mut dense[lanes.clone()], KernelPolicy::Scalar,
+            for (i, g) in block.groups().enumerate() {
+                let (lanes, scalar) = (g.start_vector..g.start_vector + g.lanes, KernelPolicy::Scalar);
+                pdx_accumulate_groups(
+                    metric, &block, i..i + 1, &q, DimSel::Range(lo..d), &mut dense[lanes.clone()],
+                    scalar,
                 );
-                pdx_accumulate(
-                    metric, &g, &q, DimSel::Ids(&perm[lo..]), &mut dense_p[lanes], KernelPolicy::Scalar,
+                pdx_accumulate_groups(
+                    metric, &block, i..i + 1, &q, DimSel::Ids(&perm[lo..]), &mut dense_p[lanes],
+                    scalar,
                 );
             }
             let want: Vec<f32> = pos.iter().map(|&p| dense[p as usize]).collect();
@@ -242,16 +279,17 @@ proptest! {
         salt in 0usize..1000,
     ) {
         let quantizer = Sq8Quantizer::fit(&data, n, d);
-        let block = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
+        let block = quantizer.encode_block(&data, n, group);
         let raw: Vec<f32> = data[..d].iter().map(|x| x * 0.75 - 2.0).collect();
         let lo = d / 4;
         let pos = block_survivors(n, every, salt);
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
             let q = quantizer.prepare_query(metric, &raw);
             let mut dense = vec![3.0f32; n];
-            for g in block.groups() {
+            for (i, g) in block.groups().enumerate() {
                 let lanes = g.start_vector..g.start_vector + g.lanes;
-                sq8_accumulate(&q, &g, lo..d, &mut dense[lanes], KernelPolicy::Scalar);
+                let acc = &mut dense[lanes];
+                sq8_accumulate_groups(&q, &block, i..i + 1, lo..d, acc, KernelPolicy::Scalar);
             }
             let want: Vec<f32> = pos.iter().map(|&p| dense[p as usize]).collect();
             for policy in [KernelPolicy::Scalar, KernelPolicy::Auto, KernelPolicy::Simd] {
@@ -271,34 +309,32 @@ proptest! {
         salt in 0usize..1000,
     ) {
         let quantizer = Sq8Quantizer::fit(&data, n, d);
-        let block = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
+        let block = quantizer.encode_block(&data, n, group);
         let raw: Vec<f32> = data[..d].iter().map(|x| x * 0.75 - 2.0).collect();
         let split = d - d / 3;
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
             let q = quantizer.prepare_query(metric, &raw);
-            let mut want = vec![0.0f32; n];
-            sq8_scan_policy(&q, &block, &mut want, KernelPolicy::Scalar);
+            let want = scan8(&q, &block, KernelPolicy::Scalar);
             for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
-                let mut got = vec![0.0f32; n];
-                sq8_scan_policy(&q, &block, &mut got, policy);
+                let got = scan8(&q, &block, policy);
                 prop_assert_eq!(
                     got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     );
             }
-            for (g, rows) in block.groups().zip(data.chunks(group * d)) {
+            for ((i, g), rows) in block.groups().enumerate().zip(data.chunks(group * d)) {
                 let pos = survivors(g.lanes, salt);
-                let one = QuantizedPdxBlock::from_rows(rows, g.lanes, d, g.lanes, &quantizer);
+                let one = quantizer.encode_block(rows, g.lanes, g.lanes);
                 let tail = split.min(d - 1)..d;
                 let mut want_a = vec![0.5f32; g.lanes];
-                sq8_accumulate(&q, &g, 0..split, &mut want_a, KernelPolicy::Scalar);
+                sq8_accumulate_groups(&q, &block, i..i + 1, 0..split, &mut want_a, KernelPolicy::Scalar);
                 let mut want_s = vec![3.0f32; pos.len()];
                 sq8_accumulate_survivors(
                     &q, &one, tail.clone(), &pos, &mut want_s, KernelPolicy::Scalar,
                 );
                 for policy in [KernelPolicy::Auto, KernelPolicy::Simd] {
                     let mut got_a = vec![0.5f32; g.lanes];
-                    sq8_accumulate(&q, &g, 0..split, &mut got_a, policy);
+                    sq8_accumulate_groups(&q, &block, i..i + 1, 0..split, &mut got_a, policy);
                     prop_assert_eq!(to_bits(&got_a), to_bits(&want_a));
                     let mut got_s = vec![3.0f32; pos.len()];
                     sq8_accumulate_survivors(&q, &one, tail.clone(), &pos, &mut got_s, policy);
@@ -350,7 +386,7 @@ fn survivor_kernels_span_groups_and_the_tail_group() {
     let q: Vec<f32> = (0..d).map(|i| (i as f32 * 0.77).sin() * 3.0).collect();
     let block = PdxBlock::from_rows(&data, n, d, group);
     let quantizer = Sq8Quantizer::fit(&data, n, d);
-    let codes = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
+    let codes = quantizer.encode_block(&data, n, group);
     let perm = permute(d, 5);
     for pos in [
         vec![3u32, 70, 130],
@@ -385,8 +421,7 @@ fn survivor_kernels_span_groups_and_the_tail_group() {
             };
             let want = run(KernelPolicy::Scalar);
             // The scalar oracle itself is the full distance's lanes.
-            let mut full = vec![0.0f32; n];
-            pdx_scan_policy(metric, &block, &q, &mut full, KernelPolicy::Scalar);
+            let full = scan(metric, &block, &q, KernelPolicy::Scalar);
             for (j, &p) in pos.iter().enumerate() {
                 let tol = full[p as usize].abs().max(1.0) * 1e-4;
                 let permuted = f32::from_bits(want[1][j]);
@@ -508,7 +543,7 @@ fn dense_over_a_group_range_equals_the_per_group_calls() {
             .collect();
         let block = PdxBlock::from_rows(&data, n, d, group);
         let quantizer = Sq8Quantizer::fit(&data, n, d);
-        let codes = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
+        let codes = quantizer.encode_block(&data, n, group);
         let raw: Vec<f32> = (0..d).map(|i| (i as f32 * 0.6).cos() * 4.0).collect();
         let perm = permute(d, n);
         let (lo, groups) = (d / 4, block.group_count());
@@ -526,26 +561,15 @@ fn dense_over_a_group_range_equals_the_per_group_calls() {
             for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
                 // The per-group calls, over the whole block.
                 let mut want = [vec![1.5f32; n], vec![1.5f32; n], vec![1.5f32; n]];
-                for (g, g8) in block.groups().zip(codes.groups()) {
+                for (i, g) in block.groups().enumerate() {
                     let lanes = g.start_vector..g.start_vector + g.lanes;
                     let (ranged, permuted) = (DimSel::Range(lo..d), DimSel::Ids(&perm[lo..]));
-                    pdx_accumulate(
-                        metric,
-                        &g,
-                        &raw,
-                        ranged,
-                        &mut want[0][lanes.clone()],
-                        policy,
-                    );
-                    pdx_accumulate(
-                        metric,
-                        &g,
-                        &raw,
-                        permuted,
-                        &mut want[1][lanes.clone()],
-                        policy,
-                    );
-                    sq8_accumulate(&q8, &g8, lo..d, &mut want[2][lanes], policy);
+                    let one = || i..i + 1;
+                    let acc = &mut want[0][lanes.clone()];
+                    pdx_accumulate_groups(metric, &block, one(), &raw, ranged, acc, policy);
+                    let acc = &mut want[1][lanes.clone()];
+                    pdx_accumulate_groups(metric, &block, one(), &raw, permuted, acc, policy);
+                    sq8_accumulate_groups(&q8, &codes, one(), lo..d, &mut want[2][lanes], policy);
                 }
                 for range in &ranges {
                     let lanes = (range.start * group).min(n)..(range.end * group).min(n);
@@ -604,11 +628,8 @@ fn band_routing_equals_single_routes() {
             {
                 let at = format!("{n} centroids of d={d} in groups of {group}, {metric:?}");
                 let centroids = centroid_block(&rows, d, group);
-                let alone = |q: &[f32]| {
-                    let mut out = vec![0.0f32; n];
-                    pdx_scan_policy(metric, &centroids.pdx, q, &mut out, KernelPolicy::Scalar);
-                    to_bits(&out)
-                };
+                let alone =
+                    |q: &[f32]| to_bits(&scan(metric, &centroids.pdx, q, KernelPolicy::Scalar));
                 let want: Vec<Vec<u32>> = queries.iter().map(|q| alone(q)).collect();
                 let single: Vec<Vec<u32>> = queries
                     .iter()
@@ -727,11 +748,11 @@ fn kernel_panic_contracts() {
     let data: Vec<f32> = (0..n * d).map(|i| (i % 17) as f32 - 8.0).collect();
     let block = PdxBlock::from_rows(&data, n, d, group);
     let quantizer = Sq8Quantizer::fit(&data, n, d);
-    let codes = QuantizedPdxBlock::from_rows(&data, n, d, group, &quantizer);
+    let codes = quantizer.encode_block(&data, n, group);
     let q = vec![0.5f32; d];
     let long_q = vec![0.5f32; d + 4];
     let q8 = quantizer.prepare_query(Metric::L2, &q);
-    let (g, g8) = (block.group(0), codes.group(0));
+    let g = block.group(0);
     let lanes = g.lanes;
     let block16 = PdxBlock::from_rows(&data, n, d, 16);
     let flat = FlatPdx::new(&data, n, d, n, group);
@@ -741,29 +762,46 @@ fn kernel_panic_contracts() {
     type Case<'a> = (&'a str, &'a str, Box<dyn Fn(KernelPolicy) + 'a>);
     let cases: Vec<Case<'_>> = vec![
         (
-            "pdx_accumulate: acc.len() != group.lanes",
+            "pdx_accumulate_groups: acc.len() != the lanes of group 0",
             "one accumulator per lane required",
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes - 1];
-                pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..d), &mut acc, p)
+                pdx_accumulate_groups(
+                    Metric::L2,
+                    &block,
+                    0..1,
+                    &q,
+                    DimSel::Range(0..d),
+                    &mut acc,
+                    p,
+                )
             }),
         ),
         (
-            "pdx_accumulate: range past the query",
+            "pdx_accumulate_groups: range past the query",
             "dimension range exceeds query length",
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
-                pdx_accumulate(Metric::L2, &g, &q, DimSel::Range(0..d + 1), &mut acc, p)
+                pdx_accumulate_groups(
+                    Metric::L2,
+                    &block,
+                    0..1,
+                    &q,
+                    DimSel::Range(0..d + 1),
+                    &mut acc,
+                    p,
+                )
             }),
         ),
         (
-            "pdx_accumulate: range past the group",
+            "pdx_accumulate_groups: range past the group",
             "dimension range exceeds group",
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
-                pdx_accumulate(
+                pdx_accumulate_groups(
                     Metric::L1,
-                    &g,
+                    &block,
+                    0..1,
                     &long_q,
                     DimSel::Range(0..d + 1),
                     &mut acc,
@@ -772,23 +810,24 @@ fn kernel_panic_contracts() {
             }),
         ),
         (
-            "pdx_accumulate: Ids entry >= dims",
+            "pdx_accumulate_groups: Ids entry >= dims",
             "dimension id exceeds query length",
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
                 let ids = [0u32, d as u32];
-                pdx_accumulate(Metric::L2, &g, &q, DimSel::Ids(&ids), &mut acc, p)
+                pdx_accumulate_groups(Metric::L2, &block, 0..1, &q, DimSel::Ids(&ids), &mut acc, p)
             }),
         ),
         (
-            "pdx_accumulate: Ids entry past the group",
+            "pdx_accumulate_groups: Ids entry past the group",
             "dimension id exceeds group",
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
                 let ids = [1u32, d as u32 + 2];
-                pdx_accumulate(
+                pdx_accumulate_groups(
                     Metric::NegativeIp,
-                    &g,
+                    &block,
+                    0..1,
                     &long_q,
                     DimSel::Ids(&ids),
                     &mut acc,
@@ -879,19 +918,19 @@ fn kernel_panic_contracts() {
             }),
         ),
         (
-            "sq8_accumulate: acc.len() != group.lanes",
+            "sq8_accumulate_groups: acc.len() != the lanes of group 0",
             "one accumulator per lane required",
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes + 1];
-                sq8_accumulate(&q8, &g8, 0..d, &mut acc, p)
+                sq8_accumulate_groups(&q8, &codes, 0..1, 0..d, &mut acc, p)
             }),
         ),
         (
-            "sq8_accumulate: dims.end > q.dims()",
+            "sq8_accumulate_groups: dims.end > q.dims()",
             "dimension range exceeds query length",
             Box::new(|p| {
                 let mut acc = vec![0.0; lanes];
-                sq8_accumulate(&q8, &g8, 0..d + 1, &mut acc, p)
+                sq8_accumulate_groups(&q8, &codes, 0..1, 0..d + 1, &mut acc, p)
             }),
         ),
         (

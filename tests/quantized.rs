@@ -44,7 +44,7 @@ proptest! {
         qseed in 0u64..1000,
     ) {
         let qz = Sq8Quantizer::fit(&data, n, d);
-        let block = QuantizedPdxBlock::from_rows(&data, n, d, group, &qz);
+        let block = qz.encode_block(&data, n, group);
         // A query inside (and slightly outside) the data's range.
         let query: Vec<f32> = data[..d]
             .iter()
@@ -56,7 +56,7 @@ proptest! {
         sq8_scan(&q, &block, &mut est);
         for v in 0..n {
             let truth = distance_scalar(Metric::L2, &query, &data[v * d..(v + 1) * d]);
-            let vhat = block.decode_vector(v, &qz);
+            let vhat = qz.decode_vector(&block, v);
             // Analytic bound: Σ_d (|q_d − v̂_d| · s_d + s_d²/4).
             let bound: f32 = (0..d)
                 .map(|dim| {
