@@ -909,24 +909,44 @@ fn cmd_stat(args: &Args) -> Result<(), String> {
             ))
         }
     };
-    let kind = stat_describe(args)?;
-    println!("  {}", cache_budget_line(args)?);
-    if metrics {
-        // Register this deployment's search families plus the store
-        // families first, so the dump shows the full schema (zeroed)
-        // even though this process has served no queries.
-        pdx::core::obs::touch(kind);
-        pdx::store::obs::touch();
-        let mut out = pdx::obs::Registry::global().render();
-        pdx::core::obs::render_derived(&mut out);
-        print!("{out}");
-    }
-    Ok(())
+    let budget = cache_budget_line(args)?;
+    stat_describe(args, &|kind| {
+        println!("  {budget}");
+        println!("  {}", payload_line());
+        if metrics {
+            // Register this deployment's search families plus the store
+            // families first, so the dump shows the full schema (zeroed)
+            // even though this process has served no queries.
+            pdx::core::obs::touch(kind);
+            pdx::store::obs::touch();
+            let mut out = pdx::obs::Registry::global().render();
+            pdx::core::obs::render_derived(&mut out);
+            print!("{out}");
+        }
+    })
 }
 
-/// The human-readable `stat` report; returns the index kind so the
-/// `--metrics` dump can register the right per-deployment families.
-fn stat_describe(args: &Args) -> Result<&'static str, String> {
+/// The payload arenas this process holds, the bytes advised onto huge
+/// pages, and (on Linux) the anonymous huge pages the kernel granted.
+fn payload_line() -> String {
+    let (bytes, advised) = pdx::core::obs::payload_bytes();
+    let granted = std::fs::read_to_string("/proc/self/smaps_rollup")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("AnonHugePages:"))?;
+            Some(format!(
+                " | AnonHugePages {}",
+                line["AnonHugePages:".len()..].trim()
+            ))
+        })
+        .unwrap_or_default();
+    format!("payload: {bytes} bytes in arenas | {advised} bytes advised MADV_HUGEPAGE{granted}")
+}
+
+/// The human-readable `stat` report; `tail` runs with the index kind
+/// while the index is still open, so the payload line and the
+/// `--metrics` dump see its arenas.
+fn stat_describe(args: &Args, tail: &dyn Fn(&'static str)) -> Result<(), String> {
     let path = args.path("index")?;
     // Sharded collections first (their directory holds no MANIFEST of
     // its own), then mutable collections, then frozen containers.
@@ -957,7 +977,8 @@ fn stat_describe(args: &Args) -> Result<&'static str, String> {
                 s.segment_count(),
             );
         }
-        return Ok("sharded-collection");
+        tail("sharded-collection");
+        return Ok(());
     }
     if path.is_dir() || path.file_name().and_then(|n| n.to_str()) == Some("MANIFEST") {
         let (dir, coll) = open_collection(args)?;
@@ -991,7 +1012,8 @@ fn stat_describe(args: &Args) -> Result<&'static str, String> {
                 s.seq, s.kind, s.rows, s.dead
             );
         }
-        return Ok("collection");
+        tail("collection");
+        return Ok(());
     }
     let t0 = Instant::now();
     let index = AnyIndex::open_with(&path, open_options(args)?).map_err(|e| e.to_string())?;
@@ -1014,7 +1036,8 @@ fn stat_describe(args: &Args) -> Result<&'static str, String> {
             c.budget_bytes, c.resident_bytes, c.hits, c.misses, c.evictions,
         );
     }
-    Ok(index.kind())
+    tail(index.kind());
+    Ok(())
 }
 
 /// One line naming the resolved block-cache budget and where it came
@@ -1205,7 +1228,13 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
     let gt_file = std::fs::File::open(&gt_path).map_err(|e| e.to_string())?;
     let gt = pdx::datasets::io::read_ivecs(std::io::BufReader::new(gt_file))
         .map_err(|e| e.to_string())?;
-    let k = k.min(gt.dims);
+    if k > gt.dims {
+        return Err(format!(
+            "--gt={}: {} ground-truth columns, fewer than --k={k}",
+            gt_path.display(),
+            gt.dims
+        ));
+    }
     let index = load_index(args)?;
     let opts = search_options(args, k, index.as_ref())?;
     let queries = read_fvecs(&args.path("queries")?)?;
@@ -1387,6 +1416,31 @@ mod tests {
         let err = cmd_evaluate(&Args::parse(&evaluate, EVALUATE_FLAGS).unwrap()).unwrap_err();
         assert!(err.contains("--gt="), "{err}");
         assert!(err.contains("3 ground-truth rows for 5 queries"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn evaluate_rejects_a_k_wider_than_the_ground_truth() {
+        let dir = std::env::temp_dir().join("pdx_cli_narrow_gt");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (n, d) = (40, 4);
+        let rows: Vec<f32> = (0..n * d).map(|i| (i % 13) as f32).collect();
+        let path = |name: &str| dir.join(name).display().to_string();
+        write_fvecs(&dir.join("q.fvecs"), &rows[..3 * d], d).unwrap();
+        let gt = std::fs::File::create(dir.join("gt.ivecs")).unwrap();
+        pdx::datasets::io::write_ivecs(gt, &[0, 1, 2, 3, 4, 5], 2).unwrap();
+        // No index exists: the check must come before any load or search.
+        let evaluate = argv(&[
+            &format!("--index={}", path("missing.pdx")),
+            &format!("--queries={}", path("q.fvecs")),
+            &format!("--gt={}", path("gt.ivecs")),
+            "--k=3",
+        ]);
+        let err = cmd_evaluate(&Args::parse(&evaluate, EVALUATE_FLAGS).unwrap()).unwrap_err();
+        assert!(err.contains("--gt="), "{err}");
+        assert!(err.contains("2 ground-truth columns"), "{err}");
+        assert!(err.contains("--k=3"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

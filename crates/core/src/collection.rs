@@ -4,7 +4,7 @@
 //! A [`SearchBlock`] is the unit PDXearch walks (an IVF bucket or a flat
 //! horizontal partition); a [`PdxCollection`] owns a set of them.
 
-use crate::layout::PdxBlock;
+use crate::layout::{PayloadWriter, PdxBlock};
 use crate::pruning::BlockAux;
 use crate::stats::BlockStats;
 
@@ -23,9 +23,18 @@ pub struct SearchBlock {
 }
 
 impl SearchBlock {
-    /// Builds a block from row-major data with the given global ids.
+    /// Builds a block, in a payload arena of its own, from row-major
+    /// data with the given global ids.
     pub fn new(rows: &[f32], ids: Vec<u64>, n_dims: usize, group_size: usize) -> Self {
-        let pdx = PdxBlock::from_rows(rows, ids.len(), n_dims, group_size);
+        Self::from_pdx(
+            PdxBlock::from_rows(rows, ids.len(), n_dims, group_size),
+            ids,
+        )
+    }
+
+    /// Wraps a PDX block with the global ids of its vectors, deriving
+    /// its statistics.
+    pub fn from_pdx(pdx: PdxBlock, ids: Vec<u64>) -> Self {
         let stats = BlockStats::from_block(&pdx);
         Self {
             pdx,
@@ -60,8 +69,8 @@ pub struct PdxCollection {
 
 impl PdxCollection {
     /// Partitions row-major data into consecutive blocks of at most
-    /// `block_size` vectors (the index-less exact-search layout, §6.5).
-    /// Vector `i` keeps global id `i`.
+    /// `block_size` vectors (the index-less exact-search layout, §6.5),
+    /// all tiled into one payload arena. Vector `i` keeps global id `i`.
     ///
     /// # Panics
     /// Panics if the buffer size disagrees or `block_size == 0`.
@@ -78,19 +87,21 @@ impl PdxCollection {
             n_vectors * n_dims,
             "row buffer does not match dimensions"
         );
-        let mut blocks = Vec::with_capacity(n_vectors.div_ceil(block_size.max(1)));
-        let mut v0 = 0usize;
-        while v0 < n_vectors {
+        let mut payload = PayloadWriter::new(rows.len());
+        for v0 in (0..n_vectors).step_by(block_size) {
             let n = block_size.min(n_vectors - v0);
-            let ids: Vec<u64> = (v0 as u64..(v0 + n) as u64).collect();
-            blocks.push(SearchBlock::new(
-                &rows[v0 * n_dims..(v0 + n) * n_dims],
-                ids,
-                n_dims,
-                group_size,
-            ));
-            v0 += n;
+            payload.tile_rows(&rows[v0 * n_dims..][..n * n_dims], n, n_dims, group_size);
         }
+        let mut v0 = 0u64;
+        let blocks = payload
+            .finish()
+            .into_iter()
+            .map(|pdx| {
+                let n = pdx.len() as u64;
+                v0 += n;
+                SearchBlock::from_pdx(pdx, (v0 - n..v0).collect())
+            })
+            .collect();
         let stats = BlockStats::from_rows(rows, n_vectors, n_dims);
         Self {
             dims: n_dims,
@@ -100,7 +111,8 @@ impl PdxCollection {
     }
 
     /// Builds blocks from an explicit assignment of row ids (IVF bucket
-    /// construction: one inner `Vec` per bucket).
+    /// construction: one inner `Vec` per bucket), all tiled into one
+    /// payload arena.
     pub fn from_assignments(
         rows: &[f32],
         n_dims: usize,
@@ -108,18 +120,16 @@ impl PdxCollection {
         group_size: usize,
     ) -> Self {
         let n_vectors = rows.len() / n_dims.max(1);
-        let blocks = assignments
-            .iter()
-            .map(|ids| {
-                let pdx = PdxBlock::from_row_ids(rows, n_dims, ids, group_size);
-                let stats = BlockStats::from_block(&pdx);
-                SearchBlock {
-                    pdx,
-                    row_ids: ids.iter().map(|&i| i as u64).collect(),
-                    stats,
-                    aux: None,
-                }
-            })
+        let values = assignments.iter().map(|ids| ids.len() * n_dims).sum();
+        let mut payload = PayloadWriter::new(values);
+        for ids in assignments {
+            payload.tile_row_ids(rows, n_dims, ids, group_size);
+        }
+        let blocks = payload
+            .finish()
+            .into_iter()
+            .zip(assignments)
+            .map(|(pdx, ids)| SearchBlock::from_pdx(pdx, ids.iter().map(|&i| i as u64).collect()))
             .collect();
         let stats = BlockStats::from_rows(rows, n_vectors, n_dims);
         Self {

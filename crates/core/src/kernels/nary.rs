@@ -74,9 +74,12 @@ pub fn nary_distance(metric: Metric, variant: KernelVariant, query: &[f32], vect
 /// final value is NaN, which beats nothing). Once the partial cannot
 /// beat `bound` the kernel stops and returns `None`.
 ///
-/// Returns `Some` with exactly `nary_distance`'s bits, or `None` only
-/// when that distance does not beat `bound`. A `Some` may not beat it
-/// either: the caller still compares.
+/// Returns `Some` with exactly `nary_distance`'s bits (or a NaN when
+/// that distance is NaN: Rust fixes neither the sign nor the payload of
+/// a NaN an operation produces, and the two paths may reduce a NaN
+/// through different operations), or `None` only when that distance does
+/// not beat `bound`. A `Some` may not beat it either: the caller still
+/// compares.
 pub fn nary_l2_bounded(query: &[f32], vector: &[f32], bound: f32, ties: bool) -> Option<f32> {
     debug_assert_eq!(query.len(), vector.len());
     let cut = Cutoff { bound, ties };
@@ -558,6 +561,11 @@ mod tests {
                         for ties in [false, true] {
                             let cut = Cutoff { bound, ties };
                             match bounded(&q, &v, cut) {
+                                // A NaN distance promises only a NaN back.
+                                Some(got) if want.is_nan() => assert!(
+                                    got.is_nan(),
+                                    "{name} d={d} bound={bound} ties={ties}: {got} for NaN"
+                                ),
                                 Some(got) => assert_eq!(
                                     got.to_bits(),
                                     want.to_bits(),

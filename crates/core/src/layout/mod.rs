@@ -16,14 +16,19 @@
 //! * [`Sq8Quantizer`] — the per-dimension SQ8 codec: it encodes rows
 //!   into a `PdxBlock<u8>` in its storage order and reads such a block
 //!   back in row dimensions.
+//! * [`PayloadWriter`] / [`Payload`] — the payload memory of PDX blocks:
+//!   one shared arena per deployment, on 2 MiB pages where it is large
+//!   enough (module `payload`).
 
 mod dual;
 mod nary;
+mod payload;
 mod pdx;
 mod quantized;
 
 pub use dual::DualBlockMatrix;
 pub use nary::NaryMatrix;
+pub use payload::{Payload, PayloadWriter, HUGE_PAGE};
 pub use pdx::{PdxBlock, PdxGroup};
 pub use quantized::{Sq8Quantizer, Sq8Query};
 

@@ -23,16 +23,18 @@
 //! `s` is a *storage position*, whose row dimension only its quantizer
 //! knows.
 
+use super::payload::{Payload, PayloadWriter};
 use crate::kernels::lanes::Stored;
 
 /// A block of vectors stored in the PDX layout: `f32` values by default,
-/// SQ8 codes as `PdxBlock<u8>`.
+/// SQ8 codes as `PdxBlock<u8>`. Its values are a range of a shared
+/// payload arena ([`Payload`]): a clone shares them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PdxBlock<E: Stored = f32> {
     n_vectors: usize,
     n_dims: usize,
     group_size: usize,
-    data: Vec<E>,
+    data: Payload<E>,
 }
 
 /// Borrowed view of one vector group inside a [`PdxBlock`].
@@ -47,76 +49,33 @@ pub struct PdxGroup<'a, E = f32> {
 }
 
 impl<E: Stored> PdxBlock<E> {
-    /// Builds a block from row-major vector data (`n_vectors × n_dims`).
+    /// Builds a block, in an arena of its own, from row-major vector
+    /// data (`n_vectors × n_dims`). A deployment's builder tiles all its
+    /// blocks into one arena instead ([`PayloadWriter`]).
     ///
     /// # Panics
     /// Panics if the buffer size disagrees with the dimensions or if
     /// `group_size == 0`.
     pub fn from_rows(rows: &[E], n_vectors: usize, n_dims: usize, group_size: usize) -> Self {
-        assert_eq!(
-            rows.len(),
-            n_vectors * n_dims,
-            "row buffer does not match dimensions"
-        );
-        Self::tile(n_vectors, n_dims, group_size, |v| {
-            &rows[v * n_dims..][..n_dims]
-        })
+        let mut writer = PayloadWriter::new(rows.len());
+        writer.tile_rows(rows, n_vectors, n_dims, group_size);
+        writer.finish().pop().expect("one block")
     }
 
-    /// Builds a block by gathering the given `ids` rows out of a
-    /// row-major collection — the IVF bucket construction path.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range or `group_size == 0`.
-    pub fn from_row_ids(all_rows: &[E], n_dims: usize, ids: &[u32], group_size: usize) -> Self {
-        Self::tile(ids.len(), n_dims, group_size, |v| {
-            &all_rows[ids[v] as usize * n_dims..][..n_dims]
-        })
-    }
-
-    /// The one row → tile loop: vector `v` of the block is `row(v)`.
-    fn tile<'r>(
+    /// A block over a range of an arena [`PayloadWriter::finish`] has
+    /// filled in group-tiled order.
+    pub(super) fn from_payload(
+        data: Payload<E>,
         n_vectors: usize,
         n_dims: usize,
         group_size: usize,
-        row: impl Fn(usize) -> &'r [E],
-    ) -> Self
-    where
-        E: 'r,
-    {
-        assert!(group_size > 0, "group size must be positive");
-        let mut data = Vec::with_capacity(n_vectors * n_dims);
-        let mut group = Vec::with_capacity(group_size.min(n_vectors));
-        for v0 in (0..n_vectors).step_by(group_size) {
-            group.clear();
-            group.extend((v0..n_vectors.min(v0 + group_size)).map(&row));
-            for d in 0..n_dims {
-                data.extend(group.iter().map(|r: &&[E]| r[d]));
-            }
-        }
-        Self::from_tiled(data, n_vectors, n_dims, group_size)
-    }
-
-    /// Rebuilds a block from an already group-tiled buffer (the
-    /// persistence read path and the SQ8 encode —
-    /// [`PdxBlock::as_slice`] is the matching write side). The values are
-    /// stored verbatim, so a block that round-trips through a container
-    /// scans bit-identically to the original.
-    ///
-    /// # Panics
-    /// Panics if the buffer size disagrees or `group_size == 0`.
-    pub fn from_tiled(tiled: Vec<E>, n_vectors: usize, n_dims: usize, group_size: usize) -> Self {
-        assert!(group_size > 0, "group size must be positive");
-        assert_eq!(
-            tiled.len(),
-            n_vectors * n_dims,
-            "tiled buffer does not match dimensions"
-        );
+    ) -> Self {
+        debug_assert_eq!(data.len(), n_vectors * n_dims);
         Self {
             n_vectors,
             n_dims,
             group_size,
-            data: tiled,
+            data,
         }
     }
 
@@ -200,6 +159,11 @@ impl<E: Stored> PdxBlock<E> {
         &self.data
     }
 
+    /// The arena range holding the values.
+    pub fn payload(&self) -> &Payload<E> {
+        &self.data
+    }
+
     /// `(group_base_offset, group_lanes, lane_within_group)` of a vector.
     fn locate(&self, vec: usize) -> (usize, usize, usize) {
         assert!(vec < self.n_vectors, "vector index out of range");
@@ -261,7 +225,9 @@ mod tests {
     #[test]
     fn from_row_ids_gathers() {
         let r = rows(5, 2);
-        let b = PdxBlock::from_row_ids(&r, 2, &[4, 0, 2], 2);
+        let mut w = PayloadWriter::new(6);
+        w.tile_row_ids(&r, 2, &[4, 0, 2], 2);
+        let b = w.finish().pop().unwrap();
         assert_eq!(b.vector(0), vec![8.0, 9.0]);
         assert_eq!(b.vector(1), vec![0.0, 1.0]);
         assert_eq!(b.vector(2), vec![4.0, 5.0]);

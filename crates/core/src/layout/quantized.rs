@@ -59,7 +59,7 @@
 //! no branch.
 
 use crate::distance::Metric;
-use crate::layout::PdxBlock;
+use crate::layout::{PayloadWriter, PdxBlock};
 
 /// Number of quantization levels of the 8-bit codec.
 const LEVELS: f32 = 255.0;
@@ -300,23 +300,42 @@ impl Sq8Quantizer {
     /// assert!((v[0] - 2.0).abs() <= quantizer.scale(0) / 2.0);
     /// ```
     ///
+    /// The block gets a payload arena of its own; a deployment encodes
+    /// all its blocks into one with [`Sq8Quantizer::encode_into`].
+    ///
     /// # Panics
     /// Panics if the buffer size disagrees with `n_vectors × dims()` or
     /// `group_size == 0`.
     pub fn encode_block(&self, rows: &[f32], n_vectors: usize, group_size: usize) -> PdxBlock<u8> {
+        let mut payload = PayloadWriter::new(rows.len());
+        self.encode_into(&mut payload, rows, n_vectors, group_size);
+        payload.finish().pop().expect("one block")
+    }
+
+    /// [`Sq8Quantizer::encode_block`] into the next block of `payload`.
+    ///
+    /// # Panics
+    /// As [`Sq8Quantizer::encode_block`], and if the block does not fit
+    /// what remains of the arena.
+    pub fn encode_into(
+        &self,
+        payload: &mut PayloadWriter<u8>,
+        rows: &[f32],
+        n_vectors: usize,
+        group_size: usize,
+    ) {
         let n_dims = self.dims();
-        assert!(group_size > 0, "group size must be positive");
         assert_eq!(
             rows.len(),
             n_vectors * n_dims,
             "row buffer does not match dimensions"
         );
+        let data = payload.push(n_vectors, n_dims, group_size);
         // The encode runs in row order over slices in step, which
         // vectorizes; gathering the `f32` row into storage order first
         // measured slower than gathering its codes.
         let (order, mins, scales) = (&self.order[..], &self.mins[..], &self.scales[..]);
         let mut row_codes = vec![0u8; n_dims];
-        let mut data = vec![0u8; rows.len()];
         let span = group_size * n_dims;
         for (group_rows, tile) in rows.chunks(span).zip(data.chunks_mut(span)) {
             let lanes = group_rows.len() / n_dims;
@@ -329,7 +348,6 @@ impl Sq8Quantizer {
                 }
             }
         }
-        PdxBlock::from_tiled(data, n_vectors, n_dims, group_size)
     }
 
     /// Code of row dimension `dim` of vector `vec` of a block this codec
@@ -623,8 +641,9 @@ mod tests {
             assert_eq!(prepared.qcode[s], (r[dim] - q.min(dim)) / q.scale(dim));
             assert_eq!(prepared.weight[s], q.scale(dim) * q.scale(dim));
         }
-        let tiled = PdxBlock::from_tiled(b.as_slice().to_vec(), n, d, 16);
-        assert_eq!(tiled, b);
+        let mut payload = PayloadWriter::new(n * d);
+        q.encode_into(&mut payload, &r, n, 16);
+        assert_eq!(payload.finish()[0], b);
     }
 
     #[test]

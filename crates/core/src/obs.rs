@@ -221,13 +221,47 @@ pub(crate) fn cache_metrics() -> &'static CacheMetrics {
     })
 }
 
-/// Pre-registers the search family for `deployment` plus the cache
-/// and derived-ratio families, so a scrape taken before the first
-/// traced query still exposes them (at zero).
+/// Registry handles for the payload arenas of PDX blocks
+/// ([`crate::layout::PayloadWriter`]), process-global.
+pub(crate) struct PayloadMetrics {
+    pub bytes: Arc<Gauge>,
+    pub advised: Arc<Counter>,
+}
+
+pub(crate) fn payload_metrics() -> &'static PayloadMetrics {
+    static METRICS: OnceLock<PayloadMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let r = Registry::global();
+        PayloadMetrics {
+            bytes: r.gauge(
+                "pdx_payload_bytes",
+                "Bytes of live PDX payload arenas.",
+                &[],
+            ),
+            advised: r.counter(
+                "pdx_payload_advised_bytes_total",
+                "Payload arena bytes advised MADV_HUGEPAGE (whole 2 MiB pages).",
+                &[],
+            ),
+        }
+    })
+}
+
+/// `(live arena bytes, bytes ever advised MADV_HUGEPAGE)` of this
+/// process's payload arenas.
+pub fn payload_bytes() -> (u64, u64) {
+    let m = payload_metrics();
+    (m.bytes.get(), m.advised.get())
+}
+
+/// Pre-registers the search family for `deployment` plus the cache,
+/// payload and derived-ratio families, so a scrape taken before the
+/// first traced query still exposes them (at zero).
 pub fn touch(deployment: &'static str) {
     let _ = search_metrics(deployment);
     let _ = dim_totals();
     let _ = cache_metrics();
+    let _ = payload_metrics();
 }
 
 #[cfg(test)]

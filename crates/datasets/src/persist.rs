@@ -89,20 +89,26 @@
 //! ## The allocation rule
 //!
 //! Every count above (`dims`, `n_blocks`, `n_vectors`, `n_rows`, the
-//! bucket table) is untrusted, and none of them sizes an allocation
-//! here: each becomes a buffer only through
-//! [`pdx_core::codec::read_vec`], which checks it against the bytes the
-//! source still has (a file of known length, a bucket's table entry) or,
-//! for a stream, grows the buffer only as bytes arrive; the block list
-//! grows by one per record actually decoded. A header that lies fails
-//! with `InvalidData` naming the field, having reserved at most twice
-//! the bytes really present. No reader reads the file whole.
+//! bucket table) is untrusted. Row ids, statistics, codec parameters
+//! and rerank rows become buffers only through
+//! [`pdx_core::codec::read_vec`], which checks a count against the bytes
+//! the source still has (a file of known length, a bucket's table entry)
+//! or, for a stream, grows the buffer only as bytes arrive. The block
+//! payloads of a container are read straight into one payload arena
+//! ([`PayloadWriter`]) whose capacity is capped by the bytes the source
+//! has left, and a record that would overrun it fails before any of its
+//! payload is read; a stream of unknown length stages each payload
+//! through `read_vec` instead. The block list grows by one per record
+//! actually decoded. A header that lies fails with `InvalidData` naming
+//! the field, having reserved at most twice the bytes really present.
+//! No reader reads the file whole.
 
 use pdx_core::codec::{
-    invalid, put_slice, put_u32, put_u64, read_vec, write_slice, Source, Stream,
+    invalid, put_slice, put_u32, put_u64, read_vec, write_slice, Le, Source, Stream,
 };
 use pdx_core::collection::{PdxCollection, SearchBlock};
-use pdx_core::layout::{PdxBlock, Sq8Quantizer};
+use pdx_core::kernels::lanes::Stored;
+use pdx_core::layout::{PayloadWriter, PdxBlock, Sq8Quantizer};
 use pdx_core::search::quantized::Sq8Block;
 use pdx_core::stats::BlockStats;
 use std::io::{self, Read, Write};
@@ -230,15 +236,25 @@ fn ivf_header_end(flags: Option<u32>, dims: usize, n_buckets: usize) -> Option<u
 /// The block-record codec of one element type: the same record shape
 /// sits in a 1.0 body (after an inline `n_vectors`), in a 1.1 body and
 /// behind a lazy reader's `pread`, and goes through here in all three.
+/// A record is read in two parts: its head (everything before the
+/// payload) by [`Record::read_head`], then its payload straight into
+/// the next block of the container's arena ([`read_records`]).
 trait Record: Sized {
+    /// The stored element of the payload.
+    type Elem: Stored + Le;
+    /// The record without its payload.
+    type Head;
     fn group_size(&self) -> usize;
     fn row_ids(&self) -> &[u64];
     /// Panics unless block `i` matches what the header will say.
     fn check(&self, i: usize, dims: usize, group: usize, ivf: bool);
     /// Byte length of a 1.1 record of `n` vectors (`None` on overflow).
     fn ivf_len(n: u32, dims: usize) -> Option<u64>;
-    /// Decodes a record of `n` vectors of the container `h` describes.
-    fn read<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self>;
+    /// Decodes the head of a record of `n` vectors of the container `h`
+    /// describes.
+    fn read_head<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self::Head>;
+    /// Joins a head with its payload block.
+    fn assemble(head: Self::Head, payload: PdxBlock<Self::Elem>) -> Self;
     fn write(&self, w: &mut impl Write, ivf: bool) -> io::Result<()>;
 }
 
@@ -251,6 +267,9 @@ fn record_values(n: usize, dims: usize) -> io::Result<usize> {
 /// × f32`. A 1.1 record stores its statistics and they are adopted
 /// verbatim; a 1.0 record re-derives them from the data.
 impl Record for SearchBlock {
+    type Elem = f32;
+    type Head = (Vec<u64>, Option<BlockStats>);
+
     fn group_size(&self) -> usize {
         self.pdx.group_size()
     }
@@ -274,27 +293,26 @@ impl Record for SearchBlock {
         u64::try_from(8 * n + 4 * (2 * d + n * d)).ok()
     }
 
-    fn read<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self> {
-        let (dims, group) = (h.dims, h.group);
-        let n_values = record_values(n, dims)?;
+    fn read_head<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self::Head> {
         let row_ids = read_vec(src, n, "n_vectors (row ids)")?;
         let stored = if h.centroid_rows.is_some() {
             Some(BlockStats {
-                means: read_vec(src, dims, "dims (block means)")?,
-                variances: read_vec(src, dims, "dims (block variances)")?,
+                means: read_vec(src, h.dims, "dims (block means)")?,
+                variances: read_vec(src, h.dims, "dims (block variances)")?,
             })
         } else {
             None
         };
-        // The on-disk order is the in-memory group-tiled order.
-        let tiled = read_vec(src, n_values, "n_vectors (block data)")?;
-        let pdx = PdxBlock::from_tiled(tiled, n, dims, group);
-        Ok(SearchBlock {
+        Ok((row_ids, stored))
+    }
+
+    fn assemble((row_ids, stored): Self::Head, pdx: PdxBlock) -> Self {
+        SearchBlock {
             stats: stored.unwrap_or_else(|| BlockStats::from_block(&pdx)),
             pdx,
             row_ids,
             aux: None,
-        })
+        }
     }
 
     fn write(&self, w: &mut impl Write, ivf: bool) -> io::Result<()> {
@@ -309,6 +327,9 @@ impl Record for SearchBlock {
 
 /// `row_ids n × u64 | codes n × dims × u8`; any byte is a valid code.
 impl Record for Sq8Block {
+    type Elem = u8;
+    type Head = Vec<u64>;
+
     fn group_size(&self) -> usize {
         self.codes.group_size()
     }
@@ -327,16 +348,15 @@ impl Record for Sq8Block {
         u64::try_from(u128::from(n) * (8 + dims as u128)).ok()
     }
 
-    fn read<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self> {
-        let quantizer = h
-            .quantizer
-            .as_ref()
-            .ok_or_else(|| invalid("SQ8 blocks in a container without a codec"))?;
-        let n_values = record_values(n, h.dims)?;
-        let row_ids = read_vec(src, n, "n_vectors (row ids)")?;
-        let tiled = read_vec(src, n_values, "n_vectors (block codes)")?;
-        let codes = PdxBlock::from_tiled(tiled, n, quantizer.dims(), h.group);
-        Ok(Sq8Block { codes, row_ids })
+    fn read_head<S: Source>(src: &mut S, n: usize, h: &ContainerHeader) -> io::Result<Self::Head> {
+        if h.quantizer.is_none() {
+            return Err(invalid("SQ8 blocks in a container without a codec"));
+        }
+        read_vec(src, n, "n_vectors (row ids)")
+    }
+
+    fn assemble(row_ids: Self::Head, codes: PdxBlock<u8>) -> Self {
+        Sq8Block { codes, row_ids }
     }
 
     fn write(&self, w: &mut impl Write, _ivf: bool) -> io::Result<()> {
@@ -357,7 +377,10 @@ pub fn read_f32_bucket<S: Source>(
     h: &ContainerHeader,
     bucket: usize,
 ) -> io::Result<SearchBlock> {
-    SearchBlock::read(src, h.buckets[bucket].n_vectors as usize, h)
+    let n = h.buckets[bucket].n_vectors;
+    let capacity = payload_capacity::<f32, S>(src, n as u64 * h.dims as u64);
+    let mut block = read_records(src, h, 1, capacity, |_, _| Ok(n))?;
+    Ok(block.pop().expect("one bucket"))
 }
 
 /// The one writer behind all four dialects: `quantizer` selects the
@@ -701,17 +724,30 @@ fn read_ivf_table<S: Source>(src: &mut S, h: &mut ContainerHeader) -> io::Result
     Ok(())
 }
 
-/// Reads the `n_blocks` records after the header, rejecting a row id
-/// that appears twice: a duplicate would make two physical rows answer
-/// to one logical vector — searches and reranks would silently shadow
-/// one of them. The list grows by one per record actually decoded, so
-/// `n_blocks` itself never sizes anything.
+/// Reads the `n_blocks` records after the header into one payload
+/// arena ([`read_records`]), sized from the bytes the source has left:
+/// a 1.1 container's bucket table (which its header checked against
+/// the file), or, for a 1.0 body, the most vectors its bytes can hold —
+/// each costs an 8-byte id, its payload and, when a `PDX2` has rerank
+/// rows, at least one `f32` row (ids are distinct and index the rows).
+/// The capacity is exact for a well-formed file and never exceeds the
+/// bytes present. A stream of unknown length stages its payloads.
 fn read_blocks<B: Record, S: Source>(src: &mut S, h: &ContainerHeader) -> io::Result<Vec<B>> {
-    let mut seen = std::collections::HashSet::new();
-    let mut blocks = Vec::new();
-    for i in 0..h.n_blocks {
-        let n = match h.buckets.get(i) {
-            Some(entry) => entry.n_vectors,
+    let values = if h.centroid_rows.is_some() {
+        let n: u64 = h.buckets.iter().map(|b| u64::from(b.n_vectors)).sum();
+        n.saturating_mul(h.dims as u64)
+    } else {
+        let (dims, size) = (h.dims as u64, std::mem::size_of::<B::Elem>() as u64);
+        let rerank = h.quantizer.is_some() && h.flags & FLAG_RERANK_ROWS != 0;
+        let (row_bytes, rows_head) = if rerank { (4 * dims, 8) } else { (0, 0) };
+        let left = src.remaining().unwrap_or(0);
+        let records = left.saturating_sub(4 * h.n_blocks as u64 + rows_head);
+        records / (8 + dims * size + row_bytes) * dims
+    };
+    let capacity = payload_capacity::<B::Elem, S>(src, values);
+    let blocks = read_records(src, h, h.n_blocks, capacity, |src, i| {
+        match h.buckets.get(i) {
+            Some(entry) => Ok(entry.n_vectors),
             // Running out of bytes here means the count lied; any other
             // IO error is the caller's to see as it is.
             None => src.u32("block n_vectors").map_err(|e| match e.kind() {
@@ -720,15 +756,75 @@ fn read_blocks<B: Record, S: Source>(src: &mut S, h: &ContainerHeader) -> io::Re
                     h.n_blocks
                 )),
                 _ => e,
-            })?,
-        };
-        let block = B::read(src, n as usize, h)?;
-        if let Some(id) = block.row_ids().iter().find(|&&id| !seen.insert(id)) {
-            return Err(invalid(format!("duplicate row id {id} in container")));
+            }),
         }
-        blocks.push(block);
+    })?;
+    // A duplicate would make two physical rows answer to one logical
+    // vector — searches and reranks would silently shadow one of them.
+    let mut seen = std::collections::HashSet::new();
+    if let Some(id) = blocks
+        .iter()
+        .flat_map(B::row_ids)
+        .find(|&&id| !seen.insert(id))
+    {
+        return Err(invalid(format!("duplicate row id {id} in container")));
     }
     Ok(blocks)
+}
+
+/// The arena capacity for `values` payload values, capped by the bytes
+/// the source has left; `None` for a stream of unknown length.
+fn payload_capacity<E, S: Source>(src: &S, values: u64) -> Option<usize> {
+    let left = src.remaining()?;
+    let fits = left / std::mem::size_of::<E>() as u64;
+    Some(usize::try_from(values.min(fits)).unwrap_or(usize::MAX))
+}
+
+/// Reads `count` records — record `i` of `n_of(src, i)` vectors — with
+/// every payload in one arena of `capacity` values, rejecting a record
+/// whose payload would overrun it. The lists grow by one per record
+/// actually decoded, so `count` itself never sizes anything. Without a
+/// capacity (a stream of unknown length) each payload is read through
+/// [`read_vec`], growing only as bytes arrive, and copied into an arena
+/// of the exact size at the end.
+fn read_records<B: Record, S: Source>(
+    src: &mut S,
+    h: &ContainerHeader,
+    count: usize,
+    capacity: Option<usize>,
+    mut n_of: impl FnMut(&mut S, usize) -> io::Result<u32>,
+) -> io::Result<Vec<B>> {
+    const WHAT: &str = "n_vectors (block data)";
+    let mut payload = PayloadWriter::<B::Elem>::new(capacity.unwrap_or(0));
+    let (mut heads, mut staged) = (Vec::new(), Vec::new());
+    for _ in 0..count {
+        let n = n_of(src, heads.len())? as usize;
+        let n_values = record_values(n, h.dims)?;
+        let head = B::read_head(src, n, h)?;
+        if capacity.is_none() {
+            staged.push(read_vec::<B::Elem, S>(src, n_values, WHAT)?);
+        } else if n_values > payload.remaining() {
+            return Err(invalid(format!(
+                "{WHAT}: count {n} needs {n_values} values, the bytes present hold {}",
+                payload.remaining()
+            )));
+        } else {
+            payload.read_block(src, n, h.dims, h.group, WHAT)?;
+        }
+        heads.push((n, head));
+    }
+    if capacity.is_none() {
+        payload = PayloadWriter::new(staged.iter().map(Vec::len).sum());
+        for ((n, _), values) in heads.iter().zip(staged) {
+            payload.push(*n, h.dims, h.group).copy_from_slice(&values);
+        }
+    }
+    let blocks = payload.finish().into_iter();
+    Ok(heads
+        .into_iter()
+        .zip(blocks)
+        .map(|((_, head), pdx)| B::assemble(head, pdx))
+        .collect())
 }
 
 /// Reads the rerank payload that follows the blocks of a `PDX2`

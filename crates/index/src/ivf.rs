@@ -21,7 +21,7 @@ use pdx_core::collection::SearchBlock;
 use pdx_core::distance::Metric;
 use pdx_core::heap::{KnnHeap, Neighbor};
 use pdx_core::kernels::{nary_distance, pdx_accumulate_band, KernelPolicy, KernelVariant};
-use pdx_core::layout::NaryMatrix;
+use pdx_core::layout::{NaryMatrix, PayloadWriter};
 use pdx_core::search::{horizontal_linear_scan, linear_scan_blocks, HorizontalBucket};
 
 /// A trained IVF index: cluster model plus bucket membership.
@@ -109,9 +109,10 @@ fn bucket_centroids(rows: &[f32], dims: usize, assignments: &[Vec<u32>]) -> (Vec
 }
 
 /// The router's block: row-major `centroid_rows` (row `i` = bucket `i`)
-/// in the PDX layout, with the bucket index as row id. Built by this one
-/// call whether the centroids were just computed or came out of a
-/// container header, so every deployment of one IVF probes identically.
+/// in the PDX layout, with the bucket index as row id, in a payload arena
+/// of its own. [`IvfPdx::new`] tiles its centroids with the same
+/// [`PayloadWriter::tile_rows`] into its bucket arena instead, so every
+/// deployment of one IVF probes identically.
 pub fn centroid_block(centroid_rows: &[f32], dims: usize, group_size: usize) -> SearchBlock {
     let n_centroids = centroid_rows.len() / dims.max(1);
     SearchBlock::new(
@@ -170,23 +171,28 @@ pub struct IvfPdx {
 
 impl IvfPdx {
     /// Materializes buckets from `rows` (any space: raw or rotated) and
-    /// the shared assignments.
+    /// the shared assignments: the buckets, then the centroid block, all
+    /// tiled into one payload arena.
     pub fn new(rows: &[f32], dims: usize, assignments: &[Vec<u32>], group_size: usize) -> Self {
         let (centroid_rows, _) = bucket_centroids(rows, dims, assignments);
-        let mut blocks = Vec::new();
-        for ids in assignments.iter().filter(|ids| !ids.is_empty()) {
-            let pdx = pdx_core::layout::PdxBlock::from_row_ids(rows, dims, ids, group_size);
-            let stats = pdx_core::stats::BlockStats::from_block(&pdx);
-            blocks.push(SearchBlock {
-                pdx,
-                row_ids: ids.iter().map(|&v| v as u64).collect(),
-                stats,
-                aux: None,
-            });
+        let buckets: Vec<&Vec<u32>> = assignments.iter().filter(|ids| !ids.is_empty()).collect();
+        let values = buckets.iter().map(|ids| ids.len() * dims).sum::<usize>();
+        let mut payload = PayloadWriter::new(values + centroid_rows.len());
+        for ids in &buckets {
+            payload.tile_row_ids(rows, dims, ids, group_size);
         }
+        let n_centroids = centroid_rows.len() / dims.max(1);
+        payload.tile_rows(&centroid_rows, n_centroids, dims, group_size);
+        let mut pdx = payload.finish();
+        let centroids = pdx.pop().expect("the centroid block");
+        let blocks = pdx
+            .into_iter()
+            .zip(buckets)
+            .map(|(pdx, ids)| SearchBlock::from_pdx(pdx, ids.iter().map(|&v| v as u64).collect()))
+            .collect();
         Self {
             dims,
-            centroids: centroid_block(&centroid_rows, dims, group_size),
+            centroids: SearchBlock::from_pdx(centroids, (0..n_centroids as u64).collect()),
             blocks,
         }
     }

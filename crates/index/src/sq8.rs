@@ -20,7 +20,7 @@
 
 use pdx_core::collection::SearchBlock;
 use pdx_core::exec::ThreadPool;
-use pdx_core::layout::Sq8Quantizer;
+use pdx_core::layout::{PayloadWriter, Sq8Quantizer};
 use pdx_core::search::quantized::Sq8Block;
 use pdx_core::{DEFAULT_EXACT_BLOCK, DEFAULT_GROUP_SIZE};
 use std::borrow::Cow;
@@ -93,20 +93,24 @@ impl FlatSq8 {
         );
         let quantizer =
             Sq8Quantizer::fit_with_pool(&rows, n_vectors, dims, &ThreadPool::new(threads));
-        let mut blocks = Vec::with_capacity(n_vectors.div_ceil(block_size));
-        let mut v0 = 0usize;
-        while v0 < n_vectors {
+        let mut payload = PayloadWriter::new(rows.len());
+        for v0 in (0..n_vectors).step_by(block_size) {
             let n = block_size.min(n_vectors - v0);
-            let ids: Vec<u64> = (v0 as u64..(v0 + n) as u64).collect();
-            blocks.push(Sq8Block::new(
-                &rows[v0 * dims..(v0 + n) * dims],
-                ids,
-                dims,
-                group_size,
-                &quantizer,
-            ));
-            v0 += n;
+            quantizer.encode_into(&mut payload, &rows[v0 * dims..][..n * dims], n, group_size);
         }
+        let mut v0 = 0u64;
+        let blocks = payload
+            .finish()
+            .into_iter()
+            .map(|codes| {
+                let n = codes.len() as u64;
+                v0 += n;
+                Sq8Block {
+                    codes,
+                    row_ids: (v0 - n..v0).collect(),
+                }
+            })
+            .collect();
         Self {
             dims,
             quantizer,
@@ -190,8 +194,9 @@ impl IvfSq8 {
         let n_vectors = rows.len() / dims.max(1);
         let quantizer = Sq8Quantizer::fit(rows, n_vectors, dims);
         let mut centroid_rows = Vec::new();
-        let mut blocks = Vec::new();
-        for ids in assignments.iter().filter(|ids| !ids.is_empty()) {
+        let buckets: Vec<&Vec<u32>> = assignments.iter().filter(|ids| !ids.is_empty()).collect();
+        let mut payload = PayloadWriter::new(buckets.iter().map(|ids| ids.len() * dims).sum());
+        for &ids in &buckets {
             let mut mean = vec![0.0f64; dims];
             let mut bucket_rows = Vec::with_capacity(ids.len() * dims);
             for &v in ids {
@@ -203,14 +208,17 @@ impl IvfSq8 {
             }
             let inv = 1.0 / ids.len() as f64;
             centroid_rows.extend(mean.iter().map(|m| (m * inv) as f32));
-            blocks.push(Sq8Block::new(
-                &bucket_rows,
-                ids.iter().map(|&v| v as u64).collect(),
-                dims,
-                group_size,
-                &quantizer,
-            ));
+            quantizer.encode_into(&mut payload, &bucket_rows, ids.len(), group_size);
         }
+        let blocks = payload
+            .finish()
+            .into_iter()
+            .zip(buckets)
+            .map(|(codes, ids)| Sq8Block {
+                codes,
+                row_ids: ids.iter().map(|&v| v as u64).collect(),
+            })
+            .collect();
         Self {
             dims,
             quantizer,

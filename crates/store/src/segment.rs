@@ -389,6 +389,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn a_segment_holds_one_payload_arena_sealed_and_loaded() {
+        let dir = std::env::temp_dir().join("pdx_store_segment_arena");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (n, dims) = (50, 3);
+        let rows: Vec<f32> = (0..n * dims).map(|i| (i as f32 * 0.37).sin()).collect();
+        for quantize in [false, true] {
+            let seq = 10 + u64::from(quantize);
+            let seg = Segment::seal(
+                seq,
+                (0..n as u64).collect(),
+                rows.clone(),
+                dims,
+                &config(quantize),
+            )
+            .unwrap();
+            seg.write(&dir).unwrap();
+            let back = Segment::load(&dir, seq, dims).unwrap();
+            for s in [&seg, &back] {
+                let (same, bytes) = match &s.data {
+                    SegmentData::F32(f) => {
+                        let p: Vec<_> = f
+                            .collection
+                            .blocks
+                            .iter()
+                            .map(|b| b.pdx.payload())
+                            .collect();
+                        (p.iter().all(|x| x.same_arena(p[0])), p[0].arena_bytes())
+                    }
+                    SegmentData::Sq8(q) => {
+                        let p: Vec<_> = q.blocks.iter().map(|b| b.codes.payload()).collect();
+                        (p.iter().all(|x| x.same_arena(p[0])), p[0].arena_bytes())
+                    }
+                };
+                assert!(same, "quantize {quantize}: a block in its own arena");
+                let value = if quantize { 1 } else { 4 };
+                assert_eq!(bytes, n * dims * value, "quantize {quantize}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// 30 rows of 3 dims: 360 bytes of `f32` rows, 240 of remap.
     fn payload_of(quantize: bool) -> usize {
         let rows: Vec<f32> = (0..90).map(|i| (i as f32 * 0.37).sin()).collect();
