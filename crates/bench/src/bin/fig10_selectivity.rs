@@ -52,9 +52,13 @@ fn main() {
 
         // Baseline: linear scan of the same probed buckets on PDX (the
         // rotated query keeps bucket ranking identical).
+        let (linear, probe) = (
+            PdxBond::linear(Metric::L2),
+            SearchOptions::new(k).with_nprobe(nprobe),
+        );
         let (qps_linear, _) = time_queries(ds.n_queries, |qi| {
             let rq = ads.transform_vector(ds.query(qi));
-            let _ = ivf.linear_search(&rq, k, nprobe, Metric::L2);
+            let _ = ivf.search_with(&linear, &rq, &probe);
         });
 
         let mut cells = vec![format!("{}/{}", ds.spec.name, d)];

@@ -51,8 +51,9 @@ fn main() {
             drop(flat.search_with(&bond, ds.query(qi), &params))
         });
         push(&mut exact, "PDX-BOND", qps);
+        let linear = PdxBond::linear(Metric::L2);
         let (qps, _) = time_queries(ds.n_queries, |qi| {
-            drop(flat.linear_search(ds.query(qi), k, Metric::L2))
+            drop(flat.search_with(&linear, ds.query(qi), &params))
         });
         push(&mut exact, "PDX-LINEAR-SCAN", qps);
         let (qps, _) = time_queries(ds.n_queries, |qi| {
@@ -87,14 +88,10 @@ fn main() {
         let ivf_raw_hor = IvfHorizontal::new(&ds.data, d, &index.assignments, delta_d);
 
         // IVF baseline: scalar linear scan of probed buckets.
+        let probe = params.with_nprobe(nprobe);
+        let scalar = probe.with_kernel(KernelPolicy::Scalar);
         let (qps_ivf_base, _) = time_queries(ds.n_queries, |qi| {
-            let _ = ivf_raw_hor.linear_search(
-                ds.query(qi),
-                k,
-                nprobe,
-                Metric::L2,
-                KernelVariant::Scalar,
-            );
+            let _ = ivf_raw_hor.search_with(&linear, ds.query(qi), &scalar);
         });
         let push_ivf =
             |map: &mut std::collections::BTreeMap<&str, Vec<f64>>, name: &'static str, qps: f64| {
@@ -122,9 +119,9 @@ fn main() {
             let _ = ivf_ads_hor.search_with(&ads, ds.query(qi), &params.with_nprobe(nprobe));
         });
         push_ivf(&mut ivfb, "SIMD-ADS", qps);
+        let simd = probe.with_kernel(KernelPolicy::Simd);
         let (qps, _) = time_queries(ds.n_queries, |qi| {
-            let _ =
-                ivf_raw_hor.linear_search(ds.query(qi), k, nprobe, Metric::L2, KernelVariant::Simd);
+            let _ = ivf_raw_hor.search_with(&linear, ds.query(qi), &simd);
         });
         push_ivf(&mut ivfb, "IVF-FLAT-SIMD (FAISS-like)", qps);
     }

@@ -35,6 +35,7 @@ fn main() {
         let ivf_pdx = IvfPdx::new(&rotated, d, &index.assignments, DEFAULT_GROUP_SIZE);
         let ivf_hor = IvfHorizontal::new(&rotated, d, &index.assignments, delta_d);
         let ivf_raw = IvfHorizontal::new(&ds.data, d, &index.assignments, delta_d);
+        let linear = PdxBond::linear(Metric::L2);
 
         println!(
             "\nFigure 6 [{}/{d}] — IVF QPS vs recall (K={k})",
@@ -73,9 +74,9 @@ fn main() {
             let (qps_scalar, _) = time_queries(ds.n_queries, |qi| {
                 let _ = ivf_hor.search_with(&ads, ds.query(qi), &scalar.with_nprobe(nprobe));
             });
+            let simd = params.with_kernel(KernelPolicy::Simd);
             let (qps_flat, _) = time_queries(ds.n_queries, |qi| {
-                let _ =
-                    ivf_raw.linear_search(ds.query(qi), k, nprobe, Metric::L2, KernelVariant::Simd);
+                let _ = ivf_raw.search_with(&linear, ds.query(qi), &simd.with_nprobe(nprobe));
             });
             println!(
                 "{}",

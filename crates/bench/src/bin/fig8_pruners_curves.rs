@@ -43,6 +43,7 @@ fn main() {
 
         let ivf_raw = IvfPdx::new(&ds.data, d, &index.assignments, DEFAULT_GROUP_SIZE);
         let ivf_flat = IvfHorizontal::new(&ds.data, d, &index.assignments, 32.min(d));
+        let linear = PdxBond::linear(Metric::L2);
         let bond = PdxBond::new(
             Metric::L2,
             VisitOrder::DimensionZones {
@@ -87,14 +88,9 @@ fn main() {
             let (qps_bond, _) = time_queries(ds.n_queries, |qi| {
                 let _ = ivf_raw.search_with(&bond, ds.query(qi), &params.with_nprobe(nprobe));
             });
+            let simd = params.with_kernel(KernelPolicy::Simd);
             let (qps_flat, _) = time_queries(ds.n_queries, |qi| {
-                let _ = ivf_flat.linear_search(
-                    ds.query(qi),
-                    k,
-                    nprobe,
-                    Metric::L2,
-                    KernelVariant::Simd,
-                );
+                let _ = ivf_flat.search_with(&linear, ds.query(qi), &simd.with_nprobe(nprobe));
             });
             let r_ads = mean_recall(&gt, &ads_ids, k);
             let r_bsa = mean_recall(&gt, &bsa_ids, k);

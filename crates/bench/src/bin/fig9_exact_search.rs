@@ -56,8 +56,9 @@ fn main() {
         let (qps_bond, _) = time_queries(ds.n_queries, |qi| {
             drop(flat.search_with(&bond, ds.query(qi), &params))
         });
+        let linear = PdxBond::linear(Metric::L2);
         let (qps_pdx, _) = time_queries(ds.n_queries, |qi| {
-            drop(flat.linear_search(ds.query(qi), k, Metric::L2))
+            drop(flat.search_with(&linear, ds.query(qi), &params))
         });
         let (qps_simd, _) = time_queries(ds.n_queries, |qi| {
             drop(linear_scan_nary(

@@ -99,7 +99,7 @@ fn main() {
 
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
     let mut csv = Vec::new();
-    let mut sq8_two_phase_recalls = Vec::new();
+    let mut two_phase_recalls = Vec::new();
     for &nprobe in &nprobes {
         let nprobe = nprobe.min(f32_ivf.blocks.len());
         let mut report = |config: &str, recall: f64, qps: f64, per_query: &[f64]| {
@@ -151,7 +151,7 @@ fn main() {
             results[qi] = res.iter().map(|r| r.id).collect();
         });
         let recall = mean_recall(&gt, &results, k);
-        sq8_two_phase_recalls.push(recall);
+        two_phase_recalls.push(recall);
         report("sq8-two-phase", recall, qps, &per_query);
     }
 
@@ -170,7 +170,7 @@ fn main() {
     );
 
     // The acceptance gates of the SQ8 PR, stated machine-checkably.
-    let best_recall = sq8_two_phase_recalls.iter().cloned().fold(0.0, f64::max);
+    let best_recall = two_phase_recalls.iter().cloned().fold(0.0, f64::max);
     let (recall_ok, bytes_ok) = (best_recall >= 0.95, ratio >= 3.5);
     let verdict = |ok: bool| if ok { "PASS" } else { "FAIL" };
     println!(

@@ -3,6 +3,7 @@
 //! replay used by Tables 2 and 6.
 
 use pdx::core::pruning::Pruner;
+use pdx::index::ivf::probe_orders;
 use pdx::obs::QueryTrace;
 use pdx::prelude::*;
 use std::collections::HashMap;
@@ -129,7 +130,7 @@ pub fn pruning_power<P: Pruner>(pruner: &P, ivf: &IvfPdx, query: &[f32], k: usiz
     let dims = ivf.dims;
     let q = pruner.prepare_query(query);
     let qvec = pruner.query_vector(&q);
-    let order = ivf.probe_order(qvec, ivf.blocks.len(), pruner.metric());
+    let order = &probe_orders(&ivf.centroids, &[qvec], ivf.blocks.len(), pruner.metric())[0];
     let mut heap = KnnHeap::new(k);
     let mut trace = QueryTrace::default();
     for (bi, &b) in order.iter().enumerate() {

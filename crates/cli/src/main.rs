@@ -48,6 +48,7 @@
 
 use pdx::prelude::*;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -411,6 +412,12 @@ fn cmd_build(args: &Args) -> Result<(), String> {
             ))
         }
     };
+    if data.len == 0 {
+        return Err(format!(
+            "--data: '{}' holds no vectors; a build needs at least one",
+            args.path("data")?.display()
+        ));
+    }
     let mode = args.str_or("mode", "container");
     for note in ignored_build_flags(args, &mode) {
         eprintln!("note: {note}; ignored");
@@ -533,12 +540,6 @@ fn build_ivf(
     out: &Path,
     quantize: bool,
 ) -> Result<(), String> {
-    if data.len == 0 {
-        return Err(format!(
-            "--data: '{}' holds no vectors; an IVF build trains on at least one",
-            args.path("data")?.display()
-        ));
-    }
     let threads = args.usize("threads", 0)?;
     let nlist = match args.usize("nlist", 0)? {
         0 => IvfIndex::default_nlist(data.len),
@@ -750,12 +751,17 @@ fn cmd_insert(args: &Args) -> Result<(), String> {
         Some(v) => v
             .parse::<u64>()
             .map_err(|_| format!("invalid value for --start-id: '{v}'"))?,
-        None => coll.max_id().map_or(0, |m| m + 1),
+        None => match coll.max_id() {
+            None => 0,
+            Some(m) => m.checked_add(1).ok_or(format!(
+                "--start-id: the collection holds id {m}; name a free one"
+            ))?,
+        },
     };
     // Validate the whole batch first so a conflict aborts before any
     // row is durably applied (no half-applied insert commands).
-    for i in 0..data.len {
-        let id = start + i as u64;
+    let ids = insert_ids(start, data.len)?;
+    for id in ids.clone() {
         if coll.is_id_reserved(id) {
             return Err(StoreError::DuplicateId(id).to_string());
         }
@@ -766,20 +772,15 @@ fn cmd_insert(args: &Args) -> Result<(), String> {
         sync_interval: None,
     });
     let t0 = Instant::now();
-    for i in 0..data.len {
-        coll.insert(
-            start + i as u64,
-            &data.data[i * data.dims..(i + 1) * data.dims],
-        )
-        .map_err(|e| e.to_string())?;
+    for (id, row) in ids.clone().zip(data.data.chunks_exact(data.dims)) {
+        coll.insert(id, row).map_err(|e| e.to_string())?;
     }
     coll.sync().map_err(|e| e.to_string())?; // power-loss durability point
     let secs = t0.elapsed().as_secs_f64();
     eprintln!(
-        "inserted {} vectors (ids {start}..{}) into {} in {secs:.3}s ({:.0} vectors/s); \
+        "inserted {} vectors (ids {ids:?}) into {} in {secs:.3}s ({:.0} vectors/s); \
          {} live, {} buffered, {} segment(s)",
         data.len,
-        start + data.len as u64,
         dir.display(),
         data.len as f64 / secs,
         coll.live_len(),
@@ -787,6 +788,16 @@ fn cmd_insert(args: &Args) -> Result<(), String> {
         coll.segment_count(),
     );
     Ok(())
+}
+
+/// The ids `insert` gives `n ≥ 1` rows from `start` on, or an error
+/// naming `--start-id` when the last of them would pass `u64::MAX`.
+fn insert_ids(start: u64, n: usize) -> Result<RangeInclusive<u64>, String> {
+    let last = start.checked_add(n.saturating_sub(1) as u64);
+    last.map(|last| start..=last).ok_or(format!(
+        "--start-id={start}: {n} rows from it would pass the largest id {}",
+        u64::MAX
+    ))
 }
 
 /// Parses `--ids=3,17,100..200` (comma-separated ids and `lo..hi`
@@ -1479,6 +1490,8 @@ mod tests {
         }
     }
 
+    /// Every build mode refuses an empty `--data` with one typed error,
+    /// before it writes anything.
     #[test]
     fn empty_ivf_build_is_rejected_before_any_output() {
         let dir = std::env::temp_dir().join("pdx_cli_empty_ivf_build");
@@ -1487,19 +1500,36 @@ mod tests {
         let data = dir.join("empty.fvecs");
         std::fs::write(&data, b"").unwrap();
         let out = dir.join("e.pdx");
-        for quantize in ["none", "sq8"] {
-            let argv = argv(&[
-                "--mode=ivf",
-                &format!("--data={}", data.display()),
-                &format!("--out={}", out.display()),
-                &format!("--quantize={quantize}"),
-            ]);
-            let err = cmd_build(&Args::parse(&argv, BUILD_FLAGS).unwrap()).unwrap_err();
-            assert!(err.contains("--data"), "{quantize}: {err}");
-            assert!(err.contains("no vectors"), "{quantize}: {err}");
-            assert!(!out.exists(), "{quantize}: left {}", out.display());
+        for mode in ["container", "ivf", "collection"] {
+            for extra in ["--quantize=none", "--quantize=sq8", "--shards=2"] {
+                let argv = argv(&[
+                    &format!("--mode={mode}"),
+                    extra,
+                    &format!("--data={}", data.display()),
+                    &format!("--out={}", out.display()),
+                ]);
+                let err = cmd_build(&Args::parse(&argv, BUILD_FLAGS).unwrap()).unwrap_err();
+                assert!(
+                    err.contains("--data") && err.contains("no vectors"),
+                    "{mode} {extra}: {err}"
+                );
+                assert!(!out.exists(), "{mode} {extra}: left {}", out.display());
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn insert_ids_stop_at_the_largest_id() {
+        assert_eq!(insert_ids(7, 3).unwrap(), 7..=9);
+        assert_eq!(
+            insert_ids(u64::MAX - 2, 3).unwrap(),
+            u64::MAX - 2..=u64::MAX
+        );
+        for (start, n) in [(u64::MAX, 2), (u64::MAX - 2, 4), (2, usize::MAX)] {
+            let err = insert_ids(start, n).unwrap_err();
+            assert!(err.contains(&format!("--start-id={start}")), "{err}");
+        }
     }
 
     #[test]

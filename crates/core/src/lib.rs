@@ -110,8 +110,7 @@ pub use obs::{publish_trace, TRACE_ENV};
 pub use pdx_obs::QueryTrace;
 pub use pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
 pub use search::{
-    horizontal_pruned_search, linear_scan_nary, linear_scan_pdx, pdxearch, sq8_two_phase,
-    KernelVariant, ScanBlock, Sq8Block,
+    horizontal_pruned_search, linear_scan_nary, pdxearch, KernelVariant, ScanBlock, Sq8Block,
 };
 pub use stats::BlockStats;
 pub use visit_order::VisitOrder;

@@ -1,52 +1,14 @@
-//! Exhaustive linear scans — the non-pruning baselines of the paper.
-//!
-//! * [`linear_scan_pdx`] / [`linear_scan_blocks`] — the PDX linear scan
-//!   ("PDX-LINEAR-SCAN" in Figures 9 and 11): full distances via the
-//!   auto-vectorizing PDX kernels, no pruning.
-//! * [`linear_scan_nary`] — the horizontal scan; with
-//!   [`KernelVariant::Simd`] this is the FAISS/USearch stand-in, with
-//!   [`KernelVariant::Scalar`] the Scikit-learn stand-in.
+//! The exhaustive horizontal scan, a non-pruning baseline of the paper:
+//! [`linear_scan_nary`] with [`KernelVariant::Simd`] is the
+//! FAISS/USearch stand-in, with [`KernelVariant::Scalar`] the
+//! Scikit-learn stand-in. (The PDX linear scan, "PDX-LINEAR-SCAN" in
+//! Figures 9 and 11, is [`pdxearch`](super::pdxearch) under
+//! [`PdxBond::linear`](crate::bond::PdxBond::linear).)
 
-use crate::collection::{PdxCollection, SearchBlock};
 use crate::distance::Metric;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::nary::{nary_distance, KernelVariant};
-use crate::kernels::pdx::pdx_scan;
 use crate::layout::NaryMatrix;
-
-/// Exhaustive k-NN over a PDX collection.
-pub fn linear_scan_pdx(
-    coll: &PdxCollection,
-    query: &[f32],
-    k: usize,
-    metric: Metric,
-) -> Vec<Neighbor> {
-    let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
-    linear_scan_blocks(&blocks, query, k, metric)
-}
-
-/// Exhaustive k-NN over an explicit list of PDX blocks (IVF probes a
-/// subset — this is the "IVF_FLAT with PDX kernels" baseline).
-pub fn linear_scan_blocks(
-    blocks: &[&SearchBlock],
-    query: &[f32],
-    k: usize,
-    metric: Metric,
-) -> Vec<Neighbor> {
-    let mut heap = KnnHeap::new(k);
-    let mut distances: Vec<f32> = Vec::new();
-    for block in blocks {
-        if block.is_empty() {
-            continue;
-        }
-        distances.resize(block.len(), 0.0);
-        pdx_scan(metric, &block.pdx, query, &mut distances);
-        for (i, &d) in distances.iter().enumerate() {
-            heap.push(block.row_ids[i], d);
-        }
-    }
-    heap.into_sorted()
-}
 
 /// Exhaustive k-NN over a horizontal collection with the chosen kernel
 /// tier. Vector `i` is reported with id `i`.
@@ -68,7 +30,20 @@ pub fn linear_scan_nary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bond::PdxBond;
+    use crate::collection::{PdxCollection, SearchBlock};
     use crate::distance::distance_scalar;
+    use crate::engine::SearchOptions;
+    use crate::pruning::Pruner;
+    use crate::search::pdxearch;
+
+    /// The PDX linear scan: PDXearch under the bond that never prunes.
+    fn pdx_linear(blocks: &[SearchBlock], q: &[f32], k: usize, metric: Metric) -> Vec<u64> {
+        let linear = PdxBond::linear(metric);
+        let opts = SearchOptions::new(k);
+        let found = pdxearch(&linear, &linear.prepare_query(q), blocks, &opts, None, None);
+        found.iter().map(|x| x.id).collect()
+    }
 
     fn rows(n: usize, d: usize) -> Vec<f32> {
         (0..n * d)
@@ -92,11 +67,11 @@ mod tests {
         for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
             let want = brute(&data, d, &q, k, metric);
             let coll = PdxCollection::from_rows_partitioned(&data, n, d, 50, 16);
-            let got_pdx: Vec<u64> = linear_scan_pdx(&coll, &q, k, metric)
-                .iter()
-                .map(|x| x.id)
-                .collect();
-            assert_eq!(got_pdx, want, "pdx {metric:?}");
+            assert_eq!(
+                pdx_linear(&coll.blocks, &q, k, metric),
+                want,
+                "pdx {metric:?}"
+            );
 
             let nary = NaryMatrix::from_rows(&data, n, d);
             for variant in [
@@ -118,10 +93,9 @@ mod tests {
         let (n, d) = (40, 5);
         let data = rows(n, d);
         let coll = PdxCollection::from_rows_partitioned(&data, n, d, 10, 4);
-        let blocks: Vec<&SearchBlock> = coll.blocks[..2].iter().collect();
         let q = vec![0.0f32; d];
-        let got = linear_scan_blocks(&blocks, &q, 100, Metric::L2);
+        let got = pdx_linear(&coll.blocks[..2], &q, 100, Metric::L2);
         assert_eq!(got.len(), 20);
-        assert!(got.iter().all(|r| r.id < 20));
+        assert!(got.iter().all(|&id| id < 20));
     }
 }

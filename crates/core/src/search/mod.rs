@@ -4,9 +4,12 @@
 //!   dimension-by-dimension pruned search with START/WARMUP/PRUNE phases,
 //!   written once over the [`ScanBlock`] element trait (`f32` blocks and
 //!   SQ8 code blocks are its two impls).
-//! * `linear` — exhaustive linear scans on the PDX and horizontal
-//!   layouts (the paper's FAISS-like / Scikit-learn-like baselines),
-//!   re-exported here as [`linear_scan_pdx`] and friends.
+//!   The paper's PDX linear scan is [`pdxearch`] under a pruner that
+//!   never prunes ([`PdxBond::linear`](crate::bond::PdxBond::linear)):
+//!   every tile stays on the START schedule.
+//! * `linear` — the exhaustive horizontal scan (the paper's
+//!   FAISS-like / Scikit-learn-like baselines), re-exported here as
+//!   [`linear_scan_nary`].
 //! * `horizontal` — the vector-at-a-time pruned search on ADSampling's
 //!   dual-block horizontal layout (the SIMD-ADS / SCALAR-ADS baselines,
 //!   with bound evaluation interleaved every Δd dimensions), re-exported
@@ -23,9 +26,9 @@ pub mod quantized;
 pub use horizontal::{
     horizontal_checkpoints, horizontal_linear_scan, horizontal_pruned_search, HorizontalBucket,
 };
-pub use linear::{linear_scan_blocks, linear_scan_nary, linear_scan_pdx};
+pub use linear::linear_scan_nary;
 pub use pdxearch::{pdxearch, pdxearch_band, ScanBlock};
-pub use quantized::{sq8_rerank, sq8_two_phase, Sq8Block, Sq8Bound, DEFAULT_REFINE};
+pub use quantized::{sq8_rerank, Sq8Block, Sq8Bound, DEFAULT_REFINE};
 
 pub use crate::kernels::{KernelIsa, KernelPolicy, KernelVariant};
 

@@ -1,9 +1,10 @@
 //! Two-phase quantized search: an SQ8 PDXearch scan producing
 //! candidates, then an exact `f32` rerank.
 //!
-//! **Phase 1** is [`pdxearch`] itself, monomorphized for the SQ8 element
-//! ([`Sq8Block`]) under the [`Sq8Bound`] pruner, and collects the top-`c`
-//! candidates by *estimated* distance — the distance to each vector's
+//! **Phase 1** is [`pdxearch`](crate::search::pdxearch) itself,
+//! monomorphized for the SQ8 element ([`Sq8Block`]) under the
+//! [`Sq8Bound`] pruner, and collects the top-`c` candidates by
+//! *estimated* distance — the distance to each vector's
 //! dequantized reconstruction. For the monotone metrics (L2/L1) the
 //! weighted SQ8 partial sums only grow with scanned dimensions, so the
 //! scan prunes candidates against the current c-th best estimate exactly
@@ -18,18 +19,21 @@
 //! query) and returns the exact top-`k` of the candidate set. With
 //! `c = refine·k` a small refine factor (4 by default) recovers
 //! recall ≥ 0.95 while the scan reads 4× fewer bytes than `f32` PDX.
+//!
+//! The two phases run together only in the serve driver
+//! (`pdx_index::Deployment`): a deployment that names rerank rows has
+//! its scan keep `refine · k` candidates and hands them to
+//! [`sq8_rerank`].
 
 use crate::distance::{distance_scalar, Metric};
-use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::dispatch::KernelPolicy;
 use crate::kernels::pdx::DimSel;
 use crate::kernels::sq8::{sq8_accumulate_groups, sq8_accumulate_survivors};
 use crate::layout::{PdxBlock, Sq8Quantizer, Sq8Query};
 use crate::pruning::Pruner;
-use crate::search::pdxearch::{pdxearch, ScanBlock};
-use pdx_obs::QueryTrace;
-use std::ops::{Deref, Range};
+use crate::search::pdxearch::ScanBlock;
+use std::ops::Range;
 
 /// Default candidate-refinement factor of the two-phase search: phase 1
 /// keeps `refine · k` candidates for phase 2 to rerank.
@@ -229,52 +233,12 @@ pub fn sq8_rerank(
     heap.into_sorted()
 }
 
-/// The full two-phase search under `opts.metric`: quantized scan for
-/// `opts.refine · opts.k` candidates (a zero `refine` is clamped to 1),
-/// exact `f32` rerank to `opts.k`. `trace` is the scan's, as in
-/// [`pdxearch`].
-///
-/// # Panics
-/// Panics if `opts.k == 0`.
-pub fn sq8_two_phase<I>(
-    quantizer: &Sq8Quantizer,
-    blocks: I,
-    rows: &[f32],
-    query: &[f32],
-    opts: &SearchOptions,
-    trace: Option<&mut QueryTrace>,
-) -> Vec<Neighbor>
-where
-    I: IntoIterator,
-    I::Item: Deref<Target = Sq8Block>,
-{
-    let bound = Sq8Bound::new(quantizer, opts.metric);
-    let scan = SearchOptions {
-        k: opts.k.saturating_mul(opts.refine.max(1)),
-        ..*opts
-    };
-    let candidates = pdxearch(
-        &bound,
-        &bound.prepare_query(query),
-        blocks,
-        &scan,
-        None,
-        trace,
-    );
-    sq8_rerank(
-        opts.metric,
-        rows,
-        quantizer.dims(),
-        query,
-        &candidates,
-        opts.k,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SearchOptions;
     use crate::kernels::sq8::sq8_scan;
+    use crate::search::pdxearch;
 
     /// Phase 1 alone: the top-`c` of `blocks` by estimated distance.
     fn scan(
@@ -399,8 +363,8 @@ mod tests {
         let qz = Sq8Quantizer::fit(&rows, n, d);
         let blocks = make_blocks(&rows, n, d, 128, 32, &qz);
         let raw_q = make_rows(1, d, 5);
-        let opts = SearchOptions::new(k).with_refine(8);
-        let got = sq8_two_phase(&qz, &blocks, &rows, &raw_q, &opts, None);
+        let candidates = scan(&qz, Metric::L2, &blocks, &raw_q, 8 * k, KernelPolicy::Auto);
+        let got = sq8_rerank(Metric::L2, &rows, d, &raw_q, &candidates, k);
         let ids: Vec<u64> = got.iter().map(|x| x.id).collect();
         assert_eq!(ids, brute(&rows, d, &raw_q, k, Metric::L2));
     }

@@ -1183,19 +1183,25 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
+    /// A search reads only the codec, the codes, the ids and the rerank
+    /// rows, so a file that gives back each of them bit for bit searches
+    /// like its writer.
     #[test]
     fn sq8_file_round_trip_searches_match() {
-        use pdx_core::engine::SearchOptions;
-        use pdx_core::search::quantized::sq8_two_phase;
         let (quantizer, blocks, rows) = sample_sq8();
         let path = temp_path("pdx_persist_sq8_test", "coll.pdx2");
         write_sq8_path(&path, &quantizer, &blocks, Some(&rows)).unwrap();
         let back = sq8_container(read_container_path(&path).unwrap());
-        let q: Vec<f32> = (0..7).map(|i| i as f32 * 0.3).collect();
-        let opts = SearchOptions::new(5);
-        let a = sq8_two_phase(&quantizer, &blocks, &rows, &q, &opts, None);
-        let b = sq8_two_phase(&back.quantizer, &back.blocks, &back.rows, &q, &opts, None);
-        assert_eq!(a, b);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.quantizer.mins()), bits(quantizer.mins()));
+        assert_eq!(bits(back.quantizer.scales()), bits(quantizer.scales()));
+        assert_eq!(back.quantizer.order(), quantizer.order());
+        assert_eq!(back.blocks.len(), blocks.len());
+        for (got, want) in back.blocks.iter().zip(&blocks) {
+            assert_eq!(got.codes, want.codes);
+            assert_eq!(got.row_ids, want.row_ids);
+        }
+        assert_eq!(bits(&back.rows), bits(&rows));
         std::fs::remove_file(&path).ok();
     }
 

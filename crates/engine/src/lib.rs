@@ -338,7 +338,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdx_core::distance::Metric;
     use pdx_core::engine::PrunerKind;
     use pdx_datasets::persist::{write_pdx_path, write_sq8_path};
     use pdx_index::IvfIndex;
@@ -457,7 +456,8 @@ mod tests {
         let rotated = ads.transform_collection(&rows, n, 1);
 
         let flat = FlatPdx::new(&rotated, n, d, 128, 16);
-        let exact = flat.linear_search(&ads.transform_vector(&q), k, Metric::L2);
+        let linear = SearchOptions::new(k).with_pruner(PrunerKind::Linear);
+        let exact = VectorIndex::search(&flat, &ads.transform_vector(&q), &linear);
         let served: Box<dyn VectorIndex> = Box::new(PrunedFlat::new(flat, ads.clone()));
         assert_eq!(served.kind(), "pruned-flat-adsampling");
         let opts = SearchOptions::new(k);

@@ -66,7 +66,8 @@ use crate::{FlatPdx, FlatSq8, IvfHorizontal, IvfPdx, IvfSq8};
 use pdx_core::collection::SearchBlock;
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::BatchSearcher;
-use pdx_core::heap::Neighbor;
+use pdx_core::heap::{KnnHeap, Neighbor};
+use pdx_core::kernels::nary_distance;
 use pdx_core::mask::RowMask;
 use pdx_core::pruning::Pruner;
 use pdx_core::search::quantized::{sq8_rerank, Sq8Block, Sq8Bound};
@@ -513,7 +514,8 @@ impl IvfHorizontal {
     /// horizontal tier of [`SearchOptions::kernel`] (SIMD-ADS when SIMD,
     /// SCALAR-ADS when scalar): `pruner`'s bound interleaved every Δd
     /// dimensions, or — for a pruner that never prunes — the plain
-    /// linear IVF_FLAT scan. Traced like a [`Deployment`] query, as
+    /// linear IVF_FLAT scan. The buckets are ranked by their centroids
+    /// under the same tier. Traced like a [`Deployment`] query, as
     /// `ivf-horizontal`.
     pub fn search_with<P: Pruner>(
         &self,
@@ -528,9 +530,12 @@ impl IvfHorizontal {
         let buckets: Vec<&HorizontalBucket> = tracing.phase(
             |p| &mut p.find_buckets_ns,
             || {
-                let nprobe = opts.resolve_nprobe(self.buckets.len());
-                let order = self.probe_order(space, nprobe, metric, variant);
-                order.iter().map(|&b| &self.buckets[b as usize]).collect()
+                let mut heap = KnnHeap::new(opts.resolve_nprobe(self.buckets.len()).max(1));
+                for (i, row) in self.centroids.rows().enumerate() {
+                    heap.push(i as u64, nary_distance(metric, variant, space, row));
+                }
+                let nearest = heap.into_sorted().into_iter();
+                nearest.map(|n| &self.buckets[n.id as usize]).collect()
             },
         );
         let out = if pruner.prunes() {
@@ -551,6 +556,7 @@ mod tests {
     use pdx_core::bond::PdxBond;
     use pdx_core::distance::Metric;
     use pdx_core::engine::PrunerKind;
+    use pdx_core::kernels::pdx_scan;
     use pdx_core::visit_order::VisitOrder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -576,22 +582,32 @@ mod tests {
         assert_eq!(dyn_flat.dims(), d);
     }
 
+    /// `PrunerKind::Linear` is the PDX linear scan: every block's full
+    /// distances ([`pdx_scan`]) ranked in one heap — flat, and an IVF
+    /// probing every bucket (`nprobe = 0`).
     #[test]
     fn linear_pruner_kind_is_the_linear_scan() {
         let (n, d, k) = (400, 8, 5);
         let rows = random_rows(n, d, 3);
         let q = random_rows(1, d, 4);
         let flat = FlatPdx::new(&rows, n, d, 128, 16);
+        let mut heap = KnnHeap::new(k);
+        for block in &flat.collection.blocks {
+            let mut distances = vec![0.0; block.len()];
+            pdx_scan(Metric::L2, &block.pdx, &q, &mut distances);
+            for (&id, &dist) in block.row_ids.iter().zip(&distances) {
+                heap.push(id, dist);
+            }
+        }
+        let want = heap.into_sorted();
+        let index = IvfIndex::build(&rows, n, d, 10, 8, 5);
+        let ivf = IvfPdx::new(&rows, d, &index.assignments, 16);
         let opts = SearchOptions::new(k).with_pruner(PrunerKind::Linear);
-        let dyn_flat: &dyn VectorIndex = &flat;
-        assert_eq!(
-            dyn_flat.search(&q, &opts),
-            flat.linear_search(&q, k, Metric::L2)
-        );
-        assert_eq!(
-            dyn_flat.search_batch(&q, &opts.with_threads(3))[0],
-            flat.linear_search(&q, k, Metric::L2)
-        );
+        for dep in [&flat as &dyn VectorIndex, &ivf] {
+            assert_eq!(dep.search(&q, &opts), want, "{}", dep.kind());
+            let batch = dep.search_batch(&q, &opts.with_threads(3));
+            assert_eq!(batch, std::slice::from_ref(&want), "{}", dep.kind());
+        }
     }
 
     /// The six deployments this crate serves: flat and IVF, `f32` and
@@ -619,7 +635,9 @@ mod tests {
             Box::new(scan_only),
             Box::new(IvfSq8::new(&rows, d, &index.assignments, 16)),
         ];
-        let exact = FlatPdx::new(&rows, n, d, n, 16).linear_search(&q, 1, Metric::L2);
+        let linear = PdxBond::linear(Metric::L2);
+        let exact =
+            FlatPdx::new(&rows, n, d, n, 16).search_with(&linear, &q, &SearchOptions::new(1));
         let opts = SearchOptions::new(3);
         // k = 0 asks for nothing, traced or not, alone or in a batch.
         let (none, batch) = (SearchOptions::new(0), random_rows(3, d, 9));

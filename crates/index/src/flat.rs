@@ -8,14 +8,13 @@
 //! highest-pruning-power criterion).
 
 use pdx_core::collection::PdxCollection;
-use pdx_core::distance::Metric;
-use pdx_core::heap::Neighbor;
-use pdx_core::search::linear_scan_pdx;
 use pdx_core::DEFAULT_EXACT_BLOCK;
 
 /// Flat PDX deployment of a collection for exact search. Queries go
 /// through [`Deployment`](crate::Deployment) (any pruner) or
-/// [`VectorIndex`](pdx_core::engine::VectorIndex) (the options' pruner).
+/// [`VectorIndex`](pdx_core::engine::VectorIndex) (the options' pruner);
+/// the PDX linear scan (PDX-LINEAR-SCAN) is the same query under
+/// [`PdxBond::linear`](pdx_core::bond::PdxBond::linear).
 #[derive(Debug, Clone)]
 pub struct FlatPdx {
     /// The partitioned collection.
@@ -65,11 +64,6 @@ impl FlatPdx {
         }
         rows
     }
-
-    /// Non-pruning PDX linear scan (the PDX-LINEAR-SCAN competitor).
-    pub fn linear_search(&self, query: &[f32], k: usize, metric: Metric) -> Vec<Neighbor> {
-        linear_scan_pdx(&self.collection, query, k, metric)
-    }
 }
 
 #[cfg(test)]
@@ -77,6 +71,7 @@ mod tests {
     use super::*;
     use crate::Deployment;
     use pdx_core::bond::PdxBond;
+    use pdx_core::distance::Metric;
     use pdx_core::engine::SearchOptions;
     use pdx_core::visit_order::VisitOrder;
 
@@ -95,7 +90,7 @@ mod tests {
         let q: Vec<f32> = (0..d).map(|i| (i as f32).sin() * 3.0).collect();
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
         let got = flat.search_with(&bond, &q, &SearchOptions::new(k));
-        let want = flat.linear_search(&q, k, Metric::L2);
+        let want = flat.search_with(&PdxBond::linear(Metric::L2), &q, &SearchOptions::new(k));
         // The periodic test data produces exactly tied distances whose
         // order depends on FP accumulation order — compare sets.
         let mut got_ids: Vec<u64> = got.iter().map(|x| x.id).collect();
@@ -119,6 +114,7 @@ mod batch_tests {
     use super::*;
     use crate::Deployment;
     use pdx_core::bond::PdxBond;
+    use pdx_core::distance::Metric;
     use pdx_core::engine::SearchOptions;
     use pdx_core::visit_order::VisitOrder;
 

@@ -5,12 +5,16 @@
 //! buckets in different layouts/spaces:
 //!
 //! * [`IvfPdx`] — buckets and centroids stored in PDX (Figure 2: "IVF
-//!   buckets naturally map to blocks"); searched with PDXearch. Passing
+//!   buckets naturally map to blocks"); searched with PDXearch through
+//!   the serve driver ([`Deployment`](crate::Deployment)). Passing
 //!   rotated rows (ADSampling/BSA space) yields the paper's PDX-ADS /
-//!   PDX-BSA configurations; raw rows yield PDX-BOND / PDX linear scan.
+//!   PDX-BSA configurations; raw rows yield PDX-BOND, or under
+//!   [`PdxBond::linear`](pdx_core::bond::PdxBond::linear) the PDX
+//!   linear scan (IVF_FLAT on PDX).
 //! * [`IvfHorizontal`] — buckets in the dual-block horizontal layout;
-//!   searched vector-at-a-time (SIMD-ADS / SCALAR-ADS) or linearly
-//!   (the FAISS-like IVF_FLAT baseline).
+//!   its one query, [`IvfHorizontal::search_with`], runs vector-at-a-time
+//!   (SIMD-ADS / SCALAR-ADS) or, under `PdxBond::linear`, linearly (the
+//!   FAISS-like IVF_FLAT baseline).
 //!
 //! Because every deployment shares the assignments, competitors evaluate
 //! exactly the same vectors at a given `nprobe` — the paper's fairness
@@ -19,10 +23,10 @@
 use crate::kmeans::KMeans;
 use pdx_core::collection::SearchBlock;
 use pdx_core::distance::Metric;
-use pdx_core::heap::{KnnHeap, Neighbor};
-use pdx_core::kernels::{nary_distance, pdx_accumulate_band, KernelPolicy, KernelVariant};
+use pdx_core::heap::KnnHeap;
+use pdx_core::kernels::{pdx_accumulate_band, KernelPolicy};
 use pdx_core::layout::{NaryMatrix, PayloadWriter};
-use pdx_core::search::{horizontal_linear_scan, linear_scan_blocks, HorizontalBucket};
+use pdx_core::search::HorizontalBucket;
 
 /// A trained IVF index: cluster model plus bucket membership.
 #[derive(Debug, Clone)]
@@ -196,28 +200,6 @@ impl IvfPdx {
             blocks,
         }
     }
-
-    /// Ranks blocks by centroid distance to the (space-transformed)
-    /// query; returns the `nprobe` nearest block indexes, nearest first:
-    /// [`probe_orders`] for a band of one.
-    pub fn probe_order(&self, query_space: &[f32], nprobe: usize, metric: Metric) -> Vec<u32> {
-        let mut orders = probe_orders(&self.centroids, &[query_space], nprobe, metric);
-        orders.pop().expect("one probe list per query")
-    }
-
-    /// Linear scan (no pruning) of the `nprobe` nearest buckets with the
-    /// PDX kernels — the "PDX linear scan" competitor.
-    pub fn linear_search(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        metric: Metric,
-    ) -> Vec<Neighbor> {
-        let order = self.probe_order(query, nprobe, metric);
-        let blocks: Vec<&SearchBlock> = order.iter().map(|&b| &self.blocks[b as usize]).collect();
-        linear_scan_blocks(&blocks, query, k, metric)
-    }
 }
 
 /// IVF deployment with dual-block horizontal buckets.
@@ -264,36 +246,6 @@ impl IvfHorizontal {
             delta_d,
         }
     }
-
-    /// Ranks buckets by centroid distance with the horizontal kernel.
-    pub fn probe_order(
-        &self,
-        query_space: &[f32],
-        nprobe: usize,
-        metric: Metric,
-        variant: KernelVariant,
-    ) -> Vec<u32> {
-        let mut heap = KnnHeap::new(nprobe.max(1));
-        for (i, row) in self.centroids.rows().enumerate() {
-            heap.push(i as u64, nary_distance(metric, variant, query_space, row));
-        }
-        heap.into_sorted().iter().map(|n| n.id as u32).collect()
-    }
-
-    /// Non-pruning linear IVF_FLAT query — the FAISS/Milvus stand-in.
-    pub fn linear_search(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        metric: Metric,
-        variant: KernelVariant,
-    ) -> Vec<Neighbor> {
-        let order = self.probe_order(query, nprobe, metric, variant);
-        let buckets: Vec<&HorizontalBucket> =
-            order.iter().map(|&b| &self.buckets[b as usize]).collect();
-        horizontal_linear_scan(&buckets, query, k, metric, variant)
-    }
 }
 
 #[cfg(test)]
@@ -302,6 +254,7 @@ mod tests {
     use crate::Deployment;
     use pdx_core::bond::PdxBond;
     use pdx_core::engine::SearchOptions;
+    use pdx_core::kernels::{nary_distance, KernelVariant};
     use pdx_core::visit_order::VisitOrder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -343,8 +296,9 @@ mod tests {
         let pdx = IvfPdx::new(&rows, d, &index.assignments, 64);
         let hor = IvfHorizontal::new(&rows, d, &index.assignments, 8);
         let q = random_rows(1, d, 4);
-        let a = pdx.linear_search(&q, k, pdx.blocks.len(), Metric::L2);
-        let b = hor.linear_search(&q, k, hor.buckets.len(), Metric::L2, KernelVariant::Simd);
+        let (linear, opts) = (PdxBond::linear(Metric::L2), SearchOptions::new(k));
+        let a = pdx.search_with(&linear, &q, &opts);
+        let b = hor.search_with(&linear, &q, &opts.with_kernel(KernelPolicy::Simd));
         assert_eq!(
             a.iter().map(|x| x.id).collect::<Vec<_>>(),
             b.iter().map(|x| x.id).collect::<Vec<_>>()
@@ -359,13 +313,14 @@ mod tests {
         let ivf = IvfPdx::new(&rows, d, &index.assignments, 32);
         let q = random_rows(1, d, 6);
         // Results at nprobe=1 must come from the single probed bucket.
-        let order = ivf.probe_order(&q, 1, Metric::L2);
+        let order = &probe_orders(&ivf.centroids, &[&q], 1, Metric::L2)[0];
         let bucket_ids: std::collections::HashSet<u64> = ivf.blocks[order[0] as usize]
             .row_ids
             .iter()
             .copied()
             .collect();
-        let got = ivf.linear_search(&q, k, 1, Metric::L2);
+        let opts = SearchOptions::new(k).with_nprobe(1);
+        let got = ivf.search_with(&PdxBond::linear(Metric::L2), &q, &opts);
         assert!(got.iter().all(|r| bucket_ids.contains(&r.id)));
     }
 

@@ -305,10 +305,8 @@ mod tests {
         let sq8 = IvfSq8::new(&rows, d, &index.assignments, 64);
         let pdx = crate::ivf::IvfPdx::new(&rows, d, &index.assignments, 64);
         let q = random_rows(1, d, 4);
-        assert_eq!(
-            crate::ivf::probe_orders(&sq8.centroids, &[&q], 5, Metric::L2),
-            [pdx.probe_order(&q, 5, Metric::L2)]
-        );
+        let route = |centroids| crate::ivf::probe_orders(centroids, &[&q], 5, Metric::L2);
+        assert_eq!(route(&sq8.centroids), route(&pdx.centroids));
     }
 
     #[test]

@@ -37,7 +37,9 @@
 //! let index: &dyn VectorIndex = &flat;
 //! let hits = index.search(ds.query(0), &SearchOptions::new(10));
 //! assert_eq!(hits.len(), 10);
-//! let exact = flat.linear_search(ds.query(0), 10, Metric::L2);
+//! // The PDX linear scan: the same driver with a pruner that never prunes.
+//! let linear = SearchOptions::new(10).with_pruner(PrunerKind::Linear);
+//! let exact = index.search(ds.query(0), &linear);
 //! assert_eq!(hits[0].id, exact[0].id);
 //! ```
 //!
@@ -90,7 +92,8 @@
 //!
 //! // Rerank distances are exact, so the top hit matches exact search.
 //! let flat = FlatPdx::with_defaults(&ds.data, ds.len, ds.dims());
-//! let exact = flat.linear_search(ds.query(0), 10, Metric::L2);
+//! let linear = PdxBond::linear(Metric::L2);
+//! let exact = flat.search_with(&linear, ds.query(0), &SearchOptions::new(10));
 //! assert_eq!(hits[0].id, exact[0].id);
 //! ```
 
@@ -179,9 +182,8 @@ pub mod prelude {
     pub use pdx_core::mask::RowMask;
     pub use pdx_core::pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
     pub use pdx_core::search::{
-        horizontal_linear_scan, horizontal_pruned_search, linear_scan_nary, linear_scan_pdx,
-        pdxearch, pdxearch_band, sq8_rerank, sq8_two_phase, HorizontalBucket, ScanBlock, Sq8Block,
-        Sq8Bound, DEFAULT_REFINE,
+        horizontal_linear_scan, horizontal_pruned_search, linear_scan_nary, pdxearch,
+        pdxearch_band, sq8_rerank, HorizontalBucket, ScanBlock, Sq8Block, Sq8Bound, DEFAULT_REFINE,
     };
     pub use pdx_core::stats::BlockStats;
     pub use pdx_core::visit_order::VisitOrder;

@@ -719,11 +719,11 @@ impl Collection {
     /// # Errors
     /// [`StoreError::MaintenanceBusy`] if a background job is in
     /// flight (the load needs the seal path for durability);
-    /// [`StoreError::DimsMismatch`] / [`StoreError::DuplicateId`]
-    /// before anything is applied; or an IO error from a seal — on an
-    /// IO error (or a crash mid-call) rows after the last committed
-    /// seal are lost, consistent with "the manifest is the commit
-    /// point".
+    /// [`StoreError::DimsMismatch`] / [`StoreError::IdOverflow`] /
+    /// [`StoreError::DuplicateId`] before anything is applied; or an IO
+    /// error from a seal — on an IO error (or a crash mid-call) rows
+    /// after the last committed seal are lost, consistent with "the
+    /// manifest is the commit point".
     pub fn bulk_insert(&self, first_id: u64, rows: &[f32]) -> Result<(), StoreError> {
         if !rows.len().is_multiple_of(self.dims) {
             return Err(StoreError::DimsMismatch {
@@ -731,19 +731,19 @@ impl Collection {
                 got: rows.len(),
             });
         }
+        let n = rows.len() / self.dims;
+        let last = first_id.checked_add(n.saturating_sub(1) as u64);
+        let ids = first_id..=last.ok_or(StoreError::IdOverflow {
+            first: first_id,
+            rows: n,
+        })?;
         let _claim = self.try_claim(false).ok_or(StoreError::MaintenanceBusy)?;
         let mut w = self.lock_writer();
-        let n = rows.len() / self.dims;
-        for i in 0..n {
-            let id = first_id + i as u64;
-            if w.is_reserved(id) {
-                return Err(StoreError::DuplicateId(id));
-            }
+        if let Some(id) = ids.clone().take(n).find(|&id| w.is_reserved(id)) {
+            return Err(StoreError::DuplicateId(id));
         }
-        for i in 0..n {
-            let id = first_id + i as u64;
-            w.buffer
-                .append(id, &rows[i * self.dims..(i + 1) * self.dims])?;
+        for (id, row) in ids.zip(rows.chunks_exact(self.dims)) {
+            w.buffer.append(id, row)?;
             w.locations.insert(id, Loc::Buffer);
             if w.buffer.len() >= self.config.buffer_capacity {
                 self.maintain_locked(&mut w, MaintKind::Seal)?;
@@ -1391,6 +1391,25 @@ mod tests {
             a.bulk_insert(500, &rows[..3]),
             Err(StoreError::DimsMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn bulk_insert_past_the_largest_id_is_rejected_unapplied() {
+        let coll = Collection::in_memory(2, small_config());
+        coll.bulk_insert(0, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        let opts = SearchOptions::new(5);
+        let before = coll.search(&[0.0, 0.0], &opts);
+        let err = coll.bulk_insert(u64::MAX, &[5.0; 4]).unwrap_err();
+        let StoreError::IdOverflow { first, rows } = err else {
+            panic!("{err}")
+        };
+        assert_eq!((first, rows), (u64::MAX, 2));
+        assert_eq!(coll.live_len(), 2);
+        assert_eq!(coll.max_id(), Some(1));
+        assert_eq!(coll.search(&[0.0, 0.0], &opts), before);
+        // The range may end exactly at the largest id.
+        coll.bulk_insert(u64::MAX - 1, &[5.0; 4]).unwrap();
+        assert_eq!(coll.max_id(), Some(u64::MAX));
     }
 
     #[test]

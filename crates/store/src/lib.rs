@@ -145,6 +145,14 @@ pub enum StoreError {
     DuplicateId(u64),
     /// The external id is not live in the collection.
     NotFound(u64),
+    /// Consecutive ids from `first` for `rows` rows would pass
+    /// `u64::MAX`.
+    IdOverflow {
+        /// The first id of the range.
+        first: u64,
+        /// The number of rows the range was asked to cover.
+        rows: usize,
+    },
     /// A vector's length does not match the collection dimensionality.
     DimsMismatch {
         /// The collection's dimensionality.
@@ -171,6 +179,11 @@ impl fmt::Display for StoreError {
                 )
             }
             StoreError::NotFound(id) => write!(f, "external id {id} is not in the collection"),
+            StoreError::IdOverflow { first, rows } => write!(
+                f,
+                "{rows} consecutive ids from {first} would pass the largest id {}",
+                u64::MAX
+            ),
             StoreError::DimsMismatch { expected, got } => {
                 write!(f, "vector has {got} dims, collection has {expected}")
             }

@@ -49,8 +49,9 @@ fn main() {
     });
     report.push(("PDX-BOND (dist-to-means)", qps, res));
 
+    let linear = PdxBond::linear(Metric::L2);
     let (qps, res) = time(&mut |qi| {
-        flat.linear_search(ds.query(qi), k, Metric::L2)
+        flat.search_with(&linear, ds.query(qi), &opts)
             .iter()
             .map(|r| r.distance)
             .collect()

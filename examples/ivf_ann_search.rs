@@ -41,6 +41,7 @@ fn main() {
     // Two deployments of the same buckets.
     let ivf_ads = IvfPdx::new(&rotated, d, &index.assignments, DEFAULT_GROUP_SIZE);
     let ivf_raw = IvfHorizontal::new(&ds.data, d, &index.assignments, 32);
+    let linear = PdxBond::linear(Metric::L2);
 
     println!(
         "\n{:>7} | {:>14} {:>9} | {:>14} {:>9}",
@@ -69,16 +70,11 @@ fn main() {
         );
 
         // FAISS-like IVF_FLAT (horizontal SIMD linear scan of the same buckets).
+        let simd = opts.with_nprobe(nprobe).with_kernel(KernelPolicy::Simd);
         let t1 = Instant::now();
         let mut results = Vec::with_capacity(n_queries);
         for qi in 0..n_queries {
-            results.push(ivf_raw.linear_search(
-                ds.query(qi),
-                k,
-                nprobe,
-                Metric::L2,
-                KernelVariant::Simd,
-            ));
+            results.push(ivf_raw.search_with(&linear, ds.query(qi), &simd));
         }
         let flat_qps = n_queries as f64 / t1.elapsed().as_secs_f64();
         let flat_recall = mean_recall(

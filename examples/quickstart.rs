@@ -43,10 +43,11 @@ fn main() {
     }
     let bond_time = t0.elapsed();
 
+    let linear = PdxBond::linear(Metric::L2);
     let t1 = Instant::now();
     let mut scan_results = Vec::new();
     for qi in 0..ds.n_queries {
-        scan_results.push(flat.linear_search(ds.query(qi), 10, Metric::L2));
+        scan_results.push(flat.search_with(&linear, ds.query(qi), &opts));
     }
     let scan_time = t1.elapsed();
 

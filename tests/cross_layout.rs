@@ -58,8 +58,8 @@ fn linear_scans_return_identical_neighbours() {
     let k = 15;
     let q = ds.query(1);
 
-    let coll = PdxCollection::from_rows_partitioned(&ds.data, ds.len, d, 300, 64);
-    let pdx_res = linear_scan_pdx(&coll, q, k, Metric::L2);
+    let flat = FlatPdx::new(&ds.data, ds.len, d, 300, 64);
+    let pdx_res = flat.search_with(&PdxBond::linear(Metric::L2), q, &SearchOptions::new(k));
     let nary = NaryMatrix::from_rows(&ds.data, ds.len, d);
     let nary_res = linear_scan_nary(&nary, q, k, Metric::L2, KernelVariant::Simd);
 
@@ -114,7 +114,8 @@ fn in_place_update_is_visible_to_search() {
     rows[123 * d..124 * d].copy_from_slice(&q);
     let ids = coll.blocks[0].row_ids.clone();
     coll.blocks[0] = SearchBlock::new(&rows, ids, d, 64);
-    let res = linear_scan_pdx(&coll, &q, 1, Metric::L2);
+    let flat = FlatPdx::from_collection(coll);
+    let res = flat.search_with(&PdxBond::linear(Metric::L2), &q, &SearchOptions::new(1));
     assert_eq!(res[0].id, 123);
     assert!(res[0].distance.abs() < 1e-3);
 }

@@ -91,12 +91,12 @@ fn ivf_bsa_exact_mode_is_lossless() {
         bsa.attach_aux(block, &sched);
     }
 
-    let params = SearchOptions::new(k);
-    let nprobe = ivf.blocks.len();
+    let params = SearchOptions::new(k).with_nprobe(ivf.blocks.len());
+    let linear_scan = PdxBond::linear(Metric::L2);
     for qi in 0..ds.n_queries {
-        let pruned = ivf.search_with(&bsa, ds.query(qi), &params.with_nprobe(nprobe));
+        let pruned = ivf.search_with(&bsa, ds.query(qi), &params);
         let rotated_q = bsa.transform_vector(ds.query(qi));
-        let linear = ivf.linear_search(&rotated_q, k, nprobe, Metric::L2);
+        let linear = ivf.search_with(&linear_scan, &rotated_q, &params);
         let mut a: Vec<u64> = pruned.iter().map(|r| r.id).collect();
         let mut b: Vec<u64> = linear.iter().map(|r| r.id).collect();
         a.sort_unstable();

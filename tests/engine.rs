@@ -166,31 +166,25 @@ fn default_options_match_old_per_type_defaults() {
 
     let sq8 = FlatSq8::build(&rows, n, d, 150, 16);
     let dyn_sq8: &dyn VectorIndex = &sq8;
-    // The two-phase defaults, spelled out against the core composition.
+    // The two-phase defaults, spelled out against the typed search under
+    // the SQ8 bound.
     let explicit = SearchOptions {
         metric: Metric::L2,
         refine: DEFAULT_REFINE,
         ..opts
     };
+    let bound = Sq8Bound::new(&sq8.quantizer, Metric::L2);
     assert_eq!(
         dyn_sq8.search(&q, &opts),
-        sq8_two_phase(&sq8.quantizer, &sq8.blocks, &sq8.rows, &q, &explicit, None)
+        sq8.search_with(&bound, &q, &explicit)
     );
 
     let ivf_sq8 = IvfSq8::new(&rows, d, &index.assignments, 16);
     let dyn_ivf_sq8: &dyn VectorIndex = &ivf_sq8;
-    // Full probe: the candidate set is canonical whatever the bucket
-    // order, so storage order answers like probe order.
+    let bound = Sq8Bound::new(&ivf_sq8.quantizer, Metric::L2);
     assert_eq!(
         dyn_ivf_sq8.search(&q, &opts),
-        sq8_two_phase(
-            &ivf_sq8.quantizer,
-            &ivf_sq8.blocks,
-            &ivf_sq8.rows,
-            &q,
-            &explicit,
-            None
-        )
+        ivf_sq8.search_with(&bound, &q, &explicit)
     );
 }
 

@@ -613,7 +613,6 @@ fn dense_over_a_group_range_equals_the_per_group_calls() {
 /// band of one — which are those of the linear centroid scan.
 #[test]
 fn band_routing_equals_single_routes() {
-    use pdx::core::search::linear_scan_blocks;
     use pdx::index::ivf::{centroid_block, probe_orders};
     let val = |i: usize, salt: usize| ((i * 37 + salt * 101) % 997) as f32 * 0.01 - 5.0;
     let nprobe = 5;
@@ -635,9 +634,12 @@ fn band_routing_equals_single_routes() {
                     .iter()
                     .map(|q| probe_orders(&centroids, &[q], nprobe, metric).remove(0))
                     .collect();
-                for (q, ids) in queries.iter().zip(&single) {
-                    let linear = linear_scan_blocks(&[&centroids], q, nprobe, metric);
-                    let linear: Vec<u32> = linear.iter().map(|x| x.id as u32).collect();
+                for (bits, ids) in want.iter().zip(&single) {
+                    let mut heap = KnnHeap::new(nprobe);
+                    for (&id, &b) in centroids.row_ids.iter().zip(bits) {
+                        heap.push(id, f32::from_bits(b));
+                    }
+                    let linear: Vec<u32> = heap.into_sorted().iter().map(|x| x.id as u32).collect();
                     assert_eq!(ids, &linear, "{at}: band of one vs the linear scan");
                 }
                 for b in (1..=9).chain([64]) {

@@ -3,6 +3,7 @@
 //! Recall guarantees and pruning-power behaviour of the three pruners,
 //! checked end to end on Table 1-shaped data.
 
+use pdx::index::ivf::probe_orders;
 use pdx::prelude::*;
 use pdx_core::pruning::{checkpoints, Pruner, StepPolicy};
 
@@ -20,7 +21,7 @@ fn measure_pruned_fraction<P: Pruner>(pruner: &P, ivf: &IvfPdx, query: &[f32], k
     let dims = ivf.dims;
     let q = pruner.prepare_query(query);
     let qvec = pruner.query_vector(&q);
-    let order = ivf.probe_order(qvec, ivf.blocks.len(), pruner.metric());
+    let order = &probe_orders(&ivf.centroids, &[qvec], ivf.blocks.len(), pruner.metric())[0];
     let sched = checkpoints(StepPolicy::Adaptive { start: 2 }, dims);
     let mut heap = KnnHeap::new(k);
     let mut scanned_values = 0u64;
@@ -173,9 +174,10 @@ fn framework_knobs_do_not_change_exact_results() {
     let d = ds.dims();
     let k = 8;
     let flat = FlatPdx::new(&ds.data, ds.len, d, 400, 64);
+    let (linear, exact) = (PdxBond::linear(Metric::L2), SearchOptions::new(k));
     let reference: Vec<Vec<u64>> = (0..ds.n_queries)
         .map(|qi| {
-            flat.linear_search(ds.query(qi), k, Metric::L2)
+            flat.search_with(&linear, ds.query(qi), &exact)
                 .iter()
                 .map(|r| r.id)
                 .collect()

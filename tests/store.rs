@@ -81,7 +81,7 @@ fn inserts_are_visible_before_and_after_seal() {
     // The merged result equals an exact scan over all rows.
     let flat = FlatPdx::new(&rows, n, d, 64, 16);
     let q = make_rows(1, d, 2);
-    let want = flat.linear_search(&q, k, Metric::L2);
+    let want = flat.search_with(&PdxBond::linear(Metric::L2), &q, &opts);
     let got = coll.search(&q, &opts.with_pruner(PrunerKind::Linear));
     assert_eq!(ids_of(&got), ids_of(&want));
 }
