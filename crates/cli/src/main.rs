@@ -28,10 +28,10 @@
 //!                  [--deadline-ms=50 --refine=4]
 //! ```
 //!
-//! `query` and `evaluate` go through the engine layer: `AnyIndex::open`
-//! sniffs the index kind (`PDX1` f32, `PDX2` SQ8, `PDX3` mutable
-//! collection — directly or via its directory) and returns a
-//! `Box<dyn VectorIndex>`, so one code path serves every deployment —
+//! Every `--index` path goes through the engine layer: `Opened::open`
+//! decides what it names (a `PDX1` f32 or `PDX2` SQ8 container, a `PDX3`
+//! collection or a sharded one) and returns a variant that derefs to
+//! `dyn VectorIndex`, so one code path serves every deployment —
 //! exact PDX-BOND on f32 indexes, the two-phase quantized search on SQ8
 //! indexes, the buffer + segments − tombstones merge on collections —
 //! from one `SearchOptions`.
@@ -51,6 +51,7 @@ use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Valid `--key=value` flags per subcommand (the strict parser rejects
@@ -255,7 +256,7 @@ commands:
   query         run queries against any index (exact PDX-BOND on f32 indexes;
                 two-phase quantized scan + rerank on SQ8 indexes; mutable
                 collections merge buffer + segments minus tombstones; the
-                kind is sniffed via AnyIndex::open)
+                kind is read by Opened::open)
                   --index=<path> --queries=<file> [--k=10 --order=means|zones|decreasing|seq]
                   [--refine=4]       SQ8 candidate factor (rerank refine·k)
                   [--threads=N]      parallel batch width (default: PDX_THREADS
@@ -535,7 +536,7 @@ fn ignored_build_flags(args: &Args, mode: &str) -> Vec<&'static str> {
 /// `--cache-bytes` budget.
 fn build_ivf(
     args: &Args,
-    data: &pdx::datasets::io::VecsFile<f32>,
+    data: &Vecs,
     group: usize,
     out: &Path,
     quantize: bool,
@@ -591,7 +592,7 @@ fn build_ivf(
 /// collection and routes every row through the shard router (searches
 /// later fan out across the shards and merge).
 fn build_sharded(
-    data: &pdx::datasets::io::VecsFile<f32>,
+    data: &Vecs,
     out: &Path,
     shards: usize,
     config: StoreConfig,
@@ -607,7 +608,7 @@ fn build_sharded(
     coll.sync().map_err(|e| e.to_string())?; // power-loss durability point
     eprintln!(
         "wrote sharded collection {} ({} vectors × {} dims across {} {} shard(s) \
-         in {:.3}s; mutable — use insert/delete/compact)",
+         in {:.3}s; mutable through `serve` — Insert / Delete frames)",
         out.display(),
         coll.live_len(),
         coll.dims(),
@@ -647,31 +648,28 @@ fn parse_cache_bytes(args: &Args) -> Result<Option<u64>, String> {
 
 /// Engine open options from the shared flags.
 fn open_options(args: &Args) -> Result<OpenOptions, String> {
-    let mut opts = OpenOptions::default();
-    if let Some(bytes) = parse_cache_bytes(args)? {
-        opts = opts.with_cache_bytes(bytes);
-    }
-    Ok(opts)
+    let cache_bytes = parse_cache_bytes(args)?;
+    Ok(OpenOptions { cache_bytes })
 }
 
-/// Opens the `--index` container through the engine layer, printing the
-/// compatibility notes the old per-kind dispatch used to print.
-fn load_index(args: &Args) -> Result<Box<dyn VectorIndex>, String> {
+/// Opens the `--index` path through the engine layer, printing the
+/// notes for flags its kind ignores.
+fn load_index(args: &Args) -> Result<Opened, String> {
     let path = args.path("index")?;
-    let index = AnyIndex::open_with(&path, open_options(args)?).map_err(|e| e.to_string())?;
+    let index = Opened::open(&path, open_options(args)?).map_err(|e| e.to_string())?;
     // A mutable collection may hold either segment kind: both flags
     // apply, so neither note fires.
-    let is_store = is_store(index.as_ref());
-    if is_quantized(index.as_ref()) && args.has("order") {
+    let is_store = is_store(&index);
+    if is_quantized(&index) && args.has("order") {
         eprintln!("note: --order only applies to f32 indexes; ignored");
     }
-    if !is_store && !is_quantized(index.as_ref()) && args.has("refine") {
+    if !is_store && !is_quantized(&index) && args.has("refine") {
         eprintln!("note: --refine only applies to SQ8 indexes; ignored");
     }
     if index.kind() == "flat-sq8-scan-only" {
         eprintln!("note: scan-only SQ8 container (no rerank payload); results are estimates");
     }
-    if !is_ivf(index.as_ref()) {
+    if !is_ivf(&index) {
         if args.has("nprobe") {
             eprintln!("note: --nprobe only applies to IVF indexes; ignored");
         }
@@ -685,23 +683,36 @@ fn load_index(args: &Args) -> Result<Box<dyn VectorIndex>, String> {
     Ok(index)
 }
 
-fn is_quantized(index: &dyn VectorIndex) -> bool {
+/// [`load_index`] and [`search_options`], then the `--queries` file,
+/// whose dims must be the index's.
+fn index_and_queries(args: &Args, k: usize) -> Result<(Opened, SearchOptions, Vecs), String> {
+    let index = load_index(args)?;
+    let opts = search_options(args, k, &index)?;
+    let queries = read_fvecs(&args.path("queries")?)?;
+    if queries.dims != index.dims() {
+        let dims = index.dims();
+        return Err(format!("query dims {} != index dims {dims}", queries.dims));
+    }
+    Ok((index, opts, queries))
+}
+
+fn is_quantized(index: &Opened) -> bool {
     index.kind().starts_with("flat-sq8") || index.kind() == "ivf-sq8"
 }
 
-fn is_ivf(index: &dyn VectorIndex) -> bool {
+fn is_ivf(index: &Opened) -> bool {
     index.kind().starts_with("ivf")
 }
 
-fn is_store(index: &dyn VectorIndex) -> bool {
-    matches!(index.kind(), "collection" | "sharded-collection")
+fn is_store(index: &Opened) -> bool {
+    !matches!(index, Opened::Frozen(_))
 }
 
 /// Engine options from the query/evaluate flags. Only the flags that
 /// apply to this index kind are parsed: an ignored flag (`--order` on
 /// SQ8, `--refine` on f32) is truly ignored, value and all. A mutable
 /// collection may hold either segment kind, so both flags apply there.
-fn search_options(args: &Args, k: usize, index: &dyn VectorIndex) -> Result<SearchOptions, String> {
+fn search_options(args: &Args, k: usize, index: &Opened) -> Result<SearchOptions, String> {
     let mut opts = SearchOptions::new(k)
         .with_threads(args.usize("threads", 0)?)
         .with_kernel(parse_kernel(args)?);
@@ -719,22 +730,22 @@ fn search_options(args: &Args, k: usize, index: &dyn VectorIndex) -> Result<Sear
     Ok(opts)
 }
 
-/// Opens the `--index` path as a mutable collection (the directory, or
-/// its `MANIFEST` file).
-fn open_collection(args: &Args) -> Result<(PathBuf, Collection), String> {
+/// Opens the `--index` path for `insert`, `delete` or `compact`, which
+/// take a mutable collection (the directory, or its `MANIFEST` file).
+fn open_collection(args: &Args) -> Result<(PathBuf, Arc<Collection>), String> {
     let path = args.path("index")?;
-    let dir = if path.is_dir() {
-        path
-    } else if path.file_name().and_then(|n| n.to_str()) == Some("MANIFEST") {
-        path.parent().unwrap_or(Path::new(".")).to_path_buf()
-    } else {
-        return Err(format!(
-            "{}: not a mutable collection (expected a directory or its MANIFEST file)",
-            path.display()
-        ));
+    let why = match Opened::open(&path, OpenOptions::default()).map_err(|e| e.to_string())? {
+        Opened::Collection(coll) => return Ok((path, coll)),
+        Opened::Sharded(_) => "a sharded collection; it mutates through `serve` (the Insert and \
+             Delete frames), not through insert, delete or compact"
+            .to_string(),
+        Opened::Frozen(index) => format!(
+            "a frozen {} container; insert, delete and compact need a mutable collection \
+             (build --mode=collection)",
+            index.kind()
+        ),
     };
-    let coll = Collection::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    Ok((dir, coll))
+    Err(format!("{}: {why}", path.display()))
 }
 
 fn cmd_insert(args: &Args) -> Result<(), String> {
@@ -876,7 +887,6 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
     );
     let t0 = Instant::now();
     if background {
-        let coll = std::sync::Arc::new(coll);
         let job = coll.compact_background().map_err(|e| e.to_string())?;
         eprintln!(
             "compacting {} on a background {} job (reads and writes stay available) …",
@@ -884,22 +894,9 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
             job.kind(),
         );
         job.wait().map_err(|e| e.to_string())?;
-        report_compaction(&dir, &coll, t0, segs, tombs, buffered);
     } else {
         coll.compact().map_err(|e| e.to_string())?;
-        report_compaction(&dir, &coll, t0, segs, tombs, buffered);
     }
-    Ok(())
-}
-
-fn report_compaction(
-    dir: &Path,
-    coll: &Collection,
-    t0: Instant,
-    segs: usize,
-    tombs: usize,
-    buffered: usize,
-) {
     eprintln!(
         "compacted {} in {:.3}s: {segs} segment(s) + {buffered} buffered − {tombs} \
          tombstoned → {} segment(s), {} live rows",
@@ -908,6 +905,7 @@ fn report_compaction(
         coll.segment_count(),
         coll.live_len(),
     );
+    Ok(())
 }
 
 fn cmd_stat(args: &Args) -> Result<(), String> {
@@ -959,95 +957,88 @@ fn payload_line() -> String {
 /// `--metrics` dump see its arenas.
 fn stat_describe(args: &Args, tail: &dyn Fn(&'static str)) -> Result<(), String> {
     let path = args.path("index")?;
-    // Sharded collections first (their directory holds no MANIFEST of
-    // its own), then mutable collections, then frozen containers.
-    if path.is_dir() && ShardedCollection::is_sharded_dir(&path) {
-        let t0 = Instant::now();
-        let coll =
-            ShardedCollection::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let open_us = t0.elapsed().as_micros();
-        println!(
-            "sharded collection {} ({} dims, {} shard(s))",
-            path.display(),
-            coll.dims(),
-            coll.n_shards(),
-        );
-        let tombstones: usize = coll.shards().iter().map(|s| s.tombstone_count()).sum();
-        println!(
-            "  live {} | tombstoned {tombstones} | resident ≈{} bytes | opened in {open_us} µs",
-            coll.live_len(),
-            coll.resident_bytes(),
-        );
-        println!("  kernel {}", KernelPolicy::Auto.resolve().name());
-        for (i, s) in coll.shards().iter().enumerate() {
-            println!(
-                "  shard {i:>4}  {:>8} live  {:>6} buffered  {:>6} tombstoned  {} segment(s)",
-                s.live_len(),
-                s.buffer_len(),
-                s.tombstone_count(),
-                s.segment_count(),
-            );
-        }
-        tail("sharded-collection");
-        return Ok(());
-    }
-    if path.is_dir() || path.file_name().and_then(|n| n.to_str()) == Some("MANIFEST") {
-        let (dir, coll) = open_collection(args)?;
-        println!(
-            "collection {} ({} dims, {})",
-            dir.display(),
-            coll.dims(),
-            if coll.config().quantize {
-                "SQ8 segments"
-            } else {
-                "f32 segments"
-            }
-        );
-        println!(
-            "  live {} | buffered {} | tombstoned {} | wal generation {}",
-            coll.live_len(),
-            coll.buffer_len(),
-            coll.tombstone_count(),
-            coll.wal_seq(),
-        );
-        println!("  kernel {}", KernelPolicy::Auto.resolve().name());
-        if coll.maintenance_in_flight() > 0 {
-            println!(
-                "  maintenance: {} background job(s) in flight",
-                coll.maintenance_in_flight()
-            );
-        }
-        for s in coll.segment_stats() {
-            println!(
-                "  segment {:>6}  {:<12} {:>8} rows  {:>6} dead",
-                s.seq, s.kind, s.rows, s.dead
-            );
-        }
-        tail("collection");
-        return Ok(());
-    }
     let t0 = Instant::now();
-    let index = AnyIndex::open_with(&path, open_options(args)?).map_err(|e| e.to_string())?;
+    let opened = Opened::open(&path, open_options(args)?).map_err(|e| e.to_string())?;
     let open_us = t0.elapsed().as_micros();
-    println!(
-        "{} ({}, {} vectors × {} dims, kernel {})",
-        path.display(),
-        index.kind(),
-        index.len(),
-        index.dims(),
-        KernelPolicy::Auto.resolve().name(),
-    );
-    println!(
-        "  resident ≈{} bytes | opened in {open_us} µs",
-        index.resident_bytes()
-    );
-    if let Some(c) = index.cache_stats() {
-        println!(
-            "  cache: budget {} bytes | resident {} bytes | {} hits | {} misses | {} evictions",
-            c.budget_bytes, c.resident_bytes, c.hits, c.misses, c.evictions,
-        );
+    let kernel = KernelPolicy::Auto.resolve().name();
+    match &opened {
+        Opened::Sharded(coll) => {
+            println!(
+                "sharded collection {} ({} dims, {} shard(s))",
+                path.display(),
+                coll.dims(),
+                coll.n_shards(),
+            );
+            let tombstones: usize = coll.shards().iter().map(|s| s.tombstone_count()).sum();
+            println!(
+                "  live {} | tombstoned {tombstones} | resident ≈{} bytes | opened in {open_us} µs",
+                coll.live_len(),
+                coll.resident_bytes(),
+            );
+            println!("  kernel {kernel}");
+            for (i, s) in coll.shards().iter().enumerate() {
+                println!(
+                    "  shard {i:>4}  {:>8} live  {:>6} buffered  {:>6} tombstoned  {} segment(s)",
+                    s.live_len(),
+                    s.buffer_len(),
+                    s.tombstone_count(),
+                    s.segment_count(),
+                );
+            }
+        }
+        Opened::Collection(coll) => {
+            println!(
+                "collection {} ({} dims, {})",
+                path.display(),
+                coll.dims(),
+                if coll.config().quantize {
+                    "SQ8 segments"
+                } else {
+                    "f32 segments"
+                }
+            );
+            println!(
+                "  live {} | buffered {} | tombstoned {} | wal generation {}",
+                coll.live_len(),
+                coll.buffer_len(),
+                coll.tombstone_count(),
+                coll.wal_seq(),
+            );
+            println!("  kernel {kernel}");
+            if coll.maintenance_in_flight() > 0 {
+                println!(
+                    "  maintenance: {} background job(s) in flight",
+                    coll.maintenance_in_flight()
+                );
+            }
+            for s in coll.segment_stats() {
+                println!(
+                    "  segment {:>6}  {:<12} {:>8} rows  {:>6} dead",
+                    s.seq, s.kind, s.rows, s.dead
+                );
+            }
+        }
+        Opened::Frozen(index) => {
+            println!(
+                "{} ({}, {} vectors × {} dims, kernel {kernel})",
+                path.display(),
+                index.kind(),
+                index.len(),
+                index.dims(),
+            );
+            println!(
+                "  resident ≈{} bytes | opened in {open_us} µs",
+                index.resident_bytes()
+            );
+            if let Some(c) = index.cache_stats() {
+                println!(
+                    "  cache: budget {} bytes | resident {} bytes | {} hits | {} misses | {} evictions",
+                    c.budget_bytes, c.resident_bytes, c.hits, c.misses, c.evictions,
+                );
+            }
+        }
     }
-    tail(index.kind());
+    tail(opened.kind());
     Ok(())
 }
 
@@ -1179,16 +1170,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         eprintln!("note: --deadline-ms only applies with --remote; ignored");
     }
     let k = args.positive("k", 10)?;
-    let index = load_index(args)?;
-    let opts = search_options(args, k, index.as_ref())?;
-    let queries = read_fvecs(&args.path("queries")?)?;
-    if queries.dims != index.dims() {
-        return Err(format!(
-            "query dims {} != index dims {}",
-            queries.dims,
-            index.dims()
-        ));
-    }
+    let (index, opts, queries) = index_and_queries(args, k)?;
     let t0 = Instant::now();
     let results = index.search_batch(&queries.data, &opts);
     let secs = t0.elapsed().as_secs_f64();
@@ -1246,22 +1228,13 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
             gt.dims
         ));
     }
-    let index = load_index(args)?;
-    let opts = search_options(args, k, index.as_ref())?;
-    let queries = read_fvecs(&args.path("queries")?)?;
+    let (index, opts, queries) = index_and_queries(args, k)?;
     if gt.len < queries.len {
         return Err(format!(
             "--gt={}: {} ground-truth rows for {} queries (one row per query required)",
             gt_path.display(),
             gt.len,
             queries.len
-        ));
-    }
-    if queries.dims != index.dims() {
-        return Err(format!(
-            "query dims {} != index dims {}",
-            queries.dims,
-            index.dims()
         ));
     }
     let t0 = Instant::now();
@@ -1287,7 +1260,9 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn read_fvecs(path: &Path) -> Result<pdx::datasets::io::VecsFile<f32>, String> {
+type Vecs = pdx::datasets::io::VecsFile<f32>;
+
+fn read_fvecs(path: &Path) -> Result<Vecs, String> {
     pdx::datasets::io::read_fvecs_path(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
@@ -1550,6 +1525,78 @@ mod tests {
         // The bound counts the ids named before the range too.
         let err = parse_id_list("1,2,3..12", 10).unwrap_err();
         assert!(err.contains("'3..12'"), "{err}");
+    }
+
+    /// `AnyIndex`, the server's `Backend` and `stat` agree on what each
+    /// path names or fail with one error string; `insert` mutates a
+    /// collection, refuses other indexes by name, or fails with that string.
+    #[test]
+    fn every_opener_gives_a_path_the_same_verdict() {
+        let dir = std::env::temp_dir().join("pdx_cli_open_verdicts");
+        let _ = std::fs::remove_dir_all(&dir);
+        let at = |name: &str| dir.join(name).display().to_string();
+        for sub in ["m", "junk", "empty"] {
+            std::fs::create_dir_all(at(sub)).unwrap();
+        }
+        let rows: Vec<f32> = (0..40 * 4).map(|i| (i % 13) as f32).collect();
+        write_fvecs(Path::new(&at("base.fvecs")), &rows, 4).unwrap();
+        let data = format!("--data={}", at("base.fvecs"));
+        let modes = ["--mode=collection", "--shards=2"];
+        for (out, mode) in [
+            ("flat.pdx", &[][..]),
+            ("store", &modes[..1]),
+            ("sharded", &modes),
+        ] {
+            let argv = argv(&[&[data.as_str(), &format!("--out={}", at(out))], mode].concat());
+            cmd_build(&Args::parse(&argv, BUILD_FLAGS).unwrap()).unwrap();
+        }
+        std::fs::copy(at("flat.pdx"), at("m/MANIFEST")).unwrap();
+        std::fs::write(at("junk/MANIFEST"), b"garbage, not an index").unwrap();
+        std::fs::copy(at("store/MANIFEST"), at("renamed.manifest")).unwrap();
+        std::fs::write(at("cut.pdx"), &std::fs::read(at("flat.pdx")).unwrap()[..10]).unwrap();
+
+        // The path, then the kind it opens as and how `insert` refuses
+        // it, or a piece of the error every opener gives.
+        let sharded = "a sharded collection; it mutates through `serve`";
+        let table = [
+            ("m/MANIFEST", Ok(("flat-pdx", "a frozen flat-pdx"))),
+            ("junk/MANIFEST", Err("unknown magic \"garb\"")),
+            ("renamed.manifest", Err("must be named MANIFEST")),
+            ("empty", Err("MANIFEST for a collection or SHARDS")),
+            ("cut.pdx", Err("cut.pdx")),
+            ("sharded", Ok(("sharded-collection", sharded))),
+            ("store", Ok(("collection", ""))),
+            ("store/MANIFEST", Ok(("collection", ""))),
+        ];
+        for (name, want) in table {
+            let index = format!("--index={}", at(name));
+            let any = AnyIndex::open(at(name)).map(|index| index.kind());
+            let any = any.map_err(|e| e.to_string());
+            let served = pdx::serve::Backend::open(at(name));
+            let served = served.map(|b| b.index().kind()).map_err(|e| e.to_string());
+            let seen = std::cell::Cell::new(None);
+            let stat = Args::parse(&argv(&[&index]), STAT_FLAGS).unwrap();
+            let stat = stat_describe(&stat, &|kind| seen.set(Some(kind)));
+            assert_eq!(served, any, "{name}: Backend::open");
+            assert_eq!(stat.map(|()| seen.get().unwrap()), any, "{name}: stat");
+            match (&any, want) {
+                (Ok(kind), Ok((want, _))) => assert_eq!(*kind, want, "{name}"),
+                (Err(err), Err(want)) => assert!(err.contains(want), "{name}: {err}"),
+                (got, want) => panic!("{name}: opened as {got:?}, want {want:?}"),
+            }
+            let insert = Args::parse(&argv(&[&index, &data]), INSERT_FLAGS).unwrap();
+            match (cmd_insert(&insert), want, &any) {
+                (Ok(()), Ok(("collection", _)), _) => {}
+                (Err(err), Ok((_, refusal)), _) if !refusal.is_empty() => {
+                    assert!(err.contains(refusal), "{name}: {err}")
+                }
+                (Err(err), Err(_), Err(any)) => assert_eq!(&err, any, "{name}: insert"),
+                (got, _, _) => panic!("{name}: insert gave {got:?}"),
+            }
+        }
+        let empty = AnyIndex::open(at("empty")).err().map(|e| e.kind());
+        assert_eq!(empty, Some(std::io::ErrorKind::NotFound));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -8,15 +8,10 @@
 //! network/sharding layers) programs against one surface and never
 //! branches on the container or deployment kind.
 //!
-//! * [`AnyIndex`] — opens an on-disk container
-//!   ([`pdx_datasets::persist`]), sniffs the magic number (`PDX1` f32,
-//!   `PDX2` SQ8, `PDX3` mutable-collection manifest) and returns
-//!   whichever deployment the file holds; a directory is served as the
-//!   mutable collection ([`pdx_store::Collection`]) — or, when it
-//!   holds a `SHARDS` manifest, the [`pdx_store::ShardedCollection`] —
-//!   it contains. IVF-extended (1.1) containers additionally open
-//!   *lazily* ([`pdx_index::LazyIvf`]) when a block-cache budget is
-//!   configured via [`OpenOptions`] or `PDX_CACHE_BYTES`.
+//! * [`Opened::open`] — the one place that decides what a path names: a
+//!   frozen container, a collection or a sharded collection. The
+//!   server's `Backend` and the CLI match on the enum it returns.
+//! * [`AnyIndex`] — the same open, boxed as a `Box<dyn VectorIndex>`.
 //! * [`Pruned`] ([`PrunedFlat`] / [`PrunedIvf`]) — pairs a deployment
 //!   with a *fitted* pruner (ADSampling's rotation, BSA's PCA — state
 //!   that cannot be chosen from plain options) and serves it through the
@@ -41,10 +36,12 @@ use pdx_core::search::ScanBlock;
 use pdx_datasets::persist::{read_container, read_container_path, Container};
 use pdx_index::ivf::centroid_block;
 use pdx_index::{Deployment, FlatPdx, FlatSq8, IvfPdx, IvfSq8, LazyIvf};
-use pdx_store::{Collection, ShardedCollection, MANIFEST_FILE, MANIFEST_MAGIC};
+use pdx_store::{Collection, ShardedCollection, StoreError};
+use pdx_store::{MANIFEST_FILE, MANIFEST_MAGIC, SHARDS_FILE};
 use std::io;
 use std::ops::Deref;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Deployment-independent open knobs for [`AnyIndex::open_with`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -68,35 +65,108 @@ impl OpenOptions {
     }
 }
 
-/// Opens any persisted PDX index as a dynamic [`VectorIndex`].
-///
-/// This is the serving-side entry point: anything written by
-/// `pdx-cli build` (or the persistence layers directly) comes back as
-/// whichever deployment it holds, behind one trait object —
-///
-/// * a `PDX1` container as a [`FlatPdx`] — or, when it carries the
-///   1.1 bucket table, as an [`IvfPdx`] (resident) or a [`LazyIvf`]
-///   (out-of-core, when a cache budget is configured);
-/// * a `PDX2` container as a [`FlatSq8`] / [`IvfSq8`] (scan-only when
-///   the file carries no rerank payload);
-/// * a `PDX3` manifest — or the directory holding one — as the mutable
-///   [`Collection`] it describes (segments loaded, WAL replayed with
-///   torn-tail recovery);
-/// * a directory with a `SHARDS` manifest as the [`ShardedCollection`]
-///   it describes.
+/// What a path names, opened: the answer of [`Opened::open`], which
+/// [`AnyIndex`], the server's `Backend` and the CLI all read. Derefs to
+/// the [`VectorIndex`] every variant serves.
+pub enum Opened {
+    /// A read-only `PDX1` / `PDX2` container, resident or lazy.
+    Frozen(Box<dyn VectorIndex>),
+    /// A mutable `PDX3` collection.
+    Collection(Arc<Collection>),
+    /// A sharded collection.
+    Sharded(Arc<ShardedCollection>),
+}
+
+impl Opened {
+    /// Opens `path` as what it names:
+    ///
+    /// * a directory holding [`SHARDS_FILE`] is a [`ShardedCollection`],
+    ///   one holding [`MANIFEST_FILE`] a [`Collection`];
+    /// * a file is what its magic says: `PDX1` a [`FlatPdx`] — or, with
+    ///   the 1.1 bucket table, an [`IvfPdx`], or a [`LazyIvf`] when a
+    ///   cache budget applies ([`OpenOptions::cache_bytes`]); `PDX2` a
+    ///   [`FlatSq8`] / [`IvfSq8`] (scan-only without a rerank payload);
+    ///   `PDX3` the [`Collection`] it describes, accepted only when the
+    ///   file is named [`MANIFEST_FILE`].
+    ///
+    /// # Errors
+    /// Every error names `path`. A directory holding neither manifest is
+    /// [`io::ErrorKind::NotFound`]; an unknown magic reports the four
+    /// bytes read; IO, container-format and store errors are propagated.
+    pub fn open(path: impl AsRef<Path>, opts: OpenOptions) -> io::Result<Self> {
+        let path = path.as_ref();
+        let fail = |kind, msg: String| io::Error::new(kind, format!("{}: {msg}", path.display()));
+        let named = |e: io::Error| fail(e.kind(), e.to_string());
+        let store = |e: StoreError| named(e.into());
+        let dir = if path.is_dir() {
+            if path.join(SHARDS_FILE).is_file() {
+                let sharded = ShardedCollection::open(path).map_err(store)?;
+                return Ok(Self::Sharded(Arc::new(sharded)));
+            }
+            if !path.join(MANIFEST_FILE).exists() {
+                let msg = format!(
+                    "names no index (a directory must hold {MANIFEST_FILE} for a collection \
+                     or {SHARDS_FILE} for a sharded collection)"
+                );
+                return Err(fail(io::ErrorKind::NotFound, msg));
+            }
+            path
+        } else {
+            let mut magic = [0u8; 4];
+            std::fs::File::open(path)
+                .and_then(|mut f| io::Read::read_exact(&mut f, &mut magic))
+                .map_err(named)?;
+            if &magic != MANIFEST_MAGIC {
+                // An IVF-extended f32 container with a cache budget
+                // serves lazily: O(header) open, buckets fetched on
+                // demand. A legacy 1.0 container has no bucket table to
+                // seek by and falls through to the resident reader.
+                let budget = pdx_core::cache::resolve_cache_bytes(opts.cache_bytes);
+                if let (Some(budget), b"PDX1") = (budget, &magic) {
+                    if let Ok(lazy) = LazyIvf::open(path, budget) {
+                        return Ok(Self::Frozen(Box::new(lazy)));
+                    }
+                }
+                return Ok(Self::Frozen(deployment(read_container_path(path)?)));
+            }
+            if path.file_name() != Some(MANIFEST_FILE.as_ref()) {
+                let msg = format!(
+                    "a PDX3 manifest must be named {MANIFEST_FILE} inside its collection \
+                     directory"
+                );
+                return Err(fail(io::ErrorKind::InvalidData, msg));
+            }
+            path.parent().unwrap_or_else(|| Path::new("."))
+        };
+        let coll = Collection::open(dir).map_err(store)?;
+        Ok(Self::Collection(Arc::new(coll)))
+    }
+}
+
+impl Deref for Opened {
+    type Target = dyn VectorIndex;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Self::Frozen(index) => index.as_ref(),
+            Self::Collection(coll) => coll.as_ref(),
+            Self::Sharded(coll) => coll.as_ref(),
+        }
+    }
+}
+
+/// Opens any persisted PDX index — whatever [`Opened::open`] finds at
+/// the path — as one boxed [`VectorIndex`].
 pub struct AnyIndex;
 
 impl AnyIndex {
-    /// Opens a container file, manifest file or collection directory,
-    /// dispatching on the magic number. Errors name the offending path.
-    ///
+    /// Opens a container file, manifest file or collection directory.
     /// Equivalent to [`AnyIndex::open_with`] with default options: the
     /// cache budget (and therefore lazy opening) is still picked up
     /// from `PDX_CACHE_BYTES` when set.
     ///
     /// # Errors
-    /// Propagates IO errors and container-format errors; an unknown
-    /// magic number reports the path and the four bytes read.
+    /// Those of [`Opened::open`].
     pub fn open(path: impl AsRef<Path>) -> io::Result<Box<dyn VectorIndex>> {
         Self::open_with(path, OpenOptions::default())
     }
@@ -104,63 +174,17 @@ impl AnyIndex {
     /// [`AnyIndex::open`] with explicit [`OpenOptions`].
     ///
     /// # Errors
-    /// Propagates IO errors and container-format errors; an unknown
-    /// magic number reports the path and the four bytes read.
+    /// Those of [`Opened::open`].
     pub fn open_with(
         path: impl AsRef<Path>,
         opts: OpenOptions,
     ) -> io::Result<Box<dyn VectorIndex>> {
-        let path = path.as_ref();
-        let with_path = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-        if path.is_dir() {
-            if ShardedCollection::is_sharded_dir(path) {
-                let sharded = ShardedCollection::open(path)
-                    .map_err(io::Error::from)
-                    .map_err(with_path)?;
-                return Ok(Box::new(sharded));
-            }
-            let coll = Collection::open(path)
-                .map_err(io::Error::from)
-                .map_err(with_path)?;
-            return Ok(Box::new(coll));
-        }
-        // Sniff the magic ourselves so a PDX3 manifest can route to the
-        // store; PDX1/PDX2 re-read through the container path.
-        let mut magic = [0u8; 4];
-        {
-            use io::Read;
-            let mut f = std::fs::File::open(path).map_err(with_path)?;
-            f.read_exact(&mut magic).map_err(with_path)?;
-        }
-        if &magic == MANIFEST_MAGIC {
-            if path.file_name().and_then(|n| n.to_str()) != Some(MANIFEST_FILE) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{}: a PDX3 manifest must be named {MANIFEST_FILE} inside its \
-                         collection directory",
-                        path.display()
-                    ),
-                ));
-            }
-            let dir = path.parent().unwrap_or_else(|| Path::new("."));
-            let coll = Collection::open(dir)
-                .map_err(io::Error::from)
-                .map_err(with_path)?;
-            return Ok(Box::new(coll));
-        }
-        // An IVF-extended f32 container with a cache budget serves
-        // lazily: O(header) open, buckets fetched on demand.
-        if let Some(budget) = pdx_core::cache::resolve_cache_bytes(opts.cache_bytes) {
-            if &magic == b"PDX1" {
-                if let Ok(lazy) = LazyIvf::open(path, budget) {
-                    return Ok(Box::new(lazy));
-                }
-                // Legacy 1.0 container: fall through to the resident
-                // reader (it has no bucket table to seek by).
-            }
-        }
-        Ok(Self::from_container(read_container_path(path)?))
+        Ok(match Opened::open(path, opts)? {
+            Opened::Frozen(index) => index,
+            // A collection fresh from `open` has no other owner.
+            Opened::Collection(coll) => Box::new(Arc::into_inner(coll).expect("one owner")),
+            Opened::Sharded(coll) => Box::new(Arc::into_inner(coll).expect("one owner")),
+        })
     }
 
     /// Reads a container from any reader, dispatching on its magic
@@ -171,35 +195,35 @@ impl AnyIndex {
     /// # Errors
     /// Propagates IO errors and container-format errors.
     pub fn read<R: io::Read>(r: R) -> io::Result<Box<dyn VectorIndex>> {
-        Ok(Self::from_container(read_container(r)?))
+        Ok(deployment(read_container(r)?))
     }
+}
 
-    /// Wraps an already-loaded container in its deployment.
-    pub fn from_container(container: Container) -> Box<dyn VectorIndex> {
-        // The centroid block is rebuilt with the call the lazy reader
-        // uses, so resident and lazy deployments probe identically.
-        match container {
-            Container::F32(c) => match c.centroid_rows {
-                None => Box::new(FlatPdx::from_collection(PdxCollection::from_blocks(
-                    c.dims, c.blocks,
-                ))),
-                Some(rows) => Box::new(IvfPdx {
-                    dims: c.dims,
-                    centroids: centroid_block(&rows, c.dims, c.group),
-                    blocks: c.blocks,
-                }),
-            },
-            Container::Sq8(c) => match c.centroid_rows {
-                None => Box::new(FlatSq8::from_parts(c.dims, c.quantizer, c.blocks, c.rows)),
-                Some(rows) => Box::new(IvfSq8 {
-                    dims: c.dims,
-                    quantizer: c.quantizer,
-                    centroids: centroid_block(&rows, c.dims, c.group),
-                    blocks: c.blocks,
-                    rows: c.rows,
-                }),
-            },
-        }
+/// Wraps an already-loaded container in its deployment.
+fn deployment(container: Container) -> Box<dyn VectorIndex> {
+    // The centroid block is rebuilt with the call the lazy reader
+    // uses, so resident and lazy deployments probe identically.
+    match container {
+        Container::F32(c) => match c.centroid_rows {
+            None => Box::new(FlatPdx::from_collection(PdxCollection::from_blocks(
+                c.dims, c.blocks,
+            ))),
+            Some(rows) => Box::new(IvfPdx {
+                dims: c.dims,
+                centroids: centroid_block(&rows, c.dims, c.group),
+                blocks: c.blocks,
+            }),
+        },
+        Container::Sq8(c) => match c.centroid_rows {
+            None => Box::new(FlatSq8::from_parts(c.dims, c.quantizer, c.blocks, c.rows)),
+            Some(rows) => Box::new(IvfSq8 {
+                dims: c.dims,
+                quantizer: c.quantizer,
+                centroids: centroid_block(&rows, c.dims, c.group),
+                blocks: c.blocks,
+                rows: c.rows,
+            }),
+        },
     }
 }
 

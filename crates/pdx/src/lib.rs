@@ -193,7 +193,7 @@ pub mod prelude {
     pub use pdx_datasets::synthetic::{
         generate, spec_by_name, Dataset, DatasetSpec, Distribution, TABLE1,
     };
-    pub use pdx_engine::{AnyIndex, OpenOptions, Pruned, PrunedFlat, PrunedIvf};
+    pub use pdx_engine::{AnyIndex, OpenOptions, Opened, Pruned, PrunedFlat, PrunedIvf};
     pub use pdx_index::{
         Deployment, FlatPdx, FlatSq8, IvfHorizontal, IvfIndex, IvfPdx, IvfSq8, KMeans, LazyIvf,
     };

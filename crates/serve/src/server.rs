@@ -34,9 +34,9 @@ use pdx_core::codec::{read_vec, Source, Stream};
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::{resolve_threads, spawn_job, JobHandle};
 use pdx_core::KernelPolicy;
-use pdx_engine::{AnyIndex, OpenOptions};
+use pdx_engine::{OpenOptions, Opened};
 use pdx_obs::{trace, Counter, Gauge, Histogram, MetricsServer, Registry, SlowQueryLog};
-use pdx_store::{Collection, ShardedCollection, StoreError, MANIFEST_FILE};
+use pdx_store::{Collection, StoreError};
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -97,64 +97,27 @@ impl Default for ServeConfig {
     }
 }
 
-/// What the server serves: a frozen container behind the object-safe
-/// [`VectorIndex`] trait, a mutable [`Collection`], or a
-/// [`ShardedCollection`] (the latter two additionally accept
-/// `Insert`/`Delete`).
-enum BackendKind {
-    /// A read-only container (`PDX1`/`PDX2`, or any boxed index) —
-    /// including lazily opened IVF containers.
-    Frozen(Box<dyn VectorIndex>),
-    /// A mutable PDX3 collection; searches hit lock-free snapshots,
-    /// mutations go through the concurrent writer.
-    Collection(Arc<Collection>),
-    /// A sharded collection: mutations route by id hash, reads merge
-    /// across shards.
-    Sharded(Arc<ShardedCollection>),
-}
-
-/// The index a [`Server`] answers queries against, plus the measured
+/// The index a [`Server`] answers queries against — what [`Opened`]
+/// names: a frozen container, or a mutable collection or sharded
+/// collection that also accepts `Insert`/`Delete` — plus the measured
 /// cold-open time surfaced in `Stats` reports.
 pub struct Backend {
-    kind: BackendKind,
+    opened: Opened,
     open_us: u64,
 }
 
 impl Backend {
-    /// Opens `path` as a backend: PDX3 collection directories (or their
-    /// `MANIFEST` file) open as a mutable collection, directories with
-    /// a `SHARDS` manifest as a sharded collection, everything else
-    /// goes through [`AnyIndex::open_with`] and is frozen — which
-    /// means an IVF-extended container opens *lazily* when a cache
-    /// budget is configured (explicitly or via `PDX_CACHE_BYTES`).
+    /// Opens what `path` names ([`Opened::open`]) and times the open: a
+    /// collection or sharded collection serves mutably, a container
+    /// frozen.
     ///
     /// # Errors
-    /// Propagates open/IO errors; corrupt inputs surface as the typed
-    /// `InvalidData` errors of `AnyIndex::open`/`Collection::open`.
+    /// Those of [`Opened::open`].
     pub fn open_with(path: impl AsRef<Path>, opts: OpenOptions) -> io::Result<Self> {
-        let path = path.as_ref();
         let t0 = Instant::now();
-        let manifest_named = path.file_name().is_some_and(|name| name == MANIFEST_FILE);
-        let kind = if path.is_dir() && ShardedCollection::is_sharded_dir(path) {
-            BackendKind::Sharded(Arc::new(ShardedCollection::open(path).map_err(|e| {
-                let e = io::Error::from(e);
-                io::Error::new(e.kind(), format!("{}: {e}", path.display()))
-            })?))
-        } else if path.is_dir() || manifest_named {
-            let dir = if manifest_named {
-                path.parent().unwrap_or(Path::new("."))
-            } else {
-                path
-            };
-            BackendKind::Collection(Arc::new(Collection::open(dir).map_err(|e| {
-                let e = io::Error::from(e);
-                io::Error::new(e.kind(), format!("{}: {e}", dir.display()))
-            })?))
-        } else {
-            BackendKind::Frozen(AnyIndex::open_with(path, opts)?)
-        };
+        let opened = Opened::open(path, opts)?;
         Ok(Backend {
-            kind,
+            opened,
             open_us: t0.elapsed().as_micros() as u64,
         })
     }
@@ -171,7 +134,7 @@ impl Backend {
     /// Wraps an already-open index as a frozen backend.
     pub fn frozen(index: Box<dyn VectorIndex>) -> Self {
         Backend {
-            kind: BackendKind::Frozen(index),
+            opened: Opened::Frozen(index),
             open_us: 0,
         }
     }
@@ -180,48 +143,26 @@ impl Backend {
     /// an owned collection or an `Arc` shared with other readers.
     pub fn collection(coll: impl Into<Arc<Collection>>) -> Self {
         Backend {
-            kind: BackendKind::Collection(coll.into()),
-            open_us: 0,
-        }
-    }
-
-    /// Wraps an already-open sharded collection as a mutable backend.
-    /// Accepts an owned collection or an `Arc` shared with other
-    /// readers.
-    pub fn sharded(coll: impl Into<Arc<ShardedCollection>>) -> Self {
-        Backend {
-            kind: BackendKind::Sharded(coll.into()),
+            opened: Opened::Collection(coll.into()),
             open_us: 0,
         }
     }
 
     /// Whether the backend accepts `Insert`/`Delete`.
     pub fn is_mutable(&self) -> bool {
-        !matches!(self.kind, BackendKind::Frozen(_))
+        !matches!(self.opened, Opened::Frozen(_))
     }
 
     /// The search surface (all variants serve reads the same way).
     pub fn index(&self) -> &dyn VectorIndex {
-        match &self.kind {
-            BackendKind::Frozen(index) => index.as_ref(),
-            BackendKind::Collection(coll) => coll.as_ref() as &dyn VectorIndex,
-            BackendKind::Sharded(coll) => coll.as_ref() as &dyn VectorIndex,
-        }
-    }
-
-    fn live(&self) -> u64 {
-        match &self.kind {
-            BackendKind::Frozen(index) => index.len() as u64,
-            BackendKind::Collection(coll) => coll.live_len() as u64,
-            BackendKind::Sharded(coll) => coll.live_len() as u64,
-        }
+        &*self.opened
     }
 
     fn tombstones(&self) -> u64 {
-        match &self.kind {
-            BackendKind::Frozen(_) => 0,
-            BackendKind::Collection(coll) => coll.tombstone_count() as u64,
-            BackendKind::Sharded(coll) => coll
+        match &self.opened {
+            Opened::Frozen(_) => 0,
+            Opened::Collection(coll) => coll.tombstone_count() as u64,
+            Opened::Sharded(coll) => coll
                 .shards()
                 .iter()
                 .map(|s| s.tombstone_count() as u64)
@@ -308,7 +249,7 @@ impl Shared {
         };
         StatsReport {
             dims: index.dims() as u64,
-            live: self.backend.live(),
+            live: index.len() as u64,
             tombstones: self.backend.tombstones(),
             uptime_ms: uptime.as_millis() as u64,
             completed,
@@ -738,6 +679,12 @@ fn store_error(err: &StoreError) -> Response {
     Response::error(ErrorKind::Store, err.to_string())
 }
 
+/// The answer to an `op` against a frozen container.
+fn frozen(op: &str) -> Response {
+    let msg = format!("{op} requires a mutable collection (PDX3); this index is frozen");
+    Response::error(ErrorKind::Unsupported, msg)
+}
+
 /// Short request tag for the slow-query log.
 fn request_name(req: &Request) -> &'static str {
     match req {
@@ -804,34 +751,22 @@ fn execute_with_trace(
             let opts = search_options(*k, *nprobe, *refine, kernel, traced);
             Response::Batch(backend.index().search_batch(queries, &opts))
         }
-        Request::Insert { id, vector, .. } => match &backend.kind {
-            BackendKind::Collection(coll) => match coll.insert(*id, vector) {
-                Ok(()) => Response::Inserted,
-                Err(err) => store_error(&err),
-            },
-            BackendKind::Sharded(coll) => match coll.insert(*id, vector) {
-                Ok(()) => Response::Inserted,
-                Err(err) => store_error(&err),
-            },
-            BackendKind::Frozen(_) => Response::error(
-                ErrorKind::Unsupported,
-                "insert requires a mutable collection (PDX3); this index is frozen",
-            ),
-        },
-        Request::Delete { id, .. } => match &backend.kind {
-            BackendKind::Collection(coll) => match coll.delete(*id) {
-                Ok(()) => Response::Deleted,
-                Err(err) => store_error(&err),
-            },
-            BackendKind::Sharded(coll) => match coll.delete(*id) {
-                Ok(()) => Response::Deleted,
-                Err(err) => store_error(&err),
-            },
-            BackendKind::Frozen(_) => Response::error(
-                ErrorKind::Unsupported,
-                "delete requires a mutable collection (PDX3); this index is frozen",
-            ),
-        },
+        Request::Insert { id, vector, .. } => {
+            let done = match &backend.opened {
+                Opened::Collection(coll) => coll.insert(*id, vector),
+                Opened::Sharded(coll) => coll.insert(*id, vector),
+                Opened::Frozen(_) => return frozen("insert"),
+            };
+            done.map_or_else(|err| store_error(&err), |()| Response::Inserted)
+        }
+        Request::Delete { id, .. } => {
+            let done = match &backend.opened {
+                Opened::Collection(coll) => coll.delete(*id),
+                Opened::Sharded(coll) => coll.delete(*id),
+                Opened::Frozen(_) => return frozen("delete"),
+            };
+            done.map_or_else(|err| store_error(&err), |()| Response::Deleted)
+        }
         // Ping/Stats are answered inline by the connection thread.
         Request::Ping | Request::Stats { .. } => Response::Pong,
     }

@@ -60,13 +60,6 @@ impl ShardedCollection {
         dir.join(format!("shard-{i:03}"))
     }
 
-    /// Whether `dir` holds a sharded collection (has a `SHARDS`
-    /// manifest). The cheap sniff `AnyIndex`-style open paths use to
-    /// route a directory here instead of [`Collection::open`].
-    pub fn is_sharded_dir(dir: impl AsRef<Path>) -> bool {
-        dir.as_ref().join(SHARDS_FILE).is_file()
-    }
-
     /// Creates a sharded collection of `n_shards` shards, each an empty
     /// [`Collection`] with the given config.
     ///
@@ -318,7 +311,7 @@ mod tests {
         let want = VectorIndex::search(&sharded, &q, &opts);
         drop(sharded);
 
-        assert!(ShardedCollection::is_sharded_dir(&dir));
+        assert!(dir.join(SHARDS_FILE).is_file());
         let reopened = ShardedCollection::open(&dir).unwrap();
         assert_eq!(reopened.live_len(), n - 1);
         assert_eq!(VectorIndex::search(&reopened, &q, &opts), want);
