@@ -110,7 +110,7 @@ const EVALUATE_FLAGS: &[&str] = &[
 ];
 const INSERT_FLAGS: &[&str] = &["index", "data", "start-id", "sync-every"];
 const DELETE_FLAGS: &[&str] = &["index", "ids"];
-const COMPACT_FLAGS: &[&str] = &["index", "background"];
+const COMPACT_FLAGS: &[&str] = &["index"];
 const STAT_FLAGS: &[&str] = &["index", "cache-bytes", "metrics"];
 const DATASETS_FLAGS: &[&str] = &[];
 
@@ -294,9 +294,8 @@ commands:
   delete        tombstone vectors of a mutable collection
                   --index=<dir> --ids=<id,id,lo..hi,…>
   compact       merge a collection's segments + buffer, purging tombstones
-                  --index=<dir> [--background=true]  build the merged segment
-                                     on a background job (reads and writes
-                                     stay available) and wait for its commit
+                (every shard's, for a sharded collection)
+                  --index=<dir>
   stat          describe any index (segments/buffer/tombstones for collections,
                 shards for sharded collections, resident bytes + cache counters
                 and cold-open time everywhere)
@@ -730,22 +729,26 @@ fn search_options(args: &Args, k: usize, index: &Opened) -> Result<SearchOptions
     Ok(opts)
 }
 
-/// Opens the `--index` path for `insert`, `delete` or `compact`, which
-/// take a mutable collection (the directory, or its `MANIFEST` file).
+/// Opens the `--index` path for `insert` or `delete`, which take a
+/// collection (the directory, or its `MANIFEST` file).
 fn open_collection(args: &Args) -> Result<(PathBuf, Arc<Collection>), String> {
     let path = args.path("index")?;
     let why = match Opened::open(&path, OpenOptions::default()).map_err(|e| e.to_string())? {
         Opened::Collection(coll) => return Ok((path, coll)),
         Opened::Sharded(_) => "a sharded collection; it mutates through `serve` (the Insert and \
-             Delete frames), not through insert, delete or compact"
+             Delete frames), not through insert or delete"
             .to_string(),
-        Opened::Frozen(index) => format!(
-            "a frozen {} container; insert, delete and compact need a mutable collection \
-             (build --mode=collection)",
-            index.kind()
-        ),
+        Opened::Frozen(index) => frozen(index.kind()),
     };
     Err(format!("{}: {why}", path.display()))
+}
+
+/// Why a frozen container refuses `insert`, `delete` and `compact`.
+fn frozen(kind: &str) -> String {
+    format!(
+        "a frozen {kind} container; insert, delete and compact need a mutable collection \
+         (build --mode=collection)"
+    )
 }
 
 fn cmd_insert(args: &Args) -> Result<(), String> {
@@ -778,10 +781,7 @@ fn cmd_insert(args: &Args) -> Result<(), String> {
         }
     }
     let sync_every = args.usize("sync-every", 0)?;
-    coll.set_group_commit(GroupCommit {
-        sync_every,
-        sync_interval: None,
-    });
+    coll.set_group_commit(GroupCommit { sync_every });
     let t0 = Instant::now();
     for (id, row) in ids.clone().zip(data.data.chunks_exact(data.dims)) {
         coll.insert(id, row).map_err(|e| e.to_string())?;
@@ -873,39 +873,46 @@ fn cmd_delete(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Compacts a collection, or every shard of a sharded one, inline.
 fn cmd_compact(args: &Args) -> Result<(), String> {
-    let (dir, coll) = open_collection(args)?;
-    let background = match args.str_or("background", "false").as_str() {
-        "true" | "1" => true,
-        "false" | "0" => false,
-        other => return Err(format!("invalid value for --background: '{other}'")),
-    };
-    let (segs, tombs, buffered) = (
-        coll.segment_count(),
-        coll.tombstone_count(),
-        coll.buffer_len(),
-    );
+    let path = args.path("index")?;
+    let opened = Opened::open(&path, OpenOptions::default()).map_err(|e| e.to_string())?;
+    let [segs, buffered, tombs] = store_counts(&opened);
     let t0 = Instant::now();
-    if background {
-        let job = coll.compact_background().map_err(|e| e.to_string())?;
-        eprintln!(
-            "compacting {} on a background {} job (reads and writes stay available) …",
-            dir.display(),
-            job.kind(),
-        );
-        job.wait().map_err(|e| e.to_string())?;
-    } else {
-        coll.compact().map_err(|e| e.to_string())?;
+    match &opened {
+        Opened::Collection(coll) => coll.compact(),
+        Opened::Sharded(sharded) => sharded.compact(),
+        Opened::Frozen(index) => {
+            return Err(format!("{}: {}", path.display(), frozen(index.kind())))
+        }
     }
+    .map_err(|e| e.to_string())?;
     eprintln!(
         "compacted {} in {:.3}s: {segs} segment(s) + {buffered} buffered − {tombs} \
          tombstoned → {} segment(s), {} live rows",
-        dir.display(),
+        path.display(),
         t0.elapsed().as_secs_f64(),
-        coll.segment_count(),
-        coll.live_len(),
+        store_counts(&opened)[0],
+        opened.len(),
     );
     Ok(())
+}
+
+/// Segments, buffered rows and tombstones of a collection, summed over
+/// the shards of a sharded one (none for a frozen container).
+fn store_counts(opened: &Opened) -> [usize; 3] {
+    let shards = match opened {
+        Opened::Collection(coll) => std::slice::from_ref(coll.as_ref()),
+        Opened::Sharded(sharded) => sharded.shards(),
+        Opened::Frozen(_) => &[],
+    };
+    shards.iter().fold([0; 3], |[s, b, t], c| {
+        [
+            s + c.segment_count(),
+            b + c.buffer_len(),
+            t + c.tombstone_count(),
+        ]
+    })
 }
 
 fn cmd_stat(args: &Args) -> Result<(), String> {

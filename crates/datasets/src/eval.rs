@@ -2,14 +2,17 @@
 //!
 //! Ground truth is the exact k-NN of each query under the chosen metric,
 //! computed by brute force with the crate's SIMD horizontal kernel and
-//! parallelized over queries with scoped threads (preprocessing only —
+//! parallelized over queries on a [`ThreadPool`] (preprocessing only —
 //! all benchmarked searches stay single-threaded like the paper's).
 
 use pdx_core::distance::Metric;
+use pdx_core::exec::ThreadPool;
 use pdx_core::heap::KnnHeap;
 use pdx_core::kernels::{nary_distance, KernelVariant};
 
 /// Exact top-`k` ids for every query; `out[q]` is ascending by distance.
+/// `threads` is a [`ThreadPool`] width: `0` means `PDX_THREADS`, else
+/// the hardware width.
 ///
 /// # Panics
 /// Panics if buffer sizes are inconsistent with `dims` or `k == 0`.
@@ -24,30 +27,14 @@ pub fn ground_truth(
     assert!(dims > 0 && k > 0, "dims and k must be positive");
     assert_eq!(data.len() % dims, 0, "data must be whole vectors");
     assert_eq!(queries.len() % dims, 0, "queries must be whole vectors");
-    let nq = queries.len() / dims;
-    let mut out: Vec<Vec<u64>> = vec![Vec::new(); nq];
-    let threads = threads.max(1).min(nq.max(1));
-    let band = nq.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [Vec<u64>] = &mut out;
-        let mut q0 = 0usize;
-        while q0 < nq {
-            let here = band.min(nq - q0);
-            let (chunk, tail) = rest.split_at_mut(here);
-            rest = tail;
-            let start = q0;
-            scope.spawn(move || {
-                for (slot, qi) in chunk.iter_mut().zip(start..start + here) {
-                    let q = &queries[qi * dims..(qi + 1) * dims];
-                    let mut heap = KnnHeap::new(k);
-                    for (i, row) in data.chunks_exact(dims).enumerate() {
-                        heap.push(i as u64, nary_distance(metric, KernelVariant::Simd, q, row));
-                    }
-                    *slot = heap.into_sorted().iter().map(|n| n.id).collect();
-                }
-            });
-            q0 += here;
+    let mut out: Vec<Vec<u64>> = vec![Vec::new(); queries.len() / dims];
+    ThreadPool::new(threads).for_each_chunk_mut(&mut out, 1, |qi, slot| {
+        let q = &queries[qi * dims..(qi + 1) * dims];
+        let mut heap = KnnHeap::new(k);
+        for (i, row) in data.chunks_exact(dims).enumerate() {
+            heap.push(i as u64, nary_distance(metric, KernelVariant::Simd, q, row));
         }
+        slot[0] = heap.into_sorted().iter().map(|n| n.id).collect();
     });
     out
 }
@@ -137,8 +124,10 @@ mod tests {
         let queries: Vec<f32> = (0..nq * dims)
             .map(|i| ((i * 53 % 89) as f32) * 0.1)
             .collect();
-        let a = ground_truth(&data, &queries, dims, 5, Metric::L2, 1);
-        let b = ground_truth(&data, &queries, dims, 5, Metric::L2, 8);
-        assert_eq!(a, b);
+        let one = ground_truth(&data, &queries, dims, 5, Metric::L2, 1);
+        for threads in [0, 8] {
+            let got = ground_truth(&data, &queries, dims, 5, Metric::L2, threads);
+            assert_eq!(got, one, "threads {threads}");
+        }
     }
 }

@@ -89,29 +89,30 @@
 //! ## The allocation rule
 //!
 //! Every count above (`dims`, `n_blocks`, `n_vectors`, `n_rows`, the
-//! bucket table) is untrusted. Row ids, statistics, codec parameters
-//! and rerank rows become buffers only through
-//! [`pdx_core::codec::read_vec`], which checks a count against the bytes
-//! the source still has (a file of known length, a bucket's table entry)
-//! or, for a stream, grows the buffer only as bytes arrive. The block
-//! payloads of a container are read straight into one payload arena
-//! ([`PayloadWriter`]) whose capacity is capped by the bytes the source
-//! has left, and a record that would overrun it fails before any of its
-//! payload is read; a stream of unknown length stages each payload
-//! through `read_vec` instead. The block list grows by one per record
-//! actually decoded. A header that lies fails with `InvalidData` naming
-//! the field, having reserved at most twice the bytes really present.
-//! No reader reads the file whole.
+//! bucket table) is untrusted, and every container is decoded from a
+//! source whose length is known — a byte slice ([`read_container`]), a
+//! file by its metadata ([`read_container_path`], [`read_header_path`])
+//! or a bucket's window of one ([`read_f32_bucket`]) — so there is one
+//! decode path. Row ids, statistics, codec parameters and rerank rows
+//! become buffers only through [`pdx_core::codec::read_vec`], which
+//! checks a count against the bytes the source still has. The block
+//! payloads are read straight into one payload arena ([`PayloadWriter`])
+//! whose capacity is capped by those bytes, and a record that would
+//! overrun it fails before any of its payload is read. A 1.1 bucket
+//! table is checked against the length before any record is. The block
+//! list grows by one per record actually decoded. A header that lies
+//! fails with `InvalidData` naming the field, having reserved at most
+//! twice the bytes really present. No file reader reads the file whole.
 
 use pdx_core::codec::{
-    invalid, put_slice, put_u32, put_u64, read_vec, write_slice, Le, Source, Stream,
+    invalid, put_slice, put_u32, put_u64, read_vec, write_slice, ByteReader, Le, Source, Stream,
 };
 use pdx_core::collection::{PdxCollection, SearchBlock};
 use pdx_core::kernels::lanes::Stored;
 use pdx_core::layout::{PayloadWriter, PdxBlock, Sq8Quantizer};
 use pdx_core::search::quantized::Sq8Block;
 use pdx_core::stats::BlockStats;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 const MAGIC_F32: &[u8; 4] = b"PDX1";
@@ -371,14 +372,15 @@ impl Record for Sq8Block {
 /// bit-identical.
 ///
 /// # Errors
-/// `InvalidData` if the record exceeds the window; IO errors propagate.
+/// `InvalidData` if the record exceeds the window or `src` does not know
+/// its length; IO errors propagate.
 pub fn read_f32_bucket<S: Source>(
     src: &mut S,
     h: &ContainerHeader,
     bucket: usize,
 ) -> io::Result<SearchBlock> {
     let n = h.buckets[bucket].n_vectors;
-    let capacity = payload_capacity::<f32, S>(src, n as u64 * h.dims as u64);
+    let capacity = payload_capacity::<f32, S>(src, n as u64 * h.dims as u64)?;
     let mut block = read_records(src, h, 1, capacity, |_, _| Ok(n))?;
     Ok(block.pop().expect("one bucket"))
 }
@@ -652,9 +654,9 @@ fn check_order(order: &[u32]) -> io::Result<()> {
 
 /// The 1.1 half of the header. Validates the bucket table — every
 /// entry's byte length must equal what its vector count implies, the
-/// records must sit contiguous from the header end, and (when the
-/// source knows its length) all of it must fit the file — so a corrupt
-/// table fails here with a typed error instead of misaligned reads.
+/// records must sit contiguous from the header end, and all of it must
+/// fit the source — so a corrupt table fails here with a typed error
+/// instead of misaligned reads.
 fn read_ivf_table<S: Source>(src: &mut S, h: &mut ContainerHeader) -> io::Result<()> {
     let (dims, n_buckets, quantized) = (h.dims, h.n_blocks, h.quantizer.is_some());
     let (n_rows, rows_offset) = if quantized {
@@ -711,13 +713,12 @@ fn read_ivf_table<S: Source>(src: &mut S, h: &mut ContainerHeader) -> io::Result
     }
     // The header has been consumed exactly, so what the source has left
     // is what the file holds past `header_end`.
-    if let Some(file_len) = src.remaining().map(|left| header_end.saturating_add(left)) {
-        if end > file_len {
-            return Err(invalid(format!(
-                "bucket records extend to byte {end} but the file has \
-                 {file_len} (truncated container?)"
-            )));
-        }
+    let file_len = header_end.saturating_add(left(src)?);
+    if end > file_len {
+        return Err(invalid(format!(
+            "bucket records extend to byte {end} but the file has \
+             {file_len} (truncated container?)"
+        )));
     }
     h.centroid_rows = Some(centroid_rows);
     h.n_rows = n_rows;
@@ -731,7 +732,7 @@ fn read_ivf_table<S: Source>(src: &mut S, h: &mut ContainerHeader) -> io::Result
 /// each costs an 8-byte id, its payload and, when a `PDX2` has rerank
 /// rows, at least one `f32` row (ids are distinct and index the rows).
 /// The capacity is exact for a well-formed file and never exceeds the
-/// bytes present. A stream of unknown length stages its payloads.
+/// bytes present.
 fn read_blocks<B: Record, S: Source>(src: &mut S, h: &ContainerHeader) -> io::Result<Vec<B>> {
     let values = if h.centroid_rows.is_some() {
         let n: u64 = h.buckets.iter().map(|b| u64::from(b.n_vectors)).sum();
@@ -740,11 +741,10 @@ fn read_blocks<B: Record, S: Source>(src: &mut S, h: &ContainerHeader) -> io::Re
         let (dims, size) = (h.dims as u64, std::mem::size_of::<B::Elem>() as u64);
         let rerank = h.quantizer.is_some() && h.flags & FLAG_RERANK_ROWS != 0;
         let (row_bytes, rows_head) = if rerank { (4 * dims, 8) } else { (0, 0) };
-        let left = src.remaining().unwrap_or(0);
-        let records = left.saturating_sub(4 * h.n_blocks as u64 + rows_head);
+        let records = left(src)?.saturating_sub(4 * h.n_blocks as u64 + rows_head);
         records / (8 + dims * size + row_bytes) * dims
     };
-    let capacity = payload_capacity::<B::Elem, S>(src, values);
+    let capacity = payload_capacity::<B::Elem, S>(src, values)?;
     let blocks = read_records(src, h, h.n_blocks, capacity, |src, i| {
         match h.buckets.get(i) {
             Some(entry) => Ok(entry.n_vectors),
@@ -772,58 +772,51 @@ fn read_blocks<B: Record, S: Source>(src: &mut S, h: &ContainerHeader) -> io::Re
     Ok(blocks)
 }
 
+/// What `src` has left: every container source knows its length.
+fn left<S: Source>(src: &S) -> io::Result<u64> {
+    src.remaining()
+        .ok_or_else(|| invalid("a container decodes only from a source of known length"))
+}
+
 /// The arena capacity for `values` payload values, capped by the bytes
-/// the source has left; `None` for a stream of unknown length.
-fn payload_capacity<E, S: Source>(src: &S, values: u64) -> Option<usize> {
-    let left = src.remaining()?;
-    let fits = left / std::mem::size_of::<E>() as u64;
-    Some(usize::try_from(values.min(fits)).unwrap_or(usize::MAX))
+/// the source has left.
+fn payload_capacity<E, S: Source>(src: &S, values: u64) -> io::Result<usize> {
+    let fits = left(src)? / std::mem::size_of::<E>() as u64;
+    Ok(usize::try_from(values.min(fits)).unwrap_or(usize::MAX))
 }
 
 /// Reads `count` records — record `i` of `n_of(src, i)` vectors — with
 /// every payload in one arena of `capacity` values, rejecting a record
-/// whose payload would overrun it. The lists grow by one per record
-/// actually decoded, so `count` itself never sizes anything. Without a
-/// capacity (a stream of unknown length) each payload is read through
-/// [`read_vec`], growing only as bytes arrive, and copied into an arena
-/// of the exact size at the end.
+/// whose payload would overrun it before any of it is read. The lists
+/// grow by one per record actually decoded, so `count` itself never
+/// sizes anything.
 fn read_records<B: Record, S: Source>(
     src: &mut S,
     h: &ContainerHeader,
     count: usize,
-    capacity: Option<usize>,
+    capacity: usize,
     mut n_of: impl FnMut(&mut S, usize) -> io::Result<u32>,
 ) -> io::Result<Vec<B>> {
     const WHAT: &str = "n_vectors (block data)";
-    let mut payload = PayloadWriter::<B::Elem>::new(capacity.unwrap_or(0));
-    let (mut heads, mut staged) = (Vec::new(), Vec::new());
+    let mut payload = PayloadWriter::<B::Elem>::new(capacity);
+    let mut heads = Vec::new();
     for _ in 0..count {
         let n = n_of(src, heads.len())? as usize;
         let n_values = record_values(n, h.dims)?;
         let head = B::read_head(src, n, h)?;
-        if capacity.is_none() {
-            staged.push(read_vec::<B::Elem, S>(src, n_values, WHAT)?);
-        } else if n_values > payload.remaining() {
+        if n_values > payload.remaining() {
             return Err(invalid(format!(
                 "{WHAT}: count {n} needs {n_values} values, the bytes present hold {}",
                 payload.remaining()
             )));
-        } else {
-            payload.read_block(src, n, h.dims, h.group, WHAT)?;
         }
-        heads.push((n, head));
+        payload.read_block(src, n, h.dims, h.group, WHAT)?;
+        heads.push(head);
     }
-    if capacity.is_none() {
-        payload = PayloadWriter::new(staged.iter().map(Vec::len).sum());
-        for ((n, _), values) in heads.iter().zip(staged) {
-            payload.push(*n, h.dims, h.group).copy_from_slice(&values);
-        }
-    }
-    let blocks = payload.finish().into_iter();
     Ok(heads
         .into_iter()
-        .zip(blocks)
-        .map(|((_, head), pdx)| B::assemble(head, pdx))
+        .zip(payload.finish())
+        .map(|(head, pdx)| B::assemble(head, pdx))
         .collect())
 }
 
@@ -882,15 +875,15 @@ fn read_from<S: Source>(src: &mut S) -> io::Result<Container> {
     })
 }
 
-/// Reads either container kind from a stream of unknown length,
-/// dispatching on the magic number. Block-at-a-time: buffers grow only
-/// as bytes arrive.
+/// Reads either container kind from its bytes, dispatching on the
+/// magic number; the slice's length bounds every count before anything
+/// is allocated for it.
 ///
 /// # Errors
-/// Fails on IO errors, an unrecognized magic number, truncation, or a
-/// header whose counts the bytes present do not back.
-pub fn read_container<R: Read>(r: R) -> io::Result<Container> {
-    read_from(&mut Stream::new(r))
+/// Fails on an unrecognized magic number, truncation, or a header whose
+/// counts the bytes present do not back.
+pub fn read_container(bytes: &[u8]) -> io::Result<Container> {
+    read_from(&mut ByteReader::new(bytes))
 }
 
 fn open_stream(path: &Path) -> io::Result<Stream<io::BufReader<std::fs::File>>> {
@@ -925,39 +918,9 @@ pub fn read_header_path(path: &Path) -> io::Result<ContainerHeader> {
         .map_err(with_path(path))
 }
 
-/// Reads a flat `PDX1` container as the collection it holds, deriving
-/// the collection-level statistics from the blocks.
-///
-/// # Errors
-/// As [`read_container`]; `InvalidData` for any other container kind.
-pub fn read_pdx<R: Read>(r: R) -> io::Result<PdxCollection> {
-    match read_container(r)? {
-        Container::F32(c) if c.centroid_rows.is_none() => {
-            Ok(PdxCollection::from_blocks(c.dims, c.blocks))
-        }
-        _ => Err(invalid(
-            "not a flat PDX1 container (open it via read_container)",
-        )),
-    }
-}
-
-/// Reads a flat `PDX2` container.
-///
-/// # Errors
-/// As [`read_container`]; `InvalidData` for any other container kind.
-pub fn read_sq8<R: Read>(r: R) -> io::Result<Sq8Container> {
-    match read_container(r)? {
-        Container::Sq8(c) if c.centroid_rows.is_none() => Ok(c),
-        _ => Err(invalid(
-            "not a flat PDX2 container (open it via read_container)",
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdx_core::codec::ByteReader;
 
     /// `file` inside a per-test directory under the system temp dir.
     fn temp_path(dir: &str, file: &str) -> std::path::PathBuf {
@@ -992,7 +955,7 @@ mod tests {
         let coll = sample_collection();
         let mut buf = Vec::new();
         write_pdx(&mut buf, &coll).unwrap();
-        let back = read_pdx(&buf[..]).unwrap();
+        let back = f32_container(read_container(&buf).unwrap());
         assert_eq!(back.dims, coll.dims);
         assert_eq!(back.blocks.len(), coll.blocks.len());
         for (a, b) in coll.blocks.iter().zip(&back.blocks) {
@@ -1004,7 +967,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = read_pdx(&b"NOPE"[..]).unwrap_err();
+        let err = read_container(b"NOPE").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -1014,7 +977,7 @@ mod tests {
         let mut buf = Vec::new();
         write_pdx(&mut buf, &coll).unwrap();
         buf.truncate(buf.len() / 2);
-        assert!(read_pdx(&buf[..]).is_err());
+        assert!(read_container(&buf).is_err());
     }
 
     #[test]
@@ -1055,7 +1018,7 @@ mod tests {
         let (quantizer, blocks, rows) = sample_sq8();
         let mut buf = Vec::new();
         write_sq8(&mut buf, &quantizer, &blocks, Some(&rows)).unwrap();
-        let back = read_sq8(&buf[..]).unwrap();
+        let back = sq8_container(read_container(&buf).unwrap());
         assert_eq!(back.dims, 7);
         assert_eq!(back.group, 16);
         assert_eq!(back.quantizer, quantizer);
@@ -1068,7 +1031,7 @@ mod tests {
         let (quantizer, blocks, _) = sample_sq8();
         let mut buf = Vec::new();
         write_sq8(&mut buf, &quantizer, &blocks, None).unwrap();
-        let back = read_sq8(&buf[..]).unwrap();
+        let back = sq8_container(read_container(&buf).unwrap());
         assert!(back.rows.is_empty());
         assert_eq!(back.blocks, blocks);
     }
@@ -1079,17 +1042,17 @@ mod tests {
         let mut f32_buf = Vec::new();
         write_pdx(&mut f32_buf, &coll).unwrap();
         assert!(matches!(
-            read_container(&f32_buf[..]).unwrap(),
+            read_container(&f32_buf).unwrap(),
             Container::F32(_)
         ));
         let (quantizer, blocks, rows) = sample_sq8();
         let mut sq8_buf = Vec::new();
         write_sq8(&mut sq8_buf, &quantizer, &blocks, Some(&rows)).unwrap();
         assert!(matches!(
-            read_container(&sq8_buf[..]).unwrap(),
+            read_container(&sq8_buf).unwrap(),
             Container::Sq8(_)
         ));
-        assert!(read_container(&b"XXXXrest"[..]).is_err());
+        assert!(read_container(b"XXXXrest").is_err());
     }
 
     #[test]
@@ -1103,7 +1066,7 @@ mod tests {
         let first_id_at = 4 + 12 + 4;
         let dup = buf[first_id_at..first_id_at + 8].to_vec();
         buf[first_id_at + 8..first_id_at + 16].copy_from_slice(&dup);
-        let err = read_pdx(&buf[..]).unwrap_err();
+        let err = read_container(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("duplicate row id"), "{err}");
 
@@ -1115,14 +1078,14 @@ mod tests {
         let first_id_at = 4 + 16 + 7 * 4 * 3 + 4;
         let dup = buf[first_id_at..first_id_at + 8].to_vec();
         buf[first_id_at + 8..first_id_at + 16].copy_from_slice(&dup);
-        let err = read_sq8(&buf[..]).unwrap_err();
+        let err = read_container(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("duplicate row id"), "{err}");
     }
 
     #[test]
     fn unknown_magic_error_names_the_bytes() {
-        let err = read_container(&b"XXXXrest"[..]).unwrap_err();
+        let err = read_container(b"XXXXrest").unwrap_err();
         assert!(err.to_string().contains("XXXX"), "{err}");
     }
 
@@ -1132,7 +1095,7 @@ mod tests {
         let mut buf = Vec::new();
         write_sq8(&mut buf, &quantizer, &blocks, Some(&rows)).unwrap();
         buf.truncate(buf.len() / 3);
-        assert!(read_sq8(&buf[..]).is_err());
+        assert!(read_container(&buf).is_err());
     }
 
     #[test]
@@ -1153,14 +1116,14 @@ mod tests {
         let mut bad = buf.clone();
         bad[20..24].copy_from_slice(&f32::NAN.to_le_bytes());
         assert_eq!(
-            read_sq8(&bad[..]).unwrap_err().kind(),
+            read_container(&bad).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
         // A zero scale (first scale follows the 7 mins) is also rejected.
         let mut bad = buf.clone();
         bad[20 + 7 * 4..24 + 7 * 4].copy_from_slice(&0.0f32.to_le_bytes());
         assert_eq!(
-            read_sq8(&bad[..]).unwrap_err().kind(),
+            read_container(&bad).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
     }
@@ -1174,12 +1137,12 @@ mod tests {
         let rows_bytes = rows.len() * 4;
         let n_rows_at = buf.len() - rows_bytes - 8;
         buf[n_rows_at..n_rows_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = read_sq8(&buf[..]).unwrap_err();
+        let err = read_container(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // A merely-too-small count (ids now out of range) also fails.
         buf[n_rows_at..n_rows_at + 8].copy_from_slice(&1u64.to_le_bytes());
         buf.truncate(n_rows_at + 8 + 7 * 4);
-        let err = read_sq8(&buf[..]).unwrap_err();
+        let err = read_container(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -1216,7 +1179,7 @@ mod tests {
         let coll = sample_collection();
         let mut buf = Vec::new();
         write_pdx(&mut buf, &coll).unwrap();
-        let back = read_pdx(&buf[..]).unwrap();
+        let back = f32_container(read_container(&buf).unwrap());
         let q: Vec<f32> = (0..coll.dims).map(|i| i as f32 * 0.2).collect();
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
         let (q, opts) = (bond.prepare_query(&q), SearchOptions::new(5));
@@ -1251,7 +1214,7 @@ mod tests {
         let (d, centroids, blocks) = sample_ivf_f32();
         let mut buf = Vec::new();
         write_ivf_pdx(&mut buf, d, &centroids, &blocks).unwrap();
-        let back = f32_container(read_container(&buf[..]).unwrap());
+        let back = f32_container(read_container(&buf).unwrap());
         assert_eq!(back.dims, d);
         assert_eq!(back.group, 16);
         assert_eq!(back.centroid_rows, Some(centroids));
@@ -1322,18 +1285,18 @@ mod tests {
         // Claim an absurd vector count: byte_len no longer matches.
         let mut evil = buf.clone();
         evil[table_at + 16..table_at + 20].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_container(&evil[..]).unwrap_err();
+        let err = read_container(&evil).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("disagrees"), "{err}");
         // Break record contiguity: bogus offset.
         let mut evil = buf.clone();
         evil[table_at..table_at + 8].copy_from_slice(&7u64.to_le_bytes());
-        let err = read_container(&evil[..]).unwrap_err();
+        let err = read_container(&evil).unwrap_err();
         assert!(err.to_string().contains("contiguity"), "{err}");
         // Unknown minor version.
         let mut evil = buf;
         evil[8..12].copy_from_slice(&9u32.to_le_bytes());
-        let err = read_container(&evil[..]).unwrap_err();
+        let err = read_container(&evil).unwrap_err();
         assert!(err.to_string().contains("minor version"), "{err}");
     }
 
@@ -1343,7 +1306,7 @@ mod tests {
         blocks[1].row_ids[0] = blocks[0].row_ids[0];
         let mut buf = Vec::new();
         write_ivf_pdx(&mut buf, d, &centroids, &blocks).unwrap();
-        let err = read_container(&buf[..]).unwrap_err();
+        let err = read_container(&buf).unwrap_err();
         assert!(err.to_string().contains("duplicate row id"), "{err}");
     }
 
@@ -1355,7 +1318,7 @@ mod tests {
         let centroids: Vec<f32> = (0..nb * d).map(|i| i as f32 * 0.1).collect();
         let mut buf = Vec::new();
         write_ivf_sq8(&mut buf, &quantizer, &centroids, &blocks, Some(&rows)).unwrap();
-        let back = sq8_container(read_container(&buf[..]).unwrap());
+        let back = sq8_container(read_container(&buf).unwrap());
         assert_eq!(back.dims, d);
         assert_eq!(back.quantizer, quantizer);
         assert_eq!(back.centroid_rows.as_ref(), Some(&centroids));
@@ -1364,7 +1327,7 @@ mod tests {
         // Scan-only variant drops the rerank payload.
         let mut buf = Vec::new();
         write_ivf_sq8(&mut buf, &quantizer, &centroids, &blocks, None).unwrap();
-        let back = sq8_container(read_container(&buf[..]).unwrap());
+        let back = sq8_container(read_container(&buf).unwrap());
         assert!(back.rows.is_empty());
         // And the sniffer sees the quantized header.
         let path = temp_path("pdx_persist_ivf_sq8", "c.pdx2");
@@ -1376,11 +1339,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_readers_reject_ivf_containers_with_guidance() {
+    fn ivf_bucket_table_past_the_slice_is_a_truncated_container() {
         let (d, centroids, blocks) = sample_ivf_f32();
         let mut buf = Vec::new();
         write_ivf_pdx(&mut buf, d, &centroids, &blocks).unwrap();
-        let err = read_pdx(&buf[..]).unwrap_err();
-        assert!(err.to_string().contains("read_container"), "{err}");
+        buf.truncate(buf.len() - 10);
+        let err = read_container(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("truncated container"), "{err}");
     }
 }

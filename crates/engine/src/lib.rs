@@ -33,7 +33,7 @@ use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::heap::Neighbor;
 use pdx_core::pruning::Pruner;
 use pdx_core::search::ScanBlock;
-use pdx_datasets::persist::{read_container, read_container_path, Container};
+use pdx_datasets::persist::{read_container_path, Container};
 use pdx_index::ivf::centroid_block;
 use pdx_index::{Deployment, FlatPdx, FlatSq8, IvfPdx, IvfSq8, LazyIvf};
 use pdx_store::{Collection, ShardedCollection, StoreError};
@@ -185,17 +185,6 @@ impl AnyIndex {
             Opened::Collection(coll) => Box::new(Arc::into_inner(coll).expect("one owner")),
             Opened::Sharded(coll) => Box::new(Arc::into_inner(coll).expect("one owner")),
         })
-    }
-
-    /// Reads a container from any reader, dispatching on its magic
-    /// number (`PDX1`/`PDX2` only — a `PDX3` collection spans several
-    /// files and must be opened by path). Always fully resident: lazy
-    /// opening needs a seekable file, not a stream.
-    ///
-    /// # Errors
-    /// Propagates IO errors and container-format errors.
-    pub fn read<R: io::Read>(r: R) -> io::Result<Box<dyn VectorIndex>> {
-        Ok(deployment(read_container(r)?))
     }
 }
 
@@ -409,11 +398,6 @@ mod tests {
         assert_eq!(opened.search(&q, &opts).len(), k);
 
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn open_rejects_unknown_magic() {
-        assert!(AnyIndex::read(&b"XXXXnot a container"[..]).is_err());
     }
 
     #[test]

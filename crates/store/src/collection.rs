@@ -59,7 +59,7 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Where a taken external id currently resides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,21 +102,18 @@ pub struct SegmentStat {
 /// The WAL group-commit policy: when appends are forced to stable
 /// storage. Runtime-only (not persisted in the manifest).
 ///
-/// The default (no count, no interval) keeps the store's original
-/// semantics: appends are flushed to the OS per record and fsynced only
-/// at [`Collection::sync`] and at every seal/compaction commit. Setting
-/// `sync_every`/`sync_interval` *bounds the power-loss window* — at
-/// most that many acknowledged records (or that much wall-clock time)
-/// can be torn away by a power cut, at the cost of periodic fsyncs on
-/// the write path. Process crashes lose nothing either way.
+/// The default (no count) keeps the store's original semantics: appends
+/// are flushed to the OS per record and fsynced only at
+/// [`Collection::sync`] and at every seal/compaction commit. Setting
+/// `sync_every` *bounds the power-loss window* — at most that many
+/// acknowledged records can be torn away by a power cut, at the cost of
+/// periodic fsyncs on the write path. Process crashes lose nothing
+/// either way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupCommit {
     /// Fsync after this many appended records (`0` disables the count
     /// trigger).
     pub sync_every: usize,
-    /// Fsync at the first append after this much time since the last
-    /// sync (`None` disables the time trigger).
-    pub sync_interval: Option<Duration>,
 }
 
 /// A handle to one background seal/compaction spawned by
@@ -233,7 +230,6 @@ struct Writer {
     group_commit: GroupCommit,
     /// Records appended since the last fsync.
     unsynced: usize,
-    last_sync: Instant,
 }
 
 impl Writer {
@@ -248,7 +244,6 @@ impl Writer {
             next_segment_seq: 0,
             group_commit: GroupCommit::default(),
             unsynced: 0,
-            last_sync: Instant::now(),
         }
     }
 
@@ -775,24 +770,19 @@ impl Collection {
     }
 
     /// Counts an appended record against the group-commit policy and
-    /// fsyncs when a trigger fires.
+    /// fsyncs when its count is reached.
     fn group_commit_tick(w: &mut Writer) -> Result<(), StoreError> {
         if w.wal.is_none() {
             return Ok(());
         }
         w.unsynced += 1;
-        let policy = w.group_commit;
-        let by_count = policy.sync_every > 0 && w.unsynced >= policy.sync_every;
-        let by_time = policy
-            .sync_interval
-            .is_some_and(|interval| w.last_sync.elapsed() >= interval);
-        if by_count || by_time {
+        let every = w.group_commit.sync_every;
+        if every > 0 && w.unsynced >= every {
             if let Some(wal) = &mut w.wal {
                 wal.sync()?;
             }
             crate::obs::wal_metrics().batch.record(w.unsynced as u64);
             w.unsynced = 0;
-            w.last_sync = Instant::now();
         }
         Ok(())
     }
@@ -1094,7 +1084,6 @@ impl Collection {
             let old = w.wal.replace(wal);
             w.wal_seq += 1;
             w.unsynced = 0;
-            w.last_sync = Instant::now();
             if let Some(old) = old {
                 std::fs::remove_file(old.path()).ok();
             }
@@ -1138,7 +1127,6 @@ impl Collection {
         if let Some(wal) = &mut w.wal {
             wal.sync()?;
             w.unsynced = 0;
-            w.last_sync = Instant::now();
         }
         Ok(())
     }

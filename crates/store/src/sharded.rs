@@ -19,11 +19,11 @@
 
 use crate::manifest::replace_atomic;
 use crate::{Collection, StoreConfig, StoreError};
-use pdx_core::codec::put_u32;
+use pdx_core::codec::{invalid, put_u32, ByteReader, Source};
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::merge_neighbors;
 use pdx_core::heap::Neighbor;
-use std::io::Read;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// File name of the sharding manifest inside the parent directory.
@@ -113,30 +113,9 @@ impl ShardedCollection {
     /// disagrees with it; shard-level errors are propagated.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
-        let mut f = std::fs::File::open(dir.join(SHARDS_FILE))?;
-        let mut header = [0u8; 16];
-        f.read_exact(&mut header)
-            .map_err(|_| StoreError::Corrupt("truncated SHARDS manifest".into()))?;
-        if &header[0..4] != SHARDS_MAGIC {
-            return Err(StoreError::Corrupt(format!(
-                "bad SHARDS magic {:?}",
-                &header[0..4]
-            )));
-        }
-        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
-        let version = word(4);
-        if version != SHARDS_VERSION {
-            return Err(StoreError::Corrupt(format!(
-                "unsupported SHARDS version {version}"
-            )));
-        }
-        let n_shards = word(8) as usize;
-        let dims = word(12) as usize;
-        if n_shards == 0 || dims == 0 {
-            return Err(StoreError::Corrupt(
-                "SHARDS manifest with zero shards or dims".into(),
-            ));
-        }
+        let path = dir.join(SHARDS_FILE);
+        let (n_shards, dims) = Self::decode(&std::fs::read(&path)?)
+            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
         // Grows by one per shard actually opened: the manifest's count
         // is untrusted and sizes nothing.
         let mut shards = Vec::new();
@@ -155,6 +134,26 @@ impl ShardedCollection {
             dims,
             shards,
         })
+    }
+
+    /// The `SHARDS` manifest's shard count and dims: magic, version and
+    /// those two words, with nothing after them.
+    fn decode(bytes: &[u8]) -> io::Result<(usize, usize)> {
+        let mut r = ByteReader::new(bytes);
+        let magic = r.array::<4>("SHARDS magic")?;
+        if &magic != SHARDS_MAGIC {
+            return Err(invalid(format!("bad SHARDS magic {magic:?}")));
+        }
+        let version = r.u32("SHARDS version")?;
+        if version != SHARDS_VERSION {
+            return Err(invalid(format!("unsupported SHARDS version {version}")));
+        }
+        let (n_shards, dims) = (r.u32("shard count")?, r.u32("dims")?);
+        r.finish()?;
+        if n_shards == 0 || dims == 0 {
+            return Err(invalid("SHARDS manifest with zero shards or dims"));
+        }
+        Ok((n_shards as usize, dims as usize))
     }
 
     /// Dimensionality.
@@ -383,6 +382,22 @@ mod tests {
             Err(StoreError::Corrupt(_))
         ));
         assert!(ShardedCollection::create(&dir, 4, 0, small_config()).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_manifest_are_corrupt() {
+        let dir = std::env::temp_dir().join("pdx_sharded_trailing");
+        std::fs::remove_dir_all(&dir).ok();
+        drop(ShardedCollection::create(&dir, 4, 2, small_config()).unwrap());
+        let path = dir.join(SHARDS_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.push(0);
+        std::fs::write(&path, &bytes).unwrap();
+        match ShardedCollection::open(&dir) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("trailing"), "{msg}"),
+            other => panic!("a trailing byte opened: {:?}", other.map(|_| ())),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

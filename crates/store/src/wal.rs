@@ -119,24 +119,19 @@ impl Wal {
             // Torn header: the log never held a committed record.
             return Ok((Self::create(path, dims)?, Vec::new()));
         }
-        if &bytes[..4] != MAGIC {
-            return Err(StoreError::Corrupt(format!(
-                "{}: not a PDXW write-ahead log",
-                path.display()
-            )));
+        let mut header = ByteReader::new(&bytes[..HEADER_LEN]);
+        let corrupt = |msg: String| StoreError::Corrupt(format!("{}: {msg}", path.display()));
+        if &header.array::<4>("WAL magic")? != MAGIC {
+            return Err(corrupt("not a PDXW write-ahead log".into()));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+        let version = header.u32("WAL version")?;
         if version != VERSION {
-            return Err(StoreError::Corrupt(format!(
-                "{}: unsupported WAL version {version}",
-                path.display()
-            )));
+            return Err(corrupt(format!("unsupported WAL version {version}")));
         }
-        let file_dims = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let file_dims = header.u32("WAL dims")? as usize;
         if file_dims != dims {
-            return Err(StoreError::Corrupt(format!(
-                "{}: WAL dims {file_dims} != collection dims {dims}",
-                path.display()
+            return Err(corrupt(format!(
+                "WAL dims {file_dims} != collection dims {dims}"
             )));
         }
         let (records, valid_end) = parse_records(&bytes, dims);

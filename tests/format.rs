@@ -18,15 +18,13 @@
 //! leave a 22-vector tail block: one whole group and 6 lanes).
 //!
 //! Only names that survive a redesign of the container readers are
-//! used: the writers, the readers `read_pdx` / `read_sq8` /
-//! `read_container`,
-//! `LazyIvf::{open, fetch, n_buckets}`, `AnyIndex::read`, the store's
+//! used: the writers, the reader `read_container`,
+//! `LazyIvf::{open, fetch, n_buckets}`, `AnyIndex::open`, the store's
 //! `Manifest` / `Segment` / `ShardedCollection` / `Wal`, and the wire
 //! `encode` / `decode` / `write_frame` / `read_frame`.
 
 use pdx::datasets::persist::{
-    read_container, read_pdx, read_sq8, write_ivf_pdx, write_ivf_sq8, write_pdx, write_sq8,
-    Container, Sq8Container,
+    read_container, write_ivf_pdx, write_ivf_sq8, write_pdx, write_sq8, Container, Sq8Container,
 };
 use pdx::prelude::*;
 use pdx::serve::proto::{read_frame, write_frame};
@@ -98,6 +96,17 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// `bytes` served the way a file is: written to one and opened through
+/// `AnyIndex` (resident, unless the environment sets a cache budget).
+fn serve_file(name: &str, bytes: &[u8]) -> Box<dyn VectorIndex> {
+    let dir = temp_dir(name);
+    let path = dir.join("c.pdx");
+    std::fs::write(&path, bytes).unwrap();
+    let index = AnyIndex::open(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    index
+}
+
 /// Answers of `index` over the fixed queries at two probe widths.
 fn answers(index: &dyn VectorIndex) -> Vec<Vec<Neighbor>> {
     let mut out = Vec::new();
@@ -117,7 +126,11 @@ fn pdx1_flat_container() {
     write_pdx(&mut buf, &coll).unwrap();
     pin("write_pdx", &buf, 0x9ec1_e336_e08a_e807);
 
-    let back = read_pdx(&buf[..]).unwrap();
+    let Container::F32(back) = read_container(&buf).unwrap() else {
+        panic!("not a PDX1 container")
+    };
+    assert_eq!(back.centroid_rows, None);
+    let back = PdxCollection::from_blocks(back.dims, back.blocks);
     assert_eq!(back.dims, coll.dims);
     assert_eq!(back.stats, coll.stats);
     assert_eq!(back.blocks.len(), coll.blocks.len());
@@ -130,7 +143,7 @@ fn pdx1_flat_container() {
     write_pdx(&mut again, &back).unwrap();
     assert_eq!(again, buf, "read → write must reproduce the file");
 
-    let served = AnyIndex::read(&buf[..]).unwrap();
+    let served = serve_file("pdx1_flat", &buf);
     assert_eq!(served.kind(), "flat-pdx");
     assert_eq!(
         answers(served.as_ref()),
@@ -155,7 +168,8 @@ fn pdx2_flat_container_with_and_without_rerank_rows() {
     pin("write_sq8 (scan only)", &scan_only, 0x9dff_b95e_9db9_ec2a);
 
     for (buf, rows) in [(&with_rows, &flat.rows[..]), (&scan_only, &[][..])] {
-        let back = read_sq8(&buf[..]).unwrap();
+        let back = sq8_of(buf);
+        assert_eq!(back.centroid_rows, None);
         assert_eq!(back.dims, D);
         assert_eq!(back.group, GROUP);
         assert_eq!(back.quantizer, flat.quantizer);
@@ -166,7 +180,7 @@ fn pdx2_flat_container_with_and_without_rerank_rows() {
         write_sq8(&mut again, &back.quantizer, &back.blocks, rerank).unwrap();
         assert_eq!(&again, buf, "read → write must reproduce the file");
     }
-    let served = AnyIndex::read(&with_rows[..]).unwrap();
+    let served = serve_file("pdx2_flat", &with_rows);
     assert_eq!(served.kind(), "flat-sq8");
     assert_eq!(answers(served.as_ref()), answers(&flat));
 }
@@ -179,10 +193,13 @@ fn pdx1_ivf_container() {
     write_ivf_pdx(&mut buf, D, &centroid_rows, &ivf.blocks).unwrap();
     pin("write_ivf_pdx", &buf, 0x4a9c_5468_49ac_2cc0);
 
-    // Resident: the centroids are only reachable through the probe
-    // order, so equal answers at nprobe 2 pin them too.
-    let served = AnyIndex::read(&buf[..]).unwrap();
-    assert_eq!(served.kind(), "ivf-pdx");
+    // Resident (lazy when the environment sets a cache budget): the
+    // centroids are only reachable through the probe order, so equal
+    // answers at nprobe 2 pin them too.
+    let served = serve_file("pdx1_ivf", &buf);
+    let lazily = pdx::core::cache::resolve_cache_bytes(None).is_some();
+    let kind = if lazily { "ivf-pdx-lazy" } else { "ivf-pdx" };
+    assert_eq!(served.kind(), kind);
     assert_eq!(served.len(), N);
     assert_eq!(answers(served.as_ref()), answers(&ivf));
 
@@ -242,13 +259,13 @@ fn pdx2_ivf_container_with_and_without_rerank_rows() {
         0xfa22_e1fe_85e6_3a53,
     );
 
-    let served = AnyIndex::read(&with_rows[..]).unwrap();
+    let served = serve_file("pdx2_ivf", &with_rows);
     assert_eq!(served.kind(), "ivf-sq8");
     assert_eq!(served.len(), N);
     assert_eq!(answers(served.as_ref()), answers(&ivf));
     let mut no_rows = ivf.clone();
     no_rows.rows = Vec::new();
-    let served = AnyIndex::read(&scan_only[..]).unwrap();
+    let served = serve_file("pdx2_ivf_scan", &scan_only);
     assert_eq!(answers(served.as_ref()), answers(&no_rows));
 }
 
@@ -281,7 +298,7 @@ fn pdx2_storage_order_round_trips_flat_and_ivf() {
     );
     let mut buf = Vec::new();
     write_sq8(&mut buf, &flat.quantizer, &flat.blocks, None).unwrap();
-    let back = read_sq8(&buf[..]).unwrap();
+    let back = sq8_of(&buf);
     assert_eq!(back.quantizer.order(), flat.quantizer.order());
     assert_eq!(back.blocks, flat.blocks);
 
@@ -313,9 +330,10 @@ fn old_pdx2_fixtures_read_with_the_identity_storage_order() {
     let identity: Vec<u32> = (0..D as u32).collect();
 
     // The answers the writer's own build gave, reranked and estimated.
-    let flat = read_sq8(OLD_PDX2_FLAT).unwrap();
+    let flat = sq8_of(OLD_PDX2_FLAT);
+    assert_eq!(flat.centroid_rows, None);
     assert_eq!(flat.quantizer.order(), &identity[..]);
-    let served = AnyIndex::read(OLD_PDX2_FLAT).unwrap();
+    let served = serve_file("old_pdx2_flat", OLD_PDX2_FLAT);
     assert_eq!(
         answer_bits(&answers(served.as_ref())),
         0x903f_8c17_0398_e755
@@ -324,7 +342,7 @@ fn old_pdx2_fixtures_read_with_the_identity_storage_order() {
     assert_eq!(answer_bits(&answers(&scan_only)), 0x76f4_8eab_25e7_20b5);
 
     assert_eq!(sq8_of(OLD_PDX2_IVF).quantizer.order(), &identity[..]);
-    let served = AnyIndex::read(OLD_PDX2_IVF).unwrap();
+    let served = serve_file("old_pdx2_ivf", OLD_PDX2_IVF);
     assert_eq!(
         answer_bits(&answers(served.as_ref())),
         0x1f0b_9e89_e1c7_13ba

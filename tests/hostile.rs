@@ -27,9 +27,12 @@
 //! container, the first word of an `.fvecs` file) each have a test by
 //! name at the top.
 //!
-//! Containers are read both from an in-memory stream (unknown length:
-//! buffers grow as bytes arrive) and from a file (known length: counts
-//! are checked against it first), since the two take different paths.
+//! A container has one decoder, and every source it reads knows its
+//! length: counts are checked against the bytes present before anything
+//! is read for them. The exhaustive suites feed it every prefix and
+//! every header-byte change of each container as bytes; a proptest
+//! feeds it truncated and mutated files, and serves what still decodes
+//! through the engine, lazily when it is IVF.
 
 use pdx::core::codec::put_slice;
 use pdx::datasets::io::read_fvecs;
@@ -197,7 +200,7 @@ fn assert_typed(err: &io::Error, what: &str) {
 }
 
 #[test]
-fn every_container_prefix_is_a_typed_error_from_a_stream() {
+fn every_container_prefix_is_a_typed_error_from_bytes() {
     for sample in containers() {
         read_container(&sample.bytes[..]).expect(sample.name);
         for cut in 0..sample.bytes.len() {
@@ -210,7 +213,7 @@ fn every_container_prefix_is_a_typed_error_from_a_stream() {
 }
 
 #[test]
-fn every_header_byte_change_is_typed_or_decodes_from_a_stream() {
+fn every_header_byte_change_is_typed_or_decodes_from_bytes() {
     for sample in containers() {
         let mut bytes = sample.bytes.clone();
         for at in 0..sample.header_len {

@@ -147,18 +147,16 @@ fn sq8_deployments_hold_their_codes_in_one_arena() {
 }
 
 #[test]
-fn a_stream_of_unknown_length_reads_into_one_arena_too() {
+fn a_byte_slice_reads_into_one_arena_too() {
     let (n, d) = (500, 6);
     let rows = random_rows(n, d, 4);
     let flat = FlatPdx::new(&rows, n, d, 64, 16);
     let mut bytes = Vec::new();
     pdx::datasets::persist::write_pdx(&mut bytes, &flat.collection).unwrap();
-    let back = pdx::datasets::persist::read_pdx(&bytes[..]).unwrap();
-    one_arena(
-        back.blocks.iter().map(|b| &b.pdx),
-        n * d,
-        "streamed FlatPdx",
-    );
+    let Container::F32(back) = pdx::datasets::persist::read_container(&bytes).unwrap() else {
+        panic!("a PDX1 container");
+    };
+    one_arena(back.blocks.iter().map(|b| &b.pdx), n * d, "read FlatPdx");
     for (a, b) in back.blocks.iter().zip(&flat.collection.blocks) {
         assert_eq!(a.pdx, b.pdx);
     }

@@ -178,7 +178,10 @@ fn persisted_sq8_index_answers_identically() {
     let mut buf = Vec::new();
     pdx::datasets::persist::write_sq8(&mut buf, &flat.quantizer, &flat.blocks, Some(&flat.rows))
         .unwrap();
-    let back = pdx::datasets::persist::read_sq8(&buf[..]).unwrap();
+    use pdx::datasets::persist::{read_container, Container};
+    let Container::Sq8(back) = read_container(&buf).unwrap() else {
+        panic!("not a PDX2 container")
+    };
     let reloaded = FlatSq8::from_parts(back.dims, back.quantizer, back.blocks, back.rows);
     for qi in 0..5 {
         assert_eq!(

@@ -333,7 +333,7 @@ fn duplicate_ids_are_typed_errors_at_every_layer() {
     let coll = PdxCollection::from_assignments(&rows, 2, &[vec![0, 1], vec![2, 1]], 4);
     let mut buf = Vec::new();
     pdx::datasets::persist::write_pdx(&mut buf, &coll).unwrap();
-    let err = pdx::datasets::persist::read_container(&buf[..]).unwrap_err();
+    let err = pdx::datasets::persist::read_container(&buf).unwrap_err();
     assert!(err.to_string().contains("duplicate row id 1"), "{err}");
 }
 
@@ -482,10 +482,7 @@ fn group_commit_bounds_the_power_loss_window() {
     let dir = temp_dir("group_commit");
     let rows = make_rows(32, d, 61);
     let coll = Collection::create(&dir, d, small_config(false)).unwrap();
-    coll.set_group_commit(GroupCommit {
-        sync_every: 4,
-        sync_interval: None,
-    });
+    coll.set_group_commit(GroupCommit { sync_every: 4 });
     for i in 0..10 {
         coll.insert(i as u64, &rows[i * d..(i + 1) * d]).unwrap();
     }
