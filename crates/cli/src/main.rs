@@ -48,9 +48,11 @@
 
 use pdx::prelude::*;
 use std::collections::HashMap;
+use std::num::ParseIntError;
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -158,18 +160,27 @@ impl Args {
         Ok(PathBuf::from(self.require(key)?))
     }
 
-    fn usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| {
-                format!("invalid value for --{key}: '{v}' (expected an unsigned integer)")
-            }),
-        }
+    /// `--key` read straight into the integer type of the field it
+    /// fills, `None` when absent: a value out of that type's range is an
+    /// error naming the flag, never a wrap (`--port=70000` is not 4464).
+    fn opt_int<T: FromStr<Err = ParseIntError>>(&self, key: &str) -> Result<Option<T>, String> {
+        let parse = |v: &String| {
+            v.parse().map_err(|e| {
+                let ty = std::any::type_name::<T>();
+                format!("invalid value for --{key}: '{v}' (expected a {ty} integer: {e})")
+            })
+        };
+        self.values.get(key).map(parse).transpose()
     }
 
-    /// [`Args::usize`] for a size that has no meaning at zero.
+    /// [`Args::opt_int`], with `default` for an absent flag.
+    fn int<T: FromStr<Err = ParseIntError>>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.opt_int(key)?.unwrap_or(default))
+    }
+
+    /// [`Args::int`] for a size that has no meaning at zero.
     fn positive(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.usize(key, default)? {
+        match self.int(key, default)? {
             0 => Err(format!(
                 "invalid value for --{key}: '0' (expected a positive integer)"
             )),
@@ -378,9 +389,9 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     let name = args.require("dataset")?;
     let spec = *spec_by_name(name)
         .ok_or_else(|| format!("unknown dataset '{name}' (see `pdx-cli datasets`)"))?;
-    let n = args.usize("n", 100_000)?;
-    let nq = args.usize("queries", 0)?;
-    let seed = args.usize("seed", 42)? as u64;
+    let n = args.int("n", 100_000)?;
+    let nq = args.int("queries", 0)?;
+    let seed = args.int("seed", 42)?;
     let out = args.path("out")?;
     eprintln!(
         "generating {}/{} (n = {n}, queries = {nq})…",
@@ -432,7 +443,7 @@ fn cmd_build(args: &Args) -> Result<(), String> {
                 buffer_capacity,
                 quantize,
             };
-            let shards = args.usize("shards", 0)?;
+            let shards = args.int("shards", 0)?;
             if shards > 1 {
                 return build_sharded(&data, &out, shards, config, quantize);
             }
@@ -458,7 +469,7 @@ fn cmd_build(args: &Args) -> Result<(), String> {
         }
     }
     if quantize {
-        let threads = args.usize("threads", 0)?;
+        let threads = args.int("threads", 0)?;
         let flat = FlatSq8::build_with_threads(
             &data.data, data.len, data.dims, block_size, group, threads,
         );
@@ -540,8 +551,8 @@ fn build_ivf(
     out: &Path,
     quantize: bool,
 ) -> Result<(), String> {
-    let threads = args.usize("threads", 0)?;
-    let nlist = match args.usize("nlist", 0)? {
+    let threads = args.int("threads", 0)?;
+    let nlist = match args.int("nlist", 0)? {
         0 => IvfIndex::default_nlist(data.len),
         n => n,
     };
@@ -634,20 +645,11 @@ fn parse_order(name: &str) -> Result<VisitOrder, String> {
     })
 }
 
-/// `--cache-bytes=N` as an explicit request (`None` when the flag is
-/// absent, so the `PDX_CACHE_BYTES` environment default still applies).
-fn parse_cache_bytes(args: &Args) -> Result<Option<u64>, String> {
-    match args.values.get("cache-bytes") {
-        None => Ok(None),
-        Some(v) => v.parse::<u64>().map(Some).map_err(|_| {
-            format!("invalid value for --cache-bytes: '{v}' (expected an unsigned byte count)")
-        }),
-    }
-}
-
-/// Engine open options from the shared flags.
+/// Engine open options from the shared flags. An absent
+/// `--cache-bytes` is `None`, so the `PDX_CACHE_BYTES` environment
+/// default still applies.
 fn open_options(args: &Args) -> Result<OpenOptions, String> {
-    let cache_bytes = parse_cache_bytes(args)?;
+    let cache_bytes = args.opt_int("cache-bytes")?;
     Ok(OpenOptions { cache_bytes })
 }
 
@@ -713,18 +715,18 @@ fn is_store(index: &Opened) -> bool {
 /// collection may hold either segment kind, so both flags apply there.
 fn search_options(args: &Args, k: usize, index: &Opened) -> Result<SearchOptions, String> {
     let mut opts = SearchOptions::new(k)
-        .with_threads(args.usize("threads", 0)?)
+        .with_threads(args.int("threads", 0)?)
         .with_kernel(parse_kernel(args)?);
     let is_store = is_store(index);
     if is_quantized(index) || is_store {
-        opts = opts.with_refine(args.usize("refine", DEFAULT_REFINE)?);
+        opts = opts.with_refine(args.int("refine", DEFAULT_REFINE)?);
     }
     if !is_quantized(index) || is_store {
         let order = parse_order(&args.str_or("order", "means"))?;
         opts = opts.with_pruner(PrunerKind::Bond(order));
     }
     if is_ivf(index) {
-        opts = opts.with_nprobe(args.usize("nprobe", 0)?);
+        opts = opts.with_nprobe(args.int("nprobe", 0)?);
     }
     Ok(opts)
 }
@@ -761,10 +763,8 @@ fn cmd_insert(args: &Args) -> Result<(), String> {
             coll.dims()
         ));
     }
-    let start = match args.values.get("start-id") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("invalid value for --start-id: '{v}'"))?,
+    let start = match args.opt_int("start-id")? {
+        Some(start) => start,
         None => match coll.max_id() {
             None => 0,
             Some(m) => m.checked_add(1).ok_or(format!(
@@ -780,7 +780,7 @@ fn cmd_insert(args: &Args) -> Result<(), String> {
             return Err(StoreError::DuplicateId(id).to_string());
         }
     }
-    let sync_every = args.usize("sync-every", 0)?;
+    let sync_every = args.int("sync-every", 0)?;
     coll.set_group_commit(GroupCommit { sync_every });
     let t0 = Instant::now();
     for (id, row) in ids.clone().zip(data.data.chunks_exact(data.dims)) {
@@ -1053,7 +1053,7 @@ fn stat_describe(args: &Args, tail: &dyn Fn(&'static str)) -> Result<(), String>
 /// from (an explicit `--cache-bytes` beats the `PDX_CACHE_BYTES`
 /// environment default).
 fn cache_budget_line(args: &Args) -> Result<String, String> {
-    let requested = parse_cache_bytes(args)?;
+    let requested = args.opt_int("cache-bytes")?;
     Ok(match resolve_cache_bytes(requested) {
         Some(b) => format!(
             "cache budget {b} bytes (from {})",
@@ -1068,21 +1068,25 @@ fn cache_budget_line(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    // Every flag is checked before the index is opened.
     let path = args.path("index")?;
-    let backend =
-        pdx::serve::Backend::open_with(&path, open_options(args)?).map_err(|e| e.to_string())?;
     let host = args.str_or("host", "127.0.0.1");
-    let port = args.usize("port", pdx::serve::DEFAULT_PORT as usize)? as u16;
+    let port = args.int("port", pdx::serve::DEFAULT_PORT)?;
+    let slow_query_ms: u64 = args.int("slow-query-ms", 0)?;
     let config = ServeConfig {
-        workers: args.usize("workers", 0)?,
-        queue_depth: args.usize("queue-depth", 128)?,
-        default_deadline_ms: args.usize("deadline-ms", 0)? as u32,
+        workers: args.int("workers", 0)?,
+        queue_depth: args.int("queue-depth", 128)?,
+        default_deadline_ms: args.int("deadline-ms", 0)?,
         kernel: parse_kernel(args)?,
-        metrics_port: args.usize("metrics-port", 0)? as u16,
-        slow_query_us: args.usize("slow-query-ms", 0)? as u64 * 1_000,
-        slow_sample: args.usize("slow-sample", 0)? as u64,
+        metrics_port: args.int("metrics-port", 0)?,
+        slow_query_us: slow_query_ms.checked_mul(1_000).ok_or(format!(
+            "invalid value for --slow-query-ms: '{slow_query_ms}' (over u64::MAX µs)"
+        ))?,
+        slow_sample: args.int("slow-sample", 0)?,
         ..ServeConfig::default()
     };
+    let options = open_options(args)?;
+    let backend = pdx::serve::Backend::open_with(&path, options).map_err(|e| e.to_string())?;
     let mutable = backend.is_mutable();
     let dims = backend.index().dims();
     let kind = backend.index().kind();
@@ -1133,10 +1137,11 @@ fn cmd_query_remote(args: &Args, remote: &str) -> Result<(), String> {
         }
     }
     let k = args.positive("k", 10)?;
-    let refine = args.usize("refine", 0)?;
+    let refine = args.int("refine", 0)?;
+    let deadline_ms = args.int("deadline-ms", 0)?;
     let queries = read_fvecs(&args.path("queries")?)?;
     let mut client = ServeClient::connect(remote).map_err(|e| format!("{remote}: {e}"))?;
-    client.set_deadline_ms(args.usize("deadline-ms", 0)? as u32);
+    client.set_deadline_ms(deadline_ms);
     let t0 = Instant::now();
     let mut results = Vec::with_capacity(queries.len);
     for qi in 0..queries.len {
@@ -1289,9 +1294,9 @@ mod tests {
     #[test]
     fn known_flags_parse() {
         let a = Args::parse(&argv(&["--k=5", "--threads=2"]), QUERY_FLAGS).unwrap();
-        assert_eq!(a.usize("k", 10).unwrap(), 5);
-        assert_eq!(a.usize("threads", 0).unwrap(), 2);
-        assert_eq!(a.usize("refine", 4).unwrap(), 4); // default
+        assert_eq!(a.int("k", 10usize).unwrap(), 5);
+        assert_eq!(a.int("threads", 0usize).unwrap(), 2);
+        assert_eq!(a.int("refine", 4usize).unwrap(), 4); // default
     }
 
     #[test]
@@ -1321,7 +1326,29 @@ mod tests {
     #[test]
     fn bad_integer_values_error_instead_of_defaulting() {
         let a = Args::parse(&argv(&["--k=ten"]), QUERY_FLAGS).unwrap();
-        assert!(a.usize("k", 10).is_err());
+        assert!(a.int("k", 10usize).is_err());
+    }
+
+    /// A value past its field's integer type is an error naming the flag,
+    /// raised before `serve` or `query --remote` reads a file (none exists).
+    #[test]
+    fn out_of_range_integers_name_their_flag_before_any_file_is_read() {
+        let missing = std::env::temp_dir().join("pdx_cli_no_such_file");
+        for flag in [
+            "--port=70000",
+            "--metrics-port=65536",
+            "--deadline-ms=4294967296",
+            "--slow-query-ms=18446744073709552",
+        ] {
+            let (name, _) = flag.split_once('=').unwrap();
+            let args = argv(&[&format!("--index={}", missing.display()), flag]);
+            let err = cmd_serve(&Args::parse(&args, SERVE_FLAGS).unwrap()).unwrap_err();
+            assert!(err.contains(name), "{flag}: {err}");
+        }
+        let queries = format!("--queries={}", missing.display());
+        let remote = ["--remote=127.0.0.1:1", &queries, "--deadline-ms=4294967296"];
+        let err = cmd_query(&Args::parse(&argv(&remote), QUERY_FLAGS).unwrap()).unwrap_err();
+        assert!(err.contains("--deadline-ms"), "{err}");
     }
 
     #[test]
@@ -1542,7 +1569,7 @@ mod tests {
         let dir = std::env::temp_dir().join("pdx_cli_open_verdicts");
         let _ = std::fs::remove_dir_all(&dir);
         let at = |name: &str| dir.join(name).display().to_string();
-        for sub in ["m", "junk", "empty"] {
+        for sub in ["m", "junk", "nope", "shards", "empty"] {
             std::fs::create_dir_all(at(sub)).unwrap();
         }
         let rows: Vec<f32> = (0..40 * 4).map(|i| (i % 13) as f32).collect();
@@ -1559,6 +1586,8 @@ mod tests {
         }
         std::fs::copy(at("flat.pdx"), at("m/MANIFEST")).unwrap();
         std::fs::write(at("junk/MANIFEST"), b"garbage, not an index").unwrap();
+        std::fs::write(at("nope/MANIFEST"), b"NOPEjunk").unwrap();
+        std::fs::write(at("shards/SHARDS"), b"PDXSjunk").unwrap();
         std::fs::copy(at("store/MANIFEST"), at("renamed.manifest")).unwrap();
         std::fs::write(at("cut.pdx"), &std::fs::read(at("flat.pdx")).unwrap()[..10]).unwrap();
 
@@ -1568,6 +1597,8 @@ mod tests {
         let table = [
             ("m/MANIFEST", Ok(("flat-pdx", "a frozen flat-pdx"))),
             ("junk/MANIFEST", Err("unknown magic \"garb\"")),
+            ("nope", Err("\"NOPE\"")),
+            ("shards", Err("\"PDXS\"")),
             ("renamed.manifest", Err("must be named MANIFEST")),
             ("empty", Err("MANIFEST for a collection or SHARDS")),
             ("cut.pdx", Err("cut.pdx")),

@@ -156,6 +156,31 @@ impl<'a> ByteReader<'a> {
         Ok(head)
     }
 
+    /// Reads a store file's header: `magic`, then a `u32` `version`.
+    ///
+    /// # Errors
+    /// `UnexpectedEof` on a short header; `InvalidData` naming the file
+    /// kind `what` on another magic (as escaped ASCII, the way the
+    /// container reader names one) or version.
+    pub fn header(&mut self, magic: &[u8; 4], version: u32, what: &str) -> io::Result<()> {
+        let found: [u8; 4] = self.array(&format!("{what} magic"))?;
+        if &found != magic {
+            let ascii = |m: &[u8; 4]| m.escape_ascii().to_string();
+            return Err(invalid(format!(
+                "not a {what} (unknown magic {:?}, expected {:?})",
+                ascii(&found),
+                ascii(magic)
+            )));
+        }
+        let found = self.u32(&format!("{what} version"))?;
+        if found != version {
+            return Err(invalid(format!(
+                "unsupported {what} version {found} (this build reads {version})"
+            )));
+        }
+        Ok(())
+    }
+
     /// Asserts the whole input was consumed.
     ///
     /// # Errors

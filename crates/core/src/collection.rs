@@ -2,7 +2,8 @@
 //! optional pruner aux data.
 //!
 //! A [`SearchBlock`] is the unit PDXearch walks (an IVF bucket or a flat
-//! horizontal partition); a [`PdxCollection`] owns a set of them.
+//! horizontal partition) and carries the per-dimension statistics its
+//! visit order reads; a [`PdxCollection`] is nothing but a set of them.
 
 use crate::layout::{PayloadWriter, PdxBlock};
 use crate::pruning::BlockAux;
@@ -55,16 +56,14 @@ impl SearchBlock {
     }
 }
 
-/// A set of searchable blocks over one vector collection.
+/// A set of searchable blocks over one vector collection, and nothing
+/// else: a visit order reads each block's own [`SearchBlock::stats`].
 #[derive(Debug, Clone)]
 pub struct PdxCollection {
     /// Dimensionality of all vectors.
     pub dims: usize,
     /// The blocks, in storage order.
     pub blocks: Vec<SearchBlock>,
-    /// Collection-level per-dimension statistics (flat exact search uses
-    /// these so one visit order serves all blocks).
-    pub stats: BlockStats,
 }
 
 impl PdxCollection {
@@ -102,53 +101,9 @@ impl PdxCollection {
                 SearchBlock::from_pdx(pdx, (v0 - n..v0).collect())
             })
             .collect();
-        let stats = BlockStats::from_rows(rows, n_vectors, n_dims);
         Self {
             dims: n_dims,
             blocks,
-            stats,
-        }
-    }
-
-    /// Builds blocks from an explicit assignment of row ids (IVF bucket
-    /// construction: one inner `Vec` per bucket), all tiled into one
-    /// payload arena.
-    pub fn from_assignments(
-        rows: &[f32],
-        n_dims: usize,
-        assignments: &[Vec<u32>],
-        group_size: usize,
-    ) -> Self {
-        let n_vectors = rows.len() / n_dims.max(1);
-        let values = assignments.iter().map(|ids| ids.len() * n_dims).sum();
-        let mut payload = PayloadWriter::new(values);
-        for ids in assignments {
-            payload.tile_row_ids(rows, n_dims, ids, group_size);
-        }
-        let blocks = payload
-            .finish()
-            .into_iter()
-            .zip(assignments)
-            .map(|(pdx, ids)| SearchBlock::from_pdx(pdx, ids.iter().map(|&i| i as u64).collect()))
-            .collect();
-        let stats = BlockStats::from_rows(rows, n_vectors, n_dims);
-        Self {
-            dims: n_dims,
-            blocks,
-            stats,
-        }
-    }
-
-    /// Adopts already-built blocks (a persisted flat container, read
-    /// block by block), deriving the collection-level statistics from
-    /// them — the same bits [`PdxCollection::from_rows_partitioned`]
-    /// computes from the rows.
-    pub fn from_blocks(dims: usize, blocks: Vec<SearchBlock>) -> Self {
-        let stats = BlockStats::from_blocks(blocks.iter().map(|b| &b.pdx), dims);
-        Self {
-            dims,
-            blocks,
-            stats,
         }
     }
 
@@ -175,22 +130,5 @@ mod tests {
         assert_eq!(c.blocks[1].row_ids[0], 10);
         // Values round-trip.
         assert_eq!(c.blocks[1].pdx.vector(0), rows[10 * d..11 * d].to_vec());
-    }
-
-    #[test]
-    fn assignments_gather_the_right_vectors() {
-        let rows: Vec<f32> = (0..8).map(|i| i as f32).collect(); // 4 vectors × 2 dims
-        let c = PdxCollection::from_assignments(&rows, 2, &[vec![3, 1], vec![0, 2]], 64);
-        assert_eq!(c.blocks[0].row_ids, vec![3, 1]);
-        assert_eq!(c.blocks[0].pdx.vector(0), vec![6.0, 7.0]);
-        assert_eq!(c.blocks[1].pdx.vector(1), vec![4.0, 5.0]);
-    }
-
-    #[test]
-    fn empty_assignment_produces_empty_block() {
-        let rows = [0.0f32, 1.0];
-        let c = PdxCollection::from_assignments(&rows, 2, &[vec![], vec![0]], 64);
-        assert!(c.blocks[0].is_empty());
-        assert_eq!(c.blocks[1].len(), 1);
     }
 }

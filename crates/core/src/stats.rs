@@ -3,7 +3,10 @@
 //! Blocks carry per-dimension means (PDX-BOND's distance-to-means visit
 //! order) and variances (useful for BSA-style tuning and for dataset
 //! diagnostics) — the vector-search analogue of the min/max zone maps
-//! analytical systems keep per row-group.
+//! analytical systems keep per row-group. They exist only per block,
+//! computed from its dimension-major layout when the block is built or
+//! read; nothing sums them over a whole collection, because a visit
+//! order reads the means of the block it scans.
 
 use crate::layout::PdxBlock;
 
@@ -46,62 +49,6 @@ impl BlockStats {
         Self::from_sums(&sums, &squares, n)
     }
 
-    /// Computes statistics from row-major data (collection-level stats
-    /// for flat exact search, where one ordering serves all blocks).
-    pub fn from_rows(rows: &[f32], n_vectors: usize, n_dims: usize) -> Self {
-        assert_eq!(
-            rows.len(),
-            n_vectors * n_dims,
-            "row buffer does not match dimensions"
-        );
-        if n_vectors == 0 {
-            return Self {
-                means: vec![0.0; n_dims],
-                variances: vec![0.0; n_dims],
-            };
-        }
-        let mut sums = vec![0.0f64; n_dims];
-        let mut squares = vec![0.0f64; n_dims];
-        for row in rows.chunks_exact(n_dims) {
-            for (d, &v) in row.iter().enumerate() {
-                sums[d] += v as f64;
-                squares[d] += (v as f64) * (v as f64);
-            }
-        }
-        Self::from_sums(&sums, &squares, n_vectors)
-    }
-
-    /// Statistics of the concatenation of `blocks`, bit-identical to
-    /// [`BlockStats::from_rows`] over their rows in order: each
-    /// dimension's sums receive the same values in the same (vector)
-    /// order, whichever of the two walks them. This is how a container
-    /// reader rebuilds collection-level statistics block by block,
-    /// without materializing the rows.
-    pub fn from_blocks<'a>(blocks: impl IntoIterator<Item = &'a PdxBlock>, n_dims: usize) -> Self {
-        let mut sums = vec![0.0f64; n_dims];
-        let mut squares = vec![0.0f64; n_dims];
-        let mut n = 0usize;
-        for block in blocks {
-            assert_eq!(block.dims(), n_dims, "block dimensionality differs");
-            n += block.len();
-            for g in block.groups() {
-                for (dim, row) in g.data.chunks_exact(g.lanes).enumerate() {
-                    for &v in row {
-                        sums[dim] += v as f64;
-                        squares[dim] += (v as f64) * (v as f64);
-                    }
-                }
-            }
-        }
-        if n == 0 {
-            return Self {
-                means: vec![0.0; n_dims],
-                variances: vec![0.0; n_dims],
-            };
-        }
-        Self::from_sums(&sums, &squares, n)
-    }
-
     fn from_sums(sums: &[f64], squares: &[f64], n: usize) -> Self {
         let inv = 1.0 / n as f64;
         let means: Vec<f32> = sums.iter().map(|s| (s * inv) as f32).collect();
@@ -131,6 +78,19 @@ mod tests {
         assert_eq!(stats.variances, vec![1.0, 0.0]);
     }
 
+    /// The row-major oracle: the same sums as [`BlockStats::from_block`],
+    /// taken vector by vector.
+    fn from_rows(rows: &[f32], n_dims: usize) -> BlockStats {
+        let (mut sums, mut squares) = (vec![0.0f64; n_dims], vec![0.0f64; n_dims]);
+        for row in rows.chunks_exact(n_dims) {
+            for (d, &v) in row.iter().enumerate() {
+                sums[d] += v as f64;
+                squares[d] += (v as f64) * (v as f64);
+            }
+        }
+        BlockStats::from_sums(&sums, &squares, rows.len() / n_dims)
+    }
+
     #[test]
     fn block_and_row_paths_agree() {
         let n = 97;
@@ -138,7 +98,7 @@ mod tests {
         let rows: Vec<f32> = (0..n * d).map(|i| ((i * 31 % 17) as f32) - 8.0).collect();
         let block = PdxBlock::from_rows(&rows, n, d, 16);
         let a = BlockStats::from_block(&block);
-        let b = BlockStats::from_rows(&rows, n, d);
+        let b = from_rows(&rows, d);
         for (x, y) in a.means.iter().zip(&b.means) {
             assert!((x - y).abs() < 1e-5);
         }

@@ -194,9 +194,10 @@ fn deployment(container: Container) -> Box<dyn VectorIndex> {
     // uses, so resident and lazy deployments probe identically.
     match container {
         Container::F32(c) => match c.centroid_rows {
-            None => Box::new(FlatPdx::from_collection(PdxCollection::from_blocks(
-                c.dims, c.blocks,
-            ))),
+            None => Box::new(FlatPdx::from_collection(PdxCollection {
+                dims: c.dims,
+                blocks: c.blocks,
+            })),
             Some(rows) => Box::new(IvfPdx {
                 dims: c.dims,
                 centroids: centroid_block(&rows, c.dims, c.group),

@@ -33,8 +33,6 @@ use pdx_core::search::HorizontalBucket;
 pub struct IvfIndex {
     /// Dimensionality.
     pub dims: usize,
-    /// Number of buckets (clusters).
-    pub nlist: usize,
     /// The trained cluster model (raw space).
     pub kmeans: KMeans,
     /// `assignments[b]` lists the row ids of bucket `b`.
@@ -78,7 +76,6 @@ impl IvfIndex {
         }
         Self {
             dims,
-            nlist: kmeans.k,
             kmeans,
             assignments,
         }
@@ -90,14 +87,11 @@ impl IvfIndex {
     }
 }
 
-/// Computes per-bucket centroids as member means in the given space.
-fn bucket_centroids(rows: &[f32], dims: usize, assignments: &[Vec<u32>]) -> (Vec<f32>, Vec<u64>) {
+/// Row-major centroids of the non-empty buckets, in order, as member
+/// means in the given space: the one computation every deployment uses.
+pub(crate) fn bucket_centroids(rows: &[f32], dims: usize, assignments: &[Vec<u32>]) -> Vec<f32> {
     let mut centroids = Vec::new();
-    let mut bucket_ids = Vec::new();
-    for (b, ids) in assignments.iter().enumerate() {
-        if ids.is_empty() {
-            continue;
-        }
+    for ids in assignments.iter().filter(|ids| !ids.is_empty()) {
         let mut mean = vec![0.0f64; dims];
         for &v in ids {
             let row = &rows[v as usize * dims..(v as usize + 1) * dims];
@@ -107,9 +101,8 @@ fn bucket_centroids(rows: &[f32], dims: usize, assignments: &[Vec<u32>]) -> (Vec
         }
         let inv = 1.0 / ids.len() as f64;
         centroids.extend(mean.iter().map(|m| (m * inv) as f32));
-        bucket_ids.push(b as u64);
     }
-    (centroids, bucket_ids)
+    centroids
 }
 
 /// The router's block: row-major `centroid_rows` (row `i` = bucket `i`)
@@ -178,7 +171,7 @@ impl IvfPdx {
     /// the shared assignments: the buckets, then the centroid block, all
     /// tiled into one payload arena.
     pub fn new(rows: &[f32], dims: usize, assignments: &[Vec<u32>], group_size: usize) -> Self {
-        let (centroid_rows, _) = bucket_centroids(rows, dims, assignments);
+        let centroid_rows = bucket_centroids(rows, dims, assignments);
         let buckets: Vec<&Vec<u32>> = assignments.iter().filter(|ids| !ids.is_empty()).collect();
         let values = buckets.iter().map(|ids| ids.len() * dims).sum::<usize>();
         let mut payload = PayloadWriter::new(values + centroid_rows.len());
@@ -219,18 +212,15 @@ pub struct IvfHorizontal {
 impl IvfHorizontal {
     /// Materializes dual-block buckets split at `delta_d`.
     pub fn new(rows: &[f32], dims: usize, assignments: &[Vec<u32>], delta_d: usize) -> Self {
-        let (centroid_rows, _) = bucket_centroids(rows, dims, assignments);
+        let centroid_rows = bucket_centroids(rows, dims, assignments);
         let n_centroids = centroid_rows.len() / dims.max(1);
         let centroids = NaryMatrix::from_vec(n_centroids, dims, centroid_rows);
         let buckets = assignments
             .iter()
             .filter(|ids| !ids.is_empty())
             .map(|ids| {
-                let mut bucket_rows = Vec::with_capacity(ids.len() * dims);
-                for &v in ids {
-                    bucket_rows
-                        .extend_from_slice(&rows[v as usize * dims..(v as usize + 1) * dims]);
-                }
+                let row = |&v: &u32| &rows[v as usize * dims..][..dims];
+                let bucket_rows: Vec<f32> = ids.iter().flat_map(row).copied().collect();
                 HorizontalBucket::new(
                     &bucket_rows,
                     ids.iter().map(|&v| v as u64).collect(),

@@ -193,21 +193,12 @@ impl IvfSq8 {
     pub fn new(rows: &[f32], dims: usize, assignments: &[Vec<u32>], group_size: usize) -> Self {
         let n_vectors = rows.len() / dims.max(1);
         let quantizer = Sq8Quantizer::fit(rows, n_vectors, dims);
-        let mut centroid_rows = Vec::new();
+        let centroid_rows = crate::ivf::bucket_centroids(rows, dims, assignments);
         let buckets: Vec<&Vec<u32>> = assignments.iter().filter(|ids| !ids.is_empty()).collect();
         let mut payload = PayloadWriter::new(buckets.iter().map(|ids| ids.len() * dims).sum());
         for &ids in &buckets {
-            let mut mean = vec![0.0f64; dims];
-            let mut bucket_rows = Vec::with_capacity(ids.len() * dims);
-            for &v in ids {
-                let row = &rows[v as usize * dims..(v as usize + 1) * dims];
-                bucket_rows.extend_from_slice(row);
-                for (m, &x) in mean.iter_mut().zip(row) {
-                    *m += x as f64;
-                }
-            }
-            let inv = 1.0 / ids.len() as f64;
-            centroid_rows.extend(mean.iter().map(|m| (m * inv) as f32));
+            let row = |&v: &u32| &rows[v as usize * dims..][..dims];
+            let bucket_rows: Vec<f32> = ids.iter().flat_map(row).copied().collect();
             quantizer.encode_into(&mut payload, &bucket_rows, ids.len(), group_size);
         }
         let blocks = payload

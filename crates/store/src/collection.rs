@@ -16,16 +16,17 @@
 //!   snapshot.
 //!
 //! Sealing and compaction share one *freeze → build → commit* path: the
-//! buffer's rows are frozen under the writer lock (staying searchable
-//! as the snapshot's "sealing" section), the new segment is built and
-//! written **without** holding the writer lock, and the result commits
-//! by swapping the segment set and its masks, the manifest, and the WAL
-//! generation in one short critical section. Run it inline
-//! ([`Collection::seal`]/[`Collection::compact`]) or as a background
+//! buffer's rows are frozen (staying searchable as the snapshot's
+//! "sealing" section), the new segment is built and written, and the
+//! result commits by swapping the segment set and its masks, the
+//! manifest, and the WAL generation. Run inline
+//! ([`Collection::seal`]/[`Collection::compact`]), the whole cycle holds
+//! the writer lock, so writers block until the commit; as a background
 //! job on a [`pdx_core::exec`] thread
-//! ([`Collection::seal_background`]/[`Collection::compact_background`]);
-//! reads keep flowing either way, and writes keep landing in the buffer
-//! during a background build.
+//! ([`Collection::seal_background`]/[`Collection::compact_background`]),
+//! only the freeze and the commit take it, each in one short critical
+//! section, and writes keep landing in the buffer during the build.
+//! Reads keep flowing either way.
 //!
 //! ## Durable commit protocol
 //!

@@ -118,13 +118,7 @@ impl Manifest {
     /// allocated ([`read_vec`]), and nothing may follow the tombstones.
     fn decode(bytes: &[u8]) -> io::Result<Self> {
         let mut r = ByteReader::new(bytes);
-        if &r.array::<4>("manifest magic")? != MANIFEST_MAGIC {
-            return Err(invalid("not a PDX3 manifest"));
-        }
-        let version = r.u32("manifest version")?;
-        if version != VERSION {
-            return Err(invalid(format!("unsupported manifest version {version}")));
-        }
+        r.header(MANIFEST_MAGIC, VERSION, "manifest")?;
         let mut config = [0usize; 5];
         for field in &mut config {
             *field = r.u32("manifest config")? as usize;

@@ -237,9 +237,10 @@ impl Segment {
         let data = match read_container_path(&container_path)
             .map_err(|e| StoreError::Corrupt(e.to_string()))?
         {
-            Container::F32(c) if c.centroid_rows.is_none() => SegmentData::F32(
-                FlatPdx::from_collection(PdxCollection::from_blocks(c.dims, c.blocks)),
-            ),
+            Container::F32(c) if c.centroid_rows.is_none() => {
+                let (dims, blocks) = (c.dims, c.blocks);
+                SegmentData::F32(FlatPdx::from_collection(PdxCollection { dims, blocks }))
+            }
             Container::Sq8(c) if c.centroid_rows.is_none() => {
                 if c.rows.is_empty() {
                     return Err(StoreError::Corrupt(format!(
@@ -317,13 +318,7 @@ impl Segment {
 /// before the ids are allocated ([`read_vec`]).
 fn decode_ids(bytes: &[u8]) -> io::Result<Vec<u64>> {
     let mut r = ByteReader::new(bytes);
-    if &r.array::<4>("remap table magic")? != IDS_MAGIC {
-        return Err(invalid("not a PDXI remap table"));
-    }
-    let version = r.u32("remap table version")?;
-    if version != IDS_VERSION {
-        return Err(invalid(format!("unsupported remap version {version}")));
-    }
+    r.header(IDS_MAGIC, IDS_VERSION, "remap table")?;
     let n = usize::try_from(r.u64("remap count")?).map_err(|_| invalid("remap count overflows"))?;
     let remap = read_vec(&mut r, n, "remap count")?;
     r.finish()?;

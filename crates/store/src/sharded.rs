@@ -140,14 +140,7 @@ impl ShardedCollection {
     /// those two words, with nothing after them.
     fn decode(bytes: &[u8]) -> io::Result<(usize, usize)> {
         let mut r = ByteReader::new(bytes);
-        let magic = r.array::<4>("SHARDS magic")?;
-        if &magic != SHARDS_MAGIC {
-            return Err(invalid(format!("bad SHARDS magic {magic:?}")));
-        }
-        let version = r.u32("SHARDS version")?;
-        if version != SHARDS_VERSION {
-            return Err(invalid(format!("unsupported SHARDS version {version}")));
-        }
+        r.header(SHARDS_MAGIC, SHARDS_VERSION, "SHARDS manifest")?;
         let (n_shards, dims) = (r.u32("shard count")?, r.u32("dims")?);
         r.finish()?;
         if n_shards == 0 || dims == 0 {

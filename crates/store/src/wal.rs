@@ -121,13 +121,9 @@ impl Wal {
         }
         let mut header = ByteReader::new(&bytes[..HEADER_LEN]);
         let corrupt = |msg: String| StoreError::Corrupt(format!("{}: {msg}", path.display()));
-        if &header.array::<4>("WAL magic")? != MAGIC {
-            return Err(corrupt("not a PDXW write-ahead log".into()));
-        }
-        let version = header.u32("WAL version")?;
-        if version != VERSION {
-            return Err(corrupt(format!("unsupported WAL version {version}")));
-        }
+        header
+            .header(MAGIC, VERSION, "write-ahead log")
+            .map_err(|e| corrupt(e.to_string()))?;
         let file_dims = header.u32("WAL dims")? as usize;
         if file_dims != dims {
             return Err(corrupt(format!(

@@ -130,9 +130,11 @@ fn pdx1_flat_container() {
         panic!("not a PDX1 container")
     };
     assert_eq!(back.centroid_rows, None);
-    let back = PdxCollection::from_blocks(back.dims, back.blocks);
+    let back = PdxCollection {
+        dims: back.dims,
+        blocks: back.blocks,
+    };
     assert_eq!(back.dims, coll.dims);
-    assert_eq!(back.stats, coll.stats);
     assert_eq!(back.blocks.len(), coll.blocks.len());
     for (a, b) in coll.blocks.iter().zip(&back.blocks) {
         assert_eq!(a.row_ids, b.row_ids);

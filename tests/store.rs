@@ -329,8 +329,11 @@ fn duplicate_ids_are_typed_errors_at_every_layer() {
 
     // The container readers reject duplicates the same way (the
     // `read_container` replay check).
-    let rows: Vec<f32> = (0..8).map(|i| i as f32).collect();
-    let coll = PdxCollection::from_assignments(&rows, 2, &[vec![0, 1], vec![2, 1]], 4);
+    let blocks = vec![
+        SearchBlock::new(&[0.0, 1.0, 2.0, 3.0], vec![0, 1], 2, 4),
+        SearchBlock::new(&[4.0, 5.0, 2.0, 3.0], vec![2, 1], 2, 4),
+    ];
+    let coll = PdxCollection { dims: 2, blocks };
     let mut buf = Vec::new();
     pdx::datasets::persist::write_pdx(&mut buf, &coll).unwrap();
     let err = pdx::datasets::persist::read_container(&buf).unwrap_err();
