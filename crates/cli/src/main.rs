@@ -179,9 +179,12 @@ impl Args {
     }
 
     /// [`Args::int`] for a size that has no meaning at zero.
-    fn positive(&self, key: &str, default: usize) -> Result<usize, String> {
+    fn positive<T>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T: FromStr<Err = ParseIntError> + PartialEq + From<u8>,
+    {
         match self.int(key, default)? {
-            0 => Err(format!(
+            n if n == T::from(0) => Err(format!(
                 "invalid value for --{key}: '0' (expected a positive integer)"
             )),
             n => Ok(n),
@@ -1136,8 +1139,9 @@ fn cmd_query_remote(args: &Args, remote: &str) -> Result<(), String> {
             eprintln!("note: --{local_only} does not apply with --remote; ignored");
         }
     }
-    let k = args.positive("k", 10)?;
-    let refine = args.int("refine", 0)?;
+    // `k` and `refine` fill the Search frame's `u32` fields.
+    let k: u32 = args.positive("k", 10)?;
+    let refine: u32 = args.int("refine", 0)?;
     let deadline_ms = args.int("deadline-ms", 0)?;
     let queries = read_fvecs(&args.path("queries")?)?;
     let mut client = ServeClient::connect(remote).map_err(|e| format!("{remote}: {e}"))?;
@@ -1148,7 +1152,7 @@ fn cmd_query_remote(args: &Args, remote: &str) -> Result<(), String> {
         let query = &queries.data[qi * queries.dims..(qi + 1) * queries.dims];
         results.push(
             client
-                .search_opts(query, k, 0, refine)
+                .search_opts(query, k as usize, 0, refine as usize)
                 .map_err(|e| format!("query {qi}: {e}"))?,
         );
     }
@@ -1346,9 +1350,16 @@ mod tests {
             assert!(err.contains(name), "{flag}: {err}");
         }
         let queries = format!("--queries={}", missing.display());
-        let remote = ["--remote=127.0.0.1:1", &queries, "--deadline-ms=4294967296"];
-        let err = cmd_query(&Args::parse(&argv(&remote), QUERY_FLAGS).unwrap()).unwrap_err();
-        assert!(err.contains("--deadline-ms"), "{err}");
+        for flag in [
+            "--deadline-ms=4294967296",
+            "--k=4294967297",
+            "--refine=4294967296",
+        ] {
+            let (name, _) = flag.split_once('=').unwrap();
+            let remote = ["--remote=127.0.0.1:1", &queries, flag];
+            let err = cmd_query(&Args::parse(&argv(&remote), QUERY_FLAGS).unwrap()).unwrap_err();
+            assert!(err.contains(name), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -1592,7 +1603,8 @@ mod tests {
         std::fs::write(at("cut.pdx"), &std::fs::read(at("flat.pdx")).unwrap()[..10]).unwrap();
 
         // The path, then the kind it opens as and how `insert` refuses
-        // it, or a piece of the error every opener gives.
+        // it, or a piece of the error every opener gives (which names the
+        // path once).
         let sharded = "a sharded collection; it mutates through `serve`";
         let table = [
             ("m/MANIFEST", Ok(("flat-pdx", "a frozen flat-pdx"))),
@@ -1619,7 +1631,11 @@ mod tests {
             assert_eq!(stat.map(|()| seen.get().unwrap()), any, "{name}: stat");
             match (&any, want) {
                 (Ok(kind), Ok((want, _))) => assert_eq!(*kind, want, "{name}"),
-                (Err(err), Err(want)) => assert!(err.contains(want), "{name}: {err}"),
+                (Err(err), Err(want)) => {
+                    assert!(err.contains(want), "{name}: {err}");
+                    // Only the layer that opened the path names it.
+                    assert_eq!(err.matches(&at(name)).count(), 1, "{name}: {err}");
+                }
                 (got, want) => panic!("{name}: opened as {got:?}, want {want:?}"),
             }
             let insert = Args::parse(&argv(&[&index, &data]), INSERT_FLAGS).unwrap();

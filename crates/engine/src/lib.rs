@@ -36,7 +36,7 @@ use pdx_core::search::ScanBlock;
 use pdx_datasets::persist::{read_container_path, Container};
 use pdx_index::ivf::centroid_block;
 use pdx_index::{Deployment, FlatPdx, FlatSq8, IvfPdx, IvfSq8, LazyIvf};
-use pdx_store::{Collection, ShardedCollection, StoreError};
+use pdx_store::{Collection, ShardedCollection};
 use pdx_store::{MANIFEST_FILE, MANIFEST_MAGIC, SHARDS_FILE};
 use std::io;
 use std::ops::Deref;
@@ -90,17 +90,19 @@ impl Opened {
     ///   file is named [`MANIFEST_FILE`].
     ///
     /// # Errors
-    /// Every error names `path`. A directory holding neither manifest is
+    /// Every error names `path` once: the layer that opened a file
+    /// names it, so a store error names the store file it arose in
+    /// (`<path>/MANIFEST`, `<path>/SHARDS`, …) and nothing else prefixes
+    /// it. A directory holding neither manifest is
     /// [`io::ErrorKind::NotFound`]; an unknown magic reports the four
     /// bytes read; IO, container-format and store errors are propagated.
     pub fn open(path: impl AsRef<Path>, opts: OpenOptions) -> io::Result<Self> {
         let path = path.as_ref();
         let fail = |kind, msg: String| io::Error::new(kind, format!("{}: {msg}", path.display()));
         let named = |e: io::Error| fail(e.kind(), e.to_string());
-        let store = |e: StoreError| named(e.into());
         let dir = if path.is_dir() {
             if path.join(SHARDS_FILE).is_file() {
-                let sharded = ShardedCollection::open(path).map_err(store)?;
+                let sharded = ShardedCollection::open(path).map_err(io::Error::from)?;
                 return Ok(Self::Sharded(Arc::new(sharded)));
             }
             if !path.join(MANIFEST_FILE).exists() {
@@ -138,7 +140,7 @@ impl Opened {
             }
             path.parent().unwrap_or_else(|| Path::new("."))
         };
-        let coll = Collection::open(dir).map_err(store)?;
+        let coll = Collection::open(dir).map_err(io::Error::from)?;
         Ok(Self::Collection(Arc::new(coll)))
     }
 }

@@ -26,6 +26,14 @@ pub enum ClientError {
     /// The server's reply did not decode, carried the wrong sequence
     /// number, or was the wrong response type for the request.
     Protocol(String),
+    /// A request argument does not fit its `u32` wire field; nothing was
+    /// sent.
+    InvalidInput {
+        /// The argument: `k`, `nprobe`, `refine` or `dims`.
+        field: &'static str,
+        /// The value it was given.
+        value: usize,
+    },
 }
 
 impl fmt::Display for ClientError {
@@ -34,6 +42,11 @@ impl fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "connection error: {e}"),
             ClientError::Server { kind, message } => write!(f, "server error ({kind}): {message}"),
             ClientError::Protocol(msg) => write!(f, "client protocol error: {msg}"),
+            ClientError::InvalidInput { field, value } => write!(
+                f,
+                "invalid {field} = {value}: the wire carries it as a u32 (at most {})",
+                u32::MAX
+            ),
         }
     }
 }
@@ -54,6 +67,12 @@ impl ClientError {
             _ => None,
         }
     }
+}
+
+/// `value` as the `u32` wire field `field`, or a typed error naming it
+/// (never a wrap: `k = 2³²` is not `k = 0`).
+fn wire_u32(field: &'static str, value: usize) -> Result<u32, ClientError> {
+    u32::try_from(value).map_err(|_| ClientError::InvalidInput { field, value })
 }
 
 /// A blocking connection to a `pdx serve` server.
@@ -143,7 +162,9 @@ impl Client {
     /// Single k-NN query with explicit `nprobe`/`refine` (0 = default).
     ///
     /// # Errors
-    /// See [`Client::call`]; typed server errors become
+    /// [`ClientError::InvalidInput`] naming `k`, `nprobe` or `refine`
+    /// when it exceeds `u32::MAX`, before anything is sent; otherwise see
+    /// [`Client::call`]; typed server errors become
     /// [`ClientError::Server`].
     pub fn search_opts(
         &mut self,
@@ -154,9 +175,9 @@ impl Client {
     ) -> Result<Vec<Neighbor>, ClientError> {
         let req = Request::Search {
             deadline_ms: self.deadline_ms,
-            k: k as u32,
-            nprobe: nprobe as u32,
-            refine: refine as u32,
+            k: wire_u32("k", k)?,
+            nprobe: wire_u32("nprobe", nprobe)?,
+            refine: wire_u32("refine", refine)?,
             query: query.to_vec(),
         };
         match self.expect(&req, "neighbors")? {
@@ -168,7 +189,9 @@ impl Client {
     /// Packed batch of `dims`-strided queries, one result list each.
     ///
     /// # Errors
-    /// See [`Client::call`]; typed server errors become
+    /// [`ClientError::InvalidInput`] naming `k` or `dims` when it
+    /// exceeds `u32::MAX`, before anything is sent; otherwise see
+    /// [`Client::call`]; typed server errors become
     /// [`ClientError::Server`].
     pub fn search_batch(
         &mut self,
@@ -178,10 +201,10 @@ impl Client {
     ) -> Result<Vec<Vec<Neighbor>>, ClientError> {
         let req = Request::SearchBatch {
             deadline_ms: self.deadline_ms,
-            k: k as u32,
+            k: wire_u32("k", k)?,
             nprobe: 0,
             refine: 0,
-            dims: dims as u32,
+            dims: wire_u32("dims", dims)?,
             queries: queries.to_vec(),
         };
         match self.expect(&req, "batch")? {

@@ -167,9 +167,52 @@ impl Drop for MaintenanceClaim {
 enum MaintKind {
     /// Seal the frozen buffer rows into one new segment.
     Seal,
-    /// Rewrite the frozen buffer rows *and* every sealed segment, minus
-    /// the rows masked at the freeze, into one new segment.
+    /// Rewrite the frozen buffer rows, every segment that holds a masked
+    /// row, and the clean segments the size-ratio rule gathers
+    /// ([`compaction_inputs`]), minus the rows masked at the freeze, into
+    /// one new segment.
     Compact,
+}
+
+/// The size ratio of the compaction tiers: a clean segment joins a run
+/// of segments when it holds at most this many times the rows already
+/// in the run.
+const TIER_RATIO: usize = 4;
+
+/// The segments a compaction rewrites: every segment that holds a masked
+/// row, and the clean segments one size-ratio rule gathers. Walking the
+/// clean segments smallest first, a segment joins the current run when
+/// it holds at most [`TIER_RATIO`] times the rows already in that run;
+/// otherwise it starts the next run. The first run starts from the
+/// masked segments' live rows plus the `frozen` buffer rows and is
+/// always rewritten; a later run is rewritten only when it has two or
+/// more members. Consecutive clean segments left untouched therefore
+/// differ in size by more than [`TIER_RATIO`]×, so `n` rows keep at most
+/// ⌊log₄ n⌋ + 2 segments, and each row is rewritten O(log n) times.
+fn compaction_inputs(segments: &[SegmentView], frozen: usize) -> Vec<SegmentView> {
+    let (mut inputs, mut clean): (Vec<&SegmentView>, Vec<&SegmentView>) =
+        segments.iter().partition(|v| !v.dead.is_empty());
+    clean.sort_unstable_by_key(|v| (v.segment.len(), v.segment.seq()));
+    let live = inputs.iter().map(|v| v.segment.len() - v.dead.len());
+    let mut run_rows = frozen + live.sum::<usize>();
+    // Members of the current run past the first (`None` while in it).
+    let mut later: Option<usize> = None;
+    for view in clean {
+        let rows = view.segment.len();
+        if rows > TIER_RATIO * run_rows {
+            if later == Some(1) {
+                inputs.pop();
+            }
+            (later, run_rows) = (Some(0), 0);
+        }
+        inputs.push(view);
+        later = later.map(|n| n + 1);
+        run_rows += rows;
+    }
+    if later == Some(1) {
+        inputs.pop();
+    }
+    inputs.into_iter().cloned().collect()
 }
 
 /// Buffer rows frozen by an in-flight seal/compaction: immutable chunks
@@ -206,7 +249,8 @@ struct MaintPlan {
     /// the build; left over from an earlier failed commit).
     dead0: HashSet<u64>,
     /// Segments being rewritten, with their masks as of the freeze: the
-    /// rows the build leaves out (empty for a plain seal).
+    /// rows the build leaves out (empty for a plain seal). The commit
+    /// finds them in the writer's list by sequence number.
     segments_in: Vec<SegmentView>,
     /// Reserved sequence number of the new segment.
     seq: u64,
@@ -336,9 +380,10 @@ impl Writer {
 /// remove buffered rows in place and tombstone sealed rows; searches
 /// run lock-free against the current [`Snapshot`], merging the buffer
 /// scan with every segment's PDXearch through the canonical
-/// `(distance, id)` order; [`Collection::compact`] rewrites the
-/// surviving rows as one fresh segment — inline, or concurrently with
-/// reads *and* writes via [`Collection::compact_background`]. See the
+/// `(distance, id)` order; [`Collection::compact`] purges the tombstoned
+/// rows and merges segments by size tiers, rewriting what it must as one
+/// fresh segment — inline, or concurrently with reads *and* writes via
+/// [`Collection::compact_background`]. See the
 /// module docs for the concurrency model and the crate docs for the
 /// on-disk layout.
 ///
@@ -451,7 +496,8 @@ impl Collection {
     /// # Errors
     /// [`StoreError::Corrupt`] on invariant violations (a tombstone for
     /// an unknown id, a replayed duplicate insert, a mismatched remap
-    /// table); IO and format errors are propagated.
+    /// table); IO and format errors are propagated. Each error names,
+    /// once, the file it arose in — or `dir` for one between files.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
         let manifest = Manifest::read(dir)?;
@@ -463,9 +509,8 @@ impl Collection {
             let segment = Segment::load(dir, seq, manifest.dims)?;
             for &ext in segment.remap() {
                 if w.locations.insert(ext, Loc::Segment).is_some() {
-                    return Err(StoreError::Corrupt(format!(
-                        "external id {ext} appears in two segments"
-                    )));
+                    let msg = format!("external id {ext} appears in two segments");
+                    return Err(StoreError::Corrupt(msg).at(dir));
                 }
             }
             w.segments.push(SegmentView {
@@ -475,13 +520,13 @@ impl Collection {
         }
         for &id in &manifest.tombstones {
             if w.locations.get(&id) != Some(&Loc::Segment) || !w.mask_row(id) {
-                return Err(StoreError::Corrupt(format!(
-                    "tombstone for id {id} which no segment holds"
-                )));
+                let msg = format!("tombstone for id {id} which no segment holds");
+                return Err(StoreError::Corrupt(msg).at(&Manifest::path(dir)));
             }
             w.locations.insert(id, Loc::Dead);
         }
-        let (wal, records) = Wal::open(&dir.join(wal_file(manifest.wal_seq)), manifest.dims)?;
+        let wal_path = dir.join(wal_file(manifest.wal_seq));
+        let (wal, records) = Wal::open(&wal_path, manifest.dims)?;
         for record in records {
             // Replay mutates memory only — the records are already
             // durable — and surfaces violations as corruption.
@@ -489,7 +534,8 @@ impl Collection {
                 WalRecord::Insert { id, vector } => w.apply_insert(id, &vector),
                 WalRecord::Delete { id } => w.apply_delete(id),
             };
-            replayed.map_err(|e| StoreError::Corrupt(format!("wal replay: {e}")))?;
+            let corrupt = |e| StoreError::Corrupt(format!("wal replay: {e}")).at(&wal_path);
+            replayed.map_err(corrupt)?;
         }
         w.wal = Some(wal);
         Ok(Self::assemble(
@@ -705,21 +751,24 @@ impl Collection {
     }
 
     /// Bulk-loads `rows` under consecutive ids `first_id..first_id + n`,
-    /// **bypassing the WAL**: rows become durable at the automatic
-    /// seals (the segment + manifest commit), and the call ends with a
-    /// seal, so on success everything is durable. The whole id range is
-    /// validated before anything is applied. This is the build path —
-    /// logging a bulk load record-by-record only to delete the log at
-    /// the next seal would double its IO for nothing.
+    /// **bypassing the WAL**: the rows (with whatever the buffer already
+    /// held) are sealed once, at the end, into one segment however many
+    /// `buffer_capacity`s they span, and become durable at that seal's
+    /// segment + manifest commit. The whole id range is validated before
+    /// anything is applied. This is the build path — logging a bulk load
+    /// record-by-record only to delete the log at the next seal would
+    /// double its IO for nothing, and sealing it in buffer-sized chunks
+    /// would only leave the next compaction more segments to merge.
     ///
     /// # Errors
     /// [`StoreError::MaintenanceBusy`] if a background job is in
     /// flight (the load needs the seal path for durability);
     /// [`StoreError::DimsMismatch`] / [`StoreError::IdOverflow`] /
     /// [`StoreError::DuplicateId`] before anything is applied; or an IO
-    /// error from a seal — on an IO error (or a crash mid-call) rows
-    /// after the last committed seal are lost, consistent with "the
-    /// manifest is the commit point".
+    /// error from the seal — on an IO error (or a crash mid-call) the
+    /// loaded rows are not durable, consistent with "the manifest is the
+    /// commit point"; after an IO error they stay searchable and the
+    /// next seal retries them.
     pub fn bulk_insert(&self, first_id: u64, rows: &[f32]) -> Result<(), StoreError> {
         if !rows.len().is_multiple_of(self.dims) {
             return Err(StoreError::DimsMismatch {
@@ -741,13 +790,8 @@ impl Collection {
         for (id, row) in ids.zip(rows.chunks_exact(self.dims)) {
             w.buffer.append(id, row)?;
             w.locations.insert(id, Loc::Buffer);
-            if w.buffer.len() >= self.config.buffer_capacity {
-                self.maintain_locked(&mut w, MaintKind::Seal)?;
-            }
         }
-        self.maintain_locked(&mut w, MaintKind::Seal)?;
-        self.publish(&w);
-        Ok(())
+        self.maintain_locked(&mut w, MaintKind::Seal)
     }
 
     /// Deletes an external id: a buffered row is removed in place, a
@@ -823,11 +867,23 @@ impl Collection {
         self.maintain_locked(&mut w, MaintKind::Seal)
     }
 
-    /// Merges every segment and the write buffer, purges tombstoned
-    /// rows, and rewrites the surviving rows — sorted by external id —
-    /// as one freshly partitioned segment. Afterwards searches are
-    /// bit-identical to a fresh flat build over the surviving rows, and
-    /// all tombstoned ids become reusable.
+    /// Purges every tombstoned row and seals the write buffer, rewriting
+    /// only what that and the size tiers require: every segment that
+    /// holds a tombstoned row, the buffer rows, and the clean segments
+    /// one size-ratio rule gathers (a clean segment joins when it holds
+    /// at most 4× the rows of the run it meets, smallest first) are
+    /// rewritten — sorted by external id — as one freshly partitioned
+    /// segment. A segment whose rows are all dead is dropped without a
+    /// write, untouched segments keep their files and answer bits, and a
+    /// compaction with nothing to purge, merge or seal writes nothing.
+    /// Afterwards no row is tombstoned, all tombstoned ids are reusable,
+    /// and `n` live rows sit in at most ⌊log₄ n⌋ + 2 segments.
+    ///
+    /// When every segment was rewritten (each held a tombstoned row, or
+    /// the tiers gathered them all), the collection is one segment and
+    /// its searches are bit-identical to a fresh flat build over the
+    /// surviving rows; otherwise each segment answers as its own fresh
+    /// build and the answers merge canonically.
     ///
     /// Blocks writers for the duration (readers keep the old view); use
     /// [`Collection::compact_background`] to rebuild off to the side.
@@ -853,10 +909,12 @@ impl Collection {
         self.spawn_maintenance(MaintKind::Seal)
     }
 
-    /// Starts a background compaction: captures the segment set +
-    /// tombstones and freezes the buffer (a brief writer lock), builds
-    /// the merged segment off to the side, and commits by atomically
-    /// swapping the segment set, manifest, and WAL generation. Searches
+    /// Starts a background compaction: picks the segments to rewrite
+    /// by the rule of [`Collection::compact`], captures their tombstones
+    /// and freezes the buffer (a brief writer lock), builds the merged
+    /// segment off to the side, and commits by atomically swapping the
+    /// rewritten segments, manifest, and WAL generation. Rows deleted
+    /// during the build stay tombstoned until the next compaction. Searches
     /// issued at any point return results bit-identical to the
     /// pre-commit or post-commit snapshot (whichever was current);
     /// inserts and deletes keep landing concurrently and survive the
@@ -948,7 +1006,11 @@ impl Collection {
         let dead0: HashSet<u64> = (*dead_arc).clone();
         chunks.extend(w.buffer.freeze());
         let total: usize = chunks.iter().map(|c| c.ids.len()).sum();
-        if total == 0 && matches!(kind, MaintKind::Seal) {
+        let segments_in = match kind {
+            MaintKind::Seal => Vec::new(),
+            MaintKind::Compact => compaction_inputs(&w.segments, total - dead0.len()),
+        };
+        if total == 0 && segments_in.is_empty() {
             return None;
         }
         for chunk in &chunks {
@@ -963,10 +1025,6 @@ impl Collection {
             dead: dead_arc,
             total,
         });
-        let segments_in = match kind {
-            MaintKind::Seal => Vec::new(),
-            MaintKind::Compact => w.segments.clone(),
-        };
         let seq = w.next_segment_seq;
         w.next_segment_seq += 1;
         self.publish(w);
@@ -1038,28 +1096,30 @@ impl Collection {
         plan: &MaintPlan,
         built: Option<Arc<Segment>>,
     ) -> Result<(), StoreError> {
-        // The claim is exclusive, so no other seal ran since the
-        // freeze: the writer's segment list still starts with the
-        // plan's inputs (all of them for a compaction, none for a
-        // plain seal).
-        debug_assert!(
-            w.segments
+        // The claim is exclusive, so no other maintenance ran since the
+        // freeze: every input of the plan is still in the writer's list.
+        let input = |now: &SegmentView| {
+            let seq = now.segment.seq();
+            plan.segments_in
                 .iter()
-                .zip(&plan.segments_in)
-                .all(|(a, b)| a.segment.seq() == b.segment.seq())
-                && w.segments.len() >= plan.segments_in.len()
+                .find(|then| then.segment.seq() == seq)
+        };
+        debug_assert_eq!(
+            w.segments.iter().filter_map(input).count(),
+            plan.segments_in.len()
         );
         // The segments that stay carry masks every delete has kept
         // current. The new one holds the rows deleted during the build
         // (one binary search each): input rows masked since the freeze,
         // and frozen rows deleted mid-build.
-        let mut segments: Vec<SegmentView> = w.segments[plan.segments_in.len()..].to_vec();
+        let kept = w.segments.iter().filter(|now| input(now).is_none());
+        let mut segments: Vec<SegmentView> = kept.cloned().collect();
         if let Some(segment) = built {
             let mut view = SegmentView {
                 segment,
                 dead: RowMask::default(),
             };
-            for (now, then) in w.segments.iter().zip(&plan.segments_in) {
+            for (now, then) in w.segments.iter().filter_map(|now| Some((now, input(now)?))) {
                 let remap = now.segment.remap();
                 for row in now.dead.iter().filter(|&row| !then.dead.contains(row)) {
                     view.mask_id(remap[row as usize]);
@@ -1364,6 +1424,7 @@ mod tests {
         let a = Collection::in_memory(2, small_config());
         a.bulk_insert(10, &rows).unwrap();
         assert_eq!(a.buffer_len(), 0, "bulk load ends sealed");
+        assert_eq!(a.segment_count(), 1, "sealed once, past the capacity");
         let b = Collection::in_memory(2, small_config());
         for i in 0..100 {
             b.insert(10 + i as u64, &rows[i * 2..(i + 1) * 2]).unwrap();
@@ -1636,7 +1697,24 @@ mod tests {
                     0..=7 => insert(&coll, &mut model, &mut rng, 40),
                     8..=13 => delete(&coll, &mut model, &mut rng, 25),
                     14 => coll.seal().unwrap(),
-                    15 => coll.compact().unwrap(),
+                    15 => {
+                        // Every dead row is purged, the segments stay
+                        // within the tiers' bound, and a persisted reopen
+                        // answers as the compacted collection does.
+                        coll.compact().unwrap();
+                        assert_eq!(coll.tombstone_count(), 0, "step {step}");
+                        let bound = model.len().max(1).ilog(TIER_RATIO) as usize + 2;
+                        let segments = coll.segment_count();
+                        assert!(segments <= bound, "step {step}: {segments} segments");
+                        let probe: Vec<f32> = (0..d).map(|i| i as f32 - 3.0).collect();
+                        let (opts, stats) = (SearchOptions::new(k), coll.segment_stats());
+                        let before = coll.search(&probe, &opts);
+                        assert_eq!(before, expected(&coll, &model, &probe, &opts));
+                        drop(coll);
+                        coll = Collection::open(&dir).unwrap();
+                        assert_eq!(coll.segment_stats(), stats, "step {step}");
+                        assert_eq!(coll.search(&probe, &opts), before, "step {step}");
+                    }
                     op @ 16..=17 => {
                         // A background job's three phases, with writes
                         // landing while the segment is built.

@@ -19,10 +19,14 @@
 //!   which the segment's scan skips. The masks are the only record of a
 //!   deleted sealed row: the manifest's tombstone list is read off them,
 //!   and the id stays reserved until compaction purges the row.
-//! * [`Collection::compact`] — merges all segments and the buffer,
-//!   drops tombstoned rows, and rewrites the surviving rows as one
-//!   freshly partitioned segment. Post-compaction searches are
-//!   bit-identical to a fresh flat build over the surviving rows.
+//! * [`Collection::compact`] — purges every tombstoned row and seals the
+//!   buffer, rewriting only the segments that hold a tombstoned row plus
+//!   the clean ones a size-ratio rule gathers (size tiers, after the
+//!   log-structured merge tree) as one freshly partitioned segment; a
+//!   fully dead segment is dropped unwritten and a clean one outside the
+//!   tiers keeps its files. When every segment was rewritten,
+//!   post-compaction searches are bit-identical to a fresh flat build
+//!   over the surviving rows.
 //!
 //! Searches run against a [`Snapshot`]: each segment answers with the
 //! top-`k` of its live rows under external ids (`Segment::search` —
@@ -94,6 +98,7 @@
 
 use std::fmt;
 use std::io;
+use std::path::Path;
 
 mod buffer;
 mod collection;
@@ -192,6 +197,26 @@ impl fmt::Display for StoreError {
                 write!(f, "a seal or compaction is already in flight")
             }
             StoreError::Io(e) => write!(f, "io error: {e}"),
+        }
+    }
+}
+
+/// The bytes of the store file at `path`; an IO error names the path.
+pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
+    std::fs::read(path).map_err(|e| StoreError::from(e).at(path))
+}
+
+impl StoreError {
+    /// This error, naming the file or directory `path` it arose in: the
+    /// one place where a reader of a store file — or the opener of a
+    /// store directory — adds the path it opened. IO errors keep their
+    /// kind; the rest carry no path and pass through.
+    pub(crate) fn at(self, path: &Path) -> Self {
+        let named = |msg: &dyn fmt::Display| format!("{}: {msg}", path.display());
+        match self {
+            StoreError::Io(e) => StoreError::Io(io::Error::new(e.kind(), named(&e))),
+            StoreError::Corrupt(msg) => StoreError::Corrupt(named(&msg)),
+            other => other,
         }
     }
 }

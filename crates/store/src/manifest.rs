@@ -164,11 +164,12 @@ impl Manifest {
     ///
     /// # Errors
     /// [`StoreError::Corrupt`] on bad magic/version or truncation; IO
-    /// errors (including a missing manifest) are propagated.
+    /// errors (including a missing manifest) are propagated. Either
+    /// names the manifest's path.
     pub fn read(dir: &Path) -> Result<Self, StoreError> {
         let path = Self::path(dir);
-        Self::decode(&std::fs::read(&path)?)
-            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
+        Self::decode(&crate::read_file(&path)?)
+            .map_err(|e| StoreError::Corrupt(e.to_string()).at(&path))
     }
 }
 

@@ -243,23 +243,20 @@ impl Segment {
             }
             Container::Sq8(c) if c.centroid_rows.is_none() => {
                 if c.rows.is_empty() {
-                    return Err(StoreError::Corrupt(format!(
-                        "{}: segment container has no rerank payload",
-                        container_path.display()
-                    )));
+                    let msg = "segment container has no rerank payload".into();
+                    return Err(StoreError::Corrupt(msg).at(&container_path));
                 }
                 SegmentData::Sq8(FlatSq8::from_parts(c.dims, c.quantizer, c.blocks, c.rows))
             }
             _ => {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: segments are flat containers, found an IVF-extended one",
-                    container_path.display()
-                )))
+                let msg = "segments are flat containers, found an IVF-extended one".into();
+                return Err(StoreError::Corrupt(msg).at(&container_path));
             }
         };
         let ids_path = dir.join(segment_ids_file(seq));
-        let corrupt = |msg: String| StoreError::Corrupt(format!("{}: {msg}", ids_path.display()));
-        let remap = decode_ids(&std::fs::read(&ids_path)?).map_err(|e| corrupt(e.to_string()))?;
+        let corrupt = |msg: String| StoreError::Corrupt(msg).at(&ids_path);
+        let remap =
+            decode_ids(&crate::read_file(&ids_path)?).map_err(|e| corrupt(e.to_string()))?;
         let segment = Self { seq, data, remap };
         if segment.remap.len() != segment.index().len() {
             return Err(corrupt(format!(

@@ -114,18 +114,16 @@ impl ShardedCollection {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
         let path = dir.join(SHARDS_FILE);
-        let (n_shards, dims) = Self::decode(&std::fs::read(&path)?)
-            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
+        let (n_shards, dims) = Self::decode(&crate::read_file(&path)?)
+            .map_err(|e| StoreError::Corrupt(e.to_string()).at(&path))?;
         // Grows by one per shard actually opened: the manifest's count
         // is untrusted and sizes nothing.
         let mut shards = Vec::new();
         for i in 0..n_shards {
             let shard = Collection::open(Self::shard_dir(dir, i))?;
             if shard.dims() != dims {
-                return Err(StoreError::Corrupt(format!(
-                    "shard {i} has {} dims, manifest says {dims}",
-                    shard.dims()
-                )));
+                let msg = format!("shard {i} has {} dims, manifest says {dims}", shard.dims());
+                return Err(StoreError::Corrupt(msg).at(&path));
             }
             shards.push(shard);
         }

@@ -106,8 +106,14 @@ impl Wal {
     ///
     /// # Errors
     /// [`StoreError::Corrupt`] on a wrong magic/version/dims header;
-    /// IO errors are propagated. Torn tails are *not* errors.
+    /// IO errors are propagated. Either names `path`. Torn tails are
+    /// *not* errors.
     pub fn open(path: &Path, dims: usize) -> Result<(Self, Vec<WalRecord>), StoreError> {
+        Self::replay(path, dims).map_err(|e| e.at(path))
+    }
+
+    /// [`Wal::open`] with errors that do not name the path.
+    fn replay(path: &Path, dims: usize) -> Result<(Self, Vec<WalRecord>), StoreError> {
         if !path.exists() {
             // A crash between the manifest commit (which names this
             // generation) and the new file's creation: the log is
@@ -120,13 +126,12 @@ impl Wal {
             return Ok((Self::create(path, dims)?, Vec::new()));
         }
         let mut header = ByteReader::new(&bytes[..HEADER_LEN]);
-        let corrupt = |msg: String| StoreError::Corrupt(format!("{}: {msg}", path.display()));
         header
             .header(MAGIC, VERSION, "write-ahead log")
-            .map_err(|e| corrupt(e.to_string()))?;
+            .map_err(|e| StoreError::Corrupt(e.to_string()))?;
         let file_dims = header.u32("WAL dims")? as usize;
         if file_dims != dims {
-            return Err(corrupt(format!(
+            return Err(StoreError::Corrupt(format!(
                 "WAL dims {file_dims} != collection dims {dims}"
             )));
         }

@@ -318,6 +318,34 @@ fn k_and_refine_past_the_rows_answer_every_row() {
     }
 }
 
+/// A `Client` argument past its `u32` wire field is a typed
+/// `InvalidInput` naming the field, raised before anything is sent: a
+/// cast would ask the server for `k = 0` or the default `refine`.
+#[test]
+fn client_arguments_past_the_wire_fields_are_typed_errors() {
+    let (n, d) = (50, 4);
+    let rows = make_rows(n, d, 19);
+    let flat = FlatPdx::with_defaults(&rows, n, d);
+    let server = start_server(Backend::frozen(Box::new(flat)), ServeConfig::default());
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let (q, past) = (&rows[..d], u32::MAX as usize + 1);
+    let rejected = |err: ClientError| match err {
+        ClientError::InvalidInput { field, value } => (field, value),
+        other => panic!("expected InvalidInput, got {other}"),
+    };
+    let err = client.search_opts(q, past, 0, 0).unwrap_err();
+    assert_eq!(rejected(err), ("k", past));
+    let err = client.search_opts(q, 10, 0, 1 << 32).unwrap_err();
+    assert_eq!(rejected(err), ("refine", 1 << 32));
+    let err = client.search_opts(q, 10, past, 0).unwrap_err();
+    assert_eq!(rejected(err), ("nprobe", past));
+    let err = client.search_batch(q, d, past).unwrap_err();
+    assert!(err.to_string().contains("invalid k = 4294967296"), "{err}");
+    // Nothing reached the server: the connection answers as before.
+    assert_eq!(client.search(q, 3).unwrap().len(), 3);
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_clients_all_get_correct_results() {
     let (n, d, k, n_clients, per_client) = (1500, 16, 5, 8, 12);

@@ -672,8 +672,12 @@ fn k_zero_and_k_beyond_live_rows_are_well_defined() {
     assert_eq!(batch[0], hits);
 
     // Past the end with nothing deleted: every row, sealed and buffered.
+    // A bulk load seals once, so two loads make the two segments.
     let whole = Collection::in_memory(d, small_config(false));
-    whole.bulk_insert(0, &rows[..(n - 50) * d]).unwrap();
+    whole.bulk_insert(0, &rows[..n / 2 * d]).unwrap();
+    whole
+        .bulk_insert((n / 2) as u64, &rows[n / 2 * d..(n - 50) * d])
+        .unwrap();
     for i in n - 50..n {
         whole.insert(i as u64, &rows[i * d..(i + 1) * d]).unwrap();
     }
