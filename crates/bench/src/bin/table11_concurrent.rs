@@ -89,18 +89,14 @@ fn churn(
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&["quick", "n", "queries", "k", "seed", "window-ms", "readers"]);
     let quick = args.flag("quick");
-    let n = args.usize("n", if quick { 10_000 } else { 100_000 });
-    let nq = args.usize("queries", if quick { 8 } else { 16 }).max(1);
-    let k = args.usize("k", 10);
-    let seed = args.usize("seed", 42) as u64;
-    let window =
-        Duration::from_millis(args.usize("window-ms", if quick { 150 } else { 1000 }) as u64);
-    let readers: Vec<usize> = args
-        .list("readers")
-        .map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 2, 8]);
+    let n: usize = args.get("n", if quick { 10_000 } else { 100_000 });
+    let nq = args.get("queries", if quick { 8 } else { 16 }).max(1);
+    let k = args.get("k", 10);
+    let seed = args.get("seed", 42);
+    let window = Duration::from_millis(args.get("window-ms", if quick { 150 } else { 1000 }));
+    let readers: Vec<usize> = args.list("readers", &[1, 2, 8]);
     let config = StoreConfig {
         block_size: 4096,
         buffer_capacity: 4096,

@@ -204,17 +204,28 @@ fn run_phase(
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[
+        "quick",
+        "n",
+        "k",
+        "queries",
+        "conns",
+        "workers",
+        "queue-depth",
+        "deadline-ms",
+        "seconds",
+        "seed",
+    ]);
     let quick = args.flag("quick");
-    let n = args.usize("n", if quick { 4_000 } else { 20_000 });
-    let k = args.usize("k", 10);
-    let n_queries = args.usize("queries", 32);
-    let conns = args.usize("conns", 4);
-    let workers = args.usize("workers", 2);
-    let queue_depth = args.usize("queue-depth", 32);
-    let deadline_ms = args.usize("deadline-ms", 100) as u32;
-    let seconds = args.f32("seconds", if quick { 0.8 } else { 2.5 }) as f64;
-    let seed = args.usize("seed", 42) as u64;
+    let n: usize = args.get("n", if quick { 4_000 } else { 20_000 });
+    let k: usize = args.get("k", 10);
+    let n_queries: usize = args.get("queries", 32);
+    let conns: usize = args.get("conns", 4);
+    let workers: usize = args.get("workers", 2);
+    let queue_depth: usize = args.get("queue-depth", 32);
+    let deadline_ms: u32 = args.get("deadline-ms", 100);
+    let seconds: f64 = args.get("seconds", if quick { 0.8 } else { 2.5 });
+    let seed: u64 = args.get("seed", 42);
 
     eprintln!("table12_serve: open-loop load test of `pdx serve`");
     let spec = *spec_by_name("sift").expect("sift spec");

@@ -40,17 +40,14 @@ fn time_sq8_scan(q: &Sq8Query, blocks: &[Sq8Block], kernel: KernelPolicy, reps: 
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&["quick", "n", "queries", "k", "refine", "seed", "nprobe"]);
     let quick = args.flag("quick");
-    let n = args.usize("n", if quick { 10_000 } else { 50_000 });
-    let nq = args.usize("queries", if quick { 50 } else { 100 });
-    let k = args.usize("k", 10);
-    let refine = args.usize("refine", DEFAULT_REFINE);
-    let seed = args.usize("seed", 42) as u64;
-    let nprobes: Vec<usize> = args
-        .list("nprobe")
-        .map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
-        .unwrap_or_else(|| vec![8, 16, 32]);
+    let n: usize = args.get("n", if quick { 10_000 } else { 50_000 });
+    let nq: usize = args.get("queries", if quick { 50 } else { 100 });
+    let k: usize = args.get("k", 10);
+    let refine = args.get("refine", DEFAULT_REFINE);
+    let seed = args.get("seed", 42);
+    let nprobes: Vec<usize> = args.list("nprobe", &[8, 16, 32]);
 
     let spec = *spec_by_name("sift").expect("table 1 has sift");
     eprintln!(

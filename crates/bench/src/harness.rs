@@ -1,85 +1,114 @@
 //! Shared utilities for the experiment binaries: argument parsing,
-//! timing, statistics, dataset preparation and the Δd = 1 pruning-power
-//! replay used by Tables 2 and 6.
+//! timing, statistics and CSV output.
 
-use pdx::core::pruning::Pruner;
-use pdx::index::ivf::probe_orders;
-use pdx::obs::QueryTrace;
-use pdx::prelude::*;
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
 use std::time::Instant;
 
-/// `--key=value` command-line options with typed accessors.
+/// `--key=value` command-line options, checked against the flags the
+/// binary reads. An unknown flag, a bare argument, or a value (or list
+/// item) that does not parse is an error naming the flag: the binary
+/// exits 2 instead of running at a default nobody asked for.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
+    known: &'static [&'static str],
     values: HashMap<String, String>,
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args()` (ignores anything not `--key=value`).
-    pub fn parse() -> Self {
+    /// Parses `std::env::args()` against `known`, the flags the binary
+    /// reads (`--flag` alone means `--flag=true`).
+    pub fn parse(known: &'static [&'static str]) -> Self {
+        or_exit(Self::from_args(known, std::env::args().skip(1)))
+    }
+
+    fn from_args(
+        known: &'static [&'static str],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Self, String> {
         let mut values = HashMap::new();
-        for arg in std::env::args().skip(1) {
-            if let Some(rest) = arg.strip_prefix("--") {
-                if let Some((k, v)) = rest.split_once('=') {
-                    values.insert(k.to_string(), v.to_string());
-                } else {
-                    values.insert(rest.to_string(), "true".to_string());
-                }
+        for arg in args {
+            let Some(rest) = arg.strip_prefix("--") else {
+                return Err(format!(
+                    "unexpected argument '{arg}' (flags are --key=value)"
+                ));
+            };
+            let (key, value) = rest.split_once('=').unwrap_or((rest, "true"));
+            if !known.contains(&key) {
+                let valid: Vec<String> = known.iter().map(|f| format!("--{f}")).collect();
+                return Err(format!(
+                    "unknown flag '--{key}' (valid flags: {})",
+                    if valid.is_empty() {
+                        "none".to_string()
+                    } else {
+                        valid.join(", ")
+                    }
+                ));
             }
+            values.insert(key.to_string(), value.to_string());
         }
-        Self { values }
+        Ok(Self { known, values })
     }
 
-    /// Integer option with default.
-    pub fn usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The parsed value of `--key`, `None` when absent.
+    fn value<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        assert!(self.known.contains(&key), "--{key} is not a declared flag");
+        let parse = |v: &String| {
+            v.parse()
+                .map_err(|e| format!("invalid value for --{key}: '{v}' ({e})"))
+        };
+        self.values.get(key).map(parse).transpose()
     }
 
-    /// Float option with default.
-    pub fn f32(&self, key: &str, default: f32) -> f32 {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// `--key` parsed into the type of `default`, or `default` when absent.
+    pub fn get<T: FromStr>(&self, key: &str, default: T) -> T
+    where
+        T::Err: Display,
+    {
+        or_exit(self.value(key)).unwrap_or(default)
     }
 
-    /// Boolean flag (`--flag` or `--flag=true`).
+    /// Boolean flag: `--flag`, `--flag=true` or `--flag=false`.
     pub fn flag(&self, key: &str) -> bool {
-        self.values.get(key).map(|v| v == "true").unwrap_or(false)
+        self.get(key, false)
     }
 
-    /// Comma-separated list option.
-    pub fn list(&self, key: &str) -> Option<Vec<String>> {
-        self.values
-            .get(key)
-            .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
+    /// Comma-separated list, every item parsed, or `default` when absent.
+    pub fn list<T: FromStr + Clone>(&self, key: &str, default: &[T]) -> Vec<T>
+    where
+        T::Err: Display,
+    {
+        or_exit(self.items(key)).unwrap_or_else(|| default.to_vec())
+    }
+
+    fn items<T: FromStr>(&self, key: &str) -> Result<Option<Vec<T>>, String>
+    where
+        T::Err: Display,
+    {
+        let Some(list) = self.value::<String>(key)? else {
+            return Ok(None);
+        };
+        let item = |s: &str| {
+            s.trim()
+                .parse()
+                .map_err(|e| format!("invalid item '{s}' in --{key}={list} ({e})"))
+        };
+        list.split(',')
+            .map(item)
+            .collect::<Result<_, _>>()
+            .map(Some)
     }
 }
 
-/// Datasets selected by `--datasets=a,b,c` (default: all of Table 1),
-/// generated at `--n` vectors (default `n_default`) with `--queries`
-/// queries.
-pub fn select_datasets(args: &BenchArgs, n_default: usize, nq_default: usize) -> Vec<Dataset> {
-    let wanted = args.list("datasets");
-    let n = args.usize("n", n_default);
-    let nq = args.usize("queries", nq_default);
-    let seed = args.usize("seed", 42) as u64;
-    TABLE1
-        .iter()
-        .filter(|spec| {
-            wanted
-                .as_ref()
-                .is_none_or(|w| w.iter().any(|x| x == spec.name))
-        })
-        .map(|spec| {
-            eprintln!("  generating {}/{} (n = {n})…", spec.name, spec.dims);
-            generate(spec, n, nq, seed)
-        })
-        .collect()
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Wall-clock per-query runtimes of a query loop; returns
@@ -115,70 +144,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// The Δd = 1 pruning-power replay of Tables 2 and 6: scans the IVF
-/// blocks in probe order, evaluating the pruner's bound after **every**
-/// dimension, and returns the fraction of dimension values never
-/// touched ([`QueryTrace::pruning_ratio`] over the replay's work
-/// counters — the same derivation the observability layer exports).
-/// Mirrors the paper's measurement (K of the k-NN heap, first block
-/// scanned fully to seed the threshold).
-pub fn pruning_power<P: Pruner>(pruner: &P, ivf: &IvfPdx, query: &[f32], k: usize) -> f64 {
-    assert!(
-        !P::NEEDS_AUX,
-        "the replay evaluates at every dimension; aux pruners unsupported"
-    );
-    let dims = ivf.dims;
-    let q = pruner.prepare_query(query);
-    let qvec = pruner.query_vector(&q);
-    let order = &probe_orders(&ivf.centroids, &[qvec], ivf.blocks.len(), pruner.metric())[0];
-    let mut heap = KnnHeap::new(k);
-    let mut trace = QueryTrace::default();
-    for (bi, &b) in order.iter().enumerate() {
-        let block = &ivf.blocks[b as usize];
-        let n = block.len();
-        trace.dims_total += (n * dims) as u64;
-        let rows: Vec<Vec<f32>> = (0..n).map(|v| block.pdx.vector(v)).collect();
-        let perm = pruner.dim_order(&q, Some(&block.stats));
-        let dim_at = |i: usize| -> usize {
-            match &perm {
-                Some(p) => p[i] as usize,
-                None => i,
-            }
-        };
-        if bi == 0 {
-            for (v, row) in rows.iter().enumerate() {
-                let d: f32 = qvec.iter().zip(row).map(|(a, b)| (a - b) * (a - b)).sum();
-                heap.push(block.row_ids[v], d);
-            }
-            trace.dims_scanned += (n * dims) as u64;
-            continue;
-        }
-        let mut alive: Vec<usize> = (0..n).collect();
-        let mut partials = vec![0.0f32; n];
-        for step in 0..dims {
-            let d = dim_at(step);
-            let qd = qvec[d];
-            for &v in &alive {
-                let diff = qd - rows[v][d];
-                partials[v] += diff * diff;
-            }
-            trace.dims_scanned += alive.len() as u64;
-            if step + 1 == dims {
-                break;
-            }
-            let cp = pruner.checkpoint(&q, step + 1, dims, heap.threshold());
-            alive.retain(|&v| P::survives(&cp, partials[v], 0.0));
-            if alive.is_empty() {
-                break;
-            }
-        }
-        for &v in &alive {
-            heap.push(block.row_ids[v], partials[v]);
-        }
-    }
-    trace.pruning_ratio()
-}
-
 /// Renders a row of `|`-separated cells with the given widths.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells
@@ -209,6 +174,55 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
 mod tests {
     use super::*;
 
+    const FLAGS: &[&str] = &["n", "quick", "nprobe"];
+
+    fn args(list: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::from_args(FLAGS, list.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn declared_flags_parse_into_their_types() {
+        let a = args(&["--n=500", "--quick", "--nprobe=8, 16,32"]).unwrap();
+        assert_eq!(a.value::<usize>("n"), Ok(Some(500)));
+        assert_eq!(a.value::<bool>("quick"), Ok(Some(true)));
+        assert_eq!(a.items::<usize>("nprobe"), Ok(Some(vec![8, 16, 32])));
+        let none = args(&[]).unwrap();
+        assert_eq!(none.value::<usize>("n"), Ok(None));
+        assert_eq!(none.items::<usize>("nprobe"), Ok(None));
+        assert!(!none.flag("quick"));
+    }
+
+    #[test]
+    fn unknown_flags_and_bare_arguments_are_errors() {
+        let err = args(&["--querys=8"]).unwrap_err();
+        assert!(err.contains("unknown flag '--querys'"), "{err}");
+        assert!(err.contains("--n, --quick, --nprobe"), "{err}");
+        let err = args(&["8"]).unwrap_err();
+        assert!(err.contains("unexpected argument '8'"), "{err}");
+        let err = BenchArgs::from_args(&[], ["--quick".to_string()]).unwrap_err();
+        assert!(err.contains("valid flags: none"), "{err}");
+    }
+
+    #[test]
+    fn malformed_values_and_list_items_name_their_flag() {
+        let a = args(&["--n=abc", "--quick=yes", "--nprobe=8,x,32"]).unwrap();
+        let err = a.value::<usize>("n").unwrap_err();
+        assert!(err.starts_with("invalid value for --n: 'abc'"), "{err}");
+        let err = a.value::<bool>("quick").unwrap_err();
+        assert!(err.starts_with("invalid value for --quick: 'yes'"), "{err}");
+        let err = a.items::<usize>("nprobe").unwrap_err();
+        assert!(
+            err.starts_with("invalid item 'x' in --nprobe=8,x,32"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a declared flag")]
+    fn reading_an_undeclared_flag_is_a_bug() {
+        let _ = args(&[]).unwrap().value::<usize>("k");
+    }
+
     #[test]
     fn geomean_of_constant_is_constant() {
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
@@ -225,16 +239,5 @@ mod tests {
         assert_eq!(percentile(&xs, 0.0), 1.0);
         assert_eq!(percentile(&xs, 100.0), 4.0);
         assert_eq!(percentile(&xs, 50.0), 3.0);
-    }
-
-    #[test]
-    fn pruning_power_is_in_unit_interval() {
-        let spec = *spec_by_name("nytimes").unwrap();
-        let ds = generate(&spec, 600, 2, 1);
-        let index = IvfIndex::build(&ds.data, ds.len, ds.dims(), 8, 5, 2);
-        let ivf = IvfPdx::new(&ds.data, ds.dims(), &index.assignments, 64);
-        let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
-        let p = pruning_power(&bond, &ivf, ds.query(0), 10);
-        assert!((0.0..1.0).contains(&p), "pruning power {p}");
     }
 }

@@ -1,8 +1,9 @@
 //! # pdx-bench — shared helpers for the experiment harness
 //!
-//! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper's evaluation (see DESIGN.md for the index); this library holds
-//! the pieces they share: timing utilities, dataset loading and
-//! competitor construction.
+//! The binaries in `src/bin/` gate the paper's speed claims
+//! (`paper_claims`) and the extensions' acceptance criteria (SQ8,
+//! concurrent store, serving); ARCHITECTURE.md's "Paper → code map"
+//! names the gate of each claim. This library holds the pieces they
+//! share: argument parsing, timing, statistics and CSV output.
 
 pub mod harness;

@@ -1,5 +1,5 @@
 //! Vector-at-a-time pruned search on the horizontal dual-block layout —
-//! the paper's SIMD-ADS / SCALAR-ADS / N-ary-BSA baselines.
+//! the paper's SIMD-ADS / SCALAR-ADS baselines.
 //!
 //! This is how ADSampling and BSA were originally deployed: for each
 //! vector, accumulate Δd dimensions, evaluate the bound, branch. The
@@ -13,7 +13,7 @@ use crate::engine::SearchOptions;
 use crate::heap::{KnnHeap, Neighbor};
 use crate::kernels::nary::{nary_distance, KernelVariant};
 use crate::layout::DualBlockMatrix;
-use crate::pruning::{BlockAux, Pruner};
+use crate::pruning::Pruner;
 use pdx_obs::QueryTrace;
 use std::ops::Deref;
 
@@ -25,9 +25,6 @@ pub struct HorizontalBucket {
     pub dual: DualBlockMatrix,
     /// Global id of each vector.
     pub row_ids: Vec<u64>,
-    /// Optional per-vector, per-checkpoint pruner data (BSA residual
-    /// norms), with checkpoints at `split, split+Δd, split+2Δd, …`.
-    pub aux: Option<BlockAux>,
 }
 
 impl HorizontalBucket {
@@ -36,11 +33,7 @@ impl HorizontalBucket {
     pub fn new(rows: &[f32], ids: Vec<u64>, n_dims: usize, delta_d: usize) -> Self {
         let split = delta_d.clamp(1, n_dims);
         let dual = DualBlockMatrix::from_rows(rows, ids.len(), n_dims, split);
-        Self {
-            dual,
-            row_ids: ids,
-            aux: None,
-        }
+        Self { dual, row_ids: ids }
     }
 
     /// Number of vectors.
@@ -56,7 +49,7 @@ impl HorizontalBucket {
 
 /// The fixed checkpoint schedule of the horizontal search: dimensions
 /// scanned after the head segment and after each Δd tail step.
-pub fn horizontal_checkpoints(dims: usize, split: usize, delta_d: usize) -> Vec<usize> {
+fn horizontal_checkpoints(dims: usize, split: usize, delta_d: usize) -> Vec<usize> {
     let mut out = vec![split.min(dims)];
     let step = delta_d.max(1);
     let mut at = split;
@@ -77,13 +70,14 @@ pub fn horizontal_checkpoints(dims: usize, split: usize, delta_d: usize) -> Vec<
 /// until `k` candidates exist.
 ///
 /// With `trace`, wall time is split into distance work and bound
-/// evaluation for the Table 7 breakdown. The timer calls sit inside the
-/// per-vector loop (that interleaving *is* the baseline's design), so
-/// absolute numbers carry some timer overhead; the phase shares are what
-/// the table reports. Results are bit-identical either way.
+/// evaluation. The timer calls sit inside the per-vector loop (that
+/// interleaving *is* the baseline's design), so absolute numbers carry
+/// some timer overhead. Results are bit-identical either way.
 ///
 /// # Panics
-/// Panics if the query's dimensionality differs from a bucket's.
+/// Panics if the query's dimensionality differs from a bucket's, or if
+/// the pruner needs per-vector aux data ([`Pruner::NEEDS_AUX`], BSA):
+/// the dual-block layout carries none.
 pub fn horizontal_pruned_search<P, I>(
     pruner: &P,
     q: &P::Query,
@@ -97,6 +91,11 @@ where
     I: IntoIterator,
     I::Item: Deref<Target = HorizontalBucket>,
 {
+    assert!(
+        !P::NEEDS_AUX,
+        "the {} pruner needs aux data, which dual-block buckets do not carry",
+        pruner.name()
+    );
     match trace {
         Some(trace) => run::<P, I, true>(pruner, q, buckets, opts, delta_d, trace),
         None => run::<P, I, false>(
@@ -136,24 +135,6 @@ where
         assert_eq!(qvec.len(), dims, "query dimensionality mismatch");
         let split = bucket.dual.split();
         let sched = horizontal_checkpoints(dims, split, delta_d);
-        // Resolve aux rows per checkpoint once per bucket.
-        let aux_rows: Vec<Option<&[f32]>> = sched
-            .iter()
-            .map(|&scanned| {
-                if !P::NEEDS_AUX || scanned == dims {
-                    None
-                } else {
-                    let aux = bucket
-                        .aux
-                        .as_ref()
-                        .expect("pruner requires aux data, but the bucket has none");
-                    let ci = aux
-                        .index_of(scanned)
-                        .unwrap_or_else(|| panic!("no aux checkpoint at dims_scanned = {scanned}"));
-                    Some(aux.row(ci))
-                }
-            })
-            .collect();
 
         let q_head = &qvec[..split];
         let q_tail = &qvec[split..];
@@ -164,7 +145,7 @@ where
             let mut scanned = split;
             let tail = bucket.dual.tail_row(v);
             lap(&mut trace.distance_ns, t0);
-            for (ci, &ck) in sched.iter().enumerate() {
+            for &ck in &sched {
                 if ck > scanned {
                     let t1 = timer::<PROFILE>();
                     let lo = scanned - split;
@@ -179,8 +160,7 @@ where
                 // Interleaved bound evaluation (the branchy baseline).
                 let t2 = timer::<PROFILE>();
                 let cp = pruner.checkpoint(q, scanned, dims, heap.threshold());
-                let a = aux_rows[ci].map_or(0.0, |r| r[v]);
-                let keep = P::survives(&cp, partial, a);
+                let keep = P::survives(&cp, partial, 0.0);
                 lap(&mut trace.bounds_ns, t2);
                 if !keep {
                     continue 'vectors;

@@ -23,9 +23,7 @@ mod linear;
 mod pdxearch;
 pub mod quantized;
 
-pub use horizontal::{
-    horizontal_checkpoints, horizontal_linear_scan, horizontal_pruned_search, HorizontalBucket,
-};
+pub use horizontal::{horizontal_linear_scan, horizontal_pruned_search, HorizontalBucket};
 pub use linear::linear_scan_nary;
 pub use pdxearch::{pdxearch, pdxearch_band, ScanBlock};
 pub use quantized::{sq8_rerank, Sq8Block, Sq8Bound, DEFAULT_REFINE};

@@ -41,8 +41,8 @@
 //!
 //! The paper's horizontal comparison baseline is not served and does not
 //! implement [`VectorIndex`]: [`IvfHorizontal::search_with`] is the
-//! horizontal IVF's one query (traced like a [`Deployment`] query, which
-//! Table 7's breakdown reads).
+//! horizontal IVF's one query (traced like a [`Deployment`] query), the
+//! baseline side of `paper_claims`' PDX-ADS over SIMD-ADS ratio.
 //!
 //! Every implementation honours the engine determinism contract:
 //! `search_batch` returns the bits of sequential `search` at any thread

@@ -32,7 +32,6 @@
 use pdx_core::collection::SearchBlock;
 use pdx_core::distance::Metric;
 use pdx_core::pruning::{BlockAux, Lane, Pruner};
-use pdx_core::search::HorizontalBucket;
 use pdx_linalg::{LinearRegression, MatrixView, Pca};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,21 +153,6 @@ impl Bsa {
             }
         }
         block.aux = Some(aux);
-    }
-
-    /// Same as [`Bsa::attach_aux`] for a horizontal dual-block bucket
-    /// (the N-ary-BSA baseline of Table 7).
-    pub fn attach_aux_horizontal(&self, bucket: &mut HorizontalBucket, checkpoint_dims: &[usize]) {
-        let n = bucket.len();
-        let mut aux = BlockAux::new(checkpoint_dims.iter().map(|&c| c as u32).collect(), n);
-        for v in 0..n {
-            let vec = bucket.dual.vector(v);
-            let norms = suffix_norms(&vec);
-            for (ci, &c) in checkpoint_dims.iter().enumerate() {
-                aux.row_mut(ci)[v] = norms[c.min(vec.len())];
-            }
-        }
-        bucket.aux = Some(aux);
     }
 }
 

@@ -19,9 +19,11 @@
 //!   per-checkpoint regression replaces the closed-form bound.
 //!
 //! Both pruners implement [`pdx_core::pruning::Pruner`], so the same
-//! objects drive PDXearch *and* the horizontal vector-at-a-time baseline
-//! (SIMD-ADS / SCALAR-ADS / N-ary-BSA) — the paper's comparison hinges on
-//! the algorithms being identical across layouts.
+//! ADSampling object drives PDXearch *and* the horizontal
+//! vector-at-a-time baseline (SIMD-ADS / SCALAR-ADS) — the paper's
+//! comparison hinges on the algorithms being identical across layouts.
+//! BSA's aux rows live in PDX blocks only; the horizontal baseline
+//! refuses it.
 
 pub mod adsampling;
 pub mod bsa;

@@ -180,6 +180,25 @@ fn missing_bsa_aux_panics() {
     let _ = pdxearch(&bsa, &q, &coll.blocks, &SearchOptions::new(5), None, None);
 }
 
+/// The dual-block layout carries no aux data, so the vector-at-a-time
+/// baseline refuses an aux pruner instead of scanning without its bound.
+#[test]
+#[should_panic(expected = "aux")]
+fn horizontal_bsa_search_panics_for_want_of_aux() {
+    let spec = DatasetSpec {
+        name: "t",
+        dims: 12,
+        distribution: Distribution::Normal,
+        paper_size: 0,
+    };
+    let ds = generate(&spec, 400, 1, 3);
+    let bsa = Bsa::fit(&ds.data, ds.len, 12, 300);
+    let rotated = bsa.transform_collection(&ds.data, ds.len, 2);
+    let assignments = vec![(0..200).collect(), (200..400).collect()];
+    let ivf = IvfHorizontal::new(&rotated, 12, &assignments, 4);
+    let _ = ivf.search_with(&bsa, ds.query(0), &SearchOptions::new(5).with_nprobe(2));
+}
+
 /// Mismatched query dimensionality is rejected, not misread.
 #[test]
 #[should_panic(expected = "dimensionality")]

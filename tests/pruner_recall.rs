@@ -1,9 +1,11 @@
 #![allow(clippy::needless_range_loop)] // qi indexes several parallel arrays
 
 //! Recall guarantees and pruning-power behaviour of the three pruners,
-//! checked end to end on Table 1-shaped data.
+//! checked end to end on Table 1-shaped data, and the values-read
+//! goldens of the paper's pruning-power tables (Tables 2 and 6).
 
 use pdx::index::ivf::probe_orders;
+use pdx::obs::QueryTrace;
 use pdx::prelude::*;
 use pdx_core::pruning::{checkpoints, Pruner, StepPolicy};
 
@@ -11,63 +13,199 @@ fn dataset(name: &str, n: usize, nq: usize, seed: u64) -> Dataset {
     generate(spec_by_name(name).expect("unknown dataset"), n, nq, seed)
 }
 
-/// Measures the fraction of dimension values *avoided* by a pruner on an
-/// IVF search (the paper's "pruning power", §2.3) by replaying the
-/// pruning decisions at every checkpoint.
-fn measure_pruned_fraction<P: Pruner>(pruner: &P, ivf: &IvfPdx, query: &[f32], k: usize) -> f64 {
-    // Run the real search to get the final threshold trajectory — here we
-    // approximate the paper's measurement by counting scanned values via
-    // a shadow search with per-checkpoint accounting.
+/// Replays the values an IVF search that probes every bucket reads (the
+/// paper's "pruning power" measurement, §2.3): the nearest bucket is
+/// scanned whole to seed the k-NN threshold, every other bucket
+/// dimension by dimension in the pruner's visit order (`dim_order`),
+/// with the bound evaluated after each checkpoint of `sched`. `rows`
+/// are the row-major vectors the buckets were built from. Returns the
+/// replay's `dims_scanned` / `dims_total` work counters.
+fn replay<P: Pruner>(
+    pruner: &P,
+    ivf: &IvfPdx,
+    rows: &[f32],
+    query: &[f32],
+    k: usize,
+    sched: &[usize],
+) -> QueryTrace {
+    assert!(!P::NEEDS_AUX, "the replay carries no aux data");
     let dims = ivf.dims;
     let q = pruner.prepare_query(query);
     let qvec = pruner.query_vector(&q);
     let order = &probe_orders(&ivf.centroids, &[qvec], ivf.blocks.len(), pruner.metric())[0];
-    let sched = checkpoints(StepPolicy::Adaptive { start: 2 }, dims);
     let mut heap = KnnHeap::new(k);
-    let mut scanned_values = 0u64;
-    let mut total_values = 0u64;
+    let mut trace = QueryTrace::default();
     for (bi, &b) in order.iter().enumerate() {
         let block = &ivf.blocks[b as usize];
         let n = block.len();
-        total_values += (n * dims) as u64;
-        // Exact distances for bookkeeping.
-        let rows: Vec<Vec<f32>> = (0..n).map(|v| block.pdx.vector(v)).collect();
+        trace.dims_total += (n * dims) as u64;
+        let row = |v: usize| &rows[block.row_ids[v] as usize * dims..][..dims];
         if bi == 0 {
-            for (v, row) in rows.iter().enumerate() {
-                let d: f32 = qvec.iter().zip(row).map(|(a, b)| (a - b) * (a - b)).sum();
+            for v in 0..n {
+                let d: f32 = qvec
+                    .iter()
+                    .zip(row(v))
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum();
                 heap.push(block.row_ids[v], d);
             }
-            scanned_values += (n * dims) as u64;
+            trace.dims_scanned += (n * dims) as u64;
             continue;
         }
-        let mut alive: Vec<usize> = (0..n).collect();
-        let mut partials = vec![0.0f32; n];
-        let mut prev = 0usize;
-        for &ck in &sched {
-            for &v in &alive {
-                let row = &rows[v];
-                for d in prev..ck {
+        // The threshold holds still within a bucket, so each vector's
+        // survival is decided on its own, checkpoint by checkpoint.
+        let cps: Vec<P::Checkpoint> = sched
+            .iter()
+            .map(|&ck| pruner.checkpoint(&q, ck, dims, heap.threshold()))
+            .collect();
+        let perm: Vec<usize> = match pruner.dim_order(&q, Some(&block.stats)) {
+            Some(p) => p.iter().map(|&d| d as usize).collect(),
+            None => (0..dims).collect(),
+        };
+        for v in 0..n {
+            let (row, mut partial, mut prev) = (row(v), 0.0f32, 0usize);
+            let mut alive = true;
+            for (&ck, cp) in sched.iter().zip(&cps) {
+                for &d in &perm[prev..ck] {
                     let diff = qvec[d] - row[d];
-                    partials[v] += diff * diff;
+                    partial += diff * diff;
                 }
-                scanned_values += (ck - prev) as u64;
+                prev = ck;
+                if ck < dims && !P::survives(cp, partial, 0.0) {
+                    alive = false;
+                    break;
+                }
             }
-            prev = ck;
-            if ck == dims {
-                break;
+            trace.dims_scanned += prev as u64;
+            if alive {
+                heap.push(block.row_ids[v], partial);
             }
-            let cp = pruner.checkpoint(&q, ck, dims, heap.threshold());
-            let aux = block
-                .aux
-                .as_ref()
-                .and_then(|a| a.index_of(ck).map(|ci| a.row(ci)));
-            alive.retain(|&v| P::survives(&cp, partials[v], aux.map_or(0.0, |r| r[v])));
-        }
-        for &v in &alive {
-            heap.push(block.row_ids[v], partials[v]);
         }
     }
-    1.0 - scanned_values as f64 / total_values as f64
+    trace
+}
+
+/// The fraction of dimension values a pruner avoids under PDXearch's
+/// adaptive schedule (Δd = 2, 4, 8, …).
+fn measure_pruned_fraction<P: Pruner>(
+    pruner: &P,
+    ivf: &IvfPdx,
+    rows: &[f32],
+    query: &[f32],
+    k: usize,
+) -> f64 {
+    let sched = checkpoints(StepPolicy::Adaptive { start: 2 }, ivf.dims);
+    replay(pruner, ivf, rows, query, k, &sched).pruning_ratio()
+}
+
+/// Tables 2 and 6 at reduced size: the eight Table 1 datasets the
+/// paper plots there, n = 2 000 (45 IVF buckets, the paper's √n),
+/// 10 queries, K = 10, seed 42, every bucket probed.
+const TABLE_N: usize = 2_000;
+const TABLE_QUERIES: usize = 10;
+
+/// The dataset and its IVF assignments.
+fn table_data(name: &str) -> (Dataset, IvfIndex) {
+    let ds = dataset(name, TABLE_N, TABLE_QUERIES, 42);
+    let nlist = IvfIndex::default_nlist(ds.len);
+    let index = IvfIndex::build(&ds.data, ds.len, ds.dims(), nlist, 10, 3);
+    (ds, index)
+}
+
+/// Per-query Δd = 1 replays of `pruner` over `rows` in `index`'s
+/// buckets: the summed `dims_scanned`, after checking the summed
+/// `dims_total` (every value of every query), and the median query's
+/// pruning power.
+fn delta_one<P: Pruner>(pruner: &P, ds: &Dataset, index: &IvfIndex, rows: &[f32]) -> (u64, f64) {
+    let d = ds.dims();
+    let ivf = IvfPdx::new(rows, d, &index.assignments, DEFAULT_GROUP_SIZE);
+    let sched = checkpoints(StepPolicy::Fixed { step: 1 }, d);
+    let (mut scanned, mut powers) = (0, Vec::new());
+    for qi in 0..ds.n_queries {
+        let t = replay(pruner, &ivf, rows, ds.query(qi), 10, &sched);
+        assert_eq!(t.dims_total, (ds.len * d) as u64);
+        scanned += t.dims_scanned;
+        powers.push(t.pruning_ratio());
+    }
+    powers.sort_by(f64::total_cmp);
+    (scanned, powers[powers.len() / 2])
+}
+
+/// Table 2: the values ADSampling reads at Δd = 1 (golden
+/// `dims_scanned`, of `dims_total` = 10 · 2 000 · D), and the median
+/// query's pruning power, the table's p50 column. The paper's claim
+/// they stand for is that ADSampling could avoid most values (more than
+/// 90 % on GIST); here the median query avoids 83.9–95.6 %. Its
+/// "skewed datasets prune more than normal ones" does not hold on this
+/// synthetic data (p50 deep 94.4 % and contriever 95.6 % against sift
+/// 93.1 %), so it is not asserted.
+#[test]
+fn table2_adsampling_pruning_power_goldens() {
+    // (dataset, dims_scanned, p50 pruning power)
+    let goldens: [(&str, u64, f64); 8] = [
+        ("gist", 879_792, 0.9546),
+        ("msong", 411_078, 0.9521),
+        ("nytimes", 53_238, 0.8390),
+        ("glove50", 79_383, 0.9253),
+        ("deep", 113_788, 0.9435),
+        ("contriever", 647_005, 0.9563),
+        ("openai", 1_379_024, 0.9557),
+        ("sift", 193_130, 0.9312),
+    ];
+    for (name, scanned, p50) in goldens {
+        let (ds, index) = table_data(name);
+        let ads = AdSampling::fit(ds.dims(), 7);
+        let rotated = ads.transform_collection(&ds.data, ds.len, 0);
+        let (got, got_p50) = delta_one(&ads, &ds, &index, &rotated);
+        assert_eq!(got, scanned, "{name}: ADSampling dims_scanned");
+        assert!((got_p50 - p50).abs() < 5e-5, "{name}: p50 {got_p50}");
+    }
+}
+
+/// Table 6: the values PDX-BOND reads at Δd = 1 under each visit order
+/// (golden `dims_scanned`, of `dims_total` = 10 · 2 000 · D), and the
+/// paper's ranking of the orders: on every dataset the median
+/// query prunes at least as much in distance-to-means order as in
+/// decreasing order, and in decreasing as in sequential. The paper's
+/// "PDX-BOND prunes slightly less than ADSampling" does not hold here
+/// (distance-to-means prunes more on 5 of the 8 datasets), so it is not
+/// asserted.
+#[test]
+fn table6_bond_pruning_power_goldens() {
+    let orders = [
+        VisitOrder::Sequential,
+        VisitOrder::Decreasing,
+        VisitOrder::DistanceToMeans,
+        VisitOrder::DimensionZones {
+            zone_size: pdx::core::visit_order::DEFAULT_ZONE_SIZE,
+        },
+    ];
+    // (dataset, dims_scanned per order as above)
+    let goldens: [(&str, [u64; 4]); 8] = [
+        ("gist", [2_015_882, 1_028_547, 945_355, 1_454_168]),
+        ("msong", [1_150_594, 517_621, 449_829, 803_946]),
+        ("nytimes", [60_179, 47_816, 29_877, 60_179]),
+        ("glove50", [98_709, 73_155, 59_496, 91_394]),
+        ("deep", [164_167, 104_898, 84_749, 135_111]),
+        ("contriever", [837_331, 711_537, 621_276, 717_874]),
+        ("openai", [2_666_044, 1_551_700, 1_459_371, 1_970_224]),
+        ("sift", [508_040, 192_429, 165_900, 352_192]),
+    ];
+    for (name, scanned) in goldens {
+        let (ds, index) = table_data(name);
+        let mut p50 = [0.0; 4];
+        for (i, order) in orders.into_iter().enumerate() {
+            let bond = PdxBond::new(Metric::L2, order);
+            let (got, got_p50) = delta_one(&bond, &ds, &index, &ds.data);
+            assert_eq!(got, scanned[i], "{name}: BOND {order:?} dims_scanned");
+            p50[i] = got_p50;
+        }
+        let [seq, decr, means, _] = p50;
+        assert!(
+            means >= decr && decr >= seq,
+            "{name}: p50 means {means} / decreasing {decr} / sequential {seq}"
+        );
+    }
 }
 
 /// ADSampling's pruning power must be substantial on a skewed
@@ -84,7 +222,13 @@ fn adsampling_prunes_most_values_on_skewed_data() {
     let ivf = IvfPdx::new(&rotated, d, &index.assignments, 64);
     let mut pruned = Vec::new();
     for qi in 0..ds.n_queries {
-        pruned.push(measure_pruned_fraction(&ads, &ivf, ds.query(qi), k));
+        pruned.push(measure_pruned_fraction(
+            &ads,
+            &ivf,
+            &rotated,
+            ds.query(qi),
+            k,
+        ));
     }
     let avg = pruned.iter().sum::<f64>() / pruned.len() as f64;
     assert!(
@@ -102,20 +246,32 @@ fn bond_order_improves_pruning_power() {
     let k = 10;
     let index = IvfIndex::build(&ds.data, ds.len, d, 25, 8, 5);
     let ivf = IvfPdx::new(&ds.data, d, &index.assignments, 64);
-    // NOTE: measure_pruned_fraction replays *sequential* scanning, so for
-    // the ordered variant we compare end-to-end scanned work instead via
-    // the same measurement on mean-ordered permutations being unavailable;
-    // here we check sequential BOND produces nonzero pruning power, the
-    // visit-order speed comparison lives in the benchmarks.
     let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
     let mut pruned = Vec::new();
     for qi in 0..ds.n_queries {
-        pruned.push(measure_pruned_fraction(&bond, &ivf, ds.query(qi), k));
+        pruned.push(measure_pruned_fraction(
+            &bond,
+            &ivf,
+            &ds.data,
+            ds.query(qi),
+            k,
+        ));
     }
     let avg = pruned.iter().sum::<f64>() / pruned.len() as f64;
     assert!(
         avg > 0.2,
         "BOND should prune a meaningful fraction, got {avg:.3}"
+    );
+    let means = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
+    let mut pruned_means = Vec::new();
+    for qi in 0..ds.n_queries {
+        let q = ds.query(qi);
+        pruned_means.push(measure_pruned_fraction(&means, &ivf, &ds.data, q, k));
+    }
+    let avg_means = pruned_means.iter().sum::<f64>() / pruned_means.len() as f64;
+    assert!(
+        avg_means >= avg,
+        "distance-to-means order pruned {avg_means:.3} < sequential {avg:.3}"
     );
 }
 
@@ -132,8 +288,8 @@ fn epsilon0_monotonicity() {
     let index = IvfIndex::build(&ds.data, ds.len, d, 20, 8, 6);
     let ivf = IvfPdx::new(&rotated, d, &index.assignments, 64);
     for qi in 0..ds.n_queries {
-        let loose = measure_pruned_fraction(&ads_loose, &ivf, ds.query(qi), k);
-        let tight = measure_pruned_fraction(&ads_tight, &ivf, ds.query(qi), k);
+        let loose = measure_pruned_fraction(&ads_loose, &ivf, &rotated, ds.query(qi), k);
+        let tight = measure_pruned_fraction(&ads_tight, &ivf, &rotated, ds.query(qi), k);
         assert!(
             tight <= loose + 1e-9,
             "query {qi}: eps0=4.0 pruned {tight:.3} > eps0=0.5 pruned {loose:.3}"
@@ -232,7 +388,7 @@ fn pca_rotated_bond_is_exact_and_prunes_earlier() {
         let res = pdxearch(&bond, &q, &ivf.blocks, &SearchOptions::new(k), None, None);
         let ids: Vec<u64> = res.iter().map(|r| r.id).collect();
         total += recall_at_k(&gt[qi], &ids, k);
-        pruned.push(measure_pruned_fraction(&bond, &ivf, &rq, k));
+        pruned.push(measure_pruned_fraction(&bond, &ivf, &rotated, &rq, k));
     }
     assert!(
         total / ds.n_queries as f64 > 0.999,
@@ -243,7 +399,13 @@ fn pca_rotated_bond_is_exact_and_prunes_earlier() {
     let ivf_raw = IvfPdx::new(&ds.data, d, &index.assignments, 64);
     let mut pruned_raw = Vec::new();
     for qi in 0..ds.n_queries {
-        pruned_raw.push(measure_pruned_fraction(&bond, &ivf_raw, ds.query(qi), k));
+        pruned_raw.push(measure_pruned_fraction(
+            &bond,
+            &ivf_raw,
+            &ds.data,
+            ds.query(qi),
+            k,
+        ));
     }
     let avg = pruned.iter().sum::<f64>() / pruned.len() as f64;
     let avg_raw = pruned_raw.iter().sum::<f64>() / pruned_raw.len() as f64;
