@@ -4,7 +4,8 @@
 //! `rotation` groups, the query/collection rotations of the pruners; in
 //! `bound_pass` and `dense/tile_vs_groups`, the two per-checkpoint steps
 //! of a PDXearch tile; in `sq8_from_rows`, the SQ8 build of a compaction;
-//! in `route`, IVF routing a query at a time against a band at a time.
+//! in `route`, IVF routing a query at a time against a band at a time; in
+//! `visit_order`, one PDX-BOND dimension order per policy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pdx::core::kernels::{pdx_accumulate_groups, sq8_accumulate_groups, survival_bits, DimSel};
@@ -290,6 +291,46 @@ fn bench_route(c: &mut Criterion) {
     group.finish();
 }
 
+/// One PDX-BOND visit order (`DistanceToMeans`) of a query against a
+/// block's means, at the sift-like and gist-like widths: the sort the
+/// scalar policy runs (`sort_unstable`) against the one the `Auto`
+/// policy resolves here (the bitonic network on AVX-512). Throughput
+/// counts orders, so the rate inverts to ns per order.
+fn bench_visit_order(c: &mut Criterion) {
+    use pdx::core::visit_order::dimension_permutation;
+    let isa = KernelPolicy::Auto.resolve().name();
+    let auto = format!("auto-{isa}");
+    let mut group = c.benchmark_group("visit_order");
+    group.throughput(Throughput::Elements(1));
+    for d in [128usize, 960] {
+        let spec = DatasetSpec {
+            name: "bench",
+            dims: d,
+            distribution: Distribution::Normal,
+            paper_size: 0,
+        };
+        let ds = generate(&spec, 1_024, 1, 17);
+        let block = PdxBlock::from_rows(&ds.data, 1_024, d, DEFAULT_GROUP_SIZE);
+        let means = BlockStats::from_block(&block).means;
+        let q = ds.query(0).to_vec();
+        let (mut keys, mut perm) = (Vec::new(), Vec::new());
+        for (name, policy) in [
+            ("scalar", KernelPolicy::Scalar),
+            (auto.as_str(), KernelPolicy::Auto),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, d), &d, |b, _| {
+                b.iter(|| {
+                    let order = VisitOrder::DistanceToMeans;
+                    let (q, means) = (black_box(&q[..]), Some(black_box(&means[..])));
+                    dimension_permutation(order, q, means, policy, &mut keys, &mut perm);
+                    black_box(&perm);
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -297,6 +338,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_kernels, bench_rotation, bench_bound_pass, bench_tile_vs_groups,
-        bench_sq8_from_rows, bench_route
+        bench_sq8_from_rows, bench_route, bench_visit_order
 }
 criterion_main!(benches);

@@ -697,6 +697,7 @@ fn index_and_queries(args: &Args, k: usize) -> Result<(Opened, SearchOptions, Ve
         let dims = index.dims();
         return Err(format!("query dims {} != index dims {dims}", queries.dims));
     }
+    finite_rows("queries", &queries)?;
     Ok((index, opts, queries))
 }
 
@@ -778,6 +779,7 @@ fn cmd_insert(args: &Args) -> Result<(), String> {
     // Validate the whole batch first so a conflict aborts before any
     // row is durably applied (no half-applied insert commands).
     let ids = insert_ids(start, data.len)?;
+    finite_rows("data", &data)?;
     for id in ids.clone() {
         if coll.is_id_reserved(id) {
             return Err(StoreError::DuplicateId(id).to_string());
@@ -1144,6 +1146,7 @@ fn cmd_query_remote(args: &Args, remote: &str) -> Result<(), String> {
     let refine: u32 = args.int("refine", 0)?;
     let deadline_ms = args.int("deadline-ms", 0)?;
     let queries = read_fvecs(&args.path("queries")?)?;
+    finite_rows("queries", &queries)?;
     let mut client = ServeClient::connect(remote).map_err(|e| format!("{remote}: {e}"))?;
     client.set_deadline_ms(deadline_ms);
     let t0 = Instant::now();
@@ -1280,6 +1283,20 @@ type Vecs = pdx::datasets::io::VecsFile<f32>;
 
 fn read_fvecs(path: &Path) -> Result<Vecs, String> {
     pdx::datasets::io::read_fvecs_path(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Rejects a `--flag` file holding a NaN or an infinity, naming the
+/// first: no distance or visit order can rank one.
+fn finite_rows(flag: &str, vecs: &Vecs) -> Result<(), String> {
+    match vecs.data.iter().position(|v| !v.is_finite()) {
+        Some(at) => Err(format!(
+            "--{flag}: row {} holds {} at dim {}",
+            at / vecs.dims.max(1),
+            vecs.data[at],
+            at % vecs.dims.max(1)
+        )),
+        None => Ok(()),
+    }
 }
 
 fn write_fvecs(path: &Path, data: &[f32], dims: usize) -> Result<(), String> {
@@ -1419,6 +1436,45 @@ mod tests {
             assert!(err.contains("--k: '0'"), "{name}: {err}");
         }
         assert!(!out.exists(), "ground-truth --k=0 left {}", out.display());
+    }
+
+    #[test]
+    fn non_finite_queries_and_rows_are_rejected_naming_the_flag() {
+        let dir = std::env::temp_dir().join("pdx_cli_non_finite");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (n, d) = (40, 4);
+        let rows: Vec<f32> = (0..n * d).map(|i| (i % 13) as f32).collect();
+        let mut bad = rows[..3 * d].to_vec();
+        bad[d + 2] = f32::NAN;
+        let path = |name: &str| dir.join(name).display().to_string();
+        write_fvecs(&dir.join("base.fvecs"), &rows, d).unwrap();
+        write_fvecs(&dir.join("bad.fvecs"), &bad, d).unwrap();
+        for (out, mode) in [("index.pdx", "container"), ("store", "collection")] {
+            let build = argv(&[
+                &format!("--data={}", path("base.fvecs")),
+                &format!("--out={}", path(out)),
+                &format!("--mode={mode}"),
+            ]);
+            cmd_build(&Args::parse(&build, BUILD_FLAGS).unwrap()).unwrap();
+        }
+        let queries = format!("--queries={}", path("bad.fvecs"));
+        for target in [
+            format!("--index={}", path("index.pdx")),
+            "--remote=127.0.0.1:1".into(),
+        ] {
+            let query = argv(&[&target, &queries]);
+            let err = cmd_query(&Args::parse(&query, QUERY_FLAGS).unwrap()).unwrap_err();
+            assert_eq!(err, "--queries: row 1 holds NaN at dim 2", "{target}");
+        }
+        let insert = argv(&[
+            &format!("--index={}", path("store")),
+            &format!("--data={}", path("bad.fvecs")),
+        ]);
+        let err = cmd_insert(&Args::parse(&insert, INSERT_FLAGS).unwrap()).unwrap_err();
+        assert_eq!(err, "--data: row 1 holds NaN at dim 2");
+        assert_eq!(Collection::open(dir.join("store")).unwrap().live_len(), n);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

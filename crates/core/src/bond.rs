@@ -12,6 +12,7 @@
 //! as possible.
 
 use crate::distance::Metric;
+use crate::kernels::KernelPolicy;
 use crate::pruning::Pruner;
 use crate::stats::BlockStats;
 use crate::visit_order::{dimension_permutation, VisitOrder};
@@ -103,8 +104,17 @@ impl Pruner for PdxBond {
         &q.query
     }
 
-    fn dim_order(&self, q: &BondQuery, stats: Option<&BlockStats>) -> Option<Vec<u32>> {
-        dimension_permutation(self.order?, &q.query, stats.map(|s| s.means.as_slice()))
+    fn dim_order(
+        &self,
+        q: &BondQuery,
+        stats: Option<&BlockStats>,
+        kernel: KernelPolicy,
+        keys: &mut Vec<u64>,
+        perm: &mut Vec<u32>,
+    ) {
+        let order = self.order.unwrap_or(VisitOrder::Sequential);
+        let means = stats.map(|s| s.means.as_slice());
+        dimension_permutation(order, &q.query, means, kernel, keys, perm);
     }
 
     fn checkpoint(
@@ -126,6 +136,13 @@ impl Pruner for PdxBond {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The visit order `bond` writes for one block (empty = storage order).
+    fn order(bond: &PdxBond, q: &BondQuery, stats: Option<&BlockStats>) -> Vec<u32> {
+        let mut perm = vec![7];
+        bond.dim_order(q, stats, KernelPolicy::Auto, &mut Vec::new(), &mut perm);
+        perm
+    }
 
     #[test]
     fn survives_is_partial_vs_threshold() {
@@ -150,7 +167,7 @@ mod tests {
     fn sequential_order_yields_no_permutation() {
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
         let q = bond.prepare_query(&[1.0, 2.0]);
-        assert!(bond.dim_order(&q, None).is_none());
+        assert!(order(&bond, &q, None).is_empty());
     }
 
     #[test]
@@ -161,7 +178,7 @@ mod tests {
             means: vec![1.0, 5.0, 3.0],
             variances: vec![0.0; 3],
         };
-        let perm = bond.dim_order(&q, Some(&stats)).unwrap();
+        let perm = order(&bond, &q, Some(&stats));
         assert_eq!(perm, vec![1, 2, 0]);
     }
 
@@ -175,7 +192,7 @@ mod tests {
             variances: vec![0.0; 2],
         };
         let q = linear.prepare_query(&[0.0, 0.0]);
-        assert!(linear.dim_order(&q, Some(&stats)).is_none());
+        assert!(order(&linear, &q, Some(&stats)).is_empty());
     }
 
     #[test]

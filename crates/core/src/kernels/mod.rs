@@ -34,6 +34,7 @@ use crate::layout::{PdxBlock, PdxGroup};
 use lanes::Stored;
 use std::ops::Range;
 
+pub mod argsort;
 pub mod dispatch;
 pub mod lanes;
 pub mod nary;

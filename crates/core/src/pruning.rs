@@ -14,6 +14,7 @@
 
 use crate::distance::Metric;
 pub use crate::kernels::lanes::Lane;
+use crate::kernels::KernelPolicy;
 use crate::stats::BlockStats;
 use std::ops::Range;
 
@@ -214,10 +215,20 @@ pub trait Pruner {
     /// The query vector to feed the distance kernels.
     fn query_vector<'q>(&self, q: &'q Self::Query) -> &'q [f32];
 
-    /// Query-aware dimension visit order for a block (`None` = storage
-    /// order). `stats` carries the block's per-dimension means.
-    fn dim_order(&self, _q: &Self::Query, _stats: Option<&BlockStats>) -> Option<Vec<u32>> {
-        None
+    /// Writes the query-aware dimension visit order for a block into
+    /// `perm`, or leaves it empty for storage order. `stats` carries the
+    /// block's per-dimension means; `keys` is the sort's buffer, and
+    /// `kernel` the scan's policy, which picks the sort's path (every
+    /// path writes the same order).
+    fn dim_order(
+        &self,
+        _q: &Self::Query,
+        _stats: Option<&BlockStats>,
+        _kernel: KernelPolicy,
+        _keys: &mut Vec<u64>,
+        perm: &mut Vec<u32>,
+    ) {
+        perm.clear();
     }
 
     /// Computes the survival-test state for one checkpoint.

@@ -269,6 +269,8 @@ struct Scratch {
     dead: Vec<u32>,
     /// WARMUP survival bits of the last bound pass, one per tile vector.
     bits: Vec<u64>,
+    /// The visit-order sort's keys, one per dimension.
+    keys: Vec<u64>,
 }
 
 /// Collects the lanes of a tile with row ids `ids` that `mask` holds. A
@@ -305,7 +307,7 @@ where
     // Shared by the band: the scratch, the checkpoint schedule and the
     // tile's masked lanes.
     let mut heaps: Vec<KnnHeap> = band.iter().map(|_| KnnHeap::new(opts.k)).collect();
-    let mut perms: Vec<Option<Vec<u32>>> = Vec::with_capacity(band.len());
+    let mut perms: Vec<Vec<u32>> = band.iter().map(|_| Vec::new()).collect();
     let mut scratch = Scratch::default();
     let mut ckpts: Vec<usize> = Vec::new();
     let mut ckpt_dims = usize::MAX;
@@ -333,11 +335,10 @@ where
         // while sequentially it would have run WARMUP/PRUNE, but the
         // accumulation order (and hence the f32 rounding) is identical.
         let t1 = timer::<PROFILE>();
-        perms.clear();
-        for q in band {
+        for (q, perm) in band.iter().zip(&mut perms) {
             let qdims = pruner.query_vector(q).len();
             assert_eq!(qdims, dims, "query dimensionality mismatch");
-            perms.push(pruner.dim_order(q, block.stats()));
+            pruner.dim_order(q, block.stats(), opts.kernel, &mut scratch.keys, perm);
         }
         lap(&mut trace.preprocess_ns, t1);
         if ckpt_dims != dims {
@@ -371,7 +372,7 @@ where
                     q,
                     block,
                     &tile,
-                    perm.as_deref(),
+                    (!perm.is_empty()).then_some(&perm[..]),
                     schedule,
                     opts,
                     heap,
@@ -768,14 +769,21 @@ mod tests {
         let prepared = bond.prepare_query(q);
         let mut heap = KnnHeap::new(k);
         for block in blocks {
-            let perm = bond.dim_order(&prepared, Some(&block.stats));
+            let (metric, scalar) = (bond.metric(), KernelPolicy::Scalar);
+            let mut perm = Vec::new();
+            bond.dim_order(
+                &prepared,
+                Some(&block.stats),
+                scalar,
+                &mut Vec::new(),
+                &mut perm,
+            );
             for (i, g) in block.pdx.groups().enumerate() {
                 let mut acc = vec![0.0f32; g.lanes];
-                let sel = match &perm {
-                    None => DimSel::Range(0..q.len()),
-                    Some(p) => DimSel::Ids(p),
+                let sel = match perm.is_empty() {
+                    true => DimSel::Range(0..q.len()),
+                    false => DimSel::Ids(&perm),
                 };
-                let (metric, scalar) = (bond.metric(), KernelPolicy::Scalar);
                 pdx_accumulate_groups(metric, &block.pdx, i..i + 1, q, sel, &mut acc, scalar);
                 for (l, &d) in acc.iter().enumerate() {
                     heap.push(block.row_ids[g.start_vector + l], d);

@@ -13,6 +13,14 @@
 //!   their aggregate distance-to-means, preserving sequential stretches
 //!   inside each zone (the memory-friendly compromise used on small IVF
 //!   blocks).
+//!
+//! Each order is an argsort of one score per dimension (or zone) by its
+//! [`descending_key`]: a bitonic network in AVX-512 registers where the
+//! resolved ISA has them, `sort_unstable` elsewhere
+//! ([`kernels::argsort`](crate::kernels::argsort)).
+
+use crate::kernels::argsort::{argsort_descending, descending_key, key_index, sort_keys};
+use crate::kernels::KernelPolicy;
 
 /// How PDX-BOND orders dimension visits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,9 +43,11 @@ pub enum VisitOrder {
 /// short enough to retain most of the distance-to-means pruning power.
 pub const DEFAULT_ZONE_SIZE: usize = 16;
 
-/// Computes the visit permutation for a query, or `None` for storage
-/// order. `means` is required by the mean-based criteria; when absent
-/// those fall back to `Decreasing` semantics on the query alone.
+/// Writes the visit permutation for a query into `perm`, or leaves
+/// `perm` empty for storage order. `means` is required by the mean-based
+/// criteria; when absent those fall back to `Decreasing` semantics on the
+/// query alone. `keys` is the sort's buffer; `kernel` picks its path
+/// ([`sort_keys`]), and every path writes the same permutation.
 ///
 /// # Panics
 /// Panics if a score is NaN (a NaN in the query or the means).
@@ -45,7 +55,11 @@ pub fn dimension_permutation(
     order: VisitOrder,
     query: &[f32],
     means: Option<&[f32]>,
-) -> Option<Vec<u32>> {
+    kernel: KernelPolicy,
+    keys: &mut Vec<u64>,
+    perm: &mut Vec<u32>,
+) {
+    perm.clear();
     let d = query.len();
     let score = |i: usize| -> f32 {
         match means {
@@ -53,56 +67,33 @@ pub fn dimension_permutation(
             None => query[i],
         }
     };
+    let isa = kernel.resolve();
     match order {
-        VisitOrder::Sequential => None,
-        VisitOrder::Decreasing => Some(argsort_descending(query.iter().copied())),
-        VisitOrder::DistanceToMeans => Some(argsort_descending((0..d).map(score))),
+        VisitOrder::Sequential => {}
+        VisitOrder::Decreasing => argsort_descending(query, None, isa, keys, perm),
+        VisitOrder::DistanceToMeans => argsort_descending(query, means, isa, keys, perm),
         VisitOrder::DimensionZones { zone_size } => {
             let zone_size = zone_size.max(1);
             let n_zones = d.div_ceil(zone_size);
             if n_zones <= 1 {
-                return None;
+                return;
             }
             let zone = |z: u32| {
                 let lo = z as usize * zone_size;
                 lo..(lo + zone_size).min(d)
             };
-            let zones = argsort_descending((0..n_zones as u32).map(|z| {
+            keys.clear();
+            keys.extend((0..n_zones as u32).map(|z| {
                 let dims = zone(z);
                 let len = dims.len();
-                dims.map(score).sum::<f32>() / len as f32
+                descending_key(z as usize, dims.map(score).sum::<f32>() / len as f32)
             }));
-            let mut perm = Vec::with_capacity(d);
-            for z in zones {
-                perm.extend(zone(z).map(|i| i as u32));
+            sort_keys(keys, isa);
+            for &key in keys.iter() {
+                perm.extend(zone(key_index(key)).map(|i| i as u32));
             }
-            Some(perm)
         }
     }
-}
-
-/// Indices of `scores`, highest score first, equal scores by ascending
-/// index. Every score is read once into an integer key that orders like
-/// the float (`-0.0` as `0.0`, as `partial_cmp` has it) with the index
-/// in the low bits, so the sort compares plain `u64`s.
-fn argsort_descending(scores: impl Iterator<Item = f32>) -> Vec<u32> {
-    let mut keys: Vec<u64> = scores
-        .enumerate()
-        .map(|(i, score)| {
-            assert!(!score.is_nan(), "NaN score");
-            let bits = (score + 0.0).to_bits();
-            // Ascending float order as ascending unsigned order, then
-            // inverted: the highest score sorts first.
-            let ascending = if bits >> 31 == 1 {
-                !bits
-            } else {
-                bits | 1 << 31
-            };
-            (u64::from(!ascending) << 32) | i as u64
-        })
-        .collect();
-    keys.sort_unstable();
-    keys.into_iter().map(|key| key as u32).collect()
 }
 
 /// Checks that a permutation covers every dimension exactly once
@@ -126,6 +117,29 @@ pub fn is_valid_permutation(perm: &[u32], dims: usize) -> bool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Every policy a scan may pass; `Simd` and `Auto` reach the
+    /// network on an AVX-512 host.
+    const POLICIES: [KernelPolicy; 3] =
+        [KernelPolicy::Scalar, KernelPolicy::Simd, KernelPolicy::Auto];
+
+    /// [`dimension_permutation`] on `kernel` into fresh buffers, `None`
+    /// for storage order.
+    fn permutation_on(
+        kernel: KernelPolicy,
+        order: VisitOrder,
+        query: &[f32],
+        means: Option<&[f32]>,
+    ) -> Option<Vec<u32>> {
+        let mut perm = vec![u32::MAX];
+        dimension_permutation(order, query, means, kernel, &mut Vec::new(), &mut perm);
+        (!perm.is_empty()).then_some(perm)
+    }
+
+    fn permutation(order: VisitOrder, query: &[f32], means: Option<&[f32]>) -> Option<Vec<u32>> {
+        permutation_on(KernelPolicy::Auto, order, query, means)
+    }
 
     /// The comparator-based definition [`dimension_permutation`] must equal:
     /// scores recomputed inside `sort_by`, ties by dimension id.
@@ -208,23 +222,56 @@ mod tests {
         VisitOrder::DimensionZones { zone_size: 16 },
     ];
 
-    /// Values from a small grid, so equal scores, zeros of both signs
-    /// and negative query values are all common.
+    /// Values from a small grid, so equal scores, zeros of both signs,
+    /// subnormals and negative query values are all common.
+    /// A query's infinities take one sign per width (`+inf` at even
+    /// widths, `−inf` at odd), so a zone never sums both into a NaN.
     fn gridded(len: usize, infinities: bool) -> impl Strategy<Value = Vec<f32>> {
-        proptest::collection::vec(0usize..11, len).prop_map(move |picks| {
+        let inf = if len.is_multiple_of(2) {
+            f32::INFINITY
+        } else {
+            f32::NEG_INFINITY
+        };
+        proptest::collection::vec(0usize..13, len).prop_map(move |picks| {
             picks
                 .into_iter()
                 .map(|pick| match pick {
                     0 => 0.0,
                     1 => -0.0,
                     2 => f32::MIN_POSITIVE / 2.0,
+                    3 => -f32::MIN_POSITIVE / 4.0,
                     // `inf − inf` is the NaN both forms reject: queries
                     // may be infinite, means stay finite.
-                    3 if infinities => f32::INFINITY,
-                    v => (v as f32 - 7.0) * 0.5,
+                    4 | 5 if infinities => inf,
+                    v => (v as f32 - 8.0) * 0.5,
                 })
                 .collect()
         })
+    }
+
+    /// The widths around a register, a power of two, the 128-key block
+    /// and the memory merge, and the gist-like width.
+    const WIDTHS: [usize; 10] = [1, 2, 7, 8, 9, 127, 128, 129, 960, 1024];
+
+    /// Every policy writes the oracle's permutation, for every order,
+    /// with and without means.
+    fn check_against_oracle(query: &[f32], means: &[f32]) -> Result<(), TestCaseError> {
+        for order in ALL_ORDERS {
+            for means in [None, Some(means)] {
+                let want = dimension_permutation_oracle(order, query, means);
+                for kernel in POLICIES {
+                    prop_assert!(
+                        permutation_on(kernel, order, query, means) == want,
+                        "{:?} on {}, d {}, means given: {}",
+                        order,
+                        kernel.name(),
+                        query.len(),
+                        means.is_some()
+                    );
+                }
+            }
+        }
+        Ok(())
     }
 
     proptest! {
@@ -232,38 +279,87 @@ mod tests {
 
         /// Sorting precomputed keys gives exactly the permutation of the
         /// comparator that recomputes scores, for every order, with and
-        /// without means.
+        /// without means, on every policy.
         #[test]
         fn key_sort_equals_the_comparator_oracle(
             (query, means) in (1usize..70).prop_flat_map(|d| (gridded(d, true), gridded(d, false))),
         ) {
+            check_against_oracle(&query, &means)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The same at the network's edge widths.
+        #[test]
+        fn key_sort_equals_the_oracle_at_edge_widths(
+            (query, means) in (0..WIDTHS.len())
+                .prop_flat_map(|w| (gridded(WIDTHS[w], true), gridded(WIDTHS[w], false))),
+        ) {
+            check_against_oracle(&query, &means)?;
+        }
+    }
+
+    /// All-equal scores sort by dimension id alone, at every edge width.
+    #[test]
+    fn equal_scores_keep_storage_order() {
+        for d in WIDTHS {
+            for value in [0.0, -0.0, 3.5, f32::INFINITY] {
+                let query = vec![value; d];
+                check_against_oracle(&query, &vec![0.0; d]).unwrap();
+                let ascending: Vec<u32> = (0..d as u32).collect();
+                let perm = permutation(VisitOrder::Decreasing, &query, None).unwrap();
+                assert_eq!(perm, ascending, "d {d}, value {value}");
+            }
+        }
+    }
+
+    /// One permutation from every policy on the same scores (the
+    /// network on an AVX-512 host, `sort_unstable` on the others).
+    #[test]
+    fn every_policy_writes_one_permutation() {
+        for d in WIDTHS {
+            let query: Vec<f32> = (0..d)
+                .map(|i| ((i * 37) % 101) as f32 * 0.25 - 9.0)
+                .collect();
+            let means: Vec<f32> = (0..d).map(|i| ((i * 11) % 7) as f32).collect();
             for order in ALL_ORDERS {
-                for means in [None, Some(&means[..])] {
-                    prop_assert!(
-                        dimension_permutation(order, &query, means)
-                            == dimension_permutation_oracle(order, &query, means),
-                        "{:?}, means given: {}", order, means.is_some()
-                    );
+                let perms: Vec<_> = POLICIES
+                    .iter()
+                    .map(|&k| permutation_on(k, order, &query, Some(&means)))
+                    .collect();
+                assert!(perms.iter().all(|p| *p == perms[0]), "{order:?}, d {d}");
+            }
+        }
+    }
+
+    /// A NaN score panics on every policy, wherever it sits.
+    #[test]
+    fn nan_score_panics_on_every_policy() {
+        for kernel in POLICIES {
+            for (d, at) in [(2, 1), (128, 0), (129, 128), (960, 500)] {
+                let mut query = vec![1.0; d];
+                query[at] = f32::NAN;
+                for order in [VisitOrder::Decreasing, VisitOrder::DistanceToMeans] {
+                    let caught =
+                        std::panic::catch_unwind(|| permutation_on(kernel, order, &query, None));
+                    let message = caught.expect_err("a NaN score must panic");
+                    let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
+                    assert_eq!(message, "NaN score", "{} {order:?}", kernel.name());
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "NaN")]
-    fn nan_query_is_rejected() {
-        dimension_permutation(VisitOrder::Decreasing, &[1.0, f32::NAN], None);
-    }
-
-    #[test]
     fn sequential_is_none() {
-        assert!(dimension_permutation(VisitOrder::Sequential, &[1.0, 2.0], None).is_none());
+        assert!(permutation(VisitOrder::Sequential, &[1.0, 2.0], None).is_none());
     }
 
     #[test]
     fn decreasing_sorts_by_query_value() {
-        let perm =
-            dimension_permutation(VisitOrder::Decreasing, &[0.5, 3.0, -1.0, 2.0], None).unwrap();
+        let perm = permutation(VisitOrder::Decreasing, &[0.5, 3.0, -1.0, 2.0], None).unwrap();
         assert_eq!(perm, vec![1, 3, 0, 2]);
     }
 
@@ -272,7 +368,7 @@ mod tests {
         let q = [1.0, 1.0, 1.0];
         let means = [1.0, 5.0, -2.0];
         // |q-m| = [0, 4, 3] → order 1, 2, 0.
-        let perm = dimension_permutation(VisitOrder::DistanceToMeans, &q, Some(&means)).unwrap();
+        let perm = permutation(VisitOrder::DistanceToMeans, &q, Some(&means)).unwrap();
         assert_eq!(perm, vec![1, 2, 0]);
     }
 
@@ -280,7 +376,7 @@ mod tests {
     fn zones_keep_internal_storage_order() {
         let q = [0.0, 0.0, 9.0, 9.0, 1.0, 1.0];
         let means = [0.0; 6];
-        let perm = dimension_permutation(
+        let perm = permutation(
             VisitOrder::DimensionZones { zone_size: 2 },
             &q,
             Some(&means),
@@ -293,16 +389,14 @@ mod tests {
     #[test]
     fn zone_of_whole_vector_is_sequential() {
         let q = [1.0, 2.0, 3.0];
-        assert!(
-            dimension_permutation(VisitOrder::DimensionZones { zone_size: 10 }, &q, None).is_none()
-        );
+        assert!(permutation(VisitOrder::DimensionZones { zone_size: 10 }, &q, None).is_none());
     }
 
     #[test]
     fn partial_final_zone_is_handled() {
         let q = [0.0, 0.0, 0.0, 7.0, 7.0];
         let means = [0.0; 5];
-        let perm = dimension_permutation(
+        let perm = permutation(
             VisitOrder::DimensionZones { zone_size: 3 },
             &q,
             Some(&means),
@@ -323,7 +417,7 @@ mod tests {
             VisitOrder::DimensionZones { zone_size: 4 },
             VisitOrder::DimensionZones { zone_size: 1 },
         ] {
-            let perm = dimension_permutation(order, &q, Some(&means)).unwrap();
+            let perm = permutation(order, &q, Some(&means)).unwrap();
             assert!(is_valid_permutation(&perm, 33), "{order:?}");
         }
     }

@@ -761,12 +761,15 @@ fn read_blocks<B: Record, S: Source>(src: &mut S, h: &ContainerHeader) -> io::Re
     })?;
     // A duplicate would make two physical rows answer to one logical
     // vector — searches and reranks would silently shadow one of them.
+    // Ids that ascend across the container (a flat container's or a
+    // store segment's, by construction) are distinct by that alone; any
+    // other order (an IVF container's buckets) pays for a set.
+    let ids = || blocks.iter().flat_map(B::row_ids);
+    if ids().is_sorted_by(|a, b| a < b) {
+        return Ok(blocks);
+    }
     let mut seen = std::collections::HashSet::new();
-    if let Some(id) = blocks
-        .iter()
-        .flat_map(B::row_ids)
-        .find(|&&id| !seen.insert(id))
-    {
+    if let Some(id) = ids().find(|&&id| !seen.insert(id)) {
         return Err(invalid(format!("duplicate row id {id} in container")));
     }
     Ok(blocks)
@@ -893,16 +896,23 @@ fn open_stream(path: &Path) -> io::Result<Stream<io::BufReader<std::fs::File>>> 
 }
 
 /// Reads either container kind from a file path; the file's length
-/// bounds every count before anything is allocated for it. Every error
-/// — the open itself, a truncation, a format violation — names the
-/// offending path.
+/// bounds every count before anything is allocated for it. On unix the
+/// file is read positionally ([`FileAt`](pdx_core::codec::FileAt), a
+/// direct source), so every id, stats and rerank section lands in its
+/// final buffer with no staging copy. Every error — the open itself, a
+/// truncation, a format violation — names the offending path.
 ///
 /// # Errors
 /// Propagates IO and format errors, with the path prepended.
 pub fn read_container_path(path: &Path) -> io::Result<Container> {
-    open_stream(path)
-        .and_then(|mut src| read_from(&mut src))
-        .map_err(with_path(path))
+    #[cfg(unix)]
+    let read = std::fs::File::open(path).and_then(|file| {
+        let len = file.metadata()?.len();
+        read_from(&mut pdx_core::codec::FileAt::new(&file, 0, len))
+    });
+    #[cfg(not(unix))]
+    let read = open_stream(path).and_then(|mut src| read_from(&mut src));
+    read.map_err(with_path(path))
 }
 
 /// Reads only the header of a container file — the O(header) cold open

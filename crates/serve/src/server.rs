@@ -679,6 +679,16 @@ fn store_error(err: &StoreError) -> Response {
     Response::error(ErrorKind::Store, err.to_string())
 }
 
+/// The `Protocol` error for the first NaN or infinite value of packed
+/// `dims`-wide queries, if any: a visit order or a distance has no
+/// answer for it.
+fn non_finite(queries: &[f32], dims: usize) -> Option<Response> {
+    let at = queries.iter().position(|v| !v.is_finite())?;
+    let (query, dim) = (at / dims.max(1), at % dims.max(1));
+    let msg = format!("query {query} holds {} at dim {dim}", queries[at]);
+    Some(Response::error(ErrorKind::Protocol, msg))
+}
+
 /// The answer to an `op` against a frozen container.
 fn frozen(op: &str) -> Response {
     let msg = format!("{op} requires a mutable collection (PDX3); this index is frozen");
@@ -724,6 +734,9 @@ fn execute_with_trace(
                     format!("query has {} dims, index has {dims}", query.len()),
                 );
             }
+            if let Some(bad) = non_finite(query, dims) {
+                return bad;
+            }
             if *k == 0 {
                 return Response::Neighbors(Vec::new());
             }
@@ -743,6 +756,9 @@ fn execute_with_trace(
                     ErrorKind::Protocol,
                     format!("batch packed at {batch_dims} dims, index has {dims}"),
                 );
+            }
+            if let Some(bad) = non_finite(queries, dims) {
+                return bad;
             }
             if *k == 0 {
                 let n = queries.len() / dims.max(1);

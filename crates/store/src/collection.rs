@@ -81,6 +81,15 @@ enum Loc {
 /// What `in_memory` panics with and `create` returns for a zero size.
 const ZERO_SIZE: &str = "dims and config knobs must be positive";
 
+/// Rejects a vector holding a NaN or an infinity before it reaches the
+/// WAL: every later search of the collection would have to rank it.
+fn check_finite(id: u64, vector: &[f32]) -> Result<(), StoreError> {
+    match vector.iter().position(|v| !v.is_finite()) {
+        Some(dim) => Err(StoreError::NonFinite { id, dim }),
+        None => Ok(()),
+    }
+}
+
 /// Whether `dims` and every size knob of `config` are positive.
 fn sizes_are_positive(dims: usize, config: &StoreConfig) -> bool {
     let knobs = [config.block_size, config.group_size, config.buffer_capacity];
@@ -723,13 +732,15 @@ impl Collection {
     /// while a background job holds the maintenance claim).
     ///
     /// # Errors
-    /// [`StoreError::DimsMismatch`], [`StoreError::DuplicateId`] (also
-    /// for tombstoned ids — reserved until compaction), or an IO error.
+    /// [`StoreError::DimsMismatch`], [`StoreError::NonFinite`] (nothing
+    /// is logged), [`StoreError::DuplicateId`] (also for tombstoned ids —
+    /// reserved until compaction), or an IO error.
     /// An IO error from the *automatic seal* (or a group-commit fsync)
     /// is reported here, but the insert itself is already WAL-committed
     /// and applied at that point — the collection stays consistent and
     /// the seal retries on the next trigger.
     pub fn insert(&self, id: u64, vector: &[f32]) -> Result<(), StoreError> {
+        check_finite(id, vector)?;
         let mut w = self.lock_writer();
         w.check_insert(id, vector)?;
         if let Some(wal) = &mut w.wal {
@@ -764,7 +775,8 @@ impl Collection {
     /// [`StoreError::MaintenanceBusy`] if a background job is in
     /// flight (the load needs the seal path for durability);
     /// [`StoreError::DimsMismatch`] / [`StoreError::IdOverflow`] /
-    /// [`StoreError::DuplicateId`] before anything is applied; or an IO
+    /// [`StoreError::NonFinite`] / [`StoreError::DuplicateId`] before
+    /// anything is applied; or an IO
     /// error from the seal — on an IO error (or a crash mid-call) the
     /// loaded rows are not durable, consistent with "the manifest is the
     /// commit point"; after an IO error they stay searchable and the
@@ -782,6 +794,9 @@ impl Collection {
             first: first_id,
             rows: n,
         })?;
+        for (id, row) in ids.clone().zip(rows.chunks_exact(self.dims)) {
+            check_finite(id, row)?;
+        }
         let _claim = self.try_claim(false).ok_or(StoreError::MaintenanceBusy)?;
         let mut w = self.lock_writer();
         if let Some(id) = ids.clone().take(n).find(|&id| w.is_reserved(id)) {

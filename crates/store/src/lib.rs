@@ -165,6 +165,14 @@ pub enum StoreError {
         /// The offending vector's length.
         got: usize,
     },
+    /// A vector to insert holds a NaN or an infinity, which no distance
+    /// or visit order can rank.
+    NonFinite {
+        /// The external id the vector was to be stored under.
+        id: u64,
+        /// The offending dimension.
+        dim: usize,
+    },
     /// On-disk state that violates the format or the store invariants.
     Corrupt(String),
     /// A seal or compaction is already in flight; retry once the
@@ -191,6 +199,12 @@ impl fmt::Display for StoreError {
             ),
             StoreError::DimsMismatch { expected, got } => {
                 write!(f, "vector has {got} dims, collection has {expected}")
+            }
+            StoreError::NonFinite { id, dim } => {
+                write!(
+                    f,
+                    "vector for id {id} holds a non-finite value at dim {dim}"
+                )
             }
             StoreError::Corrupt(msg) => write!(f, "corrupt store: {msg}"),
             StoreError::MaintenanceBusy => {

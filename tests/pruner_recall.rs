@@ -58,9 +58,12 @@ fn replay<P: Pruner>(
             .iter()
             .map(|&ck| pruner.checkpoint(&q, ck, dims, heap.threshold()))
             .collect();
-        let perm: Vec<usize> = match pruner.dim_order(&q, Some(&block.stats)) {
-            Some(p) => p.iter().map(|&d| d as usize).collect(),
-            None => (0..dims).collect(),
+        let (mut keys, mut order) = (Vec::new(), Vec::new());
+        let scalar = KernelPolicy::Scalar;
+        pruner.dim_order(&q, Some(&block.stats), scalar, &mut keys, &mut order);
+        let perm: Vec<usize> = match order.is_empty() {
+            false => order.iter().map(|&d| d as usize).collect(),
+            true => (0..dims).collect(),
         };
         for v in 0..n {
             let (row, mut partial, mut prev) = (row(v), 0.0f32, 0usize);

@@ -226,6 +226,49 @@ fn remote_mutations_apply_to_collections_and_stats_track_them() {
     server.shutdown();
 }
 
+/// A query holding a NaN or an infinity is a typed `Protocol` error, not
+/// a panic: the one worker survives it and answers the next query, on
+/// this connection and on a new one. A collection refuses such a vector
+/// as a typed `Store` error.
+#[test]
+fn non_finite_queries_and_vectors_get_typed_errors() {
+    let (n, d) = (300, 16);
+    let rows = make_rows(n, d, 21);
+    let index = FlatPdx::with_defaults(&rows, n, d);
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = start_server(Backend::frozen(Box::new(index)), config);
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let finite = rows[d..2 * d].to_vec();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut query = finite.clone();
+        query[d - 1] = bad;
+        let err = client.search(&query, 3).unwrap_err();
+        assert_eq!(err.server_kind(), Some(ErrorKind::Protocol), "{err}");
+        let batch: Vec<f32> = [&finite[..], &query[..]].concat();
+        let err = client.search_batch(&batch, d, 3).unwrap_err();
+        assert_eq!(err.server_kind(), Some(ErrorKind::Protocol), "{err}");
+        assert_eq!(client.search(&finite, 1).unwrap()[0].id, 1);
+    }
+    let mut other = ServeClient::connect(server.local_addr()).expect("connect");
+    assert_eq!(other.search(&finite, 1).unwrap()[0].id, 1);
+    server.shutdown();
+
+    let coll = Collection::in_memory(d, StoreConfig::default());
+    coll.insert(0, &finite).unwrap();
+    let server = start_server(Backend::collection(coll), ServeConfig::default());
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let mut vector = finite.clone();
+    vector[3] = f32::NAN;
+    let err = client.insert(1, &vector).unwrap_err();
+    assert_eq!(err.server_kind(), Some(ErrorKind::Store), "{err}");
+    assert_eq!(client.search(&finite, 1).unwrap()[0].id, 0);
+    assert_eq!(client.stats().unwrap().live, 1);
+    server.shutdown();
+}
+
 #[test]
 fn mutations_on_frozen_containers_are_typed_unsupported() {
     let (n, d) = (300, 8);

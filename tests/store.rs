@@ -340,6 +340,56 @@ fn duplicate_ids_are_typed_errors_at_every_layer() {
     assert!(err.to_string().contains("duplicate row id 1"), "{err}");
 }
 
+/// A vector holding a NaN or an infinity is a typed error before the
+/// WAL sees it, from `insert` and `bulk_insert` alike: nothing is logged
+/// or applied, and searches keep answering — with the row buffered
+/// beside it, after a seal and after a reopen.
+#[test]
+fn non_finite_vectors_are_typed_errors_and_never_logged() {
+    let d = 6;
+    let dir = temp_dir("non_finite");
+    let rows = make_rows(20, d, 41);
+    let coll = Collection::create(&dir, d, small_config(false)).unwrap();
+    for i in 0..10 {
+        coll.insert(i as u64, &rows[i * d..(i + 1) * d]).unwrap();
+    }
+    let wal_path = dir.join("wal-000000.log");
+    let logged = std::fs::metadata(&wal_path).unwrap().len();
+    let q = rows[3 * d..4 * d].to_vec();
+    let opts = SearchOptions::new(3);
+    let want = coll.search(&q, &opts);
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut vector = rows[10 * d..11 * d].to_vec();
+        vector[2] = bad;
+        let err = coll.insert(50, &vector).unwrap_err();
+        assert!(
+            matches!(err, StoreError::NonFinite { id: 50, dim: 2 }),
+            "{err}"
+        );
+        let mut batch = rows[10 * d..].to_vec();
+        batch[4 * d + 1] = bad;
+        let err = coll.bulk_insert(60, &batch).unwrap_err();
+        assert!(
+            matches!(err, StoreError::NonFinite { id: 64, dim: 1 }),
+            "{err}"
+        );
+        assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), logged);
+        assert_eq!(coll.live_len(), 10);
+        assert!(!coll.is_id_reserved(50) && !coll.is_id_reserved(64));
+        assert_eq!(coll.search(&q, &opts), want);
+    }
+    // A sealed row accumulates in its block's visit order, so only the
+    // ids must match the buffer's answer; a reopen keeps the bits.
+    coll.seal().unwrap();
+    let sealed = coll.search(&q, &opts);
+    assert_eq!(ids_of(&sealed), ids_of(&want));
+    drop(coll);
+    let coll = Collection::open(&dir).unwrap();
+    assert_eq!(coll.live_len(), 10);
+    assert_eq!(coll.search(&q, &opts), sealed);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Readers hammering a collection while a background compaction runs
 /// must see, for every single search, a result bit-identical (ids AND
 /// distances) to the pre-compaction state or to the post-compaction
