@@ -334,6 +334,12 @@ mod tests {
         }
     }
 
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn nan_query_is_rejected() {
+        permutation(VisitOrder::Decreasing, &[1.0, f32::NAN], None);
+    }
+
     /// A NaN score panics on every policy, wherever it sits.
     #[test]
     fn nan_score_panics_on_every_policy() {
