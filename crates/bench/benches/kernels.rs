@@ -26,7 +26,6 @@ fn bench_kernels(c: &mut Criterion) {
             let ds = generate(&spec, n, 1, d as u64);
             let q = ds.query(0).to_vec();
             let block = PdxBlock::from_rows(&ds.data, n, d, DEFAULT_GROUP_SIZE);
-            let nary = NaryMatrix::from_rows(&ds.data, n, d);
             let mut out = vec![0.0f32; n];
             group.throughput(Throughput::Elements((n * d) as u64));
             group.bench_with_input(BenchmarkId::new("pdx", d), &d, |b, _| {
@@ -37,7 +36,7 @@ fn bench_kernels(c: &mut Criterion) {
             });
             group.bench_with_input(BenchmarkId::new("nary_simd", d), &d, |b, _| {
                 b.iter(|| {
-                    for (i, row) in nary.rows().enumerate() {
+                    for (i, row) in ds.data.chunks_exact(d).enumerate() {
                         out[i] = nary_distance(metric, KernelVariant::Simd, black_box(&q), row);
                     }
                     black_box(&out);
@@ -45,7 +44,7 @@ fn bench_kernels(c: &mut Criterion) {
             });
             group.bench_with_input(BenchmarkId::new("nary_scalar", d), &d, |b, _| {
                 b.iter(|| {
-                    for (i, row) in nary.rows().enumerate() {
+                    for (i, row) in ds.data.chunks_exact(d).enumerate() {
                         out[i] = nary_distance(metric, KernelVariant::Scalar, black_box(&q), row);
                     }
                     black_box(&out);

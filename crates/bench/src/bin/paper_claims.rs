@@ -24,6 +24,7 @@
 
 use pdx::core::kernels::{pdx_accumulate_groups, DimSel};
 use pdx::prelude::*;
+use pdx_bench::baselines::{linear_scan, IvfHorizontal};
 use pdx_bench::harness::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -110,7 +111,6 @@ fn kernel_claims(claims: &mut Claims) {
             let ds = generate(&spec, n, 1, (d * 31 + n) as u64);
             let q = ds.query(0);
             let block = PdxBlock::from_rows(&ds.data, n, d, DEFAULT_GROUP_SIZE);
-            let nary = NaryMatrix::from_rows(&ds.data, n, d);
             let mut out = vec![0.0f32; n];
             // Each timed round scans ≥ 2^18 values, so tiny shapes time
             // well above the clock's resolution.
@@ -122,7 +122,7 @@ fn kernel_claims(claims: &mut Claims) {
                         match side {
                             0 => pdx_scan(metric, &block, q, &mut out),
                             1 => {
-                                for (i, row) in nary.rows().enumerate() {
+                                for (i, row) in ds.data.chunks_exact(d).enumerate() {
                                     out[i] = nary_distance(metric, KernelVariant::Simd, q, row);
                                 }
                             }
@@ -163,7 +163,6 @@ fn exact_claims(claims: &mut Claims, gist: &Dataset) {
     for ds in [&deep, &sift, gist] {
         let (n, d) = (ds.len, ds.dims());
         let flat = FlatPdx::with_defaults(&ds.data, n, d);
-        let nary = NaryMatrix::from_rows(&ds.data, n, d);
         let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
         let linear = PdxBond::linear(Metric::L2);
         let opts = SearchOptions::new(K);
@@ -173,7 +172,7 @@ fn exact_claims(claims: &mut Claims, gist: &Dataset) {
                 black_box(match side {
                     0 => flat.search_with(&bond, q, &opts),
                     1 => flat.search_with(&linear, q, &opts),
-                    _ => linear_scan_nary(&nary, q, K, Metric::L2, KernelVariant::Simd),
+                    _ => linear_scan(&ds.data, d, q, K, Metric::L2, KernelVariant::Simd),
                 });
             }
         });
@@ -216,7 +215,7 @@ fn ivf_claims(claims: &mut Claims, gist: &Dataset) {
         let ads = AdSampling::fit(d, 7);
         let rotated = ads.transform_collection(&ds.data, n, 0);
         let pdx = IvfPdx::new(&rotated, d, &index.assignments, DEFAULT_GROUP_SIZE);
-        let dual = IvfHorizontal::new(&rotated, d, &index.assignments, DELTA_D);
+        let dual = IvfHorizontal::from_pdx(&pdx, DELTA_D);
         let opts = SearchOptions::new(K).with_nprobe(NPROBE);
 
         let truth = ground_truth(&ds.data, &ds.queries, d, K, Metric::L2, 0);

@@ -432,6 +432,8 @@ fn cmd_build(args: &Args) -> Result<(), String> {
             args.path("data")?.display()
         ));
     }
+    // A non-finite value would write a file whose every query panics.
+    finite_rows("data", &data)?;
     let mode = args.str_or("mode", "container");
     for note in ignored_build_flags(args, &mode) {
         eprintln!("note: {note}; ignored");
@@ -1450,6 +1452,22 @@ mod tests {
         let path = |name: &str| dir.join(name).display().to_string();
         write_fvecs(&dir.join("base.fvecs"), &rows, d).unwrap();
         write_fvecs(&dir.join("bad.fvecs"), &bad, d).unwrap();
+        let builds = [
+            ("bad.pdx", "--mode=container"),
+            ("bad_ivf.pdx", "--mode=ivf"),
+            ("bad_sq8.pdx", "--quantize=sq8"),
+            ("bad_store", "--mode=collection"),
+        ];
+        for (out, flag) in builds {
+            let build = argv(&[
+                &format!("--data={}", path("bad.fvecs")),
+                &format!("--out={}", path(out)),
+                flag,
+            ]);
+            let err = cmd_build(&Args::parse(&build, BUILD_FLAGS).unwrap()).unwrap_err();
+            assert_eq!(err, "--data: row 1 holds NaN at dim 2", "{flag}");
+            assert!(!dir.join(out).exists(), "{flag} left {out} behind");
+        }
         for (out, mode) in [("index.pdx", "container"), ("store", "collection")] {
             let build = argv(&[
                 &format!("--data={}", path("base.fvecs")),

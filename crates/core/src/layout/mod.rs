@@ -1,18 +1,15 @@
 //! Vector storage layouts.
 //!
-//! The layouts of the paper's Figures 1 and 3, plus the SQ8 codec of the
-//! PDX block:
+//! The paper's PDX layout (Figures 1 and 3), plus the SQ8 codec of the
+//! PDX block. (The horizontal layouts it is measured against are plain
+//! row-major rows and ADSampling's dual-block split of them: no layer
+//! serves them, so they live with the baselines in `pdx-bench`.)
 //!
 //! * [`PdxBlock`] — the proposed **PDX** layout: vectors are tiled into
 //!   groups of `G` (default 64) and each group stores its values
 //!   dimension-major, so a distance kernel sweeps one dimension across
 //!   `G` vectors in a tight, dependence-free loop. `PdxBlock<u8>` is the
 //!   same layout holding SQ8 codes, one byte per value.
-//! * [`NaryMatrix`] — the conventional horizontal (vector-by-vector)
-//!   layout used by FAISS/USearch/Milvus and the `.fvecs` format.
-//! * [`DualBlockMatrix`] — ADSampling's two-segment horizontal layout
-//!   (first Δd dimensions of all vectors stored together, remainder in a
-//!   second segment).
 //! * [`Sq8Quantizer`] — the per-dimension SQ8 codec: it encodes rows
 //!   into a `PdxBlock<u8>` in its storage order and reads such a block
 //!   back in row dimensions.
@@ -20,14 +17,10 @@
 //!   one shared arena per deployment, on 2 MiB pages where it is large
 //!   enough (module `payload`).
 
-mod dual;
-mod nary;
 mod payload;
 mod pdx;
 mod quantized;
 
-pub use dual::DualBlockMatrix;
-pub use nary::NaryMatrix;
 pub use payload::{Payload, PayloadWriter, HUGE_PAGE};
 pub use pdx::{PdxBlock, PdxGroup};
 pub use quantized::{Sq8Quantizer, Sq8Query};

@@ -9,10 +9,9 @@
 //! ## What lives here
 //!
 //! * [`layout`] — the **PDX** (Partition Dimensions Across) block layout
-//!   that stores groups of vectors dimension-major, plus the competing
-//!   layouts the paper evaluates against: the horizontal/N-ary layout
-//!   ([`layout::NaryMatrix`]) and ADSampling's dual-block layout
-//!   ([`layout::DualBlockMatrix`]).
+//!   that stores groups of vectors dimension-major. (The horizontal
+//!   layouts the paper evaluates against, and the searches over them,
+//!   are baselines no layer serves: they live in `pdx-bench`.)
 //! * [`kernels`] — multi-vector-at-a-time distance kernels on PDX blocks
 //!   (scalar code that auto-vectorizes; Algorithm 1 of the paper), the
 //!   explicit-SIMD and scalar horizontal kernels used as baselines, and
@@ -20,9 +19,8 @@
 //! * [`search`] — the **PDXearch** framework (§4): block-by-block search
 //!   with START / WARMUP / PRUNE phases, adaptive dimension stepping and
 //!   branchless bound evaluation, generic over a dimension [`pruning`]
-//!   strategy and over the element type it scans ([`ScanBlock`]); plus linear-scan searchers for every layout and the
-//!   vector-at-a-time horizontal pruned search used by the paper's
-//!   SIMD-ADS / SCALAR-ADS baselines.
+//!   strategy and over the element type it scans ([`ScanBlock`]). The
+//!   PDX linear scan is PDXearch under a pruner that never prunes.
 //! * [`bond`] — **PDX-BOND** (§5), the exact, transformation-free pruner
 //!   with query-aware dimension visit orders ([`visit_order`]).
 //! * [`engine`] — the serving surface: the object-safe [`VectorIndex`]
@@ -104,14 +102,12 @@ pub use engine::{PrunerKind, SearchOptions, VectorIndex};
 pub use exec::{BatchSearcher, ThreadPool};
 pub use heap::{KnnHeap, Neighbor};
 pub use kernels::{active_kernel_isa, detected_isa, KernelIsa, KernelPolicy};
-pub use layout::{DualBlockMatrix, NaryMatrix, PdxBlock, Sq8Quantizer};
+pub use layout::{PdxBlock, Sq8Quantizer};
 pub use mask::RowMask;
 pub use obs::{publish_trace, TRACE_ENV};
 pub use pdx_obs::QueryTrace;
 pub use pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
-pub use search::{
-    horizontal_pruned_search, linear_scan_nary, pdxearch, KernelVariant, ScanBlock, Sq8Block,
-};
+pub use search::{pdxearch, KernelVariant, ScanBlock, Sq8Block};
 pub use stats::BlockStats;
 pub use visit_order::VisitOrder;
 

@@ -1,4 +1,4 @@
-//! Search algorithms over every layout.
+//! Search algorithms over the PDX layout.
 //!
 //! * [`pdxearch`] — the PDXearch framework (§4): block-by-block,
 //!   dimension-by-dimension pruned search with START/WARMUP/PRUNE phases,
@@ -7,24 +7,17 @@
 //!   The paper's PDX linear scan is [`pdxearch`] under a pruner that
 //!   never prunes ([`PdxBond::linear`](crate::bond::PdxBond::linear)):
 //!   every tile stays on the START schedule.
-//! * `linear` — the exhaustive horizontal scan (the paper's
-//!   FAISS-like / Scikit-learn-like baselines), re-exported here as
-//!   [`linear_scan_nary`].
-//! * `horizontal` — the vector-at-a-time pruned search on ADSampling's
-//!   dual-block horizontal layout (the SIMD-ADS / SCALAR-ADS baselines,
-//!   with bound evaluation interleaved every Δd dimensions), re-exported
-//!   as [`horizontal_pruned_search`] and friends.
 //! * [`quantized`] — the two-phase SQ8 path: the SQ8 element and its
 //!   candidate bound for [`pdxearch`], then an exact `f32` rerank.
+//!
+//! The paper's horizontal baselines — the N-ary linear scan and the
+//! vector-at-a-time pruned search on ADSampling's dual-block layout —
+//! are served by no layer and live in `pdx-bench`'s `baselines` module.
 
-mod horizontal;
-mod linear;
 #[allow(clippy::module_inception)]
 mod pdxearch;
 pub mod quantized;
 
-pub use horizontal::{horizontal_linear_scan, horizontal_pruned_search, HorizontalBucket};
-pub use linear::linear_scan_nary;
 pub use pdxearch::{pdxearch, pdxearch_band, ScanBlock};
 pub use quantized::{sq8_rerank, Sq8Block, Sq8Bound, DEFAULT_REFINE};
 

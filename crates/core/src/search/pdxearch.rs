@@ -687,6 +687,37 @@ mod tests {
         assert_eq!(got.len(), n);
     }
 
+    /// The PDX linear scan — PDXearch under the bond that never prunes —
+    /// is exact for every metric, inner product included.
+    #[test]
+    fn pdx_linear_scan_equals_brute_force_for_every_metric() {
+        let (n, d, k) = (211, 19, 7);
+        let rows: Vec<f32> = (0..n * d)
+            .map(|i| ((i * 29 % 83) as f32) * 0.3 - 10.0)
+            .collect();
+        let coll = PdxCollection::from_rows_partitioned(&rows, n, d, 50, 16);
+        let blocks: Vec<&SearchBlock> = coll.blocks.iter().collect();
+        let q: Vec<f32> = (0..d).map(|i| (i as f32).sin()).collect();
+        for metric in [Metric::L2, Metric::L1, Metric::NegativeIp] {
+            let linear = PdxBond::linear(metric);
+            let got = search(&linear, &blocks, &q, &SearchOptions::new(k));
+            let want = brute_force(&rows, d, &q, k, metric);
+            assert_eq!(ids(&got), ids(&want), "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn subset_of_blocks_restricts_candidates() {
+        let (n, d) = (40, 5);
+        let rows = make_rows(n, d, 8);
+        let coll = PdxCollection::from_rows_partitioned(&rows, n, d, 10, 4);
+        let blocks: Vec<&SearchBlock> = coll.blocks[..2].iter().collect();
+        let linear = PdxBond::linear(Metric::L2);
+        let got = search(&linear, &blocks, &vec![0.0; d], &SearchOptions::new(100));
+        assert_eq!(got.len(), 20);
+        assert!(got.iter().all(|n| n.id < 20));
+    }
+
     #[test]
     fn single_block_collection_works() {
         let (n, d, k) = (80, 10, 4);

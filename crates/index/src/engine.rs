@@ -39,10 +39,8 @@
 //! with the candidate heap's own threshold instead of a [`PrunerKind`];
 //! one without a rerank payload answers with the quantized estimates.)
 //!
-//! The paper's horizontal comparison baseline is not served and does not
-//! implement [`VectorIndex`]: [`IvfHorizontal::search_with`] is the
-//! horizontal IVF's one query (traced like a [`Deployment`] query), the
-//! baseline side of `paper_claims`' PDX-ADS over SIMD-ADS ratio.
+//! The paper's horizontal comparison baselines are not served and live
+//! in `pdx-bench`'s `baselines` module, outside the library.
 //!
 //! Every implementation honours the engine determinism contract:
 //! `search_batch` returns the bits of sequential `search` at any thread
@@ -62,18 +60,15 @@
 //! [`PrunerKind`]: pdx_core::engine::PrunerKind
 
 use crate::ivf::probe_orders;
-use crate::{FlatPdx, FlatSq8, IvfHorizontal, IvfPdx, IvfSq8};
+use crate::{FlatPdx, FlatSq8, IvfPdx, IvfSq8};
 use pdx_core::collection::SearchBlock;
 use pdx_core::engine::{SearchOptions, VectorIndex};
 use pdx_core::exec::BatchSearcher;
-use pdx_core::heap::{KnnHeap, Neighbor};
-use pdx_core::kernels::nary_distance;
+use pdx_core::heap::Neighbor;
 use pdx_core::mask::RowMask;
 use pdx_core::pruning::Pruner;
 use pdx_core::search::quantized::{sq8_rerank, Sq8Block, Sq8Bound};
-use pdx_core::search::{
-    horizontal_linear_scan, horizontal_pruned_search, pdxearch_band, HorizontalBucket, ScanBlock,
-};
+use pdx_core::search::{pdxearch_band, ScanBlock};
 use pdx_core::QueryTrace;
 use std::ops::Deref;
 use std::time::Instant;
@@ -509,46 +504,6 @@ impl VectorIndex for IvfSq8 {
     }
 }
 
-impl IvfHorizontal {
-    /// Vector-at-a-time query over the `nprobe` nearest buckets with the
-    /// horizontal tier of [`SearchOptions::kernel`] (SIMD-ADS when SIMD,
-    /// SCALAR-ADS when scalar): `pruner`'s bound interleaved every Δd
-    /// dimensions, or — for a pruner that never prunes — the plain
-    /// linear IVF_FLAT scan. The buckets are ranked by their centroids
-    /// under the same tier. Traced like a [`Deployment`] query, as
-    /// `ivf-horizontal`.
-    pub fn search_with<P: Pruner>(
-        &self,
-        pruner: &P,
-        query: &[f32],
-        opts: &SearchOptions,
-    ) -> Vec<Neighbor> {
-        let mut tracing = Tracing::start(opts);
-        let variant = opts.kernel.horizontal_variant();
-        let q = tracing.phase(|p| &mut p.preprocess_ns, || pruner.prepare_query(query));
-        let (space, metric) = (pruner.query_vector(&q), pruner.metric());
-        let buckets: Vec<&HorizontalBucket> = tracing.phase(
-            |p| &mut p.find_buckets_ns,
-            || {
-                let mut heap = KnnHeap::new(opts.resolve_nprobe(self.buckets.len()).max(1));
-                for (i, row) in self.centroids.rows().enumerate() {
-                    heap.push(i as u64, nary_distance(metric, variant, space, row));
-                }
-                let nearest = heap.into_sorted().into_iter();
-                nearest.map(|n| &self.buckets[n.id as usize]).collect()
-            },
-        );
-        let out = if pruner.prunes() {
-            let trace = tracing.trace();
-            horizontal_pruned_search(pruner, &q, buckets, opts, self.delta_d, trace)
-        } else {
-            horizontal_linear_scan(&buckets, space, opts.k, metric, variant)
-        };
-        tracing.publish("ivf-horizontal");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,6 +511,7 @@ mod tests {
     use pdx_core::bond::PdxBond;
     use pdx_core::distance::Metric;
     use pdx_core::engine::PrunerKind;
+    use pdx_core::heap::KnnHeap;
     use pdx_core::kernels::pdx_scan;
     use pdx_core::visit_order::VisitOrder;
     use rand::rngs::StdRng;

@@ -1,32 +1,27 @@
-//! The IVF (inverted file) index and its two deployments.
+//! The IVF (inverted file) index and its PDX deployment.
 //!
 //! Training happens once on the raw collection ([`IvfIndex::build`]) and
-//! produces bucket assignments. Deployments then materialize those same
-//! buckets in different layouts/spaces:
+//! produces bucket assignments. [`IvfPdx`] materializes those buckets
+//! and their centroids in PDX (Figure 2: "IVF buckets naturally map to
+//! blocks"), searched with PDXearch through the serve driver
+//! ([`Deployment`](crate::Deployment)). Passing rotated rows
+//! (ADSampling/BSA space) yields the paper's PDX-ADS / PDX-BSA
+//! configurations; raw rows yield PDX-BOND, or under
+//! [`PdxBond::linear`](pdx_core::bond::PdxBond::linear) the PDX linear
+//! scan (IVF_FLAT on PDX).
 //!
-//! * [`IvfPdx`] — buckets and centroids stored in PDX (Figure 2: "IVF
-//!   buckets naturally map to blocks"); searched with PDXearch through
-//!   the serve driver ([`Deployment`](crate::Deployment)). Passing
-//!   rotated rows (ADSampling/BSA space) yields the paper's PDX-ADS /
-//!   PDX-BSA configurations; raw rows yield PDX-BOND, or under
-//!   [`PdxBond::linear`](pdx_core::bond::PdxBond::linear) the PDX
-//!   linear scan (IVF_FLAT on PDX).
-//! * [`IvfHorizontal`] — buckets in the dual-block horizontal layout;
-//!   its one query, [`IvfHorizontal::search_with`], runs vector-at-a-time
-//!   (SIMD-ADS / SCALAR-ADS) or, under `PdxBond::linear`, linearly (the
-//!   FAISS-like IVF_FLAT baseline).
-//!
-//! Because every deployment shares the assignments, competitors evaluate
-//! exactly the same vectors at a given `nprobe` — the paper's fairness
-//! requirement (§6.3).
+//! The SQ8 deployment ([`crate::IvfSq8`]) shares the assignments, and
+//! the paper's horizontal baseline (in `pdx-bench`'s `baselines`) is
+//! built from an [`IvfPdx`] itself, so competitors evaluate exactly the
+//! same vectors at a given `nprobe` — the paper's fairness requirement
+//! (§6.3).
 
 use crate::kmeans::KMeans;
 use pdx_core::collection::SearchBlock;
 use pdx_core::distance::Metric;
 use pdx_core::heap::KnnHeap;
 use pdx_core::kernels::{pdx_accumulate_band, KernelPolicy};
-use pdx_core::layout::{NaryMatrix, PayloadWriter};
-use pdx_core::search::HorizontalBucket;
+use pdx_core::layout::PayloadWriter;
 
 /// A trained IVF index: cluster model plus bucket membership.
 #[derive(Debug, Clone)]
@@ -195,49 +190,6 @@ impl IvfPdx {
     }
 }
 
-/// IVF deployment with dual-block horizontal buckets.
-#[derive(Debug, Clone)]
-pub struct IvfHorizontal {
-    /// Dimensionality.
-    pub dims: usize,
-    /// Row-major centroids of the non-empty buckets.
-    pub centroids: NaryMatrix,
-    /// One dual-block bucket per non-empty bucket (same order as
-    /// `centroids` rows).
-    pub buckets: Vec<HorizontalBucket>,
-    /// Δd split the buckets were built with.
-    pub delta_d: usize,
-}
-
-impl IvfHorizontal {
-    /// Materializes dual-block buckets split at `delta_d`.
-    pub fn new(rows: &[f32], dims: usize, assignments: &[Vec<u32>], delta_d: usize) -> Self {
-        let centroid_rows = bucket_centroids(rows, dims, assignments);
-        let n_centroids = centroid_rows.len() / dims.max(1);
-        let centroids = NaryMatrix::from_vec(n_centroids, dims, centroid_rows);
-        let buckets = assignments
-            .iter()
-            .filter(|ids| !ids.is_empty())
-            .map(|ids| {
-                let row = |&v: &u32| &rows[v as usize * dims..][..dims];
-                let bucket_rows: Vec<f32> = ids.iter().flat_map(row).copied().collect();
-                HorizontalBucket::new(
-                    &bucket_rows,
-                    ids.iter().map(|&v| v as u64).collect(),
-                    dims,
-                    delta_d,
-                )
-            })
-            .collect();
-        Self {
-            dims,
-            centroids,
-            buckets,
-            delta_d,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,23 +228,6 @@ mod tests {
         let got = ivf.search_with(&bond, &q, &SearchOptions::new(k));
         let ids: Vec<u64> = got.iter().map(|x| x.id).collect();
         assert_eq!(ids, brute(&rows, d, &q, k));
-    }
-
-    #[test]
-    fn horizontal_and_pdx_deployments_agree_at_full_probe() {
-        let (n, d, k) = (400, 16, 8);
-        let rows = random_rows(n, d, 2);
-        let index = IvfIndex::build(&rows, n, d, 12, 8, 3);
-        let pdx = IvfPdx::new(&rows, d, &index.assignments, 64);
-        let hor = IvfHorizontal::new(&rows, d, &index.assignments, 8);
-        let q = random_rows(1, d, 4);
-        let (linear, opts) = (PdxBond::linear(Metric::L2), SearchOptions::new(k));
-        let a = pdx.search_with(&linear, &q, &opts);
-        let b = hor.search_with(&linear, &q, &opts.with_kernel(KernelPolicy::Simd));
-        assert_eq!(
-            a.iter().map(|x| x.id).collect::<Vec<_>>(),
-            b.iter().map(|x| x.id).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! * [`kmeans`] — the non-optimized Lloyd algorithm (k-means++ init,
 //!   empty-cluster re-seeding) that IVF training uses (§2.1).
 //! * [`ivf`] — the IVF index: raw-space training producing bucket
-//!   assignments, plus two *deployments* sharing those assignments:
-//!   [`ivf::IvfPdx`] (buckets and centroids in the PDX layout, searched
-//!   with PDXearch) and [`ivf::IvfHorizontal`] (dual-block horizontal
-//!   buckets, searched vector-at-a-time — the SIMD-ADS/FAISS-style
-//!   baselines). Sharing assignments reproduces the paper's "all
+//!   assignments, and [`ivf::IvfPdx`], the deployment that holds those
+//!   buckets and their centroids in the PDX layout, searched with
+//!   PDXearch. The paper's horizontal baselines (SIMD-ADS, the
+//!   FAISS-style IVF_FLAT scan) are built from an `IvfPdx` in
+//!   `pdx-bench`'s `baselines` module, which reproduces the paper's "all
 //!   competitors share the same IVF index" setup.
 //! * [`flat`] — equally sized horizontal partitions (≤ 10 240 vectors)
 //!   for exact search (§6.5).
@@ -32,8 +32,7 @@
 //!   implementations on top of it, so each PDX-layout deployment is
 //!   reachable as a `Box<dyn VectorIndex>` behind one
 //!   [`pdx_core::engine::SearchOptions`] surface (the batch entry point
-//!   included). The horizontal baseline, [`ivf::IvfHorizontal`], is
-//!   served by no layer and keeps a typed call.
+//!   included).
 
 pub mod engine;
 pub mod flat;
@@ -44,7 +43,7 @@ pub mod sq8;
 
 pub use engine::Deployment;
 pub use flat::FlatPdx;
-pub use ivf::{IvfHorizontal, IvfIndex, IvfPdx};
+pub use ivf::{IvfIndex, IvfPdx};
 pub use kmeans::KMeans;
 pub use lazy::LazyIvf;
 pub use sq8::{FlatSq8, IvfSq8};

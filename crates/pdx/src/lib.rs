@@ -178,12 +178,11 @@ pub mod prelude {
         active_kernel_isa, detected_isa, nary_distance, pdx_scan, sq8_distance_scalar, sq8_scan,
         KernelIsa, KernelPolicy, KernelVariant,
     };
-    pub use pdx_core::layout::{DualBlockMatrix, NaryMatrix, PdxBlock, Sq8Quantizer, Sq8Query};
+    pub use pdx_core::layout::{PdxBlock, Sq8Quantizer, Sq8Query};
     pub use pdx_core::mask::RowMask;
     pub use pdx_core::pruning::{checkpoints, BlockAux, Pruner, StepPolicy};
     pub use pdx_core::search::{
-        horizontal_linear_scan, horizontal_pruned_search, linear_scan_nary, pdxearch,
-        pdxearch_band, sq8_rerank, HorizontalBucket, ScanBlock, Sq8Block, Sq8Bound, DEFAULT_REFINE,
+        pdxearch, pdxearch_band, sq8_rerank, ScanBlock, Sq8Block, Sq8Bound, DEFAULT_REFINE,
     };
     pub use pdx_core::stats::BlockStats;
     pub use pdx_core::visit_order::VisitOrder;
@@ -194,9 +193,7 @@ pub mod prelude {
         generate, spec_by_name, Dataset, DatasetSpec, Distribution, TABLE1,
     };
     pub use pdx_engine::{AnyIndex, OpenOptions, Opened, Pruned, PrunedFlat, PrunedIvf};
-    pub use pdx_index::{
-        Deployment, FlatPdx, FlatSq8, IvfHorizontal, IvfIndex, IvfPdx, IvfSq8, KMeans, LazyIvf,
-    };
+    pub use pdx_index::{Deployment, FlatPdx, FlatSq8, IvfIndex, IvfPdx, IvfSq8, KMeans, LazyIvf};
     pub use pdx_pruners::{AdSampling, Bsa, BsaLearned};
     pub use pdx_serve::{
         Backend, Client as ServeClient, ClientError, ErrorKind as ServeErrorKind, ServeConfig,

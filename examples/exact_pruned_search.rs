@@ -13,6 +13,7 @@
 //! * N-ary scalar linear scan — the Scikit-learn stand-in.
 
 use pdx::prelude::*;
+use pdx_bench::baselines::linear_scan;
 use std::time::Instant;
 
 fn main() {
@@ -29,7 +30,6 @@ fn main() {
 
     // Deployments.
     let flat = FlatPdx::with_defaults(&ds.data, n, d);
-    let nary = NaryMatrix::from_rows(&ds.data, n, d);
     let bond = PdxBond::new(Metric::L2, VisitOrder::DistanceToMeans);
     let opts = SearchOptions::new(k);
 
@@ -59,18 +59,32 @@ fn main() {
     report.push(("PDX linear scan", qps, res));
 
     let (qps, res) = time(&mut |qi| {
-        linear_scan_nary(&nary, ds.query(qi), k, Metric::L2, KernelVariant::Simd)
-            .iter()
-            .map(|r| r.distance)
-            .collect()
+        linear_scan(
+            &ds.data,
+            d,
+            ds.query(qi),
+            k,
+            Metric::L2,
+            KernelVariant::Simd,
+        )
+        .iter()
+        .map(|r| r.distance)
+        .collect()
     });
     report.push(("N-ary SIMD (FAISS-like)", qps, res));
 
     let (qps, res) = time(&mut |qi| {
-        linear_scan_nary(&nary, ds.query(qi), k, Metric::L2, KernelVariant::Scalar)
-            .iter()
-            .map(|r| r.distance)
-            .collect()
+        linear_scan(
+            &ds.data,
+            d,
+            ds.query(qi),
+            k,
+            Metric::L2,
+            KernelVariant::Scalar,
+        )
+        .iter()
+        .map(|r| r.distance)
+        .collect()
     });
     report.push(("N-ary scalar (sklearn-like)", qps, res));
 

@@ -11,6 +11,7 @@
 //! scan (the FAISS-IVF_FLAT stand-in) sharing the exact same buckets.
 
 use pdx::prelude::*;
+use pdx_bench::baselines::IvfHorizontal;
 use std::time::Instant;
 
 fn main() {
@@ -38,9 +39,11 @@ fn main() {
     let ads = AdSampling::fit(d, 11);
     let rotated = ads.transform_collection(&ds.data, n, 0);
 
-    // Two deployments of the same buckets.
+    // Two deployments of the same buckets: PDX-ADS in the rotated space,
+    // and the horizontal baseline over a raw-space PDX IVF's buckets.
     let ivf_ads = IvfPdx::new(&rotated, d, &index.assignments, DEFAULT_GROUP_SIZE);
-    let ivf_raw = IvfHorizontal::new(&ds.data, d, &index.assignments, 32);
+    let raw = IvfPdx::new(&ds.data, d, &index.assignments, DEFAULT_GROUP_SIZE);
+    let ivf_raw = IvfHorizontal::from_pdx(&raw, 32);
     let linear = PdxBond::linear(Metric::L2);
 
     println!(

@@ -34,8 +34,11 @@ fn main() {
     // --- The layouts ------------------------------------------------------
     println!("building layouts…");
     let pdx_block = PdxBlock::from_rows(&ds.data, n, d, DEFAULT_GROUP_SIZE);
-    let nary = NaryMatrix::from_rows(&ds.data, n, d);
-    let dual = DualBlockMatrix::from_rows(&ds.data, n, d, 32);
+    // The N-ary layout is the generated rows themselves; ADSampling's
+    // dual-block layout splits each row at Δd (the SIMD-ADS baseline,
+    // `pdx_bench::baselines::IvfHorizontal`, stores its buckets so).
+    let nary = &ds.data;
+    let split = 32;
 
     println!(
         "  PDX:        {} groups of ≤{} vectors, dimension-major inside groups",
@@ -43,20 +46,19 @@ fn main() {
         pdx_block.group_size()
     );
     println!(
-        "  N-ary:      {} rows of {} contiguous floats",
-        nary.len(),
-        nary.dims()
+        "  N-ary:      {} rows of {d} contiguous floats",
+        nary.len() / d
     );
     println!(
-        "  Dual-block: head {} dims + tail {} dims per vector\n",
-        dual.split(),
-        d - dual.split()
+        "  Dual-block: head {split} dims + tail {} dims per vector\n",
+        d - split
     );
 
     // A value lives at the same logical place in all of them.
     let (v, dim) = (12_345usize, 40usize);
-    assert_eq!(pdx_block.value(v, dim), nary.row(v)[dim]);
-    assert_eq!(pdx_block.value(v, dim), dual.vector(v)[dim]);
+    let (_head, tail) = ds.vector(v).split_at(split);
+    assert_eq!(pdx_block.value(v, dim), nary[v * d + dim]);
+    assert_eq!(pdx_block.value(v, dim), tail[dim - split]);
     println!(
         "value (vector {v}, dim {dim}) identical across layouts: {}\n",
         pdx_block.value(v, dim)
@@ -74,7 +76,7 @@ fn main() {
     time_scans(
         "N-ary explicit SIMD",
         || {
-            for (i, row) in nary.rows().enumerate() {
+            for (i, row) in nary.chunks_exact(d).enumerate() {
                 out[i] = nary_distance(Metric::L2, KernelVariant::Simd, q, row);
             }
         },
@@ -83,7 +85,7 @@ fn main() {
     time_scans(
         "N-ary scalar",
         || {
-            for (i, row) in nary.rows().enumerate() {
+            for (i, row) in nary.chunks_exact(d).enumerate() {
                 out[i] = nary_distance(Metric::L2, KernelVariant::Scalar, q, row);
             }
         },

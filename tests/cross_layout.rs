@@ -2,6 +2,7 @@
 //! the same distances and the same search results on the same data.
 
 use pdx::prelude::*;
+use pdx_bench::baselines::{linear_scan, IvfHorizontal};
 use pdx_core::distance::distance_scalar;
 
 fn dataset(n: usize, name: &str, seed: u64) -> Dataset {
@@ -60,8 +61,7 @@ fn linear_scans_return_identical_neighbours() {
 
     let flat = FlatPdx::new(&ds.data, ds.len, d, 300, 64);
     let pdx_res = flat.search_with(&PdxBond::linear(Metric::L2), q, &SearchOptions::new(k));
-    let nary = NaryMatrix::from_rows(&ds.data, ds.len, d);
-    let nary_res = linear_scan_nary(&nary, q, k, Metric::L2, KernelVariant::Simd);
+    let nary_res = linear_scan(&ds.data, d, q, k, Metric::L2, KernelVariant::Simd);
 
     let ids = |r: &[Neighbor]| r.iter().map(|n| n.id).collect::<Vec<_>>();
     assert_eq!(ids(&pdx_res), ids(&nary_res));
@@ -78,22 +78,26 @@ fn pdx_round_trip_across_dataset_shapes() {
     }
 }
 
-/// The dual-block layout reassembles vectors exactly and its pruned
-/// search (with an exact bound) matches brute force.
+/// The dual-block baseline's pruned search (with an exact bound) over
+/// one bucket holding the whole collection matches the N-ary scan.
 #[test]
 fn dual_block_layout_is_faithful() {
     let ds = dataset(900, "deep", 4);
     let d = ds.dims();
     let k = 10;
-    let bucket = HorizontalBucket::new(&ds.data, (0..ds.len as u64).collect(), d, 24);
-    for v in [0usize, 450, 899] {
-        assert_eq!(bucket.dual.vector(v), ds.vector(v));
-    }
+    let one_bucket = vec![(0..ds.len as u32).collect()];
+    let ivf = IvfPdx::new(&ds.data, d, &one_bucket, 64);
+    let hor = IvfHorizontal::from_pdx(&ivf, 24);
     let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
-    let q = bond.prepare_query(ds.query(0));
-    let got = horizontal_pruned_search(&bond, &q, [&bucket], &SearchOptions::new(k), 24, None);
-    let nary = NaryMatrix::from_rows(&ds.data, ds.len, d);
-    let want = linear_scan_nary(&nary, ds.query(0), k, Metric::L2, KernelVariant::Scalar);
+    let got = hor.search_with(&bond, ds.query(0), &SearchOptions::new(k));
+    let want = linear_scan(
+        &ds.data,
+        d,
+        ds.query(0),
+        k,
+        Metric::L2,
+        KernelVariant::Scalar,
+    );
     assert_eq!(
         got.iter().map(|n| n.id).collect::<Vec<_>>(),
         want.iter().map(|n| n.id).collect::<Vec<_>>()
@@ -195,8 +199,9 @@ fn horizontal_bsa_search_panics_for_want_of_aux() {
     let bsa = Bsa::fit(&ds.data, ds.len, 12, 300);
     let rotated = bsa.transform_collection(&ds.data, ds.len, 2);
     let assignments = vec![(0..200).collect(), (200..400).collect()];
-    let ivf = IvfHorizontal::new(&rotated, 12, &assignments, 4);
-    let _ = ivf.search_with(&bsa, ds.query(0), &SearchOptions::new(5).with_nprobe(2));
+    let ivf = IvfPdx::new(&rotated, 12, &assignments, 64);
+    let hor = IvfHorizontal::from_pdx(&ivf, 4);
+    let _ = hor.search_with(&bsa, ds.query(0), &SearchOptions::new(5).with_nprobe(2));
 }
 
 /// Mismatched query dimensionality is rejected, not misread.

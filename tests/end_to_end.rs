@@ -4,6 +4,7 @@
 //! index construction → search → recall, spanning every crate.
 
 use pdx::prelude::*;
+use pdx_bench::baselines::IvfHorizontal;
 use pdx_core::pruning::{checkpoints, StepPolicy};
 
 fn small_dataset(name: &str, n: usize, nq: usize, seed: u64) -> Dataset {
@@ -148,7 +149,7 @@ fn horizontal_and_pdx_adsampling_agree() {
     let rotated = ads.transform_collection(&ds.data, ds.len, 8);
     let index = IvfIndex::build(&ds.data, ds.len, d, 20, 8, 7);
     let pdx_ivf = IvfPdx::new(&rotated, d, &index.assignments, 64);
-    let hor_ivf = IvfHorizontal::new(&rotated, d, &index.assignments, delta_d);
+    let hor_ivf = IvfHorizontal::from_pdx(&pdx_ivf, delta_d);
 
     let nprobe = pdx_ivf.blocks.len();
     for qi in 0..ds.n_queries {

@@ -15,6 +15,7 @@
 //! whose results are bit-identical to the in-memory originals.
 
 use pdx::prelude::*;
+use pdx_bench::baselines::IvfHorizontal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,7 +49,7 @@ fn deployments(rows: &[f32], n: usize, d: usize) -> Vec<Box<dyn VectorIndex>> {
 /// The horizontal IVF baseline over the same buckets as [`deployments`].
 fn horizontal(rows: &[f32], n: usize, d: usize) -> IvfHorizontal {
     let index = IvfIndex::build(rows, n, d, 12, 8, 7);
-    IvfHorizontal::new(rows, d, &index.assignments, d / 4)
+    IvfHorizontal::from_pdx(&IvfPdx::new(rows, d, &index.assignments, 16), d / 4)
 }
 
 #[test]

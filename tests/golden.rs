@@ -16,10 +16,12 @@
 //! boundaries inside one block.
 //!
 //! Only names of the `VectorIndex` serving surface are used, plus the
-//! horizontal baseline's typed `search_with`, so the file compiles
-//! unchanged on either side of a search-path refactor.
+//! horizontal baseline's typed `search_with` (`pdx_bench::baselines`),
+//! so the file compiles unchanged on either side of a search-path
+//! refactor.
 
 use pdx::prelude::*;
+use pdx_bench::baselines::IvfHorizontal;
 
 const N: usize = 2500;
 const D: usize = 40;
@@ -195,11 +197,13 @@ fn ivf_pdx_partial_and_full_probe_resident_and_lazy() {
 }
 
 /// The paper's horizontal baseline is not served: its one entry point is
-/// the typed `search_with`, pinned under the pruner the options name.
+/// the typed `search_with`, pinned under the pruner the options name, over
+/// the buckets and centroids of the PDX IVF it is built from.
 #[test]
 fn ivf_horizontal() {
     let rows = clustered(N, 0x9E37_79B9_7F4A_7C15);
-    let hor = IvfHorizontal::new(&rows, D, &assignments(), 8);
+    let ivf = IvfPdx::new(&rows, D, &assignments(), GROUP);
+    let hor = IvfHorizontal::from_pdx(&ivf, 8);
     let partial = SearchOptions::new(10).with_nprobe(3);
     let linear = SearchOptions::new(10).with_pruner(PrunerKind::Linear);
     for (name, opts, want) in [
@@ -209,15 +213,9 @@ fn ivf_horizontal() {
         // The horizontal SIMD tiers reduce across lanes, so their bits
         // move with the ISA; the scalar tier is the one a constant can pin.
         let opts = opts.with_kernel(KernelPolicy::Scalar);
-        for trace in [false, true] {
-            let opts = opts.with_trace(trace);
-            let search = |q: &[f32]| hor.search_with(&opts.bond(), q, &opts);
-            let got = fnv1a(&queries().chunks_exact(D).map(search).collect::<Vec<_>>());
-            assert_eq!(
-                got, want,
-                "ivf-horizontal {name} trace={trace}: {got:#018x}"
-            );
-        }
+        let search = |q: &[f32]| hor.search_with(&opts.bond(), q, &opts);
+        let got = fnv1a(&queries().chunks_exact(D).map(search).collect::<Vec<_>>());
+        assert_eq!(got, want, "ivf-horizontal {name}: {got:#018x}");
     }
 }
 

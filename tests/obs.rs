@@ -98,18 +98,6 @@ fn tracing_changes_no_result_bits() {
             }
         }
     }
-    // The horizontal baseline traces its one entry point too.
-    let index = IvfIndex::build(&rows, n, d, 12, 8, 7);
-    let hor = IvfHorizontal::new(&rows, d, &index.assignments, d / 4);
-    let off = SearchOptions::new(k);
-    let on = off.with_trace(true);
-    for q in queries.chunks_exact(d) {
-        assert_same_hits(
-            &hor.search_with(&off.bond(), q, &off),
-            &hor.search_with(&on.bond(), q, &on),
-            "ivf-horizontal search_with",
-        );
-    }
 }
 
 /// Traced searches publish work counters into the process registry,
