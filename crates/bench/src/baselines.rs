@@ -344,27 +344,43 @@ mod tests {
         }
     }
 
-    /// Δd is clamped into `1..=dims`: a head as wide as the vector
-    /// leaves an empty tail, a zero Δd a one-dimension head.
-    #[test]
-    fn split_outside_the_dims_is_clamped() {
+    /// Builds the baseline with `delta_d` over 10 vectors of 6 dims,
+    /// checks that its head is `split` wide and its tail holds the rest,
+    /// and that its search still equals brute force.
+    fn check_split(delta_d: usize, split: usize) {
         let (n, d, k) = (10, 6, 3);
         let data = rows(n, d, 2);
         let ivf = IvfPdx::new(&data, d, &striped(n, 1), 4);
         let q = rows(1, d, 3);
         let bond = PdxBond::new(Metric::L2, VisitOrder::Sequential);
         let opts = SearchOptions::new(k).with_kernel(KernelPolicy::Scalar);
-        for (delta_d, split) in [(100, 6), (0, 1)] {
-            let hor = IvfHorizontal::from_pdx(&ivf, delta_d);
-            assert_eq!(hor.split, split);
-            assert_eq!(hor.buckets[0].tail.len(), n * (d - split));
-            let got = hor.search_with(&bond, &q, &opts);
-            assert_eq!(
-                ids(&got),
-                brute(&data, d, &q, k, Metric::L2),
-                "Δd {delta_d}"
-            );
-        }
+        let hor = IvfHorizontal::from_pdx(&ivf, delta_d);
+        assert_eq!(hor.split, split, "Δd {delta_d}");
+        assert_eq!(hor.buckets[0].tail.len(), n * (d - split), "Δd {delta_d}");
+        let got = hor.search_with(&bond, &q, &opts);
+        assert_eq!(
+            ids(&got),
+            brute(&data, d, &q, k, Metric::L2),
+            "Δd {delta_d}"
+        );
+    }
+
+    /// A head as wide as the vector leaves an empty tail.
+    #[test]
+    fn full_split_has_empty_tail() {
+        check_split(6, 6);
+    }
+
+    /// Δd past the width is clamped to the width.
+    #[test]
+    fn split_larger_than_dims_is_clamped() {
+        check_split(100, 6);
+    }
+
+    /// A zero Δd is clamped to a one-dimension head.
+    #[test]
+    fn zero_split_is_clamped_to_one() {
+        check_split(0, 1);
     }
 
     #[test]
