@@ -433,7 +433,7 @@ fn cmd_build(args: &Args) -> Result<(), String> {
         ));
     }
     // A non-finite value would write a file whose every query panics.
-    finite_rows("data", &data)?;
+    check_vectors(&data.data, data.dims).map_err(|e| format!("--data: {e}"))?;
     let mode = args.str_or("mode", "container");
     for note in ignored_build_flags(args, &mode) {
         eprintln!("note: {note}; ignored");
@@ -699,7 +699,7 @@ fn index_and_queries(args: &Args, k: usize) -> Result<(Opened, SearchOptions, Ve
         let dims = index.dims();
         return Err(format!("query dims {} != index dims {dims}", queries.dims));
     }
-    finite_rows("queries", &queries)?;
+    check_vectors(&queries.data, queries.dims).map_err(|e| format!("--queries: {e}"))?;
     Ok((index, opts, queries))
 }
 
@@ -781,7 +781,7 @@ fn cmd_insert(args: &Args) -> Result<(), String> {
     // Validate the whole batch first so a conflict aborts before any
     // row is durably applied (no half-applied insert commands).
     let ids = insert_ids(start, data.len)?;
-    finite_rows("data", &data)?;
+    check_vectors(&data.data, data.dims).map_err(|e| format!("--data: {e}"))?;
     for id in ids.clone() {
         if coll.is_id_reserved(id) {
             return Err(StoreError::DuplicateId(id).to_string());
@@ -1148,7 +1148,7 @@ fn cmd_query_remote(args: &Args, remote: &str) -> Result<(), String> {
     let refine: u32 = args.int("refine", 0)?;
     let deadline_ms = args.int("deadline-ms", 0)?;
     let queries = read_fvecs(&args.path("queries")?)?;
-    finite_rows("queries", &queries)?;
+    check_vectors(&queries.data, queries.dims).map_err(|e| format!("--queries: {e}"))?;
     let mut client = ServeClient::connect(remote).map_err(|e| format!("{remote}: {e}"))?;
     client.set_deadline_ms(deadline_ms);
     let t0 = Instant::now();
@@ -1285,20 +1285,6 @@ type Vecs = pdx::datasets::io::VecsFile<f32>;
 
 fn read_fvecs(path: &Path) -> Result<Vecs, String> {
     pdx::datasets::io::read_fvecs_path(path).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Rejects a `--flag` file holding a NaN or an infinity, naming the
-/// first: no distance or visit order can rank one.
-fn finite_rows(flag: &str, vecs: &Vecs) -> Result<(), String> {
-    match vecs.data.iter().position(|v| !v.is_finite()) {
-        Some(at) => Err(format!(
-            "--{flag}: row {} holds {} at dim {}",
-            at / vecs.dims.max(1),
-            vecs.data[at],
-            at % vecs.dims.max(1)
-        )),
-        None => Ok(()),
-    }
 }
 
 fn write_fvecs(path: &Path, data: &[f32], dims: usize) -> Result<(), String> {

@@ -10,8 +10,8 @@
 //! never know (or care) which deployment is behind it. `pdx-engine`'s
 //! `AnyIndex::open` produces exactly that box by sniffing a persisted
 //! container. The trait and the options are what those serving layers
-//! use and no more: the paper's horizontal IVF baseline keeps its own
-//! typed entry point in `pdx-index`.
+//! use and no more: the paper's horizontal baselines are not served;
+//! they live in `pdx-bench`.
 //!
 //! The batch entry point comes for free: the trait's default method
 //! runs on the shared [`exec`](crate::exec) worker pool, and because
@@ -32,6 +32,7 @@ use crate::kernels::KernelPolicy;
 use crate::pruning::{StepPolicy, DEFAULT_SELECTION_FRACTION};
 use crate::search::DEFAULT_REFINE;
 use crate::visit_order::VisitOrder;
+use std::fmt;
 
 /// Which pruning strategy an engine-level query uses on the `f32`
 /// deployments.
@@ -224,6 +225,63 @@ impl SearchOptions {
     }
 }
 
+/// Why packed vectors cannot be searched or stored ([`check_vectors`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum VectorError {
+    /// `len` values are not whole `dims`-wide vectors, or `dims` is 0.
+    Shape {
+        /// Number of values.
+        len: usize,
+        /// Width of one vector.
+        dims: usize,
+    },
+    /// The first NaN or infinity, in row-major order.
+    NonFinite {
+        /// The vector holding it.
+        row: usize,
+        /// Its dimension in that vector.
+        dim: usize,
+        /// The value itself.
+        value: f32,
+    },
+}
+
+impl fmt::Display for VectorError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Shape { len, dims } => write!(f, "{len} values are not whole {dims}-dim vectors"),
+            Self::NonFinite { row, dim, value } => {
+                write!(f, "row {row} holds {value} at dim {dim}")
+            }
+        }
+    }
+}
+
+/// The one verdict on vectors from outside (a wire frame, an `.fvecs`
+/// file, an insert) before they are searched or stored: `data` must
+/// pack whole `dims`-wide vectors, every value finite, since no distance
+/// or visit order can rank a NaN or an infinity. Returns the number of
+/// vectors; a road that takes one vector requires `Ok(1)`.
+///
+/// # Errors
+/// [`VectorError::Shape`] if `dims` is 0 or does not divide
+/// `data.len()`; else [`VectorError::NonFinite`] for the first
+/// non-finite value.
+pub fn check_vectors(data: &[f32], dims: usize) -> Result<usize, VectorError> {
+    let len = data.len();
+    if dims == 0 || !len.is_multiple_of(dims) {
+        return Err(VectorError::Shape { len, dims });
+    }
+    match data.iter().position(|v| !v.is_finite()) {
+        Some(at) => Err(VectorError::NonFinite {
+            row: at / dims,
+            dim: at % dims,
+            value: data[at],
+        }),
+        None => Ok(len / dims),
+    }
+}
+
 /// One vector-search deployment behind a uniform, object-safe surface.
 ///
 /// Every served deployment — flat and IVF, `f32` and SQ8, resident and
@@ -258,6 +316,12 @@ pub trait VectorIndex: Send + Sync {
     /// Single-query k-NN with the unified options. `opts.k == 0` asks
     /// for nothing: every implementation answers it with the empty list
     /// (and [`VectorIndex::search_batch`] with one empty list per query).
+    ///
+    /// # Panics
+    /// Panics if `query.len()` is not [`VectorIndex::dims`]. May panic
+    /// on a query holding a NaN or an infinity: a [`PrunerKind::Bond`]
+    /// visit order cannot sort a NaN score. Edges that take queries from
+    /// outside call [`check_vectors`] first.
     fn search(&self, query: &[f32], opts: &SearchOptions) -> Vec<Neighbor>;
 
     /// Searches a batch of packed queries on `opts.threads` workers
@@ -351,6 +415,28 @@ mod tests {
         assert_eq!(opts.resolve_nprobe(7), 7);
         assert_eq!(opts.with_nprobe(3).resolve_nprobe(7), 3);
         assert_eq!(opts.with_nprobe(100).resolve_nprobe(7), 7);
+    }
+
+    #[test]
+    fn vector_check_names_the_first_non_finite_value() {
+        let shape = |len, dims| Err(VectorError::Shape { len, dims });
+        assert_eq!(check_vectors(&[0.0; 11], 4), shape(11, 4));
+        assert_eq!(check_vectors(&[0.0; 4], 0), shape(4, 0));
+        assert_eq!(check_vectors(&[], 0), shape(0, 0));
+        assert_eq!(check_vectors(&[], 4), Ok(0));
+        // −0.0, a subnormal and ±MAX pass; three rows of four.
+        let edge = [-0.0, f32::MIN_POSITIVE / 2.0, -f32::MAX, f32::MAX];
+        let fine = edge.repeat(3);
+        assert_eq!(check_vectors(&fine, 4), Ok(3));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for (at, row, dim) in [(0, 0, 0), (11, 2, 3)] {
+                let mut data = fine.clone();
+                data[at] = bad;
+                let err = check_vectors(&data, 4).unwrap_err();
+                let want = format!("row {row} holds {bad} at dim {dim}");
+                assert_eq!(err.to_string(), want);
+            }
+        }
     }
 
     #[test]

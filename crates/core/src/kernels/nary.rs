@@ -12,7 +12,6 @@
 //!   to `Unrolled` when AVX2 is unavailable (non-x86 or old CPUs).
 
 use crate::distance::Metric;
-use std::ops::Range;
 
 /// Which horizontal kernel tier to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,9 +36,9 @@ pub fn simd_available() -> bool {
 /// Distance between `query` and `vector` with the chosen kernel tier.
 ///
 /// # Panics
-/// Panics (in debug builds) if the slices differ in length.
+/// Panics if the slices differ in length.
 pub fn nary_distance(metric: Metric, variant: KernelVariant, query: &[f32], vector: &[f32]) -> f32 {
-    debug_assert_eq!(query.len(), vector.len());
+    assert_eq!(query.len(), vector.len(), "query and vector lengths differ");
     match variant {
         KernelVariant::Scalar => scalar(metric, query, vector),
         KernelVariant::Unrolled => unrolled(metric, query, vector),
@@ -80,8 +79,11 @@ pub fn nary_distance(metric: Metric, variant: KernelVariant, query: &[f32], vect
 /// through different operations), or `None` only when that distance does
 /// not beat `bound`. A `Some` may not beat it either: the caller still
 /// compares.
+///
+/// # Panics
+/// Panics if the slices differ in length.
 pub fn nary_l2_bounded(query: &[f32], vector: &[f32], bound: f32, ties: bool) -> Option<f32> {
-    debug_assert_eq!(query.len(), vector.len());
+    assert_eq!(query.len(), vector.len(), "query and vector lengths differ");
     let cut = Cutoff { bound, ties };
     #[cfg(target_arch = "x86_64")]
     {
@@ -128,18 +130,6 @@ impl Cutoff {
             partial >= self.bound
         }
     }
-}
-
-/// Partial distance over a dimension range (used by the horizontal
-/// pruned-search baselines that evaluate bounds every Δd dimensions).
-pub fn nary_distance_range(
-    metric: Metric,
-    variant: KernelVariant,
-    query: &[f32],
-    vector: &[f32],
-    range: Range<usize>,
-) -> f32 {
-    nary_distance(metric, variant, &query[range.clone()], &vector[range])
 }
 
 fn scalar(metric: Metric, q: &[f32], v: &[f32]) -> f32 {
@@ -472,15 +462,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn range_kernel_is_partial() {
-        let (q, v) = vecs(50);
-        let full = nary_distance(Metric::L2, KernelVariant::Simd, &q, &v);
-        let a = nary_distance_range(Metric::L2, KernelVariant::Simd, &q, &v, 0..20);
-        let b = nary_distance_range(Metric::L2, KernelVariant::Simd, &q, &v, 20..50);
-        assert!((a + b - full).abs() <= full.max(1.0) * 1e-4);
     }
 
     #[test]

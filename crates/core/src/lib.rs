@@ -98,7 +98,7 @@ pub use bond::PdxBond;
 pub use cache::{resolve_cache_bytes, BlockCache, CacheStats, CACHE_BYTES_ENV};
 pub use collection::{PdxCollection, SearchBlock};
 pub use distance::Metric;
-pub use engine::{PrunerKind, SearchOptions, VectorIndex};
+pub use engine::{check_vectors, PrunerKind, SearchOptions, VectorError, VectorIndex};
 pub use exec::{BatchSearcher, ThreadPool};
 pub use heap::{KnnHeap, Neighbor};
 pub use kernels::{active_kernel_isa, detected_isa, KernelIsa, KernelPolicy};

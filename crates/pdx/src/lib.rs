@@ -169,7 +169,9 @@ pub mod prelude {
     pub use pdx_core::cache::{resolve_cache_bytes, BlockCache, CacheStats, CACHE_BYTES_ENV};
     pub use pdx_core::collection::{PdxCollection, SearchBlock};
     pub use pdx_core::distance::{normalize, Metric};
-    pub use pdx_core::engine::{PrunerKind, SearchOptions, VectorIndex};
+    pub use pdx_core::engine::{
+        check_vectors, PrunerKind, SearchOptions, VectorError, VectorIndex,
+    };
     pub use pdx_core::exec::{
         merge_neighbors, resolve_threads, BatchSearcher, ThreadPool, THREADS_ENV,
     };

@@ -31,7 +31,7 @@ use crate::proto::{
     check_frame_len, write_frame, ErrorKind, Request, Response, StatsReport, DEFAULT_MAX_FRAME,
 };
 use pdx_core::codec::{read_vec, Source, Stream};
-use pdx_core::engine::{SearchOptions, VectorIndex};
+use pdx_core::engine::{check_vectors, SearchOptions, VectorError, VectorIndex};
 use pdx_core::exec::{resolve_threads, spawn_job, JobHandle};
 use pdx_core::KernelPolicy;
 use pdx_engine::{OpenOptions, Opened};
@@ -515,7 +515,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
         if let Err(err) = check_frame_len(len, shared.config.max_frame) {
             // The stream offset is now unknowable: answer and close.
             shared.protocol_errors.inc();
-            conn.send(0, &Response::error(ErrorKind::Protocol, err.0));
+            conn.send(0, &protocol_error(err.0));
             return;
         }
         // The buffer grows as the payload arrives: a connection that
@@ -529,7 +529,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Err(err) => {
                 // Frame boundaries are intact: answer and keep serving.
                 shared.protocol_errors.inc();
-                conn.send(seq, &Response::error(ErrorKind::Protocol, err.0));
+                conn.send(seq, &protocol_error(err.0));
             }
             Ok(req) => dispatch(req, seq, arrived, &conn, shared),
         }
@@ -666,9 +666,7 @@ fn search_options(
     // `trace` defaults to the PDX_TRACE env; the server can only turn
     // it *on* (metrics endpoint / slow-query log), never off.
     opts.trace |= traced;
-    if nprobe > 0 {
-        opts = opts.with_nprobe(nprobe as usize);
-    }
+    opts = opts.with_nprobe(nprobe as usize);
     if refine > 0 {
         opts = opts.with_refine(refine as usize);
     }
@@ -679,14 +677,8 @@ fn store_error(err: &StoreError) -> Response {
     Response::error(ErrorKind::Store, err.to_string())
 }
 
-/// The `Protocol` error for the first NaN or infinite value of packed
-/// `dims`-wide queries, if any: a visit order or a distance has no
-/// answer for it.
-fn non_finite(queries: &[f32], dims: usize) -> Option<Response> {
-    let at = queries.iter().position(|v| !v.is_finite())?;
-    let (query, dim) = (at / dims.max(1), at % dims.max(1));
-    let msg = format!("query {query} holds {} at dim {dim}", queries[at]);
-    Some(Response::error(ErrorKind::Protocol, msg))
+fn protocol_error(msg: impl ToString) -> Response {
+    Response::error(ErrorKind::Protocol, msg.to_string())
 }
 
 /// The answer to an `op` against a frozen container.
@@ -710,9 +702,10 @@ fn request_name(req: &Request) -> &'static str {
 /// Executes one admitted request against the backend, with per-query
 /// tracing forced on when `traced` (results are bit-identical; the
 /// traced scans differ only in timer/counter side effects). Total: every
-/// outcome is a response frame, including shape mismatches (typed
-/// `Protocol`) and mutations against frozen containers (typed
-/// `Unsupported`).
+/// outcome is a response frame, including queries [`check_vectors`]
+/// refuses (typed `Protocol`) and mutations against frozen containers
+/// (typed `Unsupported`). `k = 0` and `nprobe = 0` go to the index as
+/// they came: it answers the empty list and probes every bucket.
 fn execute_with_trace(
     backend: &Backend,
     kernel: KernelPolicy,
@@ -727,22 +720,14 @@ fn execute_with_trace(
             refine,
             query,
             ..
-        } => {
-            if query.len() != dims {
-                return Response::error(
-                    ErrorKind::Protocol,
-                    format!("query has {} dims, index has {dims}", query.len()),
-                );
+        } => match check_vectors(query, dims) {
+            Ok(1) => {
+                let opts = search_options(*k, *nprobe, *refine, kernel, traced);
+                Response::Neighbors(backend.index().search(query, &opts))
             }
-            if let Some(bad) = non_finite(query, dims) {
-                return bad;
-            }
-            if *k == 0 {
-                return Response::Neighbors(Vec::new());
-            }
-            let opts = search_options(*k, *nprobe, *refine, kernel, traced);
-            Response::Neighbors(backend.index().search(query, &opts))
-        }
+            Err(err @ VectorError::NonFinite { .. }) if query.len() == dims => protocol_error(err),
+            _ => protocol_error(format!("query has {} dims, index has {dims}", query.len())),
+        },
         Request::SearchBatch {
             k,
             nprobe,
@@ -752,17 +737,12 @@ fn execute_with_trace(
             ..
         } => {
             if *batch_dims as usize != dims {
-                return Response::error(
-                    ErrorKind::Protocol,
-                    format!("batch packed at {batch_dims} dims, index has {dims}"),
-                );
+                return protocol_error(format!(
+                    "batch packed at {batch_dims} dims, index has {dims}"
+                ));
             }
-            if let Some(bad) = non_finite(queries, dims) {
-                return bad;
-            }
-            if *k == 0 {
-                let n = queries.len() / dims.max(1);
-                return Response::Batch(vec![Vec::new(); n]);
+            if let Err(err) = check_vectors(queries, dims) {
+                return protocol_error(err);
             }
             let opts = search_options(*k, *nprobe, *refine, kernel, traced);
             Response::Batch(backend.index().search_batch(queries, &opts))

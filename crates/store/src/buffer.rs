@@ -70,11 +70,6 @@ impl WriteBuffer {
         }
     }
 
-    /// Dimensionality of the buffered vectors.
-    pub(crate) fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// Number of buffered (live) vectors: the physical rows minus the
     /// logically deleted ones.
     pub(crate) fn len(&self) -> usize {

@@ -52,7 +52,7 @@ use crate::manifest::{segment_file, segment_ids_file, wal_file, Manifest};
 use crate::snapshot::{SegmentView, Snapshot};
 use crate::wal::{Wal, WalRecord};
 use crate::{Segment, StoreConfig, StoreError};
-use pdx_core::engine::{SearchOptions, VectorIndex};
+use pdx_core::engine::{check_vectors, SearchOptions, VectorError, VectorIndex};
 use pdx_core::exec::{spawn_job, JobHandle};
 use pdx_core::heap::Neighbor;
 use pdx_core::mask::RowMask;
@@ -80,15 +80,6 @@ enum Loc {
 
 /// What `in_memory` panics with and `create` returns for a zero size.
 const ZERO_SIZE: &str = "dims and config knobs must be positive";
-
-/// Rejects a vector holding a NaN or an infinity before it reaches the
-/// WAL: every later search of the collection would have to rank it.
-fn check_finite(id: u64, vector: &[f32]) -> Result<(), StoreError> {
-    match vector.iter().position(|v| !v.is_finite()) {
-        Some(dim) => Err(StoreError::NonFinite { id, dim }),
-        None => Ok(()),
-    }
-}
 
 /// Whether `dims` and every size knob of `config` are positive.
 fn sizes_are_positive(dims: usize, config: &StoreConfig) -> bool {
@@ -324,14 +315,9 @@ impl Writer {
         self.locations.len() - self.tombstone_count() - sealing_dead
     }
 
-    /// Validation shared by [`Collection::insert`] and WAL replay.
-    fn check_insert(&self, id: u64, vector: &[f32]) -> Result<(), StoreError> {
-        if vector.len() != self.buffer.dims() {
-            return Err(StoreError::DimsMismatch {
-                expected: self.buffer.dims(),
-                got: vector.len(),
-            });
-        }
+    /// The id check shared by [`Collection::insert`] and WAL replay (a
+    /// replayed vector is as wide as the WAL header says).
+    fn check_insert(&self, id: u64) -> Result<(), StoreError> {
         if self.is_reserved(id) {
             return Err(StoreError::DuplicateId(id));
         }
@@ -341,7 +327,7 @@ impl Writer {
     /// Memory-only insert with re-validation (the WAL replay path — a
     /// duplicate in the log is corruption, not a caller bug).
     fn apply_insert(&mut self, id: u64, vector: &[f32]) -> Result<(), StoreError> {
-        self.check_insert(id, vector)?;
+        self.check_insert(id)?;
         self.buffer.append(id, vector)?;
         self.locations.insert(id, Loc::Buffer);
         Ok(())
@@ -740,9 +726,19 @@ impl Collection {
     /// and applied at that point — the collection stays consistent and
     /// the seal retries on the next trigger.
     pub fn insert(&self, id: u64, vector: &[f32]) -> Result<(), StoreError> {
-        check_finite(id, vector)?;
+        // Refused before the WAL: every later search would rank it.
+        match check_vectors(vector, self.dims) {
+            Ok(1) => {}
+            Err(VectorError::NonFinite { dim, .. }) if vector.len() == self.dims => {
+                return Err(StoreError::NonFinite { id, dim })
+            }
+            _ => {
+                let (expected, got) = (self.dims, vector.len());
+                return Err(StoreError::DimsMismatch { expected, got });
+            }
+        }
         let mut w = self.lock_writer();
-        w.check_insert(id, vector)?;
+        w.check_insert(id)?;
         if let Some(wal) = &mut w.wal {
             wal.append(&WalRecord::Insert {
                 id,
@@ -774,7 +770,7 @@ impl Collection {
     /// # Errors
     /// [`StoreError::MaintenanceBusy`] if a background job is in
     /// flight (the load needs the seal path for durability);
-    /// [`StoreError::DimsMismatch`] / [`StoreError::IdOverflow`] /
+    /// [`StoreError::IdOverflow`] / [`StoreError::DimsMismatch`] /
     /// [`StoreError::NonFinite`] / [`StoreError::DuplicateId`] before
     /// anything is applied; or an IO
     /// error from the seal — on an IO error (or a crash mid-call) the
@@ -782,21 +778,23 @@ impl Collection {
     /// commit point"; after an IO error they stay searchable and the
     /// next seal retries them.
     pub fn bulk_insert(&self, first_id: u64, rows: &[f32]) -> Result<(), StoreError> {
-        if !rows.len().is_multiple_of(self.dims) {
-            return Err(StoreError::DimsMismatch {
-                expected: self.dims,
-                got: rows.len(),
-            });
-        }
         let n = rows.len() / self.dims;
         let last = first_id.checked_add(n.saturating_sub(1) as u64);
         let ids = first_id..=last.ok_or(StoreError::IdOverflow {
             first: first_id,
             rows: n,
         })?;
-        for (id, row) in ids.clone().zip(rows.chunks_exact(self.dims)) {
-            check_finite(id, row)?;
-        }
+        check_vectors(rows, self.dims).map_err(|err| match err {
+            VectorError::Shape { len, dims } => StoreError::DimsMismatch {
+                expected: dims,
+                got: len,
+            },
+            // In range: the ids up to `first_id + n - 1` were checked.
+            VectorError::NonFinite { row, dim, .. } => StoreError::NonFinite {
+                id: first_id + row as u64,
+                dim,
+            },
+        })?;
         let _claim = self.try_claim(false).ok_or(StoreError::MaintenanceBusy)?;
         let mut w = self.lock_writer();
         if let Some(id) = ids.clone().take(n).find(|&id| w.is_reserved(id)) {

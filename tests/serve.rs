@@ -243,15 +243,27 @@ fn non_finite_queries_and_vectors_get_typed_errors() {
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
     let finite = rows[d..2 * d].to_vec();
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-        let mut query = finite.clone();
-        query[d - 1] = bad;
-        let err = client.search(&query, 3).unwrap_err();
-        assert_eq!(err.server_kind(), Some(ErrorKind::Protocol), "{err}");
-        let batch: Vec<f32> = [&finite[..], &query[..]].concat();
-        let err = client.search_batch(&batch, d, 3).unwrap_err();
-        assert_eq!(err.server_kind(), Some(ErrorKind::Protocol), "{err}");
-        assert_eq!(client.search(&finite, 1).unwrap()[0].id, 1);
+        // The first dim of the first row and the last of the last.
+        for (row, at) in [(0, 0), (1, d - 1)] {
+            let mut query = finite.clone();
+            query[at] = bad;
+            let err = client.search(&query, 3).unwrap_err();
+            assert_eq!(err.server_kind(), Some(ErrorKind::Protocol), "{err}");
+            let mut batch = [finite.clone(), finite.clone()];
+            batch[row] = query;
+            let err = client.search_batch(&batch.concat(), d, 3).unwrap_err();
+            assert_eq!(err.server_kind(), Some(ErrorKind::Protocol), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("row {row} holds {bad} at dim {at}")),
+                "{err}"
+            );
+            assert_eq!(client.search(&finite, 1).unwrap()[0].id, 1);
+        }
     }
+    // A Search frame carries one query: two are a shape error.
+    let err = client.search(&rows[..2 * d], 3).unwrap_err();
+    assert_eq!(err.server_kind(), Some(ErrorKind::Protocol), "{err}");
     let mut other = ServeClient::connect(server.local_addr()).expect("connect");
     assert_eq!(other.search(&finite, 1).unwrap()[0].id, 1);
     server.shutdown();
@@ -274,23 +286,31 @@ fn mutations_on_frozen_containers_are_typed_unsupported() {
     let (n, d) = (300, 8);
     let rows = make_rows(n, d, 10);
     let flat = FlatPdx::with_defaults(&rows, n, d);
-    let server = start_server(Backend::frozen(Box::new(flat)), ServeConfig::default());
-    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
-    let err = client.insert(1, &[0.0; 8]).unwrap_err();
-    assert_eq!(err.server_kind(), Some(ErrorKind::Unsupported), "{err}");
-    let err = client.delete(1).unwrap_err();
-    assert_eq!(err.server_kind(), Some(ErrorKind::Unsupported), "{err}");
-    // The connection survives typed errors, and a wire-supplied k = 0
-    // answers an empty result instead of tripping the index's k > 0
-    // assertion in the worker.
-    assert!(client.search(&rows[..d], 0).unwrap().is_empty());
-    assert!(client
-        .search_batch(&rows[..2 * d], d, 0)
-        .unwrap()
-        .iter()
-        .all(Vec::is_empty));
-    client.ping().unwrap();
-    server.shutdown();
+    let coll = Collection::in_memory(d, StoreConfig::default());
+    coll.bulk_insert(0, &rows).unwrap();
+    coll.insert(n as u64, &rows[..d]).unwrap();
+    let backends = [
+        (Backend::frozen(Box::new(flat)), true),
+        (Backend::collection(coll), false),
+    ];
+    for (backend, frozen) in backends {
+        let server = start_server(backend, ServeConfig::default());
+        let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+        if frozen {
+            let err = client.insert(1, &[0.0; 8]).unwrap_err();
+            assert_eq!(err.server_kind(), Some(ErrorKind::Unsupported), "{err}");
+            let err = client.delete(1).unwrap_err();
+            assert_eq!(err.server_kind(), Some(ErrorKind::Unsupported), "{err}");
+        }
+        // The connection survives typed errors, and a wire-supplied
+        // k = 0 reaches the index, which answers the empty list: from
+        // sealed rows and buffered ones alike on the collection.
+        assert!(client.search(&rows[..d], 0).unwrap().is_empty());
+        let batch = client.search_batch(&rows[..2 * d], d, 0).unwrap();
+        assert_eq!(batch, vec![Vec::new(); 2]);
+        client.ping().unwrap();
+        server.shutdown();
+    }
 }
 
 /// A wire-supplied `k` of `u32::MAX` (and, on SQ8, a `refine` of

@@ -377,6 +377,14 @@ fn non_finite_vectors_are_typed_errors_and_never_logged() {
         assert_eq!(coll.live_len(), 10);
         assert!(!coll.is_id_reserved(50) && !coll.is_id_reserved(64));
         assert_eq!(coll.search(&q, &opts), want);
+        // A wrong length is named before the value it holds.
+        for len in [d - 1, d + 1, 2 * d] {
+            let err = coll.insert(50, &vec![bad; len]).unwrap_err();
+            assert!(
+                matches!(err, StoreError::DimsMismatch { expected, got } if (expected, got) == (d, len)),
+                "{err}"
+            );
+        }
     }
     // A sealed row accumulates in its block's visit order, so only the
     // ids must match the buffer's answer; a reopen keeps the bits.
@@ -388,6 +396,17 @@ fn non_finite_vectors_are_typed_errors_and_never_logged() {
     assert_eq!(coll.live_len(), 10);
     assert_eq!(coll.search(&q, &opts), sealed);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A query longer than the rows panics in the write buffer's kernel
+/// instead of reading past the row it is measured against.
+#[test]
+#[should_panic(expected = "lengths differ")]
+fn over_long_query_on_buffered_rows_panics() {
+    let coll = Collection::in_memory(4, StoreConfig::default());
+    coll.insert(0, &[1.0; 4]).unwrap();
+    assert_eq!(coll.buffer_len(), 1);
+    coll.search(&[0.0; 64], &SearchOptions::new(1));
 }
 
 /// Readers hammering a collection while a background compaction runs
